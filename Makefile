@@ -1,7 +1,7 @@
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: check test bench bench-pytest chaos trace recover
+.PHONY: check test bench bench-pytest chaos trace recover e2e-quick e2e-selftest
 
 # The fast gate for every push: tier-1 minus the slow full-campaign
 # tests, plus the parallel-campaign determinism regression.
@@ -40,3 +40,15 @@ bench:
 # The original pytest-benchmark microbenchmark suite (exploratory; no gate).
 bench-pytest:
 	python -m pytest benchmarks/ --benchmark-only -q
+
+# The performance ledger (BENCHMARK.json, benchmarks/e2e/).  `e2e-quick`
+# is a schema smoke of every workload; with `e2e-selftest` it fails when
+# a boundary entry point the ledger wraps (Engine.step,
+# AsgController.reconcile, CloudAPI.*, ...) was renamed — which would
+# otherwise turn that layer's traced metrics into null without failing
+# anything until a later benchmark run.
+e2e-quick:
+	python3 benchmarks/e2e/run.py --quick
+
+e2e-selftest:
+	python -m pytest benchmarks/e2e/tests -q

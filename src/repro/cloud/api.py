@@ -18,6 +18,7 @@ import typing as _t
 
 from repro.cloud.cloudtrail import CloudTrail
 from repro.cloud.consistency import ConsistencyModel, EventuallyConsistentView
+from repro.cloud.controller import activities_since
 from repro.cloud.errors import (
     LimitExceeded,
     MalformedRequest,
@@ -211,15 +212,18 @@ class CloudAPI:
 
         def body() -> list[dict]:
             asg = self.state.get("auto_scaling_group", asg_name)
+            instances = self.state.instances
             result = []
             for iid in asg.instance_ids:
-                if self.state.exists("instance", iid):
-                    if consistent:
-                        result.append(self.state.get("instance", iid).describe())
-                    else:
-                        view = self.view.read("instance", iid)
-                        if view is not None:
-                            result.append(view)
+                instance = instances.get(iid)
+                if instance is None:
+                    continue
+                if consistent:
+                    result.append(instance.describe())
+                else:
+                    view = self.view.read("instance", iid)
+                    if view is not None:
+                        result.append(view)
             return result
 
         return self._call("DescribeInstances", {"AutoScalingGroupName": asg_name}, body)
@@ -244,16 +248,7 @@ class CloudAPI:
 
     def _finish_termination(self, instance_id: str) -> _t.Generator:
         yield self.engine.timeout(4.0)
-        if not self.state.exists("instance", instance_id):
-            return
-        instance = self.state.get("instance", instance_id)
-        instance.state = InstanceState.TERMINATED
-        self.state.record_write("instance", instance_id, self.engine.now)
-        # Drop from any ELB registration.
-        for elb in self.state.load_balancers.values():
-            if instance_id in elb.registered_instances:
-                elb.registered_instances.remove(instance_id)
-                self.state.record_write("load_balancer", elb.name, self.engine.now)
+        self.state.finish_termination(instance_id, self.engine.now)
 
     # -- AutoScaling: launch configurations ----------------------------------
 
@@ -479,26 +474,26 @@ class CloudAPI:
         attempts are failing (and with which error code).
         """
 
-        def body() -> list:
-            return [
-                a
-                for a in self.state.scaling_activities
-                if a.asg_name == asg_name and a.time >= since
-            ]
-
-        return self._call("DescribeScalingActivities", {"AutoScalingGroupName": asg_name}, body)
+        return self._call(
+            "DescribeScalingActivities",
+            {"AutoScalingGroupName": asg_name},
+            lambda: activities_since(self.state.scaling_activities, asg_name, since),
+        )
 
     def describe_instance_health(self, name: str) -> list[dict]:
         def body() -> list[dict]:
             elb = self.state.get("load_balancer", name)
             if not elb.available:
                 raise ServiceUnavailable(f"load balancer {name!r} is unavailable")
+            instances = self.state.instances
             result = []
             for iid in elb.registered_instances:
-                healthy = False
-                if self.state.exists("instance", iid):
-                    instance = self.state.get("instance", iid)
-                    healthy = instance.state == InstanceState.RUNNING and instance.healthy
+                instance = instances.get(iid)
+                healthy = (
+                    instance is not None
+                    and instance.state == InstanceState.RUNNING
+                    and instance.healthy
+                )
                 result.append(
                     {"InstanceId": iid, "State": "InService" if healthy else "OutOfService"}
                 )

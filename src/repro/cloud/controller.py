@@ -13,12 +13,19 @@ activity* failure and, from Asgard's point of view, a silent stall.
 from __future__ import annotations
 
 import dataclasses
+import operator
 import typing as _t
+from bisect import bisect_left
 
 from repro.cloud.errors import CloudError, LimitExceeded, ResourceNotFound, ServiceUnavailable
-from repro.cloud.resources import Instance, InstanceState
+from repro.cloud.resources import Instance, InstanceState, LaunchConfiguration
 from repro.cloud.state import CloudState
 from repro.sim.latency import LatencyModel, instance_boot_latency
+
+
+_activity_time = operator.attrgetter("time")
+_PENDING = InstanceState.PENDING
+_RUNNING = InstanceState.RUNNING
 
 
 @dataclasses.dataclass
@@ -32,6 +39,15 @@ class ScalingActivity:
     description: str
     error_code: str | None = None
     instance_id: str | None = None
+
+
+def activities_since(
+    log: list[ScalingActivity], asg_name: str, since: float = 0.0
+) -> list[ScalingActivity]:
+    """One ASG's activities from ``since`` on; ``log`` is appended in time
+    order, so a long tail of per-tick failed launches is skipped, not scanned."""
+    start = bisect_left(log, since, key=_activity_time)
+    return [a for a in log[start:] if a.asg_name == asg_name]
 
 
 class AsgController:
@@ -74,7 +90,7 @@ class AsgController:
         self._running = False
 
     def activities_for(self, asg_name: str) -> list[ScalingActivity]:
-        return [a for a in self.activities if a.asg_name == asg_name]
+        return activities_since(self.activities, asg_name)
 
     # -- internals ----------------------------------------------------------
 
@@ -104,43 +120,37 @@ class AsgController:
         asg = self.state.auto_scaling_groups.get(asg_name)
         if asg is None:
             return
-        self._prune_dead_members(asg_name)
-        asg = self.state.auto_scaling_groups.get(asg_name)
-        active = [
-            iid
-            for iid in asg.instance_ids
-            if self.state.exists("instance", iid)
-            and self.state.get("instance", iid).state.is_active()
-        ]
+        instances = self.state.instances
+        # One scan, one lookup per member: what survives is exactly the
+        # pending and healthy-running members, so the pruned membership
+        # and the active fleet are the same list.
+        active = []
+        # Iterate a snapshot: replacing an unhealthy member mutates
+        # asg.instance_ids mid-loop.
+        for iid in list(asg.instance_ids):
+            instance = instances.get(iid)
+            if instance is None:
+                continue
+            if instance.state is _RUNNING:
+                if instance.healthy:
+                    active.append(iid)
+                else:
+                    # The ASG replaces unhealthy instances (§V.B of the paper).
+                    self._terminate_member(asg_name, iid, cause="unhealthy")
+            elif instance.state is _PENDING:
+                active.append(iid)
+        if active != asg.instance_ids:
+            asg.instance_ids = active
+            self.state.record_write("auto_scaling_group", asg_name, self.engine.now)
         gap = asg.desired_capacity - len(active)
         if gap > 0 and self.LAUNCH not in asg.suspended_processes:
             for _ in range(gap):
                 self._try_launch(asg_name)
         elif gap < 0 and self.TERMINATE not in asg.suspended_processes:
             # Scale in: terminate the oldest instances first (AWS default-ish).
-            by_age = sorted(active, key=lambda iid: self.state.get("instance", iid).launch_time)
+            by_age = sorted(active, key=lambda iid: instances[iid].launch_time)
             for iid in by_age[: abs(gap)]:
                 self._terminate_member(asg_name, iid)
-
-    def _prune_dead_members(self, asg_name: str) -> None:
-        asg = self.state.auto_scaling_groups[asg_name]
-        alive = []
-        # Iterate a snapshot: replacing an unhealthy member mutates
-        # asg.instance_ids mid-loop.
-        for iid in list(asg.instance_ids):
-            if not self.state.exists("instance", iid):
-                continue
-            instance = self.state.get("instance", iid)
-            if instance.state in (InstanceState.TERMINATED, InstanceState.SHUTTING_DOWN):
-                continue
-            if instance.state == InstanceState.RUNNING and not instance.healthy:
-                # The ASG replaces unhealthy instances (§V.B of the paper).
-                self._terminate_member(asg_name, iid, cause="unhealthy")
-                continue
-            alive.append(iid)
-        if alive != asg.instance_ids:
-            asg.instance_ids = alive
-            self.state.record_write("auto_scaling_group", asg_name, self.engine.now)
 
     def _record(self, activity: ScalingActivity) -> None:
         self.activities.append(activity)
@@ -151,7 +161,7 @@ class AsgController:
     def _try_launch(self, asg_name: str) -> None:
         asg = self.state.auto_scaling_groups[asg_name]
         try:
-            self._validate_launch(asg)
+            lc = self._validate_launch(asg)
         except CloudError as exc:
             self._record(
                 ScalingActivity(
@@ -164,7 +174,6 @@ class AsgController:
                 )
             )
             return
-        lc = self.state.get("launch_configuration", asg.launch_configuration_name)
         instance_id = self.state.new_id("instance")
         instance = Instance(
             instance_id=instance_id,
@@ -191,33 +200,33 @@ class AsgController:
         )
         self.engine.process(self._boot(asg_name, instance_id), name=f"boot-{instance_id}")
 
-    def _validate_launch(self, asg) -> None:
-        """Raise the CloudError a real launch attempt would surface."""
-        if not self.state.exists("launch_configuration", asg.launch_configuration_name):
+    def _validate_launch(self, asg) -> LaunchConfiguration:
+        """The launch configuration to boot from, or the CloudError a real
+        launch attempt would surface."""
+        state = self.state
+        lc = state.launch_configurations.get(asg.launch_configuration_name)
+        if lc is None:
             raise ResourceNotFound.of("launch_configuration", asg.launch_configuration_name)
-        lc = self.state.get("launch_configuration", asg.launch_configuration_name)
-        if not self.state.exists("ami", lc.image_id):
+        image = state.amis.get(lc.image_id)
+        if image is None or not image.available:
             raise ResourceNotFound.of("ami", lc.image_id)
-        if not self.state.get("ami", lc.image_id).available:
-            raise ResourceNotFound.of("ami", lc.image_id)
-        if not self.state.exists("key_pair", lc.key_name):
+        if lc.key_name not in state.key_pairs:
             raise ResourceNotFound.of("key_pair", lc.key_name)
         for group in lc.security_groups:
-            if not self.state.exists("security_group", group):
+            if group not in state.security_groups:
                 raise ResourceNotFound.of("security_group", group)
-        if self.state.active_instance_count() >= self.state.limits.max_instances:
+        if state.active_instance_count() >= state.limits.max_instances:
             raise LimitExceeded(
-                f"account limit of {self.state.limits.max_instances} instances reached"
+                f"account limit of {state.limits.max_instances} instances reached"
             )
+        return lc
 
     def _boot(self, asg_name: str, instance_id: str) -> _t.Generator:
         yield self.engine.timeout(self.boot_latency.sample())
-        if not self.state.exists("instance", instance_id):
+        instance = self.state.instances.get(instance_id)
+        if instance is None or instance.state is not _PENDING:
             return
-        instance = self.state.get("instance", instance_id)
-        if instance.state != InstanceState.PENDING:
-            return
-        instance.state = InstanceState.RUNNING
+        instance.state = _RUNNING
         self.state.record_write("instance", instance_id, self.engine.now)
         self._record(
             ScalingActivity(
@@ -234,10 +243,12 @@ class AsgController:
 
     def _register_with_elbs(self, asg_name: str, instance_id: str) -> None:
         asg = self.state.auto_scaling_groups.get(asg_name)
-        if asg is None or not self.state.exists("instance", instance_id):
+        if asg is None or instance_id not in self.state.instances:
             return
         for elb_name in asg.load_balancer_names:
-            if not self.state.exists("load_balancer", elb_name):
+            elb = self.state.load_balancers.get(elb_name)
+            if elb is None or not elb.available:
+                reason = "not found" if elb is None else "unavailable"
                 self._record(
                     ScalingActivity(
                         time=self.engine.now,
@@ -246,31 +257,13 @@ class AsgController:
                         status="Failed",
                         description=(
                             f"Registering {instance_id} with load balancer {elb_name} failed:"
-                            " load balancer not found"
+                            f" load balancer {reason}"
                         ),
                         error_code=ServiceUnavailable.code,
                         instance_id=instance_id,
                     )
                 )
-                continue
-            elb = self.state.get("load_balancer", elb_name)
-            if not elb.available:
-                self._record(
-                    ScalingActivity(
-                        time=self.engine.now,
-                        asg_name=asg_name,
-                        activity=self.LAUNCH,
-                        status="Failed",
-                        description=(
-                            f"Registering {instance_id} with load balancer {elb_name} failed:"
-                            " load balancer unavailable"
-                        ),
-                        error_code=ServiceUnavailable.code,
-                        instance_id=instance_id,
-                    )
-                )
-                continue
-            if instance_id not in elb.registered_instances:
+            elif instance_id not in elb.registered_instances:
                 elb.registered_instances.append(instance_id)
                 self.state.record_write("load_balancer", elb_name, self.engine.now)
 
@@ -297,12 +290,4 @@ class AsgController:
 
     def _finish_termination(self, instance_id: str) -> _t.Generator:
         yield self.engine.timeout(4.0)
-        if not self.state.exists("instance", instance_id):
-            return
-        instance = self.state.get("instance", instance_id)
-        instance.state = InstanceState.TERMINATED
-        self.state.record_write("instance", instance_id, self.engine.now)
-        for elb in self.state.load_balancers.values():
-            if instance_id in elb.registered_instances:
-                elb.registered_instances.remove(instance_id)
-                self.state.record_write("load_balancer", elb.name, self.engine.now)
+        self.state.finish_termination(instance_id, self.engine.now)

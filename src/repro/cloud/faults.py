@@ -156,17 +156,8 @@ class FaultInjector:
         if not candidates:
             return None
         victim = rng.choice(candidates)
-        victim.state = self.state.get("instance", victim.instance_id).state
-        instance = self.state.get("instance", victim.instance_id)
-        from repro.cloud.resources import InstanceState
-
-        instance.state = InstanceState.TERMINATED
-        instance.terminate_time = self.engine.now
-        self.state.record_write("instance", victim.instance_id, self.engine.now)
-        for elb in self.state.load_balancers.values():
-            if victim.instance_id in elb.registered_instances:
-                elb.registered_instances.remove(victim.instance_id)
-                self.state.record_write("load_balancer", elb.name, self.engine.now)
+        victim.terminate_time = self.engine.now
+        self.state.finish_termination(victim.instance_id, self.engine.now)
         if self.trail is not None:
             self.trail.record(
                 "TerminateInstances", "chaos-script", {"InstanceId": victim.instance_id}

@@ -38,6 +38,7 @@ __all__ = [
     "FrozenMutationError",
     "FrozenView",
     "freeze",
+    "share_unchanged",
     "thaw",
 ]
 
@@ -81,12 +82,11 @@ class FrozenView(dict):
     update = _blocked("update")
 
     def __hash__(self) -> int:  # type: ignore[override]
-        try:
-            return self._cached_hash
-        except AttributeError:
-            value = hash(frozenset(dict.items(self)))
-            object.__setattr__(self, "_cached_hash", value)
-            return value
+        # getattr-with-default: an unset slot costs no Python-level raise.
+        value = getattr(self, "_cached_hash", None)
+        if value is None:
+            value = self._cached_hash = hash(frozenset(self.items()))
+        return value
 
     def thaw(self) -> dict:
         """A deep, mutable copy — the explicit opt-out from sharing."""
@@ -122,12 +122,10 @@ class FrozenList(list):
     pop = _blocked("pop")
 
     def __hash__(self) -> int:  # type: ignore[override]
-        try:
-            return self._cached_hash
-        except AttributeError:
-            value = hash(tuple(self))
-            object.__setattr__(self, "_cached_hash", value)
-            return value
+        value = getattr(self, "_cached_hash", None)
+        if value is None:
+            value = self._cached_hash = hash(tuple(self))
+        return value
 
     def thaw(self) -> list:
         return thaw(self)
@@ -139,26 +137,9 @@ class FrozenList(list):
         return f"FrozenList({list.__repr__(self)})"
 
 
-def _intern(value, intern: dict | None, count: _t.Callable[[str], None] | None):
-    if intern is None:
-        if count is not None:
-            count("cloud.snapshot.copied")
-        return value
-    try:
-        existing = intern.get(value)
-    except TypeError:
-        # Unhashable leaf slipped in; keep the fresh copy, uninterned.
-        if count is not None:
-            count("cloud.snapshot.copied")
-        return value
-    if existing is not None:
-        if count is not None:
-            count("cloud.snapshot.shared")
-        return existing
-    intern[value] = value
-    if count is not None:
-        count("cloud.snapshot.copied")
-    return value
+_FROZEN = (FrozenView, FrozenList)
+#: Exact types ``freeze`` returns untouched without looking further.
+_LEAVES = frozenset({str, int, float, bool, type(None), *_FROZEN})
 
 
 def freeze(
@@ -174,19 +155,80 @@ def freeze(
     the sharing ratio is observable.  Scalars pass through untouched;
     already-frozen values are returned as-is (freeze is idempotent).
     """
-    if isinstance(value, (FrozenView, FrozenList)):
+    kind = type(value)
+    if kind in _LEAVES:
         return value
-    if isinstance(value, dict):
+    if kind is not dict and kind is not list:
+        # Off the describe() path: tuples, sets, subclasses, foreign leaves.
+        if isinstance(value, _FROZEN):
+            return value
+        if isinstance(value, (set, frozenset)):
+            return frozenset([freeze(item, intern, count) for item in value])
+        if isinstance(value, dict):
+            kind = dict
+        elif not isinstance(value, (list, tuple)):
+            return value
+    if kind is dict:
         frozen = FrozenView(
-            (key, freeze(item, intern, count)) for key, item in value.items()
+            {
+                key: item if type(item) in _LEAVES else freeze(item, intern, count)
+                for key, item in value.items()
+            }
         )
-        return _intern(frozen, intern, count)
-    if isinstance(value, (list, tuple)):
-        frozen = FrozenList(freeze(item, intern, count) for item in value)
-        return _intern(frozen, intern, count)
-    if isinstance(value, (set, frozenset)):
-        return frozenset(freeze(item, intern, count) for item in value)
-    return value
+    else:
+        frozen = FrozenList(
+            [item if type(item) in _LEAVES else freeze(item, intern, count) for item in value]
+        )
+    outcome = "cloud.snapshot.copied"
+    if intern is not None:
+        try:
+            pooled = intern.setdefault(frozen, frozen)
+        except TypeError:
+            # Unhashable leaf slipped in; keep the fresh copy, uninterned.
+            pooled = frozen
+        if pooled is not frozen:
+            frozen = pooled
+            outcome = "cloud.snapshot.shared"
+    if count is not None:
+        count(outcome)
+    return frozen
+
+
+def share_unchanged(value: _t.Any, previous: _t.Any) -> int:
+    """Swap the parts of ``value`` a write did not touch for the equal,
+    already-interned parts of frozen ``previous``, in place.
+
+    ``value`` is a fresh ``describe()``: plain dicts and lists all the way
+    down.  Dict fields are matched by key; a list that gained or lost
+    members keeps its common head and tail.  Returns the containers
+    swapped in: the intern hits that re-freezing them would have counted.
+    """
+    shared = 0
+    if type(previous) is FrozenView and type(value) is dict:
+        for key, old in previous.items():
+            if type(old) in _FROZEN and key in value:
+                if value[key] == old:
+                    value[key] = old
+                    shared += _containers(old)
+                else:
+                    shared += share_unchanged(value[key], old)
+    elif type(previous) is FrozenList and type(value) is list:
+        head, limit = 0, min(len(value), len(previous))
+        while head < limit and value[head] == previous[head]:
+            value[head] = previous[head]
+            head += 1
+        tail = 1
+        while tail <= limit - head and value[-tail] == previous[-tail]:
+            value[-tail] = previous[-tail]
+            tail += 1
+        kept = previous[:head] + previous[len(previous) - tail + 1 :]
+        shared = sum([_containers(item) for item in kept if type(item) in _FROZEN])
+    return shared
+
+
+def _containers(frozen: FrozenView | FrozenList) -> int:
+    items = frozen.values() if type(frozen) is FrozenView else frozen
+    return 1 + sum([_containers(item) for item in items if type(item) in _FROZEN])
 
 
 def thaw(value: _t.Any) -> _t.Any:

@@ -23,7 +23,11 @@ class InstanceState(str, enum.Enum):
 
     def is_active(self) -> bool:
         """Pending or running — counts against the account instance limit."""
-        return self in (InstanceState.PENDING, InstanceState.RUNNING)
+        return self in ACTIVE_STATES
+
+
+#: The states that count against the account instance limit.
+ACTIVE_STATES = (InstanceState.PENDING, InstanceState.RUNNING)
 
 
 @dataclasses.dataclass(slots=True)

@@ -23,9 +23,10 @@ import typing as _t
 from bisect import bisect_right
 
 from repro.cloud.errors import ResourceNotFound
-from repro.cloud.freeze import FrozenView, freeze, thaw
+from repro.cloud.freeze import FrozenView, freeze, share_unchanged, thaw
 from repro.cloud.limits import AccountLimits, RateLimiter
 from repro.cloud.resources import (
+    ACTIVE_STATES,
     AmiImage,
     AutoScalingGroup,
     Instance,
@@ -61,6 +62,16 @@ class CloudState:
         self.instances: dict[str, Instance] = {}
         self.load_balancers: dict[str, LoadBalancer] = {}
         self.auto_scaling_groups: dict[str, AutoScalingGroup] = {}
+        #: kind -> registry; the registry dicts above are never rebound.
+        self._registries: dict[str, dict] = {
+            "ami": self.amis,
+            "security_group": self.security_groups,
+            "key_pair": self.key_pairs,
+            "launch_configuration": self.launch_configurations,
+            "instance": self.instances,
+            "load_balancer": self.load_balancers,
+            "auto_scaling_group": self.auto_scaling_groups,
+        }
         #: (kind, id) -> parallel (write_times, frozen views) arrays; a
         #: ``None`` view is a tombstone.  Parallel arrays keep ``view_at``
         #: a single bisect over a flat float list.
@@ -98,25 +109,17 @@ class CloudState:
     # -- registries ------------------------------------------------------
 
     def _registry(self, kind: str) -> dict:
-        return {
-            "ami": self.amis,
-            "security_group": self.security_groups,
-            "key_pair": self.key_pairs,
-            "launch_configuration": self.launch_configurations,
-            "instance": self.instances,
-            "load_balancer": self.load_balancers,
-            "auto_scaling_group": self.auto_scaling_groups,
-        }[kind]
+        return self._registries[kind]
 
     def get(self, kind: str, identifier: str):
         """Authoritative (strongly consistent) lookup; raises if missing."""
-        registry = self._registry(kind)
-        if identifier not in registry:
+        resource = self._registries[kind].get(identifier)
+        if resource is None:
             raise ResourceNotFound.of(kind, identifier)
-        return registry[identifier]
+        return resource
 
     def exists(self, kind: str, identifier: str) -> bool:
-        return identifier in self._registry(kind)
+        return identifier in self._registries[kind]
 
     def new_id(self, kind: str) -> str:
         prefix = {
@@ -134,15 +137,13 @@ class CloudState:
 
     def put(self, kind: str, identifier: str, resource, now: float) -> None:
         """Insert or replace a resource and record the write."""
-        self._registry(kind)[identifier] = resource
+        self._registries[kind][identifier] = resource
         self.record_write(kind, identifier, now)
 
     def delete(self, kind: str, identifier: str, now: float) -> None:
         """Remove a resource and record a tombstone."""
-        registry = self._registry(kind)
-        if identifier not in registry:
+        if self._registries[kind].pop(identifier, None) is None:
             raise ResourceNotFound.of(kind, identifier)
-        del registry[identifier]
         self._append_history(kind, identifier, now, None)
 
     def record_write(self, kind: str, identifier: str, now: float) -> None:
@@ -153,13 +154,28 @@ class CloudState:
         frozen once and appended by reference — no deep copy, and equal
         sub-structures are interned across the whole region.
         """
-        resource = self._registry(kind).get(identifier)
-        snapshot = (
-            freeze(resource.describe(), self._intern, self._count)
-            if resource is not None
-            else None
-        )
+        resource = self._registries[kind].get(identifier)
+        snapshot = None
+        if resource is not None:
+            described = resource.describe()
+            self._count_many(
+                "cloud.snapshot.shared",
+                share_unchanged(described, self.latest_view(kind, identifier)),
+            )
+            snapshot = freeze(described, self._intern, self._count)
         self._append_history(kind, identifier, now, snapshot)
+
+    def finish_termination(self, instance_id: str, now: float) -> None:
+        """Mark an instance terminated and drop it from every ELB."""
+        instance = self.instances.get(instance_id)
+        if instance is None:
+            return
+        instance.state = InstanceState.TERMINATED
+        self.record_write("instance", instance_id, now)
+        for elb in self.load_balancers.values():
+            if instance_id in elb.registered_instances:
+                elb.registered_instances.remove(instance_id)
+                self.record_write("load_balancer", elb.name, now)
 
     def _append_history(
         self, kind: str, identifier: str, now: float, snapshot: FrozenView | None
@@ -224,7 +240,7 @@ class CloudState:
 
     def active_instance_count(self) -> int:
         """Instances counting against the account limit."""
-        return sum(1 for i in self.instances.values() if i.state.is_active())
+        return sum([i.state in ACTIVE_STATES for i in self.instances.values()])
 
     def running_instances(self, asg_name: str | None = None) -> list[Instance]:
         result = [i for i in self.instances.values() if i.state == InstanceState.RUNNING]

@@ -15,7 +15,7 @@ import itertools
 import typing as _t
 
 from repro.sim.clock import SimClock
-from repro.sim.events import AnyOf, Event, Timeout
+from repro.sim.events import PENDING, SUCCEEDED, AnyOf, Event, Timeout
 
 #: Priority for ordinary events.
 NORMAL = 1
@@ -70,29 +70,24 @@ class Process(Event):
         if not self.is_alive:
             return
         event = Event(self.engine)
-        event.callbacks.append(lambda _e: self._resume_with_interrupt(cause))
-        event.succeed()
+        event.callbacks.append(self._deliver_interrupt)
+        event.fail(Interrupt(cause))
 
-    def _resume_with_interrupt(self, cause: _t.Any) -> None:
-        if not self.is_alive:
-            return
+    def _deliver_interrupt(self, event: Event) -> None:
         if self._target is not None and self._resume in self._target.callbacks:
             self._target.callbacks.remove(self._resume)
-        self._target = None
-        self._step(lambda: self._generator.throw(Interrupt(cause)))
+        self._resume(event)
 
     def _resume(self, event: Event) -> None:
-        if not self.is_alive:
+        """Advance the generator with ``event``'s outcome (value or exception)."""
+        if self._state != PENDING:
             return
         self._target = None
-        if event.ok:
-            self._step(lambda: self._generator.send(event.value))
-        else:
-            self._step(lambda: self._generator.throw(event.value))
-
-    def _step(self, advance: _t.Callable[[], _t.Any]) -> None:
         try:
-            target = advance()
+            if event._state == SUCCEEDED:
+                target = self._generator.send(event._value)
+            else:
+                target = self._generator.throw(event._value)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
@@ -130,12 +125,14 @@ class Engine:
     @property
     def now(self) -> float:
         """Current virtual time in seconds."""
-        return self.clock.now()
+        return self.clock._now
 
     # -- scheduling ------------------------------------------------------
 
     def _schedule(self, event: Event, delay: float, priority: int = NORMAL) -> None:
-        heapq.heappush(self._queue, (self.now + delay, priority, next(self._sequence), event))
+        heapq.heappush(
+            self._queue, (self.clock._now + delay, priority, next(self._sequence), event)
+        )
 
     def event(self) -> Event:
         """Create a fresh untriggered event bound to this engine."""

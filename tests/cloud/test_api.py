@@ -209,6 +209,26 @@ class TestScalingActivitiesApi:
         late = api.describe_scaling_activities("asg-dsn", since=10_000.0)
         assert late == []
 
+    def test_since_cut_equals_the_full_scan(self, provisioned_cloud):
+        """Failed launches add one activity per tick; the bisect on
+        ``since`` must return what filtering the whole log returns."""
+        cloud = provisioned_cloud
+        api = cloud.api("tester")
+        api.create_auto_scaling_group("asg-other", "lc-v1", 0, 4, 1)
+        cloud.injector.make_key_pair_unavailable("key-prod")
+        api.set_desired_capacity("asg-dsn", 6)
+        cloud.engine.run(until=cloud.engine.now + 60.0)
+        log = cloud.state.scaling_activities
+        assert {a.asg_name for a in log} == {"asg-dsn", "asg-other"}
+        times = sorted({a.time for a in log})
+        for asg_name in ("asg-dsn", "asg-other", "asg-ghost"):
+            for since in [0.0, times[0], times[len(times) // 2], times[-1], times[-1] + 0.5, 1e9]:
+                expected = [a for a in log if a.asg_name == asg_name and a.time >= since]
+                assert api.describe_scaling_activities(asg_name, since=since) == expected
+            assert cloud.controller.activities_for(asg_name) == [
+                a for a in log if a.asg_name == asg_name
+            ]
+
     def test_terminate_instance_in_asg_removes_member(self, provisioned_cloud):
         api = provisioned_cloud.api("tester")
         asg = provisioned_cloud.state.get("auto_scaling_group", "asg-dsn")

@@ -95,3 +95,92 @@ class TestRandomTermination:
         cloud.injector.make_elb_unavailable("elb-dsn")
         types = [r.fault_type for r in cloud.injector.injections]
         assert types == ["AMI_CHANGED", "ELB_UNAVAILABLE"]
+
+
+class TestTerminationPaths:
+    """API-, controller- and chaos-initiated terminations share one
+    ``CloudState.finish_termination``; each keeps its own write-log shape
+    and all of them leave every ELB without the victim."""
+
+    @staticmethod
+    def _setup(cloud):
+        # A second balancer that also holds the victim: both must drop it.
+        cloud.api("setup").create_load_balancer("elb-extra")
+        cloud.controller.stop()
+        cloud.monitor.stop()
+        cloud.engine.run(until=cloud.engine.now + 60.0)
+        victim = cloud.state.auto_scaling_groups["asg-dsn"].instance_ids[0]
+        cloud.api("setup").register_instances_with_load_balancer("elb-extra", [victim])
+        return victim, cloud.state.write_seq()
+
+    @staticmethod
+    def _assert_gone_everywhere(cloud, victim, terminate_time):
+        instance = cloud.state.get("instance", victim)
+        assert instance.state.value == "terminated"
+        assert instance.terminate_time == terminate_time
+        assert cloud.state.latest_view("instance", victim)["State"] == {"Name": "terminated"}
+        for elb in cloud.state.load_balancers.values():
+            assert victim not in elb.registered_instances
+            assert {"InstanceId": victim} not in cloud.state.latest_view(
+                "load_balancer", elb.name
+            )["Instances"]
+
+    def test_api_initiated(self, provisioned_cloud):
+        cloud = provisioned_cloud
+        victim, mark = self._setup(cloud)
+        began = cloud.engine.now
+        cloud.api("ops").terminate_instance(victim)
+        assert cloud.state.writes_since(mark) == [("instance", victim)]
+        assert cloud.state.get("instance", victim).state.value == "shutting-down"
+        cloud.engine.run(until=began + 10.0)
+        assert cloud.state.writes_since(mark) == [
+            ("instance", victim),
+            ("instance", victim),
+            ("load_balancer", "elb-dsn"),
+            ("load_balancer", "elb-extra"),
+        ]
+        assert cloud.state.last_write_at("load_balancer", "elb-extra") == began + 4.0
+        self._assert_gone_everywhere(cloud, victim, began)
+
+    def test_controller_initiated(self, provisioned_cloud):
+        cloud = provisioned_cloud
+        victim, _ = self._setup(cloud)
+        # No replacement launch: the log below is the termination alone.
+        cloud.api("setup").suspend_processes("asg-dsn", ["Launch"])
+        mark = cloud.state.write_seq()
+        began = cloud.engine.now
+        cloud.state.get("instance", victim).healthy = False
+        cloud.controller.reconcile()
+        assert cloud.state.writes_since(mark) == [
+            ("auto_scaling_group", "asg-dsn"),
+            ("instance", victim),
+        ]
+        cloud.engine.run(until=began + 10.0)
+        assert cloud.state.writes_since(mark) == [
+            ("auto_scaling_group", "asg-dsn"),
+            ("instance", victim),
+            ("instance", victim),
+            ("load_balancer", "elb-dsn"),
+            ("load_balancer", "elb-extra"),
+        ]
+        assert victim not in cloud.state.auto_scaling_groups["asg-dsn"].instance_ids
+        self._assert_gone_everywhere(cloud, victim, began)
+
+    def test_chaos_script_initiated(self, provisioned_cloud):
+        cloud = provisioned_cloud
+        victim, mark = self._setup(cloud)
+        began = cloud.engine.now
+
+        class PickVictim:
+            def choice(self, candidates):
+                return next(c for c in candidates if c.instance_id == victim)
+
+        assert cloud.injector.terminate_random_instance("asg-dsn", PickVictim()) == victim
+        # Immediate, and a single instance write: no shutting-down phase.
+        assert cloud.state.writes_since(mark) == [
+            ("instance", victim),
+            ("load_balancer", "elb-dsn"),
+            ("load_balancer", "elb-extra"),
+        ]
+        self._assert_gone_everywhere(cloud, victim, began)
+        assert cloud.injector.injections[-1].fault_type == "RANDOM_TERMINATION"

@@ -12,6 +12,8 @@ import json
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cloud.freeze import (
     FrozenList,
@@ -20,8 +22,11 @@ from repro.cloud.freeze import (
     freeze,
     thaw,
 )
-from repro.cloud.resources import SecurityGroup
+from repro.cloud.resources import AutoScalingGroup, SecurityGroup
 from repro.cloud.state import CloudState, snapshot_of
+
+from .reference_controller import ReferenceCloudState
+from .reference_freeze import reference_freeze
 
 
 def sample():
@@ -242,3 +247,169 @@ class TestStateCounters:
         # Re-recording the unchanged resource shares every sub-structure.
         state.record_write("security_group", "sg-web", now=1.0)
         assert state.data_plane_counters.get("cloud.snapshot.shared", 0) > 0
+
+
+# -- fast path == recursive reference ----------------------------------------
+
+
+class Box(dict):
+    """A dict subclass (freeze must still freeze it)."""
+
+
+class Row(list):
+    """A list subclass."""
+
+
+class Sealed(FrozenView):
+    """A FrozenView subclass (freeze must return it as-is)."""
+
+
+scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(allow_nan=False, width=16),
+    st.text("abc", max_size=2),
+)
+
+
+def _containers(children):
+    keys = st.text("kxyz", min_size=1, max_size=2)
+    return st.one_of(
+        st.dictionaries(keys, children, max_size=4),
+        st.dictionaries(keys, children, max_size=3).map(Box),
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(Row),
+        st.lists(children, max_size=3).map(tuple),
+        st.lists(children, max_size=2).map(freeze),
+        st.dictionaries(keys, children, max_size=2).map(freeze),
+        st.dictionaries(keys, scalars, max_size=2).map(Sealed),
+        # Sets hold hashable members only; a set of scalars is enough to
+        # reach that branch (and, nested, to make the parent's hash work).
+        st.frozensets(scalars, max_size=3),
+        st.sets(scalars, max_size=3),
+        # An unhashable leaf: a bytearray makes every enclosing container
+        # unhashable, i.e. uninternable.
+        st.just(bytearray(b"x")),
+    )
+
+
+structures = st.recursive(scalars, _containers, max_leaves=12)
+
+
+def _shape(value):
+    """Value plus the exact container types, recursively."""
+    if isinstance(value, dict):
+        return (type(value).__name__, {k: _shape(v) for k, v in value.items()})
+    if isinstance(value, list):
+        return (type(value).__name__, [_shape(v) for v in value])
+    if isinstance(value, frozenset):
+        return ("frozenset", {repr(_shape(v)) for v in value})
+    return (type(value).__name__, value)
+
+
+def _identities(value, pool, found):
+    """Which containers of ``value`` are the pool's own objects."""
+    if isinstance(value, (FrozenView, FrozenList)):
+        try:
+            found.append(pool.get(value) is value)
+        except TypeError:
+            found.append(None)
+        for item in value.values() if isinstance(value, dict) else value:
+            _identities(item, pool, found)
+    return found
+
+
+class TestFastPathMatchesReference:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(structures, min_size=1, max_size=4))
+    def test_same_value_types_identity_and_counts(self, values):
+        """A sequence of freezes against one pool: the intern pool's
+        contents carry over, so later values hit what earlier ones put in."""
+        fast_pool, slow_pool = {}, {}
+        fast_calls, slow_calls = [], []
+        for value in values:
+            fast = freeze(value, fast_pool, fast_calls.append)
+            slow = reference_freeze(value, slow_pool, slow_calls.append)
+            assert _shape(fast) == _shape(slow)
+            assert _identities(fast, fast_pool, []) == _identities(slow, slow_pool, [])
+            assert fast_calls == slow_calls
+            if isinstance(fast, (FrozenView, FrozenList)):
+                # Already-frozen input comes back as-is, uncounted.
+                assert freeze(fast, fast_pool, fast_calls.append) is fast
+                assert fast_calls == slow_calls
+        assert list(fast_pool) == list(slow_pool)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(structures)
+    def test_same_without_pool_or_counter(self, value):
+        assert _shape(freeze(value)) == _shape(reference_freeze(value))
+        calls = []
+        freeze(value, None, calls.append)
+        reference = []
+        reference_freeze(value, None, reference.append)
+        assert calls == reference and set(calls) <= {"cloud.snapshot.copied"}
+
+    def test_describe_shaped_input(self):
+        pool, calls = {}, []
+        view = freeze(sample(), pool, calls.append)
+        assert type(view) is FrozenView and type(view["Tags"]) is FrozenList
+        assert type(view["Tags"][0]) is FrozenView and type(view["State"]) is FrozenView
+        assert calls == ["cloud.snapshot.copied"] * 5
+        assert freeze(sample(), pool, calls.append) is view
+        assert calls[5:] == ["cloud.snapshot.shared"] * 5
+
+
+class TestShareUnchanged:
+    """``record_write`` keeps the previous entry's frozen parts for what a
+    write did not touch — with the same counters as re-freezing them."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(["add", "drop", "flip", "rules", "same"]), st.integers(0, 9)),
+            min_size=1,
+            max_size=25,
+        )
+    )
+    def test_history_and_counters_match_plain_refreeze(self, edits):
+        states = CloudState(), ReferenceCloudState()
+        groups = [AutoScalingGroup("asg", "lc", 0, 9, 1, ["i-0", "i-1"], ["elb"]) for _ in states]
+        rules = [make_group() for _ in states]
+        for state, group, rule in zip(states, groups, rules):
+            state.put("auto_scaling_group", "asg", group, now=0.0)
+            state.put("security_group", "sg-web", rule, now=0.0)
+        for now, (edit, n) in enumerate(edits, start=1):
+            for state, group, rule in zip(states, groups, rules):
+                if edit == "add":
+                    group.instance_ids.insert(n % (len(group.instance_ids) + 1), f"i-{now + 10}")
+                elif edit == "drop" and group.instance_ids:
+                    del group.instance_ids[n % len(group.instance_ids)]
+                elif edit == "flip":
+                    group.desired_capacity = n
+                    group.suspended_processes ^= {"Launch"}
+                elif edit == "rules":
+                    rule.ingress_rules.append({"IpProtocol": "tcp", "FromPort": n, "ToPort": n})
+                    state.record_write("security_group", "sg-web", float(now))
+                state.record_write("auto_scaling_group", "asg", float(now))
+            new, old = states
+            assert new.data_plane_counters == old.data_plane_counters
+            assert list(new.data_plane_counters) == list(old.data_plane_counters)
+            assert new._history == old._history
+            assert list(new._intern) == list(old._intern)
+            latest = new.latest_view("auto_scaling_group", "asg")
+            assert type(latest) is FrozenView and latest == groups[0].describe()
+            # Every container of the new entry is the pool's own object.
+            assert all(_identities(latest, new._intern, []))
+
+    def test_untouched_fields_are_the_previous_objects(self):
+        state = CloudState()
+        group = AutoScalingGroup("asg", "lc", 0, 9, 3, ["i-1", "i-2", "i-3"], ["elb"])
+        state.put("auto_scaling_group", "asg", group, now=0.0)
+        before = state.latest_view("auto_scaling_group", "asg")
+        group.desired_capacity = 4
+        group.instance_ids.remove("i-2")
+        state.record_write("auto_scaling_group", "asg", now=1.0)
+        after = state.latest_view("auto_scaling_group", "asg")
+        assert after["LoadBalancerNames"] is before["LoadBalancerNames"]
+        assert after["Instances"] is not before["Instances"]
+        assert after["Instances"][0] is before["Instances"][0]
+        assert after["Instances"][1] is before["Instances"][2]
+        assert before["Instances"] == [{"InstanceId": i} for i in ("i-1", "i-2", "i-3")]

@@ -8,7 +8,7 @@ from repro.cloud.errors import ResourceNotFound
 from repro.cloud.freeze import FrozenMutationError
 from repro.cloud.limits import AccountLimits, RateLimiter
 from repro.cloud.resources import AmiImage, Instance, InstanceState
-from repro.cloud.state import CloudState
+from repro.cloud.state import KINDS, CloudState
 
 
 def make_image(image_id="ami-1"):
@@ -26,6 +26,28 @@ class TestRegistry:
         with pytest.raises(ResourceNotFound) as excinfo:
             state.get("ami", "ami-nope")
         assert excinfo.value.code == "InvalidAMIID.NotFound"
+
+    def test_get_missing_id_raises_for_every_kind(self):
+        state = CloudState()
+        for kind in KINDS:
+            with pytest.raises(ResourceNotFound):
+                state.get(kind, "nope")
+            assert not state.exists(kind, "nope")
+
+    def test_unknown_kind_is_a_key_error_not_a_missing_resource(self):
+        state = CloudState()
+        for lookup in (state.get, state.exists):
+            with pytest.raises(KeyError) as excinfo:
+                lookup("volume", "vol-1")
+            assert not isinstance(excinfo.value, ResourceNotFound)
+        with pytest.raises(KeyError):
+            state.put("volume", "vol-1", object(), now=0.0)
+
+    def test_registry_map_tracks_the_public_dicts(self):
+        state = CloudState()
+        state.amis["ami-direct"] = make_image("ami-direct")
+        assert state.get("ami", "ami-direct").image_id == "ami-direct"
+        assert [kind for kind in KINDS if state._registry(kind)] == ["ami"]
 
     def test_exists(self):
         state = CloudState()

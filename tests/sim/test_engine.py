@@ -240,3 +240,142 @@ class TestGeneratorHelpers:
         result = engine.run(until=engine.process(outer()))
         assert result == "inner-value!"
         assert engine.now == 3.0
+
+
+class TestDispatchGolden:
+    """Pins the (time, process) order in which the engine resumes
+    processes — the heap's (time, priority, seq) order seen from outside.
+    Any change to how events are scheduled or processes resumed that moves
+    a line here moves every campaign outcome with it."""
+
+    @staticmethod
+    def _scenario(engine, trace):
+        def ticker(name, delays):
+            for delay in delays:
+                trace.append((engine.now, name, "tick"))
+                yield engine.timeout(delay)
+            trace.append((engine.now, name, "done"))
+            return name
+
+        def sleeper():
+            try:
+                trace.append((engine.now, "sleeper", "sleep"))
+                yield engine.timeout(100.0)
+            except Interrupt as interrupt:
+                trace.append((engine.now, "sleeper", f"interrupted:{interrupt.cause}"))
+                yield engine.timeout(1.0)
+                trace.append((engine.now, "sleeper", "resumed"))
+
+        def stubborn():
+            trace.append((engine.now, "stubborn", "sleep"))
+            yield engine.timeout(100.0)
+            trace.append((engine.now, "stubborn", "unreachable"))
+
+        def crasher(name, delay):
+            trace.append((engine.now, name, "start"))
+            yield engine.timeout(delay)
+            trace.append((engine.now, name, "crash"))
+            raise ValueError(name)
+
+        def waiter(target):
+            trace.append((engine.now, "waiter", "wait"))
+            try:
+                yield target
+            except ValueError as exc:
+                trace.append((engine.now, "waiter", f"caught:{exc}"))
+            joined = yield engine.process(ticker("child", [1.0]), name="child")
+            trace.append((engine.now, "waiter", f"joined:{joined}"))
+
+        def interrupter(*targets):
+            yield engine.timeout(2.0)
+            for target in targets:
+                trace.append((engine.now, "interrupter", f"interrupt:{target.name}"))
+                target.interrupt("enough")
+            # A second interrupt in the same instant reaches a live process
+            # once more and a finished one not at all.
+            targets[0].interrupt("again")
+
+        a = engine.process(ticker("a", [1.0, 1.0, 1.0]), name="a")
+        b = engine.process(ticker("b", [2.0, 1.0]), name="b")
+        s = engine.process(sleeper(), name="sleeper")
+        u = engine.process(stubborn(), name="stubborn")
+        doomed = engine.process(crasher("doomed", 2.0), name="doomed")
+        engine.process(waiter(doomed), name="waiter")
+        engine.process(interrupter(s, u), name="interrupter")
+        return a, b, s, u
+
+    GOLDEN = [
+        (0.0, "a", "tick"),
+        (0.0, "b", "tick"),
+        (0.0, "sleeper", "sleep"),
+        (0.0, "stubborn", "sleep"),
+        (0.0, "doomed", "start"),
+        (0.0, "waiter", "wait"),
+        (1.0, "a", "tick"),
+        (2.0, "b", "tick"),
+        (2.0, "doomed", "crash"),
+        (2.0, "interrupter", "interrupt:sleeper"),
+        (2.0, "interrupter", "interrupt:stubborn"),
+        (2.0, "a", "tick"),
+        (2.0, "waiter", "caught:doomed"),
+        (2.0, "sleeper", "interrupted:enough"),
+        (2.0, "child", "tick"),
+        (3.0, "b", "done"),
+        (3.0, "a", "done"),
+        (3.0, "child", "done"),
+        (3.0, "waiter", "joined:child"),
+    ]
+
+    def test_interleaving_interrupt_and_waited_crash(self, engine):
+        trace = []
+        a, b, s, u = self._scenario(engine, trace)
+        engine.run()
+        assert trace == self.GOLDEN
+        # The abandoned 100 s timeouts still fire, into processes long gone.
+        assert engine.now == 100.0
+        assert (a.value, b.value) == ("a", "b")
+        # The second interrupt hit the sleeper inside its handler's wait:
+        # uncaught there, it ended the process; the stubborn one ended at
+        # the first.
+        assert not s.is_alive and s.value is None
+        assert not u.is_alive and u.value is None
+
+    def test_unwaited_crash_surfaces_at_its_dispatch(self, engine):
+        trace = []
+
+        def crasher():
+            yield engine.timeout(1.5)
+            trace.append((engine.now, "crasher", "crash"))
+            raise KeyError("nobody waits")
+
+        def bystander():
+            for _ in range(3):
+                trace.append((engine.now, "bystander", "tick"))
+                yield engine.timeout(1.0)
+
+        engine.process(bystander(), name="bystander")
+        engine.process(crasher(), name="crasher")
+        with pytest.raises(KeyError, match="nobody waits"):
+            engine.run()
+        assert trace == [
+            (0.0, "bystander", "tick"),
+            (1.0, "bystander", "tick"),
+            (1.5, "crasher", "crash"),
+        ]
+        # The engine is still usable: the bystander's next wake is queued.
+        engine.run()
+        assert trace[-1] == (2.0, "bystander", "tick") and engine.now == 3.0
+
+    def test_run_until_processed_event_dispatches_nothing(self, engine):
+        trace = []
+        a, b, _s, _u = self._scenario(engine, trace)
+        assert engine.run(until=b) == "b"
+        # b's completion event is queued when b returns, behind the wakes
+        # of a and child already due at t=3; child's own completion event
+        # (what the waiter joins on) is queued behind b's and has not run.
+        assert trace == self.GOLDEN[:18]
+        seen = len(trace)
+        assert engine.run(until=b) == "b"
+        assert len(trace) == seen and engine.now == 3.0
+        engine.run()
+        assert trace == self.GOLDEN
