@@ -28,12 +28,12 @@ test:
 	python -m pytest -x -q
 
 # Hot-path benchmarks + regression gate: compares the gated *ratio*
-# metrics (classify-once speedup, prefilter speedup, fused-pipeline
+# metrics (classify-once speedup, prefilter speedup, compiled-replay
 # speedup, parallel speedup, chunking gain, cloud stale-read speedup,
 # monitor tick ratio/speedup, snapshot sharing) against the committed
 # BENCH_*.json baselines before rewriting them.  Commit the rewritten
 # artifacts to refresh the baseline.  ONLY=<name> (space-separated to
-# select several) runs a subset: `make bench ONLY=pipeline`.
+# select several) runs a subset: `make bench ONLY=conformance`.
 bench:
 	python -m repro bench --baseline benchmarks --tolerance 0.25 --out benchmarks $(foreach n,$(ONLY),--only $(n))
 

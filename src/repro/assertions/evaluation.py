@@ -72,14 +72,11 @@ class AssertionEvaluationService:
         """Primary trigger: evaluate each bound assertion asynchronously.
 
         Only *spawns* simulation processes — no synchronous storage reads
-        or writes happen here, which is what lets the fused batch ingest
-        path keep this callable in its per-record loop while deferring
-        ship appends to the batch epilogue (the spawn order, and so the
-        simulation schedule, is identical either way).
+        or writes happen here.
         """
         if not assertion_ids:
-            # Trigger.fire guards this, but direct callers (and the fused
-            # loop) shouldn't pay the context build for an empty set.
+            # Trigger.fire guards this, but direct callers shouldn't pay
+            # the context build for an empty set.
             return
         context = ProcessContext.from_record(record)
         params = dict(record.fields)

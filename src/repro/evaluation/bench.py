@@ -1,6 +1,6 @@
 """Benchmark-regression harness: ``make bench`` / ``python -m repro bench``.
 
-Six benchmarks cover the pipeline's hot paths and its closed loop:
+Five benchmarks cover the pipeline's hot paths and its closed loop:
 
 - **matching** — pattern-classification throughput over a synthetic but
   realistic log corpus: the seed path (four naive linear scans per line,
@@ -9,13 +9,8 @@ Six benchmarks cover the pipeline's hot paths and its closed loop:
   for the prefilter's own contribution;
 - **conformance** — token-replay cost over annotated records (the
   paper's "responded on average in about 10ms" path): the interpreted
-  reference engine vs the compiled transition-table engine vs the batch
-  entry point, gated on ``compiled_replay_speedup`` (absolute floor 3x);
-- **pipeline** — the fused single-pass batch ingest
-  (``LocalLogProcessor.process_batch``: classify + annotate + replay +
-  trigger in one loop, side effects batched) against the per-record
-  reference path over identical pre-classified corpora, gated on
-  ``fused_pipeline_speedup`` (absolute floor 2x);
+  reference engine vs the compiled transition-table engine, gated on
+  ``compiled_replay_speedup`` (absolute floor 3x);
 - **campaign** — fault-injection campaign runs/sec: serial vs the
   adaptive executor (floor: never slower than serial) plus the warm
   chunked pool vs per-spec submission;
@@ -198,7 +193,7 @@ def bench_matching(lines: int = 6000, repeat: int = 5, seed: int = 7) -> dict:
 
 
 def bench_conformance(traces: int = 300, repeat: int = 3, seed: int = 11) -> dict:
-    """Token-replay cost: interpreted vs compiled vs batch.
+    """Token-replay cost: interpreted vs compiled.
 
     ``compiled_replay_speedup`` is the gated ratio — interpreted engine
     time over compiled engine time on identical pre-classified record
@@ -206,10 +201,7 @@ def bench_conformance(traces: int = 300, repeat: int = 3, seed: int = 11) -> dic
     so the ratio isolates exactly what the flat transition table buys).
     It carries an absolute floor of 3.0: the compiled engine must beat
     the interpreted one by at least 3x on any host, per ROADMAP item 3.
-    ``batch_speedup`` additionally measures ``check_batch`` over the
-    struct-of-arrays entry point against the same interpreted baseline.
     """
-    from repro.logsys.batch import RecordBatch
     from repro.logsys.patterns import classify_record
     from repro.logsys.record import LogRecord
     from repro.operations.rolling_upgrade import build_pattern_library, reference_process_model
@@ -259,11 +251,7 @@ def bench_conformance(traces: int = 300, repeat: int = 3, seed: int = 11) -> dic
             classify_record(library, record)
         return clones
 
-    times = {
-        "interpreted": float("inf"),
-        "compiled": float("inf"),
-        "batch": float("inf"),
-    }
+    times = {"interpreted": float("inf"), "compiled": float("inf")}
     for _ in range(repeat):
         # Interleaved rounds, best-of per path (same policy as matching).
         checker = ConformanceChecker(model, library, compiled=False)
@@ -280,170 +268,22 @@ def bench_conformance(traces: int = 300, repeat: int = 3, seed: int = 11) -> dic
             checker.check(record)
         times["compiled"] = min(times["compiled"], time.perf_counter() - started)
 
-        checker = ConformanceChecker(model, library, compiled=True)
-        batch = RecordBatch(fresh_records())
-        started = time.perf_counter()
-        checker.check_batch(batch)
-        times["batch"] = min(times["batch"], time.perf_counter() - started)
-
     return {
         "name": "conformance",
         "metrics": {
             "checks": checks,
             "interpreted_checks_per_sec": checks / times["interpreted"],
             "checks_per_sec": checks / times["compiled"],
-            "batch_checks_per_sec": checks / times["batch"],
             "mean_latency_us": times["compiled"] / checks * 1e6,
             "compiled_replay_speedup": times["interpreted"] / times["compiled"],
-            "batch_speedup": times["interpreted"] / times["batch"],
         },
         # Absolute throughput is machine-bound (recorded, not gated); the
-        # engine-vs-engine ratios are gated, with an absolute floor on
-        # the compiled speedup.
+        # engine-vs-engine ratio is gated, with an absolute floor.
         "gate": {
             "compiled_replay_speedup": HIGHER,
-            "batch_speedup": HIGHER,
         },
         "floors": {
             "compiled_replay_speedup": 3.0,
-        },
-    }
-
-
-# -- pipeline -----------------------------------------------------------------
-
-
-def bench_pipeline(traces: int = 600, repeat: int = 5, seed: int = 13) -> dict:
-    """Fused batch ingest vs the per-record reference pipeline.
-
-    Both paths run the full Fig. 3 pipeline — noise filter, process and
-    assertion annotators, timer hook, conformance replay, ship decision —
-    over identical corpora of preset-trace records.  The gated
-    ``fused_pipeline_speedup`` compares them on *pre-classified* clones
-    (both sides hit the classify-once memo, same policy as the
-    conformance benchmark: the shared pattern scan is hoisted so the
-    ratio isolates exactly what fusing the stages buys) and carries an
-    absolute floor of 2.0 on any host.
-    ``fused_end_to_end_records_per_sec`` additionally records the fused
-    path over raw unclassified records — the honest ingest figure with
-    the pattern scan inside the clock (not gated; absolute throughput is
-    machine-bound).
-
-    Rounds are interleaved and each path keeps its best round.  Every
-    round builds fresh processors (empty replay state); the fused plan
-    is warmed outside the clock on distinct warm-up traces so the timed
-    batch replays from a clean instance per trace.
-    """
-    from repro.logsys.annotator import AssertionAnnotator, ProcessAnnotator
-    from repro.logsys.filters import NoiseFilter
-    from repro.logsys.patterns import classify_record
-    from repro.logsys.pipeline import LocalLogProcessor
-    from repro.logsys.record import LogRecord
-    from repro.logsys.storage import CentralLogStorage
-    from repro.logsys.trigger import Trigger
-    from repro.operations.rolling_upgrade import build_pattern_library, reference_process_model
-    from repro.process.conformance import ConformanceChecker
-
-    library = build_pattern_library(compiled=True)
-    model = reference_process_model()
-    rng = random.Random(seed)
-
-    #: One fit trace: the Fig. 2 happy path with two loop iterations
-    #: (the same flow the conformance benchmark replays).
-    flow = [
-        "Pushing ami-{i:08x} into group asg-dsn: rolling upgrade task started",
-        "Updated launch configuration of group asg-dsn to lc-app-v2 with image ami-{i:08x}",
-        "Sorted 4 instances of group asg-dsn for replacement",
-        "Deregistered instance i-{i:08x} from load balancer elb-dsn",
-        "Terminating instance i-{i:08x} in group asg-dsn",
-        "Waiting for group asg-dsn to start a new instance",
-        "Instance i-{i:08x} is ready for use in group asg-dsn. 1 of 4 instance relaunches done",
-        "Deregistered instance i-{i:08x} from load balancer elb-dsn",
-        "Terminating instance i-{i:08x} in group asg-dsn",
-        "Waiting for group asg-dsn to start a new instance",
-        "Instance i-{i:08x} is ready for use in group asg-dsn. 2 of 4 instance relaunches done",
-        "Rolling upgrade task completed for group asg-dsn",
-    ]
-    specs = [
-        (template.format(i=rng.getrandbits(32)), f"t-{trace}")
-        for trace in range(traces)
-        for template in flow
-    ]
-    records = len(specs)
-
-    def build() -> LocalLogProcessor:
-        checker = ConformanceChecker(model, library)
-        annotator = AssertionAnnotator()
-        annotator.bind("sort_instances", "end", ["check-count"])
-        annotator.bind("new_instance_ready", "end", ["check-elb"])
-        return LocalLogProcessor(
-            noise_filter=NoiseFilter(library, drop_regexes=()),
-            process_annotator=ProcessAnnotator(library, "rolling-upgrade", "bench"),
-            assertion_annotator=annotator,
-            trigger=Trigger(conformance=checker.check),
-            storage=CentralLogStorage(),
-        )
-
-    def fresh_records(classified: bool = True) -> list[LogRecord]:
-        clones = [
-            LogRecord(time=float(i), source="bench", message=message, tags=[f"trace:{trace}"])
-            for i, (message, trace) in enumerate(specs)
-        ]
-        if classified:
-            for record in clones:
-                classify_record(library, record)
-        return clones
-
-    def warm(processor: LocalLogProcessor) -> None:
-        # Builds the fused plan and replay table outside the clock; the
-        # warm-up traces are disjoint from the timed ones.
-        processor.process_batch(
-            [
-                LogRecord(time=0.0, source="bench", message=message, tags=[f"warm:{trace}"])
-                for message, trace in specs[: len(flow)]
-            ]
-        )
-
-    times = {"per_record": float("inf"), "fused": float("inf"), "end_to_end": float("inf")}
-    for _ in range(max(1, repeat)):
-        # Interleaved rounds, best-of per path (same policy as matching).
-        processor = build()
-        clones = fresh_records()
-        started = time.perf_counter()
-        for record in clones:
-            processor.process(record)
-        times["per_record"] = min(times["per_record"], time.perf_counter() - started)
-
-        processor = build()
-        warm(processor)
-        clones = fresh_records()
-        started = time.perf_counter()
-        processor.process_batch(clones)
-        times["fused"] = min(times["fused"], time.perf_counter() - started)
-
-        processor = build()
-        warm(processor)
-        clones = fresh_records(classified=False)
-        started = time.perf_counter()
-        processor.process_batch(clones)
-        times["end_to_end"] = min(times["end_to_end"], time.perf_counter() - started)
-
-    return {
-        "name": "pipeline",
-        "metrics": {
-            "records": records,
-            "per_record_records_per_sec": records / times["per_record"],
-            "fused_records_per_sec": records / times["fused"],
-            "fused_end_to_end_records_per_sec": records / times["end_to_end"],
-            "fused_pipeline_speedup": times["per_record"] / times["fused"],
-        },
-        # Absolute throughput is machine-bound (recorded, not gated); the
-        # path-vs-path ratio is gated with an absolute floor.
-        "gate": {
-            "fused_pipeline_speedup": HIGHER,
-        },
-        "floors": {
-            "fused_pipeline_speedup": 2.0,
         },
     }
 
@@ -782,10 +622,6 @@ def _run_conformance(quick: bool, workers: int, seed: int) -> dict:
     return bench_conformance(traces=80, repeat=2) if quick else bench_conformance()
 
 
-def _run_pipeline(quick: bool, workers: int, seed: int) -> dict:
-    return bench_pipeline(traces=120, repeat=2) if quick else bench_pipeline()
-
-
 def _run_campaign(quick: bool, workers: int, seed: int) -> dict:
     if quick:
         return bench_campaign(runs_per_fault=1, workers=workers, seed=seed, repeat=1)
@@ -813,7 +649,6 @@ def _run_cloud(quick: bool, workers: int, seed: int) -> dict:
 BENCHMARKS: dict[str, _t.Callable[[bool, int, int], dict]] = {
     "matching": _run_matching,
     "conformance": _run_conformance,
-    "pipeline": _run_pipeline,
     "campaign": _run_campaign,
     "recovery": _run_recovery,
     "cloud": _run_cloud,

@@ -130,8 +130,7 @@ def warm_worker() -> None:
 
     profile = shared_rolling_upgrade_profile()
     # Pre-compile the replay transition table too: it is cached on the
-    # shared model, so no run (or fused batch-ingest session) in this
-    # worker ever compiles it again.
+    # shared model, so no run in this worker ever compiles it again.
     compile_model(profile.model)
     shared_standard_fault_trees()
     shared_standard_probes()

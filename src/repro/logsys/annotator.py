@@ -63,11 +63,6 @@ class AssertionAnnotator:
 
     def __init__(self, bindings: dict[tuple[str, str], list[str]] | None = None) -> None:
         self.bindings = dict(bindings or {})
-        #: Bumped on every :meth:`bind` so the fused ingest plan can tell
-        #: when its precompiled step → assertion-ids table went stale.
-        #: (Mutating ``bindings`` directly bypasses the counter; bind()
-        #: is the supported way to add linkage.)
-        self.version = 0
 
     def bind(self, activity: str, position: str, assertion_ids: _t.Iterable[str]) -> None:
         key = (activity, position)
@@ -75,7 +70,6 @@ class AssertionAnnotator:
         for assertion_id in assertion_ids:
             if assertion_id not in existing:
                 existing.append(assertion_id)
-        self.version += 1
 
     def annotate(self, record: LogRecord) -> list[str]:
         """Tag the record; returns the assertion ids to evaluate."""

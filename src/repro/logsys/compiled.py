@@ -16,15 +16,6 @@ common case cheap:
   prefilter and is always tried, so the prefilter can *only* skip
   patterns that provably cannot match.
 
-- **Optional combined-alternation rejection.**  With ``combined=True``
-  a single alternation of all pattern regexes (named groups stripped) is
-  compiled; a message that fails it cannot match any pattern and is
-  rejected with one scan.  This trades per-match overhead for faster
-  rejection of noise-heavy streams, so it is opt-in.  It is only an
-  *any-pattern-at-all* test — which pattern wins is always decided by the
-  ordered per-pattern walk, because Python's leftmost-position alternation
-  semantics differ from the library's first-*pattern*-wins contract.
-
 Because the subclass only ever skips patterns that cannot match, compiled
 and naive classification agree on every message — the equivalence is
 locked down by a corpus test and a hypothesis property test.
@@ -44,9 +35,6 @@ from repro.logsys.patterns import Classification, LogPattern, PatternLibrary
 
 #: Literals shorter than this are too unselective to pay for the check.
 MIN_LITERAL_LENGTH = 3
-
-#: ``(?P<name>`` group openers, for building the anonymous combined form.
-_NAMED_GROUP = re.compile(r"\(\?P<\w+>")
 
 
 def literal_runs(regex: str) -> list[str]:
@@ -114,11 +102,6 @@ def required_literal(regex: str, min_length: int = MIN_LITERAL_LENGTH) -> str | 
     return max(candidates, key=len)
 
 
-def _anonymous(regex: str) -> str:
-    """Strip group names so regexes can share one alternation."""
-    return _NAMED_GROUP.sub("(?:", regex)
-
-
 class CompiledPatternLibrary(PatternLibrary):
     """A :class:`PatternLibrary` with prefiltered first-match-wins dispatch.
 
@@ -128,25 +111,17 @@ class CompiledPatternLibrary(PatternLibrary):
     so incremental construction still works.
     """
 
-    def __init__(
-        self,
-        patterns: _t.Iterable[LogPattern] = (),
-        combined: bool = False,
-        min_literal_length: int = MIN_LITERAL_LENGTH,
-    ) -> None:
-        self.use_combined = combined
-        self.min_literal_length = min_literal_length
+    def __init__(self, patterns: _t.Iterable[LogPattern] = ()) -> None:
         self._plan: list[tuple[LogPattern, str | None]] = []
-        self._any: re.Pattern | None = None
         super().__init__(patterns)
         self._recompile()
 
     @classmethod
-    def from_library(cls, library: PatternLibrary, combined: bool = False) -> "CompiledPatternLibrary":
+    def from_library(cls, library: PatternLibrary) -> "CompiledPatternLibrary":
         """Compile an existing library without copying its patterns."""
         if isinstance(library, cls):
             return library
-        return cls(library.patterns, combined=combined)
+        return cls(library.patterns)
 
     def add(self, pattern: LogPattern) -> None:
         super().add(pattern)
@@ -154,26 +129,10 @@ class CompiledPatternLibrary(PatternLibrary):
 
     def _recompile(self) -> None:
         self._plan = [
-            (pattern, required_literal(pattern.regex, self.min_literal_length))
-            for pattern in self.patterns
+            (pattern, required_literal(pattern.regex)) for pattern in self.patterns
         ]
-        self._any = None
-        if self.use_combined and self.patterns:
-            # Backreferences or escaped "(?P<" literals would not survive
-            # the anonymising rewrite; fall back to plain dispatch then.
-            sources = [pattern.regex for pattern in self.patterns]
-            if not any("(?P=" in source or r"\(" in source for source in sources):
-                try:
-                    self._any = re.compile(
-                        "|".join(f"(?:{_anonymous(source)})" for source in sources)
-                    )
-                except re.error:
-                    self._any = None
 
     def classify(self, message: str) -> Classification:
-        combined = self._any
-        if combined is not None and combined.search(message) is None:
-            return Classification(None, {})
         for pattern, literal in self._plan:
             if literal is not None and literal not in message:
                 continue

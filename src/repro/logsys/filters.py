@@ -72,59 +72,6 @@ class NoiseFilter:
         self.dropped_count += 1
         return False
 
-    def filter_batch(self, records: _t.Sequence[LogRecord]) -> list:
-        """Batched :meth:`accepts`: one pass, counters settled once.
-
-        Returns one entry per record — the record's ``Classification``
-        if it continues down the pipeline (possibly unmatched, when
-        passthrough rules accept it), or ``None`` if it was dropped.
-        Decision order is identical to :meth:`accepts` per record: drop
-        regexes win, then the pattern library, then passthrough rules;
-        dropped records are never classified (no memo), accepted ones
-        carry the classify-once memo for every later stage.
-        """
-        dropped_res = self.dropped
-        passthrough = self.passthrough
-        passthrough_unmatched = self.passthrough_unmatched
-        library = self.library
-        metrics = self._metrics
-        out: list = []
-        out_append = out.append
-        dropped = passed = 0
-        for record in records:
-            if dropped_res:
-                message = record.message
-                hit = False
-                for regex in dropped_res:
-                    if regex.search(message):
-                        hit = True
-                        break
-                if hit:
-                    dropped += 1
-                    out_append(None)
-                    continue
-            # Classify-once memo, checked inline; the helper also counts
-            # memo hits, so route through it whenever metrics are live.
-            if metrics is None and record.classified_by is library:
-                classification = record.classification
-            else:
-                classification = classify_record(library, record, metrics)
-            if classification.matched or passthrough_unmatched:
-                passed += 1
-                out_append(classification)
-                continue
-            for regex in passthrough:
-                if regex.search(record.message):
-                    passed += 1
-                    out_append(classification)
-                    break
-            else:
-                dropped += 1
-                out_append(None)
-        self.dropped_count += dropped
-        self.passed_count += passed
-        return out
-
     @property
     def seen_count(self) -> int:
         return self.dropped_count + self.passed_count

@@ -32,11 +32,20 @@ _TS_FORMAT = "%Y-%m-%d %H:%M:%S,%f"
 
 
 def parse_line(line: str) -> tuple[_dt.datetime | None, str]:
-    """Split one raw line into (timestamp or None, message body)."""
-    match = _STAMPED.match(line.rstrip("\n"))
+    """Split one raw line into (timestamp or None, message body).
+
+    A prefix shaped like a stamp that is not a real date
+    (``[2013-02-30 00:00:00,000]``) makes the line an unstamped one: the
+    whole line is the body.
+    """
+    line = line.rstrip("\n")
+    match = _STAMPED.match(line)
     if match is None:
-        return None, line.rstrip("\n")
-    stamp = _dt.datetime.strptime(match["ts"] + "000", _TS_FORMAT)
+        return None, line
+    try:
+        stamp = _dt.datetime.strptime(match["ts"] + "000", _TS_FORMAT)
+    except ValueError:
+        return None, line
     return stamp, match["body"]
 
 

@@ -5,87 +5,24 @@ trigger → ship to central storage``.  One processor runs per operation
 node; it is constructed from the pattern library + annotators + timer
 rules for the operation process being watched.
 
-Two entry points walk those stages:
-
-- :meth:`LocalLogProcessor.process` — the per-record reference
-  implementation, one stage call per record;
-- :meth:`LocalLogProcessor.process_batch` — the fused single-pass batch
-  path: the message column is classified once, every per-pattern
-  decision (context tags, assertion ids, replay transition id, ship
-  verdict) is precompiled into a dense dispatch row, and side effects
-  (counters, metrics, storage appends) are deferred into batched
-  epilogues.  Semantics are pinned to the reference path by the
-  equivalence suite in ``tests/logsys/test_fused_pipeline.py``: same
-  verdicts, tags, assertion outcomes, shipped set, storage contents and
-  callback order.
+There is one entry point, :meth:`LocalLogProcessor.process`: one record
+in, one stage call per stage, shipped flag out.  Every caller — a tailed
+:class:`~repro.logsys.record.LogStream`, a replayed log file — reaches
+the stages through it, a record at a time (DESIGN.md §11 records why
+there is no batch variant).
 """
 
 from __future__ import annotations
 
-import time as _time
 import typing as _t
 
 from repro.logsys.annotator import AssertionAnnotator, ProcessAnnotator
-from repro.logsys.batch import RecordBatch
 from repro.logsys.filters import NoiseFilter
 from repro.logsys.record import LogRecord, LogStream
 from repro.logsys.storage import CentralLogStorage
 from repro.logsys.timers import TimerSetter
 from repro.logsys.trigger import Trigger
 from repro.obs import NULL_OBS
-
-
-class _StageRow:
-    """Precompiled per-pattern dispatch for the fused ingest loop.
-
-    One row folds every per-record decision the pipeline stages would
-    re-derive — the context tag strings the annotator would build with
-    f-strings, the assertion ids the annotator would look up by (step,
-    position), the replay dispatch the conformance checker would resolve
-    from the classification — into data the fused loop just applies.
-    """
-
-    __slots__ = (
-        "activity", "position", "tag_triples", "assert_triples",
-        "assertion_ids", "conf", "bulk_fresh", "bulk_traced", "bulk_notrace",
-    )
-
-    def __init__(self, activity, position, tag_triples, assert_triples, assertion_ids, conf):
-        self.activity = activity
-        self.position = position
-        #: ``(tag, index_prefix | None, index_value)`` in the exact order
-        #: the per-record stages would add them.
-        self.tag_triples = tag_triples
-        #: ``assert:*`` triples, applied only when the record's effective
-        #: step/position context is this row's (preset context tags win,
-        #: exactly like the per-record annotator).
-        self.assert_triples = assert_triples
-        self.assertion_ids = assertion_ids
-        #: ``(status_kind, tid, activity)`` for the fused conformance
-        #: session, or None when conformance is generic/absent.
-        self.conf = conf
-        #: Folded ``(tags, tag_set, tag_index)`` bulk variants — the full
-        #: per-record tag state precomputed once, applied with one
-        #: extend/update each instead of per-tag membership checks.  Only
-        #: built for a static trace id; keyed by the record's arrival
-        #: shape (see :meth:`LocalLogProcessor.process_batch`).
-        self.bulk_fresh = None
-        self.bulk_traced = None
-        self.bulk_notrace = None
-
-
-class _FusedPlan:
-    """Everything :meth:`LocalLogProcessor.process_batch` needs per batch."""
-
-    __slots__ = (
-        "rows", "process_triple", "trace_triple", "trace_fn",
-        "checker", "conf_pending_ok", "conformance", "assertions",
-        "bindings", "timer_activities", "defer_ship",
-    )
-
-
-#: Dispatch row for lines no pattern matched: ``step:unclassified`` only.
-_UNMATCHED_CONF = ("unclassified", None, None)
 
 
 class LocalLogProcessor:
@@ -124,8 +61,6 @@ class LocalLogProcessor:
             tracer = None
         self._tracer = tracer
         self._metrics = obs.metrics if obs.enabled else None
-        #: (invalidation key, plan) for :meth:`process_batch`.
-        self._fused_plan_cache: tuple | None = None
 
     def attach(self, stream: LogStream) -> None:
         """Tail a log stream, processing each record as it is emitted."""
@@ -171,386 +106,3 @@ class LocalLogProcessor:
         # Unclassified and known-error lines are always worth keeping:
         # they are exactly what diagnosis wants to see.
         return record.tag_value("step") == "unclassified" or record.has_tag("known-error")
-
-    # -- fused batch ingest ----------------------------------------------------
-
-    def process_batch(self, records) -> list[bool]:
-        """Run a batch through the pipeline in one fused pass.
-
-        Accepts a sequence of :class:`LogRecord` or a
-        :class:`~repro.logsys.batch.RecordBatch`; returns one shipped
-        flag per record, exactly what per-record :meth:`process` calls
-        would have returned.
-
-        The fused pass classifies the message column once (literal
-        prefilter + classify-once memo), resolves each record to a
-        precompiled dispatch row (tags, assertion ids, replay transition
-        id), feeds transition ids straight into the compiled replayer via
-        :meth:`ConformanceChecker.fused_session`, and defers side effects —
-        counters, metric increments, and (when every trigger callback is
-        the POD service's own) storage appends — into batched epilogues:
-        histogram-style metric bumps and a single storage ``extend`` that
-        reproduces the reference append order.  Per-record callback
-        order (timers → conformance → error callback → assertion
-        trigger) is preserved; aggregate counters are settled once per
-        batch, so a callback reading ``processed_count`` mid-batch sees
-        the pre-batch value.
-
-        When the configuration is not provably fusable — a tracer is
-        attached (spans are per record), a stage is subclassed, or the
-        filter and annotator disagree on the pattern library — the batch
-        falls back to per-record :meth:`process` calls, the reference
-        implementation.
-        """
-        if isinstance(records, RecordBatch):
-            records = records.records
-        else:
-            records = list(records)
-        if not records:
-            return []
-        plan = self._plan()
-        if plan is None:
-            return [self.process(record) for record in records]
-
-        classifications = self.noise_filter.filter_batch(records)
-        metrics = self._metrics
-        started = _time.perf_counter()
-
-        rows = plan.rows
-        bindings = plan.bindings
-        process_triple = plan.process_triple
-        trace_triple = plan.trace_triple
-        trace_fn = plan.trace_fn
-        checker = plan.checker
-        conformance = plan.conformance
-        assertions = plan.assertions
-        timer_setter = self.timer_setter
-        timer_activities = plan.timer_activities
-        ship_positions = self.ship_positions
-        defer_ship = plan.defer_ship
-        storage = self.storage
-
-        shipped_flags: list[bool] = []
-        flag_append = shipped_flags.append
-        pending: list[LogRecord] = []
-        pending_append = pending.append
-        conf_results = []
-        conf_append = conf_results.append
-        fused_check = None
-        if checker is not None:
-            fused_check = checker.fused_session(
-                pending if plan.conf_pending_ok else None
-            )
-        accepted = 0
-        shipped_total = 0
-        assertion_fires = 0
-
-        static_trace_tag = trace_triple[0] if trace_triple is not None else None
-
-        for record, classification in zip(records, classifications):
-            if classification is None:
-                flag_append(False)
-                continue
-            accepted += 1
-            tag_set = record._tag_set
-            tags = record.tags
-            index = record._tag_index
-
-            pattern = classification.pattern
-            row = rows.get(id(pattern)) if pattern is not None else None
-
-            # Bulk fast path: a record arriving bare, or carrying only a
-            # trace tag (the tailer shape), takes the row's precomputed
-            # folded tag state in three bulk ops — the per-tag membership
-            # checks below would all pass trivially.  Static trace only;
-            # anything with preset context tags replays the reference
-            # per-tag logic.
-            bulk = None
-            if row is not None and static_trace_tag is not None:
-                if not tags:
-                    bulk = row.bulk_fresh
-                elif len(tags) == 1 and len(index) == 1 and "trace" in index:
-                    bulk = (
-                        row.bulk_notrace
-                        if tags[0] == static_trace_tag
-                        else row.bulk_traced
-                    )
-            if bulk is not None:
-                btags, bset, bindex = bulk
-                tags.extend(btags)
-                tag_set.update(bset)
-                index.update(bindex)
-                if classification.fields:
-                    record.fields.update(classification.fields)
-                step_val = row.activity
-                position_val = row.position
-                assertion_ids = row.assertion_ids
-            else:
-                # process annotator: process + trace + step/position tags.
-                tag, prefix, value = process_triple
-                if tag not in tag_set:
-                    tag_set.add(tag)
-                    tags.append(tag)
-                    if prefix not in index:
-                        index[prefix] = value
-                if trace_triple is not None:
-                    tag, prefix, value = trace_triple
-                else:
-                    value = trace_fn(record)
-                    tag, prefix = "trace:" + value, "trace"
-                if tag not in tag_set:
-                    tag_set.add(tag)
-                    tags.append(tag)
-                    if prefix not in index:
-                        index[prefix] = value
-
-                if row is None:
-                    tag = "step:unclassified"
-                    if tag not in tag_set:
-                        tag_set.add(tag)
-                        tags.append(tag)
-                        if "step" not in index:
-                            index["step"] = "unclassified"
-                else:
-                    for tag, prefix, value in row.tag_triples:
-                        if tag not in tag_set:
-                            tag_set.add(tag)
-                            tags.append(tag)
-                            if prefix is not None and prefix not in index:
-                                index[prefix] = value
-                    if classification.fields:
-                        record.fields.update(classification.fields)
-
-                # assertion annotator: dense row lookup when the record's
-                # step/position context is exactly what this pass just
-                # wrote (object identity); records with preset context
-                # tags fall back to the reference dict lookup.
-                step_val = index.get("step")
-                position_val = index.get("position")
-                if row is not None and step_val is row.activity and position_val is row.position:
-                    assertion_ids = row.assertion_ids
-                    for tag, prefix, value in row.assert_triples:
-                        if tag not in tag_set:
-                            tag_set.add(tag)
-                            tags.append(tag)
-                            if prefix not in index:
-                                index[prefix] = value
-                elif step_val is not None and position_val is not None:
-                    assertion_ids = tuple(bindings.get((step_val, position_val), ()))
-                    for assertion_id in assertion_ids:
-                        tag = "assert:" + assertion_id
-                        if tag not in tag_set:
-                            tag_set.add(tag)
-                            tags.append(tag)
-                            if "assert" not in index:
-                                index["assert"] = assertion_id
-                else:
-                    assertion_ids = ()
-
-            if timer_setter is not None and step_val in timer_activities:
-                timer_setter.observe(record)
-
-            if fused_check is not None:
-                kind, tid, activity = row.conf if row is not None else _UNMATCHED_CONF
-                conf_append(fused_check(record, kind, tid, activity))
-            elif conformance is not None:
-                conformance(record)
-
-            if assertion_ids and assertions is not None:
-                assertion_fires += 1
-                assertions(record, list(assertion_ids))
-
-            if (
-                position_val in ship_positions
-                or step_val == "unclassified"
-                or "known-error" in tag_set
-            ):
-                shipped_total += 1
-                flag_append(True)
-                if defer_ship:
-                    pending_append(record)
-                else:
-                    storage.append(record)
-            else:
-                flag_append(False)
-
-        # Batched epilogues: one storage extend in reference append
-        # order, counters and metrics settled from totals.
-        if pending:
-            storage.extend(pending)
-        if checker is not None:
-            checker.fused_finish(conf_results, _time.perf_counter() - started)
-        self.processed_count += accepted
-        self.shipped_count += shipped_total
-        trigger = self.trigger
-        if trigger.conformance is not None:
-            trigger.conformance_calls += accepted
-        if assertions is not None:
-            trigger.assertion_calls += assertion_fires
-        if metrics is not None:
-            dropped = len(records) - accepted
-            if dropped:
-                metrics.inc("pipeline.records_filtered", dropped)
-            if accepted:
-                metrics.inc("pipeline.records_ingested", accepted)
-            if shipped_total:
-                metrics.inc("pipeline.records_shipped", shipped_total)
-        return shipped_flags
-
-    def _plan(self) -> _FusedPlan | None:
-        """The cached fused plan, or None when fusing is not provably safe."""
-        if self._tracer is not None:
-            return None
-        noise_filter = self.noise_filter
-        process_annotator = self.process_annotator
-        assertion_annotator = self.assertion_annotator
-        trigger = self.trigger
-        timer_setter = self.timer_setter
-        if (
-            type(noise_filter) is not NoiseFilter
-            or type(process_annotator) is not ProcessAnnotator
-            or type(assertion_annotator) is not AssertionAnnotator
-            or type(trigger) is not Trigger
-            or (timer_setter is not None and type(timer_setter) is not TimerSetter)
-            or noise_filter.library is not process_annotator.library
-        ):
-            return None
-        library = process_annotator.library
-        trace_id = process_annotator._trace_id
-        key = (
-            id(library),
-            len(library.patterns),
-            id(assertion_annotator),
-            assertion_annotator.version,
-            id(trigger.conformance),
-            id(trigger.assertions),
-            id(timer_setter),
-            len(timer_setter._rules) if timer_setter is not None else 0,
-            tuple(sorted(self.ship_positions)),
-            process_annotator.process_id,
-            id(trace_id),
-            id(self.storage),
-        )
-        cached = self._fused_plan_cache
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        plan = self._build_plan(library, trace_id)
-        self._fused_plan_cache = (key, plan)
-        return plan
-
-    def _build_plan(self, library, trace_id) -> _FusedPlan:
-        plan = _FusedPlan()
-        process_id = self.process_annotator.process_id
-        plan.process_triple = ("process:" + process_id, "process", process_id)
-        if callable(trace_id):
-            plan.trace_triple = None
-            plan.trace_fn = trace_id
-        else:
-            plan.trace_triple = ("trace:" + trace_id, "trace", trace_id)
-            plan.trace_fn = None
-
-        # Conformance: fuse only when the trigger's callable is a
-        # compiled untraced checker classifying with this same library —
-        # otherwise its verdicts could diverge from the dispatch rows.
-        checker = self.trigger.fused_checker()
-        if checker is not None and checker.library is not library:
-            checker = None
-        plan.checker = checker
-        plan.conformance = self.trigger.conformance if checker is None else None
-        plan.assertions = self.trigger.assertions
-        plan.bindings = self.assertion_annotator.bindings
-
-        conf_rows = checker.fused_rows(library) if checker is not None else None
-        rows: dict[int, _StageRow] = {}
-        for pattern in library.patterns:
-            activity = pattern.activity
-            position = pattern.position
-            triples = [
-                ("step:" + activity, "step", activity),
-                ("position:" + position, "position", position),
-            ]
-            if pattern.is_error:
-                triples.append(("known-error", None, None))
-            assertion_ids = tuple(plan.bindings.get((activity, position), ()))
-            assert_triples = tuple(
-                ("assert:" + assertion_id, "assert", assertion_id)
-                for assertion_id in assertion_ids
-            )
-            conf = conf_rows.get(id(pattern), _UNMATCHED_CONF) if conf_rows is not None else None
-            row = _StageRow(
-                activity, position, tuple(triples), assert_triples, assertion_ids, conf
-            )
-            if plan.trace_triple is not None:
-                # Bulk variants: the same dedup/first-wins fold the
-                # per-tag path performs, run once here.  ``fresh`` is the
-                # full state for a bare record; ``traced`` drops the
-                # trace index entry (a preset trace tag won it);
-                # ``notrace`` also drops the trace tag itself (the preset
-                # tag IS the static one, so the reference dedups it).
-                full = (plan.process_triple, plan.trace_triple, *triples, *assert_triples)
-                tags_f, set_f, index_f = _fold_triples(full)
-                index_t = {k: v for k, v in index_f.items() if k != "trace"}
-                row.bulk_fresh = (tags_f, set_f, index_f)
-                row.bulk_traced = (tags_f, set_f, index_t)
-                no_trace = (plan.process_triple, *triples, *assert_triples)
-                tags_n, set_n, _ = _fold_triples(no_trace)
-                row.bulk_notrace = (tags_n, set_n, index_t)
-            rows[id(pattern)] = row
-        plan.rows = rows
-
-        timer_setter = self.timer_setter
-        activities: set[str] = set()
-        if timer_setter is not None:
-            for rule in timer_setter._rules:
-                activities.add(rule["start"])
-                activities.add(rule["end"])
-                activities.update(rule["align"])
-        plan.timer_activities = activities
-
-        # Deferred shipping (one storage.extend) is only bit-for-bit
-        # equivalent when no trigger callback can observe the pipeline's
-        # storage mid-batch: the conformance side is fused (its result
-        # logs join the same pending run) or absent, and the assertion
-        # side is the POD evaluation service (spawns simulation
-        # processes; never reads storage synchronously) or absent.
-        # Foreign callables keep in-loop appends — still fused, just
-        # without the batched ship epilogue.
-        assertions_safe = plan.assertions is None or _is_evaluation_entry(plan.assertions)
-        plan.defer_ship = (
-            type(self.storage) is CentralLogStorage
-            and plan.conformance is None
-            and assertions_safe
-        )
-        plan.conf_pending_ok = (
-            plan.defer_ship and checker is not None and checker.storage is self.storage
-        )
-        return plan
-
-
-def _fold_triples(triples):
-    """Fold tag triples into ``(tags, tag_set, tag_index)`` with the same
-    dedup / first-prefix-wins rules :meth:`LogRecord.add_tag` applies."""
-    tags: list = []
-    tag_set: set = set()
-    index: dict = {}
-    for tag, prefix, value in triples:
-        if tag not in tag_set:
-            tag_set.add(tag)
-            tags.append(tag)
-            if prefix is not None and prefix not in index:
-                index[prefix] = value
-    return tuple(tags), frozenset(tag_set), index
-
-
-def _is_evaluation_entry(callback) -> bool:
-    """True when ``callback`` is AssertionEvaluationService.trigger_from_log."""
-    owner = getattr(callback, "__self__", None)
-    if owner is None:
-        return False
-    from repro.assertions.evaluation import AssertionEvaluationService
-
-    return (
-        isinstance(owner, AssertionEvaluationService)
-        and getattr(callback, "__func__", None)
-        is AssertionEvaluationService.trigger_from_log
-    )

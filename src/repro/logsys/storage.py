@@ -31,20 +31,6 @@ class CentralLogStorage:
         for callback in list(self._subscribers):
             callback(record)
 
-    def extend(self, records: _t.Iterable[LogRecord]) -> None:
-        """Append a run of records in order — the batched epilogue of the
-        fused ingest path.  Subscribers see every record in the same
-        sequence :meth:`append` would have produced; with no subscribers
-        the whole run lands in one list extend."""
-        subscribers = self._subscribers
-        if not subscribers:
-            self.records.extend(records)
-            return
-        for record in records:
-            self.records.append(record)
-            for callback in list(subscribers):
-                callback(record)
-
     # -- queries ------------------------------------------------------------
 
     def query(

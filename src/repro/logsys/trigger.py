@@ -34,31 +34,3 @@ class Trigger:
         if self.assertions is not None and assertion_ids:
             self.assertion_calls += 1
             self.assertions(record, assertion_ids)
-
-    def fused_checker(self):
-        """The compiled ConformanceChecker behind ``conformance``, if any.
-
-        The fused batch ingest path can only bypass the per-record
-        ``check()`` dispatch when the conformance callable is exactly a
-        compiled, untraced checker's own entry point; anything else — a
-        plain callable, an interpreted checker, a traced checker (which
-        owes a span per check) — keeps the generic per-record call.
-        """
-        conformance = self.conformance
-        owner = getattr(conformance, "__self__", None)
-        if owner is None:
-            return None
-        from repro.process.conformance import ConformanceChecker
-
-        if not isinstance(owner, ConformanceChecker):
-            return None
-        func = getattr(conformance, "__func__", None)
-        entry_points = (
-            ConformanceChecker.check,
-            ConformanceChecker._check,
-        )
-        if func not in entry_points:
-            return None
-        if not owner.compiled or owner._tracer is not None:
-            return None
-        return owner

@@ -14,8 +14,7 @@ place indices, per-transition input/output index tuples — and
 :class:`CompiledInstance` replays against a plain ``list[int]`` marking
 mutated in place: no per-event dict churn, no frozensets, no step
 objects on the fit path.  :class:`CompiledReplayer` manages the per-trace
-instances and offers a batch entry point that replays a whole run of
-records in one pass over struct-of-arrays columns.
+instances.
 
 Equivalence with the interpreted replayer — identical status sequences,
 fitness, markings and error contexts on the corpus and on arbitrary
@@ -288,35 +287,3 @@ class CompiledReplayer:
             state = CompiledInstance(self.table, trace_id)
             self.states[trace_id] = state
         return state
-
-    def replay_batch(
-        self,
-        trace_ids: _t.Sequence[str],
-        activities: _t.Sequence[str | None],
-        times: _t.Sequence[float],
-    ) -> list[bool | None]:
-        """Replay a column of events in one pass.
-
-        ``activities[i] is None`` (or an activity unknown to the model)
-        yields ``None`` at that position — the caller classifies it
-        UNKNOWN; otherwise the entry is the fit verdict.  One tight loop
-        over parallel columns: the struct-of-arrays shape of
-        :class:`~repro.logsys.batch.RecordBatch`.
-        """
-        table = self.table
-        ids = table.activity_ids
-        states = self.states
-        verdicts: list[bool | None] = []
-        append = verdicts.append
-        for i, activity in enumerate(activities):
-            tid = ids.get(activity) if activity is not None else None
-            if tid is None:
-                append(None)
-                continue
-            trace = trace_ids[i]
-            state = states.get(trace)
-            if state is None:
-                state = CompiledInstance(table, trace)
-                states[trace] = state
-            append(state.replay_id(tid, times[i]))
-        return verdicts

@@ -12,6 +12,8 @@ For each incoming log line the service:
    and invokes the diagnosis callback.
 
 Results are themselves logged (type ``conformance``) to central storage.
+:meth:`ConformanceChecker.check` is the one entry point: a line at a
+time, in arrival order.
 
 Two replay engines implement the token game.  The interpreted
 :class:`~repro.process.instance.ProcessInstance` is the semantic
@@ -27,7 +29,6 @@ from __future__ import annotations
 import time as _time
 import typing as _t
 
-from repro.logsys.batch import RecordBatch, count_statuses
 from repro.logsys.patterns import PatternLibrary, classify_record
 from repro.logsys.record import LogRecord
 from repro.process.compiled import CompiledReplayer
@@ -151,14 +152,10 @@ class ConformanceChecker:
             tracer = None
         self._tracer = tracer
         self._metrics = obs.metrics if obs.enabled else None
-        #: Fused-ingest dispatch cache: (key, library, rows) — see
-        #: :meth:`fused_rows`.
-        self._fused_rows: tuple | None = None
         if self._tracer is None:
             # No span to open: route public calls straight to the
-            # workers, skipping the wrapper frame on every check.
+            # worker, skipping the wrapper frame on every check.
             self.check = self._check
-            self.check_batch = self._check_batch_entry
 
     @property
     def compiled(self) -> bool:
@@ -237,8 +234,7 @@ class ConformanceChecker:
         """Classify + replay one record on the compiled engine.
 
         Returns the bare result — counters, tagging, storage and the
-        error callback are the caller's tail (inlined in :meth:`_check`,
-        batched in :meth:`_check_batch`).
+        error callback are the caller's tail (inlined in :meth:`_check`).
         """
         # tag_value("trace") inlined: "trace" has no ":" so the prefix
         # index answers directly.
@@ -272,13 +268,7 @@ class ConformanceChecker:
     def _replay_tid(
         self, record: LogRecord, trace_id: str, instance, tid: int, activity: str
     ) -> ConformanceResult:
-        """Token-replay one pre-resolved transition id.
-
-        The single replay core shared by the per-record reference path
-        (:meth:`_replay_compiled`) and the fused ingest path
-        (:meth:`fused_session`) — one implementation, so the two paths
-        cannot drift.
-        """
+        """Token-replay one pre-resolved transition id."""
         table = self._replayer.table
         last_fit = instance.last_fit
         marking = instance.marking
@@ -309,148 +299,6 @@ class ConformanceChecker:
         context.conformance = UNFIT
         context.step = activity
         return ConformanceResult(UNFIT, activity, trace_id, context=context)
-
-    # -- fused ingest session --------------------------------------------------
-
-    def fused_rows(self, library: PatternLibrary) -> dict:
-        """Per-pattern replay dispatch for the fused ingest loop.
-
-        Maps ``id(pattern)`` to ``(status_kind, tid, activity)``: error
-        patterns short-circuit to ERROR, activities the model does not
-        know to UNKNOWN, everything else to the transition id the replay
-        core consumes directly — the dense step-id table that lets the
-        fused loop feed the replayer without re-dispatching through tags.
-        Cached per (library, table) pair; the library pin keeps pattern
-        ids live so the id-keyed rows can never alias a collected object.
-        """
-        replayer = self._replayer
-        key = (id(library), len(library.patterns), id(replayer.table))
-        cached = self._fused_rows
-        if cached is not None and cached[0] == key and cached[1] is library:
-            return cached[2]
-        activity_ids = replayer.table.activity_ids
-        rows: dict[int, tuple] = {}
-        for pattern in library.patterns:
-            activity = pattern.activity
-            if pattern.is_error:
-                rows[id(pattern)] = (ERROR, None, activity)
-            else:
-                tid = activity_ids.get(activity)
-                if tid is None:
-                    rows[id(pattern)] = (UNKNOWN, None, None)
-                else:
-                    rows[id(pattern)] = (FIT, tid, activity)
-        self._fused_rows = (key, library, rows)
-        return rows
-
-    def fused_session(self, pending: list | None = None):
-        """One fused-ingest session: returns ``check(record, kind, tid,
-        activity) -> ConformanceResult`` with every piece of hot state —
-        the replay table arrays, the instance map, the results list, the
-        status tag strings — bound once as closure cells instead of being
-        re-resolved through ``self`` on every record.
-
-        The caller already classified each record; ``(kind, tid,
-        activity)`` comes from :meth:`fused_rows`.  The FIT replay is
-        inlined (byte-for-byte the :meth:`_replay_tid` hot path; UNFIT
-        and ERROR/UNKNOWN delegate to the shared cold helpers, so the
-        reference and fused paths cannot drift).  Status tagging, the
-        results list, result logging and the error callback keep the
-        exact per-record reference order; counters, metrics and
-        ``elapsed`` are settled once per batch by :meth:`fused_finish`.
-        When ``pending`` is given, result logs are deferred into it (the
-        caller owns the storage and extends it in one epilogue) instead
-        of being appended to ``self.storage`` immediately.
-        """
-        replayer = self._replayer
-        states = replayer.states
-        instance_for = replayer.instance_for
-        table = replayer.table
-        inputs_tab = table.inputs
-        outputs_tab = table.outputs
-        input_counts = table.input_counts
-        output_counts = table.output_counts
-        results_append = self.results.append
-        status_tags = _STATUS_TAGS
-        storage = self.storage
-        storage_append = storage.append if storage is not None else None
-        pending_append = pending.append if pending is not None else None
-        on_error = self.on_error
-        error_result = self._error_result
-        unfit_replay = self._unfit_replay
-        result_record = self._result_record
-        result_cls = ConformanceResult
-        fit = FIT
-
-        def check(record, kind, tid, activity):
-            index = record._tag_index
-            trace_id = index.get("trace")
-            if trace_id is None:
-                trace_id = "untraced:" + record.source
-            instance = states.get(trace_id)
-            if instance is None:
-                instance = instance_for(trace_id)
-            if tid is None:
-                result = error_result(record, trace_id, kind, activity, instance)
-                status = kind
-            else:
-                marking = instance.marking
-                inputs = inputs_tab[tid]
-                for place in inputs:
-                    if marking[place] <= 0:
-                        result = unfit_replay(record, trace_id, instance, tid, activity)
-                        status = result.status
-                        break
-                else:
-                    for place in inputs:
-                        marking[place] -= 1
-                    for place in outputs_tab[tid]:
-                        marking[place] += 1
-                    instance.consumed += input_counts[tid]
-                    instance.produced += output_counts[tid]
-                    last_fit = instance.last_fit
-                    instance.last_fit = activity
-                    instance._events.append((record.time, activity, True, 0))
-                    result = result_cls(fit, activity, trace_id, deferred=(record, last_fit))
-                    status = fit
-            # add_tag inlined, same shape as _check.
-            tag = status_tags[status]
-            tag_set = record._tag_set
-            if tag not in tag_set:
-                tag_set.add(tag)
-                record.tags.append(tag)
-                if "conformance" not in index:
-                    index["conformance"] = status
-            results_append(result)
-            if storage_append is not None:
-                out = result_record(record, result)
-                if pending_append is not None:
-                    pending_append(out)
-                else:
-                    storage_append(out)
-            if status != fit and on_error is not None:
-                on_error(result)
-            return result
-
-        return check
-
-    def fused_finish(self, results: list[ConformanceResult], elapsed: float) -> None:
-        """Batched epilogue of a fused session: counters + amortised cost."""
-        total = len(results)
-        self.check_count += total
-        if total == 0:
-            return
-        metrics = self._metrics
-        if metrics is not None:
-            for status, count in count_statuses([r.status for r in results]).items():
-                metrics.inc(_CHECK_COUNTERS[status], count)
-                if status == FIT or status == UNFIT:
-                    metrics.inc("conformance.tokens_replayed", count)
-            metrics.inc("conformance.batch.records", total)
-            metrics.inc("conformance.compiled.checks", total)
-        per_check = elapsed / total
-        for result in results:
-            result.elapsed = per_check
 
     def _error_result(
         self, record: LogRecord, trace_id: str, status: str,
@@ -517,87 +365,9 @@ class ConformanceChecker:
             self.on_error(result)
         return result
 
-    # -- batch entry point -----------------------------------------------------
-
-    def check_batch(self, records) -> list[ConformanceResult]:
-        """Check a run of records in one pass.
-
-        Accepts a sequence of :class:`LogRecord` or a pre-shredded
-        :class:`~repro.logsys.batch.RecordBatch`.  Semantics are identical
-        to calling :meth:`check` per record (same verdicts, tags, storage
-        logs, error callbacks, in order) but the per-record overheads are
-        hoisted: one span for the whole batch, counters incremented once
-        per status from a single-pass histogram, per-result ``elapsed``
-        amortised over the batch.
-        """
-        if self._tracer is None:
-            return self._check_batch_entry(records)
-        with self._tracer.span("check_batch", "conformance") as span:
-            results = self._check_batch_entry(records)
-            span.set(records=len(results))
-        return results
-
-    def _check_batch_entry(self, records) -> list[ConformanceResult]:
-        batch = records if isinstance(records, RecordBatch) else RecordBatch(records)
-        return self._check_batch(batch)
-
-    def _check_batch(self, batch: RecordBatch) -> list[ConformanceResult]:
-        started = _time.perf_counter()
-        total = len(batch)
-        if total == 0:
-            return []
-        results: list[ConformanceResult] = []
-        if self._replayer is not None:
-            # Compiled: the same fused session the batch ingest pipeline
-            # drives — classify once, resolve the dense dispatch row,
-            # replay through the shared core, settle counters in one
-            # epilogue.  Per-record order (tag → log → error callback)
-            # matches sequential check() exactly.
-            library = self.library
-            rows = self.fused_rows(library)
-            metrics = self._metrics
-            unmatched = (UNKNOWN, None, None)
-            fused_check = self.fused_session()
-            for record in batch.records:
-                if metrics is None and record.classified_by is library:
-                    classification = record.classification
-                else:
-                    classification = classify_record(library, record, metrics)
-                pattern = classification.pattern
-                if pattern is None:
-                    kind, tid, activity = unmatched
-                else:
-                    kind, tid, activity = rows.get(id(pattern), unmatched)
-                results.append(fused_check(record, kind, tid, activity))
-            self.fused_finish(results, _time.perf_counter() - started)
-            return results
-        self.check_count += total
-        for record in batch.records:
-            results.append(self._check_interpreted(record))
-        if self._metrics is not None:
-            metrics = self._metrics
-            for status, count in count_statuses([r.status for r in results]).items():
-                metrics.inc(_CHECK_COUNTERS[status], count)
-                if status == FIT or status == UNFIT:
-                    metrics.inc("conformance.tokens_replayed", count)
-            metrics.inc("conformance.batch.records", total)
-        per_check = (_time.perf_counter() - started) / total
-        append = self.results.append
-        log_results = self.storage is not None
-        on_error = self.on_error
-        for record, result in zip(batch.records, results):
-            record.add_tag(_STATUS_TAGS[result.status])
-            result.elapsed = per_check
-            append(result)
-            if log_results:
-                self._log_result(record, result)
-        if on_error is not None:
-            for result in results:
-                if result.is_error:
-                    on_error(result)
-        return results
-
-    def _result_record(self, record: LogRecord, result: ConformanceResult) -> LogRecord:
+    def _log_result(self, record: LogRecord, result: ConformanceResult) -> None:
+        if self.storage is None:
+            return
         time = self.clock.now() if self.clock is not None else record.time
         timestamp = self.clock.render() if self.clock is not None else record.timestamp
         message = (
@@ -615,12 +385,7 @@ class ConformanceChecker:
         out.add_tag(f"conformance:{result.status}")
         if result.activity:
             out.add_tag(f"step:{result.activity}")
-        return out
-
-    def _log_result(self, record: LogRecord, result: ConformanceResult) -> None:
-        if self.storage is None:
-            return
-        self.storage.append(self._result_record(record, result))
+        self.storage.append(out)
 
     # -- aggregate views -------------------------------------------------------
 

@@ -43,19 +43,21 @@ class TestBenchMatching:
         assert metrics["classify_once_speedup"] > 1.0
 
 
-class TestBenchPipeline:
-    def test_small_run_produces_gated_ratio(self):
-        from repro.evaluation.bench import bench_pipeline
+class TestBenchConformance:
+    def test_small_run_gates_interpreted_vs_compiled_only(self):
+        from repro.evaluation.bench import bench_conformance
 
-        result = bench_pipeline(traces=40, repeat=1)
-        assert result["name"] == "pipeline"
-        assert set(result["gate"]) == {"fused_pipeline_speedup"}
-        assert result["floors"] == {"fused_pipeline_speedup": 2.0}
+        result = bench_conformance(traces=20, repeat=1)
+        assert result["name"] == "conformance"
+        assert set(result["gate"]) == {"compiled_replay_speedup"}
+        assert result["floors"] == {"compiled_replay_speedup": 3.0}
         metrics = result["metrics"]
-        assert metrics["records"] == 40 * 12
-        assert metrics["fused_pipeline_speedup"] > 0
-        assert metrics["fused_records_per_sec"] > 0
-        assert metrics["fused_end_to_end_records_per_sec"] > 0
+        assert set(metrics) == {
+            "checks", "interpreted_checks_per_sec", "checks_per_sec",
+            "mean_latency_us", "compiled_replay_speedup",
+        }
+        assert metrics["checks"] == 20 * 12
+        assert metrics["compiled_replay_speedup"] > 0
 
 
 class TestOnlySelection:
@@ -69,9 +71,9 @@ class TestOnlySelection:
         from repro.evaluation.bench import run_benchmarks
 
         results = run_benchmarks(
-            quick=True, only=["pipeline", "matching", "matching"]
+            quick=True, only=["conformance", "matching", "matching"]
         )
-        assert [r["name"] for r in results] == ["matching", "pipeline"]
+        assert [r["name"] for r in results] == ["matching", "conformance"]
 
     def test_unknown_name_raises_with_valid_names(self):
         from repro.evaluation.bench import BENCHMARKS, run_benchmarks
@@ -263,14 +265,15 @@ class TestCli:
         from repro.cli import build_parser
 
         args = build_parser().parse_args(
-            ["bench", "--only", "pipeline", "--only", "matching"]
+            ["bench", "--only", "conformance", "--only", "matching"]
         )
-        assert args.only == ["pipeline", "matching"]
+        assert args.only == ["conformance", "matching"]
 
     def test_unknown_only_name_exits_two(self, tmp_path, capsys):
         pytest.importorskip("repro.cli")
         from repro.cli import main
 
-        code = main(["bench", "--quick", "--out", str(tmp_path), "--only", "bogus"])
+        # A name that is not in BENCHMARKS, even one that once was.
+        code = main(["bench", "--quick", "--out", str(tmp_path), "--only", "pipeline"])
         assert code == 2
         assert "unknown benchmark" in capsys.readouterr().err

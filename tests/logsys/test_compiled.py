@@ -1,7 +1,5 @@
 """Compiled pattern dispatch: prefilter soundness + naive equivalence."""
 
-import pytest
-
 from repro.logsys.compiled import (
     CompiledPatternLibrary,
     literal_runs,
@@ -51,22 +49,20 @@ class TestLiteralExtraction:
         assert literal_runs(r"(unclosed") == []
 
 
-def _overlapping_library(factory, **kwargs):
+def _overlapping_library(factory):
     """First-match-wins matters: each pattern is a prefix of the previous."""
     return factory(
         [
             LogPattern("specific", r"Instance (?P<instanceid>i-\w+) terminated", position=END),
             LogPattern("medium", r"Instance (?P<instanceid>i-\w+)", position=PROGRESS),
             LogPattern("generic", r"Instance", position=PROGRESS),
-        ],
-        **kwargs,
+        ]
     )
 
 
 class TestCompiledSemantics:
-    @pytest.mark.parametrize("combined", [False, True])
-    def test_first_match_wins_with_overlapping_prefixes(self, combined):
-        library = _overlapping_library(CompiledPatternLibrary, combined=combined)
+    def test_first_match_wins_with_overlapping_prefixes(self):
+        library = _overlapping_library(CompiledPatternLibrary)
         assert library.classify("Instance i-1 terminated").activity == "specific"
         assert library.classify("Instance i-1 launching").activity == "medium"
         assert library.classify("Instance count: 4").activity == "generic"
@@ -89,20 +85,6 @@ class TestCompiledSemantics:
     def test_from_library_is_identity_for_compiled(self):
         compiled = _overlapping_library(CompiledPatternLibrary)
         assert CompiledPatternLibrary.from_library(compiled) is compiled
-
-    def test_combined_rejection_never_blocks_a_match(self):
-        library = _overlapping_library(CompiledPatternLibrary, combined=True)
-        assert library._any is not None
-        # Every line any pattern matches passes the combined gate too.
-        for message in ("Instance i-1 terminated", "prefix Instance suffix"):
-            assert library.classify(message).matched
-
-    def test_combined_skipped_for_backreferences(self):
-        library = CompiledPatternLibrary(
-            [LogPattern("dup", r"(?P<w>\w+) again (?P=w)")], combined=True
-        )
-        assert library._any is None  # falls back to plain dispatch
-        assert library.classify("boom again boom").activity == "dup"
 
     def test_prefilter_only_skips_nonmatching_patterns(self):
         library = _overlapping_library(CompiledPatternLibrary)
@@ -130,20 +112,18 @@ class TestCorpusEquivalence:
 
         naive = build_pattern_library(compiled=False)
         compiled = build_pattern_library(compiled=True)
-        combined = CompiledPatternLibrary.from_library(naive, combined=True)
         assert isinstance(compiled, CompiledPatternLibrary)
         matched = 0
         for message in _corpus():
             expected = naive.classify(message)
-            for candidate in (compiled, combined):
-                got = candidate.classify(message)
-                assert got.activity == expected.activity, message
-                assert got.fields == expected.fields, message
-                if expected.matched:
-                    # Same *pattern position*, not merely the same activity.
-                    assert naive.patterns.index(expected.pattern) == candidate.patterns.index(
-                        got.pattern
-                    ), message
+            got = compiled.classify(message)
+            assert got.activity == expected.activity, message
+            assert got.fields == expected.fields, message
+            if expected.matched:
+                # Same *pattern position*, not merely the same activity.
+                assert naive.patterns.index(expected.pattern) == compiled.patterns.index(
+                    got.pattern
+                ), message
             matched += expected.matched
         assert matched > 0, "corpus exercised no matching lines"
 

@@ -48,11 +48,10 @@ _messages = st.one_of(
 @given(
     pattern_list=st.lists(patterns(), min_size=1, max_size=8),
     messages=st.lists(_messages, min_size=1, max_size=10),
-    combined=st.booleans(),
 )
-def test_compiled_classify_equals_naive(pattern_list, messages, combined):
+def test_compiled_classify_equals_naive(pattern_list, messages):
     naive = PatternLibrary(pattern_list)
-    compiled = CompiledPatternLibrary(pattern_list, combined=combined)
+    compiled = CompiledPatternLibrary(pattern_list)
     for message in messages:
         expected = naive.classify(message)
         got = compiled.classify(message)

@@ -36,6 +36,14 @@ class TestParsing:
         _stamp, body = parse_line("plain\n")
         assert body == "plain"
 
+    @pytest.mark.parametrize(
+        "line",
+        ["[2013-02-30 00:00:00,000] x", "[2013-13-45 25:61:61,000] x"],
+        ids=["feb-30", "every-field-out-of-range"],
+    )
+    def test_invalid_date_in_stamp_is_unstamped(self, line):
+        assert parse_line(line) == (None, line)
+
 
 class TestReadLog:
     def test_relative_times(self):
@@ -49,6 +57,18 @@ class TestReadLog:
         records = read_log(SAMPLE)
         assert records[2].message == "continuation line without a stamp"
         assert records[2].time == records[1].time
+
+    def test_bad_stamp_between_good_lines_keeps_relative_times(self):
+        records = read_log(
+            [
+                "[2013-11-19 11:48:01,100] ok",
+                "[2013-02-30 00:00:00,000] bad",
+                "[2013-11-19 11:48:03,600] later",
+            ]
+        )
+        assert [r.message for r in records] == ["ok", "[2013-02-30 00:00:00,000] bad", "later"]
+        assert [r.time for r in records] == [0.0, 0.0, 2.5]
+        assert records[1].timestamp == ""
 
     def test_source_and_type(self):
         records = read_log(SAMPLE, source="asgard.log", type="operation")

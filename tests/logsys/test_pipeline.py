@@ -7,7 +7,10 @@ from repro.logsys.patterns import END, LogPattern, PatternLibrary
 from repro.logsys.pipeline import LocalLogProcessor
 from repro.logsys.record import LogRecord, LogStream
 from repro.logsys.storage import CentralLogStorage
+from repro.logsys.timers import TimerSetter
 from repro.logsys.trigger import Trigger
+from repro.process.conformance import ConformanceChecker
+from repro.process.model import ProcessModel
 from repro.sim.clock import SimClock
 
 
@@ -190,6 +193,192 @@ class TestLocalLogProcessor:
         assert counters["pipeline.records_ingested"] == 1
         assert counters["pipeline.records_filtered"] == 1
         assert counters["pipeline.records_shipped"] == 1
+
+
+class TestProcessGolden:
+    """What one ``process`` call does, pinned directly: effect order,
+    preset-tag handling, late bindings, and the rolling-upgrade corpus."""
+
+    def _stack(self):
+        """Full stack over one shared storage; every side effect lands in
+        ``events`` in the order it happens."""
+        events: list = []
+        current: list = []
+
+        class RecordingTimers(TimerSetter):
+            def observe(self, rec):
+                current[:] = [rec]
+                events.append(("timer", rec.tag_value("step")))
+
+        lib = library()
+        model = ProcessModel("linear")
+        model.add_sequence("begin", "work")
+        model.mark_start("begin")
+        model.mark_end("work")
+        storage = CentralLogStorage()
+        storage.subscribe(
+            lambda stored: events.append(
+                ("stored", stored.type, current[0].tag_value("conformance"))
+            )
+        )
+        checker = ConformanceChecker(
+            model,
+            lib,
+            storage=storage,
+            on_error=lambda result: events.append(("on_error", result.status, len(storage))),
+        )
+        annotator = AssertionAnnotator()
+        annotator.bind("work", "end", ["check-1"])
+        processor = LocalLogProcessor(
+            noise_filter=NoiseFilter(lib),
+            process_annotator=ProcessAnnotator(lib, "p", "t"),
+            assertion_annotator=annotator,
+            timer_setter=RecordingTimers(engine=None),
+            trigger=Trigger(
+                conformance=checker.check,
+                assertions=lambda rec, ids: events.append(("assert", ids, len(storage))),
+            ),
+            storage=storage,
+        )
+        return processor, storage, events
+
+    def test_effect_order_within_one_record(self):
+        # "work" before "begin" is unfit, and "work" is bound to check-1,
+        # so one record exercises every effect.
+        processor, storage, events = self._stack()
+        assert processor.process(record("did work on i-1"))
+        assert events == [
+            ("timer", "work"),
+            # the status tag is on the record before its result log lands
+            ("stored", "conformance", "unfit"),
+            ("on_error", "unfit", 1),
+            ("assert", ["check-1"], 1),
+            ("stored", "operation", "unfit"),
+        ]
+        assert [r.type for r in storage.records] == ["conformance", "operation"]
+
+    def test_fit_record_skips_error_callback_only(self):
+        processor, storage, events = self._stack()
+        assert processor.process(record("operation started"))
+        assert events == [
+            ("timer", "begin"),
+            ("stored", "conformance", "fit"),
+            ("stored", "operation", "fit"),
+        ]
+
+    def test_preset_trace_keeps_index_static_trace_appended(self):
+        processor, _, _ = self._stack()
+        rec = LogRecord(time=0.0, source="op.log", message="operation started", tags=["trace:x"])
+        processor.process(rec)
+        assert rec.tag_value("trace") == "x"
+        assert rec.tags == [
+            "trace:x", "process:p", "trace:t", "step:begin", "position:start",
+            "conformance:fit",
+        ]
+
+    def test_preset_equal_tag_not_duplicated(self):
+        processor, _, _ = self._stack()
+        rec = LogRecord(
+            time=0.0, source="op.log", message="operation started",
+            tags=["trace:t", "step:begin"],
+        )
+        processor.process(rec)
+        assert rec.tags == [
+            "trace:t", "step:begin", "process:p", "position:start", "conformance:fit",
+        ]
+
+    def test_bind_after_construction_applies_to_next_record(self):
+        processor, _, events = self._stack()
+        processor.process(record("operation started"))
+        assert not [e for e in events if e[0] == "assert"]
+        processor.assertion_annotator.bind("begin", "start", ["check-late"])
+        rec = record("operation started")
+        processor.process(rec)
+        assert [e for e in events if e[0] == "assert"] == [("assert", ["check-late"], 3)]
+        assert rec.has_tag("assert:check-late")
+
+    #: One upgrade of a two-instance group as the operation node logs it,
+    #: with a second trace finishing out of order and lines no pattern
+    #: knows; then a progress line (checked, not shipped) and a dropped one.
+    CORPUS = [
+        ("Pushing ami-001 into group asg-x: rolling upgrade task started", "u-1"),
+        ("Updated launch configuration of group asg-x to lc-2 with image ami-001", "u-1"),
+        ("Sorted 2 instances of group asg-x for replacement", "u-1"),
+        ("Deregistered instance i-001 from load balancer elb-x", "u-1"),
+        ("Terminating instance i-001 in group asg-x", "u-1"),
+        ("Waiting for group asg-x to start a new instance", "u-1"),
+        ("Instance i-002 is ready for use in group asg-x. 1 of 2 done", "u-1"),
+        ("Rolling upgrade task completed for group asg-x", "u-2"),  # unfit trace
+        ("surprise line nobody modelled", "u-1"),
+        ("Status info: 1 of 2 instance relaunches done", "u-1"),
+        ("DEBUG heartbeat", "u-1"),
+    ]
+
+    def test_rolling_upgrade_corpus(self):
+        from repro.operations.rolling_upgrade import (
+            build_pattern_library,
+            reference_process_model,
+        )
+
+        errors: list = []
+        lib = build_pattern_library(compiled=True)
+        storage = CentralLogStorage()
+        checker = ConformanceChecker(
+            reference_process_model(),
+            lib,
+            storage=storage,
+            on_error=lambda r: errors.append((r.status, r.trace_id)),
+        )
+        annotator = AssertionAnnotator()
+        annotator.bind("sort_instances", "end", ["check-count"])
+        processor = LocalLogProcessor(
+            noise_filter=NoiseFilter(lib, passthrough_unmatched=True),
+            process_annotator=ProcessAnnotator(lib, "rolling-upgrade", "run-1"),
+            assertion_annotator=annotator,
+            trigger=Trigger(conformance=checker.check),
+            storage=storage,
+        )
+        records = [
+            LogRecord(time=float(i), source="op.log", message=message, tags=[f"trace:{trace}"])
+            for i, (message, trace) in enumerate(self.CORPUS)
+        ]
+
+        flags = [processor.process(rec) for rec in records]
+
+        assert flags == [True] * 9 + [False, False]
+        ctx = ["process:rolling-upgrade", "trace:run-1"]
+        assert [rec.tags for rec in records] == [
+            ["trace:u-1", *ctx, "step:start_rolling_upgrade", "position:end", "conformance:fit"],
+            ["trace:u-1", *ctx, "step:update_launch_configuration", "position:end",
+             "conformance:fit"],
+            ["trace:u-1", *ctx, "step:sort_instances", "position:end", "assert:check-count",
+             "conformance:fit"],
+            ["trace:u-1", *ctx, "step:remove_deregister_old_instance", "position:end",
+             "conformance:fit"],
+            ["trace:u-1", *ctx, "step:terminate_old_instance", "position:end",
+             "conformance:fit"],
+            ["trace:u-1", *ctx, "step:wait_for_asg_to_start_new_instance", "position:start",
+             "conformance:fit"],
+            ["trace:u-1", *ctx, "step:unclassified", "conformance:unclassified"],
+            ["trace:u-2", *ctx, "step:rolling_upgrade_completed", "position:end",
+             "conformance:unfit"],
+            ["trace:u-1", *ctx, "step:unclassified", "conformance:unclassified"],
+            ["trace:u-1", *ctx, "step:status_info", "position:progress", "conformance:fit"],
+            ["trace:u-1"],
+        ]
+        assert records[1].fields == {"amiid": "ami-001", "asgid": "asg-x", "lcname": "lc-2"}
+        assert errors == [("unclassified", "u-1"), ("unfit", "u-2"), ("unclassified", "u-1")]
+        # Every checked line's result log lands just before the line
+        # itself; the progress line leaves only its result log.
+        shipped = [message for message, _ in self.CORPUS[:9]]
+        assert [r.type for r in storage.records] == ["conformance", "operation"] * 9 + [
+            "conformance"
+        ]
+        assert [r.message for r in storage.records if r.type == "operation"] == shipped
+        assert [r.tag_value("conformance") for r in storage.records if r.type == "conformance"] == [
+            "fit", "fit", "fit", "fit", "fit", "fit", "unclassified", "unfit", "unclassified",
+            "fit",
+        ]
 
 
 class TestCentralLogStorage:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.logsys.patterns import END, LogPattern, PatternLibrary
 from repro.logsys.record import LogRecord
-from repro.process.compiled import CompiledInstance, CompiledReplayer, compile_model
+from repro.process.compiled import CompiledInstance, compile_model
 from repro.process.conformance import ConformanceChecker
 from repro.process.instance import ProcessInstance
 from repro.process.model import ProcessModel
@@ -271,60 +271,3 @@ class TestCheckerEquivalence:
     def test_arbitrary_streams_identical(self, stream):
         check_both(stream)
 
-
-class TestBatchEquivalence:
-    def test_check_batch_matches_sequential_checks(self):
-        stream = [
-            ("doing alpha", "t1"),
-            ("doing beta", "t1"),
-            ("ERROR boom", "t1"),
-            ("doing alpha", "t2"),
-            ("noise 123", None),
-            ("doing gamma", "t2"),
-        ]
-        sequential = ConformanceChecker(linear_model(), library())
-        batched = ConformanceChecker(linear_model(), library())
-        records_seq = [record(m, t) for m, t in stream]
-        records_bat = [record(m, t) for m, t in stream]
-        one_by_one = [sequential.check(r) for r in records_seq]
-        as_batch = batched.check_batch(records_bat)
-        assert [r.status for r in as_batch] == [r.status for r in one_by_one]
-        assert [r.context for r in as_batch] == [r.context for r in one_by_one]
-        assert [r.tags for r in records_bat] == [r.tags for r in records_seq]
-        assert batched.check_count == sequential.check_count
-
-    def test_check_batch_fires_error_callbacks_in_order(self):
-        errors = []
-        checker = ConformanceChecker(
-            linear_model(), library(), on_error=errors.append
-        )
-        checker.check_batch(
-            [record("ERROR boom", "t1"), record("doing alpha", "t1"), record("???", "t1")]
-        )
-        assert [e.status for e in errors] == ["error", "unclassified"]
-
-    def test_replay_batch_matches_per_record_verdicts(self):
-        model = linear_model()
-        replayer = CompiledReplayer(model)
-        reference = CompiledReplayer(model)
-        trace_ids = ["t1", "t1", "t2", "t1"]
-        activities = ["alpha", "gamma", "alpha", None]
-        times = [0.0, 1.0, 2.0, 3.0]
-        verdicts = replayer.replay_batch(trace_ids, activities, times)
-        expected = []
-        for trace, activity, time in zip(trace_ids, activities, times):
-            if activity is None:
-                expected.append(None)
-            else:
-                instance = reference.instance_for(trace)
-                expected.append(instance.replay(activity, time).fit)
-        assert verdicts == expected
-        for trace in ("t1", "t2"):
-            assert (
-                replayer.instance_for(trace).snapshot()
-                == reference.instance_for(trace).snapshot()
-            )
-
-    def test_empty_batch(self):
-        checker = ConformanceChecker(linear_model(), library())
-        assert checker.check_batch([]) == []
