@@ -1,7 +1,7 @@
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: check test bench bench-pytest chaos trace recover e2e-quick e2e-selftest
+.PHONY: check test paper bench chaos trace recover e2e-quick e2e-selftest
 
 # The fast gate for every push: tier-1 minus the slow full-campaign
 # tests, plus the parallel-campaign determinism regression.
@@ -27,19 +27,10 @@ trace:
 test:
 	python -m pytest -x -q
 
-# Hot-path benchmarks + regression gate: compares the gated *ratio*
-# metrics (classify-once speedup, prefilter speedup, compiled-replay
-# speedup, parallel speedup, chunking gain, cloud stale-read speedup,
-# monitor tick ratio/speedup, snapshot sharing) against the committed
-# BENCH_*.json baselines before rewriting them.  Commit the rewritten
-# artifacts to refresh the baseline.  ONLY=<name> (space-separated to
-# select several) runs a subset: `make bench ONLY=conformance`.
-bench:
-	python -m repro bench --baseline benchmarks --tolerance 0.25 --out benchmarks $(foreach n,$(ONLY),--only $(n))
-
-# The original pytest-benchmark microbenchmark suite (exploratory; no gate).
-bench-pytest:
-	python -m pytest benchmarks/ --benchmark-only -q
+# The paper's tables and figures (Table I, Fig. 2/5/6/7, §II, §V.D,
+# ablations) on the seeded 160-run campaign, printing each one.
+paper:
+	python -m pytest -q tests/paper -s
 
 # The performance ledger (BENCHMARK.json, benchmarks/e2e/).  `e2e-quick`
 # is a schema smoke of every workload; with `e2e-selftest` it fails when
@@ -52,3 +43,7 @@ e2e-quick:
 
 e2e-selftest:
 	python -m pytest benchmarks/e2e/tests -q
+
+# The one performance harness: a full ledger run (all four workloads).
+bench:
+	python3 benchmarks/e2e/run.py

@@ -2,7 +2,7 @@
 
 Runs every one of the 8 fault types a few times (with mixed interference,
 as in the paper), computes the Table I metrics and renders the Fig. 6/7
-outputs.  The full-scale 160-run campaign lives in ``benchmarks/``; this
+outputs.  The full-scale 160-run campaign lives in ``tests/paper/``; this
 example keeps the run count small so it finishes in seconds.
 
 Run:  python examples/fault_injection_study.py [runs_per_fault] [workers]

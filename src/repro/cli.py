@@ -308,39 +308,6 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.evaluation.bench import (
-        compare_to_baseline,
-        render_results,
-        run_benchmarks,
-        write_artifacts,
-    )
-
-    try:
-        results = run_benchmarks(
-            quick=args.quick, workers=args.workers, seed=args.seed, only=args.only
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(render_results(results))
-    regressions: list[str] = []
-    if args.baseline:
-        regressions, notes = compare_to_baseline(
-            results, args.baseline, tolerance=args.tolerance
-        )
-        for note in notes:
-            print(f"note: {note}")
-        for regression in regressions:
-            print(f"REGRESSION: {regression}", file=sys.stderr)
-        if not regressions:
-            print(f"gate: OK (tolerance {args.tolerance:.0%} vs {args.baseline})")
-    if args.out:
-        paths = write_artifacts(results, args.out)
-        print("artifacts: " + ", ".join(paths))
-    return 1 if regressions else 0
-
-
 def _cmd_trees(args: argparse.Namespace) -> int:
     from repro.faulttree.library import build_standard_fault_trees
     from repro.faulttree.serialize import tree_to_dot
@@ -467,33 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--seed", type=int, default=500)
     mine.add_argument("--dot", action="store_true", help="print Graphviz DOT")
     mine.set_defaults(func=_cmd_mine)
-
-    bench = sub.add_parser(
-        "bench",
-        help="run the hot-path benchmarks and gate against the committed baseline",
-    )
-    bench.add_argument(
-        "--out", help="write BENCH_<name>.json artifacts into this directory"
-    )
-    bench.add_argument(
-        "--baseline",
-        help="compare gated (ratio) metrics against BENCH_*.json in this directory",
-    )
-    bench.add_argument(
-        "--tolerance", type=float, default=0.25,
-        help="allowed fractional regression on gated metrics (default 0.25)",
-    )
-    bench.add_argument("--workers", type=int, default=4,
-                       help="worker pool size for the campaign benchmark")
-    bench.add_argument("--seed", type=int, default=2014)
-    bench.add_argument("--quick", action="store_true",
-                       help="smaller sizes (smoke mode; noisier numbers)")
-    bench.add_argument(
-        "--only", action="append", metavar="NAME", default=None,
-        help="run a single benchmark by name (repeatable); see"
-             " repro.evaluation.bench.BENCHMARKS for valid names",
-    )
-    bench.set_defaults(func=_cmd_bench)
 
     trees = sub.add_parser("trees", help="inventory the standard fault trees")
     trees.add_argument("--dot", metavar="TREE_ID", help="print one tree as Graphviz DOT")

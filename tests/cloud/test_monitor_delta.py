@@ -12,12 +12,14 @@ across retention trimming and delta-chain rebasing.
 
 import copy
 import json
+import types
 
 import pytest
 
-from repro.cloud.monitor import REBASE_INTERVAL
+from repro.cloud.monitor import REBASE_INTERVAL, CloudMonitor
 from repro.cloud.provider import SimulatedCloud
-from repro.cloud.state import KINDS
+from repro.cloud.resources import Instance, InstanceState
+from repro.cloud.state import KINDS, CloudState
 
 
 def dumps(value) -> str:
@@ -173,3 +175,65 @@ class TestDeltaEquivalence:
         cloud, _ = scripted_run
         counters = cloud.state.data_plane_counters
         assert counters["cloud.monitor.reused"] > counters["cloud.monitor.refreshed"]
+
+
+#: The write script of :func:`_tick_counter_deltas`: every tick rewrites
+#: the next ``WRITES_PER_TICK`` of the first ``2 * WRITES_PER_TICK``
+#: instances, so it is the same sequence of (identifier, new value)
+#: writes on any region at least that large.
+TICKS = 6
+WRITES_PER_TICK = 3
+
+
+def _tick_counter_deltas(region_size: int) -> list[dict[str, int]]:
+    """Per-tick data-plane counter deltas of the write script on a region."""
+    state = CloudState()
+    for index in range(region_size):
+        identifier = f"i-{index:08x}"
+        instance = Instance(
+            instance_id=identifier,
+            image_id="ami-00000001",
+            instance_type="m1.small",
+            key_name="key-prod",
+            security_groups=["sg-web"],
+            state=InstanceState.RUNNING,
+            asg_name="asg-dsn",
+        )
+        state.put("instance", identifier, instance, now=0.0)
+    clock = types.SimpleNamespace(now=0.0)  # all the monitor reads of an engine
+    monitor = CloudMonitor(clock, state)
+    monitor.take_snapshot()  # the one full crawl
+
+    deltas = []
+    for tick in range(TICKS):
+        clock.now = float(tick + 1)
+        before = dict(state.data_plane_counters)
+        for write in range(tick * WRITES_PER_TICK, (tick + 1) * WRITES_PER_TICK):
+            identifier = f"i-{write % (2 * WRITES_PER_TICK):08x}"
+            resource = state.instances[identifier]
+            resource.instance_type = (
+                "m1.large" if resource.instance_type == "m1.small" else "m1.small"
+            )
+            state.record_write("instance", identifier, clock.now)
+        monitor.take_snapshot()
+        after = state.data_plane_counters
+        deltas.append({name: after[name] - before.get(name, 0) for name in after})
+    return deltas
+
+
+class TestTickCostFollowsWrites:
+    """Per-tick work is proportional to writes, not region size — as
+    counts: the same write script on an 8- and a 64-instance region
+    freezes, shares and re-captures exactly the same number of views."""
+
+    def test_same_writes_same_work_on_a_larger_region(self):
+        small = _tick_counter_deltas(8)
+        large = _tick_counter_deltas(64)
+        work = ("cloud.monitor.refreshed", "cloud.snapshot.copied", "cloud.snapshot.shared")
+        for tick, (s, l) in enumerate(zip(small, large, strict=True)):
+            assert {k: s[k] for k in work} == {k: l[k] for k in work}, tick
+            assert s["cloud.monitor.refreshed"] == WRITES_PER_TICK
+            # Everything the tick did not re-capture is shared by
+            # reference — the only counter that sees the region size.
+            assert s["cloud.monitor.reused"] == 8 - WRITES_PER_TICK
+            assert l["cloud.monitor.reused"] == 64 - WRITES_PER_TICK

@@ -143,6 +143,22 @@ class TestChaosSweep:
         assert "Sweep over chaos_profile" in text
         assert "severe" in text
 
+    def test_degradation_is_monotone_and_bought_with_time(self):
+        """Every named level, 3 runs per fault: recall survives (detection
+        is log-driven), degraded verdicts rise with severity, and a severe
+        plane costs retries and diagnosis time rather than wrong answers."""
+        levels = ("none", "mild", "moderate", "severe")
+        points = sweep_chaos(levels=levels, runs_per_fault=3)
+        print("\n" + render_sweep(points))
+        for point in points:
+            assert point.row()["crashed_runs"] == 0, f"run crashed at level={point.value}"
+            assert point.metrics.recall == 1.0, f"recall collapsed at level={point.value}"
+        degraded = [point.row()["degraded_verdicts"] for point in points]
+        assert degraded == sorted(degraded), f"degradation not monotone: {degraded}"
+        calm, severe = points[0], points[-1]
+        assert severe.metrics.api_health["retries"] > calm.metrics.api_health["retries"]
+        assert severe.row()["diag_mean_s"] >= calm.row()["diag_mean_s"]
+
     def test_invalid_chaos_profile_rejected_at_config(self):
         with pytest.raises(ValueError, match="unknown chaos profile"):
             CampaignConfig(chaos_profile="apocalyptic")

@@ -1,5 +1,7 @@
 """Compiled pattern dispatch: prefilter soundness + naive equivalence."""
 
+import random
+
 from repro.logsys.compiled import (
     CompiledPatternLibrary,
     literal_runs,
@@ -94,9 +96,69 @@ class TestCompiledSemantics:
         assert plan["generic"] in "Instance i-1 terminated"
 
 
+#: One realistic line per pattern of the rolling-upgrade library.
+_MATCHING_TEMPLATES = (
+    "Pushing ami-{i:08x} into group asg-dsn: rolling upgrade task started",
+    "Updated launch configuration of group asg-dsn to lc-app-v2 with image ami-{i:08x}",
+    "Sorted {n} instances of group asg-dsn for replacement",
+    "Deregistered instance i-{i:08x} from load balancer elb-dsn",
+    "Terminating instance i-{i:08x} in group asg-dsn",
+    "Waiting for group asg-dsn to start a new instance",
+    "Status info: {n} of 4 instance relaunches done",
+    "Instance i-{i:08x} is ready for use in group asg-dsn. {n} of 4 instance relaunches done",
+    "Rolling upgrade task completed for group asg-dsn",
+    "Exception during terminate: request failed",
+)
+
+#: Chatter the noise filter sees: no pattern can match these.
+_NOISE_TEMPLATES = (
+    "health check ok for node-{n}",
+    "cache refresh finished in {n}ms",
+    "scheduler tick {i}",
+    "connection pool stats: {n} idle",
+)
+
+#: Near misses: share literal fragments with real lines but never match —
+#: the prefilter's worst case (literal present, regex still runs).
+_NEAR_MISS_TEMPLATES = (
+    "instance i-{i:08x} not found in group asg-other",
+    "group asg-dsn settings unchanged, skipping launch configuration",
+    "load balancer elb-dsn responded slowly",
+)
+
+
+def synthesize_corpus(lines: int, seed: int = 7) -> list[str]:
+    """A deterministic mixed log corpus: ~45% matches, ~40% noise, ~15% near misses."""
+    rng = random.Random(seed)
+    corpus: list[str] = []
+    for index in range(lines):
+        draw = rng.random()
+        if draw < 0.45:
+            template = rng.choice(_MATCHING_TEMPLATES)
+        elif draw < 0.85:
+            template = rng.choice(_NOISE_TEMPLATES)
+        else:
+            template = rng.choice(_NEAR_MISS_TEMPLATES)
+        corpus.append(template.format(i=index, n=rng.randrange(1, 5)))
+    return corpus
+
+
+class TestCorpus:
+    def test_deterministic_for_a_seed(self):
+        assert synthesize_corpus(500, seed=3) == synthesize_corpus(500, seed=3)
+        assert synthesize_corpus(500, seed=3) != synthesize_corpus(500, seed=4)
+
+    def test_mix_contains_matches_and_noise(self):
+        from repro.operations.rolling_upgrade import build_pattern_library
+
+        library = build_pattern_library()
+        corpus = synthesize_corpus(500, seed=7)
+        matched = sum(1 for line in corpus if library.classify(line).matched)
+        assert 0.25 < matched / len(corpus) < 0.75
+
+
 def _corpus():
-    """Messages from a real traced upgrade + the synthetic bench mix."""
-    from repro.evaluation.bench import synthesize_corpus
+    """Messages from a real traced upgrade + the synthetic mix."""
     from repro.testbed import Testbed
 
     testbed = Testbed(cluster_size=4, seed=321)

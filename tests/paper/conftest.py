@@ -1,19 +1,24 @@
-"""Shared fixtures for the benchmark suite.
+"""Shared fixtures for the paper's tables and figures.
 
 The full §V campaign (8 fault types x 20 runs with mixed interference) is
-run once per session and shared by every table/figure bench.
+run once per session and shared by every table/figure test.
 """
+
+import pathlib
 
 import pytest
 
 from repro.evaluation.campaign import Campaign, CampaignConfig
 from repro.evaluation.metrics import compute_metrics
 
+_HERE = pathlib.Path(__file__).parent
+
 
 def pytest_collection_modifyitems(items):
-    """Everything driven by the 160-run session campaign is tier-`slow`."""
+    """The paper reproductions are tier-`slow`: tier-1 and `make paper`
+    run them, the fast `make check` tier does not."""
     for item in items:
-        if "campaign_outcomes" in getattr(item, "fixturenames", ()):
+        if _HERE in item.path.parents:
             item.add_marker(pytest.mark.slow)
 
 

@@ -3,7 +3,7 @@
 The paper's §II motivation: with Asgard alone, "the time between the
 failure occurring and the report to the operator may be as long as 70
 minutes.  Asgard may not recognize some provisioning failures" at all.
-This bench measures, over the full campaign, when the orchestrator's own
+This test measures, over the full campaign, when the orchestrator's own
 log first shows a failure versus when POD-Diagnosis detects — the
 headline *who wins, by what factor* claim of the whole approach.
 
@@ -23,7 +23,7 @@ CONFIG_FAULTS = ("AMI_CHANGED", "KEYPAIR_WRONG", "SG_WRONG", "INSTANCE_TYPE_CHAN
 RESOURCE_FAULTS = ("AMI_UNAVAILABLE", "KEYPAIR_UNAVAILABLE", "SG_UNAVAILABLE", "ELB_UNAVAILABLE")
 
 
-def test_bench_baseline_detection(benchmark, campaign_outcomes):
+def test_baseline_detection(campaign_outcomes):
     def analyze():
         rows = {}
         for family, faults in (("config", CONFIG_FAULTS), ("resource", RESOURCE_FAULTS)):
@@ -52,7 +52,7 @@ def test_bench_baseline_detection(benchmark, campaign_outcomes):
             }
         return rows
 
-    rows = benchmark(analyze)
+    rows = analyze()
 
     print("\nBaseline — POD-Diagnosis vs orchestrator-only detection")
     print(f"  {'fault family':<10} {'runs':>5} {'POD det.':>9} {'POD mean':>9}"
@@ -80,7 +80,7 @@ def test_bench_baseline_detection(benchmark, campaign_outcomes):
     assert resource["pod_mean_latency"] < resource["orch_mean_latency"]
 
 
-def test_bench_baseline_speedup_factor(benchmark, campaign_outcomes):
+def test_baseline_speedup_factor(campaign_outcomes):
     """Per-run speedup where both detected: POD beats the orchestrator in
     (nearly) every run, typically by several-fold."""
 
@@ -99,7 +99,7 @@ def test_bench_baseline_speedup_factor(benchmark, campaign_outcomes):
             values.append(orchestrator / pod)
         return values
 
-    values = benchmark(speedups)
+    values = speedups()
     assert values, "some runs must have both detection signals"
     # v == 1.0 is a tie: POD's conformance detection fires on the very
     # exception line the orchestrator logged — same instant, not later.

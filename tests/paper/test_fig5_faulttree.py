@@ -27,10 +27,10 @@ def wrong_ami_run():
     return testbed
 
 
-def test_bench_fig5_tree_structure(benchmark):
+def test_fig5_tree_structure():
     """The Fig. 5 tree: build + validate, with the wrong-config subtree's
     '4 potential faults in total'."""
-    registry = benchmark(build_standard_fault_trees)
+    registry = build_standard_fault_trees()
     tree = registry.get("asg-instance-count")
     wrong_config = tree.find("asg-wrong-config")
     assert len(wrong_config.children) == 4
@@ -40,17 +40,15 @@ def test_bench_fig5_tree_structure(benchmark):
         print(f"  {tree_id:22s} nodes={info['nodes']:3d} leaves={info['leaves']:3d}")
 
 
-def test_bench_fig5_diagnosis_walk(benchmark, wrong_ami_run):
+def test_fig5_diagnosis_walk(wrong_ami_run):
     """The wrong-AMI diagnosis confirms the root cause after excluding
     the sibling faults, as in the paper's log excerpt."""
     testbed = wrong_ami_run
-    version_reports = benchmark(
-        lambda: [
-            r
-            for r in testbed.pod.reports
-            if r.trigger_detail == "new-instance-correct-version"
-        ]
-    )
+    version_reports = [
+        r
+        for r in testbed.pod.reports
+        if r.trigger_detail == "new-instance-correct-version"
+    ]
     assert version_reports, "the low-level version assertion must have failed"
     report = version_reports[0]
     cause_ids = {c.node_id for c in report.root_causes}
@@ -66,19 +64,14 @@ def test_bench_fig5_diagnosis_walk(benchmark, wrong_ami_run):
         print(f"  [{record.timestamp}] {record.message[:100]}")
 
 
-def test_bench_fig5_context_pruning(benchmark, wrong_ami_run):
+def test_fig5_context_pruning(wrong_ami_run):
     """'If the assertion after New instance ready… triggered diagnosis,
     we prune all other sub-trees': the diagnosis triggered at the READY
     step never tests the update-launch-configuration subtree."""
     testbed = wrong_ami_run
 
-    def tested_nodes():
-        return [
-            {t.node_id for t in report.tests}
-            for report in testbed.pod.reports
-            if report.step == "new_instance_ready"
-        ]
-
-    for tested in benchmark(tested_nodes):
+    ready_reports = [r for r in testbed.pod.reports if r.step == "new_instance_ready"]
+    for report in ready_reports:
+        tested = {t.node_id for t in report.tests}
         assert "create-lc-fails" not in tested
         assert "lc-ami-missing" not in tested

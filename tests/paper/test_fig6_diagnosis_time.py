@@ -11,13 +11,13 @@ import statistics
 from repro.evaluation.figures import diagnosis_time_distribution, render_fig6
 
 
-def test_bench_fig6_distribution(benchmark, campaign_metrics):
+def test_fig6_distribution(campaign_metrics):
     times = campaign_metrics.diagnosis_times
     assert len(times) >= 160, "every detection produces at least one diagnosis"
 
     stats = campaign_metrics.diagnosis_time_stats()
     print()
-    print(benchmark(render_fig6, campaign_metrics))
+    print(render_fig6(campaign_metrics))
 
     # Shape assertions vs the paper's numbers.
     assert 0.4 <= stats["min"] <= 2.0  # paper: 1.29 s
@@ -28,18 +28,18 @@ def test_bench_fig6_distribution(benchmark, campaign_metrics):
     assert stats["mean"] >= statistics.median(times) * 0.95
 
 
-def test_bench_fig6_histogram_mass(benchmark, campaign_metrics):
-    histogram = dict(benchmark(diagnosis_time_distribution, campaign_metrics.diagnosis_times))
+def test_fig6_histogram_mass(campaign_metrics):
+    histogram = dict(diagnosis_time_distribution(campaign_metrics.diagnosis_times))
     total = sum(histogram.values())
     within_5s = sum(count for label, count in histogram.items() if label in ("0-1s", "1-2s", "2-3s", "3-4s", "4-5s"))
     assert within_5s / total >= 0.85, "the bulk of diagnoses finish within 5 s"
 
 
-def test_bench_fig6_detection_latency(benchmark, campaign_metrics):
+def test_fig6_detection_latency(campaign_metrics):
     """Not a paper figure, but its motivating claim: Asgard may take up
     to 70 minutes to report a provisioning failure; POD detects within
     the watchdog/assertion granularity."""
-    latencies = benchmark(lambda: list(campaign_metrics.detection_latencies))
+    latencies = campaign_metrics.detection_latencies
     assert latencies
     mean_latency = statistics.fmean(latencies)
     print(f"\n  detection latency: mean {mean_latency:.0f}s, max {max(latencies):.0f}s"
