@@ -111,7 +111,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             print(f"[{index}/{total}] {outcome.spec.run_id}: "
                   f"{'detected' if outcome.fault_detected else 'MISSED'}")
 
-    campaign.run(progress=progress, max_workers=args.workers, chunk_size=args.chunk_size)
+    campaign.run(progress=progress, max_workers=args.workers)
     metrics = compute_metrics(campaign.outcomes)
     if metrics.failed_runs:
         print(f"WARNING: {metrics.failed_runs} run(s) crashed and were excluded from metrics:",
@@ -144,7 +144,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             "config": {
                 "runs_per_fault": args.runs,
                 "seed": args.seed,
-                "workers": args.workers,
                 "chaos_profile": args.chaos,
                 "recover": args.recover,
             },
@@ -342,14 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument(
         "--workers", type=int, default=1,
         help="worker processes for the runs (1 = serial, -1 = all cores);"
-             " clamped to the host core count, and the executor falls back"
-             " to in-process execution when a pool cannot win; results are"
-             " identical at any worker count",
-    )
-    campaign.add_argument(
-        "--chunk-size", type=int, default=None,
-        help="specs per pool submission (default: sized from the measured"
-             " per-run cost)",
+             " clamped to the host core count; results are identical at any"
+             " worker count",
     )
     from repro.cloud.chaos import CHAOS_LEVELS
 

@@ -13,7 +13,7 @@
 
 from repro.evaluation.faults import FAULT_TYPES, FaultPlan, apply_fault
 from repro.evaluation.campaign import Campaign, CampaignConfig, RunOutcome, run_single
-from repro.evaluation.parallel import ParallelCampaign, execute_run, execute_specs
+from repro.evaluation.parallel import execute_run, execute_specs
 from repro.evaluation.metrics import (
     CampaignMetrics,
     FaultTypeMetrics,
@@ -41,7 +41,6 @@ __all__ = [
     "FAULT_TYPES",
     "FaultPlan",
     "FaultTypeMetrics",
-    "ParallelCampaign",
     "RunOutcome",
     "apply_fault",
     "compute_metrics",

@@ -147,9 +147,7 @@ class RunOutcome:
         """Recall numerator: any detection after (or at) injection."""
         if self.injected_at is None:
             return False
-        return any(d["time"] >= self.injected_at - 1e-9 for d in self.detections) or bool(
-            self.detections
-        )
+        return any(d["time"] >= self.injected_at - 1e-9 for d in self.detections)
 
     #: Causes that, while not the canonical root cause, genuinely point at
     #: a configuration fault (the injection *is* a concurrent LC change,
@@ -254,7 +252,6 @@ class CampaignConfig:
     p_account_pressure: float = 0.06
     #: Probability a (revertible) configuration fault is transient.
     p_transient: float = 0.08
-    max_instances: int = 40
     #: Restrict the campaign to a subset of fault types (None = all 8).
     fault_types: tuple[str, ...] | None = None
     #: API-plane degradation applied to every run (a chaos level name).
@@ -495,31 +492,18 @@ class Campaign:
         self,
         progress: _t.Callable[[int, int, RunOutcome], None] | None = None,
         max_workers: int | None = None,
-        chunk_size: int | None = None,
-        cpu_count: int | None = None,
-        force_pool: bool = False,
     ) -> list[RunOutcome]:
         """Execute every run, serially or across ``max_workers`` processes.
 
         Outcomes are returned in spec order regardless of worker count;
         for a fixed config seed the results are bit-for-bit identical at
-        any parallelism (see :mod:`repro.evaluation.parallel`).  The
-        executor plans adaptively: workers are clamped to the core count
-        and the pool is skipped when its startup+IPC cost cannot be
-        repaid.  ``chunk_size`` pins specs per future; ``cpu_count`` and
-        ``force_pool`` are the executor's testing/benchmarking hooks.
+        any parallelism (see :mod:`repro.evaluation.parallel`).
+        ``max_workers`` of ``None``/``0``/``1`` is serial and ``-1`` is
+        every core; requests are clamped to the core and spec counts.
         """
         from repro.evaluation.parallel import execute_specs
 
-        specs = self.build_specs()
         self.outcomes.extend(
-            execute_specs(
-                specs,
-                max_workers=max_workers,
-                progress=progress,
-                chunk_size=chunk_size,
-                cpu_count=cpu_count,
-                force_pool=force_pool,
-            )
+            execute_specs(self.build_specs(), max_workers=max_workers, progress=progress)
         )
         return self.outcomes

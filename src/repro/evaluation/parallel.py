@@ -11,23 +11,12 @@ This module exploits that:
   :class:`~repro.evaluation.campaign.RunOutcome`, never a dead campaign);
 - :func:`execute_specs` — a batch of specs, serially or across a
   :class:`~concurrent.futures.ProcessPoolExecutor`, results re-sorted
-  into spec order so worker count and completion order are invisible;
-- :class:`ParallelCampaign` — a :class:`~repro.evaluation.campaign.Campaign`
-  that defaults to using every core.
+  into spec order so worker count and completion order are invisible.
 
-**Cost model:** a process pool is not free — workers fork and re-import,
-chunks pickle across pipes — and on hosts where that overhead cannot be
-repaid (one core, or a campaign too small to amortise startup) the pool
-makes campaigns *slower* than serial.  :func:`execute_specs` therefore
-plans before it pools: workers are clamped to ``os.cpu_count()``
-(:func:`resolve_workers`), the first spec runs in-parent as a timing
-probe, and :func:`plan_execution` compares projected pool cost
-(:data:`POOL_STARTUP_COST` + :data:`IPC_COST_PER_RUN`·n + serial/workers)
-against projected serial cost.  When the pool cannot win, the remaining
-specs run in-process — same plan as serial, so ``parallel_speedup`` is
-1.0 by construction on every host class.  When it can, chunk sizes are
-derived from the measured per-run cost (target
-:data:`CHUNK_TARGET_SECONDS` of work per future).
+A caller who asks for workers gets workers: :func:`resolve_workers` clamps
+the request to the host's core count and to the number of specs — the
+two things the code can observe — and anything above one starts a pool.
+There is no pool-vs-serial cost model (see DESIGN.md §10 for why).
 
 **Throughput:** specs are submitted in *chunks* (several specs per
 future) so pickle/IPC round trips amortise across runs instead of being
@@ -42,8 +31,8 @@ cross-process library identity and would bloat every IPC payload.
 **Determinism guarantee:** for a fixed :class:`CampaignConfig` seed, the
 outcome list — and therefore the computed
 :class:`~repro.evaluation.metrics.CampaignMetrics` — is bit-for-bit
-identical whether the campaign runs serially, in-process after a planner
-fallback, or with any number of workers.
+identical whether the campaign runs serially or with any number of
+workers.
 
 **Progress bridge:** callbacks cannot cross process boundaries (they are
 not picklable, and the child's prints would interleave).  Instead each
@@ -58,13 +47,11 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import functools
-import math
 import os
-import time as _time
 import traceback
 import typing as _t
 
-from repro.evaluation.campaign import Campaign, CampaignConfig, RunOutcome, RunSpec, run_single
+from repro.evaluation.campaign import RunOutcome, RunSpec, run_single
 
 #: A callable executing one spec; must be a picklable top-level function
 #: when used with worker processes.
@@ -95,23 +82,9 @@ def execute_run(spec: RunSpec, runner: Runner | None = None) -> RunOutcome:
         return RunOutcome.failure(spec, traceback.format_exc())
 
 
-#: Target chunks per worker when no per-run cost is known: small enough
-#: to amortise pickle/IPC, large enough that one slow chunk cannot leave
-#: the pool idle at the tail.
+#: Target chunks per worker: small enough to amortise pickle/IPC, large
+#: enough that one slow chunk cannot leave the pool idle at the tail.
 CHUNKS_PER_WORKER = 4
-
-#: Projected one-off cost of standing a pool up: fork + re-import + the
-#: :func:`warm_worker` cache builds, in seconds.  Deliberately on the
-#: conservative (high) side — the fallback it triggers is exactly serial,
-#: so a false "don't pool" costs nothing while a false "pool" costs the
-#: regression this model exists to prevent.
-POOL_STARTUP_COST = 0.75
-
-#: Projected per-run IPC cost: pickling the spec out and the outcome back.
-IPC_COST_PER_RUN = 0.002
-
-#: Target seconds of measured work per submitted chunk.
-CHUNK_TARGET_SECONDS = 1.0
 
 
 def warm_worker() -> None:
@@ -141,125 +114,25 @@ def execute_chunk(specs: _t.Sequence[RunSpec], runner: Runner | None = None) -> 
     return [execute_run(spec, runner) for spec in specs]
 
 
-def chunk_size_for(total: int, workers: int, chunk_size: int | None = None) -> int:
-    """Specs per future: explicit override, else ~CHUNKS_PER_WORKER each."""
-    if chunk_size is not None:
-        return max(1, chunk_size)
+def specs_per_chunk(total: int, workers: int) -> int:
+    """Specs per future: ``ceil(total / (workers * CHUNKS_PER_WORKER))``."""
     return max(1, -(-total // (workers * CHUNKS_PER_WORKER)))
 
 
-def resolve_workers(
-    max_workers: int | None, total: int = 0, cpu_count: int | None = None
-) -> int:
+def resolve_workers(max_workers: int | None, total: int = 0) -> int:
     """Normalise a worker-count knob to an effective pool size.
 
     ``None``, ``0`` and ``1`` mean serial; any negative value means "all
-    cores".  Positive values are capped at the core count (``cpu_count``
-    override, else ``os.cpu_count()``) — on a one-core host *every* value
-    resolves to 1, because extra processes only time-slice the same core
-    while still paying fork and IPC — and at the number of specs
-    (spawning idle workers is pure overhead).
+    cores".  Positive values are capped at ``os.cpu_count()`` — on a
+    one-core host *every* value resolves to 1, because extra processes
+    only time-slice the same core while still paying fork and IPC — and
+    at the number of specs (spawning idle workers is pure overhead).
     """
     if max_workers is None or max_workers in (0, 1):
         return 1
-    cores = cpu_count if cpu_count is not None else os.cpu_count() or 1
+    cores = os.cpu_count() or 1
     workers = cores if max_workers < 0 else min(max_workers, cores)
     return max(1, min(workers, total) if total else workers)
-
-
-@dataclasses.dataclass(frozen=True)
-class ExecutionPlan:
-    """What the executor decided for one batch, and why.
-
-    ``use_pool=False`` means the batch runs in the parent process — the
-    exact serial plan — so any serial-vs-"parallel" comparison of such a
-    batch is a comparison of identical executions.
-    """
-
-    total: int
-    workers: int
-    chunk_size: int
-    use_pool: bool
-    cost_per_run: float
-    projected_serial: float
-    projected_pool: float
-    reason: str
-
-
-def plan_execution(
-    total: int,
-    workers: int,
-    cost_per_run: float,
-    chunk_size: int | None = None,
-    startup_cost: float = POOL_STARTUP_COST,
-    ipc_cost: float = IPC_COST_PER_RUN,
-) -> ExecutionPlan:
-    """Decide pool-vs-in-process and the chunk size from measured cost.
-
-    The pool wins only when ``startup + ipc·n + serial/workers`` beats
-    plain ``serial = cost_per_run · n`` — impossible with one worker and
-    not worth it for small or cheap batches.  Chunks are sized to carry
-    about :data:`CHUNK_TARGET_SECONDS` of measured work each, capped so
-    every worker still gets at least one chunk.
-    """
-    projected_serial = cost_per_run * total
-    if workers <= 1 or total <= 1:
-        return ExecutionPlan(
-            total=total,
-            workers=1,
-            chunk_size=max(1, total),
-            use_pool=False,
-            cost_per_run=cost_per_run,
-            projected_serial=projected_serial,
-            projected_pool=projected_serial,
-            reason="single worker" if workers <= 1 else "single spec",
-        )
-    projected_pool = startup_cost + ipc_cost * total + projected_serial / workers
-    if projected_pool >= projected_serial:
-        return ExecutionPlan(
-            total=total,
-            workers=1,
-            chunk_size=max(1, total),
-            use_pool=False,
-            cost_per_run=cost_per_run,
-            projected_serial=projected_serial,
-            projected_pool=projected_pool,
-            reason="pool cannot amortise startup+IPC over this batch",
-        )
-    if chunk_size is not None:
-        size = max(1, chunk_size)
-    elif cost_per_run > 0:
-        per_worker = -(-total // workers)
-        size = max(1, min(math.ceil(CHUNK_TARGET_SECONDS / cost_per_run), per_worker))
-    else:
-        size = chunk_size_for(total, workers)
-    return ExecutionPlan(
-        total=total,
-        workers=workers,
-        chunk_size=size,
-        use_pool=True,
-        cost_per_run=cost_per_run,
-        projected_serial=projected_serial,
-        projected_pool=projected_pool,
-        reason="pool projected faster",
-    )
-
-
-def _execute_serial(
-    specs: _t.Sequence[RunSpec],
-    total: int,
-    progress: ProgressFn | None,
-    runner: Runner | None,
-    done: int = 0,
-) -> list[RunOutcome]:
-    outcomes = []
-    for spec in specs:
-        outcome = execute_run(spec, runner)
-        outcomes.append(outcome)
-        done += 1
-        if progress is not None:
-            progress(done, total, outcome)
-    return outcomes
 
 
 def execute_specs(
@@ -267,84 +140,42 @@ def execute_specs(
     max_workers: int | None = None,
     progress: ProgressFn | None = None,
     runner: Runner | None = None,
-    chunk_size: int | None = None,
-    cpu_count: int | None = None,
-    force_pool: bool = False,
-    plan_out: list | None = None,
 ) -> list[RunOutcome]:
     """Execute a batch of specs, serially or across a process pool.
 
     The returned list is always in spec order, independent of worker
-    count, chunking and completion order.  When more than one worker is
-    requested *and* available, the first spec runs in-parent as a timing
-    probe and :func:`plan_execution` decides — from the measured cost —
-    whether a pool can actually win; if not, the batch runs in-process
-    (so "parallel" execution is never slower than serial).
-
-    ``runner`` substitutes the per-run function (testing hook); with
-    workers it must be picklable.  ``chunk_size`` pins the number of
-    specs per submitted future (default: derived from the probe cost).
-    ``cpu_count`` overrides the detected core count and ``force_pool``
-    skips both the core clamp and the cost-model fallback — testing and
-    benchmarking hooks for exercising the pool on any host.
-    ``plan_out``, if given, receives the chosen :class:`ExecutionPlan`.
+    count, chunking and completion order.  ``max_workers`` goes through
+    :func:`resolve_workers`; one worker runs the specs in this process,
+    more start a pool.  ``runner`` substitutes the per-run function
+    (testing hook); with workers it must be picklable.
     """
     specs = list(specs)
     total = len(specs)
-    if total == 0:
-        return []
-    if force_pool and max_workers is not None and max_workers not in (0, 1):
-        requested = max_workers if max_workers > 0 else (
-            cpu_count if cpu_count is not None else os.cpu_count() or 1
-        )
-        workers = max(1, min(requested, total))
-    else:
-        workers = resolve_workers(max_workers, total, cpu_count)
-    if workers <= 1 or total <= 1:
-        plan = plan_execution(total, workers, 0.0, chunk_size)
-        if plan_out is not None:
-            plan_out.append(plan)
-        return _execute_serial(specs, total, progress, runner)
-
-    # Timing probe: the first spec runs in-parent, its measured cost
-    # feeds the plan.  Probe work is never wasted — its outcome is the
-    # first result either way.
-    started = _time.perf_counter()
-    first = execute_run(specs[0], runner)
-    cost_per_run = _time.perf_counter() - started
-    if progress is not None:
-        progress(1, total, first)
-    rest = specs[1:]
-    plan = plan_execution(len(rest), workers, cost_per_run, chunk_size)
-    if force_pool:
-        plan = dataclasses.replace(
-            plan,
-            workers=workers,
-            chunk_size=chunk_size_for(len(rest), workers, chunk_size),
-            use_pool=len(rest) > 0,
-            reason="pool forced",
-        )
-    if plan_out is not None:
-        plan_out.append(plan)
-    if not plan.use_pool:
-        return [first] + _execute_serial(rest, total, progress, runner, done=1)
+    workers = resolve_workers(max_workers, total)
+    if workers <= 1 or not specs:
+        outcomes = []
+        for spec in specs:
+            outcome = execute_run(spec, runner)
+            outcomes.append(outcome)
+            if progress is not None:
+                progress(len(outcomes), total, outcome)
+        return outcomes
 
     task: _t.Callable[[_t.Sequence[RunSpec]], list[RunOutcome]] = (
         execute_chunk if runner is None else functools.partial(execute_chunk, runner=runner)
     )
-    size = plan.chunk_size
-    results: list[RunOutcome | None] = [None] * len(rest)
+    size = specs_per_chunk(total, workers)
+    results: list[RunOutcome | None] = [None] * total
     with concurrent.futures.ProcessPoolExecutor(
-        max_workers=plan.workers, initializer=warm_worker
+        max_workers=workers, initializer=warm_worker
     ) as pool:
         futures = {
-            pool.submit(task, rest[start:start + size]): start
-            for start in range(0, len(rest), size)
+            pool.submit(task, specs[start:start + size]): start
+            for start in range(0, total, size)
         }
-        completed = 1
+        completed = 0
         for future in concurrent.futures.as_completed(futures):
             start = futures[future]
-            chunk = rest[start:start + size]
             try:
                 outcomes = future.result()
             except Exception as exc:
@@ -356,33 +187,11 @@ def execute_specs(
                     RunOutcome.failure(
                         spec, f"worker failed: {type(exc).__name__}: {exc}"
                     )
-                    for spec in chunk
+                    for spec in specs[start:start + size]
                 ]
             for offset, outcome in enumerate(outcomes):
                 results[start + offset] = outcome
                 completed += 1
                 if progress is not None:
                     progress(completed, total, outcome)
-    return [first] + _t.cast("list[RunOutcome]", results)
-
-
-class ParallelCampaign(Campaign):
-    """A :class:`Campaign` that fans runs out across worker processes.
-
-    ``max_workers=-1`` (the default) uses every core; results are
-    identical to the serial :class:`Campaign` for the same config — and
-    on hosts where a pool cannot win, execution *is* serial.
-    """
-
-    def __init__(self, config: CampaignConfig | None = None, max_workers: int = -1) -> None:
-        super().__init__(config)
-        self.max_workers = max_workers
-
-    def run(
-        self,
-        progress: ProgressFn | None = None,
-        max_workers: int | None = None,
-        chunk_size: int | None = None,
-    ) -> list[RunOutcome]:
-        effective = self.max_workers if max_workers is None else max_workers
-        return super().run(progress=progress, max_workers=effective, chunk_size=chunk_size)
+    return _t.cast("list[RunOutcome]", results)

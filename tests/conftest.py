@@ -1,9 +1,49 @@
 """Shared fixtures for the POD-Diagnosis reproduction test suite."""
 
+import concurrent.futures
+import contextlib
+import os
+
 import pytest
 
 from repro.cloud.provider import SimulatedCloud
 from repro.sim.engine import Engine
+
+
+class PoolSpy(list):
+    """The ``max_workers`` of every process pool started, in order."""
+
+    @contextlib.contextmanager
+    def expect(self, *sizes: int):
+        """Assert the block starts exactly these pools (no sizes: none)."""
+        self.clear()
+        yield
+        assert self == list(sizes), f"pools started: {list(self)}, expected: {list(sizes)}"
+
+
+@pytest.fixture(scope="class")
+def pool_spy():
+    """A 4-core host whose campaign worker pools are counted.
+
+    The campaign executor clamps workers to ``os.cpu_count()``, so on a
+    small CI box a "serial ≡ parallel" test would silently compare the
+    serial loop with itself.  This patches ``os.cpu_count`` to 4 and
+    swaps ``ProcessPoolExecutor`` for a subclass that records each pool
+    in the yielded :class:`PoolSpy`; a test wraps its parallel run in
+    ``with pool_spy.expect(workers):``.  Class-scoped so a class-scoped
+    campaign fixture can use it.
+    """
+    started = PoolSpy()
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "cpu_count", lambda: 4)
+        patch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        yield started
 
 
 @pytest.fixture

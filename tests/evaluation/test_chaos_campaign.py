@@ -110,7 +110,7 @@ class TestSevereCampaignAcceptance:
     """The acceptance-scale regression: >= 24 severe runs, serial vs
     parallel, zero crashes, byte-identical metrics."""
 
-    def test_24_run_campaign_parallel_matches_serial(self):
+    def test_24_run_campaign_parallel_matches_serial(self, pool_spy):
         config = CampaignConfig(
             runs_per_fault=3,
             large_cluster_runs=0,
@@ -118,7 +118,8 @@ class TestSevereCampaignAcceptance:
             chaos_profile="severe",
         )
         serial = _run(config)
-        parallel = _run(config, max_workers=2)
+        with pool_spy.expect(2):
+            parallel = _run(config, max_workers=2)
         assert len(serial) == 24
         assert [o.spec.run_id for o in serial if o.failed] == []
         assert parallel == serial

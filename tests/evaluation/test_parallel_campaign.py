@@ -7,6 +7,8 @@ the runs execute serially or across any number of worker processes.
 
 import dataclasses
 import json
+import multiprocessing
+import os
 import pickle
 
 import pytest
@@ -22,15 +24,10 @@ from repro.evaluation.campaign import (
 from repro.evaluation.metrics import compute_metrics
 from repro.evaluation.parallel import (
     CHUNKS_PER_WORKER,
-    IPC_COST_PER_RUN,
-    POOL_STARTUP_COST,
-    ExecutionPlan,
-    ParallelCampaign,
-    chunk_size_for,
+    specs_per_chunk,
     execute_chunk,
     execute_run,
     execute_specs,
-    plan_execution,
     resolve_workers,
     warm_worker,
 )
@@ -46,12 +43,24 @@ SMALL_CONFIG = CampaignConfig(
 
 
 def _run(config: CampaignConfig, max_workers: int | None) -> tuple[list[RunOutcome], bytes]:
-    # force_pool: the determinism contract is serial ≡ pool, so the pool
-    # must actually spin up even on hosts where the adaptive planner
-    # would (correctly) fall back to in-process execution.
     campaign = Campaign(config)
-    campaign.run(max_workers=max_workers, force_pool=bool(max_workers and max_workers > 1))
+    campaign.run(max_workers=max_workers)
     return campaign.outcomes, pickle.dumps(compute_metrics(campaign.outcomes))
+
+
+def _run_pooled(
+    pool_spy, config: CampaignConfig, max_workers: int
+) -> tuple[list[RunOutcome], bytes]:
+    """``_run`` that proves it met a pool: the determinism contract is
+    serial ≡ pool, so exactly one pool of ``max_workers`` must start."""
+    with pool_spy.expect(max_workers):
+        return _run(config, max_workers)
+
+
+def _specs_pooled(pool_spy, specs, max_workers: int, **kwargs) -> list[RunOutcome]:
+    """``execute_specs`` across a real pool, asserting one was started."""
+    with pool_spy.expect(max_workers):
+        return execute_specs(specs, max_workers=max_workers, **kwargs)
 
 
 def _explode_on_second(spec: RunSpec) -> RunOutcome:
@@ -61,36 +70,38 @@ def _explode_on_second(spec: RunSpec) -> RunOutcome:
     return run_single(spec)
 
 
+def _die_on_last_sg_wrong(spec: RunSpec) -> RunOutcome:
+    """Picklable runner that kills its *worker process* on one spec."""
+    if spec.run_id == "sg_wrong-03":
+        assert multiprocessing.parent_process() is not None, "would kill pytest itself"
+        os._exit(3)
+    return run_single(spec)
+
+
 class TestDeterminism:
-    def test_worker_count_invisible_in_outcomes(self):
+    def test_worker_count_invisible_in_outcomes(self, pool_spy):
         serial, serial_metrics = _run(SMALL_CONFIG, None)
-        two, two_metrics = _run(SMALL_CONFIG, 2)
-        four, four_metrics = _run(SMALL_CONFIG, 4)
+        two, two_metrics = _run_pooled(pool_spy, SMALL_CONFIG, 2)
+        four, four_metrics = _run_pooled(pool_spy, SMALL_CONFIG, 4)
         for parallel in (two, four):
             assert [o.truth for o in parallel] == [o.truth for o in serial]
             assert [[r.causes for r in o.reports] for o in parallel] == [
                 [r.causes for r in o.reports] for o in serial
             ]
             assert parallel == serial  # full dataclass equality, spec order
+            assert [dataclasses.asdict(o) for o in parallel] == [
+                dataclasses.asdict(o) for o in serial
+            ]
         # Byte-identical Table I metrics at any parallelism.
         assert serial_metrics == two_metrics == four_metrics
 
     @pytest.mark.slow
-    def test_full_fault_mix_deterministic(self):
+    def test_full_fault_mix_deterministic(self, pool_spy):
         config = CampaignConfig(runs_per_fault=1, large_cluster_runs=0, seed=77)
         serial, serial_metrics = _run(config, None)
-        four, four_metrics = _run(config, 4)
+        four, four_metrics = _run_pooled(pool_spy, config, 4)
         assert four == serial
         assert serial_metrics == four_metrics
-
-    def test_parallel_campaign_class_matches_serial(self):
-        # No force_pool here: this exercises the default adaptive path —
-        # whatever the planner picks on this host must match serial.
-        serial, serial_metrics = _run(SMALL_CONFIG, None)
-        campaign = ParallelCampaign(SMALL_CONFIG, max_workers=2)
-        outcomes = campaign.run()
-        assert outcomes == serial
-        assert pickle.dumps(compute_metrics(outcomes)) == serial_metrics
 
 
 def _trace_bytes(outcome: RunOutcome) -> tuple[bytes, bytes]:
@@ -115,9 +126,9 @@ class TestTracedDeterminism:
 
     TRACED_CONFIG = dataclasses.replace(SMALL_CONFIG, trace=True)
 
-    def test_traced_small_campaign_identical(self):
+    def test_traced_small_campaign_identical(self, pool_spy):
         serial, serial_metrics = _run(self.TRACED_CONFIG, None)
-        parallel, parallel_metrics = _run(self.TRACED_CONFIG, 2)
+        parallel, parallel_metrics = _run_pooled(pool_spy, self.TRACED_CONFIG, 2)
         assert parallel == serial
         assert [_trace_bytes(o) for o in parallel] == [_trace_bytes(o) for o in serial]
         assert parallel_metrics == serial_metrics
@@ -132,13 +143,13 @@ class TestTracedDeterminism:
             assert "diagnosis.cache.misses" in counters
 
     @pytest.mark.slow
-    def test_traced_full_fault_mix_identical(self):
+    def test_traced_full_fault_mix_identical(self, pool_spy):
         # 8 fault types x 3 runs = 24 traced runs, serial vs 4 workers.
         config = CampaignConfig(
             runs_per_fault=3, large_cluster_runs=0, seed=909, trace=True
         )
         serial, serial_metrics = _run(config, None)
-        parallel, parallel_metrics = _run(config, 4)
+        parallel, parallel_metrics = _run_pooled(pool_spy, config, 4)
         assert parallel == serial
         assert [_trace_bytes(o) for o in parallel] == [_trace_bytes(o) for o in serial]
         assert parallel_metrics == serial_metrics
@@ -167,14 +178,12 @@ class TestCrashIsolation:
         return Campaign(SMALL_CONFIG).build_specs()
 
     @pytest.mark.parametrize("max_workers", [None, 2])
-    def test_one_crashing_run_does_not_kill_campaign(self, max_workers):
+    def test_one_crashing_run_does_not_kill_campaign(self, max_workers, pool_spy):
         specs = self._specs()
-        outcomes = execute_specs(
-            specs,
-            max_workers=max_workers,
-            runner=_explode_on_second,
-            force_pool=max_workers is not None,
-        )
+        if max_workers is None:
+            outcomes = execute_specs(specs, runner=_explode_on_second)
+        else:
+            outcomes = _specs_pooled(pool_spy, specs, max_workers, runner=_explode_on_second)
         assert len(outcomes) == len(specs)
         failed = [o for o in outcomes if o.failed]
         assert [o.spec.run_id for o in failed] == [
@@ -204,6 +213,27 @@ class TestCrashIsolation:
         assert metrics.precision == clean_metrics.precision
         assert metrics.accuracy_rate == clean_metrics.accuracy_rate
 
+    def test_dead_worker_fails_its_chunk_not_the_campaign(self, pool_spy):
+        # os._exit in a worker breaks the pool: the dying chunk (and any
+        # chunk still pending behind it) comes back as failure records.
+        specs = self._specs()
+        assert specs[-1].run_id == "sg_wrong-03"
+        outcomes = _specs_pooled(pool_spy, specs, 2, runner=_die_on_last_sg_wrong)
+        assert [o.spec.run_id for o in outcomes] == [s.run_id for s in specs]
+        failed = [o for o in outcomes if o.failed]
+        assert outcomes[-1] in failed
+        for outcome in failed:
+            assert "worker failed: BrokenProcessPool" in outcome.error
+            assert outcome.operation_status == "crashed"
+        # Chunks that finished before the pool broke are the real outcomes.
+        serial = execute_specs(specs[:-1])
+        for index, outcome in enumerate(outcomes[:-1]):
+            assert outcome.failed or outcome == serial[index]
+        metrics = compute_metrics(outcomes)
+        assert metrics.failed_runs == len(failed)
+        assert metrics.total_runs == len(specs)
+        assert metrics.faults_injected == len(specs) - len(failed)
+
     def test_monkeypatched_run_single_serial(self, monkeypatch):
         calls = {"n": 0}
 
@@ -222,13 +252,13 @@ class TestCrashIsolation:
 
 
 class TestProgressBridge:
-    def test_progress_fires_in_parent_for_every_run(self):
+    def test_progress_fires_in_parent_for_every_run(self, pool_spy):
         specs = Campaign(SMALL_CONFIG).build_specs()
         seen: list[tuple[int, int, str]] = []
-        outcomes = execute_specs(
+        outcomes = _specs_pooled(
+            pool_spy,
             specs,
-            max_workers=2,
-            force_pool=True,
+            2,
             progress=lambda done, total, outcome: seen.append(
                 (done, total, outcome.spec.run_id)
             ),
@@ -298,48 +328,47 @@ class TestPicklability:
 
 class TestChunking:
     """Chunked submission is a transport detail: outcomes must be
-    identical at every chunk size, including degenerate ones."""
+    identical at every chunk size the executor derives."""
 
     def _specs(self):
         return Campaign(SMALL_CONFIG).build_specs()
 
-    def test_chunk_size_invisible_in_outcomes(self):
-        specs = self._specs()
+    def test_chunk_size_invisible_in_outcomes(self, pool_spy):
+        # 13 specs: 2-spec chunks with a ragged 1-spec tail on 2 workers,
+        # 1-spec chunks on 4 — the sizes the executor derives itself.
+        specs = (self._specs() * 3)[:13]
+        assert specs_per_chunk(len(specs), workers=2) == 2
+        assert specs_per_chunk(len(specs), workers=4) == 1
         serial = execute_specs(specs, max_workers=None)
-        for chunk_size in (1, 2, len(specs), len(specs) * 3):
-            chunked = execute_specs(
-                specs, max_workers=2, chunk_size=chunk_size, force_pool=True
-            )
-            assert chunked == serial, f"chunk_size={chunk_size} changed outcomes"
+        for workers in (2, 4):
+            assert _specs_pooled(pool_spy, specs, workers) == serial, f"workers={workers}"
 
     def test_default_chunk_sizing(self):
-        assert chunk_size_for(32, workers=4) == 32 // (4 * CHUNKS_PER_WORKER)
-        assert chunk_size_for(3, workers=8) == 1  # never zero
-        assert chunk_size_for(100, workers=2, chunk_size=7) == 7
-        assert chunk_size_for(100, workers=2, chunk_size=0) == 1  # clamped
+        assert specs_per_chunk(32, workers=4) == 32 // (4 * CHUNKS_PER_WORKER)
+        assert specs_per_chunk(33, workers=4) == 3  # rounds up
+        assert specs_per_chunk(3, workers=8) == 1  # never zero
 
     def test_execute_chunk_preserves_spec_order(self):
         specs = self._specs()[:3]
         outcomes = execute_chunk(specs)
         assert [o.spec.run_id for o in outcomes] == [s.run_id for s in specs]
 
-    def test_chunked_crash_isolation(self):
+    def test_chunked_crash_isolation(self, pool_spy):
         # A runner crash inside a chunk fails that run only, not the chunk.
-        specs = self._specs()
-        outcomes = execute_specs(
-            specs, max_workers=2, chunk_size=3, runner=_explode_on_second, force_pool=True
-        )
+        specs = self._specs() * 3  # 18 specs on 2 workers: 3-spec chunks
+        assert specs_per_chunk(len(specs), workers=2) == 3
+        outcomes = _specs_pooled(pool_spy, specs, 2, runner=_explode_on_second)
         failed = [o.spec.run_id for o in outcomes if o.failed]
         assert failed == [s.run_id for s in specs if s.run_id.endswith("-02")]
 
-    def test_chunked_progress_reports_every_run_once(self):
-        specs = self._specs()
+    def test_chunked_progress_reports_every_run_once(self, pool_spy):
+        specs = self._specs() * 2  # 12 specs on 2 workers: 2-spec chunks
+        assert specs_per_chunk(len(specs), workers=2) == 2
         seen = []
-        execute_specs(
+        _specs_pooled(
+            pool_spy,
             specs,
-            max_workers=2,
-            chunk_size=2,
-            force_pool=True,
+            2,
             progress=lambda done, total, o: seen.append((done, o.spec.run_id)),
         )
         assert [done for done, _r in seen] == list(range(1, len(specs) + 1))
@@ -372,12 +401,14 @@ class TestResolveWorkers:
         assert resolve_workers(0) == 1
         assert resolve_workers(1) == 1
 
-    def test_capped_at_total(self):
-        assert resolve_workers(8, total=3, cpu_count=8) == 3
+    def test_capped_at_total(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert resolve_workers(8, total=3) == 3
 
-    def test_negative_means_all_cores(self):
+    def test_negative_means_all_cores(self, monkeypatch):
         assert resolve_workers(-1, total=1000) >= 1
-        assert resolve_workers(-1, total=1000, cpu_count=6) == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert resolve_workers(-1, total=1000) == 6
 
     @pytest.mark.parametrize(
         "max_workers, total, cpu_count, expected",
@@ -396,8 +427,24 @@ class TestResolveWorkers:
             (4, 0, 8, 4),
         ],
     )
-    def test_matrix(self, max_workers, total, cpu_count, expected):
-        assert resolve_workers(max_workers, total=total, cpu_count=cpu_count) == expected
+    def test_matrix(self, monkeypatch, max_workers, total, cpu_count, expected):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        assert resolve_workers(max_workers, total=total) == expected
+
+    def test_one_core_host_starts_no_pool(self, pool_spy, monkeypatch):
+        # The executor's only serial "fallback": a worker request on a
+        # one-core host resolves to the serial loop, in spec order.
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        specs = Campaign(SMALL_CONFIG).build_specs()
+        seen = []
+        with pool_spy.expect():
+            outcomes = execute_specs(
+                specs,
+                max_workers=4,
+                progress=lambda done, total, o: seen.append((done, total, o.spec.run_id)),
+            )
+        assert outcomes == execute_specs(specs)
+        assert seen == [(n, len(specs), s.run_id) for n, s in enumerate(specs, 1)]
 
     def test_retry_uses_earlier_injection(self):
         # A spec whose injection point lands after the upgrade finishes
@@ -406,122 +453,3 @@ class TestResolveWorkers:
         outcome = execute_run(spec)
         assert outcome.injected_at is not None
         assert outcome.spec.inject_at == 300.0
-
-
-class TestExecutionPlan:
-    """The cost model: pool only when startup+IPC can actually be repaid."""
-
-    def test_single_worker_never_pools(self):
-        plan = plan_execution(100, workers=1, cost_per_run=10.0)
-        assert not plan.use_pool
-        assert plan.workers == 1
-
-    def test_small_cheap_batch_stays_in_process(self):
-        # 8 runs x 1ms: serial ~8ms, pool pays >0.75s startup. No contest.
-        plan = plan_execution(8, workers=4, cost_per_run=0.001)
-        assert not plan.use_pool
-        assert "amortise" in plan.reason
-
-    def test_large_expensive_batch_pools(self):
-        # 200 runs x 0.5s: serial 100s vs ~26s across 4 workers.
-        plan = plan_execution(200, workers=4, cost_per_run=0.5)
-        assert plan.use_pool
-        assert plan.workers == 4
-        assert plan.projected_pool < plan.projected_serial
-
-    def test_breakeven_exactly_prefers_serial(self):
-        # projected_pool == projected_serial must NOT pool: the fallback
-        # is free, the pool is a gamble.
-        total, workers, startup = 10, 2, 0.0
-        # serial = c*10, pool = ipc*10 + c*5  ->  equal when c = 2*ipc.
-        cost = 2 * IPC_COST_PER_RUN
-        plan = plan_execution(total, workers, cost, startup_cost=startup)
-        assert not plan.use_pool
-
-    def test_chunks_sized_from_measured_cost(self):
-        # 0.1s/run against a 1.0s chunk target -> 10 specs per chunk.
-        plan = plan_execution(400, workers=4, cost_per_run=0.1)
-        assert plan.use_pool
-        assert plan.chunk_size == 10
-
-    def test_expensive_runs_get_minimal_chunks(self):
-        # 30s/run dwarfs the 1s chunk target: one spec per future.
-        plan = plan_execution(8, workers=4, cost_per_run=30.0)
-        assert plan.use_pool
-        assert plan.chunk_size == 1
-
-    def test_cheap_run_chunks_capped_so_every_worker_gets_one(self):
-        # 1ms runs would want 1000-spec chunks; the cap keeps all four
-        # workers fed.  (Zero overheads so the tiny batch still pools.)
-        plan = plan_execution(8, workers=4, cost_per_run=0.001,
-                              startup_cost=0.0, ipc_cost=0.0)
-        assert plan.use_pool
-        assert plan.chunk_size == 2  # ceil(8/4)
-
-    def test_explicit_chunk_size_wins(self):
-        plan = plan_execution(400, workers=4, cost_per_run=0.1, chunk_size=7)
-        assert plan.chunk_size == 7
-
-    def test_plan_fields_record_projections(self):
-        plan = plan_execution(100, workers=4, cost_per_run=1.0)
-        assert plan.projected_serial == pytest.approx(100.0)
-        assert plan.projected_pool == pytest.approx(
-            POOL_STARTUP_COST + IPC_COST_PER_RUN * 100 + 25.0
-        )
-
-
-class TestAdaptiveFallback:
-    """On a one-core host (or an unamortisable batch) execute_specs must
-    run in-process — and say so via plan_out."""
-
-    def _specs(self):
-        return Campaign(SMALL_CONFIG).build_specs()
-
-    def test_cpu_count_one_runs_in_process(self):
-        specs = self._specs()
-        plans: list[ExecutionPlan] = []
-        outcomes = execute_specs(specs, max_workers=4, cpu_count=1, plan_out=plans)
-        assert len(outcomes) == len(specs)
-        assert [o.spec.run_id for o in outcomes] == [s.run_id for s in specs]
-        assert len(plans) == 1 and not plans[0].use_pool
-
-    def test_small_batch_falls_back_even_with_cores(self):
-        # Plenty of "cores", but six sub-second runs cannot repay pool
-        # startup: the probe-fed plan must reject the pool.
-        specs = self._specs()
-        plans: list[ExecutionPlan] = []
-        outcomes = execute_specs(specs, max_workers=4, cpu_count=8, plan_out=plans)
-        assert len(outcomes) == len(specs)
-        assert len(plans) == 1
-        assert not plans[0].use_pool
-        assert plans[0].cost_per_run > 0  # fed by the measured probe
-
-    def test_fallback_outcomes_match_serial_exactly(self):
-        specs = self._specs()
-        serial = execute_specs(specs, max_workers=None)
-        adaptive = execute_specs(specs, max_workers=4, cpu_count=1)
-        assert adaptive == serial
-
-    def test_fallback_progress_covers_every_run(self):
-        specs = self._specs()
-        seen = []
-        execute_specs(
-            specs,
-            max_workers=4,
-            cpu_count=8,
-            progress=lambda done, total, o: seen.append((done, total, o.spec.run_id)),
-        )
-        assert [done for done, _t, _r in seen] == list(range(1, len(specs) + 1))
-        assert all(total == len(specs) for _d, total, _r in seen)
-        assert [r for _d, _t, r in seen] == [s.run_id for s in specs]
-
-    def test_forced_pool_still_matches_serial(self):
-        specs = self._specs()
-        plans: list[ExecutionPlan] = []
-        serial = execute_specs(specs, max_workers=None)
-        forced = execute_specs(
-            specs, max_workers=2, cpu_count=1, force_pool=True, plan_out=plans
-        )
-        assert forced == serial
-        assert len(plans) == 1 and plans[0].use_pool
-        assert plans[0].reason == "pool forced"

@@ -1,5 +1,8 @@
 """Regression tests for campaign scoring: p95 rank, random-termination
-accuracy, run-count bookkeeping, pipeline-metrics aggregation."""
+accuracy, pre-injection detections, run-count bookkeeping,
+pipeline-metrics aggregation."""
+
+import dataclasses
 
 from repro.evaluation.campaign import ReportSummary, RunOutcome, RunSpec
 from repro.evaluation.metrics import CampaignMetrics, compute_metrics
@@ -132,6 +135,22 @@ class TestRandomTerminationScoring:
         metrics = compute_metrics([outcome])
         assert metrics.interference_detected == 1
         assert metrics.correct_diagnoses == 1  # scale-in must confirm
+
+
+class TestFaultDetected:
+    """Recall counts a detection only at or after the injection."""
+
+    @staticmethod
+    def _detected_at(*times: float) -> RunOutcome:
+        detections = [{"time": t, "kind": "assertion"} for t in times]
+        return dataclasses.replace(_outcome(), injected_at=120.0, detections=detections)
+
+    def test_detection_before_injection_does_not_count(self):
+        early = self._detected_at(50.0)
+        assert not early.fault_detected
+        assert compute_metrics([early]).faults_detected == 0
+        assert self._detected_at(120.0).fault_detected
+        assert self._detected_at(50.0, 150.0).fault_detected
 
 
 class TestRunCounts:

@@ -45,8 +45,9 @@ def run_campaign(seed=77, chaos="none", max_workers=None):
 
 class TestTerminalClasses:
     @pytest.fixture(scope="class")
-    def outcomes(self):
-        return run_campaign(seed=77, max_workers=4)
+    def outcomes(self, pool_spy):
+        with pool_spy.expect(4):
+            return run_campaign(seed=77, max_workers=4)
 
     def test_every_run_reaches_a_terminal_class(self, outcomes):
         assert len(outcomes) == 8
@@ -101,9 +102,10 @@ class TestTerminalClasses:
 
 
 class TestDeterminism:
-    def test_serial_equals_parallel_bit_for_bit(self):
+    def test_serial_equals_parallel_bit_for_bit(self, pool_spy):
         serial = run_campaign(seed=301, max_workers=1)
-        parallel = run_campaign(seed=301, max_workers=4)
+        with pool_spy.expect(4):
+            parallel = run_campaign(seed=301, max_workers=4)
         assert [dataclasses.asdict(o) for o in serial] == [
             dataclasses.asdict(o) for o in parallel
         ]
@@ -111,11 +113,12 @@ class TestDeterminism:
 
 @pytest.mark.chaos
 class TestChaosGate:
-    def test_severe_chaos_never_crashes_recovery(self):
+    def test_severe_chaos_never_crashes_recovery(self, pool_spy):
         """Recovery under a blackholing, erroring API plane: every run
         still reaches an explicit terminal class — degradation may turn
         RECOVERED into ESCALATED, never into an exception or a hang."""
-        outcomes = run_campaign(seed=99, chaos="severe", max_workers=4)
+        with pool_spy.expect(4):
+            outcomes = run_campaign(seed=99, chaos="severe", max_workers=4)
         assert len(outcomes) == 8
         for outcome in outcomes:
             assert not outcome.failed, (outcome.spec.run_id, outcome.error)
