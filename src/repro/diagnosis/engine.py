@@ -142,15 +142,14 @@ class DiagnosisEngine:
         context = result.context
         if result.status in ("unclassified", "error") and context is not None:
             context = context.merged_with(step=context.last_valid_activity)
-        result = dataclasses.replace(result, context=context) if dataclasses.is_dataclass(result) else result
-        params = self._merge_params({}, result.context)
+        params = self._merge_params({}, context)
         request = DiagnosisRequest(
             request_id=f"diag-{next(self._ids)}",
             trigger="conformance",
             trigger_detail=f"{result.status}:{result.activity or 'unknown-line'}",
             tree_ids=["process-deviation"],
             params=params,
-            context=result.context,
+            context=context,
             since=float(params.get("since", 0.0) or 0.0),
         )
         self._start(request)

@@ -229,3 +229,49 @@ class TestWalk:
         assert merged["N"] == 4
         assert merged["instanceid"] == "i-7"
         assert merged["num"] == "4"
+
+
+def test_conformance_error_prunes_at_last_valid_activity(engine):
+    """The orchestrator's terminal error line is diagnosed where the
+    process actually was, not at the ``operation_error`` pseudo-step."""
+    from repro.faulttree.instantiate import instantiate_tree
+    from repro.faulttree.library import shared_standard_fault_trees
+    from repro.logsys.record import LogRecord
+    from repro.operations.profile import shared_rolling_upgrade_profile
+    from repro.operations.steps import WAIT_ASG
+    from repro.process.conformance import ERROR, FIT, ConformanceChecker
+
+    tree = shared_standard_fault_trees().get("process-deviation")
+    diag, _ = build_engine_fixture(engine, {}, tree=tree)
+    requests = []
+    profile = shared_rolling_upgrade_profile()
+    checker = ConformanceChecker(
+        profile.model,
+        profile.library,
+        on_error=lambda result: requests.append(diag.diagnose_conformance_error(result)),
+    )
+    lines = [
+        "Pushing ami-0abc into group asg-x: rolling upgrade task started",
+        "Updated launch configuration of group asg-x to lc-2 with image ami-0abc",
+        "Sorted 4 instances of group asg-x for replacement",
+        "Deregistered instance i-0a from load balancer elb-x",
+        "Terminating instance i-0a in group asg-x",
+        "Waiting for group asg-x to start a new instance",
+        "Exception during rolling upgrade: instances never became ready",
+    ]
+    statuses = [
+        checker.check(LogRecord(time=float(t), source="asgard.log", message=line)).status
+        for t, line in enumerate(lines)
+    ]
+    assert statuses == [FIT] * 6 + [ERROR]
+
+    (request,) = requests
+    assert request.trigger_detail == "error:operation_error"
+    assert request.context.step == WAIT_ASG
+    assert request.context.last_valid_activity == WAIT_ASG
+
+    def testable(step):
+        root = instantiate_tree(tree, request.params, step=step)
+        return sum(1 for n in root.iter_nodes() if n.test is not None)
+
+    assert testable(request.context.step) > testable("operation_error")
