@@ -13,7 +13,7 @@ from repro.logsys.patterns import PatternLibrary
 from repro.logsys.record import LogRecord
 from repro.logsys.storage import CentralLogStorage
 from repro.process.conformance import ConformanceChecker
-from repro.process.instance import ProcessInstance
+from repro.process.compiled import CompiledReplayer
 from repro.process.mining.cluster import cluster_lines
 from repro.process.mining.dfg import DirectlyFollowsGraph
 from repro.process.mining.discovery import discover_model
@@ -64,9 +64,9 @@ def main() -> None:
     print(f"\nstep 4: discovered model with {len(model.activities)} activities,"
           f" {len(model.edges)} edges, loop edges {dfg.loop_edges()[:2]} ...")
     for index, trace in enumerate(traces):
-        instance = ProcessInstance(model, f"verify-{index}")
+        instance = CompiledReplayer(model).instance_for(f"verify-{index}")
         for activity in trace:
-            assert instance.replay(activity).fit
+            assert instance.replay(activity)
     print("        every training trace replays with fitness 1.0")
 
     # Step 5 — conformance-check a broken trace on the mined model.

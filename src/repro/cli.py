@@ -215,9 +215,7 @@ def _cmd_trace_export(args: argparse.Namespace) -> int:
     from repro.evaluation.campaign import Campaign, CampaignConfig
     from repro.evaluation.metrics import compute_metrics
     from repro.obs.export import render_span_tree, trace_payload
-    from repro.obs.profile import StageProfiler
 
-    profiler = StageProfiler()
     config = CampaignConfig(
         runs_per_fault=args.runs,
         large_cluster_runs=0,
@@ -226,10 +224,8 @@ def _cmd_trace_export(args: argparse.Namespace) -> int:
         trace=True,
     )
     campaign = Campaign(config)
-    with profiler.stage("campaign"):
-        campaign.run(max_workers=args.workers)
-    with profiler.stage("aggregate"):
-        metrics = compute_metrics(campaign.outcomes)
+    campaign.run(max_workers=args.workers)
+    metrics = compute_metrics(campaign.outcomes)
     traced = [o for o in campaign.outcomes if not o.failed and o.trace is not None]
     if not traced:
         print("no traced runs survived — every run crashed", file=sys.stderr)
@@ -266,9 +262,6 @@ def _cmd_trace_export(args: argparse.Namespace) -> int:
     print()
     print(render_span_tree(chosen.trace, title=chosen.spec.run_id,
                            max_spans=args.max_spans))
-    if args.profile:
-        print()
-        print(profiler.render())
     return 0
 
 
@@ -418,8 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="render this run's span tree (default: first run)")
     trace.add_argument("--max-spans", type=int, default=80,
                        help="truncate the rendered tree after this many spans")
-    trace.add_argument("--profile", action="store_true",
-                       help="print wall-clock stage timings (not part of the export)")
     trace.set_defaults(func=_cmd_trace_export)
 
     mine = sub.add_parser("mine", help="discover the process model from fresh logs")

@@ -37,6 +37,7 @@ from repro.faulttree.builder import FaultTreeRegistry
 from repro.faulttree.instantiate import instantiate_tree
 from repro.faulttree.tree import DiagnosticTest, FaultNode
 from repro.logsys.record import LogRecord
+from repro.process.conformance import ERROR, UNKNOWN, ConformanceResult
 from repro.process.context import ProcessContext
 
 
@@ -132,7 +133,7 @@ class DiagnosisEngine:
         self._start(request)
         return request
 
-    def diagnose_conformance_error(self, result) -> DiagnosisRequest:
+    def diagnose_conformance_error(self, result: ConformanceResult) -> DiagnosisRequest:
         """Entry point wired to ConformanceChecker.on_error.
 
         For unknown/error lines the observed "step" is a pseudo-activity
@@ -140,7 +141,7 @@ class DiagnosisEngine:
         activity instead — that is where the process actually was.
         """
         context = result.context
-        if result.status in ("unclassified", "error") and context is not None:
+        if result.status in (UNKNOWN, ERROR):
             context = context.merged_with(step=context.last_valid_activity)
         params = self._merge_params({}, context)
         request = DiagnosisRequest(
@@ -360,7 +361,7 @@ class DiagnosisEngine:
                     verdict=cached[0],
                     evidence=cached[1],
                     cached=True,
-                    degraded=cached[2] if len(cached) > 2 else False,
+                    degraded=cached[2],
                 )
             )
             if self._tracer is not None:

@@ -6,6 +6,17 @@ corresponding activity names, we derived regular expressions matching the
 log lines" (§III.A).  A :class:`LogPattern` binds one regex to an activity
 name, a *position* within the activity (start/end/progress), and the named
 groups to lift into ``@fields``.
+
+Every pipeline stage funnels through :meth:`PatternLibrary.classify`:
+first match wins, in library order.  To keep that cheap, each pattern's
+regex is parsed once (with the stdlib's own parser) for a *required
+literal* — a substring that must appear in any message the regex
+matches — and a pattern whose literal is absent from the message is
+skipped with one C-level ``in`` check instead of a regex scan.  A
+pattern with no usable literal (or with case-folding flags) is always
+tried, so the prefilter only ever skips patterns that provably cannot
+match; ``tests/logsys`` holds :meth:`~PatternLibrary.classify` to a
+plain linear ``re.search`` scan on a corpus and under hypothesis.
 """
 
 from __future__ import annotations
@@ -14,11 +25,84 @@ import dataclasses
 import re
 import typing as _t
 
+try:  # Python 3.11+
+    from re import _parser as _sre
+except ImportError:  # pragma: no cover - Python 3.10
+    import sre_parse as _sre  # type: ignore[no-redef]
+
 #: Where in its activity a matching line sits. Annotation locations are
 #: "typically the beginning or the end of a process step" (§III.A).
 START = "start"
 END = "end"
 PROGRESS = "progress"
+
+#: Literals shorter than this are too unselective to pay for the check.
+MIN_LITERAL_LENGTH = 3
+
+
+def literal_runs(regex: str) -> list[str]:
+    """Contiguous literal substrings guaranteed to appear in any match.
+
+    Walks the stdlib parse tree of ``regex`` and collects runs of LITERAL
+    nodes that sit on the required path: top-level concatenation, plain
+    groups, and the bodies of repeats with ``min >= 1`` (as their own
+    runs — repeat boundaries are not contiguous with their surroundings).
+    Anything conditional (branches, optional repeats, classes, lookaround)
+    breaks the run and contributes nothing, so the result is conservative:
+    it may miss literals, it never invents one.
+
+    Returns an empty list when nothing usable is found or the pattern
+    case-folds (a literal membership check would then be unsound).
+    """
+    try:
+        parsed = _sre.parse(regex)
+    except re.error:
+        return []
+    if parsed.state.flags & re.IGNORECASE:
+        return []
+
+    runs: list[str] = []
+    current: list[str] = []
+
+    def flush() -> None:
+        if current:
+            runs.append("".join(current))
+            current.clear()
+
+    def walk(nodes: _t.Iterable) -> None:
+        for op, arg in nodes:
+            if op is _sre.LITERAL:
+                current.append(chr(arg))
+            elif op is _sre.SUBPATTERN:
+                # (group, add_flags, del_flags, subpattern): contents are
+                # contiguous with the surroundings unless flags change.
+                _group, add_flags, _del_flags, sub = arg
+                if add_flags & re.IGNORECASE:
+                    flush()
+                else:
+                    walk(sub)
+            elif op in (_sre.MAX_REPEAT, _sre.MIN_REPEAT):
+                min_count, _max_count, sub = arg
+                flush()
+                if min_count >= 1:
+                    walk(sub)
+                    flush()
+            else:
+                # BRANCH, IN, ANY, AT, ASSERT, ... — conditional or
+                # zero-width content: break the run, contribute nothing.
+                flush()
+
+    walk(parsed)
+    flush()
+    return runs
+
+
+def required_literal(regex: str, min_length: int = MIN_LITERAL_LENGTH) -> str | None:
+    """The most selective (longest) required literal, or None."""
+    candidates = [run for run in literal_runs(regex) if len(run) >= min_length]
+    if not candidates:
+        return None
+    return max(candidates, key=len)
 
 
 @dataclasses.dataclass
@@ -69,17 +153,28 @@ class PatternLibrary:
     """
 
     def __init__(self, patterns: _t.Iterable[LogPattern] = ()) -> None:
-        self.patterns: list[LogPattern] = list(patterns)
+        self.patterns: list[LogPattern] = []
+        #: (pattern, required literal or None), in library order.
+        self._plan: list[tuple[LogPattern, str | None]] = []
+        for pattern in patterns:
+            self.add(pattern)
 
     def add(self, pattern: LogPattern) -> None:
         self.patterns.append(pattern)
+        self._plan.append((pattern, required_literal(pattern.regex)))
 
     def classify(self, message: str) -> Classification:
-        for pattern in self.patterns:
+        for pattern, literal in self._plan:
+            if literal is not None and literal not in message:
+                continue
             fields = pattern.match(message)
             if fields is not None:
                 return Classification(pattern, fields)
         return Classification(None, {})
+
+    def prefilter_plan(self) -> list[tuple[str, str | None]]:
+        """(activity, required literal) per pattern — introspection aid."""
+        return [(pattern.activity, literal) for pattern, literal in self._plan]
 
     def activities(self) -> list[str]:
         """Distinct activity names, in first-seen order."""

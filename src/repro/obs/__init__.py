@@ -18,7 +18,6 @@ from __future__ import annotations
 import typing as _t
 
 from repro.obs.metrics import Histogram, MetricsRegistry
-from repro.obs.profile import StageProfiler
 from repro.obs.trace import NULL_SPAN, NullSpan, Span, Tracer
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "NullSpan",
     "Observability",
     "Span",
-    "StageProfiler",
     "Tracer",
 ]
 

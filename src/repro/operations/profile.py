@@ -88,7 +88,7 @@ def shared_rolling_upgrade_profile() -> OperationProfile:
     The profile bundle is heavyweight (pattern regexes compile, the
     prefilter plan is derived, the model graph is built) yet immutable
     during runs: classification memoises onto records, token replay copies
-    its marking per :class:`~repro.process.instance.ProcessInstance`, and
+    its marking per :class:`~repro.process.compiled.CompiledInstance`, and
     bindings come from a per-processor factory.  Campaign runs therefore
     share one copy per process instead of rebuilding it per testbed —
     the per-worker "warm state" half of the parallel-campaign speedup.

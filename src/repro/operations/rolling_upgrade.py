@@ -297,19 +297,9 @@ def reference_process_model() -> ProcessModel:
     return model
 
 
-def build_pattern_library(compiled: bool = True) -> PatternLibrary:
-    """Transformation rules: log line regex → activity tag (§III.A).
-
-    ``compiled=True`` (the default) returns a
-    :class:`~repro.logsys.compiled.CompiledPatternLibrary` — identical
-    classification results, literal-prefiltered dispatch on the hot path.
-    Pass ``compiled=False`` for the naive linear-scan library (the
-    benchmark baseline and the equivalence tests use it).
-    """
-    from repro.logsys.compiled import CompiledPatternLibrary
-
-    factory = CompiledPatternLibrary if compiled else PatternLibrary
-    return factory(
+def build_pattern_library() -> PatternLibrary:
+    """Transformation rules: log line regex → activity tag (§III.A)."""
+    return PatternLibrary(
         [
             LogPattern(
                 START,

@@ -5,9 +5,8 @@ the rolling upgrade).  This package provides:
 
 - :mod:`repro.process.model` — a BPMN-flavoured process model (activities,
   XOR/AND gateways, loops) compiled to a Petri net for token replay;
-- :mod:`repro.process.instance` — per-trace replay state;
-- :mod:`repro.process.compiled` — the flat-transition-table replay engine
-  the checker dispatches to on the hot path;
+- :mod:`repro.process.compiled` — the token-replay engine: one flat
+  transition table per model, one in-place marking per trace;
 - :mod:`repro.process.conformance` — the conformance-checking service that
   classifies each log line as *fit*, *unfit*, *unknown* or *error* and
   derives the error context;
@@ -24,7 +23,6 @@ from repro.process.compiled import (
 )
 from repro.process.context import ProcessContext
 from repro.process.conformance import ConformanceChecker, ConformanceResult
-from repro.process.instance import ProcessInstance
 from repro.process.model import Activity, PetriNet, ProcessModel
 
 __all__ = [
@@ -36,7 +34,6 @@ __all__ = [
     "ConformanceResult",
     "PetriNet",
     "ProcessContext",
-    "ProcessInstance",
     "ProcessModel",
     "compile_model",
 ]

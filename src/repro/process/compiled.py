@@ -1,32 +1,24 @@
-"""Compiled token replay: the conformance checker's hot path.
+"""Token replay: the conformance checker's engine.
 
-The interpreted replayer (:class:`~repro.process.instance.ProcessInstance`
-over :class:`~repro.process.model.PetriNet`) is the semantic reference,
-but it pays dict-and-frozenset prices on every event: ``fire`` copies the
-whole marking dict, ``enabled`` iterates a frozenset of place objects,
-and every step allocates a :class:`ReplayStep`.  At ~12 µs/check that
-caps the pipeline around 82k checks/s — far off the millions/s an
-always-on streaming engine needs (ROADMAP item 3).
+:func:`compile_model` flattens a model's Petri net once into a
+:class:`CompiledReplayTable` — integer activity ids, dense place
+indices, per-transition input/output index tuples — and
+:class:`CompiledInstance` replays one trace against a plain ``list[int]``
+marking mutated in place: no per-event dict copies, frozensets or step
+objects.  The instance also carries the fitness counters (produced /
+consumed / missing / remaining) of the standard token-replay fitness
+formula.  :class:`CompiledReplayer` holds the per-trace instances of one
+model.
 
-:func:`compile_model` flattens the net once per model into a
-:class:`CompiledReplayTable` — DFA-style integer activity ids, dense
-place indices, per-transition input/output index tuples — and
-:class:`CompiledInstance` replays against a plain ``list[int]`` marking
-mutated in place: no per-event dict churn, no frozensets, no step
-objects on the fit path.  :class:`CompiledReplayer` manages the per-trace
-instances.
-
-Equivalence with the interpreted replayer — identical status sequences,
-fitness, markings and error contexts on the corpus and on arbitrary
-hypothesis-generated interleavings — is locked down by
-``tests/process/test_compiled_replay.py``.
+``tests/process/reference_replay.py`` keeps a dict-marking replayer over
+:class:`~repro.process.model.PetriNet` as the semantic oracle;
+``tests/process/test_compiled_replay.py`` holds this engine to it —
+identical status sequences, fitness, markings and error contexts on the
+corpus and on hypothesis-generated interleavings.
 """
 
 from __future__ import annotations
 
-import typing as _t
-
-from repro.process.instance import ProcessInstance, ReplayStep
 from repro.process.model import ProcessModel
 
 #: Cache attribute stashed on the model (mirrors ``ProcessModel._net``).
@@ -53,7 +45,6 @@ class CompiledReplayTable:
         "place_count",
         "initial_marking",
         "final_indices",
-        "initial_produced",
     )
 
     def __init__(self, model: ProcessModel) -> None:
@@ -84,7 +75,7 @@ class CompiledReplayTable:
         self.outputs = tuple(outputs)
         self.input_counts = tuple(len(t) for t in inputs)
         self.output_counts = tuple(len(t) for t in outputs)
-        #: Dense index -> original place id (for marking snapshots).
+        #: Dense index -> original place id.
         self.place_ids = tuple(
             place for place, _i in sorted(index.items(), key=lambda kv: kv[1])
         )
@@ -94,8 +85,6 @@ class CompiledReplayTable:
             marking[index[place]] = count
         self.initial_marking = tuple(marking)
         self.final_indices = tuple(sorted(index[p] for p in net.final_places))
-        #: The interpreted replayer counts the initial token as produced.
-        self.initial_produced = 1
 
 
 def compile_model(model: ProcessModel) -> CompiledReplayTable:
@@ -108,8 +97,11 @@ def compile_model(model: ProcessModel) -> CompiledReplayTable:
 
 
 class CompiledInstance:
-    """Array-marking replay state for one trace; API-compatible with
-    :class:`~repro.process.instance.ProcessInstance`."""
+    """Array-marking replay state for one trace of one process model.
+
+    Conformance checking "looks up the process instance, if it is known;
+    if not, a new instance is created" (§III.B.2).
+    """
 
     __slots__ = (
         "table",
@@ -119,23 +111,18 @@ class CompiledInstance:
         "consumed",
         "missing",
         "last_fit",
-        "_events",
     )
 
     def __init__(self, table: CompiledReplayTable, trace_id: str) -> None:
         self.table = table
         self.trace_id = trace_id
         self.marking: list[int] = list(table.initial_marking)
-        self.produced = table.initial_produced
+        # Fitness counters (van der Aalst, Process Mining, ch. 7.2).
+        self.produced = 1  # the initial token
         self.consumed = 0
         self.missing = 0
-        #: Last activity replayed fit (the FIT path keeps this a plain
-        #: attribute read instead of a history scan).
+        #: Last activity replayed fit.
         self.last_fit: str | None = None
-        #: (time, activity, fit, missing) tuples; ReplaySteps on demand.
-        self._events: list[tuple[float, str, bool, int]] = []
-
-    # -- hot path -------------------------------------------------------------
 
     def is_enabled_id(self, tid: int) -> bool:
         marking = self.marking
@@ -144,12 +131,12 @@ class CompiledInstance:
                 return False
         return True
 
-    def replay_id(self, tid: int, time: float) -> bool:
+    def replay_id(self, tid: int) -> bool:
         """Replay one event by transition id, forcing if unfit.
 
         Returns whether the event was fit (all input tokens present), and
         updates the marking in place plus the fitness counters — the
-        compiled equivalent of ``PetriNet.fire(force=True)``.
+        table form of ``PetriNet.fire(force=True)``.
         """
         table = self.table
         marking = self.marking
@@ -166,43 +153,15 @@ class CompiledInstance:
         fit = missing == 0
         if missing:
             self.missing += missing
-        activity = table.activity_names[tid]
-        if fit:
-            self.last_fit = activity
-        self._events.append((time, activity, fit, missing))
+        else:
+            self.last_fit = table.activity_names[tid]
         return fit
-
-    # -- ProcessInstance-compatible views -------------------------------------
-
-    @property
-    def model(self) -> ProcessModel:
-        return self.table.model
-
-    @property
-    def net(self):
-        return self.table.net
-
-    @property
-    def history(self) -> list[ReplayStep]:
-        return [
-            ReplayStep(time=t, activity=a, fit=f, missing_tokens=m)
-            for t, a, f, m in self._events
-        ]
-
-    @property
-    def started(self) -> bool:
-        return bool(self._events)
 
     @property
     def completed(self) -> bool:
+        """A token sits on a final place."""
         marking = self.marking
         return any(marking[i] > 0 for i in self.table.final_indices)
-
-    def last_activity(self) -> str | None:
-        return self._events[-1][1] if self._events else None
-
-    def last_fit_activity(self) -> str | None:
-        return self.last_fit
 
     def enabled_activities(self) -> list[str]:
         return sorted(
@@ -211,21 +170,17 @@ class CompiledInstance:
             if self.is_enabled_id(tid)
         )
 
-    def is_enabled(self, activity: str) -> bool:
-        tid = self.table.activity_ids.get(activity)
-        return tid is not None and self.is_enabled_id(tid)
-
-    def replay(self, activity: str, time: float = 0.0) -> ReplayStep:
+    def replay(self, activity: str) -> bool:
+        """Replay one event by activity name; returns whether it was fit."""
         tid = self.table.activity_ids.get(activity)
         if tid is None:
             raise KeyError(
                 f"activity {activity!r} not in model {self.table.model.model_id!r}"
             )
-        self.replay_id(tid, time)
-        t, a, fit, missing = self._events[-1]
-        return ReplayStep(time=t, activity=a, fit=fit, missing_tokens=missing)
+        return self.replay_id(tid)
 
     def remaining_tokens(self) -> int:
+        """Tokens left on non-final places (the 'remaining' counter)."""
         final = self.table.final_indices
         return sum(
             count
@@ -234,6 +189,13 @@ class CompiledInstance:
         )
 
     def fitness(self) -> float:
+        """Token-replay fitness in [0, 1]: 1 means the trace fits exactly.
+
+        For a completed trace this is the standard
+        f = 1/2 (1 - missing/consumed) + 1/2 (1 - remaining/produced);
+        for a still-running instance the remaining-token penalty is
+        omitted — tokens parked mid-process are expected, not a deviation.
+        """
         if self.consumed == 0:
             return 1.0
         missing_part = 1 - self.missing / self.consumed
@@ -243,6 +205,14 @@ class CompiledInstance:
         return 0.5 * missing_part + 0.5 * remaining_part
 
     def hypothesize_skipped(self, activity: str) -> list[str]:
+        """Activities that must have been skipped for ``activity`` to occur.
+
+        From the error context of §III.B.2: "the hypothesized
+        skipped/undone activities".  Computed as the shortest model path
+        from any currently enabled activity to the unfit one; everything
+        on that path before the observed activity — including the enabled
+        activity itself, which was due but never executed — was skipped.
+        """
         enabled = self.enabled_activities()
         if not enabled:
             enabled = sorted(self.table.model.start_activities)
@@ -250,27 +220,6 @@ class CompiledInstance:
         if path is None or len(path) < 2:
             return []
         return path[:-1]
-
-    def marking_dict(self) -> dict[int, int]:
-        """Marking keyed by original place ids, zero entries elided —
-        the exact shape :class:`ProcessInstance` keeps natively."""
-        place_ids = self.table.place_ids
-        return {
-            place_ids[i]: count for i, count in enumerate(self.marking) if count
-        }
-
-    def snapshot(self) -> dict:
-        return {
-            "trace_id": self.trace_id,
-            "marking": self.marking_dict(),
-            "history": [a for _t_, a, _f, _m in self._events],
-            "enabled": self.enabled_activities(),
-            "fitness": round(self.fitness(), 4),
-        }
-
-
-#: Either replay representation, as held in ``ConformanceChecker.instances``.
-AnyInstance = _t.Union[ProcessInstance, CompiledInstance]
 
 
 class CompiledReplayer:

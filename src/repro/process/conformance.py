@@ -15,13 +15,10 @@ Results are themselves logged (type ``conformance``) to central storage.
 :meth:`ConformanceChecker.check` is the one entry point: a line at a
 time, in arrival order.
 
-Two replay engines implement the token game.  The interpreted
-:class:`~repro.process.instance.ProcessInstance` is the semantic
-reference; the default :class:`~repro.process.compiled.CompiledReplayer`
-replays against a flat integer transition table with no per-check dict
-churn and no :class:`ProcessContext` allocation on the fit path — same
-verdicts (equivalence-tested), a fraction of the cost.  Pass
-``compiled=False`` to pin the interpreted engine.
+The token game runs on :class:`~repro.process.compiled.CompiledReplayer`:
+a flat integer transition table per model, one in-place marking per
+trace, and no :class:`ProcessContext` allocation on the fit path (the
+context of a fit line is built only if somebody reads it).
 """
 
 from __future__ import annotations
@@ -33,7 +30,6 @@ from repro.logsys.patterns import PatternLibrary, classify_record
 from repro.logsys.record import LogRecord
 from repro.process.compiled import CompiledReplayer
 from repro.process.context import ProcessContext
-from repro.process.instance import ProcessInstance
 from repro.process.model import ProcessModel
 
 FIT = "fit"
@@ -49,8 +45,8 @@ _CHECK_COUNTERS = {s: f"conformance.checks.{s}" for s in (FIT, UNFIT, UNKNOWN, E
 class ConformanceResult:
     """Outcome of checking one log line.
 
-    ``context`` is built lazily: the fit path of the compiled replayer
-    defers the :class:`ProcessContext` (tag lookups + a fields-dict copy)
+    ``context`` is built lazily: the fit path defers the
+    :class:`ProcessContext` (tag lookups + a fields-dict copy)
     until somebody actually reads it — error paths always build eagerly
     because the diagnosis callback consumes the context immediately.
     """
@@ -127,7 +123,6 @@ class ConformanceChecker:
         storage=None,
         on_error: _t.Callable[[ConformanceResult], None] | None = None,
         obs=None,
-        compiled: bool = True,
     ) -> None:
         from repro.obs import NULL_OBS
 
@@ -138,12 +133,9 @@ class ConformanceChecker:
         self.on_error = on_error
         self.results: list[ConformanceResult] = []
         self.check_count = 0
-        self._replayer = CompiledReplayer(model) if compiled else None
-        #: trace key -> replay state.  Compiled mode shares the replayer's
-        #: state dict so both views stay coherent.
-        self.instances: dict[str, _t.Any] = (
-            self._replayer.states if self._replayer is not None else {}
-        )
+        self._replayer = CompiledReplayer(model)
+        #: trace key -> replay state (the replayer's own dict).
+        self.instances = self._replayer.states
         obs = obs or NULL_OBS
         tracer = obs.tracer if obs.enabled else None
         if tracer is not None and not getattr(tracer, "enabled", True):
@@ -156,30 +148,6 @@ class ConformanceChecker:
             # No span to open: route public calls straight to the
             # worker, skipping the wrapper frame on every check.
             self.check = self._check
-
-    @property
-    def compiled(self) -> bool:
-        return self._replayer is not None
-
-    def instance_for(self, trace_id: str):
-        if self._replayer is not None:
-            return self._replayer.instance_for(trace_id)
-        if trace_id not in self.instances:
-            self.instances[trace_id] = ProcessInstance(self.model, trace_id)
-        return self.instances[trace_id]
-
-    @staticmethod
-    def _trace_key(record: LogRecord) -> str:
-        """Replay-state key for one record.
-
-        Trace-less records used to share one ``"unknown"`` instance, so
-        unrelated sources corrupted each other's token state; they now
-        key per source, isolating each log file's stream.
-        """
-        trace_id = record.tag_value("trace")
-        if trace_id is not None:
-            return trace_id
-        return f"untraced:{record.source}"
 
     def check(self, record: LogRecord) -> ConformanceResult:
         """Check one line; tags the record and returns the result.
@@ -197,11 +165,9 @@ class ConformanceChecker:
     def _check(self, record: LogRecord) -> ConformanceResult:
         started = _time.perf_counter()
         self.check_count += 1
-        if self._replayer is None:
-            return self._finish(record, self._check_interpreted(record), started)
-        # Compiled engine: one core call, tail inlined — extra dispatch
-        # layers are measurable at the per-microsecond scale of a check.
-        result = self._replay_compiled(record)
+        # One core call, tail inlined — extra dispatch layers are
+        # measurable at the per-microsecond scale of a check.
+        result = self._replay(record)
         status = result.status
         metrics = self._metrics
         if metrics is not None:
@@ -223,21 +189,22 @@ class ConformanceChecker:
         self.results.append(result)
         if self.storage is not None:
             self._log_result(record, result)
+        # The measured check cost excludes any diagnosis the callback
+        # starts — that time belongs to diagnosis, not the check.
         result.elapsed = _time.perf_counter() - started
         if status != FIT and self.on_error is not None:
             self.on_error(result)
         return result
 
-    # -- compiled engine -------------------------------------------------------
-
-    def _replay_compiled(self, record: LogRecord) -> ConformanceResult:
-        """Classify + replay one record on the compiled engine.
+    def _replay(self, record: LogRecord) -> ConformanceResult:
+        """Classify + replay one record.
 
         Returns the bare result — counters, tagging, storage and the
         error callback are the caller's tail (inlined in :meth:`_check`).
         """
         # tag_value("trace") inlined: "trace" has no ":" so the prefix
-        # index answers directly.
+        # index answers directly.  Trace-less records key per source, so
+        # unrelated log files never share (and corrupt) one token state.
         trace_id = record._tag_index.get("trace")
         if trace_id is None:
             trace_id = "untraced:" + record.source
@@ -285,7 +252,6 @@ class ConformanceChecker:
         instance.consumed += table.input_counts[tid]
         instance.produced += table.output_counts[tid]
         instance.last_fit = activity
-        instance._events.append((record.time, activity, True, 0))
         return ConformanceResult(FIT, activity, trace_id, deferred=(record, last_fit))
 
     def _unfit_replay(
@@ -295,7 +261,7 @@ class ConformanceChecker:
         context = ProcessContext.from_record(record)
         context.last_valid_activity = instance.last_fit
         context.skipped_activities = instance.hypothesize_skipped(activity)
-        instance.replay_id(tid, record.time)
+        instance.replay_id(tid)
         context.conformance = UNFIT
         context.step = activity
         return ConformanceResult(UNFIT, activity, trace_id, context=context)
@@ -306,68 +272,12 @@ class ConformanceChecker:
     ) -> ConformanceResult:
         """UNKNOWN / ERROR: no replay; eager context for the callback."""
         context = ProcessContext.from_record(record)
-        context.last_valid_activity = instance.last_fit_activity()
+        context.last_valid_activity = instance.last_fit
         context.conformance = status
         context.step = activity or context.step
         return ConformanceResult(status, activity, trace_id, context=context)
-
-    # -- interpreted engine (the semantic reference) ---------------------------
-
-    def _check_interpreted(self, record: LogRecord) -> ConformanceResult:
-        trace_id = self._trace_key(record)
-        instance = self.instance_for(trace_id)
-        # Classify-once: pipeline-fed records arrive already classified by
-        # the noise filter / annotator; only direct callers pay the scan.
-        classification = classify_record(self.library, record, self._metrics)
-        context = ProcessContext.from_record(record)
-        context.last_valid_activity = instance.last_fit_activity()
-
-        if not classification.matched:
-            status = UNKNOWN
-            activity = None
-        elif classification.pattern.is_error:
-            status = ERROR
-            activity = classification.activity
-        else:
-            activity = classification.activity
-            if activity not in instance.net.transitions:
-                status = UNKNOWN
-            elif instance.is_enabled(activity):
-                instance.replay(activity, time=record.time)
-                status = FIT
-            else:
-                context.skipped_activities = instance.hypothesize_skipped(activity)
-                instance.replay(activity, time=record.time)
-                status = UNFIT
-        context.conformance = status
-        context.step = activity or context.step
-        return ConformanceResult(status, activity, trace_id, context=context)
-
-    # -- shared tail -----------------------------------------------------------
-
-    def _finish(
-        self, record: LogRecord, result: ConformanceResult, started: float
-    ) -> ConformanceResult:
-        status = result.status
-        if self._metrics is not None:
-            self._metrics.inc(_CHECK_COUNTERS[status])
-            if status == FIT or status == UNFIT:
-                self._metrics.inc("conformance.tokens_replayed")
-            if self._replayer is not None:
-                self._metrics.inc("conformance.compiled.checks")
-        record.add_tag(_STATUS_TAGS[status])
-        self.results.append(result)
-        self._log_result(record, result)
-        # The measured check cost excludes any diagnosis the callback
-        # starts — that time belongs to diagnosis, not the check.
-        result.elapsed = _time.perf_counter() - started
-        if result.is_error and self.on_error is not None:
-            self.on_error(result)
-        return result
 
     def _log_result(self, record: LogRecord, result: ConformanceResult) -> None:
-        if self.storage is None:
-            return
         time = self.clock.now() if self.clock is not None else record.time
         timestamp = self.clock.render() if self.clock is not None else record.timestamp
         message = (
@@ -393,4 +303,4 @@ class ConformanceChecker:
         return [r for r in self.results if r.is_error]
 
     def fitness_of(self, trace_id: str) -> float:
-        return self.instance_for(trace_id).fitness()
+        return self._replayer.instance_for(trace_id).fitness()

@@ -28,7 +28,7 @@ class CountingLibrary(PatternLibrary):
 
 
 def _counting_rolling_upgrade_library() -> CountingLibrary:
-    return CountingLibrary(build_pattern_library(compiled=False).patterns)
+    return CountingLibrary(build_pattern_library().patterns)
 
 
 class TestClassifyOnce:

@@ -1,13 +1,17 @@
-"""Compiled pattern dispatch: prefilter soundness + naive equivalence."""
+"""Prefiltered pattern dispatch: prefilter soundness + linear-scan equivalence."""
 
 import random
 
-from repro.logsys.compiled import (
-    CompiledPatternLibrary,
+from repro.logsys.patterns import (
+    END,
+    PROGRESS,
+    LogPattern,
+    PatternLibrary,
     literal_runs,
     required_literal,
 )
-from repro.logsys.patterns import END, PROGRESS, LogPattern, PatternLibrary
+
+from .reference_scan import linear_scan
 
 
 class TestLiteralExtraction:
@@ -51,9 +55,9 @@ class TestLiteralExtraction:
         assert literal_runs(r"(unclosed") == []
 
 
-def _overlapping_library(factory):
+def _overlapping_library():
     """First-match-wins matters: each pattern is a prefix of the previous."""
-    return factory(
+    return PatternLibrary(
         [
             LogPattern("specific", r"Instance (?P<instanceid>i-\w+) terminated", position=END),
             LogPattern("medium", r"Instance (?P<instanceid>i-\w+)", position=PROGRESS),
@@ -64,32 +68,27 @@ def _overlapping_library(factory):
 
 class TestCompiledSemantics:
     def test_first_match_wins_with_overlapping_prefixes(self):
-        library = _overlapping_library(CompiledPatternLibrary)
+        library = _overlapping_library()
         assert library.classify("Instance i-1 terminated").activity == "specific"
         assert library.classify("Instance i-1 launching").activity == "medium"
         assert library.classify("Instance count: 4").activity == "generic"
         assert not library.classify("unrelated").matched
 
     def test_returns_same_pattern_object_as_naive(self):
-        naive = _overlapping_library(PatternLibrary)
-        compiled = CompiledPatternLibrary.from_library(naive)
+        library = _overlapping_library()
         for message in ("Instance i-9 terminated", "Instance i-9", "Instance", "zzz"):
-            assert compiled.classify(message).pattern is naive.classify(message).pattern
-            assert compiled.classify(message).fields == naive.classify(message).fields
+            assert library.classify(message).pattern is linear_scan(library, message).pattern
+            assert library.classify(message).fields == linear_scan(library, message).fields
 
     def test_add_recompiles_plan(self):
-        library = CompiledPatternLibrary()
+        library = PatternLibrary()
         assert library.prefilter_plan() == []
         library.add(LogPattern("late", r"very specific literal here"))
         assert library.prefilter_plan() == [("late", "very specific literal here")]
         assert library.classify("very specific literal here").activity == "late"
 
-    def test_from_library_is_identity_for_compiled(self):
-        compiled = _overlapping_library(CompiledPatternLibrary)
-        assert CompiledPatternLibrary.from_library(compiled) is compiled
-
     def test_prefilter_only_skips_nonmatching_patterns(self):
-        library = _overlapping_library(CompiledPatternLibrary)
+        library = _overlapping_library()
         plan = dict(library.prefilter_plan())
         # Every extracted literal actually appears in a line its pattern matches.
         assert plan["specific"] in "Instance i-1 terminated"
@@ -172,27 +171,21 @@ class TestCorpusEquivalence:
     def test_compiled_agrees_with_naive_on_every_line(self):
         from repro.operations.rolling_upgrade import build_pattern_library
 
-        naive = build_pattern_library(compiled=False)
-        compiled = build_pattern_library(compiled=True)
-        assert isinstance(compiled, CompiledPatternLibrary)
+        library = build_pattern_library()
         matched = 0
         for message in _corpus():
-            expected = naive.classify(message)
-            got = compiled.classify(message)
-            assert got.activity == expected.activity, message
+            expected = linear_scan(library, message)
+            got = library.classify(message)
+            # Same *pattern*, not merely the same activity.
+            assert got.pattern is expected.pattern, message
             assert got.fields == expected.fields, message
-            if expected.matched:
-                # Same *pattern position*, not merely the same activity.
-                assert naive.patterns.index(expected.pattern) == compiled.patterns.index(
-                    got.pattern
-                ), message
             matched += expected.matched
         assert matched > 0, "corpus exercised no matching lines"
 
     def test_rolling_upgrade_library_has_usable_prefilters(self):
         from repro.operations.rolling_upgrade import build_pattern_library
 
-        library = build_pattern_library(compiled=True)
+        library = build_pattern_library()
         literals = [literal for _a, literal in library.prefilter_plan()]
         assert sum(1 for literal in literals if literal) >= len(literals) * 0.5, (
             "most rolling-upgrade patterns should yield a required literal: "

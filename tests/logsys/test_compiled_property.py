@@ -1,4 +1,4 @@
-"""Property test: compiled dispatch ≡ naive dispatch on arbitrary input.
+"""Property test: prefiltered dispatch ≡ linear scan on arbitrary input.
 
 Pattern sets are generated from a small shared vocabulary so overlapping
 prefixes (the case where first-match-wins order actually matters) occur
@@ -11,8 +11,9 @@ import re
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.logsys.compiled import CompiledPatternLibrary
 from repro.logsys.patterns import LogPattern, PatternLibrary
+
+from .reference_scan import linear_scan
 
 #: Fragments patterns are assembled from.  Several are prefixes of each
 #: other on purpose (``sta`` < ``start`` < ``started``).
@@ -50,11 +51,10 @@ _messages = st.one_of(
     messages=st.lists(_messages, min_size=1, max_size=10),
 )
 def test_compiled_classify_equals_naive(pattern_list, messages):
-    naive = PatternLibrary(pattern_list)
-    compiled = CompiledPatternLibrary(pattern_list)
+    library = PatternLibrary(pattern_list)
     for message in messages:
-        expected = naive.classify(message)
-        got = compiled.classify(message)
+        expected = linear_scan(library, message)
+        got = library.classify(message)
         # Same winning pattern *object* — first-match-wins, not merely
         # any-match — and byte-identical extracted fields.
         assert got.pattern is expected.pattern, (message, pattern_list)
@@ -64,8 +64,8 @@ def test_compiled_classify_equals_naive(pattern_list, messages):
 @settings(max_examples=50, deadline=None)
 @given(pattern_list=st.lists(patterns(), min_size=1, max_size=6))
 def test_incremental_add_matches_bulk_construction(pattern_list):
-    bulk = CompiledPatternLibrary(pattern_list)
-    incremental = CompiledPatternLibrary()
+    bulk = PatternLibrary(pattern_list)
+    incremental = PatternLibrary()
     for pattern in pattern_list:
         incremental.add(pattern)
     probe = "started 42 of 4 Instance i-abc12 group asg done"

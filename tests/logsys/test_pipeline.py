@@ -321,7 +321,7 @@ class TestProcessGolden:
         )
 
         errors: list = []
-        lib = build_pattern_library(compiled=True)
+        lib = build_pattern_library()
         storage = CentralLogStorage()
         checker = ConformanceChecker(
             reference_process_model(),

@@ -20,7 +20,7 @@ from repro.operations.bluegreen import (
 )
 from repro.pod.config import PodConfig
 from repro.pod.service import PODDiagnosis
-from repro.process.instance import ProcessInstance
+from repro.process.compiled import CompiledReplayer
 from repro.testbed import build_testbed
 
 
@@ -112,11 +112,11 @@ class TestHappyPath:
         assert pod.conformance.fitness_of("bg-1") == 1.0
         # Cross-check by replaying the raw trace on the reference model.
         library = build_pattern_library()
-        instance = ProcessInstance(reference_model(), "verify")
+        instance = CompiledReplayer(reference_model()).instance_for("verify")
         for record in stream.records:
             classification = library.classify(record.message)
             if classification.matched and not classification.pattern.is_error:
-                assert instance.replay(classification.activity).fit
+                assert instance.replay(classification.activity)
         assert instance.completed
 
     def test_trace_order_start_to_completed(self, clean_run):

@@ -22,7 +22,7 @@ from repro.operations.steps import (
     UPDATE_LC,
     WAIT_ASG,
 )
-from repro.process.instance import ProcessInstance
+from repro.process.compiled import CompiledReplayer
 
 
 def launch_upgrade(cloud, batch_size=1, **param_overrides):
@@ -100,11 +100,11 @@ class TestHappyPath:
         operation.start()
         cloud.engine.run(until=cloud.engine.now + 2000)
         library = build_pattern_library()
-        instance = ProcessInstance(reference_process_model(), "t1")
+        instance = CompiledReplayer(reference_process_model()).instance_for("t1")
         for record in stream.records:
             classification = library.classify(record.message)
             if classification.matched and not classification.pattern.is_error:
-                assert instance.replay(classification.activity).fit, record.message
+                assert instance.replay(classification.activity), record.message
         assert instance.completed
 
     def test_batched_upgrade(self, provisioned_cloud):

@@ -16,9 +16,9 @@ import pytest
 from repro.evaluation.figures import render_fig7, render_headline
 
 #: Seed-2014 false positives by fault type (everything else carries 0):
-#: three `asg-has-n-running-instances` reports confirming
-#: `termination-author` and two `asg-has-n-new-version-instances` reports
-#: with no root cause.
+#: three `asg-has-n-running-instances` and two
+#: `asg-has-n-new-version-instances` watchdog reports, each "No root
+#: cause identified" — the paper's late-log class.
 FALSE_POSITIVES = {
     "AMI_CHANGED": 2,
     "INSTANCE_TYPE_CHANGED": 1,

@@ -1,17 +1,23 @@
-"""Per-trace replay state: one live process instance.
+"""The dict-marking token replayer, kept as the semantic oracle.
 
-Conformance checking "looks up the process instance, if it is known; if
-not, a new instance is created" (§III.B.2).  The instance holds the Petri
-net marking, the executed history, and the fitness counters (produced /
-consumed / missing / remaining) that the standard token-replay fitness
-formula uses.
+``ProcessInstance`` replays one trace directly on the model's
+:class:`~repro.process.model.PetriNet` — ``fire`` copies the marking
+dict, ``enabled`` walks a frozenset of places, every event allocates a
+:class:`ReplayStep` — and ``ReferenceChecker`` classifies a record and
+derives its error context with it, eagerly, line by line.  Slow and
+obviously right: tests/process/test_compiled_replay.py requires
+:mod:`repro.process.compiled` and
+:class:`~repro.process.conformance.ConformanceChecker` to be
+indistinguishable from them.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import typing as _t
 
+from repro.logsys.patterns import PatternLibrary, classify_record
+from repro.process.conformance import ERROR, FIT, UNFIT, UNKNOWN, ConformanceResult
+from repro.process.context import ProcessContext
 from repro.process.model import ProcessModel
 
 
@@ -42,17 +48,10 @@ class ProcessInstance:
     # -- state queries ---------------------------------------------------------
 
     @property
-    def started(self) -> bool:
-        return bool(self.history)
-
-    @property
     def completed(self) -> bool:
         """A final-place token present and nothing else pending."""
         final_tokens = sum(self.marking.get(p, 0) for p in self.net.final_places)
         return final_tokens > 0
-
-    def last_activity(self) -> str | None:
-        return self.history[-1].activity if self.history else None
 
     def last_fit_activity(self) -> str | None:
         for step in reversed(self.history):
@@ -123,12 +122,53 @@ class ProcessInstance:
             return []
         return path[:-1]
 
-    def snapshot(self) -> dict:
-        """A serialisable view of the current state (for result logs)."""
-        return {
-            "trace_id": self.trace_id,
-            "marking": dict(self.marking),
-            "history": [s.activity for s in self.history],
-            "enabled": self.enabled_activities(),
-            "fitness": round(self.fitness(), 4),
-        }
+
+class ReferenceChecker:
+    """Line-at-a-time conformance over :class:`ProcessInstance`."""
+
+    def __init__(self, model: ProcessModel, library: PatternLibrary) -> None:
+        self.model = model
+        self.library = library
+        self.instances: dict[str, ProcessInstance] = {}
+        self.results: list[ConformanceResult] = []
+
+    def instance_for(self, trace_id: str) -> ProcessInstance:
+        if trace_id not in self.instances:
+            self.instances[trace_id] = ProcessInstance(self.model, trace_id)
+        return self.instances[trace_id]
+
+    def check(self, record) -> ConformanceResult:
+        trace_id = record.tag_value("trace") or f"untraced:{record.source}"
+        instance = self.instance_for(trace_id)
+        classification = classify_record(self.library, record)
+        context = ProcessContext.from_record(record)
+        context.last_valid_activity = instance.last_fit_activity()
+
+        if not classification.matched:
+            status = UNKNOWN
+            activity = None
+        elif classification.pattern.is_error:
+            status = ERROR
+            activity = classification.activity
+        else:
+            activity = classification.activity
+            if activity not in instance.net.transitions:
+                # A pattern for an activity this model does not have.
+                status = UNKNOWN
+                activity = None
+            elif instance.is_enabled(activity):
+                instance.replay(activity, time=record.time)
+                status = FIT
+            else:
+                context.skipped_activities = instance.hypothesize_skipped(activity)
+                instance.replay(activity, time=record.time)
+                status = UNFIT
+        context.conformance = status
+        context.step = activity or context.step
+        record.add_tag(f"conformance:{status}")
+        result = ConformanceResult(status, activity, trace_id, context=context)
+        self.results.append(result)
+        return result
+
+    def fitness_of(self, trace_id: str) -> float:
+        return self.instance_for(trace_id).fitness()

@@ -1,11 +1,11 @@
-"""Compiled ≡ interpreted replay equivalence.
+"""Replay engine ≡ reference replayer.
 
-The compiled replay engine (repro.process.compiled) is only allowed to
-exist because it is *indistinguishable* from the interpreted reference
-(repro.process.instance) — same verdicts, same fitness, same markings,
-same error contexts — on every model and every interleaving.  These
-tests pin that down on hand-built models, on the rolling-upgrade corpus
-model, and on hypothesis-generated random traces.
+The table-driven replay engine (repro.process.compiled) must be
+*indistinguishable* from the dict-marking oracle
+(tests/process/reference_replay.py) — same verdicts, same fitness, same
+markings, same error contexts — on every model and every interleaving.
+These tests pin that down on hand-built models, on the rolling-upgrade
+corpus model, and on hypothesis-generated random traces.
 """
 
 import random
@@ -17,8 +17,9 @@ from repro.logsys.patterns import END, LogPattern, PatternLibrary
 from repro.logsys.record import LogRecord
 from repro.process.compiled import CompiledInstance, compile_model
 from repro.process.conformance import ConformanceChecker
-from repro.process.instance import ProcessInstance
 from repro.process.model import ProcessModel
+
+from .reference_replay import ProcessInstance, ReferenceChecker, ReplayStep
 
 
 def linear_model():
@@ -62,34 +63,43 @@ def parallel_model():
 MODELS = (linear_model, branching_model, parallel_model)
 
 
+def marking_dict(compiled: CompiledInstance) -> dict[int, int]:
+    """Marking keyed by original place ids, zero entries elided — the
+    shape the oracle keeps natively."""
+    place_ids = compiled.table.place_ids
+    return {place_ids[i]: count for i, count in enumerate(compiled.marking) if count}
+
+
 def assert_states_equal(compiled: CompiledInstance, interpreted: ProcessInstance):
     """Every observable piece of replay state must agree."""
-    assert compiled.marking_dict() == {
+    assert marking_dict(compiled) == {
         p: c for p, c in interpreted.marking.items() if c
     }
     assert compiled.produced == interpreted.produced
     assert compiled.consumed == interpreted.consumed
     assert compiled.missing == interpreted.missing
-    assert compiled.started == interpreted.started
     assert compiled.completed == interpreted.completed
-    assert compiled.last_activity() == interpreted.last_activity()
-    assert compiled.last_fit_activity() == interpreted.last_fit_activity()
+    assert compiled.last_fit == interpreted.last_fit_activity()
     assert compiled.enabled_activities() == interpreted.enabled_activities()
     assert compiled.remaining_tokens() == interpreted.remaining_tokens()
     assert compiled.fitness() == interpreted.fitness()
-    assert compiled.snapshot() == interpreted.snapshot()
 
 
 def replay_both(model, sequence):
+    """Replay on both; returns them plus the engine's own step record
+    (fit flag and missing-token delta per event)."""
     compiled = CompiledInstance(compile_model(model), "t")
     interpreted = ProcessInstance(model, "t")
+    steps = []
     for i, activity in enumerate(sequence):
-        step_c = compiled.replay(activity, time=float(i))
-        step_i = interpreted.replay(activity, time=float(i))
-        assert step_c == step_i
+        missing_before = compiled.missing
+        fit = compiled.replay(activity)
+        step = ReplayStep(float(i), activity, fit, compiled.missing - missing_before)
+        assert step == interpreted.replay(activity, time=float(i))
+        steps.append(step)
         assert compiled.hypothesize_skipped(activity) == interpreted.hypothesize_skipped(activity)
         assert_states_equal(compiled, interpreted)
-    return compiled, interpreted
+    return compiled, interpreted, steps
 
 
 class TestTableCompilation:
@@ -118,7 +128,7 @@ class TestTableCompilation:
         model = parallel_model()
         table = compile_model(model)
         compiled = CompiledInstance(table, "t")
-        assert compiled.marking_dict() == dict(model.to_petri_net().initial_marking)
+        assert marking_dict(compiled) == dict(model.to_petri_net().initial_marking)
 
 
 class TestHandPickedEquivalence:
@@ -146,8 +156,9 @@ class TestHandPickedEquivalence:
                 raise AssertionError("replay of unknown activity must raise")
 
     def test_history_steps_identical(self):
-        compiled, interpreted = replay_both(linear_model(), ["alpha", "gamma", "beta"])
-        assert compiled.history == interpreted.history
+        _, interpreted, steps = replay_both(linear_model(), ["alpha", "gamma", "beta"])
+        assert steps == interpreted.history
+        assert [s.fit for s in steps] == [True, False, True]
 
 
 class TestCorpusEquivalence:
@@ -203,12 +214,14 @@ def library():
             LogPattern("alpha", r"doing alpha", position=END),
             LogPattern("beta", r"doing beta", position=END),
             LogPattern("gamma", r"doing gamma", position=END),
+            # A pattern whose activity the model does not have.
+            LogPattern("delta", r"doing delta", position=END),
             LogPattern("op-error", r"ERROR .*", position=END, is_error=True),
         ]
     )
 
 
-LINES = ("doing alpha", "doing beta", "doing gamma", "ERROR boom", "noise 123")
+LINES = ("doing alpha", "doing beta", "doing gamma", "doing delta", "ERROR boom", "noise 123")
 
 
 def record(message, trace=None, source="op.log"):
@@ -219,10 +232,10 @@ def record(message, trace=None, source="op.log"):
 
 
 def check_both(stream):
-    """Run the same stream through both engines; results must be equal."""
-    compiled = ConformanceChecker(linear_model(), library(), compiled=True)
-    interpreted = ConformanceChecker(linear_model(), library(), compiled=False)
-    assert compiled.compiled and not interpreted.compiled
+    """Run the same stream through the checker and the oracle; results
+    must be equal."""
+    compiled = ConformanceChecker(linear_model(), library())
+    interpreted = ReferenceChecker(linear_model(), library())
     for message, trace in stream:
         rec_c, rec_i = record(message, trace), record(message, trace)
         result_c = compiled.check(rec_c)
@@ -230,8 +243,8 @@ def check_both(stream):
         assert result_c.status == result_i.status
         assert result_c.activity == result_i.activity
         assert result_c.trace_id == result_i.trace_id
-        # Full context equality — the lazy compiled context must match
-        # the eagerly-built interpreted one field for field.
+        # Full context equality — the checker's lazy context must match
+        # the oracle's eagerly-built one field for field.
         assert result_c.context == result_i.context
         assert rec_c.tags == rec_i.tags
     return compiled, interpreted

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.process.instance import ProcessInstance
+from repro.process.compiled import CompiledReplayer
 from repro.process.mining.cluster import cluster_lines, mask_line, similarity
 from repro.process.mining.dfg import DirectlyFollowsGraph
 from repro.process.mining.discovery import discover_model
@@ -127,9 +127,9 @@ class TestDiscovery:
         traces = TestDfg.TRACES
         model = discover_model(DirectlyFollowsGraph.from_traces(traces))
         for index, trace in enumerate(traces):
-            instance = ProcessInstance(model, f"t{index}")
+            instance = CompiledReplayer(model).instance_for(f"t{index}")
             for activity in trace:
-                assert instance.replay(activity).fit, (trace, activity)
+                assert instance.replay(activity), (trace, activity)
 
     def test_discovery_requires_dominant_start(self):
         dfg = DirectlyFollowsGraph.from_traces([["a", "x"], ["b", "x"], ["c", "x"]])
@@ -155,7 +155,7 @@ class TestDiscovery:
         traces = [["BEGIN"] + suffix + ["END"] for suffix in suffixes]
         model = discover_model(DirectlyFollowsGraph.from_traces(traces))
         for index, trace in enumerate(traces):
-            instance = ProcessInstance(model, f"t{index}")
+            instance = CompiledReplayer(model).instance_for(f"t{index}")
             for activity in trace:
-                assert instance.replay(activity).fit
+                assert instance.replay(activity)
             assert instance.fitness() == 1.0

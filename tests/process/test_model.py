@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.process.instance import ProcessInstance
+from repro.process.compiled import CompiledReplayer
 from repro.process.model import ProcessModel
 
 
@@ -127,49 +127,38 @@ class TestPetriCompilation:
 
 class TestReplay:
     def test_perfect_trace_fitness_one(self):
-        instance = ProcessInstance(loop_model(), "t")
+        instance = CompiledReplayer(loop_model()).instance_for("t")
         for activity in ["start", "a", "b", "c", "b", "c", "end"]:
-            step = instance.replay(activity)
-            assert step.fit, activity
+            assert instance.replay(activity), activity
         assert instance.fitness() == 1.0
         assert instance.completed
 
     def test_skipped_activity_is_unfit(self):
-        instance = ProcessInstance(linear_model("a", "b", "c"), "t")
+        instance = CompiledReplayer(linear_model("a", "b", "c")).instance_for("t")
         instance.replay("a")
-        step = instance.replay("c")  # skipped b
-        assert not step.fit
+        assert not instance.replay("c")  # skipped b
         assert instance.fitness() < 1.0
 
     def test_unknown_activity_raises(self):
-        instance = ProcessInstance(linear_model("a", "b"), "t")
+        instance = CompiledReplayer(linear_model("a", "b")).instance_for("t")
         with pytest.raises(KeyError):
             instance.replay("zzz")
 
     def test_hypothesize_skipped(self):
-        instance = ProcessInstance(linear_model("a", "b", "c", "d"), "t")
+        instance = CompiledReplayer(linear_model("a", "b", "c", "d")).instance_for("t")
         instance.replay("a")
         assert instance.hypothesize_skipped("d") == ["b", "c"]
 
     def test_hypothesize_skipped_adjacent_is_empty(self):
-        instance = ProcessInstance(linear_model("a", "b"), "t")
+        instance = CompiledReplayer(linear_model("a", "b")).instance_for("t")
         instance.replay("a")
         assert instance.hypothesize_skipped("b") == []
 
     def test_last_fit_activity(self):
-        instance = ProcessInstance(linear_model("a", "b", "c"), "t")
+        instance = CompiledReplayer(linear_model("a", "b", "c")).instance_for("t")
         instance.replay("a")
         instance.replay("c")
-        assert instance.last_fit_activity() == "a"
-        assert instance.last_activity() == "c"
-
-    def test_snapshot_shape(self):
-        instance = ProcessInstance(linear_model("a", "b"), "t9")
-        instance.replay("a")
-        snap = instance.snapshot()
-        assert snap["trace_id"] == "t9"
-        assert snap["history"] == ["a"]
-        assert snap["fitness"] == 1.0
+        assert instance.last_fit == "a"
 
     @given(st.integers(min_value=2, max_value=8), st.integers(min_value=0, max_value=5))
     @settings(max_examples=40, deadline=None)
@@ -183,7 +172,7 @@ class TestReplay:
             model.add_edge(names[-2], names[1])
             body = names[1:-1]
             trace = [names[0]] + body * (loops + 1) + [names[-1]]
-        instance = ProcessInstance(model, "t")
+        instance = CompiledReplayer(model).instance_for("t")
         for activity in trace:
-            assert instance.replay(activity).fit
+            assert instance.replay(activity)
         assert instance.fitness() == 1.0

@@ -68,12 +68,12 @@ class TestModelRoundTrip:
         if model.validate():
             return  # a generated back edge made the model unsound; skip
         rebuilt = model_from_dict(model_to_dict(model))
-        from repro.process.instance import ProcessInstance
+        from repro.process.compiled import CompiledReplayer
 
-        a = ProcessInstance(model, "t")
-        b = ProcessInstance(rebuilt, "t")
+        a = CompiledReplayer(model).instance_for("t")
+        b = CompiledReplayer(rebuilt).instance_for("t")
         for activity in names:
-            assert a.replay(activity).fit == b.replay(activity).fit
+            assert a.replay(activity) == b.replay(activity)
 
 
 class TestModelDot:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.process.instance import ProcessInstance
+from repro.process.compiled import CompiledReplayer
 from repro.process.model import ProcessModel
 
 
@@ -64,15 +64,15 @@ class TestPetriNetInvariants:
         model.mark_end(names[-1])
         if model.validate():
             return  # extra edges may make activities unreachable; skip
-        instance = ProcessInstance(model, "t")
-        assert sum(instance.marking.values()) == 1
+        instance = CompiledReplayer(model).instance_for("t")
+        assert sum(instance.marking) == 1
         # Replay any enabled activity repeatedly; token count must stay 1.
         for _ in range(12):
             enabled = instance.enabled_activities()
             if not enabled:
                 break
             instance.replay(enabled[0])
-            assert sum(instance.marking.values()) == 1
+            assert sum(instance.marking) == 1
 
     @given(st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=1, max_size=12))
     @settings(max_examples=60, deadline=None)
@@ -83,7 +83,7 @@ class TestPetriNetInvariants:
         model.add_sequence("a", "b", "c", "d")
         model.mark_start("a")
         model.mark_end("d")
-        instance = ProcessInstance(model, "t")
+        instance = CompiledReplayer(model).instance_for("t")
         for activity in trace:
             instance.replay(activity)
             assert 0.0 <= instance.fitness() <= 1.0
@@ -97,9 +97,9 @@ class TestPetriNetInvariants:
         model.add_sequence("a", "b", "c")
         model.mark_start("a")
         model.mark_end("c")
-        instance = ProcessInstance(model, "t")
-        steps = [instance.replay(activity) for activity in trace]
-        if all(s.fit for s in steps) and instance.completed:
+        instance = CompiledReplayer(model).instance_for("t")
+        fits = [instance.replay(activity) for activity in trace]
+        if all(fits) and instance.completed:
             assert instance.fitness() == 1.0
 
 
