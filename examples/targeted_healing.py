@@ -9,14 +9,16 @@ the upgrade keeps running.
 
 Scenario: a concurrent team corrupts the launch configuration's AMI
 mid-upgrade.  POD-Diagnosis detects the wrong-version instance, walks the
-fault tree to ``lc-wrong-ami``, and the remediation layer restores the
-launch configuration — after which the still-running rolling upgrade
-finishes on the correct version by itself.
+fault tree to ``lc-wrong-ami``, and the recovery engine restores the
+launch configuration (idempotent, verified by re-reading the cloud) —
+after which the still-running rolling upgrade finishes on the correct
+version by itself.
 
 Run:  python examples/targeted_healing.py
 """
 
-from repro.diagnosis.remediation import apply, plans_for_report
+from repro.recovery.engine import RecoveryEngine
+from repro.recovery.plan import build_recovery_plan
 from repro.testbed import build_testbed
 
 
@@ -37,13 +39,16 @@ def main() -> None:
 
         params = testbed.pod_config.as_repository()
         params["expected_security_group"] = params["expected_security_groups"][0]
-        for plan in plans_for_report(report, params):
-            marker = "auto" if plan.automatable else "needs human"
-            print(f"  remediation [{marker}]: {plan.action} — {plan.description}")
-            if plan.automatable:
-                done = apply(plan, testbed.cloud.api("remediation"))
-                healed.extend(done)
-                print(f"    applied: {', '.join(done)}")
+        plan = build_recovery_plan(report, params)
+        for action in plan.actions:
+            print(f"  remediation [auto]: {action.action} — {action.description}")
+        for advice in plan.advisory:
+            print(f"  remediation [needs human]: {advice}")
+        recovery = RecoveryEngine(testbed.engine, testbed.pod.recovery_client())
+        result = yield from recovery.execute(plan)
+        for done in result.actions:
+            healed.append(f"{done.action} on {done.target}: {done.status}")
+        print(f"    recovery at t={testbed.engine.now:.0f}: {result.status}")
 
     testbed.engine.process(inject_then_heal())
     print("rolling upgrade v1 -> v2 with mid-flight corruption and healing:")

@@ -36,6 +36,12 @@ class AssertionEnvironment:
     monitor: _t.Any = None
     #: Configuration repository: expected desired state, keyed by name.
     config: dict = dataclasses.field(default_factory=dict)
+    #: What the diagnostic probes (:mod:`repro.diagnosis.tests`) consult
+    #: beyond the API: region state (instance view + configuration write
+    #: history), CloudTrail, and the watched operation's own API calls.
+    state: _t.Any = None
+    trail: _t.Any = None
+    operation_api_calls: list = dataclasses.field(default_factory=list)
 
     def expected(self, key: str, params: dict, default=None):
         """Resolve an expected value: explicit param beats config entry.

@@ -79,6 +79,15 @@ class ConsistentCallError(Exception):
         self.breaker_open = breaker_open
 
 
+def is_degraded(exc: Exception) -> bool:
+    """Was this failure caused by API-plane degradation (chaos)?
+
+    ``ConsistentCallError`` carries an explicit ``degraded`` flag; a raw
+    ``CloudError`` is chaos-injected iff it is tagged ``chaos=True``.
+    """
+    return bool(getattr(exc, "degraded", False) or getattr(exc, "chaos", False))
+
+
 class RetryBudget:
     """Token bucket bounding a client's total retry volume.
 
@@ -187,7 +196,7 @@ class ConsistentApiClient:
         # Live metric events (retries, breaker trips, blackholes) for the
         # observability layer; None when disabled so the hot call path
         # pays a single check.
-        self._metrics = obs.metrics if obs is not None and obs.enabled else None
+        self._metrics = obs.metrics if obs else None
         self.engine = engine
         self.api = api
         self.latency = latency or aws_api_latency()

@@ -22,7 +22,7 @@ from __future__ import annotations
 import typing as _t
 
 from repro.assertions.base import Assertion, AssertionEnvironment
-from repro.assertions.consistent_api import ConsistentCallError
+from repro.assertions.consistent_api import ConsistentCallError, is_degraded
 from repro.assertions.results import AssertionResult
 from repro.cloud.errors import CloudError
 from repro.logsys.record import LogRecord
@@ -39,17 +39,14 @@ class AssertionEvaluationService:
         on_failure: _t.Callable[[AssertionResult], None] | None = None,
         obs=None,
     ) -> None:
-        from repro.obs import NULL_OBS
-
         self.env = env
         self.storage = storage
         self.on_failure = on_failure
         self.assertions: dict[str, Assertion] = {}
         self.results: list[AssertionResult] = []
         self.in_flight = 0
-        obs = obs or NULL_OBS
-        self._tracer = obs.tracer if obs.enabled else None
-        self._metrics = obs.metrics if obs.enabled else None
+        self._tracer = obs.tracer if obs else None
+        self._metrics = obs.metrics if obs else None
 
     # -- registry -----------------------------------------------------------
 
@@ -152,7 +149,7 @@ class AssertionEvaluationService:
                 duration=0.0,
                 params=dict(params),
                 timed_out=bool(getattr(exc, "timed_out", False)),
-                degraded=bool(getattr(exc, "degraded", False) or getattr(exc, "chaos", False)),
+                degraded=is_degraded(exc),
             )
         finally:
             self.in_flight -= 1
@@ -210,6 +207,3 @@ class AssertionEvaluationService:
 
     def failures(self) -> list[AssertionResult]:
         return [r for r in self.results if r.failed]
-
-    def results_for(self, assertion_id: str) -> list[AssertionResult]:
-        return [r for r in self.results if r.assertion_id == assertion_id]

@@ -12,18 +12,9 @@ from __future__ import annotations
 import typing as _t
 
 from repro.assertions.base import Assertion, AssertionEnvironment, HIGH_LEVEL, LOW_LEVEL
-from repro.assertions.consistent_api import ConsistentCallError
+from repro.assertions.consistent_api import ConsistentCallError, is_degraded
 from repro.assertions.results import AssertionResult
 from repro.cloud.errors import CloudError
-
-
-def _degraded(exc: Exception) -> bool:
-    """Was this failure caused by API-plane degradation (chaos)?
-
-    ``ConsistentCallError`` carries an explicit ``degraded`` flag; a raw
-    ``CloudError`` is chaos-injected iff it is tagged ``chaos=True``.
-    """
-    return bool(getattr(exc, "degraded", False) or getattr(exc, "chaos", False))
 
 
 class AsgInstanceCountAssertion(Assertion):
@@ -34,9 +25,9 @@ class AsgInstanceCountAssertion(Assertion):
     not flap the assertion; the control loop restores membership within
     one reconcile tick unless launches are genuinely failing.
 
-    With ``require_version=True`` only *running* instances whose AMI is
-    the target version count — the end-of-upgrade form, "assert the
-    system has N instances with the new version".
+    With ``mode="version"`` only *running* instances whose AMI is the
+    target version count — the end-of-upgrade form, "assert the system
+    has N instances with the new version".
 
     The expected count is resolved from the configuration repository *at
     evaluation start* — deliberately, because the paper's second
@@ -55,10 +46,7 @@ class AsgInstanceCountAssertion(Assertion):
     #: (running with the target AMI — the end-of-upgrade form).
     MODES = ("active", "running", "version")
 
-    def __init__(self, convergence_timeout: float = 30.0, mode: str = "active",
-                 require_version: bool | None = None) -> None:
-        if require_version is not None:  # backwards-compatible alias
-            mode = "version" if require_version else mode
+    def __init__(self, convergence_timeout: float = 30.0, mode: str = "active") -> None:
         if mode not in self.MODES:
             raise ValueError(f"unknown counting mode {mode!r}")
         self.convergence_timeout = convergence_timeout
@@ -69,10 +57,6 @@ class AsgInstanceCountAssertion(Assertion):
         elif mode == "running":
             self.assertion_id = "asg-has-n-running-instances"
             self.description = "the ASG has N running instances (post-step)"
-
-    @property
-    def require_version(self) -> bool:
-        return self.mode == "version"
 
     def evaluate(self, env: AssertionEnvironment, params: dict) -> _t.Generator:
         started = env.engine.now
@@ -112,12 +96,12 @@ class AsgInstanceCountAssertion(Assertion):
                 params,
                 started,
                 timed_out=True,
-                degraded=_degraded(exc),
+                degraded=is_degraded(exc),
             )
         except CloudError as exc:
             return self._result(
                 env, False, f"ASG {asg_name} could not be described: {exc}", params, started,
-                degraded=_degraded(exc),
+                degraded=is_degraded(exc),
             )
         members = counted(instances)
         return self._result(
@@ -162,7 +146,7 @@ class InstanceVersionAssertion(Assertion):
         except (CloudError, ConsistentCallError) as exc:
             return self._result(
                 env, False, f"instance {instance_id} not describable: {exc}", params, started,
-                timed_out=bool(getattr(exc, "timed_out", False)), degraded=_degraded(exc),
+                timed_out=bool(getattr(exc, "timed_out", False)), degraded=is_degraded(exc),
             )
         mismatches: list[str] = []
         observed: dict = {"instance_id": instance_id}
@@ -233,7 +217,7 @@ class AsgConfigAssertion(Assertion):
         except (CloudError, ConsistentCallError) as exc:
             return self._result(
                 env, False, f"ASG {asg_name} configuration not readable: {exc}", params, started,
-                timed_out=bool(getattr(exc, "timed_out", False)), degraded=_degraded(exc),
+                timed_out=bool(getattr(exc, "timed_out", False)), degraded=is_degraded(exc),
             )
         fields = [params["field"]] if "field" in params else list(self.FIELD_MAP)
         mismatches = []
@@ -291,7 +275,7 @@ class ElbRegistrationAssertion(Assertion):
         except (CloudError, ConsistentCallError) as exc:
             return self._result(
                 env, False, f"ELB {elb_name} not describable: {exc}", params, started,
-                timed_out=bool(getattr(exc, "timed_out", False)), degraded=_degraded(exc),
+                timed_out=bool(getattr(exc, "timed_out", False)), degraded=is_degraded(exc),
             )
         if elb.get("State") != "active":
             return self._result(
@@ -321,7 +305,7 @@ class ElbRegistrationAssertion(Assertion):
                 params,
                 started,
                 timed_out=True,
-                degraded=_degraded(exc),
+                degraded=is_degraded(exc),
             )
         in_service = [h["InstanceId"] for h in health if h["State"] == "InService"]
         return self._result(
@@ -398,7 +382,7 @@ class ResourceExistsAssertion(Assertion):
                 started,
                 observed={"identifier": identifier},
                 timed_out=bool(getattr(exc, "timed_out", False)),
-                degraded=_degraded(exc),
+                degraded=is_degraded(exc),
             )
         # AMIs and ELBs additionally carry availability state.
         if self.kind == "ami" and described.get("State") != "available":

@@ -45,7 +45,7 @@ from repro.cloud.errors import (
 from repro.cloud.faults import FaultInjector
 from repro.cloud.freeze import FrozenList, FrozenMutationError, FrozenView, freeze, thaw
 from repro.cloud.limits import AccountLimits
-from repro.cloud.monitor import CloudMonitor, RegionSnapshot
+from repro.cloud.monitor import CloudMonitor
 from repro.cloud.resources import (
     AmiImage,
     AutoScalingGroup,
@@ -89,7 +89,6 @@ __all__ = [
     "freeze",
     "thaw",
     "Instance",
-    "RegionSnapshot",
     "InstanceState",
     "KeyPair",
     "LaunchConfiguration",

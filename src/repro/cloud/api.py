@@ -14,6 +14,7 @@ the virtual time cost and get the result.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import typing as _t
 
 from repro.cloud.cloudtrail import CloudTrail
@@ -68,16 +69,6 @@ class CloudAPI:
         self.principal = principal
         self.view = EventuallyConsistentView(state, engine.clock, consistency)
         self.calls: list[ApiCallRecord] = []
-        self._listeners: list[_t.Callable[[ApiCallRecord], None]] = []
-
-    def with_principal(self, principal: str) -> "CloudAPI":
-        """A sibling API object sharing state but audited as ``principal``."""
-        api = CloudAPI(self.engine, self.state, self.trail, principal, self.view.model)
-        return api
-
-    def subscribe(self, listener: _t.Callable[[ApiCallRecord], None]) -> None:
-        """Register a callback invoked after every call by this principal."""
-        self._listeners.append(listener)
 
     # -- plumbing ----------------------------------------------------------
 
@@ -87,12 +78,11 @@ class CloudAPI:
             raise Throttling(f"rate limit exceeded for {name}")
 
     def _audit(self, name: str, params: dict, error_code: str | None = None) -> None:
-        record = ApiCallRecord(self.engine.now, name, self.principal, dict(params), error_code)
-        self.calls.append(record)
+        self.calls.append(
+            ApiCallRecord(self.engine.now, name, self.principal, dict(params), error_code)
+        )
         if self.trail is not None:
             self.trail.record(name, self.principal, params, error_code)
-        for listener in self._listeners:
-            listener(record)
 
     def _call(self, name: str, params: dict, body: _t.Callable[[], _t.Any]) -> _t.Any:
         """Run one API call: rate limit, execute, audit outcome."""
@@ -173,7 +163,9 @@ class CloudAPI:
 
     def create_key_pair(self, key_name: str) -> dict:
         def body() -> dict:
-            fingerprint = f"fp:{abs(hash(key_name)) % 10**12:012d}"
+            # A digest, not hash(): str hashes are salted per interpreter
+            # (PYTHONHASHSEED) and this value reaches diagnosis evidence.
+            fingerprint = "fp:" + hashlib.sha256(key_name.encode()).hexdigest()[:12]
             key = KeyPair(key_name=key_name, fingerprint=fingerprint)
             self.state.put("key_pair", key_name, key, self.engine.now)
             return key.describe()

@@ -276,13 +276,10 @@ class ChaosController:
 class ChaosApiProxy:
     """Duck-typed ``CloudAPI`` whose calls pass through the chaos gate.
 
-    Non-API attributes (``calls``, ``principal``, ``subscribe``, ...) pass
-    through untouched, so the proxy is a drop-in replacement wherever a
+    Non-API attributes (``calls``, ``principal``, ...) pass through
+    untouched, so the proxy is a drop-in replacement wherever a
     ``CloudAPI`` is expected.
     """
-
-    #: Public callables that are plumbing, not API calls.
-    _PASSTHROUGH = frozenset({"with_principal", "subscribe"})
 
     def __init__(self, api, controller: ChaosController) -> None:
         self._api = api
@@ -290,7 +287,7 @@ class ChaosApiProxy:
 
     def __getattr__(self, name: str):
         attr = getattr(self._api, name)
-        if name.startswith("_") or name in self._PASSTHROUGH or not callable(attr):
+        if name.startswith("_") or not callable(attr):
             return attr
 
         def degraded_call(*args, **kwargs):

@@ -73,12 +73,8 @@ class AsgController:
         self.boot_latency = boot_latency or instance_boot_latency()
         self.elb_register_delay = elb_register_delay
         self.activities: list[ScalingActivity] = []
-        self._listeners: list[_t.Callable[[ScalingActivity], None]] = []
         self._running = False
         self._tick = 0
-
-    def subscribe(self, listener: _t.Callable[[ScalingActivity], None]) -> None:
-        self._listeners.append(listener)
 
     def start(self) -> None:
         if self._running:
@@ -155,8 +151,6 @@ class AsgController:
     def _record(self, activity: ScalingActivity) -> None:
         self.activities.append(activity)
         self.state.scaling_activities.append(activity)
-        for listener in self._listeners:
-            listener(activity)
 
     def _try_launch(self, asg_name: str) -> None:
         asg = self.state.auto_scaling_groups[asg_name]

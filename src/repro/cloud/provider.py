@@ -49,7 +49,7 @@ class SimulatedCloud:
 
     def attach_obs(self, obs) -> None:
         """Mirror data-plane counters (reads, snapshot sharing) into an
-        observability registry; a no-op for disabled observability."""
+        observability registry (None: mirror nothing)."""
         self.state.attach_obs(obs)
 
     def start(self) -> None:

@@ -78,7 +78,7 @@ class CloudState:
         self._history: dict[tuple[str, str], tuple[list[float], list[FrozenView | None]]] = {}
         #: Intern pool: equal frozen sub-structures resolve to one object.
         self._intern: dict = {}
-        #: Append-only (kind, id) write log; the monitor's delta source.
+        #: Append-only (kind, id) write log; what the monitor crawls.
         self._write_log: list[tuple[str, str]] = []
         #: Data-plane counters (always on — they are two dict increments
         #: per write/read): snapshot sharing and stale/fresh read mix.
@@ -92,7 +92,7 @@ class CloudState:
 
     def attach_obs(self, obs) -> None:
         """Mirror data-plane counters into an observability registry."""
-        self._metrics = obs.metrics if obs is not None and obs.enabled else None
+        self._metrics = obs.metrics if obs else None
 
     def _count(self, name: str) -> None:
         self.data_plane_counters[name] = self.data_plane_counters.get(name, 0) + 1
@@ -226,7 +226,7 @@ class CloudState:
             return None
         return entry[0][-1]
 
-    # -- write log (monitor delta source) ---------------------------------
+    # -- write log (what the monitor crawls) ---------------------------------
 
     def write_seq(self) -> int:
         """Monotone position in the region-wide write log."""

@@ -77,11 +77,8 @@ class DiagnosisEngine:
         step_aliases: dict[str, str] | None = None,
         obs=None,
     ) -> None:
-        from repro.obs import NULL_OBS
-
-        obs = obs or NULL_OBS
-        self._tracer = obs.tracer if obs.enabled else None
-        self._metrics = obs.metrics if obs.enabled else None
+        self._tracer = obs.tracer if obs else None
+        self._metrics = obs.metrics if obs else None
         self.engine = engine
         self.trees = trees
         self.assertions = assertions
@@ -107,10 +104,6 @@ class DiagnosisEngine:
         self.reports: list[DiagnosisReport] = []
         self.completed: list[DiagnosisReport] = []
         self._ids = itertools.count(1)
-        self._done_callbacks: list[_t.Callable[[DiagnosisReport], None]] = []
-
-    def on_report(self, callback: _t.Callable[[DiagnosisReport], None]) -> None:
-        self._done_callbacks.append(callback)
 
     # -- trigger entry points ---------------------------------------------------
 
@@ -295,8 +288,6 @@ class DiagnosisEngine:
             # the run's registry so trace-export shows the reuse rate.
             self._metrics.inc("diagnosis.cache.hits", cache.hits)
             self._metrics.inc("diagnosis.cache.misses", cache.misses)
-        for callback in self._done_callbacks:
-            callback(report)
         return report
 
     def _visit(

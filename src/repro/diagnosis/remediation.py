@@ -8,17 +8,16 @@ concrete remediation plans — the glue between POD-Diagnosis and the
 authors' follow-on recovery work.
 
 Plans are advisory objects (action name, human description, API calls it
-would make, and whether it is safe to automate).  ``apply`` executes the
-subset of plans that are safely automatable against the simulated cloud —
-e.g. reverting a corrupted launch configuration to the target state.
+would make, and whether it is safe to automate).  Executing the safely
+automatable subset — e.g. reverting a corrupted launch configuration to
+the target state — is :class:`repro.recovery.engine.RecoveryEngine`'s job
+(:func:`repro.recovery.plan.build_recovery_plan` lifts these plans into
+its verified, compensable actions).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import typing as _t
-
-from repro.cloud.errors import CloudError
 
 
 @dataclasses.dataclass
@@ -202,46 +201,3 @@ def plans_for_report(
         seen.add((plan.action, plan.target))
         plans.append(plan)
     return plans
-
-
-@dataclasses.dataclass
-class ApplyResult:
-    """Structured outcome of one plan application.
-
-    A ``CloudError`` mid-plan no longer propagates with no record of what
-    was mutated: ``completed`` always lists the calls that went through,
-    and ``failed_call``/``error`` pin the one that did not.
-    """
-
-    plan: RemediationPlan
-    completed: list[str] = dataclasses.field(default_factory=list)
-    failed_call: str | None = None
-    error: str | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.failed_call is None
-
-
-def apply(plan: RemediationPlan, api) -> ApplyResult:
-    """Execute an automatable plan's API calls; returns what was done.
-
-    Refuses non-automatable plans: those need a human decision (the same
-    conservatism the paper's operators exercise).  API failures mid-plan
-    are captured as a partial :class:`ApplyResult` instead of raising —
-    the caller always learns which mutations actually happened.
-    """
-    if not plan.automatable:
-        raise PermissionError(
-            f"plan {plan.action!r} is not automatable; human action required"
-        )
-    result = ApplyResult(plan=plan)
-    for method, args, kwargs in plan.api_calls:
-        try:
-            getattr(api, method)(*args, **kwargs)
-        except CloudError as exc:
-            result.failed_call = f"{method}{args}"
-            result.error = f"{type(exc).__name__}: {exc}"
-            return result
-        result.completed.append(f"{method}{args}")
-    return result

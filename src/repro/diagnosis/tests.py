@@ -7,8 +7,8 @@ or CloudTrail.  Each probe is a simulation generator returning
 ``inconclusive``.
 
 Probes receive the :class:`~repro.assertions.base.AssertionEnvironment`
-(extended with ``state``, ``trail`` and ``monitor`` by the POD service)
-and the instantiated test params.  ``params["since"]`` — the operation's
+(its ``state``, ``trail``, ``monitor`` and ``operation_api_calls`` filled
+in by the POD service) and the instantiated test params.  ``params["since"]`` — the operation's
 start time — bounds every historical query.
 """
 
@@ -17,10 +17,8 @@ from __future__ import annotations
 import functools
 import typing as _t
 
-from repro.assertions.consistent_api import ConsistentCallError
+from repro.assertions.consistent_api import ConsistentCallError, is_degraded
 from repro.cloud.errors import CloudError
-
-Verdict = _t.Tuple[str, dict]
 
 CONFIRMED = "confirmed"
 EXCLUDED = "excluded"
@@ -66,7 +64,7 @@ def _since(params: dict) -> float:
 def _api_failure(exc: Exception) -> dict:
     """Evidence for an API-failure inconclusive; flags chaos degradation."""
     evidence: dict = {"error": str(exc)}
-    if getattr(exc, "degraded", False) or getattr(exc, "chaos", False):
+    if is_degraded(exc):
         evidence["degraded"] = True
     return evidence
 
@@ -138,7 +136,7 @@ def probe_external_termination(env, params: dict) -> _t.Generator:
     asg_name = params.get("asg_name")
     if not asg_name or asg_name.startswith("$"):
         return INCONCLUSIVE, {"reason": "no asg name in context"}
-    state = getattr(env, "state", None)
+    state = env.state
     if state is None:
         return INCONCLUSIVE, {"reason": "no monitor data"}
     yield env.engine.timeout(MONITOR_LOOKUP_LATENCY)
@@ -163,7 +161,7 @@ def probe_external_termination(env, params: dict) -> _t.Generator:
     # operation's own record of TerminateInstances calls.
     operation_calls = {
         c.params.get("InstanceId")
-        for c in getattr(env, "operation_api_calls", [])
+        for c in env.operation_api_calls
         if c.name in ("TerminateInstances", "TerminateInstanceInAutoScalingGroup")
     }
     unexplained = [i for i in terminated if i not in explained and i not in operation_calls]
@@ -180,7 +178,7 @@ def probe_cloudtrail_attribution(env, params: dict) -> _t.Generator:
     'detected but cannot diagnose the root cause' outcome for random
     terminations.
     """
-    trail = getattr(env, "trail", None)
+    trail = env.trail
     if trail is None:
         return INCONCLUSIVE, {"reason": "no CloudTrail access"}
     yield env.engine.timeout(MONITOR_LOOKUP_LATENCY)
@@ -204,7 +202,7 @@ def probe_lc_config_flapped(env, params: dict) -> _t.Generator:
     lc_name = params.get("lc_name")
     if not lc_name or lc_name.startswith("$"):
         return INCONCLUSIVE, {"reason": "no launch configuration in context"}
-    monitor = getattr(env, "monitor", None)
+    monitor = env.monitor
     if monitor is None:
         return INCONCLUSIVE, {"reason": "no monitor"}
     yield env.engine.timeout(MONITOR_LOOKUP_LATENCY)
@@ -212,8 +210,6 @@ def probe_lc_config_flapped(env, params: dict) -> _t.Generator:
     views = [view for _t_, view in changes if view is not None]
     if len(views) >= 3 and views[-1] == views[-3]:
         return CONFIRMED, {"distinct_views": len(views)}
-    if len(views) >= 2:
-        return EXCLUDED, {"distinct_views": len(views)}
     return EXCLUDED, {"distinct_views": len(views)}
 
 
@@ -226,7 +222,7 @@ def probe_concurrent_lc_update(env, params: dict) -> _t.Generator:
     """
     lc_name = params.get("lc_name")
     asg_name = params.get("asg_name")
-    state = getattr(env, "state", None)
+    state = env.state
     if state is None:
         return INCONCLUSIVE, {"reason": "no configuration repository"}
     yield env.engine.timeout(MONITOR_LOOKUP_LATENCY)

@@ -59,13 +59,6 @@ class ReportSummary:
     #: Verdicts forced to inconclusive by API-plane degradation.
     degraded_tests: int = 0
 
-    @property
-    def primary_cause(self) -> str | None:
-        confirmed = [n for n, s in self.causes if s == "confirmed"]
-        if confirmed:
-            return confirmed[0]
-        return self.causes[0][0] if self.causes else None
-
 
 @dataclasses.dataclass
 class RunOutcome:
@@ -111,11 +104,6 @@ class RunOutcome:
     #: when the spec asked for recovery and the run needed it; None for
     #: healthy runs and non-recovering campaigns.
     recovery: dict | None = None
-
-    @property
-    def recovery_class(self) -> str | None:
-        """RECOVERED / ESCALATED / None (no recovery attempted/needed)."""
-        return self.recovery["status"] if self.recovery else None
 
     @property
     def failed(self) -> bool:
@@ -406,7 +394,7 @@ def run_single(spec: RunSpec) -> RunOutcome:
     api_health = dict(testbed.pod.env.client.counters())
     api_health.update({f"chaos_{k}": v for k, v in testbed.chaos.counters.items()})
     # Data-plane counters (stale/fresh read mix, snapshot sharing ratio,
-    # monitor delta reuse) ride along the same channel.
+    # monitor sample reuse) ride along the same channel.
     api_health.update(testbed.cloud.state.data_plane_counters)
     first = detections[0] if detections else None
     first_assertion = next((d for d in detections if d["kind"] == "assertion"), None)

@@ -23,13 +23,6 @@ FAULT_TYPES = (
     "ELB_UNAVAILABLE",
 )
 
-#: Fault types conformance checking can in principle see (the log trace
-#: changes).  §V.D: "The first 4 fault types are not detectable by
-#: conformance checking (since the log output is the same)."
-CONFORMANCE_DETECTABLE = frozenset(
-    ("AMI_UNAVAILABLE", "KEYPAIR_UNAVAILABLE", "SG_UNAVAILABLE", "ELB_UNAVAILABLE")
-)
-
 #: Configuration faults support the transient (inject-then-revert)
 #: variant that produced the paper's third wrong-diagnosis class.
 REVERTIBLE = frozenset(

@@ -192,7 +192,7 @@ def compute_metrics(outcomes: _t.Sequence[RunOutcome]) -> CampaignMetrics:
         if outcome.failed:
             failed_runs += 1
             continue
-        rec = getattr(outcome, "recovery", None)
+        rec = outcome.recovery
         if rec:
             recovery_attempted += 1
             if rec.get("status") == "RECOVERED":
@@ -203,10 +203,10 @@ def compute_metrics(outcomes: _t.Sequence[RunOutcome]) -> CampaignMetrics:
                 escalated_runs += 1
             if rec.get("resumed"):
                 resumed_runs += 1
-        if getattr(outcome, "metrics", None):
+        if outcome.metrics:
             metric_snapshots.append(outcome.metrics)
-        degraded_verdicts += getattr(outcome, "degraded_verdicts", 0)
-        for key, value in getattr(outcome, "api_health", {}).items():
+        degraded_verdicts += outcome.degraded_verdicts
+        for key, value in outcome.api_health.items():
             api_health[key] = api_health.get(key, 0) + value
         ft = outcome.spec.fault_type
         bucket = per_fault.setdefault(ft, FaultTypeMetrics(fault_type=ft))

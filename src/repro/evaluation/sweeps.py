@@ -149,53 +149,6 @@ def sweep_chaos(
     return points
 
 
-def sweep_recovery(
-    levels: _t.Sequence[str] = CHAOS_LEVELS,
-    runs_per_fault: int = 2,
-    seed: int = 7005,
-    max_workers: int | None = None,
-) -> list[SweepPoint]:
-    """Closed-loop recovery quality vs API-plane health.
-
-    Every point runs the same seeded recover-enabled campaign under a
-    different chaos profile: recovery-success rate and MTTR can be read
-    against the degradation the recovery actions themselves had to fight
-    through.  The extended chaos contract under test: recovery never
-    crashes a run — at worst its retry budgets exhaust into ESCALATED.
-    """
-    points = []
-    for level in levels:
-        config = CampaignConfig(
-            runs_per_fault=runs_per_fault,
-            large_cluster_runs=0,
-            seed=seed,
-            chaos_profile=level,
-            recover=True,
-        )
-        points.append(SweepPoint("recovery_chaos", level, _run_campaign(config, max_workers)))
-    return points
-
-
-def render_recovery_sweep(points: _t.Sequence[SweepPoint]) -> str:
-    """Fixed-width table of recovery sweep results."""
-    if not points:
-        return "(empty sweep)"
-    header = (
-        f"  {'value':>8} {'attempted':>9} {'recovered':>9} {'escalated':>9}"
-        f" {'success':>8} {'resumed':>7} {'MTTR(s)':>8} {'crashed':>7}"
-    )
-    lines = [f"Recovery sweep over {points[0].parameter}:", header]
-    for point in points:
-        m = point.metrics
-        mttr = m.mttr_stats()["mean"]
-        lines.append(
-            f"  {str(point.value):>8} {m.recovery_attempted:>9d} {m.recovered_runs:>9d}"
-            f" {m.escalated_runs:>9d} {m.recovery_success_rate:>7.1%}"
-            f" {m.resumed_runs:>7d} {mttr:>8.1f} {m.failed_runs:>7d}"
-        )
-    return "\n".join(lines)
-
-
 def render_sweep(points: _t.Sequence[SweepPoint]) -> str:
     """Fixed-width table of sweep results."""
     if not points:

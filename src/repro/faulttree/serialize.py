@@ -39,7 +39,6 @@ def _node_to_dict(node: FaultNode) -> dict:
     return {
         "node_id": node.node_id,
         "description": node.description,
-        "gate": node.gate,
         "probability": node.probability,
         "steps": sorted(node.step_context),
         "test": _test_to_dict(node.test),
@@ -52,7 +51,6 @@ def _node_from_dict(data: dict) -> FaultNode:
         node_id=data["node_id"],
         description=data.get("description", ""),
         children=[_node_from_dict(c) for c in data.get("children", [])],
-        gate=data.get("gate", "OR"),
         test=_test_from_dict(data.get("test")),
         step_context=frozenset(data.get("steps", [])),
         probability=data.get("probability", 0.5),

@@ -29,29 +29,20 @@ class DiagnosticTest:
     params: dict = dataclasses.field(default_factory=dict)
     confirm_on: str = "fail"  # "fail" | "pass" (assertion kind only)
 
-    def cache_key(self) -> tuple:
-        """Tests with identical kind/name/params share one execution.
-
-        "If the check at a particular node has already been done, e.g. for
-        an ancestor node, the diagnosis results are reused."  (§III.B.4)
-        """
-        return (self.kind, self.name, tuple(sorted(self.params.items())))
-
 
 @dataclasses.dataclass
 class FaultNode:
     """One event/fault in the tree.
 
     Leaves (no children) are potential *root causes*.  Inner nodes are
-    intermediate events; their ``gate`` describes how children combine
-    (OR: any child suffices — the overwhelmingly common case in the
-    paper's operation trees; AND kept for completeness).
+    intermediate events whose children combine by OR — any child
+    suffices, the only gate the paper's operation trees use and the only
+    one the diagnosis walk implements.
     """
 
     node_id: str
     description: str
     children: list["FaultNode"] = dataclasses.field(default_factory=list)
-    gate: str = "OR"
     test: DiagnosticTest | None = None
     #: Steps (activity names) this subtree is associated with; empty means
     #: relevant in any process context.
@@ -60,8 +51,6 @@ class FaultNode:
     probability: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.gate not in ("OR", "AND"):
-            raise ValueError(f"gate must be OR or AND, not {self.gate!r}")
         if not 0 <= self.probability <= 1:
             raise ValueError("probability must be in [0, 1]")
 
@@ -89,7 +78,6 @@ class FaultNode:
             node_id=self.node_id,
             description=self.description,
             children=[c.copy() for c in self.children],
-            gate=self.gate,
             test=dataclasses.replace(self.test, params=dict(self.test.params))
             if self.test
             else None,
@@ -122,7 +110,6 @@ def node(
     node_id: str,
     description: str,
     *children: FaultNode,
-    gate: str = "OR",
     test: DiagnosticTest | None = None,
     steps: _t.Iterable[str] = (),
     probability: float = 0.5,
@@ -132,7 +119,6 @@ def node(
         node_id=node_id,
         description=description,
         children=list(children),
-        gate=gate,
         test=test,
         step_context=frozenset(steps),
         probability=probability,

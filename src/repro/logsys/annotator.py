@@ -29,7 +29,7 @@ class ProcessAnnotator:
         self.library = library
         self.process_id = process_id
         self._trace_id = trace_id
-        self._metrics = obs.metrics if obs is not None and obs.enabled else None
+        self._metrics = obs.metrics if obs else None
 
     def trace_id_for(self, record: LogRecord) -> str:
         if callable(self._trace_id):

@@ -64,13 +64,3 @@ class CentralLogProcessor:
 
     def is_failure(self, record: LogRecord) -> bool:
         return any(p.search(record.message) for p in self.failure_patterns)
-
-    def scan_backlog(self) -> int:
-        """Process already-stored records (e.g. after attaching late).
-
-        Returns how many new diagnoses were triggered.
-        """
-        before = len(self.triggered)
-        for record in list(self.storage.records):
-            self._on_record(record)
-        return len(self.triggered) - before

@@ -46,7 +46,7 @@ class NoiseFilter:
         self.passthrough_unmatched = passthrough_unmatched
         self.dropped_count = 0
         self.passed_count = 0
-        self._metrics = obs.metrics if obs is not None and obs.enabled else None
+        self._metrics = obs.metrics if obs else None
 
     def accepts(self, record: LogRecord) -> bool:
         """True if the record is relevant to the operation process.
@@ -71,7 +71,3 @@ class NoiseFilter:
                 return True
         self.dropped_count += 1
         return False
-
-    @property
-    def seen_count(self) -> int:
-        return self.dropped_count + self.passed_count

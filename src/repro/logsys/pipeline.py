@@ -22,7 +22,6 @@ from repro.logsys.record import LogRecord, LogStream
 from repro.logsys.storage import CentralLogStorage
 from repro.logsys.timers import TimerSetter
 from repro.logsys.trigger import Trigger
-from repro.obs import NULL_OBS
 
 
 class LocalLogProcessor:
@@ -51,16 +50,8 @@ class LocalLogProcessor:
         self.ship_positions = set(ship_positions)
         self.processed_count = 0
         self.shipped_count = 0
-        obs = obs or NULL_OBS
-        # Hot path: resolve the enabled check once so a disabled layer
-        # costs one `is None` test per record.  A disabled tracer on an
-        # otherwise-enabled (metrics-only) observability records nothing,
-        # so it is treated like a missing one.
-        tracer = obs.tracer if obs.enabled else None
-        if tracer is not None and not getattr(tracer, "enabled", True):
-            tracer = None
-        self._tracer = tracer
-        self._metrics = obs.metrics if obs.enabled else None
+        self._tracer = obs.tracer if obs else None
+        self._metrics = obs.metrics if obs else None
 
     def attach(self, stream: LogStream) -> None:
         """Tail a log stream, processing each record as it is emitted."""

@@ -10,8 +10,7 @@ blackhole events.
 Everything is deterministic: values come from the virtual clock and the
 pipeline's own counts, snapshots sort their keys, and histograms store
 fixed-bucket counts (plus exact count/sum/min/max) so snapshots merge
-associatively across runs.  A disabled registry mutates nothing and
-costs one attribute check per call.
+associatively across runs.
 """
 
 from __future__ import annotations
@@ -64,8 +63,7 @@ class Histogram:
 class MetricsRegistry:
     """Named counters / gauges / histograms with deterministic snapshots."""
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._counters: dict[str, int] = {}
         self._gauges: dict[str, float] = {}
         self._histograms: dict[str, Histogram] = {}
@@ -74,34 +72,23 @@ class MetricsRegistry:
 
     def inc(self, name: str, amount: int = 1) -> None:
         """Increment counter ``name`` (created at zero on first use)."""
-        if not self.enabled:
-            return
         self._counters[name] = self._counters.get(name, 0) + amount
 
     def gauge(self, name: str, value: float) -> None:
         """Set gauge ``name`` to its latest value."""
-        if not self.enabled:
-            return
         self._gauges[name] = value
 
     def gauge_max(self, name: str, value: float) -> None:
         """Raise gauge ``name`` to ``value`` if larger (high-water mark)."""
-        if not self.enabled:
-            return
         if value > self._gauges.get(name, float("-inf")):
             self._gauges[name] = value
 
     def observe(self, name: str, value: float) -> None:
         """Record ``value`` into histogram ``name``."""
-        if not self.enabled:
-            return
         histogram = self._histograms.get(name)
         if histogram is None:
             histogram = self._histograms[name] = Histogram()
         histogram.observe(value)
-
-    def counter_value(self, name: str) -> int:
-        return self._counters.get(name, 0)
 
     # -- snapshots -------------------------------------------------------------
 

@@ -19,9 +19,9 @@ Two properties are load-bearing:
   :class:`~repro.sim.clock.SimClock`), ids come from a per-tracer
   counter, and tracing never touches the event queue or any RNG, so a
   traced run is bit-for-bit identical serially and in parallel;
-- **zero cost when disabled** — a disabled tracer hands out one shared
-  :data:`NULL_SPAN` whose every method is a no-op, so the hot paths pay
-  a single attribute check per record.
+- **zero cost when off** — an untraced run has no tracer at all (see
+  :mod:`repro.obs`), so the hot paths pay one ``is None`` test per
+  record.
 """
 
 from __future__ import annotations
@@ -80,29 +80,6 @@ class Span:
     )
 
 
-class NullSpan:
-    """Shared no-op span handed out by disabled tracers."""
-
-    __slots__ = ()
-
-    span_id = None
-    parent_id = None
-    attrs: dict = {}
-
-    def set(self, **attrs: _t.Any) -> "NullSpan":
-        return self
-
-    def __enter__(self) -> "NullSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        return None
-
-
-#: The singleton every disabled code path receives.
-NULL_SPAN = NullSpan()
-
-
 class Tracer:
     """Deterministic span recorder bound to a virtual clock.
 
@@ -117,8 +94,7 @@ class Tracer:
     correctly.
     """
 
-    def __init__(self, clock: ClockFn | None = None, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self, clock: ClockFn | None = None) -> None:
         self._clock: ClockFn = clock if clock is not None else (lambda: 0.0)
         self.spans: list[Span] = []
         self._stack: list[Span] = []
@@ -141,8 +117,6 @@ class Tracer:
 
     def span(self, name: str, stage: str, **attrs: _t.Any):
         """Context manager for a synchronous (non-yielding) section."""
-        if not self.enabled:
-            return NULL_SPAN
         parent = self._stack[-1] if self._stack else None
         span = self._new_span(name, stage, parent, attrs)
         span._tracer = self
@@ -150,35 +124,34 @@ class Tracer:
         return span
 
     def start_span(
-        self, name: str, stage: str, parent: Span | NullSpan | None = None, **attrs: _t.Any
-    ) -> Span | NullSpan:
+        self, name: str, stage: str, parent: Span | None = None, **attrs: _t.Any
+    ) -> Span:
         """Open a span for work that outlives the current call frame.
 
         ``parent=None`` adopts the tracer's current synchronous span (the
         trigger site); pass a span explicitly to chain async stages.
         """
-        if not self.enabled:
-            return NULL_SPAN
-        if parent is None or isinstance(parent, NullSpan):
+        if parent is None:
             parent = self._stack[-1] if self._stack else None
         return self._new_span(name, stage, parent, attrs)
 
-    def finish(self, span: Span | NullSpan, **attrs: _t.Any) -> None:
+    def finish(self, span: Span, **attrs: _t.Any) -> None:
         """Close an explicit span at the current virtual time."""
-        if not self.enabled or isinstance(span, NullSpan):
-            return
         span.attrs.update(attrs)
         if span.end is None:
             span.end = self._clock()
 
     def _close(self, span: Span) -> None:
         span.end = self._clock()
+        self._unstack(span)
+
+    def _unstack(self, span: Span) -> None:
         if self._stack and self._stack[-1] is span:
             self._stack.pop()
         elif span in self._stack:  # defensive: unwound out of order
             self._stack.remove(span)
 
-    def activate(self, span: Span | NullSpan):
+    def activate(self, span: Span):
         """Temporarily make ``span`` the current parent for sync callbacks."""
         return _Activation(self, span)
 
@@ -194,19 +167,13 @@ class _Activation:
 
     __slots__ = ("_tracer", "_span")
 
-    def __init__(self, tracer: Tracer, span: Span | NullSpan) -> None:
+    def __init__(self, tracer: Tracer, span: Span) -> None:
         self._tracer = tracer
         self._span = span
 
-    def __enter__(self) -> Span | NullSpan:
-        if self._tracer.enabled and isinstance(self._span, Span):
-            self._tracer._stack.append(self._span)
+    def __enter__(self) -> Span:
+        self._tracer._stack.append(self._span)
         return self._span
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if self._tracer.enabled and isinstance(self._span, Span):
-            stack = self._tracer._stack
-            if stack and stack[-1] is self._span:
-                stack.pop()
-            elif self._span in stack:
-                stack.remove(self._span)
+        self._tracer._unstack(self._span)

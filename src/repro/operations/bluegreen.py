@@ -43,11 +43,6 @@ BG_DRAIN = "drain_blue_instances"
 BG_DECOMMISSION = "decommission_blue_stack"
 BG_COMPLETED = "bluegreen_completed"
 
-SEQUENCE = (
-    BG_START, BG_PROVISION, BG_WAIT, BG_STATUS, BG_SHIFT, BG_VERIFY,
-    BG_DRAIN, BG_DECOMMISSION, BG_COMPLETED,
-)
-
 
 @dataclasses.dataclass
 class BlueGreenParams:

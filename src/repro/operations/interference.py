@@ -87,11 +87,6 @@ class SecondTeam:
         operation.start()
         return operation
 
-    def relax(self, desired: int = 2) -> None:
-        """Scale the second team back down (end of a pressured run)."""
-        if self.provisioned:
-            self.api.set_desired_capacity(self.asg_name, desired)
-
 
 class InterferenceScheduler:
     """Executes an :class:`InterferencePlan` against a running upgrade."""

@@ -16,4 +16,3 @@ COMPLETED = "rolling_upgrade_completed"
 
 #: The happy-path order (the loop body is DEREGISTER..READY).
 SEQUENCE = (START, UPDATE_LC, SORT, DEREGISTER, TERMINATE, WAIT_ASG, STATUS, READY, COMPLETED)
-LOOP_BODY = (DEREGISTER, TERMINATE, WAIT_ASG, STATUS, READY)

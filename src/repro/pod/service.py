@@ -62,11 +62,9 @@ class PODDiagnosis:
         chaos=None,
         obs=None,
     ) -> None:
-        from repro.obs import NULL_OBS
-
         #: Observability layer threaded through every pipeline component
-        #: (spans + metrics); the shared disabled instance by default.
-        self.obs = obs or NULL_OBS
+        #: (spans + metrics); None = off.
+        self.obs = obs
         self.cloud = cloud
         self.config = config
         self._seed = seed
@@ -118,11 +116,10 @@ class PODDiagnosis:
             client=client,
             monitor=cloud.monitor,
             config=config.as_repository(),
+            state=cloud.state,
+            trail=cloud.trail,
+            operation_api_calls=cloud.api("asgard").calls,
         )
-        # Extended observability surfaces for diagnostic probes.
-        self.env.state = cloud.state
-        self.env.trail = cloud.trail
-        self.env.operation_api_calls = cloud.api("asgard").calls
         self.assertions = AssertionEvaluationService(
             self.env, storage=self.storage, on_failure=self._on_assertion_failure,
             obs=self.obs,
@@ -145,7 +142,7 @@ class PODDiagnosis:
             self.probes,
             storage=self.storage,
             seed=seed,
-            step_aliases=getattr(profile, "step_aliases", {}),
+            step_aliases=profile.step_aliases,
             obs=self.obs,
         )
 
@@ -269,12 +266,6 @@ class PODDiagnosis:
     @property
     def reports(self) -> list:
         return self.diagnosis.completed
-
-    def assertion_detections(self) -> list[Detection]:
-        return [d for d in self.detections if d.kind == "assertion"]
-
-    def conformance_detections(self) -> list[Detection]:
-        return [d for d in self.detections if d.kind == "conformance"]
 
     def quiesce(self, max_extra: float = 300.0, step: float = 5.0) -> None:
         """Run the simulation until in-flight evaluations/diagnoses drain.

@@ -124,8 +124,6 @@ class ConformanceChecker:
         on_error: _t.Callable[[ConformanceResult], None] | None = None,
         obs=None,
     ) -> None:
-        from repro.obs import NULL_OBS
-
         self.model = model
         self.library = library
         self.clock = clock
@@ -136,14 +134,8 @@ class ConformanceChecker:
         self._replayer = CompiledReplayer(model)
         #: trace key -> replay state (the replayer's own dict).
         self.instances = self._replayer.states
-        obs = obs or NULL_OBS
-        tracer = obs.tracer if obs.enabled else None
-        if tracer is not None and not getattr(tracer, "enabled", True):
-            # Metrics-only observability: a disabled tracer records
-            # nothing, so skip its wrapper frames like a missing one.
-            tracer = None
-        self._tracer = tracer
-        self._metrics = obs.metrics if obs.enabled else None
+        self._tracer = obs.tracer if obs else None
+        self._metrics = obs.metrics if obs else None
         if self._tracer is None:
             # No span to open: route public calls straight to the
             # worker, skipping the wrapper frame on every check.
@@ -298,9 +290,6 @@ class ConformanceChecker:
         self.storage.append(out)
 
     # -- aggregate views -------------------------------------------------------
-
-    def error_results(self) -> list[ConformanceResult]:
-        return [r for r in self.results if r.is_error]
 
     def fitness_of(self, trace_id: str) -> float:
         return self._replayer.instance_for(trace_id).fitness()

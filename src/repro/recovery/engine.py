@@ -104,22 +104,29 @@ class RecoveryEngine:
         max_backoff: float = 30.0,
         compensation_deadline: float = 60.0,
     ) -> None:
-        from repro.obs import NULL_OBS
-
         self.engine = engine
         self.client = client
-        self.obs = obs or NULL_OBS
-        self._metrics = self.obs.metrics if self.obs.enabled else None
+        self._tracer = obs.tracer if obs else None
+        self._metrics = obs.metrics if obs else None
         self._rng = random.Random(seed)
         self.base_backoff = base_backoff
         self.max_backoff = max_backoff
         self.compensation_deadline = compensation_deadline
 
-    # -- metrics ---------------------------------------------------------
+    # -- metrics + spans -------------------------------------------------
 
     def _count(self, name: str, value: int = 1) -> None:
         if self._metrics is not None:
             self._metrics.inc(name, value)
+
+    def _start_span(self, name: str, **attrs: _t.Any):
+        if self._tracer is not None:
+            return self._tracer.start_span(name, "recovery", **attrs)
+        return None
+
+    def _finish_span(self, span, **attrs: _t.Any) -> None:
+        if self._tracer is not None:
+            self._tracer.finish(span, **attrs)
 
     # -- execution -------------------------------------------------------
 
@@ -132,14 +139,12 @@ class RecoveryEngine:
             started_at=self.engine.now,
         )
         self._count("recovery.plans")
-        span = self.obs.tracer.start_span(
-            "execute", "recovery", actions=len(plan.actions)
-        )
+        span = self._start_span("execute", actions=len(plan.actions))
         if not plan.actions:
             # Nothing automatable: terminal escalation, advisory attached.
             result.finished_at = self.engine.now
             self._count("recovery.escalations")
-            self.obs.tracer.finish(span, status=ESCALATED)
+            self._finish_span(span, status=ESCALATED)
             return result
 
         #: (action_id, [compensation calls]) in application order.
@@ -187,7 +192,7 @@ class RecoveryEngine:
             )
             self._count("recovery.recovered")
         result.finished_at = self.engine.now
-        self.obs.tracer.finish(span, status=result.status)
+        self._finish_span(span, status=result.status)
         return result
 
     # -- one action ------------------------------------------------------
@@ -198,9 +203,7 @@ class RecoveryEngine:
         record: ActionResult,
         undo_log: list[tuple[str, list[tuple]]],
     ) -> _t.Generator:
-        span = self.obs.tracer.start_span(
-            action.action, "recovery", target=action.target
-        )
+        span = self._start_span(action.action, target=action.target)
         self._count("recovery.actions")
         mutated = False
         for attempt in range(1, action.max_attempts + 1):
@@ -219,7 +222,7 @@ class RecoveryEngine:
                         if mutated
                         else "recovery.actions.already_satisfied"
                     )
-                    self.obs.tracer.finish(span, status=record.status)
+                    self._finish_span(span, status=record.status)
                     return True
                 # Record compensation *before* the first mutation so a
                 # failure mid-calls still rolls back.
@@ -237,7 +240,7 @@ class RecoveryEngine:
                     record.status = VERIFIED
                     record.verified_at = self.engine.now
                     self._count("recovery.actions.verified")
-                    self.obs.tracer.finish(span, status=VERIFIED)
+                    self._finish_span(span, status=VERIFIED)
                     return True
                 record.error = "verification probe never went green"
             except ConsistentCallError as exc:
@@ -257,7 +260,7 @@ class RecoveryEngine:
                 yield self.engine.timeout(self._rng.uniform(0.0, backoff))
         record.status = FAILED
         self._count("recovery.actions.failed")
-        self.obs.tracer.finish(span, status=FAILED, error=record.error)
+        self._finish_span(span, status=FAILED, error=record.error)
         return False
 
     def _read_target(self, action: RecoveryAction, deadline: float) -> _t.Generator:

@@ -206,9 +206,7 @@ def build_recovery_plan(
     other cause with a catalog entry contributes its description to the
     advisory (human-action) list.
     """
-    confirmed = {
-        c.node_id for c in report.root_causes if getattr(c, "status", "") == "confirmed"
-    }
+    confirmed = {c.node_id for c in report.root_causes if c.status == "confirmed"}
     plan = RecoveryPlan()
     seen_causes: set[str] = set()
     for rem in plans_for_report(report, params, cause_params=cause_params):

@@ -117,7 +117,7 @@ def recover_run(
     if not causes and not failed and not fleet_bad:
         return None  # healthy run: nothing to recover
 
-    metrics = pod.obs.metrics if pod.obs.enabled else None
+    metrics = pod.obs.metrics if pod.obs else None
     if metrics is not None:
         metrics.inc("recovery.runs")
     # First error symptom: the earliest detection, else the orchestrator's
@@ -187,7 +187,7 @@ def recover_run(
     # Verified recovery.  Resume the interrupted operation from its batch
     # checkpoint when there is anything left to finish.
     needs_resume = resume and (failed or fleet_bad)
-    if needs_resume and hasattr(testbed, "resume_upgrade"):
+    if needs_resume:
         trace_id = f"{run_id}-resume"
         record["resumed"] = True
         record["resume_trace_id"] = trace_id
@@ -205,9 +205,7 @@ def recover_run(
         # interference that perturbed the fleet is a true positive, not a
         # defect of the resumed trace.)
         record["resume_conformant"] = not any(
-            d.kind == "conformance"
-            and getattr(d, "trace_id", None) == trace_id
-            for d in new_detections
+            d.kind == "conformance" and d.trace_id == trace_id for d in new_detections
         )
         if metrics is not None:
             metrics.inc("recovery.resumes")

@@ -19,8 +19,6 @@ from repro.sim.events import PENDING, SUCCEEDED, AnyOf, Event, Timeout
 
 #: Priority for ordinary events.
 NORMAL = 1
-#: Priority for urgent events (process resumption) at equal timestamps.
-URGENT = 0
 
 
 class StopSimulation(Exception):

@@ -11,7 +11,6 @@ and the evaluation campaign.
 from __future__ import annotations
 
 import dataclasses
-import typing as _t
 
 from repro.cloud.chaos import ChaosController, get_profile
 from repro.cloud.provider import SimulatedCloud
@@ -73,11 +72,11 @@ class Testbed:
             mean_consistency_lag=mean_consistency_lag * chaos_profile.consistency_lag_multiplier,
         )
         self.engine = self.cloud.engine
-        # Tracing + metrics over the virtual clock (see repro.obs).  Off
-        # by default: the disabled layer records nothing and, either way,
-        # no engine events or RNG draws are added — seeded runs stay
-        # bit-for-bit identical with tracing on or off.
-        self.obs = Observability.for_engine(self.engine, enabled=trace)
+        # Tracing + metrics over the virtual clock (see repro.obs); None =
+        # off, the default.  Either way no engine events or RNG draws are
+        # added — seeded runs stay bit-for-bit identical with tracing on
+        # or off.
+        self.obs = Observability.for_engine(self.engine) if trace else None
         self.cloud.attach_obs(self.obs)
         self.chaos = ChaosController(self.engine, chaos_profile, seed=seed + 71)
         self.stack = self._provision()
@@ -174,9 +173,8 @@ class Testbed:
         trace_id: str = "upgrade-1",
         horizon: float = 5400.0,
         settle: float = 60.0,
-        stop_when: _t.Callable[["Testbed"], bool] | None = None,
     ) -> RollingUpgradeOperation:
-        """Run the upgrade to completion/failure (or ``stop_when``).
+        """Run the upgrade to completion/failure.
 
         ``settle`` extra seconds are simulated afterwards so in-flight
         assertion evaluations and diagnoses finish before callers read
@@ -186,8 +184,6 @@ class Testbed:
         deadline = self.engine.now + horizon
         while self.engine.now < deadline:
             if operation.status in (OP_COMPLETED, OP_FAILED):
-                break
-            if stop_when is not None and stop_when(self):
                 break
             self.engine.run(until=min(self.engine.now + 10.0, deadline))
         self.pod.timers.stop_all()
@@ -242,8 +238,5 @@ class Testbed:
 
 
 def build_testbed(cluster_size: int = 4, seed: int = 0, **kwargs) -> Testbed:
-    """Convenience constructor mirroring the paper's two cluster sizes."""
-    if cluster_size not in (4, 20):
-        # Any size works; the paper evaluated 4 and 20.
-        pass
+    """Convenience constructor; any size works, the paper evaluated 4 and 20."""
     return Testbed(cluster_size=cluster_size, seed=seed, **kwargs)

@@ -117,10 +117,7 @@ class RecordingApi:
         self.calls.append(("describe_instance", instance_id))
         return {"InstanceId": instance_id}
 
-    def with_principal(self, principal):
-        return self
-
-    def _private(self):  # pragma: no cover - passthrough check only
+    def _private(self):
         return "private"
 
 
@@ -204,9 +201,9 @@ class TestApiProxy:
         api = RecordingApi()
         profile = ChaosProfile(name="always", error_rate=1.0)
         proxy = ChaosController(engine, profile, seed=1).wrap(api)
-        # Non-callables and plumbing callables bypass the chaos gate.
+        # Non-callables and private callables bypass the chaos gate.
         assert proxy.principal == "test"
-        assert proxy.with_principal("x") is api
+        assert proxy._private() == "private"
 
 
 class TestChaosLatency:

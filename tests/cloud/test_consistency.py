@@ -92,27 +92,27 @@ class TestCloudTrail:
 class TestMonitor:
     def test_snapshot_and_current(self, provisioned_cloud):
         monitor = provisioned_cloud.monitor
-        view = monitor.current("auto_scaling_group", "asg-dsn")
+        view = monitor.at(provisioned_cloud.engine.now, "auto_scaling_group", "asg-dsn")
         assert view is not None
         assert view["DesiredCapacity"] == 4
 
     def test_at_returns_historical_view(self, provisioned_cloud):
         monitor = provisioned_cloud.monitor
-        early = monitor.snapshots[0].taken_at
+        early = monitor.ticks[0]
         assert monitor.at(early, "auto_scaling_group", "asg-dsn") is not None
         assert monitor.at(early - 1, "auto_scaling_group", "asg-dsn") is None
 
     def test_changes_collapse_identical_views(self, provisioned_cloud):
         monitor = provisioned_cloud.monitor
         changes = monitor.changes("load_balancer", "elb-dsn")
-        # Far fewer distinct views than snapshots taken.
-        assert 1 <= len(changes) <= len(monitor.snapshots)
+        # Far fewer distinct views than crawls made.
+        assert 1 <= len(changes) <= len(monitor.ticks)
 
     def test_changes_detects_mutation(self, provisioned_cloud):
         cloud = provisioned_cloud
         before = len(cloud.monitor.changes("launch_configuration", "lc-v1"))
         # Mutate the way every real path does: in-place edit + recorded
-        # write (the delta monitor crawls the write log, not live objects).
+        # write (the monitor crawls the write log, not live objects).
         lc = cloud.state.get("launch_configuration", "lc-v1")
         lc.instance_type = "m1.xlarge"
         cloud.state.record_write("launch_configuration", "lc-v1", cloud.engine.now)

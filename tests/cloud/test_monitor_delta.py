@@ -1,13 +1,16 @@
-"""Delta-encoded monitor snapshots vs a full-copy reference.
+"""The sampled monitor vs a full-copy reference.
 
-The monitor stores per-tick deltas over the write log; the seed stored a
-deep copy of the whole region every tick.  These tests run a scripted
-upgrade-with-faults scenario — config drift, reverts, tombstones (deleted
-AMI / key pair), instance churn — against *both* implementations at the
-exact same crawl instants and assert every answer the monitor gives
-(``at``/``view_at``, ``resource_timeline``, full materialized maps) is
-byte-identical (``json.dumps``) to the full-copy reference, including
-across retention trimming and delta-chain rebasing.
+The monitor samples, per crawl, only the resources the write log names;
+the seed stored a deep copy of the whole region every tick.  These tests
+run a scripted upgrade-with-faults scenario — config drift, reverts,
+tombstones (deleted AMI / key pair), instance churn — against *both*
+implementations at the exact same crawl instants and assert every answer
+the monitor gives (``at``, ``changes``) is byte-identical
+(``json.dumps``) to the full-copy reference.
+
+(File, class and test names date from the delta-encoded snapshot store
+these tests were first written against; they are kept so the test ids
+stay stable.)
 """
 
 import copy
@@ -16,7 +19,7 @@ import types
 
 import pytest
 
-from repro.cloud.monitor import REBASE_INTERVAL, CloudMonitor
+from repro.cloud.monitor import CloudMonitor
 from repro.cloud.provider import SimulatedCloud
 from repro.cloud.resources import Instance, InstanceState
 from repro.cloud.state import KINDS, CloudState
@@ -51,14 +54,12 @@ class FullCopyReference:
             answer = region.get(kind, {}).get(identifier)
         return answer
 
-    def timeline(self, kind: str, identifier: str, window: list[float]):
-        """Deduplicated (time, view) pairs over the retained tick times."""
+    def timeline(self, kind: str, identifier: str):
+        """Deduplicated (time, view) pairs over every tick."""
         result = []
         previous = None
         seen_any = False
         for taken_at, region in self.ticks:
-            if taken_at not in window:
-                continue
             view = region.get(kind, {}).get(identifier)
             if not seen_any or view != previous:
                 result.append((taken_at, view))
@@ -71,7 +72,6 @@ class FullCopyReference:
 def scripted_run():
     """Upgrade-with-faults run recorded by both monitor implementations."""
     cloud = SimulatedCloud(seed=7, monitor_interval=5.0)
-    cloud.monitor.retention = 40  # force trimming well within the run
     reference = FullCopyReference(cloud.state)
 
     # Record the reference at the monitor's exact crawl instants.
@@ -111,8 +111,8 @@ def scripted_run():
     # ... instance churn (terminate; ASG reconciles a replacement).
     fleet = api.describe_auto_scaling_group("asg-dsn")["Instances"]
     api.terminate_instance(fleet[0]["InstanceId"])
-    # Long quiet tail: retention trims and delta chains rebase.
-    engine.run(until=5.0 * (cloud.monitor.retention + 3 * REBASE_INTERVAL) + 300.0)
+    # Long quiet tail: crawls that find nothing written.
+    engine.run(until=1000.0)
     return cloud, reference
 
 
@@ -125,56 +125,67 @@ def all_keys(reference):
 
 
 class TestDeltaEquivalence:
-    def test_run_trimmed_and_rebased(self, scripted_run):
-        cloud, reference = scripted_run
-        monitor = cloud.monitor
-        assert len(monitor.snapshots) == monitor.retention
-        assert len(reference.ticks) > monitor.retention  # trimming happened
-        assert any(s.depth > 0 for s in monitor.snapshots)  # deltas in play
-        assert any(
-            s._resources is not None for s in monitor.snapshots[1:]
-        )  # rebasing happened
-
     def test_view_at_every_tick_matches_reference(self, scripted_run):
         cloud, reference = scripted_run
         monitor = cloud.monitor
-        for when in monitor._times:
+        assert monitor.ticks == [taken_at for taken_at, _ in reference.ticks]
+        for when in monitor.ticks:
             for kind, identifier in all_keys(reference):
-                assert dumps(monitor.view_at(when, kind, identifier)) == dumps(
+                assert dumps(monitor.at(when, kind, identifier)) == dumps(
                     reference.at(when, kind, identifier)
                 ), (when, kind, identifier)
 
     def test_view_at_between_ticks_matches_reference(self, scripted_run):
         cloud, reference = scripted_run
         monitor = cloud.monitor
-        for when in monitor._times:
+        for when in monitor.ticks:
             off_tick = when + 1.7
             for kind, identifier in all_keys(reference):
-                assert dumps(monitor.view_at(off_tick, kind, identifier)) == dumps(
+                assert dumps(monitor.at(off_tick, kind, identifier)) == dumps(
                     reference.at(off_tick, kind, identifier)
                 )
-
-    def test_materialized_maps_match_reference(self, scripted_run):
-        cloud, reference = scripted_run
-        monitor = cloud.monitor
-        by_time = dict(reference.ticks)
-        for index in (0, len(monitor.snapshots) // 2, -1):
-            snapshot = monitor.snapshots[index]
-            assert dumps(snapshot.resources) == dumps(by_time[snapshot.taken_at])
 
     def test_resource_timeline_matches_reference(self, scripted_run):
         cloud, reference = scripted_run
         monitor = cloud.monitor
-        window = list(monitor._times)
         for kind, identifier in all_keys(reference):
-            assert dumps(monitor.resource_timeline(kind, identifier)) == dumps(
-                reference.timeline(kind, identifier, window)
+            assert dumps(monitor.changes(kind, identifier)) == dumps(
+                reference.timeline(kind, identifier)
             ), (kind, identifier)
 
     def test_quiet_ticks_reuse_everything(self, scripted_run):
         cloud, _ = scripted_run
         counters = cloud.state.data_plane_counters
         assert counters["cloud.monitor.reused"] > counters["cloud.monitor.refreshed"]
+
+
+def test_write_later_in_the_crawl_instant_belongs_to_the_next_crawl():
+    """The 5 s reconcile loop shares instants with the crawl: a crawl
+    records what the region held when it ran, not ``view_at(tick)``."""
+    cloud = SimulatedCloud(seed=1, monitor_interval=5.0)
+    api = cloud.api("setup")
+    ami = api.register_image("app", "v1")["ImageId"]
+    api.create_key_pair("key-prod")
+    api.create_security_group("sg-web")
+    api.create_launch_configuration("lc-v1", ami, "m1.small", "key-prod", ["sg-web"])
+    cloud.start()
+    engine, state, monitor = cloud.engine, cloud.state, cloud.monitor
+    engine.run(until=7.0)
+
+    def write_at_ten():
+        # Queued at t=7, after the crawler queued its own t=10 wake-up at
+        # t=5: at t=10 the crawl runs first, then this write.
+        yield engine.timeout(3.0)
+        state.get("launch_configuration", "lc-v1").instance_type = "m1.xlarge"
+        state.record_write("launch_configuration", "lc-v1", engine.now)
+
+    engine.process(write_at_ten())
+    engine.run(until=16.0)
+    assert monitor.ticks == [0.0, 5.0, 10.0, 15.0]
+    assert state.view_at("launch_configuration", "lc-v1", 10.0)["InstanceType"] == "m1.xlarge"
+    assert monitor.at(10.0, "launch_configuration", "lc-v1")["InstanceType"] == "m1.small"
+    assert monitor.at(15.0, "launch_configuration", "lc-v1")["InstanceType"] == "m1.xlarge"
+    assert [when for when, _ in monitor.changes("launch_configuration", "lc-v1")] == [0.0, 15.0]
 
 
 #: The write script of :func:`_tick_counter_deltas`: every tick rewrites

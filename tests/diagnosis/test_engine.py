@@ -205,14 +205,6 @@ class TestWalk:
         engine.run()
         assert diag.completed[0].potential_fault_count == 3  # leaf-x, leaf-y, probed
 
-    def test_callbacks_invoked_on_completion(self, engine):
-        diag, _ = build_engine_fixture(engine, {"gate": True})
-        seen = []
-        diag.on_report(seen.append)
-        diag.diagnose_assertion_failure(fake_assertion_result(engine))
-        engine.run()
-        assert len(seen) == 1
-
     def test_assertion_without_tree_not_diagnosed(self, engine):
         diag, _ = build_engine_fixture(engine, {})
         result = fake_assertion_result(engine)

@@ -16,10 +16,10 @@ def env(provisioned_cloud):
         client=ConsistentApiClient(cloud.engine, cloud.api("diag"), latency=ConstantLatency(0.05)),
         monitor=cloud.monitor,
         config={},
+        state=cloud.state,
+        trail=cloud.trail,
+        operation_api_calls=cloud.api("asgard").calls,
     )
-    environment.state = cloud.state
-    environment.trail = cloud.trail
-    environment.operation_api_calls = cloud.api("asgard").calls
     return environment
 
 

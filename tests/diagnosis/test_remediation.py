@@ -1,12 +1,8 @@
-"""Tests for remediation planning and application."""
-
-import pytest
+"""Tests for remediation planning (execution: tests/recovery/)."""
 
 from repro.diagnosis.remediation import (
     _CATALOG,
     KNOWN_UNMAPPED,
-    RemediationPlan,
-    apply,
     plan_for,
     plans_for_report,
 )
@@ -134,58 +130,15 @@ class TestPlanning:
 
 
 class TestApplication:
-    def test_apply_reverts_corrupted_lc(self, provisioned_cloud):
-        cloud = provisioned_cloud
-        api = cloud.api("remediation")
-        cloud.injector.change_lc_ami("lc-v1", "ami-rogue")
-        params = {**PARAMS, "lc_name": "lc-v1", "expected_image_id": cloud.ami_v1}
-        plan = plan_for("lc-wrong-ami", params)
-        result = apply(plan, api)
-        assert result.ok
-        assert result.completed == ["update_launch_configuration('lc-v1',)"]
-        assert cloud.state.get("launch_configuration", "lc-v1").image_id == cloud.ami_v1
-
-    def test_apply_returns_partial_result_on_cloud_error(self):
-        """A CloudError mid-plan yields a structured partial result.
-
-        Regression: apply() used to let the exception propagate, losing
-        the record of which mutations had already gone through.
-        """
-        from repro.cloud.errors import CloudError
-
-        class FlakyApi:
-            def __init__(self):
-                self.calls = []
-
-            def update_launch_configuration(self, name, **changes):
-                self.calls.append(name)
-                raise CloudError("InternalError: boom")
-
-        plan = plan_for("lc-wrong-ami", PARAMS)
-        result = apply(plan, FlakyApi())
-        assert not result.ok
-        assert result.completed == []
-        assert result.failed_call == "update_launch_configuration('lc-app-v2',)"
-        assert "CloudError" in result.error and "boom" in result.error
-
-    def test_apply_recreates_key_pair(self, provisioned_cloud):
-        cloud = provisioned_cloud
-        cloud.injector.make_key_pair_unavailable("key-prod")
-        plan = plan_for("key-pair-unavailable", PARAMS)
-        apply(plan, cloud.api("remediation"))
-        assert cloud.state.exists("key_pair", "key-prod")
-
-    def test_apply_refuses_manual_plans(self, provisioned_cloud):
-        plan = plan_for("elb-unavailable", PARAMS)
-        with pytest.raises(PermissionError):
-            apply(plan, provisioned_cloud.api("remediation"))
-
     def test_end_to_end_diagnose_then_remediate(self):
         """The full loop: fault -> detection -> diagnosis -> targeted fix
         -> the upgrade recovers (no rollback needed)."""
+        from repro.recovery.engine import RecoveryEngine
+        from repro.recovery.plan import RECOVERED, build_recovery_plan
         from repro.testbed import build_testbed
 
         testbed = build_testbed(cluster_size=4, seed=131)
+        healed = []
 
         def inject_and_heal():
             yield testbed.engine.timeout(40)
@@ -197,12 +150,13 @@ class TestApplication:
             report = testbed.pod.reports[0]
             params = testbed.pod_config.as_repository()
             params["expected_security_group"] = params["expected_security_groups"][0]
-            for plan in plans_for_report(report, params):
-                if plan.automatable:
-                    apply(plan, testbed.cloud.api("remediation"))
+            plan = build_recovery_plan(report, params)
+            recovery = RecoveryEngine(testbed.engine, testbed.pod.recovery_client())
+            healed.append((yield from recovery.execute(plan)))
 
         testbed.engine.process(inject_and_heal())
         operation = testbed.run_upgrade()
         assert operation.status == "completed"
+        assert [result.status for result in healed] == [RECOVERED]
         lc = testbed.cloud.state.get("launch_configuration", "lc-app-v2")
         assert lc.image_id == testbed.stack.ami_v2

@@ -67,7 +67,7 @@ class TestClassifyOnce:
         assert two.scans["beta line"] == 1
 
     def test_memo_metrics_count_hits_and_misses(self):
-        obs = Observability(enabled=True)
+        obs = Observability()
         library = PatternLibrary([LogPattern("x", r"match me")])
         noise_filter = NoiseFilter(library, passthrough_unmatched=True, obs=obs)
         record = LogRecord(time=0.0, source="s", message="match me please")

@@ -1,6 +1,6 @@
 """Trace export: JSON payload shape and rendered span trees."""
 
-from repro.obs import NULL_OBS, Observability
+from repro.obs import Observability
 from repro.obs.export import render_span_tree, span_children, span_stages, trace_payload
 
 
@@ -72,16 +72,6 @@ class TestPayload:
 
 
 class TestObservability:
-    def test_null_obs_is_disabled_everywhere(self):
-        assert not NULL_OBS.enabled
-        assert not NULL_OBS.tracer.enabled
-        assert not NULL_OBS.metrics.enabled
-        NULL_OBS.metrics.inc("x")
-        assert NULL_OBS.export_trace() == []
-        assert NULL_OBS.export_metrics() == {
-            "counters": {}, "gauges": {}, "histograms": {}
-        }
-
     def test_for_engine_binds_virtual_clock(self):
         class FakeEngine:
             now = 42.0

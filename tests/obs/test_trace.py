@@ -1,6 +1,6 @@
 """Tracer semantics: nesting, async spans, activation, disabled no-op."""
 
-from repro.obs.trace import NULL_SPAN, NullSpan, Span, Tracer
+from repro.obs.trace import Span, Tracer
 
 
 class FakeClock:
@@ -96,25 +96,6 @@ class TestAsyncSpans:
         exported = tracer.export()[0]
         assert exported["end"] == 1.0
         assert exported["attrs"]["late_attr"] is True
-
-
-class TestDisabledTracer:
-    def test_all_entry_points_are_noops(self):
-        tracer = Tracer(enabled=False)
-        assert tracer.span("a", "s") is NULL_SPAN
-        assert tracer.start_span("b", "s") is NULL_SPAN
-        tracer.finish(NULL_SPAN, ignored=1)
-        with tracer.activate(NULL_SPAN):
-            pass
-        with tracer.span("c", "s") as span:
-            span.set(anything="goes")
-        assert tracer.export() == []
-
-    def test_null_span_is_shared_and_inert(self):
-        assert isinstance(NULL_SPAN, NullSpan)
-        assert NULL_SPAN.set(x=1) is NULL_SPAN
-        assert NULL_SPAN.attrs == {}
-        assert NULL_SPAN.span_id is None
 
 
 class TestDeterminism:

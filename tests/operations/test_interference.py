@@ -87,13 +87,6 @@ class TestSecondTeam:
         with pytest.raises(RuntimeError):
             team.pressure_to_limit()
 
-    def test_relax_scales_back(self, provisioned_cloud):
-        cloud = provisioned_cloud
-        team = SecondTeam(cloud.engine, cloud, seed=1)
-        team.provision(initial_capacity=3)
-        team.relax(desired=1)
-        assert cloud.state.get("auto_scaling_group", "asg-team2").desired_capacity == 1
-
 
 class TestScheduler:
     def test_plan_any(self):

@@ -116,8 +116,7 @@ class TestQuiesce:
 class TestViews:
     def test_detection_partition(self, clean_run):
         testbed, _ = clean_run
-        assert testbed.pod.assertion_detections() == []
-        assert testbed.pod.conformance_detections() == []
+        assert testbed.pod.detections == []
 
     def test_batch_size_drives_watchdog_calibration(self):
         small = Testbed(cluster_size=4, seed=106)

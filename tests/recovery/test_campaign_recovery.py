@@ -54,7 +54,7 @@ class TestTerminalClasses:
         for outcome in outcomes:
             assert not outcome.failed, outcome.error
             assert outcome.recovery is not None
-            assert outcome.recovery_class in (RECOVERED, ESCALATED)
+            assert outcome.recovery["status"] in (RECOVERED, ESCALATED)
 
     def test_automatable_faults_recover(self, outcomes):
         for outcome in outcomes:
