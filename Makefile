@@ -1,7 +1,7 @@
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: check test paper bench chaos trace recover e2e-quick e2e-selftest
+.PHONY: check test paper bench bench-pairs chaos trace recover e2e-quick e2e-selftest
 
 # The fast gate for every push: tier-1 minus the slow full-campaign
 # tests, plus the slow half of the parallel-campaign determinism
@@ -48,3 +48,12 @@ e2e-selftest:
 # The one performance harness: a full ledger run (all four workloads).
 bench:
 	python3 benchmarks/e2e/run.py
+
+# What a performance claim rests on: alternating parent/change pairs of
+# one ledger workload, each checkout running its own benchmarks/e2e/run.py.
+#   make bench-pairs PARENT=/path/to/parent-checkout [W=campaign_paper N=10 SEED=2014]
+W ?= campaign_paper
+N ?= 10
+SEED ?= 2014
+bench-pairs:
+	python3 tools/bench_pairs.py $(PARENT) . --workload $(W) --pairs $(N) --seed $(SEED)

@@ -497,9 +497,9 @@ class CloudAPI:
 class TimedCloudClient:
     """Applies virtual latency around :class:`CloudAPI` calls.
 
-    Simulation processes use ``result = yield client.call("describe_image",
-    image_id)``: the latency is paid *before* the call executes, modelling
-    request transit + service time.
+    Simulation processes use ``result = yield from
+    client.call("describe_image", image_id)``: the latency is paid *before*
+    the call executes, modelling request transit + service time.
     """
 
     def __init__(self, engine, api: CloudAPI, latency: LatencyModel | None = None) -> None:
@@ -507,11 +507,7 @@ class TimedCloudClient:
         self.api = api
         self.latency = latency or aws_api_latency()
 
-    def call(self, method: str, *args, **kwargs):
-        """Generator: yield from a process, returns the API result."""
-        return self.engine.process(self._invoke(method, args, kwargs), name=f"api-{method}")
-
-    def _invoke(self, method: str, args: tuple, kwargs: dict) -> _t.Generator:
+    def call(self, method: str, *args, **kwargs) -> _t.Generator:
+        """Generator: ``yield from`` it in a process, returns the API result."""
         yield self.engine.timeout(self.latency.sample())
-        bound = getattr(self.api, method)
-        return bound(*args, **kwargs)
+        return getattr(self.api, method)(*args, **kwargs)

@@ -43,10 +43,7 @@ class CentralLogProcessor:
         storage.subscribe(self._on_record)
 
     def _on_record(self, record: LogRecord) -> None:
-        if id(record) in self._seen:
-            return
-        if not self.is_failure(record):
-            return
+        # Route before grepping: the two cheap tests drop nearly every record.
         # Diagnosis results are themselves logged centrally; never diagnose
         # a diagnosis (or we'd recurse forever).
         if record.type in ("diagnosis", "assertion", "conformance"):
@@ -57,6 +54,10 @@ class CentralLogProcessor:
         if record.tag_value("conformance") is not None:
             # The line already went through a local processor and hence
             # through conformance checking, which routed any error itself.
+            return
+        if id(record) in self._seen:
+            return
+        if not self.is_failure(record):
             return
         self._seen.add(id(record))
         self.triggered.append(record)

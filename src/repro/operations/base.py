@@ -84,8 +84,8 @@ class Operation:
         """Emit one Asgard-style log line to the operation log."""
         self.stream.emit_line(self.engine.clock, message, source=self.stream.name)
 
-    def call(self, method: str, *args, **kwargs):
-        """One latency-paying API call (yield the returned event)."""
+    def call(self, method: str, *args, **kwargs) -> _t.Generator:
+        """One latency-paying API call: ``result = yield from self.call(...)``."""
         return self.client.call(method, *args, **kwargs)
 
     def fail(self, message: str) -> None:

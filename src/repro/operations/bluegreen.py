@@ -106,11 +106,11 @@ class BlueGreenOperation(Operation):
 
         # -- provision the green stack -------------------------------------
         if not ckpt.provisioned:
-            yield self.call(
+            yield from self.call(
                 "create_launch_configuration",
                 p.lc_name, p.image_id, p.instance_type, p.key_name, p.security_groups,
             )
-            yield self.call(
+            yield from self.call(
                 "create_auto_scaling_group",
                 p.green_asg, p.lc_name,
                 0, p.capacity + 2, p.capacity,
@@ -133,7 +133,7 @@ class BlueGreenOperation(Operation):
 
         # -- shift traffic ------------------------------------------------------
         try:
-            yield self.call("register_instances_with_load_balancer", p.elb_name, green_ids)
+            yield from self.call("register_instances_with_load_balancer", p.elb_name, green_ids)
         except CloudError as exc:
             self.fail(f"Exception during blue/green of {p.blue_asg}: traffic shift failed: {exc}")
             return
@@ -151,11 +151,11 @@ class BlueGreenOperation(Operation):
         self.log(f"Verified green stack serving: {len(green_ids)} of {p.capacity} in service")
 
         # -- drain + decommission blue ------------------------------------------------
-        blue_instances = yield self.call("describe_instances_in_asg", p.blue_asg)
+        blue_instances = yield from self.call("describe_instances_in_asg", p.blue_asg)
         blue_ids = [i["InstanceId"] for i in blue_instances]
         if blue_ids:
             try:
-                yield self.call(
+                yield from self.call(
                     "deregister_instances_from_load_balancer", p.elb_name, blue_ids
                 )
             except CloudError as exc:
@@ -163,7 +163,7 @@ class BlueGreenOperation(Operation):
                 return
         ckpt.mark("drain")
         self.log(f"Drained {len(blue_ids)} blue instances from {p.elb_name}")
-        yield self.call("update_auto_scaling_group", p.blue_asg, min_size=0, desired_capacity=0)
+        yield from self.call("update_auto_scaling_group", p.blue_asg, min_size=0, desired_capacity=0)
         ckpt.mark("decommission")
         self.log(f"Decommissioned blue stack {p.blue_asg}")
 
@@ -175,7 +175,7 @@ class BlueGreenOperation(Operation):
         polls = 0
         while self.engine.now < deadline:
             try:
-                instances = yield self.call("describe_instances_in_asg", p.green_asg)
+                instances = yield from self.call("describe_instances_in_asg", p.green_asg)
             except CloudError:
                 instances = []
             running = [i["InstanceId"] for i in instances if i["State"]["Name"] == "running"]
@@ -194,7 +194,7 @@ class BlueGreenOperation(Operation):
         deadline = self.engine.now + p.verify_timeout
         while self.engine.now < deadline:
             try:
-                health = yield self.call("describe_instance_health", p.elb_name)
+                health = yield from self.call("describe_instance_health", p.elb_name)
             except CloudError:
                 health = []
             in_service = {

@@ -118,7 +118,7 @@ class RollingUpgradeOperation(Operation):
 
         # -- Step: update launch configuration ----------------------------
         if not ckpt.lc_ready:
-            yield self.call(
+            yield from self.call(
                 "create_launch_configuration",
                 p.lc_name,
                 p.image_id,
@@ -129,7 +129,7 @@ class RollingUpgradeOperation(Operation):
         # Idempotent either way; a resumed attempt re-asserts the pointer
         # and re-emits the step line so the resumed trace replays
         # conformantly from the process model's start.
-        yield self.call("update_auto_scaling_group", p.asg_name, launch_configuration_name=p.lc_name)
+        yield from self.call("update_auto_scaling_group", p.asg_name, launch_configuration_name=p.lc_name)
         ckpt.lc_ready = True
         self.log(
             f"Updated launch configuration of group {p.asg_name} to {p.lc_name}"
@@ -137,7 +137,7 @@ class RollingUpgradeOperation(Operation):
         )
 
         # -- Step: sort instances -------------------------------------------
-        instances = yield self.call("describe_instances_in_asg", p.asg_name)
+        instances = yield from self.call("describe_instances_in_asg", p.asg_name)
         candidates = [
             i
             for i in sorted(instances, key=lambda i: (i["LaunchTime"], i["InstanceId"]))
@@ -165,7 +165,7 @@ class RollingUpgradeOperation(Operation):
                 # Asgard does, instead of waiting for a replacement the
                 # ASG will never launch.
                 try:
-                    described = yield self.call("describe_instance", instance_id, consistent=True)
+                    described = yield from self.call("describe_instance", instance_id, consistent=True)
                     alive = described["State"]["Name"] in ("running", "pending")
                 except CloudError:
                     alive = False
@@ -176,7 +176,7 @@ class RollingUpgradeOperation(Operation):
                     )
                     continue
                 try:
-                    yield self.call(
+                    yield from self.call(
                         "deregister_instances_from_load_balancer", p.elb_name, [instance_id]
                     )
                 except CloudError as exc:
@@ -188,7 +188,7 @@ class RollingUpgradeOperation(Operation):
                 self.log(
                     f"Deregistered instance {instance_id} from load balancer {p.elb_name}"
                 )
-                yield self.call("terminate_instance_in_auto_scaling_group", instance_id)
+                yield from self.call("terminate_instance_in_auto_scaling_group", instance_id)
                 self.log(f"Terminating instance {instance_id} in group {p.asg_name}")
                 replaced_in_batch += 1
                 terminated.append(instance_id)
@@ -225,7 +225,7 @@ class RollingUpgradeOperation(Operation):
     # -- waits --------------------------------------------------------------------
 
     def _current_instance_ids(self) -> _t.Generator:
-        instances = yield self.call("describe_instances_in_asg", self.params.asg_name)
+        instances = yield from self.call("describe_instances_in_asg", self.params.asg_name)
         return {i["InstanceId"] for i in instances}
 
     def _wait_for_new_instances(self, known: set, count: int) -> _t.Generator:
@@ -235,7 +235,7 @@ class RollingUpgradeOperation(Operation):
         polls = 0
         while self.engine.now < deadline:
             try:
-                instances = yield self.call("describe_instances_in_asg", p.asg_name)
+                instances = yield from self.call("describe_instances_in_asg", p.asg_name)
             except CloudError:
                 instances = []
             fresh = [
@@ -263,7 +263,7 @@ class RollingUpgradeOperation(Operation):
         deadline = self.engine.now + p.elb_timeout
         while self.engine.now < deadline:
             try:
-                health = yield self.call("describe_instance_health", p.elb_name)
+                health = yield from self.call("describe_instance_health", p.elb_name)
             except CloudError:
                 health = []
             if any(h["InstanceId"] == instance_id and h["State"] == "InService" for h in health):

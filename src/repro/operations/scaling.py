@@ -26,10 +26,10 @@ class ScaleInOperation(Operation):
 
     def run(self) -> _t.Generator:
         self.log(f"Scaling in group {self.asg_name} by {self.decrement}")
-        asg = yield self.call("describe_auto_scaling_group", self.asg_name, consistent=True)
+        asg = yield from self.call("describe_auto_scaling_group", self.asg_name, consistent=True)
         target = max(asg["MinSize"], asg["DesiredCapacity"] - self.decrement)
         try:
-            yield self.call("set_desired_capacity", self.asg_name, target)
+            yield from self.call("set_desired_capacity", self.asg_name, target)
         except CloudError as exc:
             self.fail(f"Exception during scale-in of {self.asg_name}: {exc}")
             return
@@ -52,10 +52,10 @@ class ScaleOutOperation(Operation):
 
     def run(self) -> _t.Generator:
         self.log(f"Scaling out group {self.asg_name} by {self.increment}")
-        asg = yield self.call("describe_auto_scaling_group", self.asg_name, consistent=True)
+        asg = yield from self.call("describe_auto_scaling_group", self.asg_name, consistent=True)
         target = min(asg["MaxSize"], asg["DesiredCapacity"] + self.increment)
         try:
-            yield self.call("set_desired_capacity", self.asg_name, target)
+            yield from self.call("set_desired_capacity", self.asg_name, target)
         except CloudError as exc:
             self.fail(f"Exception during scale-out of {self.asg_name}: {exc}")
             return

@@ -25,6 +25,11 @@ class SimClock:
     def __init__(self, epoch: _dt.datetime | None = None) -> None:
         self._now = 0.0
         self._epoch = epoch or DEFAULT_EPOCH
+        # render() counts from the epoch day's midnight and remembers the
+        # one date prefix it rendered last (a run rarely crosses midnight).
+        midnight = self._epoch.replace(hour=0, minute=0, second=0, microsecond=0)
+        self._offset = self._epoch - midnight
+        self._day, self._date = None, ""
 
     @property
     def epoch(self) -> _dt.datetime:
@@ -54,8 +59,16 @@ class SimClock:
         """
         if t is None:
             t = self._now
-        moment = self._epoch + _dt.timedelta(seconds=t)
-        return moment.strftime("%Y-%m-%d %H:%M:%S,") + f"{int(moment.microsecond / 1000):03d}"
+        # timedelta rounds to microseconds and splits off whole days; the
+        # rest is integer arithmetic, the date formatted once per day.
+        since = self._offset + _dt.timedelta(seconds=t)
+        if since.days != self._day:
+            self._day = since.days
+            self._date = (self._epoch + _dt.timedelta(days=self._day)).strftime("%Y-%m-%d ")
+        second = since.seconds
+        return "%s%02d:%02d:%02d,%03d" % (
+            self._date, second // 3600, second // 60 % 60, second % 60, since.microseconds // 1000
+        )
 
     def __repr__(self) -> str:
         return f"SimClock(now={self._now:.3f})"

@@ -102,6 +102,11 @@ class Process(Event):
                 return
             raise
         if not isinstance(target, Event):
+            if isinstance(target, _t.Generator):  # a forgotten `from`
+                raise TypeError(
+                    f"process {self.name!r} yielded a generator; "
+                    "drive sub-generators with 'yield from'"
+                )
             raise TypeError(
                 f"process {self.name!r} yielded {target!r}; processes must yield Event objects"
             )

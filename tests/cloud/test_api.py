@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
+from repro.cloud.api import TimedCloudClient
 from repro.cloud.errors import (
+    CloudError,
     MalformedRequest,
     ResourceNotFound,
     ServiceUnavailable,
@@ -14,6 +16,8 @@ from repro.cloud.errors import (
 )
 from repro.cloud.limits import AccountLimits
 from repro.cloud.provider import SimulatedCloud
+from repro.operations.base import Operation
+from repro.sim.latency import UniformLatency
 
 
 @pytest.fixture
@@ -218,6 +222,104 @@ class TestAuditing:
         api.register_image("b", "v1")
         with pytest.raises(Throttling):
             api.register_image("c", "v1")
+
+
+class TestTimedClientCall:
+    """``result = yield from client.call(...)``: one latency timeout, then
+    the API body, in the caller's own frame."""
+
+    @pytest.fixture
+    def ami(self, cloud):
+        return cloud.api("setup").register_image("app", "v1")["ImageId"]
+
+    @staticmethod
+    def count_steps(engine):
+        """Count the events the engine pops from here on."""
+        popped = [0]
+        step = engine.step
+
+        def counting_step():
+            popped[0] += 1
+            step()
+
+        engine.step = counting_step
+        return popped
+
+    def test_one_engine_event_between_call_and_result(self, cloud, ami):
+        client = cloud.client("tester")
+        popped = self.count_steps(cloud.engine)
+        seen = {}
+
+        def caller():
+            before = popped[0]
+            seen["result"] = yield from client.call("describe_image", ami, consistent=True)
+            seen["events"] = popped[0] - before
+
+        cloud.engine.run(until=cloud.engine.process(caller()))
+        assert seen["result"]["ImageId"] == ami
+        assert seen["events"] == 1
+
+    def test_api_body_runs_after_the_sampled_latency(self, cloud, ami):
+        api = cloud.api("tester")
+        client = TimedCloudClient(cloud.engine, api, latency=UniformLatency(0.05, 0.5, seed=3))
+        expected = UniformLatency(0.05, 0.5, seed=3).sample()
+
+        def caller():
+            yield cloud.engine.timeout(10.0)
+            yield from client.call("describe_image", ami, consistent=True)
+
+        cloud.engine.run(until=cloud.engine.process(caller()))
+        assert api.calls[-1].time == 10.0 + expected
+        assert cloud.engine.now == 10.0 + expected
+
+    def test_cloud_error_is_raised_at_the_yield_from(self, cloud):
+        client = cloud.client("tester")
+        caught = []
+
+        def caller():
+            try:
+                yield from client.call("describe_instance", "i-gone", consistent=True)
+            except CloudError as exc:  # rolling_upgrade's "instance is gone" arm
+                caught.append(exc)
+            return "carried on"
+
+        assert cloud.engine.run(until=cloud.engine.process(caller())) == "carried on"
+        assert len(caught) == 1 and isinstance(caught[0], ResourceNotFound)
+        assert cloud.api("tester").calls[-1].error_code == caught[0].code
+
+    def test_sequential_calls_finish_when_they_did_with_a_process_per_call(self, cloud, ami):
+        """Virtual times pinned at ``d3aa573``, where each call was a
+        ``Process`` (bootstrap + timeout + completion event)."""
+        client = cloud.client("tester")
+        times = []
+
+        def caller():
+            for _ in range(2):
+                yield from client.call("describe_image", ami, consistent=True)
+                times.append(cloud.engine.now)
+
+        cloud.engine.run(until=cloud.engine.process(caller()))
+        assert times == [0.05592131745385123, 0.11959741436010903]
+
+    def test_interrupted_caller_abandons_its_call(self, cloud, ami):
+        """The call lives in the caller's frame: interrupting the caller
+        while the request is in flight means the API body never runs."""
+        api = cloud.api("tester")
+        client = cloud.client("tester")
+
+        def caller():
+            yield from client.call("deregister_image", ami)
+
+        process = cloud.engine.process(caller())
+        cloud.engine.step()  # the caller reaches the call and waits out the latency
+        process.interrupt()
+        cloud.engine.run()
+        assert not process.is_alive
+        assert api.calls == []
+        assert api.describe_image(ami, consistent=True)["ImageId"] == ami
+
+    def test_operation_call_documents_the_calling_convention(self):
+        assert "yield from self.call(" in Operation.call.__doc__
 
 
 class TestScalingActivitiesApi:

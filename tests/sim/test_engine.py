@@ -104,6 +104,22 @@ class TestProcess:
         with pytest.raises(TypeError):
             engine.run()
 
+    def test_yielding_a_generator_names_the_missing_from(self, engine):
+        """``yield client.call(...)`` for ``yield from client.call(...)``."""
+
+        def call():
+            yield engine.timeout(1.0)
+
+        def proc():
+            yield call()
+
+        engine.process(proc(), name="upgrade")
+        with pytest.raises(TypeError) as raised:
+            engine.run()
+        assert str(raised.value) == (
+            "process 'upgrade' yielded a generator; drive sub-generators with 'yield from'"
+        )
+
     def test_exception_delivered_to_waiter(self, engine):
         def child():
             yield engine.timeout(1.0)
