@@ -4,8 +4,9 @@ export PYTHONPATH
 .PHONY: check test paper bench bench-pairs chaos trace recover e2e-quick e2e-selftest
 
 # The fast gate for every push: tier-1 minus the slow full-campaign
-# tests, plus the slow half of the parallel-campaign determinism
-# regression (its fast half already ran in the first line).
+# tests (the run-lifecycle test, tests/evaluation/test_run_lifecycle.py,
+# is in the first line), plus the slow half of the parallel-campaign
+# determinism regression (its fast half already ran in the first line).
 check:
 	python -m pytest -q -m "not slow"
 	python -m pytest -q -m slow tests/evaluation/test_parallel_campaign.py

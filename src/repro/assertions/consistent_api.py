@@ -329,7 +329,9 @@ class ConsistentApiClient:
                 self._count("client.retryable_errors")
                 if breaker is not None and breaker.record_failure(self.engine.now, chaos=chaos):
                     self._count("client.breaker_trips")
-                last_error = exc
+                # Kept without its traceback, which points back at this
+                # frame: a frame holding its own exception is a cycle.
+                last_error = exc.with_traceback(None)
                 attempt += 1
                 if attempt > self.max_retries:
                     self.retry_exhaustions += 1
@@ -398,7 +400,7 @@ class ConsistentApiClient:
                 # the deadline, then surface the error.  Other
                 # non-retryable errors (validation, limits, ...) are real
                 # answers and propagate from `call` directly.
-                result = exc
+                result = exc.with_traceback(None)  # as `last_error` in `call`
             if result is not None and result is last_result:
                 # The data plane served the *same* frozen view again (a
                 # repeated stale read).  Views are immutable and

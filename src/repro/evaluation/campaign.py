@@ -320,6 +320,14 @@ def run_single(spec: RunSpec) -> RunOutcome:
         chaos=spec.chaos_profile,
         trace=spec.trace,
     )
+    try:
+        return _run_on(testbed, spec)
+    finally:
+        # The outcome is built: the run ends here, freed by reference count.
+        testbed.close()
+
+
+def _run_on(testbed: Testbed, spec: RunSpec) -> RunOutcome:
     interference = InterferenceScheduler(
         testbed.engine, testbed.cloud, testbed.stack.asg_name, seed=spec.seed
     )

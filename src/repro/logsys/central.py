@@ -63,5 +63,9 @@ class CentralLogProcessor:
         self.triggered.append(record)
         self.diagnose(record)
 
+    def close(self) -> None:
+        """Stop watching the storage (it holds this processor, which holds it)."""
+        self.storage.unsubscribe(self._on_record)
+
     def is_failure(self, record: LogRecord) -> bool:
         return any(p.search(record.message) for p in self.failure_patterns)

@@ -142,6 +142,11 @@ class LogStream:
     def subscribe(self, callback: _t.Callable[[LogRecord], None]) -> None:
         self._subscribers.append(callback)
 
+    def unsubscribe(self, callback: _t.Callable[[LogRecord], None]) -> None:
+        """Stop notifying ``callback`` (a no-op if it is not subscribed)."""
+        if callback in self._subscribers:
+            self._subscribers.remove(callback)
+
     def emit(self, record: LogRecord) -> LogRecord:
         """Append a record and notify subscribers in order."""
         self.records.append(record)

@@ -26,6 +26,11 @@ class CentralLogStorage:
         """Live tap — the central log processor hangs off this."""
         self._subscribers.append(callback)
 
+    def unsubscribe(self, callback: _t.Callable[[LogRecord], None]) -> None:
+        """Stop notifying ``callback`` (a no-op if it is not subscribed)."""
+        if callback in self._subscribers:
+            self._subscribers.remove(callback)
+
     def append(self, record: LogRecord) -> None:
         self.records.append(record)
         for callback in list(self._subscribers):

@@ -143,6 +143,7 @@ class Tracer:
 
     def _close(self, span: Span) -> None:
         span.end = self._clock()
+        span._tracer = None  # only __exit__ needed it; kept, it is a cycle per span
         self._unstack(span)
 
     def _unstack(self, span: Span) -> None:

@@ -175,6 +175,7 @@ class PODDiagnosis:
 
         self.detections: list[Detection] = []
         self.processors: list[LocalLogProcessor] = []
+        self._watched: list[LogStream] = []  # parallel to `processors`
 
     # -- wiring ------------------------------------------------------------------
 
@@ -199,7 +200,23 @@ class PODDiagnosis:
         )
         processor.attach(stream)
         self.processors.append(processor)
+        self._watched.append(stream)
         return processor
+
+    def close(self) -> None:
+        """Stop serving: no timer fires, no record is processed, no failure
+        is reported.  Cuts each reference from a component back to this
+        service and from the storage to its watcher (DESIGN.md §8 "Run
+        lifecycle"); what was recorded stays readable.  Idempotent.
+        """
+        self.timers.stop_all()
+        self.central.close()
+        for stream, processor in zip(self._watched, self.processors):
+            stream.unsubscribe(processor.process)
+        self._watched.clear()
+        self.processors.clear()
+        self.conformance.on_error = None
+        self.assertions.on_failure = None
 
     # -- detection bookkeeping ------------------------------------------------------
 

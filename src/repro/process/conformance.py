@@ -136,19 +136,18 @@ class ConformanceChecker:
         self.instances = self._replayer.states
         self._tracer = obs.tracer if obs else None
         self._metrics = obs.metrics if obs else None
-        if self._tracer is None:
-            # No span to open: route public calls straight to the
-            # worker, skipping the wrapper frame on every check.
-            self.check = self._check
 
-    def check(self, record: LogRecord) -> ConformanceResult:
+    @property
+    def check(self) -> _t.Callable[[LogRecord], ConformanceResult]:
         """Check one line; tags the record and returns the result.
 
-        When tracing is on, the whole replay — including any diagnosis
-        the error callback starts — runs inside a ``conformance`` span.
+        Untraced, this *is* the worker (no wrapper frame per check; storing
+        it on the instance would be a reference cycle).  Traced, the replay —
+        and any diagnosis the error callback starts — runs inside a span.
         """
-        if self._tracer is None:
-            return self._check(record)
+        return self._check if self._tracer is None else self._check_traced
+
+    def _check_traced(self, record: LogRecord) -> ConformanceResult:
         with self._tracer.span("check", "conformance") as span:
             result = self._check(record)
             span.set(status=result.status, activity=result.activity, trace=result.trace_id)

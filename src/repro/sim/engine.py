@@ -112,6 +112,13 @@ class Process(Event):
             )
         self._target = target
         target.callbacks.append(self._resume)
+        if target._state == PENDING:  # not in the queue: `close` finds it here
+            self.engine._parked[target] = None
+
+    def _release(self) -> None:
+        """Teardown: end the generator (its ``finally`` runs now), then the waiters."""
+        self._generator.close()
+        super()._release()
 
     def __repr__(self) -> str:
         return f"<Process {self.name} {'alive' if self.is_alive else 'done'}>"
@@ -124,6 +131,10 @@ class Engine:
         self.clock = clock or SimClock()
         self._queue: list[tuple[float, int, int, Event]] = []
         self._sequence = itertools.count()
+        #: Untriggered events a process waits on, in parking order.
+        self._parked: dict[Event, None] = {}
+        self._dispatching = False
+        self._closed = False
 
     @property
     def now(self) -> float:
@@ -133,6 +144,8 @@ class Engine:
     # -- scheduling ------------------------------------------------------
 
     def _schedule(self, event: Event, delay: float, priority: int = NORMAL) -> None:
+        if self._closed:
+            raise RuntimeError("engine closed")
         heapq.heappush(
             self._queue, (self.clock._now + delay, priority, next(self._sequence), event)
         )
@@ -161,8 +174,12 @@ class Engine:
         self.clock.advance_to(time)
         event.processed = True
         callbacks, event.callbacks = event.callbacks, []
-        for callback in callbacks:
-            callback(event)
+        self._dispatching = True
+        try:
+            for callback in callbacks:
+                callback(event)
+        finally:
+            self._dispatching = False
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
@@ -177,6 +194,8 @@ class Engine:
         - ``until=<Event>``: run until that event fires; returns its value
           (raising if the event failed).
         """
+        if self._closed:
+            raise RuntimeError("engine closed")
         if isinstance(until, Event):
             sentinel = until
 
@@ -217,6 +236,23 @@ class Engine:
             self.step()
         self.clock.advance_to(horizon)
         return None
+
+    def close(self) -> None:
+        """End the simulation (DESIGN.md §8 "Run lifecycle"): pending events
+        never fire; suspended generators are closed once each, in queue order
+        then parking order.  Later use raises ``RuntimeError("engine closed")``;
+        closing twice is a no-op.
+        """
+        if self._dispatching:
+            raise RuntimeError("cannot close the engine from inside one of its callbacks")
+        if self._closed:
+            return
+        self._closed = True
+        pending = [entry[3] for entry in sorted(self._queue)] + list(self._parked)
+        self._queue.clear()
+        self._parked.clear()
+        for event in pending:
+            event._release()
 
     def __repr__(self) -> str:
         return f"Engine(now={self.now:.3f}, pending={len(self._queue)})"

@@ -62,6 +62,7 @@ class Event:
             raise RuntimeError(f"{self!r} already triggered")
         self._state = SUCCEEDED
         self._value = value
+        self.engine._parked.pop(self, None)
         self.engine._schedule(self, delay=0.0)
         return self
 
@@ -73,8 +74,17 @@ class Event:
             raise TypeError("fail() requires an exception instance")
         self._state = FAILED
         self._value = exception
+        self.engine._parked.pop(self, None)
         self.engine._schedule(self, delay=0.0)
         return self
+
+    def _release(self) -> None:
+        """Teardown: drop the waiters, releasing each that is itself an event."""
+        callbacks, self.callbacks = self.callbacks, []
+        for callback in callbacks:
+            waiter = getattr(callback, "__self__", None)
+            if isinstance(waiter, Event):
+                waiter._release()
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self._state}>"

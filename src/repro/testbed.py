@@ -236,6 +236,14 @@ class Testbed:
         self.resumed.append(operation)
         return operation
 
+    def close(self) -> None:
+        """End the run (DESIGN.md §8 "Run lifecycle"); cloud state and
+        everything recorded stay readable.  Idempotent."""
+        self.pod.close()
+        self.cloud.controller.stop()
+        self.cloud.monitor.stop()
+        self.engine.close()
+
 
 def build_testbed(cluster_size: int = 4, seed: int = 0, **kwargs) -> Testbed:
     """Convenience constructor; any size works, the paper evaluated 4 and 20."""

@@ -1,5 +1,7 @@
 """Tests for the discrete-event engine and processes."""
 
+import gc
+
 import pytest
 
 from repro.sim.engine import Engine, Interrupt, Process
@@ -395,3 +397,176 @@ class TestDispatchGolden:
         assert len(trace) == seen and engine.now == 3.0
         engine.run()
         assert trace == self.GOLDEN
+
+
+class TestClose:
+    """`Engine.close()`: the end of a simulation (DESIGN §8 "Run
+    lifecycle").  Nothing pending fires, every suspended generator is
+    closed once and in the order it would have run, and the engine says
+    so when used again."""
+
+    @staticmethod
+    def _sleeper(engine, name, delay, log):
+        def proc():
+            try:
+                yield engine.timeout(delay)
+                log.append((name, "woke"))
+            finally:
+                log.append((name, "finally"))
+
+        return engine.process(proc(), name=name)
+
+    def test_pending_events_never_fire(self, engine):
+        log, fired = [], []
+        self._sleeper(engine, "a", 5.0, log)
+        engine.timeout(1.0).callbacks.append(fired.append)
+        engine.run(until=0.5)
+        engine.close()
+        assert fired == [] and ("a", "woke") not in log
+        assert engine.peek() == float("inf")
+        assert engine.now == 0.5  # closing does not advance the clock
+
+    def test_finally_blocks_run_once_in_queue_order(self, engine):
+        log = []
+        # Created out of wake order; two share an instant (creation order
+        # breaks the tie, as it does for dispatch).
+        self._sleeper(engine, "late", 9.0, log)
+        self._sleeper(engine, "early", 1.0, log)
+        self._sleeper(engine, "tie-1", 4.0, log)
+        self._sleeper(engine, "tie-2", 4.0, log)
+        engine.run(until=0.5)
+        engine.close()
+        assert log == [
+            ("early", "finally"), ("tie-1", "finally"), ("tie-2", "finally"), ("late", "finally"),
+        ]
+        engine.close()  # twice is a no-op
+        assert len(log) == 4
+
+    def test_never_started_process_is_closed_without_running(self, engine):
+        log = []
+        process = self._sleeper(engine, "unborn", 1.0, log)  # bootstrap still queued
+        engine.close()
+        # A generator that never started has no `finally` to run.
+        assert log == [] and process.is_alive and process._generator.gi_frame is None
+
+    def test_waiters_on_a_suspended_process_are_released_after_it(self, engine):
+        log = []
+        child = self._sleeper(engine, "child", 5.0, log)
+
+        def parent():
+            try:
+                yield child
+            finally:
+                log.append(("parent", "finally"))
+
+        engine.process(parent(), name="parent")
+        engine.run(until=1.0)
+        engine.close()
+        assert log == [("child", "finally"), ("parent", "finally")]
+
+    def test_process_parked_on_an_untriggered_event_is_released(self, engine):
+        log = []
+
+        def waiter(gate):
+            try:
+                yield gate
+            finally:
+                log.append("released")
+
+        # Nothing but the waiter's own frame holds the gate: without the
+        # engine's parked set the pair would be unreachable cyclic garbage.
+        process = engine.process(waiter(engine.event()), name="waiter")
+        engine.run()
+        assert process.is_alive and log == []
+        engine.close()
+        assert log == ["released"]
+
+    def test_triggering_unparks(self, engine):
+        gate = engine.event()
+
+        def waiter():
+            return (yield gate)
+
+        process = engine.process(waiter())
+        engine.run()
+        assert list(engine._parked) == [gate]
+        gate.succeed("go")
+        assert not engine._parked
+        assert engine.run(until=process) == "go"
+
+    def test_any_of_waiter_is_released(self, engine):
+        log = []
+
+        def racer():
+            try:
+                yield engine.any_of([engine.timeout(3.0), engine.timeout(7.0)])
+            finally:
+                log.append("released")
+
+        engine.process(racer())
+        engine.run(until=1.0)
+        engine.close()
+        assert log == ["released"]
+
+    def test_use_after_close_raises(self, engine):
+        gate = engine.event()
+        engine.close()
+
+        def proc():
+            yield engine.timeout(1.0)
+
+        for use in (
+            engine.run,
+            lambda: engine.run(until=5.0),
+            lambda: engine.process(proc()),
+            lambda: engine.timeout(1.0),
+            lambda: engine.event().succeed(),
+            lambda: gate.fail(ValueError("late")),
+        ):
+            with pytest.raises(RuntimeError) as raised:
+                use()
+            assert str(raised.value) == "engine closed"
+
+    def test_close_from_inside_a_callback_is_refused(self, engine):
+        log = []
+        self._sleeper(engine, "bystander", 5.0, log)
+
+        def closer():
+            yield engine.timeout(1.0)
+            engine.close()
+
+        engine.process(closer(), name="closer")
+        with pytest.raises(RuntimeError, match="from inside one of its callbacks"):
+            engine.run()
+        # Refused means untouched: the bystander still runs to its wake.
+        engine.run()
+        assert log == [("bystander", "woke"), ("bystander", "finally")]
+
+    def test_close_from_a_plain_callback_of_step_is_refused(self, engine):
+        engine.timeout(1.0).callbacks.append(lambda _event: engine.close())
+        with pytest.raises(RuntimeError, match="from inside one of its callbacks"):
+            engine.step()
+        engine.close()  # fine from outside
+
+    def test_closed_run_leaves_no_cyclic_garbage(self):
+        def build_and_close():
+            engine = Engine()
+            log = []
+            child = self._sleeper(engine, "child", 50.0, log)
+
+            def parent(gate):
+                yield child
+                yield gate
+
+            engine.process(parent(engine.event()))
+            self._sleeper(engine, "other", 10.0, log)
+            engine.run(until=5.0)
+            engine.close()
+
+        gc.collect()
+        gc.disable()
+        try:
+            build_and_close()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -44,9 +44,13 @@ STUB_RUN = textwrap.dedent('''
         log.write(json.dumps({"at": time.monotonic_ns(), "seed": args.seed}) + "\\n")
     entry = script[index]
     args.out.mkdir(parents=True)
-    (args.out / "results.json").write_text(json.dumps(
-        {"workloads": {args.workload: {"digests": entry.get("digests", {"r0": "abc"})}}}
-    ))
+    (args.out / "results.json").write_text(json.dumps({"workloads": {args.workload: {
+        "digests": entry.get("digests", {"r0": "abc"}),
+        "raw": {
+            "ops_per_s": entry.get("raw_ops_per_s", entry["metrics"]["ops_per_s"]),
+            "host_rate": {"p50": entry.get("host_rate", 6.2e5)},
+        },
+    }}}))
     print("== human-readable report ==")
     print(json.dumps({
         "correct": entry.get("correct", True), "attempted": 100,
@@ -154,6 +158,53 @@ def test_a_failed_or_incorrect_run_is_refused(tmp_path, capsys, flaw):
     captured = capsys.readouterr()
     assert "refused" in captured.err
     assert "verdict" not in captured.out  # no table over a refused run
+
+
+def raw_lines(out: str) -> dict[str, str]:
+    """label -> line, of the unscaled readings under the table."""
+    return {line.split()[0]: line for line in out.splitlines() if line.startswith("  raw.")}
+
+
+def test_raw_readings_are_printed_per_side(tmp_path, capsys):
+    parent = checkout(tmp_path / "a", runs(PARENT_RUNS[:4], raw_ops_per_s=60.0, host_rate=6.0e5))
+    change = checkout(tmp_path / "b", runs(PARENT_RUNS[:4], raw_ops_per_s=66.0, host_rate=6.0e5))
+    assert bench_pairs.main([str(parent), str(change), "--workload", "w", "--pairs", "4"]) == 0
+    out = capsys.readouterr().out
+    lines = raw_lines(out)
+    assert "parent 60 [60, 60]" in lines["raw.ops_per_s"]
+    assert "change 66 [66, 66]" in lines["raw.ops_per_s"] and "+10.00%" in lines["raw.ops_per_s"]
+    assert "parent 6e+05" in lines["raw.host_rate.p50"] and "+0.00%" in lines["raw.host_rate.p50"]
+    # Equal rates on both sides: the scaling assumption holds, no warning.
+    assert "WARNING" not in out
+
+
+def scripted_rates(parent_rates: list[float], change_rates: list[float], tmp_path):
+    """Two stub checkouts whose runs differ only in the calibration rate."""
+    sides = []
+    for name, rates in (("a", parent_rates), ("b", change_rates)):
+        script = [dict(run, host_rate=rate) for run, rate in zip(runs(PARENT_RUNS), rates)]
+        sides.append(str(checkout(tmp_path / name, script)))
+    return sides
+
+
+def test_calibration_rates_that_differ_with_one_sign_are_warned_about(tmp_path, capsys):
+    # The change's bursts stop absorbing collector passes: +3 % in 9 of 10 pairs.
+    parent_rates = [6.20e5, 6.18e5, 6.22e5, 6.19e5, 6.21e5, 6.20e5, 6.17e5, 6.23e5, 6.20e5, 6.19e5]
+    change_rates = [rate * 1.03 for rate in parent_rates]
+    change_rates[4] = parent_rates[4] * 0.99
+    sides = scripted_rates(parent_rates, change_rates, tmp_path)
+    assert bench_pairs.main([*sides, "--workload", "w", "--pairs", "10"]) == 0  # a warning, not a failure
+    out = capsys.readouterr().out
+    assert "WARNING: the change's calibration rate is the higher in 9 of 10 pairs" in out
+    assert "+2.92%" in raw_lines(out)["raw.host_rate.p50"]
+
+
+def test_calibration_rates_that_differ_either_way_are_not(tmp_path, capsys):
+    parent_rates = [6.20e5, 6.18e5, 6.22e5, 6.19e5, 6.21e5, 6.20e5, 6.17e5, 6.23e5, 6.20e5, 6.19e5]
+    change_rates = [rate * (1.03 if i % 5 else 0.97) for i, rate in enumerate(parent_rates)]  # 8 up, 2 down
+    sides = scripted_rates(parent_rates, change_rates, tmp_path)
+    assert bench_pairs.main([*sides, "--workload", "w", "--pairs", "10"]) == 0
+    assert "WARNING" not in capsys.readouterr().out
 
 
 def test_a_moved_digest_fails(tmp_path, capsys):

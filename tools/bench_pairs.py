@@ -23,6 +23,14 @@ wins out of pairs, whether the outcome digests agree, and a verdict:
   then needs the parent to win every pair as well);
 - ``same``       none of the above.
 
+Below the table, as the clock read it: each side's ``raw.ops_per_s`` and
+``raw.host_rate.p50`` from ``results.json``.  The end-to-end timings are
+scaled by the host's calibration rate, which assumes the calibration
+kernel runs the same on both sides; it allocates containers, so a change
+to how much the collector has to do moves the rate itself.  When one
+side's rate is the higher in at least nine tenths of the pairs a warning
+says so, and the scaled timings should be read beside the raw ones.
+
 Exits 1 on a refused run, a ``worse`` metric or a changed digest.
 """
 
@@ -44,7 +52,8 @@ class Refused(Exception):
 
 
 def run_side(checkout: pathlib.Path, workload: str, seed: int, out: pathlib.Path) -> dict:
-    """One ``run.py`` of one checkout: ``{"metrics": {name: value}, "digests": {...}}``."""
+    """One ``run.py`` of one checkout: ``{"metrics": {name: value}, "digests": {...},
+    "raw": {"ops_per_s": ..., "host_rate_p50": ...}}``."""
     command = [
         sys.executable, str(checkout / "benchmarks" / "e2e" / "run.py"),
         "--workload", workload, "--trace", "0", "--seed", str(seed), "--out", str(out),
@@ -58,10 +67,14 @@ def run_side(checkout: pathlib.Path, workload: str, seed: int, out: pathlib.Path
             f"{checkout}: correct={verdict['correct']}, failed {verdict['failed']}"
             f" of {verdict['attempted']} ops"
         )
-    results = json.loads((out / "results.json").read_text())
+    report = json.loads((out / "results.json").read_text())["workloads"][workload]
     return {
         "metrics": {name: entry["value"] for name, entry in verdict["metrics"].items()},
-        "digests": results["workloads"][workload]["digests"],
+        "digests": report["digests"],
+        "raw": {
+            "ops_per_s": report["raw"]["ops_per_s"],
+            "host_rate_p50": report["raw"]["host_rate"]["p50"],
+        },
     }
 
 
@@ -106,6 +119,32 @@ def judge(metric: dict, parent: list[float], change: list[float]) -> dict:
         "wins": {side: wins.count(side) for side in (*SIDES, "tie")},
         "verdict": verdict,
     }
+
+
+def raw_lines(runs: list[dict[str, dict]]) -> list[str]:
+    """The unscaled readings of both sides, and the calibration warning."""
+    lines = ["as the clock read (not scaled by the host rate), median [q1, q3]:"]
+    readings = {
+        key: [[run[side]["raw"][key] for run in runs] for side in SIDES]
+        for key in ("ops_per_s", "host_rate_p50")
+    }
+    for label, (parent, change) in zip(("raw.ops_per_s", "raw.host_rate.p50"), readings.values()):
+        (p_low, p_median, p_high), (c_low, c_median, c_high) = quartiles(parent), quartiles(change)
+        lines.append(
+            f"  {label:<18}parent {p_median:.5g} [{p_low:.5g}, {p_high:.5g}]"
+            f"  change {c_median:.5g} [{c_low:.5g}, {c_high:.5g}]"
+            f"  {(c_median - p_median) / p_median if p_median else 0.0:+.2%}"
+        )
+    rates = list(zip(*readings["host_rate_p50"]))  # (parent, change) per pair
+    higher = sum(c > p for p, c in rates)
+    lower = sum(c < p for p, c in rates)
+    if max(higher, lower) >= 0.9 * len(runs):
+        lines.append(
+            f"WARNING: the change's calibration rate is the {'higher' if higher > lower else 'lower'}"
+            f" in {max(higher, lower)} of {len(runs)} pairs: the two sides were scaled by different"
+            " host rates, so read the scaled timings beside raw.ops_per_s"
+        )
+    return lines
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -167,6 +206,8 @@ def main(argv: list[str] | None = None) -> int:
     widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
     for row in rows:
         print("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
+    print()
+    print("\n".join(raw_lines(runs)))
     print()
     digests = {json.dumps(run[side]["digests"], sort_keys=True) for run in runs for side in SIDES}
     if len(digests) == 1:
