@@ -13,7 +13,6 @@ import typing as _t
 
 from repro.assertions.base import Assertion, AssertionEnvironment, HIGH_LEVEL, LOW_LEVEL
 from repro.assertions.consistent_api import ConsistentCallError, is_degraded
-from repro.assertions.results import AssertionResult
 from repro.cloud.errors import CloudError
 
 

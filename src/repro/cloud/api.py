@@ -21,7 +21,6 @@ from repro.cloud.cloudtrail import CloudTrail
 from repro.cloud.consistency import ConsistencyModel, EventuallyConsistentView
 from repro.cloud.controller import activities_since
 from repro.cloud.errors import (
-    LimitExceeded,
     MalformedRequest,
     ResourceNotFound,
     ServiceUnavailable,
@@ -30,7 +29,6 @@ from repro.cloud.errors import (
 from repro.cloud.resources import (
     AmiImage,
     AutoScalingGroup,
-    Instance,
     InstanceState,
     KeyPair,
     LaunchConfiguration,

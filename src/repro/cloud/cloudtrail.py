@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import random
-import typing as _t
 
 
 @dataclasses.dataclass

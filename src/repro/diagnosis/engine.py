@@ -24,18 +24,11 @@ import typing as _t
 from repro.assertions.consistent_api import ConsistentCallError
 from repro.assertions.evaluation import AssertionEvaluationService
 from repro.diagnosis.cache import DiagnosisCache
-from repro.diagnosis.report import (
-    CONFIRMED,
-    EXCLUDED,
-    INCONCLUSIVE,
-    DiagnosisReport,
-    RootCause,
-    TestExecution,
-)
+from repro.diagnosis.report import DiagnosisReport, RootCause, TestExecution
 from repro.diagnosis.tests import CustomTestRegistry
 from repro.faulttree.builder import FaultTreeRegistry
 from repro.faulttree.instantiate import instantiate_tree
-from repro.faulttree.tree import DiagnosticTest, FaultNode
+from repro.faulttree.tree import CONFIRMED, EXCLUDED, INCONCLUSIVE, DiagnosticTest, FaultNode
 from repro.logsys.record import LogRecord
 from repro.process.conformance import ERROR, UNKNOWN, ConformanceResult
 from repro.process.context import ProcessContext
@@ -113,18 +106,9 @@ class DiagnosisEngine:
         tree_id = getattr(assertion, "fault_tree_id", None)
         if tree_id is None or tree_id not in self.trees:
             return None
-        params = self._merge_params(result.params, result.context)
-        request = DiagnosisRequest(
-            request_id=f"diag-{next(self._ids)}",
-            trigger="assertion",
-            trigger_detail=result.assertion_id,
-            tree_ids=[tree_id],
-            params=params,
-            context=result.context,
-            since=float(params.get("since", 0.0) or 0.0),
+        return self._request(
+            "assertion", result.assertion_id, [tree_id], result.params, result.context
         )
-        self._start(request)
-        return request
 
     def diagnose_conformance_error(self, result: ConformanceResult) -> DiagnosisRequest:
         """Entry point wired to ConformanceChecker.on_error.
@@ -136,18 +120,8 @@ class DiagnosisEngine:
         context = result.context
         if result.status in (UNKNOWN, ERROR):
             context = context.merged_with(step=context.last_valid_activity)
-        params = self._merge_params({}, context)
-        request = DiagnosisRequest(
-            request_id=f"diag-{next(self._ids)}",
-            trigger="conformance",
-            trigger_detail=f"{result.status}:{result.activity or 'unknown-line'}",
-            tree_ids=["process-deviation"],
-            params=params,
-            context=context,
-            since=float(params.get("since", 0.0) or 0.0),
-        )
-        self._start(request)
-        return request
+        detail = f"{result.status}:{result.activity or 'unknown-line'}"
+        return self._request("conformance", detail, ["process-deviation"], {}, context)
 
     def diagnose(
         self,
@@ -163,37 +137,34 @@ class DiagnosisEngine:
         with weak context may warrant consulting both the instance-count
         tree and the resource-integrity tree.
         """
-        merged = self._merge_params(params or {}, context)
+        return self._request("external", trigger_detail, list(tree_ids), params or {}, context)
+
+    def diagnose_external(self, record: LogRecord) -> DiagnosisRequest:
+        """Entry point for the central log processor (third-party failure
+        lines)."""
+        context = ProcessContext.from_record(record)
+        return self._request(
+            "external", record.source, ["process-deviation"], dict(record.fields), context
+        )
+
+    # -- request construction ------------------------------------------------------
+
+    def _request(
+        self, trigger: str, detail: str, tree_ids: list[str], params: dict, context
+    ) -> DiagnosisRequest:
+        """Build one request, start its walk."""
+        merged = self._merge_params(params, context)
         request = DiagnosisRequest(
             request_id=f"diag-{next(self._ids)}",
-            trigger="external",
-            trigger_detail=trigger_detail,
-            tree_ids=list(tree_ids),
+            trigger=trigger,
+            trigger_detail=detail,
+            tree_ids=tree_ids,
             params=merged,
             context=context,
             since=float(merged.get("since", 0.0) or 0.0),
         )
         self._start(request)
         return request
-
-    def diagnose_external(self, record: LogRecord) -> DiagnosisRequest:
-        """Entry point for the central log processor (third-party failure
-        lines)."""
-        context = ProcessContext.from_record(record)
-        params = self._merge_params(dict(record.fields), context)
-        request = DiagnosisRequest(
-            request_id=f"diag-{next(self._ids)}",
-            trigger="external",
-            trigger_detail=record.source,
-            tree_ids=["process-deviation"],
-            params=params,
-            context=context,
-            since=float(params.get("since", 0.0) or 0.0),
-        )
-        self._start(request)
-        return request
-
-    # -- request construction ------------------------------------------------------
 
     def _merge_params(self, params: dict, context) -> dict:
         """Request params: env config ∪ trigger params ∪ context fields.
@@ -202,9 +173,8 @@ class DiagnosisEngine:
         (asg_name, expected ids, N); the trigger adds specifics
         (instanceid of the new instance, counts).
         """
-        merged: dict = {}
         config = self.assertions.env.config
-        merged.update(config)
+        merged = dict(config)
         if "desired_capacity" in config and "N" not in merged:
             merged["N"] = config["desired_capacity"]
         groups = config.get("expected_security_groups")
@@ -249,15 +219,12 @@ class DiagnosisEngine:
         # instantiate variables, prune by context.
         yield self.engine.timeout(self._startup_latency.sample())
         cache = DiagnosisCache()
-        step = request.context.step if request.context else None
-        if step is not None:
-            step = self.step_aliases.get(step, step)
-        if not self.enable_pruning:
-            step = None
+        step = self.step_aliases.get(report.step, report.step) if self.enable_pruning else None
         roots: list[FaultNode] = []
         for tree_id in request.tree_ids:
-            tree = self.trees.get(tree_id)
-            roots.append(instantiate_tree(tree, request.params, step=step))
+            root, pruned = instantiate_tree(self.trees.get(tree_id), request.params, step=step)
+            roots.append(root)
+            report.pruned.extend(pruned)
         report.potential_fault_count = sum(len([n for n in r.iter_nodes() if n.is_leaf]) for r in roots)
         self._log(
             request,
@@ -265,7 +232,7 @@ class DiagnosisEngine:
             f" {report.potential_fault_count} potential faults in total...",
         )
         for root in roots:
-            causes = yield from self._visit(root, request, report, cache, is_root=True, span=span)
+            causes = yield from self._visit(root, request, report, cache, span=span)
             report.root_causes.extend(causes)
         report.finished_at = self.engine.now
         if report.no_root_cause:
@@ -296,12 +263,11 @@ class DiagnosisEngine:
         request: DiagnosisRequest,
         report: DiagnosisReport,
         cache: DiagnosisCache,
-        is_root: bool = False,
         span=None,
     ) -> _t.Generator:
         verdict = CONFIRMED if node.test is None else None
         if node.test is not None:
-            verdict = yield from self._run_test(node, node.test, request, report, cache, span)
+            verdict = yield from self._run_test(node, request, report, cache, span)
         if verdict == EXCLUDED:
             report.excluded_count += 1
             self._log(
@@ -333,103 +299,103 @@ class DiagnosisEngine:
     def _run_test(
         self,
         node: FaultNode,
-        test: DiagnosticTest,
         request: DiagnosisRequest,
         report: DiagnosisReport,
         cache: DiagnosisCache,
         walk_span=None,
     ) -> _t.Generator:
+        test = node.test
         params = dict(test.params)
         params.setdefault("since", request.since)
         key = (test.kind, test.name, tuple(sorted((k, str(v)) for k, v in params.items())))
-        cached = cache.get(key) if self.enable_cache else None
-        if cached is not None:
-            report.tests.append(
-                TestExecution(
-                    node_id=node.node_id,
-                    test_kind=test.kind,
-                    test_name=test.name,
-                    verdict=cached[0],
-                    evidence=cached[1],
-                    cached=True,
-                    degraded=cached[2],
-                )
-            )
+        # What is reused across nodes is the observation, not the verdict:
+        # two nodes may share a test and declare different meanings.
+        looked = cache.get(key) if self.enable_cache else None
+        cached = looked is not None
+        duration = 0.0
+        if not cached:
+            test_span = None
             if self._tracer is not None:
-                hit = self._tracer.start_span(
+                test_span = self._tracer.start_span(
                     "test", "diagnosis", parent=walk_span,
-                    node=node.node_id, test=test.name, cached=True,
+                    node=node.node_id, test=test.name, kind=test.kind,
                 )
-                self._tracer.finish(hit, verdict=cached[0])
-                self._metrics.inc("diagnosis.tests_cached")
-            return cached[0]
-        # Unresolved variables mean the trigger context was too weak for
-        # this test (e.g. purely timer-based detection with no instance
-        # id): inconclusive without execution.
-        unresolved = [
-            k for k, v in params.items() if isinstance(v, str) and v.startswith("$")
-        ]
-        test_span = None
-        if self._tracer is not None:
-            test_span = self._tracer.start_span(
-                "test", "diagnosis", parent=walk_span,
-                node=node.node_id, test=test.name, kind=test.kind,
-            )
-        started = self.engine.now
-        degraded = False
-        if unresolved:
-            verdict, evidence = INCONCLUSIVE, {"unresolved": unresolved}
-        elif test.kind == "assertion":
-            yield self.engine.timeout(self._test_overhead.sample())
-            self._log(request, f"Verifying {node.node_id}: {test.name} {params}")
-            try:
-                result = yield from self.assertions.evaluate_on_demand(test.name, params)
-            except KeyError:
-                verdict, evidence = INCONCLUSIVE, {"reason": f"unknown assertion {test.name}"}
-            except ConsistentCallError as exc:
-                # Degraded API plane during an on-demand check: the
-                # verdict is inconclusive, never a crashed diagnosis.
-                verdict, evidence = INCONCLUSIVE, {"reason": f"API failure: {exc}"}
-                degraded = exc.degraded
+            started = self.engine.now
+            # Unresolved variables mean the trigger context was too weak
+            # for this test (e.g. purely timer-based detection with no
+            # instance id): inconclusive without execution.
+            unresolved = [
+                k for k, v in params.items() if isinstance(v, str) and v.startswith("$")
+            ]
+            if unresolved:
+                looked = None, {"unresolved": unresolved}, False
             else:
-                if result.timed_out or result.degraded:
-                    degraded = result.degraded
-                    reason = "degraded API plane" if result.degraded else "assertion timed out"
-                    verdict, evidence = INCONCLUSIVE, {"reason": reason}
-                else:
-                    failed_means_fault = test.confirm_on == "fail"
-                    present = result.failed if failed_means_fault else result.passed
-                    verdict = CONFIRMED if present else EXCLUDED
-                    evidence = {"message": result.message, **result.observed}
+                yield self.engine.timeout(self._test_overhead.sample())
+                looked = yield from self._observe(node, test, params, request)
+            duration = self.engine.now - started
+            cache.put(key, looked)
+        observed, evidence, degraded = looked
+        # The one place an observation becomes a verdict: seeing the
+        # condition confirms the fault, the tree says what not seeing it
+        # means for this node, and a test that could not look decides nothing.
+        if observed is None:
+            verdict = INCONCLUSIVE
         else:
-            yield self.engine.timeout(self._test_overhead.sample())
-            self._log(request, f"Verifying {node.node_id}: probe {test.name}")
-            try:
-                verdict, evidence = yield from self.probes.run(
-                    test.name, self.assertions.env, params
-                )
-            except ConsistentCallError as exc:
-                verdict, evidence = INCONCLUSIVE, {"reason": f"API failure: {exc}"}
-                degraded = exc.degraded
-            else:
-                if evidence.get("degraded"):
-                    degraded = True
-        execution = TestExecution(
-            node_id=node.node_id,
-            test_kind=test.kind,
-            test_name=test.name,
-            verdict=verdict,
-            evidence=evidence,
-            duration=self.engine.now - started,
-            degraded=degraded,
+            verdict = CONFIRMED if observed else test.when_not_observed
+        report.tests.append(
+            TestExecution(
+                node_id=node.node_id,
+                test_kind=test.kind,
+                test_name=test.name,
+                verdict=verdict,
+                evidence=evidence,
+                cached=cached,
+                duration=duration,
+                degraded=degraded,
+            )
         )
-        report.tests.append(execution)
-        cache.put(key, (verdict, evidence, degraded))
-        if self._tracer is not None:
+        if self._tracer is None:
+            return verdict
+        if cached:
+            # The same observation, re-attributed to this node at no cost.
+            hit = self._tracer.start_span(
+                "test", "diagnosis", parent=walk_span,
+                node=node.node_id, test=test.name, cached=True,
+            )
+            self._tracer.finish(hit, verdict=verdict)
+            self._metrics.inc("diagnosis.tests_cached")
+        else:
             self._tracer.finish(test_span, verdict=verdict, degraded=degraded)
             self._metrics.inc(f"diagnosis.tests.{verdict}")
-            self._metrics.observe("diagnosis.test.duration", execution.duration)
+            self._metrics.observe("diagnosis.test.duration", duration)
         return verdict
+
+    def _observe(
+        self, node: FaultNode, test: DiagnosticTest, params: dict, request: DiagnosisRequest
+    ) -> _t.Generator:
+        """Look: ``(observed, evidence, degraded)``.  ``observed`` is True /
+        False when the fault condition is / is not there (an on-demand
+        assertion: "it failed"), None when the test could not look —
+        unknown name, API failure, timeout, degraded plane; never a crashed
+        diagnosis.  ``kind`` only selects the registry resolving the name."""
+        if test.kind != "assertion":
+            self._log(request, f"Verifying {node.node_id}: probe {test.name}")
+            observed, evidence = yield from self.probes.run(
+                test.name, self.assertions.env, params
+            )
+            return observed, evidence, bool(evidence.get("degraded"))
+        self._log(request, f"Verifying {node.node_id}: {test.name} {params}")
+        if test.name not in self.assertions.assertions:
+            return None, {"reason": f"unknown assertion {test.name}"}, False
+        try:
+            result = yield from self.assertions.evaluate_on_demand(test.name, params)
+        except ConsistentCallError as exc:
+            return None, {"reason": f"API failure: {exc}"}, exc.degraded
+        if result.degraded:
+            return None, {"reason": "degraded API plane"}, True
+        if result.timed_out:
+            return None, {"reason": "assertion timed out"}, False
+        return result.failed, {"message": result.message, **result.observed}, False
 
     # -- logging -------------------------------------------------------------------
 

@@ -3,11 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import typing as _t
-
-CONFIRMED = "confirmed"
-EXCLUDED = "excluded"
-INCONCLUSIVE = "inconclusive"
 
 
 @dataclasses.dataclass
@@ -59,6 +54,8 @@ class DiagnosisReport:
     tree_ids: list[str] = dataclasses.field(default_factory=list)
     root_causes: list[RootCause] = dataclasses.field(default_factory=list)
     tests: list[TestExecution] = dataclasses.field(default_factory=list)
+    #: Ids of the sub-tree roots the step scoping cut before the walk.
+    pruned: list[str] = dataclasses.field(default_factory=list)
     potential_fault_count: int = 0
     excluded_count: int = 0
 

@@ -2,14 +2,17 @@
 
 Fault-tree nodes whose evidence is not a simple assertion use these named
 probes: inspecting scaling activities, the Edda-style monitor's history,
-or CloudTrail.  Each probe is a simulation generator returning
-``(verdict, evidence)`` with verdict one of ``confirmed`` / ``excluded`` /
-``inconclusive``.
+or CloudTrail.  A probe *observes*: it is a simulation generator returning
+``(observed, evidence)`` — True / False when the condition it looks for
+is / is not there, None when it could not look.  Seeing it confirms the
+node's fault; what not seeing it means is the fault tree's to say
+(``DiagnosticTest.when_not_observed``).
 
 Probes receive the :class:`~repro.assertions.base.AssertionEnvironment`
 (its ``state``, ``trail``, ``monitor`` and ``operation_api_calls`` filled
-in by the POD service) and the instantiated test params.  ``params["since"]`` — the operation's
-start time — bounds every historical query.
+in by the POD service) and the instantiated test params, those declared
+``requires`` at registration guaranteed present.  ``params["since"]`` — the
+operation's start time — bounds every historical query.
 """
 
 from __future__ import annotations
@@ -20,10 +23,6 @@ import typing as _t
 from repro.assertions.consistent_api import ConsistentCallError, is_degraded
 from repro.cloud.errors import CloudError
 
-CONFIRMED = "confirmed"
-EXCLUDED = "excluded"
-INCONCLUSIVE = "inconclusive"
-
 #: Simulated latency of one monitor/repository lookup (local cache, not a
 #: full cloud API round trip).
 MONITOR_LOOKUP_LATENCY = 0.025
@@ -33,14 +32,15 @@ class CustomTestRegistry:
     """Named probes: register / run."""
 
     def __init__(self) -> None:
-        self._probes: dict[str, _t.Callable] = {}
+        self._probes: dict[str, tuple[_t.Callable, tuple[str, ...]]] = {}
 
-    def register(self, name: str, probe: _t.Callable) -> None:
+    def register(self, name: str, probe: _t.Callable, requires: tuple[str, ...] = ()) -> None:
         if name in self._probes:
             raise ValueError(f"probe {name!r} already registered")
-        self._probes[name] = probe
+        self._probes[name] = (probe, tuple(requires))
 
-    def get(self, name: str) -> _t.Callable:
+    def get(self, name: str) -> tuple[_t.Callable, tuple[str, ...]]:
+        """The probe and the params it requires."""
         if name not in self._probes:
             raise KeyError(f"no custom diagnostic test {name!r}")
         return self._probes[name]
@@ -49,8 +49,25 @@ class CustomTestRegistry:
         return sorted(self._probes)
 
     def run(self, name: str, env, params: dict) -> _t.Generator:
-        """Generator: yields sim events, returns (verdict, evidence)."""
-        return self.get(name)(env, params)
+        """Generator: yields sim events, returns (observed, evidence).
+
+        The one place an unknown name, missing context or an API failure
+        (its evidence flags chaos degradation) becomes "could not look".
+        """
+        try:
+            probe, requires = self.get(name)
+        except KeyError:
+            return None, {"reason": f"unknown probe {name}"}
+        missing = [key for key in requires if not params.get(key)]
+        if missing:
+            return None, {"reason": f"no {', '.join(missing)} in context"}
+        try:
+            return (yield from probe(env, params))
+        except (CloudError, ConsistentCallError) as exc:
+            evidence: dict = {"error": str(exc)}
+            if is_degraded(exc):
+                evidence["degraded"] = True
+            return None, evidence
 
 
 def _since(params: dict) -> float:
@@ -61,68 +78,42 @@ def _since(params: dict) -> float:
         return 0.0
 
 
-def _api_failure(exc: Exception) -> dict:
-    """Evidence for an API-failure inconclusive; flags chaos degradation."""
-    evidence: dict = {"error": str(exc)}
-    if is_degraded(exc):
-        evidence["degraded"] = True
-    return evidence
+def _scaling_activities(env, params: dict) -> _t.Generator:
+    return (
+        yield from env.client.call(
+            "describe_scaling_activities", params["asg_name"], since=_since(params)
+        )
+    )
 
 
 def probe_scaling_activities_failing(env, params: dict) -> _t.Generator:
     """Are the ASG's launch attempts failing since the operation began?"""
-    asg_name = params.get("asg_name")
-    if not asg_name or asg_name.startswith("$"):
-        return INCONCLUSIVE, {"reason": "no asg name in context"}
-    try:
-        activities = yield from env.client.call(
-            "describe_scaling_activities", asg_name, since=_since(params)
-        )
-    except (CloudError, ConsistentCallError) as exc:
-        return INCONCLUSIVE, _api_failure(exc)
+    activities = yield from _scaling_activities(env, params)
     failed = [a for a in activities if a.status == "Failed"]
     if failed:
         codes = sorted({a.error_code for a in failed if a.error_code})
-        return CONFIRMED, {"failed_activities": len(failed), "error_codes": codes}
-    return EXCLUDED, {"failed_activities": 0}
+        return True, {"failed_activities": len(failed), "error_codes": codes}
+    return False, {"failed_activities": 0}
 
 
 def probe_limit_exceeded_activity(env, params: dict) -> _t.Generator:
     """Did launches fail specifically on the account instance limit?"""
-    asg_name = params.get("asg_name")
-    if not asg_name or asg_name.startswith("$"):
-        return INCONCLUSIVE, {"reason": "no asg name in context"}
-    try:
-        activities = yield from env.client.call(
-            "describe_scaling_activities", asg_name, since=_since(params)
-        )
-    except (CloudError, ConsistentCallError) as exc:
-        return INCONCLUSIVE, _api_failure(exc)
+    activities = yield from _scaling_activities(env, params)
     hits = [a for a in activities if a.error_code == "InstanceLimitExceeded"]
     if hits:
-        return CONFIRMED, {"occurrences": len(hits)}
-    return EXCLUDED, {}
+        return True, {"occurrences": len(hits)}
+    return False, {}
 
 
 def probe_scale_in_occurred(env, params: dict) -> _t.Generator:
     """Did a concurrent scaling-in shrink the ASG during the operation?"""
-    asg_name = params.get("asg_name")
-    if not asg_name or asg_name.startswith("$"):
-        return INCONCLUSIVE, {"reason": "no asg name in context"}
-    try:
-        activities = yield from env.client.call(
-            "describe_scaling_activities", asg_name, since=_since(params)
-        )
-    except (CloudError, ConsistentCallError) as exc:
-        return INCONCLUSIVE, _api_failure(exc)
+    activities = yield from _scaling_activities(env, params)
     scale_ins = [
         a for a in activities if a.activity == "Terminate" and "scale-in" in a.description
     ]
     if scale_ins:
-        return CONFIRMED, {
-            "terminated": [a.instance_id for a in scale_ins if a.instance_id],
-        }
-    return EXCLUDED, {}
+        return True, {"terminated": [a.instance_id for a in scale_ins if a.instance_id]}
+    return False, {}
 
 
 def probe_external_termination(env, params: dict) -> _t.Generator:
@@ -133,28 +124,20 @@ def probe_external_termination(env, params: dict) -> _t.Generator:
     activities; a terminated member with no matching activity was killed
     externally.
     """
-    asg_name = params.get("asg_name")
-    if not asg_name or asg_name.startswith("$"):
-        return INCONCLUSIVE, {"reason": "no asg name in context"}
     state = env.state
     if state is None:
-        return INCONCLUSIVE, {"reason": "no monitor data"}
+        return None, {"reason": "no monitor data"}
     yield env.engine.timeout(MONITOR_LOOKUP_LATENCY)
     since = _since(params)
     terminated = [
         i.instance_id
         for i in state.instances.values()
-        if i.asg_name == asg_name
+        if i.asg_name == params["asg_name"]
         and i.terminate_time is not None
         and i.terminate_time >= since
         and i.state.value in ("terminated", "shutting-down")
     ]
-    try:
-        activities = yield from env.client.call(
-            "describe_scaling_activities", asg_name, since=since
-        )
-    except (CloudError, ConsistentCallError) as exc:
-        return INCONCLUSIVE, _api_failure(exc)
+    activities = yield from _scaling_activities(env, params)
     explained = {a.instance_id for a in activities if a.activity == "Terminate"}
     # Terminations driven by the operation itself arrive via the plain API,
     # which CloudTrail would attribute — the monitor equivalent is the
@@ -166,8 +149,8 @@ def probe_external_termination(env, params: dict) -> _t.Generator:
     }
     unexplained = [i for i in terminated if i not in explained and i not in operation_calls]
     if unexplained:
-        return CONFIRMED, {"instances": unexplained}
-    return EXCLUDED, {}
+        return True, {"instances": unexplained}
+    return False, {}
 
 
 def probe_cloudtrail_attribution(env, params: dict) -> _t.Generator:
@@ -180,13 +163,12 @@ def probe_cloudtrail_attribution(env, params: dict) -> _t.Generator:
     """
     trail = env.trail
     if trail is None:
-        return INCONCLUSIVE, {"reason": "no CloudTrail access"}
+        return None, {"reason": "no CloudTrail access"}
     yield env.engine.timeout(MONITOR_LOOKUP_LATENCY)
     records = trail.lookup_events(start=_since(params), event_name="TerminateInstances")
     if records:
-        principals = sorted({r.principal for r in records})
-        return CONFIRMED, {"principals": principals}
-    return INCONCLUSIVE, {
+        return True, {"principals": sorted({r.principal for r in records})}
+    return False, {
         "reason": "no CloudTrail records delivered yet",
         "undelivered": trail.undelivered_count(),
     }
@@ -199,18 +181,14 @@ def probe_lc_config_flapped(env, params: dict) -> _t.Generator:
     change shorter than the crawl interval is invisible — which is exactly
     how the paper's third wrong-diagnosis class happens.
     """
-    lc_name = params.get("lc_name")
-    if not lc_name or lc_name.startswith("$"):
-        return INCONCLUSIVE, {"reason": "no launch configuration in context"}
     monitor = env.monitor
     if monitor is None:
-        return INCONCLUSIVE, {"reason": "no monitor"}
+        return None, {"reason": "no monitor"}
     yield env.engine.timeout(MONITOR_LOOKUP_LATENCY)
-    changes = monitor.changes("launch_configuration", lc_name)
+    changes = monitor.changes("launch_configuration", params["lc_name"])
     views = [view for _t_, view in changes if view is not None]
-    if len(views) >= 3 and views[-1] == views[-3]:
-        return CONFIRMED, {"distinct_views": len(views)}
-    return EXCLUDED, {"distinct_views": len(views)}
+    flapped = len(views) >= 3 and views[-1] == views[-3]
+    return flapped, {"distinct_views": len(views)}
 
 
 def probe_concurrent_lc_update(env, params: dict) -> _t.Generator:
@@ -224,69 +202,46 @@ def probe_concurrent_lc_update(env, params: dict) -> _t.Generator:
     asg_name = params.get("asg_name")
     state = env.state
     if state is None:
-        return INCONCLUSIVE, {"reason": "no configuration repository"}
+        return None, {"reason": "no configuration repository"}
     yield env.engine.timeout(MONITOR_LOOKUP_LATENCY)
-    if (not lc_name or lc_name.startswith("$")) and asg_name and not asg_name.startswith("$"):
-        if state.exists("auto_scaling_group", asg_name):
-            lc_name = state.get("auto_scaling_group", asg_name).launch_configuration_name
-    if not lc_name or lc_name.startswith("$"):
-        return INCONCLUSIVE, {"reason": "no launch configuration in context"}
+    if not lc_name and asg_name and state.exists("auto_scaling_group", asg_name):
+        lc_name = state.get("auto_scaling_group", asg_name).launch_configuration_name
+    if not lc_name:
+        return None, {"reason": "no launch configuration in context"}
     since = _since(params)
     history = state.history("launch_configuration", lc_name)
     # The operation itself created/installed the LC; only *later* writes
     # are concurrent modifications by someone else.
     created_at = min((t for t, view in history if view is not None), default=since)
     writes = [t for t, _view in history if t > max(since, created_at)]
-    if len(writes) >= 1:
-        return CONFIRMED, {"writes_since_start": len(writes)}
-    return EXCLUDED, {"writes_since_start": 0}
-
-
-def probe_desired_capacity_mismatch(env, params: dict) -> _t.Generator:
-    """Does the ASG's desired capacity differ from the operation's N?"""
-    asg_name = params.get("asg_name")
-    expected = params.get("expected")
-    if not asg_name or asg_name.startswith("$"):
-        return INCONCLUSIVE, {"reason": "no asg name in context"}
-    if expected is None or (isinstance(expected, str) and expected.startswith("$")):
-        return INCONCLUSIVE, {"reason": "no expected capacity in context"}
-    try:
-        asg = yield from env.client.call("describe_auto_scaling_group", asg_name, consistent=True)
-    except (CloudError, ConsistentCallError) as exc:
-        return INCONCLUSIVE, _api_failure(exc)
-    actual = asg["DesiredCapacity"]
-    if int(actual) != int(expected):
-        return CONFIRMED, {"expected": int(expected), "actual": int(actual)}
-    return EXCLUDED, {"expected": int(expected), "actual": int(actual)}
+    return bool(writes), {"writes_since_start": len(writes)}
 
 
 def probe_instances_out_of_service(env, params: dict) -> _t.Generator:
     """Are registered ELB instances failing health checks?"""
-    elb_name = params.get("elb_name")
-    if not elb_name or elb_name.startswith("$"):
-        return INCONCLUSIVE, {"reason": "no elb name in context"}
-    try:
-        health = yield from env.client.call("describe_instance_health", elb_name)
-    except (CloudError, ConsistentCallError) as exc:
-        return INCONCLUSIVE, _api_failure(exc)
+    health = yield from env.client.call("describe_instance_health", params["elb_name"])
     out = [h["InstanceId"] for h in health if h["State"] != "InService"]
     if out:
-        return CONFIRMED, {"out_of_service": out}
-    return EXCLUDED, {}
+        return True, {"out_of_service": out}
+    return False, {}
 
 
 def build_standard_probes() -> CustomTestRegistry:
-    """All probes the standard fault trees reference."""
+    """The probes the standard fault trees reference, each one walked by
+    some tree (tests/diagnosis/test_probes.py checks both directions)."""
     registry = CustomTestRegistry()
-    registry.register("scaling-activities-failing", probe_scaling_activities_failing)
-    registry.register("limit-exceeded-activity", probe_limit_exceeded_activity)
-    registry.register("scale-in-occurred", probe_scale_in_occurred)
-    registry.register("external-termination-occurred", probe_external_termination)
-    registry.register("cloudtrail-attribution", probe_cloudtrail_attribution)
-    registry.register("lc-config-flapped", probe_lc_config_flapped)
-    registry.register("concurrent-lc-update", probe_concurrent_lc_update)
-    registry.register("desired-capacity-mismatch", probe_desired_capacity_mismatch)
-    registry.register("instances-out-of-service", probe_instances_out_of_service)
+    for name, probe, requires in (
+        ("scaling-activities-failing", probe_scaling_activities_failing, ("asg_name",)),
+        ("limit-exceeded-activity", probe_limit_exceeded_activity, ("asg_name",)),
+        ("scale-in-occurred", probe_scale_in_occurred, ("asg_name",)),
+        ("external-termination-occurred", probe_external_termination, ("asg_name",)),
+        ("cloudtrail-attribution", probe_cloudtrail_attribution, ()),
+        ("lc-config-flapped", probe_lc_config_flapped, ("lc_name",)),
+        # Either of lc_name / asg_name will do: the probe falls back itself.
+        ("concurrent-lc-update", probe_concurrent_lc_update, ()),
+        ("instances-out-of-service", probe_instances_out_of_service, ("elb_name",)),
+    ):
+        registry.register(name, probe, requires=requires)
     return registry
 
 

@@ -14,7 +14,7 @@ that orders sibling visits.
 
 from repro.faulttree.tree import DiagnosticTest, FaultNode, FaultTree, node
 from repro.faulttree.builder import FaultTreeRegistry
-from repro.faulttree.instantiate import instantiate_tree, prune_by_context, substitute
+from repro.faulttree.instantiate import instantiate_tree, substitute
 from repro.faulttree.library import build_standard_fault_trees
 
 __all__ = [
@@ -25,6 +25,5 @@ __all__ = [
     "build_standard_fault_trees",
     "instantiate_tree",
     "node",
-    "prune_by_context",
     "substitute",
 ]

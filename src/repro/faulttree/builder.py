@@ -8,9 +8,10 @@ sub-trees/leaves, and re-validated.
 
 from __future__ import annotations
 
-import typing as _t
+from repro.faulttree.tree import CONFIRMED, EXCLUDED, INCONCLUSIVE, FaultNode, FaultTree
 
-from repro.faulttree.tree import FaultNode, FaultTree
+#: What a test outcome may mean.
+VERDICTS = frozenset({CONFIRMED, EXCLUDED, INCONCLUSIVE})
 
 
 class FaultTreeRegistry:
@@ -54,12 +55,14 @@ class FaultTreeRegistry:
 
     @staticmethod
     def validate(tree: FaultTree) -> None:
-        """Structural checks: unique node ids, leaves should be testable."""
+        """Structural checks: unique node ids, every test outcome one of the three verdicts."""
         seen: set[str] = set()
         for node in tree.root.iter_nodes():
             if node.node_id in seen:
                 raise ValueError(f"duplicate node id {node.node_id!r} in tree {tree.tree_id!r}")
             seen.add(node.node_id)
+            if node.test and node.test.when_not_observed not in VERDICTS:
+                raise ValueError(f"{node.node_id!r}: test outcome not in {sorted(VERDICTS)}")
 
     def stats(self) -> dict[str, dict]:
         return {

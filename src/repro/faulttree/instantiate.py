@@ -9,8 +9,8 @@ used to prune sub-trees that are not relevant in that process context."
 
 from __future__ import annotations
 
+import dataclasses
 import re
-import typing as _t
 
 from repro.faulttree.tree import FaultNode, FaultTree
 
@@ -48,50 +48,41 @@ def substitute_params(template: dict, params: dict) -> dict:
     return result
 
 
-def instantiate_node(node: FaultNode, params: dict) -> FaultNode:
-    copy = node.copy()
-    for n in copy.iter_nodes():
-        n.description = substitute(n.description, params)
-        if n.test is not None:
-            n.test.params = substitute_params(n.test.params, params)
-    return copy
+def instantiate_tree(
+    tree: FaultTree, params: dict, step: str | None = None
+) -> tuple[FaultNode, list[str]]:
+    """Instantiate in one pass: copy what the step scoping keeps,
+    substituting variables on the way.
 
-
-def prune_by_context(root: FaultNode, step: str | None) -> FaultNode | None:
-    """Drop subtrees scoped to steps other than the current one.
-
+    Returns the new root and the ids of the sub-tree roots that were cut.
     A node with an empty ``step_context`` is kept (context-free); a node
     scoped to specific steps is kept only if the current step is among
     them — or if no step is known at all (timer-triggered diagnosis has to
-    keep everything, which is exactly why it is slower and weaker).
-    Returns None if the node itself is pruned.
+    keep everything, which is exactly why it is slower and weaker).  The
+    root itself is never pruned (the assertion did fail); only subtrees
+    are.
     """
-    if step is not None and node_scoped_out(root, step):
-        return None
-    kept_children = []
-    for child in root.children:
-        kept = prune_by_context(child, step)
-        if kept is not None:
-            kept_children.append(kept)
-    root.children = kept_children
-    return root
+    pruned: list[str] = []
+    return _instantiate(tree.root, params, step, pruned), pruned
 
 
-def node_scoped_out(node: FaultNode, step: str) -> bool:
-    return bool(node.step_context) and step not in node.step_context
-
-
-def instantiate_tree(tree: FaultTree, params: dict, step: str | None = None) -> FaultNode:
-    """Full instantiation: substitute variables, then prune by context.
-
-    The root itself is never pruned (the assertion did fail); only
-    subtrees are.
-    """
-    root = instantiate_node(tree.root, params)
-    kept_children = []
-    for child in root.children:
-        kept = prune_by_context(child, step)
-        if kept is not None:
-            kept_children.append(kept)
-    root.children = kept_children
-    return root
+def _instantiate(node: FaultNode, params: dict, step: str | None, pruned: list[str]) -> FaultNode:
+    # Module-level on purpose: a nested recursive def is a reference cycle
+    # (function <-> its own closure cell) left behind by every walk.
+    children = []
+    for child in node.children:
+        if step is not None and child.step_context and step not in child.step_context:
+            pruned.append(child.node_id)
+        else:
+            children.append(_instantiate(child, params, step, pruned))
+    test = node.test
+    if test is not None:
+        test = dataclasses.replace(test, params=substitute_params(test.params, params))
+    return FaultNode(
+        node_id=node.node_id,
+        description=substitute(node.description, params),
+        children=children,
+        test=test,
+        step_context=node.step_context,
+        probability=node.probability,
+    )

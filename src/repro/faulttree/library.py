@@ -21,8 +21,6 @@ from repro.operations.steps import (
     COMPLETED,
     DEREGISTER,
     READY,
-    SORT,
-    START,
     STATUS,
     TERMINATE,
     UPDATE_LC,
@@ -30,8 +28,8 @@ from repro.operations.steps import (
 )
 
 
-def _assertion_test(name: str, confirm_on: str = "fail", **params) -> DiagnosticTest:
-    return DiagnosticTest(kind="assertion", name=name, params=params, confirm_on=confirm_on)
+def _assertion_test(name: str, **params) -> DiagnosticTest:
+    return DiagnosticTest(kind="assertion", name=name, params=params)
 
 
 def _custom_test(name: str, **params) -> DiagnosticTest:
@@ -129,7 +127,13 @@ def _capacity_changed_subtree() -> object:
             node(
                 "termination-author",
                 "Identify who terminated the instance (requires CloudTrail)",
-                test=_custom_test("cloudtrail-attribution", asg_name="$asg_name"),
+                # No delivered CloudTrail record is not "nobody did it".
+                test=DiagnosticTest(
+                    kind="custom",
+                    name="cloudtrail-attribution",
+                    params={"asg_name": "$asg_name"},
+                    when_not_observed="inconclusive",
+                ),
                 probability=0.5,
             ),
             test=_custom_test("external-termination-occurred", asg_name="$asg_name"),

@@ -20,7 +20,7 @@ def _test_to_dict(test: DiagnosticTest | None) -> dict | None:
         "kind": test.kind,
         "name": test.name,
         "params": dict(test.params),
-        "confirm_on": test.confirm_on,
+        "when_not_observed": test.when_not_observed,
     }
 
 
@@ -31,7 +31,7 @@ def _test_from_dict(data: dict | None) -> DiagnosticTest | None:
         kind=data["kind"],
         name=data["name"],
         params=dict(data.get("params", {})),
-        confirm_on=data.get("confirm_on", "fail"),
+        when_not_observed=data.get("when_not_observed", "excluded"),
     )
 
 

@@ -5,17 +5,25 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
+#: The walk's three verdicts, defined here and nowhere else.
+CONFIRMED = "confirmed"
+EXCLUDED = "excluded"
+INCONCLUSIVE = "inconclusive"
+
 
 @dataclasses.dataclass
 class DiagnosticTest:
     """How to confirm or exclude a node's fault at diagnosis time.
 
-    Two kinds:
+    A test *observes* whether the condition it looks for is there.  Seeing
+    it confirms the node's fault and a test that could not look is
+    inconclusive; what *not* seeing it means is declared here, as data:
+    ``when_not_observed`` names one of the walk's three verdicts.  Two
+    kinds:
 
-    - ``assertion`` — run an on-demand assertion from the registry;
-      the fault is *present* when the assertion outcome equals
-      ``confirm_on`` (usually ``fail``: e.g. the fault "AMI unavailable"
-      is present when the ``ami-exists`` assertion fails);
+    - ``assertion`` — run an on-demand assertion from the registry; the
+      observation is "it failed" (e.g. the fault "AMI unavailable" is
+      present when the ``ami-exists`` assertion fails);
     - ``custom`` — run a named diagnosis probe from
       :mod:`repro.diagnosis.tests` (scaling-activity inspection, monitor
       history, CloudTrail lookups...).
@@ -27,7 +35,7 @@ class DiagnosticTest:
     kind: str  # "assertion" | "custom"
     name: str  # assertion id or custom test name
     params: dict = dataclasses.field(default_factory=dict)
-    confirm_on: str = "fail"  # "fail" | "pass" (assertion kind only)
+    when_not_observed: str = EXCLUDED
 
 
 @dataclasses.dataclass
@@ -72,18 +80,6 @@ class FaultNode:
     def ordered_children(self) -> list["FaultNode"]:
         """Children by descending prior probability (stable for ties)."""
         return sorted(self.children, key=lambda c: -c.probability)
-
-    def copy(self) -> "FaultNode":
-        return FaultNode(
-            node_id=self.node_id,
-            description=self.description,
-            children=[c.copy() for c in self.children],
-            test=dataclasses.replace(self.test, params=dict(self.test.params))
-            if self.test
-            else None,
-            step_context=self.step_context,
-            probability=self.probability,
-        )
 
 
 @dataclasses.dataclass

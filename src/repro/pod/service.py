@@ -9,7 +9,6 @@ upgrade); call :meth:`watch` for each operation node's log stream.
 from __future__ import annotations
 
 import dataclasses
-import typing as _t
 
 from repro.assertions.base import AssertionEnvironment
 from repro.assertions.consistent_api import ConsistentApiClient, RetryBudget
@@ -26,11 +25,7 @@ from repro.logsys.record import LogStream
 from repro.logsys.storage import CentralLogStorage
 from repro.logsys.timers import TimerSetter
 from repro.logsys.trigger import Trigger
-from repro.operations.rolling_upgrade import (
-    build_pattern_library,
-    install_watchdog,
-    reference_process_model,
-)
+from repro.operations.rolling_upgrade import install_watchdog
 from repro.pod.config import PodConfig
 from repro.process.conformance import ConformanceChecker
 
@@ -54,9 +49,6 @@ class PODDiagnosis:
         self,
         cloud,
         config: PodConfig,
-        model=None,
-        assertions: dict | None = None,
-        principal: str = "pod-diagnosis",
         seed: int = 0,
         profile=None,
         chaos=None,
@@ -83,13 +75,13 @@ class PODDiagnosis:
             profile = shared_rolling_upgrade_profile()
         self.profile = profile
         self.library = profile.library
-        self.model = model or profile.model
+        self.model = profile.model
 
         # Assertion evaluation (Fig. 4).  Latency streams are seeded per
         # service instance so independent runs draw independent timings.
         from repro.sim.latency import aws_api_latency
 
-        api = cloud.api(principal)
+        api = cloud.api("pod-diagnosis")
         latency = aws_api_latency(seed=seed + 101)
         if chaos is not None and chaos.enabled:
             # Degrade the plane POD observes through, and enable the full
@@ -124,11 +116,12 @@ class PODDiagnosis:
             self.env, storage=self.storage, on_failure=self._on_assertion_failure,
             obs=self.obs,
         )
-        registry = assertions or standard_rolling_upgrade_assertions(
-            count_timeout=config.assertion_convergence_timeout,
-            elb_timeout=config.assertion_convergence_timeout,
+        self.assertions.register_all(
+            standard_rolling_upgrade_assertions(
+                count_timeout=config.assertion_convergence_timeout,
+                elb_timeout=config.assertion_convergence_timeout,
+            )
         )
-        self.assertions.register_all(registry)
 
         # Error diagnosis (fault trees + probes).  Shared warm copies:
         # diagnosis instantiates per-request tree copies and probes are

@@ -9,8 +9,6 @@ drawn in.
 
 from __future__ import annotations
 
-import typing as _t
-
 from repro.process.model import ProcessModel
 
 SCHEMA_VERSION = 1

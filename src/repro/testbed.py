@@ -144,13 +144,9 @@ class Testbed:
 
     # -- running an upgrade -----------------------------------------------------------
 
-    def start_upgrade(self, trace_id: str = "upgrade-1") -> RollingUpgradeOperation:
-        """Arm POD on the operation log and launch the rolling upgrade."""
-        if self.upgrade is not None:
-            raise RuntimeError("upgrade already started")
-        self.pod_config.operation_start = self.engine.now
-        self.pod.env.config["since"] = self.engine.now
-        self.pod.watch(self.stream, trace_id)
+    def _launch(self, stream, trace_id, seed_offset, checkpoint=None) -> RollingUpgradeOperation:
+        """Watch ``stream`` and start a rolling upgrade to version B on it."""
+        self.pod.watch(stream, trace_id)
         params = RollingUpgradeParams(
             asg_name=self.stack.asg_name,
             elb_name=self.stack.elb_name,
@@ -161,26 +157,17 @@ class Testbed:
             security_groups=[self.stack.security_group],
             batch_size=self.batch_size,
         )
-        client = self.cloud.client("asgard", latency_seed_offset=7)
-        self.upgrade = RollingUpgradeOperation(
-            self.engine, client, self.stream, params, trace_id
+        client = self.cloud.client("asgard", latency_seed_offset=seed_offset)
+        operation = RollingUpgradeOperation(
+            self.engine, client, stream, params, trace_id, checkpoint=checkpoint
         )
-        self.upgrade.start()
-        return self.upgrade
+        operation.start()
+        return operation
 
-    def run_upgrade(
-        self,
-        trace_id: str = "upgrade-1",
-        horizon: float = 5400.0,
-        settle: float = 60.0,
-    ) -> RollingUpgradeOperation:
-        """Run the upgrade to completion/failure.
-
-        ``settle`` extra seconds are simulated afterwards so in-flight
-        assertion evaluations and diagnoses finish before callers read
-        metrics.
-        """
-        operation = self.start_upgrade(trace_id)
+    def _drive(self, operation: RollingUpgradeOperation, horizon: float, settle: float) -> None:
+        """Run until the operation ends (or the horizon), then ``settle``
+        extra seconds and a quiesce, so in-flight assertion evaluations
+        and diagnoses finish before callers read metrics."""
         deadline = self.engine.now + horizon
         while self.engine.now < deadline:
             if operation.status in (OP_COMPLETED, OP_FAILED):
@@ -189,6 +176,25 @@ class Testbed:
         self.pod.timers.stop_all()
         self.engine.run(until=self.engine.now + settle)
         self.pod.quiesce()
+
+    def start_upgrade(self, trace_id: str = "upgrade-1") -> RollingUpgradeOperation:
+        """Arm POD on the operation log and launch the rolling upgrade."""
+        if self.upgrade is not None:
+            raise RuntimeError("upgrade already started")
+        self.pod_config.operation_start = self.engine.now
+        self.pod.env.config["since"] = self.engine.now
+        self.upgrade = self._launch(self.stream, trace_id, seed_offset=7)
+        return self.upgrade
+
+    def run_upgrade(
+        self,
+        trace_id: str = "upgrade-1",
+        horizon: float = 5400.0,
+        settle: float = 60.0,
+    ) -> RollingUpgradeOperation:
+        """Run the upgrade to completion/failure (see :meth:`_drive`)."""
+        operation = self.start_upgrade(trace_id)
+        self._drive(operation, horizon, settle)
         return operation
 
     # -- resuming after recovery --------------------------------------------------
@@ -209,30 +215,8 @@ class Testbed:
         so already-replaced instances are not replaced twice.
         """
         stream = LogStream(f"asgard-{trace_id}.log")
-        self.pod.watch(stream, trace_id)
-        params = RollingUpgradeParams(
-            asg_name=self.stack.asg_name,
-            elb_name=self.stack.elb_name,
-            image_id=self.stack.ami_v2,
-            lc_name=self.stack.lc_v2,
-            instance_type="m1.small",
-            key_name=self.stack.key_name,
-            security_groups=[self.stack.security_group],
-            batch_size=self.batch_size,
-        )
-        client = self.cloud.client("asgard", latency_seed_offset=13)
-        operation = RollingUpgradeOperation(
-            self.engine, client, stream, params, trace_id, checkpoint=checkpoint
-        )
-        operation.start()
-        deadline = self.engine.now + horizon
-        while self.engine.now < deadline:
-            if operation.status in (OP_COMPLETED, OP_FAILED):
-                break
-            self.engine.run(until=min(self.engine.now + 10.0, deadline))
-        self.pod.timers.stop_all()
-        self.engine.run(until=self.engine.now + settle)
-        self.pod.quiesce()
+        operation = self._launch(stream, trace_id, seed_offset=13, checkpoint=checkpoint)
+        self._drive(operation, horizon, settle)
         self.resumed.append(operation)
         return operation
 

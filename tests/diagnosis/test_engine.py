@@ -46,7 +46,7 @@ def build_engine_fixture(engine, script, probe_results=None, tree=None):
     def make_probe(name):
         def probe(env_, params):
             yield env_.engine.timeout(0.02)
-            return probe_results.get(name, ("excluded", {}))
+            return probe_results.get(name, (False, {}))
 
         return probe
 
@@ -130,7 +130,7 @@ class TestWalk:
         diag, _ = build_engine_fixture(
             engine,
             {"gate": True},
-            probe_results={"p1": ("confirmed", {"detail": 1})},
+            probe_results={"p1": (True, {"detail": 1})},
         )
         diag.diagnose_assertion_failure(fake_assertion_result(engine))
         engine.run()
@@ -173,6 +173,53 @@ class TestWalk:
         assert execution.verdict == "inconclusive"
         assert execution.evidence["unresolved"] == ["which"]
 
+    def test_tree_declares_what_not_observed_means(self, engine):
+        """The same observation — the probe saw nothing — excludes the
+        fault by default and stops the walk below the node when the tree
+        says so (no delivered CloudTrail record is not "nobody did it")."""
+
+        def tree(**declared):
+            gate = DiagnosticTest("custom", "p1", **declared)
+            leaf = node("below", "", test=DiagnosticTest("custom", "p2"))
+            return FaultTree("scripted", "", root=node("root", "", node("gate", "", leaf, test=gate)))
+
+        reports = []
+        for declared in ({}, {"when_not_observed": "inconclusive"}):
+            diag, storage = build_engine_fixture(engine, {}, tree=tree(**declared))
+            diag.diagnose_assertion_failure(fake_assertion_result(engine))
+            engine.run()
+            reports.append((diag.completed[0], [r.message for r in storage.query(type="diagnosis")]))
+        (excluded, excluded_log), (stopped, stopped_log) = reports
+        assert [(t.node_id, t.verdict) for t in excluded.tests] == [("gate", "excluded")]
+        assert [(t.node_id, t.verdict) for t in stopped.tests] == [("gate", "inconclusive")]
+        assert (excluded.excluded_count, stopped.excluded_count) == (1, 0)
+        assert any("fault excluded" in m for m in excluded_log)
+        assert any("inconclusive; cannot proceed below" in m for m in stopped_log)
+        assert excluded.no_root_cause and stopped.no_root_cause
+
+    @pytest.mark.parametrize("kind, what", [("assertion", "assertion"), ("custom", "probe")])
+    def test_unknown_test_name_is_inconclusive_not_a_crash(self, engine, kind, what):
+        """A tree naming a test neither registry knows costs that node its
+        verdict; the walk goes on to the siblings."""
+        tree = FaultTree(
+            "scripted",
+            "",
+            root=node(
+                "root",
+                "",
+                node("mis-wired", "", test=DiagnosticTest(kind, "ghost"), probability=0.9),
+                node("sibling", "", test=DiagnosticTest("custom", "p1"), probability=0.1),
+            ),
+        )
+        diag, _ = build_engine_fixture(engine, {}, probe_results={"p1": (True, {})}, tree=tree)
+        diag.diagnose_assertion_failure(fake_assertion_result(engine))
+        engine.run()
+        report = diag.completed[0]
+        ghost = report.tests[0]
+        assert (ghost.node_id, ghost.verdict, ghost.degraded) == ("mis-wired", "inconclusive", False)
+        assert ghost.evidence == {"reason": f"unknown {what} ghost"}
+        assert [c.node_id for c in report.root_causes] == ["sibling"]
+
     def test_results_cached_across_nodes(self, engine):
         """Two nodes sharing a test run it once (§III.B.4 reuse)."""
         tree = FaultTree(
@@ -190,7 +237,42 @@ class TestWalk:
         engine.run()
         report = diag.completed[0]
         assert [t.cached for t in report.tests] == [False, True]
+        first, reused = report.tests
+        assert (first.node_id, reused.node_id) == ("a", "b")
+        assert (reused.verdict, reused.evidence, reused.duration) == (
+            first.verdict, first.evidence, 0.0
+        )
+        assert first.duration > 0
         assert {c.node_id for c in report.root_causes} == {"a", "b"}
+
+    def test_cached_observation_takes_the_reusing_nodes_meaning(self, engine):
+        """What is reused is the observation: a node sharing a test with
+        another but declaring a different meaning gets its own verdict."""
+        shared = {"kind": "custom", "name": "p1", "params": {"asg_name": "g"}}
+        tree = FaultTree(
+            "scripted",
+            "",
+            root=node(
+                "root",
+                "",
+                node("a", "", test=DiagnosticTest(**shared), probability=0.9),
+                node(
+                    "b",
+                    "",
+                    test=DiagnosticTest(**shared, when_not_observed="inconclusive"),
+                    probability=0.1,
+                ),
+            ),
+        )
+        diag, _ = build_engine_fixture(engine, {}, tree=tree)
+        diag.diagnose_assertion_failure(fake_assertion_result(engine))
+        engine.run()
+        report = diag.completed[0]
+        assert [(t.node_id, t.cached, t.verdict) for t in report.tests] == [
+            ("a", False, "excluded"),
+            ("b", True, "inconclusive"),
+        ]
+        assert report.excluded_count == 1
 
     def test_diagnosis_pays_virtual_time(self, engine):
         diag, _ = build_engine_fixture(engine, {"gate": False, "x": False})
@@ -263,7 +345,33 @@ def test_conformance_error_prunes_at_last_valid_activity(engine):
     assert request.context.last_valid_activity == WAIT_ASG
 
     def testable(step):
-        root = instantiate_tree(tree, request.params, step=step)
+        root, _ = instantiate_tree(tree, request.params, step=step)
         return sum(1 for n in root.iter_nodes() if n.test is not None)
 
     assert testable(request.context.step) > testable("operation_error")
+
+
+def test_report_lists_what_the_step_scoping_cut(engine):
+    """Fig. 5 diagnosed at "New instance ready": the report names exactly
+    the ``steps=``-scoped sub-trees that context excludes (here the one
+    scoped to the launch-configuration update) and nothing that was kept;
+    without a step nothing is cut."""
+    from repro.faulttree.library import shared_standard_fault_trees
+    from repro.operations.steps import READY
+
+    tree = shared_standard_fault_trees().get("asg-instance-count")
+    scoped_out = [
+        c.node_id for c in tree.root.children if c.step_context and READY not in c.step_context
+    ]
+    assert scoped_out == ["create-lc-fails"]
+
+    diag, _ = build_engine_fixture(engine, {}, tree=tree)
+    context = ProcessContext(process_id="p", trace_id="t1", step=READY)
+    diag.diagnose(["asg-instance-count"], context=context)
+    diag.diagnose(["asg-instance-count"])
+    engine.run()
+    at_ready, no_step = sorted(diag.completed, key=lambda r: r.step is None)
+    assert (at_ready.step, no_step.step) == (READY, None)
+    assert at_ready.pruned == scoped_out
+    assert not {t.node_id for t in at_ready.tests} & {"create-lc-fails", "lc-ami-missing"}
+    assert no_step.pruned == []

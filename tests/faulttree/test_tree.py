@@ -5,7 +5,6 @@ import pytest
 from repro.faulttree.builder import FaultTreeRegistry
 from repro.faulttree.instantiate import (
     instantiate_tree,
-    prune_by_context,
     substitute,
     substitute_params,
 )
@@ -64,8 +63,10 @@ class TestNodeStructure:
         assert order == ["leaf-a1", "leaf-a2"]
 
     def test_copy_is_deep(self):
+        """Instantiation hands the walk its own nodes and test params: the
+        registry's tree is never written to."""
         tree = small_tree()
-        clone = tree.root.copy()
+        clone, _ = instantiate_tree(tree, {})
         clone.find("leaf-a1").description = "mutated"
         clone.find("branch-b").test.params["asg"] = "mutated"
         assert tree.find("leaf-a1").description == "leaf a1"
@@ -84,32 +85,42 @@ class TestSubstitution:
         assert out == {"a": "X", "b": 3, "c": "lit"}
 
     def test_instantiate_tree_substitutes_everywhere(self):
-        instantiated = instantiate_tree(small_tree(), {"asg_name": "asg-9"})
+        instantiated, _ = instantiate_tree(small_tree(), {"asg_name": "asg-9"})
         assert "asg-9" in instantiated.description
         assert instantiated.find("branch-b").test.params["asg"] == "asg-9"
 
 
 class TestPruning:
     def test_prune_keeps_matching_step(self):
-        root = instantiate_tree(small_tree(), {"asg_name": "a"}, step="step-one")
+        tree = small_tree()
+        root, pruned = instantiate_tree(tree, {"asg_name": "a"}, step="step-one")
         ids = {n.node_id for n in root.iter_nodes()}
         assert "branch-a" in ids
         assert "branch-b" not in ids
+        assert pruned == ["branch-b"]
+        assert tree.find("branch-b") is not None  # cut from the copy only
 
     def test_no_step_keeps_everything(self):
-        root = instantiate_tree(small_tree(), {"asg_name": "a"}, step=None)
+        root, pruned = instantiate_tree(small_tree(), {"asg_name": "a"}, step=None)
         assert len(list(root.iter_nodes())) == 5
+        assert pruned == []
 
     def test_unscoped_nodes_always_kept(self):
         tree = small_tree()
         tree.root.children[0].step_context = frozenset()
-        root = instantiate_tree(tree, {}, step="step-two")
+        root, pruned = instantiate_tree(tree, {}, step="step-two")
         ids = {n.node_id for n in root.iter_nodes()}
         assert "branch-a" in ids and "branch-b" in ids
+        assert pruned == []
 
     def test_prune_by_context_root_scoped_out(self):
-        scoped = node("x", "d", steps=("other",))
-        assert prune_by_context(scoped, "this") is None
+        """A scoped-out node goes with everything below it, named once by
+        its own id; the root is never pruned (the assertion did fail)."""
+        scoped = node("x", "d", node("below", "d", steps=("other",)), steps=("other",))
+        tree = FaultTree("t", "", root=node("r", "d", scoped, steps=("other",)))
+        root, pruned = instantiate_tree(tree, {}, step="this")
+        assert [n.node_id for n in root.iter_nodes()] == ["r"]
+        assert pruned == ["x"]
 
 
 class TestRegistry:
@@ -138,6 +149,14 @@ class TestRegistry:
         )
         with pytest.raises(ValueError, match="duplicate"):
             registry.register(bad)
+
+    def test_outcome_outside_the_three_verdicts_rejected(self):
+        """A tree (e.g. a shared JSON document) cannot teach the walk a
+        fourth verdict: registration rejects it."""
+        hints = DiagnosticTest("custom", "probe", when_not_observed="hints")
+        bad = FaultTree(tree_id="bad", description="", root=node("r", "", test=hints))
+        with pytest.raises(ValueError, match="confirmed"):
+            FaultTreeRegistry().register(bad)
 
     def test_extend_grafts_subtree(self):
         """The paper's account-limit amendment: grow the tree with a new
@@ -209,7 +228,7 @@ class TestStandardTrees:
         diagnosis, we prune all other sub-trees.'"""
         registry = build_standard_fault_trees()
         tree = registry.get("asg-instance-count")
-        root = instantiate_tree(tree, {"asg_name": "a", "N": 4}, step="new_instance_ready")
+        root, _ = instantiate_tree(tree, {"asg_name": "a", "N": 4}, step="new_instance_ready")
         ids = {n.node_id for n in root.iter_nodes()}
         assert "create-lc-fails" not in ids  # scoped to update_launch_configuration
         assert "asg-wrong-config" in ids

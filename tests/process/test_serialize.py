@@ -117,6 +117,28 @@ class TestTreeRoundTrip:
         assert node.test.name == "asg-uses-correct-config"
         assert node.test.params == {"field": "ami"}
 
+    def test_outcome_declarations_round_trip(self):
+        """What an observation means travels with the tree: the one
+        non-default declaration survives JSON, node for node."""
+        tree = build_standard_fault_trees().get("asg-instance-count")
+        document = json.loads(json.dumps(tree_to_dict(tree)))
+        rebuilt = tree_from_dict(document)
+        assert [n.test for n in rebuilt.root.iter_nodes()] == [
+            n.test for n in tree.root.iter_nodes()
+        ]
+        assert rebuilt.find("termination-author").test.when_not_observed == "inconclusive"
+        assert rebuilt.find("wrong-ami").test.when_not_observed == "excluded"
+
+    def test_document_without_outcome_declarations_loads_with_defaults(self):
+        """A tree written before the field existed (its ``confirm_on`` key
+        is ignored) means what it always meant."""
+        document = tree_to_dict(build_standard_fault_trees().get("resource-integrity"))
+        for child in document["root"]["children"]:
+            del child["test"]["when_not_observed"]
+            child["test"]["confirm_on"] = "fail"
+        for leaf in tree_from_dict(document).leaves():
+            assert leaf.test.when_not_observed == "excluded"
+
     def test_step_context_preserved(self):
         tree = build_standard_fault_trees().get("asg-instance-count")
         rebuilt = tree_from_dict(tree_to_dict(tree))

@@ -135,3 +135,42 @@ def test_kept_names_still_exist():
         module_name, _, attribute = dotted.partition(":")
         module = importlib.import_module(module_name)
         assert not attribute or hasattr(module, attribute), dotted
+
+
+def _unused_imports(path: pathlib.Path) -> list[str]:
+    """Names a module imports and never reads (stdlib ``ast``, no linter).
+
+    A use is any ``Name`` — the root of a dotted access included — or a
+    string that is exactly the name (an ``__all__`` entry, a quoted
+    annotation).  ``from __future__`` imports are directives, not names.
+    """
+    tree = ast.parse(path.read_text())
+    imported: dict[str, int] = {}
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value)
+    return [
+        f"{path.relative_to(ROOT)}:{line} {name}"
+        for name, line in imported.items()
+        if name not in used
+    ]
+
+
+def test_no_unused_imports_in_src():
+    """``__init__.py`` files import to re-export, so they are skipped."""
+    unused = [
+        finding
+        for path in sorted((ROOT / "src" / "repro").rglob("*.py"))
+        if path.name != "__init__.py"
+        for finding in _unused_imports(path)
+    ]
+    assert unused == [], "imported and never read: delete the import"
