@@ -12,6 +12,12 @@ Log- and timer-triggered evaluations run as independent engine processes
 false-positive class).  On-demand evaluations are driven synchronously
 inside the diagnosis process via ``yield from``.
 
+An assertion checks cloud state and answers; it does not catch API
+failures.  On every trigger path the service turns one that escapes —
+a timeout, exhausted retries, an open breaker, a non-retryable error —
+into a failed result carrying ``timed_out`` / ``degraded`` (§IV:
+"assertion evaluations are regarded as failed if API calls time out").
+
 Every result is logged (type ``assertion``) to central storage; failures
 from log/timer triggers invoke the ``on_failure`` callback — the entry
 point of error diagnosis.
@@ -104,8 +110,7 @@ class AssertionEvaluationService:
         Returns the AssertionResult; never invokes ``on_failure`` (the
         caller *is* the diagnosis).
         """
-        assertion = self.get(assertion_id)
-        result = yield from assertion.evaluate(self.env, params)
+        result = yield from self._evaluate(self.get(assertion_id), params)
         result.cause = "on-demand"
         self.results.append(result)
         self._record_outcome(result)
@@ -131,26 +136,31 @@ class AssertionEvaluationService:
             name=f"assert-{assertion_id}",
         )
 
-    def _run(
-        self, assertion: Assertion, params: dict, cause: str, context, span=None
-    ) -> _t.Generator:
+    def _evaluate(self, assertion: Assertion, params: dict) -> _t.Generator:
+        """Evaluate, on any trigger path.  The one place "could not read"
+        becomes a result: a bad API plane fails (and flags) an evaluation,
+        it never crashes the run or the diagnosis walk."""
+        started = self.env.engine.now
         try:
-            result = yield from assertion.evaluate(self.env, params)
+            return (yield from assertion.evaluate(self.env, params))
         except (CloudError, ConsistentCallError) as exc:
-            # Fire-and-forget engine processes re-raise uncaught
-            # exceptions and would crash the whole run; a degraded API
-            # plane must instead surface as a failed (possibly degraded)
-            # evaluation — "inconclusive, never crashed".
-            result = AssertionResult(
+            now = self.env.engine.now
+            return AssertionResult(
                 assertion_id=assertion.assertion_id,
                 passed=False,
                 message=f"evaluation aborted by API failure: {exc}",
-                time=self.env.engine.now,
-                duration=0.0,
+                time=now,
+                duration=now - started,
                 params=dict(params),
                 timed_out=bool(getattr(exc, "timed_out", False)),
                 degraded=is_degraded(exc),
             )
+
+    def _run(
+        self, assertion: Assertion, params: dict, cause: str, context, span=None
+    ) -> _t.Generator:
+        try:
+            result = yield from self._evaluate(assertion, params)
         finally:
             self.in_flight -= 1
         result.cause = cause

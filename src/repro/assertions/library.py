@@ -12,8 +12,7 @@ from __future__ import annotations
 import typing as _t
 
 from repro.assertions.base import Assertion, AssertionEnvironment, HIGH_LEVEL, LOW_LEVEL
-from repro.assertions.consistent_api import ConsistentCallError, is_degraded
-from repro.cloud.errors import CloudError
+from repro.cloud.errors import ResourceNotFound
 
 
 class AsgInstanceCountAssertion(Assertion):
@@ -79,29 +78,12 @@ class AsgInstanceCountAssertion(Assertion):
             return [i["InstanceId"] for i in instances if i["State"]["Name"] in states]
 
         window = float(params.get("convergence_timeout", self.convergence_timeout))
-        try:
-            instances = yield from env.client.call_until(
-                "describe_instances_in_asg",
-                asg_name,
-                predicate=lambda result: len(counted(result)) == expected,
-                timeout=window,
-            )
-        except ConsistentCallError as exc:
-            kind = "new-version " if self.mode == "version" else ""
-            return self._result(
-                env,
-                False,
-                f"ASG {asg_name} never reached {expected} {kind}instances: {exc}",
-                params,
-                started,
-                timed_out=True,
-                degraded=is_degraded(exc),
-            )
-        except CloudError as exc:
-            return self._result(
-                env, False, f"ASG {asg_name} could not be described: {exc}", params, started,
-                degraded=is_degraded(exc),
-            )
+        instances = yield from env.client.call_until(
+            "describe_instances_in_asg",
+            asg_name,
+            predicate=lambda result: len(counted(result)) == expected,
+            timeout=window,
+        )
         members = counted(instances)
         return self._result(
             env,
@@ -138,15 +120,7 @@ class InstanceVersionAssertion(Assertion):
         instance_id = params.get("instanceid")
         if instance_id is None:
             return self._result(env, False, "no instance id in trigger context", params, started)
-        try:
-            described = yield from env.client.call(
-                "describe_instance", instance_id, consistent=True
-            )
-        except (CloudError, ConsistentCallError) as exc:
-            return self._result(
-                env, False, f"instance {instance_id} not describable: {exc}", params, started,
-                timed_out=bool(getattr(exc, "timed_out", False)), degraded=is_degraded(exc),
-            )
+        described = yield from env.client.call("describe_instance", instance_id, consistent=True)
         mismatches: list[str] = []
         observed: dict = {"instance_id": instance_id}
         for config_key, describe_key, label in self.FIELDS:
@@ -206,18 +180,10 @@ class AsgConfigAssertion(Assertion):
         asg_name = env.expected("asg_name", params)
         if asg_name is None:
             return self._result(env, False, "missing asg_name parameter", params, started)
-        try:
-            asg = yield from env.client.call(
-                "describe_auto_scaling_group", asg_name, consistent=True
-            )
-            lc = yield from env.client.call(
-                "describe_launch_configuration", asg["LaunchConfigurationName"], consistent=True
-            )
-        except (CloudError, ConsistentCallError) as exc:
-            return self._result(
-                env, False, f"ASG {asg_name} configuration not readable: {exc}", params, started,
-                timed_out=bool(getattr(exc, "timed_out", False)), degraded=is_degraded(exc),
-            )
+        asg = yield from env.client.call("describe_auto_scaling_group", asg_name, consistent=True)
+        lc = yield from env.client.call(
+            "describe_launch_configuration", asg["LaunchConfigurationName"], consistent=True
+        )
         fields = [params["field"]] if "field" in params else list(self.FIELD_MAP)
         mismatches = []
         observed = {"launch_configuration": lc["LaunchConfigurationName"]}
@@ -269,13 +235,7 @@ class ElbRegistrationAssertion(Assertion):
         expected = env.expected("min_in_service", params)
         if elb_name is None:
             return self._result(env, False, "missing elb_name parameter", params, started)
-        try:
-            elb = yield from env.client.call("describe_load_balancer", elb_name, consistent=True)
-        except (CloudError, ConsistentCallError) as exc:
-            return self._result(
-                env, False, f"ELB {elb_name} not describable: {exc}", params, started,
-                timed_out=bool(getattr(exc, "timed_out", False)), degraded=is_degraded(exc),
-            )
+        elb = yield from env.client.call("describe_load_balancer", elb_name, consistent=True)
         if elb.get("State") != "active":
             return self._result(
                 env, False, f"ELB {elb_name} is {elb.get('State')}", params, started,
@@ -289,23 +249,12 @@ class ElbRegistrationAssertion(Assertion):
             return sum(1 for h in health if h["State"] == "InService") >= expected
 
         window = float(params.get("convergence_timeout", self.convergence_timeout))
-        try:
-            health = yield from env.client.call_until(
-                "describe_instance_health",
-                elb_name,
-                predicate=enough,
-                timeout=window,
-            )
-        except ConsistentCallError as exc:
-            return self._result(
-                env,
-                False,
-                f"ELB {elb_name} never reached {expected} in-service instances: {exc}",
-                params,
-                started,
-                timed_out=True,
-                degraded=is_degraded(exc),
-            )
+        health = yield from env.client.call_until(
+            "describe_instance_health",
+            elb_name,
+            predicate=enough,
+            timeout=window,
+        )
         in_service = [h["InstanceId"] for h in health if h["State"] == "InService"]
         return self._result(
             env,
@@ -372,7 +321,9 @@ class ResourceExistsAssertion(Assertion):
             described = yield from env.client.call(
                 self.DESCRIBERS[self.kind], identifier, consistent=True
             )
-        except (CloudError, ConsistentCallError) as exc:
+        except ResourceNotFound as exc:
+            # Not found is this assertion's answer; any other API failure
+            # is the evaluation service's "could not read".
             return self._result(
                 env,
                 False,
@@ -380,8 +331,6 @@ class ResourceExistsAssertion(Assertion):
                 params,
                 started,
                 observed={"identifier": identifier},
-                timed_out=bool(getattr(exc, "timed_out", False)),
-                degraded=is_degraded(exc),
             )
         # AMIs and ELBs additionally carry availability state.
         if self.kind == "ami" and described.get("State") != "available":

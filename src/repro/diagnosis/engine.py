@@ -21,7 +21,6 @@ import dataclasses
 import itertools
 import typing as _t
 
-from repro.assertions.consistent_api import ConsistentCallError
 from repro.assertions.evaluation import AssertionEvaluationService
 from repro.diagnosis.cache import DiagnosisCache
 from repro.diagnosis.report import DiagnosisReport, RootCause, TestExecution
@@ -387,10 +386,7 @@ class DiagnosisEngine:
         self._log(request, f"Verifying {node.node_id}: {test.name} {params}")
         if test.name not in self.assertions.assertions:
             return None, {"reason": f"unknown assertion {test.name}"}, False
-        try:
-            result = yield from self.assertions.evaluate_on_demand(test.name, params)
-        except ConsistentCallError as exc:
-            return None, {"reason": f"API failure: {exc}"}, exc.degraded
+        result = yield from self.assertions.evaluate_on_demand(test.name, params)
         if result.degraded:
             return None, {"reason": "degraded API plane"}, True
         if result.timed_out:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.assertions.base import Assertion, AssertionEnvironment
-from repro.assertions.consistent_api import ConsistentApiClient
+from repro.assertions.consistent_api import ConsistentApiClient, ConsistentCallError
 from repro.assertions.evaluation import AssertionEvaluationService
 from repro.assertions.library import (
     AsgConfigAssertion,
@@ -13,6 +13,7 @@ from repro.assertions.library import (
     ResourceExistsAssertion,
 )
 from repro.assertions.spec import AssertionSpecError, parse_assertion_spec
+from repro.cloud.errors import MalformedRequest, ServiceUnavailable
 from repro.logsys.record import LogRecord
 from repro.logsys.storage import CentralLogStorage
 from repro.logsys.timers import TimerFiring
@@ -33,6 +34,25 @@ class StubAssertion(Assertion):
         started = env.engine.now
         yield env.engine.timeout(self.delay)
         return self._result(env, self.passes, "stubbed", params, started)
+
+
+class UnreadableAssertion(Assertion):
+    """Assertion whose read fails after ``delay`` and lets the failure out."""
+
+    def __init__(self, error, assertion_id="unreadable", delay=0.4):
+        self.assertion_id = assertion_id
+        self.error = error
+        self.delay = delay
+
+    def evaluate(self, env, params):
+        yield env.engine.timeout(self.delay)
+        raise self.error
+
+
+def chaos_error():
+    error = ServiceUnavailable("chaos: unavailable")
+    error.chaos = True
+    return error
 
 
 @pytest.fixture
@@ -118,6 +138,38 @@ class TestTriggerPaths:
         engine.run()
         assert service.in_flight == 0
         assert len(service.results) == 2
+
+    @pytest.mark.parametrize(
+        "make_error, flags",
+        [
+            (lambda: MalformedRequest("bad request"), (False, False)),
+            (lambda: ConsistentCallError("deadline", timed_out=True), (True, False)),
+            (lambda: ConsistentCallError("breaker", degraded=True, breaker_open=True), (False, True)),
+            (chaos_error, (False, True)),
+        ],
+    )
+    def test_api_failure_is_one_failed_result_on_every_trigger_path(
+        self, service, engine, make_error, flags
+    ):
+        """"Could not read" is decided once: log, timer and on-demand
+        evaluations of an assertion that lets an API failure out give the
+        same flags, and the elapsed virtual time as the duration."""
+        service.register(UnreadableAssertion(make_error()))
+        service.trigger_from_log(tagged_record(), ["unreadable"])
+        service.trigger_from_timer(TimerFiring("w", time=0.0, cause="timeout"), ["unreadable"])
+        on_demand = engine.run(
+            until=engine.process(service.evaluate_on_demand("unreadable", {}))
+        )
+        engine.run()
+        assert sorted(r.cause for r in service.results) == ["log", "on-demand", "timer-timeout"]
+        assert on_demand in service.results
+        for result in service.results:
+            assert result.failed
+            assert (result.timed_out, result.degraded) == flags
+            assert result.duration == pytest.approx(0.4)
+        # Only the log/timer failures start a diagnosis.
+        assert sorted(r.cause for r in service.failure_list) == ["log", "timer-timeout"]
+        assert service.in_flight == 0
 
     def test_results_for_filters_by_id(self, service, engine):
         service.register(StubAssertion("a"))

@@ -4,6 +4,7 @@ import pytest
 
 from repro.assertions.base import AssertionEnvironment
 from repro.assertions.consistent_api import ConsistentApiClient
+from repro.assertions.evaluation import AssertionEvaluationService
 from repro.assertions.library import (
     AsgConfigAssertion,
     AsgInstanceCountAssertion,
@@ -12,6 +13,7 @@ from repro.assertions.library import (
     ResourceExistsAssertion,
     standard_rolling_upgrade_assertions,
 )
+from repro.cloud.errors import ServiceUnavailable
 from repro.sim.latency import ConstantLatency
 
 
@@ -40,8 +42,15 @@ def env(provisioned_cloud):
 
 
 def run(env, assertion, params=None):
+    """Evaluate through the service: an assertion answers, and a read it
+    could not make (timeout, not-found on a describe that is not its
+    question) becomes a failed result there, not in ``evaluate``."""
+    service = AssertionEvaluationService(env)
+    service.register(assertion)
     engine = env.engine
-    return engine.run(until=engine.process(assertion.evaluate(env, params or {})))
+    return engine.run(
+        until=engine.process(service.evaluate_on_demand(assertion.assertion_id, params or {}))
+    )
 
 
 class TestCountAssertion:
@@ -187,6 +196,54 @@ class TestElbAssertion:
         env.config.pop("min_in_service")
         result = run(env, ElbRegistrationAssertion(convergence_timeout=1))
         assert result.passed
+
+
+class UnavailableReads:
+    """API double: the ELB describes as active, both convergence reads
+    (``call_until`` targets) answer ``ServiceUnavailable``."""
+
+    def describe_load_balancer(self, name, consistent=False):
+        return {"State": "active"}
+
+    def describe_instance_health(self, name):
+        raise ServiceUnavailable(f"load balancer {name!r} is unavailable")
+
+    def describe_instances_in_asg(self, name):
+        raise ServiceUnavailable(f"asg {name!r} is unavailable")
+
+
+class TestCallUntilFailuresCarryTheirRealFlag:
+    """``timed_out`` says the deadline passed — not "``call_until`` raised".
+    (The deadline side: ``test_fails_when_fleet_short`` and
+    ``test_fails_when_too_few_in_service`` above.)"""
+
+    @pytest.mark.parametrize(
+        "assertion, method",
+        [
+            (AsgInstanceCountAssertion(convergence_timeout=30), "describe_instances_in_asg"),
+            (ElbRegistrationAssertion(convergence_timeout=30), "describe_instance_health"),
+        ],
+    )
+    def test_exhaustion_and_open_breaker_are_not_timeouts(self, env, assertion, method):
+        client = ConsistentApiClient(
+            env.engine,
+            UnavailableReads(),
+            latency=ConstantLatency(0.05),
+            call_timeout=10.0,  # room for all four backoffs: exhaustion, not deadline
+            breaker_threshold=3,
+        )
+        env.client = client
+        exhausted = run(env, assertion)
+        assert exhausted.failed and not exhausted.timed_out and not exhausted.degraded
+        assert (client.retry_exhaustions, client.timeouts, client.breaker_trips) == (1, 0, 1)
+        calls = client.calls_made
+        stopped = run(env, assertion)
+        assert stopped.failed and not stopped.timed_out and not stopped.degraded
+        assert "circuit breaker open" in stopped.message
+        assert client.breaker_fast_fails == 1
+        # Failed fast: no further call on the open method.
+        extra = 1 if method == "describe_instance_health" else 0  # describe_load_balancer
+        assert client.calls_made == calls + extra
 
 
 class TestResourceExistsAssertion:

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.assertions.base import Assertion, AssertionEnvironment
-from repro.assertions.consistent_api import ConsistentApiClient
+from repro.assertions.consistent_api import ConsistentApiClient, ConsistentCallError
 from repro.assertions.evaluation import AssertionEvaluationService
+from repro.cloud.errors import MalformedRequest
 from repro.diagnosis.engine import DiagnosisEngine
 from repro.diagnosis.tests import CustomTestRegistry
 from repro.faulttree.builder import FaultTreeRegistry
@@ -29,6 +30,30 @@ class ScriptedAssertion(Assertion):
         key = params.get("which", "default")
         passed = self.script.get(key, True)
         return self._result(env, passed, f"scripted {key}", params, started)
+
+
+class UnreadableAssertion(Assertion):
+    """Assertion whose read fails after ``delay``: ``evaluate`` lets the
+    API failure out, as the library assertions do."""
+
+    fault_tree_id = "scripted"
+
+    def __init__(self, assertion_id, error, delay=0.25):
+        self.assertion_id = assertion_id
+        self.error = error
+        self.delay = delay
+
+    def evaluate(self, env, params):
+        yield env.engine.timeout(self.delay)
+        raise self.error
+
+
+#: error an assertion lets out -> (timed_out, degraded) of the failed result
+UNREADABLE = {
+    "malformed": (MalformedRequest("bad request"), (False, False)),
+    "timed-out": (ConsistentCallError("deadline passed", timed_out=True), (True, False)),
+    "degraded": (ConsistentCallError("chaos", degraded=True), (False, True)),
+}
 
 
 def build_engine_fixture(engine, script, probe_results=None, tree=None):
@@ -303,6 +328,37 @@ class TestWalk:
         assert merged["N"] == 4
         assert merged["instanceid"] == "i-7"
         assert merged["num"] == "4"
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE))
+def test_on_demand_api_failure_degrades_the_test_never_the_walk(engine, case):
+    """An assertion that lets an API failure out costs its node a verdict,
+    not ``engine.run`` an exception: the service turns it into the failed
+    result the log/timer path always built, the walk reads its flags."""
+    error, (timed_out, degraded) = UNREADABLE[case]
+    tree = FaultTree(
+        "scripted", "", root=node("only", "", test=DiagnosticTest("assertion", "unreadable"))
+    )
+    diag, _ = build_engine_fixture(engine, {}, tree=tree)
+    diag.assertions.register(UnreadableAssertion("unreadable", error))
+    diag.diagnose(["scripted"])
+    engine.run()
+
+    (report,) = diag.completed
+    (test,) = report.tests
+    (result,) = diag.assertions.results
+    assert (result.passed, result.timed_out, result.degraded) == (False, timed_out, degraded)
+    assert result.cause == "on-demand"
+    assert result.duration == pytest.approx(0.25)
+    assert test.degraded is degraded
+    if timed_out or degraded:
+        # Could not look: decides nothing.
+        assert test.verdict == "inconclusive" and report.no_root_cause
+    else:
+        # A non-retryable error is an answer — a failed check, as on the
+        # log/timer path.
+        assert test.verdict == "confirmed"
+        assert [c.node_id for c in report.root_causes] == ["only"]
 
 
 def test_conformance_error_prunes_at_last_valid_activity(engine):
