@@ -75,7 +75,10 @@ class Assertion:
     fault_tree_id: str | None = None
 
     def evaluate(self, env: AssertionEnvironment, params: dict) -> _t.Generator:
-        """Simulation generator returning an AssertionResult."""
+        """Simulation generator returning an AssertionResult: this
+        assertion's answer.  An API failure that leaves no answer is not
+        caught here — the evaluation service makes it the failed result
+        (and owns the ``timed_out`` / ``degraded`` flags)."""
         raise NotImplementedError
 
     # -- helpers for subclasses -------------------------------------------------
@@ -88,8 +91,6 @@ class Assertion:
         params: dict,
         started_at: float,
         observed: dict | None = None,
-        timed_out: bool = False,
-        degraded: bool = False,
     ) -> AssertionResult:
         return AssertionResult(
             assertion_id=self.assertion_id,
@@ -99,8 +100,6 @@ class Assertion:
             duration=env.engine.now - started_at,
             params=dict(params),
             observed=dict(observed or {}),
-            timed_out=timed_out,
-            degraded=degraded,
         )
 
     def __repr__(self) -> str:

@@ -18,11 +18,11 @@ experiments, at the 95% percentile."
   latency model.
 
 On top of the paper's retry+timeout the client is hardened against a
-degraded API plane (see :mod:`repro.cloud.chaos`):
+degraded API plane (see :mod:`repro.cloud.chaos`).  There is one
+configuration — every client has all of it, whether or not chaos is on:
 
-- **full-jitter exponential backoff** (``jitter=True``) decorrelates
-  retries so an error storm is not answered with a synchronized
-  retry storm;
+- **full-jitter exponential backoff** decorrelates retries so an error
+  storm is not answered with a synchronized retry storm;
 - a **retry budget** (token bucket) caps the total retry volume so one
   flaky endpoint cannot starve a whole assertion batch;
 - a per-method **circuit breaker** fails fast after ``breaker_threshold``
@@ -186,10 +186,9 @@ class ConsistentApiClient:
         base_backoff: float = 0.2,
         call_timeout: float | None = None,
         seed: int = 0,
-        jitter: bool = False,
         max_backoff: float = 30.0,
         retry_budget: RetryBudget | None = None,
-        breaker_threshold: int | None = None,
+        breaker_threshold: int = 6,
         breaker_cooldown: float = 45.0,
         obs=None,
     ) -> None:
@@ -203,9 +202,9 @@ class ConsistentApiClient:
         self.max_retries = max_retries
         self.base_backoff = base_backoff
         self.max_backoff = max_backoff
-        self.jitter = jitter
-        self._rng = random.Random(seed)
-        self.retry_budget = retry_budget
+        self._rng = random.Random(seed)  # jitter stream
+        #: Omitted = this client's own default bucket (32 tokens @ 0.75/s).
+        self.retry_budget = retry_budget or RetryBudget()
         self.breaker_threshold = breaker_threshold
         self.breaker_cooldown = breaker_cooldown
         self._breakers: dict[str, CircuitBreaker] = {}
@@ -231,9 +230,7 @@ class ConsistentApiClient:
 
     # -- health accounting -------------------------------------------------------
 
-    def _breaker(self, method: str) -> CircuitBreaker | None:
-        if self.breaker_threshold is None:
-            return None
+    def _breaker(self, method: str) -> CircuitBreaker:
         if method not in self._breakers:
             self._breakers[method] = CircuitBreaker(self.breaker_threshold, self.breaker_cooldown)
         return self._breakers[method]
@@ -276,7 +273,7 @@ class ConsistentApiClient:
         if deadline is not None:
             call_deadline = min(call_deadline, deadline)
         breaker = self._breaker(method)
-        if breaker is not None and not breaker.allow(self.engine.now):
+        if not breaker.allow(self.engine.now):
             self.breaker_fast_fails += 1
             self._count("client.breaker_fast_fails")
             raise ConsistentCallError(
@@ -309,7 +306,7 @@ class ConsistentApiClient:
                 # deadline (the hang), then surface a degraded timeout.
                 self.blackholes += 1
                 self._count("client.blackholes")
-                if breaker is not None and breaker.record_failure(self.engine.now, chaos=True):
+                if breaker.record_failure(self.engine.now, chaos=True):
                     self._count("client.breaker_trips")
                 remaining = max(0.0, call_deadline - self.engine.now)
                 if remaining > 0:
@@ -327,7 +324,7 @@ class ConsistentApiClient:
                 chaos = bool(getattr(exc, "chaos", False))
                 chaos_seen = chaos_seen or chaos
                 self._count("client.retryable_errors")
-                if breaker is not None and breaker.record_failure(self.engine.now, chaos=chaos):
+                if breaker.record_failure(self.engine.now, chaos=chaos):
                     self._count("client.breaker_trips")
                 # Kept without its traceback, which points back at this
                 # frame: a frame holding its own exception is a cycle.
@@ -342,9 +339,7 @@ class ConsistentApiClient:
                         last_error=exc,
                         degraded=chaos_seen,
                     )
-                if self.retry_budget is not None and not self.retry_budget.try_spend(
-                    self.engine.now
-                ):
+                if not self.retry_budget.try_spend(self.engine.now):
                     self.budget_denials += 1
                     self._count("client.budget_denials")
                     raise ConsistentCallError(
@@ -355,16 +350,15 @@ class ConsistentApiClient:
                     )
                 self.retries_made += 1
                 self._count("client.retries")
-                backoff = min(self.base_backoff * (2 ** (attempt - 1)), self.max_backoff)
-                if self.jitter:
-                    # Full jitter (AWS architecture blog): uniform in
-                    # [0, backoff] decorrelates the retry herd.
-                    backoff = self._rng.uniform(0.0, backoff)
+                # Full jitter (AWS architecture blog): uniform in
+                # [0, backoff] decorrelates the retry herd.
+                backoff = self._rng.uniform(
+                    0.0, min(self.base_backoff * (2 ** (attempt - 1)), self.max_backoff)
+                )
                 remaining = max(0.0, call_deadline - self.engine.now)
                 yield self.engine.timeout(min(backoff, remaining))
             else:
-                if breaker is not None:
-                    breaker.record_success()
+                breaker.record_success()
                 return result
 
     def call_until(

@@ -28,6 +28,7 @@ from repro.logsys.trigger import Trigger
 from repro.operations.rolling_upgrade import install_watchdog
 from repro.pod.config import PodConfig
 from repro.process.conformance import ConformanceChecker
+from repro.sim.latency import aws_api_latency
 
 
 @dataclasses.dataclass
@@ -77,35 +78,10 @@ class PODDiagnosis:
         self.library = profile.library
         self.model = profile.model
 
-        # Assertion evaluation (Fig. 4).  Latency streams are seeded per
-        # service instance so independent runs draw independent timings.
-        from repro.sim.latency import aws_api_latency
-
-        api = cloud.api("pod-diagnosis")
-        latency = aws_api_latency(seed=seed + 101)
-        if chaos is not None and chaos.enabled:
-            # Degrade the plane POD observes through, and enable the full
-            # hardening stack (jitter, retry budget, circuit breaker) —
-            # keeping the legacy client untouched when chaos is off so
-            # existing seeded runs stay bit-for-bit identical.
-            api = chaos.wrap(api)
-            latency = chaos.wrap_latency(latency)
-            client = ConsistentApiClient(
-                engine,
-                api,
-                latency=latency,
-                seed=seed + 103,
-                jitter=True,
-                retry_budget=RetryBudget(capacity=32.0, refill_rate=0.75),
-                breaker_threshold=6,
-                breaker_cooldown=45.0,
-                obs=self.obs,
-            )
-        else:
-            client = ConsistentApiClient(engine, api, latency=latency, obs=self.obs)
+        # Assertion evaluation (Fig. 4).
         self.env = AssertionEnvironment(
             engine=engine,
-            client=client,
+            client=self._client("pod-diagnosis", 101, 103, RetryBudget()),
             monitor=cloud.monitor,
             config=config.as_repository(),
             state=cloud.state,
@@ -239,23 +215,18 @@ class PODDiagnosis:
         )
         self.diagnosis.diagnose_conformance_error(result)
 
-    # -- recovery plane ---------------------------------------------------------------
+    # -- the API plane ---------------------------------------------------------------
 
-    def recovery_client(self, seed_offset: int = 211) -> ConsistentApiClient:
-        """A hardened client for the recovery plane.
-
-        Recovery actions mutate cloud state, so they always get the full
-        hardening stack (full-jitter backoff, retry budget, circuit
-        breaker) — and the same chaos wrapping the assertion plane sees,
-        so a degraded API plane degrades recovery the same way it
-        degrades diagnosis.  Seeded independently of the assertion
-        client: recovery runs strictly after the upgrade phase, so the
-        extra RNG stream never perturbs non-recovering runs.
-        """
-        from repro.sim.latency import aws_api_latency
-
-        api = self.cloud.api("recovery")
-        latency = aws_api_latency(seed=self._seed + seed_offset)
+    def _client(
+        self, principal: str, latency_seed: int, jitter_seed: int, budget: RetryBudget
+    ) -> ConsistentApiClient:
+        """The one place a consistent-API client is built.  Each plane has
+        its own principal, retry budget and RNG streams (offsets from the
+        service seed, so independent runs draw independent timings); both
+        see the same chaos wrapping, so a degraded API plane degrades
+        recovery the same way it degrades diagnosis."""
+        api = self.cloud.api(principal)
+        latency = aws_api_latency(seed=self._seed + latency_seed)
         if self.chaos is not None and self.chaos.enabled:
             api = self.chaos.wrap(api)
             latency = self.chaos.wrap_latency(latency)
@@ -263,13 +234,17 @@ class PODDiagnosis:
             self.engine,
             api,
             latency=latency,
-            seed=self._seed + seed_offset + 1,
-            jitter=True,
-            retry_budget=RetryBudget(capacity=24.0, refill_rate=0.5),
-            breaker_threshold=6,
-            breaker_cooldown=45.0,
+            seed=self._seed + jitter_seed,
+            retry_budget=budget,
             obs=self.obs,
         )
+
+    def recovery_client(self) -> ConsistentApiClient:
+        """A client for the recovery plane: its own, tighter retry budget
+        (its calls mutate cloud state) and its own RNG streams — recovery
+        runs strictly after the upgrade phase, so they never perturb
+        non-recovering runs."""
+        return self._client("recovery", 211, 212, RetryBudget(capacity=24.0, refill_rate=0.5))
 
     # -- views -----------------------------------------------------------------------
 

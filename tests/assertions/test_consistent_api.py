@@ -10,6 +10,7 @@ from repro.assertions.consistent_api import (
 )
 from repro.cloud.chaos import BlackholedCall
 from repro.cloud.errors import MalformedRequest, ResourceNotFound, ServiceUnavailable, Throttling
+from repro.sim.engine import Engine
 from repro.sim.latency import ConstantLatency
 
 
@@ -37,6 +38,15 @@ def drive(engine, generator):
     return engine.run(until=engine.process(generator))
 
 
+def elapsed_after(throttles, seed=0, **kwargs):
+    """Virtual time one ``call`` takes to get through ``throttles``
+    retryable errors (0.05 s per API call, jittered backoff between)."""
+    engine = Engine()
+    client = client_for(engine, FlakyApi(errors=[Throttling("x")] * throttles), seed=seed, **kwargs)
+    drive(engine, client.call("operation"))
+    return engine.now
+
+
 class TestCall:
     def test_plain_success(self, engine):
         api = FlakyApi()
@@ -51,12 +61,14 @@ class TestCall:
         assert api.calls == 3
         assert client.retries_made == 2
 
-    def test_exponential_backoff_advances_time(self, engine):
-        api = FlakyApi(errors=[Throttling("x")] * 3)
-        client = client_for(engine, api, base_backoff=0.2)
-        drive(engine, client.call("operation"))
-        # 4 calls x 0.05 latency + backoffs 0.2 + 0.4 + 0.8.
-        assert engine.now == pytest.approx(0.05 * 4 + 1.4)
+    def test_exponential_backoff_advances_time(self):
+        # 4 calls x 0.05 latency, plus backoffs drawn from [0, 0.2],
+        # [0, 0.4], [0, 0.8]: more than the latencies alone, never more
+        # than the un-jittered schedule.
+        for seed in range(5):
+            assert 0.05 * 4 < elapsed_after(3, seed, base_backoff=0.2) <= 0.05 * 4 + 1.4
+        # The window doubles per retry: the fourth backoff alone may add 1.6.
+        assert 0.05 * 5 < elapsed_after(4, base_backoff=0.2) <= 0.05 * 5 + 3.0
 
     def test_non_retryable_raises_immediately(self, engine):
         api = FlakyApi(errors=[ResourceNotFound.of("ami", "ami-1")])
@@ -196,36 +208,29 @@ class TestCounterSplit:
 
 
 class TestJitter:
-    def test_disabled_by_default_for_exact_legacy_backoff(self, engine):
-        api = FlakyApi(errors=[Throttling("x")] * 3)
-        client = client_for(engine, api, base_backoff=0.2)
-        drive(engine, client.call("operation"))
-        assert engine.now == pytest.approx(0.05 * 4 + 1.4)
+    def test_always_on_same_seed_same_schedule(self):
+        """No opt-in: a client built on defaults jitters, from its own
+        seeded stream — a pure function of the seed."""
+        by_seed = {seed: elapsed_after(3, seed, base_backoff=0.2) for seed in range(8)}
+        assert len(set(by_seed.values())) == len(by_seed)
+        for seed, elapsed in by_seed.items():
+            assert elapsed == elapsed_after(3, seed, base_backoff=0.2)
 
     def test_full_jitter_shortens_or_equals_backoff(self):
-        from repro.sim.engine import Engine
-
-        def elapsed(jitter, seed=9):
-            engine = Engine()
-            api = FlakyApi(errors=[Throttling("x")] * 3)
-            client = client_for(engine, api, base_backoff=0.2, jitter=jitter, seed=seed)
-            drive(engine, client.call("operation"))
-            return engine.now
-
-        plain = elapsed(False)
-        jittered = elapsed(True)
-        assert jittered <= plain
+        plain = 0.05 * 4 + 0.2 + 0.4 + 0.8  # the un-jittered schedule
+        jittered = elapsed_after(3, seed=9, base_backoff=0.2)
+        assert 0.05 * 4 <= jittered <= plain
         # Deterministic per seed.
-        assert jittered == elapsed(True)
+        assert jittered == elapsed_after(3, seed=9, base_backoff=0.2)
 
-    def test_max_backoff_caps_growth(self, engine):
-        api = FlakyApi(errors=[Throttling("x")] * 6)
-        client = client_for(
-            engine, api, base_backoff=1.0, max_backoff=2.0, max_retries=10, call_timeout=1000
-        )
-        drive(engine, client.call("operation"))
-        # Backoffs: 1, 2, 2, 2, 2, 2 (capped) + 7 calls x 0.05.
-        assert engine.now == pytest.approx(7 * 0.05 + 11.0)
+    def test_max_backoff_caps_growth(self):
+        # 13 calls x 0.05; windows 1, 2, 2, ... (capped) sum to 23, where
+        # uncapped doubling would reach 2048 s on the last retry alone.
+        for seed in range(5):
+            elapsed = elapsed_after(
+                12, seed, base_backoff=1.0, max_backoff=2.0, max_retries=20, call_timeout=10_000
+            )
+            assert 13 * 0.05 <= elapsed <= 13 * 0.05 + 23.0
 
 
 class TestRetryBudget:
@@ -247,6 +252,23 @@ class TestRetryBudget:
         assert client.budget_denials == 1
         assert api.calls == 3  # initial + 2 budgeted retries
         assert not excinfo.value.timed_out
+
+    def test_every_client_has_a_budget(self, engine):
+        """Built on defaults: 32 tokens, refilled at 0.75/s — a retry storm
+        is cut off by the budget, not by ``max_retries``."""
+        api = FlakyApi(errors=[Throttling("x")] * 500)
+        client = client_for(
+            engine, api, latency=ConstantLatency(0.0), base_backoff=0.0,
+            max_retries=400, call_timeout=1000,
+        )
+        assert (client.retry_budget.capacity, client.retry_budget.refill_rate) == (32.0, 0.75)
+        with pytest.raises(ConsistentCallError) as excinfo:
+            drive(engine, client.call("operation"))
+        assert client.budget_denials == 1
+        assert api.calls == 33  # initial + 32 budgeted retries, no time to refill
+        assert not excinfo.value.timed_out
+        # Each client draws on its own bucket.
+        assert client_for(engine, api).retry_budget is not client.retry_budget
 
     def test_invalid_budget_rejected(self):
         with pytest.raises(ValueError):
@@ -288,14 +310,14 @@ class TestCircuitBreaker:
         assert breaker.state == CircuitBreaker.CLOSED
 
     def test_client_fast_fails_when_open(self, engine):
+        """Built on defaults: six consecutive retryable failures open it."""
         api = FlakyApi(errors=[Throttling("x")] * 50)
-        client = client_for(
-            engine, api, max_retries=0, call_timeout=1000,
-            breaker_threshold=2, breaker_cooldown=60.0,
-        )
-        for _ in range(2):
-            with pytest.raises(ConsistentCallError):
+        client = client_for(engine, api, max_retries=0, call_timeout=1000)
+        for _ in range(6):
+            assert client.breaker_trips == 0
+            with pytest.raises(ConsistentCallError) as excinfo:
                 drive(engine, client.call("operation"))
+            assert not excinfo.value.breaker_open
         calls_before = api.calls
         with pytest.raises(ConsistentCallError) as excinfo:
             drive(engine, client.call("operation"))
@@ -305,19 +327,21 @@ class TestCircuitBreaker:
         assert client.breaker_fast_fails == 1
 
     def test_half_open_probe_recovers_through_client(self, engine):
-        api = FlakyApi(errors=[Throttling("x")] * 2)
-        client = client_for(
-            engine, api, max_retries=0, call_timeout=1000,
-            breaker_threshold=2, breaker_cooldown=5.0,
-        )
-        for _ in range(2):
+        """Built on defaults: the probe is let through after 45 s."""
+        api = FlakyApi(errors=[Throttling("x")] * 6)
+        client = client_for(engine, api, max_retries=0, call_timeout=1000)
+        for _ in range(6):
             with pytest.raises(ConsistentCallError):
                 drive(engine, client.call("operation"))
 
-        def sleep():
-            yield engine.timeout(6.0)
+        def sleep(seconds):
+            yield engine.timeout(seconds)
 
-        drive(engine, sleep())
+        drive(engine, sleep(40.0))
+        with pytest.raises(ConsistentCallError) as excinfo:
+            drive(engine, client.call("operation"))
+        assert excinfo.value.breaker_open  # still cooling down
+        drive(engine, sleep(6.0))
         assert drive(engine, client.call("operation")) == "ok"  # probe succeeds
         assert drive(engine, client.call("operation")) == "ok"  # breaker closed
 

@@ -174,3 +174,18 @@ def test_no_unused_imports_in_src():
         for finding in _unused_imports(path)
     ]
     assert unused == [], "imported and never read: delete the import"
+
+
+def test_the_consistent_api_client_is_built_at_one_site():
+    """One API plane (ROADMAP item 1(h)): both of POD's clients come from
+    ``PODDiagnosis._client``, so there is one configuration to harden,
+    wrap in chaos, and hang per-test API-health state on."""
+    sites = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "repro").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "ConsistentApiClient"
+    ]
+    assert len(sites) == 1 and sites[0].startswith("src/repro/pod/service.py:"), sites
