@@ -24,11 +24,8 @@ def deploy(testbed, pod, trace_id):
         blue_asg="asg-dsn",
         green_asg="asg-dsn-green",
         elb_name="elb-dsn",
-        image_id=testbed.stack.ami_v2,
         lc_name="lc-green-v2",
-        instance_type="m1.small",
-        key_name="key-prod",
-        security_groups=["sg-web"],
+        target=testbed.pod_config.target,
         capacity=4,
     )
     stream = LogStream("bluegreen.log")
@@ -48,10 +45,7 @@ def pod_for(testbed):
         asg_name="asg-dsn-green",
         elb_name="elb-dsn",
         desired_capacity=4,
-        expected_image_id=testbed.stack.ami_v2,
-        expected_key_name="key-prod",
-        expected_instance_type="m1.small",
-        expected_security_groups=["sg-web"],
+        target=testbed.pod_config.target,
         lc_name="lc-green-v2",
         watchdog_interval=175.0,
         operation_start=testbed.engine.now,

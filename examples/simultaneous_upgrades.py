@@ -16,6 +16,8 @@ configuration update.
 Run:  python examples/simultaneous_upgrades.py
 """
 
+import dataclasses
+
 from repro.logsys.record import LogStream
 from repro.operations.rolling_upgrade import RollingUpgradeOperation, RollingUpgradeParams
 from repro.testbed import build_testbed
@@ -35,11 +37,8 @@ def main() -> None:
         params_b = RollingUpgradeParams(
             asg_name="asg-dsn",
             elb_name="elb-dsn",
-            image_id=ami_v3,
             lc_name="lc-app-v3",
-            instance_type="m1.small",
-            key_name="key-prod",
-            security_groups=["sg-web"],
+            target=dataclasses.replace(testbed.pod_config.target, image_id=ami_v3),
         )
         client_b = cloud.client("asgard-team-b", latency_seed_offset=91)
         RollingUpgradeOperation(testbed.engine, client_b, stream_b, params_b, "upgrade-b").start()

@@ -37,9 +37,7 @@ def main() -> None:
         report = testbed.pod.reports[0]
         print(f"\n  diagnosis at t={testbed.engine.now:.0f}: {report.summary()}")
 
-        params = testbed.pod_config.as_repository()
-        params["expected_security_group"] = params["expected_security_groups"][0]
-        plan = build_recovery_plan(report, params)
+        plan = build_recovery_plan(report, testbed.pod_config.as_repository())
         for action in plan.actions:
             print(f"  remediation [auto]: {action.action} — {action.description}")
         for advice in plan.advisory:

@@ -13,6 +13,15 @@ import typing as _t
 
 from repro.assertions.base import Assertion, AssertionEnvironment, HIGH_LEVEL, LOW_LEVEL
 from repro.cloud.errors import ResourceNotFound
+from repro.operations.target import BY_FIELD, FIELDS, TargetConfig
+
+
+def _target(env: AssertionEnvironment, params: dict) -> TargetConfig:
+    """The target as the configuration repository holds it *now*: every
+    expectation goes through ``env.expected`` at evaluation time, so a
+    trigger parameter still beats the repository and a concurrent change
+    of the repository is still seen (§VI.A's second false-positive class)."""
+    return TargetConfig.resolve(lambda row: env.expected(row.config_key, params))
 
 
 class AsgInstanceCountAssertion(Assertion):
@@ -108,34 +117,18 @@ class InstanceVersionAssertion(Assertion):
     level = LOW_LEVEL
     fault_tree_id = "asg-wrong-version"
 
-    #: (config key, describe key, human name) for each checked field.
-    FIELDS = (
-        ("expected_image_id", "ImageId", "AMI"),
-        ("expected_key_name", "KeyName", "key pair"),
-        ("expected_instance_type", "InstanceType", "instance type"),
-    )
-
     def evaluate(self, env: AssertionEnvironment, params: dict) -> _t.Generator:
         started = env.engine.now
         instance_id = params.get("instanceid")
         if instance_id is None:
             return self._result(env, False, "no instance id in trigger context", params, started)
         described = yield from env.client.call("describe_instance", instance_id, consistent=True)
-        mismatches: list[str] = []
-        observed: dict = {"instance_id": instance_id}
-        for config_key, describe_key, label in self.FIELDS:
-            expected = env.expected(config_key, params)
-            actual = described.get(describe_key)
-            observed[describe_key] = actual
-            if expected is not None and actual != expected:
-                mismatches.append(f"{label}: expected {expected}, got {actual}")
-        expected_groups = env.expected("expected_security_groups", params)
-        actual_groups = sorted(described.get("SecurityGroups", []))
-        observed["SecurityGroups"] = actual_groups
-        if expected_groups is not None and actual_groups != sorted(expected_groups):
-            mismatches.append(
-                f"security groups: expected {sorted(expected_groups)}, got {actual_groups}"
-            )
+        observed = {"instance_id": instance_id}
+        observed.update((row.describe_key, row.read(described)) for row in FIELDS)
+        mismatches = [
+            f"{row.setting}: expected {expected}, got {actual}"
+            for row, expected, actual in _target(env, params).mismatches(described)
+        ]
         if mismatches:
             return self._result(
                 env,
@@ -168,13 +161,6 @@ class AsgConfigAssertion(Assertion):
     level = LOW_LEVEL
     fault_tree_id = "asg-wrong-version"
 
-    FIELD_MAP = {
-        "ami": ("expected_image_id", "ImageId", "AMI"),
-        "key_pair": ("expected_key_name", "KeyName", "key pair"),
-        "instance_type": ("expected_instance_type", "InstanceType", "instance type"),
-        "security_group": ("expected_security_groups", "SecurityGroups", "security group"),
-    }
-
     def evaluate(self, env: AssertionEnvironment, params: dict) -> _t.Generator:
         started = env.engine.now
         asg_name = env.expected("asg_name", params)
@@ -184,19 +170,14 @@ class AsgConfigAssertion(Assertion):
         lc = yield from env.client.call(
             "describe_launch_configuration", asg["LaunchConfigurationName"], consistent=True
         )
-        fields = [params["field"]] if "field" in params else list(self.FIELD_MAP)
-        mismatches = []
+        fields = [params["field"]] if "field" in params else list(BY_FIELD)
+        rows = [BY_FIELD[field] for field in fields]
         observed = {"launch_configuration": lc["LaunchConfigurationName"]}
-        for field in fields:
-            config_key, describe_key, label = self.FIELD_MAP[field]
-            expected = env.expected(config_key, params)
-            actual = lc.get(describe_key)
-            if describe_key == "SecurityGroups":
-                actual = sorted(actual or [])
-                expected = sorted(expected) if expected is not None else None
-            observed[describe_key] = actual
-            if expected is not None and actual != expected:
-                mismatches.append(f"{label}: expected {expected}, got {actual}")
+        observed.update((row.describe_key, row.read(lc)) for row in rows)
+        mismatches = [
+            f"{row.label}: expected {expected}, got {actual}"
+            for row, expected, actual in _target(env, params).mismatches(lc, rows)
+        ]
         if mismatches:
             return self._result(
                 env,
@@ -284,10 +265,9 @@ class ResourceExistsAssertion(Assertion):
     #: Configuration-repository keys holding the canonical identifier of
     #: the operation's referenced resource — the fallback when the trigger
     #: carries no explicit identifier (e.g. the end-of-upgrade regression
-    #: checks bound to the COMPLETED step).
+    #: checks bound to the COMPLETED step).  A kind that is a target field
+    #: is in the target's table instead.
     CONFIG_KEYS = {
-        "ami": "expected_image_id",
-        "key_pair": "expected_key_name",
         "load_balancer": "elb_name",
         "launch_configuration": "lc_name",
     }
@@ -302,10 +282,8 @@ class ResourceExistsAssertion(Assertion):
         self.fault_tree_id = "resource-integrity"
 
     def _default_identifier(self, env: AssertionEnvironment, params: dict):
-        if self.kind == "security_group":
-            groups = env.expected("expected_security_groups", params)
-            return groups[0] if groups else None
-        key = self.CONFIG_KEYS.get(self.kind)
+        row = BY_FIELD.get(self.kind)
+        key = row.resource_key if row else self.CONFIG_KEYS.get(self.kind)
         return env.expected(key, params) if key else None
 
     def evaluate(self, env: AssertionEnvironment, params: dict) -> _t.Generator:

@@ -172,13 +172,7 @@ class DiagnosisEngine:
         (asg_name, expected ids, N); the trigger adds specifics
         (instanceid of the new instance, counts).
         """
-        config = self.assertions.env.config
-        merged = dict(config)
-        if "desired_capacity" in config and "N" not in merged:
-            merged["N"] = config["desired_capacity"]
-        groups = config.get("expected_security_groups")
-        if groups and "expected_security_group" not in merged:
-            merged["expected_security_group"] = groups[0]
+        merged = dict(self.assertions.env.config)
         if context is not None:
             merged.update({k: v for k, v in context.fields.items() if v is not None})
         merged.update({k: v for k, v in params.items() if v is not None})

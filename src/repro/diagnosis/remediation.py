@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import dataclasses
 
+from repro.operations.target import BY_CAUSE, FIELDS
+
 
 @dataclasses.dataclass
 class RemediationPlan:
@@ -50,26 +52,16 @@ KNOWN_UNMAPPED: frozenset[str] = frozenset({
 
 #: cause node id -> (action, description template, automatable)
 _CATALOG: dict[str, tuple[str, str, bool]] = {
-    "wrong-ami": ("restore-launch-configuration",
-                  "Reset the ASG's launch configuration AMI to {expected_image_id}", True),
-    "lc-wrong-ami": ("restore-launch-configuration",
-                     "Reset the ASG's launch configuration AMI to {expected_image_id}", True),
-    "wrong-key-pair": ("restore-launch-configuration",
-                       "Reset the launch configuration key pair to {expected_key_name}", True),
-    "lc-wrong-key-pair": ("restore-launch-configuration",
-                          "Reset the launch configuration key pair to {expected_key_name}", True),
-    "wrong-security-group": ("restore-launch-configuration",
-                             "Reset the launch configuration security groups to"
-                             " {expected_security_groups}", True),
-    "lc-wrong-security-group": ("restore-launch-configuration",
-                                "Reset the launch configuration security groups to"
-                                " {expected_security_groups}", True),
-    "wrong-instance-type": ("restore-launch-configuration",
-                            "Reset the launch configuration instance type to"
-                            " {expected_instance_type}", True),
-    "lc-wrong-instance-type": ("restore-launch-configuration",
-                               "Reset the launch configuration instance type to"
-                               " {expected_instance_type}", True),
+    # A wrong target field, seen from either tree: restore that field.
+    **{
+        cause: (
+            "restore-launch-configuration",
+            f"Reset the launch configuration {row.setting} to {{{row.config_key}}}",
+            True,
+        )
+        for row in FIELDS
+        for cause in row.causes
+    },
     "ami-unavailable": ("restore-image",
                         "Re-register or restore image {expected_image_id}; pause the"
                         " upgrade until the image is available", False),
@@ -122,26 +114,17 @@ def plan_for(cause_id: str, params: dict) -> RemediationPlan | None:
         cause_id=cause_id, action=action, description=description, automatable=automatable
     )
     if action == "restore-launch-configuration":
-        changes = {}
-        if "ami" in cause_id:
-            changes["image_id"] = params.get("expected_image_id")
-        elif "key" in cause_id:
-            changes["key_name"] = params.get("expected_key_name")
-        elif "security-group" in cause_id:
-            changes["security_groups"] = list(params.get("expected_security_groups", []))
-        elif "instance-type" in cause_id:
-            changes["instance_type"] = params.get("expected_instance_type")
+        row = BY_CAUSE[cause_id]
         plan.target = params.get("lc_name")
-        plan.api_calls = [("update_launch_configuration", (plan.target,), changes)]
+        plan.api_calls = [
+            ("update_launch_configuration", (plan.target,), {row.attr: params.get(row.config_key)})
+        ]
     elif action == "recreate-key-pair":
         plan.target = params.get("expected_key_name")
         plan.api_calls = [("create_key_pair", (plan.target,), {})]
     elif action == "recreate-security-group":
-        group = params.get("expected_security_group") or (
-            (params.get("expected_security_groups") or [None])[0]
-        )
-        plan.target = group
-        plan.api_calls = [("create_security_group", (group,), {})]
+        plan.target = params.get("expected_security_group")
+        plan.api_calls = [("create_security_group", (plan.target,), {})]
     else:
         plan.target = _advisory_target(action, params)
     return plan

@@ -14,7 +14,13 @@ import dataclasses
 import random
 import typing as _t
 
-from repro.evaluation.faults import FAULT_TYPES, FaultPlan, schedule_fault
+from repro.evaluation.faults import (
+    CONFIG_FAULTS,
+    FAULT_TYPES,
+    RESOURCE_FAULTS,
+    FaultPlan,
+    schedule_fault,
+)
 from repro.faulttree.library import EXPECTED_ROOT_CAUSE
 from repro.operations.interference import InterferencePlan, InterferenceScheduler, SecondTeam
 from repro.testbed import Testbed
@@ -141,13 +147,10 @@ class RunOutcome:
     #: a configuration fault (the injection *is* a concurrent LC change,
     #: and a reverted injection *is* a transient change).
     CONFIG_FAULT_EXTRAS = frozenset({"concurrent-upgrade", "transient-config-change", "lc-corrupted"})
-    _CONFIG_FAULT_TYPES = frozenset(
-        {"AMI_CHANGED", "KEYPAIR_WRONG", "SG_WRONG", "INSTANCE_TYPE_CHANGED"}
-    )
 
     def _attributable(self, truth: str) -> set[str]:
         expected = set(EXPECTED_ROOT_CAUSE.get(truth, set()))
-        if truth in self._CONFIG_FAULT_TYPES:
+        if truth in CONFIG_FAULTS:
             expected |= self.CONFIG_FAULT_EXTRAS
         return expected
 
@@ -260,13 +263,11 @@ class CampaignConfig:
         get_profile(self.chaos_profile)  # validate the name early
 
 
-_FAULT_ERROR_CODES = {
-    "AMI_UNAVAILABLE": "InvalidAMIID.NotFound",
-    "KEYPAIR_UNAVAILABLE": "InvalidKeyPair.NotFound",
-    "SG_UNAVAILABLE": "InvalidGroup.NotFound",
-}
-
-_CONFIG_FAULTS = ("AMI_CHANGED", "KEYPAIR_WRONG", "SG_WRONG", "INSTANCE_TYPE_CHANGED")
+#: The launch error each resource fault leaves in the ASG's scaling
+#: activities (the fourth, ELB_UNAVAILABLE, fails no launch).
+_FAULT_ERROR_CODES = dict(
+    zip(RESOURCE_FAULTS, ("InvalidAMIID.NotFound", "InvalidKeyPair.NotFound", "InvalidGroup.NotFound"))
+)
 
 
 def _fault_manifested(testbed, fault_type: str, injected_at: float | None,
@@ -275,31 +276,15 @@ def _fault_manifested(testbed, fault_type: str, injected_at: float | None,
     if injected_at is None:
         return False
     state = testbed.cloud.state
-    config = testbed.pod_config
-    if fault_type in _CONFIG_FAULTS:
+    if fault_type in CONFIG_FAULTS:
         window_end = reverted_at if reverted_at is not None else float("inf")
-        for instance in state.instances.values():
-            if instance.asg_name != config.asg_name:
-                continue
-            if not injected_at <= instance.launch_time <= window_end:
-                continue
-            wrong = (
-                instance.image_id != config.expected_image_id
-                or instance.key_name != config.expected_key_name
-                or instance.instance_type != config.expected_instance_type
-                or sorted(instance.security_groups) != sorted(config.expected_security_groups)
-            )
-            if wrong:
-                return True
-        if reverted_at is None and state.exists("launch_configuration", config.lc_name):
-            lc = state.get("launch_configuration", config.lc_name)
-            return (
-                lc.image_id != config.expected_image_id
-                or lc.key_name != config.expected_key_name
-                or lc.instance_type != config.expected_instance_type
-                or sorted(lc.security_groups) != sorted(config.expected_security_groups)
-            )
-        return False
+        if testbed.has_wrong_instance(lambda i: injected_at <= i.launch_time <= window_end):
+            return True
+        if reverted_at is not None:
+            return False
+        config = testbed.pod_config
+        lc = state.latest_view("launch_configuration", config.lc_name)
+        return lc is not None and bool(config.target.mismatches(lc))
     if fault_type in _FAULT_ERROR_CODES:
         code = _FAULT_ERROR_CODES[fault_type]
         return any(
@@ -463,11 +448,7 @@ class Campaign:
                     # Hungry second team: wants more than the account holds,
                     # so it races the upgrade for every freed slot.
                     plan.second_team_target_headroom = -6
-                transient = (
-                    fault_type in ("AMI_CHANGED", "KEYPAIR_WRONG", "SG_WRONG",
-                                   "INSTANCE_TYPE_CHANGED")
-                    and rng.random() < config.p_transient
-                )
+                transient = fault_type in CONFIG_FAULTS and rng.random() < config.p_transient
                 specs.append(
                     RunSpec(
                         run_id=f"{fault_type.lower()}-{index + 1:02d}",

@@ -23,11 +23,14 @@ FAULT_TYPES = (
     "ELB_UNAVAILABLE",
 )
 
+#: Faults 1-4 corrupt the new launch configuration; 5-8 take a resource
+#: the stack references away.
+CONFIG_FAULTS = FAULT_TYPES[:4]
+RESOURCE_FAULTS = FAULT_TYPES[4:]
+
 #: Configuration faults support the transient (inject-then-revert)
 #: variant that produced the paper's third wrong-diagnosis class.
-REVERTIBLE = frozenset(
-    ("AMI_CHANGED", "KEYPAIR_WRONG", "SG_WRONG", "INSTANCE_TYPE_CHANGED", "ELB_UNAVAILABLE")
-)
+REVERTIBLE = frozenset(CONFIG_FAULTS) | {"ELB_UNAVAILABLE"}
 
 
 @dataclasses.dataclass
@@ -89,20 +92,6 @@ def schedule_fault(testbed, plan: FaultPlan) -> dict:
     """
     outcome: dict = {"plan": plan, "injected_at": None, "reverted_at": None, "record": None}
 
-    def wrong_instance_launched(since: float) -> bool:
-        config = testbed.pod_config
-        for instance in testbed.cloud.state.instances.values():
-            if instance.asg_name != config.asg_name or instance.launch_time < since:
-                continue
-            if (
-                instance.image_id != config.expected_image_id
-                or instance.key_name != config.expected_key_name
-                or instance.instance_type != config.expected_instance_type
-                or sorted(instance.security_groups) != sorted(config.expected_security_groups)
-            ):
-                return True
-        return False
-
     def runner() -> _t.Generator:
         yield testbed.engine.timeout(plan.inject_at)
         upgrade = testbed.upgrade
@@ -121,7 +110,9 @@ def schedule_fault(testbed, plan: FaultPlan) -> dict:
             injected = testbed.engine.now
             deadline = injected + 600.0
             while testbed.engine.now < deadline:
-                if plan.fault_type == "ELB_UNAVAILABLE" or wrong_instance_launched(injected):
+                if plan.fault_type == "ELB_UNAVAILABLE" or testbed.has_wrong_instance(
+                    lambda i: i.launch_time >= injected
+                ):
                     break
                 yield testbed.engine.timeout(5.0)
             yield testbed.engine.timeout(plan.revert_after)

@@ -23,7 +23,7 @@ import statistics
 import typing as _t
 
 from repro.evaluation.campaign import RunOutcome
-from repro.evaluation.faults import FAULT_TYPES
+from repro.evaluation.faults import FAULT_TYPES, RESOURCE_FAULTS
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -242,7 +242,7 @@ def compute_metrics(outcomes: _t.Sequence[RunOutcome]) -> CampaignMetrics:
             latency = outcome.first_detection_at - outcome.injected_at
             if latency >= 0:
                 detection_latencies.append(latency)
-        if ft in ("AMI_UNAVAILABLE", "KEYPAIR_UNAVAILABLE", "SG_UNAVAILABLE", "ELB_UNAVAILABLE"):
+        if ft in RESOURCE_FAULTS:
             # The paper's 20-of-80 statistic concerns the *fault's* trace
             # perturbation; interference perturbs traces of any fault
             # type, so the statistic is computed on interference-free

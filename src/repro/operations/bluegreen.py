@@ -30,6 +30,7 @@ from repro.logsys.annotator import AssertionAnnotator
 from repro.logsys.patterns import END, PROGRESS, START as POS_START, LogPattern, PatternLibrary
 from repro.operations.base import Operation
 from repro.operations.profile import OperationProfile
+from repro.operations.target import TargetConfig
 from repro.process.model import ProcessModel
 
 # Canonical activity names.
@@ -51,11 +52,8 @@ class BlueGreenParams:
     blue_asg: str
     green_asg: str
     elb_name: str
-    image_id: str
     lc_name: str
-    instance_type: str
-    key_name: str
-    security_groups: list[str]
+    target: TargetConfig
     capacity: int
     poll_interval: float = 10.0
     green_timeout: float = 600.0
@@ -100,15 +98,17 @@ class BlueGreenOperation(Operation):
 
     def run(self) -> _t.Generator:
         p = self.params
+        target = p.target
         ckpt = self.checkpoint
         ckpt.attempts += 1
-        self.log(f"Blue/green deployment of {p.image_id} for group {p.blue_asg} started")
+        self.log(f"Blue/green deployment of {target.image_id} for group {p.blue_asg} started")
 
         # -- provision the green stack -------------------------------------
         if not ckpt.provisioned:
             yield from self.call(
                 "create_launch_configuration",
-                p.lc_name, p.image_id, p.instance_type, p.key_name, p.security_groups,
+                p.lc_name, target.image_id, target.instance_type, target.key_name,
+                target.security_groups,
             )
             yield from self.call(
                 "create_auto_scaling_group",

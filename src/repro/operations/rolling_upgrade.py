@@ -36,20 +36,18 @@ from repro.operations.steps import (
     UPDATE_LC,
     WAIT_ASG,
 )
+from repro.operations.target import TargetConfig
 from repro.process.model import ProcessModel
 
 
 @dataclasses.dataclass
 class RollingUpgradeParams:
-    """Target configuration of one rolling upgrade."""
+    """What one rolling upgrade operates on, and its pacing."""
 
     asg_name: str
     elb_name: str
-    image_id: str  # the new version's AMI
     lc_name: str  # name for the new launch configuration
-    instance_type: str
-    key_name: str
-    security_groups: list[str]
+    target: TargetConfig
     batch_size: int = 1  # the paper's k (1 for n=4, 5 for n=20)
     poll_interval: float = 10.0
     status_every: int = 3  # emit a status line every this many polls
@@ -100,31 +98,22 @@ class RollingUpgradeOperation(Operation):
         self.resuming = checkpoint is not None
         self.checkpoint = checkpoint or UpgradeCheckpoint()
 
-    def _needs_replacement(self, described: dict) -> bool:
-        """Does this instance still mismatch the target configuration?"""
-        p = self.params
-        return (
-            described.get("ImageId") != p.image_id
-            or described.get("KeyName") != p.key_name
-            or described.get("InstanceType") != p.instance_type
-            or sorted(described.get("SecurityGroups", [])) != sorted(p.security_groups)
-        )
-
     def run(self) -> _t.Generator:
         p = self.params
+        target = p.target
         ckpt = self.checkpoint
         ckpt.attempts += 1
-        self.log(f"Pushing {p.image_id} into group {p.asg_name}: rolling upgrade task started")
+        self.log(f"Pushing {target.image_id} into group {p.asg_name}: rolling upgrade task started")
 
         # -- Step: update launch configuration ----------------------------
         if not ckpt.lc_ready:
             yield from self.call(
                 "create_launch_configuration",
                 p.lc_name,
-                p.image_id,
-                p.instance_type,
-                p.key_name,
-                p.security_groups,
+                target.image_id,
+                target.instance_type,
+                target.key_name,
+                target.security_groups,
             )
         # Idempotent either way; a resumed attempt re-asserts the pointer
         # and re-emits the step line so the resumed trace replays
@@ -133,7 +122,7 @@ class RollingUpgradeOperation(Operation):
         ckpt.lc_ready = True
         self.log(
             f"Updated launch configuration of group {p.asg_name} to {p.lc_name}"
-            f" with image {p.image_id}"
+            f" with image {target.image_id}"
         )
 
         # -- Step: sort instances -------------------------------------------
@@ -148,7 +137,7 @@ class RollingUpgradeOperation(Operation):
             # with a correct-config instance is left alone; the remaining
             # old-version (or wrong-config) instances are the failed batch
             # plus the batches the failed attempt never reached.
-            candidates = [i for i in candidates if self._needs_replacement(i)]
+            candidates = [i for i in candidates if target.mismatches(i)]
         old_ids = [i["InstanceId"] for i in candidates]
         self.total_relaunches = len(old_ids)
         self.log(f"Sorted {len(old_ids)} instances of group {p.asg_name} for replacement")

@@ -14,6 +14,7 @@ from repro.operations.rolling_upgrade import (
     DEFAULT_WATCHDOG_INTERVAL,
     DEFAULT_WATCHDOG_SLACK,
 )
+from repro.operations.target import TargetConfig
 
 
 @dataclasses.dataclass
@@ -23,10 +24,7 @@ class PodConfig:
     asg_name: str
     elb_name: str
     desired_capacity: int
-    expected_image_id: str
-    expected_key_name: str
-    expected_instance_type: str
-    expected_security_groups: list[str]
+    target: TargetConfig
     lc_name: str
     #: Upgrade batch size k: during the upgrade at least N' = N - k
     #: instances must stay in service (§II's availability floor).
@@ -51,11 +49,10 @@ class PodConfig:
             "asg_name": self.asg_name,
             "elb_name": self.elb_name,
             "desired_capacity": self.desired_capacity,
+            # The fault trees' name for the same number.
+            "N": self.desired_capacity,
             "min_in_service": max(1, self.desired_capacity - self.batch_size),
-            "expected_image_id": self.expected_image_id,
-            "expected_key_name": self.expected_key_name,
-            "expected_instance_type": self.expected_instance_type,
-            "expected_security_groups": list(self.expected_security_groups),
+            **self.target.as_repository(),
             "lc_name": self.lc_name,
             "since": self.operation_start,
         }

@@ -30,6 +30,7 @@ import dataclasses
 import typing as _t
 
 from repro.diagnosis.remediation import RemediationPlan, plans_for_report
+from repro.operations.target import FIELDS, TargetConfig
 
 #: Terminal outcome classes of a recovery attempt.
 RECOVERED = "RECOVERED"
@@ -40,9 +41,9 @@ ESCALATED = "ESCALATED"
 class VerificationProbe:
     """Re-read cloud state and confirm the expected configuration.
 
-    ``expect`` is a subset match against the described resource dict
-    (list values compare order-insensitively); with an empty ``expect``
-    the probe just confirms the resource exists.
+    ``expect`` holds, by describe key, the target fields the described
+    resource must carry (the target's own comparison decides); with an
+    empty ``expect`` the probe just confirms the resource exists.
     """
 
     method: str
@@ -52,14 +53,8 @@ class VerificationProbe:
     def satisfied_by(self, described: _t.Any) -> bool:
         if not isinstance(described, dict):
             return False
-        for key, want in self.expect.items():
-            have = described.get(key)
-            if isinstance(want, (list, tuple)):
-                if sorted(have or []) != sorted(want):
-                    return False
-            elif have != want:
-                return False
-        return True
+        expect = TargetConfig.resolve(lambda row: self.expect.get(row.describe_key))
+        return not expect.mismatches(described)
 
 
 @dataclasses.dataclass
@@ -130,25 +125,13 @@ class RecoveryPlan:
         return ordered
 
 
-#: Describe-dict key ↔ update kwarg for launch configuration fields.
-_LC_FIELDS = {
-    "ImageId": "image_id",
-    "InstanceType": "instance_type",
-    "KeyName": "key_name",
-    "SecurityGroups": "security_groups",
-}
-
-
 def _action_from_plan(plan: RemediationPlan) -> RecoveryAction | None:
     """Lift one automatable remediation plan into a recovery action."""
     action_id = f"{plan.action}:{plan.target}"
     if plan.action == "restore-launch-configuration":
         changes = plan.api_calls[0][2] if plan.api_calls else {}
-        expect = {
-            describe_key: changes[kwarg]
-            for describe_key, kwarg in _LC_FIELDS.items()
-            if kwarg in changes
-        }
+        restored = [row for row in FIELDS if row.attr in changes]
+        expect = {row.describe_key: changes[row.attr] for row in restored}
         return RecoveryAction(
             action_id=action_id,
             action=plan.action,
@@ -162,7 +145,7 @@ def _action_from_plan(plan: RemediationPlan) -> RecoveryAction | None:
             undo_capture=(
                 "describe_launch_configuration",
                 (plan.target,),
-                {k: _LC_FIELDS[k] for k in expect},
+                {row.describe_key: row.attr for row in restored},
             ),
         )
     if plan.action == "recreate-key-pair":

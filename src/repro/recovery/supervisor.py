@@ -61,36 +61,7 @@ def _merged_causes(reports: _t.Sequence) -> list:
 
 def _fleet_nonconformant(testbed) -> bool:
     """Ground-truth check: does any active instance mismatch the target?"""
-    config = testbed.pod_config
-    for instance in testbed.cloud.state.instances.values():
-        if instance.asg_name != config.asg_name:
-            continue
-        if not instance.state.is_active():
-            continue
-        if (
-            instance.image_id != config.expected_image_id
-            or instance.key_name != config.expected_key_name
-            or instance.instance_type != config.expected_instance_type
-            or sorted(instance.security_groups) != sorted(config.expected_security_groups)
-        ):
-            return True
-    return False
-
-
-def _recovery_params(testbed) -> dict:
-    config = testbed.pod_config
-    groups = list(config.expected_security_groups)
-    return {
-        "asg_name": config.asg_name,
-        "elb_name": config.elb_name,
-        "lc_name": config.lc_name,
-        "expected_image_id": config.expected_image_id,
-        "expected_key_name": config.expected_key_name,
-        "expected_instance_type": config.expected_instance_type,
-        "expected_security_groups": groups,
-        "expected_security_group": groups[0] if groups else None,
-        "N": config.desired_capacity,
-    }
+    return testbed.has_wrong_instance(lambda instance: instance.state.is_active())
 
 
 def recover_run(
@@ -145,7 +116,7 @@ def recover_run(
         "recovery_api": {},
     }
 
-    plan = build_recovery_plan(_MergedReport(causes), _recovery_params(testbed))
+    plan = build_recovery_plan(_MergedReport(causes), pod.env.config)
     if not causes:
         plan.advisory.append(
             "No root cause was diagnosed for the failed operation;"

@@ -19,6 +19,7 @@ from repro.logsys.record import LogStream
 from repro.obs import Observability
 from repro.operations.base import COMPLETED as OP_COMPLETED, FAILED as OP_FAILED
 from repro.operations.rolling_upgrade import RollingUpgradeOperation, RollingUpgradeParams
+from repro.operations.target import TargetConfig
 from repro.pod.config import PodConfig
 from repro.pod.service import PODDiagnosis
 
@@ -95,10 +96,14 @@ class Testbed:
             asg_name=self.stack.asg_name,
             elb_name=self.stack.elb_name,
             desired_capacity=cluster_size,
-            expected_image_id=self.stack.ami_v2,
-            expected_key_name=self.stack.key_name,
-            expected_instance_type=self.stack.instance_type,
-            expected_security_groups=[self.stack.security_group],
+            # Version B, declared once: the upgrade launches it, POD checks
+            # for it, ground truth and recovery compare against it.
+            target=TargetConfig(
+                image_id=self.stack.ami_v2,
+                key_name=self.stack.key_name,
+                instance_type=self.stack.instance_type,
+                security_groups=[self.stack.security_group],
+            ),
             lc_name=self.stack.lc_v2,
             batch_size=self.batch_size,
             operation_start=self.engine.now,
@@ -142,6 +147,21 @@ class Testbed:
             lc_v2="lc-app-v2",
         )
 
+    # -- ground truth --------------------------------------------------------------
+
+    def has_wrong_instance(self, where) -> bool:
+        """Does any instance of the ASG that ``where`` keeps (launched in
+        some window, still active, ...) mismatch the target?  Read off the
+        region's own write history: no API call, no virtual time."""
+        state = self.cloud.state
+        target = self.pod_config.target
+        return any(
+            instance.asg_name == self.pod_config.asg_name
+            and where(instance)
+            and target.mismatches(state.latest_view("instance", instance.instance_id))
+            for instance in state.instances.values()
+        )
+
     # -- running an upgrade -----------------------------------------------------------
 
     def _launch(self, stream, trace_id, seed_offset, checkpoint=None) -> RollingUpgradeOperation:
@@ -150,11 +170,8 @@ class Testbed:
         params = RollingUpgradeParams(
             asg_name=self.stack.asg_name,
             elb_name=self.stack.elb_name,
-            image_id=self.stack.ami_v2,
             lc_name=self.stack.lc_v2,
-            instance_type="m1.small",
-            key_name=self.stack.key_name,
-            security_groups=[self.stack.security_group],
+            target=self.pod_config.target,
             batch_size=self.batch_size,
         )
         client = self.cloud.client("asgard", latency_seed_offset=seed_offset)

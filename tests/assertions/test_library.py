@@ -14,6 +14,8 @@ from repro.assertions.library import (
     standard_rolling_upgrade_assertions,
 )
 from repro.cloud.errors import ServiceUnavailable
+from repro.operations.target import TargetConfig
+from repro.pod.config import PodConfig
 from repro.sim.latency import ConstantLatency
 
 
@@ -27,17 +29,18 @@ def env(provisioned_cloud):
         engine=cloud.engine,
         client=client,
         monitor=cloud.monitor,
-        config={
-            "asg_name": "asg-dsn",
-            "elb_name": "elb-dsn",
-            "desired_capacity": 4,
-            "min_in_service": 3,
-            "expected_image_id": cloud.ami_v1,
-            "expected_key_name": "key-prod",
-            "expected_instance_type": "m1.small",
-            "expected_security_groups": ["sg-web"],
-            "lc_name": "lc-v1",
-        },
+        config=PodConfig(
+            asg_name="asg-dsn",
+            elb_name="elb-dsn",
+            desired_capacity=4,
+            target=TargetConfig(
+                image_id=cloud.ami_v1,
+                key_name="key-prod",
+                instance_type="m1.small",
+                security_groups=["sg-web"],
+            ),
+            lc_name="lc-v1",
+        ).as_repository(),
     )
 
 

@@ -60,7 +60,7 @@ def build_engine_fixture(engine, script, probe_results=None, tree=None):
     env = AssertionEnvironment(
         engine=engine,
         client=ConsistentApiClient(engine, object(), latency=ConstantLatency(0.01)),
-        config={"asg_name": "asg-x", "desired_capacity": 4},
+        config={"asg_name": "asg-x", "desired_capacity": 4, "N": 4},
     )
     storage = CentralLogStorage()
     assertions = AssertionEvaluationService(env, storage=storage)

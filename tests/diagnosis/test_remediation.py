@@ -148,9 +148,7 @@ class TestApplication:
             while not testbed.pod.reports:
                 yield testbed.engine.timeout(5)
             report = testbed.pod.reports[0]
-            params = testbed.pod_config.as_repository()
-            params["expected_security_group"] = params["expected_security_groups"][0]
-            plan = build_recovery_plan(report, params)
+            plan = build_recovery_plan(report, testbed.pod_config.as_repository())
             recovery = RecoveryEngine(testbed.engine, testbed.pod.recovery_client())
             healed.append((yield from recovery.execute(plan)))
 

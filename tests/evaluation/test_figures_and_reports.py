@@ -11,6 +11,7 @@ from repro.evaluation.figures import (
     render_headline,
 )
 from repro.evaluation.metrics import CampaignMetrics, FaultTypeMetrics
+from repro.operations.target import TargetConfig
 from repro.pod.config import PodConfig
 
 
@@ -128,10 +129,9 @@ class TestPodConfig:
             asg_name="asg-x",
             elb_name="elb-x",
             desired_capacity=4,
-            expected_image_id="ami-1",
-            expected_key_name="k",
-            expected_instance_type="m1.small",
-            expected_security_groups=["sg"],
+            target=TargetConfig(
+                image_id="ami-1", key_name="k", instance_type="m1.small", security_groups=["sg"]
+            ),
             lc_name="lc-x",
         )
         defaults.update(overrides)
@@ -145,7 +145,7 @@ class TestPodConfig:
 
     def test_min_in_service_is_availability_floor(self):
         assert self._config(batch_size=1).as_repository()["min_in_service"] == 3
-        assert self._config(batch_size=4).as_repository()["min_in_service"] == 0 or True
+        assert self._config(batch_size=4).as_repository()["min_in_service"] == 1
         assert self._config(desired_capacity=20, batch_size=4).as_repository()["min_in_service"] == 16
 
     def test_floor_never_below_one(self):
@@ -155,4 +155,4 @@ class TestPodConfig:
         config = self._config()
         repo = config.as_repository()
         repo["expected_security_groups"].append("tampered")
-        assert config.expected_security_groups == ["sg"]
+        assert config.target.security_groups == ["sg"]

@@ -89,7 +89,7 @@ class TestTestbed:
 
     def test_pod_config_targets_v2(self):
         testbed = build_testbed(cluster_size=4, seed=73)
-        assert testbed.pod_config.expected_image_id == testbed.stack.ami_v2
+        assert testbed.pod_config.target.image_id == testbed.stack.ami_v2
         assert testbed.pod_config.lc_name == "lc-app-v2"
 
     def test_double_upgrade_start_rejected(self):

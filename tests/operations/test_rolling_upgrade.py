@@ -22,6 +22,7 @@ from repro.operations.steps import (
     UPDATE_LC,
     WAIT_ASG,
 )
+from repro.operations.target import TargetConfig
 from repro.process.compiled import CompiledReplayer
 
 
@@ -30,11 +31,13 @@ def launch_upgrade(cloud, batch_size=1, **param_overrides):
     params = RollingUpgradeParams(
         asg_name="asg-dsn",
         elb_name="elb-dsn",
-        image_id=cloud.ami_v2,
         lc_name="lc-v2",
-        instance_type="m1.small",
-        key_name="key-prod",
-        security_groups=["sg-web"],
+        target=TargetConfig(
+            image_id=cloud.ami_v2,
+            key_name="key-prod",
+            instance_type="m1.small",
+            security_groups=["sg-web"],
+        ),
         batch_size=batch_size,
         **param_overrides,
     )

@@ -5,6 +5,8 @@ process-annotated logs from different operations in one central
 repository, unlike per-tool exception handling with only local context.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.logsys.record import LogStream
@@ -26,11 +28,8 @@ def dual_upgrade():
         params = RollingUpgradeParams(
             asg_name="asg-dsn",
             elb_name="elb-dsn",
-            image_id=ami_v3,
             lc_name="lc-app-v3",
-            instance_type="m1.small",
-            key_name="key-prod",
-            security_groups=["sg-web"],
+            target=dataclasses.replace(testbed.pod_config.target, image_id=ami_v3),
         )
         client = cloud.client("asgard-team-b", latency_seed_offset=91)
         operation_b = RollingUpgradeOperation(testbed.engine, client, stream_b, params, "upgrade-b")

@@ -52,7 +52,7 @@ class TestRollingUpgradeResume:
             if i.asg_name == config.asg_name and i.state.is_active()
         ]
         assert len(active) == config.desired_capacity
-        assert all(i.image_id == config.expected_image_id for i in active)
+        assert all(i.image_id == config.target.image_id for i in active)
 
     def test_resume_skips_already_replaced_instances(self):
         """Remaining work is re-derived from cloud state: instances the
@@ -124,11 +124,8 @@ class TestBlueGreenResume:
             blue_asg="asg-dsn",
             green_asg="asg-dsn-green",
             elb_name="elb-dsn",
-            image_id=testbed.stack.ami_v2,
             lc_name="lc-green-v2",
-            instance_type="m1.small",
-            key_name="key-prod",
-            security_groups=["sg-web"],
+            target=testbed.pod_config.target,
             capacity=4,
         )
         client = TimedCloudClient(cloud.engine, cloud.api("deployer"))
