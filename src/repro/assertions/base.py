@@ -43,7 +43,7 @@ class AssertionEnvironment:
     trail: _t.Any = None
     operation_api_calls: list = dataclasses.field(default_factory=list)
 
-    def expected(self, key: str, params: dict, default=None):
+    def expected(self, key: str, params: dict):
         """Resolve an expected value: explicit param beats config entry.
 
         A ``<key>__from`` param (produced by the spec language's
@@ -59,8 +59,8 @@ class AssertionEnvironment:
             return params[key]
         alias = params.get(f"{key}__from")
         if alias is not None:
-            return self.config.get(alias, default)
-        return self.config.get(key, default)
+            return self.config.get(alias)
+        return self.config.get(key)
 
 
 class Assertion:

@@ -86,23 +86,18 @@ class AssertionEvaluationService:
         for assertion_id in assertion_ids:
             self._spawn(assertion_id, params, cause="log", context=context)
 
-    def trigger_from_timer(
-        self,
-        firing,
-        assertion_ids: list[str],
-        params: dict | None = None,
-    ) -> None:
+    def trigger_from_timer(self, firing, assertion_ids: list[str]) -> None:
         """Timer trigger.  Watchdog expiries carry much weaker context:
         no triggering log line means no instance id — the paper's first
         wrong-diagnosis class."""
         cause = "timer-timeout" if firing.cause == "timeout" else "timer"
         context = None
-        merged: dict = dict(params or {})
+        params: dict = {}
         if firing.record is not None:
             context = ProcessContext.from_record(firing.record)
-            merged = {**firing.record.fields, **merged}
+            params = dict(firing.record.fields)
         for assertion_id in assertion_ids:
-            self._spawn(assertion_id, merged, cause=cause, context=context)
+            self._spawn(assertion_id, params, cause=cause, context=context)
 
     def evaluate_on_demand(self, assertion_id: str, params: dict) -> _t.Generator:
         """On-demand trigger (diagnosis tests): drive with ``yield from``.

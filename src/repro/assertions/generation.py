@@ -64,7 +64,7 @@ def _steps_with_field(library: PatternLibrary, field: str) -> set[str]:
     return steps
 
 
-def calibrate_watchdog(gap_samples: _t.Sequence[float], slack_fraction: float = 0.06) -> tuple[float, float]:
+def calibrate_watchdog(gap_samples: _t.Sequence[float]) -> tuple[float, float]:
     """95th-percentile calibration from historical step gaps (§IV).
 
     Returns (interval, slack).  Requires at least 10 samples — with fewer
@@ -76,7 +76,7 @@ def calibrate_watchdog(gap_samples: _t.Sequence[float], slack_fraction: float = 
     ordered = sorted(gap_samples)
     index = min(len(ordered) - 1, int(math.ceil(0.95 * len(ordered))) - 1)
     interval = ordered[index]
-    return interval, interval * slack_fraction
+    return interval, interval * 0.06
 
 
 def generate_assertions(

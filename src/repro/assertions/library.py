@@ -272,11 +272,11 @@ class ResourceExistsAssertion(Assertion):
         "launch_configuration": "lc_name",
     }
 
-    def __init__(self, kind: str, assertion_id: str | None = None) -> None:
+    def __init__(self, kind: str) -> None:
         if kind not in self.DESCRIBERS:
             raise ValueError(f"unsupported resource kind {kind!r}")
         self.kind = kind
-        self.assertion_id = assertion_id or f"{kind.replace('_', '-')}-exists"
+        self.assertion_id = f"{kind.replace('_', '-')}-exists"
         self.description = f"the referenced {kind.replace('_', ' ')} exists"
         self.level = LOW_LEVEL
         self.fault_tree_id = "resource-integrity"

@@ -193,28 +193,17 @@ class CloudAPI:
             lambda: self._read("instance", instance_id, consistent),
         )
 
-    def describe_instances_in_asg(self, asg_name: str, consistent: bool = True) -> list[dict]:
+    def describe_instances_in_asg(self, asg_name: str) -> list[dict]:
         """All non-terminated instances attached to an ASG.
 
-        Served consistently by default: this is the fleet-membership query
-        the ASG controller itself relies on.
+        Served consistently: this is the fleet-membership query the ASG
+        controller itself relies on.
         """
 
         def body() -> list[dict]:
             asg = self.state.get("auto_scaling_group", asg_name)
-            instances = self.state.instances
-            result = []
-            for iid in asg.instance_ids:
-                instance = instances.get(iid)
-                if instance is None:
-                    continue
-                if consistent:
-                    result.append(instance.describe())
-                else:
-                    view = self.view.read("instance", iid)
-                    if view is not None:
-                        result.append(view)
-            return result
+            members = map(self.state.instances.get, asg.instance_ids)
+            return [instance.describe() for instance in members if instance is not None]
 
         return self._call("DescribeInstances", {"AutoScalingGroupName": asg_name}, body)
 

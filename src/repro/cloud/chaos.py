@@ -258,9 +258,8 @@ class ChaosController:
             error.chaos = True
             raise error
 
-    def latency_multiplier(self, method: str | None = None) -> float:
-        service = service_of(method) if method else "ec2"
-        return self.profile.latency_multiplier_for(service)
+    def latency_multiplier(self) -> float:
+        return self.profile.latency_multiplier_for("ec2")
 
     # -- wrappers --------------------------------------------------------------
 

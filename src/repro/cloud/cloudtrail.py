@@ -74,23 +74,21 @@ class CloudTrail:
     def lookup_events(
         self,
         start: float = 0.0,
-        end: float | None = None,
         event_name: str | None = None,
         principal: str | None = None,
     ) -> list[TrailRecord]:
-        """Records in [start, end] that have already been *delivered*.
+        """Records from ``start`` on that have already been *delivered*.
 
         This is the online view — recent calls are invisible, which is why
         POD-Diagnosis cannot attribute, e.g., a random instance termination
         to its author in real time (§V.B).
         """
         now = self.clock.now()
-        end = now if end is None else end
         result = []
         for record in self._records:
             if not record.visible_at(now):
                 continue
-            if not start <= record.event_time <= end:
+            if not start <= record.event_time <= now:
                 continue
             if event_name is not None and record.event_name != event_name:
                 continue

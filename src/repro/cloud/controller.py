@@ -50,6 +50,11 @@ def activities_since(
     return [a for a in log[start:] if a.asg_name == asg_name]
 
 
+#: Seconds between an instance reaching ``running`` and the control loop
+#: registering it with the group's load balancers.
+ELB_REGISTER_DELAY = 3.0
+
+
 class AsgController:
     """Background reconciliation process for every ASG in the region."""
 
@@ -63,7 +68,6 @@ class AsgController:
         state: CloudState,
         interval: float = 5.0,
         boot_latency: LatencyModel | None = None,
-        elb_register_delay: float = 3.0,
     ) -> None:
         if interval <= 0:
             raise ValueError("interval must be positive")
@@ -71,7 +75,6 @@ class AsgController:
         self.state = state
         self.interval = interval
         self.boot_latency = boot_latency or instance_boot_latency()
-        self.elb_register_delay = elb_register_delay
         self.activities: list[ScalingActivity] = []
         self._running = False
         self._tick = 0
@@ -232,7 +235,7 @@ class AsgController:
                 instance_id=instance_id,
             )
         )
-        yield self.engine.timeout(self.elb_register_delay)
+        yield self.engine.timeout(ELB_REGISTER_DELAY)
         self._register_with_elbs(asg_name, instance_id)
 
     def _register_with_elbs(self, asg_name: str, instance_id: str) -> None:

@@ -28,19 +28,16 @@ class SimulatedCloud:
         seed: int = 0,
         limits: AccountLimits | None = None,
         mean_consistency_lag: float = 2.5,
-        asg_reconcile_interval: float = 5.0,
         monitor_interval: float = 30.0,
-        engine: Engine | None = None,
     ) -> None:
         self.seed = seed
-        self.engine = engine or Engine()
+        self.engine = Engine()
         self.state = CloudState(limits=limits)
         self.trail = CloudTrail(self.engine.clock, seed=seed + 11)
         self.consistency = ConsistencyModel(mean_lag=mean_consistency_lag, seed=seed + 13)
         self.controller = AsgController(
             self.engine,
             self.state,
-            interval=asg_reconcile_interval,
             boot_latency=instance_boot_latency(seed=seed + 17),
         )
         self.monitor = CloudMonitor(self.engine, self.state, interval=monitor_interval)

@@ -51,8 +51,9 @@ KINDS = (
 class CloudState:
     """All resources in one simulated region, with write history."""
 
-    def __init__(self, limits: AccountLimits | None = None, region: str = "ap-southeast-2") -> None:
-        self.region = region
+    region = "ap-southeast-2"
+
+    def __init__(self, limits: AccountLimits | None = None) -> None:
         self.limits = limits or AccountLimits()
         self.rate_limiter = RateLimiter(self.limits)
         self.amis: dict[str, AmiImage] = {}

@@ -125,7 +125,6 @@ class DiagnosisEngine:
     def diagnose(
         self,
         tree_ids: list[str],
-        params: dict | None = None,
         context: ProcessContext | None = None,
         trigger_detail: str = "manual",
     ) -> DiagnosisRequest:
@@ -136,7 +135,7 @@ class DiagnosisEngine:
         with weak context may warrant consulting both the instance-count
         tree and the resource-integrity tree.
         """
-        return self._request("external", trigger_detail, list(tree_ids), params or {}, context)
+        return self._request("external", trigger_detail, list(tree_ids), {}, context)
 
     def diagnose_external(self, record: LogRecord) -> DiagnosisRequest:
         """Entry point for the central log processor (third-party failure

@@ -61,8 +61,8 @@ class AssertionAnnotator:
     can use to link their assertions with the operation processes").
     """
 
-    def __init__(self, bindings: dict[tuple[str, str], list[str]] | None = None) -> None:
-        self.bindings = dict(bindings or {})
+    def __init__(self) -> None:
+        self.bindings: dict[tuple[str, str], list[str]] = {}
 
     def bind(self, activity: str, position: str, assertion_ids: _t.Iterable[str]) -> None:
         key = (activity, position)

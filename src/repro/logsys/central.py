@@ -16,13 +16,16 @@ import typing as _t
 from repro.logsys.record import LogRecord
 from repro.logsys.storage import CentralLogStorage
 
-#: Default markers of trouble in merged logs, mirroring the failure /
-#: exception keywords the paper's central processor greps for.
-DEFAULT_FAILURE_REGEXES = (
-    r"\[assertion\].*FAILED",
-    r"\[conformance\].*(unfit|unknown|error)",
-    r"(?i)\bexception\b",
-    r"(?i)\bfailure\b",
+#: Markers of trouble in merged logs, mirroring the failure / exception
+#: keywords the paper's central processor greps for.
+FAILURE_PATTERNS = tuple(
+    re.compile(regex)
+    for regex in (
+        r"\[assertion\].*FAILED",
+        r"\[conformance\].*(unfit|unknown|error)",
+        r"(?i)\bexception\b",
+        r"(?i)\bfailure\b",
+    )
 )
 
 
@@ -33,11 +36,9 @@ class CentralLogProcessor:
         self,
         storage: CentralLogStorage,
         diagnose: _t.Callable[[LogRecord], _t.Any],
-        failure_regexes: _t.Iterable[str] = DEFAULT_FAILURE_REGEXES,
     ) -> None:
         self.storage = storage
         self.diagnose = diagnose
-        self.failure_patterns = [re.compile(r) for r in failure_regexes]
         self.triggered: list[LogRecord] = []
         self._seen: set[int] = set()
         storage.subscribe(self._on_record)
@@ -68,4 +69,4 @@ class CentralLogProcessor:
         self.storage.unsubscribe(self._on_record)
 
     def is_failure(self, record: LogRecord) -> bool:
-        return any(p.search(record.message) for p in self.failure_patterns)
+        return any(p.search(record.message) for p in FAILURE_PATTERNS)

@@ -21,24 +21,20 @@ class NoiseFilter:
 
     #: Chatter no operator process model cares about: framework polling,
     #: debug/trace output, health-check noise.
-    DEFAULT_DROP_REGEXES = (
-        r"\bDEBUG\b",
-        r"\bTRACE\b",
-        r"polling .* for status",
-        r"heartbeat",
+    DROPPED = tuple(
+        re.compile(regex)
+        for regex in (r"\bDEBUG\b", r"\bTRACE\b", r"polling .* for status", r"heartbeat")
     )
 
     def __init__(
         self,
         library: PatternLibrary,
         passthrough_regexes: _t.Iterable[str] = (),
-        drop_regexes: _t.Iterable[str] = DEFAULT_DROP_REGEXES,
         passthrough_unmatched: bool = False,
         obs=None,
     ) -> None:
         self.library = library
         self.passthrough = [re.compile(r) for r in passthrough_regexes]
-        self.dropped = [re.compile(r) for r in drop_regexes]
         #: When tailing the watched operation's *own* log, unmatched lines
         #: are not noise — they are exactly the unusual lines conformance
         #: checking must see (tagged ``conformance:unclassified``).  Noise
@@ -55,7 +51,7 @@ class NoiseFilter:
         the record (classify-once), so the annotator and the conformance
         checker downstream reuse it instead of rescanning the library.
         """
-        for regex in self.dropped:
+        for regex in self.DROPPED:
             if regex.search(record.message):
                 self.dropped_count += 1
                 return False

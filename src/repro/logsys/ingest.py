@@ -85,10 +85,10 @@ def read_log(
     return records
 
 
-def read_log_file(path, source: str | None = None) -> list[LogRecord]:
+def read_log_file(path) -> list[LogRecord]:
     """Parse a log file from disk."""
     with open(path) as handle:
-        return read_log(handle, source=source or str(path))
+        return read_log(handle, source=str(path))
 
 
 def write_log_file(records: _t.Iterable[LogRecord], path) -> int:

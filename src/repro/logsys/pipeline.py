@@ -14,8 +14,6 @@ there is no batch variant).
 
 from __future__ import annotations
 
-import typing as _t
-
 from repro.logsys.annotator import AssertionAnnotator, ProcessAnnotator
 from repro.logsys.filters import NoiseFilter
 from repro.logsys.record import LogRecord, LogStream
@@ -35,7 +33,6 @@ class LocalLogProcessor:
         trigger: Trigger,
         storage: CentralLogStorage,
         timer_setter: TimerSetter | None = None,
-        ship_positions: _t.Iterable[str] = ("start", "end"),
         obs=None,
     ) -> None:
         self.noise_filter = noise_filter
@@ -44,10 +41,6 @@ class LocalLogProcessor:
         self.timer_setter = timer_setter
         self.trigger = trigger
         self.storage = storage
-        #: Which step positions count as "important" lines to forward.
-        #: The paper ships lines that "represent the start or end of a
-        #: process activity".
-        self.ship_positions = set(ship_positions)
         self.processed_count = 0
         self.shipped_count = 0
         self._tracer = obs.tracer if obs else None
@@ -92,7 +85,9 @@ class LocalLogProcessor:
 
     def _important(self, record: LogRecord) -> bool:
         position = record.tag_value("position")
-        if position in self.ship_positions:
+        # The paper ships lines that "represent the start or end of a
+        # process activity".
+        if position in ("start", "end"):
             return True
         # Unclassified and known-error lines are always worth keeping:
         # they are exactly what diagnosis wants to see.

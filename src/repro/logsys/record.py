@@ -154,13 +154,12 @@ class LogStream:
             callback(record)
         return record
 
-    def emit_line(self, clock, message: str, source: str | None = None, type: str = "operation") -> LogRecord:
+    def emit_line(self, clock, message: str, source: str | None = None) -> LogRecord:
         """Convenience: build a record stamped with the virtual clock."""
         record = LogRecord(
             time=clock.now(),
             source=source or self.name,
             message=message,
-            type=type,
             timestamp=clock.render(),
         )
         return self.emit(record)

@@ -18,8 +18,8 @@ from repro.operations.base import Operation
 class ScaleInOperation(Operation):
     """Reduce an ASG's desired capacity by ``decrement``."""
 
-    def __init__(self, engine, client, stream, asg_name: str, decrement: int = 1, trace_id: str = "scale-in") -> None:
-        super().__init__(engine, client, stream, name="scale-in", trace_id=trace_id)
+    def __init__(self, engine, client, stream, asg_name: str, decrement: int = 1) -> None:
+        super().__init__(engine, client, stream, name="scale-in", trace_id="scale-in")
         self.asg_name = asg_name
         self.decrement = decrement
         self.new_desired: int | None = None
@@ -44,8 +44,8 @@ class ScaleOutOperation(Operation):
     instance limit (the paper's fourth wrong-diagnosis class).
     """
 
-    def __init__(self, engine, client, stream, asg_name: str, increment: int = 1, trace_id: str = "scale-out") -> None:
-        super().__init__(engine, client, stream, name="scale-out", trace_id=trace_id)
+    def __init__(self, engine, client, stream, asg_name: str, increment: int = 1) -> None:
+        super().__init__(engine, client, stream, name="scale-out", trace_id="scale-out")
         self.asg_name = asg_name
         self.increment = increment
         self.new_desired: int | None = None

@@ -30,6 +30,9 @@ from repro.pod.config import PodConfig
 from repro.process.conformance import ConformanceChecker
 from repro.sim.latency import aws_api_latency
 
+#: How long ``quiesce`` waits for in-flight work to drain, virtual seconds.
+QUIESCE_LIMIT = 300.0
+
 
 @dataclasses.dataclass
 class Detection:
@@ -252,17 +255,17 @@ class PODDiagnosis:
     def reports(self) -> list:
         return self.diagnosis.completed
 
-    def quiesce(self, max_extra: float = 300.0, step: float = 5.0) -> None:
+    def quiesce(self) -> None:
         """Run the simulation until in-flight evaluations/diagnoses drain.
 
         The campaign calls this after an operation ends so every triggered
         diagnosis completes before metrics are read.
         """
-        deadline = self.engine.now + max_extra
+        deadline = self.engine.now + QUIESCE_LIMIT
         while self.engine.now < deadline:
             busy = self.assertions.in_flight > 0 or len(self.diagnosis.reports) > len(
                 self.diagnosis.completed
             )
             if not busy:
                 return
-            self.engine.run(until=min(self.engine.now + step, deadline))
+            self.engine.run(until=min(self.engine.now + 5.0, deadline))

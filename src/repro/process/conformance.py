@@ -59,7 +59,6 @@ class ConformanceResult:
         activity: str | None,
         trace_id: str,
         context: ProcessContext | None = None,
-        elapsed: float = 0.0,
         deferred: tuple[LogRecord, str | None] | None = None,
     ) -> None:
         self.status = status
@@ -69,7 +68,7 @@ class ConformanceResult:
         #: reports ~10 ms average for its remotely-deployed service; the
         #: local implementation cost sits orders of magnitude below the
         #: :data:`ConformanceChecker.SERVICE_TIME` calibration constant).
-        self.elapsed = elapsed
+        self.elapsed = 0.0
         self._context = context
         self._deferred = deferred
 

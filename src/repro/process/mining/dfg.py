@@ -49,23 +49,15 @@ class DirectlyFollowsGraph:
         """Edges seen at least ``min_count`` times (noise thresholding)."""
         return sorted(e for e, c in self.edge_counts.items() if c >= min_count)
 
-    def successors(self, activity: str, min_count: int = 1) -> list[str]:
-        return sorted(
-            b for (a, b), c in self.edge_counts.items() if a == activity and c >= min_count
-        )
+    def successors(self, activity: str) -> list[str]:
+        return sorted(b for a, b in self.edge_counts if a == activity)
 
-    def dominant_starts(self, ratio: float = 0.5) -> list[str]:
-        """Activities beginning at least ``ratio`` of traces."""
-        if self.trace_count == 0:
-            return []
-        return sorted(
-            a for a, c in self.start_counts.items() if c / self.trace_count >= ratio
-        )
+    def dominant_starts(self) -> list[str]:
+        """Activities beginning at least half of the traces."""
+        return sorted(a for a, c in self.start_counts.items() if 2 * c >= self.trace_count)
 
-    def dominant_ends(self, ratio: float = 0.5) -> list[str]:
-        if self.trace_count == 0:
-            return []
-        return sorted(a for a, c in self.end_counts.items() if c / self.trace_count >= ratio)
+    def dominant_ends(self) -> list[str]:
+        return sorted(a for a, c in self.end_counts.items() if 2 * c >= self.trace_count)
 
     def loop_edges(self) -> list[tuple[str, str]]:
         """Back edges: pairs (a, b) where both a→b and a path b→…→a exist.

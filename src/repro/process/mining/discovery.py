@@ -13,8 +13,6 @@ examples and tests.
 
 from __future__ import annotations
 
-import typing as _t
-
 from repro.process.mining.dfg import DirectlyFollowsGraph
 from repro.process.model import ProcessModel
 
@@ -23,14 +21,12 @@ def discover_model(
     dfg: DirectlyFollowsGraph,
     model_id: str = "discovered",
     min_edge_count: int = 1,
-    start_ratio: float = 0.5,
-    end_ratio: float = 0.5,
 ) -> ProcessModel:
     """Build a process model from a DFG.
 
     - edges below ``min_edge_count`` are dropped as noise;
-    - start/end activities are those that begin/end a dominant share of
-      traces (``start_ratio``/``end_ratio``).
+    - start/end activities are those that begin/end a dominant share
+      (half) of the traces.
 
     Raises :class:`ValueError` if no dominant start or end emerges — a
     sign the log is too noisy to discover from, matching the paper's
@@ -41,8 +37,8 @@ def discover_model(
         model.add_activity(activity)
     for source, target in dfg.edges(min_count=min_edge_count):
         model.add_edge(source, target)
-    starts = dfg.dominant_starts(start_ratio)
-    ends = dfg.dominant_ends(end_ratio)
+    starts = dfg.dominant_starts()
+    ends = dfg.dominant_ends()
     if not starts:
         raise ValueError("no dominant start activity; log too noisy to discover from")
     if not ends:
@@ -57,11 +53,11 @@ def discover_model(
     return model
 
 
-def traces_from_storage(storage, position_filter: _t.Container[str] = ("end",)) -> list[list[str]]:
+def traces_from_storage(storage) -> list[list[str]]:
     """Extract activity sequences per trace from annotated central logs.
 
-    Only operation-type records with a recognised step tag contribute; by
-    default only each activity's *end* line is used so one activity maps
+    Only operation-type records with a recognised step tag contribute,
+    and only each activity's *end* line, so one activity maps
     to one event (the same convention the paper's tagging pipeline used
     before feeding Disco).
     """
@@ -72,10 +68,9 @@ def traces_from_storage(storage, position_filter: _t.Container[str] = ("end",)) 
             if record.type != "operation":
                 continue
             step = record.tag_value("step")
-            position = record.tag_value("position")
             if step is None or step == "unclassified":
                 continue
-            if position_filter and position not in position_filter:
+            if record.tag_value("position") != "end":
                 continue
             sequence.append(step)
         if sequence:
@@ -83,15 +78,10 @@ def traces_from_storage(storage, position_filter: _t.Container[str] = ("end",)) 
     return traces
 
 
-def mine_from_storage(
-    storage,
-    model_id: str = "mined",
-    min_edge_count: int = 1,
-    position_filter: _t.Container[str] = ("end",),
-) -> ProcessModel:
+def mine_from_storage(storage) -> ProcessModel:
     """End-to-end: annotated central logs → discovered process model."""
-    traces = traces_from_storage(storage, position_filter)
+    traces = traces_from_storage(storage)
     if not traces:
         raise ValueError("central storage holds no usable traces")
     dfg = DirectlyFollowsGraph.from_traces(traces)
-    return discover_model(dfg, model_id=model_id, min_edge_count=min_edge_count)
+    return discover_model(dfg, model_id="mined")

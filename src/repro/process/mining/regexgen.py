@@ -53,14 +53,14 @@ def derive_regex(template: str) -> str:
     return "".join(parts)
 
 
-def derive_pattern(cluster: LogCluster, position: str = END, is_error: bool = False) -> LogPattern:
+def derive_pattern(cluster: LogCluster) -> LogPattern:
     """Build the :class:`LogPattern` transformation rule for a cluster.
 
     Raises :class:`ValueError` if the derived regex fails to match every
     member line — a signal the clustering threshold was too loose.
     """
     regex = derive_regex(cluster.representative)
-    pattern = LogPattern(activity=cluster.name, regex=regex, position=position, is_error=is_error)
+    pattern = LogPattern(activity=cluster.name, regex=regex, position=END)
     for line in cluster.lines:
         if pattern.match(line) is None and pattern.match(mask_line(line)) is None:
             raise ValueError(

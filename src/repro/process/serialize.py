@@ -51,11 +51,11 @@ def model_from_dict(data: dict) -> ProcessModel:
     return model
 
 
-def model_to_dot(model: ProcessModel, rankdir: str = "TB") -> str:
+def model_to_dot(model: ProcessModel) -> str:
     """Graphviz DOT rendering (Fig. 2 style: boxes and arrows)."""
     lines = [
         f"digraph {_dot_id(model.model_id)} {{",
-        f"  rankdir={rankdir};",
+        "  rankdir=TB;",
         '  node [shape=box, style=rounded, fontname="Helvetica"];',
     ]
     for activity in sorted(model.activities):

@@ -42,6 +42,13 @@ ALREADY_SATISFIED = "already-satisfied"
 FAILED = "failed"
 BLOCKED = "blocked"
 
+#: Full-jitter backoff window between an action's attempts: doubles from
+#: the base, capped; and the per-call deadline of a compensation (undo)
+#: call.  Virtual seconds.
+BASE_BACKOFF = 2.0
+MAX_BACKOFF = 30.0
+COMPENSATION_DEADLINE = 60.0
+
 
 @dataclasses.dataclass
 class ActionResult:
@@ -100,18 +107,12 @@ class RecoveryEngine:
         client,
         seed: int = 0,
         obs=None,
-        base_backoff: float = 2.0,
-        max_backoff: float = 30.0,
-        compensation_deadline: float = 60.0,
     ) -> None:
         self.engine = engine
         self.client = client
         self._tracer = obs.tracer if obs else None
         self._metrics = obs.metrics if obs else None
         self._rng = random.Random(seed)
-        self.base_backoff = base_backoff
-        self.max_backoff = max_backoff
-        self.compensation_deadline = compensation_deadline
 
     # -- metrics + spans -------------------------------------------------
 
@@ -254,9 +255,7 @@ class RecoveryEngine:
                 # Full-jitter backoff between attempts: decorrelates the
                 # recovery plane's retries from everyone else's.
                 self._count("recovery.retries")
-                backoff = min(
-                    self.base_backoff * (2 ** (attempt - 1)), self.max_backoff
-                )
+                backoff = min(BASE_BACKOFF * (2 ** (attempt - 1)), MAX_BACKOFF)
                 yield self.engine.timeout(self._rng.uniform(0.0, backoff))
         record.status = FAILED
         self._count("recovery.actions.failed")
@@ -336,7 +335,7 @@ class RecoveryEngine:
                     yield from self.client.call(
                         method,
                         *args,
-                        deadline=self.engine.now + self.compensation_deadline,
+                        deadline=self.engine.now + COMPENSATION_DEADLINE,
                         **kwargs,
                     )
                 except (CloudError, ConsistentCallError):

@@ -178,9 +178,7 @@ def _action_from_plan(plan: RemediationPlan) -> RecoveryAction | None:
 _CREATES = ("recreate-key-pair", "recreate-security-group")
 
 
-def build_recovery_plan(
-    report, params: dict, cause_params: dict[str, dict] | None = None
-) -> RecoveryPlan:
+def build_recovery_plan(report, params: dict) -> RecoveryPlan:
     """Build the action DAG for one (possibly merged) diagnosis report.
 
     Only *confirmed* automatable causes become actions — an undetermined
@@ -192,7 +190,7 @@ def build_recovery_plan(
     confirmed = {c.node_id for c in report.root_causes if c.status == "confirmed"}
     plan = RecoveryPlan()
     seen_causes: set[str] = set()
-    for rem in plans_for_report(report, params, cause_params=cause_params):
+    for rem in plans_for_report(report, params):
         plan.cause_ids.append(rem.cause_id)
         seen_causes.add(rem.cause_id)
         action = _action_from_plan(rem) if rem.automatable else None

@@ -69,9 +69,7 @@ def recover_run(
     operation,
     run_id: str,
     seed: int = 0,
-    resume: bool = True,
     budget: float = 900.0,
-    resume_horizon: float = 2700.0,
 ) -> dict | None:
     """Attempt closed-loop recovery for one finished run.
 
@@ -157,15 +155,13 @@ def recover_run(
 
     # Verified recovery.  Resume the interrupted operation from its batch
     # checkpoint when there is anything left to finish.
-    needs_resume = resume and (failed or fleet_bad)
-    if needs_resume:
+    if failed or fleet_bad:
         trace_id = f"{run_id}-resume"
         record["resumed"] = True
         record["resume_trace_id"] = trace_id
         resumed = testbed.resume_upgrade(
             checkpoint=operation.checkpoint,
             trace_id=trace_id,
-            horizon=resume_horizon,
         )
         record["resume_status"] = resumed.status
         new_detections = pod.detections[detections_before:]

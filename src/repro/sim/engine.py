@@ -127,8 +127,8 @@ class Process(Event):
 class Engine:
     """Deterministic discrete-event loop with a virtual clock."""
 
-    def __init__(self, clock: SimClock | None = None) -> None:
-        self.clock = clock or SimClock()
+    def __init__(self) -> None:
+        self.clock = SimClock()
         self._queue: list[tuple[float, int, int, Event]] = []
         self._sequence = itertools.count()
         #: Untriggered events a process waits on, in parking order.

@@ -23,6 +23,13 @@ from repro.operations.target import TargetConfig
 from repro.pod.config import PodConfig
 from repro.pod.service import PODDiagnosis
 
+#: Mean eventual-consistency lag of a healthy API plane, seconds.
+MEAN_CONSISTENCY_LAG = 2.5
+
+#: A resumed attempt has at most the failed batch and what followed it
+#: left: half a fresh upgrade's horizon, virtual seconds.
+RESUME_HORIZON = 2700.0
+
 #: The paper upgrades 1 node at a time on 4-instance clusters and 4 at a
 #: time on 20-instance clusters.
 BATCH_SIZE_BY_CLUSTER = {4: 1, 20: 4}
@@ -56,7 +63,6 @@ class Testbed:
         max_instances: int = 40,
         batch_size: int | None = None,
         watchdog_interval: float | None = None,
-        mean_consistency_lag: float = 2.5,
         chaos=None,
         trace: bool = False,
     ) -> None:
@@ -70,7 +76,7 @@ class Testbed:
         self.cloud = SimulatedCloud(
             seed=seed,
             limits=AccountLimits(max_instances=max_instances),
-            mean_consistency_lag=mean_consistency_lag * chaos_profile.consistency_lag_multiplier,
+            mean_consistency_lag=MEAN_CONSISTENCY_LAG * chaos_profile.consistency_lag_multiplier,
         )
         self.engine = self.cloud.engine
         # Tracing + metrics over the virtual clock (see repro.obs); None =
@@ -181,17 +187,17 @@ class Testbed:
         operation.start()
         return operation
 
-    def _drive(self, operation: RollingUpgradeOperation, horizon: float, settle: float) -> None:
-        """Run until the operation ends (or the horizon), then ``settle``
-        extra seconds and a quiesce, so in-flight assertion evaluations
-        and diagnoses finish before callers read metrics."""
+    def _drive(self, operation: RollingUpgradeOperation, horizon: float) -> None:
+        """Run until the operation ends (or the horizon), then a minute
+        more and a quiesce, so in-flight assertion evaluations and
+        diagnoses finish before callers read metrics."""
         deadline = self.engine.now + horizon
         while self.engine.now < deadline:
             if operation.status in (OP_COMPLETED, OP_FAILED):
                 break
             self.engine.run(until=min(self.engine.now + 10.0, deadline))
         self.pod.timers.stop_all()
-        self.engine.run(until=self.engine.now + settle)
+        self.engine.run(until=self.engine.now + 60.0)
         self.pod.quiesce()
 
     def start_upgrade(self, trace_id: str = "upgrade-1") -> RollingUpgradeOperation:
@@ -204,24 +210,17 @@ class Testbed:
         return self.upgrade
 
     def run_upgrade(
-        self,
-        trace_id: str = "upgrade-1",
-        horizon: float = 5400.0,
-        settle: float = 60.0,
+        self, trace_id: str = "upgrade-1", horizon: float = 5400.0
     ) -> RollingUpgradeOperation:
         """Run the upgrade to completion/failure (see :meth:`_drive`)."""
         operation = self.start_upgrade(trace_id)
-        self._drive(operation, horizon, settle)
+        self._drive(operation, horizon)
         return operation
 
     # -- resuming after recovery --------------------------------------------------
 
     def resume_upgrade(
-        self,
-        checkpoint,
-        trace_id: str = "upgrade-resume",
-        horizon: float = 2700.0,
-        settle: float = 60.0,
+        self, checkpoint, trace_id: str = "upgrade-resume"
     ) -> RollingUpgradeOperation:
         """Resume an interrupted upgrade from its batch checkpoint.
 
@@ -233,7 +232,7 @@ class Testbed:
         """
         stream = LogStream(f"asgard-{trace_id}.log")
         operation = self._launch(stream, trace_id, seed_offset=13, checkpoint=checkpoint)
-        self._drive(operation, horizon, settle)
+        self._drive(operation, RESUME_HORIZON)
         self.resumed.append(operation)
         return operation
 

@@ -13,7 +13,7 @@ observable behaviour.
 
 import typing as _t
 
-from repro.cloud.controller import AsgController, ScalingActivity
+from repro.cloud.controller import ELB_REGISTER_DELAY, AsgController, ScalingActivity
 from repro.cloud.errors import CloudError, LimitExceeded, ResourceNotFound, ServiceUnavailable
 from repro.cloud.resources import Instance, InstanceState
 from repro.cloud.state import CloudState
@@ -160,7 +160,7 @@ class ReferenceAsgController(AsgController):
                 instance_id=instance_id,
             )
         )
-        yield self.engine.timeout(self.elb_register_delay)
+        yield self.engine.timeout(ELB_REGISTER_DELAY)
         self._register_with_elbs(asg_name, instance_id)
 
     def _register_with_elbs(self, asg_name: str, instance_id: str) -> None:

@@ -11,6 +11,12 @@ class of thing that rots unnoticed.
 
 A new unreferenced name fails the test (delete it, call it, or justify
 it); so does a stale entry (the name went away or gained a caller).
+
+The *parameter* rung asks the same of options: a defaulted parameter of a
+public function, public method or ``__init__`` that no call in ``src/``,
+``examples/``, ``benchmarks/``, ``tools/`` or ``tests/`` ever passes is a
+constant wearing an option's clothes — it becomes the constant, or gets a
+reason in :data:`UNSET_PARAMETERS`.
 """
 
 import ast
@@ -87,6 +93,25 @@ KEPT_WITH_CALLERS: dict[str, str] = {
 }
 
 
+#: Defaulted parameters nothing passes, kept on purpose.
+UNSET_PARAMETERS: dict[str, str] = {
+    "recover_run:budget": "names the never-hangs bound ROADMAP 3(d) is to assert on (see"
+                          " KEPT_WITH_CALLERS); the other exits' bounds are constants beside their use",
+    **{
+        f"{sweep}:{parameter}": "the four sweeps of repro.evaluation.sweeps share one signature"
+                                " (values, runs_per_fault, seed, max_workers); sweep_chaos's is what"
+                                " `repro chaos-sweep --seed/--workers` sets"
+        for sweep, parameter in (
+            ("sweep_interference", "max_workers"),
+            ("sweep_cluster_size", "seed"),
+            ("sweep_cluster_size", "max_workers"),
+            ("sweep_transient_rate", "seed"),
+            ("sweep_transient_rate", "max_workers"),
+        )
+    },
+}
+
+
 def _public_definitions() -> collections.Counter:
     """Public top-level names and public methods of ``src/repro``, by name."""
     defined: collections.Counter = collections.Counter()
@@ -128,6 +153,101 @@ def test_every_public_name_has_a_caller_or_a_reason():
     unreferenced = {name for name, count in defined.items() if mentions[name] <= count}
     assert unreferenced - set(JUSTIFIED) == set(), "no caller and no reason: delete, call or justify"
     assert set(JUSTIFIED) - unreferenced == set(), "stale entries: the name is gone or has a caller"
+
+
+def _callee(call: ast.Call) -> str | None:
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def _passed() -> tuple[dict[str, set[str]], collections.Counter]:
+    """What the five trees pass, by callee *name*: the keywords, and the
+    most positional arguments any one call gives.
+
+    A call is also booked to the name it dispatches on — ``cls(...)``
+    inside a class, ``partial(f, ...)``, and ``client.call("method", ...)``
+    (the one calling convention of both API clients) — and a function
+    that forwards its ``**kwargs`` lends its keywords to what it calls.
+    """
+    keywords: dict[str, set[str]] = collections.defaultdict(set)
+    positional: collections.Counter = collections.Counter()
+    forwards: list[tuple[str, str]] = []
+
+    def book(name: str, call: ast.Call, skipped: int) -> None:
+        keywords[name].update(k.arg for k in call.keywords if k.arg)
+        starred = any(isinstance(a, ast.Starred) for a in call.args)
+        positional[name] = max(positional[name], 99 if starred else len(call.args) - skipped)
+
+    def visit(node: ast.AST, owner: str | None) -> None:
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
+        elif isinstance(node, ast.FunctionDef) and node.args.kwarg:
+            forwards.extend(
+                (node.name, _callee(call))
+                for call in ast.walk(node)
+                if isinstance(call, ast.Call)
+                and any(
+                    k.arg is None and getattr(k.value, "id", None) == node.args.kwarg.arg
+                    for k in call.keywords
+                )
+            )
+        elif isinstance(node, ast.Call) and _callee(node):
+            name = _callee(node)
+            book(owner if name == "cls" and owner else name, node, 0)
+            first = node.args[0] if node.args else None
+            if name == "partial" and isinstance(first, (ast.Name, ast.Attribute)):
+                book(getattr(first, "attr", None) or first.id, node, 1)
+            elif isinstance(first, ast.Constant) and isinstance(first.value, str):
+                book(first.value, node, 1)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    for tree in ("src", "examples", "benchmarks", "tools", "tests"):
+        for path in sorted((ROOT / tree).rglob("*.py")):
+            visit(ast.parse(path.read_text()), None)
+    for _ in range(3):  # a forwarder may call a forwarder
+        for forwarder, target in forwards:
+            if target:
+                keywords[target] |= keywords[forwarder]
+    return keywords, positional
+
+
+def _unset_parameters() -> set[str]:
+    """``callee:parameter`` for every defaulted parameter nothing passes."""
+    keywords, positional = _passed()
+    unset: set[str] = set()
+
+    def check(callee: str, function: ast.FunctionDef, bound: bool) -> None:
+        spec = function.args
+        ordered = (spec.posonlyargs + spec.args)[1 if bound else 0:]
+        first_default = len(ordered) - len(spec.defaults)
+        candidates = [(p.arg, i) for i, p in enumerate(ordered) if i >= first_default]
+        candidates += [(p.arg, None) for p, d in zip(spec.kwonlyargs, spec.kw_defaults) if d]
+        for name, index in candidates:
+            by_position = index is not None and positional[callee] > index
+            if name not in keywords[callee] and not by_position:
+                unset.add(f"{callee}:{name}")
+
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if node.__class__ is ast.FunctionDef and not node.name.startswith("_"):
+                check(node.name, node, bound=False)
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for member in node.body:
+                    if not isinstance(member, ast.FunctionDef):
+                        continue
+                    static = any(getattr(d, "id", None) == "staticmethod" for d in member.decorator_list)
+                    if member.name == "__init__":
+                        check(node.name, member, bound=True)
+                    elif not member.name.startswith("_"):
+                        check(member.name, member, bound=not static)
+    return unset
+
+
+def test_every_defaulted_parameter_is_passed_by_something_or_has_a_reason():
+    unset = _unset_parameters()
+    assert unset - set(UNSET_PARAMETERS) == set(), "never passed: make it the constant it is, or justify"
+    assert set(UNSET_PARAMETERS) - unset == set(), "stale entries: the parameter is gone or is passed"
 
 
 def test_kept_names_still_exist():
