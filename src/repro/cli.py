@@ -74,7 +74,8 @@ def _cmd_recover(args: argparse.Namespace) -> int:
         print("nothing to recover: no diagnosed causes and the fleet conforms")
         return 0
     print(f"\nrecovery: {record['status']}"
-          + (f" (MTTR {record['mttr']:.0f}s virtual)" if record["mttr"] is not None else ""))
+          + (f" (MTTR {record['mttr']:.0f}s virtual)" if record["mttr"] is not None else "")
+          + (f" ({record['escalation_reason']})" if record["escalation_reason"] else ""))
     for action in record["actions"]:
         print(f"  action {action['action']} on {action['target']}:"
               f" {action['status']} (attempts={action['attempts']})")

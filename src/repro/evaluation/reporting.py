@@ -131,8 +131,8 @@ def _recovery_section(
         f"- MTTR (virtual, symptom → verified): mean {mttr['mean']:.1f}s,"
         f" p95 {mttr['p95']:.1f}s, range {mttr['min']:.1f}-{mttr['max']:.1f}s",
         "",
-        "| Run | Class | Actions | Resumed | MTTR | Advisory |",
-        "|---|---|---|---|---|---|",
+        "| Run | Class | Reason | Actions | Resumed | MTTR | Advisory |",
+        "|---|---|---|---|---|---|---|",
     ]
     for outcome in outcomes:
         rec = outcome.recovery
@@ -145,7 +145,8 @@ def _recovery_section(
         resumed = rec.get("resume_status") or ("-" if not rec.get("resumed") else "?")
         advisory = str(len(rec.get("advisory", []))) if rec.get("advisory") else "-"
         lines.append(
-            f"| {outcome.spec.run_id} | {rec['status']} | {actions}"
+            f"| {outcome.spec.run_id} | {rec['status']}"
+            f" | {rec['escalation_reason'] or '-'} | {actions}"
             f" | {resumed} | {mttr_cell} | {advisory} |"
         )
     return "\n".join(lines) + "\n"

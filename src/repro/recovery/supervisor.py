@@ -15,7 +15,9 @@ verify → resume sequence on the run's own testbed:
    checking replays the resumed trace as its own process instance;
 5. classify: ``RECOVERED`` (probes green, resumed upgrade conformant,
    fleet matches the target) or ``ESCALATED`` (anything less, with the
-   human-action plan attached).
+   human-action plan attached and the exit taken named in
+   ``escalation_reason``: ``budget-exhausted``, ``no-cause-diagnosed``,
+   ``nothing-automatable``, ``action-failed`` or ``resume-incomplete``).
 
 Everything runs in virtual time inside the run's own engine, so recovery
 inherits the campaign's determinism and the serial ≡ parallel bit-for-bit
@@ -97,6 +99,7 @@ def recover_run(
 
     record: dict = {
         "status": ESCALATED,
+        "escalation_reason": None,  # which ESCALATED exit was taken
         "cause_ids": [c.node_id for c in causes],
         "confirmed_causes": [c.node_id for c in causes if c.status == "confirmed"],
         "first_symptom_at": first_symptom,
@@ -137,6 +140,7 @@ def recover_run(
         engine.run(until=min(engine.now + 5.0, deadline))
 
     if not done:
+        record["escalation_reason"] = "budget-exhausted"
         record["advisory"] = list(plan.advisory) + [
             f"Recovery did not terminate within its {budget:.0f}s budget;"
             " escalate to a human operator"
@@ -151,6 +155,10 @@ def recover_run(
     record["recovery_api"] = dict(client.counters())
 
     if not result.ok:
+        if plan.automatable:
+            record["escalation_reason"] = "action-failed"  # and compensated
+        else:
+            record["escalation_reason"] = "nothing-automatable" if causes else "no-cause-diagnosed"
         return record
 
     # Verified recovery.  Resume the interrupted operation from its batch
@@ -189,6 +197,7 @@ def recover_run(
             )
             if metrics is not None:
                 metrics.inc("recovery.resume_failures")
+            record["escalation_reason"] = "resume-incomplete"
             return record
     record["fleet_conformant"] = not _fleet_nonconformant(testbed)
 

@@ -8,12 +8,17 @@ and survives severe API chaos without a single crashed run.
 """
 
 import dataclasses
+import types
 
 import pytest
 
 from repro.evaluation.campaign import Campaign, CampaignConfig
+from repro.evaluation.faults import FaultPlan, schedule_fault
 from repro.evaluation.metrics import compute_metrics
-from repro.recovery import ESCALATED, RECOVERED
+from repro.evaluation.reporting import render_markdown
+from repro.operations.base import FAILED as OP_FAILED
+from repro.recovery import ESCALATED, RECOVERED, recover_run
+from repro.testbed import build_testbed
 
 pytestmark = pytest.mark.recovery
 
@@ -86,6 +91,18 @@ class TestTerminalClasses:
             rec = outcome.recovery
             assert rec["status"] == ESCALATED, (outcome.spec.run_id, rec)
             assert rec["advisory"], outcome.spec.run_id
+            # Both confirm their cause (ami-unavailable / elb-unavailable);
+            # the catalog has only human-action plans for it (ROADMAP 1(d)).
+            assert rec["escalation_reason"] == "nothing-automatable", outcome.spec.run_id
+            assert not rec["actions"]
+
+    def test_only_an_escalated_run_names_a_reason(self, outcomes):
+        for outcome in outcomes:
+            rec = outcome.recovery
+            assert (rec["escalation_reason"] is None) == (rec["status"] == RECOVERED)
+        report = render_markdown(outcomes, compute_metrics(outcomes))
+        assert report.count("| ESCALATED | nothing-automatable |") == len(NON_AUTOMATABLE)
+        assert report.count("| RECOVERED | - |") == len(AUTOMATABLE)
 
     def test_metrics_aggregate_recovery(self, outcomes):
         metrics = compute_metrics(outcomes)
@@ -99,6 +116,49 @@ class TestTerminalClasses:
         # Virtual-clock seconds of this seeded campaign: a remediation
         # that gets slower to verify moves it on any host.
         assert stats["mean"] == pytest.approx(351.5703, abs=1e-3)
+
+
+class TestEscalationReason:
+    """One case per ESCALATED exit of ``recover_run`` that the seeded
+    campaign above does not take."""
+
+    def finished(self, fault_type, seed=11):
+        testbed = build_testbed(cluster_size=4, seed=seed)
+        schedule_fault(testbed, FaultPlan(fault_type=fault_type, inject_at=40.0))
+        return testbed, testbed.run_upgrade(trace_id="run")
+
+    def test_budget_exhausted(self):
+        testbed, operation = self.finished("KEYPAIR_UNAVAILABLE")
+        rec = recover_run(testbed, operation, run_id="run", budget=0.0)
+        assert (rec["status"], rec["escalation_reason"]) == (ESCALATED, "budget-exhausted")
+
+    def test_no_cause_diagnosed(self):
+        """An operation that failed with nothing detected: no plan at all."""
+        testbed = build_testbed(cluster_size=4, seed=11)
+        testbed.run_upgrade(trace_id="run")
+        assert not testbed.pod.reports
+        failed = types.SimpleNamespace(status=OP_FAILED, finished_at=testbed.engine.now)
+        rec = recover_run(testbed, failed, run_id="run")
+        assert (rec["status"], rec["escalation_reason"]) == (ESCALATED, "no-cause-diagnosed")
+        assert rec["cause_ids"] == [] and rec["advisory"]
+
+    def test_action_failed(self):
+        """The launch configuration to restore is gone: every attempt fails."""
+        testbed, operation = self.finished("AMI_CHANGED")
+        testbed.cloud.api("ops").delete_launch_configuration(testbed.stack.lc_v2)
+        rec = recover_run(testbed, operation, run_id="run")
+        assert (rec["status"], rec["escalation_reason"]) == (ESCALATED, "action-failed")
+        assert [a["status"] for a in rec["actions"]] == ["failed"]
+
+    def test_resume_incomplete(self):
+        """Healed, but the resumed upgrade cannot finish: the ELB went away
+        after diagnosis, so no report (and no action) covers it."""
+        testbed, operation = self.finished("AMI_CHANGED")
+        testbed.cloud.injector.make_elb_unavailable(testbed.stack.elb_name)
+        rec = recover_run(testbed, operation, run_id="run")
+        assert (rec["status"], rec["escalation_reason"]) == (ESCALATED, "resume-incomplete")
+        assert [a["status"] for a in rec["actions"]] == ["verified"]
+        assert rec["resumed"] and rec["resume_status"] == OP_FAILED
 
 
 class TestDeterminism:

@@ -70,3 +70,10 @@ class TestDemoCommand:
         assert "clean upgrade: completed" in out
         assert "faulty upgrade (wrong AMI)" in out
         assert "Root causes" in out
+
+
+class TestRecoverCommand:
+    def test_escalation_names_its_reason(self, capsys):
+        """Exit code 2 = ESCALATED; the one-word reason rides the headline."""
+        assert main(["recover", "--fault", "AMI_UNAVAILABLE"]) == 2
+        assert "recovery: ESCALATED (nothing-automatable)" in capsys.readouterr().out

@@ -89,14 +89,13 @@ KEPT_WITH_CALLERS: dict[str, str] = {
     "repro.evaluation.parallel:execute_specs": "runner= is the seam the dead-worker and determinism"
                                                " tests substitute (tests/evaluation/test_parallel_campaign.py)",
     "repro.recovery.supervisor:recover_run": "budget= names the never-hangs bound that ROADMAP 3(d)"
-                                             " is to assert on, rather than burying a literal",
+                                             " is to assert on, rather than burying a literal;"
+                                             " tests/recovery/test_campaign_recovery.py spends it",
 }
 
 
 #: Defaulted parameters nothing passes, kept on purpose.
 UNSET_PARAMETERS: dict[str, str] = {
-    "recover_run:budget": "names the never-hangs bound ROADMAP 3(d) is to assert on (see"
-                          " KEPT_WITH_CALLERS); the other exits' bounds are constants beside their use",
     **{
         f"{sweep}:{parameter}": "the four sweeps of repro.evaluation.sweeps share one signature"
                                 " (values, runs_per_fault, seed, max_workers); sweep_chaos's is what"
