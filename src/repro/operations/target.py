@@ -110,7 +110,7 @@ class TargetConfig:
             value = getattr(self, row.attr)
             if row.many and value is not None:
                 value = list(value)  # the repository is mutable by design
+                if value:
+                    repository[row.resource_key] = value[0]
             repository[row.config_key] = value
-            if row.many and value:
-                repository[row.resource_key] = value[0]
         return repository
