@@ -37,7 +37,7 @@ def main() -> None:
         report = testbed.pod.reports[0]
         print(f"\n  diagnosis at t={testbed.engine.now:.0f}: {report.summary()}")
 
-        plan = build_recovery_plan(report, testbed.pod_config.as_repository())
+        plan = build_recovery_plan(report.root_causes, testbed.pod_config.as_repository())
         for action in plan.actions:
             print(f"  remediation [auto]: {action.action} — {action.description}")
         for advice in plan.advisory:

@@ -5,7 +5,7 @@ repository* (§III.B.3, Fig. 4), and its §VI.A failure classes ("reverted
 before the on-demand test", "masked by interference") are statements
 about that same comparison made at two different times.  So the
 orchestrator, the assertions, the campaign's ground truth, the
-remediation catalog and the recovery probe must all ask *one* question.
+fix catalog and the recovery probe must all ask *one* question.
 This module is that question: four fields, one table saying how each is
 spelled in every vocabulary above ``cloud``, one comparison.
 """

@@ -1,8 +1,8 @@
 """``repro.recovery`` — the closed-loop recovery plane.
 
 Turns confirmed root causes from :mod:`repro.diagnosis` into verified,
-fault-tolerant recovery: a supervised DAG of idempotent actions
-(:mod:`repro.recovery.plan`), an executor with bounded full-jitter
+fault-tolerant recovery: the fix catalog and the idempotent actions it
+prescribes (:mod:`repro.recovery.plan`), an executor with bounded full-jitter
 retries, per-action deadlines, an undo log with compensation and
 post-action verification probes (:mod:`repro.recovery.engine`), and a
 per-run supervisor that resumes the interrupted operation from its batch

@@ -1,4 +1,4 @@
-"""The recovery engine: execute an action DAG, verified and compensable.
+"""The recovery engine: execute a plan's actions, verified and compensable.
 
 :class:`RecoveryEngine.execute` is a simulation generator (drive it with
 ``yield from`` inside an engine process).  Per action it applies the
@@ -11,8 +11,8 @@ hardened-client discipline established for the assertion plane:
   **per-action deadline** propagated into every API call and probe so no
   attempt can outlive its budget;
 - an **undo log**: compensation for an action is recorded before its
-  first mutation (for restores, the prior state is captured by a
-  consistent read), and on any action's terminal failure the whole
+  first mutation (for restores, from the prior state the idempotency
+  pre-check read), and on any action's terminal failure the whole
   partially-applied plan is rolled back in reverse order — saga
   semantics, best-effort under a degraded plane;
 - a **verification probe** through the consistent client (absorbing
@@ -21,7 +21,7 @@ hardened-client discipline established for the assertion plane:
 The executor *never raises* and never loops forever: every API failure
 (:class:`CloudError`, :class:`ConsistentCallError` — including chaos
 blackholes and breaker fast-fails) is caught, retries are bounded by
-``max_attempts``, deadlines bound each attempt, and exhaustion degrades
+``MAX_ATTEMPTS``, deadlines bound each attempt, and exhaustion degrades
 into the explicit ``ESCALATED`` terminal state with the human-action
 plan attached.
 """
@@ -41,6 +41,12 @@ VERIFIED = "verified"
 ALREADY_SATISFIED = "already-satisfied"
 FAILED = "failed"
 BLOCKED = "blocked"
+
+#: Attempts per action, and each attempt's deadline (virtual seconds),
+#: propagated into every API call and the verification probe — the
+#: hardened-client discipline.
+MAX_ATTEMPTS = 3
+ACTION_DEADLINE = 120.0
 
 #: Full-jitter backoff window between an action's attempts: doubles from
 #: the base, capped; and the per-call deadline of a compensation (undo)
@@ -76,7 +82,6 @@ class RecoveryResult:
     status: str
     actions: list[ActionResult] = dataclasses.field(default_factory=list)
     advisory: list[str] = dataclasses.field(default_factory=list)
-    cause_ids: list[str] = dataclasses.field(default_factory=list)
     started_at: float = 0.0
     finished_at: float | None = None
     #: When the last action's probe went green (RECOVERED only).
@@ -85,17 +90,6 @@ class RecoveryResult:
     @property
     def ok(self) -> bool:
         return self.status == RECOVERED
-
-    def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "actions": [a.to_dict() for a in self.actions],
-            "advisory": list(self.advisory),
-            "cause_ids": list(self.cause_ids),
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "verified_at": self.verified_at,
-        }
 
 
 class RecoveryEngine:
@@ -136,7 +130,6 @@ class RecoveryEngine:
         result = RecoveryResult(
             status=ESCALATED,
             advisory=list(plan.advisory),
-            cause_ids=list(plan.cause_ids),
             started_at=self.engine.now,
         )
         self._count("recovery.plans")
@@ -152,7 +145,7 @@ class RecoveryEngine:
         undo_log: list[tuple[str, list[tuple]]] = []
         failed: set[str] = set()
         aborted = False
-        for action in plan.ordered_actions():
+        for action in plan.actions:
             record = ActionResult(
                 action_id=action.action_id, action=action.action, target=action.target
             )
@@ -207,9 +200,9 @@ class RecoveryEngine:
         span = self._start_span(action.action, target=action.target)
         self._count("recovery.actions")
         mutated = False
-        for attempt in range(1, action.max_attempts + 1):
+        for attempt in range(1, MAX_ATTEMPTS + 1):
             record.attempts = attempt
-            deadline = self.engine.now + action.deadline
+            deadline = self.engine.now + ACTION_DEADLINE
             try:
                 # Idempotency pre-check: a strongly consistent read of the
                 # target; if the expected state already holds (earlier
@@ -228,7 +221,7 @@ class RecoveryEngine:
                 # Record compensation *before* the first mutation so a
                 # failure mid-calls still rolls back.
                 if not mutated:
-                    undo = yield from self._capture_undo(action, current, deadline)
+                    undo = action.compensation(current)
                     if undo:
                         undo_log.append((action.action_id, undo))
                 for method, args, kwargs in action.api_calls:
@@ -251,7 +244,7 @@ class RecoveryEngine:
             except CloudError as exc:
                 record.error = f"{type(exc).__name__}: {exc}"
                 self._count("recovery.api_errors")
-            if attempt < action.max_attempts:
+            if attempt < MAX_ATTEMPTS:
                 # Full-jitter backoff between attempts: decorrelates the
                 # recovery plane's retries from everyone else's.
                 self._count("recovery.retries")
@@ -274,31 +267,6 @@ class RecoveryEngine:
             return result
         except ResourceNotFound:
             return None
-
-    def _capture_undo(
-        self, action: RecoveryAction, current: _t.Any, deadline: float
-    ) -> _t.Generator:
-        """The compensation calls for one action, captured up front."""
-        if action.undo_capture is None:
-            return list(action.undo)
-        method, args, fields = action.undo_capture
-        if not isinstance(current, dict):
-            try:
-                current = yield from self.client.call(
-                    method, *args, deadline=deadline, consistent=True
-                )
-            except (CloudError, ConsistentCallError):
-                return list(action.undo)
-        if not isinstance(current, dict):
-            return list(action.undo)
-        prior = {
-            kwarg: current.get(describe_key)
-            for describe_key, kwarg in fields.items()
-            if describe_key in current
-        }
-        if not prior:
-            return list(action.undo)
-        return [("update_launch_configuration", args, prior)]
 
     def _verify(self, action: RecoveryAction, deadline: float) -> _t.Generator:
         """Post-action verification probe through the consistent client.

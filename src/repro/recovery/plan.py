@@ -1,27 +1,30 @@
-"""Recovery plans: confirmed root causes → a supervised action DAG.
+"""Recovery plans: confirmed root causes → targeted, verified fixes.
 
 The paper motivates diagnosis with the cost of the alternative — "the
 default recovery is usually a complete but equally risky rollback
-operation".  This module turns a diagnosis report's confirmed causes into
-the *fine-grained targeted healing* that knowledge enables: a small DAG
-of :class:`RecoveryAction`\\ s, each carrying
+operation".  Knowing the root cause enables *fine-grained targeted
+healing* instead.  This module is the one fix table: :data:`CATALOG` says
+what to do about each fault-tree cause, and :func:`build_recovery_plan`
+turns every confirmed automatable cause straight into a
+:class:`RecoveryAction` carrying
 
 - an **idempotency key** (``action_id``): re-executing a plan never
   double-applies a fix, because every action's verification probe runs
   *before* its mutations and short-circuits when the expected state
   already holds;
-- the API calls to issue, plus **compensation** (static undo calls, or a
-  capture spec that reads the prior state so a partially-applied plan
-  can roll back to it);
+- the API calls to issue, plus **compensation**: a recreate deletes what
+  it made, a restore puts back the values its launch configuration had
+  before the first mutation;
 - a **verification probe**: re-read the cloud state through the
   consistent client and confirm the expected configuration before the
   action may be declared done;
 - **dependencies**: a restored launch configuration referencing a
-  recreated key pair or security group must wait for the recreation.
+  recreated key pair or security group must wait for the recreation, so
+  the plan lists the recreates first and the one restore last.
 
-Non-automatable causes do not become actions; their descriptions are the
-plan's ``advisory`` — the human-action list attached to an ``ESCALATED``
-outcome.
+Every other cause with a catalog row — undetermined, or one only a human
+can fix — contributes its description to the plan's ``advisory``: the
+human-action list attached to an ``ESCALATED`` outcome.
 """
 
 from __future__ import annotations
@@ -29,12 +32,81 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
-from repro.diagnosis.remediation import RemediationPlan, plans_for_report
-from repro.operations.target import FIELDS, TargetConfig
+from repro.operations.target import BY_CAUSE, FIELDS, TargetConfig, TargetField
 
 #: Terminal outcome classes of a recovery attempt.
 RECOVERED = "RECOVERED"
 ESCALATED = "ESCALATED"
+
+#: A wrong target field, seen from either tree: rewrite it in the launch
+#: configuration the upgrade launches from.
+RESTORE = "restore-launch-configuration"
+
+#: Recreate a resource the launch configuration references: action ->
+#: (repository key naming the resource, create, describe, delete method).
+_RECREATES = {
+    "recreate-key-pair": (
+        "expected_key_name", "create_key_pair", "describe_key_pair", "delete_key_pair",
+    ),
+    "recreate-security-group": (
+        "expected_security_group", "create_security_group", "describe_security_group",
+        "delete_security_group",
+    ),
+}
+
+#: cause node id -> (action, description template).  ``RESTORE`` and the
+#: recreates are automated; every other action is for a human.
+CATALOG: dict[str, tuple[str, str]] = {
+    **{
+        cause: (RESTORE, f"Reset the launch configuration {row.setting} to {{{row.config_key}}}")
+        for row in FIELDS
+        for cause in row.causes
+    },
+    "ami-unavailable": ("restore-image",
+                        "Re-register or restore image {expected_image_id}; pause the"
+                        " upgrade until the image is available"),
+    "lc-ami-missing": ("restore-image", "Re-register or restore image {expected_image_id}"),
+    "key-pair-unavailable": ("recreate-key-pair",
+                             "Recreate key pair {expected_key_name} (new material;"
+                             " distribute to operators)"),
+    "lc-key-missing": ("recreate-key-pair", "Recreate key pair {expected_key_name}"),
+    "security-group-unavailable": ("recreate-security-group",
+                                   "Recreate security group {expected_security_group}"
+                                   " and re-apply its rules"),
+    "lc-sg-missing": ("recreate-security-group",
+                      "Recreate security group {expected_security_group}"),
+    "elb-unavailable": ("escalate-elb",
+                        "ELB {elb_name} is unavailable — escalate to the provider;"
+                        " consider pausing the upgrade"),
+    "deviation-elb-unavailable": ("escalate-elb",
+                                  "ELB {elb_name} is unavailable — escalate to the provider"),
+    "asg-scale-in": ("reconcile-capacity",
+                     "A concurrent scale-in changed desired capacity; confirm intent"
+                     " with the owning team, then restore desired capacity to {N}"),
+    "account-limit-exceeded": ("free-capacity",
+                               "The account instance limit is exhausted; negotiate with"
+                               " the other teams or request a limit raise"),
+    "instance-terminated-externally": ("investigate-termination",
+                                       "An instance was terminated outside the ASG; wait"
+                                       " for CloudTrail and run the offline post-mortem"),
+    "transient-config-change": ("audit-change-control",
+                                "A transient configuration change occurred and was"
+                                " reverted; audit who is writing to {lc_name}"),
+    "concurrent-upgrade": ("coordinate-teams",
+                           "Another deployment modified the launch configuration"
+                           " mid-upgrade; serialise the two releases"),
+}
+
+#: Root-cause leaf ids that deliberately have no catalog row.
+#: ``instance-unhealthy`` and ``termination-author`` are evidence nodes
+#: (what happened), not prescriptions (what to do) — the actionable advice
+#: lives on their sibling/parent causes.  The catalog completeness test
+#: fails when a fault-tree leaf is neither in the catalog nor listed
+#: here, so new trees can't silently lack fixes.
+KNOWN_UNMAPPED: frozenset[str] = frozenset({
+    "instance-unhealthy",
+    "termination-author",
+})
 
 
 @dataclasses.dataclass
@@ -59,157 +131,115 @@ class VerificationProbe:
 
 @dataclasses.dataclass
 class RecoveryAction:
-    """One idempotent, verified, compensable unit of the recovery DAG."""
+    """One idempotent, verified, compensable step of the plan."""
 
     #: Idempotency key: ``action:target``.  Stable across attempts, so a
     #: re-executed plan recognises work a previous attempt completed.
     action_id: str
     action: str
     target: str | None
-    cause_ids: list[str]
     description: str
     #: (method, args, kwargs) mutations to issue.
     api_calls: list[tuple]
     probe: VerificationProbe
     #: Static compensation calls (reverse order of application).
     undo: list[tuple] = dataclasses.field(default_factory=list)
-    #: Capture compensation from prior state: (method, args, field map of
-    #: describe-key → update-kwarg).  The engine reads the resource before
-    #: mutating and synthesises an ``update_*`` undo call from it.
-    undo_capture: tuple | None = None
     #: action_ids that must verify before this action may start.
     depends_on: list[str] = dataclasses.field(default_factory=list)
-    max_attempts: int = 3
-    #: Per-attempt deadline (virtual seconds), propagated into every API
-    #: call and the verification probe — the hardened-client discipline.
-    deadline: float = 120.0
+
+    def compensation(self, prior: _t.Any) -> list[tuple]:
+        """The calls that undo this action, given its target as read
+        before the first mutation: a restore writes back the prior values
+        of the fields it restores."""
+        if self.action == RESTORE and isinstance(prior, dict):
+            method, args, changes = self.api_calls[0]
+            restored = {
+                row.attr: prior[row.describe_key]
+                for row in FIELDS
+                if row.attr in changes and row.describe_key in prior
+            }
+            if restored:
+                return [(method, args, restored)]
+        return list(self.undo)
 
 
 @dataclasses.dataclass
 class RecoveryPlan:
-    """The action DAG plus the human-action plan for everything else."""
+    """The actions, in execution order, plus the human-action plan."""
 
     actions: list[RecoveryAction] = dataclasses.field(default_factory=list)
     #: Human-action descriptions for non-automatable (or unconfirmed)
     #: causes — attached verbatim to an ESCALATED record.
     advisory: list[str] = dataclasses.field(default_factory=list)
-    cause_ids: list[str] = dataclasses.field(default_factory=list)
 
     @property
     def automatable(self) -> bool:
         return bool(self.actions)
 
-    def ordered_actions(self) -> list[RecoveryAction]:
-        """Stable topological order of the DAG (Kahn's algorithm).
 
-        Actions whose dependencies are all satisfied run in plan order;
-        a dependency cycle (impossible from :func:`build_recovery_plan`,
-        but plans can be hand-built) degrades to plan order for the
-        remainder rather than looping forever.
-        """
-        by_id = {a.action_id: a for a in self.actions}
-        done: set[str] = set()
-        ordered: list[RecoveryAction] = []
-        remaining = list(self.actions)
-        while remaining:
-            progressed = False
-            for action in list(remaining):
-                if all(d in done or d not in by_id for d in action.depends_on):
-                    ordered.append(action)
-                    done.add(action.action_id)
-                    remaining.remove(action)
-                    progressed = True
-            if not progressed:  # cycle: fall back to plan order
-                ordered.extend(remaining)
-                break
-        return ordered
+def _describe(template: str, params: dict) -> str:
+    """A catalog description filled from the configuration repository;
+    the template itself when the repository lacks one of its keys."""
+    try:
+        return template.format_map(params)
+    except KeyError:
+        return template
 
 
-def _action_from_plan(plan: RemediationPlan) -> RecoveryAction | None:
-    """Lift one automatable remediation plan into a recovery action."""
-    action_id = f"{plan.action}:{plan.target}"
-    if plan.action == "restore-launch-configuration":
-        changes = plan.api_calls[0][2] if plan.api_calls else {}
-        restored = [row for row in FIELDS if row.attr in changes]
-        expect = {row.describe_key: changes[row.attr] for row in restored}
-        return RecoveryAction(
-            action_id=action_id,
-            action=plan.action,
-            target=plan.target,
-            cause_ids=[plan.cause_id],
-            description=plan.description,
-            api_calls=list(plan.api_calls),
-            probe=VerificationProbe(
-                "describe_launch_configuration", (plan.target,), expect
-            ),
-            undo_capture=(
-                "describe_launch_configuration",
-                (plan.target,),
-                {row.describe_key: row.attr for row in restored},
-            ),
-        )
-    if plan.action == "recreate-key-pair":
-        return RecoveryAction(
-            action_id=action_id,
-            action=plan.action,
-            target=plan.target,
-            cause_ids=[plan.cause_id],
-            description=plan.description,
-            api_calls=list(plan.api_calls),
-            probe=VerificationProbe("describe_key_pair", (plan.target,)),
-            undo=[("delete_key_pair", (plan.target,), {})],
-        )
-    if plan.action == "recreate-security-group":
-        return RecoveryAction(
-            action_id=action_id,
-            action=plan.action,
-            target=plan.target,
-            cause_ids=[plan.cause_id],
-            description=plan.description,
-            api_calls=list(plan.api_calls),
-            probe=VerificationProbe("describe_security_group", (plan.target,)),
-            undo=[("delete_security_group", (plan.target,), {})],
-        )
-    return None
-
-
-#: Actions that (re)create a resource a restored launch configuration
-#: may reference — they must verify first.
-_CREATES = ("recreate-key-pair", "recreate-security-group")
-
-
-def build_recovery_plan(report, params: dict) -> RecoveryPlan:
-    """Build the action DAG for one (possibly merged) diagnosis report.
+def build_recovery_plan(causes: _t.Iterable, params: dict) -> RecoveryPlan:
+    """The plan for diagnosed root causes (``node_id`` + ``status`` each)
+    against the configuration repository ``params``.
 
     Only *confirmed* automatable causes become actions — an undetermined
     cause is a hypothesis, and mutating production state on a hypothesis
-    is exactly the conservatism the paper's operators exercise.  Every
-    other cause with a catalog entry contributes its description to the
-    advisory (human-action) list.
+    is exactly the conservatism the paper's operators exercise.  Causes
+    sharing an action share its one step: the recreate of one resource,
+    or the one restore of the launch configuration, which rewrites every
+    wrong field confirmed.  Every other cause with a catalog row adds its
+    description to the advisory, once per action not already automated.
     """
-    confirmed = {c.node_id for c in report.root_causes if c.status == "confirmed"}
-    plan = RecoveryPlan()
-    seen_causes: set[str] = set()
-    for rem in plans_for_report(report, params):
-        plan.cause_ids.append(rem.cause_id)
-        seen_causes.add(rem.cause_id)
-        action = _action_from_plan(rem) if rem.automatable else None
-        if action is not None and rem.cause_id in confirmed:
-            # Merge duplicate idempotency keys (distinct causes mapping to
-            # the identical fix on the identical target).
-            existing = next(
-                (a for a in plan.actions if a.action_id == action.action_id), None
+    recreates: dict[str, RecoveryAction] = {}
+    restored: dict[TargetField, str] = {}  # row -> description, in cause order
+    advisory: dict[str, str] = {}
+    for cause in causes:
+        if cause.node_id not in CATALOG:
+            continue
+        action, template = CATALOG[cause.node_id]
+        description = _describe(template, params)
+        if cause.status != "confirmed" or not (action == RESTORE or action in _RECREATES):
+            advisory.setdefault(action, description)
+        elif action == RESTORE:
+            restored.setdefault(BY_CAUSE[cause.node_id], description)
+        elif action not in recreates:
+            key, create, describe, delete = _RECREATES[action]
+            target = params.get(key)
+            recreates[action] = RecoveryAction(
+                action_id=f"{action}:{target}",
+                action=action,
+                target=target,
+                description=description,
+                api_calls=[(create, (target,), {})],
+                probe=VerificationProbe(describe, (target,)),
+                undo=[(delete, (target,), {})],
             )
-            if existing is not None:
-                existing.cause_ids.append(rem.cause_id)
-            else:
-                plan.actions.append(action)
-        else:
-            plan.advisory.append(rem.description)
-    # Dependencies: restores reference resources the creates bring back.
-    create_ids = [a.action_id for a in plan.actions if a.action in _CREATES]
-    if create_ids:
-        for action in plan.actions:
-            if action.action == "restore-launch-configuration":
-                action.depends_on = list(create_ids)
+
+    plan = RecoveryPlan(actions=list(recreates.values()))
+    if restored:
+        lc = params.get("lc_name")
+        changes = {row.attr: params.get(row.config_key) for row in restored}
+        plan.actions.append(RecoveryAction(
+            action_id=f"{RESTORE}:{lc}",
+            action=RESTORE,
+            target=lc,
+            description="; ".join(restored.values()),
+            api_calls=[("update_launch_configuration", (lc,), changes)],
+            probe=VerificationProbe(
+                "describe_launch_configuration",
+                (lc,),
+                {row.describe_key: changes[row.attr] for row in restored},
+            ),
+            depends_on=[action.action_id for action in recreates.values()],
+        ))
+    automated = {action.action for action in plan.actions}
+    plan.advisory = [line for action, line in advisory.items() if action not in automated]
     return plan

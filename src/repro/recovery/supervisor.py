@@ -5,9 +5,9 @@ quiesced, :func:`recover_run` drives the full diagnose → remediate →
 verify → resume sequence on the run's own testbed:
 
 1. merge the confirmed/undetermined causes of every diagnosis report;
-2. build the :class:`~repro.recovery.plan.RecoveryPlan` (action DAG +
-   human advisory) from the remediation catalog;
-3. execute the DAG through a hardened consistent client (chaos-wrapped
+2. build the :class:`~repro.recovery.plan.RecoveryPlan` (verified
+   actions + human advisory) from the fix catalog;
+3. execute the actions through a hardened consistent client (chaos-wrapped
    when the run is chaotic) under a hard virtual-time budget — recovery
    can *never* hang a run;
 4. on verified recovery, **resume the interrupted operation** from its
@@ -32,13 +32,6 @@ import typing as _t
 from repro.operations.base import COMPLETED as OP_COMPLETED, FAILED as OP_FAILED
 from repro.recovery.engine import RecoveryEngine, RecoveryResult
 from repro.recovery.plan import ESCALATED, RECOVERED, build_recovery_plan
-
-
-class _MergedReport:
-    """Duck-typed report over the union of every report's causes."""
-
-    def __init__(self, causes: list) -> None:
-        self.root_causes = causes
 
 
 def _merged_causes(reports: _t.Sequence) -> list:
@@ -117,7 +110,7 @@ def recover_run(
         "recovery_api": {},
     }
 
-    plan = build_recovery_plan(_MergedReport(causes), pod.env.config)
+    plan = build_recovery_plan(causes, pod.env.config)
     if not causes:
         plan.advisory.append(
             "No root cause was diagnosed for the failed operation;"
@@ -163,6 +156,7 @@ def recover_run(
 
     # Verified recovery.  Resume the interrupted operation from its batch
     # checkpoint when there is anything left to finish.
+    resumed = None
     if failed or fleet_bad:
         trace_id = f"{run_id}-resume"
         record["resumed"] = True
@@ -184,22 +178,21 @@ def recover_run(
         )
         if metrics is not None:
             metrics.inc("recovery.resumes")
-        if (
-            resumed.status != OP_COMPLETED
-            or not record["resume_conformant"]
-            or _fleet_nonconformant(testbed)
-        ):
-            record["fleet_conformant"] = not _fleet_nonconformant(testbed)
-            record["advisory"].append(
-                f"Resumed operation ended {resumed.status}"
-                + ("" if record["resume_conformant"] else " with a non-conformant trace")
-                + "; finish the upgrade manually"
-            )
-            if metrics is not None:
-                metrics.inc("recovery.resume_failures")
-            record["escalation_reason"] = "resume-incomplete"
-            return record
     record["fleet_conformant"] = not _fleet_nonconformant(testbed)
+    if resumed is not None and (
+        resumed.status != OP_COMPLETED
+        or not record["resume_conformant"]
+        or not record["fleet_conformant"]
+    ):
+        record["advisory"].append(
+            f"Resumed operation ended {resumed.status}"
+            + ("" if record["resume_conformant"] else " with a non-conformant trace")
+            + "; finish the upgrade manually"
+        )
+        if metrics is not None:
+            metrics.inc("recovery.resume_failures")
+        record["escalation_reason"] = "resume-incomplete"
+        return record
 
     record["status"] = RECOVERED
     if first_symptom is not None and result.verified_at is not None:

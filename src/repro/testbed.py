@@ -30,6 +30,10 @@ MEAN_CONSISTENCY_LAG = 2.5
 #: left: half a fresh upgrade's horizon, virtual seconds.
 RESUME_HORIZON = 2700.0
 
+#: Virtual seconds an ended operation's in-flight evaluations get before
+#: the quiesce drains them.
+SETTLE_TIME = 60.0
+
 #: The paper upgrades 1 node at a time on 4-instance clusters and 4 at a
 #: time on 20-instance clusters.
 BATCH_SIZE_BY_CLUSTER = {4: 1, 20: 4}
@@ -188,16 +192,16 @@ class Testbed:
         return operation
 
     def _drive(self, operation: RollingUpgradeOperation, horizon: float) -> None:
-        """Run until the operation ends (or the horizon), then a minute
-        more and a quiesce, so in-flight assertion evaluations and
-        diagnoses finish before callers read metrics."""
+        """Run until the operation ends (or the horizon), then
+        ``SETTLE_TIME`` more and a quiesce, so in-flight assertion
+        evaluations and diagnoses finish before callers read metrics."""
         deadline = self.engine.now + horizon
         while self.engine.now < deadline:
             if operation.status in (OP_COMPLETED, OP_FAILED):
                 break
             self.engine.run(until=min(self.engine.now + 10.0, deadline))
         self.pod.timers.stop_all()
-        self.engine.run(until=self.engine.now + 60.0)
+        self.engine.run(until=self.engine.now + SETTLE_TIME)
         self.pod.quiesce()
 
     def start_upgrade(self, trace_id: str = "upgrade-1") -> RollingUpgradeOperation:

@@ -10,13 +10,11 @@ import dataclasses
 import pytest
 
 from repro.cloud.resources import Instance, LaunchConfiguration
-from repro.diagnosis.remediation import _CATALOG, plan_for
 from repro.diagnosis.report import RootCause
 from repro.evaluation.faults import CONFIG_FAULTS
 from repro.faulttree.library import EXPECTED_ROOT_CAUSE, build_standard_fault_trees
 from repro.operations.target import BY_CAUSE, BY_FIELD, FIELDS, TargetConfig
-from repro.recovery.plan import build_recovery_plan
-from repro.recovery.supervisor import _MergedReport
+from repro.recovery.plan import CATALOG, RESTORE, build_recovery_plan
 from repro.testbed import build_testbed
 
 TARGET = TargetConfig(
@@ -87,7 +85,7 @@ class TestTableIsComplete:
             assert leaf.test.params["field"] == BY_CAUSE[cause].field
 
     def test_every_restore_row_of_the_catalog(self):
-        restores = {cause for cause, row in _CATALOG.items() if row[0] == "restore-launch-configuration"}
+        restores = {cause for cause, (action, _template) in CATALOG.items() if action == RESTORE}
         assert restores == set(BY_CAUSE)
 
     def test_ground_truth_names_the_same_leaves(self):
@@ -102,7 +100,7 @@ class TestTableIsComplete:
 
 
 def test_the_repository_is_what_diagnosis_hands_to_recovery():
-    """``plan_for`` / ``build_recovery_plan`` read the same values whether
+    """``build_recovery_plan`` reads the same values whether
     given the configuration repository or a diagnosis request's params
     (they used to differ by ``N`` and ``expected_security_group``, which
     each consumer re-derived for itself)."""
@@ -110,9 +108,13 @@ def test_the_repository_is_what_diagnosis_hands_to_recovery():
     repository = testbed.pod_config.as_repository()
     request = testbed.pod.diagnosis.diagnose(["asg-instance-count"])
     assert set(repository) <= set(request.params)
-    for cause in _CATALOG:
-        assert plan_for(cause, repository) == plan_for(cause, request.params), cause
-    everything = _MergedReport([RootCause(cause, "", "confirmed") for cause in _CATALOG])
+    for status in ("confirmed", "undetermined"):
+        for cause in CATALOG:
+            one = [RootCause(cause, "", status)]
+            assert build_recovery_plan(one, repository) == build_recovery_plan(
+                one, request.params
+            ), cause
+    everything = [RootCause(cause, "", "confirmed") for cause in CATALOG]
     assert build_recovery_plan(everything, repository) == build_recovery_plan(
         everything, request.params
     )

@@ -8,21 +8,23 @@ and survives severe API chaos without a single crashed run.
 """
 
 import dataclasses
+import inspect
 import types
 
 import pytest
 
 from repro.evaluation.campaign import Campaign, CampaignConfig
-from repro.evaluation.faults import FaultPlan, schedule_fault
+from repro.evaluation.faults import FAULT_TYPES, FaultPlan, schedule_fault
 from repro.evaluation.metrics import compute_metrics
 from repro.evaluation.reporting import render_markdown
 from repro.operations.base import FAILED as OP_FAILED
+from repro.pod.service import QUIESCE_LIMIT
 from repro.recovery import ESCALATED, RECOVERED, recover_run
-from repro.testbed import build_testbed
+from repro.testbed import RESUME_HORIZON, SETTLE_TIME, build_testbed
 
 pytestmark = pytest.mark.recovery
 
-#: Fault types whose confirmed causes the remediation catalog automates.
+#: Fault types whose confirmed causes the fix catalog automates.
 AUTOMATABLE = {
     "AMI_CHANGED",
     "KEYPAIR_WRONG",
@@ -188,3 +190,18 @@ class TestChaosGate:
             if rec["status"] == ESCALATED:
                 # Exhaustion is explicit: a human-action plan is attached.
                 assert rec["advisory"] or not rec["cause_ids"]
+
+    @pytest.mark.parametrize("fault_type", FAULT_TYPES)
+    def test_recover_run_returns_within_its_bound(self, fault_type):
+        """ROADMAP 3(d)'s never-hangs, as a number: the recovery budget,
+        then at most one resumed upgrade — its horizon, the settle time
+        and a quiesce — however the severe plane answers."""
+        budget = inspect.signature(recover_run).parameters["budget"].default
+        bound = budget + RESUME_HORIZON + SETTLE_TIME + QUIESCE_LIMIT
+        testbed = build_testbed(cluster_size=4, seed=99, chaos="severe")
+        schedule_fault(testbed, FaultPlan(fault_type=fault_type, inject_at=40.0))
+        operation = testbed.run_upgrade(trace_id="run")
+        started = testbed.engine.now
+        rec = recover_run(testbed, operation, run_id="run")
+        assert rec["status"] in (RECOVERED, ESCALATED)
+        assert testbed.engine.now - started <= bound

@@ -1,11 +1,13 @@
 """Tests for the recovery engine: verified, idempotent, compensable."""
 
 from repro.assertions.consistent_api import ConsistentApiClient
-from repro.diagnosis.report import DiagnosisReport, RootCause
+from repro.cloud.errors import MalformedRequest
+from repro.diagnosis.report import RootCause
 from repro.recovery.engine import (
     ALREADY_SATISFIED,
     BLOCKED,
     FAILED,
+    MAX_ATTEMPTS,
     VERIFIED,
     RecoveryEngine,
 )
@@ -19,16 +21,8 @@ from repro.recovery.plan import (
 )
 
 
-def report_with(*causes):
-    return DiagnosisReport(
-        request_id="d",
-        trigger="assertion",
-        trigger_detail="x",
-        trace_id="t",
-        step=None,
-        started_at=0.0,
-        root_causes=list(causes),
-    )
+def confirmed(*cause_ids):
+    return [RootCause(cause_id, "", "confirmed") for cause_id in cause_ids]
 
 
 def drive(engine, recovery, plan, budget=600.0):
@@ -47,9 +41,22 @@ def drive(engine, recovery, plan, budget=600.0):
     return done[0]
 
 
-def make_recovery(cloud, seed=3):
-    client = ConsistentApiClient(cloud.engine, cloud.api("recovery"), seed=seed)
+def make_recovery(cloud, seed=3, api=None):
+    client = ConsistentApiClient(cloud.engine, api or cloud.api("recovery"), seed=seed)
     return RecoveryEngine(cloud.engine, client, seed=seed)
+
+
+class _CannotCreateKeyPairs:
+    """The cloud API, except that creating a key pair is refused."""
+
+    def __init__(self, api):
+        self._api = api
+
+    def __getattr__(self, name):
+        return getattr(self._api, name)
+
+    def create_key_pair(self, key_name):
+        raise MalformedRequest(f"key pair {key_name!r} refused")
 
 
 PARAMS = {
@@ -69,7 +76,7 @@ class TestExecution:
         cloud = provisioned_cloud
         cloud.injector.change_lc_ami("lc-v1", "ami-rogue")
         plan = build_recovery_plan(
-            report_with(RootCause("lc-wrong-ami", "", "confirmed")),
+            confirmed("lc-wrong-ami"),
             {**PARAMS, "expected_image_id": cloud.ami_v1},
         )
         result = drive(cloud.engine, make_recovery(cloud), plan)
@@ -80,11 +87,26 @@ class TestExecution:
         assert result.verified_at == action.verified_at
         assert cloud.state.get("launch_configuration", "lc-v1").image_id == cloud.ami_v1
 
+    def test_heals_two_wrong_fields_in_one_restore(self, provisioned_cloud):
+        cloud = provisioned_cloud
+        cloud.injector.change_lc_ami("lc-v1", "ami-rogue")
+        cloud.injector.change_lc_key_pair("lc-v1", "key-rogue")
+        plan = build_recovery_plan(
+            confirmed("lc-wrong-ami", "lc-wrong-key-pair"),
+            {**PARAMS, "expected_image_id": cloud.ami_v1},
+        )
+        result = drive(cloud.engine, make_recovery(cloud), plan)
+        assert result.status == RECOVERED
+        [action] = result.actions
+        assert action.status == VERIFIED
+        lc = cloud.state.get("launch_configuration", "lc-v1")
+        assert (lc.image_id, lc.key_name) == (cloud.ami_v1, "key-prod")
+
     def test_idempotency_skips_already_satisfied_state(self, provisioned_cloud):
         """Re-executing a plan after the fix is in place mutates nothing."""
         cloud = provisioned_cloud
         plan = build_recovery_plan(
-            report_with(RootCause("lc-wrong-ami", "", "confirmed")),
+            confirmed("lc-wrong-ami"),
             {**PARAMS, "expected_image_id": cloud.ami_v1},
         )
         image_before = cloud.state.get("launch_configuration", "lc-v1").image_id
@@ -99,7 +121,7 @@ class TestExecution:
         cloud = provisioned_cloud
         cloud.injector.make_key_pair_unavailable("key-prod")
         plan = build_recovery_plan(
-            report_with(RootCause("key-pair-unavailable", "", "confirmed")),
+            confirmed("key-pair-unavailable"),
             {**PARAMS, "expected_image_id": cloud.ami_v1},
         )
         result = drive(cloud.engine, make_recovery(cloud), plan)
@@ -107,7 +129,7 @@ class TestExecution:
         assert cloud.state.exists("key_pair", "key-prod")
 
     def test_empty_plan_escalates_with_advisory(self, provisioned_cloud):
-        plan = RecoveryPlan(advisory=["call a human"], cause_ids=["elb-unavailable"])
+        plan = RecoveryPlan(advisory=["call a human"])
         result = drive(provisioned_cloud.engine, make_recovery(provisioned_cloud), plan)
         assert result.status == ESCALATED and not result.ok
         assert result.advisory == ["call a human"]
@@ -123,14 +145,11 @@ class TestCompensation:
             action_id="restore-launch-configuration:lc-ghost",
             action="restore-launch-configuration",
             target="lc-ghost",
-            cause_ids=["lc-wrong-ami"],
             description="doomed",
             api_calls=[("update_launch_configuration", ("lc-ghost",), {"image_id": "ami-1"})],
             probe=VerificationProbe(
                 "describe_launch_configuration", ("lc-ghost",), {"ImageId": "ami-1"}
             ),
-            max_attempts=2,
-            deadline=30.0,
         )
 
     def test_partial_failure_compensates_and_escalates(self, provisioned_cloud):
@@ -140,7 +159,6 @@ class TestCompensation:
             action_id="recreate-security-group:sg-extra",
             action="recreate-security-group",
             target="sg-extra",
-            cause_ids=["security-group-unavailable"],
             description="recreate sg-extra",
             api_calls=[("create_security_group", ("sg-extra",), {})],
             probe=VerificationProbe("describe_security_group", ("sg-extra",)),
@@ -154,31 +172,29 @@ class TestCompensation:
         assert statuses["recreate-security-group:sg-extra"].compensated
         failed = statuses["restore-launch-configuration:lc-ghost"]
         assert failed.status == FAILED
-        assert failed.attempts == 2
+        assert failed.attempts == MAX_ATTEMPTS
         # The partially-applied plan was rolled back: sg-extra is gone again.
         assert not cloud.state.exists("security_group", "sg-extra")
         # The human-action plan names the failed action.
         assert any("lc-ghost" in line for line in result.advisory)
 
     def test_dependent_action_blocked_by_failed_dependency(self, provisioned_cloud):
+        """A recreate that fails leaves the restore waiting on it blocked."""
         cloud = provisioned_cloud
-        doomed = self._failing_action()
-        dependent = RecoveryAction(
-            action_id="recreate-key-pair:key-prod",
-            action="recreate-key-pair",
-            target="key-prod",
-            cause_ids=["key-pair-unavailable"],
-            description="",
-            api_calls=[("create_key_pair", ("key-prod",), {})],
-            probe=VerificationProbe("describe_key_pair", ("key-prod",)),
-            depends_on=[doomed.action_id],
+        cloud.injector.make_key_pair_unavailable("key-prod")
+        cloud.injector.change_lc_key_pair("lc-v1", "key-rogue")
+        plan = build_recovery_plan(
+            confirmed("key-pair-unavailable", "lc-wrong-key-pair"),
+            {**PARAMS, "expected_image_id": cloud.ami_v1},
         )
-        plan = RecoveryPlan(actions=[doomed, dependent])
-        result = drive(cloud.engine, make_recovery(cloud), plan)
+        api = _CannotCreateKeyPairs(cloud.api("recovery"))
+        result = drive(cloud.engine, make_recovery(cloud, api=api), plan)
         assert result.status == ESCALATED
-        by_id = {r.action_id: r for r in result.actions}
-        assert by_id[doomed.action_id].status == FAILED
-        assert by_id[dependent.action_id].status == BLOCKED
+        recreate, restore = result.actions
+        assert (recreate.action, recreate.status) == ("recreate-key-pair", FAILED)
+        assert (restore.action, restore.status) == ("restore-launch-configuration", BLOCKED)
+        assert restore.error == "dependency failed"
+        assert cloud.state.get("launch_configuration", "lc-v1").key_name == "key-rogue"
 
     def test_never_raises_and_terminates_under_severe_chaos(self, provisioned_cloud):
         """The chaos gate at engine granularity: a blackholed, erroring
@@ -194,7 +210,7 @@ class TestCompensation:
         )
         recovery = RecoveryEngine(cloud.engine, client, seed=5)
         plan = build_recovery_plan(
-            report_with(RootCause("lc-wrong-ami", "", "confirmed")),
+            confirmed("lc-wrong-ami"),
             {**PARAMS, "expected_image_id": cloud.ami_v1},
         )
         result = drive(cloud.engine, recovery, plan, budget=900.0)

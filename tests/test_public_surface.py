@@ -62,8 +62,8 @@ JUSTIFIED: dict[str, str] = {
     "prefilter_plan": "tests/logsys/test_compiled.py + test_compiled_property.py read the"
                       " prefilter through it instead of the private _plan",
     "enabled_transitions": "the interpreted-replay oracle tests/process/reference_replay.py reads it",
-    "KNOWN_UNMAPPED": "tests/diagnosis/test_remediation.py::test_catalog_covers_every_fault_tree_leaf:"
-                      " leaves that deliberately have no remediation entry",
+    "KNOWN_UNMAPPED": "tests/recovery/test_plan.py::test_catalog_covers_every_fault_tree_leaf:"
+                      " leaves that deliberately have no catalog row",
 }
 
 #: ROADMAP item 5 asked "what runs it?" of these too.  Each *has* a caller
