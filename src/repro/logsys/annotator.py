@@ -29,22 +29,21 @@ class ProcessAnnotator:
         self.library = library
         self.process_id = process_id
         self._trace_id = trace_id
+        # Tag strings built once, not per record.
+        self._process_tag = f"process:{process_id}"
+        self._trace_tag = None if callable(trace_id) else f"trace:{trace_id}"
         self._metrics = obs.metrics if obs else None
-
-    def trace_id_for(self, record: LogRecord) -> str:
-        if callable(self._trace_id):
-            return self._trace_id(record)
-        return self._trace_id
 
     def annotate(self, record: LogRecord) -> Classification:
         """Classify (or reuse the noise filter's memo) and tag one record."""
         classification = classify_record(self.library, record, self._metrics)
-        record.add_tag(f"process:{self.process_id}")
-        record.add_tag(f"trace:{self.trace_id_for(record)}")
-        if classification.matched:
-            record.add_tag(f"step:{classification.activity}")
-            record.add_tag(f"position:{classification.pattern.position}")
-            if classification.pattern.is_error:
+        record.add_tag(self._process_tag)
+        record.add_tag(self._trace_tag or f"trace:{self._trace_id(record)}")
+        pattern = classification.pattern
+        if pattern is not None:
+            record.add_tag(pattern.step_tag)
+            record.add_tag(pattern.position_tag)
+            if pattern.is_error:
                 record.add_tag("known-error")
             record.fields.update(classification.fields)
         else:

@@ -115,11 +115,17 @@ class LogPattern:
     #: True for patterns matching *known error* lines (conformance:error).
     is_error: bool = False
     _compiled: re.Pattern = dataclasses.field(init=False, repr=False)
+    #: The annotator's ``step:`` / ``position:`` tags, built once here
+    #: rather than per matching record.
+    step_tag: str = dataclasses.field(init=False, repr=False, compare=False)
+    position_tag: str = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.position not in (START, END, PROGRESS):
             raise ValueError(f"invalid position {self.position!r}")
         self._compiled = re.compile(self.regex)
+        self.step_tag = f"step:{self.activity}"
+        self.position_tag = f"position:{self.position}"
 
     def match(self, message: str) -> dict | None:
         """Named groups if the regex matches, else None."""

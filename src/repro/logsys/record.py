@@ -37,34 +37,34 @@ class LogRecord:
     #: from equality and from the Logstash rendering.
     classification: _t.Any = dataclasses.field(default=None, repr=False, compare=False)
     classified_by: _t.Any = dataclasses.field(default=None, repr=False, compare=False)
-    #: Tag bookkeeping built in ``__post_init__`` — declared as fields so
-    #: ``slots=True`` reserves space for them.
-    _tag_set: set = dataclasses.field(init=False, repr=False, compare=False, default=None)
+    #: Prefix index built in ``__post_init__`` — declared as a field so
+    #: ``slots=True`` reserves space for it.
     _tag_index: dict = dataclasses.field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         # Tags are read on the hot path (`tag_value("trace")` per
         # conformance check), so they are indexed by prefix: first
         # ``prefix:value`` wins, insertion order preserved in ``tags``
-        # itself for serialization.
-        self._tag_set = set(self.tags)
-        self._tag_index: dict[str, str] = {}
+        # itself for serialization.  Membership is a scan of ``tags``:
+        # a record carries under ~10, so a parallel set costs more to
+        # keep in step than it saves.
+        index: dict[str, str] = {}
         for tag in self.tags:
-            self._index_tag(tag)
-
-    def _index_tag(self, tag: str) -> None:
-        prefix, sep, value = tag.partition(":")
-        if sep and prefix not in self._tag_index:
-            self._tag_index[prefix] = value
+            prefix, sep, value = tag.partition(":")
+            if sep:
+                index.setdefault(prefix, value)
+        self._tag_index = index
 
     def add_tag(self, tag: str) -> None:
-        if tag not in self._tag_set:
-            self._tag_set.add(tag)
-            self.tags.append(tag)
-            self._index_tag(tag)
+        tags = self.tags
+        if tag not in tags:
+            tags.append(tag)
+            prefix, sep, value = tag.partition(":")
+            if sep:
+                self._tag_index.setdefault(prefix, value)
 
     def has_tag(self, tag: str) -> bool:
-        return tag in self._tag_set
+        return tag in self.tags
 
     def tag_value(self, prefix: str) -> str | None:
         """Value of the first ``prefix:value`` tag, if any.
@@ -137,20 +137,22 @@ class LogStream:
     def __init__(self, name: str) -> None:
         self.name = name
         self.records: list[LogRecord] = []
-        self._subscribers: list[_t.Callable[[LogRecord], None]] = []
+        #: Replaced, never mutated, on (un)subscribe: ``emit`` iterates it
+        #: without a per-record copy, and a callback that unsubscribes
+        #: during delivery does not disturb the loop in flight.
+        self._subscribers: tuple[_t.Callable[[LogRecord], None], ...] = ()
 
     def subscribe(self, callback: _t.Callable[[LogRecord], None]) -> None:
-        self._subscribers.append(callback)
+        self._subscribers += (callback,)
 
     def unsubscribe(self, callback: _t.Callable[[LogRecord], None]) -> None:
         """Stop notifying ``callback`` (a no-op if it is not subscribed)."""
-        if callback in self._subscribers:
-            self._subscribers.remove(callback)
+        self._subscribers = _without(self._subscribers, callback)
 
     def emit(self, record: LogRecord) -> LogRecord:
         """Append a record and notify subscribers in order."""
         self.records.append(record)
-        for callback in list(self._subscribers):
+        for callback in self._subscribers:
             callback(record)
         return record
 
@@ -169,3 +171,11 @@ class LogStream:
 
     def __iter__(self):
         return iter(self.records)
+
+
+def _without(subscribers: tuple, callback) -> tuple:
+    """``subscribers`` minus the first entry equal to ``callback``."""
+    if callback not in subscribers:
+        return subscribers
+    at = subscribers.index(callback)
+    return subscribers[:at] + subscribers[at + 1:]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import typing as _t
 
-from repro.logsys.record import LogRecord
+from repro.logsys.record import LogRecord, _without
 
 
 class CentralLogStorage:
@@ -20,20 +20,20 @@ class CentralLogStorage:
 
     def __init__(self) -> None:
         self.records: list[LogRecord] = []
-        self._subscribers: list[_t.Callable[[LogRecord], None]] = []
+        #: A tuple replaced on (un)subscribe, as in :class:`LogStream`.
+        self._subscribers: tuple[_t.Callable[[LogRecord], None], ...] = ()
 
     def subscribe(self, callback: _t.Callable[[LogRecord], None]) -> None:
         """Live tap — the central log processor hangs off this."""
-        self._subscribers.append(callback)
+        self._subscribers += (callback,)
 
     def unsubscribe(self, callback: _t.Callable[[LogRecord], None]) -> None:
         """Stop notifying ``callback`` (a no-op if it is not subscribed)."""
-        if callback in self._subscribers:
-            self._subscribers.remove(callback)
+        self._subscribers = _without(self._subscribers, callback)
 
     def append(self, record: LogRecord) -> None:
         self.records.append(record)
-        for callback in list(self._subscribers):
+        for callback in self._subscribers:
             callback(record)
 
     # -- queries ------------------------------------------------------------

@@ -23,7 +23,6 @@ context of a fit line is built only if somebody reads it).
 
 from __future__ import annotations
 
-import time as _time
 import typing as _t
 
 from repro.logsys.patterns import PatternLibrary, classify_record
@@ -51,7 +50,7 @@ class ConformanceResult:
     because the diagnosis callback consumes the context immediately.
     """
 
-    __slots__ = ("status", "activity", "trace_id", "elapsed", "_context", "_deferred")
+    __slots__ = ("status", "activity", "trace_id", "_context", "_deferred")
 
     def __init__(
         self,
@@ -64,11 +63,6 @@ class ConformanceResult:
         self.status = status
         self.activity = activity
         self.trace_id = trace_id
-        #: Measured wall-clock cost of the check in seconds (the paper
-        #: reports ~10 ms average for its remotely-deployed service; the
-        #: local implementation cost sits orders of magnitude below the
-        #: :data:`ConformanceChecker.SERVICE_TIME` calibration constant).
-        self.elapsed = 0.0
         self._context = context
         self._deferred = deferred
 
@@ -110,8 +104,8 @@ class ConformanceChecker:
 
     #: Simulated service time per check; calibrated to the paper's
     #: "responded on average in about 10ms".  A calibration constant for
-    #: the simulation's virtual clock — *not* what ``result.elapsed``
-    #: reports, which is the measured implementation cost.
+    #: the simulation's virtual clock; the local implementation's own cost
+    #: per check sits orders of magnitude below it.
     SERVICE_TIME = 0.010
 
     def __init__(
@@ -153,7 +147,6 @@ class ConformanceChecker:
         return result
 
     def _check(self, record: LogRecord) -> ConformanceResult:
-        started = _time.perf_counter()
         self.check_count += 1
         # One core call, tail inlined — extra dispatch layers are
         # measurable at the per-microsecond scale of a check.
@@ -165,23 +158,17 @@ class ConformanceChecker:
             if status == FIT or status == UNFIT:
                 metrics.inc("conformance.tokens_replayed")
             metrics.inc("conformance.compiled.checks")
-        # add_tag inlined for the known-shape status tag (same slots the
-        # LogRecord methods maintain): first conformance:* tag wins the
-        # index slot, duplicates are dropped — identical semantics.
+        # add_tag inlined for the known-shape status tag: first
+        # conformance:* tag wins the index slot, duplicates are dropped —
+        # identical semantics.
         tag = _STATUS_TAGS[status]
-        tag_set = record._tag_set
-        if tag not in tag_set:
-            tag_set.add(tag)
-            record.tags.append(tag)
-            index = record._tag_index
-            if "conformance" not in index:
-                index["conformance"] = status
+        tags = record.tags
+        if tag not in tags:
+            tags.append(tag)
+            record._tag_index.setdefault("conformance", status)
         self.results.append(result)
         if self.storage is not None:
             self._log_result(record, result)
-        # The measured check cost excludes any diagnosis the callback
-        # starts — that time belongs to diagnosis, not the check.
-        result.elapsed = _time.perf_counter() - started
         if status != FIT and self.on_error is not None:
             self.on_error(result)
         return result
@@ -274,18 +261,19 @@ class ConformanceChecker:
             f"[conformance] [{result.trace_id}] line classified {result.status}"
             f" (activity={result.activity or 'n/a'})"
         )
-        out = LogRecord(
-            time=time,
-            source="conformance-checking.log",
-            message=message,
-            type="conformance",
-            timestamp=timestamp,
-        )
-        out.add_tag(f"trace:{result.trace_id}")
-        out.add_tag(f"conformance:{result.status}")
+        tags = ["trace:" + result.trace_id, _STATUS_TAGS[result.status]]
         if result.activity:
-            out.add_tag(f"step:{result.activity}")
-        self.storage.append(out)
+            tags.append("step:" + result.activity)
+        self.storage.append(
+            LogRecord(
+                time=time,
+                source="conformance-checking.log",
+                message=message,
+                type="conformance",
+                tags=tags,
+                timestamp=timestamp,
+            )
+        )
 
     # -- aggregate views -------------------------------------------------------
 

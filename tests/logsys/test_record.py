@@ -139,6 +139,25 @@ class TestLogStream:
         stream.emit(LogRecord(time=0, source="op.log", message="x"))
         assert seen == [("a", "x"), ("b", "x")]
 
+    def test_unsubscribe_during_delivery_still_sees_current_record(self):
+        stream = LogStream("op.log")
+        seen = []
+
+        def once(record):
+            stream.unsubscribe(once)
+            stream.unsubscribe(later)
+            seen.append(("once", record.message))
+
+        def later(record):
+            seen.append(("later", record.message))
+
+        stream.subscribe(once)
+        stream.subscribe(later)
+        stream.emit(LogRecord(time=0, source="op.log", message="x"))
+        stream.emit(LogRecord(time=1, source="op.log", message="y"))
+        assert seen == [("once", "x"), ("later", "x")]
+        stream.unsubscribe(once)  # already gone: a no-op
+
     def test_emit_line_stamps_clock(self):
         clock = SimClock()
         clock.advance_to(61.0)

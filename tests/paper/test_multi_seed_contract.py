@@ -1,8 +1,9 @@
 """A contract over seeds (ROADMAP item 1(f), first two rungs).
 
-Seed 2014 is pinned by every other file in this directory; the other four
-were pinned by running the same 160-run campaign at ``4f86396`` and are
-ROADMAP's reviewer table as a test.  Recall = 100 % and no crashed run
+Seed 2014 is pinned by every other file in this directory; seeds 1, 7,
+31 and 42 were pinned by running the same 160-run campaign at ``4f86396``,
+and 123 and 9001 at ``8217f4e``; together they are ROADMAP's reviewer
+table as a test.  Recall = 100 % and no crashed run
 are the paper's contract on any seed; TP / FP / correct diagnoses are
 exact because the campaign is deterministic, so a change that claims "no
 verdict moved" is checked on five seeds, not one.
@@ -30,6 +31,8 @@ PINNED = {
     7: (211, 6, 215),    # precision 97.24 %, accuracy 99.08 %
     31: (208, 4, 212),   # precision 98.11 %, accuracy 100.0 %
     42: (205, 9, 213),   # precision 95.79 %, accuracy 99.53 %
+    123: (210, 5, 213),  # precision 97.67 %, accuracy 99.07 %
+    9001: (200, 0, 199), # precision 100.0 %, accuracy 99.50 %
 }
 
 
@@ -55,6 +58,6 @@ def test_paper_campaign_at_another_seed(seed):
     assert sum(outcome.api_health["budget_denials"] for outcome in outcomes) == 0
     assert sum(outcome.api_health["breaker_fast_fails"] for outcome in outcomes) == 0
     assert sum(outcome.degraded_verdicts for outcome in outcomes) == 0
-    # Trips over the campaign: 0 / 6 / 9 / 1 / 1 on seeds 2014 / 1 / 7 / 31 / 42.
+    # Runs with a trip: 0 / 6 / 9 / 1 / 1 / 1 / 0 on seeds 2014 / 1 / 7 / 31 / 42 / 123 / 9001.
     tripped = {o.spec.fault_type for o in outcomes if o.api_health["breaker_trips"]}
     assert tripped <= {"ELB_UNAVAILABLE"}, f"breaker tripped on a healthy plane: {tripped}"
