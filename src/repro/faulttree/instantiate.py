@@ -24,6 +24,8 @@ def substitute(text: str, params: dict) -> str:
     corresponding test will simply report missing context (which is how
     the paper's timer-only triggers end up with weak diagnoses).
     """
+    if "$" not in text:
+        return text
 
     def repl(match: re.Match) -> str:
         key = match.group(1)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 import typing as _t
 
-from repro.logsys.patterns import PatternLibrary, classify_record
+from repro.logsys.patterns import PatternLibrary, classify_record, guard_literals
 from repro.logsys.record import LogRecord
 
 
@@ -21,8 +21,13 @@ class NoiseFilter:
 
     #: Chatter no operator process model cares about: framework polling,
     #: debug/trace output, health-check noise.  One alternation, so a
-    #: record costs one ``search`` however many kinds of noise there are.
+    #: record costs at most one ``search`` however many kinds of noise
+    #: there are.
     DROPPED = re.compile(r"\bDEBUG\b|\bTRACE\b|polling .* for status|heartbeat")
+    #: One literal per branch of ``DROPPED``: a line holding none of them
+    #: cannot match, so it is never searched.  With no guard, ``""`` (in
+    #: every line) sends every line to the search.
+    DROPPED_GUARD = guard_literals(DROPPED.pattern) or ("",)
 
     def __init__(
         self,
@@ -49,9 +54,13 @@ class NoiseFilter:
         the record (classify-once), so the annotator and the conformance
         checker downstream reuse it instead of rescanning the library.
         """
-        if self.DROPPED.search(record.message):
-            self.dropped_count += 1
-            return False
+        message = record.message
+        for literal in self.DROPPED_GUARD:
+            if literal in message:
+                if self.DROPPED.search(message):
+                    self.dropped_count += 1
+                    return False
+                break
         if classify_record(self.library, record, self._metrics).matched:
             self.passed_count += 1
             return True
@@ -59,7 +68,7 @@ class NoiseFilter:
             self.passed_count += 1
             return True
         for regex in self.passthrough:
-            if regex.search(record.message):
+            if regex.search(message):
                 self.passed_count += 1
                 return True
         self.dropped_count += 1

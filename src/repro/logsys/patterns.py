@@ -16,7 +16,9 @@ skipped with one C-level ``in`` check instead of a regex scan.  A
 pattern with no usable literal (or with case-folding flags) is always
 tried, so the prefilter only ever skips patterns that provably cannot
 match; ``tests/logsys`` holds :meth:`~PatternLibrary.classify` to a
-plain linear ``re.search`` scan on a corpus and under hypothesis.
+plain linear ``re.search`` scan on a corpus and under hypothesis.  The
+same walk gives an alternation one literal per branch
+(:func:`guard_literals`), which guards the noise filter's drop regex.
 """
 
 from __future__ import annotations
@@ -40,6 +42,51 @@ PROGRESS = "progress"
 MIN_LITERAL_LENGTH = 3
 
 
+def _parse(regex: str):
+    """The stdlib parse tree of ``regex``; None if it does not parse or
+    case-folds (a literal membership check would then be unsound)."""
+    try:
+        parsed = _sre.parse(regex)
+    except re.error:
+        return None
+    return None if parsed.state.flags & re.IGNORECASE else parsed
+
+
+def _walk(nodes: _t.Iterable, runs: list[str], branches: list) -> None:
+    """Extend ``runs`` (its last entry is the open run) along the required
+    path of ``nodes``; each BRANCH on that path appends its alternatives
+    to ``branches``."""
+    for op, arg in nodes:
+        if op is _sre.LITERAL:
+            runs[-1] += chr(arg)
+        elif op is _sre.SUBPATTERN and not arg[1] & re.IGNORECASE:
+            # (group, add_flags, del_flags, subpattern): contents are
+            # contiguous with the surroundings unless flags change.
+            _walk(arg[3], runs, branches)
+        else:
+            # Anything else breaks the run.  A repeat with min >= 1 holds
+            # its body's runs on their own; a BRANCH is recorded; IN, ANY,
+            # AT, ASSERT, optional repeats, ... contribute nothing.
+            runs.append("")
+            if op in (_sre.MAX_REPEAT, _sre.MIN_REPEAT) and arg[0] >= 1:
+                _walk(arg[2], runs, branches)
+                runs.append("")
+            elif op is _sre.BRANCH:
+                branches.append(arg[1])
+
+
+def _required_path(nodes: _t.Iterable) -> tuple[list[str], list]:
+    """(literal runs, BRANCH alternative lists) on the required path."""
+    runs, branches = [""], []
+    _walk(nodes, runs, branches)
+    return [run for run in runs if run], branches
+
+
+def _longest(runs: list[str], min_length: int) -> str | None:
+    candidates = [run for run in runs if len(run) >= min_length]
+    return max(candidates, key=len) if candidates else None
+
+
 def literal_runs(regex: str) -> list[str]:
     """Contiguous literal substrings guaranteed to appear in any match.
 
@@ -52,57 +99,36 @@ def literal_runs(regex: str) -> list[str]:
     it may miss literals, it never invents one.
 
     Returns an empty list when nothing usable is found or the pattern
-    case-folds (a literal membership check would then be unsound).
+    case-folds.
     """
-    try:
-        parsed = _sre.parse(regex)
-    except re.error:
-        return []
-    if parsed.state.flags & re.IGNORECASE:
-        return []
-
-    runs: list[str] = []
-    current: list[str] = []
-
-    def flush() -> None:
-        if current:
-            runs.append("".join(current))
-            current.clear()
-
-    def walk(nodes: _t.Iterable) -> None:
-        for op, arg in nodes:
-            if op is _sre.LITERAL:
-                current.append(chr(arg))
-            elif op is _sre.SUBPATTERN:
-                # (group, add_flags, del_flags, subpattern): contents are
-                # contiguous with the surroundings unless flags change.
-                _group, add_flags, _del_flags, sub = arg
-                if add_flags & re.IGNORECASE:
-                    flush()
-                else:
-                    walk(sub)
-            elif op in (_sre.MAX_REPEAT, _sre.MIN_REPEAT):
-                min_count, _max_count, sub = arg
-                flush()
-                if min_count >= 1:
-                    walk(sub)
-                    flush()
-            else:
-                # BRANCH, IN, ANY, AT, ASSERT, ... — conditional or
-                # zero-width content: break the run, contribute nothing.
-                flush()
-
-    walk(parsed)
-    flush()
-    return runs
+    parsed = _parse(regex)
+    return [] if parsed is None else _required_path(parsed)[0]
 
 
 def required_literal(regex: str, min_length: int = MIN_LITERAL_LENGTH) -> str | None:
     """The most selective (longest) required literal, or None."""
-    candidates = [run for run in literal_runs(regex) if len(run) >= min_length]
-    if not candidates:
-        return None
-    return max(candidates, key=len)
+    return _longest(literal_runs(regex), min_length)
+
+
+def guard_literals(regex: str) -> tuple[str, ...]:
+    """Literals at least one of which appears in any match of ``regex``.
+
+    For the first BRANCH on the required path whose every alternative has
+    a required literal, the longest literal of each alternative (the walk
+    finds the BRANCH inside the sequence, where ``sre`` leaves it after
+    factoring a prefix shared by all alternatives).  Otherwise the one
+    required literal.  ``()`` means no guard: always search.
+    """
+    parsed = _parse(regex)
+    if parsed is None:
+        return ()
+    runs, branches = _required_path(parsed)
+    for alternatives in branches:
+        guard = tuple(_longest(_required_path(a)[0], MIN_LITERAL_LENGTH) for a in alternatives)
+        if None not in guard:
+            return guard
+    literal = _longest(runs, MIN_LITERAL_LENGTH)
+    return () if literal is None else (literal,)
 
 
 @dataclasses.dataclass

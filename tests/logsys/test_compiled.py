@@ -7,6 +7,7 @@ from repro.logsys.patterns import (
     PROGRESS,
     LogPattern,
     PatternLibrary,
+    guard_literals,
     literal_runs,
     required_literal,
 )
@@ -53,6 +54,45 @@ class TestLiteralExtraction:
 
     def test_invalid_regex_yields_nothing(self):
         assert literal_runs(r"(unclosed") == []
+
+
+class TestGuardLiterals:
+    def test_alternation_of_literals_gets_one_per_branch(self):
+        assert guard_literals(r"alpha|beta|gamma") == ("alpha", "beta", "gamma")
+
+    def test_longest_literal_of_each_branch(self):
+        assert guard_literals(r"polling .* for status|heart(?:beat)?") == (" for status", "heart")
+
+    def test_a_branch_without_a_literal_means_no_guard(self):
+        assert guard_literals(r"DEBUG|ab") == ()
+        assert guard_literals(r"DEBUG|\d+") == ()
+
+    def test_case_folding_means_no_guard(self):
+        assert guard_literals(r"(?i)DEBUG|TRACE") == ()
+
+    def test_invalid_regex_means_no_guard(self):
+        assert guard_literals(r"(unclosed") == ()
+
+    def test_no_branch_gives_the_required_literal(self):
+        regex = r"Terminating instance (?P<id>i-\w+) in group"
+        assert guard_literals(regex) == (required_literal(regex),)
+        assert guard_literals(r"\d+") == ()
+
+    def test_unguardable_branch_falls_back_to_the_required_literal(self):
+        assert guard_literals(r"state (?:up|on) now") == ("state ",)
+
+    def test_factored_prefix_still_guarded(self):
+        # sre moves the shared leading \b out of the alternation, leaving
+        # the BRANCH second in the top-level sequence.
+        assert guard_literals(r"\bDEBUG\b|\bTRACE\b") == ("DEBUG", "TRACE")
+
+    def test_noise_regex_is_guarded(self):
+        from repro.logsys.filters import NoiseFilter
+
+        assert guard_literals(NoiseFilter.DROPPED.pattern) == (
+            "DEBUG", "TRACE", " for status", "heartbeat"
+        )
+        assert NoiseFilter.DROPPED_GUARD == guard_literals(NoiseFilter.DROPPED.pattern)
 
 
 def _overlapping_library():

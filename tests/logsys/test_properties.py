@@ -178,35 +178,81 @@ class TestTagStoreProperties:
 
 
 #: Fragments noise lines are built from: each drop regex's trigger plus
-#: near misses (wrong case, no word boundary, missing ``for status``).
+#: near misses (wrong case, no word boundary, missing ``for status``, a
+#: guard literal present while the regex still fails).
 _NOISE_FRAGMENTS = st.sampled_from(
     [
         "DEBUG", "TRACE", "polling ", " for status", "heartbeat", "polling x for status",
         "debug", "Trace", "DEBUGGING", "xTRACE", "TRACEx", "_DEBUG", "polling for", "status",
         "heart beat", "Heartbeat", " ", "-", "i-001", "group asg-x",
+        "XDEBUG", "DEBUGGER", "TRACEBACK", "polling x for statu",
     ]
 )
+
+
+def _dropped(message: str) -> bool:
+    """The noise filter's verdict, through its guarded path."""
+    from repro.logsys.filters import NoiseFilter
+    from repro.logsys.patterns import PatternLibrary
+
+    record = LogRecord(time=0, source="s", message=message)
+    return not NoiseFilter(PatternLibrary(), passthrough_unmatched=True).accepts(record)
 
 
 class TestNoiseRegexProperties:
     @given(st.lists(st.one_of(_NOISE_FRAGMENTS, st.text(max_size=6)), max_size=8))
     @settings(max_examples=300, deadline=None)
     def test_one_alternation_equals_four_searches(self, fragments):
-        from repro.logsys.filters import NoiseFilter
-
         from .reference_noise import is_noise
 
         message = "".join(fragments)
-        assert bool(NoiseFilter.DROPPED.search(message)) == is_noise(message), message
+        assert _dropped(message) == is_noise(message), message
 
     def test_rolling_upgrade_corpus(self):
-        from repro.logsys.filters import NoiseFilter
-
         from .reference_noise import is_noise
         from .test_compiled import _corpus
         from .test_pipeline import TestProcessGolden
 
         corpus = _corpus() + [message for message, _ in TestProcessGolden.CORPUS]
-        verdicts = [bool(NoiseFilter.DROPPED.search(m)) for m in corpus]
+        verdicts = [_dropped(m) for m in corpus]
         assert verdicts == [is_noise(m) for m in corpus]
         assert any(verdicts), "the corpus exercised no noise line"
+
+
+#: Words guarded alternations are built from: some shorter than
+#: ``MIN_LITERAL_LENGTH``, some sharing a prefix so ``sre`` factors it out.
+_GUARD_WORDS = ["DEBUG", "DEBUGGER", "TRACE", "heartbeat", "poll", "for status", "ab", "x"]
+#: Text fragments: the words, near misses of them, and separators.
+_GUARD_TEXT = st.lists(
+    st.one_of(
+        st.sampled_from(
+            _GUARD_WORDS + ["XDEBUG", "Heartbeat", "TRAC", "for statu", "debug", " ", "-", "_"]
+        ),
+        st.text(max_size=4),
+    ),
+    max_size=8,
+)
+#: One branch: one or two words joined by ``.*``, optionally ``\b``-wrapped.
+_GUARD_BRANCH = st.builds(
+    lambda words, bounded: (r"\b{}\b" if bounded else "{}").format(".*".join(words)),
+    st.lists(st.sampled_from(_GUARD_WORDS), min_size=1, max_size=2),
+    st.booleans(),
+)
+
+
+class TestGuardSoundness:
+    @given(st.lists(_GUARD_BRANCH, min_size=1, max_size=4), _GUARD_TEXT)
+    @example([r"\bDEBUG\b", r"\bTRACE\b"], ["x", "TRACE"])
+    @example(["poll.*for status", "heartbeat"], ["poll", "-", "for status"])
+    @settings(max_examples=300, deadline=None)
+    def test_guard_never_hides_a_match(self, branches, fragments):
+        """Whenever the regex matches, the guard is empty or one of its
+        literals is in the text: skipping the search never drops a match."""
+        import re
+
+        from repro.logsys.patterns import guard_literals
+
+        regex, text = "|".join(branches), "".join(fragments)
+        guard = guard_literals(regex)
+        if re.search(regex, text):
+            assert guard == () or any(literal in text for literal in guard), (regex, text, guard)
