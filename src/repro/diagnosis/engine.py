@@ -1,18 +1,9 @@
-"""The error-diagnosis engine (§III.B.4).
+"""The error-diagnosis service (§III.B.4), the walk's driver.
 
-Walks instantiated, context-pruned fault trees top-down:
-
-- a node's diagnostic test *confirms* the fault → visit its children
-  (ordered by prior probability); a confirmed **leaf** is a root cause;
-- the test *excludes* the fault → prune the subtree;
-- the test is *inconclusive* (missing context, CloudTrail delay, API
-  timeout) → diagnosis cannot proceed below that node;
-- a confirmed node none of whose children confirm is reported as an
-  **undetermined** root cause ("diagnosis stops at the point where no
-  further child nodes can be checked").
-
-Test results are cached per run and reused across nodes.  Every step is
-logged in the paper's diagnosis-log style.
+Per request it selects the fault tree(s), instantiates and prunes them by
+process context, then drives :func:`~repro.diagnosis.walk.walk`: it pays
+each look's service round trip, observes, and records every decision the
+walk makes into the report, the paper's diagnosis log and the trace.
 """
 
 from __future__ import annotations
@@ -22,12 +13,12 @@ import itertools
 import typing as _t
 
 from repro.assertions.evaluation import AssertionEvaluationService
-from repro.diagnosis.cache import DiagnosisCache
-from repro.diagnosis.report import DiagnosisReport, RootCause, TestExecution
+from repro.diagnosis.report import DiagnosisReport, TestExecution
 from repro.diagnosis.tests import CustomTestRegistry
+from repro.diagnosis.walk import Look, walk
 from repro.faulttree.builder import FaultTreeRegistry
 from repro.faulttree.instantiate import instantiate_tree
-from repro.faulttree.tree import CONFIRMED, EXCLUDED, INCONCLUSIVE, DiagnosticTest, FaultNode
+from repro.faulttree.tree import EXCLUDED, INCONCLUSIVE, FaultNode
 from repro.logsys.record import LogRecord
 from repro.process.conformance import ERROR, UNKNOWN, ConformanceResult
 from repro.process.context import ProcessContext
@@ -43,7 +34,6 @@ class DiagnosisRequest:
     tree_ids: list[str]
     params: dict
     context: ProcessContext | None = None
-    since: float = 0.0
 
 
 class DiagnosisEngine:
@@ -64,8 +54,6 @@ class DiagnosisEngine:
         probes: CustomTestRegistry,
         storage=None,
         seed: int = 0,
-        enable_pruning: bool = True,
-        enable_cache: bool = True,
         step_aliases: dict[str, str] | None = None,
         obs=None,
     ) -> None:
@@ -76,12 +64,6 @@ class DiagnosisEngine:
         self.assertions = assertions
         self.probes = probes
         self.storage = storage
-        #: Ablation switches: context pruning (the paper's subtree pruning
-        #: by process context) and per-run diagnostic-test result reuse.
-        #: Production keeps both on; the ablation benches quantify what
-        #: each buys.
-        self.enable_pruning = enable_pruning
-        self.enable_cache = enable_cache
         #: Operation-specific activity -> canonical tree step translation
         #: (see OperationProfile.step_aliases).
         self.step_aliases = dict(step_aliases or {})
@@ -93,7 +75,8 @@ class DiagnosisEngine:
         self._test_overhead = LogNormalLatency(
             median=self.TEST_OVERHEAD_MEDIAN, sigma=0.35, seed=seed + 313, cap=2.0
         )
-        self.reports: list[DiagnosisReport] = []
+        #: Diagnoses started and not yet finished.
+        self.in_flight = 0
         self.completed: list[DiagnosisReport] = []
         self._ids = itertools.count(1)
 
@@ -150,7 +133,7 @@ class DiagnosisEngine:
     def _request(
         self, trigger: str, detail: str, tree_ids: list[str], params: dict, context
     ) -> DiagnosisRequest:
-        """Build one request, start its walk."""
+        """Build one request and start its walk as an engine process."""
         merged = self._merge_params(params, context)
         request = DiagnosisRequest(
             request_id=f"diag-{next(self._ids)}",
@@ -159,9 +142,16 @@ class DiagnosisEngine:
             tree_ids=tree_ids,
             params=merged,
             context=context,
-            since=float(merged.get("since", 0.0) or 0.0),
         )
-        self._start(request)
+        span = None
+        if self._tracer is not None:
+            # Opened at the trigger site (inside the assertion/conformance
+            # span that detected the anomaly), closed when the walk ends.
+            span = self._tracer.start_span("walk", "diagnosis", trigger=trigger,
+                                           trigger_detail=detail, tree_ids=list(tree_ids))
+            self._metrics.inc("diagnosis.requests")
+            self._metrics.inc(f"diagnosis.requests.{trigger}")
+        self.engine.process(self._run(request, span), name=request.request_id)
         return request
 
     def _merge_params(self, params: dict, context) -> dict:
@@ -179,23 +169,6 @@ class DiagnosisEngine:
 
     # -- execution -------------------------------------------------------------------
 
-    def _start(self, request: DiagnosisRequest) -> None:
-        span = None
-        if self._tracer is not None:
-            # Opened at the trigger site (inside the assertion/conformance
-            # span that detected the anomaly); the walk itself runs as its
-            # own engine process and closes the span when it completes.
-            span = self._tracer.start_span(
-                "walk",
-                "diagnosis",
-                trigger=request.trigger,
-                trigger_detail=request.trigger_detail,
-                tree_ids=list(request.tree_ids),
-            )
-            self._metrics.inc("diagnosis.requests")
-            self._metrics.inc(f"diagnosis.requests.{request.trigger}")
-        self.engine.process(self._run(request, span), name=request.request_id)
-
     def _run(self, request: DiagnosisRequest, span=None) -> _t.Generator:
         report = DiagnosisReport(
             request_id=request.request_id,
@@ -206,26 +179,27 @@ class DiagnosisEngine:
             started_at=self.engine.now,
             tree_ids=list(request.tree_ids),
         )
-        self.reports.append(report)
-        # Service round trip: receive the request, select the tree(s),
-        # instantiate variables, prune by context.
-        yield self.engine.timeout(self._startup_latency.sample())
-        cache = DiagnosisCache()
-        step = self.step_aliases.get(report.step, report.step) if self.enable_pruning else None
-        roots: list[FaultNode] = []
-        for tree_id in request.tree_ids:
-            root, pruned = instantiate_tree(self.trees.get(tree_id), request.params, step=step)
-            roots.append(root)
-            report.pruned.extend(pruned)
-        report.potential_fault_count = sum(len([n for n in r.iter_nodes() if n.is_leaf]) for r in roots)
-        self._log(
-            request,
-            f"Performing on demand assertion checking: {request.trigger_detail}."
-            f" {report.potential_fault_count} potential faults in total...",
-        )
-        for root in roots:
-            causes = yield from self._visit(root, request, report, cache, span=span)
-            report.root_causes.extend(causes)
+        self.in_flight += 1
+        try:
+            # Service round trip: receive the request, select the tree(s),
+            # instantiate variables, prune by context.
+            yield self.engine.timeout(self._startup_latency.sample())
+            step = self.step_aliases.get(report.step, report.step)
+            since = float(request.params.get("since", 0.0) or 0.0)
+            roots: list[FaultNode] = []
+            for tree_id in request.tree_ids:
+                root, pruned = instantiate_tree(self.trees.get(tree_id), request.params, step=step)
+                roots.append(root)
+                report.pruned.extend(pruned)
+            report.potential_fault_count = sum(n.is_leaf for r in roots for n in r.iter_nodes())
+            self._log(
+                request,
+                f"Performing on demand assertion checking: {request.trigger_detail}."
+                f" {report.potential_fault_count} potential faults in total...",
+            )
+            report.root_causes = yield from self._drive(walk(roots, since), request, report, span)
+        finally:
+            self.in_flight -= 1
         report.finished_at = self.engine.now
         if report.no_root_cause:
             self._log(request, "No root cause identified")
@@ -235,146 +209,87 @@ class DiagnosisEngine:
             self._log(request, f"{count} {noun} identified")
         self.completed.append(report)
         if self._tracer is not None:
-            self._tracer.finish(
-                span,
-                root_causes=len(report.root_causes),
-                no_root_cause=report.no_root_cause,
-                tests=len(report.tests),
-            )
+            self._tracer.finish(span, root_causes=len(report.root_causes),
+                                no_root_cause=report.no_root_cause, tests=len(report.tests))
             self._metrics.observe("diagnosis.walk.duration", report.finished_at - report.started_at)
-            # Per-walk reuse of diagnostic-test results (§III.B.4): the
-            # cache is scoped to this diagnosis, counters aggregate into
-            # the run's registry so trace-export shows the reuse rate.
-            self._metrics.inc("diagnosis.cache.hits", cache.hits)
-            self._metrics.inc("diagnosis.cache.misses", cache.misses)
+            # The walk's reuse of observations (§III.B.4), counted from the
+            # report into the run's registry so trace-export shows it.
+            hits = sum(t.cached for t in report.tests)
+            self._metrics.inc("diagnosis.cache.hits", hits)
+            self._metrics.inc("diagnosis.cache.misses", len(report.tests) - hits)
         return report
 
-    def _visit(
-        self,
-        node: FaultNode,
-        request: DiagnosisRequest,
-        report: DiagnosisReport,
-        cache: DiagnosisCache,
-        span=None,
-    ) -> _t.Generator:
-        verdict = CONFIRMED if node.test is None else None
-        if node.test is not None:
-            verdict = yield from self._run_test(node, request, report, cache, span)
-        if verdict == EXCLUDED:
-            report.excluded_count += 1
-            self._log(
-                request,
-                f"Verified {node.node_id}: fault excluded."
-                f" {report.excluded_count}/{report.potential_fault_count} checks excluded",
-            )
-            return []
-        if verdict == INCONCLUSIVE:
-            self._log(request, f"Check for {node.node_id} inconclusive; cannot proceed below")
-            return []
-        # Confirmed (or structural).
-        if node.test is not None:
-            self._log(request, f"Failed verification at {node.node_id}: {node.description}")
-        if node.is_leaf:
-            if node.test is None:
-                # An untestable leaf can never be confirmed on evidence.
-                return []
-            return [RootCause(node.node_id, node.description, "confirmed", node.probability)]
-        causes: list[RootCause] = []
-        for child in node.ordered_children():
-            causes.extend((yield from self._visit(child, request, report, cache, span=span)))
-        if not causes and node.test is not None:
-            # Evidence of a fault here, but nothing below could be pinned
-            # down: the paper's "cannot determine why" terminal.
-            return [RootCause(node.node_id, node.description, "undetermined", node.probability)]
-        return causes
+    def _drive(self, steps: _t.Generator, request, report, walk_span) -> _t.Generator:
+        """Service the walk's looks until it returns its root causes.  The
+        walk decides in no virtual time: each decision is recorded when it is
+        handed over (with the next look, or at the end), the first one after
+        a look being that look's own."""
+        observation = looking = None
+        while True:
+            try:
+                look = steps.send(observation)
+                decided = look.decided
+            except StopIteration as done:
+                look, (causes, tests, _excluded) = None, done.value
+                decided = tests[len(report.tests):]
+            for execution in decided:
+                test_span = None
+                if looking is not None:
+                    (test_span, started), looking = looking, None
+                    execution.duration = self.engine.now - started
+                self._record(execution, request, report, walk_span, test_span)
+            if look is None:
+                return causes
+            test = look.node.test
+            test_span = self._test_span(walk_span, look.node.node_id, test.name, kind=test.kind)
+            looking = test_span, self.engine.now
+            # One service round trip per diagnostic test, then the look.
+            yield self.engine.timeout(self._test_overhead.sample())
+            observation = yield from self._observe(look, request)
 
-    def _run_test(
-        self,
-        node: FaultNode,
-        request: DiagnosisRequest,
-        report: DiagnosisReport,
-        cache: DiagnosisCache,
-        walk_span=None,
-    ) -> _t.Generator:
-        test = node.test
-        params = dict(test.params)
-        params.setdefault("since", request.since)
-        key = (test.kind, test.name, tuple(sorted((k, str(v)) for k, v in params.items())))
-        # What is reused across nodes is the observation, not the verdict:
-        # two nodes may share a test and declare different meanings.
-        looked = cache.get(key) if self.enable_cache else None
-        cached = looked is not None
-        duration = 0.0
-        if not cached:
-            test_span = None
-            if self._tracer is not None:
-                test_span = self._tracer.start_span(
-                    "test", "diagnosis", parent=walk_span,
-                    node=node.node_id, test=test.name, kind=test.kind,
-                )
-            started = self.engine.now
-            # Unresolved variables mean the trigger context was too weak
-            # for this test (e.g. purely timer-based detection with no
-            # instance id): inconclusive without execution.
-            unresolved = [
-                k for k, v in params.items() if isinstance(v, str) and v.startswith("$")
-            ]
-            if unresolved:
-                looked = None, {"unresolved": unresolved}, False
-            else:
-                yield self.engine.timeout(self._test_overhead.sample())
-                looked = yield from self._observe(node, test, params, request)
-            duration = self.engine.now - started
-            cache.put(key, looked)
-        observed, evidence, degraded = looked
-        # The one place an observation becomes a verdict: seeing the
-        # condition confirms the fault, the tree says what not seeing it
-        # means for this node, and a test that could not look decides nothing.
-        if observed is None:
-            verdict = INCONCLUSIVE
-        else:
-            verdict = CONFIRMED if observed else test.when_not_observed
-        report.tests.append(
-            TestExecution(
-                node_id=node.node_id,
-                test_kind=test.kind,
-                test_name=test.name,
-                verdict=verdict,
-                evidence=evidence,
-                cached=cached,
-                duration=duration,
-                degraded=degraded,
-            )
-        )
+    def _test_span(self, walk_span, node_id: str, test_name: str, **attrs):
         if self._tracer is None:
-            return verdict
-        if cached:
+            return None
+        return self._tracer.start_span(
+            "test", "diagnosis", parent=walk_span, node=node_id, test=test_name, **attrs
+        )
+
+    def _record(self, execution: TestExecution, request, report, walk_span, test_span) -> None:
+        """One decision of the walk into the report, the trace and the log."""
+        report.tests.append(execution)
+        node_id, verdict = execution.node_id, execution.verdict
+        if self._tracer is not None and execution.cached:
             # The same observation, re-attributed to this node at no cost.
-            hit = self._tracer.start_span(
-                "test", "diagnosis", parent=walk_span,
-                node=node.node_id, test=test.name, cached=True,
-            )
+            hit = self._test_span(walk_span, node_id, execution.test_name, cached=True)
             self._tracer.finish(hit, verdict=verdict)
             self._metrics.inc("diagnosis.tests_cached")
-        else:
-            self._tracer.finish(test_span, verdict=verdict, degraded=degraded)
+        elif self._tracer is not None:
+            # No span yet: an unresolved `$var`, decided before it cost anything.
+            test_span = test_span or self._test_span(
+                walk_span, node_id, execution.test_name, kind=execution.test_kind
+            )
+            self._tracer.finish(test_span, verdict=verdict, degraded=execution.degraded)
             self._metrics.inc(f"diagnosis.tests.{verdict}")
-            self._metrics.observe("diagnosis.test.duration", duration)
-        return verdict
+            self._metrics.observe("diagnosis.test.duration", execution.duration)
+        if verdict == EXCLUDED:
+            report.excluded_count += 1
+            self._log(request, f"Verified {node_id}: fault excluded. {report.excluded_count}/"
+                               f"{report.potential_fault_count} checks excluded")
+        elif verdict == INCONCLUSIVE:
+            self._log(request, f"Check for {node_id} inconclusive; cannot proceed below")
+        else:
+            self._log(request, f"Failed verification at {node_id}: {execution.description}")
 
-    def _observe(
-        self, node: FaultNode, test: DiagnosticTest, params: dict, request: DiagnosisRequest
-    ) -> _t.Generator:
+    def _observe(self, look: Look, request: DiagnosisRequest) -> _t.Generator:
         """Look: ``(observed, evidence, degraded)``.  ``observed`` is True /
         False when the fault condition is / is not there (an on-demand
         assertion: "it failed"), None when the test could not look —
         unknown name, API failure, timeout, degraded plane; never a crashed
         diagnosis.  ``kind`` only selects the registry resolving the name."""
+        node, test, params = look.node, look.node.test, look.params
         if test.kind != "assertion":
             self._log(request, f"Verifying {node.node_id}: probe {test.name}")
-            observed, evidence = yield from self.probes.run(
-                test.name, self.assertions.env, params
-            )
+            observed, evidence = yield from self.probes.run(test.name, self.assertions.env, params)
             return observed, evidence, bool(evidence.get("degraded"))
         self._log(request, f"Verifying {node.node_id}: {test.name} {params}")
         if test.name not in self.assertions.assertions:

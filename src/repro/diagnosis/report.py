@@ -7,7 +7,8 @@ import dataclasses
 
 @dataclasses.dataclass
 class TestExecution:
-    """One diagnostic test run (or cache reuse) during a diagnosis."""
+    """One diagnostic test run (or reuse of an earlier observation) during
+    a diagnosis; the uncached ones replay the walk exactly."""
 
     __test__ = False  # not a pytest class, despite the name
 
@@ -21,6 +22,10 @@ class TestExecution:
     #: True when the verdict was forced to inconclusive by API-plane
     #: degradation (chaos) rather than decided on evidence.
     degraded: bool = False
+    #: The raw observation: the fault's condition seen / not seen / None
+    #: when the test could not look.
+    observed: bool | None = None
+    description: str = ""  # the tested node's
 
 
 @dataclasses.dataclass
@@ -72,10 +77,6 @@ class DiagnosisReport:
     def degraded_test_count(self) -> int:
         """How many verdicts were lost to API-plane degradation."""
         return sum(1 for t in self.tests if t.degraded)
-
-    @property
-    def degraded(self) -> bool:
-        return self.degraded_test_count > 0
 
     def confirmed_causes(self) -> list[RootCause]:
         return [c for c in self.root_causes if c.status == "confirmed"]

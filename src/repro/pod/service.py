@@ -263,9 +263,6 @@ class PODDiagnosis:
         """
         deadline = self.engine.now + QUIESCE_LIMIT
         while self.engine.now < deadline:
-            busy = self.assertions.in_flight > 0 or len(self.diagnosis.reports) > len(
-                self.diagnosis.completed
-            )
-            if not busy:
+            if self.assertions.in_flight == 0 and self.diagnosis.in_flight == 0:
                 return
             self.engine.run(until=min(self.engine.now + 5.0, deadline))

@@ -5,7 +5,7 @@ reproduction:
 
 1. **process-context pruning** (§III.B.4) — diagnosing with vs. without
    pruning by the triggering step;
-2. **diagnostic-test result reuse** — the per-run cache;
+2. **diagnostic-test result reuse** — the walk's per-walk reuse table;
 3. **probability-ordered visits** — checking likely faults first;
 4. **watchdog calibration** (§IV's 95th-percentile rule) — false-positive
    rate vs. detection latency across interval settings.
@@ -14,6 +14,8 @@ reproduction:
 import pytest
 
 from repro.diagnosis.engine import DiagnosisEngine
+from repro.diagnosis.walk import walk
+from repro.faulttree.instantiate import instantiate_tree
 from repro.faulttree.library import build_standard_fault_trees
 from repro.testbed import build_testbed
 
@@ -30,14 +32,13 @@ def make_wrong_ami_testbed(seed=811):
     return testbed
 
 
-def diagnose_with(testbed, tree_ids, context=None, **engine_kwargs):
+def diagnose_with(testbed, tree_ids, context=None):
     """Run a fresh diagnosis engine over the given trees on a testbed."""
     engine = DiagnosisEngine(
         testbed.engine,
         build_standard_fault_trees(),
         testbed.pod.assertions,
         testbed.pod.probes,
-        **engine_kwargs,
     )
     engine.diagnose(tree_ids, context=context, trigger_detail="ablation")
     testbed.engine.run(until=testbed.engine.now + 120)
@@ -58,18 +59,15 @@ def test_ablation_context_pruning(faulty_testbed):
     Scenario: the Fig. 5 tree ("system does not have N instances with the
     new version") consulted from the *New instance ready* step — with
     pruning, the update-launch-configuration subtree is never visited.
+    Without a context there is no step, so nothing is pruned.
     """
     from repro.process.context import ProcessContext
 
     context = ProcessContext(
         process_id="rolling-upgrade", trace_id="upgrade-1", step="new_instance_ready"
     )
-    with_pruning = diagnose_with(
-        faulty_testbed, ["asg-instance-count"], context=context, enable_pruning=True
-    )
-    without_pruning = diagnose_with(
-        faulty_testbed, ["asg-instance-count"], context=context, enable_pruning=False
-    )
+    with_pruning = diagnose_with(faulty_testbed, ["asg-instance-count"], context=context)
+    without_pruning = diagnose_with(faulty_testbed, ["asg-instance-count"], context=None)
 
     executed = lambda report: sum(1 for t in report.tests if not t.cached)
     print(
@@ -79,6 +77,8 @@ def test_ablation_context_pruning(faulty_testbed):
         f"\n  without pruning: {without_pruning.potential_fault_count} potential faults,"
         f" {executed(without_pruning)} tests, {without_pruning.duration:.2f}s"
     )
+    assert (with_pruning.step, without_pruning.step) == ("new_instance_ready", None)
+    assert with_pruning.pruned and not without_pruning.pruned
     assert with_pruning.potential_fault_count <= without_pruning.potential_fault_count
     assert executed(with_pruning) <= executed(without_pruning)
     # Both still find the right root cause — pruning trades work, not
@@ -88,42 +88,37 @@ def test_ablation_context_pruning(faulty_testbed):
 
 
 def test_ablation_result_reuse():
-    """Shared tests across subtrees run once with the cache on.
+    """Shared tests across subtrees are looked at once per walk.
 
-    A timer-triggered failure with weak context consults both the
-    instance-count tree and the resource-integrity tree; on a stalled
-    upgrade (key pair deleted), the key-pair existence check runs inside
-    the launch-failure subtree *and* in the integrity tree — the cache
-    collapses each duplicate into one execution.
+    A timer-triggered failure with weak context may warrant consulting
+    both the instance-count tree and the resource-integrity tree; the
+    key-pair existence check sits inside the launch-failure subtree *and*
+    in the integrity tree.  Driven over observations alone (every
+    condition seen, so every subtree is entered), the walk asks for each
+    distinct test once and serves each repeat from its reuse table.
     """
-    stalled = build_testbed(cluster_size=4, seed=812)
-
-    def inject():
-        yield stalled.engine.timeout(30)
-        stalled.cloud.injector.make_key_pair_unavailable("key-prod")
-
-    stalled.engine.process(inject())
-    stalled.run_upgrade()
-
-    def run(enable_cache):
-        return diagnose_with(
-            stalled,
-            ["asg-instance-count", "resource-integrity"],
-            enable_cache=enable_cache,
-        )
-
-    cached = run(True)
-    uncached = run(False)
-    hits = sum(1 for t in cached.tests if t.cached)
+    registry = build_standard_fault_trees()
+    trees = [registry.get(tree_id) for tree_id in ("asg-instance-count", "resource-integrity")]
+    # Every variable bound (to its own name), so no test is unresolved.
+    params = {variable: variable for tree in trees for variable in tree.variables}
+    roots = [instantiate_tree(tree, params)[0] for tree in trees]
+    requests = 0
+    steps = walk(roots, since=0.0)
+    try:
+        look = next(steps)
+        while True:
+            requests += 1
+            look = steps.send((True, {"node": look.node.node_id}, False))
+    except StopIteration as done:
+        causes, tests, excluded = done.value
+    hits = sum(1 for t in tests if t.cached)
     print(
         f"\nAblation 2 — result reuse:"
-        f"\n  cache on : {len(cached.tests)} test visits, {hits} served from cache,"
-        f" {cached.duration:.2f}s"
-        f"\n  cache off: {len(uncached.tests)} test visits, 0 from cache,"
-        f" {uncached.duration:.2f}s"
+        f"\n  {len(tests)} test visits, {requests} looked at, {hits} served from reuse"
     )
     assert hits >= 1
-    assert cached.duration <= uncached.duration + 0.5
+    assert requests == len(tests) - hits
+    assert causes and excluded == 0
 
 
 def test_ablation_probability_ordering(faulty_testbed):

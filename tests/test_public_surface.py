@@ -84,8 +84,6 @@ KEPT_WITH_CALLERS: dict[str, str] = {
     "repro.evaluation.figures": "Fig. 6/7 renderers: `repro campaign`, examples/fault_injection_study.py,"
                                 " tests/paper",
     "repro.logsys.timers:OneOffTimer": "paper §III.B.3 names one-off timers beside periodic ones",
-    "repro.diagnosis.engine:DiagnosisEngine": "enable_pruning / enable_cache: tests/paper/test_ablations.py"
-                                              " sets both values of both",
     "repro.evaluation.parallel:execute_specs": "runner= is the seam the dead-worker and determinism"
                                                " tests substitute (tests/evaluation/test_parallel_campaign.py)",
     "repro.recovery.supervisor:recover_run": "budget= names the never-hangs bound that ROADMAP 3(d)"
@@ -308,3 +306,25 @@ def test_the_consistent_api_client_is_built_at_one_site():
         and node.func.id == "ConsistentApiClient"
     ]
     assert len(sites) == 1 and sites[0].startswith("src/repro/pod/service.py:"), sites
+
+
+def test_the_diagnosis_walk_does_no_io():
+    """The walk is a function of the tree and the observations it is sent
+    (ROADMAP item 7): its module imports the knowledge base's words and the
+    report's records, and names no engine, tracer or storage.  The driver
+    (``DiagnosisEngine``) does the looking, the waiting and the writing."""
+    tree = ast.parse((ROOT / "src" / "repro" / "diagnosis" / "walk.py").read_text())
+    imported = {
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names
+    } | {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    forbidden = ("repro.sim", "repro.cloud", "repro.assertions", "repro.obs", "repro.logsys")
+    assert not [m for m in imported if m.startswith(forbidden)], imported
+    assert {m for m in imported if m.startswith("repro")} <= {
+        "repro.faulttree.tree", "repro.diagnosis.report"
+    }, imported
+    names = {
+        getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "arg", None)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute, ast.arg))
+    }
+    assert not names & {"engine", "tracer", "storage"}, names & {"engine", "tracer", "storage"}
