@@ -310,16 +310,7 @@ class ResourceExistsAssertion(Assertion):
                 started,
                 observed={"identifier": identifier},
             )
-        # AMIs and ELBs additionally carry availability state.
-        if self.kind == "ami" and described.get("State") != "available":
-            return self._result(
-                env,
-                False,
-                f"ami {identifier} is {described.get('State')}",
-                params,
-                started,
-                observed=described,
-            )
+        # ELBs additionally carry availability state.
         if self.kind == "load_balancer" and described.get("State") != "active":
             return self._result(
                 env,

@@ -127,12 +127,11 @@ class CloudAPI:
         )
 
     def deregister_image(self, image_id: str) -> None:
-        def body() -> None:
-            image = self.state.get("ami", image_id)
-            image.available = False
-            self.state.delete("ami", image_id, self.engine.now)
-
-        self._call("DeregisterImage", {"ImageId": image_id}, body)
+        self._call(
+            "DeregisterImage",
+            {"ImageId": image_id},
+            lambda: self.state.delete("ami", image_id, self.engine.now),
+        )
 
     # -- EC2: security groups / key pairs -----------------------------------
 

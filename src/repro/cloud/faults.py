@@ -87,8 +87,6 @@ class FaultInjector:
     def make_ami_unavailable(self, image_id: str) -> InjectionRecord:
         """Fault 5 — AMI deregistered mid-upgrade."""
         if self.state.exists("ami", image_id):
-            image = self.state.get("ami", image_id)
-            image.available = False
             self.state.delete("ami", image_id, self.engine.now)
         return self._log("AMI_UNAVAILABLE", image_id)
 

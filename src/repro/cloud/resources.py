@@ -37,14 +37,14 @@ class AmiImage:
     image_id: str
     name: str
     version: str
-    available: bool = True
 
     def describe(self) -> dict:
         return {
             "ImageId": self.image_id,
             "Name": self.name,
             "Version": self.version,
-            "State": "available" if self.available else "deregistered",
+            # A deregistered image is deleted, so every described one is available.
+            "State": "available",
         }
 
 

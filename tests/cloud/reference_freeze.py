@@ -2,8 +2,10 @@
 call per value, generator expressions, a separate intern step.
 
 Kept as the oracle the production :func:`repro.cloud.freeze.freeze` is
-compared against (tests/cloud/test_freeze.py) and as the snapshot
-function of :class:`tests.cloud.reference_controller.ReferenceCloudState`.
+compared against (``TestFastPathMatchesReference`` in
+tests/cloud/test_freeze.py).  ``describe()`` never produces a dict or list
+subclass, a tuple, a set or an unhashable leaf, so no cloud-level check
+reaches those branches of ``freeze``; this comparison does.
 """
 
 from repro.cloud.freeze import FrozenList, FrozenView

@@ -346,9 +346,6 @@ class TestScalingActivitiesApi:
             for since in [0.0, times[0], times[len(times) // 2], times[-1], times[-1] + 0.5, 1e9]:
                 expected = [a for a in log if a.asg_name == asg_name and a.time >= since]
                 assert api.describe_scaling_activities(asg_name, since=since) == expected
-            assert cloud.controller.activities_for(asg_name) == [
-                a for a in log if a.asg_name == asg_name
-            ]
 
     def test_terminate_instance_in_asg_removes_member(self, provisioned_cloud):
         api = provisioned_cloud.api("tester")

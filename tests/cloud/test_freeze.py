@@ -25,7 +25,6 @@ from repro.cloud.freeze import (
 from repro.cloud.resources import AutoScalingGroup, SecurityGroup
 from repro.cloud.state import CloudState, snapshot_of
 
-from .reference_controller import ReferenceCloudState
 from .reference_freeze import reference_freeze
 
 
@@ -357,6 +356,15 @@ class TestFastPathMatchesReference:
         assert calls[5:] == ["cloud.snapshot.shared"] * 5
 
 
+class PlainRefreeze(CloudState):
+    """``record_write`` without ``share_unchanged``: every write re-freezes."""
+
+    def record_write(self, kind: str, identifier: str, now: float) -> None:
+        resource = self._registry(kind).get(identifier)
+        snapshot = resource and freeze(resource.describe(), self._intern, self._count)
+        self._append_history(kind, identifier, now, snapshot)
+
+
 class TestShareUnchanged:
     """``record_write`` keeps the previous entry's frozen parts for what a
     write did not touch — with the same counters as re-freezing them."""
@@ -370,7 +378,7 @@ class TestShareUnchanged:
         )
     )
     def test_history_and_counters_match_plain_refreeze(self, edits):
-        states = CloudState(), ReferenceCloudState()
+        states = CloudState(), PlainRefreeze()
         groups = [AutoScalingGroup("asg", "lc", 0, 9, 1, ["i-0", "i-1"], ["elb"]) for _ in states]
         rules = [make_group() for _ in states]
         for state, group, rule in zip(states, groups, rules):

@@ -31,10 +31,6 @@ class TestDescribeShapes:
         doc = AmiImage("ami-1", "app", "v1").describe()
         assert doc == {"ImageId": "ami-1", "Name": "app", "Version": "v1", "State": "available"}
 
-    def test_deregistered_ami_state(self):
-        image = AmiImage("ami-1", "app", "v1", available=False)
-        assert image.describe()["State"] == "deregistered"
-
     def test_security_group(self):
         doc = SecurityGroup("sg-1", "web", description="d").describe()
         assert doc["GroupName"] == "web"

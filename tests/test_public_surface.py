@@ -39,8 +39,6 @@ JUSTIFIED: dict[str, str] = {
     "delete_launch_configuration": "CloudAPI create/delete symmetry; tests/cloud/test_api.py",
     "delete_load_balancer": "CloudAPI create/delete symmetry; tests/cloud/test_api.py",
     "deregister_image": "CloudAPI create/delete symmetry (register_image); tests/cloud/test_api.py",
-    "activities_for": "AsgController read-out without a principal or rate limit;"
-                      " nine call sites in tests/cloud/test_controller.py + test_api.py",
     # Names the paper gives.
     "cancel": "OneOffTimer fires 'unless cancelled' (paper §III.B.3 one-off timers);"
               " tests/logsys/test_timers.py",
