@@ -4,8 +4,8 @@ The paper evaluated CloudTrail and rejected it for *online* diagnosis
 because "the delay (up to 15 minutes) between a call and its CloudTrail
 log appearing is not suitable".  We reproduce exactly that: every API call
 is recorded immediately, but :meth:`lookup_events` only returns records
-older than the delivery delay.  Offline analyses (and the paper's
-suggested mitigation for transient faults) can still consult it.
+older than the delivery delay.  A later diagnosis, once the delay has
+passed, sees them through the same lookup.
 """
 
 from __future__ import annotations
@@ -96,10 +96,6 @@ class CloudTrail:
                 continue
             result.append(record)
         return result
-
-    def all_records(self) -> list[TrailRecord]:
-        """The full audit log regardless of delivery (offline analysis)."""
-        return list(self._records)
 
     def undelivered_count(self) -> int:
         now = self.clock.now()

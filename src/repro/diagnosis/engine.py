@@ -230,7 +230,7 @@ class DiagnosisEngine:
                 look = steps.send(observation)
                 decided = look.decided
             except StopIteration as done:
-                look, (causes, tests, _excluded) = None, done.value
+                look, (causes, tests) = None, done.value
                 decided = tests[len(report.tests):]
             for execution in decided:
                 test_span = None

@@ -1,173 +1,38 @@
-"""Offline (post-mortem) diagnosis.
+"""Post-mortem diagnosis (§VI).
 
-The paper's discussion (§VI) notes two things online diagnosis cannot do:
-
-- attribute random instance terminations to their author, because
-  CloudTrail records arrive up to 15 minutes late;
-- confirm transient faults whose corruption was reverted before the
-  on-demand test ran.
-
-Both become possible *after the fact*.  :class:`OfflineAnalyzer` re-opens
-a finished run: it resolves ``undetermined`` root causes against the
-now-delivered CloudTrail records, re-examines the configuration write
-history for transient changes, and assembles a per-trace timeline from
-central log storage — the "offline diagnosis" use of the merged log
-repository the paper describes in §III.B.
+A post-mortem is a later diagnosis: once CloudTrail has delivered (wait
+``trail.max_delay``), ``DiagnosisEngine.diagnose(report.tree_ids)`` walks
+the same tree with the same probes and can name who terminated an
+instance.  What remains here is the write-history flap finder, for
+transient faults reverted before any on-demand test ran.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import typing as _t
 
+def transient_changes(state, kind: str, identifier: str, since: float = 0.0) -> list[dict]:
+    """Configuration values that changed and later reverted.
 
-@dataclasses.dataclass
-class Resolution:
-    """Post-mortem refinement of one online root cause."""
-
-    report_id: str
-    node_id: str
-    online_status: str  # what online diagnosis said
-    resolved: bool
-    explanation: str
-    evidence: dict = dataclasses.field(default_factory=dict)
-
-
-@dataclasses.dataclass
-class TimelineEntry:
-    time: float
-    kind: str  # "operation" | "assertion" | "conformance" | "diagnosis" | "api"
-    summary: str
-
-
-class OfflineAnalyzer:
-    """Post-mortem analysis over a finished run's artifacts."""
-
-    def __init__(self, storage, trail=None, state=None, reports: _t.Sequence = ()) -> None:
-        self.storage = storage
-        self.trail = trail
-        self.state = state
-        self.reports = list(reports)
-
-    # -- undetermined-cause resolution -------------------------------------------
-
-    def resolve_undetermined(self, since: float = 0.0) -> list[Resolution]:
-        """Try to pin down every ``undetermined`` root cause using data
-        that has become available since the run (delivered CloudTrail,
-        full write history)."""
-        resolutions: list[Resolution] = []
-        for report in self.reports:
-            for cause in report.root_causes:
-                if cause.status != "undetermined":
-                    continue
-                resolutions.append(self._resolve_one(report, cause, since))
-        return resolutions
-
-    def _resolve_one(self, report, cause, since: float) -> Resolution:
-        if cause.node_id in ("instance-terminated-externally", "capacity-changed"):
-            return self._attribute_termination(report, cause, since)
-        return Resolution(
-            report_id=report.request_id,
-            node_id=cause.node_id,
-            online_status=cause.status,
-            resolved=False,
-            explanation="no offline resolution strategy for this fault class",
-        )
-
-    def _attribute_termination(self, report, cause, since: float) -> Resolution:
-        """Who terminated the instance?  Now CloudTrail can answer."""
-        if self.trail is None:
-            return Resolution(
-                report_id=report.request_id,
-                node_id=cause.node_id,
-                online_status=cause.status,
-                resolved=False,
-                explanation="no CloudTrail available",
+    Uses the authoritative write history, which sees every write —
+    unlike the online monitor, whose crawl interval can miss a short
+    flap (the paper's third wrong-diagnosis class)."""
+    # Keep the whole history (the pre-`since` write is the baseline a
+    # flap reverts to); filter by when the *change* happened.
+    history = list(state.history(kind, identifier))
+    flaps: list[dict] = []
+    for index in range(2, len(history)):
+        earlier_time, earlier = history[index - 2]
+        changed_time, changed = history[index - 1]
+        reverted_time, reverted = history[index]
+        if changed_time < since:
+            continue
+        if earlier is not None and earlier == reverted and changed != earlier:
+            flaps.append(
+                {
+                    "changed_at": changed_time,
+                    "reverted_at": reverted_time,
+                    "duration": reverted_time - changed_time,
+                    "transient_value": changed,
+                }
             )
-        records = self.trail.lookup_events(start=since, event_name="TerminateInstances")
-        # Offline analyses may also read undelivered records once the run
-        # is over (the delay has elapsed in wall-clock terms); fall back
-        # to the full audit log.
-        if not records:
-            records = [
-                r
-                for r in self.trail.all_records()
-                if r.event_name == "TerminateInstances" and r.event_time >= since
-            ]
-        if not records:
-            return Resolution(
-                report_id=report.request_id,
-                node_id=cause.node_id,
-                online_status=cause.status,
-                resolved=False,
-                explanation="no TerminateInstances calls recorded",
-            )
-        principals = sorted({r.principal for r in records})
-        instances = sorted(
-            {r.request_parameters.get("InstanceId") for r in records if r.request_parameters}
-        )
-        return Resolution(
-            report_id=report.request_id,
-            node_id=cause.node_id,
-            online_status=cause.status,
-            resolved=True,
-            explanation=f"terminated by {', '.join(principals)}",
-            evidence={"principals": principals, "instances": instances},
-        )
-
-    # -- transient-change postmortem -------------------------------------------------
-
-    def find_transient_changes(self, kind: str, identifier: str, since: float = 0.0) -> list[dict]:
-        """Configuration values that changed and later reverted.
-
-        Uses the authoritative write history, which sees every write —
-        unlike the online monitor, whose crawl interval can miss a short
-        flap (the paper's third wrong-diagnosis class)."""
-        if self.state is None:
-            return []
-        # Keep the whole history (the pre-`since` write is the baseline a
-        # flap reverts to); filter by when the *change* happened.
-        history = list(self.state.history(kind, identifier))
-        flaps: list[dict] = []
-        for index in range(2, len(history)):
-            earlier_time, earlier = history[index - 2]
-            changed_time, changed = history[index - 1]
-            reverted_time, reverted = history[index]
-            if changed_time < since:
-                continue
-            if earlier is not None and earlier == reverted and changed != earlier:
-                flaps.append(
-                    {
-                        "changed_at": changed_time,
-                        "reverted_at": reverted_time,
-                        "duration": reverted_time - changed_time,
-                        "transient_value": changed,
-                    }
-                )
-        return flaps
-
-    # -- timeline -----------------------------------------------------------------------
-
-    def timeline(self, trace_id: str) -> list[TimelineEntry]:
-        """Chronological, merged view of one process instance's run."""
-        entries: list[TimelineEntry] = []
-        for record in self.storage.by_trace(trace_id):
-            entries.append(
-                TimelineEntry(time=record.time, kind=record.type, summary=record.message[:110])
-            )
-        entries.sort(key=lambda e: e.time)
-        return entries
-
-    def summary(self, trace_id: str) -> str:
-        """One-paragraph post-mortem for a trace."""
-        entries = self.timeline(trace_id)
-        failures = [e for e in entries if "FAILED" in e.summary or "unfit" in e.summary]
-        diagnoses = [e for e in entries if e.kind == "diagnosis" and "identified" in e.summary]
-        lines = [
-            f"post-mortem for trace {trace_id}:",
-            f"  {len(entries)} merged log events,"
-            f" {len(failures)} failure events, {len(diagnoses)} diagnosis verdicts",
-        ]
-        for entry in failures[:5]:
-            lines.append(f"  t={entry.time:8.1f} [{entry.kind}] {entry.summary}")
-        return "\n".join(lines)
+    return flaps

@@ -78,12 +78,6 @@ class DiagnosisReport:
         """How many verdicts were lost to API-plane degradation."""
         return sum(1 for t in self.tests if t.degraded)
 
-    def confirmed_causes(self) -> list[RootCause]:
-        return [c for c in self.root_causes if c.status == "confirmed"]
-
-    def cause_ids(self) -> set[str]:
-        return {c.node_id for c in self.root_causes}
-
     def summary(self) -> str:
         if self.no_root_cause:
             outcome = "No root cause identified"

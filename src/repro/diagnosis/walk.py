@@ -42,26 +42,22 @@ class _Walk:
     seen: dict = dataclasses.field(default_factory=dict)  # test key -> observation
     tests: list = dataclasses.field(default_factory=list)
     told: int = 0  # how many of ``tests`` went out with a Look
-    excluded: int = 0
 
 
 def walk(roots: _t.Iterable[FaultNode], since: float) -> _t.Generator:
     """Walk ``roots`` in order, sharing one reuse table; return the root
-    causes, the :class:`TestExecution` sequence and the excluded count."""
+    causes and the :class:`TestExecution` sequence."""
     state = _Walk(since)
     causes: list[RootCause] = []
     for root in roots:
         causes.extend((yield from _visit(state, root)))
-    return causes, state.tests, state.excluded
+    return causes, state.tests
 
 
 # Module-level, not nested: a nested recursive def is a reference cycle.
 def _visit(state: _Walk, node: FaultNode) -> _t.Generator:
     verdict = CONFIRMED if node.test is None else (yield from _verdict(state, node))
-    if verdict == EXCLUDED:
-        state.excluded += 1
-        return []
-    if verdict == INCONCLUSIVE:
+    if verdict in (EXCLUDED, INCONCLUSIVE):
         return []
     # Confirmed (or structural).
     if node.is_leaf:

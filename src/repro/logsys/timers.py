@@ -89,7 +89,6 @@ class PeriodicTimer:
         self.name = name
         self.watchdog = watchdog
         self.running = False
-        self.firings: list[TimerFiring] = []
         self._generation = 0
 
     def start(self) -> None:
@@ -127,9 +126,7 @@ class PeriodicTimer:
             self._fire("timeout" if self.watchdog else "periodic", None)
 
     def _fire(self, cause: str, record: LogRecord | None) -> None:
-        firing = TimerFiring(self.name, self.engine.now, cause, record)
-        self.firings.append(firing)
-        self.callback(firing)
+        self.callback(TimerFiring(self.name, self.engine.now, cause, record))
 
 
 class TimerSetter:

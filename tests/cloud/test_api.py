@@ -209,7 +209,8 @@ class TestAuditing:
     def test_calls_reach_cloudtrail(self, cloud):
         api = cloud.api("alice")
         api.register_image("app", "v1")
-        records = cloud.trail.all_records()
+        cloud.engine.run(until=cloud.engine.now + cloud.trail.max_delay)
+        records = cloud.trail.lookup_events()
         assert records[-1].event_name == "RegisterImage"
         assert records[-1].principal == "alice"
 

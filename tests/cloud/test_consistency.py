@@ -78,12 +78,6 @@ class TestCloudTrail:
         assert len(trail.lookup_events(principal="bob")) == 1
         assert trail.lookup_events(start=0.5) == []
 
-    def test_all_records_bypasses_delay(self):
-        clock = SimClock()
-        trail = CloudTrail(clock, seed=1)
-        trail.record("X", "p", {})
-        assert len(trail.all_records()) == 1
-
     def test_invalid_delays_rejected(self):
         with pytest.raises(ValueError):
             CloudTrail(SimClock(), min_delay=10, max_delay=5)

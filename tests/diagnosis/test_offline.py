@@ -1,66 +1,55 @@
-"""Tests for offline (post-mortem) diagnosis."""
+"""Tests for post-mortem diagnosis: a later walk, the flap finder, the
+merged timeline."""
 
 import pytest
 
-from repro.diagnosis.offline import OfflineAnalyzer
+from repro.cloud.state import CloudState
+from repro.diagnosis.offline import transient_changes
 from repro.operations.interference import InterferencePlan, InterferenceScheduler
 from repro.testbed import build_testbed
 
 
-@pytest.fixture(scope="module")
-def terminated_run():
+def terminated_run(seed, at):
     """A run whose instance was randomly killed mid-upgrade."""
-    testbed = build_testbed(cluster_size=4, seed=301)
-    scheduler = InterferenceScheduler(testbed.engine, testbed.cloud, "asg-dsn", seed=301)
-    scheduler.schedule(InterferencePlan(random_termination_at=120.0))
+    testbed = build_testbed(cluster_size=4, seed=seed)
+    scheduler = InterferenceScheduler(testbed.engine, testbed.cloud, "asg-dsn", seed=seed)
+    scheduler.schedule(InterferencePlan(random_termination_at=at))
     testbed.run_upgrade()
-    analyzer = OfflineAnalyzer(
-        storage=testbed.pod.storage,
-        trail=testbed.cloud.trail,
-        state=testbed.cloud.state,
-        reports=testbed.pod.reports,
-    )
-    return testbed, analyzer
+    return testbed
+
+
+@pytest.fixture(scope="module")
+def terminated():
+    return terminated_run(301, 120.0)
 
 
 class TestUndeterminedResolution:
-    def test_online_diagnosis_was_undetermined(self, terminated_run):
-        testbed, _ = terminated_run
+    def test_online_diagnosis_was_undetermined(self, terminated):
         statuses = {
-            (c.node_id, c.status) for r in testbed.pod.reports for c in r.root_causes
+            (c.node_id, c.status) for r in terminated.pod.reports for c in r.root_causes
         }
         assert ("instance-terminated-externally", "undetermined") in statuses
 
-    def test_offline_attributes_the_termination(self, terminated_run):
-        _, analyzer = terminated_run
-        resolutions = analyzer.resolve_undetermined(since=300.0)
-        resolved = [r for r in resolutions if r.resolved]
-        assert resolved, "offline analysis must attribute the termination"
-        # The injector terminates outside any principal's API, so the
-        # explanation points at whichever TerminateInstances callers
-        # exist in the trail (Asgard's own replacements at minimum).
-        assert "terminated by" in resolved[0].explanation
-
-    def test_unknown_fault_classes_left_unresolved(self, terminated_run):
-        _, analyzer = terminated_run
-        from repro.diagnosis.report import RootCause
-
-        class FakeReport:
-            request_id = "diag-x"
-            root_causes = [RootCause("mystery-node", "??", "undetermined")]
-
-        analyzer2 = OfflineAnalyzer(
-            analyzer.storage, analyzer.trail, analyzer.state, [FakeReport()]
-        )
-        resolutions = analyzer2.resolve_undetermined()
-        assert len(resolutions) == 1
-        assert not resolutions[0].resolved
-
-    def test_no_trail_is_graceful(self, terminated_run):
-        testbed, analyzer = terminated_run
-        bare = OfflineAnalyzer(analyzer.storage, trail=None, reports=testbed.pod.reports)
-        resolutions = bare.resolve_undetermined()
-        assert all(not r.resolved for r in resolutions)
+    def test_offline_attributes_the_termination(self):
+        """Once CloudTrail has delivered, the same trees walked again name
+        the termination's author for every undetermined report."""
+        for seed, at in ((301, 120.0), (61, 110.0)):
+            testbed = terminated_run(seed, at)
+            engine, pod = testbed.engine, testbed.pod
+            held = [r for r in pod.reports if any(c.status == "undetermined" for c in r.root_causes)]
+            assert held
+            engine.run(until=engine.now + testbed.cloud.trail.max_delay)
+            for report in held:
+                pod.diagnosis.diagnose(report.tree_ids, trigger_detail=f"post-mortem of {report.request_id}")
+            engine.run(until=engine.now + 120)
+            later = pod.reports[-len(held):]
+            assert {r.trigger_detail for r in later} == {f"post-mortem of {r.request_id}" for r in held}
+            for report in later:
+                assert [(c.node_id, c.status) for c in report.root_causes] == [
+                    ("termination-author", "confirmed")
+                ]
+                (author,) = [t for t in report.tests if t.node_id == "termination-author"]
+                assert author.evidence["principals"] == ["chaos-script"]
 
 
 class TestTransientPostmortem:
@@ -72,32 +61,22 @@ class TestTransientPostmortem:
         record = cloud.injector.change_lc_ami("lc-app-v1", "ami-flap")
         cloud.engine.run(until=cloud.engine.now + 3)  # shorter than the crawl interval
         cloud.injector.revert(record)
-        analyzer = OfflineAnalyzer(testbed.pod.storage, state=cloud.state)
-        flaps = analyzer.find_transient_changes("launch_configuration", "lc-app-v1", since=since)
+        flaps = transient_changes(cloud.state, "launch_configuration", "lc-app-v1", since=since)
         assert len(flaps) == 1
         assert flaps[0]["duration"] == pytest.approx(3.0)
         assert flaps[0]["transient_value"]["ImageId"] == "ami-flap"
 
     def test_no_state_returns_empty(self):
-        from repro.logsys.storage import CentralLogStorage
-
-        analyzer = OfflineAnalyzer(CentralLogStorage())
-        assert analyzer.find_transient_changes("launch_configuration", "x") == []
+        """A resource with no recorded state has no flaps."""
+        assert transient_changes(CloudState(), "launch_configuration", "x") == []
 
 
 class TestTimeline:
-    def test_timeline_is_chronological_and_merged(self, terminated_run):
-        _, analyzer = terminated_run
-        entries = analyzer.timeline("upgrade-1")
-        assert entries
-        times = [e.time for e in entries]
+    def test_timeline_is_chronological_and_merged(self, terminated):
+        records = terminated.pod.storage.by_trace("upgrade-1")
+        assert records
+        times = [r.time for r in records]
         assert times == sorted(times)
-        kinds = {e.kind for e in entries}
+        kinds = {r.type for r in records}
         assert "operation" in kinds
         assert "assertion" in kinds or "conformance" in kinds
-
-    def test_summary_mentions_failures(self, terminated_run):
-        _, analyzer = terminated_run
-        text = analyzer.summary("upgrade-1")
-        assert "post-mortem for trace upgrade-1" in text
-        assert "failure events" in text

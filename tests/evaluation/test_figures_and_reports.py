@@ -109,13 +109,11 @@ class TestDiagnosisReport:
         assert self._report([]).no_root_cause
         assert "No root cause" in self._report([]).summary()
 
-    def test_confirmed_causes_filtered(self):
+    def test_summary_lists_cause_statuses(self):
         report = self._report(
             [RootCause("a", "", "confirmed"), RootCause("b", "", "undetermined")]
         )
-        assert [c.node_id for c in report.confirmed_causes()] == ["a"]
-        assert report.cause_ids() == {"a", "b"}
-        assert "a (confirmed)" in report.summary()
+        assert "Root causes: a (confirmed), b (undetermined)" in report.summary()
 
     def test_test_execution_defaults(self):
         execution = TestExecution(node_id="n", test_kind="assertion", test_name="t", verdict="excluded")

@@ -72,8 +72,8 @@ KEPT_WITH_CALLERS: dict[str, str] = {
     "repro.cli": "seven subcommands, each a README command with a tests/test_cli.py case",
     "repro.operations.bluegreen": "second tenant of OperationProfile: examples/bluegreen_deploy.py,"
                                   " tests/operations/test_bluegreen.py, tests/recovery/test_resume.py",
-    "repro.diagnosis.offline": "post-mortem once CloudTrail has delivered (what the online probe"
-                               " cannot see): examples/offline_postmortem.py, tests/diagnosis/test_offline.py",
+    "repro.diagnosis.offline": "the write-history flap finder, item 8's subject:"
+                               " examples/offline_postmortem.py, tests/diagnosis/test_offline.py",
     "repro.assertions.spec": "README assertion spec language: examples/assertion_spec_demo.py",
     "repro.process.serialize": "README model JSON/DOT export: `repro mine --dot`",
     "repro.faulttree.serialize": "README tree JSON/DOT export: `repro trees --dot TREE_ID`",
