@@ -207,8 +207,3 @@ class AssertionEvaluationService:
             {"duration": round(result.duration, 3), "params": dict(result.params)}
         )
         self.storage.append(record)
-
-    # -- aggregate views --------------------------------------------------------
-
-    def failures(self) -> list[AssertionResult]:
-        return [r for r in self.results if r.failed]

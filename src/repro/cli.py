@@ -24,6 +24,36 @@ import sys
 import typing as _t
 
 
+def positive_int(value: str) -> int:
+    """argparse type of every count: runs per fault type, cluster size."""
+    number = int(value)
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return number
+
+
+def _chaos_levels(value: str) -> list[str]:
+    """``--levels none,severe``: checked before any campaign runs."""
+    from repro.cloud.chaos import CHAOS_LEVELS
+
+    levels = value.split(",")
+    unknown = [level for level in levels if level not in CHAOS_LEVELS]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown chaos level(s) {', '.join(unknown)}; known: {', '.join(CHAOS_LEVELS)}"
+        )
+    return levels
+
+
+def _tree_id(value: str) -> str:
+    from repro.faulttree.library import shared_standard_fault_trees
+
+    known = shared_standard_fault_trees().tree_ids()
+    if value not in known:
+        raise argparse.ArgumentTypeError(f"unknown tree id {value!r}; known: {', '.join(known)}")
+    return value
+
+
 def _cmd_demo(args: argparse.Namespace) -> int:
     from repro.testbed import build_testbed
 
@@ -183,16 +213,16 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos_sweep(args: argparse.Namespace) -> int:
-    from repro.cloud.chaos import CHAOS_LEVELS
-    from repro.evaluation.sweeps import render_sweep, sweep_chaos
+    from repro.evaluation.campaign import CampaignConfig
+    from repro.evaluation.sweeps import render_sweep, sweep
 
-    levels = args.levels.split(",") if args.levels else list(CHAOS_LEVELS)
-    points = sweep_chaos(
-        levels=levels,
-        runs_per_fault=args.runs,
-        seed=args.seed,
-        max_workers=args.workers,
-    )
+    configs = {
+        level: CampaignConfig(
+            runs_per_fault=args.runs, large_cluster_runs=0, seed=args.seed, chaos_profile=level
+        )
+        for level in args.levels
+    }
+    points = sweep("chaos_profile", configs, max_workers=args.workers)
     print(render_sweep(points))
     crashed = sum(p.metrics.failed_runs for p in points)
     if crashed:
@@ -325,12 +355,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     demo = sub.add_parser("demo", help="clean + faulty upgrade with diagnosis output")
-    demo.add_argument("--cluster", type=int, default=4, help="cluster size (default 4)")
+    demo.add_argument("--cluster", type=positive_int, default=4, help="cluster size (default 4)")
     demo.add_argument("--seed", type=int, default=1)
     demo.set_defaults(func=_cmd_demo)
 
     campaign = sub.add_parser("campaign", help="run the fault-injection campaign")
-    campaign.add_argument("--runs", type=int, default=20, help="runs per fault type")
+    campaign.add_argument("--runs", type=positive_int, default=20, help="runs per fault type")
     campaign.add_argument("--seed", type=int, default=2014)
     campaign.add_argument(
         "--workers", type=int, default=1,
@@ -365,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--fault", default="KEYPAIR_UNAVAILABLE", choices=list(FAULT_TYPES),
         help="fault type injected mid-upgrade (default KEYPAIR_UNAVAILABLE)",
     )
-    recover.add_argument("--cluster", type=int, default=4, help="cluster size (default 4)")
+    recover.add_argument("--cluster", type=positive_int, default=4, help="cluster size (default 4)")
     recover.add_argument("--seed", type=int, default=11)
     recover.add_argument("--inject-at", type=float, default=40.0,
                          help="virtual seconds after upgrade start (default 40)")
@@ -380,10 +410,12 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos-sweep",
         help="run the campaign across API degradation levels (none → severe)",
     )
-    chaos_sweep.add_argument("--runs", type=int, default=3, help="runs per fault type per level")
+    chaos_sweep.add_argument("--runs", type=positive_int, default=3,
+                             help="runs per fault type per level")
     chaos_sweep.add_argument("--seed", type=int, default=7004)
     chaos_sweep.add_argument(
-        "--levels", help="comma-separated chaos levels (default: all, none → severe)"
+        "--levels", type=_chaos_levels, default=CHAOS_LEVELS,
+        help="comma-separated chaos levels (default: all, none → severe)",
     )
     chaos_sweep.add_argument(
         "--workers", type=int, default=1,
@@ -396,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace-export",
         help="run a traced campaign and export pipeline spans + metrics",
     )
-    trace.add_argument("--runs", type=int, default=1,
+    trace.add_argument("--runs", type=positive_int, default=1,
                        help="runs per fault type (default 1 → 8 traced runs)")
     trace.add_argument("--seed", type=int, default=2014)
     trace.add_argument(
@@ -415,13 +447,14 @@ def build_parser() -> argparse.ArgumentParser:
     trace.set_defaults(func=_cmd_trace_export)
 
     mine = sub.add_parser("mine", help="discover the process model from fresh logs")
-    mine.add_argument("--runs", type=int, default=3)
+    mine.add_argument("--runs", type=positive_int, default=3)
     mine.add_argument("--seed", type=int, default=500)
     mine.add_argument("--dot", action="store_true", help="print Graphviz DOT")
     mine.set_defaults(func=_cmd_mine)
 
     trees = sub.add_parser("trees", help="inventory the standard fault trees")
-    trees.add_argument("--dot", metavar="TREE_ID", help="print one tree as Graphviz DOT")
+    trees.add_argument("--dot", metavar="TREE_ID", type=_tree_id,
+                       help="print one tree as Graphviz DOT")
     trees.set_defaults(func=_cmd_trees)
 
     return parser

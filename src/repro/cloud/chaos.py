@@ -160,8 +160,8 @@ class ChaosProfile:
         return self.latency_multiplier
 
 
-#: Named degradation levels, ordered none → severe.  The sweep
-#: (:func:`repro.evaluation.sweeps.sweep_chaos`) walks these.
+#: Named degradation levels, ordered none → severe.  ``repro chaos-sweep``
+#: walks these.
 CHAOS_PROFILES: dict[str, ChaosProfile] = {
     "none": ChaosProfile(name="none"),
     "mild": ChaosProfile(

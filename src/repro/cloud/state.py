@@ -19,7 +19,6 @@ writes instead of region size.
 from __future__ import annotations
 
 import itertools
-import typing as _t
 from bisect import bisect_right
 
 from repro.cloud.errors import ResourceNotFound
@@ -254,16 +253,4 @@ class CloudState:
         return f"CloudState({self.region}: {counts})"
 
 
-def snapshot_of(resources: _t.Iterable) -> list[FrozenView]:
-    """Describe a collection of resources as frozen views.
-
-    The seed returned live ``describe()`` dicts whose nested structures
-    (e.g. a security group's ingress-rule dicts) aliased authoritative
-    state — a caller mutating its "snapshot" silently corrupted the
-    region.  Frozen views make that impossible; callers needing a mutable
-    copy use :func:`~repro.cloud.freeze.thaw`.
-    """
-    return [freeze(r.describe()) for r in resources]
-
-
-__all__ = ["KINDS", "CloudState", "FrozenView", "freeze", "snapshot_of", "thaw"]
+__all__ = ["KINDS", "CloudState", "FrozenView", "freeze", "thaw"]

@@ -120,14 +120,6 @@ class DiagnosisEngine:
         """
         return self._request("external", trigger_detail, list(tree_ids), {}, context)
 
-    def diagnose_external(self, record: LogRecord) -> DiagnosisRequest:
-        """Entry point for the central log processor (third-party failure
-        lines)."""
-        context = ProcessContext.from_record(record)
-        return self._request(
-            "external", record.source, ["process-deviation"], dict(record.fields), context
-        )
-
     # -- request construction ------------------------------------------------------
 
     def _request(

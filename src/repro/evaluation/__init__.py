@@ -25,14 +25,7 @@ from repro.evaluation.figures import (
     render_fig7,
     render_headline,
 )
-from repro.evaluation.sweeps import (
-    SweepPoint,
-    render_sweep,
-    sweep_chaos,
-    sweep_cluster_size,
-    sweep_interference,
-    sweep_transient_rate,
-)
+from repro.evaluation.sweeps import SweepPoint, render_sweep, sweep
 
 __all__ = [
     "Campaign",
@@ -53,8 +46,5 @@ __all__ = [
     "render_sweep",
     "run_single",
     "SweepPoint",
-    "sweep_chaos",
-    "sweep_cluster_size",
-    "sweep_interference",
-    "sweep_transient_rate",
+    "sweep",
 ]

@@ -5,8 +5,10 @@ processor* — a pipeline of noise filter, process/assertion annotators,
 timer setter and trigger — turns matched lines into structured
 :class:`LogRecord` objects tagged with process context, fires conformance
 checking and assertion evaluation, and ships important lines to the
-*central log storage*.  A *central log processor* watches the merged logs
-for failure lines from any source and triggers error diagnosis.
+*central log storage*.  The paper's central log processor, which triggers
+error diagnosis on failure lines, is served by the two checks every line
+already passes through: conformance ``on_error`` (unclassified and
+known-error lines, unfit steps) and the assertion service's failures.
 """
 
 from repro.logsys.record import LogRecord, LogStream
@@ -17,11 +19,9 @@ from repro.logsys.timers import OneOffTimer, PeriodicTimer, TimerSetter
 from repro.logsys.trigger import Trigger
 from repro.logsys.pipeline import LocalLogProcessor
 from repro.logsys.storage import CentralLogStorage
-from repro.logsys.central import CentralLogProcessor
 
 __all__ = [
     "AssertionAnnotator",
-    "CentralLogProcessor",
     "CentralLogStorage",
     "LocalLogProcessor",
     "LogPattern",

@@ -1,4 +1,4 @@
-"""Log ingestion: raw text files → LogRecords → replayed streams.
+"""Log ingestion: raw text files → LogRecords.
 
 The paper's pipeline starts from real log files on the operation node.
 This module closes that loop for recorded logs:
@@ -8,11 +8,8 @@ This module closes that loop for recorded logs:
   body;
 - :func:`read_log` turns a text file (or iterable of lines) into
   :class:`~repro.logsys.record.LogRecord` objects with times relative to
-  the first stamped line;
-- :class:`LogReplayer` feeds recorded records into a live
-  :class:`~repro.logsys.record.LogStream` at their original relative
-  times inside a simulation — so the whole POD pipeline (conformance,
-  assertions, diagnosis) can be exercised against a captured log.
+  the first stamped line, ready to be emitted into a
+  :class:`~repro.logsys.record.LogStream` one at a time.
 """
 
 from __future__ import annotations
@@ -21,7 +18,7 @@ import datetime as _dt
 import re
 import typing as _t
 
-from repro.logsys.record import LogRecord, LogStream
+from repro.logsys.record import LogRecord
 
 #: ``[2013-11-19 11:48:01,100] body`` — the Asgard/log4j prefix.
 _STAMPED = re.compile(
@@ -101,47 +98,3 @@ def write_log_file(records: _t.Iterable[LogRecord], path) -> int:
             handle.write(f"{prefix}{record.message}\n")
             count += 1
     return count
-
-
-class LogReplayer:
-    """Replay recorded records into a live stream inside a simulation.
-
-    The records' relative times are preserved: a record at t=+95.3 is
-    emitted 95.3 virtual seconds after :meth:`start`.  ``speedup``
-    compresses time for quick offline re-analysis.
-    """
-
-    def __init__(self, engine, stream: LogStream, records: _t.Sequence[LogRecord],
-                 speedup: float = 1.0) -> None:
-        if speedup <= 0:
-            raise ValueError("speedup must be positive")
-        self.engine = engine
-        self.stream = stream
-        self.records = sorted(records, key=lambda r: r.time)
-        self.speedup = speedup
-        self.emitted = 0
-        self.done = False
-
-    def start(self):
-        return self.engine.process(self._run(), name=f"replay-{self.stream.name}")
-
-    def _run(self) -> _t.Generator:
-        start_time = self.engine.now
-        base = self.records[0].time if self.records else 0.0
-        for record in self.records:
-            target = start_time + (record.time - base) / self.speedup
-            delay = target - self.engine.now
-            if delay > 0:
-                yield self.engine.timeout(delay)
-            # Re-stamp into the simulation's clock so downstream
-            # components see consistent virtual times.
-            replayed = LogRecord(
-                time=self.engine.now,
-                source=record.source,
-                message=record.message,
-                type=record.type,
-                timestamp=self.engine.clock.render(),
-            )
-            self.stream.emit(replayed)
-            self.emitted += 1
-        self.done = True

@@ -10,9 +10,7 @@ operations, and what future process mining re-discovers models from.
 
 from __future__ import annotations
 
-import typing as _t
-
-from repro.logsys.record import LogRecord, _without
+from repro.logsys.record import LogRecord
 
 
 class CentralLogStorage:
@@ -20,21 +18,9 @@ class CentralLogStorage:
 
     def __init__(self) -> None:
         self.records: list[LogRecord] = []
-        #: A tuple replaced on (un)subscribe, as in :class:`LogStream`.
-        self._subscribers: tuple[_t.Callable[[LogRecord], None], ...] = ()
-
-    def subscribe(self, callback: _t.Callable[[LogRecord], None]) -> None:
-        """Live tap — the central log processor hangs off this."""
-        self._subscribers += (callback,)
-
-    def unsubscribe(self, callback: _t.Callable[[LogRecord], None]) -> None:
-        """Stop notifying ``callback`` (a no-op if it is not subscribed)."""
-        self._subscribers = _without(self._subscribers, callback)
 
     def append(self, record: LogRecord) -> None:
         self.records.append(record)
-        for callback in self._subscribers:
-            callback(record)
 
     # -- queries ------------------------------------------------------------
 

@@ -5,9 +5,9 @@
 - :mod:`rolling_upgrade` — the upgrade operation and its POD artifacts
   (reference model, pattern library, bindings, watchdog);
 - :mod:`scaling` — scale-in/out operations;
-- :mod:`termination` — random-termination chaos process;
-- :mod:`interference` — the concurrent-activity scheduler and the second
-  team sharing the account.
+- :mod:`interference` — the concurrent-activity scheduler (scale-in,
+  random termination, account pressure) and the second team sharing the
+  account.
 """
 
 from repro.operations.base import Operation
@@ -27,7 +27,6 @@ from repro.operations.rolling_upgrade import (
     standard_bindings,
 )
 from repro.operations.scaling import ScaleInOperation, ScaleOutOperation
-from repro.operations.termination import RandomTerminationProcess
 
 __all__ = [
     "BlueGreenOperation",
@@ -38,7 +37,6 @@ __all__ = [
     "rolling_upgrade_profile",
     "InterferenceScheduler",
     "Operation",
-    "RandomTerminationProcess",
     "RollingUpgradeOperation",
     "RollingUpgradeParams",
     "ScaleInOperation",

@@ -16,7 +16,6 @@ import typing as _t
 
 from repro.logsys.record import LogStream
 from repro.operations.scaling import ScaleInOperation, ScaleOutOperation
-from repro.operations.termination import RandomTerminationProcess
 
 
 @dataclasses.dataclass
@@ -99,7 +98,6 @@ class InterferenceScheduler:
         self.stream = LogStream("interference.log")
         self.events: list[tuple[float, str]] = []
         self.scale_in_op: ScaleInOperation | None = None
-        self.chaos: RandomTerminationProcess | None = None
         self.second_team: SecondTeam | None = None
 
     def schedule(self, plan: InterferencePlan, second_team: SecondTeam | None = None) -> None:

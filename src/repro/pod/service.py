@@ -18,7 +18,6 @@ from repro.diagnosis.engine import DiagnosisEngine
 from repro.diagnosis.tests import shared_standard_probes
 from repro.faulttree.library import shared_standard_fault_trees
 from repro.logsys.annotator import ProcessAnnotator
-from repro.logsys.central import CentralLogProcessor
 from repro.logsys.filters import NoiseFilter
 from repro.logsys.pipeline import LocalLogProcessor
 from repro.logsys.record import LogStream
@@ -142,9 +141,6 @@ class PODDiagnosis:
             name=f"{profile.profile_id}-watchdog",
         )
 
-        # Central log processor for third-party failure lines.
-        self.central = CentralLogProcessor(self.storage, self.diagnosis.diagnose_external)
-
         self.detections: list[Detection] = []
         self.processors: list[LocalLogProcessor] = []
         self._watched: list[LogStream] = []  # parallel to `processors`
@@ -178,11 +174,10 @@ class PODDiagnosis:
     def close(self) -> None:
         """Stop serving: no timer fires, no record is processed, no failure
         is reported.  Cuts each reference from a component back to this
-        service and from the storage to its watcher (DESIGN.md §8 "Run
-        lifecycle"); what was recorded stays readable.  Idempotent.
+        service and from each tailed stream to its processor (DESIGN.md §8
+        "Run lifecycle"); what was recorded stays readable.  Idempotent.
         """
         self.timers.stop_all()
-        self.central.close()
         for stream, processor in zip(self._watched, self.processors):
             stream.unsubscribe(processor.process)
         self._watched.clear()

@@ -52,11 +52,3 @@ class ProcessContext:
             else:
                 setattr(merged, key, value)
         return merged
-
-    def describe(self) -> str:
-        bits = [f"process={self.process_id}", f"trace={self.trace_id}"]
-        if self.step:
-            bits.append(f"step={self.step}")
-        if self.conformance:
-            bits.append(f"conformance={self.conformance}")
-        return " ".join(bits)

@@ -49,9 +49,6 @@ class DirectlyFollowsGraph:
         """Edges seen at least ``min_count`` times (noise thresholding)."""
         return sorted(e for e, c in self.edge_counts.items() if c >= min_count)
 
-    def successors(self, activity: str) -> list[str]:
-        return sorted(b for a, b in self.edge_counts if a == activity)
-
     def dominant_starts(self) -> list[str]:
         """Activities beginning at least half of the traces."""
         return sorted(a for a, c in self.start_counts.items() if 2 * c >= self.trace_count)

@@ -177,7 +177,7 @@ class TestTriggerPaths:
         service.trigger_from_log(tagged_record(), ["a", "b"])
         engine.run()
         assert sorted(r.assertion_id for r in service.results) == ["a", "b"]
-        assert [r.assertion_id for r in service.failures()] == ["b"]
+        assert [r.assertion_id for r in service.results if r.failed] == ["b"]
 
 
 class TestSpecLanguage:

@@ -3,8 +3,9 @@
 Covers the frozen view/list contract (reads behave like plain
 structures, writes fail loudly), freeze/thaw round-trips, interning, and
 the read/write aliasing regressions: against the seed's shallow
-``snapshot_of`` the aliasing tests below fail, because a caller mutating
-its "snapshot" silently edited authoritative region state.
+snapshots (live ``describe()`` dicts) the aliasing tests below fail,
+because a caller mutating its "snapshot" silently edited authoritative
+region state.
 """
 
 import copy
@@ -23,7 +24,7 @@ from repro.cloud.freeze import (
     thaw,
 )
 from repro.cloud.resources import AutoScalingGroup, SecurityGroup
-from repro.cloud.state import CloudState, snapshot_of
+from repro.cloud.state import CloudState
 
 from .reference_freeze import reference_freeze
 
@@ -172,25 +173,25 @@ def make_group():
 class TestSnapshotAliasing:
     """Read/write aliasing regressions.
 
-    The seed's ``snapshot_of`` returned live ``describe()`` dicts: the
+    The seed's snapshots were live ``describe()`` dicts: the
     security group's ``IpPermissions`` entries were the *same* dict
     objects as the resource's ``ingress_rules``, so editing a snapshot
     corrupted authoritative state.  These tests fail against that seed.
     """
 
     def test_snapshot_is_frozen(self):
-        (snap,) = snapshot_of([make_group()])
+        snap = freeze(make_group().describe())
         with pytest.raises(FrozenMutationError):
             snap["IpPermissions"][0]["FromPort"] = 22
 
     def test_snapshot_does_not_alias_live_ingress_rules(self):
         group = make_group()
-        (snap,) = snapshot_of([group])
+        snap = freeze(group.describe())
         assert snap["IpPermissions"][0] is not group.ingress_rules[0]
 
     def test_thawed_snapshot_edit_leaves_live_state_untouched(self):
         group = make_group()
-        (snap,) = snapshot_of([group])
+        snap = freeze(group.describe())
         scratch = snap.thaw()
         scratch["IpPermissions"][0]["FromPort"] = 22
         assert group.ingress_rules[0]["FromPort"] == 80

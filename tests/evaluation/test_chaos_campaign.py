@@ -14,7 +14,7 @@ import pytest
 
 from repro.evaluation.campaign import Campaign, CampaignConfig, RunSpec, run_single
 from repro.evaluation.metrics import compute_metrics
-from repro.evaluation.sweeps import render_sweep, sweep_chaos
+from repro.evaluation.sweeps import render_sweep, sweep
 
 pytestmark = pytest.mark.chaos
 
@@ -127,6 +127,17 @@ class TestSevereCampaignAcceptance:
             compute_metrics(serial)
         )
         assert sum(o.degraded_verdicts for o in serial) > 0
+
+
+def sweep_chaos(levels, runs_per_fault=3, seed=7004):
+    """The same seeded campaign under each chaos profile (what ``repro
+    chaos-sweep`` runs)."""
+    return sweep("chaos_profile", {
+        level: CampaignConfig(
+            runs_per_fault=runs_per_fault, large_cluster_runs=0, seed=seed, chaos_profile=level
+        )
+        for level in levels
+    })
 
 
 class TestChaosSweep:

@@ -1,18 +1,52 @@
 """Tests for the sweep utilities: rendering + structure, and the
 campaign-backed sensitivity sweeps (beyond the paper's one configuration:
 recall holds across interference intensity, cluster size and
-transient-fault rate; only precision/accuracy may move)."""
+transient-fault rate; only precision/accuracy may move).  Each sweep builds
+its own configs for :func:`repro.evaluation.sweeps.sweep`."""
 
 import pytest
 
+from repro.evaluation.campaign import CampaignConfig
 from repro.evaluation.metrics import CampaignMetrics, FaultTypeMetrics
-from repro.evaluation.sweeps import (
-    SweepPoint,
-    render_sweep,
-    sweep_cluster_size,
-    sweep_interference,
-    sweep_transient_rate,
-)
+from repro.evaluation.sweeps import SweepPoint, render_sweep, sweep
+
+
+def sweep_interference(rates, runs_per_fault=3, seed=7001):
+    """Scale all three interference probabilities together: ``rate`` is the
+    scale-in probability; random termination and account pressure follow at
+    half and a quarter of it (the default mix's proportions)."""
+    return sweep("interference_rate", {
+        rate: CampaignConfig(
+            runs_per_fault=runs_per_fault, large_cluster_runs=0, seed=seed,
+            p_scale_in=rate, p_random_termination=rate / 2, p_account_pressure=rate / 4,
+        )
+        for rate in rates
+    })
+
+
+def sweep_cluster_size(sizes, runs_per_fault=2, seed=7002):
+    """All-small vs all-large campaigns (batch size follows the paper)."""
+    return sweep("cluster_size", {
+        size: CampaignConfig(
+            runs_per_fault=runs_per_fault,
+            large_cluster_runs=runs_per_fault if size == 20 else 0,
+            cluster_small=size if size != 20 else 4,
+            seed=seed,
+        )
+        for size in sizes
+    })
+
+
+def sweep_transient_rate(rates, runs_per_fault=3, seed=7003):
+    """Every configuration fault transient with probability ``rate``, no
+    interference: the paper's third wrong-diagnosis class scales with it."""
+    return sweep("transient_rate", {
+        rate: CampaignConfig(
+            runs_per_fault=runs_per_fault, large_cluster_runs=0, seed=seed, p_transient=rate,
+            p_scale_in=0.0, p_random_termination=0.0, p_account_pressure=0.0,
+        )
+        for rate in rates
+    })
 
 
 def stub_metrics(precision_fp=0):

@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.logsys.ingest import (
-    LogReplayer,
-    parse_line,
-    read_log,
-    read_log_file,
-    write_log_file,
-)
+from repro.logsys.ingest import parse_line, read_log, read_log_file, write_log_file
 from repro.logsys.record import LogStream
 
 SAMPLE = [
@@ -88,29 +82,6 @@ class TestFileRoundTrip:
 
 
 class TestReplay:
-    def test_replay_preserves_relative_times(self, engine):
-        stream = LogStream("replayed")
-        seen = []
-        stream.subscribe(lambda r: seen.append((engine.now, r.message)))
-        replayer = LogReplayer(engine, stream, read_log(SAMPLE))
-        replayer.start()
-        engine.run()
-        assert replayer.done
-        assert replayer.emitted == 4
-        assert seen[0][0] == pytest.approx(0.0)
-        assert seen[-1][0] == pytest.approx(101.25)
-
-    def test_speedup_compresses_time(self, engine):
-        stream = LogStream("replayed")
-        replayer = LogReplayer(engine, stream, read_log(SAMPLE), speedup=10.0)
-        replayer.start()
-        engine.run()
-        assert engine.now == pytest.approx(10.125)
-
-    def test_invalid_speedup(self, engine):
-        with pytest.raises(ValueError):
-            LogReplayer(engine, LogStream("x"), [], speedup=0)
-
     def test_replayed_trace_conformance_checks(self, engine):
         """End-to-end: a captured real log replays through conformance."""
         from repro.logsys.storage import CentralLogStorage
@@ -141,6 +112,6 @@ class TestReplay:
                 checker.check(record)
 
         stream.subscribe(check)
-        LogReplayer(engine, stream, records, speedup=100.0).start()
-        engine.run()
+        for record in records:
+            stream.emit(record)
         assert checker.fitness_of("replay-1") == 1.0

@@ -1,7 +1,6 @@
 """Tests for the local log processor pipeline (Fig. 3) and its stages."""
 
 from repro.logsys.annotator import AssertionAnnotator, ProcessAnnotator
-from repro.logsys.central import CentralLogProcessor
 from repro.logsys.filters import NoiseFilter
 from repro.logsys.patterns import END, LogPattern, PatternLibrary
 from repro.logsys.pipeline import LocalLogProcessor
@@ -212,12 +211,12 @@ class TestProcessGolden:
         model.add_sequence("begin", "work")
         model.mark_start("begin")
         model.mark_end("work")
-        storage = CentralLogStorage()
-        storage.subscribe(
-            lambda stored: events.append(
-                ("stored", stored.type, current[0].tag_value("conformance"))
-            )
-        )
+        class RecordingStorage(CentralLogStorage):
+            def append(self, stored):
+                super().append(stored)
+                events.append(("stored", stored.type, current[0].tag_value("conformance")))
+
+        storage = RecordingStorage()
         checker = ConformanceChecker(
             model,
             lib,
@@ -397,45 +396,3 @@ class TestCentralLogStorage:
             storage.append(rec)
         assert len(storage.by_trace("t1")) == 2
         assert set(storage.traces()) == {"t1", "t2"}
-
-    def test_subscribers_see_appends(self):
-        storage = CentralLogStorage()
-        seen = []
-        storage.subscribe(seen.append)
-        storage.append(LogRecord(time=0, source="s", message="m"))
-        assert len(seen) == 1
-
-
-class TestCentralLogProcessor:
-    def test_failure_line_triggers_diagnosis(self):
-        storage = CentralLogStorage()
-        triggered = []
-        CentralLogProcessor(storage, triggered.append)
-        storage.append(LogRecord(time=0, source="third-party", message="Fatal exception in worker"))
-        assert len(triggered) == 1
-
-    def test_result_logs_not_rediagnosed(self):
-        storage = CentralLogStorage()
-        triggered = []
-        CentralLogProcessor(storage, triggered.append)
-        storage.append(
-            LogRecord(time=0, source="d", message="exception...", type="diagnosis")
-        )
-        assert triggered == []
-
-    def test_conformance_routed_lines_skipped(self):
-        storage = CentralLogStorage()
-        triggered = []
-        CentralLogProcessor(storage, triggered.append)
-        rec = LogRecord(time=0, source="op", message="Exception during upgrade")
-        rec.add_tag("conformance:error")
-        storage.append(rec)
-        assert triggered == []
-
-    def test_non_failure_lines_ignored(self):
-        storage = CentralLogStorage()
-        triggered = []
-        CentralLogProcessor(storage, triggered.append)
-        storage.append(LogRecord(time=0, source="op", message="all is well"))
-        assert triggered == []
-

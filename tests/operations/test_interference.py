@@ -1,11 +1,10 @@
-"""Tests for scaling operations, chaos termination and interference."""
+"""Tests for scaling operations and interference."""
 
 import pytest
 
 from repro.logsys.record import LogStream
 from repro.operations.interference import InterferencePlan, InterferenceScheduler, SecondTeam
 from repro.operations.scaling import ScaleInOperation, ScaleOutOperation
-from repro.operations.termination import RandomTerminationProcess
 
 
 class TestScaling:
@@ -48,24 +47,6 @@ class TestScaling:
         operation.start()
         cloud.engine.run(until=cloud.engine.now + 60)
         assert operation.status == "failed"
-
-
-class TestRandomTermination:
-    def test_kills_over_time(self, provisioned_cloud):
-        cloud = provisioned_cloud
-        chaos = RandomTerminationProcess(
-            cloud.engine, cloud.injector, "asg-dsn", mean_interval=50.0, seed=3, max_kills=2
-        )
-        chaos.start()
-        cloud.engine.run(until=cloud.engine.now + 600)
-        chaos.stop()
-        assert 1 <= len(chaos.kills) <= 2
-
-    def test_invalid_interval_rejected(self, provisioned_cloud):
-        with pytest.raises(ValueError):
-            RandomTerminationProcess(
-                provisioned_cloud.engine, provisioned_cloud.injector, "asg", mean_interval=0
-            )
 
 
 class TestSecondTeam:

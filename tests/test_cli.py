@@ -77,3 +77,35 @@ class TestRecoverCommand:
         """Exit code 2 = ESCALATED; the one-word reason rides the headline."""
         assert main(["recover", "--fault", "AMI_UNAVAILABLE"]) == 2
         assert "recovery: ESCALATED (nothing-automatable)" in capsys.readouterr().out
+
+
+class TestInputValidation:
+    """Bad counts and unknown names are usage errors (exit 2, no
+    traceback), found before any campaign runs."""
+
+    @pytest.mark.parametrize(
+        "argv, says",
+        [
+            (["campaign", "--runs", "0"], "must be at least 1"),
+            (["demo", "--cluster", "0"], "must be at least 1"),
+            (["trees", "--dot", "nope"], "known: asg-instance-count"),
+            (["chaos-sweep", "--levels", "none,bogus"], "known: none, mild, moderate, severe"),
+        ],
+        ids=["runs-0", "cluster-0", "unknown-tree", "unknown-level"],
+    )
+    def test_usage_error(self, argv, says, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and says in err
+        assert "Traceback" not in err
+
+    def test_a_bad_level_runs_no_campaign(self, monkeypatch, capsys):
+        from repro.evaluation.campaign import Campaign
+
+        ran = []
+        monkeypatch.setattr(Campaign, "run", lambda self, **kwargs: ran.append(self))
+        with pytest.raises(SystemExit):
+            main(["chaos-sweep", "--runs", "1", "--levels", "none,bogus"])
+        assert ran == []

@@ -65,22 +65,16 @@ JUSTIFIED: dict[str, str] = {
 }
 
 #: ROADMAP item 5 asked "what runs it?" of these too.  Each *has* a caller
-#: the scan sees (an example, a CLI subcommand, a package export), so it is
-#: not in JUSTIFIED; the answer is recorded here, and the names must keep
-#: resolving so the record cannot outlive its subject.
+#: the scan sees (an example, a package export), so it is not in JUSTIFIED;
+#: the answer is recorded here, and the names must keep resolving so the
+#: record cannot outlive its subject.  What only says "a CLI subcommand runs
+#: it" is gone: tests/test_reachability.py runs every subcommand and checks.
 KEPT_WITH_CALLERS: dict[str, str] = {
-    "repro.cli": "seven subcommands, each a README command with a tests/test_cli.py case",
     "repro.operations.bluegreen": "second tenant of OperationProfile: examples/bluegreen_deploy.py,"
                                   " tests/operations/test_bluegreen.py, tests/recovery/test_resume.py",
     "repro.diagnosis.offline": "the write-history flap finder, item 8's subject:"
                                " examples/offline_postmortem.py, tests/diagnosis/test_offline.py",
     "repro.assertions.spec": "README assertion spec language: examples/assertion_spec_demo.py",
-    "repro.process.serialize": "README model JSON/DOT export: `repro mine --dot`",
-    "repro.faulttree.serialize": "README tree JSON/DOT export: `repro trees --dot TREE_ID`",
-    "repro.cloud.provider": "the composition root that seeds engine, state, trail, controller,"
-                            " monitor and injector from one seed (Testbed, every example)",
-    "repro.evaluation.figures": "Fig. 6/7 renderers: `repro campaign`, examples/fault_injection_study.py,"
-                                " tests/paper",
     "repro.logsys.timers:OneOffTimer": "paper §III.B.3 names one-off timers beside periodic ones",
     "repro.evaluation.parallel:execute_specs": "runner= is the seam the dead-worker and determinism"
                                                " tests substitute (tests/evaluation/test_parallel_campaign.py)",
@@ -91,20 +85,7 @@ KEPT_WITH_CALLERS: dict[str, str] = {
 
 
 #: Defaulted parameters nothing passes, kept on purpose.
-UNSET_PARAMETERS: dict[str, str] = {
-    **{
-        f"{sweep}:{parameter}": "the four sweeps of repro.evaluation.sweeps share one signature"
-                                " (values, runs_per_fault, seed, max_workers); sweep_chaos's is what"
-                                " `repro chaos-sweep --seed/--workers` sets"
-        for sweep, parameter in (
-            ("sweep_interference", "max_workers"),
-            ("sweep_cluster_size", "seed"),
-            ("sweep_cluster_size", "max_workers"),
-            ("sweep_transient_rate", "seed"),
-            ("sweep_transient_rate", "max_workers"),
-        )
-    },
-}
+UNSET_PARAMETERS: dict[str, str] = {}
 
 
 def _public_definitions() -> collections.Counter:
