@@ -17,6 +17,7 @@ after the fact.  This example:
 Run:  python examples/offline_postmortem.py
 """
 
+from repro.cloud.cloudtrail import MAX_DELAY
 from repro.diagnosis.offline import transient_changes
 from repro.operations.interference import InterferencePlan, InterferenceScheduler
 from repro.testbed import build_testbed
@@ -35,7 +36,7 @@ def main() -> None:
 
     print("\npost-mortem, once CloudTrail has delivered:")
     held = [r for r in pod.reports if any(c.status == "undetermined" for c in r.root_causes)]
-    engine.run(until=engine.now + testbed.cloud.trail.max_delay)
+    engine.run(until=engine.now + MAX_DELAY)
     online = len(pod.reports)
     for report in held:
         pod.diagnosis.diagnose(report.tree_ids, trigger_detail=f"post-mortem of {report.request_id}")

@@ -14,8 +14,8 @@ experiments, at the 95% percentile."
   (throttling, transient service unavailability);
 - ``call_until`` — retry a (possibly stale) read until a predicate holds
   or the deadline passes, absorbing eventual consistency;
-- per-call timeout, calibrated by default to the 95th percentile of the
-  latency model.
+- per-call timeout, calibrated to the 95th percentile of the latency
+  model.
 
 On top of the paper's retry+timeout the client is hardened against a
 degraded API plane (see :mod:`repro.cloud.chaos`).  There is one
@@ -25,9 +25,9 @@ configuration — every client has all of it, whether or not chaos is on:
   storm is not answered with a synchronized retry storm;
 - a **retry budget** (token bucket) caps the total retry volume so one
   flaky endpoint cannot starve a whole assertion batch;
-- a per-method **circuit breaker** fails fast after ``breaker_threshold``
+- a per-method **circuit breaker** fails fast after ``BREAKER_THRESHOLD``
   consecutive retryable failures, with a half-open probe after
-  ``breaker_cooldown`` seconds;
+  ``BREAKER_COOLDOWN`` seconds;
 - **deadline propagation**: ``call_until`` passes its own deadline into
   each inner ``call``, so inner retries never outlive the outer timeout;
 - **blackhole absorption**: a chaos-blackholed call consumes the
@@ -53,6 +53,16 @@ from repro.cloud.api import CloudAPI
 from repro.cloud.chaos import BlackholedCall
 from repro.cloud.errors import CloudError, ResourceNotFound
 from repro.sim.latency import LatencyModel, aws_api_latency
+
+#: Retries of one call after its first attempt.
+MAX_RETRIES = 4
+#: Upper end of the first retry's full-jitter backoff window (seconds); the
+#: window doubles per retry, so the fourth and last retry waits <= 1.6 s.
+BASE_BACKOFF = 0.2
+#: A method's breaker opens after this many consecutive retryable failures
+#: and lets one probe call through ``BREAKER_COOLDOWN`` seconds later.
+BREAKER_THRESHOLD = 6
+BREAKER_COOLDOWN = 45.0
 
 
 class ConsistentCallError(Exception):
@@ -182,14 +192,8 @@ class ConsistentApiClient:
         engine,
         api: CloudAPI,
         latency: LatencyModel | None = None,
-        max_retries: int = 4,
-        base_backoff: float = 0.2,
-        call_timeout: float | None = None,
         seed: int = 0,
-        max_backoff: float = 30.0,
         retry_budget: RetryBudget | None = None,
-        breaker_threshold: int = 6,
-        breaker_cooldown: float = 45.0,
         obs=None,
     ) -> None:
         # Live metric events (retries, breaker trips, blackholes) for the
@@ -199,25 +203,17 @@ class ConsistentApiClient:
         self.engine = engine
         self.api = api
         self.latency = latency or aws_api_latency()
-        self.max_retries = max_retries
-        self.base_backoff = base_backoff
-        self.max_backoff = max_backoff
         self._rng = random.Random(seed)  # jitter stream
         #: Omitted = this client's own default bucket (32 tokens @ 0.75/s).
         self.retry_budget = retry_budget or RetryBudget()
-        self.breaker_threshold = breaker_threshold
-        self.breaker_cooldown = breaker_cooldown
         self._breakers: dict[str, CircuitBreaker] = {}
-        if call_timeout is None:
-            # The paper calibrates timeouts at the 95th percentile of
-            # measured latencies; fall back to 10x mean if the model has
-            # no analytic percentile.
-            percentile = getattr(self.latency, "percentile", None)
-            if percentile is not None:
-                call_timeout = percentile(0.95) * (max_retries + 1) + 2.0
-            else:
-                call_timeout = self.latency.mean() * 10 * (max_retries + 1)
-        self.call_timeout = call_timeout
+        # The paper calibrates timeouts at the 95th percentile of measured
+        # latencies; 10x the mean if the model has no analytic percentile.
+        percentile = getattr(self.latency, "percentile", None)
+        if percentile is not None:
+            self.call_timeout = percentile(0.95) * (MAX_RETRIES + 1) + 2.0
+        else:
+            self.call_timeout = self.latency.mean() * 10 * (MAX_RETRIES + 1)
         self.calls_made = 0
         self.retries_made = 0
         #: Deadline expiries only — retry exhaustion is counted separately
@@ -232,7 +228,7 @@ class ConsistentApiClient:
 
     def _breaker(self, method: str) -> CircuitBreaker:
         if method not in self._breakers:
-            self._breakers[method] = CircuitBreaker(self.breaker_threshold, self.breaker_cooldown)
+            self._breakers[method] = CircuitBreaker(BREAKER_THRESHOLD, BREAKER_COOLDOWN)
         return self._breakers[method]
 
     @property
@@ -330,11 +326,11 @@ class ConsistentApiClient:
                 # frame: a frame holding its own exception is a cycle.
                 last_error = exc.with_traceback(None)
                 attempt += 1
-                if attempt > self.max_retries:
+                if attempt > MAX_RETRIES:
                     self.retry_exhaustions += 1
                     self._count("client.retry_exhaustions")
                     raise ConsistentCallError(
-                        f"{method} still failing after {self.max_retries} retries: {exc}",
+                        f"{method} still failing after {MAX_RETRIES} retries: {exc}",
                         timed_out=False,
                         last_error=exc,
                         degraded=chaos_seen,
@@ -352,9 +348,7 @@ class ConsistentApiClient:
                 self._count("client.retries")
                 # Full jitter (AWS architecture blog): uniform in
                 # [0, backoff] decorrelates the retry herd.
-                backoff = self._rng.uniform(
-                    0.0, min(self.base_backoff * (2 ** (attempt - 1)), self.max_backoff)
-                )
+                backoff = self._rng.uniform(0.0, BASE_BACKOFF * 2 ** (attempt - 1))
                 remaining = max(0.0, call_deadline - self.engine.now)
                 yield self.engine.timeout(min(backoff, remaining))
             else:
@@ -405,7 +399,7 @@ class ConsistentApiClient:
                 return result
             last_result = result
             attempt += 1
-            backoff = self.base_backoff * (2 ** min(attempt - 1, 6))
+            backoff = BASE_BACKOFF * (2 ** min(attempt - 1, 6))
             if self.engine.now + backoff >= deadline:
                 self.timeouts += 1
                 self._count("client.timeouts")

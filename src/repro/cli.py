@@ -20,15 +20,25 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import typing as _t
 
 
 def positive_int(value: str) -> int:
-    """argparse type of every count: runs per fault type, cluster size."""
+    """argparse type of every count: runs per fault type, cluster size,
+    spans rendered."""
     number = int(value)
     if number < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return number
+
+
+def non_negative_seconds(value: str) -> float:
+    """argparse type of a virtual-time offset: a finite number >= 0."""
+    number = float(value)
+    if not 0 <= number < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {value}")
     return number
 
 
@@ -397,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     recover.add_argument("--cluster", type=positive_int, default=4, help="cluster size (default 4)")
     recover.add_argument("--seed", type=int, default=11)
-    recover.add_argument("--inject-at", type=float, default=40.0,
+    recover.add_argument("--inject-at", type=non_negative_seconds, default=40.0,
                          help="virtual seconds after upgrade start (default 40)")
     recover.add_argument(
         "--chaos", default="none", choices=list(CHAOS_LEVELS),
@@ -442,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--json", help="write the full trace JSON to this path")
     trace.add_argument("--tree", metavar="RUN_ID",
                        help="render this run's span tree (default: first run)")
-    trace.add_argument("--max-spans", type=int, default=80,
+    trace.add_argument("--max-spans", type=positive_int, default=80,
                        help="truncate the rendered tree after this many spans")
     trace.set_defaults(func=_cmd_trace_export)
 

@@ -25,7 +25,6 @@ from repro.cloud.chaos import (
     ChaosController,
     ChaosProfile,
     ErrorStorm,
-    ServiceChaos,
     get_profile,
 )
 from repro.cloud.cloudtrail import CloudTrail
@@ -66,7 +65,6 @@ __all__ = [
     "ChaosController",
     "ChaosProfile",
     "ErrorStorm",
-    "ServiceChaos",
     "get_profile",
     "AsgController",
     "ScalingActivity",

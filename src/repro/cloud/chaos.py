@@ -6,10 +6,11 @@ outage.  The 8 injected fault types of the campaign are *state* faults
 (wrong AMI, deleted key pair, ...); this module injects the orthogonal
 *API-plane* faults that stress the monitor itself:
 
-- **error bursts** — per-call transient ``ServiceUnavailable`` with a
-  configurable per-service probability;
+- **error bursts** — per-call transient ``ServiceUnavailable`` with one
+  probability for every service;
 - **error storms** — windows of time during which the error probability
-  spikes (modelling a regional control-plane incident);
+  spikes, on every service or on named ones (modelling a regional
+  control-plane incident, or one service's);
 - **latency brownouts** — a multiplier on the API latency model;
 - **blackholes** — calls that hang until the caller's deadline instead of
   returning at all;
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 import dataclasses
 import random
-import typing as _t
 
 from repro.cloud.errors import CloudError, ServiceUnavailable
 
@@ -52,9 +52,9 @@ class BlackholedCall(CloudError):
     chaos = True
 
 
-#: Coarse service taxonomy for per-service knobs, mirroring how a real
-#: control-plane incident hits one service (ELB in Dec-2012) while the
-#: others stay healthy.
+#: Coarse service taxonomy for storms that hit one service, mirroring how
+#: a real control-plane incident hits one service (ELB in Dec-2012) while
+#: the others stay healthy.
 ELB_METHODS_PREFIXES = ("describe_instance_health",)
 
 
@@ -92,15 +92,6 @@ class ErrorStorm:
 
 
 @dataclasses.dataclass(frozen=True)
-class ServiceChaos:
-    """Per-service overrides of the profile-wide knobs."""
-
-    error_rate: float | None = None
-    blackhole_rate: float | None = None
-    latency_multiplier: float | None = None
-
-
-@dataclasses.dataclass(frozen=True)
 class ChaosProfile:
     """One named level of API-plane degradation.
 
@@ -118,8 +109,6 @@ class ChaosProfile:
     consistency_lag_multiplier: float = 1.0
     #: Windows of spiked error probability.
     storms: tuple[ErrorStorm, ...] = ()
-    #: Per-service overrides, keyed by ``service_of`` family.
-    per_service: _t.Mapping[str, ServiceChaos] = dataclasses.field(default_factory=dict)
 
     def __post_init__(self) -> None:
         for knob in (self.error_rate, self.blackhole_rate):
@@ -136,28 +125,15 @@ class ChaosProfile:
             or self.latency_multiplier > 1.0
             or self.consistency_lag_multiplier > 1.0
             or bool(self.storms)
-            or bool(self.per_service)
         )
 
     def rates_for(self, service: str, now: float) -> tuple[float, float]:
         """Effective (error_rate, blackhole_rate) for one service now."""
-        override = self.per_service.get(service)
-        error = self.error_rate if override is None or override.error_rate is None else override.error_rate
-        blackhole = (
-            self.blackhole_rate
-            if override is None or override.blackhole_rate is None
-            else override.blackhole_rate
-        )
+        error = self.error_rate
         for storm in self.storms:
             if storm.active(now) and storm.applies_to(service):
                 error = max(error, storm.intensity)
-        return error, blackhole
-
-    def latency_multiplier_for(self, service: str) -> float:
-        override = self.per_service.get(service)
-        if override is not None and override.latency_multiplier is not None:
-            return override.latency_multiplier
-        return self.latency_multiplier
+        return error, self.blackhole_rate
 
 
 #: Named degradation levels, ordered none → severe.  ``repro chaos-sweep``
@@ -208,15 +184,6 @@ def get_profile(profile: ChaosProfile | str | None) -> ChaosProfile:
         ) from None
 
 
-@dataclasses.dataclass
-class ChaosEvent:
-    """One injected API-plane fault (bookkeeping for reports/metrics)."""
-
-    time: float
-    method: str
-    kind: str  # "error" | "blackhole"
-
-
 class ChaosController:
     """Decides, per API call, whether and how to degrade it.
 
@@ -229,7 +196,6 @@ class ChaosController:
         self.engine = engine
         self.profile = get_profile(profile)
         self._rng = random.Random(seed)
-        self.events: list[ChaosEvent] = []
         self.counters: dict[str, int] = {"calls_seen": 0, "errors": 0, "blackholes": 0}
 
     @property
@@ -249,17 +215,15 @@ class ChaosController:
         roll = self._rng.random()
         if roll < blackhole_rate:
             self.counters["blackholes"] += 1
-            self.events.append(ChaosEvent(self.engine.now, method, "blackhole"))
             raise BlackholedCall(f"chaos: {method} blackholed")
         if roll < blackhole_rate + error_rate:
             self.counters["errors"] += 1
-            self.events.append(ChaosEvent(self.engine.now, method, "error"))
             error = ServiceUnavailable(f"chaos: {method} temporarily unavailable")
             error.chaos = True
             raise error
 
     def latency_multiplier(self) -> float:
-        return self.profile.latency_multiplier_for("ec2")
+        return self.profile.latency_multiplier
 
     # -- wrappers --------------------------------------------------------------
 

@@ -30,25 +30,17 @@ class TrailRecord:
         return now >= self.delivery_time
 
 
+#: Delivery delay bounds (seconds): each record's delay is uniform in
+#: ``[MIN_DELAY, MAX_DELAY]`` — the paper reports "up to 15 minutes".
+MIN_DELAY = 300.0
+MAX_DELAY = 900.0
+
+
 class CloudTrail:
-    """Audit log with per-record delivery delay.
+    """Audit log with per-record delivery delay."""
 
-    Delay is sampled uniformly in ``[min_delay, max_delay]`` per record —
-    the paper reports "up to 15 minutes", so the default max is 900 s.
-    """
-
-    def __init__(
-        self,
-        clock,
-        min_delay: float = 300.0,
-        max_delay: float = 900.0,
-        seed: int = 0,
-    ) -> None:
-        if not 0 <= min_delay <= max_delay:
-            raise ValueError("invalid delay bounds")
+    def __init__(self, clock, seed: int = 0) -> None:
         self.clock = clock
-        self.min_delay = min_delay
-        self.max_delay = max_delay
         self._rng = random.Random(seed)
         self._records: list[TrailRecord] = []
 
@@ -66,7 +58,7 @@ class CloudTrail:
             principal=principal,
             request_parameters=dict(request_parameters),
             error_code=error_code,
-            delivery_time=now + self._rng.uniform(self.min_delay, self.max_delay),
+            delivery_time=now + self._rng.uniform(MIN_DELAY, MAX_DELAY),
         )
         self._records.append(record)
         return record

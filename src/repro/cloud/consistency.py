@@ -14,25 +14,28 @@ from __future__ import annotations
 
 import random
 
+#: Longest replication lag a read can see (seconds): the exponential's
+#: tail is cut here.
+MAX_LAG = 20.0
+
 
 class ConsistencyModel:
     """Samples replication lag for reads.
 
     ``mean_lag`` of 0 gives strong consistency (useful in unit tests);
-    the defaults approximate EC2's typical sub-ten-second convergence.
+    the default approximates EC2's typical sub-ten-second convergence.
     """
 
-    def __init__(self, mean_lag: float = 2.5, max_lag: float = 20.0, seed: int = 0) -> None:
-        if mean_lag < 0 or max_lag < 0:
+    def __init__(self, mean_lag: float = 2.5, seed: int = 0) -> None:
+        if mean_lag < 0:
             raise ValueError("lags must be non-negative")
         self.mean_lag = mean_lag
-        self.max_lag = max_lag
         self._rng = random.Random(seed)
 
     def sample_lag(self) -> float:
         if self.mean_lag == 0:
             return 0.0
-        return min(self._rng.expovariate(1.0 / self.mean_lag), self.max_lag)
+        return min(self._rng.expovariate(1.0 / self.mean_lag), MAX_LAG)
 
 
 class EventuallyConsistentView:

@@ -54,6 +54,10 @@ def activities_since(
 #: registering it with the group's load balancers.
 ELB_REGISTER_DELAY = 3.0
 
+#: Seconds between reconcile passes: how soon a terminated member is
+#: replaced and a failed launch is retried.
+RECONCILE_INTERVAL = 5.0
+
 
 class AsgController:
     """Background reconciliation process for every ASG in the region."""
@@ -66,14 +70,10 @@ class AsgController:
         self,
         engine,
         state: CloudState,
-        interval: float = 5.0,
         boot_latency: LatencyModel | None = None,
     ) -> None:
-        if interval <= 0:
-            raise ValueError("interval must be positive")
         self.engine = engine
         self.state = state
-        self.interval = interval
         self.boot_latency = boot_latency or instance_boot_latency()
         self._running = False
         self._tick = 0
@@ -92,7 +92,7 @@ class AsgController:
     def _loop(self) -> _t.Generator:
         while self._running:
             self.reconcile()
-            yield self.engine.timeout(self.interval)
+            yield self.engine.timeout(RECONCILE_INTERVAL)
 
     def reconcile(self) -> None:
         """One pass: converge every ASG towards its desired capacity.

@@ -13,6 +13,11 @@ from __future__ import annotations
 
 import dataclasses
 
+#: The region's API call limit: at most this many calls within any
+#: sliding window of ``RATE_WINDOW`` seconds.
+MAX_CALLS_PER_WINDOW = 1000
+RATE_WINDOW = 1.0
+
 
 @dataclasses.dataclass
 class AccountLimits:
@@ -20,9 +25,6 @@ class AccountLimits:
 
     #: Maximum simultaneously active (pending or running) instances.
     max_instances: int = 40
-    #: Maximum API calls within any sliding window of ``rate_window`` s.
-    max_calls_per_window: int = 1000
-    rate_window: float = 1.0
 
 
 class RateLimiter:
@@ -33,20 +35,19 @@ class RateLimiter:
     simulated 'second team' starve the primary team of API throughput.
     """
 
-    def __init__(self, limits: AccountLimits) -> None:
-        self.limits = limits
+    def __init__(self) -> None:
         self._timestamps: list[float] = []
 
     def try_acquire(self, now: float) -> bool:
         """Record one call at ``now``; False means the caller is throttled."""
-        window_start = now - self.limits.rate_window
+        window_start = now - RATE_WINDOW
         self._timestamps = [t for t in self._timestamps if t > window_start]
-        if len(self._timestamps) >= self.limits.max_calls_per_window:
+        if len(self._timestamps) >= MAX_CALLS_PER_WINDOW:
             return False
         self._timestamps.append(now)
         return True
 
     def in_flight(self, now: float) -> int:
         """Number of calls inside the current window (for metrics)."""
-        window_start = now - self.limits.rate_window
+        window_start = now - RATE_WINDOW
         return sum(1 for t in self._timestamps if t > window_start)

@@ -27,15 +27,17 @@ from repro.cloud.freeze import FrozenView
 from repro.cloud.state import KINDS
 
 
+#: Seconds between crawls; a configuration flap shorter than this can
+#: fall between two crawls and go unseen.
+CRAWL_INTERVAL = 30.0
+
+
 class CloudMonitor:
     """Periodic sampling crawler (Edda substitute)."""
 
-    def __init__(self, engine, state, interval: float = 30.0) -> None:
-        if interval <= 0:
-            raise ValueError("interval must be positive")
+    def __init__(self, engine, state) -> None:
         self.engine = engine
         self.state = state
-        self.interval = interval
         #: Crawl times, in order.
         self.ticks: list[float] = []
         #: (kind, id) -> parallel (crawl time, view) arrays, one entry per
@@ -45,7 +47,7 @@ class CloudMonitor:
         self._running = False
 
     def start(self) -> None:
-        """Begin crawling; crawls immediately, then every ``interval``."""
+        """Begin crawling; crawls immediately, then every ``CRAWL_INTERVAL``."""
         if self._running:
             return
         self._running = True
@@ -57,7 +59,7 @@ class CloudMonitor:
     def _crawl_loop(self) -> _t.Generator:
         while self._running:
             self.take_snapshot()
-            yield self.engine.timeout(self.interval)
+            yield self.engine.timeout(CRAWL_INTERVAL)
 
     def take_snapshot(self) -> None:
         """Crawl the region now (also callable directly in tests).

@@ -28,7 +28,6 @@ class SimulatedCloud:
         seed: int = 0,
         limits: AccountLimits | None = None,
         mean_consistency_lag: float = 2.5,
-        monitor_interval: float = 30.0,
     ) -> None:
         self.seed = seed
         self.engine = Engine()
@@ -40,7 +39,7 @@ class SimulatedCloud:
             self.state,
             boot_latency=instance_boot_latency(seed=seed + 17),
         )
-        self.monitor = CloudMonitor(self.engine, self.state, interval=monitor_interval)
+        self.monitor = CloudMonitor(self.engine, self.state)
         self.injector = FaultInjector(self.engine, self.state, trail=self.trail)
         self._apis: dict[str, CloudAPI] = {}
 

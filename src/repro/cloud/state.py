@@ -54,7 +54,7 @@ class CloudState:
 
     def __init__(self, limits: AccountLimits | None = None) -> None:
         self.limits = limits or AccountLimits()
-        self.rate_limiter = RateLimiter(self.limits)
+        self.rate_limiter = RateLimiter()
         self.amis: dict[str, AmiImage] = {}
         self.security_groups: dict[str, SecurityGroup] = {}
         self.key_pairs: dict[str, KeyPair] = {}

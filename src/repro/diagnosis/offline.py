@@ -1,7 +1,7 @@
 """Post-mortem diagnosis (§VI).
 
 A post-mortem is a later diagnosis: once CloudTrail has delivered (wait
-``trail.max_delay``), ``DiagnosisEngine.diagnose(report.tree_ids)`` walks
+``repro.cloud.cloudtrail.MAX_DELAY``), ``DiagnosisEngine.diagnose(report.tree_ids)`` walks
 the same tree with the same probes and can name who terminated an
 instance.  What remains here is the write-history flap finder, for
 transient faults reverted before any on-demand test ran.

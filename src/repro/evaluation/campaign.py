@@ -25,6 +25,16 @@ from repro.faulttree.library import EXPECTED_ROOT_CAUSE
 from repro.operations.interference import InterferencePlan, InterferenceScheduler, SecondTeam
 from repro.testbed import Testbed
 
+#: The paper's two cluster sizes (§V.B).
+SMALL_CLUSTER = 4
+LARGE_CLUSTER = 20
+#: Probability a run carries each kind of interference (§V.A's mix).
+P_SCALE_IN = 0.25
+P_RANDOM_TERMINATION = 0.12
+P_ACCOUNT_PRESSURE = 0.06
+#: Probability a (revertible) configuration fault is transient.
+P_TRANSIENT = 0.08
+
 #: Interference truth labels.
 SCALE_IN = "SCALE_IN"
 RANDOM_TERMINATION = "RANDOM_TERMINATION"
@@ -234,17 +244,7 @@ class CampaignConfig:
     runs_per_fault: int = 20
     #: Of each fault's runs, how many use the large cluster.
     large_cluster_runs: int = 4
-    cluster_small: int = 4
-    cluster_large: int = 20
     seed: int = 2014
-    #: Probability a run carries each kind of interference.
-    p_scale_in: float = 0.25
-    p_random_termination: float = 0.12
-    p_account_pressure: float = 0.06
-    #: Probability a (revertible) configuration fault is transient.
-    p_transient: float = 0.08
-    #: Restrict the campaign to a subset of fault types (None = all 8).
-    fault_types: tuple[str, ...] | None = None
     #: API-plane degradation applied to every run (a chaos level name).
     chaos_profile: str = "none"
     #: Enable span tracing + pipeline metrics on every run.
@@ -254,10 +254,6 @@ class CampaignConfig:
     recover: bool = False
 
     def __post_init__(self) -> None:
-        if self.fault_types is not None:
-            unknown = set(self.fault_types) - set(FAULT_TYPES)
-            if unknown:
-                raise ValueError(f"unknown fault types: {sorted(unknown)}")
         from repro.cloud.chaos import get_profile
 
         get_profile(self.chaos_profile)  # validate the name early
@@ -429,26 +425,26 @@ class Campaign:
         config = self.config
         rng = random.Random(config.seed)
         specs: list[RunSpec] = []
-        for fault_type in config.fault_types or FAULT_TYPES:
+        for fault_type in FAULT_TYPES:
             for index in range(config.runs_per_fault):
                 large = index < config.large_cluster_runs
-                cluster = config.cluster_large if large else config.cluster_small
+                cluster = LARGE_CLUSTER if large else SMALL_CLUSTER
                 # Inject somewhere in the first two thirds of the expected
                 # upgrade duration ("at a random point of time during
                 # rolling upgrade").
-                expected_duration = 450.0 if cluster == config.cluster_small else 1100.0
+                expected_duration = 1100.0 if large else 450.0
                 inject_at = rng.uniform(20.0, expected_duration * 0.75)
                 plan = InterferencePlan()
-                if rng.random() < config.p_scale_in:
+                if rng.random() < P_SCALE_IN:
                     plan.scale_in_at = rng.uniform(40.0, expected_duration * 0.5)
-                if rng.random() < config.p_random_termination:
+                if rng.random() < P_RANDOM_TERMINATION:
                     plan.random_termination_at = rng.uniform(40.0, expected_duration * 0.5)
-                if rng.random() < config.p_account_pressure:
+                if rng.random() < P_ACCOUNT_PRESSURE:
                     plan.second_team_pressure_at = rng.uniform(10.0, expected_duration * 0.3)
                     # Hungry second team: wants more than the account holds,
                     # so it races the upgrade for every freed slot.
                     plan.second_team_target_headroom = -6
-                transient = fault_type in CONFIG_FAULTS and rng.random() < config.p_transient
+                transient = fault_type in CONFIG_FAULTS and rng.random() < P_TRANSIENT
                 specs.append(
                     RunSpec(
                         run_id=f"{fault_type.lower()}-{index + 1:02d}",

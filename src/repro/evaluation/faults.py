@@ -32,6 +32,9 @@ RESOURCE_FAULTS = FAULT_TYPES[4:]
 #: variant that produced the paper's third wrong-diagnosis class.
 REVERTIBLE = frozenset(CONFIG_FAULTS) | {"ELB_UNAVAILABLE"}
 
+#: Seconds a transient fault stays after it first bites.
+REVERT_AFTER = 25.0
+
 
 @dataclasses.dataclass
 class FaultPlan:
@@ -40,7 +43,6 @@ class FaultPlan:
     fault_type: str
     inject_at: float  # seconds after upgrade start
     transient: bool = False
-    revert_after: float = 25.0
 
     def __post_init__(self) -> None:
         if self.fault_type not in FAULT_TYPES:
@@ -115,7 +117,7 @@ def schedule_fault(testbed, plan: FaultPlan) -> dict:
                 ):
                     break
                 yield testbed.engine.timeout(5.0)
-            yield testbed.engine.timeout(plan.revert_after)
+            yield testbed.engine.timeout(REVERT_AFTER)
             testbed.cloud.injector.revert(record)
             outcome["reverted_at"] = testbed.engine.now
 

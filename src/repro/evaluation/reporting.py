@@ -30,11 +30,10 @@ PAPER = {
 def render_markdown(
     outcomes: _t.Sequence[RunOutcome],
     metrics: CampaignMetrics,
-    title: str = "POD-Diagnosis campaign report",
 ) -> str:
     """The full report as a Markdown string."""
     sections = [
-        f"# {title}\n",
+        "# POD-Diagnosis campaign report\n",
         _headline_section(metrics),
         _fig6_section(metrics),
         _fig7_section(metrics),

@@ -2,15 +2,13 @@
 
 "Noise filters drop any log line that is not relevant to the current
 operation process based on regular expressions" (§III.B.1).  Relevance is
-defined by the pattern library *plus* an allowlist of extra regexes (error
-lines from other components that should still reach conformance checking
-as 'unknown' events rather than be silently dropped).
+defined by the pattern library; on the watched operation's own log every
+line that is not framework chatter is relevant.
 """
 
 from __future__ import annotations
 
 import re
-import typing as _t
 
 from repro.logsys.patterns import PatternLibrary, classify_record, guard_literals
 from repro.logsys.record import LogRecord
@@ -32,19 +30,15 @@ class NoiseFilter:
     def __init__(
         self,
         library: PatternLibrary,
-        passthrough_regexes: _t.Iterable[str] = (),
         passthrough_unmatched: bool = False,
         obs=None,
     ) -> None:
         self.library = library
-        self.passthrough = [re.compile(r) for r in passthrough_regexes]
         #: When tailing the watched operation's *own* log, unmatched lines
         #: are not noise — they are exactly the unusual lines conformance
         #: checking must see (tagged ``conformance:unclassified``).  Noise
         #: is then defined by the drop regexes alone.
         self.passthrough_unmatched = passthrough_unmatched
-        self.dropped_count = 0
-        self.passed_count = 0
         self._metrics = obs.metrics if obs else None
 
     def accepts(self, record: LogRecord) -> bool:
@@ -58,18 +52,9 @@ class NoiseFilter:
         for literal in self.DROPPED_GUARD:
             if literal in message:
                 if self.DROPPED.search(message):
-                    self.dropped_count += 1
                     return False
                 break
-        if classify_record(self.library, record, self._metrics).matched:
-            self.passed_count += 1
-            return True
-        if self.passthrough_unmatched:
-            self.passed_count += 1
-            return True
-        for regex in self.passthrough:
-            if regex.search(message):
-                self.passed_count += 1
-                return True
-        self.dropped_count += 1
-        return False
+        return (
+            classify_record(self.library, record, self._metrics).matched
+            or self.passthrough_unmatched
+        )

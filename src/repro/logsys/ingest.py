@@ -49,7 +49,6 @@ def parse_line(line: str) -> tuple[_dt.datetime | None, str]:
 def read_log(
     lines: _t.Iterable[str],
     source: str = "recorded.log",
-    type: str = "operation",
 ) -> list[LogRecord]:
     """Parse raw lines into records with relative virtual times.
 
@@ -73,7 +72,7 @@ def read_log(
                 time=current,
                 source=source,
                 message=body,
-                type=type,
+                type="operation",
                 timestamp=stamp.strftime("%Y-%m-%d %H:%M:%S,") + f"{stamp.microsecond // 1000:03d}"
                 if stamp
                 else "",

@@ -82,8 +82,8 @@ def _required_path(nodes: _t.Iterable) -> tuple[list[str], list]:
     return [run for run in runs if run], branches
 
 
-def _longest(runs: list[str], min_length: int) -> str | None:
-    candidates = [run for run in runs if len(run) >= min_length]
+def _longest(runs: list[str]) -> str | None:
+    candidates = [run for run in runs if len(run) >= MIN_LITERAL_LENGTH]
     return max(candidates, key=len) if candidates else None
 
 
@@ -105,9 +105,9 @@ def literal_runs(regex: str) -> list[str]:
     return [] if parsed is None else _required_path(parsed)[0]
 
 
-def required_literal(regex: str, min_length: int = MIN_LITERAL_LENGTH) -> str | None:
+def required_literal(regex: str) -> str | None:
     """The most selective (longest) required literal, or None."""
-    return _longest(literal_runs(regex), min_length)
+    return _longest(literal_runs(regex))
 
 
 def guard_literals(regex: str) -> tuple[str, ...]:
@@ -124,10 +124,10 @@ def guard_literals(regex: str) -> tuple[str, ...]:
         return ()
     runs, branches = _required_path(parsed)
     for alternatives in branches:
-        guard = tuple(_longest(_required_path(a)[0], MIN_LITERAL_LENGTH) for a in alternatives)
+        guard = tuple(_longest(_required_path(a)[0]) for a in alternatives)
         if None not in guard:
             return guard
-    literal = _longest(runs, MIN_LITERAL_LENGTH)
+    literal = _longest(runs)
     return () if literal is None else (literal,)
 
 

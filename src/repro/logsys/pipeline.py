@@ -41,7 +41,6 @@ class LocalLogProcessor:
         self.timer_setter = timer_setter
         self.trigger = trigger
         self.storage = storage
-        self.processed_count = 0
         self.shipped_count = 0
         self._tracer = obs.tracer if obs else None
         self._metrics = obs.metrics if obs else None
@@ -57,7 +56,6 @@ class LocalLogProcessor:
             if metrics is not None:
                 metrics.inc("pipeline.records_filtered")
             return False
-        self.processed_count += 1
         if metrics is not None:
             metrics.inc("pipeline.records_ingested")
         if self._tracer is None:

@@ -14,7 +14,7 @@ from repro.logsys.record import LogRecord
 
 
 class CentralLogStorage:
-    """Append-only, time-ordered record store with tag/field queries."""
+    """Append-only, time-ordered record store with tag/type queries."""
 
     def __init__(self) -> None:
         self.records: list[LogRecord] = []
@@ -24,32 +24,13 @@ class CentralLogStorage:
 
     # -- queries ------------------------------------------------------------
 
-    def query(
-        self,
-        tag: str | None = None,
-        type: str | None = None,
-        source: str | None = None,
-        since: float | None = None,
-        until: float | None = None,
-        contains: str | None = None,
-    ) -> list[LogRecord]:
-        """Filter records; all criteria are conjunctive."""
-        result = []
-        for record in self.records:
-            if tag is not None and not record.has_tag(tag):
-                continue
-            if type is not None and record.type != type:
-                continue
-            if source is not None and record.source != source:
-                continue
-            if since is not None and record.time < since:
-                continue
-            if until is not None and record.time > until:
-                continue
-            if contains is not None and contains not in record.message:
-                continue
-            result.append(record)
-        return result
+    def query(self, tag: str | None = None, type: str | None = None) -> list[LogRecord]:
+        """Records with ``tag`` and of ``type``; an omitted criterion holds."""
+        return [
+            record
+            for record in self.records
+            if (tag is None or record.has_tag(tag)) and (type is None or record.type == type)
+        ]
 
     def by_trace(self, trace_id: str) -> list[LogRecord]:
         """All records of one process instance — the event trace that

@@ -40,15 +40,14 @@ class TimerFiring:
 class OneOffTimer:
     """Fires once after ``delay`` unless cancelled."""
 
-    def __init__(self, engine, delay: float, callback: TimerCallback, name: str = "one-off") -> None:
+    def __init__(self, engine, delay: float, callback: TimerCallback) -> None:
         if delay < 0:
             raise ValueError("delay must be non-negative")
         self.engine = engine
-        self.name = name
         self.callback = callback
         self.fired = False
         self.cancelled = False
-        engine.process(self._wait(delay), name=f"timer-{name}")
+        engine.process(self._wait(delay), name="timer-one-off")
 
     def cancel(self) -> None:
         self.cancelled = True
@@ -58,7 +57,7 @@ class OneOffTimer:
         if self.cancelled:
             return
         self.fired = True
-        self.callback(TimerFiring(self.name, self.engine.now, "one-off"))
+        self.callback(TimerFiring("one-off", self.engine.now, "one-off"))
 
 
 class PeriodicTimer:

@@ -24,13 +24,9 @@ class Trigger:
     ) -> None:
         self.conformance = conformance
         self.assertions = assertions
-        self.conformance_calls = 0
-        self.assertion_calls = 0
 
     def fire(self, record: LogRecord, assertion_ids: list[str]) -> None:
         if self.conformance is not None:
-            self.conformance_calls += 1
             self.conformance(record)
         if self.assertions is not None and assertion_ids:
-            self.assertion_calls += 1
             self.assertions(record, assertion_ids)

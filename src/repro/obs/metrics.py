@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import typing as _t
 
-#: Default histogram bucket upper bounds (seconds, virtual).  Chosen to
-#: resolve both the ~10 ms conformance checks and multi-minute
-#: convergence assertions; the last bucket is the +Inf overflow.
-DEFAULT_BUCKETS: tuple[float, ...] = (
+#: Histogram bucket upper bounds (seconds, virtual).  Chosen to resolve
+#: both the ~10 ms conformance checks and multi-minute convergence
+#: assertions; past the last bound is the +Inf overflow.
+BUCKETS: tuple[float, ...] = (
     0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 120.0, 300.0,
 )
 
@@ -28,11 +28,10 @@ DEFAULT_BUCKETS: tuple[float, ...] = (
 class Histogram:
     """Fixed-bucket histogram with exact count/sum/min/max."""
 
-    __slots__ = ("buckets", "counts", "count", "total", "min", "max")
+    __slots__ = ("counts", "count", "total", "min", "max")
 
-    def __init__(self, buckets: _t.Sequence[float] = DEFAULT_BUCKETS) -> None:
-        self.buckets = tuple(buckets)
-        self.counts = [0] * (len(self.buckets) + 1)  # +1 for +Inf
+    def __init__(self) -> None:
+        self.counts = [0] * (len(BUCKETS) + 1)  # +1 for +Inf
         self.count = 0
         self.total = 0.0
         self.min: float | None = None
@@ -43,14 +42,14 @@ class Histogram:
         self.total += value
         self.min = value if self.min is None else min(self.min, value)
         self.max = value if self.max is None else max(self.max, value)
-        for index, bound in enumerate(self.buckets):
+        for index, bound in enumerate(BUCKETS):
             if value <= bound:
                 self.counts[index] += 1
                 return
         self.counts[-1] += 1
 
     def snapshot(self) -> dict:
-        labels = [str(b) for b in self.buckets] + ["+Inf"]
+        labels = [str(b) for b in BUCKETS] + ["+Inf"]
         return {
             "count": self.count,
             "sum": self.total,

@@ -40,19 +40,27 @@ from repro.operations.target import TargetConfig
 from repro.process.model import ProcessModel
 
 
+#: Asgard's pacing: seconds between polls of the ASG or the ELB, and a
+#: status line (instead of DEBUG chatter) every ``STATUS_EVERY``-th poll.
+POLL_INTERVAL = 10.0
+STATUS_EVERY = 3
+#: Seconds Asgard waits for a batch's replacements to run, and for one
+#: replacement to register with the ELB, before it gives up.
+WAIT_TIMEOUT = 900.0
+ELB_TIMEOUT = 25.0
+
+
 @dataclasses.dataclass
 class RollingUpgradeParams:
-    """What one rolling upgrade operates on, and its pacing."""
+    """What one rolling upgrade operates on."""
 
     asg_name: str
     elb_name: str
     lc_name: str  # name for the new launch configuration
     target: TargetConfig
-    batch_size: int = 1  # the paper's k (1 for n=4, 5 for n=20)
-    poll_interval: float = 10.0
-    status_every: int = 3  # emit a status line every this many polls
-    wait_timeout: float = 900.0
-    elb_timeout: float = 25.0
+    #: Instances replaced per batch, the paper's k
+    #: (``repro.testbed.BATCH_SIZE_BY_CLUSTER``).
+    batch_size: int = 1
 
 
 @dataclasses.dataclass
@@ -220,7 +228,7 @@ class RollingUpgradeOperation(Operation):
     def _wait_for_new_instances(self, known: set, count: int) -> _t.Generator:
         """Poll the ASG until ``count`` new instances are running."""
         p = self.params
-        deadline = self.engine.now + p.wait_timeout
+        deadline = self.engine.now + WAIT_TIMEOUT
         polls = 0
         while self.engine.now < deadline:
             try:
@@ -235,7 +243,7 @@ class RollingUpgradeOperation(Operation):
             if len(fresh) >= count:
                 return sorted(fresh)[:count]
             polls += 1
-            if polls % p.status_every == 0:
+            if polls % STATUS_EVERY == 0:
                 self.log(
                     f"Status info: {self.relaunches_done} of {self.total_relaunches}"
                     f" instance relaunches done"
@@ -243,13 +251,13 @@ class RollingUpgradeOperation(Operation):
             else:
                 # Framework chatter the noise filter is expected to drop.
                 self.log(f"DEBUG com.netflix.asgard.Task polling {p.asg_name} for status")
-            yield self.engine.timeout(p.poll_interval)
+            yield self.engine.timeout(POLL_INTERVAL)
         return None
 
     def _wait_elb_registration(self, instance_id: str) -> _t.Generator:
         """Poll the ELB until the instance is in service."""
         p = self.params
-        deadline = self.engine.now + p.elb_timeout
+        deadline = self.engine.now + ELB_TIMEOUT
         while self.engine.now < deadline:
             try:
                 health = yield from self.call("describe_instance_health", p.elb_name)
@@ -257,7 +265,7 @@ class RollingUpgradeOperation(Operation):
                 health = []
             if any(h["InstanceId"] == instance_id and h["State"] == "InService" for h in health):
                 return True
-            yield self.engine.timeout(p.poll_interval)
+            yield self.engine.timeout(POLL_INTERVAL)
         return False
 
 

@@ -123,7 +123,6 @@ class ConformanceChecker:
         self.storage = storage
         self.on_error = on_error
         self.results: list[ConformanceResult] = []
-        self.check_count = 0
         self._replayer = CompiledReplayer(model)
         #: trace key -> replay state (the replayer's own dict).
         self.instances = self._replayer.states
@@ -147,7 +146,6 @@ class ConformanceChecker:
         return result
 
     def _check(self, record: LogRecord) -> ConformanceResult:
-        self.check_count += 1
         # One core call, tail inlined — extra dispatch layers are
         # measurable at the per-microsecond scale of a check.
         result = self._replay(record)

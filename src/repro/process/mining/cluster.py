@@ -57,7 +57,13 @@ class LogCluster:
         return len(self.lines)
 
 
-def _default_namer(cluster: LogCluster) -> str:
+#: Masked similarity at which a line joins a cluster, tuned so Asgard-style
+#: messages with embedded ids cluster by template without merging
+#: distinct steps.
+SIMILARITY_THRESHOLD = 0.82
+
+
+def _name(cluster: LogCluster) -> str:
     """Derive an activity-ish name from the template's stable words."""
     words = re.findall(r"[A-Za-z]+", cluster.representative)
     stop = {"the", "a", "an", "of", "for", "to", "in", "on", "is", "and", "with", "by"}
@@ -65,25 +71,18 @@ def _default_namer(cluster: LogCluster) -> str:
     return "_".join(kept) if kept else "cluster"
 
 
-def cluster_lines(
-    lines: _t.Iterable[str],
-    threshold: float = 0.82,
-    namer: _t.Callable[[LogCluster], str] | None = None,
-) -> list[LogCluster]:
+def cluster_lines(lines: _t.Iterable[str]) -> list[LogCluster]:
     """Greedy agglomerative clustering by masked similarity.
 
-    Each line joins the first existing cluster whose representative is at
-    least ``threshold`` similar; otherwise it founds a new cluster.  The
-    threshold default was tuned so Asgard-style messages with embedded ids
-    cluster by template without merging distinct steps.
+    Each line joins the existing cluster whose representative is the most
+    (and at least ``SIMILARITY_THRESHOLD``) similar; otherwise it founds a
+    new cluster.
     """
-    if not 0 < threshold <= 1:
-        raise ValueError("threshold must be in (0, 1]")
     clusters: list[LogCluster] = []
     for line in lines:
         masked = mask_line(line)
         best: LogCluster | None = None
-        best_score = threshold
+        best_score = SIMILARITY_THRESHOLD
         for cluster in clusters:
             score = difflib.SequenceMatcher(None, masked, cluster.representative).ratio()
             if score >= best_score:
@@ -93,10 +92,9 @@ def cluster_lines(
             best = LogCluster(representative=masked)
             clusters.append(best)
         best.add(line)
-    namer = namer or _default_namer
     used: set[str] = set()
     for cluster in clusters:
-        base = namer(cluster)
+        base = _name(cluster)
         name = base
         suffix = 2
         while name in used:

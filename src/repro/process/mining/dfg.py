@@ -45,9 +45,8 @@ class DirectlyFollowsGraph:
     def activities(self) -> list[str]:
         return sorted(self.activity_counts)
 
-    def edges(self, min_count: int = 1) -> list[tuple[str, str]]:
-        """Edges seen at least ``min_count`` times (noise thresholding)."""
-        return sorted(e for e, c in self.edge_counts.items() if c >= min_count)
+    def edges(self) -> list[tuple[str, str]]:
+        return sorted(self.edge_counts)
 
     def dominant_starts(self) -> list[str]:
         """Activities beginning at least half of the traces."""

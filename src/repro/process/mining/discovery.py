@@ -1,8 +1,8 @@
 """Model discovery: DFG → ProcessModel, plus the end-to-end pipeline.
 
 ``discover_model`` converts a directly-follows graph into a
-:class:`~repro.process.model.ProcessModel` with noise thresholding —
-the Disco-style frequency-based discovery the paper used offline.
+:class:`~repro.process.model.ProcessModel` — the Disco-style
+frequency-based discovery the paper used offline.
 
 ``mine_from_storage`` is the full §III.A pipeline over the central log
 storage: pull each trace's activity sequence (from the ``step:`` tags the
@@ -20,13 +20,10 @@ from repro.process.model import ProcessModel
 def discover_model(
     dfg: DirectlyFollowsGraph,
     model_id: str = "discovered",
-    min_edge_count: int = 1,
 ) -> ProcessModel:
-    """Build a process model from a DFG.
-
-    - edges below ``min_edge_count`` are dropped as noise;
-    - start/end activities are those that begin/end a dominant share
-      (half) of the traces.
+    """Build a process model from a DFG: every directly-follows edge;
+    start/end activities are those that begin/end a dominant share (half)
+    of the traces.
 
     Raises :class:`ValueError` if no dominant start or end emerges — a
     sign the log is too noisy to discover from, matching the paper's
@@ -35,7 +32,7 @@ def discover_model(
     model = ProcessModel(model_id)
     for activity in dfg.activities():
         model.add_activity(activity)
-    for source, target in dfg.edges(min_count=min_edge_count):
+    for source, target in dfg.edges():
         model.add_edge(source, target)
     starts = dfg.dominant_starts()
     ends = dfg.dominant_ends()

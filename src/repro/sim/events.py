@@ -96,8 +96,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, engine: "Engine", delay: float, value: _t.Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
+        if not delay >= 0:  # NaN too: it would never fire
+            raise ValueError(f"timeout delay must be >= 0, got {delay}")
         super().__init__(engine)
         self.delay = delay
         self._state = SUCCEEDED

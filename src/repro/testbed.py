@@ -18,7 +18,12 @@ from repro.cloud.limits import AccountLimits
 from repro.logsys.record import LogStream
 from repro.obs import Observability
 from repro.operations.base import COMPLETED as OP_COMPLETED, FAILED as OP_FAILED
-from repro.operations.rolling_upgrade import RollingUpgradeOperation, RollingUpgradeParams
+from repro.operations.rolling_upgrade import (
+    DEFAULT_WATCHDOG_INTERVAL,
+    LARGE_BATCH_WATCHDOG_INTERVAL,
+    RollingUpgradeOperation,
+    RollingUpgradeParams,
+)
 from repro.operations.target import TargetConfig
 from repro.pod.config import PodConfig
 from repro.pod.service import PODDiagnosis
@@ -34,8 +39,9 @@ RESUME_HORIZON = 2700.0
 #: the quiesce drains them.
 SETTLE_TIME = 60.0
 
-#: The paper upgrades 1 node at a time on 4-instance clusters and 4 at a
-#: time on 20-instance clusters.
+#: The upgrade's batch size k by cluster size n (1 elsewhere): the paper
+#: upgrades 1 node at a time on 4-instance clusters and 4 at a time on
+#: 20-instance clusters.
 BATCH_SIZE_BY_CLUSTER = {4: 1, 20: 4}
 
 
@@ -65,14 +71,12 @@ class Testbed:
         cluster_size: int = 4,
         seed: int = 0,
         max_instances: int = 40,
-        batch_size: int | None = None,
-        watchdog_interval: float | None = None,
         chaos=None,
         trace: bool = False,
     ) -> None:
         self.cluster_size = cluster_size
         self.seed = seed
-        self.batch_size = batch_size or BATCH_SIZE_BY_CLUSTER.get(cluster_size, 1)
+        self.batch_size = BATCH_SIZE_BY_CLUSTER.get(cluster_size, 1)
         # API-plane chaos (profile name, ChaosProfile, or None).  A chaotic
         # control plane also widens the eventual-consistency window.
         chaos_profile = get_profile(chaos)
@@ -95,13 +99,6 @@ class Testbed:
         # Let the initial fleet boot before anything else happens.
         self.engine.run(until=300.0)
 
-        config_kwargs: dict = {}
-        if watchdog_interval is not None:
-            config_kwargs["watchdog_interval"] = watchdog_interval
-        elif self.batch_size > 1:
-            from repro.operations.rolling_upgrade import LARGE_BATCH_WATCHDOG_INTERVAL
-
-            config_kwargs["watchdog_interval"] = LARGE_BATCH_WATCHDOG_INTERVAL
         self.pod_config = PodConfig(
             asg_name=self.stack.asg_name,
             elb_name=self.stack.elb_name,
@@ -116,8 +113,10 @@ class Testbed:
             ),
             lc_name=self.stack.lc_v2,
             batch_size=self.batch_size,
+            watchdog_interval=(
+                LARGE_BATCH_WATCHDOG_INTERVAL if self.batch_size > 1 else DEFAULT_WATCHDOG_INTERVAL
+            ),
             operation_start=self.engine.now,
-            **config_kwargs,
         )
         self.pod = PODDiagnosis(
             self.cloud, self.pod_config, seed=seed, chaos=self.chaos, obs=self.obs

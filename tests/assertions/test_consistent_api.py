@@ -3,6 +3,7 @@
 import pytest
 
 from repro.assertions.consistent_api import (
+    MAX_RETRIES,
     CircuitBreaker,
     ConsistentApiClient,
     ConsistentCallError,
@@ -30,8 +31,15 @@ class FlakyApi:
 
 
 def client_for(engine, api, **kwargs):
+    """The shipped client over a 0.05 s constant-latency plane, whose
+    call timeout is 10x the mean latency x 5 attempts = 2.5 s."""
     kwargs.setdefault("latency", ConstantLatency(0.05))
     return ConsistentApiClient(engine, api, **kwargs)
+
+
+#: Latency whose call timeout (5 s) outlasts all five attempts and four
+#: full backoff windows (0.5 + 3.0 s): a failing call exhausts its retries.
+UNHURRIED = ConstantLatency(0.1)
 
 
 def drive(engine, generator):
@@ -66,9 +74,9 @@ class TestCall:
         # [0, 0.4], [0, 0.8]: more than the latencies alone, never more
         # than the un-jittered schedule.
         for seed in range(5):
-            assert 0.05 * 4 < elapsed_after(3, seed, base_backoff=0.2) <= 0.05 * 4 + 1.4
+            assert 0.05 * 4 < elapsed_after(3, seed) <= 0.05 * 4 + 1.4
         # The window doubles per retry: the fourth backoff alone may add 1.6.
-        assert 0.05 * 5 < elapsed_after(4, base_backoff=0.2) <= 0.05 * 5 + 3.0
+        assert 0.05 * 5 < elapsed_after(4) <= 0.05 * 5 + 3.0
 
     def test_non_retryable_raises_immediately(self, engine):
         api = FlakyApi(errors=[ResourceNotFound.of("ami", "ami-1")])
@@ -79,17 +87,19 @@ class TestCall:
 
     def test_retries_exhausted(self, engine):
         api = FlakyApi(errors=[Throttling("x")] * 50)
-        client = client_for(engine, api, max_retries=2, call_timeout=1000)
+        client = client_for(engine, api, latency=UNHURRIED)
         with pytest.raises(ConsistentCallError) as excinfo:
             drive(engine, client.call("operation"))
         assert not excinfo.value.timed_out
         assert isinstance(excinfo.value.last_error, Throttling)
+        assert api.calls == 1 + MAX_RETRIES
 
     def test_deadline_expiry_flags_timeout(self, engine):
+        # Three 0.2 s calls outlast a 0.5 s deadline before the retries run out.
         api = FlakyApi(errors=[Throttling("x")] * 50)
-        client = client_for(engine, api, max_retries=100, call_timeout=0.5, base_backoff=0.3)
+        client = client_for(engine, api, latency=ConstantLatency(0.2))
         with pytest.raises(ConsistentCallError) as excinfo:
-            drive(engine, client.call("operation"))
+            drive(engine, client.call("operation", deadline=0.5))
         assert excinfo.value.timed_out
         assert client.timeouts == 1
 
@@ -156,11 +166,13 @@ class TestCallUntil:
         """A poll whose next backoff lands exactly on the deadline must
         time out rather than squeeze in one more call."""
         api = FlakyApi(result="nope")
-        client = client_for(
-            engine, api, latency=ConstantLatency(0.0), base_backoff=0.2, call_timeout=100.0
-        )
+        client = client_for(engine, api)
+        # One 0.05 s call, then the 0.2 s first backoff would end on the deadline.
         with pytest.raises(ConsistentCallError) as excinfo:
-            drive(engine, client.call_until("operation", predicate=lambda v: False, timeout=0.2))
+            drive(
+                engine,
+                client.call_until("operation", predicate=lambda v: False, timeout=0.05 + 0.2),
+            )
         assert excinfo.value.timed_out
         assert api.calls == 1
         # A predicate timeout is a state answer, not an API-plane failure.
@@ -168,11 +180,10 @@ class TestCallUntil:
 
     def test_outer_deadline_propagates_into_inner_calls(self, engine):
         """Inner retries must never outlive the outer call_until deadline,
-        even when the client's own call_timeout/backoff are much larger."""
+        even when the client's own call timeout is much larger."""
         api = FlakyApi(errors=[Throttling("x")] * 1000)
-        client = client_for(
-            engine, api, max_retries=1000, call_timeout=1000.0, base_backoff=10.0
-        )
+        client = client_for(engine, api, latency=ConstantLatency(2.0))
+        assert client.call_timeout == 100.0
         with pytest.raises(ConsistentCallError) as excinfo:
             drive(engine, client.call_until("operation", predicate=lambda v: True, timeout=5.0))
         assert excinfo.value.timed_out
@@ -182,7 +193,7 @@ class TestCallUntil:
 class TestCounterSplit:
     def test_retry_exhaustion_is_not_a_timeout(self, engine):
         api = FlakyApi(errors=[Throttling("x")] * 50)
-        client = client_for(engine, api, max_retries=2, call_timeout=1000)
+        client = client_for(engine, api, latency=UNHURRIED)
         with pytest.raises(ConsistentCallError):
             drive(engine, client.call("operation"))
         assert client.retry_exhaustions == 1
@@ -190,9 +201,9 @@ class TestCounterSplit:
 
     def test_deadline_expiry_is_not_an_exhaustion(self, engine):
         api = FlakyApi(errors=[Throttling("x")] * 50)
-        client = client_for(engine, api, max_retries=100, call_timeout=0.5, base_backoff=0.3)
+        client = client_for(engine, api, latency=ConstantLatency(0.2))
         with pytest.raises(ConsistentCallError):
-            drive(engine, client.call("operation"))
+            drive(engine, client.call("operation", deadline=0.5))
         assert client.timeouts == 1
         assert client.retry_exhaustions == 0
 
@@ -211,26 +222,17 @@ class TestJitter:
     def test_always_on_same_seed_same_schedule(self):
         """No opt-in: a client built on defaults jitters, from its own
         seeded stream — a pure function of the seed."""
-        by_seed = {seed: elapsed_after(3, seed, base_backoff=0.2) for seed in range(8)}
+        by_seed = {seed: elapsed_after(3, seed) for seed in range(8)}
         assert len(set(by_seed.values())) == len(by_seed)
         for seed, elapsed in by_seed.items():
-            assert elapsed == elapsed_after(3, seed, base_backoff=0.2)
+            assert elapsed == elapsed_after(3, seed)
 
     def test_full_jitter_shortens_or_equals_backoff(self):
         plain = 0.05 * 4 + 0.2 + 0.4 + 0.8  # the un-jittered schedule
-        jittered = elapsed_after(3, seed=9, base_backoff=0.2)
+        jittered = elapsed_after(3, seed=9)
         assert 0.05 * 4 <= jittered <= plain
         # Deterministic per seed.
-        assert jittered == elapsed_after(3, seed=9, base_backoff=0.2)
-
-    def test_max_backoff_caps_growth(self):
-        # 13 calls x 0.05; windows 1, 2, 2, ... (capped) sum to 23, where
-        # uncapped doubling would reach 2048 s on the last retry alone.
-        for seed in range(5):
-            elapsed = elapsed_after(
-                12, seed, base_backoff=1.0, max_backoff=2.0, max_retries=20, call_timeout=10_000
-            )
-            assert 13 * 0.05 <= elapsed <= 13 * 0.05 + 23.0
+        assert jittered == elapsed_after(3, seed=9)
 
 
 class TestRetryBudget:
@@ -244,8 +246,7 @@ class TestRetryBudget:
     def test_exhausted_budget_fails_fast(self, engine):
         api = FlakyApi(errors=[Throttling("x")] * 50)
         client = client_for(
-            engine, api, max_retries=10, call_timeout=1000,
-            retry_budget=RetryBudget(capacity=2.0, refill_rate=0.0),
+            engine, api, latency=UNHURRIED, retry_budget=RetryBudget(capacity=2.0, refill_rate=0.0)
         )
         with pytest.raises(ConsistentCallError) as excinfo:
             drive(engine, client.call("operation"))
@@ -254,21 +255,34 @@ class TestRetryBudget:
         assert not excinfo.value.timed_out
 
     def test_every_client_has_a_budget(self, engine):
-        """Built on defaults: 32 tokens, refilled at 0.75/s — a retry storm
-        is cut off by the budget, not by ``max_retries``."""
-        api = FlakyApi(errors=[Throttling("x")] * 500)
-        client = client_for(
-            engine, api, latency=ConstantLatency(0.0), base_backoff=0.0,
-            max_retries=400, call_timeout=1000,
-        )
+        """Built on defaults: 32 tokens, refilled at 0.75/s, shared by every
+        method's retries.  Each method's breaker opens during its second
+        failing call, so a storm across methods is what spends the bucket."""
+
+        class Storm:
+            calls = 0
+
+            def __getattr__(self, method):
+                def fail():
+                    Storm.calls += 1
+                    raise Throttling(method)
+
+                return fail
+
+        client = client_for(engine, Storm(), latency=UNHURRIED)
         assert (client.retry_budget.capacity, client.retry_budget.refill_rate) == (32.0, 0.75)
-        with pytest.raises(ConsistentCallError) as excinfo:
-            drive(engine, client.call("operation"))
+        for method in (f"op{index}" for index in range(40)):
+            for _ in range(2):
+                with pytest.raises(ConsistentCallError) as excinfo:
+                    drive(engine, client.call(method))
+            if client.budget_denials:
+                break
         assert client.budget_denials == 1
-        assert api.calls == 33  # initial + 32 budgeted retries, no time to refill
-        assert not excinfo.value.timed_out
+        assert not excinfo.value.timed_out and not excinfo.value.breaker_open
+        # Every retry but those the bucket refilled was paid from its 32 tokens.
+        assert client.retries_made <= 32 + engine.now * 0.75
         # Each client draws on its own bucket.
-        assert client_for(engine, api).retry_budget is not client.retry_budget
+        assert client_for(engine, Storm()).retry_budget is not client.retry_budget
 
     def test_invalid_budget_rejected(self):
         with pytest.raises(ValueError):
@@ -310,14 +324,16 @@ class TestCircuitBreaker:
         assert breaker.state == CircuitBreaker.CLOSED
 
     def test_client_fast_fails_when_open(self, engine):
-        """Built on defaults: six consecutive retryable failures open it."""
+        """Built on defaults: six consecutive retryable failures open it —
+        the first call's five attempts and the second call's first."""
         api = FlakyApi(errors=[Throttling("x")] * 50)
-        client = client_for(engine, api, max_retries=0, call_timeout=1000)
-        for _ in range(6):
-            assert client.breaker_trips == 0
+        client = client_for(engine, api, latency=UNHURRIED)
+        for trips in (0, 1):
             with pytest.raises(ConsistentCallError) as excinfo:
                 drive(engine, client.call("operation"))
-            assert not excinfo.value.breaker_open
+            assert not excinfo.value.breaker_open  # the open breaker lets a started call finish
+            assert client.breaker_trips == trips
+        assert api.calls == 2 * (1 + MAX_RETRIES)
         calls_before = api.calls
         with pytest.raises(ConsistentCallError) as excinfo:
             drive(engine, client.call("operation"))
@@ -327,10 +343,11 @@ class TestCircuitBreaker:
         assert client.breaker_fast_fails == 1
 
     def test_half_open_probe_recovers_through_client(self, engine):
-        """Built on defaults: the probe is let through after 45 s."""
-        api = FlakyApi(errors=[Throttling("x")] * 6)
-        client = client_for(engine, api, max_retries=0, call_timeout=1000)
-        for _ in range(6):
+        """Built on defaults: the probe is let through 45 s after the
+        breaker opened (during the second call, which ends < 4 s later)."""
+        api = FlakyApi(errors=[Throttling("x")] * 2 * (1 + MAX_RETRIES))
+        client = client_for(engine, api, latency=UNHURRIED)
+        for _ in range(2):
             with pytest.raises(ConsistentCallError):
                 drive(engine, client.call("operation"))
 
@@ -358,38 +375,37 @@ class TestCircuitBreaker:
                 return "ok"
 
         api = TwoOps()
-        client = client_for(
-            engine, api, max_retries=0, call_timeout=1000,
-            breaker_threshold=1, breaker_cooldown=60.0,
-        )
-        with pytest.raises(ConsistentCallError):
-            drive(engine, client.call("bad"))
+        client = client_for(engine, api, latency=UNHURRIED)
+        for _ in range(3):
+            with pytest.raises(ConsistentCallError):
+                drive(engine, client.call("bad"))
+        assert client.breaker_fast_fails == 1
         assert drive(engine, client.call("good")) == "ok"
 
 
 class TestDegradation:
     def test_chaos_tagged_errors_mark_failure_degraded(self, engine):
         errors = []
-        for _ in range(3):
+        for _ in range(1 + MAX_RETRIES):
             error = ServiceUnavailable("chaos burst")
             error.chaos = True
             errors.append(error)
         api = FlakyApi(errors=errors)
-        client = client_for(engine, api, max_retries=2, call_timeout=1000)
+        client = client_for(engine, api, latency=UNHURRIED)
         with pytest.raises(ConsistentCallError) as excinfo:
             drive(engine, client.call("operation"))
         assert excinfo.value.degraded
 
     def test_genuine_errors_are_not_degraded(self, engine):
         api = FlakyApi(errors=[Throttling("x")] * 50)
-        client = client_for(engine, api, max_retries=2, call_timeout=1000)
+        client = client_for(engine, api, latency=UNHURRIED)
         with pytest.raises(ConsistentCallError) as excinfo:
             drive(engine, client.call("operation"))
         assert not excinfo.value.degraded
 
     def test_blackhole_burns_deadline_and_times_out_degraded(self, engine):
         api = FlakyApi(errors=[BlackholedCall("chaos: void")])
-        client = client_for(engine, api, call_timeout=2.0)
+        client = client_for(engine, api)
         with pytest.raises(ConsistentCallError) as excinfo:
             drive(engine, client.call("operation"))
         assert excinfo.value.timed_out
@@ -397,4 +413,4 @@ class TestDegradation:
         assert client.blackholes == 1
         assert client.timeouts == 1
         # The hang consumed exactly the remaining deadline.
-        assert engine.now == pytest.approx(2.0)
+        assert engine.now == pytest.approx(client.call_timeout) == 2.5

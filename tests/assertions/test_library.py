@@ -228,22 +228,22 @@ class TestCallUntilFailuresCarryTheirRealFlag:
         ],
     )
     def test_exhaustion_and_open_breaker_are_not_timeouts(self, env, assertion):
-        client = ConsistentApiClient(
-            env.engine,
-            UnavailableReads(),
-            latency=ConstantLatency(0.05),
-            call_timeout=10.0,  # room for all four backoffs: exhaustion, not deadline
-            breaker_threshold=3,
-        )
+        # 0.1 s calls give a 5 s call timeout, room for all four backoffs:
+        # exhaustion, not deadline.  The breaker opens on the sixth failure,
+        # inside the second evaluation, which still runs to exhaustion.
+        client = ConsistentApiClient(env.engine, UnavailableReads(), latency=ConstantLatency(0.1))
         env.client = client
-        exhausted = run(env, assertion)
-        assert exhausted.failed and not exhausted.timed_out and not exhausted.degraded
-        assert (client.retry_exhaustions, client.timeouts, client.breaker_trips) == (1, 0, 1)
+        for exhaustions, trips in ((1, 0), (2, 1)):
+            exhausted = run(env, assertion)
+            assert exhausted.failed and not exhausted.timed_out and not exhausted.degraded
+            assert (client.retry_exhaustions, client.timeouts, client.breaker_trips) == (
+                exhaustions, 0, trips
+            )
         stopped = run(env, assertion)
         assert stopped.failed and not stopped.timed_out and not stopped.degraded
         assert "circuit breaker open" in stopped.message
         # Failed fast: the open method was not tried again.
-        assert (client.breaker_fast_fails, client.retries_made) == (1, 4)
+        assert (client.breaker_fast_fails, client.retries_made) == (1, 8)
 
 
 class TestResourceExistsAssertion:

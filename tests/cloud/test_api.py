@@ -14,7 +14,8 @@ from repro.cloud.errors import (
     ServiceUnavailable,
     Throttling,
 )
-from repro.cloud.limits import AccountLimits
+from repro.cloud.cloudtrail import MAX_DELAY
+from repro.cloud.limits import MAX_CALLS_PER_WINDOW
 from repro.cloud.provider import SimulatedCloud
 from repro.operations.base import Operation
 from repro.sim.latency import UniformLatency
@@ -209,20 +210,18 @@ class TestAuditing:
     def test_calls_reach_cloudtrail(self, cloud):
         api = cloud.api("alice")
         api.register_image("app", "v1")
-        cloud.engine.run(until=cloud.engine.now + cloud.trail.max_delay)
+        cloud.engine.run(until=cloud.engine.now + MAX_DELAY)
         records = cloud.trail.lookup_events()
         assert records[-1].event_name == "RegisterImage"
         assert records[-1].principal == "alice"
 
     def test_throttling_when_rate_exceeded(self):
-        cloud = SimulatedCloud(
-            seed=1, limits=AccountLimits(max_calls_per_window=2, rate_window=1.0)
-        )
+        cloud = SimulatedCloud(seed=1)
         api = cloud.api("busy")
-        api.register_image("a", "v1")
-        api.register_image("b", "v1")
+        for index in range(MAX_CALLS_PER_WINDOW):
+            api.register_image(f"app-{index}", "v1")
         with pytest.raises(Throttling):
-            api.register_image("c", "v1")
+            api.register_image("one-too-many", "v1")
 
 
 class TestTimedClientCall:

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.cloud.consistency import ConsistencyModel, EventuallyConsistentView
-from repro.cloud.cloudtrail import CloudTrail
+from repro.cloud.consistency import MAX_LAG, ConsistencyModel, EventuallyConsistentView
+from repro.cloud.cloudtrail import MAX_DELAY, CloudTrail
 from repro.sim.clock import SimClock
 from repro.cloud.resources import AmiImage
 from repro.cloud.state import CloudState
@@ -15,8 +15,9 @@ class TestConsistencyModel:
         assert model.sample_lag() == 0.0
 
     def test_lag_bounded_by_max(self):
-        model = ConsistencyModel(mean_lag=5.0, max_lag=8.0, seed=1)
-        assert all(model.sample_lag() <= 8.0 for _ in range(500))
+        model = ConsistencyModel(mean_lag=10.0, seed=1)
+        lags = [model.sample_lag() for _ in range(500)]
+        assert max(lags) == MAX_LAG
 
     def test_negative_params_rejected(self):
         with pytest.raises(ValueError):
@@ -53,16 +54,16 @@ class TestEventuallyConsistentView:
 class TestCloudTrail:
     def test_records_invisible_until_delivered(self):
         clock = SimClock()
-        trail = CloudTrail(clock, min_delay=300, max_delay=900, seed=1)
+        trail = CloudTrail(clock, seed=1)
         trail.record("TerminateInstances", "alice", {"InstanceId": "i-1"})
         assert trail.lookup_events() == []
         assert trail.undelivered_count() == 1
 
     def test_records_visible_after_max_delay(self):
         clock = SimClock()
-        trail = CloudTrail(clock, min_delay=300, max_delay=900, seed=1)
+        trail = CloudTrail(clock, seed=1)
         trail.record("TerminateInstances", "alice", {"InstanceId": "i-1"})
-        clock.advance_to(901.0)
+        clock.advance_to(MAX_DELAY + 1.0)
         events = trail.lookup_events()
         assert len(events) == 1
         assert events[0].principal == "alice"
@@ -70,17 +71,13 @@ class TestCloudTrail:
 
     def test_filters(self):
         clock = SimClock()
-        trail = CloudTrail(clock, min_delay=0, max_delay=0, seed=1)
+        trail = CloudTrail(clock, seed=1)
         trail.record("TerminateInstances", "alice", {})
         trail.record("RunInstances", "bob", {})
-        clock.advance_to(1.0)
+        clock.advance_to(MAX_DELAY)
         assert len(trail.lookup_events(event_name="TerminateInstances")) == 1
         assert len(trail.lookup_events(principal="bob")) == 1
         assert trail.lookup_events(start=0.5) == []
-
-    def test_invalid_delays_rejected(self):
-        with pytest.raises(ValueError):
-            CloudTrail(SimClock(), min_delay=10, max_delay=5)
 
 
 class TestMonitor:

@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from repro.cloud.controller import activities_since
 from repro.cloud.provider import SimulatedCloud
 from repro.cloud.resources import InstanceState
@@ -184,12 +182,6 @@ class TestLaunchFailures:
 
 
 class TestControllerGuards:
-    def test_interval_must_be_positive(self, cloud):
-        from repro.cloud.controller import AsgController
-
-        with pytest.raises(ValueError):
-            AsgController(cloud.engine, cloud.state, interval=0)
-
     def test_start_is_idempotent(self, cloud):
         provision(cloud, desired=1)
         cloud.controller.start()

@@ -1,38 +1,40 @@
 """Sliding-window RateLimiter edge cases (window boundary exactness)."""
 
-from repro.cloud.limits import AccountLimits, RateLimiter
+from repro.cloud.limits import MAX_CALLS_PER_WINDOW, RateLimiter
 
 
-def limiter(max_calls=1, window=1.0):
-    return RateLimiter(AccountLimits(max_calls_per_window=max_calls, rate_window=window))
+def full_at(t):
+    """A limiter whose window is full of calls made at ``t``."""
+    lim = RateLimiter()
+    for _ in range(MAX_CALLS_PER_WINDOW):
+        assert lim.try_acquire(t)
+    return lim
 
 
 class TestWindowBoundary:
     def test_call_exactly_one_window_old_is_pruned(self):
         """The window is half-open: a call at t is outside the window at
-        exactly t + rate_window (strict `>` pruning)."""
-        lim = limiter(max_calls=1, window=1.0)
-        assert lim.try_acquire(0.0)
-        assert lim.try_acquire(1.0)  # the t=0 call just fell out
+        exactly t + RATE_WINDOW (strict `>` pruning)."""
+        lim = full_at(0.0)
+        assert lim.try_acquire(1.0)  # the t=0 calls just fell out
 
     def test_call_inside_window_by_epsilon_still_counts(self):
-        lim = limiter(max_calls=1, window=1.0)
-        assert lim.try_acquire(0.0)
+        lim = full_at(0.0)
         assert not lim.try_acquire(1.0 - 1e-9)
 
     def test_denied_calls_are_not_recorded(self):
         """A throttled call must not extend the window occupancy."""
-        lim = limiter(max_calls=1, window=1.0)
-        assert lim.try_acquire(0.0)
+        lim = full_at(0.0)
         for t in (0.2, 0.4, 0.6, 0.8):
             assert not lim.try_acquire(t)
-        # Only the t=0 grant occupies the window; it expires at 1.0.
+        # Only the t=0 grants occupy the window; they expire at 1.0.
         assert lim.try_acquire(1.0)
+        assert lim.in_flight(1.0) == 1
 
 
 class TestInFlight:
     def test_in_flight_after_pruning(self):
-        lim = limiter(max_calls=10, window=1.0)
+        lim = RateLimiter()
         for t in (0.0, 0.5, 0.9):
             assert lim.try_acquire(t)
         assert lim.in_flight(0.9) == 3
@@ -44,12 +46,12 @@ class TestInFlight:
     def test_in_flight_does_not_mutate(self):
         """in_flight is a read: it must not drop timestamps needed by a
         later try_acquire at an earlier effective window."""
-        lim = limiter(max_calls=2, window=1.0)
+        lim = RateLimiter()
         assert lim.try_acquire(0.0)
         assert lim.in_flight(10.0) == 0  # far-future read
         assert lim.in_flight(0.5) == 1  # the t=0 call is still there
 
     def test_empty_limiter(self):
-        lim = limiter()
+        lim = RateLimiter()
         assert lim.in_flight(0.0) == 0
         assert lim.in_flight(100.0) == 0

@@ -71,7 +71,7 @@ class FullCopyReference:
 @pytest.fixture
 def scripted_run():
     """Upgrade-with-faults run recorded by both monitor implementations."""
-    cloud = SimulatedCloud(seed=7, monitor_interval=5.0)
+    cloud = SimulatedCloud(seed=7)
     reference = FullCopyReference(cloud.state)
 
     # Record the reference at the monitor's exact crawl instants.
@@ -162,7 +162,7 @@ class TestDeltaEquivalence:
 def test_write_later_in_the_crawl_instant_belongs_to_the_next_crawl():
     """The 5 s reconcile loop shares instants with the crawl: a crawl
     records what the region held when it ran, not ``view_at(tick)``."""
-    cloud = SimulatedCloud(seed=1, monitor_interval=5.0)
+    cloud = SimulatedCloud(seed=1)
     api = cloud.api("setup")
     ami = api.register_image("app", "v1")["ImageId"]
     api.create_key_pair("key-prod")
@@ -170,22 +170,22 @@ def test_write_later_in_the_crawl_instant_belongs_to_the_next_crawl():
     api.create_launch_configuration("lc-v1", ami, "m1.small", "key-prod", ["sg-web"])
     cloud.start()
     engine, state, monitor = cloud.engine, cloud.state, cloud.monitor
-    engine.run(until=7.0)
+    engine.run(until=27.0)
 
-    def write_at_ten():
-        # Queued at t=7, after the crawler queued its own t=10 wake-up at
-        # t=5: at t=10 the crawl runs first, then this write.
+    def write_at_thirty():
+        # Queued at t=27, after the crawler queued its own t=30 wake-up at
+        # t=0: at t=30 the crawl runs first, then this write.
         yield engine.timeout(3.0)
         state.get("launch_configuration", "lc-v1").instance_type = "m1.xlarge"
         state.record_write("launch_configuration", "lc-v1", engine.now)
 
-    engine.process(write_at_ten())
-    engine.run(until=16.0)
-    assert monitor.ticks == [0.0, 5.0, 10.0, 15.0]
-    assert state.view_at("launch_configuration", "lc-v1", 10.0)["InstanceType"] == "m1.xlarge"
-    assert monitor.at(10.0, "launch_configuration", "lc-v1")["InstanceType"] == "m1.small"
-    assert monitor.at(15.0, "launch_configuration", "lc-v1")["InstanceType"] == "m1.xlarge"
-    assert [when for when, _ in monitor.changes("launch_configuration", "lc-v1")] == [0.0, 15.0]
+    engine.process(write_at_thirty())
+    engine.run(until=61.0)
+    assert monitor.ticks == [0.0, 30.0, 60.0]
+    assert state.view_at("launch_configuration", "lc-v1", 30.0)["InstanceType"] == "m1.xlarge"
+    assert monitor.at(30.0, "launch_configuration", "lc-v1")["InstanceType"] == "m1.small"
+    assert monitor.at(60.0, "launch_configuration", "lc-v1")["InstanceType"] == "m1.xlarge"
+    assert [when for when, _ in monitor.changes("launch_configuration", "lc-v1")] == [0.0, 60.0]
 
 
 #: The write script of :func:`_tick_counter_deltas`: every tick rewrites

@@ -1,12 +1,14 @@
 """Tests for region state, write history and limits."""
 
+import bisect
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cloud.errors import ResourceNotFound
 from repro.cloud.freeze import FrozenMutationError
-from repro.cloud.limits import AccountLimits, RateLimiter
+from repro.cloud.limits import MAX_CALLS_PER_WINDOW, RATE_WINDOW, RateLimiter
 from repro.cloud.resources import AmiImage, Instance, InstanceState
 from repro.cloud.state import KINDS, CloudState
 
@@ -178,33 +180,38 @@ class TestAggregates:
 
 class TestRateLimiter:
     def test_allows_until_limit(self):
-        limiter = RateLimiter(AccountLimits(max_calls_per_window=3, rate_window=1.0))
-        assert limiter.try_acquire(0.0)
-        assert limiter.try_acquire(0.1)
-        assert limiter.try_acquire(0.2)
-        assert not limiter.try_acquire(0.3)
+        limiter = RateLimiter()
+        for index in range(MAX_CALLS_PER_WINDOW):
+            assert limiter.try_acquire(index / MAX_CALLS_PER_WINDOW / 2)
+        assert not limiter.try_acquire(0.5)
 
     def test_window_slides(self):
-        limiter = RateLimiter(AccountLimits(max_calls_per_window=1, rate_window=1.0))
-        assert limiter.try_acquire(0.0)
+        limiter = RateLimiter()
+        for _ in range(MAX_CALLS_PER_WINDOW):
+            assert limiter.try_acquire(0.0)
         assert not limiter.try_acquire(0.5)
         assert limiter.try_acquire(1.5)
 
     def test_in_flight_counts_window_only(self):
-        limiter = RateLimiter(AccountLimits(max_calls_per_window=10, rate_window=1.0))
+        limiter = RateLimiter()
         limiter.try_acquire(0.0)
         limiter.try_acquire(0.9)
         assert limiter.in_flight(1.5) == 1
 
-    @given(st.lists(st.floats(min_value=0, max_value=100), min_size=1, max_size=200))
+    @given(
+        st.lists(
+            st.tuples(st.floats(min_value=0, max_value=5), st.integers(1, 2 * MAX_CALLS_PER_WINDOW)),
+            min_size=1,
+            max_size=6,
+        )
+    )
     @settings(max_examples=30, deadline=None)
-    def test_never_exceeds_limit_in_any_window(self, raw_times):
-        limits = AccountLimits(max_calls_per_window=5, rate_window=1.0)
-        limiter = RateLimiter(limits)
+    def test_never_exceeds_limit_in_any_window(self, bursts):
+        """Bursts of calls at a few instants, up to twice the limit each."""
+        limiter = RateLimiter()
         granted = []
-        for t in sorted(raw_times):
-            if limiter.try_acquire(t):
-                granted.append(t)
+        for t, calls in sorted(bursts):
+            granted += [t for _ in range(calls) if limiter.try_acquire(t)]
         for t in granted:
-            inside = [g for g in granted if t - 1.0 < g <= t]
-            assert len(inside) <= 5
+            inside = bisect.bisect_right(granted, t) - bisect.bisect_right(granted, t - RATE_WINDOW)
+            assert inside <= MAX_CALLS_PER_WINDOW

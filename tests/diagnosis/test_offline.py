@@ -3,6 +3,7 @@ merged timeline."""
 
 import pytest
 
+from repro.cloud.cloudtrail import MAX_DELAY
 from repro.cloud.state import CloudState
 from repro.diagnosis.offline import transient_changes
 from repro.operations.interference import InterferencePlan, InterferenceScheduler
@@ -38,7 +39,7 @@ class TestUndeterminedResolution:
             engine, pod = testbed.engine, testbed.pod
             held = [r for r in pod.reports if any(c.status == "undetermined" for c in r.root_causes)]
             assert held
-            engine.run(until=engine.now + testbed.cloud.trail.max_delay)
+            engine.run(until=engine.now + MAX_DELAY)
             for report in held:
                 pod.diagnosis.diagnose(report.tree_ids, trigger_detail=f"post-mortem of {report.request_id}")
             engine.run(until=engine.now + 120)

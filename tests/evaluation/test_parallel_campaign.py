@@ -33,28 +33,32 @@ from repro.evaluation.parallel import (
 )
 from repro.operations.interference import InterferencePlan
 
-#: Reduced campaign for the regression tests: 2 fault types x 3 runs.
-SMALL_CONFIG = CampaignConfig(
-    runs_per_fault=3,
-    large_cluster_runs=0,
-    seed=424,
-    fault_types=("AMI_UNAVAILABLE", "SG_WRONG"),
-)
+def _specs_of(config: CampaignConfig) -> list[RunSpec]:
+    return Campaign(config).build_specs()
 
 
-def _run(config: CampaignConfig, max_workers: int | None) -> tuple[list[RunOutcome], bytes]:
-    campaign = Campaign(config)
-    campaign.run(max_workers=max_workers)
-    return campaign.outcomes, pickle.dumps(compute_metrics(campaign.outcomes))
+_SMALL_MIX = _specs_of(CampaignConfig(runs_per_fault=3, large_cluster_runs=0, seed=424))
+#: Reduced campaign for the regression tests: of a shipped 8 x 3
+#: campaign, the 3 runs of one resource fault and of one configuration
+#: fault.
+SMALL_SPECS = [
+    spec for fault in ("AMI_UNAVAILABLE", "SG_WRONG") for spec in _SMALL_MIX
+    if spec.fault_type == fault
+]
+
+
+def _run(specs: list[RunSpec], max_workers: int | None) -> tuple[list[RunOutcome], bytes]:
+    outcomes = execute_specs(specs, max_workers=max_workers)
+    return outcomes, pickle.dumps(compute_metrics(outcomes))
 
 
 def _run_pooled(
-    pool_spy, config: CampaignConfig, max_workers: int
+    pool_spy, specs: list[RunSpec], max_workers: int
 ) -> tuple[list[RunOutcome], bytes]:
     """``_run`` that proves it met a pool: the determinism contract is
     serial ≡ pool, so exactly one pool of ``max_workers`` must start."""
     with pool_spy.expect(max_workers):
-        return _run(config, max_workers)
+        return _run(specs, max_workers)
 
 
 def _specs_pooled(pool_spy, specs, max_workers: int, **kwargs) -> list[RunOutcome]:
@@ -80,9 +84,9 @@ def _die_on_last_sg_wrong(spec: RunSpec) -> RunOutcome:
 
 class TestDeterminism:
     def test_worker_count_invisible_in_outcomes(self, pool_spy):
-        serial, serial_metrics = _run(SMALL_CONFIG, None)
-        two, two_metrics = _run_pooled(pool_spy, SMALL_CONFIG, 2)
-        four, four_metrics = _run_pooled(pool_spy, SMALL_CONFIG, 4)
+        serial, serial_metrics = _run(SMALL_SPECS, None)
+        two, two_metrics = _run_pooled(pool_spy, SMALL_SPECS, 2)
+        four, four_metrics = _run_pooled(pool_spy, SMALL_SPECS, 4)
         for parallel in (two, four):
             assert [o.truth for o in parallel] == [o.truth for o in serial]
             assert [[r.causes for r in o.reports] for o in parallel] == [
@@ -97,9 +101,9 @@ class TestDeterminism:
 
     @pytest.mark.slow
     def test_full_fault_mix_deterministic(self, pool_spy):
-        config = CampaignConfig(runs_per_fault=1, large_cluster_runs=0, seed=77)
-        serial, serial_metrics = _run(config, None)
-        four, four_metrics = _run_pooled(pool_spy, config, 4)
+        specs = _specs_of(CampaignConfig(runs_per_fault=1, large_cluster_runs=0, seed=77))
+        serial, serial_metrics = _run(specs, None)
+        four, four_metrics = _run_pooled(pool_spy, specs, 4)
         assert four == serial
         assert serial_metrics == four_metrics
 
@@ -124,11 +128,11 @@ class TestTracedDeterminism:
     spans and metric snapshots included — stay bit-for-bit identical at
     any worker count."""
 
-    TRACED_CONFIG = dataclasses.replace(SMALL_CONFIG, trace=True)
+    TRACED_SPECS = [dataclasses.replace(spec, trace=True) for spec in SMALL_SPECS]
 
     def test_traced_small_campaign_identical(self, pool_spy):
-        serial, serial_metrics = _run(self.TRACED_CONFIG, None)
-        parallel, parallel_metrics = _run_pooled(pool_spy, self.TRACED_CONFIG, 2)
+        serial, serial_metrics = _run(self.TRACED_SPECS, None)
+        parallel, parallel_metrics = _run_pooled(pool_spy, self.TRACED_SPECS, 2)
         assert parallel == serial
         assert [_trace_bytes(o) for o in parallel] == [_trace_bytes(o) for o in serial]
         assert parallel_metrics == serial_metrics
@@ -145,11 +149,11 @@ class TestTracedDeterminism:
     @pytest.mark.slow
     def test_traced_full_fault_mix_identical(self, pool_spy):
         # 8 fault types x 3 runs = 24 traced runs, serial vs 4 workers.
-        config = CampaignConfig(
-            runs_per_fault=3, large_cluster_runs=0, seed=909, trace=True
+        specs = _specs_of(
+            CampaignConfig(runs_per_fault=3, large_cluster_runs=0, seed=909, trace=True)
         )
-        serial, serial_metrics = _run(config, None)
-        parallel, parallel_metrics = _run_pooled(pool_spy, config, 4)
+        serial, serial_metrics = _run(specs, None)
+        parallel, parallel_metrics = _run_pooled(pool_spy, specs, 4)
         assert parallel == serial
         assert [_trace_bytes(o) for o in parallel] == [_trace_bytes(o) for o in serial]
         assert parallel_metrics == serial_metrics
@@ -157,8 +161,8 @@ class TestTracedDeterminism:
         assert {"ingest", "conformance", "assertion", "diagnosis"} <= stages
 
     def test_tracing_does_not_change_untraced_results(self):
-        traced, _ = _run(self.TRACED_CONFIG, None)
-        plain, _ = _run(SMALL_CONFIG, None)
+        traced, _ = _run(self.TRACED_SPECS, None)
+        plain, _ = _run(SMALL_SPECS, None)
         for with_trace, without in zip(traced, plain):
             stripped = dataclasses.replace(
                 with_trace,
@@ -169,13 +173,13 @@ class TestTracedDeterminism:
             assert stripped == without
 
     def test_untraced_outcomes_carry_no_payload(self):
-        plain, _ = _run(SMALL_CONFIG, None)
+        plain, _ = _run(SMALL_SPECS, None)
         assert all(o.trace is None and o.metrics == {} for o in plain)
 
 
 class TestCrashIsolation:
     def _specs(self):
-        return Campaign(SMALL_CONFIG).build_specs()
+        return list(SMALL_SPECS)
 
     @pytest.mark.parametrize("max_workers", [None, 2])
     def test_one_crashing_run_does_not_kill_campaign(self, max_workers, pool_spy):
@@ -244,7 +248,7 @@ class TestCrashIsolation:
         import repro.evaluation.parallel as parallel_mod
 
         monkeypatch.setattr(parallel_mod, "run_single", flaky)
-        campaign = Campaign(SMALL_CONFIG)
+        campaign = Campaign(CampaignConfig(runs_per_fault=1, large_cluster_runs=0, seed=424))
         outcomes = campaign.run()
         assert calls["n"] == len(outcomes)
         assert all(o.failed and "kaboom" in o.error for o in outcomes)
@@ -253,7 +257,7 @@ class TestCrashIsolation:
 
 class TestProgressBridge:
     def test_progress_fires_in_parent_for_every_run(self, pool_spy):
-        specs = Campaign(SMALL_CONFIG).build_specs()
+        specs = list(SMALL_SPECS)
         seen: list[tuple[int, int, str]] = []
         outcomes = _specs_pooled(
             pool_spy,
@@ -271,7 +275,7 @@ class TestProgressBridge:
         assert [o.spec.run_id for o in outcomes] == [s.run_id for s in specs]
 
     def test_serial_progress_in_spec_order(self):
-        specs = Campaign(SMALL_CONFIG).build_specs()[:2]
+        specs = list(SMALL_SPECS)[:2]
         seen = []
         execute_specs(specs, progress=lambda d, t, o: seen.append(o.spec.run_id))
         assert seen == [s.run_id for s in specs]
@@ -331,7 +335,7 @@ class TestChunking:
     identical at every chunk size the executor derives."""
 
     def _specs(self):
-        return Campaign(SMALL_CONFIG).build_specs()
+        return list(SMALL_SPECS)
 
     def test_chunk_size_invisible_in_outcomes(self, pool_spy):
         # 13 specs: 2-spec chunks with a ragged 1-spec tail on 2 workers,
@@ -435,7 +439,7 @@ class TestResolveWorkers:
         # The executor's only serial "fallback": a worker request on a
         # one-core host resolves to the serial loop, in spec order.
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        specs = Campaign(SMALL_CONFIG).build_specs()
+        specs = list(SMALL_SPECS)
         seen = []
         with pool_spy.expect():
             outcomes = execute_specs(

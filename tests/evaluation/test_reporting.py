@@ -47,11 +47,6 @@ class TestReport:
         for fault_type in metrics.per_fault:
             assert fault_type in report
 
-    def test_custom_title(self, small_campaign):
-        outcomes, metrics = small_campaign
-        report = render_markdown(outcomes, metrics, title="Nightly run")
-        assert report.startswith("# Nightly run")
-
     def test_cli_writes_report(self, tmp_path, capsys):
         from repro.cli import main
 

@@ -1,27 +1,45 @@
 """Tests for the sweep utilities: rendering + structure, and the
 campaign-backed sensitivity sweeps (beyond the paper's one configuration:
-recall holds across interference intensity, cluster size and
-transient-fault rate; only precision/accuracy may move).  Each sweep builds
-its own configs for :func:`repro.evaluation.sweeps.sweep`."""
+recall holds across interference, cluster size and transient faults; only
+precision/accuracy may move).  The cluster-size sweep builds its configs
+for :func:`repro.evaluation.sweeps.sweep`; the interference and transient
+sweeps rewrite the shipped campaign's run specs with an explicit
+``InterferencePlan`` or ``transient`` flag."""
+
+import dataclasses
 
 import pytest
 
-from repro.evaluation.campaign import CampaignConfig
-from repro.evaluation.metrics import CampaignMetrics, FaultTypeMetrics
+from repro.evaluation import execute_specs
+from repro.evaluation.campaign import Campaign, CampaignConfig
+from repro.evaluation.faults import CONFIG_FAULTS
+from repro.evaluation.metrics import CampaignMetrics, FaultTypeMetrics, compute_metrics
 from repro.evaluation.sweeps import SweepPoint, render_sweep, sweep
+from repro.operations.interference import InterferencePlan
 
 
-def sweep_interference(rates, runs_per_fault=3, seed=7001):
-    """Scale all three interference probabilities together: ``rate`` is the
-    scale-in probability; random termination and account pressure follow at
-    half and a quarter of it (the default mix's proportions)."""
-    return sweep("interference_rate", {
-        rate: CampaignConfig(
-            runs_per_fault=runs_per_fault, large_cluster_runs=0, seed=seed,
-            p_scale_in=rate, p_random_termination=rate / 2, p_account_pressure=rate / 4,
-        )
-        for rate in rates
-    })
+def shipped_specs(runs_per_fault, seed):
+    """The shipped campaign's small-cluster run specs."""
+    return Campaign(
+        CampaignConfig(runs_per_fault=runs_per_fault, large_cluster_runs=0, seed=seed)
+    ).build_specs()
+
+
+def calm(specs):
+    """The same runs with no interference."""
+    return [dataclasses.replace(spec, interference=InterferencePlan()) for spec in specs]
+
+
+def point(parameter, value, specs):
+    return SweepPoint(parameter, value, compute_metrics(execute_specs(specs)))
+
+
+def sweep_interference(runs_per_fault=3, seed=7001):
+    """The shipped §V.A interference mix (per run: scale-in 25 %, random
+    termination 12 %, second-team account pressure 6 %) against the same
+    runs with none."""
+    specs = shipped_specs(runs_per_fault, seed)
+    return [point("interference", "none", calm(specs)), point("interference", "mix", specs)]
 
 
 def sweep_cluster_size(sizes, runs_per_fault=2, seed=7002):
@@ -30,7 +48,6 @@ def sweep_cluster_size(sizes, runs_per_fault=2, seed=7002):
         size: CampaignConfig(
             runs_per_fault=runs_per_fault,
             large_cluster_runs=runs_per_fault if size == 20 else 0,
-            cluster_small=size if size != 20 else 4,
             seed=seed,
         )
         for size in sizes
@@ -38,15 +55,16 @@ def sweep_cluster_size(sizes, runs_per_fault=2, seed=7002):
 
 
 def sweep_transient_rate(rates, runs_per_fault=3, seed=7003):
-    """Every configuration fault transient with probability ``rate``, no
+    """Every configuration fault transient (rate 1) or none (rate 0), no
     interference: the paper's third wrong-diagnosis class scales with it."""
-    return sweep("transient_rate", {
-        rate: CampaignConfig(
-            runs_per_fault=runs_per_fault, large_cluster_runs=0, seed=seed, p_transient=rate,
-            p_scale_in=0.0, p_random_termination=0.0, p_account_pressure=0.0,
-        )
+    specs = calm(shipped_specs(runs_per_fault, seed))
+    return [
+        point("transient_rate", rate, [
+            dataclasses.replace(spec, transient=bool(rate) and spec.fault_type in CONFIG_FAULTS)
+            for spec in specs
+        ])
         for rate in rates
-    })
+    ]
 
 
 def stub_metrics(precision_fp=0):
@@ -91,16 +109,15 @@ class TestSweepPoint:
 class TestTinySweep:
     def test_single_point_interference_sweep(self):
         """One sweep point on a tiny campaign exercises the full path."""
-        points = sweep_interference(rates=(0.0,), runs_per_fault=1, seed=7100)
-        assert len(points) == 1
-        assert points[0].metrics.total_runs == 8
-        assert points[0].metrics.recall == 1.0
+        calm_point = point("interference", "none", calm(shipped_specs(1, seed=7100)))
+        assert calm_point.metrics.total_runs == 8
+        assert calm_point.metrics.recall == 1.0
 
 
 class TestInterferenceSweep:
     @pytest.fixture(scope="class")
     def points(self):
-        points = sweep_interference(rates=(0.0, 0.5), runs_per_fault=3)
+        points = sweep_interference(runs_per_fault=3)
         print("\n" + render_sweep(points))
         return points
 
@@ -114,11 +131,11 @@ class TestInterferenceSweep:
     def test_interference_cannot_improve_accuracy(self, points):
         calm, stormy = points
         assert stormy.metrics.accuracy_rate <= calm.metrics.accuracy_rate + 1e-9
-        # Measured (seed 2014, 3 runs per fault): every detection on
+        # Measured (seed 7001, 3 runs per fault): every detection on
         # either side is a true positive and correctly diagnosed; the
-        # stormy side adds 11 detected interference events.
+        # shipped mix adds 5 detected interference events.
         assert (calm.metrics.tp, calm.metrics.false_positives) == (24, 0)
-        assert (stormy.metrics.tp, stormy.metrics.false_positives) == (35, 0)
+        assert (stormy.metrics.tp, stormy.metrics.false_positives) == (29, 0)
         assert calm.metrics.accuracy_rate == stormy.metrics.accuracy_rate == 1.0
 
 

@@ -47,7 +47,8 @@ class TestLiteralExtraction:
 
     def test_min_length_filters_short_runs(self):
         assert required_literal(r"a(?P<x>\d+)b") is None
-        assert required_literal(r"ab(?P<x>\d+)", min_length=2) == "ab"
+        assert required_literal(r"ab(?P<x>\d+)") is None
+        assert required_literal(r"abc(?P<x>\d+)") == "abc"
 
     def test_longest_run_wins(self):
         assert required_literal(r"ok: (?P<x>\d+) completed fully") == " completed fully"

@@ -65,7 +65,7 @@ class TestReadLog:
         assert records[1].timestamp == ""
 
     def test_source_and_type(self):
-        records = read_log(SAMPLE, source="asgard.log", type="operation")
+        records = read_log(SAMPLE, source="asgard.log")
         assert records[0].source == "asgard.log"
         assert records[0].type == "operation"
 

@@ -31,12 +31,10 @@ class TestNoiseFilter:
     def test_matched_lines_pass(self):
         noise = NoiseFilter(library())
         assert noise.accepts(record("operation started"))
-        assert noise.passed_count == 1
 
     def test_unmatched_lines_dropped_by_default(self):
         noise = NoiseFilter(library())
         assert not noise.accepts(record("random chatter"))
-        assert noise.dropped_count == 1
 
     def test_drop_regexes_always_win(self):
         noise = NoiseFilter(library(), passthrough_unmatched=True)
@@ -45,17 +43,6 @@ class TestNoiseFilter:
     def test_passthrough_unmatched(self):
         noise = NoiseFilter(library(), passthrough_unmatched=True)
         assert noise.accepts(record("weird unknown line"))
-
-    def test_passthrough_regexes(self):
-        noise = NoiseFilter(library(), passthrough_regexes=[r"ERROR"])
-        assert noise.accepts(record("ERROR something odd"))
-        assert not noise.accepts(record("chit chat"))
-
-    def test_seen_count(self):
-        noise = NoiseFilter(library())
-        noise.accepts(record("operation started"))
-        noise.accepts(record("zzz"))
-        assert (noise.passed_count, noise.dropped_count) == (1, 1)
 
 
 class TestProcessAnnotator:
@@ -163,7 +150,6 @@ class TestLocalLogProcessor:
         processor, _ = self._processor()
         processor.process(record("did work on i-1"))
         processor.process(record("noise"))
-        assert processor.processed_count == 1
         assert processor.shipped_count == 1
 
     def test_metrics_and_spans_recorded_when_observed(self):
@@ -382,12 +368,13 @@ class TestCentralLogStorage:
         storage = CentralLogStorage()
         a = LogRecord(time=1, source="x", message="alpha", type="operation", tags=["trace:t1"])
         b = LogRecord(time=2, source="y", message="beta", type="assertion", tags=["trace:t1"])
-        storage.append(a)
-        storage.append(b)
-        assert storage.query(type="assertion") == [b]
-        assert storage.query(tag="trace:t1", since=1.5) == [b]
-        assert storage.query(contains="alp") == [a]
-        assert storage.query(source="x", until=1.5) == [a]
+        c = LogRecord(time=3, source="y", message="gamma", type="assertion", tags=["trace:t2"])
+        for rec in (a, b, c):
+            storage.append(rec)
+        assert storage.query(type="assertion") == [b, c]
+        assert storage.query(tag="trace:t1") == [a, b]
+        assert storage.query(tag="trace:t1", type="assertion") == [b]
+        assert storage.query() == [a, b, c]
 
     def test_by_trace_and_traces(self):
         storage = CentralLogStorage()

@@ -80,20 +80,6 @@ class TestStorageProperties:
         for trace, records in grouped.items():
             assert all(r.tag_value("trace") == trace for r in records)
 
-    @given(st.lists(st.floats(min_value=0, max_value=100), max_size=30))
-    @settings(max_examples=50, deadline=None)
-    def test_time_window_queries_partition(self, times):
-        storage = CentralLogStorage()
-        for t in times:
-            storage.append(LogRecord(time=t, source="s", message="m"))
-        pivot = 50.0
-        before = storage.query(until=pivot)
-        after = storage.query(since=pivot)
-        # Records exactly at the pivot appear in both (inclusive bounds);
-        # everything else appears exactly once.
-        at_pivot = sum(1 for t in times if t == pivot)
-        assert len(before) + len(after) == len(times) + at_pivot
-
 
 class TestMiningFromStorage:
     def test_traces_from_storage_uses_end_positions(self):

@@ -16,7 +16,7 @@ def tagged(message, step, trace="t1", time=0.0):
 class TestOneOffTimer:
     def test_fires_once_at_delay(self, engine):
         firings = []
-        OneOffTimer(engine, 5.0, firings.append, name="check-later")
+        OneOffTimer(engine, 5.0, firings.append)
         engine.run()
         assert len(firings) == 1
         assert firings[0].time == 5.0

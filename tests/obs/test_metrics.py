@@ -1,6 +1,6 @@
 """MetricsRegistry: instruments, deterministic snapshots, merging."""
 
-from repro.obs.metrics import DEFAULT_BUCKETS, Histogram, MetricsRegistry
+from repro.obs.metrics import BUCKETS, Histogram, MetricsRegistry
 
 
 class TestInstruments:
@@ -39,9 +39,10 @@ class TestInstruments:
         assert sum(snap["buckets"].values()) == 3
 
     def test_boundary_value_lands_in_its_bucket(self):
-        histogram = Histogram(buckets=(1.0, 2.0))
+        histogram = Histogram()
         histogram.observe(1.0)
-        assert histogram.snapshot()["buckets"] == {"1.0": 1, "2.0": 0, "+Inf": 0}
+        buckets = histogram.snapshot()["buckets"]
+        assert (buckets["0.5"], buckets["1.0"], buckets["2.5"]) == (0, 1, 0)
 
 
 class TestSnapshots:
@@ -115,5 +116,5 @@ class TestMerge:
     def test_default_buckets_cover_sim_scales(self):
         # Sub-10ms conformance checks and multi-minute convergence waits
         # must land in distinct buckets, not one catch-all.
-        assert DEFAULT_BUCKETS[0] <= 0.01
-        assert DEFAULT_BUCKETS[-1] >= 300.0
+        assert BUCKETS[0] <= 0.01
+        assert BUCKETS[-1] >= 300.0

@@ -84,9 +84,6 @@ class TestTestbed:
         assert Testbed(cluster_size=4, seed=72).batch_size == 1
         assert Testbed(cluster_size=20, seed=72).batch_size == 4
 
-    def test_custom_batch_size(self):
-        assert Testbed(cluster_size=4, seed=72, batch_size=2).batch_size == 2
-
     def test_pod_config_targets_v2(self):
         testbed = build_testbed(cluster_size=4, seed=73)
         assert testbed.pod_config.target.image_id == testbed.stack.ami_v2

@@ -131,7 +131,7 @@ class TestHappyPath:
 class TestFailurePaths:
     def test_elb_loss_fails_with_exception_line(self, provisioned_cloud):
         cloud = provisioned_cloud
-        operation, stream = launch_upgrade(cloud, elb_timeout=30)
+        operation, stream = launch_upgrade(cloud)
         operation.start()
         cloud.engine.run(until=cloud.engine.now + 50)
         cloud.injector.make_elb_unavailable("elb-dsn")
@@ -141,7 +141,7 @@ class TestFailurePaths:
 
     def test_stall_times_out(self, provisioned_cloud):
         cloud = provisioned_cloud
-        operation, stream = launch_upgrade(cloud, wait_timeout=120)
+        operation, stream = launch_upgrade(cloud)
         operation.start()
         cloud.engine.run(until=cloud.engine.now + 20)
         cloud.injector.make_ami_unavailable(cloud.ami_v2)

@@ -11,12 +11,15 @@ reproduction:
    rate vs. detection latency across interval settings.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.diagnosis.engine import DiagnosisEngine
 from repro.diagnosis.walk import walk
 from repro.faulttree.instantiate import instantiate_tree
 from repro.faulttree.library import build_standard_fault_trees
+from repro.pod.service import PODDiagnosis
 from repro.testbed import build_testbed
 
 
@@ -164,15 +167,24 @@ def test_ablation_watchdog_calibration():
     """§IV's 95th-percentile rule: tighter watchdogs detect stalls sooner
     but false-alarm on slow boots; looser ones are quiet but late."""
 
+    def testbed_watched_at(seed, interval):
+        """The shipped testbed, its POD rebuilt on a config with another
+        watchdog interval before anything is watched."""
+        testbed = build_testbed(cluster_size=4, seed=seed)
+        testbed.pod.close()
+        testbed.pod_config = dataclasses.replace(testbed.pod_config, watchdog_interval=interval)
+        testbed.pod = PODDiagnosis(testbed.cloud, testbed.pod_config, seed=seed, chaos=testbed.chaos)
+        return testbed
+
     def sweep(interval):
         false_positives = 0
         for seed in range(6):
-            healthy = build_testbed(cluster_size=4, seed=900 + seed, watchdog_interval=interval)
+            healthy = testbed_watched_at(900 + seed, interval)
             healthy.run_upgrade()
             false_positives += sum(
                 1 for d in healthy.pod.detections if d.cause == "timer-timeout"
             )
-        stalled = build_testbed(cluster_size=4, seed=950, watchdog_interval=interval)
+        stalled = testbed_watched_at(950, interval)
         injected_at = []
 
         def inject():

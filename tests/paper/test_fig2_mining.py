@@ -77,7 +77,7 @@ def test_fig2_clustering_and_regex(training_data):
     _, raw_lines = training_data
     interesting = [l for l in raw_lines if "DEBUG" not in l][:400]
 
-    clusters = cluster_lines(interesting, 0.82)
+    clusters = cluster_lines(interesting)
     # One cluster per log template: the upgrade has 9 activity templates
     # (plus the odd skip/exception line on some seeds).
     assert 8 <= len(clusters) <= 14

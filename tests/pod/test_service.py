@@ -40,9 +40,9 @@ class TestHappyPath:
 
     def test_debug_chatter_filtered_out(self, clean_run):
         testbed, _ = clean_run
-        assert testbed.pod.storage.query(contains="DEBUG") == []
-        noise = testbed.pod.processors[0].noise_filter
-        assert noise.dropped_count > 0
+        logged = testbed.pod.storage.query(type="operation")
+        assert not [r for r in logged if "DEBUG" in r.message]
+        assert [r for r in testbed.stream.records if "DEBUG" in r.message]
 
     def test_assertion_results_logged_centrally(self, clean_run):
         testbed, _ = clean_run

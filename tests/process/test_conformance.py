@@ -125,7 +125,7 @@ class TestSideEffects:
         service = checker()
         service.check(record("doing alpha"))
         service.check(record("nonsense"))
-        assert service.check_count == 2
+        assert len(service.results) == 2
         assert [r.status for r in service.results if r.is_error] == [UNKNOWN]
 
     def test_service_time_matches_paper(self):
@@ -161,7 +161,7 @@ class TestReplayerProperties:
             result = service.check(record(message, trace=f"t{index % trace_count}"))
             assert result.status in (FIT, UNFIT, UNKNOWN, ERROR)
             assert result.trace_id == f"t{index % trace_count}"
-        assert service.check_count == len(lines)
+        assert len(service.results) == len(lines)
         for trace in range(trace_count):
             assert 0.0 <= service.fitness_of(f"t{trace}") <= 1.0
 

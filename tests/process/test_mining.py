@@ -56,14 +56,6 @@ class TestClustering:
         names = [c.name for c in clusters]
         assert len(names) == len(set(names))
 
-    def test_invalid_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            cluster_lines(self.LINES, threshold=0.0)
-
-    def test_custom_namer(self):
-        clusters = cluster_lines(self.LINES[:2], namer=lambda c: "ready_step")
-        assert clusters[0].name == "ready_step"
-
 
 class TestRegexDerivation:
     def test_derived_regex_matches_members(self):
@@ -107,11 +99,6 @@ class TestDfg:
         assert dfg.dominant_starts() == ["start"]
         assert dfg.dominant_ends() == ["end"]
 
-    def test_edge_threshold(self):
-        dfg = DirectlyFollowsGraph.from_traces(self.TRACES)
-        assert ("work", "work") not in dfg.edges(min_count=2)
-        assert ("start", "work") in dfg.edges(min_count=2)
-
     def test_loop_edges(self):
         dfg = DirectlyFollowsGraph.from_traces([["a", "b", "a", "b", "c"]])
         assert ("b", "a") in dfg.loop_edges()
@@ -135,11 +122,6 @@ class TestDiscovery:
         dfg = DirectlyFollowsGraph.from_traces([["a", "x"], ["b", "x"], ["c", "x"]])
         with pytest.raises(ValueError, match="start"):
             discover_model(dfg)
-
-    def test_noise_threshold_drops_rare_edges(self):
-        traces = [["a", "b", "c"]] * 10 + [["a", "c"]]
-        model = discover_model(DirectlyFollowsGraph.from_traces(traces), min_edge_count=2)
-        assert ("a", "c") not in model.edges
 
     @given(
         st.lists(

@@ -4,7 +4,7 @@ import datetime
 
 import pytest
 
-from repro.sim.clock import DEFAULT_EPOCH, SimClock
+from repro.sim.clock import EPOCH, SimClock
 
 
 class TestSimClock:
@@ -29,7 +29,7 @@ class TestSimClock:
         assert clock.now() == 5.0
 
     def test_default_epoch_matches_paper_era(self):
-        assert DEFAULT_EPOCH == datetime.datetime(2013, 11, 19, 11, 0, 0)
+        assert EPOCH == datetime.datetime(2013, 11, 19, 11, 0, 0)
 
     def test_render_format_is_log4j_style(self):
         clock = SimClock()
@@ -46,12 +46,6 @@ class TestSimClock:
     def test_render_explicit_time(self):
         clock = SimClock()
         assert clock.render(0.5).endswith(",500")
-
-    def test_custom_epoch(self):
-        epoch = datetime.datetime(2020, 1, 1, 0, 0, 0)
-        clock = SimClock(epoch=epoch)
-        assert clock.render(0.0).startswith("2020-01-01")
-        assert clock.epoch == epoch
 
     def test_repr_contains_time(self):
         clock = SimClock()

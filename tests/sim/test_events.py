@@ -53,6 +53,11 @@ class TestTimeout:
         with pytest.raises(ValueError):
             Timeout(engine, -1.0)
 
+    def test_nan_delay_rejected(self, engine):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            engine.timeout(float("nan"))
+        assert engine.peek() == float("inf")  # nothing was scheduled
+
     def test_fires_at_delay(self, engine):
         fired = []
         timeout = engine.timeout(5.0, value="tick")

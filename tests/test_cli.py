@@ -90,8 +90,17 @@ class TestInputValidation:
             (["demo", "--cluster", "0"], "must be at least 1"),
             (["trees", "--dot", "nope"], "known: asg-instance-count"),
             (["chaos-sweep", "--levels", "none,bogus"], "known: none, mild, moderate, severe"),
+            (["recover", "--inject-at", "-5"], "must be a finite number >= 0"),
+            (["recover", "--inject-at", "nan"], "must be a finite number >= 0"),
+            (["recover", "--inject-at", "inf"], "must be a finite number >= 0"),
+            (["recover", "--inject-at", "soon"], "invalid non_negative_seconds value"),
+            (["trace-export", "--max-spans", "-3"], "must be at least 1"),
+            (["trace-export", "--max-spans", "0"], "must be at least 1"),
         ],
-        ids=["runs-0", "cluster-0", "unknown-tree", "unknown-level"],
+        ids=[
+            "runs-0", "cluster-0", "unknown-tree", "unknown-level", "inject-at-negative",
+            "inject-at-nan", "inject-at-inf", "inject-at-word", "max-spans-negative", "max-spans-0",
+        ],
     )
     def test_usage_error(self, argv, says, capsys):
         with pytest.raises(SystemExit) as exited:

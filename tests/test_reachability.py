@@ -49,7 +49,7 @@ COMMANDS: dict[str, list[str]] = {
         "campaign", "--runs", "1", "--chaos", "severe", "--recover",
         "--json", "{out}/campaign.json", "--report", "{out}/report.md",
     ],
-    "recover": ["recover", "--json", "{out}/recover.json"],
+    "recover": ["recover", "--inject-at", "40", "--json", "{out}/recover.json"],
     "chaos-sweep": ["chaos-sweep", "--runs", "1", "--levels", "none,severe"],
     "trace-export": ["trace-export", "--json", "{out}/trace.json"],
     "mine": ["mine"],
