@@ -17,10 +17,10 @@ This module replaces them with structurally shared, immutable views:
 - :class:`FrozenList` — the matching read-only ``list`` subclass, used
   for nested sequences (``SecurityGroups``, ``Instances``, ...).  Unlike
   a tuple it still compares equal to plain lists, so no caller notices.
-- :func:`freeze` — recursively convert a describe-dict into frozen form,
-  optionally *interning* sub-structures so identical values (the
-  ``{"Name": "running"}`` state dicts, unchanged security-group lists,
-  repeated instance wrappers) are one shared object region-wide.
+- :func:`freeze` — recursively convert a describe-dict into frozen form.
+- :func:`share_unchanged` — before a write is frozen, swap in the
+  previous history entry's frozen parts for what the write did not
+  touch, so consecutive versions of one resource share them.
 - :func:`thaw` — the explicit escape hatch: a deep, mutable copy for the
   rare caller that genuinely needs to edit a view.
 
@@ -66,11 +66,10 @@ class FrozenView(dict):
     """Read-only mapping over a resource's described form.
 
     Construction goes through ``dict.__init__`` (which bypasses the
-    blocked ``__setitem__``), after which the view is sealed.  Hashable —
-    by its item set — so views can be interned and used as cache keys.
+    blocked ``__setitem__``), after which the view is sealed.
     """
 
-    __slots__ = ("_cached_hash",)
+    __slots__ = ()
 
     __setitem__ = _blocked("__setitem__")
     __delitem__ = _blocked("__delitem__")
@@ -80,13 +79,6 @@ class FrozenView(dict):
     popitem = _blocked("popitem")
     setdefault = _blocked("setdefault")
     update = _blocked("update")
-
-    def __hash__(self) -> int:  # type: ignore[override]
-        # getattr-with-default: an unset slot costs no Python-level raise.
-        value = getattr(self, "_cached_hash", None)
-        if value is None:
-            value = self._cached_hash = hash(frozenset(self.items()))
-        return value
 
     def thaw(self) -> dict:
         """A deep, mutable copy — the explicit opt-out from sharing."""
@@ -104,7 +96,7 @@ class FrozenView(dict):
 class FrozenList(list):
     """Read-only sequence that still compares equal to plain lists."""
 
-    __slots__ = ("_cached_hash",)
+    __slots__ = ()
 
     __setitem__ = _blocked("__setitem__")
     __delitem__ = _blocked("__delitem__")
@@ -121,12 +113,6 @@ class FrozenList(list):
     # list.pop mutates; block it (dict.pop blocked above for symmetry).
     pop = _blocked("pop")
 
-    def __hash__(self) -> int:  # type: ignore[override]
-        value = getattr(self, "_cached_hash", None)
-        if value is None:
-            value = self._cached_hash = hash(tuple(self))
-        return value
-
     def thaw(self) -> list:
         return thaw(self)
 
@@ -142,18 +128,12 @@ _FROZEN = (FrozenView, FrozenList)
 _LEAVES = frozenset({str, int, float, bool, type(None), *_FROZEN})
 
 
-def freeze(
-    value: _t.Any,
-    intern: dict | None = None,
-    count: _t.Callable[[str], None] | None = None,
-) -> _t.Any:
-    """Recursively convert ``value`` into its frozen, shareable form.
+def freeze(value: _t.Any) -> _t.Any:
+    """Recursively convert ``value`` into its frozen form.
 
-    ``intern`` (a plain dict used as an identity pool) makes equal
-    sub-structures one shared object; ``count`` receives
-    ``cloud.snapshot.shared`` / ``cloud.snapshot.copied`` per structure so
-    the sharing ratio is observable.  Scalars pass through untouched;
-    already-frozen values are returned as-is (freeze is idempotent).
+    Scalars pass through untouched; already-frozen values are returned
+    as-is (freeze is idempotent), which keeps the parts
+    :func:`share_unchanged` swapped in shared.
     """
     kind = type(value)
     if kind in _LEAVES:
@@ -163,55 +143,33 @@ def freeze(
         if isinstance(value, _FROZEN):
             return value
         if isinstance(value, (set, frozenset)):
-            return frozenset([freeze(item, intern, count) for item in value])
+            return frozenset([freeze(item) for item in value])
         if isinstance(value, dict):
             kind = dict
         elif not isinstance(value, (list, tuple)):
             return value
     if kind is dict:
-        frozen = FrozenView(
-            {
-                key: item if type(item) in _LEAVES else freeze(item, intern, count)
-                for key, item in value.items()
-            }
+        return FrozenView(
+            {key: item if type(item) in _LEAVES else freeze(item) for key, item in value.items()}
         )
-    else:
-        frozen = FrozenList(
-            [item if type(item) in _LEAVES else freeze(item, intern, count) for item in value]
-        )
-    outcome = "cloud.snapshot.copied"
-    if intern is not None:
-        try:
-            pooled = intern.setdefault(frozen, frozen)
-        except TypeError:
-            # Unhashable leaf slipped in; keep the fresh copy, uninterned.
-            pooled = frozen
-        if pooled is not frozen:
-            frozen = pooled
-            outcome = "cloud.snapshot.shared"
-    if count is not None:
-        count(outcome)
-    return frozen
+    return FrozenList([item if type(item) in _LEAVES else freeze(item) for item in value])
 
 
-def share_unchanged(value: _t.Any, previous: _t.Any) -> int:
+def share_unchanged(value: _t.Any, previous: _t.Any) -> None:
     """Swap the parts of ``value`` a write did not touch for the equal,
-    already-interned parts of frozen ``previous``, in place.
+    already-frozen parts of ``previous``, in place.
 
     ``value`` is a fresh ``describe()``: plain dicts and lists all the way
     down.  Dict fields are matched by key; a list that gained or lost
-    members keeps its common head and tail.  Returns the containers
-    swapped in: the intern hits that re-freezing them would have counted.
+    members keeps its common head and tail.
     """
-    shared = 0
     if type(previous) is FrozenView and type(value) is dict:
         for key, old in previous.items():
             if type(old) in _FROZEN and key in value:
                 if value[key] == old:
                     value[key] = old
-                    shared += _containers(old)
                 else:
-                    shared += share_unchanged(value[key], old)
+                    share_unchanged(value[key], old)
     elif type(previous) is FrozenList and type(value) is list:
         head, limit = 0, min(len(value), len(previous))
         while head < limit and value[head] == previous[head]:
@@ -221,14 +179,6 @@ def share_unchanged(value: _t.Any, previous: _t.Any) -> int:
         while tail <= limit - head and value[-tail] == previous[-tail]:
             value[-tail] = previous[-tail]
             tail += 1
-        kept = previous[:head] + previous[len(previous) - tail + 1 :]
-        shared = sum([_containers(item) for item in kept if type(item) in _FROZEN])
-    return shared
-
-
-def _containers(frozen: FrozenView | FrozenList) -> int:
-    items = frozen.values() if type(frozen) is FrozenView else frozen
-    return 1 + sum([_containers(item) for item in items if type(item) in _FROZEN])
 
 
 def thaw(value: _t.Any) -> _t.Any:

@@ -7,11 +7,10 @@ lagging behind the latest write — exactly the behaviour that forced the
 paper to build a "consistent AWS API layer" with retries (§IV).
 
 History is copy-on-write: each snapshot is a :class:`~repro.cloud.freeze.FrozenView`
-appended *by reference*, with sub-structures interned so identical values
-(state dicts, unchanged security-group lists) are one shared object
-region-wide.  ``view_at`` returns the frozen view directly — a stale read
-costs one bisect and zero copying — and callers that need a scratch dict
-use :func:`~repro.cloud.freeze.thaw`.  A region-wide write log (consumed
+appended *by reference*, sharing the parts a write did not touch with
+the resource's previous entry.  ``view_at`` returns the frozen view
+directly — a stale read costs one bisect and zero copying — and callers
+that need a scratch dict use :func:`~repro.cloud.freeze.thaw`.  A region-wide write log (consumed
 by the Edda-style monitor) makes per-tick snapshot work proportional to
 writes instead of region size.
 """
@@ -76,12 +75,10 @@ class CloudState:
         #: ``None`` view is a tombstone.  Parallel arrays keep ``view_at``
         #: a single bisect over a flat float list.
         self._history: dict[tuple[str, str], tuple[list[float], list[FrozenView | None]]] = {}
-        #: Intern pool: equal frozen sub-structures resolve to one object.
-        self._intern: dict = {}
         #: Append-only (kind, id) write log; what the monitor crawls.
         self._write_log: list[tuple[str, str]] = []
-        #: Data-plane counters (always on — they are two dict increments
-        #: per write/read): snapshot sharing and stale/fresh read mix.
+        #: Data-plane counters (always on — two dict increments per read
+        #: or crawl): the stale/fresh read mix and the monitor's crawl work.
         self.data_plane_counters: dict[str, int] = {}
         #: Optional obs MetricsRegistry mirror (attached by the testbed).
         self._metrics = None
@@ -151,18 +148,15 @@ class CloudState:
 
         Call after any in-place mutation so eventually-consistent readers
         observe the change only once their lag elapses.  The snapshot is
-        frozen once and appended by reference — no deep copy, and equal
-        sub-structures are interned across the whole region.
+        frozen once and appended by reference — no deep copy, and the parts
+        the write did not touch are the previous entry's own objects.
         """
         resource = self._registries[kind].get(identifier)
         snapshot = None
         if resource is not None:
             described = resource.describe()
-            self._count_many(
-                "cloud.snapshot.shared",
-                share_unchanged(described, self.latest_view(kind, identifier)),
-            )
-            snapshot = freeze(described, self._intern, self._count)
+            share_unchanged(described, self.latest_view(kind, identifier))
+            snapshot = freeze(described)
         self._append_history(kind, identifier, now, snapshot)
 
     def finish_termination(self, instance_id: str, now: float) -> None:

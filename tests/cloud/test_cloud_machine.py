@@ -5,8 +5,8 @@ terminations, scaling, the eight fault injections and their reverts,
 chaos terminations, direct field writes, API-plane chaos and clock
 advances.  After every step the machine checks invariants stated against
 references it builds itself -- deep copies of ``describe()`` captured at
-each write, a plain re-freeze, the full-copy monitor -- never against an
-older build of the code.  A ``CloudError`` is an outcome, not a failure.
+each write, the reference freeze of each, the full-copy monitor -- never
+against an older build of the code.  A ``CloudError`` is an outcome, not a failure.
 """
 
 import copy
@@ -20,11 +20,12 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 from repro.cloud.chaos import CHAOS_LEVELS, ChaosController
 from repro.cloud.controller import ELB_REGISTER_DELAY
 from repro.cloud.errors import CloudError
-from repro.cloud.freeze import FrozenList, FrozenView, freeze, thaw
+from repro.cloud.freeze import FrozenList, FrozenView, thaw
 from repro.cloud.limits import AccountLimits
 from repro.cloud.provider import SimulatedCloud
 from repro.cloud.resources import InstanceState
 
+from .reference_freeze import reference_freeze, shape
 from .test_monitor_delta import FullCopyReference
 
 ELBS = ("elb-a", "elb-b")
@@ -68,12 +69,22 @@ def scan(entries, when):
     return next((described for at, described in reversed(entries) if at <= when), None)
 
 
-def pooled(view, pool) -> bool:
-    """Every container of ``view`` is the intern pool's own object."""
-    if type(view) not in (FrozenView, FrozenList):
-        return True
-    items = view.values() if type(view) is FrozenView else view
-    return pool.get(view) is view and all(pooled(item, pool) for item in items)
+def shares_untouched(new, old) -> bool:
+    """The containers of ``new`` a write did not touch are ``old``'s own
+    objects: an equal field, and a list's equal common head and tail."""
+    if type(new) is FrozenView and type(old) is FrozenView:
+        return all(
+            new[key] is part if new[key] == part else shares_untouched(new[key], part)
+            for key, part in old.items()
+            if type(part) in (FrozenView, FrozenList)
+        )
+    if type(new) is FrozenList and type(old) is FrozenList:
+        common = min(len(new), len(old))
+        head = next((i for i in range(common) if new[i] != old[i]), common)
+        tail = next((i for i in range(common - head) if new[-1 - i] != old[-1 - i]), common - head)
+        kept = [*zip(new[:head], old[:head]), *zip(new[len(new) - tail :], old[len(old) - tail :])]
+        return all(a is b for a, b in kept if type(b) in (FrozenView, FrozenList))
+    return True
 
 
 class CloudMachine(RuleBasedStateMachine):
@@ -85,7 +96,6 @@ class CloudMachine(RuleBasedStateMachine):
         self.captured = {}  # (kind, id) -> [(time, deep copy of describe() or None)]
         self.unchecked = {}  # (kind, id) -> its first capture not yet checked
         self.uncrawled = set()  # (kind, id) written since the monitor's last crawl
-        self.shadow_pool, self.shadow_counts = {}, {}
         self.handed_out = []  # (view, thawed copy when handed out)
         self.touched = set()  # instance ids a direct-write rule touched
         self.violations = []
@@ -150,13 +160,8 @@ class CloudMachine(RuleBasedStateMachine):
         if self.in_reconcile and entries and entries[-1][1] == live:
             self.violations.append(f"a reconcile pass rewrote unchanged {kind} {identifier}")
         entries.append((now, copy.deepcopy(live)))
-        if live is not None:
-            freeze(entries[-1][1], self.shadow_pool, self._count_shadow)
         self.unchecked.setdefault(key, len(entries) - 1)
         self.uncrawled.add(key)
-
-    def _count_shadow(self, name):
-        self.shadow_counts[name] = self.shadow_counts.get(name, 0) + 1
 
     def _check_pass(self, activities):
         """A reconcile pass never leaves a gap silently, launches only from
@@ -298,7 +303,6 @@ class CloudMachine(RuleBasedStateMachine):
         assert self.state.active_instance_count() <= self.state.limits.max_instances
         self.check_history()
         self.check_latest_views()
-        self.check_sharing()
         self.check_monitor()
 
     def check_members(self):
@@ -322,9 +326,10 @@ class CloudMachine(RuleBasedStateMachine):
                     assert self.state.instances[iid].state is not TERMINATED, (elb.name, iid)
 
     def check_history(self):
-        """History times are monotone; every new entry is the intern pool's
-        own objects; ``view_at`` answers what a linear scan over the captured
-        copies answers; a view once handed out never changes; an untouched
+        """History times are monotone; every new entry is the reference
+        freeze of its capture and shares what its write did not touch with
+        the entry before it; ``view_at`` answers what a linear scan over the
+        captured copies answers; a view once handed out never changes; an untouched
         instance's state only moves forward; an unavailable ELB registers
         nothing."""
         for view, thawed in self.handed_out:
@@ -335,7 +340,11 @@ class CloudMachine(RuleBasedStateMachine):
             history = self.state.history(kind, identifier)
             times = [at for at, _ in history]
             assert times == sorted(times) == [at for at, _ in entries]
-            assert all(pooled(view, self.state._intern) for _, view in history[first:])
+            for index in range(first, len(history)):
+                view, capture = history[index][1], entries[index][1]
+                assert shape(view) == shape(reference_freeze(capture)), (kind, identifier, index)
+                if index:
+                    assert shares_untouched(view, history[index - 1][1]), (kind, identifier)
             new_times = [at for at, _ in entries[first:]]
             for at in {now, *new_times, *(at - 0.25 for at in new_times)}:
                 view = self.state.view_at(kind, identifier, at)
@@ -358,15 +367,6 @@ class CloudMachine(RuleBasedStateMachine):
                 exists = self.state.exists(kind, identifier)
                 live = self.state.get(kind, identifier).describe() if exists else None
                 assert self.state.latest_view(kind, identifier) == live, (kind, identifier)
-
-    def check_sharing(self):
-        """``share_unchanged`` is invisible: the same intern pool and
-        ``cloud.snapshot.*`` counters as freezing every capture afresh."""
-        counters, pool = self.state.data_plane_counters, self.state._intern
-        for name in ("cloud.snapshot.shared", "cloud.snapshot.copied"):
-            assert counters.get(name, 0) == self.shadow_counts.get(name, 0), name
-        assert counters.get("cloud.snapshot.copied", 0) == len(pool)
-        assert list(pool) == list(self.shadow_pool)
 
     def check_monitor(self):
         """The monitor answers what deep-copying the region at every crawl answers."""

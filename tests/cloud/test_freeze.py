@@ -1,11 +1,11 @@
 """Tests for the copy-on-write snapshot primitives.
 
 Covers the frozen view/list contract (reads behave like plain
-structures, writes fail loudly), freeze/thaw round-trips, interning, and
-the read/write aliasing regressions: against the seed's shallow
-snapshots (live ``describe()`` dicts) the aliasing tests below fail,
-because a caller mutating its "snapshot" silently edited authoritative
-region state.
+structures, writes fail loudly), freeze/thaw round-trips, sharing with
+the previous history entry, and the read/write aliasing regressions:
+against the seed's shallow snapshots (live ``describe()`` dicts) the
+aliasing tests below fail, because a caller mutating its "snapshot"
+silently edited authoritative region state.
 """
 
 import copy
@@ -26,7 +26,7 @@ from repro.cloud.freeze import (
 from repro.cloud.resources import AutoScalingGroup, SecurityGroup
 from repro.cloud.state import CloudState
 
-from .reference_freeze import reference_freeze
+from .reference_freeze import reference_freeze, shape
 
 
 def sample():
@@ -117,10 +117,12 @@ class TestFrozenView:
         view = freeze(sample())
         assert copy.deepcopy(view) == view
 
-    def test_hashable_and_stable(self):
-        a, b = freeze(sample()), freeze(sample())
-        assert hash(a) == hash(b)
-        assert len({a, b}) == 1
+    def test_unhashable_like_the_plain_structures(self):
+        """Nothing keys a cache or a pool on a view's value."""
+        view = freeze(sample())
+        for frozen in (view, view["Tags"]):
+            with pytest.raises(TypeError):
+                hash(frozen)
 
 
 class TestFreezeThaw:
@@ -140,25 +142,6 @@ class TestFreezeThaw:
         scratch = view.thaw()
         scratch["SecurityGroups"].append("sg-evil")
         assert view["SecurityGroups"] == ["sg-1", "sg-2"]
-
-    def test_interning_shares_equal_substructures(self):
-        pool = {}
-        a = freeze({"State": {"Name": "running"}}, pool)
-        b = freeze({"State": {"Name": "running"}}, pool)
-        assert a is b
-        assert a["State"] is b["State"]
-
-    def test_interning_counts_shared_and_copied(self):
-        counters = {}
-
-        def count(name):
-            counters[name] = counters.get(name, 0) + 1
-
-        pool = {}
-        freeze({"State": {"Name": "running"}}, pool, count)
-        freeze({"State": {"Name": "running"}}, pool, count)
-        assert counters["cloud.snapshot.copied"] == 2  # inner + outer, first time
-        assert counters["cloud.snapshot.shared"] == 2  # both hits on replay
 
 
 def make_group():
@@ -239,15 +222,6 @@ class TestStateCounters:
             counters["cloud.reads.stale"] + counters["cloud.reads.fresh"] == 50
         )
 
-    def test_interning_counters_on_record_write(self):
-        state = CloudState()
-        state.put("security_group", "sg-web", make_group(), now=0.0)
-        copied = state.data_plane_counters.get("cloud.snapshot.copied", 0)
-        assert copied > 0
-        # Re-recording the unchanged resource shares every sub-structure.
-        state.record_write("security_group", "sg-web", now=1.0)
-        assert state.data_plane_counters.get("cloud.snapshot.shared", 0) > 0
-
 
 # -- fast path == recursive reference ----------------------------------------
 
@@ -282,11 +256,10 @@ def _containers(children):
         st.dictionaries(keys, children, max_size=2).map(freeze),
         st.dictionaries(keys, scalars, max_size=2).map(Sealed),
         # Sets hold hashable members only; a set of scalars is enough to
-        # reach that branch (and, nested, to make the parent's hash work).
+        # reach that branch.
         st.frozensets(scalars, max_size=3),
         st.sets(scalars, max_size=3),
-        # An unhashable leaf: a bytearray makes every enclosing container
-        # unhashable, i.e. uninternable.
+        # A foreign leaf: passed through as-is.
         st.just(bytearray(b"x")),
     )
 
@@ -294,67 +267,21 @@ def _containers(children):
 structures = st.recursive(scalars, _containers, max_leaves=12)
 
 
-def _shape(value):
-    """Value plus the exact container types, recursively."""
-    if isinstance(value, dict):
-        return (type(value).__name__, {k: _shape(v) for k, v in value.items()})
-    if isinstance(value, list):
-        return (type(value).__name__, [_shape(v) for v in value])
-    if isinstance(value, frozenset):
-        return ("frozenset", {repr(_shape(v)) for v in value})
-    return (type(value).__name__, value)
-
-
-def _identities(value, pool, found):
-    """Which containers of ``value`` are the pool's own objects."""
-    if isinstance(value, (FrozenView, FrozenList)):
-        try:
-            found.append(pool.get(value) is value)
-        except TypeError:
-            found.append(None)
-        for item in value.values() if isinstance(value, dict) else value:
-            _identities(item, pool, found)
-    return found
-
-
 class TestFastPathMatchesReference:
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(st.lists(structures, min_size=1, max_size=4))
-    def test_same_value_types_identity_and_counts(self, values):
-        """A sequence of freezes against one pool: the intern pool's
-        contents carry over, so later values hit what earlier ones put in."""
-        fast_pool, slow_pool = {}, {}
-        fast_calls, slow_calls = [], []
-        for value in values:
-            fast = freeze(value, fast_pool, fast_calls.append)
-            slow = reference_freeze(value, slow_pool, slow_calls.append)
-            assert _shape(fast) == _shape(slow)
-            assert _identities(fast, fast_pool, []) == _identities(slow, slow_pool, [])
-            assert fast_calls == slow_calls
-            if isinstance(fast, (FrozenView, FrozenList)):
-                # Already-frozen input comes back as-is, uncounted.
-                assert freeze(fast, fast_pool, fast_calls.append) is fast
-                assert fast_calls == slow_calls
-        assert list(fast_pool) == list(slow_pool)
-
-    @settings(max_examples=100, deadline=None, derandomize=True)
     @given(structures)
     def test_same_without_pool_or_counter(self, value):
-        assert _shape(freeze(value)) == _shape(reference_freeze(value))
-        calls = []
-        freeze(value, None, calls.append)
-        reference = []
-        reference_freeze(value, None, reference.append)
-        assert calls == reference and set(calls) <= {"cloud.snapshot.copied"}
+        fast = freeze(value)
+        assert shape(fast) == shape(reference_freeze(value))
+        if isinstance(fast, (FrozenView, FrozenList)):
+            # Already-frozen input comes back as-is.
+            assert freeze(fast) is fast
 
     def test_describe_shaped_input(self):
-        pool, calls = {}, []
-        view = freeze(sample(), pool, calls.append)
+        view = freeze(sample())
         assert type(view) is FrozenView and type(view["Tags"]) is FrozenList
         assert type(view["Tags"][0]) is FrozenView and type(view["State"]) is FrozenView
-        assert calls == ["cloud.snapshot.copied"] * 5
-        assert freeze(sample(), pool, calls.append) is view
-        assert calls[5:] == ["cloud.snapshot.shared"] * 5
+        assert freeze(sample()) is not view
 
 
 class PlainRefreeze(CloudState):
@@ -362,13 +289,13 @@ class PlainRefreeze(CloudState):
 
     def record_write(self, kind: str, identifier: str, now: float) -> None:
         resource = self._registry(kind).get(identifier)
-        snapshot = resource and freeze(resource.describe(), self._intern, self._count)
+        snapshot = resource and freeze(resource.describe())
         self._append_history(kind, identifier, now, snapshot)
 
 
 class TestShareUnchanged:
     """``record_write`` keeps the previous entry's frozen parts for what a
-    write did not touch — with the same counters as re-freezing them."""
+    write did not touch — with the same history as re-freezing them."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(
@@ -378,7 +305,7 @@ class TestShareUnchanged:
             max_size=25,
         )
     )
-    def test_history_and_counters_match_plain_refreeze(self, edits):
+    def test_history_matches_plain_refreeze(self, edits):
         states = CloudState(), PlainRefreeze()
         groups = [AutoScalingGroup("asg", "lc", 0, 9, 1, ["i-0", "i-1"], ["elb"]) for _ in states]
         rules = [make_group() for _ in states]
@@ -399,14 +326,12 @@ class TestShareUnchanged:
                     state.record_write("security_group", "sg-web", float(now))
                 state.record_write("auto_scaling_group", "asg", float(now))
             new, old = states
-            assert new.data_plane_counters == old.data_plane_counters
-            assert list(new.data_plane_counters) == list(old.data_plane_counters)
-            assert new._history == old._history
-            assert list(new._intern) == list(old._intern)
+            assert new._history.keys() == old._history.keys()
+            for key, (times, views) in new._history.items():
+                assert times == old._history[key][0]
+                assert shape(views) == shape(old._history[key][1])
             latest = new.latest_view("auto_scaling_group", "asg")
             assert type(latest) is FrozenView and latest == groups[0].describe()
-            # Every container of the new entry is the pool's own object.
-            assert all(_identities(latest, new._intern, []))
 
     def test_untouched_fields_are_the_previous_objects(self):
         state = CloudState()

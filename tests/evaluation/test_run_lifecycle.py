@@ -46,20 +46,24 @@ RUNS = {
 
 #: sha256 (first 16 hex) of each outcome's canonical JSON, recorded at 4f86396;
 #: the four ``degraded`` ones again when the recovery record gained
-#: ``escalation_reason`` (with that key dropped they are the old values).
+#: ``escalation_reason`` (with that key dropped they are the old values);
+#: all twelve again when the region-wide snapshot intern pool went, and
+#: with it ``cloud.snapshot.shared`` / ``cloud.snapshot.copied`` from
+#: ``api_health`` and, traced, from ``metrics["counters"]`` (with those
+#: four paths dropped from 57f10d3's outcomes, they hash to these values).
 RECORDED = {
-    ("paper", "completes-4"): "abb2a27bdf791d23",
-    ("paper", "completes-20"): "dc9dfc42da616207",
-    ("paper", "stalls-4"): "757aa8f8e77aa783",
-    ("paper", "stalls-20"): "08423513fbf38b58",
-    ("traced", "completes-4"): "4d3071659a863825",
-    ("traced", "completes-20"): "4efff5ccba5096e6",
-    ("traced", "stalls-4"): "b2b30bfeafee19ce",
-    ("traced", "stalls-20"): "43798f1416d4695e",
-    ("degraded", "completes-4"): "8784494115a28654",
-    ("degraded", "completes-20"): "92fb0fe59f61c03a",
-    ("degraded", "stalls-4"): "e012bec148840f87",
-    ("degraded", "stalls-20"): "720a027f9ac45778",
+    ("paper", "completes-4"): "859e733f60d72ff5",
+    ("paper", "completes-20"): "a39e099142d20cdf",
+    ("paper", "stalls-4"): "610ea7cb5682285b",
+    ("paper", "stalls-20"): "7a3c1b9443c7a285",
+    ("traced", "completes-4"): "9d482e4b392f82a1",
+    ("traced", "completes-20"): "04069d4b8b5a88a1",
+    ("traced", "stalls-4"): "0f3e9ea2ef3150d0",
+    ("traced", "stalls-20"): "d7a87ae1e9075e67",
+    ("degraded", "completes-4"): "8d237cb20e7606ac",
+    ("degraded", "completes-20"): "d40e64e9f74bfb3a",
+    ("degraded", "stalls-4"): "7a06c3ccc98f3231",
+    ("degraded", "stalls-20"): "81f40133c4edccba",
 }
 
 CASES = sorted(RECORDED)
