@@ -1,11 +1,12 @@
 """The discrete-event engine.
 
-A minimal, deterministic SimPy-style event loop.  Simulation *processes*
-are Python generators that ``yield`` :class:`~repro.sim.events.Event`
-objects; the engine resumes them when those events fire.  Determinism is
-guaranteed by a (time, priority, sequence) heap ordering — two runs with
-the same seed and the same schedule produce identical traces, which the
-evaluation harness relies on.
+A minimal, deterministic event loop with one event kind.  Simulation
+*processes* are Python generators that ``yield`` a :class:`Timeout`; the
+engine resumes them when it fires.  Nothing waits on a process except
+:meth:`Engine.run` (``until=process``), so a process that ends schedules
+nothing.  Determinism is guaranteed by a (time, sequence) heap ordering —
+two runs with the same seed and the same schedule produce identical
+traces, which the evaluation harness relies on.
 """
 
 from __future__ import annotations
@@ -15,110 +16,63 @@ import itertools
 import typing as _t
 
 from repro.sim.clock import SimClock
-from repro.sim.events import PENDING, SUCCEEDED, AnyOf, Event, Timeout
-
-#: Priority for ordinary events.
-NORMAL = 1
 
 
-class StopSimulation(Exception):
-    """Raised internally to stop :meth:`Engine.run` at a target event."""
+class Timeout:
+    """A wake-up ``delay`` virtual seconds after its creation.
 
-
-class Interrupt(Exception):
-    """Thrown into a process that another process interrupted.
-
-    The paper's operations get cancelled by concurrent interference (e.g. a
-    scale-in terminating the instance an upgrade step is waiting on);
-    interrupts model that preemption.
+    Scheduled when created; its callbacks run when the engine pops it.
+    Slotted: campaigns create millions (every wait, API call and retry
+    allocates one), so skipping the per-instance dict is a measurable
+    allocation win on the hot path.
     """
 
-    def __init__(self, cause: _t.Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
+    __slots__ = ("callbacks",)
+
+    def __init__(self, engine: "Engine", delay: float) -> None:
+        if not delay >= 0:  # NaN too: it would never fire
+            raise ValueError(f"timeout delay must be >= 0, got {delay}")
+        self.callbacks: list[_t.Callable[["Timeout"], None]] = []
+        engine._schedule(self, delay)
 
 
-class Process(Event):
+class Process:
     """A running simulation process wrapping a generator.
 
-    The process is itself an event: it fires when the generator finishes,
-    carrying the generator's return value — so processes can wait on each
-    other (``yield other_process``).
+    Started by a zero-delay :class:`Timeout`; each ``Timeout`` the
+    generator yields resumes it when it fires.  When the generator
+    returns, :attr:`value` holds what it returned; an exception it raises
+    propagates out of :meth:`Engine.step`.
     """
 
-    __slots__ = ("_generator", "name", "_target")
+    __slots__ = ("_generator", "name", "is_alive", "value")
 
     def __init__(self, engine: "Engine", generator: _t.Generator, name: str | None = None) -> None:
-        super().__init__(engine)
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        self._target: Event | None = None
-        # Kick off the process at the current time.
-        bootstrap = Event(engine)
-        bootstrap.callbacks.append(self._resume)
-        bootstrap.succeed()
+        #: True while the underlying generator has not returned.
+        self.is_alive = True
+        self.value: _t.Any = None
+        Timeout(engine, 0.0).callbacks.append(self._resume)
 
-    @property
-    def is_alive(self) -> bool:
-        """True while the underlying generator has not finished."""
-        return not self.triggered
-
-    def interrupt(self, cause: _t.Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if not self.is_alive:
-            return
-        event = Event(self.engine)
-        event.callbacks.append(self._deliver_interrupt)
-        event.fail(Interrupt(cause))
-
-    def _deliver_interrupt(self, event: Event) -> None:
-        if self._target is not None and self._resume in self._target.callbacks:
-            self._target.callbacks.remove(self._resume)
-        self._resume(event)
-
-    def _resume(self, event: Event) -> None:
-        """Advance the generator with ``event``'s outcome (value or exception)."""
-        if self._state != PENDING:
-            return
-        self._target = None
+    def _resume(self, _timeout: Timeout) -> None:
+        """Advance the generator to its next ``Timeout`` (or its end)."""
         try:
-            if event._state == SUCCEEDED:
-                target = self._generator.send(event._value)
-            else:
-                target = self._generator.throw(event._value)
+            target = self._generator.send(None)
         except StopIteration as stop:
-            self.succeed(stop.value)
+            self.is_alive = False
+            self.value = stop.value
             return
-        except Interrupt:
-            # Interrupt escaped the generator: treat as normal termination.
-            self.succeed(None)
-            return
-        except Exception as exc:
-            # The process crashed. If somebody is waiting on it, deliver the
-            # exception to them (SimPy-style); otherwise it is a
-            # fire-and-forget process and the error must not vanish.
-            if self.callbacks:
-                self.fail(exc)
-                return
-            raise
-        if not isinstance(target, Event):
+        if type(target) is not Timeout:
             if isinstance(target, _t.Generator):  # a forgotten `from`
                 raise TypeError(
                     f"process {self.name!r} yielded a generator; "
                     "drive sub-generators with 'yield from'"
                 )
             raise TypeError(
-                f"process {self.name!r} yielded {target!r}; processes must yield Event objects"
+                f"process {self.name!r} yielded {target!r}; processes must yield a Timeout"
             )
-        self._target = target
         target.callbacks.append(self._resume)
-        if target._state == PENDING:  # not in the queue: `close` finds it here
-            self.engine._parked[target] = None
-
-    def _release(self) -> None:
-        """Teardown: end the generator (its ``finally`` runs now), then the waiters."""
-        self._generator.close()
-        super()._release()
 
     def __repr__(self) -> str:
         return f"<Process {self.name} {'alive' if self.is_alive else 'done'}>"
@@ -129,10 +83,8 @@ class Engine:
 
     def __init__(self) -> None:
         self.clock = SimClock()
-        self._queue: list[tuple[float, int, int, Event]] = []
+        self._queue: list[tuple[float, int, Timeout]] = []
         self._sequence = itertools.count()
-        #: Untriggered events a process waits on, in parking order.
-        self._parked: dict[Event, None] = {}
         self._dispatching = False
         self._closed = False
 
@@ -143,24 +95,14 @@ class Engine:
 
     # -- scheduling ------------------------------------------------------
 
-    def _schedule(self, event: Event, delay: float, priority: int = NORMAL) -> None:
+    def _schedule(self, timeout: Timeout, delay: float) -> None:
         if self._closed:
             raise RuntimeError("engine closed")
-        heapq.heappush(
-            self._queue, (self.clock._now + delay, priority, next(self._sequence), event)
-        )
+        heapq.heappush(self._queue, (self.clock._now + delay, next(self._sequence), timeout))
 
-    def event(self) -> Event:
-        """Create a fresh untriggered event bound to this engine."""
-        return Event(self)
-
-    def timeout(self, delay: float, value: _t.Any = None) -> Timeout:
-        """An event that fires ``delay`` virtual seconds from now."""
-        return Timeout(self, delay, value)
-
-    def any_of(self, events: _t.Sequence[Event]) -> AnyOf:
-        """An event that fires when the first of ``events`` fires."""
-        return AnyOf(self, events)
+    def timeout(self, delay: float) -> Timeout:
+        """A wake-up ``delay`` virtual seconds from now."""
+        return Timeout(self, delay)
 
     def process(self, generator: _t.Generator, name: str | None = None) -> Process:
         """Start a new simulation process from ``generator``."""
@@ -169,60 +111,38 @@ class Engine:
     # -- execution -------------------------------------------------------
 
     def step(self) -> None:
-        """Pop and dispatch the next event. Raises IndexError when empty."""
-        time, _priority, _seq, event = heapq.heappop(self._queue)
+        """Pop the next timeout and run its callbacks. Raises IndexError when empty."""
+        time, _seq, timeout = heapq.heappop(self._queue)
         self.clock.advance_to(time)
-        event.processed = True
-        callbacks, event.callbacks = event.callbacks, []
+        callbacks, timeout.callbacks = timeout.callbacks, []
         self._dispatching = True
         try:
             for callback in callbacks:
-                callback(event)
+                callback(timeout)
         finally:
             self._dispatching = False
 
     def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
+        """Time of the next scheduled timeout, or ``inf`` if none."""
         return self._queue[0][0] if self._queue else float("inf")
 
-    def run(self, until: float | Event | None = None) -> _t.Any:
-        """Run until the queue drains, a time is reached, or an event fires.
+    def run(self, until: float | Process | None = None) -> _t.Any:
+        """Run until the queue drains, a time is reached, or a process ends.
 
         - ``until=None``: run the queue to exhaustion.
         - ``until=<float>``: run events up to and including that time, then
           set the clock to exactly that time.
-        - ``until=<Event>``: run until that event fires; returns its value
-          (raising if the event failed).
+        - ``until=<Process>``: run until that process returns; returns its
+          value (at once if it already has).
         """
         if self._closed:
             raise RuntimeError("engine closed")
-        if isinstance(until, Event):
-            sentinel = until
-
-            def _stop(_event: Event) -> None:
-                raise StopSimulation
-
-            if sentinel.processed:
-                # Already dispatched: its callbacks ran and it will never
-                # be popped again, so a stop callback would never fire.
-                # Return its value immediately instead of draining the
-                # entire queue and relying on the post-loop check.
-                if not sentinel.ok:
-                    raise sentinel.value
-                return sentinel.value
-            sentinel.callbacks.append(_stop)
-            try:
-                while self._queue:
-                    self.step()
-            except StopSimulation:
-                if not sentinel.ok:
-                    raise sentinel.value
-                return sentinel.value
-            if sentinel.triggered:
-                if not sentinel.ok:
-                    raise sentinel.value
-                return sentinel.value
-            raise RuntimeError("event queue drained before `until` event fired")
+        if isinstance(until, Process):
+            while until.is_alive and self._queue:
+                self.step()
+            if until.is_alive:
+                raise RuntimeError(f"event queue drained before {until!r} returned")
+            return until.value
 
         if until is None:
             while self._queue:
@@ -238,9 +158,9 @@ class Engine:
         return None
 
     def close(self) -> None:
-        """End the simulation (DESIGN.md §8 "Run lifecycle"): pending events
-        never fire; suspended generators are closed once each, in queue order
-        then parking order.  Later use raises ``RuntimeError("engine closed")``;
+        """End the simulation (DESIGN.md §8 "Run lifecycle"): pending timeouts
+        never fire and the generators waiting on them are closed, once each,
+        in queue order.  Later use raises ``RuntimeError("engine closed")``;
         closing twice is a no-op.
         """
         if self._dispatching:
@@ -248,11 +168,14 @@ class Engine:
         if self._closed:
             return
         self._closed = True
-        pending = [entry[3] for entry in sorted(self._queue)] + list(self._parked)
+        pending = [timeout for _time, _seq, timeout in sorted(self._queue)]
         self._queue.clear()
-        self._parked.clear()
-        for event in pending:
-            event._release()
+        for timeout in pending:
+            callbacks, timeout.callbacks = timeout.callbacks, []
+            for callback in callbacks:
+                waiter = getattr(callback, "__self__", None)
+                if isinstance(waiter, Process):
+                    waiter._generator.close()
 
     def __repr__(self) -> str:
         return f"Engine(now={self.now:.3f}, pending={len(self._queue)})"

@@ -4,7 +4,7 @@ import gc
 
 import pytest
 
-from repro.sim.engine import Engine, Interrupt, Process
+from repro.sim.engine import Engine
 
 
 def make_waiter(engine, delays, trace):
@@ -77,18 +77,6 @@ class TestProcess:
         result = engine.run(until=process)
         assert result == 42
 
-    def test_process_waits_on_process(self, engine):
-        def child():
-            yield engine.timeout(3.0)
-            return "done"
-
-        def parent():
-            value = yield engine.process(child())
-            return (engine.now, value)
-
-        result = engine.run(until=engine.process(parent()))
-        assert result == (3.0, "done")
-
     def test_is_alive(self, engine):
         def proc():
             yield engine.timeout(1.0)
@@ -99,12 +87,24 @@ class TestProcess:
         assert not process.is_alive
 
     def test_yield_non_event_raises(self, engine):
-        def proc():
-            yield 17
+        """A process yields a Timeout and nothing else: not a value, not a
+        bare ``yield``, not another process (nothing waits on a process
+        except ``Engine.run``)."""
 
-        engine.process(proc())
-        with pytest.raises(TypeError):
-            engine.run()
+        def idle():
+            yield engine.timeout(1.0)
+
+        for value in (17, None, engine.process(idle(), name="other")):
+
+            def proc():
+                yield value
+
+            engine.process(proc(), name="waiter")
+            with pytest.raises(TypeError) as raised:
+                engine.run()
+            assert str(raised.value) == (
+                f"process 'waiter' yielded {value!r}; processes must yield a Timeout"
+            )
 
     def test_yielding_a_generator_names_the_missing_from(self, engine):
         """``yield client.call(...)`` for ``yield from client.call(...)``."""
@@ -122,20 +122,6 @@ class TestProcess:
             "process 'upgrade' yielded a generator; drive sub-generators with 'yield from'"
         )
 
-    def test_exception_delivered_to_waiter(self, engine):
-        def child():
-            yield engine.timeout(1.0)
-            raise ValueError("child failed")
-
-        def parent():
-            try:
-                yield engine.process(child())
-            except ValueError as exc:
-                return f"caught: {exc}"
-
-        result = engine.run(until=engine.process(parent()))
-        assert result == "caught: child failed"
-
     def test_unwaited_crash_propagates(self, engine):
         def proc():
             yield engine.timeout(1.0)
@@ -144,48 +130,6 @@ class TestProcess:
         engine.process(proc())
         with pytest.raises(RuntimeError, match="fire and forget"):
             engine.run()
-
-    def test_interrupt_wakes_process(self, engine):
-        log = []
-
-        def proc():
-            try:
-                yield engine.timeout(100.0)
-            except Interrupt as interrupt:
-                log.append((engine.now, interrupt.cause))
-
-        process = engine.process(proc())
-
-        def interrupter():
-            yield engine.timeout(5.0)
-            process.interrupt("stop it")
-
-        engine.process(interrupter())
-        engine.run()
-        assert log == [(5.0, "stop it")]
-
-    def test_interrupt_dead_process_is_noop(self, engine):
-        def proc():
-            yield engine.timeout(1.0)
-
-        process = engine.process(proc())
-        engine.run()
-        process.interrupt()  # should not raise
-        engine.run()
-
-    def test_uncaught_interrupt_terminates_process(self, engine):
-        def proc():
-            yield engine.timeout(100.0)
-
-        process = engine.process(proc())
-
-        def interrupter():
-            yield engine.timeout(1.0)
-            process.interrupt()
-
-        engine.process(interrupter())
-        engine.run()
-        assert not process.is_alive
 
     def test_run_until_failed_event_raises(self, engine):
         def proc():
@@ -219,22 +163,6 @@ class TestProcess:
         assert engine.run(until=process) == 42
         assert engine.now == 1.0
 
-    def test_run_until_processed_failed_event_reraises(self, engine):
-        def proc():
-            yield engine.timeout(1.0)
-            raise KeyError("nope")
-
-        def far_future():
-            yield engine.timeout(1000.0)
-
-        engine.process(far_future())
-        process = engine.process(proc())
-        with pytest.raises(KeyError):
-            engine.run(until=process)
-        with pytest.raises(KeyError):
-            engine.run(until=process)
-        assert engine.now == 1.0
-
     def test_process_name_default_and_repr(self, engine):
         def myproc():
             yield engine.timeout(0)
@@ -262,8 +190,8 @@ class TestGeneratorHelpers:
 
 class TestDispatchGolden:
     """Pins the (time, process) order in which the engine resumes
-    processes — the heap's (time, priority, seq) order seen from outside.
-    Any change to how events are scheduled or processes resumed that moves
+    processes — the heap's (time, seq) order seen from outside.  Any
+    change to how timeouts are scheduled or processes resumed that moves
     a line here moves every campaign outcome with it."""
 
     @staticmethod
@@ -276,87 +204,50 @@ class TestDispatchGolden:
             return name
 
         def sleeper():
-            try:
-                trace.append((engine.now, "sleeper", "sleep"))
-                yield engine.timeout(100.0)
-            except Interrupt as interrupt:
-                trace.append((engine.now, "sleeper", f"interrupted:{interrupt.cause}"))
-                yield engine.timeout(1.0)
-                trace.append((engine.now, "sleeper", "resumed"))
-
-        def stubborn():
-            trace.append((engine.now, "stubborn", "sleep"))
+            trace.append((engine.now, "sleeper", "sleep"))
             yield engine.timeout(100.0)
-            trace.append((engine.now, "stubborn", "unreachable"))
+            trace.append((engine.now, "sleeper", "woke"))
 
-        def crasher(name, delay):
-            trace.append((engine.now, name, "start"))
-            yield engine.timeout(delay)
-            trace.append((engine.now, name, "crash"))
-            raise ValueError(name)
-
-        def waiter(target):
-            trace.append((engine.now, "waiter", "wait"))
-            try:
-                yield target
-            except ValueError as exc:
-                trace.append((engine.now, "waiter", f"caught:{exc}"))
-            joined = yield engine.process(ticker("child", [1.0]), name="child")
-            trace.append((engine.now, "waiter", f"joined:{joined}"))
-
-        def interrupter(*targets):
+        def spawner():
+            trace.append((engine.now, "spawner", "wait"))
             yield engine.timeout(2.0)
-            for target in targets:
-                trace.append((engine.now, "interrupter", f"interrupt:{target.name}"))
-                target.interrupt("enough")
-            # A second interrupt in the same instant reaches a live process
-            # once more and a finished one not at all.
-            targets[0].interrupt("again")
+            # Started mid-instant: it runs after every wake already due now.
+            child = engine.process(ticker("child", [1.0]), name="child")
+            trace.append((engine.now, "spawner", "spawned"))
+            yield engine.timeout(0.0)
+            trace.append((engine.now, "spawner", "child alive" if child.is_alive else "child done"))
 
         a = engine.process(ticker("a", [1.0, 1.0, 1.0]), name="a")
         b = engine.process(ticker("b", [2.0, 1.0]), name="b")
-        s = engine.process(sleeper(), name="sleeper")
-        u = engine.process(stubborn(), name="stubborn")
-        doomed = engine.process(crasher("doomed", 2.0), name="doomed")
-        engine.process(waiter(doomed), name="waiter")
-        engine.process(interrupter(s, u), name="interrupter")
-        return a, b, s, u
+        engine.process(sleeper(), name="sleeper")
+        engine.process(spawner(), name="spawner")
+        return a, b
 
     GOLDEN = [
         (0.0, "a", "tick"),
         (0.0, "b", "tick"),
         (0.0, "sleeper", "sleep"),
-        (0.0, "stubborn", "sleep"),
-        (0.0, "doomed", "start"),
-        (0.0, "waiter", "wait"),
+        (0.0, "spawner", "wait"),
         (1.0, "a", "tick"),
         (2.0, "b", "tick"),
-        (2.0, "doomed", "crash"),
-        (2.0, "interrupter", "interrupt:sleeper"),
-        (2.0, "interrupter", "interrupt:stubborn"),
+        (2.0, "spawner", "spawned"),
         (2.0, "a", "tick"),
-        (2.0, "waiter", "caught:doomed"),
-        (2.0, "sleeper", "interrupted:enough"),
         (2.0, "child", "tick"),
+        (2.0, "spawner", "child alive"),
         (3.0, "b", "done"),
         (3.0, "a", "done"),
         (3.0, "child", "done"),
-        (3.0, "waiter", "joined:child"),
+        (100.0, "sleeper", "woke"),
     ]
 
-    def test_interleaving_interrupt_and_waited_crash(self, engine):
+    def test_interleaving_at_shared_instants(self, engine):
         trace = []
-        a, b, s, u = self._scenario(engine, trace)
+        a, b = self._scenario(engine, trace)
         engine.run()
         assert trace == self.GOLDEN
-        # The abandoned 100 s timeouts still fire, into processes long gone.
         assert engine.now == 100.0
         assert (a.value, b.value) == ("a", "b")
-        # The second interrupt hit the sleeper inside its handler's wait:
-        # uncaught there, it ended the process; the stubborn one ended at
-        # the first.
-        assert not s.is_alive and s.value is None
-        assert not u.is_alive and u.value is None
+        assert not a.is_alive and not b.is_alive
 
     def test_unwaited_crash_surfaces_at_its_dispatch(self, engine):
         trace = []
@@ -386,12 +277,11 @@ class TestDispatchGolden:
 
     def test_run_until_processed_event_dispatches_nothing(self, engine):
         trace = []
-        a, b, _s, _u = self._scenario(engine, trace)
+        _a, b = self._scenario(engine, trace)
         assert engine.run(until=b) == "b"
-        # b's completion event is queued when b returns, behind the wakes
-        # of a and child already due at t=3; child's own completion event
-        # (what the waiter joins on) is queued behind b's and has not run.
-        assert trace == self.GOLDEN[:18]
+        # The run stops at b's last resumption: the wakes of a and child
+        # due at the same instant have not run.
+        assert trace == self.GOLDEN[:11]
         seen = len(trace)
         assert engine.run(until=b) == "b"
         assert len(trace) == seen and engine.now == 3.0
@@ -449,67 +339,7 @@ class TestClose:
         # A generator that never started has no `finally` to run.
         assert log == [] and process.is_alive and process._generator.gi_frame is None
 
-    def test_waiters_on_a_suspended_process_are_released_after_it(self, engine):
-        log = []
-        child = self._sleeper(engine, "child", 5.0, log)
-
-        def parent():
-            try:
-                yield child
-            finally:
-                log.append(("parent", "finally"))
-
-        engine.process(parent(), name="parent")
-        engine.run(until=1.0)
-        engine.close()
-        assert log == [("child", "finally"), ("parent", "finally")]
-
-    def test_process_parked_on_an_untriggered_event_is_released(self, engine):
-        log = []
-
-        def waiter(gate):
-            try:
-                yield gate
-            finally:
-                log.append("released")
-
-        # Nothing but the waiter's own frame holds the gate: without the
-        # engine's parked set the pair would be unreachable cyclic garbage.
-        process = engine.process(waiter(engine.event()), name="waiter")
-        engine.run()
-        assert process.is_alive and log == []
-        engine.close()
-        assert log == ["released"]
-
-    def test_triggering_unparks(self, engine):
-        gate = engine.event()
-
-        def waiter():
-            return (yield gate)
-
-        process = engine.process(waiter())
-        engine.run()
-        assert list(engine._parked) == [gate]
-        gate.succeed("go")
-        assert not engine._parked
-        assert engine.run(until=process) == "go"
-
-    def test_any_of_waiter_is_released(self, engine):
-        log = []
-
-        def racer():
-            try:
-                yield engine.any_of([engine.timeout(3.0), engine.timeout(7.0)])
-            finally:
-                log.append("released")
-
-        engine.process(racer())
-        engine.run(until=1.0)
-        engine.close()
-        assert log == ["released"]
-
     def test_use_after_close_raises(self, engine):
-        gate = engine.event()
         engine.close()
 
         def proc():
@@ -520,8 +350,6 @@ class TestClose:
             lambda: engine.run(until=5.0),
             lambda: engine.process(proc()),
             lambda: engine.timeout(1.0),
-            lambda: engine.event().succeed(),
-            lambda: gate.fail(ValueError("late")),
         ):
             with pytest.raises(RuntimeError) as raised:
                 use()
@@ -552,13 +380,15 @@ class TestClose:
         def build_and_close():
             engine = Engine()
             log = []
-            child = self._sleeper(engine, "child", 50.0, log)
 
-            def parent(gate):
-                yield child
-                yield gate
+            def holder():
+                # Its own frame holds the timeout it waits on, which holds
+                # the process: a cycle only closing the generator cuts.
+                wake = engine.timeout(50.0)
+                yield wake
 
-            engine.process(parent(engine.event()))
+            engine.process(holder())
+            engine.process(holder())  # never started
             self._sleeper(engine, "other", 10.0, log)
             engine.run(until=5.0)
             engine.close()

@@ -1,51 +1,18 @@
-"""Tests for event primitives."""
+"""Tests for the one event kind, :class:`~repro.sim.engine.Timeout`."""
 
 import pytest
 
-from repro.sim.engine import Engine
-from repro.sim.events import AnyOf, Event, Timeout
+from repro.sim.engine import Timeout
 
 
 class TestEvent:
-    def test_initially_pending(self, engine):
-        event = engine.event()
-        assert not event.triggered
-        assert not event.ok
-
-    def test_succeed_carries_value(self, engine):
-        event = engine.event()
-        event.succeed("payload")
-        assert event.triggered
-        assert event.ok
-        assert event.value == "payload"
-
-    def test_double_succeed_rejected(self, engine):
-        event = engine.event()
-        event.succeed()
-        with pytest.raises(RuntimeError):
-            event.succeed()
-
-    def test_fail_carries_exception(self, engine):
-        event = engine.event()
-        error = RuntimeError("boom")
-        event.fail(error)
-        assert event.triggered
-        assert not event.ok
-        assert event.value is error
-
-    def test_fail_requires_exception_instance(self, engine):
-        event = engine.event()
-        with pytest.raises(TypeError):
-            event.fail("not an exception")
-
     def test_callbacks_run_on_dispatch(self, engine):
-        event = engine.event()
+        timeout = engine.timeout(0.0)
         seen = []
-        event.callbacks.append(seen.append)
-        event.succeed()
+        timeout.callbacks.append(seen.append)
         assert seen == []  # not yet dispatched
         engine.run()
-        assert seen == [event]
+        assert seen == [timeout]
 
 
 class TestTimeout:
@@ -60,35 +27,13 @@ class TestTimeout:
 
     def test_fires_at_delay(self, engine):
         fired = []
-        timeout = engine.timeout(5.0, value="tick")
-        timeout.callbacks.append(lambda e: fired.append(engine.now))
+        engine.timeout(5.0).callbacks.append(lambda _timeout: fired.append(engine.now))
         engine.run()
         assert fired == [5.0]
-        assert timeout.value == "tick"
 
     def test_zero_delay_fires_immediately(self, engine):
-        timeout = engine.timeout(0.0)
+        fired = []
+        engine.timeout(0.0).callbacks.append(lambda _timeout: fired.append(engine.now))
         engine.run()
         assert engine.now == 0.0
-        assert timeout.triggered
-
-
-class TestAnyOf:
-    def test_requires_events(self, engine):
-        with pytest.raises(ValueError):
-            AnyOf(engine, [])
-
-    def test_fires_on_first(self, engine):
-        slow = engine.timeout(10.0)
-        fast = engine.timeout(2.0, value="fast")
-        first = engine.any_of([slow, fast])
-        engine.run(until=first)
-        assert engine.now == 2.0
-        assert fast in first.value
-
-    def test_already_triggered_event(self, engine):
-        done = engine.event()
-        done.succeed("x")
-        combined = engine.any_of([done, engine.timeout(100)])
-        engine.run(until=combined)
-        assert engine.now == 0.0
+        assert fired == [0.0]

@@ -32,11 +32,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 #: Unreferenced in src/, examples/ and benchmarks/, kept on purpose.
 JUSTIFIED: dict[str, str] = {
-    # DES primitives: the engine is a small SimPy, and these are its
-    # standard surface even where this system's processes do not use them.
-    "any_of": "DES primitive (SimPy's AnyOf); tests/sim/test_events.py",
-    "interrupt": "DES primitive (Process.interrupt); DESIGN §8 engine contract, tests/sim/test_engine.py",
-    "peek": "DES primitive (time of the next event); tests/sim/test_engine.py",
+    "peek": "the cloud state machine's until_boot (tests/cloud/test_cloud_machine.py)"
+            " steps the engine to the next boot with it",
     # CloudAPI symmetry: every create_* has its delete_*; two of the five
     # (delete_key_pair, delete_security_group) are recovery undo calls.
     "delete_launch_configuration": "CloudAPI create/delete symmetry; tests/cloud/test_api.py",
@@ -89,10 +86,6 @@ KEPT_WITH_CALLERS: dict[str, str] = {
 
 #: Defaulted parameters no live caller passes, kept on purpose.
 UNSET_PARAMETERS: dict[str, str] = {
-    # DES primitives: the engine is a small SimPy (see JUSTIFIED).
-    "timeout:value": "DES primitive: SimPy's Timeout(value=) is what the event yields",
-    "interrupt:cause": "DES primitive: SimPy's Process.interrupt(cause=) is what the"
-                       " interrupted process catches",
     # The AWS surface: CloudAPI mirrors the call it stands in for.
     "CloudError:code": "AWS error codes are per class; an instance may carry another,"
                        " as a botocore ClientError does",

@@ -97,9 +97,6 @@ REACHED_ONLY_BY: dict[str, str] = {
     "cloud.api:CloudAPI.delete_key_pair": "the undo of a recovery recreate (recovery.plan._RECREATES);"
                                           " tests/recovery/test_engine.py",
     "cloud.api:CloudAPI.delete_security_group": "the undo of a recovery recreate, as above",
-    # DES primitives: the engine is a small SimPy.
-    "sim.engine:Engine.event": "DES primitive (a bare event); tests/sim/test_events.py",
-    "sim.events:Event.fail": "DES primitive: a process whose generator raises fails its event",
     # Test seams.
     "sim.latency:ConstantLatency.sample": "test seam: a latency with no spread",
     "sim.latency:ConstantLatency.mean": "the client's timeout fallback for a model with no"
