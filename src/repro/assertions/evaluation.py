@@ -3,8 +3,8 @@
 Evaluations arrive from three trigger mechanisms:
 
 - **log** — the local log processor annotated a line with ``assert:`` tags;
-- **timer** — one-off/periodic/watchdog timers (cause ``timer`` or
-  ``timer-timeout`` when a watchdog expired without its log event);
+- **timer** — a watchdog expired without its log line (cause
+  ``timer-timeout``);
 - **on-demand** — diagnosis tests walking a fault tree.
 
 Log- and timer-triggered evaluations run as independent engine processes
@@ -86,18 +86,15 @@ class AssertionEvaluationService:
         for assertion_id in assertion_ids:
             self._spawn(assertion_id, params, cause="log", context=context)
 
-    def trigger_from_timer(self, firing, assertion_ids: list[str]) -> None:
-        """Timer trigger.  Watchdog expiries carry much weaker context:
-        no triggering log line means no instance id — the paper's first
-        wrong-diagnosis class."""
-        cause = "timer-timeout" if firing.cause == "timeout" else "timer"
-        context = None
+    def trigger_from_timer(self, trace_id: str, assertion_ids: list[str]) -> None:
+        """Timer trigger: the watchdog of ``trace_id`` missed a deadline.
+
+        The evaluation gets no process context: no triggering log line
+        means no instance id — the paper's first wrong-diagnosis class.
+        """
         params: dict = {}
-        if firing.record is not None:
-            context = ProcessContext.from_record(firing.record)
-            params = dict(firing.record.fields)
         for assertion_id in assertion_ids:
-            self._spawn(assertion_id, params, cause=cause, context=context)
+            self._spawn(assertion_id, params, cause="timer-timeout", context=None)
 
     def evaluate_on_demand(self, assertion_id: str, params: dict) -> _t.Generator:
         """On-demand trigger (diagnosis tests): drive with ``yield from``.

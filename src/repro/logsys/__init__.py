@@ -2,7 +2,7 @@
 
 Operations write raw log lines to a :class:`LogStream`.  The *local log
 processor* — a pipeline of noise filter, process/assertion annotators,
-timer setter and trigger — turns matched lines into structured
+timer setter (one watchdog per trace) and trigger — turns matched lines into structured
 :class:`LogRecord` objects tagged with process context, fires conformance
 checking and assertion evaluation, and ships important lines to the
 *central log storage*.  The paper's central log processor, which triggers
@@ -15,7 +15,7 @@ from repro.logsys.record import LogRecord, LogStream
 from repro.logsys.patterns import LogPattern, PatternLibrary
 from repro.logsys.filters import NoiseFilter
 from repro.logsys.annotator import AssertionAnnotator, ProcessAnnotator
-from repro.logsys.timers import OneOffTimer, PeriodicTimer, TimerSetter
+from repro.logsys.timers import TimerSetter
 from repro.logsys.trigger import Trigger
 from repro.logsys.pipeline import LocalLogProcessor
 from repro.logsys.storage import CentralLogStorage
@@ -28,9 +28,7 @@ __all__ = [
     "LogRecord",
     "LogStream",
     "NoiseFilter",
-    "OneOffTimer",
     "PatternLibrary",
-    "PeriodicTimer",
     "ProcessAnnotator",
     "TimerSetter",
     "Trigger",

@@ -2,8 +2,8 @@
 
 ``noise filter → process annotator → assertion annotator → timer setter →
 trigger → ship to central storage``.  One processor runs per operation
-node; it is constructed from the pattern library + annotators + timer
-rules for the operation process being watched.
+node; it is constructed from the pattern library + annotators + the
+watchdog's timer setter for the operation process being watched.
 
 There is one entry point, :meth:`LocalLogProcessor.process`: one record
 in, one stage call per stage, shipped flag out.  Every caller — a tailed

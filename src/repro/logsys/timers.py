@@ -1,18 +1,15 @@
-"""Timers: non-log triggers for assertion evaluation (§III.B.3).
+"""The watchdog: the one timer trigger for assertion evaluation (§III.B.3).
 
-Three behaviours from the paper:
-
-- **one-off timer** — "check an assertion at a specified time point", used
-  when a step emits no completion log line;
-- **periodic timer** — started by the log line that begins the operation
-  process, stopped by the line that ends it, firing an assertion check
-  every period;
-- **log-aligned timer** — for periodically recurring log events: each
-  occurrence *kicks* the timer; the timeout is the expected gap plus slack
-  (calibrated at the 95th percentile of historical timing).  If the next
-  event arrives in time the assertion is evaluated and the timer reset; if
-  the timeout expires first, the evaluation runs with a ``timeout`` cause —
-  the source of the paper's first false-positive class.
+The paper names one-off, periodic and log-aligned timers.  POD arms one
+timer per watched trace, the log-aligned **watchdog**: the operation's
+start line starts it and its end line stops it.  Each step-completion
+(*align*) line re-arms it at the expected gap plus slack, calibrated at
+the 95th percentile of historical timing.  If the next line is late, the
+deadline passes and the watchdog fires ``timeout`` — the evaluation then
+runs without a log line's context, the source of the paper's first
+false-positive class — and again every ``interval`` until a line or the
+end arrives.  One-off and plain periodic timers are not built: no
+campaign, subcommand or example arms one (DESIGN.md §2).
 """
 
 from __future__ import annotations
@@ -20,177 +17,58 @@ from __future__ import annotations
 import typing as _t
 
 from repro.logsys.record import LogRecord
-
-TimerCallback = _t.Callable[["TimerFiring"], None]
-
-
-class TimerFiring:
-    """What a timer passes to its callback."""
-
-    def __init__(self, timer_name: str, time: float, cause: str, record: LogRecord | None = None) -> None:
-        self.timer_name = timer_name
-        self.time = time
-        self.cause = cause  # "periodic" | "timeout" | "aligned" | "one-off"
-        self.record = record
-
-    def __repr__(self) -> str:
-        return f"TimerFiring({self.timer_name}, t={self.time:.2f}, cause={self.cause})"
+from repro.sim.engine import Engine, Timeout
 
 
-class OneOffTimer:
-    """Fires once after ``delay`` unless cancelled."""
-
-    def __init__(self, engine, delay: float, callback: TimerCallback) -> None:
-        if delay < 0:
-            raise ValueError("delay must be non-negative")
-        self.engine = engine
-        self.callback = callback
-        self.fired = False
-        self.cancelled = False
-        engine.process(self._wait(delay), name="timer-one-off")
-
-    def cancel(self) -> None:
-        self.cancelled = True
-
-    def _wait(self, delay: float) -> _t.Generator:
-        yield self.engine.timeout(delay)
-        if self.cancelled:
-            return
-        self.fired = True
-        self.callback(TimerFiring("one-off", self.engine.now, "one-off"))
-
-
-class PeriodicTimer:
-    """Repeating timer with optional log alignment.
-
-    Without kicks it fires every ``interval`` with cause ``periodic``.
-    :meth:`kick` pushes the next deadline out by ``interval + slack`` and
-    fires the callback immediately with cause ``aligned`` (the expected
-    event arrived); an expiry with no intervening kick fires with cause
-    ``timeout`` when ``watchdog`` is set, else ``periodic``.
-    """
+class TimerSetter:
+    """Pipeline stage running one watchdog per trace from its step tags."""
 
     def __init__(
         self,
-        engine,
+        engine: Engine,
+        start_activity: str,
+        end_activity: str,
+        align_activities: _t.Iterable[str],
         interval: float,
-        callback: TimerCallback,
-        name: str = "periodic",
-        slack: float = 0.0,
-        watchdog: bool = False,
+        slack: float,
+        on_timeout: _t.Callable[[str], None],
     ) -> None:
         if interval <= 0:
             raise ValueError("interval must be positive")
         self.engine = engine
+        self.start_activity = start_activity
+        self.end_activity = end_activity
+        self.align_activities = frozenset(align_activities)
         self.interval = interval
         self.slack = slack
-        self.callback = callback
-        self.name = name
-        self.watchdog = watchdog
-        self.running = False
-        self._generation = 0
-
-    def start(self) -> None:
-        if self.running:
-            return
-        self.running = True
-        self._generation += 1
-        self.engine.process(self._arm(self._generation), name=f"timer-{self.name}")
-
-    def stop(self) -> None:
-        self.running = False
-        self._generation += 1
-
-    def kick(self, record: LogRecord | None = None) -> None:
-        """The awaited log event occurred: fire aligned, reset deadline."""
-        if not self.running:
-            return
-        self._fire("aligned", record)
-        self._generation += 1
-        self.engine.process(
-            self._arm(self._generation, first_slack=self.slack),
-            name=f"timer-{self.name}",
-        )
-
-    def _arm(self, generation: int, first_slack: float = 0.0) -> _t.Generator:
-        # Slack widens only the deadline immediately after a kick (the
-        # calibrated tolerance for the *next* expected log event); an
-        # unkicked timer fires every ``interval`` exactly, as documented.
-        delay = self.interval + first_slack
-        while self.running and generation == self._generation:
-            yield self.engine.timeout(delay)
-            delay = self.interval
-            if not self.running or generation != self._generation:
-                return
-            self._fire("timeout" if self.watchdog else "periodic", None)
-
-    def _fire(self, cause: str, record: LogRecord | None) -> None:
-        self.callback(TimerFiring(self.name, self.engine.now, cause, record))
-
-
-class TimerSetter:
-    """Pipeline stage creating/stopping timers from process context tags.
-
-    Configured with rules of the form *start activity → end activity →
-    timer spec*; on seeing the start line it starts the timer, on the end
-    line it stops it, and on align activities it kicks it.
-    """
-
-    def __init__(self, engine) -> None:
-        self.engine = engine
-        self._rules: list[dict] = []
-        #: (rule index, trace id) -> live PeriodicTimer
-        self.active: dict[tuple[int, str], PeriodicTimer] = {}
-
-    def add_rule(
-        self,
-        start_activity: str,
-        end_activity: str,
-        interval: float,
-        callback: TimerCallback,
-        name: str = "op-timer",
-        slack: float = 0.0,
-        watchdog: bool = False,
-        align_activities: _t.Iterable[str] = (),
-    ) -> None:
-        self._rules.append(
-            {
-                "start": start_activity,
-                "end": end_activity,
-                "interval": interval,
-                "callback": callback,
-                "name": name,
-                "slack": slack,
-                "watchdog": watchdog,
-                "align": set(align_activities),
-            }
-        )
+        #: Called with the trace id at each deadline its watchdog misses.
+        self.on_timeout = on_timeout
+        #: trace id -> the pending deadline of its running watchdog
+        self.active: dict[str, Timeout] = {}
 
     def observe(self, record: LogRecord) -> None:
-        """Feed one annotated record through the timer rules."""
+        """Feed one annotated record: start, stop or re-arm its trace's watchdog."""
         activity = record.tag_value("step")
-        trace = record.tag_value("trace") or "-"
         if activity is None:
             return
-        for index, rule in enumerate(self._rules):
-            key = (index, trace)
-            if activity == rule["start"] and key not in self.active:
-                timer = PeriodicTimer(
-                    self.engine,
-                    rule["interval"],
-                    rule["callback"],
-                    name=f"{rule['name']}:{trace}",
-                    slack=rule["slack"],
-                    watchdog=rule["watchdog"],
-                )
-                timer.start()
-                self.active[key] = timer
-            elif activity == rule["end"] and key in self.active:
-                self.active.pop(key).stop()
-            elif activity in rule["align"] and key in self.active:
-                self.active[key].kick(record)
+        trace = record.tag_value("trace") or "-"
+        if activity == self.start_activity and trace not in self.active:
+            self._arm(trace, self.interval)
+        elif activity == self.end_activity and trace in self.active:
+            del self.active[trace]
+        elif activity in self.align_activities and trace in self.active:
+            self._arm(trace, self.interval + self.slack)
 
     def stop_all(self) -> None:
-        for timer in self.active.values():
-            timer.stop()
         self.active.clear()
+
+    def _arm(self, trace: str, delay: float) -> None:
+        deadline = self.active[trace] = self.engine.timeout(delay)
+        deadline.callbacks.append(lambda fired: self._expire(trace, fired))
+
+    def _expire(self, trace: str, deadline: Timeout) -> None:
+        # A deadline that a later line replaced, or that the end line
+        # dropped, passes silently.
+        if self.active.get(trace) is deadline:
+            self.on_timeout(trace)
+            self._arm(trace, self.interval)

@@ -22,7 +22,6 @@ from repro.operations.rolling_upgrade import (
     RollingUpgradeOperation,
     RollingUpgradeParams,
     build_pattern_library,
-    install_watchdog,
     reference_process_model,
     standard_bindings,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "ScaleOutOperation",
     "SecondTeam",
     "build_pattern_library",
-    "install_watchdog",
     "reference_process_model",
     "standard_bindings",
 ]

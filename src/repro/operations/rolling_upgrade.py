@@ -11,9 +11,9 @@ analyst creates once (§III.C):
 - :func:`build_pattern_library` — the regex transformation rules mapping
   log lines to activities;
 - :func:`standard_bindings` — which assertions each step triggers;
-- :func:`install_watchdog` — the log-aligned periodic timer whose expiry
-  (calibrated at the 95th percentile of step gaps, §IV) triggers
-  assertion evaluation when a step's completion line never appears.
+- the watchdog calibration (95th percentile of step gaps, §IV) and the
+  assertions its expiry triggers when a step's completion line never
+  appears.
 """
 
 from __future__ import annotations
@@ -411,38 +411,3 @@ LARGE_BATCH_WATCHDOG_INTERVAL = 170.0
 #: merely-slow boot produce the paper's first false-positive class.
 WATCHDOG_ASSERTIONS = ["asg-has-n-running-instances", "elb-has-registered-instances"]
 
-
-def install_watchdog(
-    timer_setter,
-    assertion_service,
-    interval: float = DEFAULT_WATCHDOG_INTERVAL,
-    slack: float = DEFAULT_WATCHDOG_SLACK,
-    assertion_ids: _t.Sequence[str] = tuple(WATCHDOG_ASSERTIONS),
-    start_activity: str = START,
-    end_activity: str = COMPLETED,
-    align_activities: _t.Sequence[str] = (UPDATE_LC, SORT, DEREGISTER, TERMINATE, READY),
-    name: str = "rolling-upgrade-watchdog",
-) -> None:
-    """Arm an operation watchdog on a TimerSetter.
-
-    Started by the operation's start line, stopped by its completion
-    line, kicked by every step-completion line in between.  On expiry
-    (``timer-timeout``) the given high-level assertions are evaluated
-    with whatever context exists.  Defaults are the rolling upgrade's;
-    other operation profiles pass their own activities.
-    """
-
-    def on_fire(firing) -> None:
-        if firing.cause == "timeout":
-            assertion_service.trigger_from_timer(firing, list(assertion_ids))
-
-    timer_setter.add_rule(
-        start_activity=start_activity,
-        end_activity=end_activity,
-        interval=interval,
-        callback=on_fire,
-        name=name,
-        slack=slack,
-        watchdog=True,
-        align_activities=tuple(align_activities),
-    )

@@ -10,10 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.operations.rolling_upgrade import (
-    DEFAULT_WATCHDOG_INTERVAL,
-    DEFAULT_WATCHDOG_SLACK,
-)
+from repro.operations.rolling_upgrade import DEFAULT_WATCHDOG_INTERVAL
 from repro.operations.target import TargetConfig
 
 
@@ -31,7 +28,6 @@ class PodConfig:
     batch_size: int = 1
     #: Watchdog calibration (95th-percentile step gap, §IV).
     watchdog_interval: float = DEFAULT_WATCHDOG_INTERVAL
-    watchdog_slack: float = DEFAULT_WATCHDOG_SLACK
     #: Convergence window for count/ELB assertions.
     assertion_convergence_timeout: float = 30.0
     #: Operation start time: bounds historical queries during diagnosis.

@@ -9,6 +9,7 @@ upgrade); call :meth:`watch` for each operation node's log stream.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 from repro.assertions.base import AssertionEnvironment
 from repro.assertions.consistent_api import ConsistentApiClient, RetryBudget
@@ -24,7 +25,7 @@ from repro.logsys.record import LogStream
 from repro.logsys.storage import CentralLogStorage
 from repro.logsys.timers import TimerSetter
 from repro.logsys.trigger import Trigger
-from repro.operations.rolling_upgrade import install_watchdog
+from repro.operations.rolling_upgrade import DEFAULT_WATCHDOG_SLACK
 from repro.pod.config import PodConfig
 from repro.process.conformance import ConformanceChecker
 from repro.sim.latency import aws_api_latency
@@ -127,18 +128,19 @@ class PODDiagnosis:
             obs=self.obs,
         )
 
-        # Timers (watchdog armed per watch()).
-        self.timers = TimerSetter(engine)
-        install_watchdog(
-            self.timers,
-            self.assertions,
-            interval=config.watchdog_interval,
-            slack=config.watchdog_slack,
-            assertion_ids=list(profile.watchdog_assertions),
+        # The watchdog, one per watched trace: its missed deadlines
+        # evaluate the profile's high-level assertions.
+        self.timers = TimerSetter(
+            engine,
             start_activity=profile.watchdog_start,
             end_activity=profile.watchdog_end,
             align_activities=profile.watchdog_aligns,
-            name=f"{profile.profile_id}-watchdog",
+            interval=config.watchdog_interval,
+            slack=DEFAULT_WATCHDOG_SLACK,
+            on_timeout=functools.partial(
+                self.assertions.trigger_from_timer,
+                assertion_ids=list(profile.watchdog_assertions),
+            ),
         )
 
         self.detections: list[Detection] = []

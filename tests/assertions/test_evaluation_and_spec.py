@@ -16,7 +16,6 @@ from repro.assertions.spec import AssertionSpecError, parse_assertion_spec
 from repro.cloud.errors import MalformedRequest, ServiceUnavailable
 from repro.logsys.record import LogRecord
 from repro.logsys.storage import CentralLogStorage
-from repro.logsys.timers import TimerFiring
 from repro.sim.latency import ConstantLatency
 
 
@@ -103,19 +102,10 @@ class TestTriggerPaths:
 
     def test_timer_trigger_records_timeout_cause(self, service, engine):
         service.register(StubAssertion())
-        firing = TimerFiring("watchdog", time=0.0, cause="timeout")
-        service.trigger_from_timer(firing, ["stub"])
+        service.trigger_from_timer("t1", ["stub"])
         engine.run()
         assert service.results[0].cause == "timer-timeout"
         assert service.results[0].context is None
-
-    def test_timer_with_record_carries_context(self, service, engine):
-        service.register(StubAssertion())
-        firing = TimerFiring("t", time=0.0, cause="aligned", record=tagged_record({"num": "4"}))
-        service.trigger_from_timer(firing, ["stub"])
-        engine.run()
-        assert service.results[0].cause == "timer"
-        assert service.results[0].context.trace_id == "t1"
 
     def test_unknown_assertion_raises(self, service):
         with pytest.raises(KeyError):
@@ -156,7 +146,7 @@ class TestTriggerPaths:
         same flags, and the elapsed virtual time as the duration."""
         service.register(UnreadableAssertion(make_error()))
         service.trigger_from_log(tagged_record(), ["unreadable"])
-        service.trigger_from_timer(TimerFiring("w", time=0.0, cause="timeout"), ["unreadable"])
+        service.trigger_from_timer("t1", ["unreadable"])
         on_demand = engine.run(
             until=engine.process(service.evaluate_on_demand("unreadable", {}))
         )

@@ -6,7 +6,6 @@ from repro.logsys.patterns import END, LogPattern, PatternLibrary
 from repro.logsys.pipeline import LocalLogProcessor
 from repro.logsys.record import LogRecord, LogStream
 from repro.logsys.storage import CentralLogStorage
-from repro.logsys.timers import TimerSetter
 from repro.logsys.trigger import Trigger
 from repro.process.conformance import ConformanceChecker
 from repro.process.model import ProcessModel
@@ -187,7 +186,7 @@ class TestProcessGolden:
         events: list = []
         current: list = []
 
-        class RecordingTimers(TimerSetter):
+        class RecordingTimers:
             def observe(self, rec):
                 current[:] = [rec]
                 events.append(("timer", rec.tag_value("step")))
@@ -215,7 +214,7 @@ class TestProcessGolden:
             noise_filter=NoiseFilter(lib),
             process_annotator=ProcessAnnotator(lib, "p", "t"),
             assertion_annotator=annotator,
-            timer_setter=RecordingTimers(engine=None),
+            timer_setter=RecordingTimers(),
             trigger=Trigger(
                 conformance=checker.check,
                 assertions=lambda rec, ids: events.append(("assert", ids, len(storage))),

@@ -1,4 +1,4 @@
-"""Property-based coverage for timers, storage queries and mining glue."""
+"""Property-based coverage for the watchdog, storage queries and mining glue."""
 
 import pytest
 from hypothesis import example, given, settings
@@ -6,54 +6,65 @@ from hypothesis import strategies as st
 
 from repro.logsys.record import LogRecord
 from repro.logsys.storage import CentralLogStorage
-from repro.logsys.timers import PeriodicTimer
+from repro.logsys.timers import TimerSetter
 from repro.sim.engine import Engine
+
+
+def _watchdog(engine, interval, slack, expiries):
+    return TimerSetter(
+        engine,
+        start_activity="begin",
+        end_activity="finish",
+        align_activities=("step",),
+        interval=interval,
+        slack=slack,
+        on_timeout=lambda trace: expiries.append(engine.now),
+    )
+
+
+def _line(step):
+    record = LogRecord(time=0.0, source="s", message=step)
+    record.add_tag(f"step:{step}")
+    record.add_tag("trace:t1")
+    return record
 
 
 class TestTimerProperties:
     @given(
         st.floats(min_value=1.0, max_value=50.0),
-        st.lists(st.floats(min_value=0.5, max_value=40.0), max_size=6),
+        st.floats(min_value=0.0, max_value=10.0),
+        st.lists(st.floats(min_value=0.5, max_value=40.0), min_size=1, max_size=6),
     )
     @settings(max_examples=50, deadline=None)
-    def test_kicked_watchdog_never_fires_before_quietest_gap(self, interval, kick_gaps):
-        """A watchdog that is kicked within its interval never times out;
-        the first timeout always comes `interval` after the last kick."""
+    def test_kicked_watchdog_never_fires_before_quietest_gap(self, interval, slack, kick_gaps):
+        """A kicked watchdog first expires ``interval + slack`` after the
+        last kick: kicks inside the window keep it quiet."""
         engine = Engine()
-        firings = []
-        timer = PeriodicTimer(engine, interval, firings.append, watchdog=True)
-        timer.start()
-        last_kick = 0.0
+        expiries = []
+        setter = _watchdog(engine, interval, slack, expiries)
+        setter.observe(_line("begin"))
+        kicks = []
 
         def kicker():
-            nonlocal last_kick
             for gap in kick_gaps:
-                bounded = min(gap, interval * 0.9)  # always inside the window
-                yield engine.timeout(bounded)
-                timer.kick()
-                last_kick = engine.now
+                yield engine.timeout(min(gap, interval * 0.9))  # always inside the window
+                setter.observe(_line("step"))
+                kicks.append(engine.now)
 
         engine.process(kicker())
-        engine.run(until=last_kick + interval + sum(kick_gaps) + 2 * interval)
-        timer.stop()
-        timeouts = [f for f in firings if f.cause == "timeout"]
-        assert timeouts, "the watchdog must eventually expire after kicks stop"
-        assert timeouts[0].time == pytest.approx(last_kick + interval)
-        # No timeout between consecutive kicks.
-        aligned_times = [f.time for f in firings if f.cause == "aligned"]
-        for t in (f.time for f in timeouts):
-            assert t >= max(aligned_times, default=0.0)
+        engine.run(until=sum(kick_gaps) + interval + slack + 1.0)
+        assert expiries, "the watchdog must expire after kicks stop"
+        assert expiries[0] == pytest.approx(kicks[-1] + interval + slack)
 
-    @given(st.integers(min_value=1, max_value=20))
+    @given(st.floats(min_value=1.0, max_value=50.0), st.integers(min_value=1, max_value=20))
     @settings(max_examples=30, deadline=None)
-    def test_periodic_firing_count_matches_horizon(self, periods):
+    def test_periodic_firing_count_matches_horizon(self, interval, periods):
+        """An unkicked watchdog expires every ``interval``."""
         engine = Engine()
-        firings = []
-        timer = PeriodicTimer(engine, 10.0, firings.append)
-        timer.start()
-        engine.run(until=periods * 10.0 + 0.5)
-        timer.stop()
-        assert len(firings) == periods
+        expiries = []
+        _watchdog(engine, interval, 3.0, expiries).observe(_line("begin"))
+        engine.run(until=(periods + 0.5) * interval)
+        assert expiries == pytest.approx([k * interval for k in range(1, periods + 1)])
 
 
 class TestStorageProperties:

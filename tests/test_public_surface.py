@@ -40,8 +40,6 @@ JUSTIFIED: dict[str, str] = {
     "delete_load_balancer": "CloudAPI create/delete symmetry; tests/cloud/test_api.py",
     "deregister_image": "CloudAPI create/delete symmetry (register_image); tests/cloud/test_api.py",
     # Names the paper gives.
-    "cancel": "OneOffTimer fires 'unless cancelled' (paper §III.B.3 one-off timers);"
-              " tests/logsys/test_timers.py",
     "to_logstash": "paper §IV ships records in Logstash's JSON event form; tests/logsys/test_record.py",
     "SEQUENCE": "Fig. 2's happy-path step order; tests/operations/test_rolling_upgrade.py"
                 " checks the pattern library covers it",
@@ -75,7 +73,6 @@ KEPT_WITH_CALLERS: dict[str, str] = {
     "repro.diagnosis.offline": "the write-history flap finder, item 8's subject:"
                                " examples/offline_postmortem.py, tests/diagnosis/test_offline.py",
     "repro.assertions.spec": "README assertion spec language: examples/assertion_spec_demo.py",
-    "repro.logsys.timers:OneOffTimer": "paper §III.B.3 names one-off timers beside periodic ones",
     "repro.evaluation.parallel:execute_specs": "runner= is the seam the dead-worker and determinism"
                                                " tests substitute (tests/evaluation/test_parallel_campaign.py)",
     "repro.recovery.supervisor:recover_run": "budget= names the never-hangs bound that ROADMAP 3(d)"
