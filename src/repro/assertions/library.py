@@ -15,6 +15,11 @@ from repro.assertions.base import Assertion, AssertionEnvironment, HIGH_LEVEL, L
 from repro.cloud.errors import ResourceNotFound
 from repro.operations.target import BY_FIELD, FIELDS, TargetConfig
 
+#: Convergence window of the count and ELB assertions POD registers,
+#: virtual seconds; the strict ``running`` count waits half as long.
+CONVERGENCE_TIMEOUT = 30.0
+RUNNING_CONVERGENCE_TIMEOUT = 15.0
+
 
 def _target(env: AssertionEnvironment, params: dict) -> TargetConfig:
     """The target as the configuration repository holds it *now*: every
@@ -53,7 +58,7 @@ class AsgInstanceCountAssertion(Assertion):
     #: (running with the target AMI — the end-of-upgrade form).
     MODES = ("active", "running", "version")
 
-    def __init__(self, convergence_timeout: float = 30.0, mode: str = "active") -> None:
+    def __init__(self, convergence_timeout: float = CONVERGENCE_TIMEOUT, mode: str = "active") -> None:
         if mode not in self.MODES:
             raise ValueError(f"unknown counting mode {mode!r}")
         self.convergence_timeout = convergence_timeout
@@ -207,9 +212,6 @@ class ElbRegistrationAssertion(Assertion):
     level = HIGH_LEVEL
     fault_tree_id = "elb-registration"
 
-    def __init__(self, convergence_timeout: float = 30.0) -> None:
-        self.convergence_timeout = convergence_timeout
-
     def evaluate(self, env: AssertionEnvironment, params: dict) -> _t.Generator:
         started = env.engine.now
         elb_name = env.expected("elb_name", params)
@@ -229,7 +231,7 @@ class ElbRegistrationAssertion(Assertion):
         def enough(health: list[dict]) -> bool:
             return sum(1 for h in health if h["State"] == "InService") >= expected
 
-        window = float(params.get("convergence_timeout", self.convergence_timeout))
+        window = float(params.get("convergence_timeout", CONVERGENCE_TIMEOUT))
         health = yield from env.client.call_until(
             "describe_instance_health",
             elb_name,
@@ -325,9 +327,7 @@ class ResourceExistsAssertion(Assertion):
         )
 
 
-def standard_rolling_upgrade_assertions(
-    count_timeout: float = 30.0, elb_timeout: float = 30.0
-) -> dict[str, Assertion]:
+def standard_rolling_upgrade_assertions() -> dict[str, Assertion]:
     """The assertion set the evaluation campaign registers.
 
     Keyed by assertion id; bindings to process steps live with the
@@ -335,12 +335,12 @@ def standard_rolling_upgrade_assertions(
     :func:`repro.operations.rolling_upgrade.standard_bindings`).
     """
     assertions: list[Assertion] = [
-        AsgInstanceCountAssertion(convergence_timeout=count_timeout),
-        AsgInstanceCountAssertion(convergence_timeout=count_timeout, mode="version"),
-        AsgInstanceCountAssertion(convergence_timeout=min(15.0, count_timeout), mode="running"),
+        AsgInstanceCountAssertion(),
+        AsgInstanceCountAssertion(mode="version"),
+        AsgInstanceCountAssertion(convergence_timeout=RUNNING_CONVERGENCE_TIMEOUT, mode="running"),
         InstanceVersionAssertion(),
         AsgConfigAssertion(),
-        ElbRegistrationAssertion(convergence_timeout=elb_timeout),
+        ElbRegistrationAssertion(),
         ResourceExistsAssertion("ami"),
         ResourceExistsAssertion("key_pair"),
         ResourceExistsAssertion("security_group"),

@@ -2,8 +2,7 @@
 
 One :class:`PodConfig` per watched operation type describes the target
 (desired) state the assertions compare against — the paper's
-"configuration repository" — plus service tuning (watchdog calibration,
-assertion convergence timeouts).
+"configuration repository" — plus the watchdog interval.
 """
 
 from __future__ import annotations
@@ -28,8 +27,6 @@ class PodConfig:
     batch_size: int = 1
     #: Watchdog calibration (95th-percentile step gap, §IV).
     watchdog_interval: float = DEFAULT_WATCHDOG_INTERVAL
-    #: Convergence window for count/ELB assertions.
-    assertion_convergence_timeout: float = 30.0
     #: Operation start time: bounds historical queries during diagnosis.
     operation_start: float = 0.0
 

@@ -95,12 +95,7 @@ class PODDiagnosis:
             self.env, storage=self.storage, on_failure=self._on_assertion_failure,
             obs=self.obs,
         )
-        self.assertions.register_all(
-            standard_rolling_upgrade_assertions(
-                count_timeout=config.assertion_convergence_timeout,
-                elb_timeout=config.assertion_convergence_timeout,
-            )
-        )
+        self.assertions.register_all(standard_rolling_upgrade_assertions())
 
         # Error diagnosis (fault trees + probes).  Shared warm copies:
         # diagnosis instantiates per-request tree copies and probes are

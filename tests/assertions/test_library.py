@@ -178,26 +178,26 @@ class TestAsgConfigAssertion:
 
 class TestElbAssertion:
     def test_passes_with_full_fleet(self, env):
-        result = run(env, ElbRegistrationAssertion(convergence_timeout=3))
+        result = run(env, ElbRegistrationAssertion(), {"convergence_timeout": 3})
         assert result.passed
         assert len(result.observed["in_service"]) >= 3
 
     def test_fails_when_elb_unavailable(self, env, provisioned_cloud):
         provisioned_cloud.injector.make_elb_unavailable("elb-dsn")
-        result = run(env, ElbRegistrationAssertion(convergence_timeout=2))
+        result = run(env, ElbRegistrationAssertion(), {"convergence_timeout": 2})
         assert result.failed
 
     def test_fails_when_too_few_in_service(self, env, provisioned_cloud):
         provisioned_cloud.controller.stop()
         elb = provisioned_cloud.state.get("load_balancer", "elb-dsn")
         elb.registered_instances = elb.registered_instances[:1]
-        result = run(env, ElbRegistrationAssertion(convergence_timeout=2))
+        result = run(env, ElbRegistrationAssertion(), {"convergence_timeout": 2})
         assert result.failed
         assert result.timed_out
 
     def test_no_min_checks_activity_only(self, env):
         env.config.pop("min_in_service")
-        result = run(env, ElbRegistrationAssertion(convergence_timeout=1))
+        result = run(env, ElbRegistrationAssertion(), {"convergence_timeout": 1})
         assert result.passed
 
 
@@ -224,7 +224,7 @@ class TestCallUntilFailuresCarryTheirRealFlag:
         "assertion",
         [
             AsgInstanceCountAssertion(convergence_timeout=30),
-            ElbRegistrationAssertion(convergence_timeout=30),
+            ElbRegistrationAssertion(),
         ],
     )
     def test_exhaustion_and_open_breaker_are_not_timeouts(self, env, assertion):
