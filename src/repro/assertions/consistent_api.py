@@ -134,8 +134,9 @@ class CircuitBreaker:
     """Per-method breaker: open after N consecutive retryable failures.
 
     States: *closed* (calls flow), *open* (fail fast until ``cooldown``
-    elapses), *half-open* (exactly one probe call allowed; success closes
-    the breaker, failure re-opens it).  ``chaos_tainted`` remembers
+    elapses), *half-open* (exactly one probe call allowed; an answer — a
+    result or a non-retryable error — closes the breaker, a retryable
+    failure re-opens it).  ``chaos_tainted`` remembers
     whether any failure that contributed to opening was chaos-injected,
     so fast-fails can be labelled degraded only when chaos is implicated.
     """
@@ -258,7 +259,8 @@ class ConsistentApiClient:
         """One logical call with exponential retry on retryable errors.
 
         Non-retryable CloudErrors (not-found, validation, limit) propagate
-        immediately — they are *answers*, not infrastructure noise.
+        immediately — they are *answers*, not infrastructure noise, and
+        count as a success for the circuit breaker.
         ``deadline`` (absolute simulation time) caps the call in addition
         to ``call_timeout``; ``call_until`` uses it to propagate its own
         deadline into every inner call.  Returns the API result; raises
@@ -316,6 +318,10 @@ class ConsistentApiClient:
                 )
             except CloudError as exc:
                 if not exc.retryable:
+                    # An answer: the endpoint is up, as after a success
+                    # (a half-open probe answered this way closes the
+                    # breaker instead of leaving it half-open for good).
+                    breaker.record_success()
                     raise
                 chaos = bool(getattr(exc, "chaos", False))
                 chaos_seen = chaos_seen or chaos

@@ -342,25 +342,34 @@ class TestCircuitBreaker:
         assert client.breaker_trips == 1
         assert client.breaker_fast_fails == 1
 
-    def test_half_open_probe_recovers_through_client(self, engine):
+    def test_half_open_probe_recovers_through_client(self):
         """Built on defaults: the probe is let through 45 s after the
-        breaker opened (during the second call, which ends < 4 s later)."""
-        api = FlakyApi(errors=[Throttling("x")] * 2 * (1 + MAX_RETRIES))
-        client = client_for(engine, api, latency=UNHURRIED)
-        for _ in range(2):
-            with pytest.raises(ConsistentCallError):
+        breaker opened (during the second call, which ends < 4 s later).
+        Any answer to the probe closes the breaker: a result, or a
+        non-retryable error such as ``ResourceNotFound`` — the endpoint
+        answered, so it is up."""
+        for probe_answer in ([], [ResourceNotFound("x")]):
+            engine = Engine()
+            api = FlakyApi(errors=[Throttling("x")] * 2 * (1 + MAX_RETRIES) + probe_answer)
+            client = client_for(engine, api, latency=UNHURRIED)
+            for _ in range(2):
+                with pytest.raises(ConsistentCallError):
+                    drive(engine, client.call("operation"))
+
+            def sleep(seconds):
+                yield engine.timeout(seconds)
+
+            drive(engine, sleep(40.0))
+            with pytest.raises(ConsistentCallError) as excinfo:
                 drive(engine, client.call("operation"))
-
-        def sleep(seconds):
-            yield engine.timeout(seconds)
-
-        drive(engine, sleep(40.0))
-        with pytest.raises(ConsistentCallError) as excinfo:
-            drive(engine, client.call("operation"))
-        assert excinfo.value.breaker_open  # still cooling down
-        drive(engine, sleep(6.0))
-        assert drive(engine, client.call("operation")) == "ok"  # probe succeeds
-        assert drive(engine, client.call("operation")) == "ok"  # breaker closed
+            assert excinfo.value.breaker_open  # still cooling down
+            drive(engine, sleep(6.0))
+            if probe_answer:
+                with pytest.raises(ResourceNotFound):
+                    drive(engine, client.call("operation"))  # the probe is answered
+            else:
+                assert drive(engine, client.call("operation")) == "ok"  # probe succeeds
+            assert drive(engine, client.call("operation")) == "ok"  # breaker closed
 
     def test_breakers_are_per_method(self, engine):
         class TwoOps:
