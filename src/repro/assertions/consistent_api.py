@@ -318,9 +318,8 @@ class ConsistentApiClient:
                 )
             except CloudError as exc:
                 if not exc.retryable:
-                    # An answer: the endpoint is up, as after a success
-                    # (a half-open probe answered this way closes the
-                    # breaker instead of leaving it half-open for good).
+                    # An answer: the endpoint is up, so the breaker
+                    # closes as after a success (a half-open probe too).
                     breaker.record_success()
                     raise
                 chaos = bool(getattr(exc, "chaos", False))

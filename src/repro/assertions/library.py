@@ -58,7 +58,9 @@ class AsgInstanceCountAssertion(Assertion):
     #: (running with the target AMI — the end-of-upgrade form).
     MODES = ("active", "running", "version")
 
-    def __init__(self, convergence_timeout: float = CONVERGENCE_TIMEOUT, mode: str = "active") -> None:
+    def __init__(
+        self, convergence_timeout: float = CONVERGENCE_TIMEOUT, mode: str = "active"
+    ) -> None:
         if mode not in self.MODES:
             raise ValueError(f"unknown counting mode {mode!r}")
         self.convergence_timeout = convergence_timeout

@@ -2,13 +2,14 @@
 
 Operations write raw log lines to a :class:`LogStream`.  The *local log
 processor* — a pipeline of noise filter, process/assertion annotators,
-timer setter (one watchdog per trace) and trigger — turns matched lines into structured
-:class:`LogRecord` objects tagged with process context, fires conformance
-checking and assertion evaluation, and ships important lines to the
-*central log storage*.  The paper's central log processor, which triggers
-error diagnosis on failure lines, is served by the two checks every line
-already passes through: conformance ``on_error`` (unclassified and
-known-error lines, unfit steps) and the assertion service's failures.
+timer setter (one watchdog per trace) and trigger — turns matched lines
+into structured :class:`LogRecord` objects tagged with process context,
+fires conformance checking and assertion evaluation, and ships important
+lines to the *central log storage*.  The paper's central log processor,
+which triggers error diagnosis on failure lines, is served by the two
+checks every line already passes through: conformance ``on_error``
+(unclassified and known-error lines, unfit steps) and the assertion
+service's failures.
 """
 
 from repro.logsys.record import LogRecord, LogStream

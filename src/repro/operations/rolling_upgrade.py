@@ -410,4 +410,3 @@ LARGE_BATCH_WATCHDOG_INTERVAL = 170.0
 #: replacement must actually be running — which is also what makes a
 #: merely-slow boot produce the paper's first false-positive class.
 WATCHDOG_ASSERTIONS = ["asg-has-n-running-instances", "elb-has-registered-instances"]
-
