@@ -185,13 +185,12 @@ class AssertionEvaluationService:
     def _log_result(self, result: AssertionResult) -> None:
         if self.storage is None:
             return
-        clock = self.env.engine.clock
         record = LogRecord(
             time=self.env.engine.now,
             source="assertion-evaluation.log",
             message=result.one_line(),
             type="assertion",
-            timestamp=clock.render(),
+            fields={"duration": round(result.duration, 3), "params": dict(result.params)},
         )
         record.add_tag(f"assert:{result.assertion_id}")
         record.add_tag("assertion-failed" if result.failed else "assertion-ok")
@@ -200,7 +199,4 @@ class AssertionEvaluationService:
             record.add_tag(f"trace:{result.context.trace_id}")
             if result.context.step:
                 record.add_tag(f"step:{result.context.step}")
-        record.fields.update(
-            {"duration": round(result.duration, 3), "params": dict(result.params)}
-        )
         self.storage.append(record)

@@ -298,7 +298,6 @@ class DiagnosisEngine:
     def _log(self, request: DiagnosisRequest, message: str) -> None:
         if self.storage is None:
             return
-        clock = self.engine.clock
         trace = request.context.trace_id if request.context else "unknown"
         step = request.context.step if request.context else "-"
         record = LogRecord(
@@ -306,7 +305,6 @@ class DiagnosisEngine:
             source="diagnosis.log",
             message=f"[diagnosis] [{trace}] [{step}] {message}",
             type="diagnosis",
-            timestamp=clock.render(),
         )
         record.add_tag(f"trace:{trace}")
         record.add_tag(f"diagnosis:{request.request_id}")

@@ -12,8 +12,10 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
+from repro.sim.clock import render
 
-@dataclasses.dataclass(slots=True)
+
+@dataclasses.dataclass(slots=True, init=False)
 class LogRecord:
     """One log event flowing through the pipeline.
 
@@ -27,8 +29,10 @@ class LogRecord:
     type: str = "operation"
     tags: list[str] = dataclasses.field(default_factory=list)
     fields: dict[str, _t.Any] = dataclasses.field(default_factory=dict)
-    #: Rendered wall-clock-style timestamp (set by the emitter).
-    timestamp: str = ""
+    #: The stamp a parsed line was read with (``""`` if it had none), or
+    #: ``None``: then :attr:`timestamp` renders one from ``time`` when it
+    #: is read, which is how every record the simulator writes is stamped.
+    stamp: str | None = None
     #: Classify-once memo: the Classification computed at ingest, reused
     #: by every later stage instead of re-running the pattern scan (see
     #: :func:`repro.logsys.patterns.classify_record`).  ``classified_by``
@@ -37,11 +41,38 @@ class LogRecord:
     #: from equality and from the Logstash rendering.
     classification: _t.Any = dataclasses.field(default=None, repr=False, compare=False)
     classified_by: _t.Any = dataclasses.field(default=None, repr=False, compare=False)
-    #: Prefix index built in ``__post_init__`` — declared as a field so
+    #: Prefix index built in ``_index_tags`` — declared as a field so
     #: ``slots=True`` reserves space for it.
-    _tag_index: dict = dataclasses.field(init=False, repr=False, compare=False, default=None)
+    _tag_index: dict = dataclasses.field(repr=False, compare=False, default=None)
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        time: float,
+        source: str,
+        message: str,
+        type: str = "operation",
+        tags: list[str] | None = None,
+        fields: dict[str, _t.Any] | None = None,
+        timestamp: str | None = None,
+    ) -> None:
+        self.time = time
+        self.source = source
+        self.message = message
+        self.type = type
+        self.tags = [] if tags is None else tags
+        self.fields = {} if fields is None else fields
+        self.stamp = timestamp
+        self.classification = self.classified_by = None
+        self._index_tags()
+
+    @property
+    def timestamp(self) -> str:
+        """The ``@timestamp`` a reader sees: the stored stamp, else ``time``
+        rendered (:func:`repro.sim.clock.render`)."""
+        stamp = self.stamp
+        return render(self.time) if stamp is None else stamp
+
+    def _index_tags(self) -> None:
         # Tags are read on the hot path (`tag_value("trace")` per
         # conformance check), so they are indexed by prefix: first
         # ``prefix:value`` wins, insertion order preserved in ``tags``
@@ -100,7 +131,7 @@ class LogRecord:
             "type": self.type,
             "tags": self.tags,
             "fields": self.fields,
-            "timestamp": self.timestamp,
+            "stamp": self.stamp,
         }
 
     def __setstate__(self, state: dict) -> None:
@@ -108,7 +139,7 @@ class LogRecord:
             object.__setattr__(self, name, value)
         self.classification = None
         self.classified_by = None
-        self.__post_init__()
+        self._index_tags()
 
     def to_logstash(self) -> dict:
         """Render in the @-prefixed Logstash JSON shape from §IV."""
@@ -157,14 +188,8 @@ class LogStream:
         return record
 
     def emit_line(self, clock, message: str, source: str | None = None) -> LogRecord:
-        """Convenience: build a record stamped with the virtual clock."""
-        record = LogRecord(
-            time=clock.now(),
-            source=source or self.name,
-            message=message,
-            timestamp=clock.render(),
-        )
-        return self.emit(record)
+        """Convenience: build a record at the virtual clock's time."""
+        return self.emit(LogRecord(time=clock.now(), source=source or self.name, message=message))
 
     def __len__(self) -> int:
         return len(self.records)

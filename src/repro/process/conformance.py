@@ -254,7 +254,8 @@ class ConformanceChecker:
 
     def _log_result(self, record: LogRecord, result: ConformanceResult) -> None:
         time = self.clock.now() if self.clock is not None else record.time
-        timestamp = self.clock.render() if self.clock is not None else record.timestamp
+        # Clockless (a replay): the source record's stored stamp, unrendered.
+        stamp = None if self.clock is not None else record.stamp
         message = (
             f"[conformance] [{result.trace_id}] line classified {result.status}"
             f" (activity={result.activity or 'n/a'})"
@@ -269,7 +270,7 @@ class ConformanceChecker:
                 message=message,
                 type="conformance",
                 tags=tags,
-                timestamp=timestamp,
+                timestamp=stamp,
             )
         )
 

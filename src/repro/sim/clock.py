@@ -18,18 +18,35 @@ _MIDNIGHT = EPOCH.replace(hour=0, minute=0, second=0, microsecond=0)
 _OFFSET = EPOCH - _MIDNIGHT
 
 
+def render(t: float) -> str:
+    """Render virtual time ``t`` as ``YYYY-MM-DD HH:MM:SS,mmm``.
+
+    This is the timestamp format used by Asgard's log4j output, which the
+    paper's excerpts show; reproducing it keeps the synthetic logs
+    realistic for the regex layer.  A log record's stamp is this function
+    of its ``time``, rendered when the stamp is read.
+    """
+    # timedelta rounds to microseconds and splits off whole days; the
+    # rest is integer arithmetic.
+    since = _OFFSET + _dt.timedelta(seconds=t)
+    day = _MIDNIGHT + _dt.timedelta(days=since.days)
+    second = since.seconds
+    return "%d-%02d-%02d %02d:%02d:%02d,%03d" % (
+        day.year, day.month, day.day,
+        second // 3600, second // 60 % 60, second % 60, since.microseconds // 1000,
+    )
+
+
 class SimClock:
     """A monotonically advancing virtual clock.
 
     The engine owns one and advances it as events fire.  Components read it
-    through :meth:`now` and format log timestamps with :meth:`render`.
+    through :meth:`now`; a log record renders its stamp from the time it
+    was written at (:func:`render`).
     """
 
     def __init__(self) -> None:
         self._now = 0.0
-        # The one date prefix render() produced last (a run rarely
-        # crosses midnight).
-        self._day, self._date = None, ""
 
     def now(self) -> float:
         """Current virtual time in seconds."""
@@ -46,24 +63,8 @@ class SimClock:
         self._now = t
 
     def render(self, t: float | None = None) -> str:
-        """Render a virtual time as ``YYYY-MM-DD HH:MM:SS,mmm``.
-
-        This is the timestamp format used by Asgard's log4j output, which
-        the paper's excerpts show; reproducing it keeps the synthetic logs
-        realistic for the regex layer.
-        """
-        if t is None:
-            t = self._now
-        # timedelta rounds to microseconds and splits off whole days; the
-        # rest is integer arithmetic, the date formatted once per day.
-        since = _OFFSET + _dt.timedelta(seconds=t)
-        if since.days != self._day:
-            self._day = since.days
-            self._date = (_MIDNIGHT + _dt.timedelta(days=self._day)).strftime("%Y-%m-%d ")
-        second = since.seconds
-        return "%s%02d:%02d:%02d,%03d" % (
-            self._date, second // 3600, second // 60 % 60, second % 60, since.microseconds // 1000
-        )
+        """:func:`render` of ``t``, by default of the current time."""
+        return render(self._now if t is None else t)
 
     def __repr__(self) -> str:
         return f"SimClock(now={self._now:.3f})"

@@ -97,11 +97,9 @@ UNSET_PARAMETERS: dict[str, str] = {
                                  " ROADMAP item 11's subject",
     "describe_key_pair:consistent": "as describe_image:consistent",
     "describe_security_group:consistent": "as describe_image:consistent",
-    # Oracle inputs: the interpreted and datetime oracles drive these.
+    # Oracle inputs: the interpreted-replay oracle drives this one.
     "fire:force": "ProcessModel.fire(force=) is how the interpreted-replay oracle"
                   " (tests/process/reference_replay.py) replays an unfit trace",
-    "render:t": "SimClock.render(t) renders any virtual time; the datetime oracle"
-                " (tests/sim/test_render_oracle.py) compares it at times no clock reached",
     # Seams that already exist for a reason of their own.
     "execute_specs:runner": "the seam KEPT_WITH_CALLERS records for execute_specs",
     "UniformLatency:seed": "every latency model draws from its own seeded stream"

@@ -73,6 +73,8 @@ REACHED_ONLY_BY: dict[str, str] = {
     # through them.
     "process.model:PetriNet.fire": "the interpreted-replay oracle tests/process/reference_replay.py",
     "process.model:PetriNet.enabled": "the same oracle, through enabled_transitions",
+    "sim.clock:SimClock.render": "the byte oracle tests/sim/test_render_oracle.py renders through"
+                                 " the clock; a record's stamp is repro.sim.clock.render itself",
     "cloud.monitor:CloudMonitor.at": "the cloud state machine and tests/cloud/test_monitor_delta.py"
                                      " compare it with a full-copy reference crawler",
     "operations.profile:OperationProfile.validate": "the profile contract (model ≡ patterns ≡"
