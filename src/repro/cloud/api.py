@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import typing as _t
+from itertools import repeat
 
 from repro.cloud.cloudtrail import CloudTrail
 from repro.cloud.consistency import ConsistencyModel, EventuallyConsistentView
@@ -195,14 +196,14 @@ class CloudAPI:
     def describe_instances_in_asg(self, asg_name: str) -> list[dict]:
         """All non-terminated instances attached to an ASG.
 
-        Served consistently: this is the fleet-membership query the ASG
-        controller itself relies on.
+        Served consistently: each member's latest recorded view, the one
+        ``describe_instance(id, consistent=True)`` serves.
         """
 
         def body() -> list[dict]:
             asg = self.state.get("auto_scaling_group", asg_name)
-            members = map(self.state.instances.get, asg.instance_ids)
-            return [instance.describe() for instance in members if instance is not None]
+            views = map(self.state.latest_view, repeat("instance"), asg.instance_ids)
+            return [view for view in views if view is not None]
 
         return self._call("DescribeInstances", {"AutoScalingGroupName": asg_name}, body)
 

@@ -76,6 +76,9 @@ class TestCountAssertion:
         from repro.cloud.resources import InstanceState
 
         instance.state = InstanceState.PENDING
+        provisioned_cloud.state.record_write(
+            "instance", instance.instance_id, provisioned_cloud.engine.now
+        )
         result = run(env, AsgInstanceCountAssertion(convergence_timeout=2))
         assert result.passed
 
@@ -84,6 +87,9 @@ class TestCountAssertion:
         from repro.cloud.resources import InstanceState
 
         instance.state = InstanceState.PENDING
+        provisioned_cloud.state.record_write(
+            "instance", instance.instance_id, provisioned_cloud.engine.now
+        )
         result = run(env, AsgInstanceCountAssertion(convergence_timeout=2, mode="running"))
         assert result.failed
 
