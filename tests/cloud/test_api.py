@@ -326,6 +326,38 @@ class TestTimedClientCall:
         assert "yield from self.call(" in Operation.call.__doc__
 
 
+class TestMemberDescribes:
+    def test_members_are_the_recorded_views(self, provisioned_cloud):
+        """Each member describe is the instance's latest history view (the
+        one a consistent describe_instance serves), equal to its live
+        describe(), through launch, boot and termination."""
+        cloud = provisioned_cloud
+        api = cloud.api("tester")
+        states = set()
+
+        def check() -> None:
+            members = api.describe_instances_in_asg("asg-dsn")
+            asg = cloud.state.get("auto_scaling_group", "asg-dsn")
+            assert [m["InstanceId"] for m in members] == asg.instance_ids
+            for member in members:
+                instance_id = member["InstanceId"]
+                assert member is cloud.state.latest_view("instance", instance_id)
+                assert member == cloud.state.instances[instance_id].describe()
+                states.add(member["State"]["Name"])
+
+        api.set_desired_capacity("asg-dsn", 6)
+        for _ in range(120):
+            cloud.engine.run(until=cloud.engine.now + 1.0)
+            check()
+        victim = cloud.state.get("auto_scaling_group", "asg-dsn").instance_ids[0]
+        api.terminate_instance(victim)
+        check()
+        for _ in range(10):
+            cloud.engine.run(until=cloud.engine.now + 1.0)
+            check()
+        assert states == {"pending", "running", "shutting-down", "terminated"}
+
+
 class TestScalingActivitiesApi:
     def test_activities_filtered_by_asg_and_time(self, provisioned_cloud):
         api = provisioned_cloud.api("tester")

@@ -52,6 +52,13 @@ class TestReadLog:
         assert records[2].message == "continuation line without a stamp"
         assert records[2].time == records[1].time
 
+    def test_continuation_line_keeps_no_stamp(self):
+        """A parsed record keeps the stamp it was read with; an unstamped
+        line reads ``""``, never a stamp rendered from its inherited time."""
+        records = read_log(SAMPLE)
+        assert records[1].timestamp == "2013-11-19 11:00:01,500"
+        assert records[2].timestamp == ""
+
     def test_bad_stamp_between_good_lines_keeps_relative_times(self):
         records = read_log(
             [
@@ -79,6 +86,12 @@ class TestFileRoundTrip:
         back = read_log_file(path)
         assert [r.message for r in back] == [r.message for r in records]
         assert [round(r.time, 3) for r in back] == [round(r.time, 3) for r in records]
+
+    def test_stamps_survive_the_round_trip(self, tmp_path):
+        records = read_log(SAMPLE)
+        path = tmp_path / "captured.log"
+        write_log_file(records, path)
+        assert [r.timestamp for r in read_log_file(path)] == [r.timestamp for r in records]
 
 
 class TestReplay:
