@@ -21,29 +21,30 @@ class LogRecord:
 
     Slotted: a campaign allocates one record per log line per run, so
     dropping the per-instance dict trims the ingest path's footprint.
+    The defaults live in ``__init__`` only.
     """
 
     time: float
     source: str
     message: str
-    type: str = "operation"
-    tags: list[str] = dataclasses.field(default_factory=list)
-    fields: dict[str, _t.Any] = dataclasses.field(default_factory=dict)
+    type: str
+    tags: list[str]
+    fields: dict[str, _t.Any]
     #: The stamp a parsed line was read with (``""`` if it had none), or
     #: ``None``: then :attr:`timestamp` renders one from ``time`` when it
     #: is read, which is how every record the simulator writes is stamped.
-    stamp: str | None = None
+    stamp: str | None
     #: Classify-once memo: the Classification computed at ingest, reused
     #: by every later stage instead of re-running the pattern scan (see
     #: :func:`repro.logsys.patterns.classify_record`).  ``classified_by``
     #: records which library produced it so a *different* library never
     #: wrongly reuses it.  Both are bookkeeping, not payload: excluded
     #: from equality and from the Logstash rendering.
-    classification: _t.Any = dataclasses.field(default=None, repr=False, compare=False)
-    classified_by: _t.Any = dataclasses.field(default=None, repr=False, compare=False)
+    classification: _t.Any = dataclasses.field(repr=False, compare=False)
+    classified_by: _t.Any = dataclasses.field(repr=False, compare=False)
     #: Prefix index built in ``_index_tags`` — declared as a field so
     #: ``slots=True`` reserves space for it.
-    _tag_index: dict = dataclasses.field(repr=False, compare=False, default=None)
+    _tag_index: dict = dataclasses.field(repr=False, compare=False)
 
     def __init__(
         self,
