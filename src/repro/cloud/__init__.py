@@ -17,7 +17,7 @@ of those with the same observable behaviours the paper depends on:
 - fault-injection hooks used by the evaluation campaign.
 """
 
-from repro.cloud.api import ApiCallRecord, CloudAPI, TimedCloudClient
+from repro.cloud.api import CloudAPI, TimedCloudClient
 from repro.cloud.chaos import (
     CHAOS_LEVELS,
     CHAOS_PROFILES,
@@ -42,7 +42,7 @@ from repro.cloud.errors import (
     Throttling,
 )
 from repro.cloud.faults import FaultInjector
-from repro.cloud.freeze import FrozenList, FrozenMutationError, FrozenView, freeze, thaw
+from repro.cloud.freeze import FrozenList, FrozenMutationError, FrozenView, thaw
 from repro.cloud.limits import AccountLimits
 from repro.cloud.monitor import CloudMonitor
 from repro.cloud.resources import (
@@ -70,7 +70,6 @@ __all__ = [
     "ScalingActivity",
     "SimulatedCloud",
     "AmiImage",
-    "ApiCallRecord",
     "AutoScalingGroup",
     "CloudAPI",
     "CloudError",
@@ -84,7 +83,6 @@ __all__ = [
     "FrozenList",
     "FrozenMutationError",
     "FrozenView",
-    "freeze",
     "thaw",
     "Instance",
     "InstanceState",

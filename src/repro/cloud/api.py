@@ -13,12 +13,11 @@ the virtual time cost and get the result.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import typing as _t
 from itertools import repeat
 
-from repro.cloud.cloudtrail import CloudTrail
+from repro.cloud.cloudtrail import CloudTrail, TrailRecord
 from repro.cloud.consistency import ConsistencyModel, EventuallyConsistentView
 from repro.cloud.controller import activities_since
 from repro.cloud.errors import (
@@ -40,17 +39,6 @@ from repro.cloud.state import CloudState
 from repro.sim.latency import LatencyModel, aws_api_latency
 
 
-@dataclasses.dataclass
-class ApiCallRecord:
-    """In-memory record of an API call (immediate, unlike CloudTrail)."""
-
-    time: float
-    name: str
-    principal: str
-    params: dict
-    error_code: str | None
-
-
 class CloudAPI:
     """Per-principal facade over the shared region state."""
 
@@ -58,7 +46,7 @@ class CloudAPI:
         self,
         engine,
         state: CloudState,
-        trail: CloudTrail | None = None,
+        trail: CloudTrail,
         principal: str = "default",
         consistency: ConsistencyModel | None = None,
     ) -> None:
@@ -67,7 +55,9 @@ class CloudAPI:
         self.trail = trail
         self.principal = principal
         self.view = EventuallyConsistentView(state, engine.clock, consistency)
-        self.calls: list[ApiCallRecord] = []
+        #: This principal's audit records, in call order: immediate, where
+        #: the trail's lookup waits out the delivery delay.
+        self.calls: list[TrailRecord] = []
 
     # -- plumbing ----------------------------------------------------------
 
@@ -77,11 +67,7 @@ class CloudAPI:
             raise Throttling(f"rate limit exceeded for {name}")
 
     def _audit(self, name: str, params: dict, error_code: str | None = None) -> None:
-        self.calls.append(
-            ApiCallRecord(self.engine.now, name, self.principal, dict(params), error_code)
-        )
-        if self.trail is not None:
-            self.trail.record(name, self.principal, params, error_code)
+        self.calls.append(self.trail.record(name, self.principal, params, error_code))
 
     def _call(self, name: str, params: dict, body: _t.Callable[[], _t.Any]) -> _t.Any:
         """Run one API call: rate limit, execute, audit outcome."""
@@ -115,8 +101,7 @@ class CloudAPI:
         def body() -> dict:
             iid = image_id or self.state.new_id("ami")
             image = AmiImage(image_id=iid, name=name, version=version)
-            self.state.put("ami", iid, image, self.engine.now)
-            return image.describe()
+            return self.state.put("ami", iid, image, self.engine.now)
 
         return self._call("RegisterImage", {"Name": name, "Version": version}, body)
 
@@ -140,8 +125,7 @@ class CloudAPI:
         def body() -> dict:
             gid = self.state.new_id("security_group")
             group = SecurityGroup(group_id=gid, group_name=group_name, description=description)
-            self.state.put("security_group", group_name, group, self.engine.now)
-            return group.describe()
+            return self.state.put("security_group", group_name, group, self.engine.now)
 
         return self._call("CreateSecurityGroup", {"GroupName": group_name}, body)
 
@@ -165,8 +149,7 @@ class CloudAPI:
             # (PYTHONHASHSEED) and this value reaches diagnosis evidence.
             fingerprint = "fp:" + hashlib.sha256(key_name.encode()).hexdigest()[:12]
             key = KeyPair(key_name=key_name, fingerprint=fingerprint)
-            self.state.put("key_pair", key_name, key, self.engine.now)
-            return key.describe()
+            return self.state.put("key_pair", key_name, key, self.engine.now)
 
         return self._call("CreateKeyPair", {"KeyName": key_name}, body)
 
@@ -216,14 +199,14 @@ class CloudAPI:
         )
 
     def _begin_termination(self, instance_id: str) -> dict:
-        instance = self.state.get("instance", instance_id)
-        if instance.state == InstanceState.TERMINATED:
-            return instance.describe()
-        instance.state = InstanceState.SHUTTING_DOWN
-        instance.terminate_time = self.engine.now
-        self.state.record_write("instance", instance_id, self.engine.now)
+        if self.state.get("instance", instance_id).state == InstanceState.TERMINATED:
+            return self.state.latest_view("instance", instance_id)
+        now = self.engine.now
+        view = self.state.write(
+            "instance", instance_id, now, state=InstanceState.SHUTTING_DOWN, terminate_time=now
+        )
         self.engine.process(self._finish_termination(instance_id), name=f"terminate-{instance_id}")
-        return instance.describe()
+        return view
 
     def _finish_termination(self, instance_id: str) -> _t.Generator:
         yield self.engine.timeout(4.0)
@@ -247,11 +230,10 @@ class CloudAPI:
                 image_id=image_id,
                 instance_type=instance_type,
                 key_name=key_name,
-                security_groups=list(security_groups),
+                security_groups=tuple(security_groups),
                 created_at=self.engine.now,
             )
-            self.state.put("launch_configuration", name, lc, self.engine.now)
-            return lc.describe()
+            return self.state.put("launch_configuration", name, lc, self.engine.now)
 
         return self._call(
             "CreateLaunchConfiguration",
@@ -271,13 +253,7 @@ class CloudAPI:
         injection to model 'another team changed the LC')."""
 
         def body() -> dict:
-            lc = self.state.get("launch_configuration", name)
-            for field, value in changes.items():
-                if not hasattr(lc, field):
-                    raise MalformedRequest(f"unknown launch configuration field {field!r}")
-                setattr(lc, field, value)
-            self.state.record_write("launch_configuration", name, self.engine.now)
-            return lc.describe()
+            return self.state.write("launch_configuration", name, self.engine.now, **changes)
 
         return self._call(
             "UpdateLaunchConfiguration", {"LaunchConfigurationName": name, **changes}, body
@@ -315,10 +291,9 @@ class CloudAPI:
                 min_size=min_size,
                 max_size=max_size,
                 desired_capacity=desired_capacity,
-                load_balancer_names=list(load_balancer_names or []),
+                load_balancer_names=tuple(load_balancer_names or ()),
             )
-            self.state.put("auto_scaling_group", name, asg, self.engine.now)
-            return asg.describe()
+            return self.state.put("auto_scaling_group", name, asg, self.engine.now)
 
         return self._call("CreateAutoScalingGroup", {"AutoScalingGroupName": name}, body)
 
@@ -331,17 +306,18 @@ class CloudAPI:
 
     def update_auto_scaling_group(self, name: str, **changes) -> dict:
         def body() -> dict:
+            # Check the whole next version before writing it: a rejected
+            # update changes nothing.
             asg = self.state.get("auto_scaling_group", name)
             if "launch_configuration_name" in changes:
                 self.state.get("launch_configuration", changes["launch_configuration_name"])
-            for field, value in changes.items():
-                if not hasattr(asg, field):
-                    raise MalformedRequest(f"unknown auto scaling group field {field!r}")
-                setattr(asg, field, value)
-            if not 0 <= asg.min_size <= asg.desired_capacity <= asg.max_size:
+            low, desired, high = (
+                changes.get(field, getattr(asg, field))
+                for field in ("min_size", "desired_capacity", "max_size")
+            )
+            if not 0 <= low <= desired <= high:
                 raise MalformedRequest("sizes must satisfy min<=desired<=max")
-            self.state.record_write("auto_scaling_group", name, self.engine.now)
-            return asg.describe()
+            return self.state.write("auto_scaling_group", name, self.engine.now, **changes)
 
         return self._call("UpdateAutoScalingGroup", {"AutoScalingGroupName": name, **changes}, body)
 
@@ -351,16 +327,20 @@ class CloudAPI:
     def suspend_processes(self, name: str, processes: list[str]) -> None:
         def body() -> None:
             asg = self.state.get("auto_scaling_group", name)
-            asg.suspended_processes.update(processes)
-            self.state.record_write("auto_scaling_group", name, self.engine.now)
+            suspended = asg.suspended_processes.union(processes)
+            self.state.write(
+                "auto_scaling_group", name, self.engine.now, suspended_processes=suspended
+            )
 
         self._call("SuspendProcesses", {"AutoScalingGroupName": name, "Processes": processes}, body)
 
     def resume_processes(self, name: str, processes: list[str]) -> None:
         def body() -> None:
             asg = self.state.get("auto_scaling_group", name)
-            asg.suspended_processes.difference_update(processes)
-            self.state.record_write("auto_scaling_group", name, self.engine.now)
+            suspended = asg.suspended_processes.difference(processes)
+            self.state.write(
+                "auto_scaling_group", name, self.engine.now, suspended_processes=suspended
+            )
 
         self._call("ResumeProcesses", {"AutoScalingGroupName": name, "Processes": processes}, body)
 
@@ -374,11 +354,13 @@ class CloudAPI:
             asg_name = instance.asg_name
             if asg_name and self.state.exists("auto_scaling_group", asg_name):
                 asg = self.state.get("auto_scaling_group", asg_name)
+                changes = {}
                 if instance_id in asg.instance_ids:
-                    asg.instance_ids.remove(instance_id)
+                    members = asg.instance_ids
+                    changes["instance_ids"] = tuple(i for i in members if i != instance_id)
                 if decrement_desired_capacity:
-                    asg.desired_capacity = max(asg.min_size, asg.desired_capacity - 1)
-                self.state.record_write("auto_scaling_group", asg_name, self.engine.now)
+                    changes["desired_capacity"] = max(asg.min_size, asg.desired_capacity - 1)
+                self.state.write("auto_scaling_group", asg_name, self.engine.now, **changes)
             return self._begin_termination(instance_id)
 
         return self._call(
@@ -392,8 +374,7 @@ class CloudAPI:
             if self.state.exists("load_balancer", name):
                 raise MalformedRequest(f"load balancer {name!r} already exists")
             elb = LoadBalancer(name=name)
-            self.state.put("load_balancer", name, elb, self.engine.now)
-            return elb.describe()
+            return self.state.put("load_balancer", name, elb, self.engine.now)
 
         return self._call("CreateLoadBalancer", {"LoadBalancerName": name}, body)
 
@@ -416,12 +397,14 @@ class CloudAPI:
             elb = self.state.get("load_balancer", name)
             if not elb.available:
                 raise ServiceUnavailable(f"load balancer {name!r} is unavailable")
+            registered = elb.registered_instances
             for iid in instance_ids:
                 self.state.get("instance", iid)
-                if iid not in elb.registered_instances:
-                    elb.registered_instances.append(iid)
-            self.state.record_write("load_balancer", name, self.engine.now)
-            return elb.describe()
+                if iid not in registered:
+                    registered += (iid,)
+            return self.state.write(
+                "load_balancer", name, self.engine.now, registered_instances=registered
+            )
 
         return self._call(
             "RegisterInstancesWithLoadBalancer",
@@ -434,11 +417,10 @@ class CloudAPI:
             elb = self.state.get("load_balancer", name)
             if not elb.available:
                 raise ServiceUnavailable(f"load balancer {name!r} is unavailable")
-            for iid in instance_ids:
-                if iid in elb.registered_instances:
-                    elb.registered_instances.remove(iid)
-            self.state.record_write("load_balancer", name, self.engine.now)
-            return elb.describe()
+            remaining = tuple(i for i in elb.registered_instances if i not in instance_ids)
+            return self.state.write(
+                "load_balancer", name, self.engine.now, registered_instances=remaining
+            )
 
         return self._call(
             "DeregisterInstancesFromLoadBalancer",

@@ -14,9 +14,13 @@ import dataclasses
 import random
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class TrailRecord:
-    """One audit record: who called what, when, with which outcome."""
+    """One audit record: who called what, when, with which outcome.
+
+    The one record of an API call: the trail keeps it for delayed lookup,
+    and the calling principal's ``CloudAPI.calls`` holds the same object.
+    """
 
     event_time: float
     event_name: str

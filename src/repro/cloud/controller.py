@@ -112,17 +112,16 @@ class AsgController:
             self._reconcile_asg(asg_name)
 
     def _reconcile_asg(self, asg_name: str) -> None:
-        asg = self.state.auto_scaling_groups.get(asg_name)
+        groups = self.state.auto_scaling_groups
+        asg = groups.get(asg_name)
         if asg is None:
             return
         instances = self.state.instances
         # One scan, one lookup per member: what survives is exactly the
         # pending and healthy-running members, so the pruned membership
-        # and the active fleet are the same list.
+        # and the active fleet are the same tuple.
         active = []
-        # Iterate a snapshot: replacing an unhealthy member mutates
-        # asg.instance_ids mid-loop.
-        for iid in list(asg.instance_ids):
+        for iid in asg.instance_ids:
             instance = instances.get(iid)
             if instance is None:
                 continue
@@ -134,9 +133,11 @@ class AsgController:
                     self._terminate_member(asg_name, iid, cause="unhealthy")
             elif instance.state is _PENDING:
                 active.append(iid)
+        active = tuple(active)
+        # Replacing an unhealthy member wrote the group's next version.
+        asg = groups[asg_name]
         if active != asg.instance_ids:
-            asg.instance_ids = active
-            self.state.record_write("auto_scaling_group", asg_name, self.engine.now)
+            self.state.write("auto_scaling_group", asg_name, self.engine.now, instance_ids=active)
         gap = asg.desired_capacity - len(active)
         if gap > 0 and self.LAUNCH not in asg.suspended_processes:
             for _ in range(gap):
@@ -169,14 +170,14 @@ class AsgController:
             image_id=lc.image_id,
             instance_type=lc.instance_type,
             key_name=lc.key_name,
-            security_groups=list(lc.security_groups),
+            security_groups=lc.security_groups,
             state=InstanceState.PENDING,
             launch_time=self.engine.now,
             asg_name=asg_name,
         )
         self.state.put("instance", instance_id, instance, self.engine.now)
-        asg.instance_ids.append(instance_id)
-        self.state.record_write("auto_scaling_group", asg_name, self.engine.now)
+        members = asg.instance_ids + (instance_id,)
+        self.state.write("auto_scaling_group", asg_name, self.engine.now, instance_ids=members)
         self.state.scaling_activities.append(
             ScalingActivity(
                 time=self.engine.now,
@@ -214,8 +215,7 @@ class AsgController:
         instance = self.state.instances.get(instance_id)
         if instance is None or instance.state is not _PENDING:
             return
-        instance.state = _RUNNING
-        self.state.record_write("instance", instance_id, self.engine.now)
+        self.state.write("instance", instance_id, self.engine.now, state=_RUNNING)
         self.state.scaling_activities.append(
             ScalingActivity(
                 time=self.engine.now,
@@ -255,18 +255,20 @@ class AsgController:
                     )
                 )
             elif instance_id not in elb.registered_instances:
-                elb.registered_instances.append(instance_id)
-                self.state.record_write("load_balancer", elb_name, self.engine.now)
+                registered = elb.registered_instances + (instance_id,)
+                self.state.write(
+                    "load_balancer", elb_name, self.engine.now, registered_instances=registered
+                )
 
     def _terminate_member(self, asg_name: str, instance_id: str, cause: str = "scale-in") -> None:
-        asg = self.state.auto_scaling_groups[asg_name]
-        if instance_id in asg.instance_ids:
-            asg.instance_ids.remove(instance_id)
-            self.state.record_write("auto_scaling_group", asg_name, self.engine.now)
-        instance = self.state.get("instance", instance_id)
-        instance.state = InstanceState.SHUTTING_DOWN
-        instance.terminate_time = self.engine.now
-        self.state.record_write("instance", instance_id, self.engine.now)
+        now = self.engine.now
+        members = self.state.auto_scaling_groups[asg_name].instance_ids
+        if instance_id in members:
+            remaining = tuple(iid for iid in members if iid != instance_id)
+            self.state.write("auto_scaling_group", asg_name, now, instance_ids=remaining)
+        self.state.write(
+            "instance", instance_id, now, state=InstanceState.SHUTTING_DOWN, terminate_time=now
+        )
         self.state.scaling_activities.append(
             ScalingActivity(
                 time=self.engine.now,

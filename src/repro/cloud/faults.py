@@ -5,9 +5,10 @@ decides which fault to inject into which run, when, and whether the fault
 is transient (reverted shortly after injection — the paper's third
 wrong-diagnosis class).
 
-Each injector mutates cloud state exactly the way the corresponding real
-event would: a concurrent team swapping the launch configuration's AMI, a
-key pair deleted by an operator, an ELB service disruption, etc.
+Each injector changes cloud state (through ``CloudState.write``) exactly
+the way the corresponding real event would: a concurrent team swapping
+the launch configuration's AMI, a key pair deleted by an operator, an ELB
+service disruption, etc.
 """
 
 from __future__ import annotations
@@ -52,34 +53,28 @@ class FaultInjector:
 
     def change_lc_ami(self, lc_name: str, rogue_image_id: str) -> InjectionRecord:
         """Fault 1 — AMI changed during upgrade (mixed-version hazard)."""
-        lc = self.state.get("launch_configuration", lc_name)
-        original = lc.image_id
-        lc.image_id = rogue_image_id
-        self.state.record_write("launch_configuration", lc_name, self.engine.now)
+        original = self.state.get("launch_configuration", lc_name).image_id
+        self.state.write("launch_configuration", lc_name, self.engine.now, image_id=rogue_image_id)
         return self._log("AMI_CHANGED", lc_name, original=original, rogue=rogue_image_id)
 
     def change_lc_key_pair(self, lc_name: str, rogue_key_name: str) -> InjectionRecord:
         """Fault 2 — key pair management fault (wrong key in the LC)."""
-        lc = self.state.get("launch_configuration", lc_name)
-        original = lc.key_name
-        lc.key_name = rogue_key_name
-        self.state.record_write("launch_configuration", lc_name, self.engine.now)
+        original = self.state.get("launch_configuration", lc_name).key_name
+        self.state.write("launch_configuration", lc_name, self.engine.now, key_name=rogue_key_name)
         return self._log("KEYPAIR_WRONG", lc_name, original=original, rogue=rogue_key_name)
 
     def change_lc_security_group(self, lc_name: str, rogue_group: str) -> InjectionRecord:
         """Fault 3 — security group configuration fault."""
-        lc = self.state.get("launch_configuration", lc_name)
-        original = list(lc.security_groups)
-        lc.security_groups = [rogue_group]
-        self.state.record_write("launch_configuration", lc_name, self.engine.now)
+        original = list(self.state.get("launch_configuration", lc_name).security_groups)
+        self.state.write(
+            "launch_configuration", lc_name, self.engine.now, security_groups=(rogue_group,)
+        )
         return self._log("SG_WRONG", lc_name, original=original, rogue=rogue_group)
 
     def change_lc_instance_type(self, lc_name: str, rogue_type: str) -> InjectionRecord:
         """Fault 4 — instance type changed during upgrade."""
-        lc = self.state.get("launch_configuration", lc_name)
-        original = lc.instance_type
-        lc.instance_type = rogue_type
-        self.state.record_write("launch_configuration", lc_name, self.engine.now)
+        original = self.state.get("launch_configuration", lc_name).instance_type
+        self.state.write("launch_configuration", lc_name, self.engine.now, instance_type=rogue_type)
         return self._log("INSTANCE_TYPE_CHANGED", lc_name, original=original, rogue=rogue_type)
 
     # -- resource faults (5-8): launches / registrations fail --------------
@@ -105,9 +100,7 @@ class FaultInjector:
     def make_elb_unavailable(self, elb_name: str) -> InjectionRecord:
         """Fault 8 — ELB service disruption (cf. the Dec-2012 ELB outage)."""
         if self.state.exists("load_balancer", elb_name):
-            elb = self.state.get("load_balancer", elb_name)
-            elb.available = False
-            self.state.record_write("load_balancer", elb_name, self.engine.now)
+            self.state.write("load_balancer", elb_name, self.engine.now, available=False)
         return self._log("ELB_UNAVAILABLE", elb_name)
 
     # -- reverts (transient faults) -----------------------------------------
@@ -133,17 +126,14 @@ class FaultInjector:
         def undo(record: InjectionRecord) -> None:
             if not self.state.exists("launch_configuration", record.target):
                 return
-            lc = self.state.get("launch_configuration", record.target)
-            setattr(lc, field, record.details["original"])
-            self.state.record_write("launch_configuration", record.target, self.engine.now)
+            original = {field: record.details["original"]}
+            self.state.write("launch_configuration", record.target, self.engine.now, **original)
 
         return undo
 
     def _revive_elb(self, record: InjectionRecord) -> None:
         if self.state.exists("load_balancer", record.target):
-            elb = self.state.get("load_balancer", record.target)
-            elb.available = True
-            self.state.record_write("load_balancer", record.target, self.engine.now)
+            self.state.write("load_balancer", record.target, self.engine.now, available=True)
 
     # -- interference (not counted as injected faults) -----------------------
 
@@ -154,8 +144,8 @@ class FaultInjector:
         if not candidates:
             return None
         victim = rng.choice(candidates)
-        victim.terminate_time = self.engine.now
-        self.state.finish_termination(victim.instance_id, self.engine.now)
+        now = self.engine.now
+        self.state.finish_termination(victim.instance_id, now, terminate_time=now)
         if self.trail is not None:
             self.trail.record(
                 "TerminateInstances", "chaos-script", {"InstanceId": victim.instance_id}

@@ -1,4 +1,4 @@
-"""Copy-on-write snapshot primitives for the cloud data plane.
+"""Immutable views of the cloud data plane.
 
 The seed stored region history with ``copy.deepcopy`` at three hot sites:
 every mutation deep-copied its ``describe()`` dict *into* history, every
@@ -8,7 +8,9 @@ monitor deep-copied the entire region on every poll tick.  The paper's
 paths, so the deep copies dominated campaign time once pattern matching
 became cheap.
 
-This module replaces them with structurally shared, immutable views:
+Resources are now immutable versions (:mod:`repro.cloud.resources`) whose
+``describe()`` builds its view from these read-only containers directly,
+once per write:
 
 - :class:`FrozenView` — a read-only ``dict`` subclass.  Every mutating
   method raises :class:`FrozenMutationError`; readers use it exactly like
@@ -17,10 +19,6 @@ This module replaces them with structurally shared, immutable views:
 - :class:`FrozenList` — the matching read-only ``list`` subclass, used
   for nested sequences (``SecurityGroups``, ``Instances``, ...).  Unlike
   a tuple it still compares equal to plain lists, so no caller notices.
-- :func:`freeze` — recursively convert a describe-dict into frozen form.
-- :func:`share_unchanged` — before a write is frozen, swap in the
-  previous history entry's frozen parts for what the write did not
-  touch, so consecutive versions of one resource share them.
 - :func:`thaw` — the explicit escape hatch: a deep, mutable copy for the
   rare caller that genuinely needs to edit a view.
 
@@ -33,14 +31,7 @@ from __future__ import annotations
 
 import typing as _t
 
-__all__ = [
-    "FrozenList",
-    "FrozenMutationError",
-    "FrozenView",
-    "freeze",
-    "share_unchanged",
-    "thaw",
-]
+__all__ = ["FrozenList", "FrozenMutationError", "FrozenView", "thaw"]
 
 
 class FrozenMutationError(TypeError):
@@ -123,69 +114,11 @@ class FrozenList(list):
         return f"FrozenList({list.__repr__(self)})"
 
 
-_FROZEN = (FrozenView, FrozenList)
-#: Exact types ``freeze`` returns untouched without looking further.
-_LEAVES = frozenset({str, int, float, bool, type(None), *_FROZEN})
-
-
-def freeze(value: _t.Any) -> _t.Any:
-    """Recursively convert ``value`` into its frozen form.
-
-    Scalars pass through untouched; already-frozen values are returned
-    as-is (freeze is idempotent), which keeps the parts
-    :func:`share_unchanged` swapped in shared.
-    """
-    kind = type(value)
-    if kind in _LEAVES:
-        return value
-    if kind is not dict and kind is not list:
-        # Off the describe() path: tuples, sets, subclasses, foreign leaves.
-        if isinstance(value, _FROZEN):
-            return value
-        if isinstance(value, (set, frozenset)):
-            return frozenset([freeze(item) for item in value])
-        if isinstance(value, dict):
-            kind = dict
-        elif not isinstance(value, (list, tuple)):
-            return value
-    if kind is dict:
-        return FrozenView(
-            {key: item if type(item) in _LEAVES else freeze(item) for key, item in value.items()}
-        )
-    return FrozenList([item if type(item) in _LEAVES else freeze(item) for item in value])
-
-
-def share_unchanged(value: _t.Any, previous: _t.Any) -> None:
-    """Swap the parts of ``value`` a write did not touch for the equal,
-    already-frozen parts of ``previous``, in place.
-
-    ``value`` is a fresh ``describe()``: plain dicts and lists all the way
-    down.  Dict fields are matched by key; a list that gained or lost
-    members keeps its common head and tail.
-    """
-    if type(previous) is FrozenView and type(value) is dict:
-        for key, old in previous.items():
-            if type(old) in _FROZEN and key in value:
-                if value[key] == old:
-                    value[key] = old
-                else:
-                    share_unchanged(value[key], old)
-    elif type(previous) is FrozenList and type(value) is list:
-        head, limit = 0, min(len(value), len(previous))
-        while head < limit and value[head] == previous[head]:
-            value[head] = previous[head]
-            head += 1
-        tail = 1
-        while tail <= limit - head and value[-tail] == previous[-tail]:
-            value[-tail] = previous[-tail]
-            tail += 1
-
-
 def thaw(value: _t.Any) -> _t.Any:
     """Deep, mutable copy of a (possibly frozen) structure.
 
-    The inverse of :func:`freeze`: frozen views become plain dicts, frozen
-    lists plain lists, recursively.  Safe on plain structures too.
+    Frozen views become plain dicts, frozen lists plain lists,
+    recursively.  Safe on plain structures too.
     """
     if isinstance(value, dict):
         return {key: thaw(item) for key, item in value.items()}

@@ -4,6 +4,13 @@ Only the attributes POD-Diagnosis observes are modelled — the assertion
 library checks AMI ids, security groups, key pairs, instance types,
 ELB registration and instance counts, so those are first-class; everything
 else AWS carries is irrelevant to the reproduction and omitted.
+
+Each resource object is one immutable *version*: a frozen, slotted
+dataclass whose sequences are tuples and whose set is a frozenset.
+Assigning a field raises; :meth:`~repro.cloud.state.CloudState.write`
+builds the next version and records it, so the region's write history
+is complete by construction.  ``describe()`` builds the version's frozen
+AWS-shaped view directly from those already-immutable fields.
 """
 
 from __future__ import annotations
@@ -11,6 +18,8 @@ from __future__ import annotations
 import dataclasses
 import enum
 import typing as _t
+
+from repro.cloud.freeze import FrozenList, FrozenView
 
 
 class InstanceState(str, enum.Enum):
@@ -30,7 +39,7 @@ class InstanceState(str, enum.Enum):
 ACTIVE_STATES = (InstanceState.PENDING, InstanceState.RUNNING)
 
 
-@dataclasses.dataclass(slots=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class AmiImage:
     """A machine image; the unit of 'version' in a rolling upgrade."""
 
@@ -38,17 +47,17 @@ class AmiImage:
     name: str
     version: str
 
-    def describe(self) -> dict:
-        return {
+    def describe(self) -> FrozenView:
+        return FrozenView({
             "ImageId": self.image_id,
             "Name": self.name,
             "Version": self.version,
             # A deregistered image is deleted, so every described one is available.
             "State": "available",
-        }
+        })
 
 
-@dataclasses.dataclass(slots=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class SecurityGroup:
     """A named firewall ruleset; assertions verify the ASG references the
     right one (fault type 3) and that it still exists (fault type 7)."""
@@ -56,29 +65,29 @@ class SecurityGroup:
     group_id: str
     group_name: str
     description: str = ""
-    ingress_rules: list[dict] = dataclasses.field(default_factory=list)
+    ingress_rules: tuple[_t.Mapping, ...] = ()
 
-    def describe(self) -> dict:
-        return {
+    def describe(self) -> FrozenView:
+        return FrozenView({
             "GroupId": self.group_id,
             "GroupName": self.group_name,
             "Description": self.description,
-            "IpPermissions": [dict(rule) for rule in self.ingress_rules],
-        }
+            "IpPermissions": FrozenList(map(FrozenView, self.ingress_rules)),
+        })
 
 
-@dataclasses.dataclass(slots=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class KeyPair:
     """An SSH key pair (fault types 2 and 6)."""
 
     key_name: str
     fingerprint: str
 
-    def describe(self) -> dict:
-        return {"KeyName": self.key_name, "KeyFingerprint": self.fingerprint}
+    def describe(self) -> FrozenView:
+        return FrozenView({"KeyName": self.key_name, "KeyFingerprint": self.fingerprint})
 
 
-@dataclasses.dataclass(slots=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class LaunchConfiguration:
     """Template from which the ASG launches instances.
 
@@ -91,21 +100,21 @@ class LaunchConfiguration:
     image_id: str
     instance_type: str
     key_name: str
-    security_groups: list[str]
+    security_groups: tuple[str, ...]
     created_at: float = 0.0
 
-    def describe(self) -> dict:
-        return {
+    def describe(self) -> FrozenView:
+        return FrozenView({
             "LaunchConfigurationName": self.name,
             "ImageId": self.image_id,
             "InstanceType": self.instance_type,
             "KeyName": self.key_name,
-            "SecurityGroups": list(self.security_groups),
+            "SecurityGroups": FrozenList(self.security_groups),
             "CreatedTime": self.created_at,
-        }
+        })
 
 
-@dataclasses.dataclass(slots=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class Instance:
     """A virtual machine instance."""
 
@@ -113,7 +122,7 @@ class Instance:
     image_id: str
     instance_type: str
     key_name: str
-    security_groups: list[str]
+    security_groups: tuple[str, ...]
     state: InstanceState = InstanceState.PENDING
     launch_time: float = 0.0
     terminate_time: float | None = None
@@ -121,36 +130,38 @@ class Instance:
     #: Health as the ELB sees it once registered.
     healthy: bool = True
 
-    def describe(self) -> dict:
-        return {
+    def describe(self) -> FrozenView:
+        return FrozenView({
             "InstanceId": self.instance_id,
             "ImageId": self.image_id,
             "InstanceType": self.instance_type,
             "KeyName": self.key_name,
-            "SecurityGroups": list(self.security_groups),
-            "State": {"Name": self.state.value},
+            "SecurityGroups": FrozenList(self.security_groups),
+            "State": FrozenView({"Name": self.state.value}),
             "LaunchTime": self.launch_time,
             "AutoScalingGroupName": self.asg_name,
-        }
+        })
 
 
-@dataclasses.dataclass(slots=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class LoadBalancer:
     """An ELB: the cluster's point of contact for incoming traffic."""
 
     name: str
-    registered_instances: list[str] = dataclasses.field(default_factory=list)
+    registered_instances: tuple[str, ...] = ()
     available: bool = True
 
-    def describe(self) -> dict:
-        return {
+    def describe(self) -> FrozenView:
+        return FrozenView({
             "LoadBalancerName": self.name,
-            "Instances": [{"InstanceId": i} for i in self.registered_instances],
+            "Instances": FrozenList(
+                [FrozenView({"InstanceId": i}) for i in self.registered_instances]
+            ),
             "State": "active" if self.available else "unavailable",
-        }
+        })
 
 
-@dataclasses.dataclass(slots=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class AutoScalingGroup:
     """The ASG that owns the application's instance fleet.
 
@@ -164,22 +175,22 @@ class AutoScalingGroup:
     min_size: int
     max_size: int
     desired_capacity: int
-    instance_ids: list[str] = dataclasses.field(default_factory=list)
-    load_balancer_names: list[str] = dataclasses.field(default_factory=list)
+    instance_ids: tuple[str, ...] = ()
+    load_balancer_names: tuple[str, ...] = ()
     #: Suspended scaling processes (Asgard suspends some during upgrades).
-    suspended_processes: set[str] = dataclasses.field(default_factory=set)
+    suspended_processes: frozenset[str] = frozenset()
 
-    def describe(self) -> dict:
-        return {
+    def describe(self) -> FrozenView:
+        return FrozenView({
             "AutoScalingGroupName": self.name,
             "LaunchConfigurationName": self.launch_configuration_name,
             "MinSize": self.min_size,
             "MaxSize": self.max_size,
             "DesiredCapacity": self.desired_capacity,
-            "Instances": [{"InstanceId": i} for i in self.instance_ids],
-            "LoadBalancerNames": list(self.load_balancer_names),
-            "SuspendedProcesses": sorted(self.suspended_processes),
-        }
+            "Instances": FrozenList([FrozenView({"InstanceId": i}) for i in self.instance_ids]),
+            "LoadBalancerNames": FrozenList(self.load_balancer_names),
+            "SuspendedProcesses": FrozenList(sorted(self.suspended_processes)),
+        })
 
 
 #: Union of every resource dataclass, for typed registries.

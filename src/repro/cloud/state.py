@@ -1,18 +1,22 @@
 """Authoritative region state plus per-resource write history.
 
-``CloudState`` is the single source of truth the API mutates.  Every
-mutation also appends a timestamped snapshot to the resource's history;
-the eventual-consistency layer serves *reads* from that history, possibly
-lagging behind the latest write — exactly the behaviour that forced the
-paper to build a "consistent AWS API layer" with retries (§IV).
+``CloudState`` is the single source of truth the API changes.  A resource
+is its latest immutable version (:mod:`repro.cloud.resources`), and
+:meth:`CloudState.write` is the only way to change one: it builds the
+next version, makes it the registry's, and appends that version's frozen
+describe to the resource's history — so the history is the region's
+append-only write stream by construction, not by a convention each call
+site keeps.  The eventual-consistency layer serves *reads* from that
+history, possibly lagging behind the latest write — exactly the behaviour
+that forced the paper to build a "consistent AWS API layer" with retries
+(§IV).
 
-History is copy-on-write: each snapshot is a :class:`~repro.cloud.freeze.FrozenView`
-appended *by reference*, sharing the parts a write did not touch with
-the resource's previous entry.  ``view_at`` returns the frozen view
-directly — a stale read costs one bisect and zero copying — and callers
-that need a scratch dict use :func:`~repro.cloud.freeze.thaw`.  A region-wide write log (consumed
-by the Edda-style monitor) makes per-tick snapshot work proportional to
-writes instead of region size.
+History entries are :class:`~repro.cloud.freeze.FrozenView` objects,
+appended and handed out *by reference*: ``view_at`` returns the frozen
+view directly — a stale read costs one bisect and zero copying — and
+callers that need a scratch dict use :func:`~repro.cloud.freeze.thaw`.
+A region-wide write log (consumed by the Edda-style monitor) makes
+per-tick snapshot work proportional to writes instead of region size.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 
-from repro.cloud.errors import ResourceNotFound
-from repro.cloud.freeze import FrozenView, freeze, share_unchanged, thaw
+from repro.cloud.errors import MalformedRequest, ResourceNotFound
+from repro.cloud.freeze import FrozenView, thaw
 from repro.cloud.limits import AccountLimits, RateLimiter
 from repro.cloud.resources import (
     ACTIVE_STATES,
@@ -34,6 +38,11 @@ from repro.cloud.resources import (
     LoadBalancer,
     SecurityGroup,
 )
+
+_new = object.__new__
+#: Sets a field of a version ``write`` is building; a frozen dataclass's
+#: own ``__setattr__`` refuses every other writer.
+_set = object.__setattr__
 
 KINDS = (
     "ami",
@@ -132,10 +141,11 @@ class CloudState:
 
     # -- mutation + history ----------------------------------------------
 
-    def put(self, kind: str, identifier: str, resource, now: float) -> None:
-        """Insert or replace a resource and record the write."""
+    def put(self, kind: str, identifier: str, resource, now: float) -> FrozenView:
+        """Insert a resource's first version (or re-create it); returns the
+        view it recorded."""
         self._registries[kind][identifier] = resource
-        self.record_write(kind, identifier, now)
+        return self._append_history(kind, identifier, now, resource.describe())
 
     def delete(self, kind: str, identifier: str, now: float) -> None:
         """Remove a resource and record a tombstone."""
@@ -143,37 +153,46 @@ class CloudState:
             raise ResourceNotFound.of(kind, identifier)
         self._append_history(kind, identifier, now, None)
 
-    def record_write(self, kind: str, identifier: str, now: float) -> None:
-        """Snapshot a resource's current described form into its history.
+    def write(self, kind: str, identifier: str, now: float, **changes) -> FrozenView:
+        """Change a resource: the one way any field of one changes.
 
-        Call after any in-place mutation so eventually-consistent readers
-        observe the change only once their lag elapses.  The snapshot is
-        frozen once and appended by reference — no deep copy, and the parts
-        the write did not touch are the previous entry's own objects.
+        Builds the next version from the current one plus ``changes`` (a
+        list is stored as a tuple, a set as a frozenset), makes it the
+        registry's and appends its describe to the history in the same
+        instant; returns that view.  A missing resource or an unknown
+        field raises before anything changes.
         """
-        resource = self._registries[kind].get(identifier)
-        snapshot = None
-        if resource is not None:
-            described = resource.describe()
-            share_unchanged(described, self.latest_view(kind, identifier))
-            snapshot = freeze(described)
-        self._append_history(kind, identifier, now, snapshot)
+        current = self.get(kind, identifier)
+        fields = current.__slots__
+        version = _new(type(current))
+        for name in fields:
+            _set(version, name, getattr(current, name))
+        for name, value in changes.items():
+            if name not in fields:
+                label = kind.replace("_", " ")
+                raise MalformedRequest(f"unknown {label} field {name!r}")
+            if isinstance(value, list):
+                value = tuple(value)
+            elif isinstance(value, set):
+                value = frozenset(value)
+            _set(version, name, value)
+        self._registries[kind][identifier] = version
+        return self._append_history(kind, identifier, now, version.describe())
 
-    def finish_termination(self, instance_id: str, now: float) -> None:
-        """Mark an instance terminated and drop it from every ELB."""
-        instance = self.instances.get(instance_id)
-        if instance is None:
+    def finish_termination(self, instance_id: str, now: float, **changes) -> None:
+        """Mark an instance terminated (plus any further ``changes``, in the
+        same write) and drop it from every ELB."""
+        if instance_id not in self.instances:
             return
-        instance.state = InstanceState.TERMINATED
-        self.record_write("instance", instance_id, now)
-        for elb in self.load_balancers.values():
+        self.write("instance", instance_id, now, state=InstanceState.TERMINATED, **changes)
+        for elb in list(self.load_balancers.values()):
             if instance_id in elb.registered_instances:
-                elb.registered_instances.remove(instance_id)
-                self.record_write("load_balancer", elb.name, now)
+                remaining = tuple(i for i in elb.registered_instances if i != instance_id)
+                self.write("load_balancer", elb.name, now, registered_instances=remaining)
 
     def _append_history(
         self, kind: str, identifier: str, now: float, snapshot: FrozenView | None
-    ) -> None:
+    ) -> FrozenView | None:
         key = (kind, identifier)
         entry = self._history.get(key)
         if entry is None:
@@ -181,6 +200,7 @@ class CloudState:
         entry[0].append(now)
         entry[1].append(snapshot)
         self._write_log.append(key)
+        return snapshot
 
     def history(self, kind: str, identifier: str) -> list[tuple[float, FrozenView | None]]:
         times, views = self._history.get((kind, identifier), ((), ()))
@@ -204,9 +224,8 @@ class CloudState:
     def latest_view(self, kind: str, identifier: str) -> FrozenView | None:
         """The most recent history snapshot (None = absent/tombstoned).
 
-        Every mutation path records a write in the same virtual instant,
-        so this always equals a live ``describe()`` — without allocating
-        one.
+        ``write`` records every version it builds, so this is the live
+        version's describe — without building another.
         """
         entry = self._history.get((kind, identifier))
         if entry is None:
@@ -247,4 +266,4 @@ class CloudState:
         return f"CloudState({self.region}: {counts})"
 
 
-__all__ = ["KINDS", "CloudState", "FrozenView", "freeze", "thaw"]
+__all__ = ["KINDS", "CloudState", "FrozenView", "thaw"]

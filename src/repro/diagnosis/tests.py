@@ -143,9 +143,9 @@ def probe_external_termination(env, params: dict) -> _t.Generator:
     # which CloudTrail would attribute — the monitor equivalent is the
     # operation's own record of TerminateInstances calls.
     operation_calls = {
-        c.params.get("InstanceId")
+        c.request_parameters.get("InstanceId")
         for c in env.operation_api_calls
-        if c.name in ("TerminateInstances", "TerminateInstanceInAutoScalingGroup")
+        if c.event_name in ("TerminateInstances", "TerminateInstanceInAutoScalingGroup")
     }
     unexplained = [i for i in terminated if i not in explained and i not in operation_calls]
     if unexplained:

@@ -75,9 +75,9 @@ class TestCountAssertion:
         instance = provisioned_cloud.state.running_instances("asg-dsn")[0]
         from repro.cloud.resources import InstanceState
 
-        instance.state = InstanceState.PENDING
-        provisioned_cloud.state.record_write(
-            "instance", instance.instance_id, provisioned_cloud.engine.now
+        provisioned_cloud.state.write(
+            "instance", instance.instance_id, provisioned_cloud.engine.now,
+            state=InstanceState.PENDING,
         )
         result = run(env, AsgInstanceCountAssertion(convergence_timeout=2))
         assert result.passed
@@ -86,9 +86,9 @@ class TestCountAssertion:
         instance = provisioned_cloud.state.running_instances("asg-dsn")[0]
         from repro.cloud.resources import InstanceState
 
-        instance.state = InstanceState.PENDING
-        provisioned_cloud.state.record_write(
-            "instance", instance.instance_id, provisioned_cloud.engine.now
+        provisioned_cloud.state.write(
+            "instance", instance.instance_id, provisioned_cloud.engine.now,
+            state=InstanceState.PENDING,
         )
         result = run(env, AsgInstanceCountAssertion(convergence_timeout=2, mode="running"))
         assert result.failed
@@ -128,9 +128,8 @@ class TestInstanceVersionAssertion:
 
     def test_detects_wrong_ami(self, env, provisioned_cloud):
         instance = provisioned_cloud.state.running_instances("asg-dsn")[0]
-        instance.image_id = "ami-rogue"
-        provisioned_cloud.state.record_write(
-            "instance", instance.instance_id, provisioned_cloud.engine.now
+        provisioned_cloud.state.write(
+            "instance", instance.instance_id, provisioned_cloud.engine.now, image_id="ami-rogue"
         )
         result = run(env, InstanceVersionAssertion(), {"instanceid": instance.instance_id})
         assert result.failed
@@ -138,9 +137,9 @@ class TestInstanceVersionAssertion:
 
     def test_detects_wrong_security_group(self, env, provisioned_cloud):
         instance = provisioned_cloud.state.running_instances("asg-dsn")[0]
-        instance.security_groups = ["sg-rogue"]
-        provisioned_cloud.state.record_write(
-            "instance", instance.instance_id, provisioned_cloud.engine.now
+        provisioned_cloud.state.write(
+            "instance", instance.instance_id, provisioned_cloud.engine.now,
+            security_groups=("sg-rogue",),
         )
         result = run(env, InstanceVersionAssertion(), {"instanceid": instance.instance_id})
         assert result.failed
@@ -196,7 +195,10 @@ class TestElbAssertion:
     def test_fails_when_too_few_in_service(self, env, provisioned_cloud):
         provisioned_cloud.controller.stop()
         elb = provisioned_cloud.state.get("load_balancer", "elb-dsn")
-        elb.registered_instances = elb.registered_instances[:1]
+        provisioned_cloud.state.write(
+            "load_balancer", "elb-dsn", provisioned_cloud.engine.now,
+            registered_instances=elb.registered_instances[:1],
+        )
         result = run(env, ElbRegistrationAssertion(), {"convergence_timeout": 2})
         assert result.failed
         assert result.timed_out

@@ -159,6 +159,36 @@ class TestAutoScalingGroups:
         assert api.describe_auto_scaling_group("asg", consistent=True)["SuspendedProcesses"] == []
 
 
+class TestRejectedUpdates:
+    """A rejected update changes nothing: not the live resource, not its
+    recorded view, not what the controller's next pass does."""
+
+    @pytest.mark.parametrize(
+        "kind, name, method, changes",
+        [
+            ("auto_scaling_group", "asg-dsn", "update_auto_scaling_group",
+             {"desired_capacity": 9}),
+            ("auto_scaling_group", "asg-dsn", "update_auto_scaling_group",
+             {"desired_capacity": 6, "bogus_field": 1}),
+            ("launch_configuration", "lc-v1", "update_launch_configuration",
+             {"image_id": "ami-rogue", "bogus_field": 1}),
+        ],
+        ids=["size-check", "asg-unknown-field", "lc-unknown-field"],
+    )
+    def test_rejected_update_changes_nothing(self, provisioned_cloud, kind, name, method, changes):
+        state = provisioned_cloud.state
+        live, view = state.get(kind, name), state.latest_view(kind, name)
+        writes, activities = state.write_seq(), len(state.scaling_activities)
+        with pytest.raises(MalformedRequest):
+            getattr(provisioned_cloud.api("tester"), method)(name, **changes)
+        assert state.get(kind, name) is live
+        assert state.latest_view(kind, name) is view
+        assert view == state.get(kind, name).describe()
+        provisioned_cloud.controller.reconcile()
+        assert state.write_seq() == writes
+        assert state.scaling_activities[activities:] == []
+
+
 class TestElb:
     def test_register_and_health(self, cloud, api):
         api.create_load_balancer("elb-1")
@@ -174,8 +204,7 @@ class TestElb:
 
     def test_unavailable_elb_rejects_registration(self, cloud, api):
         api.create_load_balancer("elb-1")
-        elb = cloud.state.get("load_balancer", "elb-1")
-        elb.available = False
+        cloud.state.write("load_balancer", "elb-1", cloud.engine.now, available=False)
         with pytest.raises(ServiceUnavailable):
             api.register_instances_with_load_balancer("elb-1", [])
         with pytest.raises(ServiceUnavailable):
@@ -183,7 +212,7 @@ class TestElb:
 
     def test_deregister_from_unavailable_elb_fails(self, cloud, api):
         api.create_load_balancer("elb-1")
-        cloud.state.get("load_balancer", "elb-1").available = False
+        cloud.state.write("load_balancer", "elb-1", cloud.engine.now, available=False)
         with pytest.raises(ServiceUnavailable):
             api.deregister_instances_from_load_balancer("elb-1", ["i-1"])
 
@@ -198,7 +227,7 @@ class TestAuditing:
     def test_every_call_recorded_with_principal(self, cloud):
         api = cloud.api("alice")
         api.register_image("app", "v1")
-        assert api.calls[-1].name == "RegisterImage"
+        assert api.calls[-1].event_name == "RegisterImage"
         assert api.calls[-1].principal == "alice"
 
     def test_errors_recorded_with_code(self, cloud):
@@ -269,7 +298,7 @@ class TestTimedClientCall:
             yield from client.call("describe_image", ami, consistent=True)
 
         cloud.engine.run(until=cloud.engine.process(caller()))
-        assert api.calls[-1].time == 10.0 + expected
+        assert api.calls[-1].event_time == 10.0 + expected
         assert cloud.engine.now == 10.0 + expected
 
     def test_cloud_error_is_raised_at_the_yield_from(self, cloud):
@@ -338,7 +367,7 @@ class TestMemberDescribes:
         def check() -> None:
             members = api.describe_instances_in_asg("asg-dsn")
             asg = cloud.state.get("auto_scaling_group", "asg-dsn")
-            assert [m["InstanceId"] for m in members] == asg.instance_ids
+            assert tuple(m["InstanceId"] for m in members) == asg.instance_ids
             for member in members:
                 instance_id = member["InstanceId"]
                 assert member is cloud.state.latest_view("instance", instance_id)
@@ -385,7 +414,7 @@ class TestScalingActivitiesApi:
 
     def test_terminate_instance_in_asg_removes_member(self, provisioned_cloud):
         api = provisioned_cloud.api("tester")
-        asg = provisioned_cloud.state.get("auto_scaling_group", "asg-dsn")
-        victim = asg.instance_ids[0]
+        victim = provisioned_cloud.state.get("auto_scaling_group", "asg-dsn").instance_ids[0]
         api.terminate_instance_in_auto_scaling_group(victim)
+        asg = provisioned_cloud.state.get("auto_scaling_group", "asg-dsn")
         assert victim not in asg.instance_ids

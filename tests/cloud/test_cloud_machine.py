@@ -2,10 +2,10 @@
 
 Hypothesis drives one ``SimulatedCloud`` through API creates, deletes and
 terminations, scaling, the eight fault injections and their reverts,
-chaos terminations, direct field writes, API-plane chaos and clock
+chaos terminations, writes outside the API, API-plane chaos and clock
 advances.  After every step the machine checks invariants stated against
-references it builds itself -- deep copies of ``describe()`` captured at
-each write, the reference freeze of each, the full-copy monitor -- never
+references it builds itself -- a deep copy of the version each write made
+the registry's, the describe of each, the full-copy monitor -- never
 against an older build of the code.  A ``CloudError`` is an outcome, not a failure.
 """
 
@@ -20,18 +20,18 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 from repro.cloud.chaos import CHAOS_LEVELS, ChaosController
 from repro.cloud.controller import ELB_REGISTER_DELAY
 from repro.cloud.errors import CloudError
-from repro.cloud.freeze import FrozenList, FrozenView, thaw
+from repro.cloud.freeze import thaw
 from repro.cloud.limits import AccountLimits
 from repro.cloud.provider import SimulatedCloud
 from repro.cloud.resources import InstanceState
 
-from .reference_freeze import reference_freeze, shape
+from .test_freeze import frozen_throughout
 from .test_monitor_delta import FullCopyReference
 
 ELBS = ("elb-a", "elb-b")
 TERMINATED = InstanceState.TERMINATED
 #: An instance's state only ever moves forward along this list.
-LIFECYCLE = [state.value for state in InstanceState]
+LIFECYCLE = list(InstanceState)
 #: (method, *args) on the script's API: a create and a delete per resource.
 RESOURCE_CALLS = (
     ("register_image", "app", "v1", "ami-1"),
@@ -59,32 +59,19 @@ INJECTIONS = (
 REVERTIBLE = {
     "AMI_CHANGED", "KEYPAIR_WRONG", "SG_WRONG", "INSTANCE_TYPE_CHANGED", "ELB_UNAVAILABLE",
 }
-#: Field writes with no ``record_write``: the next tick must see them.
+#: Writes outside the API, controller and injector: the next tick must see them.
 DIRECT_WRITES = (("healthy", False), ("state", InstanceState.SHUTTING_DOWN), ("state", TERMINATED))
 GROUP, MEMBER = st.integers(0, 2), st.integers(0, 11)
 
 
+def described(version):
+    """A captured version's describe (None: absent)."""
+    return None if version is None else version.describe()
+
+
 def scan(entries, when):
     """What ``view_at`` must answer: the last capture at or before ``when``."""
-    return next((described for at, described in reversed(entries) if at <= when), None)
-
-
-def shares_untouched(new, old) -> bool:
-    """The containers of ``new`` a write did not touch are ``old``'s own
-    objects: an equal field, and a list's equal common head and tail."""
-    if type(new) is FrozenView and type(old) is FrozenView:
-        return all(
-            new[key] is part if new[key] == part else shares_untouched(new[key], part)
-            for key, part in old.items()
-            if type(part) in (FrozenView, FrozenList)
-        )
-    if type(new) is FrozenList and type(old) is FrozenList:
-        common = min(len(new), len(old))
-        head = next((i for i in range(common) if new[i] != old[i]), common)
-        tail = next((i for i in range(common - head) if new[-1 - i] != old[-1 - i]), common - head)
-        kept = [*zip(new[:head], old[:head]), *zip(new[len(new) - tail :], old[len(old) - tail :])]
-        return all(a is b for a, b in kept if type(b) in (FrozenView, FrozenList))
-    return True
+    return described(next((version for at, version in reversed(entries) if at <= when), None))
 
 
 class CloudMachine(RuleBasedStateMachine):
@@ -93,7 +80,7 @@ class CloudMachine(RuleBasedStateMachine):
         self.cloud = cloud = SimulatedCloud(seed=seed, limits=AccountLimits(max_instances=limit))
         self.state, self.engine = state, engine = cloud.state, cloud.engine
         self.seed, self.limit, self.rng = seed, limit, random.Random(seed)
-        self.captured = {}  # (kind, id) -> [(time, deep copy of describe() or None)]
+        self.captured = {}  # (kind, id) -> [(time, deep copy of the version or None)]
         self.unchecked = {}  # (kind, id) -> its first capture not yet checked
         self.uncrawled = set()  # (kind, id) written since the monitor's last crawl
         self.handed_out = []  # (view, thawed copy when handed out)
@@ -103,13 +90,18 @@ class CloudMachine(RuleBasedStateMachine):
         self.in_reconcile = False
         self.reference, self.crawls_checked = FullCopyReference(state), 0
 
-        record_write, delete = state.record_write, state.delete
+        put, write, delete = state.put, state.write, state.delete
         reconcile, crawl = cloud.controller.reconcile, cloud.monitor.take_snapshot
 
-        def capturing_write(kind, identifier, now):
-            record_write(kind, identifier, now)
-            resource = state.get(kind, identifier) if state.exists(kind, identifier) else None
-            self._capture(kind, identifier, now, resource and resource.describe())
+        def capturing_put(kind, identifier, resource, now):
+            view = put(kind, identifier, resource, now)
+            self._capture(kind, identifier, now, resource)
+            return view
+
+        def capturing_write(kind, identifier, now, **changes):
+            view = write(kind, identifier, now, **changes)
+            self._capture(kind, identifier, now, state.get(kind, identifier))
+            return view
 
         def capturing_delete(kind, identifier, now):
             delete(kind, identifier, now)
@@ -135,7 +127,7 @@ class CloudMachine(RuleBasedStateMachine):
                 self.violations.append(f"crawl at {engine.now} sampled {refreshed} resources")
             self.uncrawled.clear()
 
-        state.record_write, state.delete = capturing_write, capturing_delete
+        state.put, state.write, state.delete = capturing_put, capturing_write, capturing_delete
         cloud.controller.reconcile = checked_reconcile
         cloud.monitor.take_snapshot = checked_crawl
 
@@ -154,12 +146,12 @@ class CloudMachine(RuleBasedStateMachine):
 
     # -- what the hooks see --------------------------------------------------
 
-    def _capture(self, kind, identifier, now, live):
+    def _capture(self, kind, identifier, now, version):
         key = (kind, identifier)
         entries = self.captured.setdefault(key, [])
-        if self.in_reconcile and entries and entries[-1][1] == live:
+        if self.in_reconcile and entries and entries[-1][1] == version:
             self.violations.append(f"a reconcile pass rewrote unchanged {kind} {identifier}")
-        entries.append((now, copy.deepcopy(live)))
+        entries.append((now, copy.deepcopy(version)))
         self.unchecked.setdefault(key, len(entries) - 1)
         self.uncrawled.add(key)
 
@@ -287,7 +279,7 @@ class CloudMachine(RuleBasedStateMachine):
         if instance is not None and (field == "state" or instance.state is InstanceState.RUNNING):
             self.dirty = True
             self.touched.add(instance.instance_id)
-            setattr(instance, field, value)
+            self.state.write("instance", instance.instance_id, self.engine.now, **{field: value})
 
     @rule(level=st.sampled_from(CHAOS_LEVELS))
     def chaos_level(self, level):
@@ -326,12 +318,11 @@ class CloudMachine(RuleBasedStateMachine):
                     assert self.state.instances[iid].state is not TERMINATED, (elb.name, iid)
 
     def check_history(self):
-        """History times are monotone; every new entry is the reference
-        freeze of its capture and shares what its write did not touch with
-        the entry before it; ``view_at`` answers what a linear scan over the
-        captured copies answers; a view once handed out never changes; an untouched
-        instance's state only moves forward; an unavailable ELB registers
-        nothing."""
+        """History times are monotone; every new entry is the describe of
+        its captured version, frozen all the way down; ``view_at`` answers
+        what a linear scan over the captured copies answers; a view once
+        handed out never changes; an untouched instance's state only moves
+        forward; an unavailable ELB registers nothing."""
         for view, thawed in self.handed_out:
             assert view == thawed
         now = self.engine.now
@@ -342,31 +333,29 @@ class CloudMachine(RuleBasedStateMachine):
             assert times == sorted(times) == [at for at, _ in entries]
             for index in range(first, len(history)):
                 view, capture = history[index][1], entries[index][1]
-                assert shape(view) == shape(reference_freeze(capture)), (kind, identifier, index)
-                if index:
-                    assert shares_untouched(view, history[index - 1][1]), (kind, identifier)
+                assert view == described(capture), (kind, identifier, index)
+                assert frozen_throughout(view), (kind, identifier, index)
             new_times = [at for at, _ in entries[first:]]
             for at in {now, *new_times, *(at - 0.25 for at in new_times)}:
                 view = self.state.view_at(kind, identifier, at)
                 assert view == scan(entries, at), (kind, identifier, at)
                 self.handed_out.append((view, thaw(view)))
             if kind == "instance" and identifier not in self.touched:
-                ranks = [LIFECYCLE.index(d["State"]["Name"]) for _, d in entries if d is not None]
+                ranks = [LIFECYCLE.index(v.state) for _, v in entries if v is not None]
                 assert ranks == sorted(ranks), (identifier, ranks)
             if kind == "load_balancer":
                 for (_, before), (_, after) in zip(entries, entries[1:]):
-                    if before and after and before["State"] == after["State"] == "unavailable":
-                        assert all(i in before["Instances"] for i in after["Instances"]), identifier
+                    if before and after and not before.available and not after.available:
+                        registered = set(before.registered_instances)
+                        assert registered.issuperset(after.registered_instances), identifier
         self.unchecked.clear()
 
     def check_latest_views(self):
-        """``latest_view`` is a live ``describe()`` for every resource no
-        direct-write rule touched."""
+        """The latest history entry of every resource is the describe of
+        the version the registry holds."""
         for kind, identifier in self.captured:
-            if identifier not in self.touched:
-                exists = self.state.exists(kind, identifier)
-                live = self.state.get(kind, identifier).describe() if exists else None
-                assert self.state.latest_view(kind, identifier) == live, (kind, identifier)
+            live = described(self.state._registry(kind).get(identifier))
+            assert self.state.latest_view(kind, identifier) == live, (kind, identifier)
 
     def check_monitor(self):
         """The monitor answers what deep-copying the region at every crawl answers."""
@@ -375,12 +364,11 @@ class CloudMachine(RuleBasedStateMachine):
             return  # the monitor changes only when it crawls
         assert monitor.ticks == [at for at, _ in reference.ticks]
         for kind, identifier in self.captured:
-            if identifier not in self.touched:
-                assert monitor.changes(kind, identifier) == reference.timeline(kind, identifier)
-                for tick in monitor.ticks[self.crawls_checked :]:
-                    for at in (tick, tick + 1.0):
-                        want = reference.at(at, kind, identifier)
-                        assert monitor.at(at, kind, identifier) == want, (kind, identifier, at)
+            assert monitor.changes(kind, identifier) == reference.timeline(kind, identifier)
+            for tick in monitor.ticks[self.crawls_checked :]:
+                for at in (tick, tick + 1.0):
+                    want = reference.at(at, kind, identifier)
+                    assert monitor.at(at, kind, identifier) == want, (kind, identifier, at)
         self.crawls_checked = len(monitor.ticks)
 
 

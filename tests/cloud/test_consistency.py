@@ -102,11 +102,11 @@ class TestMonitor:
     def test_changes_detects_mutation(self, provisioned_cloud):
         cloud = provisioned_cloud
         before = len(cloud.monitor.changes("launch_configuration", "lc-v1"))
-        # Mutate the way every real path does: in-place edit + recorded
-        # write (the monitor crawls the write log, not live objects).
-        lc = cloud.state.get("launch_configuration", "lc-v1")
-        lc.instance_type = "m1.xlarge"
-        cloud.state.record_write("launch_configuration", "lc-v1", cloud.engine.now)
+        # Change it the way every real path does: one write (the monitor
+        # crawls the write log).
+        cloud.state.write(
+            "launch_configuration", "lc-v1", cloud.engine.now, instance_type="m1.xlarge"
+        )
         cloud.engine.run(until=cloud.engine.now + 60)  # let the crawler see it
         after = len(cloud.monitor.changes("launch_configuration", "lc-v1"))
         assert after == before + 1

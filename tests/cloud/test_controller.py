@@ -39,7 +39,7 @@ class TestLaunching:
         instance = cloud.state.running_instances("asg-x")[0]
         assert instance.image_id == ami
         assert instance.key_name == "k"
-        assert instance.security_groups == ["sg"]
+        assert instance.security_groups == ("sg",)
 
     def test_registers_with_elb_after_boot(self, cloud):
         provision(cloud, desired=2)
@@ -109,7 +109,7 @@ class TestScaleInAndReplacement:
         cloud.start()
         cloud.engine.run(until=300)
         sick = cloud.state.running_instances("asg-x")[0]
-        sick.healthy = False
+        cloud.state.write("instance", sick.instance_id, cloud.engine.now, healthy=False)
         cloud.engine.run(until=600)
         running = cloud.state.running_instances("asg-x")
         assert len(running) == 2

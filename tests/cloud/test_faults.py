@@ -21,7 +21,7 @@ class TestConfigurationFaults:
     def test_change_lc_security_group(self, provisioned_cloud):
         cloud = provisioned_cloud
         cloud.injector.change_lc_security_group("lc-v1", "sg-rogue")
-        assert cloud.state.get("launch_configuration", "lc-v1").security_groups == ["sg-rogue"]
+        assert cloud.state.get("launch_configuration", "lc-v1").security_groups == ("sg-rogue",)
 
     def test_change_lc_instance_type(self, provisioned_cloud):
         cloud = provisioned_cloud
@@ -147,9 +147,9 @@ class TestTerminationPaths:
         victim, _ = self._setup(cloud)
         # No replacement launch: the log below is the termination alone.
         cloud.api("setup").suspend_processes("asg-dsn", ["Launch"])
-        mark = cloud.state.write_seq()
         began = cloud.engine.now
-        cloud.state.get("instance", victim).healthy = False
+        cloud.state.write("instance", victim, began, healthy=False)
+        mark = cloud.state.write_seq()
         cloud.controller.reconcile()
         assert cloud.state.writes_since(mark) == [
             ("auto_scaling_group", "asg-dsn"),

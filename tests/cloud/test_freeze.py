@@ -1,8 +1,8 @@
-"""Tests for the copy-on-write snapshot primitives.
+"""Tests for the immutable snapshot views.
 
 Covers the frozen view/list contract (reads behave like plain
-structures, writes fail loudly), freeze/thaw round-trips, sharing with
-the previous history entry, and the read/write aliasing regressions:
+structures, writes fail loudly), thaw, every resource kind's describe
+being frozen all the way down, and the read/write aliasing regressions:
 against the seed's shallow snapshots (live ``describe()`` dicts) the
 aliasing tests below fail, because a caller mutating its "snapshot"
 silently edited authoritative region state.
@@ -13,20 +13,18 @@ import json
 import pickle
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.cloud.freeze import (
-    FrozenList,
-    FrozenMutationError,
-    FrozenView,
-    freeze,
-    thaw,
+from repro.cloud.freeze import FrozenList, FrozenMutationError, FrozenView, thaw
+from repro.cloud.resources import (
+    AmiImage,
+    AutoScalingGroup,
+    Instance,
+    KeyPair,
+    LaunchConfiguration,
+    LoadBalancer,
+    SecurityGroup,
 )
-from repro.cloud.resources import AutoScalingGroup, SecurityGroup
 from repro.cloud.state import CloudState
-
-from .reference_freeze import reference_freeze, shape
 
 
 def sample():
@@ -38,18 +36,28 @@ def sample():
     }
 
 
+def frozen_sample():
+    """``sample()`` built frozen, the way every ``describe()`` builds."""
+    return FrozenView({
+        "InstanceId": "i-1",
+        "State": FrozenView({"Name": "running"}),
+        "SecurityGroups": FrozenList(["sg-1", "sg-2"]),
+        "Tags": FrozenList([FrozenView({"Key": "role", "Value": "web"})]),
+    })
+
+
 class TestFrozenView:
     def test_reads_like_a_dict(self):
-        view = freeze(sample())
+        view = frozen_sample()
         assert view["InstanceId"] == "i-1"
         assert view.get("State")["Name"] == "running"
         assert set(view) == set(sample())
         assert len(view) == 4
 
     def test_equal_to_plain_structures(self):
-        assert freeze(sample()) == sample()
-        assert sample() == freeze(sample())
-        assert freeze(["a", {"b": 1}]) == ["a", {"b": 1}]
+        assert frozen_sample() == sample()
+        assert sample() == frozen_sample()
+        assert FrozenList(["a", FrozenView({"b": 1})]) == ["a", {"b": 1}]
 
     @pytest.mark.parametrize(
         "mutate",
@@ -64,7 +72,7 @@ class TestFrozenView:
         ],
     )
     def test_all_dict_mutators_blocked(self, mutate):
-        view = freeze(sample())
+        view = frozen_sample()
         with pytest.raises(FrozenMutationError):
             mutate(view)
         assert view == sample()
@@ -85,13 +93,13 @@ class TestFrozenView:
         ],
     )
     def test_all_list_mutators_blocked(self, mutate):
-        frozen = freeze(["sg-1", "sg-2"])
+        frozen = FrozenList(["sg-1", "sg-2"])
         with pytest.raises(FrozenMutationError):
             mutate(frozen)
         assert frozen == ["sg-1", "sg-2"]
 
     def test_nested_structures_frozen_recursively(self):
-        view = freeze(sample())
+        view = frozen_sample()
         with pytest.raises(FrozenMutationError):
             view["State"]["Name"] = "terminated"
         with pytest.raises(FrozenMutationError):
@@ -103,42 +111,38 @@ class TestFrozenView:
         assert issubclass(FrozenMutationError, TypeError)
 
     def test_json_serializable(self):
-        view = freeze(sample())
+        view = frozen_sample()
         assert json.loads(json.dumps(view, sort_keys=True)) == sample()
 
     def test_pickle_round_trip(self):
-        view = freeze(sample())
+        view = frozen_sample()
         clone = pickle.loads(pickle.dumps(view))
         assert clone == view
         assert isinstance(clone, FrozenView)
         assert isinstance(clone["SecurityGroups"], FrozenList)
 
     def test_deepcopy_round_trip(self):
-        view = freeze(sample())
+        view = frozen_sample()
         assert copy.deepcopy(view) == view
 
     def test_unhashable_like_the_plain_structures(self):
         """Nothing keys a cache or a pool on a view's value."""
-        view = freeze(sample())
+        view = frozen_sample()
         for frozen in (view, view["Tags"]):
             with pytest.raises(TypeError):
                 hash(frozen)
 
 
 class TestFreezeThaw:
-    def test_freeze_is_idempotent(self):
-        once = freeze(sample())
-        assert freeze(once) is once
-
     def test_thaw_returns_plain_mutable_structures(self):
-        scratch = thaw(freeze(sample()))
+        scratch = thaw(frozen_sample())
         assert type(scratch) is dict
         assert type(scratch["SecurityGroups"]) is list
         assert type(scratch["State"]) is dict
         scratch["State"]["Name"] = "terminated"  # must not raise
 
     def test_thaw_is_detached(self):
-        view = freeze(sample())
+        view = frozen_sample()
         scratch = view.thaw()
         scratch["SecurityGroups"].append("sg-evil")
         assert view["SecurityGroups"] == ["sg-1", "sg-2"]
@@ -149,7 +153,7 @@ def make_group():
         group_id="sg-web",
         group_name="web",
         description="http",
-        ingress_rules=[{"IpProtocol": "tcp", "FromPort": 80, "ToPort": 80}],
+        ingress_rules=({"IpProtocol": "tcp", "FromPort": 80, "ToPort": 80},),
     )
 
 
@@ -163,18 +167,18 @@ class TestSnapshotAliasing:
     """
 
     def test_snapshot_is_frozen(self):
-        snap = freeze(make_group().describe())
+        snap = make_group().describe()
         with pytest.raises(FrozenMutationError):
             snap["IpPermissions"][0]["FromPort"] = 22
 
     def test_snapshot_does_not_alias_live_ingress_rules(self):
         group = make_group()
-        snap = freeze(group.describe())
+        snap = group.describe()
         assert snap["IpPermissions"][0] is not group.ingress_rules[0]
 
     def test_thawed_snapshot_edit_leaves_live_state_untouched(self):
         group = make_group()
-        snap = freeze(group.describe())
+        snap = group.describe()
         scratch = snap.thaw()
         scratch["IpPermissions"][0]["FromPort"] = 22
         assert group.ingress_rules[0]["FromPort"] == 80
@@ -182,7 +186,8 @@ class TestSnapshotAliasing:
     def test_describe_output_edit_leaves_live_state_untouched(self):
         group = make_group()
         described = group.describe()
-        described["IpPermissions"][0]["FromPort"] = 22
+        with pytest.raises(FrozenMutationError):
+            described["IpPermissions"][0]["FromPort"] = 22
         assert group.ingress_rules[0]["FromPort"] == 80
 
     def test_history_view_immune_to_later_live_mutation(self):
@@ -209,7 +214,7 @@ class TestStateCounters:
         )
         state.put("ami", "ami-1", AmiImage("ami-1", "app", "v1"), now=0.0)
         clock.advance_to(1000.0)
-        state.record_write("ami", "ami-1", now=1000.0)
+        state.write("ami", "ami-1", 1000.0, version="v2")
         # 3s after the write with mean lag 5s: some sampled lags reach
         # behind the write (stale), some do not (fresh).
         clock.advance_to(1003.0)
@@ -223,127 +228,29 @@ class TestStateCounters:
         )
 
 
-# -- fast path == recursive reference ----------------------------------------
+def frozen_throughout(value) -> bool:
+    """No container anywhere in ``value`` is a mutable one."""
+    if isinstance(value, dict):
+        return type(value) is FrozenView and all(map(frozen_throughout, value.values()))
+    if isinstance(value, list):
+        return type(value) is FrozenList and all(map(frozen_throughout, value))
+    return True
 
 
-class Box(dict):
-    """A dict subclass (freeze must still freeze it)."""
-
-
-class Row(list):
-    """A list subclass."""
-
-
-class Sealed(FrozenView):
-    """A FrozenView subclass (freeze must return it as-is)."""
-
-
-scalars = st.one_of(
-    st.none(), st.booleans(), st.integers(-3, 3), st.floats(allow_nan=False, width=16),
-    st.text("abc", max_size=2),
-)
-
-
-def _containers(children):
-    keys = st.text("kxyz", min_size=1, max_size=2)
-    return st.one_of(
-        st.dictionaries(keys, children, max_size=4),
-        st.dictionaries(keys, children, max_size=3).map(Box),
-        st.lists(children, max_size=4),
-        st.lists(children, max_size=3).map(Row),
-        st.lists(children, max_size=3).map(tuple),
-        st.lists(children, max_size=2).map(freeze),
-        st.dictionaries(keys, children, max_size=2).map(freeze),
-        st.dictionaries(keys, scalars, max_size=2).map(Sealed),
-        # Sets hold hashable members only; a set of scalars is enough to
-        # reach that branch.
-        st.frozensets(scalars, max_size=3),
-        st.sets(scalars, max_size=3),
-        # A foreign leaf: passed through as-is.
-        st.just(bytearray(b"x")),
-    )
-
-
-structures = st.recursive(scalars, _containers, max_leaves=12)
-
-
-class TestFastPathMatchesReference:
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(structures)
-    def test_same_without_pool_or_counter(self, value):
-        fast = freeze(value)
-        assert shape(fast) == shape(reference_freeze(value))
-        if isinstance(fast, (FrozenView, FrozenList)):
-            # Already-frozen input comes back as-is.
-            assert freeze(fast) is fast
-
-    def test_describe_shaped_input(self):
-        view = freeze(sample())
-        assert type(view) is FrozenView and type(view["Tags"]) is FrozenList
-        assert type(view["Tags"][0]) is FrozenView and type(view["State"]) is FrozenView
-        assert freeze(sample()) is not view
-
-
-class PlainRefreeze(CloudState):
-    """``record_write`` without ``share_unchanged``: every write re-freezes."""
-
-    def record_write(self, kind: str, identifier: str, now: float) -> None:
-        resource = self._registry(kind).get(identifier)
-        snapshot = resource and freeze(resource.describe())
-        self._append_history(kind, identifier, now, snapshot)
-
-
-class TestShareUnchanged:
-    """``record_write`` keeps the previous entry's frozen parts for what a
-    write did not touch — with the same history as re-freezing them."""
-
-    @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(
-        st.lists(
-            st.tuples(st.sampled_from(["add", "drop", "flip", "rules", "same"]), st.integers(0, 9)),
-            min_size=1,
-            max_size=25,
-        )
-    )
-    def test_history_matches_plain_refreeze(self, edits):
-        states = CloudState(), PlainRefreeze()
-        groups = [AutoScalingGroup("asg", "lc", 0, 9, 1, ["i-0", "i-1"], ["elb"]) for _ in states]
-        rules = [make_group() for _ in states]
-        for state, group, rule in zip(states, groups, rules):
-            state.put("auto_scaling_group", "asg", group, now=0.0)
-            state.put("security_group", "sg-web", rule, now=0.0)
-        for now, (edit, n) in enumerate(edits, start=1):
-            for state, group, rule in zip(states, groups, rules):
-                if edit == "add":
-                    group.instance_ids.insert(n % (len(group.instance_ids) + 1), f"i-{now + 10}")
-                elif edit == "drop" and group.instance_ids:
-                    del group.instance_ids[n % len(group.instance_ids)]
-                elif edit == "flip":
-                    group.desired_capacity = n
-                    group.suspended_processes ^= {"Launch"}
-                elif edit == "rules":
-                    rule.ingress_rules.append({"IpProtocol": "tcp", "FromPort": n, "ToPort": n})
-                    state.record_write("security_group", "sg-web", float(now))
-                state.record_write("auto_scaling_group", "asg", float(now))
-            new, old = states
-            assert new._history.keys() == old._history.keys()
-            for key, (times, views) in new._history.items():
-                assert times == old._history[key][0]
-                assert shape(views) == shape(old._history[key][1])
-            latest = new.latest_view("auto_scaling_group", "asg")
-            assert type(latest) is FrozenView and latest == groups[0].describe()
-
-    def test_untouched_fields_are_the_previous_objects(self):
-        state = CloudState()
-        group = AutoScalingGroup("asg", "lc", 0, 9, 3, ["i-1", "i-2", "i-3"], ["elb"])
-        state.put("auto_scaling_group", "asg", group, now=0.0)
-        before = state.latest_view("auto_scaling_group", "asg")
-        group.desired_capacity = 4
-        group.instance_ids.remove("i-2")
-        state.record_write("auto_scaling_group", "asg", now=1.0)
-        after = state.latest_view("auto_scaling_group", "asg")
-        assert after["LoadBalancerNames"] is before["LoadBalancerNames"]
-        assert after["Instances"] is not before["Instances"]
-        assert after["Instances"][0] is before["Instances"][0]
-        assert after["Instances"][1] is before["Instances"][2]
-        assert before["Instances"] == [{"InstanceId": i} for i in ("i-1", "i-2", "i-3")]
+class TestDescribeIsFrozen:
+    def test_every_kind_frozen_all_the_way_down(self):
+        """Each kind's describe is built frozen from its version's fields,
+        with no freeze pass after it."""
+        versions = [
+            AmiImage("ami-1", "app", "v1"),
+            make_group(),
+            KeyPair("key", "fp:1"),
+            LaunchConfiguration("lc", "ami-1", "m1.small", "key", ("sg-1", "sg-2")),
+            Instance("i-1", "ami-1", "m1.small", "key", ("sg-1",)),
+            LoadBalancer("elb", ("i-1", "i-2")),
+            AutoScalingGroup("asg", "lc", 0, 4, 2, ("i-1", "i-2"), ("elb",), frozenset({"Launch"})),
+        ]
+        for version in versions:
+            view = version.describe()
+            assert frozen_throughout(view), view
+            assert type(thaw(view)) is dict and thaw(view) == view

@@ -176,8 +176,7 @@ def test_write_later_in_the_crawl_instant_belongs_to_the_next_crawl():
         # Queued at t=27, after the crawler queued its own t=30 wake-up at
         # t=0: at t=30 the crawl runs first, then this write.
         yield engine.timeout(3.0)
-        state.get("launch_configuration", "lc-v1").instance_type = "m1.xlarge"
-        state.record_write("launch_configuration", "lc-v1", engine.now)
+        state.write("launch_configuration", "lc-v1", engine.now, instance_type="m1.xlarge")
 
     engine.process(write_at_thirty())
     engine.run(until=61.0)
@@ -207,7 +206,7 @@ def _tick_counter_deltas(region_size: int) -> list[dict[str, int]]:
             image_id="ami-00000001",
             instance_type="m1.small",
             key_name="key-prod",
-            security_groups=["sg-web"],
+            security_groups=("sg-web",),
             state=InstanceState.RUNNING,
             asg_name="asg-dsn",
         )
@@ -222,11 +221,9 @@ def _tick_counter_deltas(region_size: int) -> list[dict[str, int]]:
         before = {**state.data_plane_counters, "history.appended": state.write_seq()}
         for write in range(tick * WRITES_PER_TICK, (tick + 1) * WRITES_PER_TICK):
             identifier = f"i-{write % (2 * WRITES_PER_TICK):08x}"
-            resource = state.instances[identifier]
-            resource.instance_type = (
-                "m1.large" if resource.instance_type == "m1.small" else "m1.small"
-            )
-            state.record_write("instance", identifier, clock.now)
+            small = state.instances[identifier].instance_type == "m1.small"
+            flipped = "m1.large" if small else "m1.small"
+            state.write("instance", identifier, clock.now, instance_type=flipped)
         monitor.take_snapshot()
         after = {**state.data_plane_counters, "history.appended": state.write_seq()}
         deltas.append({name: after[name] - before.get(name, 0) for name in after})

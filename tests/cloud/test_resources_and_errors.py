@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cloud.freeze import FrozenMutationError
 from repro.cloud.errors import (
     CloudError,
     DependencyViolation,
@@ -41,34 +42,38 @@ class TestDescribeShapes:
         assert doc == {"KeyName": "k", "KeyFingerprint": "fp:1"}
 
     def test_launch_configuration(self):
-        lc = LaunchConfiguration("lc", "ami-1", "m1.small", "k", ["sg"], created_at=5.0)
+        lc = LaunchConfiguration("lc", "ami-1", "m1.small", "k", ("sg",), created_at=5.0)
         doc = lc.describe()
         assert doc["LaunchConfigurationName"] == "lc"
         assert doc["SecurityGroups"] == ["sg"]
         assert doc["CreatedTime"] == 5.0
 
     def test_instance(self):
-        instance = Instance("i-1", "ami-1", "m1.small", "k", ["sg"], asg_name="asg")
+        instance = Instance("i-1", "ami-1", "m1.small", "k", ("sg",), asg_name="asg")
         doc = instance.describe()
         assert doc["State"] == {"Name": "pending"}
         assert doc["AutoScalingGroupName"] == "asg"
 
     def test_load_balancer(self):
-        elb = LoadBalancer("elb", registered_instances=["i-1"])
+        elb = LoadBalancer("elb", registered_instances=("i-1",))
         doc = elb.describe()
         assert doc["Instances"] == [{"InstanceId": "i-1"}]
         assert doc["State"] == "active"
 
     def test_asg(self):
-        asg = AutoScalingGroup("asg", "lc", 1, 8, 4, instance_ids=["i-1"], suspended_processes={"Launch"})
+        asg = AutoScalingGroup(
+            "asg", "lc", 1, 8, 4, instance_ids=("i-1",), suspended_processes=frozenset({"Launch"})
+        )
         doc = asg.describe()
         assert doc["DesiredCapacity"] == 4
         assert doc["SuspendedProcesses"] == ["Launch"]
 
     def test_describe_lists_are_copies(self):
-        lc = LaunchConfiguration("lc", "ami-1", "m1.small", "k", ["sg"])
-        lc.describe()["SecurityGroups"].append("tampered")
-        assert lc.security_groups == ["sg"]
+        """A describe is frozen, so no reader can edit it or the version."""
+        lc = LaunchConfiguration("lc", "ami-1", "m1.small", "k", ("sg",))
+        with pytest.raises(FrozenMutationError):
+            lc.describe()["SecurityGroups"].append("tampered")
+        assert lc.security_groups == ("sg",)
 
 
 class TestInstanceState:

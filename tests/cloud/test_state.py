@@ -1,15 +1,25 @@
 """Tests for region state, write history and limits."""
 
 import bisect
+import dataclasses
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cloud.errors import ResourceNotFound
+from repro.cloud.errors import MalformedRequest, ResourceNotFound
 from repro.cloud.freeze import FrozenMutationError
 from repro.cloud.limits import MAX_CALLS_PER_WINDOW, RATE_WINDOW, RateLimiter
-from repro.cloud.resources import AmiImage, Instance, InstanceState
+from repro.cloud.resources import (
+    AmiImage,
+    AutoScalingGroup,
+    Instance,
+    InstanceState,
+    KeyPair,
+    LaunchConfiguration,
+    LoadBalancer,
+    SecurityGroup,
+)
 from repro.cloud.state import KINDS, CloudState
 
 
@@ -90,10 +100,8 @@ class TestHistory:
 
     def test_view_at_sees_latest_write_before_time(self):
         state = CloudState()
-        image = make_image()
-        state.put("ami", "ami-1", image, now=10.0)
-        image.version = "v2"
-        state.record_write("ami", "ami-1", now=20.0)
+        state.put("ami", "ami-1", make_image(), now=10.0)
+        state.write("ami", "ami-1", 20.0, version="v2")
         assert state.view_at("ami", "ami-1", as_of=15.0)["Version"] == "v1"
         assert state.view_at("ami", "ami-1", as_of=25.0)["Version"] == "v2"
 
@@ -132,16 +140,66 @@ class TestHistory:
     def test_view_at_consistent_with_history(self, times):
         """The view at time t is always the last write at or before t."""
         state = CloudState()
-        image = make_image()
         writes = sorted(times)
+        state.put("ami", "ami-1", make_image(), now=writes[0])
         for index, t in enumerate(writes):
-            image.version = f"v{index}"
-            state.put("ami", "ami-1", image, now=t)
+            state.write("ami", "ami-1", t, version=f"v{index}")
         for index, t in enumerate(writes):
             view = state.view_at("ami", "ami-1", as_of=t)
             # Several writes can share a timestamp; the last one wins.
             last_index = max(i for i, w in enumerate(writes) if w <= t)
             assert view["Version"] == f"v{last_index}"
+
+
+#: One version of each of the seven kinds, and one of its fields.
+VERSIONS = [
+    ("ami", make_image(), "version"),
+    ("security_group", SecurityGroup("sg-1", "web"), "description"),
+    ("key_pair", KeyPair("key", "fp:1"), "fingerprint"),
+    ("launch_configuration", LaunchConfiguration("lc", "ami-1", "m1.small", "key", ("sg",)),
+     "security_groups"),
+    ("instance", Instance("i-1", "ami-1", "m1.small", "key", ("sg",)), "state"),
+    ("load_balancer", LoadBalancer("elb", ("i-1",)), "registered_instances"),
+    ("auto_scaling_group", AutoScalingGroup("asg", "lc", 0, 4, 1, ("i-1",)), "instance_ids"),
+]
+
+
+class TestOneWritePath:
+    @pytest.mark.parametrize("kind, version, field", VERSIONS, ids=[v[0] for v in VERSIONS])
+    def test_only_write_changes_a_resource(self, kind, version, field):
+        """A field assignment raises, a write naming an unknown field
+        raises before anything changes, and a write records the version
+        it makes the registry's."""
+        state = CloudState()
+        state.put(kind, "r", version, now=0.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(version, field, getattr(version, field))
+        with pytest.raises(MalformedRequest):
+            state.write(kind, "r", 1.0, **{field: getattr(version, field), "bogus_field": 1})
+        assert state.get(kind, "r") is version
+        assert len(state.history(kind, "r")) == 1
+        view = state.write(kind, "r", 2.0, **{field: getattr(version, field)})
+        written = state.get(kind, "r")
+        assert written is not version and written == version
+        assert state.latest_view(kind, "r") is view
+        assert view == written.describe() == version.describe()
+        assert [at for at, _ in state.history(kind, "r")] == [0.0, 2.0]
+
+    def test_write_stores_lists_and_sets_immutably(self):
+        state = CloudState()
+        state.put("auto_scaling_group", "asg", AutoScalingGroup("asg", "lc", 0, 4, 1), now=0.0)
+        state.write(
+            "auto_scaling_group", "asg", 1.0,
+            instance_ids=["i-1", "i-2"], suspended_processes={"Launch"},
+        )
+        written = state.get("auto_scaling_group", "asg")
+        assert written.instance_ids == ("i-1", "i-2")
+        assert written.suspended_processes == frozenset({"Launch"})
+        assert state.latest_view("auto_scaling_group", "asg")["SuspendedProcesses"] == ["Launch"]
+
+    def test_write_to_a_missing_resource_raises(self):
+        with pytest.raises(ResourceNotFound):
+            CloudState().write("ami", "ami-nope", 0.0, version="v2")
 
 
 class TestAggregates:

@@ -93,7 +93,8 @@ def concurrent_lc_write(cloud):
 
 def instance_unhealthy(cloud):
     cloud.controller.stop()
-    cloud.state.running_instances("asg-dsn")[0].healthy = False
+    instance_id = cloud.state.running_instances("asg-dsn")[0].instance_id
+    cloud.state.write("instance", instance_id, cloud.engine.now, healthy=False)
 
 
 #: probe -> (params, what makes the condition true, the context to take
@@ -281,6 +282,19 @@ class TestTerminationProbes:
         cloud = provisioned_cloud
         since = cloud.engine.now
         scale_in(cloud)
+        observed, _ = run_probe(
+            env, probes, "external-termination-occurred", asg_name="asg-dsn", since=since
+        )
+        assert observed is False
+
+    def test_operation_terminations_are_explained(self, env, probes, provisioned_cloud):
+        """The operation's own TerminateInstances calls, read from its audit
+        records, explain the terminations they caused."""
+        cloud = provisioned_cloud
+        since = cloud.engine.now
+        victim = cloud.state.running_instances("asg-dsn")[0].instance_id
+        cloud.api("asgard").terminate_instance(victim)
+        assert cloud.state.get("instance", victim).terminate_time >= since
         observed, _ = run_probe(
             env, probes, "external-termination-occurred", asg_name="asg-dsn", since=since
         )

@@ -108,7 +108,7 @@ UNSET_PARAMETERS: dict[str, str] = {
     "diagnose:context": "a post-mortem's process context (ROADMAP item 8)",
     "generate_assertions:gap_samples": "watchdog calibration from measured step gaps"
                                        " (ROADMAP item 6)",
-    "BlueGreenOperation:checkpoint": "resuming a blue/green deploy (ROADMAP item 12)",
+    "BlueGreenOperation:checkpoint": "resuming a blue/green deploy (ROADMAP item 6)",
     "recover_run:budget": "the only handle on the never-hang bound's budget-exhausted"
                           " exit (tests/recovery/test_campaign_recovery.py)",
 }
