@@ -43,11 +43,6 @@ class SimulatedCloud:
         self.injector = FaultInjector(self.engine, self.state, trail=self.trail)
         self._apis: dict[str, CloudAPI] = {}
 
-    def attach_obs(self, obs) -> None:
-        """Mirror data-plane counters (reads, snapshot sharing) into an
-        observability registry (None: mirror nothing)."""
-        self.state.attach_obs(obs)
-
     def start(self) -> None:
         """Start the background control loops (ASG controller, monitor)."""
         self.controller.start()

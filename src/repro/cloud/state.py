@@ -88,29 +88,20 @@ class CloudState:
         self._write_log: list[tuple[str, str]] = []
         #: Data-plane counters (always on — two dict increments per read
         #: or crawl): the stale/fresh read mix and the monitor's crawl work.
+        #: A traced run's metrics snapshot reads them at export.
         self.data_plane_counters: dict[str, int] = {}
-        #: Optional obs MetricsRegistry mirror (attached by the testbed).
-        self._metrics = None
         #: Scaling activities appended by the ASG controller; read through
         #: the API's DescribeScalingActivities.
         self.scaling_activities: list = []
         self._id_counters = {kind: itertools.count(1) for kind in KINDS}
 
-    def attach_obs(self, obs) -> None:
-        """Mirror data-plane counters into an observability registry."""
-        self._metrics = obs.metrics if obs else None
-
     def _count(self, name: str) -> None:
         self.data_plane_counters[name] = self.data_plane_counters.get(name, 0) + 1
-        if self._metrics is not None:
-            self._metrics.inc(name)
 
     def _count_many(self, name: str, amount: int) -> None:
         if amount <= 0:
             return
         self.data_plane_counters[name] = self.data_plane_counters.get(name, 0) + amount
-        if self._metrics is not None:
-            self._metrics.inc(name, amount)
 
     # -- registries ------------------------------------------------------
 

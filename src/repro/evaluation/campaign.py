@@ -22,6 +22,7 @@ from repro.evaluation.faults import (
     schedule_fault,
 )
 from repro.faulttree.library import EXPECTED_ROOT_CAUSE
+from repro.obs.trace import Span
 from repro.operations.interference import InterferencePlan, InterferenceScheduler, SecondTeam
 from repro.testbed import Testbed
 
@@ -110,10 +111,10 @@ class RunOutcome:
     api_health: dict = dataclasses.field(default_factory=dict)
     #: Diagnostic-test verdicts lost to API-plane degradation.
     degraded_verdicts: int = 0
-    #: Exported pipeline spans (JSON-ready dicts) when the spec asked for
-    #: tracing; None otherwise.  Spans are keyed to virtual time, so the
-    #: serial ≡ parallel bit-for-bit guarantee covers them too.
-    trace: list | None = None
+    #: The tracer's own spans when the spec asked for tracing; None
+    #: otherwise.  Spans are keyed to virtual time, so the serial ≡
+    #: parallel bit-for-bit guarantee covers them too.
+    trace: list[Span] | None = None
     #: Pipeline metrics snapshot (counters/gauges/histograms) when traced.
     metrics: dict = dataclasses.field(default_factory=dict)
     #: Structured recovery record (see :mod:`repro.recovery.supervisor`)

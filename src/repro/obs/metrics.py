@@ -24,6 +24,9 @@ BUCKETS: tuple[float, ...] = (
     0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 120.0, 300.0,
 )
 
+#: Snapshot labels of the buckets, built once and shared by every snapshot.
+_LABELS: tuple[str, ...] = tuple(str(b) for b in BUCKETS) + ("+Inf",)
+
 
 class Histogram:
     """Fixed-bucket histogram with exact count/sum/min/max."""
@@ -49,13 +52,12 @@ class Histogram:
         self.counts[-1] += 1
 
     def snapshot(self) -> dict:
-        labels = [str(b) for b in BUCKETS] + ["+Inf"]
         return {
             "count": self.count,
             "sum": self.total,
             "min": self.min,
             "max": self.max,
-            "buckets": dict(zip(labels, self.counts)),
+            "buckets": dict(zip(_LABELS, self.counts)),
         }
 
 

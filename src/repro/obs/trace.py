@@ -13,6 +13,11 @@ or the verdicts went.  :class:`Tracer` fixes that with nested spans:
 - one span per fault-tree walk and one per diagnostic test inside it
   (stage ``diagnosis``).
 
+A span is recorded once, as a slotted :class:`Span`: the tracer's own
+records are what :meth:`Tracer.export` returns and what
+``RunOutcome.trace`` holds.  JSON is made only at the format boundary
+(:func:`repro.obs.export.trace_payload`, :meth:`Span.to_dict`).
+
 Two properties are load-bearing:
 
 - **determinism** — span timestamps are *virtual* (the engine's
@@ -33,9 +38,10 @@ import typing as _t
 ClockFn = _t.Callable[[], float]
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class Span:
-    """One timed unit of pipeline work, keyed to virtual time."""
+    """One timed unit of pipeline work, keyed to virtual time.  Its seven
+    fields are exactly what :meth:`to_dict` writes; it holds no tracer."""
 
     span_id: int
     parent_id: int | None
@@ -64,20 +70,6 @@ class Span:
             "end": self.end,
             "attrs": dict(self.attrs),
         }
-
-    # Context-manager protocol so synchronous sections can use
-    # ``with tracer.span(...) as s:``; the owning tracer closes it.
-    def __enter__(self) -> "Span":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self._tracer is not None:
-            self._tracer._close(self)
-
-    #: Back-reference set by Tracer.span(); None for explicit spans.
-    _tracer: _t.Optional["Tracer"] = dataclasses.field(
-        default=None, repr=False, compare=False
-    )
 
 
 class Tracer:
@@ -116,12 +108,10 @@ class Tracer:
         return span
 
     def span(self, name: str, stage: str, **attrs: _t.Any):
-        """Context manager for a synchronous (non-yielding) section."""
+        """Context manager for a synchronous (non-yielding) section: the
+        span is the current parent inside it and ends on exit."""
         parent = self._stack[-1] if self._stack else None
-        span = self._new_span(name, stage, parent, attrs)
-        span._tracer = self
-        self._stack.append(span)
-        return span
+        return _Scope(self, self._new_span(name, stage, parent, attrs))
 
     def start_span(
         self, name: str, stage: str, parent: Span | None = None, **attrs: _t.Any
@@ -141,11 +131,6 @@ class Tracer:
         if span.end is None:
             span.end = self._clock()
 
-    def _close(self, span: Span) -> None:
-        span.end = self._clock()
-        span._tracer = None  # only __exit__ needed it; kept, it is a cycle per span
-        self._unstack(span)
-
     def _unstack(self, span: Span) -> None:
         if self._stack and self._stack[-1] is span:
             self._stack.pop()
@@ -158,9 +143,10 @@ class Tracer:
 
     # -- export ------------------------------------------------------------
 
-    def export(self) -> list[dict]:
-        """All spans as JSON-ready dicts, in creation (span-id) order."""
-        return [span.to_dict() for span in self.spans]
+    def export(self) -> list[Span]:
+        """The recorded spans themselves (a new list, no per-span copy), in
+        creation (span-id) order."""
+        return list(self.spans)
 
 
 class _Activation:
@@ -177,4 +163,14 @@ class _Activation:
         return self._span
 
     def __exit__(self, exc_type, exc, tb) -> None:
+        self._tracer._unstack(self._span)
+
+
+class _Scope(_Activation):
+    """:meth:`Tracer.span`'s activation, which also ends the span on exit."""
+
+    __slots__ = ()
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._span.end = self._tracer._clock()
         self._tracer._unstack(self._span)

@@ -91,8 +91,11 @@ class Testbed:
         # off, the default.  Either way no engine events or RNG draws are
         # added — seeded runs stay bit-for-bit identical with tracing on
         # or off.
-        self.obs = Observability.for_engine(self.engine) if trace else None
-        self.cloud.attach_obs(self.obs)
+        self.obs = (
+            Observability.for_engine(self.engine, self.cloud.state.data_plane_counters)
+            if trace
+            else None
+        )
         self.chaos = ChaosController(self.engine, chaos_profile, seed=seed + 71)
         self.stack = self._provision()
         self.cloud.start()

@@ -5,7 +5,7 @@ pinned as SHA-256 digests of three things:
 
 - ``log`` — the ``(time, message)`` list of the run's ``diagnosis.log``
   (``storage.query(type="diagnosis")``);
-- ``trace`` — ``RunOutcome.trace``, every span of the run;
+- ``trace`` — ``RunOutcome.trace``, every span of the run (``to_dict()``);
 - ``metrics`` — ``RunOutcome.metrics``, every counter and histogram.
 
 A refactor of the diagnosis walk must leave all three byte-identical:
@@ -100,6 +100,6 @@ def test_diagnosis_log_trace_and_metrics_are_pinned(first_runs, fault):
     assert log and outcome.trace and outcome.metrics
     assert {
         "log": digest(log),
-        "trace": digest(outcome.trace),
+        "trace": digest([s.to_dict() for s in outcome.trace]),
         "metrics": digest(outcome.metrics),
     } == GOLDEN[fault]

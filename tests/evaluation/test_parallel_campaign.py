@@ -118,7 +118,7 @@ def _trace_bytes(outcome: RunOutcome) -> tuple[bytes, bytes]:
     that is what must be bit-for-bit identical.
     """
     return (
-        json.dumps(outcome.trace, sort_keys=True).encode(),
+        json.dumps([span.to_dict() for span in outcome.trace], sort_keys=True).encode(),
         json.dumps(outcome.metrics, sort_keys=True).encode(),
     )
 
@@ -157,7 +157,7 @@ class TestTracedDeterminism:
         assert parallel == serial
         assert [_trace_bytes(o) for o in parallel] == [_trace_bytes(o) for o in serial]
         assert parallel_metrics == serial_metrics
-        stages = {s["stage"] for o in serial for s in o.trace}
+        stages = {s.stage for o in serial for s in o.trace}
         assert {"ingest", "conformance", "assertion", "diagnosis"} <= stages
 
     def test_tracing_does_not_change_untraced_results(self):

@@ -173,7 +173,7 @@ class TestLocalLogProcessor:
         assert counters["pipeline.records_filtered"] == 1
         assert counters["pipeline.records_shipped"] == 1
         # One ingest span per accepted record, none for the filtered one.
-        assert [s["stage"] for s in obs.export_trace()] == ["ingest"]
+        assert [s.stage for s in obs.export_trace()] == ["ingest"]
 
 
 class TestProcessGolden:

@@ -1,15 +1,13 @@
 """Trace export: JSON payload shape and rendered span trees."""
 
-from repro.obs import Observability
+from repro.obs import Observability, Span
 from repro.obs.export import render_span_tree, span_children, span_stages, trace_payload
+from repro.sim.clock import SimClock
 
 
-def _spans() -> list[dict]:
+def _spans() -> list[Span]:
     def span(span_id, parent_id, name, stage, start, end, **attrs):
-        return {
-            "span_id": span_id, "parent_id": parent_id, "name": name,
-            "stage": stage, "start": start, "end": end, "attrs": attrs,
-        }
+        return Span(span_id, parent_id, name, stage, start, end, attrs)
 
     return [
         span(1, None, "record", "ingest", 300.0, 300.2),
@@ -22,9 +20,9 @@ def _spans() -> list[dict]:
 class TestIndexes:
     def test_span_children_groups_by_parent(self):
         children = span_children(_spans())
-        assert [s["span_id"] for s in children[None]] == [1]
-        assert [s["span_id"] for s in children[1]] == [2, 3]
-        assert [s["span_id"] for s in children[3]] == [4]
+        assert [s.span_id for s in children[None]] == [1]
+        assert [s.span_id for s in children[1]] == [2, 3]
+        assert [s.span_id for s in children[3]] == [4]
 
     def test_span_stages_counts_sorted(self):
         assert span_stages(_spans()) == {
@@ -51,10 +49,7 @@ class TestRenderTree:
         assert "... (2 more spans; see the JSON export)" in rendered
 
     def test_open_span_rendered_without_duration(self):
-        spans = [{
-            "span_id": 1, "parent_id": None, "name": "walk", "stage": "diagnosis",
-            "start": 10.0, "end": None, "attrs": {},
-        }]
+        spans = [Span(span_id=1, parent_id=None, name="walk", stage="diagnosis", start=10.0)]
         assert "(open)" in render_span_tree(spans)
 
 
@@ -64,7 +59,11 @@ class TestPayload:
         assert payload["run_id"] == "run-9"
         assert payload["span_count"] == 4
         assert payload["stages"]["ingest"] == 1
-        assert payload["spans"] == _spans()
+        assert payload["spans"] == [span.to_dict() for span in _spans()]
+        assert payload["spans"][0] == {
+            "span_id": 1, "parent_id": None, "name": "record", "stage": "ingest",
+            "start": 300.0, "end": 300.2, "attrs": {},
+        }
         assert payload["metrics"] == {"counters": {"a": 1}}
 
     def test_none_metrics_becomes_empty_dict(self):
@@ -74,9 +73,19 @@ class TestPayload:
 class TestObservability:
     def test_for_engine_binds_virtual_clock(self):
         class FakeEngine:
-            now = 42.0
+            clock = SimClock()
 
-        obs = Observability.for_engine(FakeEngine())
+        FakeEngine.clock.advance_to(42.0)
+        obs = Observability.for_engine(FakeEngine(), {})
         with obs.tracer.span("a", "s"):
             pass
-        assert obs.export_trace()[0]["start"] == 42.0
+        assert obs.export_trace()[0].start == 42.0
+
+    def test_data_plane_counters_read_at_export(self):
+        counted: dict[str, int] = {}
+        obs = Observability(data_plane=counted)
+        obs.metrics.inc("pipeline.records_ingested")
+        counted["cloud.reads.fresh"] = 3  # counted after the obs was built
+        assert obs.export_metrics()["counters"] == {
+            "cloud.reads.fresh": 3, "pipeline.records_ingested": 1,
+        }
