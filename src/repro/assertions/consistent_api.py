@@ -195,12 +195,7 @@ class ConsistentApiClient:
         latency: LatencyModel | None = None,
         seed: int = 0,
         retry_budget: RetryBudget | None = None,
-        obs=None,
     ) -> None:
-        # Live metric events (retries, breaker trips, blackholes) for the
-        # observability layer; None when disabled so the hot call path
-        # pays a single check.
-        self._metrics = obs.metrics if obs else None
         self.engine = engine
         self.api = api
         self.latency = latency or aws_api_latency()
@@ -224,6 +219,12 @@ class ConsistentApiClient:
         self.budget_denials = 0
         self.breaker_fast_fails = 0
         self.blackholes = 0
+        # Kept out of counters() (the outcome's api_health); a run's
+        # metrics read them at export.  ``consistency_retries`` are the
+        # call_until share of ``retries_made``.
+        self.retryable_errors = 0
+        self.consistency_retries = 0
+        self.predicate_memo_hits = 0
 
     # -- health accounting -------------------------------------------------------
 
@@ -249,10 +250,6 @@ class ConsistentApiClient:
             "blackholes": self.blackholes,
         }
 
-    def _count(self, name: str) -> None:
-        if self._metrics is not None:
-            self._metrics.inc(name)
-
     # -- generators -------------------------------------------------------------
 
     def call(self, method: str, *args, deadline: float | None = None, **kwargs) -> _t.Generator:
@@ -273,7 +270,6 @@ class ConsistentApiClient:
         breaker = self._breaker(method)
         if not breaker.allow(self.engine.now):
             self.breaker_fast_fails += 1
-            self._count("client.breaker_fast_fails")
             raise ConsistentCallError(
                 f"{method} failing fast: circuit breaker open",
                 timed_out=False,
@@ -287,7 +283,6 @@ class ConsistentApiClient:
             remaining = call_deadline - self.engine.now
             if remaining <= 0:
                 self.timeouts += 1
-                self._count("client.timeouts")
                 raise ConsistentCallError(
                     f"{method} timed out after {self.call_timeout:.2f}s",
                     timed_out=True,
@@ -296,21 +291,17 @@ class ConsistentApiClient:
                 )
             yield self.engine.timeout(min(self.latency.sample(), remaining))
             self.calls_made += 1
-            self._count("client.calls")
             try:
                 result = getattr(self.api, method)(*args, **kwargs)
             except BlackholedCall:
                 # The plane will never answer: burn the rest of the
                 # deadline (the hang), then surface a degraded timeout.
                 self.blackholes += 1
-                self._count("client.blackholes")
-                if breaker.record_failure(self.engine.now, chaos=True):
-                    self._count("client.breaker_trips")
+                breaker.record_failure(self.engine.now, chaos=True)
                 remaining = max(0.0, call_deadline - self.engine.now)
                 if remaining > 0:
                     yield self.engine.timeout(remaining)
                 self.timeouts += 1
-                self._count("client.timeouts")
                 raise ConsistentCallError(
                     f"{method} blackholed; no response within {self.call_timeout:.2f}s",
                     timed_out=True,
@@ -324,16 +315,14 @@ class ConsistentApiClient:
                     raise
                 chaos = bool(getattr(exc, "chaos", False))
                 chaos_seen = chaos_seen or chaos
-                self._count("client.retryable_errors")
-                if breaker.record_failure(self.engine.now, chaos=chaos):
-                    self._count("client.breaker_trips")
+                self.retryable_errors += 1
+                breaker.record_failure(self.engine.now, chaos=chaos)
                 # Kept without its traceback, which points back at this
                 # frame: a frame holding its own exception is a cycle.
                 last_error = exc.with_traceback(None)
                 attempt += 1
                 if attempt > MAX_RETRIES:
                     self.retry_exhaustions += 1
-                    self._count("client.retry_exhaustions")
                     raise ConsistentCallError(
                         f"{method} still failing after {MAX_RETRIES} retries: {exc}",
                         timed_out=False,
@@ -342,7 +331,6 @@ class ConsistentApiClient:
                     )
                 if not self.retry_budget.try_spend(self.engine.now):
                     self.budget_denials += 1
-                    self._count("client.budget_denials")
                     raise ConsistentCallError(
                         f"{method} retry budget exhausted: {exc}",
                         timed_out=False,
@@ -350,7 +338,6 @@ class ConsistentApiClient:
                         degraded=chaos_seen,
                     )
                 self.retries_made += 1
-                self._count("client.retries")
                 # Full jitter (AWS architecture blog): uniform in
                 # [0, backoff] decorrelates the retry herd.
                 backoff = self._rng.uniform(0.0, BASE_BACKOFF * 2 ** (attempt - 1))
@@ -399,7 +386,7 @@ class ConsistentApiClient:
                 # repeated stale read).  Views are immutable and
                 # predicates pure, so the predicate verdict cannot have
                 # changed — skip re-evaluating it.
-                self._count("client.predicate_memo_hits")
+                self.predicate_memo_hits += 1
             elif not isinstance(result, CloudError) and predicate(result):
                 return result
             last_result = result
@@ -407,7 +394,6 @@ class ConsistentApiClient:
             backoff = BASE_BACKOFF * (2 ** min(attempt - 1, 6))
             if self.engine.now + backoff >= deadline:
                 self.timeouts += 1
-                self._count("client.timeouts")
                 if isinstance(last_result, CloudError):
                     raise ConsistentCallError(
                         f"{method} never satisfied expectation: {last_result}",
@@ -418,5 +404,5 @@ class ConsistentApiClient:
                     f"{method} result never satisfied expectation", timed_out=True
                 )
             self.retries_made += 1
-            self._count("client.consistency_retries")
+            self.consistency_retries += 1
             yield self.engine.timeout(backoff)

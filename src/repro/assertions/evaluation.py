@@ -51,8 +51,9 @@ class AssertionEvaluationService:
         self.assertions: dict[str, Assertion] = {}
         self.results: list[AssertionResult] = []
         self.in_flight = 0
+        #: High-water mark of ``in_flight``.
+        self.in_flight_max = 0
         self._tracer = obs.tracer if obs else None
-        self._metrics = obs.metrics if obs else None
 
     # -- registry -----------------------------------------------------------
 
@@ -105,7 +106,6 @@ class AssertionEvaluationService:
         result = yield from self._evaluate(self.get(assertion_id), params)
         result.cause = "on-demand"
         self.results.append(result)
-        self._record_outcome(result)
         self._log_result(result)
         return result
 
@@ -114,6 +114,7 @@ class AssertionEvaluationService:
     def _spawn(self, assertion_id: str, params: dict, cause: str, context) -> None:
         assertion = self.get(assertion_id)
         self.in_flight += 1
+        self.in_flight_max = max(self.in_flight_max, self.in_flight)
         # The span opens at the trigger site so it parents under the log
         # record (or timer) that caused the evaluation; the evaluation
         # itself runs later, as its own engine process.
@@ -122,7 +123,6 @@ class AssertionEvaluationService:
             span = self._tracer.start_span(
                 "evaluate", "assertion", assertion_id=assertion_id, cause=cause
             )
-            self._metrics.gauge_max("assertions.in_flight_max", self.in_flight)
         self.env.engine.process(
             self._run(assertion, params, cause, context, span),
             name=f"assert-{assertion_id}",
@@ -158,7 +158,6 @@ class AssertionEvaluationService:
         result.cause = cause
         result.context = context
         self.results.append(result)
-        self._record_outcome(result)
         self._log_result(result)
         if result.failed and self.on_failure is not None:
             if self._tracer is not None and span is not None:
@@ -172,15 +171,6 @@ class AssertionEvaluationService:
             self._tracer.finish(
                 span, result="failed" if result.failed else "passed", degraded=result.degraded
             )
-
-    def _record_outcome(self, result: AssertionResult) -> None:
-        if self._metrics is None:
-            return
-        verdict = "failed" if result.failed else "passed"
-        self._metrics.inc(f"assertions.outcomes.{result.cause}.{verdict}")
-        if result.degraded:
-            self._metrics.inc("assertions.degraded")
-        self._metrics.observe("assertion.duration", result.duration)
 
     def _log_result(self, result: AssertionResult) -> None:
         if self.storage is None:

@@ -58,7 +58,6 @@ class DiagnosisEngine:
         obs=None,
     ) -> None:
         self._tracer = obs.tracer if obs else None
-        self._metrics = obs.metrics if obs else None
         self.engine = engine
         self.trees = trees
         self.assertions = assertions
@@ -141,8 +140,6 @@ class DiagnosisEngine:
             # span that detected the anomaly), closed when the walk ends.
             span = self._tracer.start_span("walk", "diagnosis", trigger=trigger,
                                            trigger_detail=detail, tree_ids=list(tree_ids))
-            self._metrics.inc("diagnosis.requests")
-            self._metrics.inc(f"diagnosis.requests.{trigger}")
         self.engine.process(self._run(request, span), name=request.request_id)
         return request
 
@@ -203,12 +200,6 @@ class DiagnosisEngine:
         if self._tracer is not None:
             self._tracer.finish(span, root_causes=len(report.root_causes),
                                 no_root_cause=report.no_root_cause, tests=len(report.tests))
-            self._metrics.observe("diagnosis.walk.duration", report.finished_at - report.started_at)
-            # The walk's reuse of observations (§III.B.4), counted from the
-            # report into the run's registry so trace-export shows it.
-            hits = sum(t.cached for t in report.tests)
-            self._metrics.inc("diagnosis.cache.hits", hits)
-            self._metrics.inc("diagnosis.cache.misses", len(report.tests) - hits)
         return report
 
     def _drive(self, steps: _t.Generator, request, report, walk_span) -> _t.Generator:
@@ -254,15 +245,12 @@ class DiagnosisEngine:
             # The same observation, re-attributed to this node at no cost.
             hit = self._test_span(walk_span, node_id, execution.test_name, cached=True)
             self._tracer.finish(hit, verdict=verdict)
-            self._metrics.inc("diagnosis.tests_cached")
         elif self._tracer is not None:
             # No span yet: an unresolved `$var`, decided before it cost anything.
             test_span = test_span or self._test_span(
                 walk_span, node_id, execution.test_name, kind=execution.test_kind
             )
             self._tracer.finish(test_span, verdict=verdict, degraded=execution.degraded)
-            self._metrics.inc(f"diagnosis.tests.{verdict}")
-            self._metrics.observe("diagnosis.test.duration", execution.duration)
         if verdict == EXCLUDED:
             report.excluded_count += 1
             self._log(request, f"Verified {node_id}: fault excluded. {report.excluded_count}/"

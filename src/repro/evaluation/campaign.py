@@ -115,7 +115,8 @@ class RunOutcome:
     #: otherwise.  Spans are keyed to virtual time, so the serial ≡
     #: parallel bit-for-bit guarantee covers them too.
     trace: list[Span] | None = None
-    #: Pipeline metrics snapshot (counters/gauges/histograms) when traced.
+    #: Pipeline metrics snapshot (counters/gauges/histograms) when traced;
+    #: read from the run at export (:func:`repro.obs.run_metrics`).
     metrics: dict = dataclasses.field(default_factory=dict)
     #: Structured recovery record (see :mod:`repro.recovery.supervisor`)
     #: when the spec asked for recovery and the run needed it; None for
@@ -409,7 +410,7 @@ def _run_on(testbed: Testbed, spec: RunSpec) -> RunOutcome:
         api_health=api_health,
         degraded_verdicts=sum(r.degraded_tests for r in reports),
         trace=testbed.obs.export_trace() if spec.trace else None,
-        metrics=testbed.obs.export_metrics() if spec.trace else {},
+        metrics=testbed.obs.export_metrics(testbed) if spec.trace else {},
         recovery=recovery,
     )
 

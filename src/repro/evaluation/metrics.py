@@ -24,7 +24,7 @@ import typing as _t
 
 from repro.evaluation.campaign import RunOutcome
 from repro.evaluation.faults import FAULT_TYPES, RESOURCE_FAULTS
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.snapshot import merge_snapshots
 
 
 @dataclasses.dataclass
@@ -269,7 +269,7 @@ def compute_metrics(outcomes: _t.Sequence[RunOutcome]) -> CampaignMetrics:
         failed_runs=failed_runs,
         degraded_verdicts=degraded_verdicts,
         api_health=api_health,
-        pipeline_metrics=MetricsRegistry.merge(metric_snapshots) if metric_snapshots else {},
+        pipeline_metrics=merge_snapshots(metric_snapshots) if metric_snapshots else {},
         recovery_attempted=recovery_attempted,
         recovered_runs=recovered_runs,
         escalated_runs=escalated_runs,

@@ -24,7 +24,6 @@ class ProcessAnnotator:
         library: PatternLibrary,
         process_id: str,
         trace_id: str | _t.Callable[[LogRecord], str],
-        obs=None,
     ) -> None:
         self.library = library
         self.process_id = process_id
@@ -32,11 +31,10 @@ class ProcessAnnotator:
         # Tag strings built once, not per record.
         self._process_tag = f"process:{process_id}"
         self._trace_tag = None if callable(trace_id) else f"trace:{trace_id}"
-        self._metrics = obs.metrics if obs else None
 
     def annotate(self, record: LogRecord) -> Classification:
         """Classify (or reuse the noise filter's memo) and tag one record."""
-        classification = classify_record(self.library, record, self._metrics)
+        classification = classify_record(self.library, record)
         record.add_tag(self._process_tag)
         record.add_tag(self._trace_tag or f"trace:{self._trace_id(record)}")
         pattern = classification.pattern

@@ -31,7 +31,6 @@ class NoiseFilter:
         self,
         library: PatternLibrary,
         passthrough_unmatched: bool = False,
-        obs=None,
     ) -> None:
         self.library = library
         #: When tailing the watched operation's *own* log, unmatched lines
@@ -39,7 +38,6 @@ class NoiseFilter:
         #: checking must see (tagged ``conformance:unclassified``).  Noise
         #: is then defined by the drop regexes alone.
         self.passthrough_unmatched = passthrough_unmatched
-        self._metrics = obs.metrics if obs else None
 
     def accepts(self, record: LogRecord) -> bool:
         """True if the record is relevant to the operation process.
@@ -54,7 +52,4 @@ class NoiseFilter:
                 if self.DROPPED.search(message):
                     return False
                 break
-        return (
-            classify_record(self.library, record, self._metrics).matched
-            or self.passthrough_unmatched
-        )
+        return classify_record(self.library, record).matched or self.passthrough_unmatched

@@ -223,7 +223,7 @@ class PatternLibrary:
         return iter(self.patterns)
 
 
-def classify_record(library: PatternLibrary, record, metrics=None) -> Classification:
+def classify_record(library: PatternLibrary, record) -> Classification:
     """Classify-once: classify ``record`` or reuse its attached memo.
 
     The seed pipeline classified every log line up to four times (noise
@@ -235,14 +235,10 @@ def classify_record(library: PatternLibrary, record, metrics=None) -> Classifica
     attribute read.  The memo is only reused when the *same* library
     object produced it, so mixing libraries stays correct.
 
-    ``metrics`` (a :class:`repro.obs.metrics.MetricsRegistry`, optional)
-    receives ``classify.memo.hits`` / ``classify.memo.misses`` counters so
-    reuse is visible in traced runs.  Objects that don't accept attributes
-    (plain message carriers in tests) are classified without memoisation.
+    Objects that don't accept attributes (plain message carriers in tests)
+    are classified without memoisation.
     """
     if getattr(record, "classified_by", None) is library:
-        if metrics is not None:
-            metrics.inc("classify.memo.hits")
         return record.classification
     classification = library.classify(record.message)
     try:
@@ -250,6 +246,4 @@ def classify_record(library: PatternLibrary, record, metrics=None) -> Classifica
         record.classified_by = library
     except AttributeError:
         pass
-    if metrics is not None:
-        metrics.inc("classify.memo.misses")
     return classification

@@ -41,9 +41,12 @@ class LocalLogProcessor:
         self.timer_setter = timer_setter
         self.trigger = trigger
         self.storage = storage
+        #: Records the noise filter dropped / let in / the processor
+        #: shipped (always counted; a run's metrics read them at export).
+        self.filtered_count = 0
+        self.ingested_count = 0
         self.shipped_count = 0
         self._tracer = obs.tracer if obs else None
-        self._metrics = obs.metrics if obs else None
 
     def attach(self, stream: LogStream) -> None:
         """Tail a log stream, processing each record as it is emitted."""
@@ -51,21 +54,15 @@ class LocalLogProcessor:
 
     def process(self, record: LogRecord) -> bool:
         """Run one record through the pipeline; True if it was shipped."""
-        metrics = self._metrics
         if not self.noise_filter.accepts(record):
-            if metrics is not None:
-                metrics.inc("pipeline.records_filtered")
+            self.filtered_count += 1
             return False
-        if metrics is not None:
-            metrics.inc("pipeline.records_ingested")
+        self.ingested_count += 1
         if self._tracer is None:
+            return self._pipe(record)
+        with self._tracer.span("record", "ingest", source=record.source) as span:
             shipped = self._pipe(record)
-        else:
-            with self._tracer.span("record", "ingest", source=record.source) as span:
-                shipped = self._pipe(record)
-                span.set(step=record.tag_value("step"), shipped=shipped)
-        if shipped and metrics is not None:
-            metrics.inc("pipeline.records_shipped")
+            span.set(step=record.tag_value("step"), shipped=shipped)
         return shipped
 
     def _pipe(self, record: LogRecord) -> bool:

@@ -68,14 +68,15 @@ def _walk(children: dict, parent: int | None, depth: int, lines: list, limit: in
 def render_span_tree(
     spans: _t.Sequence[Span], title: str | None = None, max_spans: int | None = None
 ) -> str:
-    """Indented per-run span tree, one line per span, virtual timestamps."""
+    """Indented per-run span tree, one line per span, virtual timestamps;
+    at most ``max_spans`` span lines, not counting the title."""
     lines: list[str] = []
-    if title:
-        lines.append(title)
     _walk(span_children(spans), None, 0, lines, max_spans)
     total = len(spans)
-    if max_spans is not None and total > max_spans:
-        lines.append(f"... ({total - max_spans} more spans; see the JSON export)")
+    if max_spans is not None and total > len(lines):
+        lines.append(f"... ({total - len(lines)} more spans; see the JSON export)")
+    if title:
+        lines.insert(0, title)
     stages = span_stages(spans)
     summary = ", ".join(f"{stage}={count}" for stage, count in stages.items())
     lines.append(f"{total} spans ({summary})")

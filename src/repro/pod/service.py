@@ -58,8 +58,8 @@ class PODDiagnosis:
         chaos=None,
         obs=None,
     ) -> None:
-        #: Observability layer threaded through every pipeline component
-        #: (spans + metrics); None = off.
+        #: Tracing layer threaded through the pipeline components that
+        #: open spans; None = off.
         self.obs = obs
         self.cloud = cloud
         self.config = config
@@ -146,14 +146,9 @@ class PODDiagnosis:
 
     def watch(self, stream: LogStream, trace_id: str) -> LocalLogProcessor:
         """Attach a local log processor to one operation node's log."""
-        annotator = ProcessAnnotator(
-            self.library, self.model.model_id, trace_id, obs=self.obs
-        )
         processor = LocalLogProcessor(
-            noise_filter=NoiseFilter(
-                self.library, passthrough_unmatched=True, obs=self.obs
-            ),
-            process_annotator=annotator,
+            noise_filter=NoiseFilter(self.library, passthrough_unmatched=True),
+            process_annotator=ProcessAnnotator(self.library, self.model.model_id, trace_id),
             assertion_annotator=self.profile.bindings_factory(),
             trigger=Trigger(
                 conformance=self.conformance.check,
@@ -231,7 +226,6 @@ class PODDiagnosis:
             latency=latency,
             seed=self._seed + jitter_seed,
             retry_budget=budget,
-            obs=self.obs,
         )
 
     def recovery_client(self) -> ConsistentApiClient:

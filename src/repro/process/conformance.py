@@ -38,7 +38,6 @@ ERROR = "error"
 
 #: Per-status strings prebuilt once — the check tail runs per log line.
 _STATUS_TAGS = {s: f"conformance:{s}" for s in (FIT, UNFIT, UNKNOWN, ERROR)}
-_CHECK_COUNTERS = {s: f"conformance.checks.{s}" for s in (FIT, UNFIT, UNKNOWN, ERROR)}
 
 
 class ConformanceResult:
@@ -127,7 +126,6 @@ class ConformanceChecker:
         #: trace key -> replay state (the replayer's own dict).
         self.instances = self._replayer.states
         self._tracer = obs.tracer if obs else None
-        self._metrics = obs.metrics if obs else None
 
     @property
     def check(self) -> _t.Callable[[LogRecord], ConformanceResult]:
@@ -150,12 +148,6 @@ class ConformanceChecker:
         # measurable at the per-microsecond scale of a check.
         result = self._replay(record)
         status = result.status
-        metrics = self._metrics
-        if metrics is not None:
-            metrics.inc(_CHECK_COUNTERS[status])
-            if status == FIT or status == UNFIT:
-                metrics.inc("conformance.tokens_replayed")
-            metrics.inc("conformance.compiled.checks")
         # add_tag inlined for the known-shape status tag: first
         # conformance:* tag wins the index slot, duplicates are dropped —
         # identical semantics.
@@ -174,8 +166,8 @@ class ConformanceChecker:
     def _replay(self, record: LogRecord) -> ConformanceResult:
         """Classify + replay one record.
 
-        Returns the bare result — counters, tagging, storage and the
-        error callback are the caller's tail (inlined in :meth:`_check`).
+        Returns the bare result — tagging, storage and the error callback
+        are the caller's tail (inlined in :meth:`_check`).
         """
         # tag_value("trace") inlined: "trace" has no ":" so the prefix
         # index answers directly.  Trace-less records key per source, so
@@ -189,12 +181,11 @@ class ConformanceChecker:
         if instance is None:
             instance = replayer.instance_for(trace_id)
         library = self.library
-        # Classify-once memo, checked inline; the helper also counts
-        # memo hits, so route through it whenever metrics are live.
-        if self._metrics is None and record.classified_by is library:
+        # Classify-once memo, checked inline.
+        if record.classified_by is library:
             classification = record.classification
         else:
-            classification = classify_record(library, record, self._metrics)
+            classification = classify_record(library, record)
         pattern = classification.pattern
 
         if pattern is None:

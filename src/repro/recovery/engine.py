@@ -105,14 +105,15 @@ class RecoveryEngine:
         self.engine = engine
         self.client = client
         self._tracer = obs.tracer if obs else None
-        self._metrics = obs.metrics if obs else None
         self._rng = random.Random(seed)
+        #: What this engine (and its supervisor) did, always counted; a
+        #: run's metrics read it at export as ``recovery.<name>``.
+        self.counters: dict[str, int] = {}
 
-    # -- metrics + spans -------------------------------------------------
+    # -- counters + spans ------------------------------------------------
 
-    def _count(self, name: str, value: int = 1) -> None:
-        if self._metrics is not None:
-            self._metrics.inc(name, value)
+    def count(self, name: str) -> None:
+        self.counters[name] = self.counters.get(name, 0) + 1
 
     def _start_span(self, name: str, **attrs: _t.Any):
         if self._tracer is not None:
@@ -132,12 +133,12 @@ class RecoveryEngine:
             advisory=list(plan.advisory),
             started_at=self.engine.now,
         )
-        self._count("recovery.plans")
+        self.count("plans")
         span = self._start_span("execute", actions=len(plan.actions))
         if not plan.actions:
             # Nothing automatable: terminal escalation, advisory attached.
             result.finished_at = self.engine.now
-            self._count("recovery.escalations")
+            self.count("escalations")
             self._finish_span(span, status=ESCALATED)
             return result
 
@@ -160,7 +161,7 @@ class RecoveryEngine:
                     if any(dep in failed for dep in action.depends_on)
                     else "plan aborted after earlier failure"
                 )
-                self._count("recovery.actions.blocked")
+                self.count("actions.blocked")
                 failed.add(action.action_id)
                 continue
             ok = yield from self._run_action(action, record, undo_log)
@@ -177,14 +178,14 @@ class RecoveryEngine:
                         f"Automated {record.action} on {record.target} failed"
                         f" ({record.error}); complete it manually"
                     )
-            self._count("recovery.escalations")
+            self.count("escalations")
         else:
             result.status = RECOVERED
             result.verified_at = max(
                 (r.verified_at for r in result.actions if r.verified_at is not None),
                 default=self.engine.now,
             )
-            self._count("recovery.recovered")
+            self.count("recovered")
         result.finished_at = self.engine.now
         self._finish_span(span, status=result.status)
         return result
@@ -198,7 +199,7 @@ class RecoveryEngine:
         undo_log: list[tuple[str, list[tuple]]],
     ) -> _t.Generator:
         span = self._start_span(action.action, target=action.target)
-        self._count("recovery.actions")
+        self.count("actions")
         mutated = False
         for attempt in range(1, MAX_ATTEMPTS + 1):
             record.attempts = attempt
@@ -211,11 +212,7 @@ class RecoveryEngine:
                 if action.probe.satisfied_by(current):
                     record.status = VERIFIED if mutated else ALREADY_SATISFIED
                     record.verified_at = self.engine.now
-                    self._count(
-                        "recovery.actions.verified"
-                        if mutated
-                        else "recovery.actions.already_satisfied"
-                    )
+                    self.count("actions.verified" if mutated else "actions.already_satisfied")
                     self._finish_span(span, status=record.status)
                     return True
                 # Record compensation *before* the first mutation so a
@@ -233,25 +230,25 @@ class RecoveryEngine:
                 if verified:
                     record.status = VERIFIED
                     record.verified_at = self.engine.now
-                    self._count("recovery.actions.verified")
+                    self.count("actions.verified")
                     self._finish_span(span, status=VERIFIED)
                     return True
                 record.error = "verification probe never went green"
             except ConsistentCallError as exc:
                 record.error = str(exc)
                 record.degraded = record.degraded or exc.degraded
-                self._count("recovery.api_errors")
+                self.count("api_errors")
             except CloudError as exc:
                 record.error = f"{type(exc).__name__}: {exc}"
-                self._count("recovery.api_errors")
+                self.count("api_errors")
             if attempt < MAX_ATTEMPTS:
                 # Full-jitter backoff between attempts: decorrelates the
                 # recovery plane's retries from everyone else's.
-                self._count("recovery.retries")
+                self.count("retries")
                 backoff = min(BASE_BACKOFF * (2 ** (attempt - 1)), MAX_BACKOFF)
                 yield self.engine.timeout(self._rng.uniform(0.0, backoff))
         record.status = FAILED
-        self._count("recovery.actions.failed")
+        self.count("actions.failed")
         self._finish_span(span, status=FAILED, error=record.error)
         return False
 
@@ -275,7 +272,7 @@ class RecoveryEngine:
         expected configuration appears or the action deadline passes.
         """
         timeout = max(5.0, deadline - self.engine.now)
-        self._count("recovery.probes")
+        self.count("probes")
         try:
             yield from self.client.call_until(
                 action.probe.method,
@@ -313,4 +310,4 @@ class RecoveryEngine:
                     break
             if undone:
                 record.compensated = True
-                self._count("recovery.compensations")
+                self.count("compensations")

@@ -81,9 +81,6 @@ def recover_run(
     if not causes and not failed and not fleet_bad:
         return None  # healthy run: nothing to recover
 
-    metrics = pod.obs.metrics if pod.obs else None
-    if metrics is not None:
-        metrics.inc("recovery.runs")
     # First error symptom: the earliest detection, else the orchestrator's
     # own failure line, else the operation's end.
     symptom_times = [d.time for d in pod.detections]
@@ -119,6 +116,8 @@ def recover_run(
 
     client = pod.recovery_client()
     recovery = RecoveryEngine(engine, client, seed=seed + 977, obs=pod.obs)
+    recovery.count("runs")
+    testbed.recoveries.append(recovery)
     done: list[RecoveryResult] = []
 
     def runner() -> _t.Generator:
@@ -176,8 +175,7 @@ def recover_run(
         record["resume_conformant"] = not any(
             d.kind == "conformance" and d.trace_id == trace_id for d in new_detections
         )
-        if metrics is not None:
-            metrics.inc("recovery.resumes")
+        recovery.count("resumes")
     record["fleet_conformant"] = not _fleet_nonconformant(testbed)
     if resumed is not None and (
         resumed.status != OP_COMPLETED
@@ -189,8 +187,7 @@ def recover_run(
             + ("" if record["resume_conformant"] else " with a non-conformant trace")
             + "; finish the upgrade manually"
         )
-        if metrics is not None:
-            metrics.inc("recovery.resume_failures")
+        recovery.count("resume_failures")
         record["escalation_reason"] = "resume-incomplete"
         return record
 

@@ -87,15 +87,10 @@ class Testbed:
             mean_consistency_lag=MEAN_CONSISTENCY_LAG * chaos_profile.consistency_lag_multiplier,
         )
         self.engine = self.cloud.engine
-        # Tracing + metrics over the virtual clock (see repro.obs); None =
-        # off, the default.  Either way no engine events or RNG draws are
-        # added — seeded runs stay bit-for-bit identical with tracing on
-        # or off.
-        self.obs = (
-            Observability.for_engine(self.engine, self.cloud.state.data_plane_counters)
-            if trace
-            else None
-        )
+        # Tracing over the virtual clock (see repro.obs); None = off, the
+        # default.  Either way no engine events or RNG draws are added —
+        # seeded runs stay bit-for-bit identical with tracing on or off.
+        self.obs = Observability.for_engine(self.engine) if trace else None
         self.chaos = ChaosController(self.engine, chaos_profile, seed=seed + 71)
         self.stack = self._provision()
         self.cloud.start()
@@ -128,6 +123,9 @@ class Testbed:
         self.upgrade: RollingUpgradeOperation | None = None
         #: Resumed attempts (recovery plane), in launch order.
         self.resumed: list[RollingUpgradeOperation] = []
+        #: Recovery engines run on this testbed, in order; the run's
+        #: metrics read their counters and their clients'.
+        self.recoveries: list = []
 
     # -- provisioning -----------------------------------------------------------
 

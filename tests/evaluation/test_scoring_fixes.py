@@ -6,7 +6,7 @@ import dataclasses
 
 from repro.evaluation.campaign import ReportSummary, RunOutcome, RunSpec
 from repro.evaluation.metrics import CampaignMetrics, compute_metrics
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.snapshot import Histogram
 
 
 def _metrics_with_times(times: list[float]) -> CampaignMetrics:
@@ -169,11 +169,13 @@ class TestRunCounts:
 
 class TestPipelineMetricsAggregation:
     def _snapshot(self, records: int) -> dict:
-        registry = MetricsRegistry()
-        registry.inc("pipeline.records_ingested", records)
-        registry.gauge_max("assertions.in_flight_max", records / 10)
-        registry.observe("assertion.duration", 0.2)
-        return registry.snapshot()
+        duration = Histogram()
+        duration.observe(0.2)
+        return {
+            "counters": {"pipeline.records_ingested": records},
+            "gauges": {"assertions.in_flight_max": records / 10},
+            "histograms": {"assertion.duration": duration.snapshot()},
+        }
 
     def test_traced_runs_merge_into_campaign_metrics(self):
         outcomes = [

@@ -10,7 +10,6 @@ from repro.logsys.annotator import ProcessAnnotator
 from repro.logsys.filters import NoiseFilter
 from repro.logsys.patterns import LogPattern, PatternLibrary, classify_record
 from repro.logsys.record import LogRecord
-from repro.obs import Observability
 from repro.operations.rolling_upgrade import build_pattern_library, reference_process_model
 from repro.process.conformance import ConformanceChecker
 
@@ -65,18 +64,6 @@ class TestClassifyOnce:
         # The memo now belongs to `two`; re-asking `two` is free.
         classify_record(two, record)
         assert two.scans["beta line"] == 1
-
-    def test_memo_metrics_count_hits_and_misses(self):
-        obs = Observability()
-        library = PatternLibrary([LogPattern("x", r"match me")])
-        noise_filter = NoiseFilter(library, passthrough_unmatched=True, obs=obs)
-        record = LogRecord(time=0.0, source="s", message="match me please")
-        noise_filter.accepts(record)
-        classify_record(library, record, obs.metrics)
-        classify_record(library, record, obs.metrics)
-        counters = obs.metrics.snapshot()["counters"]
-        assert counters["classify.memo.misses"] == 1
-        assert counters["classify.memo.hits"] == 2
 
     def test_plain_objects_without_slots_still_classify(self):
         class Bare:

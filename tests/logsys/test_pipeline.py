@@ -154,24 +154,27 @@ class TestLocalLogProcessor:
     def test_metrics_and_spans_recorded_when_observed(self):
         from repro.obs import Observability
 
+        def processor(obs):
+            aa = AssertionAnnotator()
+            aa.bind("work", "end", ["check-1"])
+            lib = library()
+            return LocalLogProcessor(
+                noise_filter=NoiseFilter(lib),
+                process_annotator=ProcessAnnotator(lib, "p", "t"),
+                assertion_annotator=aa,
+                trigger=Trigger(),
+                storage=CentralLogStorage(),
+                obs=obs,
+            )
+
         obs = Observability()
-        aa = AssertionAnnotator()
-        aa.bind("work", "end", ["check-1"])
-        lib = library()
-        processor = LocalLogProcessor(
-            noise_filter=NoiseFilter(lib, obs=obs),
-            process_annotator=ProcessAnnotator(lib, "p", "t", obs=obs),
-            assertion_annotator=aa,
-            trigger=Trigger(),
-            storage=CentralLogStorage(),
-            obs=obs,
-        )
-        processor.process(record("did work on i-1"))
-        processor.process(record("noise"))
-        counters = obs.metrics.snapshot()["counters"]
-        assert counters["pipeline.records_ingested"] == 1
-        assert counters["pipeline.records_filtered"] == 1
-        assert counters["pipeline.records_shipped"] == 1
+        traced, untraced = processor(obs), processor(None)
+        for each in (traced, untraced):
+            each.process(record("did work on i-1"))
+            each.process(record("noise"))
+        # Counted whether or not the run is traced (filtered, ingested, shipped).
+        for each in (traced, untraced):
+            assert (each.filtered_count, each.ingested_count, each.shipped_count) == (1, 1, 1)
         # One ingest span per accepted record, none for the filtered one.
         assert [s.stage for s in obs.export_trace()] == ["ingest"]
 

@@ -3,6 +3,7 @@
 from repro.obs import Observability, Span
 from repro.obs.export import render_span_tree, span_children, span_stages, trace_payload
 from repro.sim.clock import SimClock
+from repro.testbed import Testbed
 
 
 def _spans() -> list[Span]:
@@ -48,6 +49,14 @@ class TestRenderTree:
         rendered = render_span_tree(_spans(), max_spans=2)
         assert "... (2 more spans; see the JSON export)" in rendered
 
+    def test_title_does_not_count_against_the_limit(self):
+        spans = _spans() + [Span(5, 4, "test", "diagnosis", 302.0, 302.5, {})]
+        lines = render_span_tree(spans, title="run-1", max_spans=3).splitlines()
+        shown = [line for line in lines if line.lstrip().startswith("[")]
+        assert lines[0] == "run-1"
+        assert len(shown) == 3
+        assert lines[4] == "... (2 more spans; see the JSON export)"
+
     def test_open_span_rendered_without_duration(self):
         spans = [Span(span_id=1, parent_id=None, name="walk", stage="diagnosis", start=10.0)]
         assert "(open)" in render_span_tree(spans)
@@ -76,16 +85,16 @@ class TestObservability:
             clock = SimClock()
 
         FakeEngine.clock.advance_to(42.0)
-        obs = Observability.for_engine(FakeEngine(), {})
+        obs = Observability.for_engine(FakeEngine())
         with obs.tracer.span("a", "s"):
             pass
         assert obs.export_trace()[0].start == 42.0
 
     def test_data_plane_counters_read_at_export(self):
-        counted: dict[str, int] = {}
-        obs = Observability(data_plane=counted)
-        obs.metrics.inc("pipeline.records_ingested")
-        counted["cloud.reads.fresh"] = 3  # counted after the obs was built
-        assert obs.export_metrics()["counters"] == {
-            "cloud.reads.fresh": 3, "pipeline.records_ingested": 1,
-        }
+        testbed = Testbed(cluster_size=4, seed=3, trace=True)
+        counted = testbed.cloud.state.data_plane_counters
+        before = dict(counted)
+        testbed.run_upgrade()  # counted after the obs was built
+        exported = testbed.obs.export_metrics(testbed)["counters"]
+        assert counted != before
+        assert {k: v for k, v in exported.items() if k.startswith("cloud.")} == counted

@@ -97,7 +97,7 @@ def test_identical_checkouts_differ_nowhere(tmp_path, capsys):
         assert f"seed 31 {name}: 2 | 2 runs" in out
 
 
-def test_each_checkout_runs_the_three_campaigns_in_its_own_interpreter(tmp_path, capsys):
+def test_each_checkout_runs_every_campaign_in_its_own_interpreter(tmp_path, capsys):
     parent = checkout(tmp_path / "a", {"default": RUNS})
     change = checkout(tmp_path / "b", {"default": RUNS})
     outcome_diff.main([str(parent), str(change)])
@@ -109,7 +109,8 @@ def test_each_checkout_runs_the_three_campaigns_in_its_own_interpreter(tmp_path,
         assert {call["workers"] for call in log} == {1}
         assert all(str(side.resolve() / "src") in call["path"] for call in log)
     # One campaign at a time: the parent's, then the change's.
-    assert [x["at"] < y["at"] for x, y in zip(a, b)] == [True] * 3
+    assert len(a) == len(b) == 4
+    assert [x["at"] < y["at"] for x, y in zip(a, b)] == [True] * 4
     assert all(y["at"] < x["at"] for x, y in zip(a[1:], b))
 
 
@@ -120,8 +121,8 @@ def test_moved_paths_are_listed_collapsed_with_counts(tmp_path, capsys):
     })
     assert outcome_diff.main([str(parent), str(change)]) == 1
     out = capsys.readouterr().out
-    # Two runs in each of three campaigns; the second span's ms moved in one run.
-    assert table(out) == {"api_health/cloud.snapshot.shared": 6, "trace/*/ms": 3}
+    # Two runs in each of four campaigns; the second span's ms moved in one run.
+    assert table(out) == {"api_health/cloud.snapshot.shared": 8, "trace/*/ms": 4}
     assert "2 path(s) differ" in out
 
 

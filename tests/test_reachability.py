@@ -114,9 +114,6 @@ REACHED_ONLY_BY: dict[str, str] = {
                                                 " registry ≡ trees both ways",
     "operations.interference:InterferencePlan.any": "test seam: tests/evaluation/test_campaign.py"
                                                     " counts runs with and without interference",
-    "obs.metrics:MetricsRegistry.gauge": "the registry's last-value gauge beside gauge_max"
-                                         " (DESIGN §3's counters/gauges/histograms);"
-                                         " tests/obs/test_metrics.py",
     # The pool: no entry point here starts one (--workers 1, and a 1-core
     # host clamps any other value to the serial loop).
     "evaluation.parallel:warm_worker": "pool initializer; the ledger also calls it",

@@ -3,9 +3,11 @@
 
     python3 tools/outcome_diff.py PARENT_DIR CHANGE_DIR [--seed S]
 
-Runs the seed's paper, traced and severe-chaos + recover campaigns — the
-three the performance ledger runs — in each checkout's own interpreter
-(``PYTHONPATH=CHECKOUT/src``), one after the other, and compares the two
+Runs four of the seed's campaigns in each checkout's own interpreter
+(``PYTHONPATH=CHECKOUT/src``), one after the other: the paper, traced and
+severe-chaos + recover campaigns the performance ledger runs, and the
+traced severe-chaos + recover campaign, the only one whose metrics hold
+``recovery.*`` and the client's retry counters.  It compares the two
 sides outcome by outcome.  Every JSON path of ``dataclasses.asdict(outcome)``
 whose value differs is printed once, with list indices collapsed to
 ``*`` and the number of places it differed, e.g.::
@@ -30,11 +32,12 @@ import subprocess
 import sys
 import tempfile
 
-#: The ledger's three campaign flag sets.
+#: The ledger's three campaign flag sets, then the traced severe + recover one.
 CAMPAIGNS = {
     "paper": {},
     "traced": {"trace": True},
     "severe+recover": {"chaos_profile": "severe", "recover": True},
+    "traced severe+recover": {"chaos_profile": "severe", "recover": True, "trace": True},
 }
 
 #: Run inside a checkout: one campaign's outcomes, one canonical JSON line each.
