@@ -234,7 +234,7 @@ GUARDS: dict[str, Guard] = {
         "    state.attach_obs(obs)",
     ),
     "metrics-read-at-export": Guard(
-        r"obs\.metrics|self\._metrics|metrics\.inc\(|gauge_max\(", SRC_EX, "SINCE_PLACEHOLDER",
+        r"obs\.metrics|self\._metrics|metrics\.inc\(|gauge_max\(", SRC_EX, "b471cc2",
         "a run's metrics are read at export by repro.obs.run_metrics; no component holds a"
         " registry or counts for it",
         "        self._metrics = obs.metrics if obs else None",
