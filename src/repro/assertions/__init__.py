@@ -10,9 +10,7 @@ diagnosis.
 - :mod:`results` — evaluation outcomes;
 - :mod:`consistent_api` — the retrying/timeout API wrapper of §IV;
 - :mod:`library` — the pre-defined assertions for ASG/ELB operations;
-- :mod:`evaluation` — the evaluation service with its three trigger paths;
-- :mod:`spec` — the assertion-specification mini-language (the paper's
-  future-work feature, implemented here).
+- :mod:`evaluation` — the evaluation service with its three trigger paths.
 """
 
 from repro.assertions.base import Assertion, AssertionEnvironment, HIGH_LEVEL, LOW_LEVEL
@@ -27,14 +25,12 @@ from repro.assertions.library import (
     standard_rolling_upgrade_assertions,
 )
 from repro.assertions.results import AssertionResult
-from repro.assertions.spec import AssertionSpecError, parse_assertion_spec
 
 __all__ = [
     "Assertion",
     "AssertionEnvironment",
     "AssertionEvaluationService",
     "AssertionResult",
-    "AssertionSpecError",
     "AsgConfigAssertion",
     "AsgInstanceCountAssertion",
     "ConsistentApiClient",
@@ -44,6 +40,5 @@ __all__ = [
     "InstanceVersionAssertion",
     "LOW_LEVEL",
     "ResourceExistsAssertion",
-    "parse_assertion_spec",
     "standard_rolling_upgrade_assertions",
 ]

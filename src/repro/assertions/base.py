@@ -46,10 +46,6 @@ class AssertionEnvironment:
     def expected(self, key: str, params: dict):
         """Resolve an expected value: explicit param beats config entry.
 
-        A ``<key>__from`` param (produced by the spec language's
-        ``{config-key}`` references) redirects the lookup to a different
-        configuration-repository key.
-
         Looking the value up *at evaluation time* (rather than at trigger
         time) is faithful to the paper — and is what makes the
         'should-be number changed by another thread' false-positive class
@@ -57,9 +53,6 @@ class AssertionEnvironment:
         """
         if key in params:
             return params[key]
-        alias = params.get(f"{key}__from")
-        if alias is not None:
-            return self.config.get(alias)
         return self.config.get(key)
 
 

@@ -54,7 +54,6 @@ class DiagnosisEngine:
         probes: CustomTestRegistry,
         storage=None,
         seed: int = 0,
-        step_aliases: dict[str, str] | None = None,
         obs=None,
     ) -> None:
         self._tracer = obs.tracer if obs else None
@@ -63,9 +62,6 @@ class DiagnosisEngine:
         self.assertions = assertions
         self.probes = probes
         self.storage = storage
-        #: Operation-specific activity -> canonical tree step translation
-        #: (see OperationProfile.step_aliases).
-        self.step_aliases = dict(step_aliases or {})
         from repro.sim.latency import LogNormalLatency
 
         self._startup_latency = LogNormalLatency(
@@ -173,11 +169,12 @@ class DiagnosisEngine:
             # Service round trip: receive the request, select the tree(s),
             # instantiate variables, prune by context.
             yield self.engine.timeout(self._startup_latency.sample())
-            step = self.step_aliases.get(report.step, report.step)
             since = float(request.params.get("since", 0.0) or 0.0)
             roots: list[FaultNode] = []
             for tree_id in request.tree_ids:
-                root, pruned = instantiate_tree(self.trees.get(tree_id), request.params, step=step)
+                root, pruned = instantiate_tree(
+                    self.trees.get(tree_id), request.params, step=report.step
+                )
                 roots.append(root)
                 report.pruned.extend(pruned)
             report.potential_fault_count = sum(n.is_leaf for r in roots for n in r.iter_nodes())

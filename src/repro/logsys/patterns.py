@@ -219,9 +219,6 @@ class PatternLibrary:
     def __len__(self) -> int:
         return len(self.patterns)
 
-    def __iter__(self):
-        return iter(self.patterns)
-
 
 def classify_record(library: PatternLibrary, record) -> Classification:
     """Classify-once: classify ``record`` or reuse its attached memo.

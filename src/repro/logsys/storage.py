@@ -5,7 +5,7 @@ logs of conformance checking, assertion evaluation and error diagnosis —
 land here (§III.B: "they are forwarded to the central log storage and
 merged with the operation logs collected from distributed nodes").  The
 store is what gives POD-Diagnosis *global visibility* across simultaneous
-operations, and what future process mining re-discovers models from.
+operations.
 """
 
 from __future__ import annotations
@@ -36,15 +36,6 @@ class CentralLogStorage:
         """All records of one process instance — the event trace that
         process mining and conformance work from."""
         return self.query(tag=f"trace:{trace_id}")
-
-    def traces(self) -> dict[str, list[LogRecord]]:
-        """Group records by trace id (records without one are skipped)."""
-        grouped: dict[str, list[LogRecord]] = {}
-        for record in self.records:
-            trace = record.tag_value("trace")
-            if trace is not None:
-                grouped.setdefault(trace, []).append(record)
-        return grouped
 
     def __len__(self) -> int:
         return len(self.records)

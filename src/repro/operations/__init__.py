@@ -11,11 +11,6 @@
 """
 
 from repro.operations.base import Operation
-from repro.operations.bluegreen import (
-    BlueGreenOperation,
-    BlueGreenParams,
-    blue_green_profile,
-)
 from repro.operations.profile import OperationProfile, rolling_upgrade_profile
 from repro.operations.interference import InterferencePlan, InterferenceScheduler, SecondTeam
 from repro.operations.rolling_upgrade import (
@@ -28,11 +23,8 @@ from repro.operations.rolling_upgrade import (
 from repro.operations.scaling import ScaleInOperation, ScaleOutOperation
 
 __all__ = [
-    "BlueGreenOperation",
-    "BlueGreenParams",
     "InterferencePlan",
     "OperationProfile",
-    "blue_green_profile",
     "rolling_upgrade_profile",
     "InterferenceScheduler",
     "Operation",

@@ -4,8 +4,8 @@
 assertion specification and fault tree creation only needs to be spent
 once for an operation tool".  An :class:`OperationProfile` *is* that
 once-per-operation bundle — process model, pattern library, assertion
-bindings, watchdog calibration — so POD-Diagnosis can watch any operation
-type, not just the rolling upgrade.
+bindings, watchdog calibration — for the one operation POD-Diagnosis
+watches here, the rolling upgrade.
 """
 
 from __future__ import annotations
@@ -36,12 +36,6 @@ class OperationProfile:
     watchdog_aligns: tuple[str, ...]
     #: Assertions evaluated when the watchdog expires.
     watchdog_assertions: tuple[str, ...]
-    #: Mapping from this operation's activities to the canonical step
-    #: names the shared fault trees scope their subtrees by.  §III.C: the
-    #: fault trees are a knowledge base "reusable in any sporadic
-    #: operations using the cloud API" — aliasing is how a new operation
-    #: plugs its own process context into that shared knowledge.
-    step_aliases: dict[str, str] = dataclasses.field(default_factory=dict)
 
     def validate(self) -> list[str]:
         """Cross-artifact consistency problems (empty list = coherent)."""
@@ -53,9 +47,6 @@ class OperationProfile:
         for activity in self.model.activities:
             if activity not in known:
                 problems.append(f"model activity {activity!r} has no log pattern")
-        for activity in self.step_aliases:
-            if activity not in self.model.activities:
-                problems.append(f"step alias source {activity!r} not in the model")
         bindings = self.bindings_factory()
         for (activity, _position), _ids in bindings.bindings.items():
             if activity not in self.model.activities:

@@ -25,6 +25,7 @@ from repro.logsys.record import LogStream
 from repro.logsys.storage import CentralLogStorage
 from repro.logsys.timers import TimerSetter
 from repro.logsys.trigger import Trigger
+from repro.operations.profile import shared_rolling_upgrade_profile
 from repro.operations.rolling_upgrade import DEFAULT_WATCHDOG_SLACK
 from repro.pod.config import PodConfig
 from repro.process.conformance import ConformanceChecker
@@ -54,7 +55,6 @@ class PODDiagnosis:
         cloud,
         config: PodConfig,
         seed: int = 0,
-        profile=None,
         chaos=None,
         obs=None,
     ) -> None:
@@ -70,14 +70,10 @@ class PODDiagnosis:
         engine = cloud.engine
         self.engine = engine
         self.storage = CentralLogStorage()
-        if profile is None:
-            # Warm shared copy: the profile bundle (compiled pattern
-            # library, process model, bindings factory) is immutable
-            # during runs, so every service in this process reuses one.
-            from repro.operations.profile import shared_rolling_upgrade_profile
-
-            profile = shared_rolling_upgrade_profile()
-        self.profile = profile
+        # Warm shared copy: the profile bundle (compiled pattern library,
+        # process model, bindings factory) is immutable during runs, so
+        # every service in this process reuses one.
+        profile = self.profile = shared_rolling_upgrade_profile()
         self.library = profile.library
         self.model = profile.model
 
@@ -109,7 +105,6 @@ class PODDiagnosis:
             self.probes,
             storage=self.storage,
             seed=seed,
-            step_aliases=profile.step_aliases,
             obs=self.obs,
         )
 

@@ -15,7 +15,7 @@ The pipeline that turns raw operation logs into a process model:
 
 from repro.process.mining.cluster import LogCluster, cluster_lines, mask_line, similarity
 from repro.process.mining.dfg import DirectlyFollowsGraph
-from repro.process.mining.discovery import discover_model, mine_from_storage
+from repro.process.mining.discovery import discover_model
 from repro.process.mining.regexgen import derive_pattern, derive_regex
 
 __all__ = [
@@ -26,6 +26,5 @@ __all__ = [
     "derive_regex",
     "discover_model",
     "mask_line",
-    "mine_from_storage",
     "similarity",
 ]

@@ -1,14 +1,11 @@
-"""Model discovery: DFG → ProcessModel, plus the end-to-end pipeline.
+"""Model discovery: DFG → ProcessModel.
 
 ``discover_model`` converts a directly-follows graph into a
 :class:`~repro.process.model.ProcessModel` — the Disco-style
-frequency-based discovery the paper used offline.
-
-``mine_from_storage`` is the full §III.A pipeline over the central log
-storage: pull each trace's activity sequence (from the ``step:`` tags the
-annotator applied) and discover the model.  With pre-tagged logs this is
-deterministic; the raw-line variant (cluster → regex → tag) lives in the
-examples and tests.
+frequency-based discovery the paper used offline.  ``repro mine`` feeds
+it traces tagged by the rolling upgrade's pattern library;
+``examples/process_mining_demo.py`` feeds it the raw-line pipeline
+(cluster → regex → tag).
 """
 
 from __future__ import annotations
@@ -49,36 +46,3 @@ def discover_model(
         raise ValueError(f"discovered model is not sound: {problems}")
     return model
 
-
-def traces_from_storage(storage) -> list[list[str]]:
-    """Extract activity sequences per trace from annotated central logs.
-
-    Only operation-type records with a recognised step tag contribute,
-    and only each activity's *end* line, so one activity maps
-    to one event (the same convention the paper's tagging pipeline used
-    before feeding Disco).
-    """
-    traces: list[list[str]] = []
-    for _trace_id, records in sorted(storage.traces().items()):
-        sequence: list[str] = []
-        for record in sorted(records, key=lambda r: r.time):
-            if record.type != "operation":
-                continue
-            step = record.tag_value("step")
-            if step is None or step == "unclassified":
-                continue
-            if record.tag_value("position") != "end":
-                continue
-            sequence.append(step)
-        if sequence:
-            traces.append(sequence)
-    return traces
-
-
-def mine_from_storage(storage) -> ProcessModel:
-    """End-to-end: annotated central logs → discovered process model."""
-    traces = traces_from_storage(storage)
-    if not traces:
-        raise ValueError("central storage holds no usable traces")
-    dfg = DirectlyFollowsGraph.from_traces(traces)
-    return discover_model(dfg, model_id="mined")

@@ -1,18 +1,10 @@
-"""Tests for the evaluation service's trigger paths and the spec language."""
+"""Tests for the evaluation service's trigger paths."""
 
 import pytest
 
 from repro.assertions.base import Assertion, AssertionEnvironment
 from repro.assertions.consistent_api import ConsistentApiClient, ConsistentCallError
 from repro.assertions.evaluation import AssertionEvaluationService
-from repro.assertions.library import (
-    AsgConfigAssertion,
-    AsgInstanceCountAssertion,
-    ElbRegistrationAssertion,
-    InstanceVersionAssertion,
-    ResourceExistsAssertion,
-)
-from repro.assertions.spec import AssertionSpecError, parse_assertion_spec
 from repro.cloud.errors import MalformedRequest, ServiceUnavailable
 from repro.logsys.record import LogRecord
 from repro.logsys.storage import CentralLogStorage
@@ -169,91 +161,3 @@ class TestTriggerPaths:
         assert sorted(r.assertion_id for r in service.results) == ["a", "b"]
         assert [r.assertion_id for r in service.results if r.failed] == ["b"]
 
-
-class TestSpecLanguage:
-    def test_count_spec(self):
-        assertion, params = parse_assertion_spec(
-            "asg {asg_name} has {desired_capacity} running instances"
-        )
-        assert isinstance(assertion, AsgInstanceCountAssertion)
-        assert params == {}
-
-    def test_count_spec_with_literals(self):
-        assertion, params = parse_assertion_spec("asg asg-dsn has 4 running instances")
-        assert params == {"asg_name": "asg-dsn", "desired_capacity": "4"}
-
-    def test_instance_spec(self):
-        assertion, params = parse_assertion_spec("instance $instanceid matches target config")
-        assert isinstance(assertion, InstanceVersionAssertion)
-        assert params == {}  # runtime field reference contributes nothing
-
-    def test_config_spec(self):
-        assertion, params = parse_assertion_spec("asg {asg_name} uses correct security_group")
-        assert isinstance(assertion, AsgConfigAssertion)
-        assert params["field"] == "security_group"
-
-    def test_exists_spec(self):
-        assertion, params = parse_assertion_spec("resource ami ami-42 exists")
-        assert isinstance(assertion, ResourceExistsAssertion)
-        assert assertion.kind == "ami"
-        assert params == {"identifier": "ami-42"}
-
-    def test_elb_specs(self):
-        assertion, params = parse_assertion_spec("elb {elb_name} serves at least {min_in_service} instances")
-        assert isinstance(assertion, ElbRegistrationAssertion)
-        assertion, _params = parse_assertion_spec("elb elb-dsn is active")
-        assert isinstance(assertion, ElbRegistrationAssertion)
-
-    def test_case_and_whitespace_insensitive(self):
-        assertion, _ = parse_assertion_spec("  ASG   asg-x  HAS 4 running INSTANCES ")
-        assert isinstance(assertion, AsgInstanceCountAssertion)
-
-    def test_unknown_spec_lists_supported_forms(self):
-        with pytest.raises(AssertionSpecError, match="supported forms"):
-            parse_assertion_spec("the moon is full")
-
-    def test_empty_spec_rejected(self):
-        with pytest.raises(AssertionSpecError):
-            parse_assertion_spec("   ")
-
-    def test_parsed_assertion_is_runnable(self, provisioned_cloud):
-        """End-to-end: a spec-built assertion evaluates on the cloud."""
-        cloud = provisioned_cloud
-        assertion, params = parse_assertion_spec("asg asg-dsn has 4 running instances")
-        env = AssertionEnvironment(
-            engine=cloud.engine,
-            client=ConsistentApiClient(
-                cloud.engine, cloud.api("pod"), latency=ConstantLatency(0.05)
-            ),
-            config={},
-        )
-        result = cloud.engine.run(
-            until=cloud.engine.process(assertion.evaluate(env, params))
-        )
-        assert result.passed
-
-
-class TestSpecConfigAliases:
-    def test_config_reference_resolves_via_alias(self, provisioned_cloud):
-        """`resource ami {some_config_key} exists` resolves the identifier
-        from that configuration key at evaluation time."""
-        from repro.assertions.base import AssertionEnvironment
-        from repro.assertions.consistent_api import ConsistentApiClient
-        from repro.sim.latency import ConstantLatency
-
-        cloud = provisioned_cloud
-        assertion, params = parse_assertion_spec("resource ami {golden_image} exists")
-        assert params == {"identifier__from": "golden_image"}
-        env = AssertionEnvironment(
-            engine=cloud.engine,
-            client=ConsistentApiClient(
-                cloud.engine, cloud.api("spec"), latency=ConstantLatency(0.01)
-            ),
-            config={"golden_image": cloud.ami_v1},
-        )
-        result = cloud.engine.run(until=cloud.engine.process(assertion.evaluate(env, params)))
-        assert result.passed
-        # A dangling alias fails cleanly.
-        env.config.pop("golden_image")
-        result = cloud.engine.run(until=cloud.engine.process(assertion.evaluate(env, params)))
-        assert result.failed

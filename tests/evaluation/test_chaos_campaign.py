@@ -14,6 +14,7 @@ import pytest
 
 from repro.evaluation.campaign import Campaign, CampaignConfig, RunSpec, run_single
 from repro.evaluation.metrics import compute_metrics
+from repro.evaluation.parallel import execute_run
 from repro.evaluation.sweeps import render_sweep, sweep
 
 pytestmark = pytest.mark.chaos
@@ -81,6 +82,16 @@ class TestSevereCampaignSmall:
         manifested = [o for o in outcomes if o.fault_manifested]
         assert manifested
         assert all(o.fault_detected for o in manifested)
+
+    def test_the_retry_budget_denies_retries_in_a_campaign_run(self):
+        """The retry budget is live, not only a unit-tested mechanism: a
+        seed-1 severe campaign run spends it and is refused retries
+        (``sg_wrong-03`` of the same campaign is refused 4)."""
+        campaign = Campaign(CampaignConfig(seed=1, chaos_profile="severe"))
+        specs = {spec.run_id: spec for spec in campaign.build_specs()}
+        outcome = execute_run(specs["instance_type_changed-03"])
+        assert not outcome.failed
+        assert outcome.api_health["budget_denials"] == 5
 
 
 class TestChaosDeterminism:

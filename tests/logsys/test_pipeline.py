@@ -384,4 +384,5 @@ class TestCentralLogStorage:
             rec = LogRecord(time=0, source="s", message="m", tags=[f"trace:{trace}"])
             storage.append(rec)
         assert len(storage.by_trace("t1")) == 2
-        assert set(storage.traces()) == {"t1", "t2"}
+        assert len(storage.by_trace("t2")) == 1
+        assert storage.by_trace("t3") == []

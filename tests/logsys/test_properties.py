@@ -80,56 +80,16 @@ class TestStorageProperties:
     )
     @settings(max_examples=50, deadline=None)
     def test_trace_partition_is_complete_and_disjoint(self, rows):
-        """Grouping by trace loses nothing and invents nothing."""
+        """Reading by trace loses nothing and invents nothing."""
         storage = CentralLogStorage()
         for time, type_, trace in rows:
             record = LogRecord(time=time, source="s", message="m", type=type_)
             record.add_tag(f"trace:{trace}")
             storage.append(record)
-        grouped = storage.traces()
+        grouped = {trace: storage.by_trace(trace) for trace in ("t1", "t2", "t3")}
         assert sum(len(v) for v in grouped.values()) == len(rows)
         for trace, records in grouped.items():
             assert all(r.tag_value("trace") == trace for r in records)
-
-
-class TestMiningFromStorage:
-    def test_traces_from_storage_uses_end_positions(self):
-        from repro.process.mining.discovery import mine_from_storage, traces_from_storage
-
-        storage = CentralLogStorage()
-        script = [
-            ("a", "end", 1.0),
-            ("b", "start", 2.0),  # start position: excluded by default
-            ("b", "end", 3.0),
-            ("c", "end", 4.0),
-        ]
-        for step, position, time in script:
-            record = LogRecord(time=time, source="s", message=step, type="operation")
-            record.add_tag("trace:t1")
-            record.add_tag(f"step:{step}")
-            record.add_tag(f"position:{position}")
-            storage.append(record)
-        traces = traces_from_storage(storage)
-        assert traces == [["a", "b", "c"]]
-        model = mine_from_storage(storage)
-        assert ("a", "b") in model.edges and ("b", "c") in model.edges
-
-    def test_non_operation_records_ignored(self):
-        from repro.process.mining.discovery import traces_from_storage
-
-        storage = CentralLogStorage()
-        record = LogRecord(time=1.0, source="s", message="x", type="assertion")
-        record.add_tag("trace:t1")
-        record.add_tag("step:a")
-        record.add_tag("position:end")
-        storage.append(record)
-        assert traces_from_storage(storage) == []
-
-    def test_empty_storage_raises(self):
-        from repro.process.mining.discovery import mine_from_storage
-
-        with pytest.raises(ValueError, match="no usable traces"):
-            mine_from_storage(CentralLogStorage())
 
 
 #: Tag vocabulary: simple and compound prefixes, empty parts, bare tags.

@@ -165,6 +165,11 @@ class TestArtifacts:
     def test_reference_model_is_sound(self):
         assert reference_process_model().validate() == []
 
+    def test_rolling_upgrade_profile_is_coherent(self):
+        from repro.operations.profile import rolling_upgrade_profile
+
+        assert rolling_upgrade_profile().validate() == []
+
     def test_patterns_cover_the_sequence(self):
         library = build_pattern_library()
         assert set(SEQUENCE) <= set(library.activities())

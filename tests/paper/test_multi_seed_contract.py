@@ -35,6 +35,25 @@ PINNED = {
     9001: (200, 0, 199), # precision 100.0 %, accuracy 99.50 %
 }
 
+#: seed -> the runs whose reported events (detected fault, detected
+#: interference, false positives) outnumber their correct diagnoses.  In
+#: the four with both a random termination and account pressure
+#: (``instance_type_changed-19``, ``sg_unavailable-10``,
+#: ``elb_unavailable-13``, ``keypair_wrong-11``) the termination is the
+#: wrong one: ``attributed_reports`` groups a report under the first truth
+#: it fits, so reports confirming ``account-limit-exceeded`` land under the
+#: termination, which is scored correct only when none of its reports
+#: confirms anything (EXPERIMENTS, "Seed 9001's wrong diagnosis").
+WRONG_RUNS = {
+    2014: set(),
+    1: {"ami_unavailable-14"},
+    7: {"ami_changed-01", "instance_type_changed-19"},
+    31: set(),
+    42: {"sg_unavailable-10"},
+    123: {"elb_unavailable-13", "instance_type_changed-11"},
+    9001: {"keypair_wrong-11"},
+}
+
 
 @pytest.mark.parametrize("seed", sorted(PINNED))
 def test_paper_campaign_at_another_seed(seed):
@@ -53,6 +72,13 @@ def test_paper_campaign_at_another_seed(seed):
     # The paper's own bands hold on every seed, not only on 2014.
     assert metrics.precision >= 0.90
     assert metrics.accuracy_rate >= 0.96
+
+    wrong = set()
+    for outcome in outcomes:
+        alone = compute_metrics([outcome])
+        if alone.tp + alone.false_positives > alone.correct_diagnoses:
+            wrong.add(outcome.spec.run_id)
+    assert wrong == WRONG_RUNS[seed]
 
     # Hardening is free when the plane is healthy — stated as what is true.
     assert sum(outcome.api_health["budget_denials"] for outcome in outcomes) == 0

@@ -44,8 +44,8 @@ def dual_upgrade():
 class TestGlobalVisibility:
     def test_both_traces_in_central_storage(self, dual_upgrade):
         testbed, _op, _ = dual_upgrade
-        traces = set(testbed.pod.storage.traces())
-        assert {"upgrade-a", "upgrade-b"} <= traces
+        assert testbed.pod.storage.by_trace("upgrade-a")
+        assert testbed.pod.storage.by_trace("upgrade-b")
 
     def test_conformance_tracks_each_instance_separately(self, dual_upgrade):
         testbed, _op, _ = dual_upgrade

@@ -1,24 +1,8 @@
 """Tests for checkpoint/resume: interrupted operations pick up mid-flight."""
 
-from repro.cloud.api import TimedCloudClient
-from repro.logsys.record import LogStream
 from repro.operations.base import COMPLETED, FAILED
-from repro.operations.bluegreen import (
-    BlueGreenCheckpoint,
-    BlueGreenOperation,
-    BlueGreenParams,
-)
 from repro.operations.rolling_upgrade import UpgradeCheckpoint
 from repro.testbed import build_testbed
-
-
-def run_to_end(testbed, operation, horizon=2700.0):
-    deadline = testbed.engine.now + horizon
-    while testbed.engine.now < deadline:
-        if operation.status in (COMPLETED, FAILED):
-            break
-        testbed.engine.run(until=min(testbed.engine.now + 10.0, deadline))
-    return operation
 
 
 class TestRollingUpgradeResume:
@@ -107,48 +91,3 @@ class TestRollingUpgradeResume:
         new = [d for d in testbed.pod.detections[detections_before:]]
         assert new == [], [d.reason for d in new]
 
-
-class TestBlueGreenResume:
-    def test_checkpoint_marks_phases_once(self):
-        ckpt = BlueGreenCheckpoint()
-        ckpt.mark("provision")
-        ckpt.mark("provision")
-        assert ckpt.phases_done == ["provision"]
-
-    def test_resume_skips_green_provisioning(self):
-        """A resumed blue/green attempt must not create the green stack a
-        second time (create calls are not idempotent)."""
-        testbed = build_testbed(cluster_size=4, seed=233)
-        cloud = testbed.cloud
-        params = BlueGreenParams(
-            blue_asg="asg-dsn",
-            green_asg="asg-dsn-green",
-            elb_name="elb-dsn",
-            lc_name="lc-green-v2",
-            target=testbed.pod_config.target,
-            capacity=4,
-        )
-        client = TimedCloudClient(cloud.engine, cloud.api("deployer"))
-
-        first = BlueGreenOperation(
-            cloud.engine, client, LogStream("bg-1.log"), params, "bg-1"
-        )
-        first.start()
-        run_to_end(testbed, first)
-        assert first.status == COMPLETED
-        ckpt = first.checkpoint
-        assert ckpt.provisioned
-        assert ckpt.attempts == 1
-        assert "decommission" in ckpt.phases_done
-
-        # Re-running from the checkpoint replays the idempotent phases on
-        # the already-provisioned green stack; a fresh create would raise.
-        second = BlueGreenOperation(
-            cloud.engine, client, LogStream("bg-2.log"), params, "bg-2",
-            checkpoint=ckpt,
-        )
-        assert second.resuming
-        second.start()
-        run_to_end(testbed, second)
-        assert second.status == COMPLETED
-        assert ckpt.attempts == 2

@@ -89,6 +89,9 @@ class Guard:
 
 SRC_EX = ("src/", "examples/")
 SRC_TESTS_EX = ("src/", "tests/", "examples/")
+SRC_EX_DOCS = ("src/", "examples/", "README.md", "DESIGN.md")
+#: The commit that deleted the extensions no live path ran (ROADMAP item 6).
+ITEM_6 = "PENDING"
 
 GUARDS: dict[str, Guard] = {
     "one-replay-engine": Guard(
@@ -238,6 +241,38 @@ GUARDS: dict[str, Guard] = {
         "a run's metrics are read at export by repro.obs.run_metrics; no component holds a"
         " registry or counts for it",
         "        self._metrics = obs.metrics if obs else None",
+    ),
+    "no-assertion-generation": Guard(
+        r"generate_assertions|measure_step_gaps|calibrate_watchdog", SRC_EX_DOCS, ITEM_6,
+        "generated bindings ran the paper campaign at 187 false positives against 5; the"
+        " assertion set is the hand-written library",
+        "    generated = generate_assertions(model, library)",
+    ),
+    "no-assertion-spec-language": Guard(
+        r"parse_assertion_spec", SRC_EX_DOCS, ITEM_6,
+        "only its own example ran the spec language",
+        "    assertion, params = parse_assertion_spec(spec)",
+    ),
+    "no-json-serializers": Guard(
+        r"(model|tree)_(to|from)_dict", SRC_EX_DOCS, ITEM_6,
+        "models and trees export as DOT only; nothing read or wrote their JSON",
+        "    document = tree_to_dict(tree)",
+    ),
+    "no-storage-mining": Guard(
+        r"(mine|traces)_from_storage", SRC_EX_DOCS, ITEM_6,
+        "the model is mined from raw lines (repro mine), not from central storage",
+        "    model = mine_from_storage(pod.storage)",
+    ),
+    "no-step-aliases": Guard(
+        r"step_aliases", SRC_EX_DOCS, ITEM_6,
+        "the trees are scoped by the rolling upgrade's own step names",
+        "        step = self.step_aliases.get(report.step, report.step)",
+    ),
+    "one-operation-profile": Guard(
+        r"bluegreen|BlueGreen", SRC_EX_DOCS, ITEM_6,
+        "POD watches the rolling upgrade through shared_rolling_upgrade_profile(); the"
+        " blue/green tenant ran only in its own example and tests",
+        "from repro.operations.bluegreen import BlueGreenOperation",
     ),
 }
 

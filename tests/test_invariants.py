@@ -121,31 +121,3 @@ class TestMaskingInvariants:
         from repro.process.mining.cluster import mask_line
 
         mask_line(text)  # must never raise
-
-
-class TestSpecLanguageInvariants:
-    @given(st.sampled_from([
-        "asg {asg_name} has {desired_capacity} running instances",
-        "instance $instanceid matches target config",
-        "asg {asg_name} uses correct ami",
-        "resource key_pair {expected_key_name} exists",
-        "elb {elb_name} serves at least {min_in_service} instances",
-    ]))
-    @settings(max_examples=20, deadline=None)
-    def test_specs_parse_idempotently(self, spec):
-        from repro.assertions.spec import parse_assertion_spec
-
-        a_assertion, a_params = parse_assertion_spec(spec)
-        b_assertion, b_params = parse_assertion_spec(spec)
-        assert type(a_assertion) is type(b_assertion)
-        assert a_params == b_params
-
-    @given(st.text(max_size=60))
-    @settings(max_examples=80, deadline=None)
-    def test_parser_never_crashes(self, text):
-        from repro.assertions.spec import AssertionSpecError, parse_assertion_spec
-
-        try:
-            parse_assertion_spec(text)
-        except AssertionSpecError:
-            pass  # rejection is the expected failure mode

@@ -39,18 +39,18 @@ JUSTIFIED: dict[str, str] = {
     "delete_launch_configuration": "CloudAPI create/delete symmetry; tests/cloud/test_api.py",
     "delete_load_balancer": "CloudAPI create/delete symmetry; tests/cloud/test_api.py",
     "deregister_image": "CloudAPI create/delete symmetry (register_image); tests/cloud/test_api.py",
+    "register_instances_with_load_balancer": "ELB register/deregister symmetry (the upgrade"
+                                             " deregisters); the cloud state machine drives it",
     # Names the paper gives.
     "to_logstash": "paper §IV ships records in Logstash's JSON event form; tests/logsys/test_record.py",
     "SEQUENCE": "Fig. 2's happy-path step order; tests/operations/test_rolling_upgrade.py"
                 " checks the pattern library covers it",
-    # README / DESIGN §3 extensions, each with its own suite.
-    "generate_assertions": "README 'automatic assertion generation' (repro.assertions.generation,"
-                           " no caller outside its suite); tests/assertions/test_generation.py",
-    "measure_step_gaps": "watchdog calibration half of the same extension; tests/assertions/test_generation.py",
-    "model_to_dict": "README model JSON export (repro.process.serialize); tests/process/test_serialize.py",
-    "model_from_dict": "inverse of model_to_dict; tests/process/test_serialize.py",
-    "tree_to_dict": "README tree JSON export (repro.faulttree.serialize); tests/process/test_serialize.py",
-    "tree_from_dict": "inverse of tree_to_dict; tests/process/test_serialize.py",
+    # BPMN's AND gateway: compile_model gives it per-edge places.  The
+    # Fig. 2 model has none and mining finds none.
+    "mark_parallel_split": "tests/process/test_compiled_replay.py replays an AND split against"
+                           " the interpreted oracle; tests/process/test_model.py fires one",
+    "mark_parallel_join": "the AND gateway's join, as above",
+    # DESIGN §3 extensions, each with its own suite.
     "read_log_file": "file edge of raw-log ingestion (DESIGN §3 extensions, repro.logsys.ingest);"
                      " tests/logsys/test_ingest.py round-trips a file",
     "write_log_file": "inverse of read_log_file; same round-trip test",
@@ -68,11 +68,8 @@ JUSTIFIED: dict[str, str] = {
 #: record cannot outlive its subject.  What only says "a CLI subcommand runs
 #: it" is gone: tests/test_reachability.py runs every subcommand and checks.
 KEPT_WITH_CALLERS: dict[str, str] = {
-    "repro.operations.bluegreen": "second tenant of OperationProfile: examples/bluegreen_deploy.py,"
-                                  " tests/operations/test_bluegreen.py, tests/recovery/test_resume.py",
     "repro.diagnosis.offline": "the write-history flap finder, item 8's subject:"
                                " examples/offline_postmortem.py, tests/diagnosis/test_offline.py",
-    "repro.assertions.spec": "README assertion spec language: examples/assertion_spec_demo.py",
     "repro.evaluation.parallel:execute_specs": "runner= is the seam the dead-worker and determinism"
                                                " tests substitute (tests/evaluation/test_parallel_campaign.py)",
     "repro.recovery.supervisor:recover_run": "budget= names the never-hangs bound that ROADMAP 3(d)"
@@ -106,9 +103,6 @@ UNSET_PARAMETERS: dict[str, str] = {
                            " (repro.sim.latency's determinism-under-extension rule)",
     # Roadmap subjects.
     "diagnose:context": "a post-mortem's process context (ROADMAP item 8)",
-    "generate_assertions:gap_samples": "watchdog calibration from measured step gaps"
-                                       " (ROADMAP item 6)",
-    "BlueGreenOperation:checkpoint": "resuming a blue/green deploy (ROADMAP item 6)",
     "recover_run:budget": "the only handle on the never-hang bound's budget-exhausted"
                           " exit (tests/recovery/test_campaign_recovery.py)",
 }

@@ -61,14 +61,6 @@ COMMANDS: dict[str, list[str]] = {
 #: Public functions no live entry point runs, each with what does run it
 #: and why it stays.  Keys are ``module:Qualname`` under ``repro``.
 REACHED_ONLY_BY: dict[str, str] = {
-    # ROADMAP item 6's subject: derive the monitor from fault-free runs, or
-    # delete what only its own suite runs.  Not this rung's call.
-    "assertions.generation:calibrate_watchdog": "item 6 (automatic assertion generation);"
-                                                " tests/assertions/test_generation.py",
-    "logsys.storage:CentralLogStorage.traces": "item 6 (mining from central storage);"
-                                               " tests/logsys/test_pipeline.py",
-    "process.mining.discovery:traces_from_storage": "item 6; tests/logsys/test_properties.py",
-    "process.mining.discovery:mine_from_storage": "item 6; tests/logsys/test_properties.py",
     # Oracles: tests compare the product with these, or check a contract
     # through them.
     "process.model:PetriNet.fire": "the interpreted-replay oracle tests/process/reference_replay.py",
@@ -78,7 +70,7 @@ REACHED_ONLY_BY: dict[str, str] = {
     "cloud.monitor:CloudMonitor.at": "the cloud state machine and tests/cloud/test_monitor_delta.py"
                                      " compare it with a full-copy reference crawler",
     "operations.profile:OperationProfile.validate": "the profile contract (model ≡ patterns ≡"
-                                                    " bindings); tests/operations/test_bluegreen.py",
+                                                    " bindings); tests/operations/test_rolling_upgrade.py",
     "logsys.patterns:PatternLibrary.activities": "what OperationProfile.validate checks the model"
                                                  " against; tests/operations/test_rolling_upgrade.py",
     # Paper names.
@@ -88,9 +80,6 @@ REACHED_ONLY_BY: dict[str, str] = {
     "faulttree.tree:FaultNode.find": "the same lookup, per sub-tree",
     "process.mining.cluster:similarity": "§III.A's string distance metric, as cluster_lines scores"
                                          " it; tests/process/test_mining.py",
-    "process.model:ProcessModel.mark_parallel_split": "BPMN's AND gateway: model_from_dict rebuilds"
-                                                      " it; the Fig. 2 model has none",
-    "process.model:ProcessModel.mark_parallel_join": "the AND gateway's join, as above",
     # The AWS surface a cloud simulator owes its callers.
     "cloud.api:CloudAPI.terminate_instance": "EC2 TerminateInstances; the ledger's boundary"
                                              " self-test and the cloud state machine call it",
