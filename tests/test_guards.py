@@ -91,7 +91,7 @@ SRC_EX = ("src/", "examples/")
 SRC_TESTS_EX = ("src/", "tests/", "examples/")
 SRC_EX_DOCS = ("src/", "examples/", "README.md", "DESIGN.md")
 #: The commit that deleted the extensions no live path ran (ROADMAP item 6).
-ITEM_6 = "PENDING"
+ITEM_6 = "0e8a79b"
 
 GUARDS: dict[str, Guard] = {
     "one-replay-engine": Guard(
