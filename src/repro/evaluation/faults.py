@@ -85,41 +85,109 @@ def apply_fault(testbed, fault_type: str):
     raise ValueError(f"unknown fault type {fault_type!r}")
 
 
+#: How the rolling upgrade's last log line begins: its completion line or
+#: a failure line.  Nothing the operation does follows either.
+TERMINAL_LINES = ("Rolling upgrade task completed", "Exception during")
+
+#: Virtual seconds between looks for the launch configuration a
+#: configuration fault corrupts, when the fault is due before it exists.
+CONFIG_POLL = 1.0
+
+
+class _FaultTrigger:
+    """Fires one plan's fault once: at ``inject_at`` or on the operation's
+    terminal log line, whichever comes first.
+
+    Subscribed to the operation log as POD's processor is, and cut when
+    it fires.  A class rather than a closure: a closure that unsubscribes
+    itself references itself, which is a cycle.
+    """
+
+    def __init__(self, testbed, plan: FaultPlan, outcome: dict) -> None:
+        self.testbed = testbed
+        self.plan = plan
+        self.outcome = outcome
+        self.armed = True
+
+    def __call__(self, record) -> None:
+        if record.message.startswith(TERMINAL_LINES):
+            reverting = self.fire()
+            if reverting is not None:
+                self.testbed.engine.process(reverting, name=f"revert-{self.plan.fault_type}")
+
+    def injectable(self) -> bool:
+        """A configuration fault corrupts the launch configuration the
+        upgrade creates; a resource fault always has its resource."""
+        testbed = self.testbed
+        return self.plan.fault_type not in CONFIG_FAULTS or testbed.cloud.state.exists(
+            "launch_configuration", testbed.stack.lc_v2
+        )
+
+    def fire(self) -> _t.Generator | None:
+        """Inject now if still armed, and disarm; returns the transient
+        revert loop still to run, or None.  A configuration fault whose
+        launch configuration was never created injects nothing."""
+        if not self.armed:
+            return None
+        self.armed = False
+        testbed = self.testbed
+        testbed.stream.unsubscribe(self)
+        if not self.injectable():
+            return None
+        self.outcome["record"] = apply_fault(testbed, self.plan.fault_type)
+        self.outcome["injected_at"] = testbed.engine.now
+        return _revert_later(testbed, self.plan, self.outcome) if self.plan.transient else None
+
+
+def _revert_later(testbed, plan: FaultPlan, outcome: dict) -> _t.Generator:
+    """Revert a transient fault once it has bitten.
+
+    The paper's transient faults were corrected "soon after" — but still
+    after the fault had taken effect (otherwise there would have been
+    nothing to detect).  Wait until the corrupted configuration actually
+    bites (a wrong instance launches), then revert shortly afterwards,
+    before on-demand diagnosis tests can observe the corruption.
+    """
+    injected = outcome["injected_at"]
+    deadline = injected + 600.0
+    while testbed.engine.now < deadline:
+        if plan.fault_type == "ELB_UNAVAILABLE" or testbed.has_wrong_instance(
+            lambda i: i.launch_time >= injected
+        ):
+            break
+        yield testbed.engine.timeout(5.0)
+    yield testbed.engine.timeout(REVERT_AFTER)
+    testbed.cloud.injector.revert(outcome["record"])
+    outcome["reverted_at"] = testbed.engine.now
+
+
 def schedule_fault(testbed, plan: FaultPlan) -> dict:
     """Arm a fault plan against a testbed's upcoming upgrade.
 
-    Returns a mutable record dict filled in as the plan executes
-    (``injected_at`` / ``reverted_at`` stay None if the upgrade finishes
-    first — "inject at a random point *during* rolling upgrade").
+    The fault fires ``plan.inject_at`` seconds from now or on the
+    upgrade's terminal log line, whichever comes first, so it always
+    lands during the operation ("inject at a random point of time during
+    rolling upgrade").  A configuration fault due before the upgrade has
+    created the launch configuration waits for it.  Returns a mutable
+    record dict filled in as the plan executes; ``injected_at`` stays None
+    only if the fault found nothing to corrupt or the run ended first.
     """
     outcome: dict = {"plan": plan, "injected_at": None, "reverted_at": None, "record": None}
+    trigger = _FaultTrigger(testbed, plan, outcome)
+    testbed.stream.subscribe(trigger)
 
-    def runner() -> _t.Generator:
-        yield testbed.engine.timeout(plan.inject_at)
-        upgrade = testbed.upgrade
-        if upgrade is not None and upgrade.status not in ("running",):
-            return  # upgrade already over; nothing to corrupt mid-flight
-        record = apply_fault(testbed, plan.fault_type)
-        outcome["record"] = record
-        outcome["injected_at"] = testbed.engine.now
-        if plan.transient:
-            # The paper's transient faults were corrected "soon after" —
-            # but still after the fault had taken effect (otherwise there
-            # would have been nothing to detect).  Wait until the corrupted
-            # configuration actually bites (a wrong instance launches),
-            # then revert shortly afterwards, before on-demand diagnosis
-            # tests can observe the corruption.
-            injected = testbed.engine.now
-            deadline = injected + 600.0
-            while testbed.engine.now < deadline:
-                if plan.fault_type == "ELB_UNAVAILABLE" or testbed.has_wrong_instance(
-                    lambda i: i.launch_time >= injected
-                ):
-                    break
-                yield testbed.engine.timeout(5.0)
-            yield testbed.engine.timeout(REVERT_AFTER)
-            testbed.cloud.injector.revert(record)
-            outcome["reverted_at"] = testbed.engine.now
+    def timed() -> _t.Generator:
+        try:
+            yield testbed.engine.timeout(plan.inject_at)
+            while trigger.armed and not trigger.injectable():
+                yield testbed.engine.timeout(CONFIG_POLL)
+        except GeneratorExit:
+            # The run closed before the fault fired: leave no listener.
+            testbed.stream.unsubscribe(trigger)
+            raise
+        reverting = trigger.fire()
+        if reverting is not None:
+            yield from reverting
 
-    testbed.engine.process(runner(), name=f"fault-{plan.fault_type}")
+    testbed.engine.process(timed(), name=f"fault-{plan.fault_type}")
     return outcome

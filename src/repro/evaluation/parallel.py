@@ -6,8 +6,8 @@ campaign is embarrassingly parallel: outcomes depend only on the spec,
 never on which worker executed them or in what order they finished.
 This module exploits that:
 
-- :func:`execute_run` — one spec, with the inject-earlier retry and
-  crash isolation (a raising run becomes a structured failure
+- :func:`execute_run` — one spec, run once, with crash isolation (a
+  raising run becomes a structured failure
   :class:`~repro.evaluation.campaign.RunOutcome`, never a dead campaign);
 - :func:`execute_specs` — a batch of specs, serially or across a
   :class:`~concurrent.futures.ProcessPoolExecutor`, results re-sorted
@@ -45,7 +45,6 @@ in spec order), in spec order for the serial path.
 from __future__ import annotations
 
 import concurrent.futures
-import dataclasses
 import functools
 import os
 import traceback
@@ -63,21 +62,18 @@ ProgressFn = _t.Callable[[int, int, RunOutcome], None]
 
 
 def execute_run(spec: RunSpec, runner: Runner | None = None) -> RunOutcome:
-    """Execute one campaign run, isolated against crashes.
+    """Execute one campaign run, once, isolated against crashes.
 
-    If the upgrade finishes before the sampled injection point, the run
-    is retried with an earlier injection so every outcome truly injects
-    mid-operation (same policy as the original serial loop).  Any
-    exception out of the run becomes a structured failure record carrying
-    the traceback, so one broken run cannot kill a whole campaign.
+    The outcome is a function of ``spec`` alone: the fault fires at
+    ``spec.inject_at`` or on the upgrade's terminal log line, whichever
+    comes first (:func:`~repro.evaluation.faults.schedule_fault`), so no
+    run is discarded and rerun with another spec.  Any exception out of
+    the run becomes a structured failure record carrying the traceback,
+    so one broken run cannot kill a whole campaign.
     """
     run = runner if runner is not None else run_single
     try:
-        outcome = run(spec)
-        if outcome.injected_at is None:
-            retry = dataclasses.replace(spec, inject_at=max(10.0, spec.inject_at / 3))
-            outcome = run(retry)
-        return outcome
+        return run(spec)
     except Exception:
         return RunOutcome.failure(spec, traceback.format_exc())
 

@@ -5,6 +5,7 @@ and the computed ``CampaignMetrics`` — are bit-for-bit identical whether
 the runs execute serially or across any number of worker processes.
 """
 
+import contextlib
 import dataclasses
 import json
 import multiprocessing
@@ -12,6 +13,8 @@ import os
 import pickle
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.evaluation.campaign import (
     Campaign,
@@ -20,6 +23,14 @@ from repro.evaluation.campaign import (
     RunOutcome,
     RunSpec,
     run_single,
+)
+from repro.evaluation import faults
+from repro.evaluation.faults import (
+    CONFIG_FAULTS,
+    CONFIG_POLL,
+    FAULT_TYPES,
+    REVERTIBLE,
+    TERMINAL_LINES,
 )
 from repro.evaluation.metrics import compute_metrics
 from repro.evaluation.parallel import (
@@ -32,6 +43,7 @@ from repro.evaluation.parallel import (
     warm_worker,
 )
 from repro.operations.interference import InterferencePlan
+from repro.testbed import Testbed
 
 def _specs_of(config: CampaignConfig) -> list[RunSpec]:
     return Campaign(config).build_specs()
@@ -449,10 +461,101 @@ class TestResolveWorkers:
         assert outcomes == execute_specs(specs)
         assert seen == [(n, len(specs), s.run_id) for n, s in enumerate(specs, 1)]
 
-    def test_retry_uses_earlier_injection(self):
-        # A spec whose injection point lands after the upgrade finishes
-        # must be retried earlier — same policy as the old serial loop.
+
+@contextlib.contextmanager
+def watching_runs():
+    """Record each closed run's operation log and each ``apply_fault``.
+
+    Yields ``(logs, applied)``: one ``[(time, message)]`` list per run in
+    close order, and one fault type per injection.
+    """
+    logs, applied = [], []
+    original_close, original_apply = Testbed.close, faults.apply_fault
+
+    def close_keeping_the_log(self):
+        logs.append([(r.time, r.message) for r in self.stream.records])
+        original_close(self)
+
+    def counting_apply(testbed, fault_type):
+        applied.append(fault_type)
+        return original_apply(testbed, fault_type)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Testbed, "close", close_keeping_the_log)
+        patch.setattr(faults, "apply_fault", counting_apply)
+        yield logs, applied
+
+
+def outcome_digest(outcome) -> str:
+    return json.dumps(dataclasses.asdict(outcome), sort_keys=True, default=str)
+
+
+class TestOneRunPerSpec:
+    """A spec's outcome is a function of that spec alone: the fault fires
+    at ``inject_at`` or on the upgrade's terminal log line, whichever
+    comes first, and ``execute_run`` runs the spec once."""
+
+    def test_late_spec_injects_at_completion(self):
         spec = RunSpec(run_id="late", fault_type="AMI_UNAVAILABLE", seed=31, inject_at=900.0)
-        outcome = execute_run(spec)
-        assert outcome.injected_at is not None
-        assert outcome.spec.inject_at == 300.0
+        ran = []
+
+        def counting_runner(given):
+            ran.append(given)
+            return run_single(given)
+
+        with watching_runs() as (logs, applied):
+            outcome = execute_run(spec, counting_runner)
+        assert ran == [spec] and outcome.spec is spec
+        assert applied == ["AMI_UNAVAILABLE"]
+        [log] = logs
+        completed = [t for t, m in log if m.startswith("Rolling upgrade task completed")]
+        assert outcome.operation_status == "completed"
+        assert completed and outcome.injected_at == completed[0] < 300.0 + spec.inject_at
+
+    def test_upgrade_failing_before_inject_at_injects_at_its_failure_line(self):
+        # A hungry second team starves the replacement launches, so the
+        # upgrade times out long before the fault is due.
+        plan = InterferencePlan(second_team_pressure_at=20.0, second_team_target_headroom=-6)
+        spec = RunSpec(
+            run_id="starved", fault_type="KEYPAIR_WRONG", seed=1, inject_at=3000.0, interference=plan
+        )
+        with watching_runs() as (logs, applied):
+            outcome = execute_run(spec)
+        [log] = logs
+        failures = [t for t, m in log if m.startswith("Exception during")]
+        assert outcome.operation_status == "failed" and applied == ["KEYPAIR_WRONG"]
+        assert failures and outcome.injected_at == failures[0] < 300.0 + spec.inject_at
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        fault_type=st.sampled_from(FAULT_TYPES),
+        inject_at=st.floats(min_value=0.0, max_value=2000.0),
+        seed=st.integers(min_value=0, max_value=10_000),
+        transient=st.booleans(),
+    )
+    # Found by this property: a configuration fault due before the upgrade
+    # has created the launch configuration it corrupts crashed the run.
+    @example(fault_type="AMI_CHANGED", inject_at=0.0, seed=0, transient=False)
+    def test_every_fault_fires_once_no_later_than_the_last_line(
+        self, fault_type, inject_at, seed, transient
+    ):
+        spec = RunSpec(
+            run_id="prop", fault_type=fault_type, seed=seed, inject_at=inject_at,
+            transient=transient and fault_type in REVERTIBLE,
+        )
+        with watching_runs() as (logs, applied):
+            first, second = execute_run(spec), execute_run(spec)
+        assert not first.failed, first.error
+        assert outcome_digest(first) == outcome_digest(second)
+        assert applied == [fault_type, fault_type]
+        ended = next((t for t, m in logs[0] if m.startswith(TERMINAL_LINES)), None)
+        assert ended is not None, "a fault-only upgrade ends with a terminal line"
+        # The testbed's boot ends at 300 s, when the fault is scheduled.
+        due = 300.0 + inject_at
+        updated = next(t for t, m in logs[0] if m.startswith("Updated launch configuration"))
+        if fault_type in CONFIG_FAULTS and due < updated:
+            # The launch configuration may not exist yet: at the first look
+            # after it does.
+            assert due <= first.injected_at <= min(updated + CONFIG_POLL, ended)
+        else:
+            assert first.injected_at == min(due, ended)

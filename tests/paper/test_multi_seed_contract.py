@@ -3,17 +3,20 @@
 Seed 2014 is pinned by every other file in this directory; seeds 1, 7,
 31 and 42 were pinned by running the same 160-run campaign at ``4f86396``,
 and 123 and 9001 at ``8217f4e``; together they are ROADMAP's reviewer
-table as a test.  Recall = 100 % and no crashed run
+table as a test.  All but seed 31 were re-pinned when a fault due after
+the upgrade's end began to fire on the upgrade's last log line, instead
+of the run being rerun with an earlier injection (CHANGES.md names the
+moved runs).  Recall = 100 % and no crashed run
 are the paper's contract on any seed; TP / FP / correct diagnoses are
 exact because the campaign is deterministic, so a change that claims "no
 verdict moved" is checked on five seeds, not one.
 
 Second rung (item 1(h)): the one hardened client is free when the API
-plane is healthy.  With chaos off no retry is ever denied by the budget,
-no call fails fast on an open breaker and no verdict is lost to a
-degraded plane; a breaker *does* trip, but only where the plane really is
-failing — inside ``ELB_UNAVAILABLE`` runs, on the fault's own
-``ServiceUnavailable``.
+plane is healthy.  With chaos off no retry is ever denied by the budget
+and no verdict is lost to a degraded plane; a breaker *does* trip, but
+only where the plane really is failing — inside ``ELB_UNAVAILABLE`` runs,
+on the fault's own ``ServiceUnavailable`` — and a call fails fast on the
+open breaker only in the runs ``FAST_FAIL_RUNS`` names.
 
 Still open under item 1(f): the by-run §VI.A class of each wrong
 diagnosis and non-class-1 FP (it needs item 2(a)'s explanation record).
@@ -26,13 +29,13 @@ from repro.evaluation.metrics import compute_metrics
 
 #: seed -> (TP, FP, correct diagnoses); precision and accuracy follow.
 PINNED = {
-    2014: (207, 5, 212),  # precision 97.64 %, accuracy 100.0 % (the contract seed)
-    1: (208, 15, 222),   # precision 93.27 %, accuracy 99.55 %
-    7: (211, 6, 215),    # precision 97.24 %, accuracy 99.08 %
+    2014: (208, 5, 213),  # precision 97.65 %, accuracy 100.0 % (the contract seed)
+    1: (209, 15, 223),   # precision 93.30 %, accuracy 99.55 %
+    7: (213, 6, 217),    # precision 97.26 %, accuracy 99.09 %
     31: (208, 4, 212),   # precision 98.11 %, accuracy 100.0 %
-    42: (205, 9, 213),   # precision 95.79 %, accuracy 99.53 %
-    123: (210, 5, 213),  # precision 97.67 %, accuracy 99.07 %
-    9001: (200, 0, 199), # precision 100.0 %, accuracy 99.50 %
+    42: (206, 9, 214),   # precision 95.81 %, accuracy 99.53 %
+    123: (211, 5, 214),  # precision 97.69 %, accuracy 99.07 %
+    9001: (201, 0, 200), # precision 100.0 %, accuracy 99.50 %
 }
 
 #: seed -> the runs whose reported events (detected fault, detected
@@ -52,6 +55,22 @@ WRONG_RUNS = {
     42: {"sg_unavailable-10"},
     123: {"elb_unavailable-13", "instance_type_changed-11"},
     9001: {"keypair_wrong-11"},
+}
+
+#: seed -> the runs in which a call failed fast on an open breaker.  Each
+#: is an ``ELB_UNAVAILABLE`` run whose fault fires on the upgrade's
+#: completion line: the last batch's assertions all ask the ELB that just
+#: went away, the breaker opens on the fault's own ``ServiceUnavailable``
+#: and the asks after it fail fast.  No verdict is lost to it: the
+#: degraded-verdict count below stays 0.
+FAST_FAIL_RUNS = {
+    2014: set(),
+    1: {"elb_unavailable-02", "elb_unavailable-04"},
+    7: {"elb_unavailable-04"},
+    31: set(),
+    42: set(),
+    123: set(),
+    9001: {"elb_unavailable-01"},
 }
 
 
@@ -82,8 +101,9 @@ def test_paper_campaign_at_another_seed(seed):
 
     # Hardening is free when the plane is healthy — stated as what is true.
     assert sum(outcome.api_health["budget_denials"] for outcome in outcomes) == 0
-    assert sum(outcome.api_health["breaker_fast_fails"] for outcome in outcomes) == 0
+    fast_failed = {o.spec.run_id for o in outcomes if o.api_health["breaker_fast_fails"]}
+    assert fast_failed == FAST_FAIL_RUNS[seed]
     assert sum(outcome.degraded_verdicts for outcome in outcomes) == 0
-    # Runs with a trip: 0 / 6 / 9 / 1 / 1 / 1 / 0 on seeds 2014 / 1 / 7 / 31 / 42 / 123 / 9001.
+    # Runs with a trip: 1 / 4 / 3 / 1 / 2 / 1 / 1 on seeds 2014 / 1 / 7 / 31 / 42 / 123 / 9001.
     tripped = {o.spec.fault_type for o in outcomes if o.api_health["breaker_trips"]}
     assert tripped <= {"ELB_UNAVAILABLE"}, f"breaker tripped on a healthy plane: {tripped}"

@@ -82,9 +82,11 @@ def campaign_replayed():
 def test_every_report_replays_from_its_recorded_observations(campaign_replayed):
     outcomes, replayed = campaign_replayed
     assert len(outcomes) == 160 and not any(o.failed for o in outcomes)
-    # Every report the campaign kept, plus those of the attempts it retried
-    # with an earlier injection.
-    assert len(replayed) >= sum(len(o.reports) for o in outcomes) > 900
-    assert sum(len(expected[1]) for _run, expected, _replayed in replayed) > 8000
+    # Each spec runs once, as built: every report replayed is one the
+    # campaign kept.
+    specs = Campaign(CampaignConfig(runs_per_fault=20, large_cluster_runs=4, seed=2014)).build_specs()
+    assert [o.spec for o in outcomes] == specs
+    assert len(replayed) == sum(len(o.reports) for o in outcomes) > 900
+    assert sum(len(expected[1]) for _run, expected, _replayed in replayed) > 7500
     mismatched = [run for run, expected, again in replayed if expected != again]
     assert mismatched == []

@@ -27,7 +27,7 @@ STUB_EVALUATION = textwrap.dedent('''
 
     @dataclasses.dataclass
     class Outcome:
-        run_id: str
+        spec: dict
         api_health: dict
         trace: list
 
@@ -72,7 +72,7 @@ def calls(path: pathlib.Path) -> list[dict]:
 def outcome(run_id: str, shared: int | None = 3, ms: tuple = (1, 2)) -> dict:
     health = {"calls": 5} if shared is None else {"calls": 5, "cloud.snapshot.shared": shared}
     return {
-        "run_id": run_id,
+        "spec": {"run_id": run_id},
         "api_health": health,
         "trace": [{"name": f"span-{i}", "ms": value} for i, value in enumerate(ms)],
     }
@@ -94,7 +94,7 @@ def test_identical_checkouts_differ_nowhere(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "0 path(s) differ" in out and table(out) == {}
     for name in outcome_diff.CAMPAIGNS:
-        assert f"seed 31 {name}: 2 | 2 runs" in out
+        assert f"seed 31 {name}: 2 | 2 runs, 0 differ:\n" in out
 
 
 def test_each_checkout_runs_every_campaign_in_its_own_interpreter(tmp_path, capsys):
@@ -132,8 +132,24 @@ def test_one_campaign_differing_is_enough(tmp_path, capsys):
     change = checkout(tmp_path / "b", {"default": RUNS, traced: [RUNS[0]]})
     assert outcome_diff.main([str(parent), str(change)]) == 1
     out = capsys.readouterr().out
-    assert "seed 2014 traced: 2 | 1 runs" in out
+    assert "seed 2014 traced: 2 | 1 runs, 0 differ:\n" in out
     assert table(out) == {"(run count)": 1}
+
+
+def test_each_campaign_names_the_runs_that_differ(tmp_path, capsys):
+    traced = json.dumps({"trace": True}, sort_keys=True)
+    runs = [outcome("r1"), outcome("r2"), outcome("r3")]
+    moved = [outcome("r1", shared=4), outcome("r2"), outcome("r3", ms=(1, 5))]
+    parent = checkout(tmp_path / "a", {"default": runs})
+    change = checkout(tmp_path / "b", {"default": runs, traced: moved})
+    assert outcome_diff.main([str(parent), str(change)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("seed ")] == [
+        "seed 2014 paper: 3 | 3 runs, 0 differ:",
+        "seed 2014 traced: 3 | 3 runs, 2 differ: r1 r3",
+        "seed 2014 severe+recover: 3 | 3 runs, 0 differ:",
+        "seed 2014 traced severe+recover: 3 | 3 runs, 0 differ:",
+    ]
 
 
 def test_a_crashed_campaign_stops_the_tool(tmp_path):

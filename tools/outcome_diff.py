@@ -14,9 +14,15 @@ whose value differs is printed once, with list indices collapsed to
 
      480  api_health/cloud.snapshot.shared
 
-A path present on one side only counts as differing.  ``bench_pairs.py``
-can only say "digests differ"; this says where, so a change that declares
-a digest move can show that nothing else moved.
+A path present on one side only counts as differing.  Each campaign's
+line also names the runs (``spec.run_id``, paired in spec order) whose
+outcomes differ::
+
+    seed 2014 paper: 160 | 160 runs, 2 differ: ami_changed-10 sg_wrong-01
+
+``bench_pairs.py`` can only say "digests differ"; this says where and in
+which runs, so a change that declares a digest move can show, run by run,
+that nothing else moved.
 
 Exits 0 only when no path differs.
 """
@@ -107,11 +113,20 @@ def main(argv: list[str] | None = None) -> int:
                 run_campaign(checkout, args.seed, flags, pathlib.Path(scratch) / f"{side}.jsonl")
                 for side, checkout in zip(("parent", "change"), checkouts)
             )
-            print(f"seed {args.seed} {name}: {len(parent)} | {len(change)} runs", flush=True)
             if len(parent) != len(change):
                 counts["(run count)"] += 1
+            moved = []
             for ours, theirs in zip(parent, change):
-                counts.update(differing(json.loads(ours), json.loads(theirs)))
+                ours = json.loads(ours)
+                paths = differing(ours, json.loads(theirs))
+                if paths:
+                    moved.append(ours["spec"]["run_id"])
+                    counts.update(paths)
+            print(
+                f"seed {args.seed} {name}: {len(parent)} | {len(change)} runs,"
+                f" {len(moved)} differ:{''.join(f' {run_id}' for run_id in moved)}",
+                flush=True,
+            )
     for path, count in sorted(counts.items()):
         print(f"{count:6d}  {path}")
     print(f"{len(counts)} path(s) differ")
