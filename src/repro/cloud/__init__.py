@@ -42,7 +42,7 @@ from repro.cloud.errors import (
     Throttling,
 )
 from repro.cloud.faults import FaultInjector
-from repro.cloud.freeze import FrozenList, FrozenMutationError, FrozenView, thaw
+from repro.cloud.freeze import FrozenList, FrozenMutationError, FrozenView
 from repro.cloud.limits import AccountLimits
 from repro.cloud.monitor import CloudMonitor
 from repro.cloud.resources import (
@@ -83,7 +83,6 @@ __all__ = [
     "FrozenList",
     "FrozenMutationError",
     "FrozenView",
-    "thaw",
     "Instance",
     "InstanceState",
     "KeyPair",

@@ -84,8 +84,7 @@ class CloudAPI:
     def _read(self, kind: str, identifier: str, consistent: bool) -> dict:
         """Describe one resource, honouring eventual consistency.
 
-        Returns the shared frozen view — read-only; callers needing a
-        mutable dict use ``view.thaw()``.
+        Returns the shared frozen view — read-only.
         """
         if consistent:
             view = self.view.read_consistent(kind, identifier)
@@ -110,13 +109,6 @@ class CloudAPI:
             "DescribeImages",
             {"ImageId": image_id},
             lambda: self._read("ami", image_id, consistent),
-        )
-
-    def deregister_image(self, image_id: str) -> None:
-        self._call(
-            "DeregisterImage",
-            {"ImageId": image_id},
-            lambda: self.state.delete("ami", image_id, self.engine.now),
         )
 
     # -- EC2: security groups / key pairs -----------------------------------
@@ -259,13 +251,6 @@ class CloudAPI:
             "UpdateLaunchConfiguration", {"LaunchConfigurationName": name, **changes}, body
         )
 
-    def delete_launch_configuration(self, name: str) -> None:
-        def body() -> None:
-            self.state.get("launch_configuration", name)
-            self.state.delete("launch_configuration", name, self.engine.now)
-
-        self._call("DeleteLaunchConfiguration", {"LaunchConfigurationName": name}, body)
-
     # -- AutoScaling: groups ---------------------------------------------------
 
     def create_auto_scaling_group(
@@ -324,26 +309,6 @@ class CloudAPI:
     def set_desired_capacity(self, name: str, desired_capacity: int) -> dict:
         return self.update_auto_scaling_group(name, desired_capacity=desired_capacity)
 
-    def suspend_processes(self, name: str, processes: list[str]) -> None:
-        def body() -> None:
-            asg = self.state.get("auto_scaling_group", name)
-            suspended = asg.suspended_processes.union(processes)
-            self.state.write(
-                "auto_scaling_group", name, self.engine.now, suspended_processes=suspended
-            )
-
-        self._call("SuspendProcesses", {"AutoScalingGroupName": name, "Processes": processes}, body)
-
-    def resume_processes(self, name: str, processes: list[str]) -> None:
-        def body() -> None:
-            asg = self.state.get("auto_scaling_group", name)
-            suspended = asg.suspended_processes.difference(processes)
-            self.state.write(
-                "auto_scaling_group", name, self.engine.now, suspended_processes=suspended
-            )
-
-        self._call("ResumeProcesses", {"AutoScalingGroupName": name, "Processes": processes}, body)
-
     def terminate_instance_in_auto_scaling_group(
         self, instance_id: str, decrement_desired_capacity: bool = False
     ) -> dict:
@@ -383,33 +348,6 @@ class CloudAPI:
             "DescribeLoadBalancers",
             {"LoadBalancerName": name},
             lambda: self._read("load_balancer", name, consistent),
-        )
-
-    def delete_load_balancer(self, name: str) -> None:
-        def body() -> None:
-            self.state.get("load_balancer", name)
-            self.state.delete("load_balancer", name, self.engine.now)
-
-        self._call("DeleteLoadBalancer", {"LoadBalancerName": name}, body)
-
-    def register_instances_with_load_balancer(self, name: str, instance_ids: list[str]) -> dict:
-        def body() -> dict:
-            elb = self.state.get("load_balancer", name)
-            if not elb.available:
-                raise ServiceUnavailable(f"load balancer {name!r} is unavailable")
-            registered = elb.registered_instances
-            for iid in instance_ids:
-                self.state.get("instance", iid)
-                if iid not in registered:
-                    registered += (iid,)
-            return self.state.write(
-                "load_balancer", name, self.engine.now, registered_instances=registered
-            )
-
-        return self._call(
-            "RegisterInstancesWithLoadBalancer",
-            {"LoadBalancerName": name, "Instances": list(instance_ids)},
-            body,
         )
 
     def deregister_instances_from_load_balancer(self, name: str, instance_ids: list[str]) -> dict:

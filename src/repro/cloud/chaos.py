@@ -62,11 +62,7 @@ def service_of(method: str) -> str:
     """Map an API method name to its owning service family."""
     if "load_balancer" in method or method in ELB_METHODS_PREFIXES:
         return "elb"
-    if (
-        "scaling" in method
-        or "launch_configuration" in method
-        or method in ("suspend_processes", "resume_processes", "set_desired_capacity")
-    ):
+    if "scaling" in method or "launch_configuration" in method or method == "set_desired_capacity":
         return "autoscaling"
     return "ec2"
 

@@ -62,7 +62,7 @@ RECONCILE_INTERVAL = 5.0
 class AsgController:
     """Background reconciliation process for every ASG in the region."""
 
-    #: ASG scaling process names (matching AWS) that can be suspended.
+    #: ASG scaling activity names (matching AWS).
     LAUNCH = "Launch"
     TERMINATE = "Terminate"
 
@@ -139,10 +139,10 @@ class AsgController:
         if active != asg.instance_ids:
             self.state.write("auto_scaling_group", asg_name, self.engine.now, instance_ids=active)
         gap = asg.desired_capacity - len(active)
-        if gap > 0 and self.LAUNCH not in asg.suspended_processes:
+        if gap > 0:
             for _ in range(gap):
                 self._try_launch(asg_name)
-        elif gap < 0 and self.TERMINATE not in asg.suspended_processes:
+        elif gap < 0:
             # Scale in: terminate the oldest instances first (AWS default-ish).
             by_age = sorted(active, key=lambda iid: instances[iid].launch_time)
             for iid in by_age[: abs(gap)]:

@@ -19,26 +19,23 @@ once per write:
 - :class:`FrozenList` — the matching read-only ``list`` subclass, used
   for nested sequences (``SecurityGroups``, ``Instances``, ...).  Unlike
   a tuple it still compares equal to plain lists, so no caller notices.
-- :func:`thaw` — the explicit escape hatch: a deep, mutable copy for the
-  rare caller that genuinely needs to edit a view.
 
 The contract: anything handed out as a snapshot/stale read is frozen and
-shared by reference; mutation attempts fail loudly instead of silently
-corrupting history; callers that need a scratch dict call ``thaw()``.
+shared by reference, and mutation attempts fail loudly instead of
+silently corrupting history.  Nothing in the product edits a view; a
+reader that wants an edited copy builds a new dict from it.
 """
 
 from __future__ import annotations
 
-import typing as _t
-
-__all__ = ["FrozenList", "FrozenMutationError", "FrozenView", "thaw"]
+__all__ = ["FrozenList", "FrozenMutationError", "FrozenView"]
 
 
 class FrozenMutationError(TypeError):
     """Raised on any attempt to mutate a frozen view.
 
     A ``TypeError`` subclass so generic "is this mutable?" probes keep
-    working, with a message that points at :func:`thaw`.
+    working.
     """
 
 
@@ -46,7 +43,7 @@ def _blocked(name: str):
     def method(self, *args, **kwargs):
         raise FrozenMutationError(
             f"{type(self).__name__} is an immutable snapshot view; "
-            f"{name}() would corrupt shared history — call thaw() for a mutable copy"
+            f"{name}() would corrupt shared history — build a new dict or list from it"
         )
 
     method.__name__ = name
@@ -70,10 +67,6 @@ class FrozenView(dict):
     popitem = _blocked("popitem")
     setdefault = _blocked("setdefault")
     update = _blocked("update")
-
-    def thaw(self) -> dict:
-        """A deep, mutable copy — the explicit opt-out from sharing."""
-        return thaw(self)
 
     def __reduce__(self):
         # Default dict-subclass pickling replays items through the
@@ -104,24 +97,9 @@ class FrozenList(list):
     # list.pop mutates; block it (dict.pop blocked above for symmetry).
     pop = _blocked("pop")
 
-    def thaw(self) -> list:
-        return thaw(self)
-
     def __reduce__(self):
         return (type(self), (list(self),))
 
     def __repr__(self) -> str:
         return f"FrozenList({list.__repr__(self)})"
 
-
-def thaw(value: _t.Any) -> _t.Any:
-    """Deep, mutable copy of a (possibly frozen) structure.
-
-    Frozen views become plain dicts, frozen lists plain lists,
-    recursively.  Safe on plain structures too.
-    """
-    if isinstance(value, dict):
-        return {key: thaw(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [thaw(item) for item in value]
-    return value

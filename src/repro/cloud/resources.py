@@ -6,7 +6,7 @@ ELB registration and instance counts, so those are first-class; everything
 else AWS carries is irrelevant to the reproduction and omitted.
 
 Each resource object is one immutable *version*: a frozen, slotted
-dataclass whose sequences are tuples and whose set is a frozenset.
+dataclass whose sequences are tuples.
 Assigning a field raises; :meth:`~repro.cloud.state.CloudState.write`
 builds the next version and records it, so the region's write history
 is complete by construction.  ``describe()`` builds the version's frozen
@@ -177,8 +177,6 @@ class AutoScalingGroup:
     desired_capacity: int
     instance_ids: tuple[str, ...] = ()
     load_balancer_names: tuple[str, ...] = ()
-    #: Suspended scaling processes (Asgard suspends some during upgrades).
-    suspended_processes: frozenset[str] = frozenset()
 
     def describe(self) -> FrozenView:
         return FrozenView({
@@ -189,7 +187,6 @@ class AutoScalingGroup:
             "DesiredCapacity": self.desired_capacity,
             "Instances": FrozenList([FrozenView({"InstanceId": i}) for i in self.instance_ids]),
             "LoadBalancerNames": FrozenList(self.load_balancer_names),
-            "SuspendedProcesses": FrozenList(sorted(self.suspended_processes)),
         })
 
 

@@ -13,8 +13,7 @@ that forced the paper to build a "consistent AWS API layer" with retries
 
 History entries are :class:`~repro.cloud.freeze.FrozenView` objects,
 appended and handed out *by reference*: ``view_at`` returns the frozen
-view directly — a stale read costs one bisect and zero copying — and
-callers that need a scratch dict use :func:`~repro.cloud.freeze.thaw`.
+view directly — a stale read costs one bisect and zero copying.
 A region-wide write log (consumed by the Edda-style monitor) makes
 per-tick snapshot work proportional to writes instead of region size.
 """
@@ -25,7 +24,7 @@ import itertools
 from bisect import bisect_right
 
 from repro.cloud.errors import MalformedRequest, ResourceNotFound
-from repro.cloud.freeze import FrozenView, thaw
+from repro.cloud.freeze import FrozenView
 from repro.cloud.limits import AccountLimits, RateLimiter
 from repro.cloud.resources import (
     ACTIVE_STATES,
@@ -148,7 +147,7 @@ class CloudState:
         """Change a resource: the one way any field of one changes.
 
         Builds the next version from the current one plus ``changes`` (a
-        list is stored as a tuple, a set as a frozenset), makes it the
+        list is stored as a tuple), makes it the
         registry's and appends its describe to the history in the same
         instant; returns that view.  A missing resource or an unknown
         field raises before anything changes.
@@ -164,8 +163,6 @@ class CloudState:
                 raise MalformedRequest(f"unknown {label} field {name!r}")
             if isinstance(value, list):
                 value = tuple(value)
-            elif isinstance(value, set):
-                value = frozenset(value)
             _set(version, name, value)
         self._registries[kind][identifier] = version
         return self._append_history(kind, identifier, now, version.describe())
@@ -203,7 +200,7 @@ class CloudState:
         A resource never written before ``as_of`` is absent; a tombstone
         makes it absent again.  This is the primitive the consistency
         layer builds stale reads on.  Returns the frozen history view
-        itself — zero copying; mutate through ``thaw()`` only.
+        itself — zero copying; it cannot be mutated.
         """
         entry = self._history.get((kind, identifier))
         if entry is None:
@@ -257,4 +254,4 @@ class CloudState:
         return f"CloudState({self.region}: {counts})"
 
 
-__all__ = ["KINDS", "CloudState", "FrozenView", "thaw"]
+__all__ = ["KINDS", "CloudState", "FrozenView"]

@@ -1,12 +1,13 @@
-"""Log ingestion: raw text files → LogRecords.
+"""Log ingestion: raw log lines → LogRecords.
 
 The paper's pipeline starts from real log files on the operation node.
-This module closes that loop for recorded logs:
+This module reads such recorded lines (the ledger's ``ingest_replay``
+corpus is one):
 
 - :func:`parse_line` understands the log4j-style prefix Asgard writes
   (``[2013-11-19 11:48:01,100] message``), falling back to an un-stamped
   body;
-- :func:`read_log` turns a text file (or iterable of lines) into
+- :func:`read_log` turns an iterable of lines (an open file is one) into
   :class:`~repro.logsys.record.LogRecord` objects with times relative to
   the first stamped line, ready to be emitted into a
   :class:`~repro.logsys.record.LogStream` one at a time.
@@ -46,11 +47,9 @@ def parse_line(line: str) -> tuple[_dt.datetime | None, str]:
     return stamp, match["body"]
 
 
-def read_log(
-    lines: _t.Iterable[str],
-    source: str = "recorded.log",
-) -> list[LogRecord]:
-    """Parse raw lines into records with relative virtual times.
+def read_log(lines: _t.Iterable[str]) -> list[LogRecord]:
+    """Parse raw lines into records with relative virtual times, each
+    from the source ``recorded.log``.
 
     Times are seconds since the first stamped line; unstamped lines
     inherit the previous line's time (log4j continuation behaviour).
@@ -70,7 +69,7 @@ def read_log(
         records.append(
             LogRecord(
                 time=current,
-                source=source,
+                source="recorded.log",
                 message=body,
                 type="operation",
                 timestamp=stamp.strftime("%Y-%m-%d %H:%M:%S,") + f"{stamp.microsecond // 1000:03d}"
@@ -80,20 +79,3 @@ def read_log(
         )
     return records
 
-
-def read_log_file(path) -> list[LogRecord]:
-    """Parse a log file from disk."""
-    with open(path) as handle:
-        return read_log(handle, source=str(path))
-
-
-def write_log_file(records: _t.Iterable[LogRecord], path) -> int:
-    """Persist records as raw stamped lines (the inverse of read_log)."""
-    count = 0
-    with open(path, "w") as handle:
-        for record in records:
-            stamp = record.timestamp or ""
-            prefix = f"[{stamp}] " if stamp else ""
-            handle.write(f"{prefix}{record.message}\n")
-            count += 1
-    return count

@@ -216,9 +216,6 @@ class PatternLibrary:
                 seen.append(pattern.activity)
         return seen
 
-    def __len__(self) -> int:
-        return len(self.patterns)
-
 
 def classify_record(library: PatternLibrary, record) -> Classification:
     """Classify-once: classify ``record`` or reuse its attached memo.

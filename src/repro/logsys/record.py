@@ -39,7 +39,7 @@ class LogRecord:
     #: :func:`repro.logsys.patterns.classify_record`).  ``classified_by``
     #: records which library produced it so a *different* library never
     #: wrongly reuses it.  Both are bookkeeping, not payload: excluded
-    #: from equality and from the Logstash rendering.
+    #: from equality and from pickling.
     classification: _t.Any = dataclasses.field(repr=False, compare=False)
     classified_by: _t.Any = dataclasses.field(repr=False, compare=False)
     #: Prefix index built in ``_index_tags`` — declared as a field so
@@ -102,16 +102,9 @@ class LogRecord:
         """Value of the first ``prefix:value`` tag, if any.
 
         Process context is encoded Logstash-style as prefixed tags, e.g.
-        ``step:update_launch_configuration`` or ``conformance:fit``.
+        ``step:update_launch_configuration`` or ``conformance:fit``.  A
+        prefix holds no ``:``; the value may.
         """
-        if ":" in prefix:
-            # Compound prefixes split differently from the index keys;
-            # fall back to the (rare) linear scan.
-            needle = prefix + ":"
-            for tag in self.tags:
-                if tag.startswith(needle):
-                    return tag[len(needle):]
-            return None
         return self._tag_index.get(prefix)
 
     def __getstate__(self) -> dict:
@@ -141,17 +134,6 @@ class LogRecord:
         self.classification = None
         self.classified_by = None
         self._index_tags()
-
-    def to_logstash(self) -> dict:
-        """Render in the @-prefixed Logstash JSON shape from §IV."""
-        return {
-            "@source": self.source,
-            "@tags": list(self.tags),
-            "@fields": dict(self.fields),
-            "@timestamp": self.timestamp,
-            "@message": self.message,
-            "@type": self.type,
-        }
 
     def __str__(self) -> str:
         tags = ",".join(self.tags)
@@ -191,12 +173,6 @@ class LogStream:
     def emit_line(self, clock, message: str, source: str | None = None) -> LogRecord:
         """Convenience: build a record at the virtual clock's time."""
         return self.emit(LogRecord(time=clock.now(), source=source or self.name, message=message))
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
 
 
 def _without(subscribers: tuple, callback) -> tuple:

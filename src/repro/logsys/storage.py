@@ -36,6 +36,3 @@ class CentralLogStorage:
         """All records of one process instance — the event trace that
         process mining and conformance work from."""
         return self.query(tag=f"trace:{trace_id}")
-
-    def __len__(self) -> int:
-        return len(self.records)

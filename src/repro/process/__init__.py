@@ -4,7 +4,7 @@ POD-Diagnosis models a sporadic operation as an explicit process (Fig. 2:
 the rolling upgrade).  This package provides:
 
 - :mod:`repro.process.model` — a BPMN-flavoured process model (activities,
-  XOR/AND gateways, loops) compiled to a Petri net for token replay;
+  XOR gateways, loops) compiled to a Petri net for token replay;
 - :mod:`repro.process.compiled` — the token-replay engine: one flat
   transition table per model, one in-place marking per trace;
 - :mod:`repro.process.conformance` — the conformance-checking service that

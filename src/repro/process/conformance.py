@@ -81,16 +81,6 @@ class ConformanceResult:
     def is_error(self) -> bool:
         return self.status in (UNFIT, UNKNOWN, ERROR)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ConformanceResult):
-            return NotImplemented
-        return (
-            self.status == other.status
-            and self.activity == other.activity
-            and self.trace_id == other.trace_id
-            and self.context == other.context
-        )
-
     def __repr__(self) -> str:
         return (
             f"ConformanceResult(status={self.status!r}, activity={self.activity!r},"

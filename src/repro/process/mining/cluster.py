@@ -53,9 +53,6 @@ class LogCluster:
     def add(self, line: str) -> None:
         self.lines.append(line)
 
-    def __len__(self) -> int:
-        return len(self.lines)
-
 
 #: Masked similarity at which a line joins a cluster, tuned so Asgard-style
 #: messages with embedded ids cluster by template without merging

@@ -3,14 +3,13 @@
 The paper adapts the token-replay technique "from Petri Nets to the
 semantics of BPMN".  We go the other way: the analyst (or the miner)
 builds a BPMN-flavoured :class:`ProcessModel` — activities connected by
-sequence flows, with XOR semantics at splits/joins by default and
-explicitly declared AND (parallel) splits — and we compile it to a
-:class:`PetriNet` on which standard token replay runs.
+sequence flows, with XOR semantics at every split and join — and we
+compile it to a :class:`PetriNet` on which standard token replay runs.
 
-For XOR-only models (like Fig. 2's rolling upgrade: a sequence with one
-loop) the compilation is the classic state-machine mapping: one place per
-*merged* flow region; an edge ``A → B`` makes A's output place the same
-as B's input place, and sharing places encodes XOR splits/joins.
+The compilation is the classic state-machine mapping (Fig. 2's rolling
+upgrade is a sequence with one loop): one place per *merged* flow region;
+an edge ``A → B`` makes A's output place the same as B's input place, and
+sharing places encodes XOR splits/joins.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ class Activity:
 
 
 class ProcessModel:
-    """Directed graph of activities with gateway semantics."""
+    """Directed graph of activities with XOR gateway semantics."""
 
     def __init__(self, model_id: str) -> None:
         self.model_id = model_id
@@ -38,10 +37,6 @@ class ProcessModel:
         self.edges: list[tuple[str, str]] = []
         self.start_activities: set[str] = set()
         self.end_activities: set[str] = set()
-        #: Activities whose outgoing edges are AND-splits (tokens on all).
-        self.parallel_splits: set[str] = set()
-        #: Activities whose incoming edges are AND-joins (token from all).
-        self.parallel_joins: set[str] = set()
         self._net: PetriNet | None = None
 
     # -- construction --------------------------------------------------------
@@ -72,16 +67,6 @@ class ProcessModel:
     def mark_end(self, name: str) -> None:
         self.add_activity(name)
         self.end_activities.add(name)
-        self._net = None
-
-    def mark_parallel_split(self, name: str) -> None:
-        self.add_activity(name)
-        self.parallel_splits.add(name)
-        self._net = None
-
-    def mark_parallel_join(self, name: str) -> None:
-        self.add_activity(name)
-        self.parallel_joins.add(name)
         self._net = None
 
     # -- queries ---------------------------------------------------------------
@@ -216,8 +201,7 @@ def _compile(model: ProcessModel) -> PetriNet:
     XOR semantics: each activity has one input region and one output
     region; an edge unifies the source's output region with the target's
     input region (union-find), so shared regions realise XOR splits and
-    joins.  Activities marked as parallel splits/joins instead keep one
-    distinct place per edge, realising AND semantics.
+    joins.
     """
     problems = model.validate()
     if problems:
@@ -234,20 +218,9 @@ def _compile(model: ProcessModel) -> PetriNet:
     def union(a: str, b: str) -> None:
         parent[find(a)] = find(b)
 
-    # Region keys: ("out", activity) and ("in", activity); edges merge them
-    # unless an AND gateway keeps per-edge places.
-    def out_key(name: str, target: str) -> str:
-        if name in model.parallel_splits:
-            return f"out:{name}->{target}"
-        return f"out:{name}"
-
-    def in_key(name: str, source: str) -> str:
-        if name in model.parallel_joins:
-            return f"in:{source}->{name}"
-        return f"in:{name}"
-
+    # Region keys: "out:activity" and "in:activity"; edges merge them.
     for source, target in model.edges:
-        union(out_key(source, target), in_key(target, source))
+        union(f"out:{source}", f"in:{target}")
 
     # Collect distinct regions per activity side.
     region_ids: dict[str, int] = {}
@@ -268,10 +241,10 @@ def _compile(model: ProcessModel) -> PetriNet:
     for name in model.activities:
         inputs: set[int] = set()
         outputs: set[int] = set()
-        for pred in model.predecessors(name):
-            inputs.add(region(in_key(name, pred)))
-        for succ in model.successors(name):
-            outputs.add(region(out_key(name, succ)))
+        if model.predecessors(name):
+            inputs.add(region(f"in:{name}"))
+        if model.successors(name):
+            outputs.add(region(f"out:{name}"))
         if name in model.start_activities:
             inputs.add(source_place)
         if name in model.end_activities:

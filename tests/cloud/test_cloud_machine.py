@@ -20,7 +20,6 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 from repro.cloud.chaos import CHAOS_LEVELS, ChaosController
 from repro.cloud.controller import ELB_REGISTER_DELAY
 from repro.cloud.errors import CloudError
-from repro.cloud.freeze import thaw
 from repro.cloud.limits import AccountLimits
 from repro.cloud.provider import SimulatedCloud
 from repro.cloud.resources import InstanceState
@@ -32,18 +31,16 @@ ELBS = ("elb-a", "elb-b")
 TERMINATED = InstanceState.TERMINATED
 #: An instance's state only ever moves forward along this list.
 LIFECYCLE = list(InstanceState)
-#: (method, *args) on the script's API: a create and a delete per resource.
+#: (method, *args) on the script's API: a create per resource, and the
+#: deletes recovery's compensation calls.
 RESOURCE_CALLS = (
     ("register_image", "app", "v1", "ami-1"),
-    ("deregister_image", "ami-1"),
     ("create_key_pair", "key"),
     ("delete_key_pair", "key"),
     ("create_security_group", "sg"),
     ("delete_security_group", "sg"),
     ("create_launch_configuration", "lc", "ami-1", "m1.small", "key", ["sg"]),
-    ("delete_launch_configuration", "lc"),
     *(("create_load_balancer", elb) for elb in ELBS),
-    *(("delete_load_balancer", elb) for elb in ELBS),
 )
 #: (method, *args) on the fault injector: the paper's eight fault types.
 INJECTIONS = (
@@ -83,7 +80,7 @@ class CloudMachine(RuleBasedStateMachine):
         self.captured = {}  # (kind, id) -> [(time, deep copy of the version or None)]
         self.unchecked = {}  # (kind, id) -> its first capture not yet checked
         self.uncrawled = set()  # (kind, id) written since the monitor's last crawl
-        self.handed_out = []  # (view, thawed copy when handed out)
+        self.handed_out = []  # (view, deep copy when handed out)
         self.touched = set()  # instance ids a direct-write rule touched
         self.violations = []
         self.dirty = True  # edited since the last reconcile pass
@@ -165,7 +162,7 @@ class CloudMachine(RuleBasedStateMachine):
         }
         for asg in state.auto_scaling_groups.values():
             short = len(asg.instance_ids) < asg.desired_capacity
-            if short and "Launch" not in asg.suspended_processes and asg.name not in tried:
+            if short and asg.name not in tried:
                 self.violations.append(f"{asg.name} below desired capacity at {now}, silently")
         for activity in activities:
             if activity.status == "InProgress":
@@ -219,11 +216,6 @@ class CloudMachine(RuleBasedStateMachine):
     def scale(self, which, capacity):
         self._edit(lambda: self.api.set_desired_capacity(self._asg(which), capacity))
 
-    @rule(which=GROUP, process=st.sampled_from(["Launch", "Terminate"]), on=st.booleans())
-    def suspend(self, which, process, on):
-        method = self.api.suspend_processes if on else self.api.resume_processes
-        self._edit(lambda: method(self._asg(which), [process]))
-
     @rule()
     def pressure(self):
         """A second team's group that wants the whole account limit."""
@@ -233,13 +225,6 @@ class CloudMachine(RuleBasedStateMachine):
     def create_or_delete(self, call):
         method, *args = call
         self._edit(lambda: getattr(self.api, method)(*args))
-
-    @rule(elb=st.sampled_from(ELBS), index=MEMBER)
-    def register(self, elb, index):
-        live = sorted(i for i, x in self.state.instances.items() if x.state is not TERMINATED)
-        if live:
-            iid = live[index % len(live)]
-            self._edit(lambda: self.api.register_instances_with_load_balancer(elb, [iid]))
 
     @rule(which=GROUP, index=MEMBER, how=st.sampled_from(["instance", "group", "group-decrement"]))
     def terminate(self, which, index, how):
@@ -323,8 +308,8 @@ class CloudMachine(RuleBasedStateMachine):
         what a linear scan over the captured copies answers; a view once
         handed out never changes; an untouched instance's state only moves
         forward; an unavailable ELB registers nothing."""
-        for view, thawed in self.handed_out:
-            assert view == thawed
+        for view, copied in self.handed_out:
+            assert view == copied
         now = self.engine.now
         for (kind, identifier), first in self.unchecked.items():
             entries = self.captured[(kind, identifier)]
@@ -339,7 +324,7 @@ class CloudMachine(RuleBasedStateMachine):
             for at in {now, *new_times, *(at - 0.25 for at in new_times)}:
                 view = self.state.view_at(kind, identifier, at)
                 assert view == scan(entries, at), (kind, identifier, at)
-                self.handed_out.append((view, thaw(view)))
+                self.handed_out.append((view, copy.deepcopy(view)))
             if kind == "instance" and identifier not in self.touched:
                 ranks = [LIFECYCLE.index(v.state) for _, v in entries if v is not None]
                 assert ranks == sorted(ranks), (identifier, ranks)

@@ -164,13 +164,6 @@ class TestLaunchFailures:
         failed = [a for a in asg_activities(cloud) if a.status == "Failed"]
         assert failed and "load balancer" in failed[0].description
 
-    def test_suspended_launch_process_stops_launches(self, cloud):
-        api, _ = provision(cloud, desired=2)
-        api.suspend_processes("asg-x", ["Launch"])
-        cloud.start()
-        cloud.engine.run(until=300)
-        assert cloud.state.running_instances("asg-x") == []
-
     def test_retries_once_resource_restored(self, cloud):
         provision(cloud, desired=1)
         record = cloud.injector.make_elb_unavailable("elb-x")

@@ -110,7 +110,7 @@ class TestTerminationPaths:
         cloud.monitor.stop()
         cloud.engine.run(until=cloud.engine.now + 60.0)
         victim = cloud.state.auto_scaling_groups["asg-dsn"].instance_ids[0]
-        cloud.api("setup").register_instances_with_load_balancer("elb-extra", [victim])
+        cloud.state.write("load_balancer", "elb-extra", cloud.engine.now, registered_instances=(victim,))
         return victim, cloud.state.write_seq()
 
     @staticmethod
@@ -145,9 +145,11 @@ class TestTerminationPaths:
     def test_controller_initiated(self, provisioned_cloud):
         cloud = provisioned_cloud
         victim, _ = self._setup(cloud)
-        # No replacement launch: the log below is the termination alone.
-        cloud.api("setup").suspend_processes("asg-dsn", ["Launch"])
         began = cloud.engine.now
+        # One member fewer wanted: the pass replaces nothing, so the log
+        # below is the termination alone.
+        wanted = cloud.state.auto_scaling_groups["asg-dsn"].desired_capacity - 1
+        cloud.state.write("auto_scaling_group", "asg-dsn", began, desired_capacity=wanted)
         cloud.state.write("instance", victim, began, healthy=False)
         mark = cloud.state.write_seq()
         cloud.controller.reconcile()

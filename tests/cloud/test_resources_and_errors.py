@@ -61,12 +61,10 @@ class TestDescribeShapes:
         assert doc["State"] == "active"
 
     def test_asg(self):
-        asg = AutoScalingGroup(
-            "asg", "lc", 1, 8, 4, instance_ids=("i-1",), suspended_processes=frozenset({"Launch"})
-        )
+        asg = AutoScalingGroup("asg", "lc", 1, 8, 4, instance_ids=("i-1",))
         doc = asg.describe()
         assert doc["DesiredCapacity"] == 4
-        assert doc["SuspendedProcesses"] == ["Launch"]
+        assert doc["Instances"] == [{"InstanceId": "i-1"}]
 
     def test_describe_lists_are_copies(self):
         """A describe is frozen, so no reader can edit it or the version."""

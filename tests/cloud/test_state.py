@@ -120,13 +120,6 @@ class TestHistory:
             view["Version"] = "tampered"
         assert state.view_at("ami", "ami-1", as_of=2.0)["Version"] == "v1"
 
-    def test_thaw_gives_detached_mutable_copy(self):
-        state = CloudState()
-        state.put("ami", "ami-1", make_image(), now=1.0)
-        scratch = state.view_at("ami", "ami-1", as_of=2.0).thaw()
-        scratch["Version"] = "tampered"
-        assert state.view_at("ami", "ami-1", as_of=2.0)["Version"] == "v1"
-
     def test_views_shared_by_reference_across_reads(self):
         state = CloudState()
         state.put("ami", "ami-1", make_image(), now=1.0)
@@ -185,17 +178,14 @@ class TestOneWritePath:
         assert view == written.describe() == version.describe()
         assert [at for at, _ in state.history(kind, "r")] == [0.0, 2.0]
 
-    def test_write_stores_lists_and_sets_immutably(self):
+    def test_write_stores_lists_as_tuples(self):
         state = CloudState()
         state.put("auto_scaling_group", "asg", AutoScalingGroup("asg", "lc", 0, 4, 1), now=0.0)
-        state.write(
-            "auto_scaling_group", "asg", 1.0,
-            instance_ids=["i-1", "i-2"], suspended_processes={"Launch"},
-        )
+        state.write("auto_scaling_group", "asg", 1.0, instance_ids=["i-1", "i-2"])
         written = state.get("auto_scaling_group", "asg")
         assert written.instance_ids == ("i-1", "i-2")
-        assert written.suspended_processes == frozenset({"Launch"})
-        assert state.latest_view("auto_scaling_group", "asg")["SuspendedProcesses"] == ["Launch"]
+        view = state.latest_view("auto_scaling_group", "asg")
+        assert view["Instances"] == [{"InstanceId": "i-1"}, {"InstanceId": "i-2"}]
 
     def test_write_to_a_missing_resource_raises(self):
         with pytest.raises(ResourceNotFound):

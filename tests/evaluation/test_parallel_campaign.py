@@ -152,10 +152,9 @@ class TestTracedDeterminism:
             assert outcome.trace, "traced run exported no spans"
             counters = outcome.metrics["counters"]
             assert counters, "traced run has no counters"
-            # Ingest and the diagnosis memo cache are both visible in
-            # every traced run (cache hits may legitimately be 0).
+            # Ingest and diagnosis are both visible in every traced run.
             assert counters["pipeline.records_ingested"] > 0
-            assert "diagnosis.cache.misses" in counters
+            assert counters["diagnosis.requests"] > 0
 
     @pytest.mark.slow
     def test_traced_full_fault_mix_identical(self, pool_spy):

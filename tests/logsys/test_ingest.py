@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.logsys.ingest import parse_line, read_log, read_log_file, write_log_file
+from repro.logsys.ingest import parse_line, read_log
 from repro.logsys.record import LogStream
 
 SAMPLE = [
@@ -72,26 +72,9 @@ class TestReadLog:
         assert records[1].timestamp == ""
 
     def test_source_and_type(self):
-        records = read_log(SAMPLE, source="asgard.log")
-        assert records[0].source == "asgard.log"
+        records = read_log(SAMPLE)
+        assert records[0].source == "recorded.log"
         assert records[0].type == "operation"
-
-
-class TestFileRoundTrip:
-    def test_write_then_read(self, tmp_path):
-        records = read_log(SAMPLE)
-        path = tmp_path / "captured.log"
-        written = write_log_file(records, path)
-        assert written == 4
-        back = read_log_file(path)
-        assert [r.message for r in back] == [r.message for r in records]
-        assert [round(r.time, 3) for r in back] == [round(r.time, 3) for r in records]
-
-    def test_stamps_survive_the_round_trip(self, tmp_path):
-        records = read_log(SAMPLE)
-        path = tmp_path / "captured.log"
-        write_log_file(records, path)
-        assert [r.timestamp for r in read_log_file(path)] == [r.timestamp for r in records]
 
 
 class TestReplay:

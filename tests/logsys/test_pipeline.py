@@ -115,12 +115,12 @@ class TestLocalLogProcessor:
     def test_noise_never_reaches_storage(self):
         processor, storage = self._processor()
         assert not processor.process(record("irrelevant"))
-        assert len(storage) == 0
+        assert len(storage.records) == 0
 
     def test_important_lines_shipped(self):
         processor, storage = self._processor()
         assert processor.process(record("did work on i-1"))
-        assert len(storage) == 1
+        assert len(storage.records) == 1
         assert storage.records[0].tag_value("step") == "work"
 
     def test_known_error_lines_always_shipped(self):
@@ -143,7 +143,7 @@ class TestLocalLogProcessor:
         stream = LogStream("op.log")
         processor.attach(stream)
         stream.emit_line(SimClock(), "did work on i-3")
-        assert len(storage) == 1
+        assert len(storage.records) == 1
 
     def test_counters(self):
         processor, _ = self._processor()
@@ -209,7 +209,7 @@ class TestProcessGolden:
             model,
             lib,
             storage=storage,
-            on_error=lambda result: events.append(("on_error", result.status, len(storage))),
+            on_error=lambda result: events.append(("on_error", result.status, len(storage.records))),
         )
         annotator = AssertionAnnotator()
         annotator.bind("work", "end", ["check-1"])
@@ -220,7 +220,7 @@ class TestProcessGolden:
             timer_setter=RecordingTimers(),
             trigger=Trigger(
                 conformance=checker.check,
-                assertions=lambda rec, ids: events.append(("assert", ids, len(storage))),
+                assertions=lambda rec, ids: events.append(("assert", ids, len(storage.records))),
             ),
             storage=storage,
         )

@@ -33,11 +33,11 @@ class TestLogRecord:
         assert record.tags == ["step:first", "step:second"]
 
     def test_tag_value_prefix_containing_colon(self):
-        # Prefixes that themselves contain ":" cannot use the key index;
-        # the linear fallback must still find them.
+        # A prefix holds no ":" (the key index splits at the first one),
+        # so one that does finds nothing; the value keeps its colons.
         record = LogRecord(time=0, source="s", message="m", tags=["a:b:c"])
         assert record.tag_value("a") == "b:c"
-        assert record.tag_value("a:b") == "c"
+        assert record.tag_value("a:b") is None
 
     def test_valueless_tag_is_not_a_key(self):
         record = LogRecord(time=0, source="s", message="m", tags=["operation-log"])
@@ -50,23 +50,6 @@ class TestLogRecord:
             record.add_tag(tag)
         assert record.tags == ["z:1", "a:2", "m:3"]
         assert record.tag_value("a") == "2"
-
-    def test_to_logstash_shape(self):
-        record = LogRecord(
-            time=1.0,
-            source="asgard.log",
-            message="hello",
-            type="operation",
-            tags=["a"],
-            fields={"num": "4"},
-            timestamp="2013-11-19 11:00:01,000",
-        )
-        doc = record.to_logstash()
-        assert doc["@source"] == "asgard.log"
-        assert doc["@tags"] == ["a"]
-        assert doc["@fields"] == {"num": "4"}
-        assert doc["@message"] == "hello"
-        assert doc["@type"] == "operation"
 
     def test_str_contains_tags_and_message(self):
         record = LogRecord(time=0, source="s", message="msg", tags=["t1"], timestamp="TS")
@@ -171,8 +154,8 @@ class TestLogStream:
         clock = SimClock()
         stream.emit_line(clock, "one")
         stream.emit_line(clock, "two")
-        assert len(stream) == 2
-        assert [r.message for r in stream] == ["one", "two"]
+        assert len(stream.records) == 2
+        assert [r.message for r in stream.records] == ["one", "two"]
 
 
 class TestLogPattern:

@@ -88,3 +88,28 @@ def test_fig7_per_fault_bands(campaign_metrics):
         assert bucket.precision >= 0.93, f"{fault_type}: precision below measured floor"
         assert bucket.fp == FALSE_POSITIVES.get(fault_type, 0), f"{fault_type}: FP count moved"
         assert bucket.accuracy_rate == 1.0, f"{fault_type}: a diagnosis went wrong"
+
+
+#: Provisioning runs the engine to t = 300 s; each spec's fault is armed
+#: then, ``spec.inject_at`` seconds before it is due.
+ARMED_AT = 300.0
+
+
+def test_faults_that_never_manifest(campaign_outcomes):
+    """The seed-2014 runs whose fault had no observable effect, and the
+    ones among them that fired on the upgrade's terminal line, earlier
+    than scheduled: a resource taken away after the last launch
+    (``build_specs`` samples ``inject_at`` against an expected duration
+    that some upgrades undercut; ROADMAP 1(f))."""
+    never = {o.spec.run_id for o in campaign_outcomes if not o.fault_manifested}
+    assert never == {
+        "ami_unavailable-06", "ami_unavailable-07",
+        "keypair_unavailable-03", "keypair_unavailable-12", "keypair_unavailable-18",
+        "sg_unavailable-08", "sg_unavailable-20",
+    }
+    early = {
+        o.spec.run_id
+        for o in campaign_outcomes
+        if o.spec.run_id in never and o.injected_at - ARMED_AT < o.spec.inject_at - 1e-6
+    }
+    assert early == {"ami_unavailable-06", "keypair_unavailable-03"}

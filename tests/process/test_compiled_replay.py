@@ -44,23 +44,7 @@ def branching_model():
     return m
 
 
-def parallel_model():
-    # alpha -> {beta, gamma} in parallel -> delta.
-    m = ProcessModel("parallel")
-    for name in ("alpha", "beta", "gamma", "delta"):
-        m.add_activity(name)
-    m.add_edge("alpha", "beta")
-    m.add_edge("alpha", "gamma")
-    m.add_edge("beta", "delta")
-    m.add_edge("gamma", "delta")
-    m.mark_start("alpha")
-    m.mark_end("delta")
-    m.mark_parallel_split("alpha")
-    m.mark_parallel_join("delta")
-    return m
-
-
-MODELS = (linear_model, branching_model, parallel_model)
+MODELS = (linear_model, branching_model)
 
 
 def marking_dict(compiled: CompiledInstance) -> dict[int, int]:
@@ -125,7 +109,7 @@ class TestTableCompilation:
         assert "delta" in compile_model(model).activity_ids
 
     def test_initial_marking_matches_net(self):
-        model = parallel_model()
+        model = branching_model()
         table = compile_model(model)
         compiled = CompiledInstance(table, "t")
         assert marking_dict(compiled) == dict(model.to_petri_net().initial_marking)
@@ -135,14 +119,14 @@ class TestHandPickedEquivalence:
     def test_happy_paths(self):
         replay_both(linear_model(), ["alpha", "beta", "gamma"])
         replay_both(branching_model(), ["alpha", "beta", "delta"])
-        replay_both(parallel_model(), ["alpha", "beta", "gamma", "delta"])
-        replay_both(parallel_model(), ["alpha", "gamma", "beta", "delta"])
+        replay_both(branching_model(), ["alpha", "gamma", "delta"])
 
     def test_skips_and_repeats(self):
         replay_both(linear_model(), ["alpha", "gamma"])          # skip beta
         replay_both(linear_model(), ["gamma", "beta", "alpha"])  # reversed
         replay_both(linear_model(), ["alpha", "alpha", "alpha"])
-        replay_both(parallel_model(), ["alpha", "delta"])        # join unfed
+        replay_both(branching_model(), ["alpha", "delta"])       # join unfed
+        replay_both(branching_model(), ["alpha", "beta", "gamma", "delta"])  # both XOR arms
 
     def test_unknown_activity_raises_keyerror_like_interpreted(self):
         compiled = CompiledInstance(compile_model(linear_model()), "t")
@@ -198,11 +182,6 @@ class TestPropertyEquivalence:
     @settings(max_examples=120, deadline=None)
     def test_branching_interleavings(self, sequence):
         replay_both(branching_model(), sequence)
-
-    @given(sequence=sequences_for(parallel_model()))
-    @settings(max_examples=120, deadline=None)
-    def test_parallel_interleavings(self, sequence):
-        replay_both(parallel_model(), sequence)
 
 
 # -- checker-level equivalence: status AND context sequences ------------------

@@ -48,7 +48,7 @@ class TestClustering:
 
     def test_clusters_by_template(self):
         clusters = cluster_lines(self.LINES)
-        sizes = sorted(len(c) for c in clusters)
+        sizes = sorted(len(c.lines) for c in clusters)
         assert sizes == [1, 2, 3]
 
     def test_cluster_names_unique(self):

@@ -101,23 +101,6 @@ class TestPetriCompilation:
         after_b, _ = net.fire(marking, "b")
         assert not net.enabled(after_b, "c")
 
-    def test_and_split_requires_both_branches(self):
-        model = ProcessModel("and")
-        model.add_edge("a", "b")
-        model.add_edge("a", "c")
-        model.add_edge("b", "d")
-        model.add_edge("c", "d")
-        model.mark_start("a")
-        model.mark_end("d")
-        model.mark_parallel_split("a")
-        model.mark_parallel_join("d")
-        net = model.to_petri_net()
-        marking, _ = net.fire(net.initial_marking, "a")
-        marking, _ = net.fire(marking, "b")
-        assert not net.enabled(marking, "d"), "AND-join must wait for c"
-        marking, _ = net.fire(marking, "c")
-        assert net.enabled(marking, "d")
-
     def test_fire_disabled_without_force_raises(self):
         model = linear_model("a", "b")
         net = model.to_petri_net()

@@ -147,7 +147,7 @@ class TestEscalationReason:
     def test_action_failed(self):
         """The launch configuration to restore is gone: every attempt fails."""
         testbed, operation = self.finished("AMI_CHANGED")
-        testbed.cloud.api("ops").delete_launch_configuration(testbed.stack.lc_v2)
+        testbed.cloud.state.delete("launch_configuration", testbed.stack.lc_v2, testbed.engine.now)
         rec = recover_run(testbed, operation, run_id="run")
         assert (rec["status"], rec["escalation_reason"]) == (ESCALATED, "action-failed")
         assert [a["status"] for a in rec["actions"]] == ["failed"]

@@ -62,6 +62,24 @@ class TestCampaignCommand:
             "AMI_UNAVAILABLE", "KEYPAIR_UNAVAILABLE", "SG_UNAVAILABLE", "ELB_UNAVAILABLE",
         }
 
+    def test_crashed_run_is_named_on_stderr(self, monkeypatch, capsys):
+        """A run that raises is left out of the metrics, and the warning
+        names it with the last line of its traceback."""
+        from repro.evaluation import parallel
+
+        real = parallel.run_single
+
+        def crash_first(spec):
+            if spec.run_id == "ami_changed-01":
+                raise RuntimeError("boom")
+            return real(spec)
+
+        monkeypatch.setattr(parallel, "run_single", crash_first)
+        assert main(["campaign", "--runs", "1"]) == 0
+        err = capsys.readouterr().err
+        assert "WARNING: 1 run(s) crashed and were excluded from metrics:" in err
+        assert "  ami_changed-01: RuntimeError: boom" in err
+
 
 class TestDemoCommand:
     def test_demo_runs_clean_and_faulty(self, capsys):

@@ -92,6 +92,8 @@ SRC_TESTS_EX = ("src/", "tests/", "examples/")
 SRC_EX_DOCS = ("src/", "examples/", "README.md", "DESIGN.md")
 #: The commit that deleted the extensions no live path ran (ROADMAP item 6).
 ITEM_6 = "0e8a79b"
+#: The commit that deleted the blocks only tests ran (ROADMAP item 18).
+ITEM_18 = "PENDING"
 
 GUARDS: dict[str, Guard] = {
     "one-replay-engine": Guard(
@@ -273,6 +275,37 @@ GUARDS: dict[str, Guard] = {
         "POD watches the rolling upgrade through shared_rolling_upgrade_profile(); the"
         " blue/green tenant ran only in its own example and tests",
         "from repro.operations.bluegreen import BlueGreenOperation",
+    ),
+    "no-and-gateway": Guard(
+        r"mark_parallel_|parallel_splits|parallel_joins", SRC_EX_DOCS, ITEM_18,
+        "the Fig. 2 model has no AND gateway and mining finds none; every gateway is XOR",
+        "    model.mark_parallel_split(\"a\")",
+    ),
+    "no-process-suspension": Guard(
+        r"suspend_processes|resume_processes|suspended_processes|SuspendedProcesses",
+        SRC_EX_DOCS, ITEM_18,
+        "no operation suspends an ASG's scaling processes; the controller always reconciles",
+        "        api.suspend_processes(asg, [\"Launch\"])",
+    ),
+    "no-thaw": Guard(
+        r"thaw\(", SRC_EX_DOCS, ITEM_18,
+        "nothing in the product edits a frozen view, so there is no mutable copy to ask for",
+        "    scratch = view.thaw()",
+    ),
+    "no-log-files": Guard(
+        r"read_log_file|write_log_file", SRC_EX_DOCS, ITEM_18,
+        "the ledger reads its corpus from text with read_log; nothing reads or writes a file",
+        "    records = read_log_file(path)",
+    ),
+    "no-logstash-rendering": Guard(
+        r"to_logstash", SRC_EX_DOCS, ITEM_18,
+        "nothing ships a record in Logstash's JSON form; storage holds the records",
+        "    document = record.to_logstash()",
+    ),
+    "no-walk-cache-counters": Guard(
+        r"cache\.hits|cache\.misses|tests_cached", SRC_EX_DOCS, ITEM_18,
+        "they read 0, equal to another counter, or the sum of the verdict counters on every run",
+        '        count("diagnosis.tests_cached", hits)',
     ),
 }
 

@@ -34,26 +34,9 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 JUSTIFIED: dict[str, str] = {
     "peek": "the cloud state machine's until_boot (tests/cloud/test_cloud_machine.py)"
             " steps the engine to the next boot with it",
-    # CloudAPI symmetry: every create_* has its delete_*; two of the five
-    # (delete_key_pair, delete_security_group) are recovery undo calls.
-    "delete_launch_configuration": "CloudAPI create/delete symmetry; tests/cloud/test_api.py",
-    "delete_load_balancer": "CloudAPI create/delete symmetry; tests/cloud/test_api.py",
-    "deregister_image": "CloudAPI create/delete symmetry (register_image); tests/cloud/test_api.py",
-    "register_instances_with_load_balancer": "ELB register/deregister symmetry (the upgrade"
-                                             " deregisters); the cloud state machine drives it",
     # Names the paper gives.
-    "to_logstash": "paper §IV ships records in Logstash's JSON event form; tests/logsys/test_record.py",
     "SEQUENCE": "Fig. 2's happy-path step order; tests/operations/test_rolling_upgrade.py"
                 " checks the pattern library covers it",
-    # BPMN's AND gateway: compile_model gives it per-edge places.  The
-    # Fig. 2 model has none and mining finds none.
-    "mark_parallel_split": "tests/process/test_compiled_replay.py replays an AND split against"
-                           " the interpreted oracle; tests/process/test_model.py fires one",
-    "mark_parallel_join": "the AND gateway's join, as above",
-    # DESIGN §3 extensions, each with its own suite.
-    "read_log_file": "file edge of raw-log ingestion (DESIGN §3 extensions, repro.logsys.ingest);"
-                     " tests/logsys/test_ingest.py round-trips a file",
-    "write_log_file": "inverse of read_log_file; same round-trip test",
     # Read by oracles and completeness checks under tests/.
     "prefilter_plan": "tests/logsys/test_compiled.py + test_compiled_property.py read the"
                       " prefilter through it instead of the private _plan",

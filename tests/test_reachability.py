@@ -1,30 +1,40 @@
-"""The audit's runtime rung: ``src/`` is what a live entry point runs.
+"""The audit's runtime rung: ``src/`` is what a live entry point runs, line by line.
 
 ``tests/test_public_surface.py`` finds names nothing *mentions* and
 parameters nothing *passes*; it cannot see code that only its own tests
-call.  This rung runs every live entry point — each CLI subcommand at a
-small size (:data:`COMMANDS`) and every ``examples/*.py`` with its
-defaults — in one fresh interpreter, with a ``sys.setprofile`` hook
-installed *before* ``repro`` is imported (installed after, the functions a
-class body calls at import time would look unreached), and records every
-code object that ran.
+run.  This rung runs every live entry point — each CLI subcommand
+(:data:`COMMANDS`) and every ``examples/*.py`` with its defaults — in one
+fresh interpreter, with one ``sys.settrace`` hook installed *before*
+``repro`` is imported (installed after, the functions a class body calls at
+import time would look unrun).  The hook follows only frames of
+``src/repro`` and records, per file, every line that ran and the first
+line of every code object that was called.
 
-A public function, or a public method of a public class, in
-``src/repro`` that nothing reached fails, unless it is a ``@property``,
-an abstract body (only ``raise NotImplementedError``), a name
-``tests/test_public_surface.py``'s ``JUSTIFIED`` already answers for, or
-an entry of :data:`REACHED_ONLY_BY` with its reason.  A stale entry (the
-function went away or a live entry point now runs it) fails too.  An
-entry point that raises or prints nothing fails by name.
+A function in ``src/repro`` (any function: public, private, method or
+nested) needs an entry in :data:`RUN_ONLY_BY` when it never ran, or when
+it holds a run of :data:`RUN` or more consecutive statements (in source
+order) that never ran.  Exempt are properties, abstract bodies (only
+``raise NotImplementedError``), ``__repr__`` / ``__str__``, names
+``tests/test_public_surface.py``'s ``JUSTIFIED`` answers for, and the
+statements of a block that only raises: an error path is safety code.
+
+An entry's reason is one of :data:`KINDS` and names the file that runs the
+block.  A block with none of those reasons is deleted.  A missing entry
+fails, and so does a stale one (the function went away, or live entry
+points now run all of it).  An entry point that raises or prints nothing
+fails by name.
 
 By hand: ``PYTHONPATH=src python tests/test_reachability.py OUT_DIR``
-writes ``OUT_DIR/reach.json``.
+writes ``OUT_DIR/reach.json``; :func:`needs_reason` of that JSON lists
+what would fail, and :func:`unrun` counts its never-run statements.
 """
 
 from __future__ import annotations
 
 import ast
+import collections
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -34,6 +44,7 @@ import subprocess
 import sys
 import time
 import traceback
+import typing
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "repro"
@@ -41,82 +52,156 @@ EXAMPLES = sorted((ROOT / "examples").glob("*.py"))
 
 #: The CLI entry points, by test id; ``{out}`` is the run's output
 #: directory.  The three campaign profiles (plain, severe chaos + recover,
-#: traced) come in through ``campaign`` and ``trace-export``.
+#: traced) come in through ``campaign`` and ``trace-export``.  Five runs
+#: per fault is the smallest campaign at the default seed whose specs
+#: include a second team's pressure, so the interference and account-limit
+#: branches count as live.
 COMMANDS: dict[str, list[str]] = {
     "demo": ["demo"],
-    "campaign": ["campaign", "--runs", "1"],
+    "campaign": ["campaign", "--runs", "5"],
     "campaign-severe-recover": [
         "campaign", "--runs", "1", "--chaos", "severe", "--recover",
         "--json", "{out}/campaign.json", "--report", "{out}/report.md",
     ],
     "recover": ["recover", "--inject-at", "40", "--json", "{out}/recover.json"],
-    "chaos-sweep": ["chaos-sweep", "--runs", "1", "--levels", "none,severe"],
-    "trace-export": ["trace-export", "--json", "{out}/trace.json"],
+    "chaos-sweep": [
+        "chaos-sweep", "--runs", "1", "--levels", "none,severe", "--json", "{out}/sweep.json",
+    ],
+    "trace-export": ["trace-export", "--json", "{out}/trace.json", "--tree", "sg_wrong-01"],
     "mine": ["mine"],
     "mine-dot": ["mine", "--dot"],
     "trees": ["trees"],
     "trees-dot": ["trees", "--dot", "asg-instance-count"],
 }
 
-#: Public functions no live entry point runs, each with what does run it
-#: and why it stays.  Keys are ``module:Qualname`` under ``repro``.
-REACHED_ONLY_BY: dict[str, str] = {
-    # Oracles: tests compare the product with these, or check a contract
-    # through them.
-    "process.model:PetriNet.fire": "the interpreted-replay oracle tests/process/reference_replay.py",
-    "process.model:PetriNet.enabled": "the same oracle, through enabled_transitions",
-    "sim.clock:SimClock.render": "the byte oracle tests/sim/test_render_oracle.py renders through"
-                                 " the clock; a record's stamp is repro.sim.clock.render itself",
-    "cloud.monitor:CloudMonitor.at": "the cloud state machine and tests/cloud/test_monitor_delta.py"
-                                     " compare it with a full-copy reference crawler",
-    "operations.profile:OperationProfile.validate": "the profile contract (model ≡ patterns ≡"
-                                                    " bindings); tests/operations/test_rolling_upgrade.py",
-    "logsys.patterns:PatternLibrary.activities": "what OperationProfile.validate checks the model"
-                                                 " against; tests/operations/test_rolling_upgrade.py",
-    # Paper names.
-    "faulttree.builder:FaultTreeRegistry.extend": "the paper's account-limit amendment (§VI.A);"
-                                                  " tests/faulttree/test_tree.py",
-    "faulttree.tree:FaultTree.find": "the node lookup extend grafts through; tests read nodes by id",
-    "faulttree.tree:FaultNode.find": "the same lookup, per sub-tree",
-    "process.mining.cluster:similarity": "§III.A's string distance metric, as cluster_lines scores"
-                                         " it; tests/process/test_mining.py",
-    # The AWS surface a cloud simulator owes its callers.
-    "cloud.api:CloudAPI.terminate_instance": "EC2 TerminateInstances; the ledger's boundary"
-                                             " self-test and the cloud state machine call it",
-    "cloud.api:CloudAPI.suspend_processes": "ASG SuspendProcesses; the cloud state machine drives it",
-    "cloud.api:CloudAPI.resume_processes": "ASG ResumeProcesses; the cloud state machine drives it",
-    "cloud.api:CloudAPI.delete_key_pair": "the undo of a recovery recreate (recovery.plan._RECREATES);"
-                                          " tests/recovery/test_engine.py",
-    "cloud.api:CloudAPI.delete_security_group": "the undo of a recovery recreate, as above",
-    # Test seams.
-    "sim.latency:ConstantLatency.sample": "test seam: a latency with no spread",
-    "sim.latency:ConstantLatency.mean": "the client's timeout fallback for a model with no"
-                                        " percentile, which only the test seams are",
-    "sim.latency:UniformLatency.sample": "test seam: bounded jitter",
-    "sim.latency:UniformLatency.mean": "the client's timeout fallback, as above",
-    "sim.latency:LogNormalLatency.mean": "LatencyModel's analytic mean; tests/sim/test_latency.py",
-    "cloud.chaos:ChaosLatency.mean": "reports the healthy base model's mean, as a LatencyModel must;"
-                                     " tests/cloud/test_chaos.py",
-    "cloud.limits:RateLimiter.in_flight": "test seam: tests/cloud/test_limits.py reads the sliding"
-                                          " window through it",
-    "diagnosis.tests:CustomTestRegistry.names": "test seam: tests/diagnosis/test_probes.py checks"
-                                                " registry ≡ trees both ways",
-    "operations.interference:InterferencePlan.any": "test seam: tests/evaluation/test_campaign.py"
-                                                    " counts runs with and without interference",
-    # The pool: no entry point here starts one (--workers 1, and a 1-core
-    # host clamps any other value to the serial loop).
-    "evaluation.parallel:warm_worker": "pool initializer; the ledger also calls it",
-    "evaluation.parallel:execute_chunk": "the unit a pool child runs",
-    "evaluation.parallel:specs_per_chunk": "chunk sizing of a pool campaign",
-    "evaluation.campaign:RunOutcome.failure": "crash isolation: a run that raises becomes a failed"
-                                              " outcome; tests/evaluation/test_parallel_campaign.py",
-    # The frozen-view contract: the explicit opt-out from sharing.
-    "cloud.freeze:thaw": "the frozen-view contract's mutable copy; tests/cloud/test_freeze.py",
-    "cloud.freeze:FrozenView.thaw": "the same, as a method",
-    "cloud.freeze:FrozenList.thaw": "the same, as a method",
-    # The ledger's ingest_replay parses its corpus through these.
-    "logsys.ingest:read_log": "the ledger's ingest_replay corpus; tests/logsys/test_ingest.py",
-    "logsys.ingest:parse_line": "read_log's per-line half",
+#: The shortest run of consecutive never-run statements that needs a reason.
+RUN = 3
+
+#: The reasons a block may have for running only outside live entry
+#: points, each with what the entry's file names.  A block with none of
+#: them is deleted.
+KINDS: dict[str, str] = {
+    "error": "an error path; the file is its test",
+    "pool": "a pool or ledger path; the file is its caller",
+    "paper": "a paper mechanism campaigns never trigger; the file is its ablation",
+    "oracle": "an oracle tests compare against; the file compares",
+    "seam": "a test seam that substitutes a fake; the file substitutes it",
+}
+
+#: ``module:Qualname`` under ``repro`` -> (kind, the file that runs the
+#: block — ``path`` or ``path::test`` from the repository root — and why).
+RUN_ONLY_BY: dict[str, tuple[str, str, str]] = {
+    # Error paths.  A block that only raises needs no entry; these do more.
+    "cli:_cmd_campaign": ("error", "tests/test_cli.py::test_crashed_run_is_named_on_stderr",
+                          "the warning that names each crashed run"),
+    "evaluation.campaign:RunOutcome.failure": (
+        "error", "tests/evaluation/test_parallel_campaign.py::test_one_crashing_run_does_not_kill_campaign",
+        "crash isolation: a run that raises becomes a failed outcome"),
+    "operations.base:Operation._wrapped": (
+        "error", "tests/operations/test_base.py::test_unexpected_exception_surfaces_as_failure",
+        "an operation that raises fails with a log line instead of killing the engine"),
+    "recovery.engine:RecoveryEngine.execute": (
+        "error", "tests/recovery/test_engine.py::test_dependent_action_blocked_by_failed_dependency",
+        "a blocked or failed action aborts the plan and escalates"),
+    "recovery.engine:RecoveryEngine._run_action": (
+        "error", "tests/recovery/test_engine.py::test_partial_failure_compensates_and_escalates",
+        "an action whose API call or verification fails"),
+    "recovery.engine:RecoveryEngine._compensate": (
+        "error", "tests/recovery/test_engine.py::test_partial_failure_compensates_and_escalates",
+        "the saga's roll-back of the applied prefix"),
+    "recovery.supervisor:recover_run": (
+        "error", "tests/recovery/test_campaign_recovery.py",
+        "TestEscalationReason takes each ESCALATED exit the seeded campaigns do not"),
+    "cloud.api:CloudAPI.delete_security_group": (
+        "error", "tests/recovery/test_engine.py::test_partial_failure_compensates_and_escalates",
+        "the undo of a security-group recreate (recovery.plan)"),
+    "cloud.api:CloudAPI.delete_key_pair": (
+        "error", "tests/cloud/test_cloud_machine.py",
+        "the undo of a key-pair recreate (recovery.plan); compensation runs it"),
+    # The pool and the ledger: no entry point here starts a pool (a pool's
+    # children run outside the hook), and the ledger is not an entry point.
+    "evaluation.parallel:execute_specs": ("pool", "tests/evaluation/test_parallel_campaign.py",
+                                          "the pool branch: chunks, futures, a dead worker"),
+    "evaluation.parallel:resolve_workers": ("pool", "tests/evaluation/test_parallel_campaign.py",
+                                            "clamping a worker count above 1 to the cores"),
+    "evaluation.parallel:execute_chunk": ("pool", "tests/evaluation/test_parallel_campaign.py",
+                                          "the unit a pool child runs"),
+    "evaluation.parallel:specs_per_chunk": ("pool", "tests/evaluation/test_parallel_campaign.py",
+                                            "chunk sizing of a pool campaign"),
+    "evaluation.parallel:warm_worker": ("pool", "benchmarks/e2e/workloads.py",
+                                        "the pool initializer; the ledger warms its process with it"),
+    "cloud.freeze:FrozenView.__reduce__": ("pool", "tests/cloud/test_freeze.py::test_pickle_round_trip",
+                                           "how a view crosses the pool inside an outcome"),
+    "cloud.freeze:FrozenList.__reduce__": ("pool", "tests/cloud/test_freeze.py::test_pickle_round_trip",
+                                           "the same, for a list"),
+    "logsys.record:LogRecord.__getstate__": (
+        "pool", "tests/logsys/test_record.py::test_memo_stripped_on_round_trip",
+        "a record crosses the pool without its classify-once memo"),
+    "logsys.record:LogRecord.__setstate__": (
+        "pool", "tests/logsys/test_record.py::test_restored_record_can_be_reclassified",
+        "the receiving half of the same pickling"),
+    "logsys.ingest:read_log": ("pool", "benchmarks/e2e/workloads.py",
+                               "the ledger's ingest_replay corpus reader"),
+    "logsys.ingest:parse_line": ("pool", "benchmarks/e2e/workloads.py", "read_log's per-line half"),
+    "cloud.api:CloudAPI.terminate_instance": (
+        "pool", "benchmarks/e2e/tests/test_boundaries.py",
+        "EC2 TerminateInstances; the ledger's boundary self-test wraps it by name"),
+    # Paper mechanisms no campaign triggers.
+    "faulttree.builder:FaultTreeRegistry.extend": (
+        "paper", "tests/faulttree/test_tree.py::test_extend_grafts_subtree",
+        "§VI.A's account-limit amendment: a learned cause grafted onto a tree"),
+    "faulttree.tree:FaultTree.find": ("paper", "tests/faulttree/test_tree.py::test_extend_grafts_subtree",
+                                      "the node lookup extend grafts through"),
+    "faulttree.tree:FaultNode.find": ("paper", "tests/faulttree/test_tree.py::test_find",
+                                      "the same lookup, per sub-tree"),
+    "process.mining.cluster:similarity": ("paper", "tests/process/test_mining.py",
+                                          "§III.A's string distance, as cluster_lines scores it"),
+    "cloud.faults:FaultInjector._revive_elb": (
+        "paper", "tests/cloud/test_controller.py::test_retries_once_resource_restored",
+        "the transient class (§VI.A) for an ELB outage: the balancer comes back"),
+    # Oracles and contract checks tests compare against.
+    "process.model:PetriNet.fire": ("oracle", "tests/process/reference_replay.py",
+                                    "the interpreted token replay the compiled one must equal"),
+    "process.model:PetriNet.enabled": ("oracle", "tests/process/reference_replay.py",
+                                       "the same oracle, through enabled_transitions"),
+    "sim.clock:SimClock.render": ("oracle", "tests/sim/test_render_oracle.py",
+                                  "the byte oracle renders through the clock"),
+    "cloud.monitor:CloudMonitor.at": ("oracle", "tests/cloud/test_monitor_delta.py",
+                                      "compared at every tick with a full-copy reference crawler"),
+    "operations.profile:OperationProfile.validate": (
+        "oracle", "tests/operations/test_rolling_upgrade.py::test_rolling_upgrade_profile_is_coherent",
+        "the profile contract: model, patterns and bindings agree"),
+    "logsys.patterns:PatternLibrary.activities": (
+        "oracle", "tests/operations/test_rolling_upgrade.py::test_rolling_upgrade_profile_is_coherent",
+        "what OperationProfile.validate checks the model against"),
+    "sim.latency:LogNormalLatency.mean": (
+        "oracle", "tests/sim/test_latency.py",
+        "the analytic mean the sampled latencies are checked against"),
+    # Test seams: a test puts a fake, or a bare part, where a run has the real one.
+    "sim.latency:ConstantLatency.__init__": ("seam", "tests/assertions/test_consistent_api.py",
+                                             "a latency with no spread"),
+    "sim.latency:ConstantLatency.sample": ("seam", "tests/assertions/test_consistent_api.py",
+                                           "the same"),
+    "sim.latency:ConstantLatency.mean": ("seam", "tests/assertions/test_consistent_api.py",
+                                         "the client's timeout fallback for a model with no"
+                                         " percentile, which only the fakes are"),
+    "sim.latency:UniformLatency.__init__": ("seam", "tests/sim/test_latency.py", "bounded jitter"),
+    "sim.latency:UniformLatency.sample": ("seam", "tests/sim/test_latency.py", "the same"),
+    "sim.latency:UniformLatency.mean": ("seam", "tests/sim/test_latency.py",
+                                        "the client's timeout fallback, as above"),
+    "cloud.chaos:ChaosLatency.mean": (
+        "seam", "tests/cloud/test_chaos.py::test_mean_and_percentile_report_healthy_base",
+        "a chaos-wrapped fake reports its healthy base's mean"),
+    "sim.engine:Engine.run": ("seam", "tests/sim/test_engine.py",
+                              "a bare engine run to a process's end or to an empty queue, in"
+                              " place of the testbed's bounded loop"),
+    "cloud.limits:RateLimiter.in_flight": ("seam", "tests/cloud/test_limits.py",
+                                           "reads the sliding window a test fills by hand"),
+    "diagnosis.tests:CustomTestRegistry.names": ("seam", "tests/diagnosis/test_probes.py",
+                                                 "checks registry and trees name the same probes"),
+    "operations.interference:InterferencePlan.any": (
+        "seam", "tests/evaluation/test_campaign.py",
+        "counts the specs with and without interference"),
 }
 
 
@@ -141,16 +226,28 @@ def _capture(run) -> dict:
 
 
 def run_entry_points(out: pathlib.Path) -> dict:
-    """Every entry point under the hook: ``{"reached", "entry_points"}``,
-    ``reached`` as ``(path under the package, first line)`` pairs."""
+    """Every entry point under the hook: ``{"lines", "calls", "entry_points"}``,
+    ``lines`` / ``calls`` as path under the package -> sorted line numbers."""
     assert "repro" not in sys.modules, "the hook must be on before repro is imported"
-    reached: set = set()
+    package = os.path.realpath(importlib.util.find_spec("repro").submodule_search_locations[0])
+    lines: dict[str, set[int]] = collections.defaultdict(set)
+    calls: dict[str, set[int]] = collections.defaultdict(set)
 
     def hook(frame, event, arg):
-        if event == "call":
-            reached.add(frame.f_code)
+        code = frame.f_code
+        if not code.co_filename.startswith(package):
+            return None
+        calls[code.co_filename].add(code.co_firstlineno)
+        ran = lines[code.co_filename]
 
-    sys.setprofile(hook)
+        def line(frame, event, arg):
+            if event == "line":
+                ran.add(frame.f_lineno)
+            return line
+
+        return line
+
+    sys.settrace(hook)
     try:
         from repro.cli import main
 
@@ -164,22 +261,21 @@ def run_entry_points(out: pathlib.Path) -> dict:
                 lambda path=path: runpy.run_path(str(path), run_name="__main__")
             )
     finally:
-        sys.setprofile(None)
-    import repro
+        sys.settrace(None)
 
-    package = pathlib.Path(repro.__file__).resolve().parent
-    lines = set()
-    for code in reached:
-        path = pathlib.Path(code.co_filename)
-        if path.is_absolute() and package in path.parents:
-            lines.add((path.relative_to(package).as_posix(), code.co_firstlineno))
-    return {"reached": sorted(lines), "entry_points": results}
+    def relative(found: dict[str, set[int]]) -> dict[str, list[int]]:
+        return {
+            os.path.relpath(file, package).replace(os.sep, "/"): sorted(numbers)
+            for file, numbers in sorted(found.items())
+        }
+
+    return {"lines": relative(lines), "calls": relative(calls), "entry_points": results}
 
 
 if __name__ == "__main__":
     target = pathlib.Path(sys.argv[1])
     target.mkdir(parents=True, exist_ok=True)
-    (target / "reach.json").write_text(json.dumps(run_entry_points(target), indent=1))
+    (target / "reach.json").write_text(json.dumps(run_entry_points(target)))
     sys.exit(0)
 
 
@@ -189,42 +285,127 @@ import pytest  # noqa: E402  (the runner above needs only the stdlib)
 
 from tests.test_public_surface import JUSTIFIED  # noqa: E402
 
+#: Statements that compile to no instruction, so no line event can mark them.
+_SILENT = (ast.Global, ast.Nonlocal)
+
 
 def _exempt(function: ast.FunctionDef) -> bool:
-    """A property, or an abstract body (only ``raise NotImplementedError``)."""
+    """A property, ``__repr__`` / ``__str__``, a ``JUSTIFIED`` name, or a
+    body that only raises (an abstract body is one)."""
     names = {getattr(d, "id", None) or getattr(d, "attr", None) for d in function.decorator_list}
     if names & {"property", "setter", "cached_property"}:
         return True
-    body = function.body[1:] if ast.get_docstring(function) is not None else function.body
-    return (
-        len(body) == 1
-        and isinstance(body[0], ast.Raise)
-        and "NotImplementedError" in ast.unparse(body[0])
-    )
+    if function.name in {"__repr__", "__str__"} or function.name in JUSTIFIED:
+        return True
+    return all(isinstance(statement, ast.Raise) for statement in _body(function))
 
 
-def public_functions() -> dict[str, tuple[str, set[int]]]:
-    """``module:Qualname`` -> (path under the package, the lines its code
-    object may start on: the ``def`` or its first decorator)."""
-    found: dict[str, tuple[str, set[int]]] = {}
+def _body(function: ast.FunctionDef) -> list[ast.stmt]:
+    return function.body[1:] if ast.get_docstring(function) is not None else function.body
+
+
+def _blocks(statement: ast.stmt) -> list[list[ast.stmt]]:
+    """The statement lists a compound statement holds, in source order."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return []  # a nested definition is its own function (or class)
+    blocks = [getattr(statement, "body", [])]
+    blocks += [handler.body for handler in getattr(statement, "handlers", ())]
+    blocks += [case.body for case in getattr(statement, "cases", ())]
+    blocks += [getattr(statement, "orelse", []), getattr(statement, "finalbody", [])]
+    return [block for block in blocks if block]
+
+
+def _statements(block: list[ast.stmt]):
+    """``(statement, exempt)`` in source order; a statement is exempt when
+    its block only raises."""
+    raising = all(isinstance(s, ast.Raise) for s in block)
+    for statement in block:
+        if isinstance(statement, _SILENT) or (
+            isinstance(statement, ast.Expr) and isinstance(statement.value, ast.Constant)
+        ):
+            continue
+        yield statement, raising
+        for inner in _blocks(statement):
+            yield from _statements(inner)
+
+
+class Function(typing.NamedTuple):
+    path: str  # under the package
+    node: ast.FunctionDef
+    exempt: bool  # itself or a function it is nested in
+    parent: str | None  # the key of the function it is nested in
+
+
+def functions() -> dict[str, Function]:
+    """Every function of ``src/repro``, keyed ``module:Qualname``."""
+    found: dict[str, Function] = {}
     for file in sorted(PACKAGE.rglob("*.py")):
         path = file.relative_to(PACKAGE).as_posix()
         module = path[:-3].replace("/", ".").removesuffix(".__init__")
-        candidates = []
-        for node in ast.parse(file.read_text()).body:
-            if isinstance(node, ast.FunctionDef):
-                candidates.append((node.name, node))
-            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
-                candidates += [
-                    (f"{node.name}.{member.name}", member)
-                    for member in node.body
-                    if isinstance(member, ast.FunctionDef)
-                ]
-        for qualname, function in candidates:
-            if function.name.startswith("_") or function.name in JUSTIFIED or _exempt(function):
-                continue
-            lines = {function.lineno, *(d.lineno for d in function.decorator_list)}
-            found[f"{module}:{qualname}"] = (path, lines)
+
+        def visit(node: ast.AST, prefix: str, parent: str | None) -> None:
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    key = f"{module}:{prefix}{child.name}"
+                    exempt = _exempt(child) or (parent is not None and found[parent].exempt)
+                    found[key] = Function(path, child, exempt, parent)
+                    visit(child, f"{prefix}{child.name}.", key)
+                elif isinstance(child, ast.ClassDef):
+                    visit(child, f"{prefix}{child.name}.", parent)
+                else:
+                    visit(child, prefix, parent)
+
+        visit(ast.parse(file.read_text()), "", None)
+    return found
+
+
+def statements(reach: dict) -> dict[str, tuple[Function, bool, list[tuple[int, bool]]]]:
+    """``module:Qualname`` -> (the function, whether it ran at all, and each
+    of its statements that is not exempt as ``(first line, ran)`` in
+    source order), for every function that is not exempt.  A statement ran
+    when any line it spans did."""
+    lines = {path: set(numbers) for path, numbers in reach["lines"].items()}
+    calls = {path: set(numbers) for path, numbers in reach["calls"].items()}
+    found: dict[str, tuple[Function, bool, list[tuple[int, bool]]]] = {}
+    for key, function in functions().items():
+        if function.exempt:
+            continue
+        node = function.node
+        starts = {node.lineno, *(d.lineno for d in node.decorator_list)}
+        called = bool(starts & calls.get(function.path, set()))
+        ran = lines.get(function.path, set()) if called else set()
+        found[key] = (function, called, [
+            (statement.lineno, bool(ran.intersection(range(statement.lineno, statement.end_lineno + 1))))
+            for statement, raising in _statements(_body(node))
+            if not raising
+        ])
+    return found
+
+
+def unrun(reach: dict) -> int:
+    """How many statements :func:`statements` finds never ran."""
+    return sum(not ran for *_, found in statements(reach).values() for _, ran in found)
+
+
+def needs_reason(reach: dict) -> dict[str, str]:
+    """``module:Qualname`` -> why it needs an entry: it never ran (a function
+    nested in one that never ran is covered by that one's entry), or where
+    its first run of :data:`RUN` or more consecutive never-run statements
+    ends."""
+    never: set[str] = set()
+    found: dict[str, str] = {}
+    for key, (function, called, ran_by_line) in statements(reach).items():
+        if not called:
+            if function.parent not in never:
+                found[key] = f"never ran ({function.path}:{function.node.lineno})"
+            never.add(key)
+            continue
+        streak = 0
+        for line, ran in ran_by_line:
+            streak = 0 if ran else streak + 1
+            if streak == RUN:
+                found[key] = f"{function.path}:{line}: {RUN} statements in a row never ran"
+                break
     return found
 
 
@@ -246,20 +427,25 @@ def test_entry_point_runs(reach, name):
     assert result["printed"], f"{name} printed nothing"
 
 
-def test_every_public_function_is_reached_or_has_a_reason(reach):
-    reached = {tuple(line) for line in reach["reached"]}
-    unreached = {
-        name
-        for name, (path, lines) in public_functions().items()
-        if not any((path, line) in reached for line in lines)
-    }
-    missing = sorted(unreached - set(REACHED_ONLY_BY))
+def test_every_unrun_block_has_a_reason(reach):
+    needed = needs_reason(reach)
+    missing = sorted(set(needed) - set(RUN_ONLY_BY))
     assert not missing, (
-        "no live entry point runs these; delete them, call them, or give a reason:\n  "
-        + "\n  ".join(missing)
+        "no live entry point runs these; delete the block, call it, or give a reason:\n  "
+        + "\n  ".join(f"{key}: {needed[key]}" for key in missing)
     )
-    stale = sorted(set(REACHED_ONLY_BY) - unreached)
+    stale = sorted(set(RUN_ONLY_BY) - set(needed))
     assert not stale, (
         "stale entries (the function is gone or a live entry point now runs it):\n  "
         + "\n  ".join(stale)
     )
+
+
+@pytest.mark.parametrize("key", sorted(RUN_ONLY_BY))
+def test_reason_is_a_kind_and_names_a_file(key):
+    kind, where, why = RUN_ONLY_BY[key]
+    assert kind in KINDS, f"{key}: {kind!r} is not one of {sorted(KINDS)}"
+    path, _, test = where.partition("::")
+    assert (ROOT / path).is_file(), f"{key}: {path} does not exist"
+    assert not test or f"def {test}(" in (ROOT / path).read_text(), f"{key}: no {test} in {path}"
+    assert why, key
