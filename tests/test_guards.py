@@ -93,7 +93,7 @@ SRC_EX_DOCS = ("src/", "examples/", "README.md", "DESIGN.md")
 #: The commit that deleted the extensions no live path ran (ROADMAP item 6).
 ITEM_6 = "0e8a79b"
 #: The commit that deleted the blocks only tests ran (ROADMAP item 18).
-ITEM_18 = "PENDING"
+ITEM_18 = "1b2e7f9"
 
 GUARDS: dict[str, Guard] = {
     "one-replay-engine": Guard(
