@@ -28,7 +28,7 @@ def main() -> None:
     engine, pod = testbed.engine, testbed.pod
     scheduler = InterferenceScheduler(engine, testbed.cloud, "asg-dsn", seed=61)
     scheduler.schedule(InterferencePlan(random_termination_at=110.0))
-    testbed.run_upgrade()
+    operation = testbed.run_upgrade()
 
     print("online diagnosis verdicts:")
     for report in pod.reports:
@@ -39,7 +39,9 @@ def main() -> None:
     engine.run(until=engine.now + MAX_DELAY)
     online = len(pod.reports)
     for report in held:
-        pod.diagnosis.diagnose(report.tree_ids, trigger_detail=f"post-mortem of {report.request_id}")
+        pod.diagnosis.diagnose(
+            report.tree_ids, operation.trace_id, trigger_detail=f"post-mortem of {report.request_id}"
+        )
     engine.run(until=engine.now + 120)
     for report in pod.reports[online:]:
         print(f"  {report.summary()}")

@@ -19,7 +19,7 @@ Run:  python examples/simultaneous_upgrades.py
 import dataclasses
 
 from repro.logsys.record import LogStream
-from repro.operations.rolling_upgrade import RollingUpgradeOperation, RollingUpgradeParams
+from repro.operations.rolling_upgrade import RollingUpgradeOperation
 from repro.testbed import build_testbed
 
 
@@ -34,11 +34,10 @@ def main() -> None:
         yield testbed.engine.timeout(150)
         print(f"  !! team B pushes {ami_v3} onto asg-dsn (lc-app-v3)")
         stream_b = LogStream("asgard-team-b.log")
-        params_b = RollingUpgradeParams(
-            asg_name="asg-dsn",
-            elb_name="elb-dsn",
+        params_b = dataclasses.replace(
+            testbed.params,
             lc_name="lc-app-v3",
-            target=dataclasses.replace(testbed.pod_config.target, image_id=ami_v3),
+            target=dataclasses.replace(testbed.params.target, image_id=ami_v3),
         )
         client_b = cloud.client("asgard-team-b", latency_seed_offset=91)
         RollingUpgradeOperation(testbed.engine, client_b, stream_b, params_b, "upgrade-b").start()

@@ -37,7 +37,8 @@ def main() -> None:
         report = testbed.pod.reports[0]
         print(f"\n  diagnosis at t={testbed.engine.now:.0f}: {report.summary()}")
 
-        plan = build_recovery_plan(report.root_causes, testbed.pod_config.as_repository())
+        repository = testbed.params.as_repository(since=testbed.started_at)
+        plan = build_recovery_plan(report.root_causes, repository)
         for action in plan.actions:
             print(f"  remediation [auto]: {action.action} — {action.description}")
         for advice in plan.advisory:

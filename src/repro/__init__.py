@@ -17,7 +17,7 @@ See ``examples/quickstart.py`` for the full walkthrough and DESIGN.md for
 the system inventory.
 """
 
-from repro.pod import Detection, PODDiagnosis, PodConfig
+from repro.pod import Detection, PODDiagnosis
 from repro.testbed import Testbed, build_testbed
 
 __version__ = "1.0.0"
@@ -25,7 +25,6 @@ __version__ = "1.0.0"
 __all__ = [
     "Detection",
     "PODDiagnosis",
-    "PodConfig",
     "Testbed",
     "build_testbed",
     "__version__",

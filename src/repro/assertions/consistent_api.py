@@ -204,12 +204,8 @@ class ConsistentApiClient:
         self.retry_budget = retry_budget or RetryBudget()
         self._breakers: dict[str, CircuitBreaker] = {}
         # The paper calibrates timeouts at the 95th percentile of measured
-        # latencies; 10x the mean if the model has no analytic percentile.
-        percentile = getattr(self.latency, "percentile", None)
-        if percentile is not None:
-            self.call_timeout = percentile(0.95) * (MAX_RETRIES + 1) + 2.0
-        else:
-            self.call_timeout = self.latency.mean() * 10 * (MAX_RETRIES + 1)
+        # latencies: every attempt may take that long, plus 2 s of slack.
+        self.call_timeout = self.latency.percentile(0.95) * (MAX_RETRIES + 1) + 2.0
         self.calls_made = 0
         self.retries_made = 0
         #: Deadline expiries only — retry exhaustion is counted separately

@@ -18,6 +18,9 @@ a timeout, exhausted retries, an open breaker, a non-retryable error —
 into a failed result carrying ``timed_out`` / ``degraded`` (§IV:
 "assertion evaluations are regarded as failed if API calls time out").
 
+Each evaluation reads the configuration repository of one watched trace
+(:meth:`AssertionEvaluationService.watch`): its line's, watchdog's or diagnosis's.
+
 Every result is logged (type ``assertion``) to central storage; failures
 from log/timer triggers invoke the ``on_failure`` callback — the entry
 point of error diagnosis.
@@ -25,6 +28,7 @@ point of error diagnosis.
 
 from __future__ import annotations
 
+import dataclasses
 import typing as _t
 
 from repro.assertions.base import Assertion, AssertionEnvironment
@@ -46,6 +50,8 @@ class AssertionEvaluationService:
         obs=None,
     ) -> None:
         self.env = env
+        #: Per watched trace: ``env`` holding that trace's repository.
+        self.envs: dict[str, AssertionEnvironment] = {}
         self.storage = storage
         self.on_failure = on_failure
         self.assertions: dict[str, Assertion] = {}
@@ -64,6 +70,10 @@ class AssertionEvaluationService:
         values = assertions.values() if isinstance(assertions, dict) else assertions
         for assertion in values:
             self.register(assertion)
+
+    def watch(self, trace_id: str, repository: dict) -> None:
+        """Judge ``trace_id``'s evaluations against ``repository``."""
+        self.envs[trace_id] = dataclasses.replace(self.env, config=repository)
 
     def get(self, assertion_id: str) -> Assertion:
         if assertion_id not in self.assertions:
@@ -85,7 +95,7 @@ class AssertionEvaluationService:
         context = ProcessContext.from_record(record)
         params = dict(record.fields)
         for assertion_id in assertion_ids:
-            self._spawn(assertion_id, params, cause="log", context=context)
+            self._spawn(assertion_id, params, "log", context, context.trace_id)
 
     def trigger_from_timer(self, trace_id: str, assertion_ids: list[str]) -> None:
         """Timer trigger: the watchdog of ``trace_id`` missed a deadline.
@@ -95,23 +105,23 @@ class AssertionEvaluationService:
         """
         params: dict = {}
         for assertion_id in assertion_ids:
-            self._spawn(assertion_id, params, cause="timer-timeout", context=None)
+            self._spawn(assertion_id, params, "timer-timeout", None, trace_id)
 
-    def evaluate_on_demand(self, assertion_id: str, params: dict) -> _t.Generator:
-        """On-demand trigger (diagnosis tests): drive with ``yield from``.
+    def evaluate_on_demand(self, assertion_id: str, params: dict, trace_id: str) -> _t.Generator:
+        """On-demand trigger (diagnosing ``trace_id``): drive with ``yield from``.
 
         Returns the AssertionResult; never invokes ``on_failure`` (the
         caller *is* the diagnosis).
         """
-        result = yield from self._evaluate(self.get(assertion_id), params)
-        result.cause = "on-demand"
+        result = yield from self._evaluate(self.get(assertion_id), params, trace_id)
+        result.cause, result.trace_id = "on-demand", trace_id
         self.results.append(result)
         self._log_result(result)
         return result
 
     # -- internals ----------------------------------------------------------------
 
-    def _spawn(self, assertion_id: str, params: dict, cause: str, context) -> None:
+    def _spawn(self, assertion_id: str, params: dict, cause: str, context, trace_id: str) -> None:
         assertion = self.get(assertion_id)
         self.in_flight += 1
         self.in_flight_max = max(self.in_flight_max, self.in_flight)
@@ -124,19 +134,21 @@ class AssertionEvaluationService:
                 "evaluate", "assertion", assertion_id=assertion_id, cause=cause
             )
         self.env.engine.process(
-            self._run(assertion, params, cause, context, span),
+            self._run(assertion, params, cause, context, trace_id, span),
             name=f"assert-{assertion_id}",
         )
 
-    def _evaluate(self, assertion: Assertion, params: dict) -> _t.Generator:
-        """Evaluate, on any trigger path.  The one place "could not read"
-        becomes a result: a bad API plane fails (and flags) an evaluation,
-        it never crashes the run or the diagnosis walk."""
-        started = self.env.engine.now
+    def _evaluate(self, assertion: Assertion, params: dict, trace_id: str) -> _t.Generator:
+        """Evaluate against ``trace_id``'s repository, on any trigger path.
+        The one place "could not read" becomes a result: a bad API plane
+        fails (and flags) an evaluation, it never crashes the run or the
+        diagnosis walk."""
+        env = self.envs[trace_id]
+        started = env.engine.now
         try:
-            return (yield from assertion.evaluate(self.env, params))
+            return (yield from assertion.evaluate(env, params))
         except (CloudError, ConsistentCallError) as exc:
-            now = self.env.engine.now
+            now = env.engine.now
             return AssertionResult(
                 assertion_id=assertion.assertion_id,
                 passed=False,
@@ -149,14 +161,15 @@ class AssertionEvaluationService:
             )
 
     def _run(
-        self, assertion: Assertion, params: dict, cause: str, context, span=None
+        self, assertion: Assertion, params: dict, cause: str, context, trace_id: str, span=None
     ) -> _t.Generator:
         try:
-            result = yield from self._evaluate(assertion, params)
+            result = yield from self._evaluate(assertion, params, trace_id)
         finally:
             self.in_flight -= 1
         result.cause = cause
         result.context = context
+        result.trace_id = trace_id
         self.results.append(result)
         self._log_result(result)
         if result.failed and self.on_failure is not None:

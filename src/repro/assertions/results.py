@@ -28,6 +28,8 @@ class AssertionResult:
     observed: dict = dataclasses.field(default_factory=dict)
     #: Process context of the trigger, if any.
     context: _t.Any = None
+    #: The watched trace whose repository judged it (a timer's too).
+    trace_id: str | None = None
     #: True when the failure came from API timeout rather than a mismatch
     #: ("assertion evaluations are regarded as failed if API calls time
     #: out", §IV).

@@ -262,7 +262,7 @@ class ChaosApiProxy:
 class ChaosLatency:
     """Latency model view with the brownout multiplier applied.
 
-    ``percentile``/``mean`` deliberately report the *healthy* base model:
+    ``percentile`` deliberately reports the *healthy* base model:
     the paper calibrates timeouts at the 95th percentile of measured
     (healthy) latencies, and a brownout must be able to blow through that
     calibration — auto-scaling the timeout with the brownout would hide
@@ -276,12 +276,8 @@ class ChaosLatency:
     def sample(self) -> float:
         return self.base.sample() * self.controller.latency_multiplier()
 
-    def mean(self) -> float:
-        return self.base.mean()
-
-    @property
-    def percentile(self):
-        return getattr(self.base, "percentile", None)
+    def percentile(self, q: float) -> float:
+        return self.base.percentile(q)
 
     def __repr__(self) -> str:
         return f"ChaosLatency({self.base!r} x{self.controller.latency_multiplier()})"

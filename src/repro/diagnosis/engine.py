@@ -33,6 +33,8 @@ class DiagnosisRequest:
     trigger_detail: str
     tree_ids: list[str]
     params: dict
+    #: The watched trace whose repository the walk reads (a timer's too).
+    trace_id: str
     context: ProcessContext | None = None
 
 
@@ -84,7 +86,8 @@ class DiagnosisEngine:
         if tree_id is None or tree_id not in self.trees:
             return None
         return self._request(
-            "assertion", result.assertion_id, [tree_id], result.params, result.context
+            "assertion", result.assertion_id, [tree_id], result.params, result.trace_id,
+            result.context,
         )
 
     def diagnose_conformance_error(self, result: ConformanceResult) -> DiagnosisRequest:
@@ -98,36 +101,40 @@ class DiagnosisEngine:
         if result.status in (UNKNOWN, ERROR):
             context = context.merged_with(step=context.last_valid_activity)
         detail = f"{result.status}:{result.activity or 'unknown-line'}"
-        return self._request("conformance", detail, ["process-deviation"], {}, context)
+        return self._request(
+            "conformance", detail, ["process-deviation"], {}, result.trace_id, context
+        )
 
     def diagnose(
         self,
         tree_ids: list[str],
+        trace_id: str,
         context: ProcessContext | None = None,
         trigger_detail: str = "manual",
     ) -> DiagnosisRequest:
-        """Run a diagnosis over an explicit set of fault trees.
+        """Run a diagnosis of trace ``trace_id`` over an explicit set of fault trees.
 
         The programmatic entry point: operators (and the ablation benches)
         can ask for any tree combination — e.g. a timer-triggered failure
         with weak context may warrant consulting both the instance-count
         tree and the resource-integrity tree.
         """
-        return self._request("external", trigger_detail, list(tree_ids), {}, context)
+        return self._request("external", trigger_detail, list(tree_ids), {}, trace_id, context)
 
     # -- request construction ------------------------------------------------------
 
     def _request(
-        self, trigger: str, detail: str, tree_ids: list[str], params: dict, context
+        self, trigger: str, detail: str, tree_ids: list[str], params: dict, trace_id: str,
+        context,
     ) -> DiagnosisRequest:
         """Build one request and start its walk as an engine process."""
-        merged = self._merge_params(params, context)
         request = DiagnosisRequest(
             request_id=f"diag-{next(self._ids)}",
             trigger=trigger,
             trigger_detail=detail,
             tree_ids=tree_ids,
-            params=merged,
+            params=self._merge_params(params, context, trace_id),
+            trace_id=trace_id,
             context=context,
         )
         span = None
@@ -139,14 +146,14 @@ class DiagnosisEngine:
         self.engine.process(self._run(request, span), name=request.request_id)
         return request
 
-    def _merge_params(self, params: dict, context) -> dict:
-        """Request params: env config ∪ trigger params ∪ context fields.
+    def _merge_params(self, params: dict, context, trace_id: str) -> dict:
+        """Request params: the trace's repository ∪ context fields ∪ trigger params.
 
         The configuration repository supplies the stable variables
         (asg_name, expected ids, N); the trigger adds specifics
         (instanceid of the new instance, counts).
         """
-        merged = dict(self.assertions.env.config)
+        merged = dict(self.assertions.envs[trace_id].config)
         if context is not None:
             merged.update({k: v for k, v in context.fields.items() if v is not None})
         merged.update({k: v for k, v in params.items() if v is not None})
@@ -266,12 +273,13 @@ class DiagnosisEngine:
         node, test, params = look.node, look.node.test, look.params
         if test.kind != "assertion":
             self._log(request, f"Verifying {node.node_id}: probe {test.name}")
-            observed, evidence = yield from self.probes.run(test.name, self.assertions.env, params)
+            env = self.assertions.envs[request.trace_id]
+            observed, evidence = yield from self.probes.run(test.name, env, params)
             return observed, evidence, bool(evidence.get("degraded"))
         self._log(request, f"Verifying {node.node_id}: {test.name} {params}")
         if test.name not in self.assertions.assertions:
             return None, {"reason": f"unknown assertion {test.name}"}, False
-        result = yield from self.assertions.evaluate_on_demand(test.name, params)
+        result = yield from self.assertions.evaluate_on_demand(test.name, params, request.trace_id)
         if result.degraded:
             return None, {"reason": "degraded API plane"}, True
         if result.timed_out:

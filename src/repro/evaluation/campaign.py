@@ -280,9 +280,9 @@ def _fault_manifested(testbed, fault_type: str, injected_at: float | None,
             return True
         if reverted_at is not None:
             return False
-        config = testbed.pod_config
-        lc = state.latest_view("launch_configuration", config.lc_name)
-        return lc is not None and bool(config.target.mismatches(lc))
+        params = testbed.params
+        lc = state.latest_view("launch_configuration", params.lc_name)
+        return lc is not None and bool(params.target.mismatches(lc))
     if fault_type in _FAULT_ERROR_CODES:
         code = _FAULT_ERROR_CODES[fault_type]
         return any(

@@ -52,15 +52,39 @@ ELB_TIMEOUT = 25.0
 
 @dataclasses.dataclass
 class RollingUpgradeParams:
-    """What one rolling upgrade operates on."""
+    """What one rolling upgrade operates on, declared once: the
+    orchestrator runs it, and POD judges the operation's trace against
+    the configuration repository derived from it."""
 
     asg_name: str
     elb_name: str
     lc_name: str  # name for the new launch configuration
     target: TargetConfig
+    #: The group's size N once the upgrade is done.
+    desired_capacity: int
     #: Instances replaced per batch, the paper's k
-    #: (``repro.testbed.BATCH_SIZE_BY_CLUSTER``).
+    #: (``repro.testbed.BATCH_SIZE_BY_CLUSTER``): during the upgrade at
+    #: least N' = N - k instances must stay in service (§II's floor).
     batch_size: int = 1
+
+    def as_repository(self, since: float) -> dict:
+        """One trace's configuration repository; ``since`` (the operation's
+        start) bounds historical queries during diagnosis.  Mutable by
+        design: a scale-in operated through proper channels would update
+        ``desired_capacity`` here; the evaluation deliberately does *not*
+        (the interference is unannounced), which is what turns concurrent
+        scale-ins into detected anomalies."""
+        return {
+            "asg_name": self.asg_name,
+            "elb_name": self.elb_name,
+            "desired_capacity": self.desired_capacity,
+            # The fault trees' name for the same number.
+            "N": self.desired_capacity,
+            "min_in_service": max(1, self.desired_capacity - self.batch_size),
+            **self.target.as_repository(),
+            "lc_name": self.lc_name,
+            "since": since,
+        }
 
 
 @dataclasses.dataclass

@@ -1,6 +1,5 @@
 """POD-Diagnosis facade: the paper's Fig. 1, wired and ready."""
 
-from repro.pod.config import PodConfig
 from repro.pod.service import Detection, PODDiagnosis
 
-__all__ = ["Detection", "PODDiagnosis", "PodConfig"]
+__all__ = ["Detection", "PODDiagnosis"]

@@ -3,7 +3,8 @@
 Wires together the log pipeline, conformance checking, assertion
 evaluation, fault trees and the diagnosis engine over a simulated cloud.
 One service instance watches one operation process type (here: rolling
-upgrade); call :meth:`watch` for each operation node's log stream.
+upgrade); call :meth:`watch` for each operation node's log stream, with
+its operation's declaration: each trace is judged against its own.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ from repro.logsys.storage import CentralLogStorage
 from repro.logsys.timers import TimerSetter
 from repro.logsys.trigger import Trigger
 from repro.operations.profile import shared_rolling_upgrade_profile
-from repro.operations.rolling_upgrade import DEFAULT_WATCHDOG_SLACK
-from repro.pod.config import PodConfig
+from repro.operations.rolling_upgrade import DEFAULT_WATCHDOG_SLACK, RollingUpgradeParams
 from repro.process.conformance import ConformanceChecker
 from repro.sim.latency import aws_api_latency
 
@@ -53,7 +53,7 @@ class PODDiagnosis:
     def __init__(
         self,
         cloud,
-        config: PodConfig,
+        watchdog_interval: float,
         seed: int = 0,
         chaos=None,
         obs=None,
@@ -62,7 +62,6 @@ class PODDiagnosis:
         #: open spans; None = off.
         self.obs = obs
         self.cloud = cloud
-        self.config = config
         self._seed = seed
         #: Optional :class:`~repro.cloud.chaos.ChaosController` degrading
         #: the API plane this service observes through.
@@ -77,12 +76,12 @@ class PODDiagnosis:
         self.library = profile.library
         self.model = profile.model
 
-        # Assertion evaluation (Fig. 4).
+        # Assertion evaluation (Fig. 4).  Each watched trace gets a copy
+        # of this environment holding its own configuration repository.
         self.env = AssertionEnvironment(
             engine=engine,
             client=self._client("pod-diagnosis", 101, 103, RetryBudget()),
             monitor=cloud.monitor,
-            config=config.as_repository(),
             state=cloud.state,
             trail=cloud.trail,
             operation_api_calls=cloud.api("asgard").calls,
@@ -125,7 +124,7 @@ class PODDiagnosis:
             start_activity=profile.watchdog_start,
             end_activity=profile.watchdog_end,
             align_activities=profile.watchdog_aligns,
-            interval=config.watchdog_interval,
+            interval=watchdog_interval,
             slack=DEFAULT_WATCHDOG_SLACK,
             on_timeout=functools.partial(
                 self.assertions.trigger_from_timer,
@@ -139,8 +138,13 @@ class PODDiagnosis:
 
     # -- wiring ------------------------------------------------------------------
 
-    def watch(self, stream: LogStream, trace_id: str) -> LocalLogProcessor:
-        """Attach a local log processor to one operation node's log."""
+    def watch(
+        self, stream: LogStream, trace_id: str, params: RollingUpgradeParams, since: float
+    ) -> LocalLogProcessor:
+        """Attach a local log processor to one operation node's log; the
+        trace is judged against the repository of ``params``, the
+        operation started at ``since``."""
+        self.assertions.watch(trace_id, params.as_repository(since))
         processor = LocalLogProcessor(
             noise_filter=NoiseFilter(self.library, passthrough_unmatched=True),
             process_annotator=ProcessAnnotator(self.library, self.model.model_id, trace_id),

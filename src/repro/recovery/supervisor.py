@@ -107,7 +107,7 @@ def recover_run(
         "recovery_api": {},
     }
 
-    plan = build_recovery_plan(causes, pod.env.config)
+    plan = build_recovery_plan(causes, pod.assertions.envs[operation.trace_id].config)
     if not causes:
         plan.advisory.append(
             "No root cause was diagnosed for the failed operation;"

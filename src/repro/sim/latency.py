@@ -20,8 +20,9 @@ class LatencyModel:
     def sample(self) -> float:
         raise NotImplementedError
 
-    def mean(self) -> float:
-        """Analytic mean of the distribution, used by timeout calibration."""
+    def percentile(self, q: float) -> float:
+        """Analytic quantile (0 < q < 1): the paper's timeout calibration
+        rule reads the 95th (§IV)."""
         raise NotImplementedError
 
 
@@ -36,7 +37,7 @@ class ConstantLatency(LatencyModel):
     def sample(self) -> float:
         return self.value
 
-    def mean(self) -> float:
+    def percentile(self, q: float) -> float:
         return self.value
 
     def __repr__(self) -> str:
@@ -56,8 +57,8 @@ class UniformLatency(LatencyModel):
     def sample(self) -> float:
         return self._rng.uniform(self.low, self.high)
 
-    def mean(self) -> float:
-        return (self.low + self.high) / 2
+    def percentile(self, q: float) -> float:
+        return self.low + q * (self.high - self.low)
 
     def __repr__(self) -> str:
         return f"UniformLatency({self.low}, {self.high})"
@@ -87,16 +88,9 @@ class LogNormalLatency(LatencyModel):
             value = min(value, self.cap)
         return value
 
-    def mean(self) -> float:
-        return math.exp(self._mu + self.sigma**2 / 2)
-
     def percentile(self, q: float) -> float:
-        """Analytic quantile (0 < q < 1) — used for the paper's
-        '95th-percentile timeout' calibration rule (§IV)."""
         if not 0 < q < 1:
             raise ValueError("q must be in (0, 1)")
-        # Inverse normal CDF via Acklam's rational approximation is overkill
-        # here; use the Moro/Beasley-Springer approach from scipy if present.
         from statistics import NormalDist
 
         z = NormalDist().inv_cdf(q)

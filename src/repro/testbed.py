@@ -25,7 +25,6 @@ from repro.operations.rolling_upgrade import (
     RollingUpgradeParams,
 )
 from repro.operations.target import TargetConfig
-from repro.pod.config import PodConfig
 from repro.pod.service import PODDiagnosis
 
 #: Mean eventual-consistency lag of a healthy API plane, seconds.
@@ -76,7 +75,6 @@ class Testbed:
     ) -> None:
         self.cluster_size = cluster_size
         self.seed = seed
-        self.batch_size = BATCH_SIZE_BY_CLUSTER.get(cluster_size, 1)
         # API-plane chaos (profile name, ChaosProfile, or None).  A chaotic
         # control plane also widens the eventual-consistency window.
         chaos_profile = get_profile(chaos)
@@ -97,29 +95,31 @@ class Testbed:
         # Let the initial fleet boot before anything else happens.
         self.engine.run(until=300.0)
 
-        self.pod_config = PodConfig(
+        # The upgrade to version B, declared once: the orchestrator runs
+        # it (first and resumed attempts alike), POD judges its traces
+        # against it, ground truth and recovery compare against it.
+        self.params = RollingUpgradeParams(
             asg_name=self.stack.asg_name,
             elb_name=self.stack.elb_name,
-            desired_capacity=cluster_size,
-            # Version B, declared once: the upgrade launches it, POD checks
-            # for it, ground truth and recovery compare against it.
+            lc_name=self.stack.lc_v2,
             target=TargetConfig(
                 image_id=self.stack.ami_v2,
                 key_name=self.stack.key_name,
                 instance_type=self.stack.instance_type,
                 security_groups=[self.stack.security_group],
             ),
-            lc_name=self.stack.lc_v2,
-            batch_size=self.batch_size,
-            watchdog_interval=(
-                LARGE_BATCH_WATCHDOG_INTERVAL if self.batch_size > 1 else DEFAULT_WATCHDOG_INTERVAL
-            ),
-            operation_start=self.engine.now,
+            desired_capacity=cluster_size,
+            batch_size=BATCH_SIZE_BY_CLUSTER.get(cluster_size, 1),
         )
         self.pod = PODDiagnosis(
-            self.cloud, self.pod_config, seed=seed, chaos=self.chaos, obs=self.obs
+            self.cloud,
+            LARGE_BATCH_WATCHDOG_INTERVAL if self.params.batch_size > 1 else DEFAULT_WATCHDOG_INTERVAL,
+            seed=seed, chaos=self.chaos, obs=self.obs,
         )
         self.stream = LogStream("asgard.log")
+        #: When the upgrade started: the ``since`` of every attempt's
+        #: trace (a resumed attempt is the same operation).
+        self.started_at: float | None = None
         self.upgrade: RollingUpgradeOperation | None = None
         #: Resumed attempts (recovery plane), in launch order.
         self.resumed: list[RollingUpgradeOperation] = []
@@ -164,9 +164,9 @@ class Testbed:
         some window, still active, ...) mismatch the target?  Read off the
         region's own write history: no API call, no virtual time."""
         state = self.cloud.state
-        target = self.pod_config.target
+        target = self.params.target
         return any(
-            instance.asg_name == self.pod_config.asg_name
+            instance.asg_name == self.params.asg_name
             and where(instance)
             and target.mismatches(state.latest_view("instance", instance.instance_id))
             for instance in state.instances.values()
@@ -176,17 +176,10 @@ class Testbed:
 
     def _launch(self, stream, trace_id, seed_offset, checkpoint=None) -> RollingUpgradeOperation:
         """Watch ``stream`` and start a rolling upgrade to version B on it."""
-        self.pod.watch(stream, trace_id)
-        params = RollingUpgradeParams(
-            asg_name=self.stack.asg_name,
-            elb_name=self.stack.elb_name,
-            lc_name=self.stack.lc_v2,
-            target=self.pod_config.target,
-            batch_size=self.batch_size,
-        )
+        self.pod.watch(stream, trace_id, self.params, self.started_at)
         client = self.cloud.client("asgard", latency_seed_offset=seed_offset)
         operation = RollingUpgradeOperation(
-            self.engine, client, stream, params, trace_id, checkpoint=checkpoint
+            self.engine, client, stream, self.params, trace_id, checkpoint=checkpoint
         )
         operation.start()
         return operation
@@ -208,8 +201,7 @@ class Testbed:
         """Arm POD on the operation log and launch the rolling upgrade."""
         if self.upgrade is not None:
             raise RuntimeError("upgrade already started")
-        self.pod_config.operation_start = self.engine.now
-        self.pod.env.config["since"] = self.engine.now
+        self.started_at = self.engine.now
         self.upgrade = self._launch(self.stream, trace_id, seed_offset=7)
         return self.upgrade
 

@@ -30,16 +30,30 @@ class FlakyApi:
         return self.result
 
 
+def call_timeout(p95):
+    """The client's one timeout rule: every attempt may take the latency
+    model's 95th percentile, plus 2 s of slack."""
+    return p95 * (MAX_RETRIES + 1) + 2.0
+
+
 def client_for(engine, api, **kwargs):
     """The shipped client over a 0.05 s constant-latency plane, whose
-    call timeout is 10x the mean latency x 5 attempts = 2.5 s."""
+    call timeout is 0.05 s x 5 attempts + 2 s = 2.25 s."""
     kwargs.setdefault("latency", ConstantLatency(0.05))
     return ConsistentApiClient(engine, api, **kwargs)
 
 
-#: Latency whose call timeout (5 s) outlasts all five attempts and four
-#: full backoff windows (0.5 + 3.0 s): a failing call exhausts its retries.
-UNHURRIED = ConstantLatency(0.1)
+class UnhurriedLatency(ConstantLatency):
+    """0.1 s calls on a plane whose calibration saw a 0.4 s 95th
+    percentile: the 4 s call timeout outlasts all five attempts and four
+    full backoff windows (0.5 + 3.0 s), so a failing call exhausts its
+    retries before its deadline."""
+
+    def percentile(self, q):
+        return 0.4
+
+
+UNHURRIED = UnhurriedLatency(0.1)
 
 
 def drive(engine, generator):
@@ -88,6 +102,7 @@ class TestCall:
     def test_retries_exhausted(self, engine):
         api = FlakyApi(errors=[Throttling("x")] * 50)
         client = client_for(engine, api, latency=UNHURRIED)
+        assert client.call_timeout == call_timeout(0.4) > 0.1 * 5 + 3.0
         with pytest.raises(ConsistentCallError) as excinfo:
             drive(engine, client.call("operation"))
         assert not excinfo.value.timed_out
@@ -106,10 +121,9 @@ class TestCall:
     def test_default_timeout_from_percentile(self, engine):
         from repro.sim.latency import LogNormalLatency
 
-        client = ConsistentApiClient(
-            engine, FlakyApi(), latency=LogNormalLatency(median=0.1, sigma=0.3)
-        )
-        assert client.call_timeout > 0.1
+        latency = LogNormalLatency(median=0.1, sigma=0.3)
+        client = ConsistentApiClient(engine, FlakyApi(), latency=latency)
+        assert client.call_timeout == call_timeout(latency.percentile(0.95))
 
 
 class TestCallUntil:
@@ -183,7 +197,7 @@ class TestCallUntil:
         even when the client's own call timeout is much larger."""
         api = FlakyApi(errors=[Throttling("x")] * 1000)
         client = client_for(engine, api, latency=ConstantLatency(2.0))
-        assert client.call_timeout == 100.0
+        assert client.call_timeout == call_timeout(2.0) == 12.0
         with pytest.raises(ConsistentCallError) as excinfo:
             drive(engine, client.call_until("operation", predicate=lambda v: True, timeout=5.0))
         assert excinfo.value.timed_out
@@ -422,4 +436,4 @@ class TestDegradation:
         assert client.blackholes == 1
         assert client.timeouts == 1
         # The hang consumed exactly the remaining deadline.
-        assert engine.now == pytest.approx(client.call_timeout) == 2.5
+        assert engine.now == pytest.approx(client.call_timeout) == call_timeout(0.05)

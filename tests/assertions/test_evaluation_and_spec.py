@@ -40,6 +40,18 @@ class UnreadableAssertion(Assertion):
         raise self.error
 
 
+class RepositoryReader(Assertion):
+    """Answers with the ``asg_name`` its environment's repository holds."""
+
+    assertion_id = "reader"
+
+    def evaluate(self, env, params):
+        started = env.engine.now
+        yield env.engine.timeout(0.1)
+        observed = {"asg_name": env.expected("asg_name", params)}
+        return self._result(env, True, "read", params, started, observed)
+
+
 def chaos_error():
     error = ServiceUnavailable("chaos: unavailable")
     error.chaos = True
@@ -51,11 +63,11 @@ def service(engine):
     env = AssertionEnvironment(
         engine=engine,
         client=ConsistentApiClient(engine, object(), latency=ConstantLatency(0.01)),
-        config={"asg_name": "asg-x"},
     )
     storage = CentralLogStorage()
     failures = []
     svc = AssertionEvaluationService(env, storage=storage, on_failure=failures.append)
+    svc.watch("t1", {"asg_name": "asg-x"})
     svc.storage_records = storage
     svc.failure_list = failures
     return svc
@@ -87,7 +99,7 @@ class TestTriggerPaths:
 
     def test_on_demand_never_invokes_callback(self, service, engine):
         service.register(StubAssertion(passes=False))
-        result = engine.run(until=engine.process(service.evaluate_on_demand("stub", {})))
+        result = engine.run(until=engine.process(service.evaluate_on_demand("stub", {}, "t1")))
         assert result.failed
         assert result.cause == "on-demand"
         assert service.failure_list == []
@@ -98,6 +110,24 @@ class TestTriggerPaths:
         engine.run()
         assert service.results[0].cause == "timer-timeout"
         assert service.results[0].context is None
+
+    def test_each_trigger_reads_its_own_traces_repository(self, service, engine):
+        """A log trigger is judged by its line's trace, a timer trigger by
+        the watchdog's, an on-demand one by the trace the diagnosis names;
+        an unwatched trace has no repository to fall back on."""
+        service.watch("t2", {"asg_name": "asg-y"})
+        service.register(RepositoryReader())
+        service.trigger_from_log(tagged_record(), ["reader"])
+        service.trigger_from_timer("t2", ["reader"])
+        engine.run(until=engine.process(service.evaluate_on_demand("reader", {}, "t2")))
+        engine.run()
+        assert sorted((r.cause, r.trace_id, r.observed["asg_name"]) for r in service.results) == [
+            ("log", "t1", "asg-x"),
+            ("on-demand", "t2", "asg-y"),
+            ("timer-timeout", "t2", "asg-y"),
+        ]
+        with pytest.raises(KeyError):
+            engine.run(until=engine.process(service.evaluate_on_demand("reader", {}, "t3")))
 
     def test_unknown_assertion_raises(self, service):
         with pytest.raises(KeyError):
@@ -140,7 +170,7 @@ class TestTriggerPaths:
         service.trigger_from_log(tagged_record(), ["unreadable"])
         service.trigger_from_timer("t1", ["unreadable"])
         on_demand = engine.run(
-            until=engine.process(service.evaluate_on_demand("unreadable", {}))
+            until=engine.process(service.evaluate_on_demand("unreadable", {}, "t1"))
         )
         engine.run()
         assert sorted(r.cause for r in service.results) == ["log", "on-demand", "timer-timeout"]

@@ -14,8 +14,8 @@ from repro.assertions.library import (
     standard_rolling_upgrade_assertions,
 )
 from repro.cloud.errors import ServiceUnavailable
+from repro.operations.rolling_upgrade import RollingUpgradeParams
 from repro.operations.target import TargetConfig
-from repro.pod.config import PodConfig
 from repro.sim.latency import ConstantLatency
 
 
@@ -29,7 +29,7 @@ def env(provisioned_cloud):
         engine=cloud.engine,
         client=client,
         monitor=cloud.monitor,
-        config=PodConfig(
+        config=RollingUpgradeParams(
             asg_name="asg-dsn",
             elb_name="elb-dsn",
             desired_capacity=4,
@@ -40,7 +40,7 @@ def env(provisioned_cloud):
                 security_groups=["sg-web"],
             ),
             lc_name="lc-v1",
-        ).as_repository(),
+        ).as_repository(since=0.0),
     )
 
 
@@ -50,9 +50,11 @@ def run(env, assertion, params=None):
     question) becomes a failed result there, not in ``evaluate``."""
     service = AssertionEvaluationService(env)
     service.register(assertion)
+    # The fixture's repository, shared: a test edits it in place.
+    service.watch("t", env.config)
     engine = env.engine
     return engine.run(
-        until=engine.process(service.evaluate_on_demand(assertion.assertion_id, params or {}))
+        until=engine.process(service.evaluate_on_demand(assertion.assertion_id, params or {}, "t"))
     )
 
 

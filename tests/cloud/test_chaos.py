@@ -207,7 +207,7 @@ class TestChaosLatency:
         wrapped = controller.wrap_latency(ConstantLatency(0.1))
         assert wrapped.sample() == pytest.approx(0.6)
 
-    def test_mean_and_percentile_report_healthy_base(self, engine):
+    def test_percentile_reports_healthy_base(self, engine):
         from repro.sim.latency import LogNormalLatency
 
         base = LogNormalLatency(median=0.1, sigma=0.3)
@@ -215,5 +215,4 @@ class TestChaosLatency:
         wrapped = ChaosController(engine, profile, seed=1).wrap_latency(base)
         # Timeout calibration must stay at the HEALTHY 95th percentile so
         # a brownout can actually blow through it.
-        assert wrapped.mean() == base.mean()
         assert wrapped.percentile(0.95) == base.percentile(0.95)

@@ -60,10 +60,10 @@ def build_engine_fixture(engine, script, probe_results=None, tree=None):
     env = AssertionEnvironment(
         engine=engine,
         client=ConsistentApiClient(engine, object(), latency=ConstantLatency(0.01)),
-        config={"asg_name": "asg-x", "desired_capacity": 4, "N": 4},
     )
     storage = CentralLogStorage()
     assertions = AssertionEvaluationService(env, storage=storage)
+    assertions.watch("t1", {"asg_name": "asg-x", "desired_capacity": 4, "N": 4})
     assertions.register(ScriptedAssertion("check", script))
     probes = CustomTestRegistry()
     probe_results = probe_results or {}
@@ -122,6 +122,7 @@ def fake_assertion_result(engine, params=None):
         time=engine.now,
         params=params or {},
         context=ProcessContext(process_id="p", trace_id="t1", step="ready"),
+        trace_id="t1",
     )
 
 
@@ -321,13 +322,27 @@ class TestWalk:
     def test_params_merge_config_context_and_trigger(self, engine):
         diag, _ = build_engine_fixture(engine, {})
         context = ProcessContext(
-            process_id="p", trace_id="t", step="ready", fields={"instanceid": "i-7"}
+            process_id="p", trace_id="t1", step="ready", fields={"instanceid": "i-7"}
         )
-        merged = diag._merge_params({"num": "4"}, context)
+        merged = diag._merge_params({"num": "4"}, context, "t1")
         assert merged["asg_name"] == "asg-x"
         assert merged["N"] == 4
         assert merged["instanceid"] == "i-7"
         assert merged["num"] == "4"
+
+    def test_timer_failure_reads_its_own_traces_repository(self, engine):
+        """A timer-triggered failure carries no context, yet its request
+        reads the repository of the trace whose watchdog fired."""
+        diag, _ = build_engine_fixture(engine, {})
+        diag.assertions.watch("t2", {"asg_name": "asg-y", "desired_capacity": 20, "N": 20})
+        result = fake_assertion_result(engine)
+        result.context, result.trace_id = None, "t2"
+        request = diag.diagnose_assertion_failure(result)
+        assert (request.trace_id, request.params["N"], request.params["asg_name"]) == (
+            "t2", 20, "asg-y"
+        )
+        engine.run()
+        assert diag.completed[0].trace_id == "unknown"
 
 
 @pytest.mark.parametrize("case", sorted(UNREADABLE))
@@ -341,7 +356,7 @@ def test_on_demand_api_failure_degrades_the_test_never_the_walk(engine, case):
     )
     diag, _ = build_engine_fixture(engine, {}, tree=tree)
     diag.assertions.register(UnreadableAssertion("unreadable", error))
-    diag.diagnose(["scripted"])
+    diag.diagnose(["scripted"], "t1")
     engine.run()
 
     (report,) = diag.completed
@@ -389,10 +404,10 @@ def test_conformance_error_prunes_at_last_valid_activity(engine):
         "Waiting for group asg-x to start a new instance",
         "Exception during rolling upgrade: instances never became ready",
     ]
-    statuses = [
-        checker.check(LogRecord(time=float(t), source="asgard.log", message=line)).status
-        for t, line in enumerate(lines)
-    ]
+    records = [LogRecord(time=float(t), source="asgard.log", message=line) for t, line in enumerate(lines)]
+    for record in records:
+        record.add_tag("trace:t1")
+    statuses = [checker.check(record).status for record in records]
     assert statuses == [FIT] * 6 + [ERROR]
 
     (request,) = requests
@@ -423,8 +438,8 @@ def test_report_lists_what_the_step_scoping_cut(engine):
 
     diag, _ = build_engine_fixture(engine, {}, tree=tree)
     context = ProcessContext(process_id="p", trace_id="t1", step=READY)
-    diag.diagnose(["asg-instance-count"], context=context)
-    diag.diagnose(["asg-instance-count"])
+    diag.diagnose(["asg-instance-count"], "t1", context=context)
+    diag.diagnose(["asg-instance-count"], "t1")
     engine.run()
     at_ready, no_step = sorted(diag.completed, key=lambda r: r.step is None)
     assert (at_ready.step, no_step.step) == (READY, None)

@@ -41,7 +41,10 @@ class TestUndeterminedResolution:
             assert held
             engine.run(until=engine.now + MAX_DELAY)
             for report in held:
-                pod.diagnosis.diagnose(report.tree_ids, trigger_detail=f"post-mortem of {report.request_id}")
+                pod.diagnosis.diagnose(
+                    report.tree_ids, testbed.upgrade.trace_id,
+                    trigger_detail=f"post-mortem of {report.request_id}",
+                )
             engine.run(until=engine.now + 120)
             later = pod.reports[-len(held):]
             assert {r.trigger_detail for r in later} == {f"post-mortem of {r.request_id}" for r in held}

@@ -31,7 +31,6 @@ def env(provisioned_cloud):
         engine=cloud.engine,
         client=ConsistentApiClient(cloud.engine, cloud.api("diag"), latency=ConstantLatency(0.05)),
         monitor=cloud.monitor,
-        config={},
         state=cloud.state,
         trail=cloud.trail,
         operation_api_calls=cloud.api("asgard").calls,
@@ -170,8 +169,10 @@ class TestObservationContract:
         trees = FaultTreeRegistry()
         test = DiagnosticTest("custom", name, params=CONTRACT[name][0])
         trees.register(FaultTree("t", "", root=node("n", "", test=test)))
-        diag = DiagnosisEngine(env.engine, trees, AssertionEvaluationService(env), probes)
-        diag.diagnose(["t"])
+        assertions = AssertionEvaluationService(env)
+        assertions.watch("trace", {})
+        diag = DiagnosisEngine(env.engine, trees, assertions, probes)
+        diag.diagnose(["t"], "trace")
         env.engine.run(until=env.engine.now + 60)
         (execution,) = diag.completed[0].tests
         assert execution.verdict == "inconclusive"

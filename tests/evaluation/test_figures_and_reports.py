@@ -1,4 +1,4 @@
-"""Tests for figure rendering, diagnosis reports and pod config."""
+"""Tests for figure rendering, diagnosis reports and the operation's repository."""
 
 import pytest
 
@@ -11,8 +11,8 @@ from repro.evaluation.figures import (
     render_headline,
 )
 from repro.evaluation.metrics import CampaignMetrics, FaultTypeMetrics
+from repro.operations.rolling_upgrade import RollingUpgradeParams
 from repro.operations.target import TargetConfig
-from repro.pod.config import PodConfig
 
 
 def make_metrics(times=(1.5, 2.5, 2.7, 3.1, 9.0)):
@@ -122,6 +122,8 @@ class TestDiagnosisReport:
 
 
 class TestPodConfig:
+    """The configuration repository a rolling upgrade's declaration derives."""
+
     def _config(self, **overrides):
         defaults = dict(
             asg_name="asg-x",
@@ -133,24 +135,25 @@ class TestPodConfig:
             lc_name="lc-x",
         )
         defaults.update(overrides)
-        return PodConfig(**defaults)
+        return RollingUpgradeParams(**defaults)
 
     def test_repository_contains_expectations(self):
-        repo = self._config().as_repository()
+        repo = self._config().as_repository(since=300.0)
         assert repo["asg_name"] == "asg-x"
         assert repo["expected_image_id"] == "ami-1"
         assert repo["desired_capacity"] == 4
+        assert repo["since"] == 300.0
 
     def test_min_in_service_is_availability_floor(self):
-        assert self._config(batch_size=1).as_repository()["min_in_service"] == 3
-        assert self._config(batch_size=4).as_repository()["min_in_service"] == 1
-        assert self._config(desired_capacity=20, batch_size=4).as_repository()["min_in_service"] == 16
+        assert self._config(batch_size=1).as_repository(0.0)["min_in_service"] == 3
+        assert self._config(batch_size=4).as_repository(0.0)["min_in_service"] == 1
+        assert self._config(desired_capacity=20, batch_size=4).as_repository(0.0)["min_in_service"] == 16
 
     def test_floor_never_below_one(self):
-        assert self._config(desired_capacity=1, batch_size=5).as_repository()["min_in_service"] == 1
+        assert self._config(desired_capacity=1, batch_size=5).as_repository(0.0)["min_in_service"] == 1
 
     def test_repository_lists_are_copies(self):
         config = self._config()
-        repo = config.as_repository()
+        repo = config.as_repository(0.0)
         repo["expected_security_groups"].append("tampered")
         assert config.target.security_groups == ["sg"]

@@ -81,13 +81,14 @@ class TestTestbed:
         assert testbed.stack.ami_v1 != testbed.stack.ami_v2
 
     def test_batch_size_follows_paper(self):
-        assert Testbed(cluster_size=4, seed=72).batch_size == 1
-        assert Testbed(cluster_size=20, seed=72).batch_size == 4
+        assert Testbed(cluster_size=4, seed=72).params.batch_size == 1
+        assert Testbed(cluster_size=20, seed=72).params.batch_size == 4
 
-    def test_pod_config_targets_v2(self):
+    def test_params_target_v2(self):
         testbed = build_testbed(cluster_size=4, seed=73)
-        assert testbed.pod_config.target.image_id == testbed.stack.ami_v2
-        assert testbed.pod_config.lc_name == "lc-app-v2"
+        assert testbed.params.target.image_id == testbed.stack.ami_v2
+        assert testbed.params.lc_name == "lc-app-v2"
+        assert testbed.params.desired_capacity == 4
 
     def test_double_upgrade_start_rejected(self):
         testbed = build_testbed(cluster_size=4, seed=74)
@@ -99,4 +100,4 @@ class TestTestbed:
         testbed = build_testbed(cluster_size=4, seed=75)
         testbed.engine.run(until=testbed.engine.now + 50)
         testbed.start_upgrade()
-        assert testbed.pod.env.config["since"] == pytest.approx(350.0)
+        assert testbed.pod.assertions.envs["upgrade-1"].config["since"] == pytest.approx(350.0)

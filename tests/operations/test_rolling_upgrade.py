@@ -38,6 +38,7 @@ def launch_upgrade(cloud, batch_size=1, **param_overrides):
             instance_type="m1.small",
             security_groups=["sg-web"],
         ),
+        desired_capacity=4,
         batch_size=batch_size,
         **param_overrides,
     )

@@ -105,8 +105,9 @@ def test_the_repository_is_what_diagnosis_hands_to_recovery():
     (they used to differ by ``N`` and ``expected_security_group``, which
     each consumer re-derived for itself)."""
     testbed = build_testbed(cluster_size=4, seed=3)
-    repository = testbed.pod_config.as_repository()
-    request = testbed.pod.diagnosis.diagnose(["asg-instance-count"])
+    testbed.start_upgrade("upgrade-1")
+    repository = testbed.params.as_repository(since=testbed.started_at)
+    request = testbed.pod.diagnosis.diagnose(["asg-instance-count"], "upgrade-1")
     assert set(repository) <= set(request.params)
     for status in ("confirmed", "undetermined"):
         for cause in CATALOG:

@@ -11,8 +11,6 @@ reproduction:
    rate vs. detection latency across interval settings.
 """
 
-import dataclasses
-
 import pytest
 
 from repro.diagnosis.engine import DiagnosisEngine
@@ -43,7 +41,7 @@ def diagnose_with(testbed, tree_ids, context=None):
         testbed.pod.assertions,
         testbed.pod.probes,
     )
-    engine.diagnose(tree_ids, context=context, trigger_detail="ablation")
+    engine.diagnose(tree_ids, testbed.upgrade.trace_id, context=context, trigger_detail="ablation")
     testbed.engine.run(until=testbed.engine.now + 120)
     return engine.completed[0]
 
@@ -168,12 +166,13 @@ def test_ablation_watchdog_calibration():
     but false-alarm on slow boots; looser ones are quiet but late."""
 
     def testbed_watched_at(seed, interval):
-        """The shipped testbed, its POD rebuilt on a config with another
-        watchdog interval before anything is watched."""
+        """The shipped testbed, its POD rebuilt with another watchdog
+        interval before anything is watched."""
         testbed = build_testbed(cluster_size=4, seed=seed)
         testbed.pod.close()
-        testbed.pod_config = dataclasses.replace(testbed.pod_config, watchdog_interval=interval)
-        testbed.pod = PODDiagnosis(testbed.cloud, testbed.pod_config, seed=seed, chaos=testbed.chaos)
+        testbed.pod = PODDiagnosis(
+            testbed.cloud, watchdog_interval=interval, seed=seed, chaos=testbed.chaos
+        )
         return testbed
 
     def sweep(interval):

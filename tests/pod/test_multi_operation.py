@@ -3,6 +3,7 @@
 The paper's global-visibility claim: POD-Diagnosis aggregates
 process-annotated logs from different operations in one central
 repository, unlike per-tool exception handling with only local context.
+Each trace is still judged against its own operation's declaration.
 """
 
 import dataclasses
@@ -10,7 +11,7 @@ import dataclasses
 import pytest
 
 from repro.logsys.record import LogStream
-from repro.operations.rolling_upgrade import RollingUpgradeOperation, RollingUpgradeParams
+from repro.operations.rolling_upgrade import RollingUpgradeOperation
 from repro.testbed import build_testbed
 
 
@@ -25,15 +26,14 @@ def dual_upgrade():
 
     def team_b():
         yield testbed.engine.timeout(150)
-        params = RollingUpgradeParams(
-            asg_name="asg-dsn",
-            elb_name="elb-dsn",
+        params = dataclasses.replace(
+            testbed.params,
             lc_name="lc-app-v3",
-            target=dataclasses.replace(testbed.pod_config.target, image_id=ami_v3),
+            target=dataclasses.replace(testbed.params.target, image_id=ami_v3),
         )
         client = cloud.client("asgard-team-b", latency_seed_offset=91)
         operation_b = RollingUpgradeOperation(testbed.engine, client, stream_b, params, "upgrade-b")
-        testbed.pod.watch(stream_b, "upgrade-b")
+        testbed.pod.watch(stream_b, "upgrade-b", params, since=testbed.engine.now)
         operation_b.start()
 
     testbed.engine.process(team_b())
@@ -85,3 +85,36 @@ class TestGlobalVisibility:
         # instance; none leak after the runs end.
         testbed.pod.timers.stop_all()
         assert testbed.pod.timers.active == {}
+
+
+def confirmed_causes(testbed, trace_id):
+    return {
+        c.node_id
+        for r in testbed.pod.reports
+        if r.trace_id == trace_id
+        for c in r.root_causes
+        if c.status == "confirmed"
+    }
+
+
+class TestEachTraceJudgedAgainstItsOwnTarget:
+    """Team B's correct v3 upgrade is not judged against team A's v2 target."""
+
+    def test_team_b_raises_no_wrong_version(self, dual_upgrade):
+        testbed, _op, _ = dual_upgrade
+        details = {d.detail for d in testbed.pod.detections if d.trace_id == "upgrade-b"}
+        assert not details & {"new-instance-correct-version", "asg-uses-correct-config"}
+        assert not confirmed_causes(testbed, "upgrade-b") & {"lc-wrong-ami", "wrong-ami"}
+
+    def test_team_a_still_sees_the_mixed_version(self, dual_upgrade):
+        testbed, _op, _ = dual_upgrade
+        details = {d.detail for d in testbed.pod.detections if d.trace_id == "upgrade-a"}
+        assert {"new-instance-correct-version", "asg-uses-correct-config"} <= details
+        assert {"lc-wrong-ami", "wrong-ami"} <= confirmed_causes(testbed, "upgrade-a")
+
+    def test_each_trace_holds_its_own_repository(self, dual_upgrade):
+        testbed, _op, ami_v3 = dual_upgrade
+        envs = testbed.pod.assertions.envs
+        assert envs["upgrade-a"].config["expected_image_id"] == testbed.stack.ami_v2
+        assert envs["upgrade-b"].config["expected_image_id"] == ami_v3
+        assert envs["upgrade-b"].config["since"] == envs["upgrade-a"].config["since"] + 150

@@ -121,6 +121,6 @@ class TestViews:
 
     def test_batch_size_drives_watchdog_calibration(self):
         small = Testbed(cluster_size=4, seed=106)
-        assert small.pod_config.watchdog_interval == 140.0
+        assert small.pod.timers.interval == 140.0
         large = Testbed(cluster_size=20, seed=106)
-        assert large.pod_config.watchdog_interval == 170.0
+        assert large.pod.timers.interval == 170.0

@@ -139,7 +139,9 @@ class TestEscalationReason:
         testbed = build_testbed(cluster_size=4, seed=11)
         testbed.run_upgrade(trace_id="run")
         assert not testbed.pod.reports
-        failed = types.SimpleNamespace(status=OP_FAILED, finished_at=testbed.engine.now)
+        failed = types.SimpleNamespace(
+            status=OP_FAILED, finished_at=testbed.engine.now, trace_id="run"
+        )
         rec = recover_run(testbed, failed, run_id="run")
         assert (rec["status"], rec["escalation_reason"]) == (ESCALATED, "no-cause-diagnosed")
         assert rec["cause_ids"] == [] and rec["advisory"]

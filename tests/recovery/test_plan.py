@@ -239,7 +239,8 @@ class TestApplication:
             while not testbed.pod.reports:
                 yield testbed.engine.timeout(5)
             report = testbed.pod.reports[0]
-            plan = build_recovery_plan(report.root_causes, testbed.pod_config.as_repository())
+            repository = testbed.params.as_repository(since=testbed.started_at)
+            plan = build_recovery_plan(report.root_causes, repository)
             recovery = RecoveryEngine(testbed.engine, testbed.pod.recovery_client())
             healed.append((yield from recovery.execute(plan)))
 

@@ -30,13 +30,13 @@ class TestRollingUpgradeResume:
         assert testbed.resumed == [resumed]
 
         # The whole active fleet now matches the target configuration.
-        config = testbed.pod_config
+        params = testbed.params
         active = [
             i for i in testbed.cloud.state.instances.values()
-            if i.asg_name == config.asg_name and i.state.is_active()
+            if i.asg_name == params.asg_name and i.state.is_active()
         ]
-        assert len(active) == config.desired_capacity
-        assert all(i.image_id == config.target.image_id for i in active)
+        assert len(active) == params.desired_capacity
+        assert all(i.image_id == params.target.image_id for i in active)
 
     def test_resume_skips_already_replaced_instances(self):
         """Remaining work is re-derived from cloud state: instances the

@@ -1,5 +1,6 @@
 """Tests for latency models."""
 
+import math
 import statistics
 
 import pytest
@@ -19,7 +20,7 @@ class TestConstantLatency:
     def test_sample_is_constant(self):
         model = ConstantLatency(0.5)
         assert model.sample() == 0.5
-        assert model.mean() == 0.5
+        assert model.percentile(0.05) == model.percentile(0.95) == 0.5
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -33,7 +34,10 @@ class TestUniformLatency:
         assert all(1.0 <= s <= 2.0 for s in samples)
 
     def test_mean(self):
-        assert UniformLatency(1.0, 3.0).mean() == 2.0
+        # The mean of a uniform is its median; the quantiles are linear.
+        model = UniformLatency(1.0, 3.0)
+        assert model.percentile(0.5) == 2.0
+        assert model.percentile(0.95) == pytest.approx(2.9)
 
     def test_invalid_bounds(self):
         with pytest.raises(ValueError):
@@ -79,9 +83,16 @@ class TestLogNormalLatency:
     @given(st.floats(min_value=0.01, max_value=100), st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=50, deadline=None)
     def test_mean_at_least_median(self, median, sigma):
-        # For a log-normal, mean = median * exp(sigma^2/2) >= median.
+        # For a log-normal, mean = exp(mu + sigma^2/2) >= median = exp(mu).
         model = LogNormalLatency(median=median, sigma=sigma)
-        assert model.mean() >= median * 0.999
+        mean = math.exp(math.log(median) + sigma**2 / 2)
+        assert mean >= model.percentile(0.5) * 0.999
+
+    @pytest.mark.parametrize("median, sigma", [(0.08, 0.45), (1.0, 0.25)])
+    def test_sampled_mean_matches_the_analytic_mean(self, median, sigma):
+        model = LogNormalLatency(median=median, sigma=sigma, seed=11)
+        sampled = statistics.fmean(model.sample() for _ in range(20000))
+        assert sampled == pytest.approx(math.exp(math.log(median) + sigma**2 / 2), rel=0.02)
 
 
 class TestCalibratedModels:

@@ -94,6 +94,8 @@ SRC_EX_DOCS = ("src/", "examples/", "README.md", "DESIGN.md")
 ITEM_6 = "0e8a79b"
 #: The commit that deleted the blocks only tests ran (ROADMAP item 18).
 ITEM_18 = "1b2e7f9"
+#: The commit that declared each operation once (ROADMAP item 14, rung 1).
+ITEM_14 = "PENDING"
 
 GUARDS: dict[str, Guard] = {
     "one-replay-engine": Guard(
@@ -306,6 +308,16 @@ GUARDS: dict[str, Guard] = {
         r"cache\.hits|cache\.misses|tests_cached", SRC_EX_DOCS, ITEM_18,
         "they read 0, equal to another counter, or the sum of the verdict counters on every run",
         '        count("diagnosis.tests_cached", hits)',
+    ),
+    "one-declaration-per-operation": Guard(
+        r"PodConfig|pod_config|operation_start", SRC_EX_DOCS, ITEM_14,
+        "RollingUpgradeParams declares an operation once; POD holds no per-operation fact",
+        "        self.pod_config.operation_start = self.engine.now",
+    ),
+    "a-repository-per-trace": Guard(
+        r"env\.config\[", SRC_EX_DOCS, ITEM_14,
+        "a trace's repository is built once when it is watched; nothing patches it after",
+        '        self.pod.env.config["since"] = self.engine.now',
     ),
 }
 

@@ -174,24 +174,18 @@ RUN_ONLY_BY: dict[str, tuple[str, str, str]] = {
     "logsys.patterns:PatternLibrary.activities": (
         "oracle", "tests/operations/test_rolling_upgrade.py::test_rolling_upgrade_profile_is_coherent",
         "what OperationProfile.validate checks the model against"),
-    "sim.latency:LogNormalLatency.mean": (
-        "oracle", "tests/sim/test_latency.py",
-        "the analytic mean the sampled latencies are checked against"),
     # Test seams: a test puts a fake, or a bare part, where a run has the real one.
     "sim.latency:ConstantLatency.__init__": ("seam", "tests/assertions/test_consistent_api.py",
                                              "a latency with no spread"),
     "sim.latency:ConstantLatency.sample": ("seam", "tests/assertions/test_consistent_api.py",
                                            "the same"),
-    "sim.latency:ConstantLatency.mean": ("seam", "tests/assertions/test_consistent_api.py",
-                                         "the client's timeout fallback for a model with no"
-                                         " percentile, which only the fakes are"),
+    "sim.latency:ConstantLatency.percentile": ("seam", "tests/assertions/test_consistent_api.py",
+                                               "what the client's timeout rule reads of a fake"),
     "sim.latency:UniformLatency.__init__": ("seam", "tests/sim/test_latency.py", "bounded jitter"),
     "sim.latency:UniformLatency.sample": ("seam", "tests/sim/test_latency.py", "the same"),
-    "sim.latency:UniformLatency.mean": ("seam", "tests/sim/test_latency.py",
-                                        "the client's timeout fallback, as above"),
-    "cloud.chaos:ChaosLatency.mean": (
-        "seam", "tests/cloud/test_chaos.py::test_mean_and_percentile_report_healthy_base",
-        "a chaos-wrapped fake reports its healthy base's mean"),
+    "sim.latency:UniformLatency.percentile": ("seam", "tests/sim/test_latency.py",
+                                              "what the timeout rule reads of a"
+                                              " bounded-jitter fake"),
     "sim.engine:Engine.run": ("seam", "tests/sim/test_engine.py",
                               "a bare engine run to a process's end or to an empty queue, in"
                               " place of the testbed's bounded loop"),
