@@ -95,7 +95,7 @@ ITEM_6 = "0e8a79b"
 #: The commit that deleted the blocks only tests ran (ROADMAP item 18).
 ITEM_18 = "1b2e7f9"
 #: The commit that declared each operation once (ROADMAP item 14, rung 1).
-ITEM_14 = "PENDING"
+ITEM_14 = "5f978ed"
 
 GUARDS: dict[str, Guard] = {
     "one-replay-engine": Guard(
