@@ -1,7 +1,7 @@
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: check test paper bench bench-pairs chaos trace recover e2e-quick e2e-selftest
+.PHONY: check test paper bench bench-pairs outcome-diff chaos trace recover e2e-quick e2e-selftest
 
 # The fast gate for every push: tier-1 minus the slow full-campaign
 # tests (the run-lifecycle test, tests/evaluation/test_run_lifecycle.py,
@@ -58,3 +58,10 @@ N ?= 10
 SEED ?= 2014
 bench-pairs:
 	python3 tools/bench_pairs.py $(PARENT) . --workload $(W) --pairs $(N) --seed $(SEED)
+
+# What a "no behaviour change" claim rests on: the seed's four campaigns in
+# both checkouts, outcome by outcome; prints every differing JSON path and
+# exits 0 only when none differs.
+#   make outcome-diff PARENT=/path/to/parent-checkout [SEED=2014]
+outcome-diff:
+	python3 tools/outcome_diff.py $(PARENT) . --seed $(SEED)

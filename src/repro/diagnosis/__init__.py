@@ -2,9 +2,10 @@
 
 Triggered by assertion failures, conformance non-conformances, or failure
 lines from other monitors, the :class:`DiagnosisEngine` selects the fault
-tree(s) for the trigger, instantiates their variables from the runtime
-request, prunes subtrees by process context, and drives the walk
-(:mod:`repro.diagnosis.walk`, a pure function of observations) top-down,
+tree(s) for the trigger and drives the walk (:mod:`repro.diagnosis.walk`,
+a pure function of observations) top-down over the registry's own nodes:
+the walk binds the runtime request's variables as it visits each node and
+skips the subtrees the process context prunes,
 running the *diagnostic tests* it asks for — on-demand assertion
 evaluations and custom probes against the monitor/CloudTrail/scaling
 activities — confirming or excluding potential faults until root causes

@@ -1,9 +1,9 @@
 """The error-diagnosis service (§III.B.4), the walk's driver.
 
-Per request it selects the fault tree(s), instantiates and prunes them by
-process context, then drives :func:`~repro.diagnosis.walk.walk`: it pays
-each look's service round trip, observes, and records every decision the
-walk makes into the report, the paper's diagnosis log and the trace.
+Per request it selects the fault tree(s), notes what process context
+prunes, then drives :func:`~repro.diagnosis.walk.walk` over the registry's
+own nodes: it pays each look's service round trip, observes, and records
+every decision the walk makes into the report, the diagnosis log and trace.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from repro.diagnosis.tests import CustomTestRegistry
 from repro.diagnosis.walk import Look, walk
 from repro.faulttree.builder import FaultTreeRegistry
 from repro.faulttree.instantiate import instantiate_tree
-from repro.faulttree.tree import EXCLUDED, INCONCLUSIVE, FaultNode
+from repro.faulttree.tree import EXCLUDED, INCONCLUSIVE
 from repro.logsys.record import LogRecord
 from repro.process.conformance import ERROR, UNKNOWN, ConformanceResult
 from repro.process.context import ProcessContext
@@ -42,7 +42,7 @@ class DiagnosisEngine:
     """Fault-tree walking diagnosis service."""
 
     #: Diagnosis runs as a RESTful service in the paper (§IV): selecting
-    #: and instantiating trees costs one service round trip, and every
+    #: and pruning trees costs one service round trip, and every
     #: diagnostic test is one more.  These latencies reproduce that cost
     #: structure (and hence the Fig. 6 distribution's scale).
     STARTUP_LATENCY_MEDIAN = 0.55
@@ -174,23 +174,21 @@ class DiagnosisEngine:
         self.in_flight += 1
         try:
             # Service round trip: receive the request, select the tree(s),
-            # instantiate variables, prune by context.
+            # prune by context.
             yield self.engine.timeout(self._startup_latency.sample())
             since = float(request.params.get("since", 0.0) or 0.0)
-            roots: list[FaultNode] = []
-            for tree_id in request.tree_ids:
-                root, pruned = instantiate_tree(
-                    self.trees.get(tree_id), request.params, step=report.step
-                )
-                roots.append(root)
+            trees = [self.trees.get(tree_id) for tree_id in request.tree_ids]
+            for tree in trees:
+                pruned, leaves = instantiate_tree(tree, report.step)
                 report.pruned.extend(pruned)
-            report.potential_fault_count = sum(n.is_leaf for r in roots for n in r.iter_nodes())
+                report.potential_fault_count += leaves
             self._log(
                 request,
                 f"Performing on demand assertion checking: {request.trigger_detail}."
                 f" {report.potential_fault_count} potential faults in total...",
             )
-            report.root_causes = yield from self._drive(walk(roots, since), request, report, span)
+            steps = walk([tree.root for tree in trees], request.params, report.step, since)
+            report.root_causes = yield from self._drive(steps, request, report, span)
         finally:
             self.in_flight -= 1
         report.finished_at = self.engine.now

@@ -10,7 +10,7 @@ node's fault; what not seeing it means is the fault tree's to say
 
 Probes receive the :class:`~repro.assertions.base.AssertionEnvironment`
 (its ``state``, ``trail``, ``monitor`` and ``operation_api_calls`` filled
-in by the POD service) and the instantiated test params, those declared
+in by the POD service) and the bound test params, those declared
 ``requires`` at registration guaranteed present.  ``params["since"]`` — the
 operation's start time — bounds every historical query.
 """

@@ -1,9 +1,12 @@
 """The fault-tree walk (§III.B.4): every decision of a diagnosis, as a
 function of the observations it is sent.
 
-:func:`walk` yields a :class:`Look` per diagnostic test it needs observed
-and is sent ``(observed, evidence, degraded)``; ``observed`` is None when
-the test could not look.  Seeing a node's condition confirms its fault and
+:func:`walk` reads the registry's own nodes and never writes them: it
+skips a child out of the step's scope and binds ``$var`` into a visited
+node's description and, at its look, its test's params.  It yields a
+:class:`Look` per diagnostic test it needs observed and is sent
+``(observed, evidence, degraded)``; ``observed`` is None when the test
+could not look.  Seeing a node's condition confirms its fault and
 visits its children, most probable first; not seeing it means what the
 node declares (``when_not_observed``); could not look, or an unresolved
 ``$var``, stops the walk below the node.  A confirmed leaf is a root
@@ -23,11 +26,12 @@ import typing as _t
 
 from repro.diagnosis.report import RootCause, TestExecution
 from repro.faulttree.tree import CONFIRMED, EXCLUDED, INCONCLUSIVE, FaultNode
+from repro.faulttree.tree import substitute, substitute_params
 
 
 @dataclasses.dataclass(frozen=True)
 class Look:
-    """Observe ``node``'s test with ``params`` (instantiated, plus ``since``).
+    """Observe ``node``'s test with ``params`` (bound, plus ``since``).
     ``decided`` holds the executions recorded since the previous look, so a
     driver records each decision at the virtual time it was made."""
 
@@ -38,16 +42,18 @@ class Look:
 
 @dataclasses.dataclass
 class _Walk:
+    params: dict
+    step: str | None
     since: float
     seen: dict = dataclasses.field(default_factory=dict)  # test key -> observation
     tests: list = dataclasses.field(default_factory=list)
     told: int = 0  # how many of ``tests`` went out with a Look
 
 
-def walk(roots: _t.Iterable[FaultNode], since: float) -> _t.Generator:
+def walk(roots: _t.Iterable[FaultNode], params: dict, step: str | None, since: float) -> _t.Generator:
     """Walk ``roots`` in order, sharing one reuse table; return the root
     causes and the :class:`TestExecution` sequence."""
-    state = _Walk(since)
+    state = _Walk(params, step, since)
     causes: list[RootCause] = []
     for root in roots:
         causes.extend((yield from _visit(state, root)))
@@ -56,7 +62,8 @@ def walk(roots: _t.Iterable[FaultNode], since: float) -> _t.Generator:
 
 # Module-level, not nested: a nested recursive def is a reference cycle.
 def _visit(state: _Walk, node: FaultNode) -> _t.Generator:
-    verdict = CONFIRMED if node.test is None else (yield from _verdict(state, node))
+    description = substitute(node.description, state.params)
+    verdict = CONFIRMED if node.test is None else (yield from _verdict(state, node, description))
     if verdict in (EXCLUDED, INCONCLUSIVE):
         return []
     # Confirmed (or structural).
@@ -64,20 +71,21 @@ def _visit(state: _Walk, node: FaultNode) -> _t.Generator:
         if node.test is None:
             # An untestable leaf can never be confirmed on evidence.
             return []
-        return [RootCause(node.node_id, node.description, "confirmed", node.probability)]
+        return [RootCause(node.node_id, description, "confirmed", node.probability)]
     causes: list[RootCause] = []
     for child in node.ordered_children():
-        causes.extend((yield from _visit(state, child)))
+        if child.in_scope(state.step):
+            causes.extend((yield from _visit(state, child)))
     if not causes and node.test is not None:
-        # Evidence of a fault here, but nothing below could be pinned
-        # down: the paper's "cannot determine why" terminal.
-        return [RootCause(node.node_id, node.description, "undetermined", node.probability)]
+        # Evidence of a fault here, but nothing below in scope could be
+        # pinned down: the paper's "cannot determine why" terminal.
+        return [RootCause(node.node_id, description, "undetermined", node.probability)]
     return causes
 
 
-def _verdict(state: _Walk, node: FaultNode) -> _t.Generator:
+def _verdict(state: _Walk, node: FaultNode, description: str) -> _t.Generator:
     test = node.test
-    params = dict(test.params)
+    params = substitute_params(test.params, state.params)
     params.setdefault("since", state.since)
     key = (test.kind, test.name, tuple(sorted((k, str(v)) for k, v in params.items())))
     looked = state.seen.get(key)
@@ -110,7 +118,7 @@ def _verdict(state: _Walk, node: FaultNode) -> _t.Generator:
             cached=cached,
             degraded=degraded,
             observed=observed,
-            description=node.description,
+            description=description,
         )
     )
     return verdict

@@ -12,9 +12,9 @@ the subtree is relevant to — used for pruning), and a prior probability
 that orders sibling visits.
 """
 
-from repro.faulttree.tree import DiagnosticTest, FaultNode, FaultTree, node
+from repro.faulttree.tree import DiagnosticTest, FaultNode, FaultTree, node, substitute
 from repro.faulttree.builder import FaultTreeRegistry
-from repro.faulttree.instantiate import instantiate_tree, substitute
+from repro.faulttree.instantiate import instantiate_tree
 from repro.faulttree.library import build_standard_fault_trees
 
 __all__ = [

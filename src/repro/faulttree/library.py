@@ -374,10 +374,10 @@ EXPECTED_ROOT_CAUSE = {
 def shared_standard_fault_trees() -> FaultTreeRegistry:
     """Process-wide warm copy of the standard fault-tree registry.
 
-    Diagnosis always works on :func:`~repro.faulttree.instantiate.instantiate_tree`
-    *copies*, never the registry trees themselves, so one registry safely
-    serves every run in a process (the per-worker warm-state half of the
-    parallel-campaign speedup).  Callers that want to register extra trees
-    must build their own registry with :func:`build_standard_fault_trees`.
+    Diagnosis walks these very nodes and never writes one (it binds
+    ``$var`` into new strings and dicts), so one registry safely serves
+    every run in a process (the per-worker warm-state half of the
+    parallel-campaign speedup).  Callers that want to register extra
+    trees must build their own registry with :func:`build_standard_fault_trees`.
     """
     return build_standard_fault_trees()

@@ -1,8 +1,9 @@
-"""Fault tree data model."""
+"""Fault tree data model, and the ``$var`` binding the walk applies to it."""
 
 from __future__ import annotations
 
 import dataclasses
+import re
 import typing as _t
 
 #: The walk's three verdicts, defined here and nowhere else.
@@ -66,6 +67,11 @@ class FaultNode:
     def is_leaf(self) -> bool:
         return not self.children
 
+    def in_scope(self, step: str | None) -> bool:
+        """Context-free, scoped to ``step``, or no step is known (a timer's
+        diagnosis keeps everything, which is why it is slower and weaker)."""
+        return step is None or not self.step_context or step in self.step_context
+
     def iter_nodes(self) -> _t.Iterator["FaultNode"]:
         yield self
         for child in self.children:
@@ -119,3 +125,33 @@ def node(
         step_context=frozenset(steps),
         probability=probability,
     )
+
+
+_VAR = re.compile(r"\$(\w+)")
+
+
+def substitute(text: str, params: dict) -> str:
+    """Replace ``$var`` tokens with runtime parameters.
+
+    Unknown variables are left as-is: diagnosis can still proceed, the
+    corresponding test will simply report missing context (which is how
+    the paper's timer-only triggers end up with weak diagnoses).
+    """
+    if "$" not in text:
+        return text
+
+    def repl(match: re.Match) -> str:
+        key = match.group(1)
+        value = params.get(key)
+        return str(value) if value is not None else match.group(0)
+
+    return _VAR.sub(repl, text)
+
+
+def substitute_params(template: dict, params: dict) -> dict:
+    """Instantiate a test's parameter template into a new dict.
+
+    String values get ``$var`` substitution; the literal value ``"$var"``
+    whose variable is missing stays unresolved (marker for weak context).
+    """
+    return {k: substitute(v, params) if isinstance(v, str) else v for k, v in template.items()}

@@ -93,8 +93,8 @@ class PODDiagnosis:
         self.assertions.register_all(standard_rolling_upgrade_assertions())
 
         # Error diagnosis (fault trees + probes).  Shared warm copies:
-        # diagnosis instantiates per-request tree copies and probes are
-        # stateless, so the registries are safe to reuse process-wide.
+        # diagnosis only reads the trees and probes are stateless, so the
+        # registries are safe to reuse process-wide.
         self.trees = shared_standard_fault_trees()
         self.probes = shared_standard_probes()
         self.diagnosis = DiagnosisEngine(

@@ -135,8 +135,9 @@ class CompiledInstance:
         """Replay one event by transition id, forcing if unfit.
 
         Returns whether the event was fit (all input tokens present), and
-        updates the marking in place plus the fitness counters — the
-        table form of ``PetriNet.fire(force=True)``.
+        updates the marking in place plus the fitness counters — standard
+        token replay, where a missing input token is created and counted
+        as *missing* so replay can continue.
         """
         table = self.table
         marking = self.marking

@@ -143,10 +143,12 @@ class ProcessModel:
 
 
 class PetriNet:
-    """A minimal place/transition net supporting weighted token replay.
+    """A minimal place/transition net: the structure token replay runs on.
 
     Transitions are labelled with activity names.  Places are integers.
-    The marking is a dict place → token count.
+    :mod:`repro.process.compiled` replays on the table it builds from this
+    net; the interpreted firing rule it must equal lives with the tests
+    (``tests/process/reference_replay.py``).
     """
 
     def __init__(self) -> None:
@@ -163,36 +165,6 @@ class PetriNet:
         self.transitions[name] = (frozenset(inputs), frozenset(outputs))
         self.places.update(inputs)
         self.places.update(outputs)
-
-    def enabled(self, marking: dict[int, int], name: str) -> bool:
-        inputs, _outputs = self.transitions[name]
-        return all(marking.get(p, 0) > 0 for p in inputs)
-
-    def enabled_transitions(self, marking: dict[int, int]) -> list[str]:
-        return sorted(t for t in self.transitions if self.enabled(marking, t))
-
-    def fire(self, marking: dict[int, int], name: str, force: bool = False) -> tuple[dict[int, int], int]:
-        """Fire a transition; returns (new marking, missing token count).
-
-        With ``force=True`` missing input tokens are created (counted as
-        *missing* for the fitness metric) so replay can continue — the
-        standard token-replay recovery.
-        """
-        inputs, outputs = self.transitions[name]
-        missing = 0
-        new_marking = dict(marking)
-        for place in inputs:
-            if new_marking.get(place, 0) > 0:
-                new_marking[place] -= 1
-                if new_marking[place] == 0:
-                    del new_marking[place]
-            elif force:
-                missing += 1
-            else:
-                raise ValueError(f"transition {name!r} not enabled")
-        for place in outputs:
-            new_marking[place] = new_marking.get(place, 0) + 1
-        return new_marking, missing
 
 
 def _compile(model: ProcessModel) -> PetriNet:

@@ -1,15 +1,11 @@
-"""Tests for fault-tree structure, instantiation, pruning and registry."""
+"""Tests for fault-tree structure, substitution, pruning and registry."""
 
 import pytest
 
 from repro.faulttree.builder import FaultTreeRegistry
-from repro.faulttree.instantiate import (
-    instantiate_tree,
-    substitute,
-    substitute_params,
-)
+from repro.faulttree.instantiate import instantiate_tree
 from repro.faulttree.library import EXPECTED_ROOT_CAUSE, build_standard_fault_trees
-from repro.faulttree.tree import DiagnosticTest, FaultTree, node
+from repro.faulttree.tree import DiagnosticTest, FaultTree, node, substitute, substitute_params
 
 
 def small_tree():
@@ -62,16 +58,6 @@ class TestNodeStructure:
         order = [c.node_id for c in tree.find("branch-a").ordered_children()]
         assert order == ["leaf-a1", "leaf-a2"]
 
-    def test_copy_is_deep(self):
-        """Instantiation hands the walk its own nodes and test params: the
-        registry's tree is never written to."""
-        tree = small_tree()
-        clone, _ = instantiate_tree(tree, {})
-        clone.find("leaf-a1").description = "mutated"
-        clone.find("branch-b").test.params["asg"] = "mutated"
-        assert tree.find("leaf-a1").description == "leaf a1"
-        assert tree.root.find("branch-b").test.params["asg"] == "$asg_name"
-
 
 class TestSubstitution:
     def test_substitute_known_variables(self):
@@ -84,43 +70,28 @@ class TestSubstitution:
         out = substitute_params({"a": "$x", "b": 3, "c": "lit"}, {"x": "X"})
         assert out == {"a": "X", "b": 3, "c": "lit"}
 
-    def test_instantiate_tree_substitutes_everywhere(self):
-        instantiated, _ = instantiate_tree(small_tree(), {"asg_name": "asg-9"})
-        assert "asg-9" in instantiated.description
-        assert instantiated.find("branch-b").test.params["asg"] == "asg-9"
-
 
 class TestPruning:
     def test_prune_keeps_matching_step(self):
+        """(cut sub-tree roots, kept leaves); the tree is only read."""
         tree = small_tree()
-        root, pruned = instantiate_tree(tree, {"asg_name": "a"}, step="step-one")
-        ids = {n.node_id for n in root.iter_nodes()}
-        assert "branch-a" in ids
-        assert "branch-b" not in ids
-        assert pruned == ["branch-b"]
-        assert tree.find("branch-b") is not None  # cut from the copy only
+        assert instantiate_tree(tree, "step-one") == (["branch-b"], 2)
+        assert tree.find("branch-b") is not None
 
     def test_no_step_keeps_everything(self):
-        root, pruned = instantiate_tree(small_tree(), {"asg_name": "a"}, step=None)
-        assert len(list(root.iter_nodes())) == 5
-        assert pruned == []
+        assert instantiate_tree(small_tree(), None) == ([], 3)
 
     def test_unscoped_nodes_always_kept(self):
         tree = small_tree()
         tree.root.children[0].step_context = frozenset()
-        root, pruned = instantiate_tree(tree, {}, step="step-two")
-        ids = {n.node_id for n in root.iter_nodes()}
-        assert "branch-a" in ids and "branch-b" in ids
-        assert pruned == []
+        assert instantiate_tree(tree, "step-two") == ([], 3)
 
     def test_prune_by_context_root_scoped_out(self):
         """A scoped-out node goes with everything below it, named once by
         its own id; the root is never pruned (the assertion did fail)."""
         scoped = node("x", "d", node("below", "d", steps=("other",)), steps=("other",))
         tree = FaultTree("t", "", root=node("r", "d", scoped, steps=("other",)))
-        root, pruned = instantiate_tree(tree, {}, step="this")
-        assert [n.node_id for n in root.iter_nodes()] == ["r"]
-        assert pruned == ["x"]
+        assert instantiate_tree(tree, "this") == (["x"], 0)
 
 
 class TestRegistry:
@@ -228,7 +199,6 @@ class TestStandardTrees:
         diagnosis, we prune all other sub-trees.'"""
         registry = build_standard_fault_trees()
         tree = registry.get("asg-instance-count")
-        root, _ = instantiate_tree(tree, {"asg_name": "a", "N": 4}, step="new_instance_ready")
-        ids = {n.node_id for n in root.iter_nodes()}
-        assert "create-lc-fails" not in ids  # scoped to update_launch_configuration
-        assert "asg-wrong-config" in ids
+        pruned, _ = instantiate_tree(tree, "new_instance_ready")
+        assert "create-lc-fails" in pruned  # scoped to update_launch_configuration
+        assert tree.find("asg-wrong-config").in_scope("new_instance_ready")

@@ -15,7 +15,6 @@ import pytest
 
 from repro.diagnosis.engine import DiagnosisEngine
 from repro.diagnosis.walk import walk
-from repro.faulttree.instantiate import instantiate_tree
 from repro.faulttree.library import build_standard_fault_trees
 from repro.pod.service import PODDiagnosis
 from repro.testbed import build_testbed
@@ -102,9 +101,8 @@ def test_ablation_result_reuse():
     trees = [registry.get(tree_id) for tree_id in ("asg-instance-count", "resource-integrity")]
     # Every variable bound (to its own name), so no test is unresolved.
     params = {variable: variable for tree in trees for variable in tree.variables}
-    roots = [instantiate_tree(tree, params)[0] for tree in trees]
     requests = 0
-    steps = walk(roots, since=0.0)
+    steps = walk([tree.root for tree in trees], params, None, since=0.0)
     try:
         look = next(steps)
         while True:

@@ -1,13 +1,16 @@
 """Every diagnosis of the paper campaign replays from its own record.
 
-The walk (``repro.diagnosis.walk``) is a function of the instantiated
-trees and the observations it is sent (ROADMAP item 7).  A report records
-each test's raw observation (``TestExecution.observed``, ``evidence``,
-``degraded``), so sending a fresh walk over the same roots the report's
-looked-at tests, in order, must give back the report itself: its root
-causes, its whole test sequence (node, verdict, reused or not) and, as the
-number of excluded verdicts in that sequence, its excluded count.  Checked
-here for every report of every run of the seed-2014 campaign.
+The walk (``repro.diagnosis.walk``) is a function of the trees, the
+request's parameters, the step and the observations it is sent (ROADMAP
+item 7).  A report records its trees, its step and each test's raw
+observation (``TestExecution.observed``, ``evidence``, ``degraded``), so a
+fresh walk over the registry's own trees, sent the report's looked-at
+tests in order, must give back the report itself: its root causes, its
+whole test sequence (node, verdict, reused or not) and, as the number of
+excluded verdicts in that sequence, its excluded count.  The request's
+parameters are the one input captured here that the report does not hold
+(ROADMAP item 10).  Checked for every report of every run of the
+seed-2014 campaign.
 """
 
 import pytest
@@ -19,14 +22,16 @@ from repro.evaluation.campaign import Campaign, CampaignConfig
 from repro.faulttree.tree import EXCLUDED
 
 
-def replay(roots, since, report):
+def replay(registry, params, report):
     """Drive a fresh walk from ``report``'s recorded observations.
 
     An unresolved ``$var`` is decided by the walk before any look, so the
     tests it asks for are the report's uncached, resolved ones.
     """
     looked = iter(t for t in report.tests if not t.cached and "unresolved" not in t.evidence)
-    steps = walk(roots, since)
+    roots = [registry.get(tree_id).root for tree_id in report.tree_ids]
+    since = float(params.get("since", 0.0) or 0.0)
+    steps = walk(roots, params, report.step, since)
     observation = None
     try:
         while True:
@@ -50,12 +55,12 @@ def record(causes, tests, excluded):
 @pytest.fixture(scope="module")
 def campaign_replayed():
     """``(outcomes, [(run id, report's record, replayed record)])``."""
-    finished = []  # (roots, since) of each walk, in the order walks returned
+    finished = []  # the params of each walk, in the order walks returned
     replayed = []
 
-    def recording_walk(roots, since):
-        result = yield from walk(roots, since)
-        finished.append((roots, since))
+    def recording_walk(roots, params, step, since):
+        result = yield from walk(roots, params, step, since)
+        finished.append(params)
         return result
 
     original_run_on = campaign_module._run_on
@@ -64,9 +69,9 @@ def campaign_replayed():
         outcome = original_run_on(testbed, spec)
         # A report completes in the step its walk returns, so the two
         # sequences align one to one.
-        for (roots, since), report in zip(finished, testbed.pod.reports, strict=True):
+        for params, report in zip(finished, testbed.pod.reports, strict=True):
             expected = record(report.root_causes, report.tests, report.excluded_count)
-            causes, tests = replay(roots, since, report)
+            causes, tests = replay(testbed.pod.trees, params, report)
             excluded = sum(t.verdict == EXCLUDED for t in tests)
             replayed.append((spec.run_id, expected, record(causes, tests, excluded)))
         finished.clear()

@@ -1,8 +1,9 @@
 """The dict-marking token replayer, kept as the semantic oracle.
 
 ``ProcessInstance`` replays one trace directly on the model's
-:class:`~repro.process.model.PetriNet` — ``fire`` copies the marking
-dict, ``enabled`` walks a frozenset of places, every event allocates a
+:class:`~repro.process.model.PetriNet` with the interpreted firing rule
+defined here — :func:`fire` copies the marking dict, :func:`enabled`
+walks a frozenset of places, every event allocates a
 :class:`ReplayStep` — and ``ReferenceChecker`` classifies a record and
 derives its error context with it, eagerly, line by line.  Slow and
 obviously right: tests/process/test_compiled_replay.py requires
@@ -18,7 +19,42 @@ import dataclasses
 from repro.logsys.patterns import PatternLibrary, classify_record
 from repro.process.conformance import ERROR, FIT, UNFIT, UNKNOWN, ConformanceResult
 from repro.process.context import ProcessContext
-from repro.process.model import ProcessModel
+from repro.process.model import PetriNet, ProcessModel
+
+
+def enabled(net: PetriNet, marking: dict[int, int], name: str) -> bool:
+    inputs, _outputs = net.transitions[name]
+    return all(marking.get(p, 0) > 0 for p in inputs)
+
+
+def enabled_transitions(net: PetriNet, marking: dict[int, int]) -> list[str]:
+    return sorted(t for t in net.transitions if enabled(net, marking, t))
+
+
+def fire(
+    net: PetriNet, marking: dict[int, int], name: str, force: bool = False
+) -> tuple[dict[int, int], int]:
+    """Fire a transition; returns (new marking, missing token count).
+
+    With ``force=True`` missing input tokens are created (counted as
+    *missing* for the fitness metric) so replay can continue — the
+    standard token-replay recovery.
+    """
+    inputs, outputs = net.transitions[name]
+    missing = 0
+    new_marking = dict(marking)
+    for place in inputs:
+        if new_marking.get(place, 0) > 0:
+            new_marking[place] -= 1
+            if new_marking[place] == 0:
+                del new_marking[place]
+        elif force:
+            missing += 1
+        else:
+            raise ValueError(f"transition {name!r} not enabled")
+    for place in outputs:
+        new_marking[place] = new_marking.get(place, 0) + 1
+    return new_marking, missing
 
 
 @dataclasses.dataclass
@@ -60,12 +96,12 @@ class ProcessInstance:
         return None
 
     def enabled_activities(self) -> list[str]:
-        return self.net.enabled_transitions(self.marking)
+        return enabled_transitions(self.net, self.marking)
 
     def is_enabled(self, activity: str) -> bool:
         if activity not in self.net.transitions:
             return False
-        return self.net.enabled(self.marking, activity)
+        return enabled(self.net, self.marking, activity)
 
     # -- replay -----------------------------------------------------------------
 
@@ -74,7 +110,7 @@ class ProcessInstance:
         if activity not in self.net.transitions:
             raise KeyError(f"activity {activity!r} not in model {self.model.model_id!r}")
         fit = self.is_enabled(activity)
-        self.marking, missing = self.net.fire(self.marking, activity, force=True)
+        self.marking, missing = fire(self.net, self.marking, activity, force=True)
         inputs, outputs = self.net.transitions[activity]
         self.consumed += len(inputs)
         self.produced += len(outputs)

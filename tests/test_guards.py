@@ -96,6 +96,8 @@ ITEM_6 = "0e8a79b"
 ITEM_18 = "1b2e7f9"
 #: The commit that declared each operation once (ROADMAP item 14, rung 1).
 ITEM_14 = "5f978ed"
+#: The commit that made the diagnosis walk bind on the registry's nodes (ROADMAP item 20).
+ITEM_20 = "PENDING"
 
 GUARDS: dict[str, Guard] = {
     "one-replay-engine": Guard(
@@ -318,6 +320,22 @@ GUARDS: dict[str, Guard] = {
         r"env\.config\[", SRC_EX_DOCS, ITEM_14,
         "a trace's repository is built once when it is watched; nothing patches it after",
         '        self.pod.env.config["since"] = self.engine.now',
+    ),
+    "fault-nodes-built-by-the-tree-model": Guard(
+        r"FaultNode\(", ("src/repro",), ITEM_20,
+        "diagnosis walks the registry's own nodes; only the tree model's constructor builds one",
+        "    return FaultNode(node_id=node.node_id, description=description)",
+        include="*.py", drop="src/repro/faulttree/tree.py:",
+    ),
+    "no-tree-instantiation-copy": Guard(
+        r"def _instantiate\b", SRC_EX, ITEM_20,
+        "the walk binds each $var when it visits; no per-request copy of a tree",
+        "def _instantiate(node, params, step, pruned):",
+    ),
+    "no-test-copy": Guard(
+        r"dataclasses\.replace\(test\b", SRC_EX, ITEM_20,
+        "a test's params are bound into a new dict at the look, not into a copied test",
+        "        test = dataclasses.replace(test, params=substitute_params(test.params, params))",
     ),
 }
 

@@ -40,7 +40,6 @@ JUSTIFIED: dict[str, str] = {
     # Read by oracles and completeness checks under tests/.
     "prefilter_plan": "tests/logsys/test_compiled.py + test_compiled_property.py read the"
                       " prefilter through it instead of the private _plan",
-    "enabled_transitions": "the interpreted-replay oracle tests/process/reference_replay.py reads it",
     "KNOWN_UNMAPPED": "tests/recovery/test_plan.py::test_catalog_covers_every_fault_tree_leaf:"
                       " leaves that deliberately have no catalog row",
 }
@@ -77,9 +76,6 @@ UNSET_PARAMETERS: dict[str, str] = {
                                  " ROADMAP item 11's subject",
     "describe_key_pair:consistent": "as describe_image:consistent",
     "describe_security_group:consistent": "as describe_image:consistent",
-    # Oracle inputs: the interpreted-replay oracle drives this one.
-    "fire:force": "ProcessModel.fire(force=) is how the interpreted-replay oracle"
-                  " (tests/process/reference_replay.py) replays an unfit trace",
     # Seams that already exist for a reason of their own.
     "execute_specs:runner": "the seam KEPT_WITH_CALLERS records for execute_specs",
     "UniformLatency:seed": "every latency model draws from its own seeded stream"

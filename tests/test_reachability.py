@@ -160,10 +160,6 @@ RUN_ONLY_BY: dict[str, tuple[str, str, str]] = {
         "paper", "tests/cloud/test_controller.py::test_retries_once_resource_restored",
         "the transient class (§VI.A) for an ELB outage: the balancer comes back"),
     # Oracles and contract checks tests compare against.
-    "process.model:PetriNet.fire": ("oracle", "tests/process/reference_replay.py",
-                                    "the interpreted token replay the compiled one must equal"),
-    "process.model:PetriNet.enabled": ("oracle", "tests/process/reference_replay.py",
-                                       "the same oracle, through enabled_transitions"),
     "sim.clock:SimClock.render": ("oracle", "tests/sim/test_render_oracle.py",
                                   "the byte oracle renders through the clock"),
     "cloud.monitor:CloudMonitor.at": ("oracle", "tests/cloud/test_monitor_delta.py",
