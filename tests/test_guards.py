@@ -97,7 +97,7 @@ ITEM_18 = "1b2e7f9"
 #: The commit that declared each operation once (ROADMAP item 14, rung 1).
 ITEM_14 = "5f978ed"
 #: The commit that made the diagnosis walk bind on the registry's nodes (ROADMAP item 20).
-ITEM_20 = "PENDING"
+ITEM_20 = "0462d92"
 
 GUARDS: dict[str, Guard] = {
     "one-replay-engine": Guard(
