@@ -2,9 +2,8 @@
 
 Assertions capture "the expected outcomes of each intermediary step" of an
 operation process.  They are evaluated against the cloud through a
-*consistent API layer* (exponential retry + timeout against eventual
-consistency), triggered by log lines, timers, or on-demand during
-diagnosis.
+*consistent API layer* (exponential retry + timeout), triggered by log
+lines, timers, or on-demand during diagnosis.
 
 - :mod:`base` — the :class:`Assertion` contract and evaluation environment;
 - :mod:`results` — evaluation outcomes;

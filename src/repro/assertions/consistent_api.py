@@ -12,8 +12,8 @@ experiments, at the 95% percentile."
 
 - ``call`` — one API call with exponential retry on *retryable* errors
   (throttling, transient service unavailability);
-- ``call_until`` — retry a (possibly stale) read until a predicate holds
-  or the deadline passes, absorbing eventual consistency;
+- ``call_until`` — retry a read until a predicate holds or the deadline
+  passes, waiting out a resource that has not yet converged;
 - per-call timeout, calibrated to the 95th percentile of the latency
   model.
 
@@ -353,15 +353,17 @@ class ConsistentApiClient:
     ) -> _t.Generator:
         """Retry a read until ``predicate(result)`` holds.
 
-        Absorbs eventual consistency: stale reads fail the predicate and
-        are retried with exponential backoff until the deadline.  Only
-        :class:`ResourceNotFound` is treated as possible staleness — any
-        other non-retryable error is an *answer* and propagates
+        Waits out convergence: a read whose resource has not yet reached
+        the expected state fails the predicate and is retried with
+        exponential backoff until the deadline.  Only
+        :class:`ResourceNotFound` is retried among the non-retryable
+        errors — the resource may be one another principal is creating
+        or recreating; any other is an *answer* and propagates
         immediately.  The outer deadline is propagated into every inner
         ``call`` so no retry can outlive it.  Returns the first
         satisfying result; raises :class:`ConsistentCallError`
-        (``timed_out=True``) if consistency never arrives — which the
-        evaluation service records as an assertion failure.
+        (``timed_out=True``) if the expected state never arrives — which
+        the evaluation service records as an assertion failure.
         """
         deadline = self.engine.now + (timeout if timeout is not None else self.call_timeout)
         attempt = 0
@@ -372,16 +374,17 @@ class ConsistentApiClient:
             except ConsistentCallError:
                 raise
             except ResourceNotFound as exc:
-                # A not-found can itself be staleness; keep trying until
-                # the deadline, then surface the error.  Other
-                # non-retryable errors (validation, limits, ...) are real
-                # answers and propagate from `call` directly.
+                # The resource may be one another principal is creating
+                # or recreating; keep trying until the deadline, then
+                # surface the error.  Other non-retryable errors
+                # (validation, limits, ...) are real answers and
+                # propagate from `call` directly.
                 result = exc.with_traceback(None)  # as `last_error` in `call`
             if result is not None and result is last_result:
-                # The data plane served the *same* frozen view again (a
-                # repeated stale read).  Views are immutable and
-                # predicates pure, so the predicate verdict cannot have
-                # changed — skip re-evaluating it.
+                # The data plane served the *same* frozen view again: the
+                # resource is unchanged since the last read.  Views are
+                # immutable and predicates pure, so the predicate verdict
+                # cannot have changed — skip re-evaluating it.
                 self.predicate_memo_hits += 1
             elif not isinstance(result, CloudError) and predicate(result):
                 return result

@@ -129,7 +129,7 @@ class InstanceVersionAssertion(Assertion):
         instance_id = params.get("instanceid")
         if instance_id is None:
             return self._result(env, False, "no instance id in trigger context", params, started)
-        described = yield from env.client.call("describe_instance", instance_id, consistent=True)
+        described = yield from env.client.call("describe_instance", instance_id)
         observed = {"instance_id": instance_id}
         observed.update((row.describe_key, row.read(described)) for row in FIELDS)
         mismatches = [
@@ -173,9 +173,9 @@ class AsgConfigAssertion(Assertion):
         asg_name = env.expected("asg_name", params)
         if asg_name is None:
             return self._result(env, False, "missing asg_name parameter", params, started)
-        asg = yield from env.client.call("describe_auto_scaling_group", asg_name, consistent=True)
+        asg = yield from env.client.call("describe_auto_scaling_group", asg_name)
         lc = yield from env.client.call(
-            "describe_launch_configuration", asg["LaunchConfigurationName"], consistent=True
+            "describe_launch_configuration", asg["LaunchConfigurationName"]
         )
         fields = [params["field"]] if "field" in params else list(BY_FIELD)
         rows = [BY_FIELD[field] for field in fields]
@@ -220,7 +220,7 @@ class ElbRegistrationAssertion(Assertion):
         expected = env.expected("min_in_service", params)
         if elb_name is None:
             return self._result(env, False, "missing elb_name parameter", params, started)
-        elb = yield from env.client.call("describe_load_balancer", elb_name, consistent=True)
+        elb = yield from env.client.call("describe_load_balancer", elb_name)
         if elb.get("State") != "active":
             return self._result(
                 env, False, f"ELB {elb_name} is {elb.get('State')}", params, started,
@@ -300,9 +300,7 @@ class ResourceExistsAssertion(Assertion):
         if identifier is None:
             return self._result(env, False, f"no {self.kind} identifier given", params, started)
         try:
-            described = yield from env.client.call(
-                self.DESCRIBERS[self.kind], identifier, consistent=True
-            )
+            described = yield from env.client.call(self.DESCRIBERS[self.kind], identifier)
         except ResourceNotFound as exc:
             # Not found is this assertion's answer; any other API failure
             # is the evaluation service's "could not read".

@@ -10,8 +10,10 @@ of those with the same observable behaviours the paper depends on:
   reconciliation control loop, ELB registration and health),
 - AWS-style error codes (``InvalidAMIID.NotFound``,
   ``InstanceLimitExceeded``, ``Throttling``, ...),
-- **eventual consistency**: reads may return stale views for a while after
-  a write (§IV of the paper motivates the "consistent AWS API layer"),
+- **latest-version describes**: every single-resource describe answers
+  with the resource's version as of now (the paper's §IV retry layer
+  absorbs convergence waits and API errors, see
+  :mod:`repro.assertions.consistent_api`),
 - **CloudTrail delivery delay**: API-call logs only become visible minutes
   after the call (§VII explains why the paper could not use it online),
 - fault-injection hooks used by the evaluation campaign.
@@ -30,7 +32,6 @@ from repro.cloud.chaos import (
 from repro.cloud.cloudtrail import CloudTrail
 from repro.cloud.controller import AsgController, ScalingActivity
 from repro.cloud.provider import SimulatedCloud
-from repro.cloud.consistency import ConsistencyModel, EventuallyConsistentView
 from repro.cloud.errors import (
     CloudError,
     DependencyViolation,
@@ -76,9 +77,7 @@ __all__ = [
     "CloudMonitor",
     "CloudState",
     "CloudTrail",
-    "ConsistencyModel",
     "DependencyViolation",
-    "EventuallyConsistentView",
     "FaultInjector",
     "FrozenList",
     "FrozenMutationError",

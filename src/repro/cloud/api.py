@@ -2,9 +2,9 @@
 
 One :class:`CloudAPI` per *principal* (Asgard, the diagnosis service, the
 interfering second team, ...), all sharing one :class:`CloudState`.  Every
-call is rate-limited against the shared account window, audited to
-CloudTrail, and — for describe-calls — served through the eventually
-consistent view unless the caller explicitly asks for a consistent read.
+call is rate-limited against the shared account window and audited to
+CloudTrail; a describe-call answers with the resource's latest version
+(:meth:`CloudAPI._read`).
 
 The API is synchronous with respect to the simulation: latency is applied
 by :class:`TimedCloudClient`, which simulation processes use to both pay
@@ -18,7 +18,6 @@ import typing as _t
 from itertools import repeat
 
 from repro.cloud.cloudtrail import CloudTrail, TrailRecord
-from repro.cloud.consistency import ConsistencyModel, EventuallyConsistentView
 from repro.cloud.controller import activities_since
 from repro.cloud.errors import (
     MalformedRequest,
@@ -48,13 +47,11 @@ class CloudAPI:
         state: CloudState,
         trail: CloudTrail,
         principal: str = "default",
-        consistency: ConsistencyModel | None = None,
     ) -> None:
         self.engine = engine
         self.state = state
         self.trail = trail
         self.principal = principal
-        self.view = EventuallyConsistentView(state, engine.clock, consistency)
         #: This principal's audit records, in call order: immediate, where
         #: the trail's lookup waits out the delivery delay.
         self.calls: list[TrailRecord] = []
@@ -81,15 +78,13 @@ class CloudAPI:
         self._audit(name, params)
         return result
 
-    def _read(self, kind: str, identifier: str, consistent: bool) -> dict:
-        """Describe one resource, honouring eventual consistency.
+    def _read(self, kind: str, identifier: str) -> dict:
+        """Describe one resource: its version as of now, the latest one.
 
-        Returns the shared frozen view — read-only.
+        The one place a describe's answer is decided.  Returns the shared
+        frozen history view — read-only.
         """
-        if consistent:
-            view = self.view.read_consistent(kind, identifier)
-        else:
-            view = self.view.read(kind, identifier)
+        view = self.state.view_at(kind, identifier, self.engine.now)
         if view is None:
             raise ResourceNotFound.of(kind, identifier)
         return view
@@ -104,11 +99,11 @@ class CloudAPI:
 
         return self._call("RegisterImage", {"Name": name, "Version": version}, body)
 
-    def describe_image(self, image_id: str, consistent: bool = False) -> dict:
+    def describe_image(self, image_id: str) -> dict:
         return self._call(
             "DescribeImages",
             {"ImageId": image_id},
-            lambda: self._read("ami", image_id, consistent),
+            lambda: self._read("ami", image_id),
         )
 
     # -- EC2: security groups / key pairs -----------------------------------
@@ -121,11 +116,11 @@ class CloudAPI:
 
         return self._call("CreateSecurityGroup", {"GroupName": group_name}, body)
 
-    def describe_security_group(self, group_name: str, consistent: bool = False) -> dict:
+    def describe_security_group(self, group_name: str) -> dict:
         return self._call(
             "DescribeSecurityGroups",
             {"GroupName": group_name},
-            lambda: self._read("security_group", group_name, consistent),
+            lambda: self._read("security_group", group_name),
         )
 
     def delete_security_group(self, group_name: str) -> None:
@@ -145,11 +140,11 @@ class CloudAPI:
 
         return self._call("CreateKeyPair", {"KeyName": key_name}, body)
 
-    def describe_key_pair(self, key_name: str, consistent: bool = False) -> dict:
+    def describe_key_pair(self, key_name: str) -> dict:
         return self._call(
             "DescribeKeyPairs",
             {"KeyName": key_name},
-            lambda: self._read("key_pair", key_name, consistent),
+            lambda: self._read("key_pair", key_name),
         )
 
     def delete_key_pair(self, key_name: str) -> None:
@@ -161,18 +156,18 @@ class CloudAPI:
 
     # -- EC2: instances ------------------------------------------------------
 
-    def describe_instance(self, instance_id: str, consistent: bool = False) -> dict:
+    def describe_instance(self, instance_id: str) -> dict:
         return self._call(
             "DescribeInstances",
             {"InstanceId": instance_id},
-            lambda: self._read("instance", instance_id, consistent),
+            lambda: self._read("instance", instance_id),
         )
 
     def describe_instances_in_asg(self, asg_name: str) -> list[dict]:
         """All non-terminated instances attached to an ASG.
 
-        Served consistently: each member's latest recorded view, the one
-        ``describe_instance(id, consistent=True)`` serves.
+        Each member's latest recorded view, the one ``describe_instance``
+        serves.
         """
 
         def body() -> list[dict]:
@@ -233,11 +228,11 @@ class CloudAPI:
             body,
         )
 
-    def describe_launch_configuration(self, name: str, consistent: bool = False) -> dict:
+    def describe_launch_configuration(self, name: str) -> dict:
         return self._call(
             "DescribeLaunchConfigurations",
             {"LaunchConfigurationName": name},
-            lambda: self._read("launch_configuration", name, consistent),
+            lambda: self._read("launch_configuration", name),
         )
 
     def update_launch_configuration(self, name: str, **changes) -> dict:
@@ -282,11 +277,11 @@ class CloudAPI:
 
         return self._call("CreateAutoScalingGroup", {"AutoScalingGroupName": name}, body)
 
-    def describe_auto_scaling_group(self, name: str, consistent: bool = False) -> dict:
+    def describe_auto_scaling_group(self, name: str) -> dict:
         return self._call(
             "DescribeAutoScalingGroups",
             {"AutoScalingGroupName": name},
-            lambda: self._read("auto_scaling_group", name, consistent),
+            lambda: self._read("auto_scaling_group", name),
         )
 
     def update_auto_scaling_group(self, name: str, **changes) -> dict:
@@ -343,11 +338,11 @@ class CloudAPI:
 
         return self._call("CreateLoadBalancer", {"LoadBalancerName": name}, body)
 
-    def describe_load_balancer(self, name: str, consistent: bool = False) -> dict:
+    def describe_load_balancer(self, name: str) -> dict:
         return self._call(
             "DescribeLoadBalancers",
             {"LoadBalancerName": name},
-            lambda: self._read("load_balancer", name, consistent),
+            lambda: self._read("load_balancer", name),
         )
 
     def deregister_instances_from_load_balancer(self, name: str, instance_ids: list[str]) -> dict:

@@ -13,9 +13,7 @@ outage.  The 8 injected fault types of the campaign are *state* faults
   control-plane incident, or one service's);
 - **latency brownouts** — a multiplier on the API latency model;
 - **blackholes** — calls that hang until the caller's deadline instead of
-  returning at all;
-- **widened eventual-consistency windows** — a multiplier on the mean
-  replication lag.
+  returning at all.
 
 All randomness is drawn from one seeded stream per controller, so a
 campaign run's chaos schedule is a pure function of its spec seed and the
@@ -91,7 +89,7 @@ class ErrorStorm:
 class ChaosProfile:
     """One named level of API-plane degradation.
 
-    All probabilities are per-call; multipliers of 1.0 are neutral.
+    All probabilities are per-call; a multiplier of 1.0 is neutral.
     """
 
     name: str = "custom"
@@ -101,8 +99,6 @@ class ChaosProfile:
     blackhole_rate: float = 0.0
     #: Multiplier on every API latency sample (brownout).
     latency_multiplier: float = 1.0
-    #: Multiplier on the mean eventual-consistency replication lag.
-    consistency_lag_multiplier: float = 1.0
     #: Windows of spiked error probability.
     storms: tuple[ErrorStorm, ...] = ()
 
@@ -110,8 +106,8 @@ class ChaosProfile:
         for knob in (self.error_rate, self.blackhole_rate):
             if not 0.0 <= knob <= 1.0:
                 raise ValueError(f"chaos probabilities must be in [0, 1], got {knob}")
-        if self.latency_multiplier < 1.0 or self.consistency_lag_multiplier < 1.0:
-            raise ValueError("chaos multipliers must be >= 1.0 (chaos never speeds AWS up)")
+        if self.latency_multiplier < 1.0:
+            raise ValueError("latency_multiplier must be >= 1.0 (chaos never speeds AWS up)")
 
     @property
     def enabled(self) -> bool:
@@ -119,7 +115,6 @@ class ChaosProfile:
             self.error_rate > 0
             or self.blackhole_rate > 0
             or self.latency_multiplier > 1.0
-            or self.consistency_lag_multiplier > 1.0
             or bool(self.storms)
         )
 
@@ -146,7 +141,6 @@ CHAOS_PROFILES: dict[str, ChaosProfile] = {
         error_rate=0.08,
         blackhole_rate=0.004,
         latency_multiplier=3.0,
-        consistency_lag_multiplier=2.0,
         storms=(ErrorStorm(start=180.0, duration=60.0, intensity=0.6),),
     ),
     "severe": ChaosProfile(
@@ -154,7 +148,6 @@ CHAOS_PROFILES: dict[str, ChaosProfile] = {
         error_rate=0.20,
         blackhole_rate=0.02,
         latency_multiplier=6.0,
-        consistency_lag_multiplier=4.0,
         storms=(
             ErrorStorm(start=120.0, duration=120.0, intensity=0.85),
             ErrorStorm(start=420.0, duration=90.0, intensity=0.7, services=("elb",)),

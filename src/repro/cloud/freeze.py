@@ -2,9 +2,9 @@
 
 The seed stored region history with ``copy.deepcopy`` at three hot sites:
 every mutation deep-copied its ``describe()`` dict *into* history, every
-eventually-consistent read deep-copied it back *out*, and the Edda-style
-monitor deep-copied the entire region on every poll tick.  The paper's
-§IV consistency layer (``call_until`` polling) hammers exactly those
+describe read deep-copied it back *out*, and the Edda-style monitor
+deep-copied the entire region on every poll tick.  The paper's §IV
+consistent-API layer (``call_until`` polling) hammers exactly those
 paths, so the deep copies dominated campaign time once pattern matching
 became cheap.
 
@@ -20,8 +20,8 @@ once per write:
   for nested sequences (``SecurityGroups``, ``Instances``, ...).  Unlike
   a tuple it still compares equal to plain lists, so no caller notices.
 
-The contract: anything handed out as a snapshot/stale read is frozen and
-shared by reference, and mutation attempts fail loudly instead of
+The contract: anything handed out as a snapshot or a describe is frozen
+and shared by reference, and mutation attempts fail loudly instead of
 silently corrupting history.  Nothing in the product edits a view; a
 reader that wants an edited copy builds a new dict from it.
 """

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from repro.cloud.api import CloudAPI, TimedCloudClient
 from repro.cloud.cloudtrail import CloudTrail
-from repro.cloud.consistency import ConsistencyModel
 from repro.cloud.controller import AsgController
 from repro.cloud.faults import FaultInjector
 from repro.cloud.limits import AccountLimits
@@ -27,13 +26,11 @@ class SimulatedCloud:
         self,
         seed: int = 0,
         limits: AccountLimits | None = None,
-        mean_consistency_lag: float = 2.5,
     ) -> None:
         self.seed = seed
         self.engine = Engine()
         self.state = CloudState(limits=limits)
         self.trail = CloudTrail(self.engine.clock, seed=seed + 11)
-        self.consistency = ConsistencyModel(mean_lag=mean_consistency_lag, seed=seed + 13)
         self.controller = AsgController(
             self.engine,
             self.state,
@@ -52,11 +49,7 @@ class SimulatedCloud:
         """A per-principal API facade (created once, then cached)."""
         if principal not in self._apis:
             self._apis[principal] = CloudAPI(
-                self.engine,
-                self.state,
-                trail=self.trail,
-                principal=principal,
-                consistency=self.consistency,
+                self.engine, self.state, trail=self.trail, principal=principal
             )
         return self._apis[principal]
 

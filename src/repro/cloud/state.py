@@ -6,14 +6,12 @@ is its latest immutable version (:mod:`repro.cloud.resources`), and
 next version, makes it the registry's, and appends that version's frozen
 describe to the resource's history — so the history is the region's
 append-only write stream by construction, not by a convention each call
-site keeps.  The eventual-consistency layer serves *reads* from that
-history, possibly lagging behind the latest write — exactly the behaviour
-that forced the paper to build a "consistent AWS API layer" with retries
-(§IV).
+site keeps.  The API's describes are served from that history at the
+current time, so a describe answers with the latest version.
 
 History entries are :class:`~repro.cloud.freeze.FrozenView` objects,
 appended and handed out *by reference*: ``view_at`` returns the frozen
-view directly — a stale read costs one bisect and zero copying.
+view directly — a read costs one bisect and zero copying.
 A region-wide write log (consumed by the Edda-style monitor) makes
 per-tick snapshot work proportional to writes instead of region size.
 """
@@ -85,17 +83,14 @@ class CloudState:
         self._history: dict[tuple[str, str], tuple[list[float], list[FrozenView | None]]] = {}
         #: Append-only (kind, id) write log; what the monitor crawls.
         self._write_log: list[tuple[str, str]] = []
-        #: Data-plane counters (always on — two dict increments per read
-        #: or crawl): the stale/fresh read mix and the monitor's crawl work.
-        #: A traced run's metrics snapshot reads them at export.
+        #: Data-plane counters (always on — two dict increments per
+        #: crawl): the monitor's crawl work.  A traced run's metrics
+        #: snapshot reads them at export.
         self.data_plane_counters: dict[str, int] = {}
         #: Scaling activities appended by the ASG controller; read through
         #: the API's DescribeScalingActivities.
         self.scaling_activities: list = []
         self._id_counters = {kind: itertools.count(1) for kind in KINDS}
-
-    def _count(self, name: str) -> None:
-        self.data_plane_counters[name] = self.data_plane_counters.get(name, 0) + 1
 
     def _count_many(self, name: str, amount: int) -> None:
         if amount <= 0:
@@ -198,9 +193,9 @@ class CloudState:
         """The resource's described form as of ``as_of`` (None = absent).
 
         A resource never written before ``as_of`` is absent; a tombstone
-        makes it absent again.  This is the primitive the consistency
-        layer builds stale reads on.  Returns the frozen history view
-        itself — zero copying; it cannot be mutated.
+        makes it absent again.  The API's describes read it at the
+        current time.  Returns the frozen history view itself — zero
+        copying; it cannot be mutated.
         """
         entry = self._history.get((kind, identifier))
         if entry is None:
@@ -219,13 +214,6 @@ class CloudState:
         if entry is None:
             return None
         return entry[1][-1]
-
-    def last_write_at(self, kind: str, identifier: str) -> float | None:
-        """Time of the most recent write (including tombstones), if any."""
-        entry = self._history.get((kind, identifier))
-        if entry is None:
-            return None
-        return entry[0][-1]
 
     # -- write log (what the monitor crawls) ---------------------------------
 

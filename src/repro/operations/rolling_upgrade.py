@@ -186,7 +186,7 @@ class RollingUpgradeOperation(Operation):
                 # Asgard does, instead of waiting for a replacement the
                 # ASG will never launch.
                 try:
-                    described = yield from self.call("describe_instance", instance_id, consistent=True)
+                    described = yield from self.call("describe_instance", instance_id)
                     alive = described["State"]["Name"] in ("running", "pending")
                 except CloudError:
                     alive = False

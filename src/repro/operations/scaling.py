@@ -26,7 +26,7 @@ class ScaleInOperation(Operation):
 
     def run(self) -> _t.Generator:
         self.log(f"Scaling in group {self.asg_name} by {self.decrement}")
-        asg = yield from self.call("describe_auto_scaling_group", self.asg_name, consistent=True)
+        asg = yield from self.call("describe_auto_scaling_group", self.asg_name)
         target = max(asg["MinSize"], asg["DesiredCapacity"] - self.decrement)
         try:
             yield from self.call("set_desired_capacity", self.asg_name, target)
@@ -52,7 +52,7 @@ class ScaleOutOperation(Operation):
 
     def run(self) -> _t.Generator:
         self.log(f"Scaling out group {self.asg_name} by {self.increment}")
-        asg = yield from self.call("describe_auto_scaling_group", self.asg_name, consistent=True)
+        asg = yield from self.call("describe_auto_scaling_group", self.asg_name)
         target = min(asg["MaxSize"], asg["DesiredCapacity"] + self.increment)
         try:
             yield from self.call("set_desired_capacity", self.asg_name, target)

@@ -15,8 +15,8 @@ hardened-client discipline established for the assertion plane:
   pre-check read), and on any action's terminal failure the whole
   partially-applied plan is rolled back in reverse order — saga
   semantics, best-effort under a degraded plane;
-- a **verification probe** through the consistent client (absorbing
-  eventual consistency via ``call_until``) before the action counts.
+- a **verification probe** through the consistent client (waiting out
+  convergence via ``call_until``) before the action counts.
 
 The executor *never raises* and never loops forever: every API failure
 (:class:`CloudError`, :class:`ConsistentCallError` — including chaos
@@ -205,9 +205,9 @@ class RecoveryEngine:
             record.attempts = attempt
             deadline = self.engine.now + ACTION_DEADLINE
             try:
-                # Idempotency pre-check: a strongly consistent read of the
-                # target; if the expected state already holds (earlier
-                # attempt, concurrent healing), do not mutate again.
+                # Idempotency pre-check: a read of the target; if the
+                # expected state already holds (earlier attempt,
+                # concurrent healing), do not mutate again.
                 current = yield from self._read_target(action, deadline)
                 if action.probe.satisfied_by(current):
                     record.status = VERIFIED if mutated else ALREADY_SATISFIED
@@ -253,13 +253,10 @@ class RecoveryEngine:
         return False
 
     def _read_target(self, action: RecoveryAction, deadline: float) -> _t.Generator:
-        """One consistent read of the probe target; None if it is gone."""
+        """One read of the probe target; None if it is gone."""
         try:
             result = yield from self.client.call(
-                action.probe.method,
-                *action.probe.args,
-                deadline=deadline,
-                consistent=True,
+                action.probe.method, *action.probe.args, deadline=deadline
             )
             return result
         except ResourceNotFound:
@@ -268,8 +265,8 @@ class RecoveryEngine:
     def _verify(self, action: RecoveryAction, deadline: float) -> _t.Generator:
         """Post-action verification probe through the consistent client.
 
-        Eventually consistent reads retried via ``call_until`` until the
-        expected configuration appears or the action deadline passes.
+        The probe target is re-read via ``call_until`` until the expected
+        configuration appears or the action deadline passes.
         """
         timeout = max(5.0, deadline - self.engine.now)
         self.count("probes")

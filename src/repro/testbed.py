@@ -27,9 +27,6 @@ from repro.operations.rolling_upgrade import (
 from repro.operations.target import TargetConfig
 from repro.pod.service import PODDiagnosis
 
-#: Mean eventual-consistency lag of a healthy API plane, seconds.
-MEAN_CONSISTENCY_LAG = 2.5
-
 #: A resumed attempt has at most the failed batch and what followed it
 #: left: half a fresh upgrade's horizon, virtual seconds.
 RESUME_HORIZON = 2700.0
@@ -75,15 +72,10 @@ class Testbed:
     ) -> None:
         self.cluster_size = cluster_size
         self.seed = seed
-        # API-plane chaos (profile name, ChaosProfile, or None).  A chaotic
-        # control plane also widens the eventual-consistency window.
+        # API-plane chaos (profile name, ChaosProfile, or None).
         chaos_profile = get_profile(chaos)
         self.chaos_profile = chaos_profile
-        self.cloud = SimulatedCloud(
-            seed=seed,
-            limits=AccountLimits(max_instances=max_instances),
-            mean_consistency_lag=MEAN_CONSISTENCY_LAG * chaos_profile.consistency_lag_multiplier,
-        )
+        self.cloud = SimulatedCloud(seed=seed, limits=AccountLimits(max_instances=max_instances))
         self.engine = self.cloud.engine
         # Tracing over the virtual clock (see repro.obs); None = off, the
         # default.  Either way no engine events or RNG draws are added —

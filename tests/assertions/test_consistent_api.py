@@ -151,8 +151,8 @@ class TestCallUntil:
         assert excinfo.value.timed_out
 
     def test_not_found_treated_as_staleness_until_deadline(self, engine):
-        """A missing resource may just be a stale replica — retry, then
-        surface the error at the deadline."""
+        """A missing resource may be one another principal is creating or
+        recreating — retry, then surface the error at the deadline."""
         api = FlakyApi(errors=[ResourceNotFound.of("ami", "a")] * 50)
         client = client_for(engine, api)
         with pytest.raises(ConsistentCallError) as excinfo:
@@ -168,7 +168,7 @@ class TestCallUntil:
         assert result == "found"
 
     def test_other_non_retryable_errors_propagate_immediately(self, engine):
-        """Only a not-found can be staleness; a validation error is an
+        """Only a not-found is waited out; a validation error is an
         answer and must not be retried until the deadline."""
         api = FlakyApi(errors=[MalformedRequest("bad request")] * 50)
         client = client_for(engine, api)

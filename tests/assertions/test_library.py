@@ -215,7 +215,7 @@ class UnavailableReads:
     """API double: the ELB describes as active, both convergence reads
     (``call_until`` targets) answer ``ServiceUnavailable``."""
 
-    def describe_load_balancer(self, name, consistent=False):
+    def describe_load_balancer(self, name):
         return {"State": "active"}
 
     def describe_instance_health(self, name):

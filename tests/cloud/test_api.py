@@ -29,35 +29,35 @@ def api(cloud):
 class TestImages:
     def test_register_and_describe(self, api):
         image = api.register_image("app", "v1")
-        described = api.describe_image(image["ImageId"], consistent=True)
+        described = api.describe_image(image["ImageId"])
         assert described["Version"] == "v1"
         assert described["State"] == "available"
 
     def test_describe_missing_raises(self, api):
         with pytest.raises(ResourceNotFound):
-            api.describe_image("ami-nope", consistent=True)
+            api.describe_image("ami-nope")
 
     def test_deregister_makes_unavailable(self, cloud, api):
         image = api.register_image("app", "v1")
         cloud.injector.make_ami_unavailable(image["ImageId"])
         with pytest.raises(ResourceNotFound):
-            api.describe_image(image["ImageId"], consistent=True)
+            api.describe_image(image["ImageId"])
 
 
 class TestSecurityGroupsAndKeys:
     def test_security_group_lifecycle(self, api):
         api.create_security_group("web", description="frontend")
-        assert api.describe_security_group("web", consistent=True)["Description"] == "frontend"
+        assert api.describe_security_group("web")["Description"] == "frontend"
         api.delete_security_group("web")
         with pytest.raises(ResourceNotFound):
-            api.describe_security_group("web", consistent=True)
+            api.describe_security_group("web")
 
     def test_key_pair_lifecycle(self, api):
         created = api.create_key_pair("prod")
         assert created["KeyFingerprint"]
         api.delete_key_pair("prod")
         with pytest.raises(ResourceNotFound):
-            api.describe_key_pair("prod", consistent=True)
+            api.describe_key_pair("prod")
 
     def test_delete_missing_key_raises(self, api):
         with pytest.raises(ResourceNotFound):
@@ -70,7 +70,7 @@ class TestSecurityGroupsAndKeys:
             "from repro.cloud.provider import SimulatedCloud\n"
             "api = SimulatedCloud(seed=1).api('t')\n"
             "api.create_key_pair('key-prod')\n"
-            "print(api.describe_key_pair('key-prod', consistent=True)['KeyFingerprint'])\n"
+            "print(api.describe_key_pair('key-prod')['KeyFingerprint'])\n"
         )
         import repro
 
@@ -90,7 +90,7 @@ class TestLaunchConfigurations:
     def test_create_and_describe(self, api):
         ami = api.register_image("app", "v1")["ImageId"]
         api.create_launch_configuration("lc-1", ami, "m1.small", "k", ["sg"])
-        lc = api.describe_launch_configuration("lc-1", consistent=True)
+        lc = api.describe_launch_configuration("lc-1")
         assert lc["ImageId"] == ami
         assert lc["SecurityGroups"] == ["sg"]
 
@@ -140,13 +140,103 @@ class TestAutoScalingGroups:
         self._stack(api)
         api.create_auto_scaling_group("asg", "lc-1", 1, 4, 2)
         api.set_desired_capacity("asg", 3)
-        assert api.describe_auto_scaling_group("asg", consistent=True)["DesiredCapacity"] == 3
+        assert api.describe_auto_scaling_group("asg")["DesiredCapacity"] == 3
 
     def test_update_rejects_bad_sizes(self, api):
         self._stack(api)
         api.create_auto_scaling_group("asg", "lc-1", 1, 4, 2)
         with pytest.raises(MalformedRequest):
             api.set_desired_capacity("asg", 99)
+
+
+def _register_image(cloud, writer):
+    image_id = writer.register_image("app", "v3")["ImageId"]
+    return "describe_image", image_id, lambda view: view["Version"] == "v3"
+
+
+def _create_security_group(cloud, writer):
+    writer.create_security_group("sg-new", description="fresh")
+    return "describe_security_group", "sg-new", lambda view: view["Description"] == "fresh"
+
+
+def _create_key_pair(cloud, writer):
+    fingerprint = writer.create_key_pair("key-new")["KeyFingerprint"]
+    return "describe_key_pair", "key-new", lambda view: view["KeyFingerprint"] == fingerprint
+
+
+def _terminate_instance(cloud, writer):
+    victim = cloud.state.get("auto_scaling_group", "asg-dsn").instance_ids[0]
+    writer.terminate_instance(victim)
+    return "describe_instance", victim, lambda view: view["State"]["Name"] == "shutting-down"
+
+
+def _update_launch_configuration(cloud, writer):
+    writer.update_launch_configuration("lc-v1", instance_type="m1.xlarge")
+    return (
+        "describe_launch_configuration",
+        "lc-v1",
+        lambda view: view["InstanceType"] == "m1.xlarge",
+    )
+
+
+def _set_desired_capacity(cloud, writer):
+    writer.set_desired_capacity("asg-dsn", 6)
+    return "describe_auto_scaling_group", "asg-dsn", lambda view: view["DesiredCapacity"] == 6
+
+
+def _deregister_instance(cloud, writer):
+    victim = cloud.state.get("load_balancer", "elb-dsn").registered_instances[0]
+    writer.deregister_instances_from_load_balancer("elb-dsn", [victim])
+    return (
+        "describe_load_balancer",
+        "elb-dsn",
+        lambda view: victim not in [i["InstanceId"] for i in view["Instances"]],
+    )
+
+
+class TestLatestVersion:
+    """Every single-resource describe answers with the resource's latest
+    version: another principal's describe in the same virtual instant as
+    a write sees that write, and a describe after a delete finds
+    nothing."""
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            _register_image,
+            _create_security_group,
+            _create_key_pair,
+            _terminate_instance,
+            _update_launch_configuration,
+            _set_desired_capacity,
+            _deregister_instance,
+        ],
+        ids=lambda write: write.__name__.lstrip("_"),
+    )
+    def test_describe_sees_the_write_of_the_same_instant(self, provisioned_cloud, write):
+        cloud = provisioned_cloud
+        written_at = cloud.engine.now
+        assert written_at > 0.0, "a write at t=0 cannot tell a lagging read from a fresh one"
+        method, identifier, holds = write(cloud, cloud.api("writer"))
+        view = getattr(cloud.api("reader"), method)(identifier)
+        assert cloud.engine.now == written_at
+        assert holds(view)
+
+    @pytest.mark.parametrize(
+        "delete, method, identifier",
+        [
+            ("delete_key_pair", "describe_key_pair", "key-prod"),
+            ("delete_security_group", "describe_security_group", "sg-web"),
+        ],
+    )
+    def test_describe_after_a_delete_finds_nothing(
+        self, provisioned_cloud, delete, method, identifier
+    ):
+        reader = provisioned_cloud.api("reader")
+        assert getattr(reader, method)(identifier)
+        getattr(provisioned_cloud.api("writer"), delete)(identifier)
+        with pytest.raises(ResourceNotFound):
+            getattr(reader, method)(identifier)
 
 
 class TestRejectedUpdates:
@@ -215,7 +305,7 @@ class TestAuditing:
     def test_errors_recorded_with_code(self, cloud):
         api = cloud.api("alice")
         with pytest.raises(ResourceNotFound):
-            api.describe_image("ami-ghost", consistent=True)
+            api.describe_image("ami-ghost")
         assert api.calls[-1].error_code == "InvalidAMIID.NotFound"
 
     def test_calls_reach_cloudtrail(self, cloud):
@@ -263,7 +353,7 @@ class TestTimedClientCall:
 
         def caller():
             before = popped[0]
-            seen["result"] = yield from client.call("describe_image", ami, consistent=True)
+            seen["result"] = yield from client.call("describe_image", ami)
             seen["events"] = popped[0] - before
 
         cloud.engine.run(until=cloud.engine.process(caller()))
@@ -277,7 +367,7 @@ class TestTimedClientCall:
 
         def caller():
             yield cloud.engine.timeout(10.0)
-            yield from client.call("describe_image", ami, consistent=True)
+            yield from client.call("describe_image", ami)
 
         cloud.engine.run(until=cloud.engine.process(caller()))
         assert api.calls[-1].event_time == 10.0 + expected
@@ -289,7 +379,7 @@ class TestTimedClientCall:
 
         def caller():
             try:
-                yield from client.call("describe_instance", "i-gone", consistent=True)
+                yield from client.call("describe_instance", "i-gone")
             except CloudError as exc:  # rolling_upgrade's "instance is gone" arm
                 caught.append(exc)
             return "carried on"
@@ -306,7 +396,7 @@ class TestTimedClientCall:
 
         def caller():
             for _ in range(2):
-                yield from client.call("describe_image", ami, consistent=True)
+                yield from client.call("describe_image", ami)
                 times.append(cloud.engine.now)
 
         cloud.engine.run(until=cloud.engine.process(caller()))
@@ -340,7 +430,7 @@ class TestTimedClientCall:
 class TestMemberDescribes:
     def test_members_are_the_recorded_views(self, provisioned_cloud):
         """Each member describe is the instance's latest history view (the
-        one a consistent describe_instance serves), equal to its live
+        one describe_instance serves), equal to its live
         describe(), through launch, boot and termination."""
         cloud = provisioned_cloud
         api = cloud.api("tester")

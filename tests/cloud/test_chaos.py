@@ -47,8 +47,6 @@ class TestProfiles:
     def test_multiplier_validation(self):
         with pytest.raises(ValueError):
             ChaosProfile(latency_multiplier=0.5)
-        with pytest.raises(ValueError):
-            ChaosProfile(consistency_lag_multiplier=0.9)
 
     def test_levels_are_ordered_none_to_severe(self):
         rates = [CHAOS_PROFILES[level].error_rate for level in CHAOS_LEVELS]

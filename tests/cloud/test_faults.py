@@ -139,7 +139,7 @@ class TestTerminationPaths:
             ("load_balancer", "elb-dsn"),
             ("load_balancer", "elb-extra"),
         ]
-        assert cloud.state.last_write_at("load_balancer", "elb-extra") == began + 4.0
+        assert cloud.state.history("load_balancer", "elb-extra")[-1][0] == began + 4.0
         self._assert_gone_everywhere(cloud, victim, began)
 
     def test_controller_initiated(self, provisioned_cloud):

@@ -179,33 +179,6 @@ class TestSnapshotAliasing:
         ][0]["FromPort"] == 80
 
 
-class TestStateCounters:
-    def test_stale_and_fresh_reads_counted(self):
-        from repro.cloud.consistency import ConsistencyModel, EventuallyConsistentView
-        from repro.cloud.resources import AmiImage
-        from repro.sim.clock import SimClock
-
-        clock = SimClock()
-        state = CloudState()
-        view = EventuallyConsistentView(
-            state, clock, ConsistencyModel(mean_lag=5.0, seed=7)
-        )
-        state.put("ami", "ami-1", AmiImage("ami-1", "app", "v1"), now=0.0)
-        clock.advance_to(1000.0)
-        state.write("ami", "ami-1", 1000.0, version="v2")
-        # 3s after the write with mean lag 5s: some sampled lags reach
-        # behind the write (stale), some do not (fresh).
-        clock.advance_to(1003.0)
-        for _ in range(50):
-            view.read("ami", "ami-1")
-        counters = state.data_plane_counters
-        assert counters.get("cloud.reads.stale", 0) > 0
-        assert counters.get("cloud.reads.fresh", 0) > 0
-        assert (
-            counters["cloud.reads.stale"] + counters["cloud.reads.fresh"] == 50
-        )
-
-
 def frozen_throughout(value) -> bool:
     """No container anywhere in ``value`` is a mutable one."""
     if isinstance(value, dict):

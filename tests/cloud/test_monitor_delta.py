@@ -246,3 +246,35 @@ class TestTickCostFollowsWrites:
             # reference — the only counter that sees the region size.
             assert s["cloud.monitor.reused"] == 8 - WRITES_PER_TICK
             assert l["cloud.monitor.reused"] == 64 - WRITES_PER_TICK
+
+
+class TestMonitor:
+    def test_snapshot_and_current(self, provisioned_cloud):
+        monitor = provisioned_cloud.monitor
+        view = monitor.at(provisioned_cloud.engine.now, "auto_scaling_group", "asg-dsn")
+        assert view is not None
+        assert view["DesiredCapacity"] == 4
+
+    def test_at_returns_historical_view(self, provisioned_cloud):
+        monitor = provisioned_cloud.monitor
+        early = monitor.ticks[0]
+        assert monitor.at(early, "auto_scaling_group", "asg-dsn") is not None
+        assert monitor.at(early - 1, "auto_scaling_group", "asg-dsn") is None
+
+    def test_changes_collapse_identical_views(self, provisioned_cloud):
+        monitor = provisioned_cloud.monitor
+        changes = monitor.changes("load_balancer", "elb-dsn")
+        # Far fewer distinct views than crawls made.
+        assert 1 <= len(changes) <= len(monitor.ticks)
+
+    def test_changes_detects_mutation(self, provisioned_cloud):
+        cloud = provisioned_cloud
+        before = len(cloud.monitor.changes("launch_configuration", "lc-v1"))
+        # Change it the way every real path does: one write (the monitor
+        # crawls the write log).
+        cloud.state.write(
+            "launch_configuration", "lc-v1", cloud.engine.now, instance_type="m1.xlarge"
+        )
+        cloud.engine.run(until=cloud.engine.now + 60)  # let the crawler see it
+        after = len(cloud.monitor.changes("launch_configuration", "lc-v1"))
+        assert after == before + 1

@@ -98,6 +98,8 @@ ITEM_18 = "1b2e7f9"
 ITEM_14 = "5f978ed"
 #: The commit that made the diagnosis walk bind on the registry's nodes (ROADMAP item 20).
 ITEM_20 = "0462d92"
+#: The commit that deleted the eventual-consistency model (ROADMAP item 11).
+ITEM_11 = "PENDING"
 
 GUARDS: dict[str, Guard] = {
     "one-replay-engine": Guard(
@@ -336,6 +338,23 @@ GUARDS: dict[str, Guard] = {
         r"dataclasses\.replace\(test\b", SRC_EX, ITEM_20,
         "a test's params are bound into a new dict at the look, not into a copied test",
         "        test = dataclasses.replace(test, params=substitute_params(test.params, params))",
+    ),
+    "no-consistency-model": Guard(
+        r"ConsistencyModel|EventuallyConsistentView|consistency_lag|read_consistent",
+        SRC_EX_DOCS, ITEM_11,
+        "every describe answers with the latest version; CloudAPI._read is the one place"
+        " that decides a describe's answer",
+        "        self.view = EventuallyConsistentView(state, engine.clock, consistency)",
+    ),
+    "no-consistent-flag": Guard(
+        r"consistent=", SRC_EX_DOCS, ITEM_11,
+        "no describe takes a consistency flag; there is one kind of read",
+        '        asg = yield from self.call("describe_auto_scaling_group", name, consistent=True)',
+    ),
+    "no-read-mix-counters": Guard(
+        r"cloud\.reads\.", SRC_EX_DOCS, ITEM_11,
+        "with one kind of read there is no stale/fresh split to count",
+        '            self.state._count("cloud.reads.stale")',
     ),
 }
 

@@ -71,11 +71,6 @@ UNSET_PARAMETERS: dict[str, str] = {
     "terminate_instance_in_auto_scaling_group:decrement_desired_capacity":
         "Auto Scaling TerminateInstanceInAutoScalingGroup's"
         " ShouldDecrementDesiredCapacity",
-    "describe_image:consistent": "passed live through ResourceExistsAssertion.DESCRIBERS'"
-                                 " computed method name, which this scan cannot see;"
-                                 " ROADMAP item 11's subject",
-    "describe_key_pair:consistent": "as describe_image:consistent",
-    "describe_security_group:consistent": "as describe_image:consistent",
     # Seams that already exist for a reason of their own.
     "execute_specs:runner": "the seam KEPT_WITH_CALLERS records for execute_specs",
     "UniformLatency:seed": "every latency model draws from its own seeded stream"
