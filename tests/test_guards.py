@@ -99,7 +99,7 @@ ITEM_14 = "5f978ed"
 #: The commit that made the diagnosis walk bind on the registry's nodes (ROADMAP item 20).
 ITEM_20 = "0462d92"
 #: The commit that deleted the eventual-consistency model (ROADMAP item 11).
-ITEM_11 = "PENDING"
+ITEM_11 = "dee40c8"
 
 GUARDS: dict[str, Guard] = {
     "one-replay-engine": Guard(
