@@ -6,6 +6,12 @@ land here (§III.B: "they are forwarded to the central log storage and
 merged with the operation logs collected from distributed nodes").  The
 store is what gives POD-Diagnosis *global visibility* across simultaneous
 operations.
+
+An entry is a :class:`LogRecord` or a conformance checker's verdict
+(:class:`repro.process.conformance.ConformanceResult`), stored as the
+checker keeps it and read through the same record surface (``time``,
+``type``, ``tags``, ``message``, ``timestamp``, ...).  :meth:`query` and
+:meth:`by_trace` use only ``type`` and ``has_tag``.
 """
 
 from __future__ import annotations

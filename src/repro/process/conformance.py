@@ -11,7 +11,9 @@ For each incoming log line the service:
    last successfully executed activity, hypothesised skipped activities —
    and invokes the diagnosis callback.
 
-Results are themselves logged (type ``conformance``) to central storage.
+Each verdict is kept once: the :class:`ConformanceResult` the checker
+appends to its ``results`` is the entry central storage holds (type
+``conformance``), and its log-record view is rendered when read.
 :meth:`ConformanceChecker.check` is the one entry point: a line at a
 time, in arrival order.
 
@@ -30,6 +32,7 @@ from repro.logsys.record import LogRecord
 from repro.process.compiled import CompiledReplayer
 from repro.process.context import ProcessContext
 from repro.process.model import ProcessModel
+from repro.sim.clock import render
 
 FIT = "fit"
 UNFIT = "unfit"
@@ -41,15 +44,24 @@ _STATUS_TAGS = {s: f"conformance:{s}" for s in (FIT, UNFIT, UNKNOWN, ERROR)}
 
 
 class ConformanceResult:
-    """Outcome of checking one log line.
+    """Outcome of checking one log line, and the record storage holds for it.
 
     ``context`` is built lazily: the fit path defers the
     :class:`ProcessContext` (tag lookups + a fields-dict copy)
     until somebody actually reads it — error paths always build eagerly
     because the diagnosis callback consumes the context immediately.
+
+    The checker sets ``time`` and ``stamp`` (``None``: :attr:`timestamp`
+    renders ``time``, as :class:`LogRecord` does).  The rest of the
+    record surface storage and its readers use — ``message``, ``tags``,
+    ``fields``, ``has_tag``, ``tag_value``, ``str()`` — is derived from
+    the verdict when it is read.
     """
 
-    __slots__ = ("status", "activity", "trace_id", "_context", "_deferred")
+    __slots__ = ("status", "activity", "trace_id", "time", "stamp", "_context", "_deferred")
+
+    source = "conformance-checking.log"
+    type = "conformance"
 
     def __init__(
         self,
@@ -81,6 +93,47 @@ class ConformanceResult:
     def is_error(self) -> bool:
         return self.status in (UNFIT, UNKNOWN, ERROR)
 
+    # -- the stored record's view ------------------------------------------
+
+    @property
+    def message(self) -> str:
+        return (
+            f"[conformance] [{self.trace_id}] line classified {self.status}"
+            f" (activity={self.activity or 'n/a'})"
+        )
+
+    @property
+    def tags(self) -> list[str]:
+        tags = ["trace:" + self.trace_id, _STATUS_TAGS[self.status]]
+        if self.activity:
+            tags.append("step:" + self.activity)
+        return tags
+
+    @property
+    def fields(self) -> dict[str, _t.Any]:
+        return {}
+
+    @property
+    def timestamp(self) -> str:
+        stamp = self.stamp
+        return render(self.time) if stamp is None else stamp
+
+    def has_tag(self, tag: str) -> bool:
+        return tag in self.tags
+
+    def tag_value(self, prefix: str) -> str | None:
+        """The value of :attr:`tags`' ``prefix:value`` tag, if any."""
+        if prefix == "trace":
+            return self.trace_id
+        if prefix == "conformance":
+            return self.status
+        if prefix == "step":
+            return self.activity or None
+        return None
+
+    def __str__(self) -> str:
+        return f"[{self.timestamp}] [{','.join(self.tags)}] {self.message}"
+
     def __repr__(self) -> str:
         return (
             f"ConformanceResult(status={self.status!r}, activity={self.activity!r},"
@@ -90,12 +143,6 @@ class ConformanceResult:
 
 class ConformanceChecker:
     """Near-real-time token-replay conformance over annotated records."""
-
-    #: Simulated service time per check; calibrated to the paper's
-    #: "responded on average in about 10ms".  A calibration constant for
-    #: the simulation's virtual clock; the local implementation's own cost
-    #: per check sits orders of magnitude below it.
-    SERVICE_TIME = 0.010
 
     def __init__(
         self,
@@ -146,9 +193,18 @@ class ConformanceChecker:
         if tag not in tags:
             tags.append(tag)
             record._tag_index.setdefault("conformance", status)
+        clock = self.clock
+        if clock is None:
+            # Clockless (a replay): the source record's time and stored
+            # stamp, unrendered.
+            result.time = record.time
+            result.stamp = record.stamp
+        else:
+            result.time = clock.now()
+            result.stamp = None
         self.results.append(result)
         if self.storage is not None:
-            self._log_result(record, result)
+            self.storage.append(result)
         if status != FIT and self.on_error is not None:
             self.on_error(result)
         return result
@@ -232,28 +288,6 @@ class ConformanceChecker:
         context.conformance = status
         context.step = activity or context.step
         return ConformanceResult(status, activity, trace_id, context=context)
-
-    def _log_result(self, record: LogRecord, result: ConformanceResult) -> None:
-        time = self.clock.now() if self.clock is not None else record.time
-        # Clockless (a replay): the source record's stored stamp, unrendered.
-        stamp = None if self.clock is not None else record.stamp
-        message = (
-            f"[conformance] [{result.trace_id}] line classified {result.status}"
-            f" (activity={result.activity or 'n/a'})"
-        )
-        tags = ["trace:" + result.trace_id, _STATUS_TAGS[result.status]]
-        if result.activity:
-            tags.append("step:" + result.activity)
-        self.storage.append(
-            LogRecord(
-                time=time,
-                source="conformance-checking.log",
-                message=message,
-                type="conformance",
-                tags=tags,
-                timestamp=stamp,
-            )
-        )
 
     # -- aggregate views -------------------------------------------------------
 

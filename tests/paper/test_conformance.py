@@ -3,7 +3,8 @@
 Paper: the first 4 fault types are invisible to conformance checking (log
 output unchanged); of the 80 resource-fault runs, conformance flagged 20
 erroneous traces before assertion checking.  (The "about 10 ms when
-called locally" service time is pinned in tests/process/test_conformance.py.)
+called locally" service time has no virtual-time model here; a check's
+implementation cost is the ledger's ``process.us_per_check``.)
 
 The seeded campaign's answer is pinned run by run: 7 of the 80, every one
 an ELB outage.

@@ -36,6 +36,30 @@ def record(message, trace="t1"):
     return rec
 
 
+def reference_result_log(result, source, clock):
+    """A verdict's result log rendered eagerly, as a LogRecord: what the
+    stored verdict must read as."""
+    tags = ["trace:" + result.trace_id, "conformance:" + result.status]
+    if result.activity:
+        tags.append("step:" + result.activity)
+    return LogRecord(
+        time=clock.now() if clock is not None else source.time,
+        source="conformance-checking.log",
+        message=f"[conformance] [{result.trace_id}] line classified {result.status}"
+        f" (activity={result.activity or 'n/a'})",
+        type="conformance",
+        tags=tags,
+        timestamp=None if clock is not None else source.stamp,
+    )
+
+
+#: Tags that some stored verdicts of the oracle test carry, or none does.
+PROBE_TAGS = (
+    "trace:t1", "trace:t2", "conformance:fit", "conformance:unfit", "step:alpha",
+    "step:n/a", "step:", "trace", "conformance", "",
+)
+
+
 def checker(storage=None, on_error=None):
     return ConformanceChecker(
         model(), library(), clock=SimClock(), storage=storage, on_error=on_error
@@ -114,12 +138,59 @@ class TestSideEffects:
         assert errors[0].status == UNKNOWN
 
     def test_results_logged_to_storage(self):
-        storage = CentralLogStorage()
-        service = checker(storage=storage)
-        service.check(record("doing alpha"))
-        logged = storage.query(type="conformance")
-        assert len(logged) == 1
-        assert "fit" in logged[0].message
+        """Each verdict is stored once, as the object ``results`` holds, and
+        reads exactly as its eagerly rendered result log — with a clock,
+        and clockless (a replay: the source stamp passes through
+        unrendered)."""
+        lines = [  # (message, trace id or None, source stamp), in arrival order
+            ("doing alpha", "t1", "2013-11-19 11:48:01,100"),
+            ("doing gamma", "t1", ""),
+            ("ERROR boom", "t1", None),
+            ("what even is this", "t2", "2013-11-19 11:48:03,600"),
+            ("doing alpha", None, "2013-11-19 11:48:04,000"),
+        ]
+        for clock in (SimClock(), None):
+            storage = CentralLogStorage()
+            service = ConformanceChecker(model(), library(), clock=clock, storage=storage)
+            expected = []
+            for index, (message, trace, stamp) in enumerate(lines):
+                if clock is not None:
+                    clock.advance_to(3600.0 * index + 0.25)
+                source = LogRecord(time=10.0 + index, source="op.log", message=message,
+                                   timestamp=stamp)
+                if trace is not None:
+                    source.add_tag(f"trace:{trace}")
+                result = service.check(source)
+                expected.append(reference_result_log(result, source, clock))
+            assert [r.status for r in service.results] == [FIT, UNFIT, ERROR, UNKNOWN, FIT]
+            assert [r.activity for r in service.results] == [
+                "alpha", "gamma", "op-error", None, "alpha",
+            ]
+
+            stored = storage.records
+            assert len(stored) == len(service.results) == len(expected)
+            for entry, result, reference in zip(stored, service.results, expected):
+                assert entry is result
+                assert entry.time == reference.time
+                assert entry.source == reference.source
+                assert entry.type == reference.type
+                assert entry.message == reference.message
+                assert entry.tags == reference.tags
+                assert entry.fields == reference.fields
+                assert entry.timestamp == reference.timestamp
+                assert str(entry) == str(reference)
+                for prefix in ("trace", "conformance", "step", "process", "trace:untraced", ""):
+                    assert entry.tag_value(prefix) == reference.tag_value(prefix), prefix
+                for tag in [*reference.tags, *PROBE_TAGS]:
+                    assert entry.has_tag(tag) == reference.has_tag(tag), tag
+            assert stored[-1].tag_value("trace") == "untraced:op.log"
+            if clock is None:
+                assert [entry.stamp for entry in stored] == [stamp for _, _, stamp in lines]
+            else:
+                assert all(entry.stamp is None for entry in stored)
+            assert storage.query(type="conformance") == stored
+            assert storage.by_trace("t1") == stored[:3]
+            assert storage.by_trace("untraced:op.log") == stored[4:]
 
     def test_check_count_and_error_results(self):
         service = checker()
@@ -127,12 +198,6 @@ class TestSideEffects:
         service.check(record("nonsense"))
         assert len(service.results) == 2
         assert [r.status for r in service.results if r.is_error] == [UNKNOWN]
-
-    def test_service_time_matches_paper(self):
-        # "the conformance checking service responded on average in about
-        # 10ms" (§V.D) — SERVICE_TIME is the virtual-clock calibration
-        # constant.
-        assert ConformanceChecker.SERVICE_TIME == 0.010
 
 
 #: Lines the model/library know about, including the known error line.

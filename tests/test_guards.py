@@ -356,6 +356,11 @@ GUARDS: dict[str, Guard] = {
         "with one kind of read there is no stale/fresh split to count",
         '            self.state._count("cloud.reads.stale")',
     ),
+    "one-record-per-verdict": Guard(
+        r"LogRecord\(", ("src/repro/process/conformance.py",), "PENDING",
+        "central storage holds the checker's own verdict; no second record is built per check",
+        "        self.storage.append(LogRecord(time=time, source=source, message=message))",
+    ),
 }
 
 

@@ -192,6 +192,10 @@ RUN_ONLY_BY: dict[str, tuple[str, str, str]] = {
     "operations.interference:InterferencePlan.any": (
         "seam", "tests/evaluation/test_campaign.py",
         "counts the specs with and without interference"),
+    "process.conformance:ConformanceResult.tag_value": (
+        "seam", "tests/process/test_conformance.py::test_results_logged_to_storage",
+        "a stored verdict answers a storage reader's tag lookup as a LogRecord would; only"
+        " tests read storage by tag prefix"),
 }
 
 
