@@ -357,7 +357,7 @@ GUARDS: dict[str, Guard] = {
         '            self.state._count("cloud.reads.stale")',
     ),
     "one-record-per-verdict": Guard(
-        r"LogRecord\(", ("src/repro/process/conformance.py",), "PENDING",
+        r"LogRecord\(", ("src/repro/process/conformance.py",), "764031d",
         "central storage holds the checker's own verdict; no second record is built per check",
         "        self.storage.append(LogRecord(time=time, source=source, message=message))",
     ),
