@@ -52,4 +52,7 @@ class NoiseFilter:
                 if self.DROPPED.search(message):
                     return False
                 break
-        return classify_record(self.library, record).matched or self.passthrough_unmatched
+        return (
+            classify_record(self.library, record).pattern is not None
+            or self.passthrough_unmatched
+        )

@@ -27,6 +27,8 @@ import dataclasses
 import re
 import typing as _t
 
+from repro.logsys.record import TagEntry, tag_entry
+
 try:  # Python 3.11+
     from re import _parser as _sre
 except ImportError:  # pragma: no cover - Python 3.10
@@ -141,24 +143,33 @@ class LogPattern:
     #: True for patterns matching *known error* lines (conformance:error).
     is_error: bool = False
     _compiled: re.Pattern = dataclasses.field(init=False, repr=False)
-    #: The annotator's ``step:`` / ``position:`` tags, built once here
-    #: rather than per matching record.
-    step_tag: str = dataclasses.field(init=False, repr=False, compare=False)
-    position_tag: str = dataclasses.field(init=False, repr=False, compare=False)
+    #: The tags the process annotator adds to a matching record —
+    #: ``step:<activity>``, ``position:<position>``, then ``known-error``
+    #: for an error pattern — split once here, not per record.
+    entries: tuple[TagEntry, ...] = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.position not in (START, END, PROGRESS):
             raise ValueError(f"invalid position {self.position!r}")
         self._compiled = re.compile(self.regex)
-        self.step_tag = f"step:{self.activity}"
-        self.position_tag = f"position:{self.position}"
+        tags = [f"step:{self.activity}", f"position:{self.position}"]
+        if self.is_error:
+            tags.append("known-error")
+        self.entries = tuple(map(tag_entry, tags))
 
     def match(self, message: str) -> dict | None:
         """Named groups if the regex matches, else None."""
         found = self._compiled.search(message)
-        if found is None:
-            return None
-        return {k: v for k, v in found.groupdict().items() if v is not None}
+        return None if found is None else _fields(found)
+
+
+def _fields(found: re.Match) -> dict:
+    """The named groups of a match, without the ones that did not take
+    part (a dict comprehension only when one is missing)."""
+    fields = found.groupdict()
+    if None in fields.values():
+        return {k: v for k, v in fields.items() if v is not None}
+    return fields
 
 
 @dataclasses.dataclass
@@ -186,27 +197,28 @@ class PatternLibrary:
 
     def __init__(self, patterns: _t.Iterable[LogPattern] = ()) -> None:
         self.patterns: list[LogPattern] = []
-        #: (pattern, required literal or None), in library order.
-        self._plan: list[tuple[LogPattern, str | None]] = []
+        #: (pattern, required literal or None, compiled ``search``), in
+        #: library order.
+        self._plan: list[tuple[LogPattern, str | None, _t.Callable]] = []
         for pattern in patterns:
             self.add(pattern)
 
     def add(self, pattern: LogPattern) -> None:
         self.patterns.append(pattern)
-        self._plan.append((pattern, required_literal(pattern.regex)))
+        self._plan.append((pattern, required_literal(pattern.regex), pattern._compiled.search))
 
     def classify(self, message: str) -> Classification:
-        for pattern, literal in self._plan:
+        for pattern, literal, search in self._plan:
             if literal is not None and literal not in message:
                 continue
-            fields = pattern.match(message)
-            if fields is not None:
-                return Classification(pattern, fields)
+            found = search(message)
+            if found is not None:
+                return Classification(pattern, _fields(found))
         return Classification(None, {})
 
     def prefilter_plan(self) -> list[tuple[str, str | None]]:
         """(activity, required literal) per pattern — introspection aid."""
-        return [(pattern.activity, literal) for pattern, literal in self._plan]
+        return [(pattern.activity, literal) for pattern, literal, _ in self._plan]
 
     def activities(self) -> list[str]:
         """Distinct activity names, in first-seen order."""

@@ -14,6 +14,17 @@ import typing as _t
 
 from repro.sim.clock import render
 
+#: A tag split at its first ``:`` — ``(tag, prefix, value)``, ``prefix``
+#: None for a bare tag — as :meth:`LogRecord.add_entries` takes it.
+TagEntry = tuple[str, str | None, str]
+
+
+def tag_entry(tag: str) -> TagEntry:
+    """``tag`` split once: its prefix (None when it holds no ``:``) and
+    the value after the first ``:``."""
+    prefix, sep, value = tag.partition(":")
+    return (tag, prefix if sep else None, value)
+
 
 @dataclasses.dataclass(slots=True, init=False)
 class LogRecord:
@@ -82,18 +93,29 @@ class LogRecord:
         # keep in step than it saves.
         index: dict[str, str] = {}
         for tag in self.tags:
-            prefix, sep, value = tag.partition(":")
-            if sep:
+            _, prefix, value = tag_entry(tag)
+            if prefix is not None:
                 index.setdefault(prefix, value)
         self._tag_index = index
 
     def add_tag(self, tag: str) -> None:
+        self.add_entries((tag_entry(tag),))
+
+    def add_entries(self, entries: _t.Iterable[TagEntry]) -> None:
+        """Add pre-split tags (:func:`tag_entry`), in order.
+
+        The one rule for adding a tag: a tag already present is skipped,
+        the first ``prefix:value`` wins the index, a bare tag is not
+        indexed.  The annotators split their tags once, per pattern or
+        per binding, and add them here per record.
+        """
         tags = self.tags
-        if tag not in tags:
-            tags.append(tag)
-            prefix, sep, value = tag.partition(":")
-            if sep:
-                self._tag_index.setdefault(prefix, value)
+        index = self._tag_index
+        for tag, prefix, value in entries:
+            if tag not in tags:
+                tags.append(tag)
+                if prefix is not None:
+                    index.setdefault(prefix, value)
 
     def has_tag(self, tag: str) -> bool:
         return tag in self.tags

@@ -365,6 +365,51 @@ class TestProcessGolden:
         ]
 
 
+class TestAnnotationOnARealStream:
+    def test_stored_operation_records_match_reference(self):
+        """A seeded upgrade that loses its AMI mid-run, with an unmodelled
+        line and chatter on its log: every operation record central
+        storage holds carries the reference annotation's tags and fields,
+        then the one ``conformance:`` tag its check added."""
+        from repro.operations.rolling_upgrade import standard_bindings
+        from repro.testbed import Testbed
+
+        from .reference_scan import linear_scan
+        from .reference_tags import reference_annotation
+
+        testbed = Testbed(cluster_size=4, seed=2014)
+
+        def inject():
+            yield testbed.engine.timeout(30)
+            for message in (
+                "Unexpected reply from the cloud API for group asg-dsn",
+                "DEBUG com.netflix.asgard.Task Terminating instance i-00000009 (dry run)",
+            ):
+                testbed.stream.emit(LogRecord(testbed.engine.now, "asgard.log", message))
+            testbed.cloud.injector.make_ami_unavailable(testbed.stack.ami_v2)
+
+        testbed.engine.process(inject())
+        testbed.run_upgrade(trace_id="upgrade-1")
+        library = testbed.pod.library
+        bindings = standard_bindings().bindings
+        stored = [
+            r for r in testbed.pod.storage.records
+            if isinstance(r, LogRecord) and r.source == testbed.stream.name
+        ]
+        for rec in stored:
+            fresh = LogRecord(rec.time, rec.source, rec.message)
+            tags, fields, _ = reference_annotation(
+                fresh, linear_scan(library, rec.message), testbed.pod.model.model_id,
+                "upgrade-1", bindings,
+            )
+            assert rec.tags == tags.tags + [f"conformance:{rec.tag_value('conformance')}"]
+            assert list(rec.fields.items()) == list(fields.items())
+        steps = [r.tag_value("step") for r in stored]
+        assert "unclassified" in steps and "DEBUG" not in " ".join(r.message for r in stored)
+        assert any(r.has_tag("known-error") for r in stored)
+        assert any(t.startswith("assert:") for r in stored for t in r.tags)
+
+
 class TestCentralLogStorage:
     def test_query_conjunctive(self):
         storage = CentralLogStorage()

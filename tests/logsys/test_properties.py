@@ -214,3 +214,98 @@ class TestGuardSoundness:
         guard = guard_literals(regex)
         if re.search(regex, text):
             assert guard == () or any(literal in text for literal in guard), (regex, text, guard)
+
+
+def _trace_of_message(record) -> str:
+    """A callable trace id: the trace is named from the line itself."""
+    return f"c:{record.message[:3]}"
+
+
+#: Lines for the annotation library below: an optional group that takes
+#: part or not, an error line, a line naming a pre-tag's step, and lines
+#: no pattern matches.
+_ANNOTATED_LINES = st.sampled_from(
+    [
+        "Launching i-1", "Launching i-2 in zoneb", "Instance i-3 ready", "step x now",
+        "Exception during boot", "unrelated line", "",
+    ]
+)
+#: Tags a record may carry before annotation: duplicates, bare tags and
+#: every prefix the annotators write.
+_PRESET_TAGS = st.sampled_from(
+    [
+        "process:p", "process:q", "trace:t0", "trace:c:Lau", "step:x", "step:ready",
+        "step:unclassified", "position:end", "position:start", "assert:a1", "known-error",
+        "bare", "x", ":v", "conformance:fit",
+    ]
+)
+_ACTIVITIES = st.sampled_from(["launch", "ready", "x", "fail", "unclassified", "other"])
+_POSITIONS = st.sampled_from(["start", "end", "progress"])
+_ASSERTION_IDS = st.lists(st.sampled_from(["a1", "a2", "a:3"]), max_size=3)
+
+
+def _annotation_library():
+    from repro.logsys.patterns import LogPattern, PatternLibrary
+
+    return PatternLibrary(
+        [
+            LogPattern("launch", r"Launching (?P<instanceid>i-\w+)(?: in (?P<zone>\w+))?",
+                       position="start"),
+            LogPattern("ready", r"Instance (?P<instanceid>i-\w+) ready", position="end"),
+            LogPattern("x", r"step x", position="progress"),
+            LogPattern("fail", r"Exception during (?P<what>\w+)", position="end", is_error=True),
+        ]
+    )
+
+
+class TestAnnotationProperties:
+    @given(
+        _ANNOTATED_LINES,
+        st.lists(_PRESET_TAGS, max_size=6),
+        st.dictionaries(st.sampled_from(["instanceid", "zone", "what", "other"]),
+                        st.sampled_from(["p", "q"]), max_size=3),
+        st.sampled_from(["p", "q"]),
+        st.sampled_from(["t0", "t1", "a:b", _trace_of_message]),
+        st.lists(st.tuples(_ACTIVITIES, _POSITIONS, _ASSERTION_IDS), max_size=5),
+    )
+    @example("Launching i-1", ["step:x", "x", "x"], {"zone": "p"}, "p", "t0",
+             [("x", "progress", ["a1"]), ("launch", "start", ["a2", "a1", "a2"])])
+    @settings(max_examples=200, deadline=None)
+    def test_annotators_match_add_tag_sequence(
+        self, message, preset, preset_fields, process_id, trace_id, binds
+    ):
+        """The process then the assertion annotator leave every record as
+        one ``add_tag`` per tag on a naive store would: tags in order, the
+        first ``prefix:value`` per prefix, membership, fields in order, and
+        a fresh list of the assertion ids."""
+        from repro.logsys.annotator import AssertionAnnotator, ProcessAnnotator
+
+        from .reference_scan import linear_scan
+        from .reference_tags import reference_annotation, reference_bindings
+
+        library = _annotation_library()
+        assertions = AssertionAnnotator()
+        for activity, position, ids in binds:
+            assertions.bind(activity, position, ids)
+        bindings = reference_bindings(binds)
+        assert assertions.bindings == bindings
+
+        def fresh():
+            return LogRecord(time=0, source="s", message=message, tags=list(preset),
+                             fields=dict(preset_fields))
+
+        expected_tags, expected_fields, expected_ids = reference_annotation(
+            fresh(), linear_scan(library, message), process_id, trace_id, bindings
+        )
+        record = fresh()
+        classification = ProcessAnnotator(library, process_id, trace_id).annotate(record)
+        ids = assertions.annotate(record)
+        assert classification.pattern is linear_scan(library, message).pattern
+        assert record.tags == expected_tags.tags
+        for prefix in {t.partition(":")[0] for t in record.tags} | {"missing", ""}:
+            assert record.tag_value(prefix) == expected_tags.tag_value(prefix), prefix
+        for tag in record.tags + ["assert:a2", "absent"]:
+            assert record.has_tag(tag) == expected_tags.has_tag(tag)
+        assert list(record.fields.items()) == list(expected_fields.items())
+        assert ids == expected_ids
+        assert all(ids is not bound for bound in assertions.bindings.values())

@@ -361,6 +361,11 @@ GUARDS: dict[str, Guard] = {
         "central storage holds the checker's own verdict; no second record is built per check",
         "        self.storage.append(LogRecord(time=time, source=source, message=message))",
     ),
+    "annotation-tags-built-once": Guard(
+        r'add_tag\(f"', ("src/repro/logsys/annotator.py",), "PENDING",
+        "the annotators' tags are split once per pattern, binding or trace, not per record",
+        '            record.add_tag(f"assert:{assertion_id}")',
+    ),
 }
 
 
