@@ -362,7 +362,7 @@ GUARDS: dict[str, Guard] = {
         "        self.storage.append(LogRecord(time=time, source=source, message=message))",
     ),
     "annotation-tags-built-once": Guard(
-        r'add_tag\(f"', ("src/repro/logsys/annotator.py",), "PENDING",
+        r'add_tag\(f"', ("src/repro/logsys/annotator.py",), "ce60d7b",
         "the annotators' tags are split once per pattern, binding or trace, not per record",
         '            record.add_tag(f"assert:{assertion_id}")',
     ),
