@@ -188,18 +188,22 @@ class AssertionEvaluationService:
     def _log_result(self, result: AssertionResult) -> None:
         if self.storage is None:
             return
-        record = LogRecord(
-            time=self.env.engine.now,
-            source="assertion-evaluation.log",
-            message=result.one_line(),
-            type="assertion",
-            fields={"duration": round(result.duration, 3), "params": dict(result.params)},
-        )
-        record.add_tag(f"assert:{result.assertion_id}")
-        record.add_tag("assertion-failed" if result.failed else "assertion-ok")
-        record.add_tag(f"cause:{result.cause}")
+        tags = [
+            f"assert:{result.assertion_id}",
+            "assertion-failed" if result.failed else "assertion-ok",
+            f"cause:{result.cause}",
+        ]
         if result.context is not None:
-            record.add_tag(f"trace:{result.context.trace_id}")
+            tags.append(f"trace:{result.context.trace_id}")
             if result.context.step:
-                record.add_tag(f"step:{result.context.step}")
-        self.storage.append(record)
+                tags.append(f"step:{result.context.step}")
+        self.storage.append(
+            LogRecord(
+                time=self.env.engine.now,
+                source="assertion-evaluation.log",
+                message=result.one_line(),
+                type="assertion",
+                tags=tags,
+                fields={"duration": round(result.duration, 3), "params": dict(result.params)},
+            )
+        )

@@ -12,14 +12,16 @@ current time, so a describe answers with the latest version.
 History entries are :class:`~repro.cloud.freeze.FrozenView` objects,
 appended and handed out *by reference*: ``view_at`` returns the frozen
 view directly — a read costs one bisect and zero copying.
-A region-wide write log (consumed by the Edda-style monitor) makes
-per-tick snapshot work proportional to writes instead of region size.
+Each entry also records its position in the region's write sequence
+(``write_seq`` counts the writes so far): the Edda-style monitor records
+that position per crawl and reads a resource as of it (``view_before``),
+so two writes in one instant are still ordered.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 
 from repro.cloud.errors import MalformedRequest, ResourceNotFound
 from repro.cloud.freeze import FrozenView
@@ -77,30 +79,20 @@ class CloudState:
             "load_balancer": self.load_balancers,
             "auto_scaling_group": self.auto_scaling_groups,
         }
-        #: (kind, id) -> parallel (write_times, frozen views) arrays; a
-        #: ``None`` view is a tombstone.  Parallel arrays keep ``view_at``
-        #: a single bisect over a flat float list.
-        self._history: dict[tuple[str, str], tuple[list[float], list[FrozenView | None]]] = {}
-        #: Append-only (kind, id) write log; what the monitor crawls.
-        self._write_log: list[tuple[str, str]] = []
-        #: Data-plane counters (always on — two dict increments per
-        #: crawl): the monitor's crawl work.  A traced run's metrics
-        #: snapshot reads them at export.
-        self.data_plane_counters: dict[str, int] = {}
+        #: (kind, id) -> parallel (write_times, frozen views, write
+        #: positions) arrays; a ``None`` view is a tombstone.  Parallel
+        #: arrays keep ``view_at`` a single bisect over a flat float list.
+        self._history: dict[
+            tuple[str, str], tuple[list[float], list[FrozenView | None], list[int]]
+        ] = {}
+        #: Writes so far; the next history entry's position.
+        self._writes = 0
         #: Scaling activities appended by the ASG controller; read through
         #: the API's DescribeScalingActivities.
         self.scaling_activities: list = []
         self._id_counters = {kind: itertools.count(1) for kind in KINDS}
 
-    def _count_many(self, name: str, amount: int) -> None:
-        if amount <= 0:
-            return
-        self.data_plane_counters[name] = self.data_plane_counters.get(name, 0) + amount
-
     # -- registries ------------------------------------------------------
-
-    def _registry(self, kind: str) -> dict:
-        return self._registries[kind]
 
     def get(self, kind: str, identifier: str):
         """Authoritative (strongly consistent) lookup; raises if missing."""
@@ -179,14 +171,15 @@ class CloudState:
         key = (kind, identifier)
         entry = self._history.get(key)
         if entry is None:
-            entry = self._history[key] = ([], [])
+            entry = self._history[key] = ([], [], [])
         entry[0].append(now)
         entry[1].append(snapshot)
-        self._write_log.append(key)
+        entry[2].append(self._writes)
+        self._writes += 1
         return snapshot
 
     def history(self, kind: str, identifier: str) -> list[tuple[float, FrozenView | None]]:
-        times, views = self._history.get((kind, identifier), ((), ()))
+        times, views, _positions = self._history.get((kind, identifier), ((), (), ()))
         return list(zip(times, views))
 
     def view_at(self, kind: str, identifier: str, as_of: float) -> FrozenView | None:
@@ -200,8 +193,21 @@ class CloudState:
         entry = self._history.get((kind, identifier))
         if entry is None:
             return None
-        times, views = entry
+        times, views, _positions = entry
         index = bisect_right(times, as_of) - 1
+        return views[index] if index >= 0 else None
+
+    def view_before(self, kind: str, identifier: str, position: int) -> FrozenView | None:
+        """The resource's described form as of write position ``position``
+        (a ``write_seq()`` reading): what its last write before that
+        position left, None = absent.  Unlike ``view_at``, it orders two
+        writes in the same instant.
+        """
+        entry = self._history.get((kind, identifier))
+        if entry is None:
+            return None
+        _times, views, positions = entry
+        index = bisect_left(positions, position) - 1
         return views[index] if index >= 0 else None
 
     def latest_view(self, kind: str, identifier: str) -> FrozenView | None:
@@ -215,15 +221,9 @@ class CloudState:
             return None
         return entry[1][-1]
 
-    # -- write log (what the monitor crawls) ---------------------------------
-
     def write_seq(self) -> int:
-        """Monotone position in the region-wide write log."""
-        return len(self._write_log)
-
-    def writes_since(self, position: int) -> list[tuple[str, str]]:
-        """(kind, id) pairs written at or after log ``position``."""
-        return self._write_log[position:]
+        """Writes so far: the position the next history entry records."""
+        return self._writes
 
     # -- aggregates ------------------------------------------------------
 
@@ -238,7 +238,7 @@ class CloudState:
         return sorted(result, key=lambda i: i.instance_id)
 
     def __repr__(self) -> str:
-        counts = ", ".join(f"{kind}={len(self._registry(kind))}" for kind in KINDS)
+        counts = ", ".join(f"{kind}={len(registry)}" for kind, registry in self._registries.items())
         return f"CloudState({self.region}: {counts})"
 
 

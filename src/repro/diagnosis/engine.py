@@ -291,12 +291,12 @@ class DiagnosisEngine:
             return
         trace = request.context.trace_id if request.context else "unknown"
         step = request.context.step if request.context else "-"
-        record = LogRecord(
-            time=self.engine.now,
-            source="diagnosis.log",
-            message=f"[diagnosis] [{trace}] [{step}] {message}",
-            type="diagnosis",
+        self.storage.append(
+            LogRecord(
+                time=self.engine.now,
+                source="diagnosis.log",
+                message=f"[diagnosis] [{trace}] [{step}] {message}",
+                type="diagnosis",
+                tags=[f"trace:{trace}", f"diagnosis:{request.request_id}"],
+            )
         )
-        record.add_tag(f"trace:{trace}")
-        record.add_tag(f"diagnosis:{request.request_id}")
-        self.storage.append(record)

@@ -384,9 +384,6 @@ def _run_on(testbed: Testbed, spec: RunSpec) -> RunOutcome:
 
     api_health = dict(testbed.pod.env.client.counters())
     api_health.update({f"chaos_{k}": v for k, v in testbed.chaos.counters.items()})
-    # Data-plane counters (the monitor's refreshed / reused samples) ride
-    # along the same channel.
-    api_health.update(testbed.cloud.state.data_plane_counters)
     first = detections[0] if detections else None
     first_assertion = next((d for d in detections if d["kind"] == "assertion"), None)
     first_conformance = next((d for d in detections if d["kind"] == "conformance"), None)

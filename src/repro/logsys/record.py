@@ -98,16 +98,14 @@ class LogRecord:
                 index.setdefault(prefix, value)
         self._tag_index = index
 
-    def add_tag(self, tag: str) -> None:
-        self.add_entries((tag_entry(tag),))
-
     def add_entries(self, entries: _t.Iterable[TagEntry]) -> None:
         """Add pre-split tags (:func:`tag_entry`), in order.
 
         The one rule for adding a tag: a tag already present is skipped,
         the first ``prefix:value`` wins the index, a bare tag is not
         indexed.  The annotators split their tags once, per pattern or
-        per binding, and add them here per record.
+        per binding, and add them here per record; a record written
+        with all its tags known takes them in the constructor.
         """
         tags = self.tags
         index = self._tag_index

@@ -7,9 +7,9 @@ made only by :mod:`repro.obs.export`).
 
 Metrics are not counted here.  :func:`~repro.obs.snapshot.run_metrics`
 reads a run's snapshot at export from what the run keeps — conformance
-and assertion results, diagnosis reports, the client's and the recovery
-plane's always-on counts, the cloud's data-plane counters — so the
-snapshot is the same whether or not the run was traced.
+and assertion results, diagnosis reports, and the client's and the
+recovery plane's always-on counts — so the snapshot is the same whether
+or not the run was traced.
 
 Tracing is off when there is no object: a component takes ``obs=None``
 and guards its span calls with one ``is None`` test.  Either way no

@@ -131,7 +131,6 @@ def run_metrics(testbed) -> dict:
         for name, value in recovery.counters.items():
             count(f"recovery.{name}", value)
 
-    counters.update(testbed.cloud.state.data_plane_counters)
     return {
         "counters": {k: counters[k] for k in sorted(counters)},
         "gauges": gauges,

@@ -185,9 +185,9 @@ class ConformanceChecker:
         # measurable at the per-microsecond scale of a check.
         result = self._replay(record)
         status = result.status
-        # add_tag inlined for the known-shape status tag: first
-        # conformance:* tag wins the index slot, duplicates are dropped —
-        # identical semantics.
+        # LogRecord.add_entries inlined for the known-shape status tag:
+        # first conformance:* tag wins the index slot, duplicates are
+        # dropped — identical semantics.
         tag = _STATUS_TAGS[status]
         tags = record.tags
         if tag not in tags:

@@ -74,11 +74,10 @@ def service(engine):
 
 
 def tagged_record(fields=None):
-    record = LogRecord(time=0.0, source="op", message="x", fields=dict(fields or {}))
-    record.add_tag("trace:t1")
-    record.add_tag("step:ready")
-    record.add_tag("position:end")
-    return record
+    return LogRecord(
+        time=0.0, source="op", message="x", tags=["trace:t1", "step:ready", "position:end"],
+        fields=dict(fields or {}),
+    )
 
 
 class TestTriggerPaths:
@@ -140,7 +139,13 @@ class TestTriggerPaths:
         logged = service.storage_records.query(type="assertion")
         assert len(logged) == 1
         assert "FAILED" in logged[0].message
-        assert logged[0].has_tag("assertion-failed")
+        assert logged[0].tags == [
+            "assert:stub", "assertion-failed", "cause:log", "trace:t1", "step:ready",
+        ]
+        prefixes = ("assert", "cause", "trace", "step")
+        values = {prefix: logged[0].tag_value(prefix) for prefix in prefixes}
+        assert values == {"assert": "stub", "cause": "log", "trace": "t1", "step": "ready"}
+        assert logged[0].tag_value("assertion-failed") is None
 
     def test_concurrent_evaluations_tracked(self, service, engine):
         service.register(StubAssertion(delay=5.0))

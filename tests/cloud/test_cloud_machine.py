@@ -24,6 +24,7 @@ from repro.cloud.limits import AccountLimits
 from repro.cloud.provider import SimulatedCloud
 from repro.cloud.resources import InstanceState
 
+from .history import monitor_at
 from .test_freeze import frozen_throughout
 from .test_monitor_delta import FullCopyReference
 
@@ -79,7 +80,6 @@ class CloudMachine(RuleBasedStateMachine):
         self.seed, self.limit, self.rng = seed, limit, random.Random(seed)
         self.captured = {}  # (kind, id) -> [(time, deep copy of the version or None)]
         self.unchecked = {}  # (kind, id) -> its first capture not yet checked
-        self.uncrawled = set()  # (kind, id) written since the monitor's last crawl
         self.handed_out = []  # (view, deep copy when handed out)
         self.touched = set()  # instance ids a direct-write rule touched
         self.violations = []
@@ -111,22 +111,13 @@ class CloudMachine(RuleBasedStateMachine):
             self.in_reconcile = self.dirty = False
             self._check_pass(state.scaling_activities[start:])
 
-        def checked_crawl():
-            """The first crawl samples the whole region; every later one, the
-            resources written since the crawl before."""
-            first = not self.reference.ticks
+        def recorded_crawl():
             self.reference.record(engine.now)
-            region = sum(map(len, self.reference.ticks[-1][1].values()))
-            before = state.data_plane_counters.get("cloud.monitor.refreshed", 0)
             crawl()
-            refreshed = state.data_plane_counters.get("cloud.monitor.refreshed", 0) - before
-            if refreshed != (region if first else len(self.uncrawled)):
-                self.violations.append(f"crawl at {engine.now} sampled {refreshed} resources")
-            self.uncrawled.clear()
 
         state.put, state.write, state.delete = capturing_put, capturing_write, capturing_delete
         cloud.controller.reconcile = checked_reconcile
-        cloud.monitor.take_snapshot = checked_crawl
+        cloud.monitor.take_snapshot = recorded_crawl
 
         self.raw_api = self.api = api = cloud.api("script")
         api.register_image("app", "v1", image_id="ami-1")
@@ -150,7 +141,6 @@ class CloudMachine(RuleBasedStateMachine):
             self.violations.append(f"a reconcile pass rewrote unchanged {kind} {identifier}")
         entries.append((now, copy.deepcopy(version)))
         self.unchecked.setdefault(key, len(entries) - 1)
-        self.uncrawled.add(key)
 
     def _check_pass(self, activities):
         """A reconcile pass never leaves a gap silently, launches only from
@@ -339,7 +329,7 @@ class CloudMachine(RuleBasedStateMachine):
         """The latest history entry of every resource is the describe of
         the version the registry holds."""
         for kind, identifier in self.captured:
-            live = described(self.state._registry(kind).get(identifier))
+            live = described(self.state._registries[kind].get(identifier))
             assert self.state.latest_view(kind, identifier) == live, (kind, identifier)
 
     def check_monitor(self):
@@ -353,7 +343,7 @@ class CloudMachine(RuleBasedStateMachine):
             for tick in monitor.ticks[self.crawls_checked :]:
                 for at in (tick, tick + 1.0):
                     want = reference.at(at, kind, identifier)
-                    assert monitor.at(at, kind, identifier) == want, (kind, identifier, at)
+                    assert monitor_at(monitor, at, kind, identifier) == want, (kind, identifier, at)
         self.crawls_checked = len(monitor.ticks)
 
 

@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from .history import writes_since
+
 
 class TestConfigurationFaults:
     def test_change_lc_ami(self, provisioned_cloud):
@@ -99,7 +101,7 @@ class TestRandomTermination:
 
 class TestTerminationPaths:
     """API-, controller- and chaos-initiated terminations share one
-    ``CloudState.finish_termination``; each keeps its own write-log shape
+    ``CloudState.finish_termination``; each keeps its own write order
     and all of them leave every ELB without the victim."""
 
     @staticmethod
@@ -130,10 +132,10 @@ class TestTerminationPaths:
         victim, mark = self._setup(cloud)
         began = cloud.engine.now
         cloud.api("ops").terminate_instance(victim)
-        assert cloud.state.writes_since(mark) == [("instance", victim)]
+        assert writes_since(cloud.state, mark) == [("instance", victim)]
         assert cloud.state.get("instance", victim).state.value == "shutting-down"
         cloud.engine.run(until=began + 10.0)
-        assert cloud.state.writes_since(mark) == [
+        assert writes_since(cloud.state, mark) == [
             ("instance", victim),
             ("instance", victim),
             ("load_balancer", "elb-dsn"),
@@ -153,12 +155,12 @@ class TestTerminationPaths:
         cloud.state.write("instance", victim, began, healthy=False)
         mark = cloud.state.write_seq()
         cloud.controller.reconcile()
-        assert cloud.state.writes_since(mark) == [
+        assert writes_since(cloud.state, mark) == [
             ("auto_scaling_group", "asg-dsn"),
             ("instance", victim),
         ]
         cloud.engine.run(until=began + 10.0)
-        assert cloud.state.writes_since(mark) == [
+        assert writes_since(cloud.state, mark) == [
             ("auto_scaling_group", "asg-dsn"),
             ("instance", victim),
             ("instance", victim),
@@ -179,7 +181,7 @@ class TestTerminationPaths:
 
         assert cloud.injector.terminate_random_instance("asg-dsn", PickVictim()) == victim
         # Immediate, and a single instance write: no shutting-down phase.
-        assert cloud.state.writes_since(mark) == [
+        assert writes_since(cloud.state, mark) == [
             ("instance", victim),
             ("load_balancer", "elb-dsn"),
             ("load_balancer", "elb-extra"),

@@ -1,12 +1,14 @@
 """The sampled monitor vs a full-copy reference.
 
-The monitor samples, per crawl, only the resources the write log names;
-the seed stored a deep copy of the whole region every tick.  These tests
-run a scripted upgrade-with-faults scenario — config drift, reverts,
+A crawl records only where the region's write sequence stood, and the
+monitor reads the region's history as of those positions; the seed
+stored a deep copy of the whole region every tick.  These tests run a
+scripted upgrade-with-faults scenario — config drift, reverts,
 tombstones (deleted AMI / key pair), instance churn — against *both*
 implementations at the exact same crawl instants and assert every answer
-the monitor gives (``at``, ``changes``) is byte-identical
-(``json.dumps``) to the full-copy reference.
+the monitor gives (``changes``, and the view as of the last crawl at or
+before any time, read off it) is byte-identical (``json.dumps``) to the
+full-copy reference.
 
 (File, class and test names date from the delta-encoded snapshot store
 these tests were first written against; they are kept so the test ids
@@ -24,6 +26,8 @@ from repro.cloud.provider import SimulatedCloud
 from repro.cloud.resources import Instance, InstanceState
 from repro.cloud.state import KINDS, CloudState
 
+from .history import monitor_at
+
 
 def dumps(value) -> str:
     return json.dumps(value, sort_keys=True, default=repr)
@@ -40,7 +44,7 @@ class FullCopyReference:
         region = {
             kind: {
                 identifier: copy.deepcopy(resource.describe())
-                for identifier, resource in self.state._registry(kind).items()
+                for identifier, resource in self.state._registries[kind].items()
             }
             for kind in KINDS
         }
@@ -131,7 +135,7 @@ class TestDeltaEquivalence:
         assert monitor.ticks == [taken_at for taken_at, _ in reference.ticks]
         for when in monitor.ticks:
             for kind, identifier in all_keys(reference):
-                assert dumps(monitor.at(when, kind, identifier)) == dumps(
+                assert dumps(monitor_at(monitor, when, kind, identifier)) == dumps(
                     reference.at(when, kind, identifier)
                 ), (when, kind, identifier)
 
@@ -141,7 +145,7 @@ class TestDeltaEquivalence:
         for when in monitor.ticks:
             off_tick = when + 1.7
             for kind, identifier in all_keys(reference):
-                assert dumps(monitor.at(off_tick, kind, identifier)) == dumps(
+                assert dumps(monitor_at(monitor, off_tick, kind, identifier)) == dumps(
                     reference.at(off_tick, kind, identifier)
                 )
 
@@ -153,15 +157,10 @@ class TestDeltaEquivalence:
                 reference.timeline(kind, identifier)
             ), (kind, identifier)
 
-    def test_quiet_ticks_reuse_everything(self, scripted_run):
-        cloud, _ = scripted_run
-        counters = cloud.state.data_plane_counters
-        assert counters["cloud.monitor.reused"] > counters["cloud.monitor.refreshed"]
-
 
 def test_write_later_in_the_crawl_instant_belongs_to_the_next_crawl():
     """The 5 s reconcile loop shares instants with the crawl: a crawl
-    records what the region held when it ran, not ``view_at(tick)``."""
+    sees the writes before its position, not ``view_at(tick)``."""
     cloud = SimulatedCloud(seed=1)
     api = cloud.api("setup")
     ami = api.register_image("app", "v1")["ImageId"]
@@ -182,22 +181,22 @@ def test_write_later_in_the_crawl_instant_belongs_to_the_next_crawl():
     engine.run(until=61.0)
     assert monitor.ticks == [0.0, 30.0, 60.0]
     assert state.view_at("launch_configuration", "lc-v1", 30.0)["InstanceType"] == "m1.xlarge"
-    assert monitor.at(30.0, "launch_configuration", "lc-v1")["InstanceType"] == "m1.small"
-    assert monitor.at(60.0, "launch_configuration", "lc-v1")["InstanceType"] == "m1.xlarge"
+    assert monitor_at(monitor, 30.0, "launch_configuration", "lc-v1")["InstanceType"] == "m1.small"
+    assert monitor_at(monitor, 60.0, "launch_configuration", "lc-v1")["InstanceType"] == "m1.xlarge"
     assert [when for when, _ in monitor.changes("launch_configuration", "lc-v1")] == [0.0, 60.0]
 
 
-#: The write script of :func:`_tick_counter_deltas`: every tick rewrites
-#: the next ``WRITES_PER_TICK`` of the first ``2 * WRITES_PER_TICK``
-#: instances, so it is the same sequence of (identifier, new value)
-#: writes on any region at least that large.
+#: The write script of :func:`_scripted_region`: every tick rewrites the
+#: next ``WRITES_PER_TICK`` of the first ``2 * WRITES_PER_TICK`` instances,
+#: so it is the same sequence of (identifier, new value) writes on any
+#: region at least that large.
 TICKS = 6
 WRITES_PER_TICK = 3
 
 
-def _tick_counter_deltas(region_size: int) -> list[dict[str, int]]:
-    """Per-tick data-plane counter deltas of the write script on a region,
-    with the history entries the tick appended as ``history.appended``."""
+def _scripted_region(region_size: int):
+    """The write script on a region of ``region_size`` instances, crawled
+    by the monitor and the full-copy reference after every tick."""
     state = CloudState()
     for index in range(region_size):
         identifier = f"i-{index:08x}"
@@ -212,54 +211,56 @@ def _tick_counter_deltas(region_size: int) -> list[dict[str, int]]:
         )
         state.put("instance", identifier, instance, now=0.0)
     clock = types.SimpleNamespace(now=0.0)  # all the monitor reads of an engine
-    monitor = CloudMonitor(clock, state)
-    monitor.take_snapshot()  # the one full crawl
+    monitor, reference = CloudMonitor(clock, state), FullCopyReference(state)
 
-    deltas = []
+    def crawl():
+        reference.record(clock.now)
+        monitor.take_snapshot()
+
+    crawl()
     for tick in range(TICKS):
         clock.now = float(tick + 1)
-        before = {**state.data_plane_counters, "history.appended": state.write_seq()}
         for write in range(tick * WRITES_PER_TICK, (tick + 1) * WRITES_PER_TICK):
             identifier = f"i-{write % (2 * WRITES_PER_TICK):08x}"
             small = state.instances[identifier].instance_type == "m1.small"
             flipped = "m1.large" if small else "m1.small"
             state.write("instance", identifier, clock.now, instance_type=flipped)
-        monitor.take_snapshot()
-        after = {**state.data_plane_counters, "history.appended": state.write_seq()}
-        deltas.append({name: after[name] - before.get(name, 0) for name in after})
-    return deltas
+        crawl()
+    return monitor, reference
 
 
-class TestTickCostFollowsWrites:
-    """Per-tick work is proportional to writes, not region size — as
-    counts: the same write script on an 8- and a 64-instance region
-    appends and re-captures exactly the same number of views."""
+class TestRegionSize:
+    """The same write script on an 8- and a 64-instance region: on both,
+    the monitor answers what deep-copying the region at every crawl
+    answers, and the written instances' timelines are the same."""
 
-    def test_same_writes_same_work_on_a_larger_region(self):
-        small = _tick_counter_deltas(8)
-        large = _tick_counter_deltas(64)
-        work = ("cloud.monitor.refreshed", "history.appended")
-        for tick, (s, l) in enumerate(zip(small, large, strict=True)):
-            assert {k: s[k] for k in work} == {k: l[k] for k in work}, tick
-            assert s["history.appended"] == s["cloud.monitor.refreshed"] == WRITES_PER_TICK
-            # Everything the tick did not re-capture is shared by
-            # reference — the only counter that sees the region size.
-            assert s["cloud.monitor.reused"] == 8 - WRITES_PER_TICK
-            assert l["cloud.monitor.reused"] == 64 - WRITES_PER_TICK
+    def test_same_writes_same_changes_on_a_larger_region(self):
+        written = [f"i-{index:08x}" for index in range(2 * WRITES_PER_TICK)]
+        timelines = []
+        for region_size in (8, 64):
+            monitor, reference = _scripted_region(region_size)
+            for kind, identifier in all_keys(reference):
+                assert monitor.changes(kind, identifier) == reference.timeline(
+                    kind, identifier
+                ), (region_size, identifier)
+            timelines.append([monitor.changes("instance", i) for i in written])
+        small, large = timelines
+        assert small == large
+        assert [len(timeline) for timeline in small] == [4] * len(written)
 
 
 class TestMonitor:
     def test_snapshot_and_current(self, provisioned_cloud):
         monitor = provisioned_cloud.monitor
-        view = monitor.at(provisioned_cloud.engine.now, "auto_scaling_group", "asg-dsn")
+        view = monitor_at(monitor, provisioned_cloud.engine.now, "auto_scaling_group", "asg-dsn")
         assert view is not None
         assert view["DesiredCapacity"] == 4
 
     def test_at_returns_historical_view(self, provisioned_cloud):
         monitor = provisioned_cloud.monitor
         early = monitor.ticks[0]
-        assert monitor.at(early, "auto_scaling_group", "asg-dsn") is not None
-        assert monitor.at(early - 1, "auto_scaling_group", "asg-dsn") is None
+        assert monitor_at(monitor, early, "auto_scaling_group", "asg-dsn") is not None
+        assert monitor_at(monitor, early - 1, "auto_scaling_group", "asg-dsn") is None
 
     def test_changes_collapse_identical_views(self, provisioned_cloud):
         monitor = provisioned_cloud.monitor
@@ -271,7 +272,7 @@ class TestMonitor:
         cloud = provisioned_cloud
         before = len(cloud.monitor.changes("launch_configuration", "lc-v1"))
         # Change it the way every real path does: one write (the monitor
-        # crawls the write log).
+        # reads the history).
         cloud.state.write(
             "launch_configuration", "lc-v1", cloud.engine.now, instance_type="m1.xlarge"
         )

@@ -59,7 +59,7 @@ class TestRegistry:
         state = CloudState()
         state.amis["ami-direct"] = make_image("ami-direct")
         assert state.get("ami", "ami-direct").image_id == "ami-direct"
-        assert [kind for kind in KINDS if state._registry(kind)] == ["ami"]
+        assert [kind for kind in KINDS if state._registries[kind]] == ["ami"]
 
     def test_exists(self):
         state = CloudState()

@@ -168,8 +168,11 @@ class TestWalk:
         engine.run()
         report = diag.completed[0]
         assert report.no_root_cause
-        messages = [r.message for r in storage.query(type="diagnosis")]
-        assert any("No root cause identified" in m for m in messages)
+        logged = storage.query(type="diagnosis")
+        assert any("No root cause identified" in r.message for r in logged)
+        for record in logged:
+            assert record.tags == ["trace:t1", "diagnosis:diag-1"]
+            assert (record.tag_value("trace"), record.tag_value("diagnosis")) == ("t1", "diag-1")
 
     def test_children_visited_by_probability(self, engine):
         diag, _ = build_engine_fixture(engine, {"gate": False, "x": False, "y": False})
@@ -404,9 +407,10 @@ def test_conformance_error_prunes_at_last_valid_activity(engine):
         "Waiting for group asg-x to start a new instance",
         "Exception during rolling upgrade: instances never became ready",
     ]
-    records = [LogRecord(time=float(t), source="asgard.log", message=line) for t, line in enumerate(lines)]
-    for record in records:
-        record.add_tag("trace:t1")
+    records = [
+        LogRecord(time=float(t), source="asgard.log", message=line, tags=["trace:t1"])
+        for t, line in enumerate(lines)
+    ]
     statuses = [checker.check(record).status for record in records]
     assert statuses == [FIT] * 6 + [ERROR]
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.logsys.ingest import parse_line, read_log
-from repro.logsys.record import LogStream
+from repro.logsys.record import LogStream, tag_entry
 
 SAMPLE = [
     "[2013-11-19 11:00:00,000] Pushing ami-1 into group asg-dsn: rolling upgrade task started",
@@ -101,9 +101,10 @@ class TestReplay:
             storage=CentralLogStorage(),
         )
         stream = LogStream("replayed")
+        replay_trace = [tag_entry("trace:replay-1")]
 
         def check(record):
-            record.add_tag("trace:replay-1")
+            record.add_entries(replay_trace)
             if "DEBUG" not in record.message:
                 checker.check(record)
 

@@ -78,9 +78,7 @@ class TestAssertionAnnotator:
     def test_bound_assertions_tagged(self):
         annotator = AssertionAnnotator()
         annotator.bind("work", "end", ["check-1", "check-2"])
-        rec = record("x")
-        rec.add_tag("step:work")
-        rec.add_tag("position:end")
+        rec = LogRecord(time=0.0, source="op.log", message="x", tags=["step:work", "position:end"])
         ids = annotator.annotate(rec)
         assert ids == ["check-1", "check-2"]
         assert rec.has_tag("assert:check-1")

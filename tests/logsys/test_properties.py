@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.logsys.record import LogRecord
+from repro.logsys.record import LogRecord, tag_entry
 from repro.logsys.storage import CentralLogStorage
 from repro.logsys.timers import TimerSetter
 from repro.sim.engine import Engine
@@ -23,10 +23,7 @@ def _watchdog(engine, interval, slack, expiries):
 
 
 def _line(step):
-    record = LogRecord(time=0.0, source="s", message=step)
-    record.add_tag(f"step:{step}")
-    record.add_tag("trace:t1")
-    return record
+    return LogRecord(time=0.0, source="s", message=step, tags=[f"step:{step}", "trace:t1"])
 
 
 class TestTimerProperties:
@@ -83,9 +80,9 @@ class TestStorageProperties:
         """Reading by trace loses nothing and invents nothing."""
         storage = CentralLogStorage()
         for time, type_, trace in rows:
-            record = LogRecord(time=time, source="s", message="m", type=type_)
-            record.add_tag(f"trace:{trace}")
-            storage.append(record)
+            storage.append(
+                LogRecord(time=time, source="s", message="m", type=type_, tags=[f"trace:{trace}"])
+            )
         grouped = {trace: storage.by_trace(trace) for trace in ("t1", "t2", "t3")}
         assert sum(len(v) for v in grouped.values()) == len(rows)
         for trace, records in grouped.items():
@@ -109,8 +106,8 @@ class TestTagStoreProperties:
     @example(["x", "trace:a", "x", "trace:b"], ["x", "trace:c"], ["trace", "x"])
     @settings(max_examples=200, deadline=None)
     def test_record_tags_match_naive_store(self, given_tags, added, prefixes):
-        """Constructor tags (duplicates kept as given) plus ``add_tag``
-        calls answer every query as the naive list scan does, before and
+        """Constructor tags (duplicates kept as given) plus tags added one
+        at a time answer every query as the naive list scan does, before and
         after a pickle round trip."""
         import pickle
 
@@ -120,7 +117,7 @@ class TestTagStoreProperties:
         naive = NaiveTags(given_tags)
         assert record.tags == given_tags
         for tag in added:
-            record.add_tag(tag)
+            record.add_entries([tag_entry(tag)])
             naive.add_tag(tag)
         restored = pickle.loads(pickle.dumps(record))
         for store in (record, restored):
@@ -130,7 +127,7 @@ class TestTagStoreProperties:
             for tag in added + given_tags + ["absent"]:
                 assert store.has_tag(tag) == naive.has_tag(tag)
         # The restored index keeps working for tags added after the trip.
-        restored.add_tag("late:z")
+        restored.add_entries([tag_entry("late:z")])
         naive.add_tag("late:z")
         assert restored.tag_value("late") == naive.tag_value("late")
 

@@ -3,15 +3,16 @@
 import pytest
 
 from repro.logsys.patterns import END, PROGRESS, LogPattern, PatternLibrary
-from repro.logsys.record import LogRecord, LogStream
+from repro.logsys.record import LogRecord, LogStream, tag_entry
 from repro.sim.clock import SimClock
 
 
 class TestLogRecord:
     def test_add_tag_deduplicates(self):
+        # Adding a tag the record already holds is skipped.
         record = LogRecord(time=0, source="s", message="m")
-        record.add_tag("x")
-        record.add_tag("x")
+        record.add_entries([tag_entry("x")])
+        record.add_entries([tag_entry("x")])
         assert record.tags == ["x"]
 
     def test_tag_value_prefix_lookup(self):
@@ -23,12 +24,12 @@ class TestLogRecord:
     def test_tag_value_sees_tags_added_later(self):
         record = LogRecord(time=0, source="s", message="m")
         assert record.tag_value("step") is None
-        record.add_tag("step:ready")
+        record.add_entries([tag_entry("step:ready")])
         assert record.tag_value("step") == "ready"
 
     def test_tag_value_first_wins_for_duplicate_keys(self):
         record = LogRecord(time=0, source="s", message="m", tags=["step:first"])
-        record.add_tag("step:second")
+        record.add_entries([tag_entry("step:second")])
         assert record.tag_value("step") == "first"
         assert record.tags == ["step:first", "step:second"]
 
@@ -46,8 +47,7 @@ class TestLogRecord:
 
     def test_tag_order_preserved_with_index(self):
         record = LogRecord(time=0, source="s", message="m")
-        for tag in ("z:1", "a:2", "m:3"):
-            record.add_tag(tag)
+        record.add_entries(map(tag_entry, ("z:1", "a:2", "m:3")))
         assert record.tags == ["z:1", "a:2", "m:3"]
         assert record.tag_value("a") == "2"
 
@@ -89,7 +89,7 @@ class TestPickleBoundary:
         pickle, record, _library = self._classified_record()
         restored = pickle.loads(pickle.dumps(record))
         assert restored.tag_value("trace") == "t1"
-        restored.add_tag("step:ready")
+        restored.add_entries([tag_entry("step:ready")])
         assert restored.tag_value("step") == "ready"
 
     def test_payload_does_not_contain_library(self):

@@ -11,6 +11,7 @@ and a clockless checker (a replay) passes that stamp through.
 import pytest
 
 from repro.logsys.ingest import read_log
+from repro.logsys.record import tag_entry
 from repro.logsys.storage import CentralLogStorage
 from repro.operations.rolling_upgrade import build_pattern_library, reference_process_model
 from repro.process.conformance import ConformanceChecker
@@ -68,7 +69,7 @@ def test_a_clockless_checker_passes_the_source_stamp_through():
         reference_process_model(), build_pattern_library(), storage=storage
     )
     for record in read_log(lines):
-        record.add_tag("trace:replay-1")
+        record.add_entries([tag_entry("trace:replay-1")])
         checker.check(record)
         stored = storage.records[-1]
         assert stored.type == "conformance"

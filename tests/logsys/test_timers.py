@@ -7,10 +7,7 @@ from repro.logsys.timers import TimerSetter
 
 
 def tagged(message, step, trace="t1", time=0.0):
-    record = LogRecord(time=time, source="s", message=message)
-    record.add_tag(f"step:{step}")
-    record.add_tag(f"trace:{trace}")
-    return record
+    return LogRecord(time=time, source="s", message=message, tags=[f"step:{step}", f"trace:{trace}"])
 
 
 def watchdog(engine, expiries, interval=20.0, slack=0.0):

@@ -3,7 +3,6 @@
 from repro.obs import Observability, Span
 from repro.obs.export import render_span_tree, span_children, span_stages, trace_payload
 from repro.sim.clock import SimClock
-from repro.testbed import Testbed
 
 
 def _spans() -> list[Span]:
@@ -89,12 +88,3 @@ class TestObservability:
         with obs.tracer.span("a", "s"):
             pass
         assert obs.export_trace()[0].start == 42.0
-
-    def test_data_plane_counters_read_at_export(self):
-        testbed = Testbed(cluster_size=4, seed=3, trace=True)
-        counted = testbed.cloud.state.data_plane_counters
-        before = dict(counted)
-        testbed.run_upgrade()  # counted after the obs was built
-        exported = testbed.obs.export_metrics(testbed)["counters"]
-        assert counted != before
-        assert {k: v for k, v in exported.items() if k.startswith("cloud.")} == counted

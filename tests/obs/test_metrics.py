@@ -72,7 +72,7 @@ class TestExport:
     def test_every_source_is_read(self, twins, flags):
         exported = twins[flags][0].exported
         prefixes = {key.split(".")[0] for key in exported["counters"]}
-        assert {"pipeline", "conformance", "assertions", "diagnosis", "cloud"} <= prefixes
+        assert {"pipeline", "conformance", "assertions", "diagnosis"} <= prefixes
         assert set(exported["histograms"]) == {
             "assertion.duration", "diagnosis.test.duration", "diagnosis.walk.duration",
         }
@@ -148,10 +148,9 @@ class TestSnapshots:
                 assert list(section) == sorted(section)
 
     def test_idle_testbed_exports_only_its_data_plane(self):
+        # ... and the data plane counts nothing.
         testbed = Testbed(cluster_size=4, seed=3)
-        counted = testbed.cloud.state.data_plane_counters
-        assert counted
-        assert run_metrics(testbed) == {"counters": counted, "gauges": {}, "histograms": {}}
+        assert run_metrics(testbed) == {"counters": {}, "gauges": {}, "histograms": {}}
 
     def test_identical_operations_identical_snapshots(self, twins):
         # Reading is all the export does: a second read is the same

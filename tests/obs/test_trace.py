@@ -169,8 +169,7 @@ class TestRecordedOnce:
         assert pickle.loads(pickle.dumps(spans)) == spans
 
     def test_data_plane_counted_once(self, testbed):
-        counted = testbed.cloud.state.data_plane_counters
-        assert counted
+        # The data plane counts nothing: the region's history is its record.
         exported = testbed.obs.export_metrics(testbed)["counters"]
         assert list(exported) == sorted(exported)
-        assert {k: v for k, v in exported.items() if k.startswith("cloud.")} == counted
+        assert not [k for k in exported if k.startswith("cloud.")]

@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 
 from repro.logsys.patterns import PatternLibrary, classify_record
+from repro.logsys.record import tag_entry
 from repro.process.conformance import ERROR, FIT, UNFIT, UNKNOWN, ConformanceResult
 from repro.process.context import ProcessContext
 from repro.process.model import PetriNet, ProcessModel
@@ -201,7 +202,7 @@ class ReferenceChecker:
                 status = UNFIT
         context.conformance = status
         context.step = activity or context.step
-        record.add_tag(f"conformance:{status}")
+        record.add_entries([tag_entry(f"conformance:{status}")])
         result = ConformanceResult(status, activity, trace_id, context=context)
         self.results.append(result)
         return result

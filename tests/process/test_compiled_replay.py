@@ -204,10 +204,8 @@ LINES = ("doing alpha", "doing beta", "doing gamma", "doing delta", "ERROR boom"
 
 
 def record(message, trace=None, source="op.log"):
-    rec = LogRecord(time=0.0, source=source, message=message)
-    if trace is not None:
-        rec.add_tag(f"trace:{trace}")
-    return rec
+    tags = None if trace is None else [f"trace:{trace}"]
+    return LogRecord(time=0.0, source=source, message=message, tags=tags)
 
 
 def check_both(stream):

@@ -31,9 +31,7 @@ def library():
 
 
 def record(message, trace="t1"):
-    rec = LogRecord(time=0.0, source="op", message=message)
-    rec.add_tag(f"trace:{trace}")
-    return rec
+    return LogRecord(time=0.0, source="op", message=message, tags=[f"trace:{trace}"])
 
 
 def reference_result_log(result, source, clock):
@@ -156,10 +154,9 @@ class TestSideEffects:
             for index, (message, trace, stamp) in enumerate(lines):
                 if clock is not None:
                     clock.advance_to(3600.0 * index + 0.25)
+                tags = None if trace is None else [f"trace:{trace}"]
                 source = LogRecord(time=10.0 + index, source="op.log", message=message,
-                                   timestamp=stamp)
-                if trace is not None:
-                    source.add_tag(f"trace:{trace}")
+                                   tags=tags, timestamp=stamp)
                 result = service.check(source)
                 expected.append(reference_result_log(result, source, clock))
             assert [r.status for r in service.results] == [FIT, UNFIT, ERROR, UNKNOWN, FIT]

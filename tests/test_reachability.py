@@ -162,8 +162,6 @@ RUN_ONLY_BY: dict[str, tuple[str, str, str]] = {
     # Oracles and contract checks tests compare against.
     "sim.clock:SimClock.render": ("oracle", "tests/sim/test_render_oracle.py",
                                   "the byte oracle renders through the clock"),
-    "cloud.monitor:CloudMonitor.at": ("oracle", "tests/cloud/test_monitor_delta.py",
-                                      "compared at every tick with a full-copy reference crawler"),
     "operations.profile:OperationProfile.validate": (
         "oracle", "tests/operations/test_rolling_upgrade.py::test_rolling_upgrade_profile_is_coherent",
         "the profile contract: model, patterns and bindings agree"),
