@@ -367,12 +367,12 @@ GUARDS: dict[str, Guard] = {
         '            record.add_tag(f"assert:{assertion_id}")',
     ),
     "monitor-reads-the-history": Guard(
-        r"_write_log|\bwrites_since\b|data_plane_counters", ("src/",), "PENDING",
+        r"_write_log|\bwrites_since\b|data_plane_counters", ("src/",), "1fa4af6",
         "a crawl records the region's write position; the history is the one write stream",
         "        written = dict.fromkeys(state.writes_since(self._log_position))",
     ),
     "monitor-holds-no-views": Guard(
-        r"latest_view", ("src/repro/cloud/monitor.py",), "PENDING",
+        r"latest_view", ("src/repro/cloud/monitor.py",), "1fa4af6",
         "the monitor copies no view; it reads the history as of each crawl's position",
         "            views.append(state.latest_view(*key))",
     ),
