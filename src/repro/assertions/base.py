@@ -80,7 +80,7 @@ class Assertion:
         self,
         env: AssertionEnvironment,
         passed: bool,
-        message: str,
+        detail: str,
         params: dict,
         started_at: float,
         observed: dict | None = None,
@@ -88,7 +88,7 @@ class Assertion:
         return AssertionResult(
             assertion_id=self.assertion_id,
             passed=passed,
-            message=message,
+            detail=detail,
             time=env.engine.now,
             duration=env.engine.now - started_at,
             params=dict(params),

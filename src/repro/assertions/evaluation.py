@@ -21,9 +21,9 @@ into a failed result carrying ``timed_out`` / ``degraded`` (§IV:
 Each evaluation reads the configuration repository of one watched trace
 (:meth:`AssertionEvaluationService.watch`): its line's, watchdog's or diagnosis's.
 
-Every result is logged (type ``assertion``) to central storage; failures
-from log/timer triggers invoke the ``on_failure`` callback — the entry
-point of error diagnosis.
+Every result is stored once: the :class:`AssertionResult` in ``results`` is
+central storage's entry (type ``assertion``), rendered when read.  Failures
+from log/timer triggers invoke ``on_failure`` — the entry point of diagnosis.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ class AssertionEvaluationService:
     def __init__(
         self,
         env: AssertionEnvironment,
-        storage=None,
+        storage,
         on_failure: _t.Callable[[AssertionResult], None] | None = None,
         obs=None,
     ) -> None:
@@ -116,7 +116,7 @@ class AssertionEvaluationService:
         result = yield from self._evaluate(self.get(assertion_id), params, trace_id)
         result.cause, result.trace_id = "on-demand", trace_id
         self.results.append(result)
-        self._log_result(result)
+        self.storage.append(result)
         return result
 
     # -- internals ----------------------------------------------------------------
@@ -152,7 +152,7 @@ class AssertionEvaluationService:
             return AssertionResult(
                 assertion_id=assertion.assertion_id,
                 passed=False,
-                message=f"evaluation aborted by API failure: {exc}",
+                detail=f"evaluation aborted by API failure: {exc}",
                 time=now,
                 duration=now - started,
                 params=dict(params),
@@ -171,7 +171,7 @@ class AssertionEvaluationService:
         result.context = context
         result.trace_id = trace_id
         self.results.append(result)
-        self._log_result(result)
+        self.storage.append(result)
         if result.failed and self.on_failure is not None:
             if self._tracer is not None and span is not None:
                 # Diagnosis triggered by this failure parents under the
@@ -184,26 +184,3 @@ class AssertionEvaluationService:
             self._tracer.finish(
                 span, result="failed" if result.failed else "passed", degraded=result.degraded
             )
-
-    def _log_result(self, result: AssertionResult) -> None:
-        if self.storage is None:
-            return
-        tags = [
-            f"assert:{result.assertion_id}",
-            "assertion-failed" if result.failed else "assertion-ok",
-            f"cause:{result.cause}",
-        ]
-        if result.context is not None:
-            tags.append(f"trace:{result.context.trace_id}")
-            if result.context.step:
-                tags.append(f"step:{result.context.step}")
-        self.storage.append(
-            LogRecord(
-                time=self.env.engine.now,
-                source="assertion-evaluation.log",
-                message=result.one_line(),
-                type="assertion",
-                tags=tags,
-                fields={"duration": round(result.duration, 3), "params": dict(result.params)},
-            )
-        )

@@ -5,10 +5,12 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
+from repro.logsys.record import LogEntry
+
 
 @dataclasses.dataclass
-class AssertionResult:
-    """One evaluation of one assertion.
+class AssertionResult(LogEntry):
+    """One evaluation of one assertion, and the entry storage holds for it.
 
     ``cause`` records the trigger path (``log`` / ``timer`` /
     ``timer-timeout`` / ``on-demand``) — diagnosis quality depends on it:
@@ -16,9 +18,12 @@ class AssertionResult:
     evaluations that carry no instance id in their context.
     """
 
+    source = "assertion-evaluation.log"
+    type = "assertion"
+
     assertion_id: str
     passed: bool
-    message: str
+    detail: str
     time: float
     duration: float = 0.0
     cause: str = "log"
@@ -43,6 +48,24 @@ class AssertionResult:
     def failed(self) -> bool:
         return not self.passed
 
-    def one_line(self) -> str:
+    @property
+    def message(self) -> str:
         status = "OK" if self.passed else "FAILED"
-        return f"[assertion] [{self.assertion_id}] {status}: {self.message}"
+        return f"[assertion] [{self.assertion_id}] {status}: {self.detail}"
+
+    @property
+    def tags(self) -> list[str]:
+        tags = [
+            f"assert:{self.assertion_id}",
+            "assertion-failed" if self.failed else "assertion-ok",
+            f"cause:{self.cause}",
+        ]
+        if self.context is not None:
+            tags.append(f"trace:{self.context.trace_id}")
+            if self.context.step:
+                tags.append(f"step:{self.context.step}")
+        return tags
+
+    @property
+    def fields(self) -> dict[str, _t.Any]:
+        return {"duration": round(self.duration, 3), "params": dict(self.params)}

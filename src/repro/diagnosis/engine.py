@@ -13,13 +13,12 @@ import itertools
 import typing as _t
 
 from repro.assertions.evaluation import AssertionEvaluationService
-from repro.diagnosis.report import DiagnosisReport, TestExecution
+from repro.diagnosis.report import DiagnosisLine, DiagnosisReport, TestExecution
 from repro.diagnosis.tests import CustomTestRegistry
 from repro.diagnosis.walk import Look, walk
 from repro.faulttree.builder import FaultTreeRegistry
 from repro.faulttree.instantiate import instantiate_tree
 from repro.faulttree.tree import EXCLUDED, INCONCLUSIVE
-from repro.logsys.record import LogRecord
 from repro.process.conformance import ERROR, UNKNOWN, ConformanceResult
 from repro.process.context import ProcessContext
 
@@ -54,7 +53,7 @@ class DiagnosisEngine:
         trees: FaultTreeRegistry,
         assertions: AssertionEvaluationService,
         probes: CustomTestRegistry,
-        storage=None,
+        storage,
         seed: int = 0,
         obs=None,
     ) -> None:
@@ -183,9 +182,8 @@ class DiagnosisEngine:
                 report.pruned.extend(pruned)
                 report.potential_fault_count += leaves
             self._log(
-                request,
-                f"Performing on demand assertion checking: {request.trigger_detail}."
-                f" {report.potential_fault_count} potential faults in total...",
+                request, "Performing on demand assertion checking: %s. %s potential faults in"
+                " total...", request.trigger_detail, report.potential_fault_count,
             )
             steps = walk([tree.root for tree in trees], request.params, report.step, since)
             report.root_causes = yield from self._drive(steps, request, report, span)
@@ -197,7 +195,7 @@ class DiagnosisEngine:
         else:
             count = len(report.root_causes)
             noun = "root cause is" if count == 1 else "root causes are"
-            self._log(request, f"{count} {noun} identified")
+            self._log(request, "%s %s identified", count, noun)
         self.completed.append(report)
         if self._tracer is not None:
             self._tracer.finish(span, root_causes=len(report.root_causes),
@@ -255,12 +253,12 @@ class DiagnosisEngine:
             self._tracer.finish(test_span, verdict=verdict, degraded=execution.degraded)
         if verdict == EXCLUDED:
             report.excluded_count += 1
-            self._log(request, f"Verified {node_id}: fault excluded. {report.excluded_count}/"
-                               f"{report.potential_fault_count} checks excluded")
+            self._log(request, "Verified %s: fault excluded. %s/%s checks excluded", node_id,
+                      report.excluded_count, report.potential_fault_count)
         elif verdict == INCONCLUSIVE:
-            self._log(request, f"Check for {node_id} inconclusive; cannot proceed below")
+            self._log(request, "Check for %s inconclusive; cannot proceed below", node_id)
         else:
-            self._log(request, f"Failed verification at {node_id}: {execution.description}")
+            self._log(request, "Failed verification at %s: %s", node_id, execution.description)
 
     def _observe(self, look: Look, request: DiagnosisRequest) -> _t.Generator:
         """Look: ``(observed, evidence, degraded)``.  ``observed`` is True /
@@ -270,11 +268,11 @@ class DiagnosisEngine:
         diagnosis.  ``kind`` only selects the registry resolving the name."""
         node, test, params = look.node, look.node.test, look.params
         if test.kind != "assertion":
-            self._log(request, f"Verifying {node.node_id}: probe {test.name}")
+            self._log(request, "Verifying %s: probe %s", node.node_id, test.name)
             env = self.assertions.envs[request.trace_id]
             observed, evidence = yield from self.probes.run(test.name, env, params)
             return observed, evidence, bool(evidence.get("degraded"))
-        self._log(request, f"Verifying {node.node_id}: {test.name} {params}")
+        self._log(request, "Verifying %s: %s %s", node.node_id, test.name, params)
         if test.name not in self.assertions.assertions:
             return None, {"reason": f"unknown assertion {test.name}"}, False
         result = yield from self.assertions.evaluate_on_demand(test.name, params, request.trace_id)
@@ -282,21 +280,14 @@ class DiagnosisEngine:
             return None, {"reason": "degraded API plane"}, True
         if result.timed_out:
             return None, {"reason": "assertion timed out"}, False
-        return result.failed, {"message": result.message, **result.observed}, False
+        return result.failed, {"message": result.detail, **result.observed}, False
 
     # -- logging -------------------------------------------------------------------
 
-    def _log(self, request: DiagnosisRequest, message: str) -> None:
-        if self.storage is None:
-            return
-        trace = request.context.trace_id if request.context else "unknown"
-        step = request.context.step if request.context else "-"
+    def _log(self, request: DiagnosisRequest, template: str, *args) -> None:
+        """Store one diagnosis log line: ``template % args``, formatted when read."""
+        context = request.context
+        trace, step = (context.trace_id, context.step) if context else ("unknown", "-")
         self.storage.append(
-            LogRecord(
-                time=self.engine.now,
-                source="diagnosis.log",
-                message=f"[diagnosis] [{trace}] [{step}] {message}",
-                type="diagnosis",
-                tags=[f"trace:{trace}", f"diagnosis:{request.request_id}"],
-            )
+            DiagnosisLine(self.engine.now, trace, step, request.request_id, template, args)
         )

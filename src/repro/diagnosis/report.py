@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 
+from repro.logsys.record import LogEntry
+
 
 @dataclasses.dataclass
 class TestExecution:
@@ -26,6 +28,30 @@ class TestExecution:
     #: when the test could not look.
     observed: bool | None = None
     description: str = ""  # the tested node's
+
+
+@dataclasses.dataclass(slots=True)
+class DiagnosisLine(LogEntry):
+    """One diagnosis log line (Fig. 5) as storage holds it: ``template % args``
+    formatted when read, as stdlib ``logging.LogRecord.getMessage`` does."""
+
+    source = "diagnosis.log"
+    type = "diagnosis"
+
+    time: float
+    trace_id: str
+    step: str | None
+    request_id: str
+    template: str
+    args: tuple
+
+    @property
+    def message(self) -> str:
+        return f"[diagnosis] [{self.trace_id}] [{self.step}] {self.template % self.args}"
+
+    @property
+    def tags(self) -> list[str]:
+        return [f"trace:{self.trace_id}", f"diagnosis:{self.request_id}"]
 
 
 @dataclasses.dataclass

@@ -220,14 +220,6 @@ class PatternLibrary:
         """(activity, required literal) per pattern — introspection aid."""
         return [(pattern.activity, literal) for pattern, literal, _ in self._plan]
 
-    def activities(self) -> list[str]:
-        """Distinct activity names, in first-seen order."""
-        seen: list[str] = []
-        for pattern in self.patterns:
-            if pattern.activity not in seen:
-                seen.append(pattern.activity)
-        return seen
-
 
 def classify_record(library: PatternLibrary, record) -> Classification:
     """Classify-once: classify ``record`` or reuse its attached memo.

@@ -26,8 +26,41 @@ def tag_entry(tag: str) -> TagEntry:
     return (tag, prefix if sep else None, value)
 
 
+class LogEntry:
+    """What a reader of central storage reads, given ``time``, ``source``,
+    ``type``, ``message`` and ``tags``; no slots, so a slotted subclass
+    stays dict-free."""
+
+    __slots__ = ()
+    stamp: str | None = None
+
+    @property
+    def timestamp(self) -> str:
+        """The stored stamp, else ``time`` rendered (:func:`repro.sim.clock.render`)."""
+        stamp = self.stamp
+        return render(self.time) if stamp is None else stamp
+
+    @property
+    def fields(self) -> dict[str, _t.Any]:
+        return {}
+
+    def has_tag(self, tag: str) -> bool:
+        return tag in self.tags
+
+    def tag_value(self, prefix: str) -> str | None:
+        """Value of the first ``prefix:value`` tag (``step:ready``), if any.
+        A prefix holds no ``:``; the value may."""
+        for _, head, value in map(tag_entry, self.tags):
+            if head == prefix:
+                return value
+        return None
+
+    def __str__(self) -> str:
+        return f"[{self.timestamp}] [{','.join(self.tags)}] {self.message}"
+
+
 @dataclasses.dataclass(slots=True, init=False)
-class LogRecord:
+class LogRecord(LogEntry):
     """One log event flowing through the pipeline.
 
     Slotted: a campaign allocates one record per log line per run, so
@@ -64,7 +97,6 @@ class LogRecord:
         message: str,
         type: str = "operation",
         tags: list[str] | None = None,
-        fields: dict[str, _t.Any] | None = None,
         timestamp: str | None = None,
     ) -> None:
         self.time = time
@@ -72,17 +104,10 @@ class LogRecord:
         self.message = message
         self.type = type
         self.tags = [] if tags is None else tags
-        self.fields = {} if fields is None else fields
+        self.fields = {}
         self.stamp = timestamp
         self.classification = self.classified_by = None
         self._index_tags()
-
-    @property
-    def timestamp(self) -> str:
-        """The ``@timestamp`` a reader sees: the stored stamp, else ``time``
-        rendered (:func:`repro.sim.clock.render`)."""
-        stamp = self.stamp
-        return render(self.time) if stamp is None else stamp
 
     def _index_tags(self) -> None:
         # Tags are read on the hot path (`tag_value("trace")` per
@@ -115,16 +140,7 @@ class LogRecord:
                 if prefix is not None:
                     index.setdefault(prefix, value)
 
-    def has_tag(self, tag: str) -> bool:
-        return tag in self.tags
-
     def tag_value(self, prefix: str) -> str | None:
-        """Value of the first ``prefix:value`` tag, if any.
-
-        Process context is encoded Logstash-style as prefixed tags, e.g.
-        ``step:update_launch_configuration`` or ``conformance:fit``.  A
-        prefix holds no ``:``; the value may.
-        """
         return self._tag_index.get(prefix)
 
     def __getstate__(self) -> dict:
@@ -154,10 +170,6 @@ class LogRecord:
         self.classification = None
         self.classified_by = None
         self._index_tags()
-
-    def __str__(self) -> str:
-        tags = ",".join(self.tags)
-        return f"[{self.timestamp}] [{tags}] {self.message}"
 
 
 class LogStream:

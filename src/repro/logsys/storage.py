@@ -7,30 +7,30 @@ merged with the operation logs collected from distributed nodes").  The
 store is what gives POD-Diagnosis *global visibility* across simultaneous
 operations.
 
-An entry is a :class:`LogRecord` or a conformance checker's verdict
-(:class:`repro.process.conformance.ConformanceResult`), stored as the
-checker keeps it and read through the same record surface (``time``,
-``type``, ``tags``, ``message``, ``timestamp``, ...).  :meth:`query` and
-:meth:`by_trace` use only ``type`` and ``has_tag``.
+An entry is a :class:`LogRecord` (an operation line) or a conformance,
+assertion or diagnosis verdict as its producer keeps it (``ConformanceResult``,
+``AssertionResult``, ``DiagnosisLine``), each read as a :class:`LogEntry`
+(``time``, ``type``, ``tags``, ``message``, ``timestamp``, ...).
+:meth:`query` and :meth:`by_trace` use only ``type`` and ``has_tag``.
 """
 
 from __future__ import annotations
 
-from repro.logsys.record import LogRecord
+from repro.logsys.record import LogEntry
 
 
 class CentralLogStorage:
     """Append-only, time-ordered record store with tag/type queries."""
 
     def __init__(self) -> None:
-        self.records: list[LogRecord] = []
+        self.records: list[LogEntry] = []
 
-    def append(self, record: LogRecord) -> None:
+    def append(self, record: LogEntry) -> None:
         self.records.append(record)
 
     # -- queries ------------------------------------------------------------
 
-    def query(self, tag: str | None = None, type: str | None = None) -> list[LogRecord]:
+    def query(self, tag: str | None = None, type: str | None = None) -> list[LogEntry]:
         """Records with ``tag`` and of ``type``; an omitted criterion holds."""
         return [
             record
@@ -38,7 +38,7 @@ class CentralLogStorage:
             if (tag is None or record.has_tag(tag)) and (type is None or record.type == type)
         ]
 
-    def by_trace(self, trace_id: str) -> list[LogRecord]:
+    def by_trace(self, trace_id: str) -> list[LogEntry]:
         """All records of one process instance — the event trace that
         process mining and conformance work from."""
         return self.query(tag=f"trace:{trace_id}")

@@ -37,22 +37,6 @@ class OperationProfile:
     #: Assertions evaluated when the watchdog expires.
     watchdog_assertions: tuple[str, ...]
 
-    def validate(self) -> list[str]:
-        """Cross-artifact consistency problems (empty list = coherent)."""
-        problems = list(self.model.validate())
-        known = set(self.library.activities())
-        for activity in (self.watchdog_start, self.watchdog_end, *self.watchdog_aligns):
-            if activity not in self.model.activities:
-                problems.append(f"watchdog activity {activity!r} not in the model")
-        for activity in self.model.activities:
-            if activity not in known:
-                problems.append(f"model activity {activity!r} has no log pattern")
-        bindings = self.bindings_factory()
-        for (activity, _position), _ids in bindings.bindings.items():
-            if activity not in self.model.activities:
-                problems.append(f"binding references unknown activity {activity!r}")
-        return problems
-
 
 def rolling_upgrade_profile() -> OperationProfile:
     """The paper's case study, as a profile."""

@@ -28,11 +28,10 @@ from __future__ import annotations
 import typing as _t
 
 from repro.logsys.patterns import PatternLibrary, classify_record
-from repro.logsys.record import LogRecord
+from repro.logsys.record import LogEntry, LogRecord
 from repro.process.compiled import CompiledReplayer
 from repro.process.context import ProcessContext
 from repro.process.model import ProcessModel
-from repro.sim.clock import render
 
 FIT = "fit"
 UNFIT = "unfit"
@@ -43,7 +42,7 @@ ERROR = "error"
 _STATUS_TAGS = {s: f"conformance:{s}" for s in (FIT, UNFIT, UNKNOWN, ERROR)}
 
 
-class ConformanceResult:
+class ConformanceResult(LogEntry):
     """Outcome of checking one log line, and the record storage holds for it.
 
     ``context`` is built lazily: the fit path defers the
@@ -52,10 +51,7 @@ class ConformanceResult:
     because the diagnosis callback consumes the context immediately.
 
     The checker sets ``time`` and ``stamp`` (``None``: :attr:`timestamp`
-    renders ``time``, as :class:`LogRecord` does).  The rest of the
-    record surface storage and its readers use — ``message``, ``tags``,
-    ``fields``, ``has_tag``, ``tag_value``, ``str()`` — is derived from
-    the verdict when it is read.
+    renders ``time``); ``message`` and ``tags`` are read off the verdict.
     """
 
     __slots__ = ("status", "activity", "trace_id", "time", "stamp", "_context", "_deferred")
@@ -109,31 +105,6 @@ class ConformanceResult:
             tags.append("step:" + self.activity)
         return tags
 
-    @property
-    def fields(self) -> dict[str, _t.Any]:
-        return {}
-
-    @property
-    def timestamp(self) -> str:
-        stamp = self.stamp
-        return render(self.time) if stamp is None else stamp
-
-    def has_tag(self, tag: str) -> bool:
-        return tag in self.tags
-
-    def tag_value(self, prefix: str) -> str | None:
-        """The value of :attr:`tags`' ``prefix:value`` tag, if any."""
-        if prefix == "trace":
-            return self.trace_id
-        if prefix == "conformance":
-            return self.status
-        if prefix == "step":
-            return self.activity or None
-        return None
-
-    def __str__(self) -> str:
-        return f"[{self.timestamp}] [{','.join(self.tags)}] {self.message}"
-
     def __repr__(self) -> str:
         return (
             f"ConformanceResult(status={self.status!r}, activity={self.activity!r},"
@@ -148,8 +119,8 @@ class ConformanceChecker:
         self,
         model: ProcessModel,
         library: PatternLibrary,
+        storage,
         clock=None,
-        storage=None,
         on_error: _t.Callable[[ConformanceResult], None] | None = None,
         obs=None,
     ) -> None:
@@ -203,8 +174,7 @@ class ConformanceChecker:
             result.time = clock.now()
             result.stamp = None
         self.results.append(result)
-        if self.storage is not None:
-            self.storage.append(result)
+        self.storage.append(result)
         if status != FIT and self.on_error is not None:
             self.on_error(result)
         return result

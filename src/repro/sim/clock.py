@@ -62,9 +62,5 @@ class SimClock:
             raise ValueError(f"clock cannot go backwards: {t} < {self._now}")
         self._now = t
 
-    def render(self, t: float | None = None) -> str:
-        """:func:`render` of ``t``, by default of the current time."""
-        return render(self._now if t is None else t)
-
     def __repr__(self) -> str:
         return f"SimClock(now={self._now:.3f})"

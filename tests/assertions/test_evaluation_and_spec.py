@@ -74,10 +74,11 @@ def service(engine):
 
 
 def tagged_record(fields=None):
-    return LogRecord(
-        time=0.0, source="op", message="x", tags=["trace:t1", "step:ready", "position:end"],
-        fields=dict(fields or {}),
+    record = LogRecord(
+        time=0.0, source="op", message="x", tags=["trace:t1", "step:ready", "position:end"]
     )
+    record.fields.update(fields or {})
+    return record
 
 
 class TestTriggerPaths:

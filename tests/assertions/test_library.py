@@ -14,6 +14,7 @@ from repro.assertions.library import (
     standard_rolling_upgrade_assertions,
 )
 from repro.cloud.errors import ServiceUnavailable
+from repro.logsys.storage import CentralLogStorage
 from repro.operations.rolling_upgrade import RollingUpgradeParams
 from repro.operations.target import TargetConfig
 from repro.sim.latency import ConstantLatency
@@ -48,7 +49,7 @@ def run(env, assertion, params=None):
     """Evaluate through the service: an assertion answers, and a read it
     could not make (timeout, not-found on a describe that is not its
     question) becomes a failed result there, not in ``evaluate``."""
-    service = AssertionEvaluationService(env)
+    service = AssertionEvaluationService(env, storage=CentralLogStorage())
     service.register(assertion)
     # The fixture's repository, shared: a test edits it in place.
     service.watch("t", env.config)
@@ -108,7 +109,7 @@ class TestCountAssertion:
         env.config.pop("asg_name")
         result = run(env, AsgInstanceCountAssertion(convergence_timeout=1))
         assert result.failed
-        assert "missing" in result.message
+        assert "missing" in result.detail
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -135,7 +136,7 @@ class TestInstanceVersionAssertion:
         )
         result = run(env, InstanceVersionAssertion(), {"instanceid": instance.instance_id})
         assert result.failed
-        assert "AMI" in result.message
+        assert "AMI" in result.detail
 
     def test_detects_wrong_security_group(self, env, provisioned_cloud):
         instance = provisioned_cloud.state.running_instances("asg-dsn")[0]
@@ -145,12 +146,12 @@ class TestInstanceVersionAssertion:
         )
         result = run(env, InstanceVersionAssertion(), {"instanceid": instance.instance_id})
         assert result.failed
-        assert "security groups" in result.message
+        assert "security groups" in result.detail
 
     def test_no_instance_id_fails(self, env):
         result = run(env, InstanceVersionAssertion(), {})
         assert result.failed
-        assert "no instance id" in result.message
+        assert "no instance id" in result.detail
 
     def test_unknown_instance_fails(self, env):
         result = run(env, InstanceVersionAssertion(), {"instanceid": "i-ghost"})
@@ -161,13 +162,13 @@ class TestAsgConfigAssertion:
     def test_passes_on_clean_config(self, env):
         result = run(env, AsgConfigAssertion())
         assert result.passed
-        assert "correct" in result.message
+        assert "correct" in result.detail
 
     def test_detects_single_field(self, env, provisioned_cloud):
         provisioned_cloud.injector.change_lc_key_pair("lc-v1", "key-rogue")
         result = run(env, AsgConfigAssertion(), {"field": "key_pair"})
         assert result.failed
-        assert "key pair" in result.message
+        assert "key pair" in result.detail
         # Other fields still verify clean.
         result = run(env, AsgConfigAssertion(), {"field": "ami"})
         assert result.passed
@@ -251,7 +252,7 @@ class TestCallUntilFailuresCarryTheirRealFlag:
             )
         stopped = run(env, assertion)
         assert stopped.failed and not stopped.timed_out and not stopped.degraded
-        assert "circuit breaker open" in stopped.message
+        assert "circuit breaker open" in stopped.detail
         # Failed fast: the open method was not tried again.
         assert (client.breaker_fast_fails, client.retries_made) == (1, 8)
 

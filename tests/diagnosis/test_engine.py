@@ -118,7 +118,7 @@ def fake_assertion_result(engine, params=None):
     return AssertionResult(
         assertion_id="check",
         passed=False,
-        message="failed",
+        detail="failed",
         time=engine.now,
         params=params or {},
         context=ProcessContext(process_id="p", trace_id="t1", step="ready"),
@@ -396,6 +396,7 @@ def test_conformance_error_prunes_at_last_valid_activity(engine):
     checker = ConformanceChecker(
         profile.model,
         profile.library,
+        storage=CentralLogStorage(),
         on_error=lambda result: requests.append(diag.diagnose_conformance_error(result)),
     )
     lines = [

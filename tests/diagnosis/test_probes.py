@@ -21,6 +21,7 @@ from repro.diagnosis.tests import build_standard_probes
 from repro.faulttree.builder import FaultTreeRegistry
 from repro.faulttree.library import build_standard_fault_trees
 from repro.faulttree.tree import DiagnosticTest, FaultTree, node
+from repro.logsys.storage import CentralLogStorage
 from repro.sim.latency import ConstantLatency
 
 
@@ -169,9 +170,10 @@ class TestObservationContract:
         trees = FaultTreeRegistry()
         test = DiagnosticTest("custom", name, params=CONTRACT[name][0])
         trees.register(FaultTree("t", "", root=node("n", "", test=test)))
-        assertions = AssertionEvaluationService(env)
+        storage = CentralLogStorage()
+        assertions = AssertionEvaluationService(env, storage=storage)
         assertions.watch("trace", {})
-        diag = DiagnosisEngine(env.engine, trees, assertions, probes)
+        diag = DiagnosisEngine(env.engine, trees, assertions, probes, storage=storage)
         diag.diagnose(["t"], "trace")
         env.engine.run(until=env.engine.now + 60)
         (execution,) = diag.completed[0].tests

@@ -10,6 +10,7 @@ from repro.logsys.annotator import ProcessAnnotator
 from repro.logsys.filters import NoiseFilter
 from repro.logsys.patterns import LogPattern, PatternLibrary, classify_record
 from repro.logsys.record import LogRecord
+from repro.logsys.storage import CentralLogStorage
 from repro.operations.rolling_upgrade import build_pattern_library, reference_process_model
 from repro.process.conformance import ConformanceChecker
 
@@ -36,7 +37,7 @@ class TestClassifyOnce:
         library = _counting_rolling_upgrade_library()
         noise_filter = NoiseFilter(library, passthrough_unmatched=True)
         annotator = ProcessAnnotator(library, "rolling-upgrade", "t-1")
-        checker = ConformanceChecker(reference_process_model(), library)
+        checker = ConformanceChecker(reference_process_model(), library, storage=CentralLogStorage())
 
         message = "Pushing ami-123 into group asg-x: rolling upgrade task started"
         record = LogRecord(time=1.0, source="op.log", message=message, tags=["trace:t-1"])

@@ -288,8 +288,9 @@ class TestAnnotationProperties:
         assert assertions.bindings == bindings
 
         def fresh():
-            return LogRecord(time=0, source="s", message=message, tags=list(preset),
-                             fields=dict(preset_fields))
+            record = LogRecord(time=0, source="s", message=message, tags=list(preset))
+            record.fields.update(preset_fields)
+            return record
 
         expected_tags, expected_fields, expected_ids = reference_annotation(
             fresh(), linear_scan(library, message), process_id, trace_id, bindings

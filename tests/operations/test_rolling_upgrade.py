@@ -26,6 +26,28 @@ from repro.operations.target import TargetConfig
 from repro.process.compiled import CompiledReplayer
 
 
+def activities(library) -> list[str]:
+    """A pattern library's distinct activity names, in first-seen order."""
+    return list(dict.fromkeys(pattern.activity for pattern in library.patterns))
+
+
+def profile_problems(profile) -> list[str]:
+    """The profile contract: where its model, patterns, watchdog and
+    bindings disagree (an empty list when they agree)."""
+    problems = list(profile.model.validate())
+    known = set(activities(profile.library))
+    for activity in (profile.watchdog_start, profile.watchdog_end, *profile.watchdog_aligns):
+        if activity not in profile.model.activities:
+            problems.append(f"watchdog activity {activity!r} not in the model")
+    for activity in profile.model.activities:
+        if activity not in known:
+            problems.append(f"model activity {activity!r} has no log pattern")
+    for activity, _position in profile.bindings_factory().bindings:
+        if activity not in profile.model.activities:
+            problems.append(f"binding references unknown activity {activity!r}")
+    return problems
+
+
 def launch_upgrade(cloud, batch_size=1, **param_overrides):
     stream = LogStream("asgard.log")
     params = RollingUpgradeParams(
@@ -169,11 +191,11 @@ class TestArtifacts:
     def test_rolling_upgrade_profile_is_coherent(self):
         from repro.operations.profile import rolling_upgrade_profile
 
-        assert rolling_upgrade_profile().validate() == []
+        assert profile_problems(rolling_upgrade_profile()) == []
 
     def test_patterns_cover_the_sequence(self):
         library = build_pattern_library()
-        assert set(SEQUENCE) <= set(library.activities())
+        assert set(SEQUENCE) <= set(activities(library))
 
     def test_bindings_cover_key_steps(self):
         bindings = standard_bindings().bindings

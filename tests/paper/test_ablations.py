@@ -16,6 +16,7 @@ import pytest
 from repro.diagnosis.engine import DiagnosisEngine
 from repro.diagnosis.walk import walk
 from repro.faulttree.library import build_standard_fault_trees
+from repro.logsys.storage import CentralLogStorage
 from repro.pod.service import PODDiagnosis
 from repro.testbed import build_testbed
 
@@ -39,6 +40,7 @@ def diagnose_with(testbed, tree_ids, context=None):
         build_standard_fault_trees(),
         testbed.pod.assertions,
         testbed.pod.probes,
+        storage=CentralLogStorage(),
     )
     engine.diagnose(tree_ids, testbed.upgrade.trace_id, context=context, trigger_detail="ablation")
     testbed.engine.run(until=testbed.engine.now + 120)
@@ -144,6 +146,7 @@ def test_ablation_probability_ordering(faulty_testbed):
             registry,
             faulty_testbed.pod.assertions,
             faulty_testbed.pod.probes,
+            storage=CentralLogStorage(),
         )
         engine.diagnose_assertion_failure(first_failure)
         faulty_testbed.engine.run(until=faulty_testbed.engine.now + 120)

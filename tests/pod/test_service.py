@@ -45,10 +45,13 @@ class TestHappyPath:
         assert [r for r in testbed.stream.records if "DEBUG" in r.message]
 
     def test_assertion_results_logged_centrally(self, clean_run):
+        """Each result is stored once: storage holds the objects ``results``
+        holds, in order."""
         testbed, _ = clean_run
-        assert len(testbed.pod.storage.query(type="assertion")) == len(
-            testbed.pod.assertions.results
-        )
+        stored = testbed.pod.storage.query(type="assertion")
+        results = testbed.pod.assertions.results
+        assert len(stored) == len(results)
+        assert all(entry is result for entry, result in zip(stored, results))
 
 
 class TestFaultDetectionEndToEnd:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.logsys.patterns import END, LogPattern, PatternLibrary
 from repro.logsys.record import LogRecord
+from repro.logsys.storage import CentralLogStorage
 from repro.process.compiled import CompiledInstance, compile_model
 from repro.process.conformance import ConformanceChecker
 from repro.process.model import ProcessModel
@@ -211,7 +212,7 @@ def record(message, trace=None, source="op.log"):
 def check_both(stream):
     """Run the same stream through the checker and the oracle; results
     must be equal."""
-    compiled = ConformanceChecker(linear_model(), library())
+    compiled = ConformanceChecker(linear_model(), library(), storage=CentralLogStorage())
     interpreted = ReferenceChecker(linear_model(), library())
     for message, trace in stream:
         rec_c, rec_i = record(message, trace), record(message, trace)

@@ -58,9 +58,9 @@ PROBE_TAGS = (
 )
 
 
-def checker(storage=None, on_error=None):
+def checker(on_error=None):
     return ConformanceChecker(
-        model(), library(), clock=SimClock(), storage=storage, on_error=on_error
+        model(), library(), clock=SimClock(), storage=CentralLogStorage(), on_error=on_error
     )
 
 

@@ -376,6 +376,13 @@ GUARDS: dict[str, Guard] = {
         "the monitor copies no view; it reads the history as of each crawl's position",
         "            views.append(state.latest_view(*key))",
     ),
+    "every-verdict-stored-once": Guard(
+        r"LogRecord\(",
+        ("src/repro/diagnosis/engine.py", "src/repro/assertions/evaluation.py"), "PENDING",
+        "central storage holds the assertion result and the diagnosis line themselves; no"
+        " second record is built per verdict",
+        '        self.storage.append(LogRecord(time=now, source="diagnosis.log", message=text))',
+    ),
 }
 
 

@@ -159,15 +159,6 @@ RUN_ONLY_BY: dict[str, tuple[str, str, str]] = {
     "cloud.faults:FaultInjector._revive_elb": (
         "paper", "tests/cloud/test_controller.py::test_retries_once_resource_restored",
         "the transient class (§VI.A) for an ELB outage: the balancer comes back"),
-    # Oracles and contract checks tests compare against.
-    "sim.clock:SimClock.render": ("oracle", "tests/sim/test_render_oracle.py",
-                                  "the byte oracle renders through the clock"),
-    "operations.profile:OperationProfile.validate": (
-        "oracle", "tests/operations/test_rolling_upgrade.py::test_rolling_upgrade_profile_is_coherent",
-        "the profile contract: model, patterns and bindings agree"),
-    "logsys.patterns:PatternLibrary.activities": (
-        "oracle", "tests/operations/test_rolling_upgrade.py::test_rolling_upgrade_profile_is_coherent",
-        "what OperationProfile.validate checks the model against"),
     # Test seams: a test puts a fake, or a bare part, where a run has the real one.
     "sim.latency:ConstantLatency.__init__": ("seam", "tests/assertions/test_consistent_api.py",
                                              "a latency with no spread"),
@@ -190,8 +181,8 @@ RUN_ONLY_BY: dict[str, tuple[str, str, str]] = {
     "operations.interference:InterferencePlan.any": (
         "seam", "tests/evaluation/test_campaign.py",
         "counts the specs with and without interference"),
-    "process.conformance:ConformanceResult.tag_value": (
-        "seam", "tests/process/test_conformance.py::test_results_logged_to_storage",
+    "logsys.record:LogEntry.tag_value": (
+        "seam", "tests/pod/test_stored_verdicts.py",
         "a stored verdict answers a storage reader's tag lookup as a LogRecord would; only"
         " tests read storage by tag prefix"),
 }
