@@ -378,7 +378,7 @@ GUARDS: dict[str, Guard] = {
     ),
     "every-verdict-stored-once": Guard(
         r"LogRecord\(",
-        ("src/repro/diagnosis/engine.py", "src/repro/assertions/evaluation.py"), "PENDING",
+        ("src/repro/diagnosis/engine.py", "src/repro/assertions/evaluation.py"), "a96f2b8",
         "central storage holds the assertion result and the diagnosis line themselves; no"
         " second record is built per verdict",
         '        self.storage.append(LogRecord(time=now, source="diagnosis.log", message=text))',
