@@ -65,7 +65,7 @@ def main() -> None:
     print("\ndiagnosed causes:")
     for node_id, status in causes.items():
         print(f"  - {node_id} ({status})")
-    if "concurrent-upgrade" in causes or "lc-wrong-ami" in causes:
+    if "concurrent-upgrade" in causes or "wrong-ami" in causes:
         print("\n=> the mixed-version hazard was detected and attributed to a"
               " concurrent launch-configuration change.")
 

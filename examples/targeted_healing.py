@@ -9,7 +9,7 @@ the upgrade keeps running.
 
 Scenario: a concurrent team corrupts the launch configuration's AMI
 mid-upgrade.  POD-Diagnosis detects the wrong-version instance, walks the
-fault tree to ``lc-wrong-ami``, and the recovery engine restores the
+fault tree to ``wrong-ami``, and the recovery engine restores the
 launch configuration (idempotent, verified by re-reading the cloud) —
 after which the still-running rolling upgrade finishes on the correct
 version by itself.

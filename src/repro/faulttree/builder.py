@@ -8,6 +8,8 @@ sub-trees/leaves, and re-validated.
 
 from __future__ import annotations
 
+import typing as _t
+
 from repro.faulttree.tree import CONFIRMED, EXCLUDED, INCONCLUSIVE, FaultNode, FaultTree
 
 #: What a test outcome may mean.
@@ -23,7 +25,7 @@ class FaultTreeRegistry:
     def register(self, tree: FaultTree) -> None:
         if tree.tree_id in self._trees:
             raise ValueError(f"fault tree {tree.tree_id!r} already registered")
-        self.validate(tree)
+        self.validate(tree.tree_id, tree.root.iter_nodes())
         self._trees[tree.tree_id] = tree
 
     def get(self, tree_id: str) -> FaultTree:
@@ -48,18 +50,18 @@ class FaultTreeRegistry:
         parent = tree.find(parent_node_id)
         if parent is None:
             raise KeyError(f"tree {tree_id!r} has no node {parent_node_id!r}")
-        if tree.find(subtree.node_id) is not None:
-            raise ValueError(f"tree {tree_id!r} already has node {subtree.node_id!r}")
+        # Checked before grafting: a rejected graft leaves the tree as it was.
+        self.validate(tree_id, [*tree.root.iter_nodes(), *subtree.iter_nodes()])
         parent.children.append(subtree)
-        self.validate(tree)
 
     @staticmethod
-    def validate(tree: FaultTree) -> None:
-        """Structural checks: unique node ids, every test outcome one of the three verdicts."""
+    def validate(tree_id: str, nodes: _t.Iterable[FaultNode]) -> None:
+        """Structural checks of a tree's nodes: unique node ids, every test
+        outcome one of the three verdicts."""
         seen: set[str] = set()
-        for node in tree.root.iter_nodes():
+        for node in nodes:
             if node.node_id in seen:
-                raise ValueError(f"duplicate node id {node.node_id!r} in tree {tree.tree_id!r}")
+                raise ValueError(f"duplicate node id {node.node_id!r} in tree {tree_id!r}")
             seen.add(node.node_id)
             if node.test and node.test.when_not_observed not in VERDICTS:
                 raise ValueError(f"{node.node_id!r}: test outcome not in {sorted(VERDICTS)}")

@@ -36,29 +36,29 @@ def _custom_test(name: str, **params) -> DiagnosticTest:
     return DiagnosticTest(kind="custom", name=name, params=params)
 
 
-def _wrong_config_children(prefix: str = "") -> list:
+def _wrong_config_children() -> list:
     """The '4 potential faults' of the paper's diagnosis log excerpt."""
     return [
         node(
-            f"{prefix}wrong-security-group",
+            "wrong-security-group",
             "The ASG $asg_name is using a wrong security group",
             test=_assertion_test("asg-uses-correct-config", field="security_group"),
             probability=0.30,
         ),
         node(
-            f"{prefix}wrong-key-pair",
+            "wrong-key-pair",
             "The ASG $asg_name is using a wrong key pair",
             test=_assertion_test("asg-uses-correct-config", field="key_pair"),
             probability=0.28,
         ),
         node(
-            f"{prefix}wrong-ami",
+            "wrong-ami",
             "The ASG $asg_name is using a wrong AMI",
             test=_assertion_test("asg-uses-correct-config", field="ami"),
             probability=0.25,
         ),
         node(
-            f"{prefix}wrong-instance-type",
+            "wrong-instance-type",
             "The ASG $asg_name is using a wrong instance type",
             test=_assertion_test("asg-uses-correct-config", field="instance_type"),
             probability=0.17,
@@ -66,12 +66,12 @@ def _wrong_config_children(prefix: str = "") -> list:
     ]
 
 
-def _launch_failing_subtree(node_id: str = "instance-launch-failing") -> object:
+def _launch_failing_subtree() -> object:
     """Launch attempts failing inside the ASG control loop (faults 5-7 +
     the account limit added after the paper's fourth wrong-diagnosis
     class)."""
     return node(
-        node_id,
+        "instance-launch-failing",
         "The ASG $asg_name cannot launch replacement instances",
         node(
             "ami-unavailable",
@@ -233,7 +233,7 @@ def build_standard_fault_trees() -> FaultTreeRegistry:
                 node(
                     "lc-corrupted",
                     "The ASG's launch configuration deviates from the target",
-                    *_wrong_config_children(prefix="lc-"),
+                    *_wrong_config_children(),
                     test=_assertion_test("asg-uses-correct-config"),
                     probability=0.6,
                 ),
@@ -272,7 +272,7 @@ def build_standard_fault_trees() -> FaultTreeRegistry:
                 node(
                     "instances-not-in-service",
                     "Instances exist but are not in service",
-                    _launch_failing_subtree(node_id="registration-launch-failing"),
+                    _launch_failing_subtree(),
                     node(
                         "instance-unhealthy",
                         "Registered instances are failing health checks",
@@ -338,13 +338,13 @@ def build_standard_fault_trees() -> FaultTreeRegistry:
                 "process-deviated",
                 "Execution of the operation deviates from the process model",
                 node(
-                    "deviation-elb-unavailable",
+                    "elb-unavailable",
                     "ELB $elb_name disappeared mid-operation",
                     test=_assertion_test("load-balancer-exists", identifier="$elb_name"),
                     steps=(DEREGISTER, READY, STATUS, WAIT_ASG, TERMINATE),
                     probability=0.35,
                 ),
-                _launch_failing_subtree(node_id="deviation-launch-failing"),
+                _launch_failing_subtree(),
                 _capacity_changed_subtree(),
             ),
         )
@@ -356,14 +356,14 @@ def build_standard_fault_trees() -> FaultTreeRegistry:
 #: Ground-truth mapping used by the evaluation: which root-cause node a
 #: perfect diagnosis should identify for each injected fault type.
 EXPECTED_ROOT_CAUSE = {
-    "AMI_CHANGED": {"wrong-ami", "lc-wrong-ami"},
-    "KEYPAIR_WRONG": {"wrong-key-pair", "lc-wrong-key-pair"},
-    "SG_WRONG": {"wrong-security-group", "lc-wrong-security-group"},
-    "INSTANCE_TYPE_CHANGED": {"wrong-instance-type", "lc-wrong-instance-type"},
+    "AMI_CHANGED": {"wrong-ami"},
+    "KEYPAIR_WRONG": {"wrong-key-pair"},
+    "SG_WRONG": {"wrong-security-group"},
+    "INSTANCE_TYPE_CHANGED": {"wrong-instance-type"},
     "AMI_UNAVAILABLE": {"ami-unavailable", "lc-ami-missing"},
     "KEYPAIR_UNAVAILABLE": {"key-pair-unavailable", "lc-key-missing"},
     "SG_UNAVAILABLE": {"security-group-unavailable", "lc-sg-missing"},
-    "ELB_UNAVAILABLE": {"elb-unavailable", "deviation-elb-unavailable", "elb-registration-failure"},
+    "ELB_UNAVAILABLE": {"elb-unavailable", "elb-registration-failure"},
     "SCALE_IN": {"asg-scale-in"},
     "RANDOM_TERMINATION": {"instance-terminated-externally"},
     "ACCOUNT_LIMIT": {"account-limit-exceeded"},

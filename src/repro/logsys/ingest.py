@@ -71,7 +71,6 @@ def read_log(lines: _t.Iterable[str]) -> list[LogRecord]:
                 time=current,
                 source="recorded.log",
                 message=body,
-                type="operation",
                 timestamp=stamp.strftime("%Y-%m-%d %H:%M:%S,") + f"{stamp.microsecond // 1000:03d}"
                 if stamp
                 else "",

@@ -65,13 +65,15 @@ class LogRecord(LogEntry):
 
     Slotted: a campaign allocates one record per log line per run, so
     dropping the per-instance dict trims the ingest path's footprint.
-    The defaults live in ``__init__`` only.
+    The defaults live in ``__init__`` only.  Every record is an operation
+    log line; the verdicts are their own entries (:class:`LogEntry`).
     """
+
+    type = "operation"
 
     time: float
     source: str
     message: str
-    type: str
     tags: list[str]
     fields: dict[str, _t.Any]
     #: The stamp a parsed line was read with (``""`` if it had none), or
@@ -95,14 +97,12 @@ class LogRecord(LogEntry):
         time: float,
         source: str,
         message: str,
-        type: str = "operation",
         tags: list[str] | None = None,
         timestamp: str | None = None,
     ) -> None:
         self.time = time
         self.source = source
         self.message = message
-        self.type = type
         self.tags = [] if tags is None else tags
         self.fields = {}
         self.stamp = timestamp
@@ -158,7 +158,6 @@ class LogRecord(LogEntry):
             "time": self.time,
             "source": self.source,
             "message": self.message,
-            "type": self.type,
             "tags": self.tags,
             "fields": self.fields,
             "stamp": self.stamp,

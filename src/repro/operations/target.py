@@ -30,9 +30,9 @@ class TargetField(_t.NamedTuple):
     #: kind, where the field references a resource of its own.
     field: str
     label: str
-    #: Root-cause leaves of the instance-count tree and the wrong-version
-    #: tree; the remediation for both is restoring this field.
-    causes: tuple[str, str]
+    #: The root-cause leaf naming this field wrong, in every tree that has
+    #: it; the remediation is restoring this field.
+    cause: str
     #: List-valued: compared order-insensitively.
     many: bool = False
 
@@ -54,19 +54,17 @@ class TargetField(_t.NamedTuple):
 
 
 FIELDS = (
-    TargetField("image_id", "expected_image_id", "ImageId", "ami", "AMI",
-                ("wrong-ami", "lc-wrong-ami")),
+    TargetField("image_id", "expected_image_id", "ImageId", "ami", "AMI", "wrong-ami"),
     TargetField("key_name", "expected_key_name", "KeyName", "key_pair", "key pair",
-                ("wrong-key-pair", "lc-wrong-key-pair")),
+                "wrong-key-pair"),
     TargetField("instance_type", "expected_instance_type", "InstanceType", "instance_type",
-                "instance type", ("wrong-instance-type", "lc-wrong-instance-type")),
+                "instance type", "wrong-instance-type"),
     TargetField("security_groups", "expected_security_groups", "SecurityGroups",
-                "security_group", "security group",
-                ("wrong-security-group", "lc-wrong-security-group"), many=True),
+                "security_group", "security group", "wrong-security-group", many=True),
 )
 
 BY_FIELD = {row.field: row for row in FIELDS}
-BY_CAUSE = {cause: row for row in FIELDS for cause in row.causes}
+BY_CAUSE = {row.cause: row for row in FIELDS}
 
 
 @dataclasses.dataclass(frozen=True)

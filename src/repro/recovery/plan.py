@@ -58,9 +58,8 @@ _RECREATES = {
 #: recreates are automated; every other action is for a human.
 CATALOG: dict[str, tuple[str, str]] = {
     **{
-        cause: (RESTORE, f"Reset the launch configuration {row.setting} to {{{row.config_key}}}")
+        row.cause: (RESTORE, f"Reset the launch configuration {row.setting} to {{{row.config_key}}}")
         for row in FIELDS
-        for cause in row.causes
     },
     "ami-unavailable": ("restore-image",
                         "Re-register or restore image {expected_image_id}; pause the"
@@ -78,8 +77,6 @@ CATALOG: dict[str, tuple[str, str]] = {
     "elb-unavailable": ("escalate-elb",
                         "ELB {elb_name} is unavailable — escalate to the provider;"
                         " consider pausing the upgrade"),
-    "deviation-elb-unavailable": ("escalate-elb",
-                                  "ELB {elb_name} is unavailable — escalate to the provider"),
     "asg-scale-in": ("reconcile-capacity",
                      "A concurrent scale-in changed desired capacity; confirm intent"
                      " with the owning team, then restore desired capacity to {N}"),
@@ -96,17 +93,6 @@ CATALOG: dict[str, tuple[str, str]] = {
                            "Another deployment modified the launch configuration"
                            " mid-upgrade; serialise the two releases"),
 }
-
-#: Root-cause leaf ids that deliberately have no catalog row.
-#: ``instance-unhealthy`` and ``termination-author`` are evidence nodes
-#: (what happened), not prescriptions (what to do) — the actionable advice
-#: lives on their sibling/parent causes.  The catalog completeness test
-#: fails when a fault-tree leaf is neither in the catalog nor listed
-#: here, so new trees can't silently lack fixes.
-KNOWN_UNMAPPED: frozenset[str] = frozenset({
-    "instance-unhealthy",
-    "termination-author",
-})
 
 
 @dataclasses.dataclass

@@ -36,6 +36,13 @@ counters dropped hash to the values below.  And again when the monitor
 stopped copying views and its ``cloud.monitor.refreshed`` /
 ``cloud.monitor.reused`` counters went: 8b8fc76's outcomes with those
 two counters dropped hash to the values below.
+
+All eight ``log`` and ``trace`` digests moved, ``metrics`` did not, when
+each root cause got one node id across the trees: ``lc-wrong-*`` became
+``wrong-*``, ``registration-launch-failing`` and ``deviation-launch-failing``
+became ``instance-launch-failing``, and ``deviation-elb-unavailable``
+became ``elb-unavailable``.  c0aa437's logs and traces with those ids
+renamed hash to the values below; the walk's decisions did not change.
 """
 
 import hashlib
@@ -49,43 +56,43 @@ from repro.testbed import Testbed
 
 GOLDEN = {
     "AMI_CHANGED": {
-        "log": "0cb33b49fbf32b1cbf71415f6570ee8fe03d87e12c63148d2ffa98ac87791d95",
-        "trace": "4f4bb4ab56a4e4d6ef1756de60ddddceb1a4e7853a2d47da88b3134d148dd1ca",
+        "log": "683955d0fb309f7c363d876f132f9afc3cca3621cc0d77e7d8eac94d0178a46b",
+        "trace": "53d3adb66e97e46c6cf07264111c52d0a69c9feb432a4738f4325696876e273e",
         "metrics": "d486f583ca18d406b3f999edfbedfea61c2c6b9463119a1643571841286053e7",
     },
     "KEYPAIR_WRONG": {
-        "log": "535cd4e6e8d6c3cce631f064032af3a22434f6e8947170c49389e3e349c2780c",
-        "trace": "118f6b76f551127761f738aac260127619cea7121a0769633b55564a2d71a2da",
+        "log": "640b5184c1b1a0e47334c3a7f141c7cf0baec6199f8c0ab8446ba23f44900377",
+        "trace": "688d5f79198945860873ba209b26d1407f7e72d8c7a901717fc7466d32f7058e",
         "metrics": "84f0712fe37d54f328f0054dfa94cf2c1d4c4dbc3734e8875a6c0c7f6b6468d4",
     },
     "SG_WRONG": {
-        "log": "d0b2a80e0ba039befc70269dcc7ca76e7422b41aceafda9793718941418b409e",
-        "trace": "b6c7d3aa557425d215c5ca18b9ebcde47d0d40be72ee8bca5f688523a73af7d2",
+        "log": "dffc36e4110f94c70ba3186676b5d823098afa79b7c310074cc5f86676a3d670",
+        "trace": "72389d6439299a53b44a0102bbf195d9c8bdc8df8a242491dce7b53f0c9f3460",
         "metrics": "189703dc4d6f15ca2ac5944d56240621bccf523f36effb1d36705159936f2ead",
     },
     "INSTANCE_TYPE_CHANGED": {
-        "log": "e4d41c4d378377caede7c01f1a93ef7b83e0c588f26354d35745c5e2a49fd4cb",
-        "trace": "6eb5a220e30ad62874b556d2f2300302c24f525cc8513bb0bc7be04d4f5a6f40",
+        "log": "0feb66b38a0d016b50f1e9b834fffcb800892b67b9e0d267a5d62d02ccc58493",
+        "trace": "2df97a75fae5ac75a7a8901c5e6626118bc27d8cd11762c854758ab88c6f8a0b",
         "metrics": "d253f0ca9902e3cb26cb48cd775a10f3880b094d934ba8c11083a7d2c16fc859",
     },
     "AMI_UNAVAILABLE": {
-        "log": "6cd3f376c225206cf2aca92910878d4d095e2ad07bae2802b7a7c78626038a1d",
-        "trace": "71873f8321bf1f73280964c52e036f8f1a8ff6fff53d2852b9d70b395992967f",
+        "log": "39e56aea1b55c3509e8a49607d9676f0bca623b722edd4938d7e704efe34b6a7",
+        "trace": "33c65728dbc4dfd237df2e100002d16f6307e64a530854adb4c0b3c5187ab926",
         "metrics": "8629e792d1ae468f6396592c41f4408028f14442ef21c07aedcf8bd5d812affe",
     },
     "KEYPAIR_UNAVAILABLE": {
-        "log": "bb1227573a77905a0ef5acd61d8480d1b835111b42548feb638495af3adcf17b",
-        "trace": "d1f3120dd9abda6f89fb0b9ca35523bd07351467f3ac85d6eed6354f08347fc4",
+        "log": "257ad946689a7f978bdbe0f874ce176bc595cdf7856f42555575d9272aaaebde",
+        "trace": "ce992e4c0d54b3bcb110474759e15d2e27019f99b21aeff9a130337383299316",
         "metrics": "2760c7e1ae87204e0528dd2a97ab088017263f19e44b168030118da6226194a6",
     },
     "SG_UNAVAILABLE": {
-        "log": "b30f345505674b6b79d0d0c4dab21bbce70171e9f2f4fc750458da4eaeb04a52",
-        "trace": "fa496f219f9602080ffce3151431faf19954f182439d6ca3e0e902e4b4503d82",
+        "log": "e8c151265891f0e4ed26f7c2495a4add88499d5ce77894bbf49ce5ef99e05ff7",
+        "trace": "7840e2c27e34de0a982131d37ddc13c0e9811fbda4afd72b730d5f49ea1aae72",
         "metrics": "ec5ad8cc3685958e73c9cd98b0a80dec321e37a74ce3de1fe464dffda23971e9",
     },
     "ELB_UNAVAILABLE": {
-        "log": "ba6534181c0f187abe1ef2ccf7413e638a4afb82b62b0e3cf597d111aa0aed82",
-        "trace": "7b50b3ba8009922589125985ceb2b4162c88656dfd4b9a26a678b4d750219da9",
+        "log": "18acd006cb91d6a01bf5e04790992889a6d201713080a0e90803e9b35a0064de",
+        "trace": "a6b402e8ddd51fa84db0c3498467960328c215d429f54b99426d151eaeecd36f",
         "metrics": "11b9c184983136f9cd37efb2d78494497fc81712dc6d17c1cd35582f426e5419",
     },
 }

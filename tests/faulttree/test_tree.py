@@ -146,8 +146,15 @@ class TestRegistry:
     def test_extend_duplicate_id_rejected(self):
         registry = FaultTreeRegistry()
         registry.register(small_tree())
+        ids = lambda: [n.node_id for n in registry.get("demo").root.iter_nodes()]
+        before = ids()
         with pytest.raises(ValueError):
             registry.extend("demo", "branch-a", node("leaf-a1", ""))
+        # A duplicate below the graft's root: rejected before anything is
+        # grafted, so the tree is unchanged.
+        with pytest.raises(ValueError, match="duplicate node id 'leaf-a1'"):
+            registry.extend("demo", "branch-a", node("fresh", "", node("leaf-a1", "")))
+        assert ids() == before
 
     def test_stats(self):
         registry = FaultTreeRegistry()

@@ -1,5 +1,6 @@
 """Tests for the local log processor pipeline (Fig. 3) and its stages."""
 
+from repro.assertions.results import AssertionResult
 from repro.logsys.annotator import AssertionAnnotator, ProcessAnnotator
 from repro.logsys.filters import NoiseFilter
 from repro.logsys.patterns import END, LogPattern, PatternLibrary
@@ -8,6 +9,7 @@ from repro.logsys.record import LogRecord, LogStream
 from repro.logsys.storage import CentralLogStorage
 from repro.logsys.trigger import Trigger
 from repro.process.conformance import ConformanceChecker
+from repro.process.context import ProcessContext
 from repro.process.model import ProcessModel
 from repro.sim.clock import SimClock
 
@@ -411,9 +413,9 @@ class TestAnnotationOnARealStream:
 class TestCentralLogStorage:
     def test_query_conjunctive(self):
         storage = CentralLogStorage()
-        a = LogRecord(time=1, source="x", message="alpha", type="operation", tags=["trace:t1"])
-        b = LogRecord(time=2, source="y", message="beta", type="assertion", tags=["trace:t1"])
-        c = LogRecord(time=3, source="y", message="gamma", type="assertion", tags=["trace:t2"])
+        a = LogRecord(time=1, source="x", message="alpha", tags=["trace:t1"])
+        b = AssertionResult("beta", True, "", 2, context=ProcessContext("p", "t1"))
+        c = AssertionResult("gamma", False, "", 3, context=ProcessContext("p", "t2"))
         for rec in (a, b, c):
             storage.append(rec)
         assert storage.query(type="assertion") == [b, c]

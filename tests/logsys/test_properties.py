@@ -4,9 +4,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.assertions.results import AssertionResult
+from repro.diagnosis.report import DiagnosisLine
 from repro.logsys.record import LogRecord, tag_entry
 from repro.logsys.storage import CentralLogStorage
 from repro.logsys.timers import TimerSetter
+from repro.process.context import ProcessContext
 from repro.sim.engine import Engine
 
 
@@ -64,12 +67,22 @@ class TestTimerProperties:
         assert expiries == pytest.approx([k * interval for k in range(1, periods + 1)])
 
 
+#: A stored entry of each type, at a time, of a trace.
+_ENTRIES = {
+    "operation": lambda time, trace: LogRecord(time, "s", "m", tags=[f"trace:{trace}"]),
+    "assertion": lambda time, trace: AssertionResult(
+        "a", True, "m", time, context=ProcessContext("p", trace)
+    ),
+    "diagnosis": lambda time, trace: DiagnosisLine(time, trace, None, "d-1", "m", ()),
+}
+
+
 class TestStorageProperties:
     @given(
         st.lists(
             st.tuples(
                 st.floats(min_value=0, max_value=1000),
-                st.sampled_from(["operation", "assertion", "diagnosis"]),
+                st.sampled_from(sorted(_ENTRIES)),
                 st.sampled_from(["t1", "t2", "t3"]),
             ),
             max_size=40,
@@ -80,9 +93,7 @@ class TestStorageProperties:
         """Reading by trace loses nothing and invents nothing."""
         storage = CentralLogStorage()
         for time, type_, trace in rows:
-            storage.append(
-                LogRecord(time=time, source="s", message="m", type=type_, tags=[f"trace:{trace}"])
-            )
+            storage.append(_ENTRIES[type_](time, trace))
         grouped = {trace: storage.by_trace(trace) for trace in ("t1", "t2", "t3")}
         assert sum(len(v) for v in grouped.values()) == len(rows)
         for trace, records in grouped.items():

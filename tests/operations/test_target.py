@@ -75,14 +75,10 @@ class TestTableIsComplete:
         assert used == set(BY_FIELD)
 
     def test_every_wrong_config_leaf(self, nodes):
-        leaves = {
-            node.node_id: node
-            for node in nodes
-            if node.is_leaf and node.node_id.startswith(("wrong-", "lc-wrong-"))
-        }
-        assert set(leaves) == set(BY_CAUSE)
-        for cause, leaf in leaves.items():
-            assert leaf.test.params["field"] == BY_CAUSE[cause].field
+        leaves = [node for node in nodes if node.is_leaf and node.node_id.startswith("wrong-")]
+        assert {leaf.node_id for leaf in leaves} == set(BY_CAUSE)
+        for leaf in leaves:
+            assert leaf.test.params["field"] == BY_CAUSE[leaf.node_id].field
 
     def test_every_restore_row_of_the_catalog(self):
         restores = {cause for cause, (action, _template) in CATALOG.items() if action == RESTORE}
@@ -90,7 +86,7 @@ class TestTableIsComplete:
 
     def test_ground_truth_names_the_same_leaves(self):
         expected = {frozenset(EXPECTED_ROOT_CAUSE[fault]) for fault in CONFIG_FAULTS}
-        assert expected == {frozenset(row.causes) for row in FIELDS}
+        assert expected == {frozenset({row.cause}) for row in FIELDS}
 
     def test_repository_carries_every_row(self):
         repository = TARGET.as_repository()

@@ -86,7 +86,7 @@ def test_ablation_context_pruning(faulty_testbed):
     # Both still find the right root cause — pruning trades work, not
     # correctness, when the context is accurate.
     for report in (with_pruning, without_pruning):
-        assert any(c.node_id in ("wrong-ami", "lc-wrong-ami") for c in report.root_causes)
+        assert any(c.node_id == "wrong-ami" for c in report.root_causes)
 
 
 def test_ablation_result_reuse():
@@ -128,7 +128,7 @@ def test_ablation_probability_ordering(faulty_testbed):
     def tests_until_confirmed(report):
         for index, test in enumerate(report.tests, start=1):
             node = test.node_id
-            if test.verdict == "confirmed" and node.startswith(("wrong-", "lc-wrong-")):
+            if test.verdict == "confirmed" and node.startswith("wrong-"):
                 return index
         return len(report.tests)
 

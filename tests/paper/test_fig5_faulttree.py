@@ -52,10 +52,10 @@ def test_fig5_diagnosis_walk(wrong_ami_run):
     assert version_reports, "the low-level version assertion must have failed"
     report = version_reports[0]
     cause_ids = {c.node_id for c in report.root_causes}
-    assert "lc-wrong-ami" in cause_ids
+    assert "wrong-ami" in cause_ids
     # Sibling config faults were verified and excluded.
     excluded = {t.node_id for t in report.tests if t.verdict == "excluded"}
-    assert {"lc-wrong-security-group", "lc-wrong-key-pair"} <= excluded
+    assert {"wrong-security-group", "wrong-key-pair"} <= excluded
     # Diagnosis time in the paper's seconds range.
     assert 0.5 < report.duration < 11.0
 

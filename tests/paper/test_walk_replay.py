@@ -11,15 +11,93 @@ excluded verdicts in that sequence, its excluded count.  The request's
 parameters are the one input captured here that the report does not hold
 (ROADMAP item 10).  Checked for every report of every run of the
 seed-2014 campaign.
+
+The replays also count, per (tree id, node id), the node's visits and the
+root causes it names, confirmed or ``undetermined``: the coverage table
+(ROADMAP item 24).  A fault-tree node is data, so the reachability test
+cannot see a sub-tree no run enters.  Each node the campaign never
+visits, and each leaf it never confirms, needs a :data:`COVERAGE` row
+saying why it is kept; so does each ``EXPECTED_ROOT_CAUSE`` id or
+``CATALOG`` key that no node confirms, and each leaf that has no
+``CATALOG`` row.  A missing row fails, and so does a stale one.
 """
+
+import collections
+import pathlib
 
 import pytest
 
 from repro.diagnosis import engine as engine_module
+from repro.diagnosis import walk as walk_module
 from repro.diagnosis.walk import walk
 from repro.evaluation import campaign as campaign_module
 from repro.evaluation.campaign import Campaign, CampaignConfig
-from repro.faulttree.tree import EXCLUDED
+from repro.faulttree.library import EXPECTED_ROOT_CAUSE, shared_standard_fault_trees
+from repro.faulttree.tree import CONFIRMED, EXCLUDED
+from repro.recovery.plan import CATALOG
+
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+
+#: Why a row keeps what the campaign does not exercise.
+KINDS: dict[str, str] = {
+    "paper": "a node the paper's Fig. 5 tree shows; the file is its ablation",
+    "spec": "a test or spec reaches it; the file is that test",
+    "unreachable": "no fault class reaches it; the file says what would",
+}
+
+#: ``tree id/node id`` for a node, the bare id for a cause -> (kind, the
+#: file — ``path`` or ``path::test`` from the repository root — and why).
+COVERAGE: dict[str, tuple[str, str, str]] = {
+    # Never visited.
+    **{
+        f"asg-instance-count/{leaf}": (
+            "paper", "tests/paper/test_ablations.py::test_ablation_context_pruning",
+            "below create-lc-fails, which no campaign fault confirms: every fault fires"
+            " after the launch configuration exists.  The pruning ablation's 14 -> 11"
+            " potential faults count it; an injection before that step (ROADMAP 22,"
+            " k = 0) would reach it",
+        )
+        for leaf in ("lc-ami-missing", "lc-key-missing", "lc-sg-missing")
+    },
+    # Visited, never confirmed.
+    "elb-registration/instance-unhealthy": (
+        "unreachable", "ROADMAP.md",
+        "no fault class makes a registered instance fail its health check; that class"
+        " is parked with the performance-fault plane",
+    ),
+    "elb-registration/account-limit-exceeded": (
+        "spec", "tests/diagnosis/test_probes.py",
+        "the shared launch-failure leaf, confirmed under asg-instance-count and"
+        " process-deviation by the same probe; in the one run where the account limit"
+        " binds and ELB registration fails, its looks found no limit-exceeded activity",
+    ),
+    "elb-registration/termination-author": (
+        "spec", "tests/diagnosis/test_offline.py",
+        "CloudTrail delivers late, so online attribution is mostly inconclusive (it"
+        " confirms under the other two trees); the three looks under this tree found"
+        " no delivered record",
+    ),
+    # A scoring or remediation id that no node confirms.
+    "elb-registration-failure": (
+        "unreachable", "ROADMAP.md",
+        "an inner node names itself only undetermined: registered instances short"
+        " while the ELB exists, which takes the parked health-check fault class",
+    ),
+    "instance-terminated-externally": (
+        "spec", "tests/diagnosis/test_offline.py",
+        "an inner node names itself only undetermined, when no CloudTrail record"
+        " names the author yet; its catalog row is that cause's advisory",
+    ),
+    # A leaf with no catalog row: evidence of what happened, not a fix.
+    "instance-unhealthy": (
+        "unreachable", "ROADMAP.md",
+        "evidence, not a fix: the advice is its sibling launch and capacity causes'",
+    ),
+    "termination-author": (
+        "spec", "tests/diagnosis/test_offline.py",
+        "evidence, not a fix: the advice is its parent's, instance-terminated-externally",
+    ),
+}
 
 
 def replay(registry, params, report):
@@ -52,11 +130,35 @@ def record(causes, tests, excluded):
     )
 
 
+def counting(coverage):
+    """A ``walk._visit`` for one walk that counts into ``coverage``, per
+    (tree id, node id): ``visited``, and the node's own root cause by
+    status.  A walk visits its trees one after another."""
+    registry = shared_standard_fault_trees()
+    trees = {id(registry.get(tree_id).root): tree_id for tree_id in registry.tree_ids()}
+    current = None
+    visit = walk_module._visit
+
+    def counted(state, node):
+        nonlocal current
+        tree_id = current = trees.get(id(node), current)
+        causes = yield from visit(state, node)
+        counts = coverage[tree_id, node.node_id]
+        counts["visited"] += 1
+        for cause in causes:
+            if cause.node_id == node.node_id:
+                counts[cause.status] += 1
+        return causes
+
+    return counted
+
+
 @pytest.fixture(scope="module")
 def campaign_replayed():
-    """``(outcomes, [(run id, report's record, replayed record)])``."""
+    """``(outcomes, [(run id, report's record, replayed record)], coverage)``."""
     finished = []  # the params of each walk, in the order walks returned
     replayed = []
+    coverage = collections.defaultdict(collections.Counter)
 
     def recording_walk(roots, params, step, since):
         result = yield from walk(roots, params, step, since)
@@ -71,7 +173,9 @@ def campaign_replayed():
         # sequences align one to one.
         for params, report in zip(finished, testbed.pod.reports, strict=True):
             expected = record(report.root_causes, report.tests, report.excluded_count)
-            causes, tests = replay(testbed.pod.trees, params, report)
+            with pytest.MonkeyPatch.context() as counted:
+                counted.setattr(walk_module, "_visit", counting(coverage))
+                causes, tests = replay(testbed.pod.trees, params, report)
             excluded = sum(t.verdict == EXCLUDED for t in tests)
             replayed.append((spec.run_id, expected, record(causes, tests, excluded)))
         finished.clear()
@@ -81,11 +185,11 @@ def campaign_replayed():
         patch.setattr(engine_module, "walk", recording_walk)
         patch.setattr(campaign_module, "_run_on", run_on_then_replay)
         outcomes = Campaign(CampaignConfig(runs_per_fault=20, large_cluster_runs=4, seed=2014)).run()
-    return outcomes, replayed
+    return outcomes, replayed, coverage
 
 
 def test_every_report_replays_from_its_recorded_observations(campaign_replayed):
-    outcomes, replayed = campaign_replayed
+    outcomes, replayed, _coverage = campaign_replayed
     assert len(outcomes) == 160 and not any(o.failed for o in outcomes)
     # Each spec runs once, as built: every report replayed is one the
     # campaign kept.
@@ -95,3 +199,43 @@ def test_every_report_replays_from_its_recorded_observations(campaign_replayed):
     assert sum(len(expected[1]) for _run, expected, _replayed in replayed) > 7500
     mismatched = [run for run, expected, again in replayed if expected != again]
     assert mismatched == []
+
+
+def needs_a_row(coverage) -> set[str]:
+    """The :data:`COVERAGE` keys the campaign's ``coverage`` calls for."""
+    registry = shared_standard_fault_trees()
+    needed, confirmed, leaves = set(), set(), set()
+    for tree_id in registry.tree_ids():
+        for node in registry.get(tree_id).root.iter_nodes():
+            counts = coverage.get((tree_id, node.node_id), {})
+            if counts.get(CONFIRMED):
+                confirmed.add(node.node_id)
+            if node.is_leaf:
+                leaves.add(node.node_id)
+            if not counts.get("visited") or (node.is_leaf and not counts.get(CONFIRMED)):
+                needed.add(f"{tree_id}/{node.node_id}")
+    for cause in set().union(*EXPECTED_ROOT_CAUSE.values(), CATALOG) - confirmed:
+        # A never-confirmed leaf is already named by its nodes' rows.
+        if not any(key.endswith(f"/{cause}") for key in needed):
+            needed.add(cause)
+    return needed | (leaves - set(CATALOG))
+
+
+def test_every_node_the_campaign_misses_has_a_row(campaign_replayed):
+    _outcomes, _replayed, coverage = campaign_replayed
+    for (tree_id, node_id), counts in sorted(coverage.items()):
+        print(f"{tree_id:20s} {node_id:32s} visited {counts['visited']:4d}"
+              f"  confirmed {counts[CONFIRMED]:4d}  undetermined {counts['undetermined']:3d}")
+    needed = needs_a_row(coverage)
+    assert sorted(needed - set(COVERAGE)) == [], "missing rows"
+    assert sorted(set(COVERAGE) - needed) == [], "stale rows: the campaign now covers them"
+
+
+@pytest.mark.parametrize("key", list(COVERAGE))
+def test_coverage_row_is_well_formed(key):
+    kind, where, why = COVERAGE[key]
+    assert kind in KINDS, f"{key}: {kind!r} is not one of {sorted(KINDS)}"
+    path, _, test = where.partition("::")
+    assert (ROOT / path).is_file(), f"{key}: {path} does not exist"
+    assert not test or f"def {test}(" in (ROOT / path).read_text(), f"{key}: no {test} in {path}"
+    assert why, key

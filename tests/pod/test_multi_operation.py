@@ -71,7 +71,7 @@ class TestGlobalVisibility:
             for c in r.root_causes
             if c.status == "confirmed"
         }
-        assert causes & {"wrong-ami", "lc-wrong-ami", "concurrent-upgrade"}
+        assert causes & {"wrong-ami", "concurrent-upgrade"}
 
     def test_fleet_ends_mixed_relative_to_team_a(self, dual_upgrade):
         testbed, operation_a, ami_v3 = dual_upgrade
@@ -104,13 +104,13 @@ class TestEachTraceJudgedAgainstItsOwnTarget:
         testbed, _op, _ = dual_upgrade
         details = {d.detail for d in testbed.pod.detections if d.trace_id == "upgrade-b"}
         assert not details & {"new-instance-correct-version", "asg-uses-correct-config"}
-        assert not confirmed_causes(testbed, "upgrade-b") & {"lc-wrong-ami", "wrong-ami"}
+        assert "wrong-ami" not in confirmed_causes(testbed, "upgrade-b")
 
     def test_team_a_still_sees_the_mixed_version(self, dual_upgrade):
         testbed, _op, _ = dual_upgrade
         details = {d.detail for d in testbed.pod.detections if d.trace_id == "upgrade-a"}
         assert {"new-instance-correct-version", "asg-uses-correct-config"} <= details
-        assert {"lc-wrong-ami", "wrong-ami"} <= confirmed_causes(testbed, "upgrade-a")
+        assert "wrong-ami" in confirmed_causes(testbed, "upgrade-a")
 
     def test_each_trace_holds_its_own_repository(self, dual_upgrade):
         testbed, _op, ami_v3 = dual_upgrade

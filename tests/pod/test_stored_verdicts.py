@@ -18,6 +18,11 @@ from repro.pod.service import PODDiagnosis
 from repro.testbed import build_testbed
 
 
+#: The type of each reference log's source: a ``LogRecord`` is an
+#: operation line, so the reference carries its type here.
+REFERENCE_TYPES = {"assertion-evaluation.log": "assertion", "diagnosis.log": "diagnosis"}
+
+
 def reference_result_log(result, now):
     """An assertion result's log, rendered eagerly at ``now``."""
     tags = [
@@ -34,7 +39,6 @@ def reference_result_log(result, now):
         time=now,
         source="assertion-evaluation.log",
         message=f"[assertion] [{result.assertion_id}] {status}: {result.detail}",
-        type="assertion",
         tags=tags,
     )
     record.fields.update(duration=round(result.duration, 3), params=dict(result.params))
@@ -49,7 +53,6 @@ def reference_diagnosis_log(now, request, message):
         time=now,
         source="diagnosis.log",
         message=f"[diagnosis] [{trace}] [{step}] {message}",
-        type="diagnosis",
         tags=[f"trace:{trace}", f"diagnosis:{request.request_id}"],
     )
 
@@ -128,7 +131,7 @@ def assert_stored_as_referenced(pod, expected):
     for entry, reference in expected:
         assert entry.time == reference.time
         assert entry.source == reference.source
-        assert entry.type == reference.type
+        assert entry.type == REFERENCE_TYPES[reference.source]
         assert entry.message == reference.message
         assert entry.tags == reference.tags
         assert entry.fields == reference.fields

@@ -45,7 +45,6 @@ def reference_result_log(result, source, clock):
         source="conformance-checking.log",
         message=f"[conformance] [{result.trace_id}] line classified {result.status}"
         f" (activity={result.activity or 'n/a'})",
-        type="conformance",
         tags=tags,
         timestamp=None if clock is not None else source.stamp,
     )
@@ -170,7 +169,7 @@ class TestSideEffects:
                 assert entry is result
                 assert entry.time == reference.time
                 assert entry.source == reference.source
-                assert entry.type == reference.type
+                assert entry.type == "conformance"
                 assert entry.message == reference.message
                 assert entry.tags == reference.tags
                 assert entry.fields == reference.fields

@@ -34,7 +34,7 @@ class TestTreeDot:
         dot = tree_to_dot(tree)
         assert "shape=ellipse" in dot
         assert "shape=box" in dot
-        assert "lc_wrong_ami" in dot
+        assert "lc_corrupted -> wrong_ami" in dot
 
     def test_dot_mentions_tests_and_steps(self):
         tree = build_standard_fault_trees().get("asg-instance-count")

@@ -76,7 +76,7 @@ class TestExecution:
         cloud = provisioned_cloud
         cloud.injector.change_lc_ami("lc-v1", "ami-rogue")
         plan = build_recovery_plan(
-            confirmed("lc-wrong-ami"),
+            confirmed("wrong-ami"),
             {**PARAMS, "expected_image_id": cloud.ami_v1},
         )
         result = drive(cloud.engine, make_recovery(cloud), plan)
@@ -92,7 +92,7 @@ class TestExecution:
         cloud.injector.change_lc_ami("lc-v1", "ami-rogue")
         cloud.injector.change_lc_key_pair("lc-v1", "key-rogue")
         plan = build_recovery_plan(
-            confirmed("lc-wrong-ami", "lc-wrong-key-pair"),
+            confirmed("wrong-ami", "wrong-key-pair"),
             {**PARAMS, "expected_image_id": cloud.ami_v1},
         )
         result = drive(cloud.engine, make_recovery(cloud), plan)
@@ -106,7 +106,7 @@ class TestExecution:
         """Re-executing a plan after the fix is in place mutates nothing."""
         cloud = provisioned_cloud
         plan = build_recovery_plan(
-            confirmed("lc-wrong-ami"),
+            confirmed("wrong-ami"),
             {**PARAMS, "expected_image_id": cloud.ami_v1},
         )
         image_before = cloud.state.get("launch_configuration", "lc-v1").image_id
@@ -184,7 +184,7 @@ class TestCompensation:
         cloud.injector.make_key_pair_unavailable("key-prod")
         cloud.injector.change_lc_key_pair("lc-v1", "key-rogue")
         plan = build_recovery_plan(
-            confirmed("key-pair-unavailable", "lc-wrong-key-pair"),
+            confirmed("key-pair-unavailable", "wrong-key-pair"),
             {**PARAMS, "expected_image_id": cloud.ami_v1},
         )
         api = _CannotCreateKeyPairs(cloud.api("recovery"))
@@ -210,7 +210,7 @@ class TestCompensation:
         )
         recovery = RecoveryEngine(cloud.engine, client, seed=5)
         plan = build_recovery_plan(
-            confirmed("lc-wrong-ami"),
+            confirmed("wrong-ami"),
             {**PARAMS, "expected_image_id": cloud.ami_v1},
         )
         result = drive(cloud.engine, recovery, plan, budget=900.0)

@@ -2,13 +2,8 @@
 actions + human advisory (execution: test_engine.py)."""
 
 from repro.diagnosis.report import RootCause
-from repro.recovery.plan import (
-    CATALOG,
-    KNOWN_UNMAPPED,
-    RESTORE,
-    VerificationProbe,
-    build_recovery_plan,
-)
+from repro.recovery.plan import CATALOG, RESTORE, VerificationProbe, build_recovery_plan
+from tests.paper.test_walk_replay import COVERAGE
 
 
 PARAMS = {
@@ -52,7 +47,9 @@ class TestProbe:
 
 class TestCatalog:
     def test_catalog_covers_every_fault_tree_leaf(self):
-        """Every fault-tree leaf has a catalog row or is known-unmapped.
+        """Every fault-tree leaf has a catalog row or a coverage row saying
+        why not (``tests/paper/test_walk_replay.py``, which also fails a
+        stale one).
 
         A new tree whose leaves silently lack rows would make the
         recovery plane escalate causes it should have fixes for — this
@@ -67,15 +64,11 @@ class TestCatalog:
             for leaf in registry.get(tree_id).leaves()
         }
         assert leaves, "no fault-tree leaves found"
-        unmapped = leaves - set(CATALOG) - KNOWN_UNMAPPED
+        unmapped = leaves - set(CATALOG) - set(COVERAGE)
         assert not unmapped, (
             f"fault-tree leaves with no catalog row: {sorted(unmapped)};"
-            " add a catalog row or (for pure evidence nodes) extend KNOWN_UNMAPPED"
+            " add a catalog row or (for pure evidence nodes) a COVERAGE row"
         )
-        # KNOWN_UNMAPPED must not rot: every entry is still a real leaf
-        # with no catalog row.
-        assert KNOWN_UNMAPPED <= leaves
-        assert not KNOWN_UNMAPPED & set(CATALOG)
 
     def test_unknown_cause_is_ignored(self):
         plan = build_recovery_plan(confirmed("mystery-cause"), PARAMS)
@@ -92,7 +85,7 @@ class TestCatalog:
 
 class TestBuild:
     def test_confirmed_automatable_cause_becomes_action(self):
-        plan = build_recovery_plan(confirmed("lc-wrong-ami"), PARAMS)
+        plan = build_recovery_plan(confirmed("wrong-ami"), PARAMS)
         assert plan.automatable and plan.advisory == []
         [action] = plan.actions
         assert action.action == RESTORE
@@ -106,7 +99,7 @@ class TestBuild:
         assert action.compensation(None) == []
 
     def test_wrong_ami_restores_the_launch_configuration(self):
-        [action] = build_recovery_plan(confirmed("lc-wrong-ami"), PARAMS).actions
+        [action] = build_recovery_plan(confirmed("wrong-ami"), PARAMS).actions
         assert action.description == "Reset the launch configuration AMI to ami-2"
         assert action.api_calls == [
             ("update_launch_configuration", ("lc-app-v2",), {"image_id": "ami-2"})
@@ -125,7 +118,7 @@ class TestBuild:
         assert action.compensation(None) == [("delete_key_pair", ("key-prod",), {})]
 
     def test_undetermined_cause_stays_advisory(self):
-        plan = build_recovery_plan(undetermined("lc-wrong-ami"), PARAMS)
+        plan = build_recovery_plan(undetermined("wrong-ami"), PARAMS)
         assert not plan.actions
         assert plan.advisory == ["Reset the launch configuration AMI to ami-2"]
 
@@ -142,9 +135,9 @@ class TestBuild:
         ]
 
     def test_duplicate_fixes_collapse_to_one_action(self):
-        """Two causes prescribing the same fix of the same field share one
-        action."""
-        plan = build_recovery_plan(confirmed("wrong-ami", "lc-wrong-ami"), PARAMS)
+        """One cause named twice (a walk over two trees that both hold its
+        leaf) prescribes one action."""
+        plan = build_recovery_plan(confirmed("wrong-ami", "wrong-ami"), PARAMS)
         [action] = plan.actions
         assert action.action_id == "restore-launch-configuration:lc-app-v2"
         assert action.api_calls[0][2] == {"image_id": "ami-2"}
@@ -154,7 +147,7 @@ class TestBuild:
         """A report naming one fix twice and a human-only cause: one
         action and one advisory line."""
         plan = build_recovery_plan(
-            confirmed("wrong-ami", "lc-wrong-ami", "asg-scale-in"), PARAMS
+            confirmed("wrong-ami", "wrong-ami", "asg-scale-in"), PARAMS
         )
         assert [a.action_id for a in plan.actions] == ["restore-launch-configuration:lc-app-v2"]
         assert plan.advisory == [
@@ -172,7 +165,7 @@ class TestBuild:
     def test_two_wrong_fields_restore_in_one_action(self):
         """Different rows of the target table merge into the one restore of
         the launch configuration: it updates, probes and undoes both."""
-        plan = build_recovery_plan(confirmed("lc-wrong-ami", "lc-wrong-key-pair"), PARAMS)
+        plan = build_recovery_plan(confirmed("wrong-ami", "wrong-key-pair"), PARAMS)
         [action] = plan.actions
         assert action.api_calls == [
             ("update_launch_configuration", ("lc-app-v2",),
@@ -189,7 +182,7 @@ class TestBuild:
 
     def test_unconfirmed_field_of_an_automated_restore_adds_no_advisory(self):
         plan = build_recovery_plan(
-            confirmed("lc-wrong-ami") + undetermined("wrong-key-pair"), PARAMS
+            confirmed("wrong-ami") + undetermined("wrong-key-pair"), PARAMS
         )
         [action] = plan.actions
         assert action.probe.expect == {"ImageId": "ami-2"}
@@ -198,7 +191,7 @@ class TestBuild:
     def test_restore_depends_on_recreates(self):
         """A restored LC referencing a recreated key pair waits for it."""
         plan = build_recovery_plan(
-            confirmed("lc-wrong-key-pair", "key-pair-unavailable"), PARAMS
+            confirmed("wrong-key-pair", "key-pair-unavailable"), PARAMS
         )
         assert [a.action for a in plan.actions] == ["recreate-key-pair", RESTORE]
         assert plan.actions[1].depends_on == ["recreate-key-pair:key-prod"]
@@ -209,7 +202,7 @@ class TestOrdering:
         """The plan is its execution order: the recreates in cause order,
         then the one restore that depends on all of them."""
         plan = build_recovery_plan(
-            confirmed("lc-wrong-ami", "security-group-unavailable", "key-pair-unavailable"),
+            confirmed("wrong-ami", "security-group-unavailable", "key-pair-unavailable"),
             PARAMS,
         )
         assert [a.action_id for a in plan.actions] == [

@@ -33,7 +33,7 @@ class TestTreesCommand:
         assert main(["trees", "--dot", "asg-wrong-version"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("digraph")
-        assert "lc_wrong_ami" in out
+        assert "lc_corrupted -> wrong_ami" in out
 
 
 class TestMineCommand:

@@ -40,8 +40,6 @@ JUSTIFIED: dict[str, str] = {
     # Read by oracles and completeness checks under tests/.
     "prefilter_plan": "tests/logsys/test_compiled.py + test_compiled_property.py read the"
                       " prefilter through it instead of the private _plan",
-    "KNOWN_UNMAPPED": "tests/recovery/test_plan.py::test_catalog_covers_every_fault_tree_leaf:"
-                      " leaves that deliberately have no catalog row",
 }
 
 #: ROADMAP item 5 asked "what runs it?" of these too.  Each *has* a caller
