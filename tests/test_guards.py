@@ -386,7 +386,7 @@ GUARDS: dict[str, Guard] = {
     "one-id-per-cause": Guard(
         r"lc-wrong-|registration-launch-failing|deviation-launch-failing|deviation-elb-unavailable"
         r"|_wrong_config_children\([^)]|_launch_failing_subtree\([^)]",
-        ("src", "examples"), "PENDING",
+        ("src", "examples"), "a6e0596",
         "a root cause has one node id in every tree: a shared sub-tree is built under one"
         " name, so no table names a cause twice",
         '                    *_wrong_config_children(prefix="lc-"),',
