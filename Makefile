@@ -31,7 +31,8 @@ test:
 
 # The paper's tables and figures (Table I, Fig. 2/5/6/7, §II, §V.D,
 # ablations) on the seeded 160-run campaign, printing each one, and the
-# fault-tree coverage table (tests/paper/test_walk_replay.py), which
+# fault-tree coverage table (tests/paper/coverage.py, checked by
+# tests/paper/test_walk_replay.py), which
 # `make check` skips as slow.
 paper:
 	python -m pytest -q tests/paper -s

@@ -16,10 +16,11 @@ The replays also count, per (tree id, node id), the node's visits and the
 root causes it names, confirmed or ``undetermined``: the coverage table
 (ROADMAP item 24).  A fault-tree node is data, so the reachability test
 cannot see a sub-tree no run enters.  Each node the campaign never
-visits, and each leaf it never confirms, needs a :data:`COVERAGE` row
-saying why it is kept; so does each ``EXPECTED_ROOT_CAUSE`` id or
-``CATALOG`` key that no node confirms, and each leaf that has no
-``CATALOG`` row.  A missing row fails, and so does a stale one.
+visits, and each leaf it never confirms, needs a row in the coverage
+table (``tests/paper/coverage.py``) saying why it is kept; so does each
+``EXPECTED_ROOT_CAUSE`` id or ``CATALOG`` key that no node confirms.  A
+missing row fails, and so does a stale one.  The table's leaf rows, for
+leaves with no ``CATALOG`` row, are ``tests/recovery/test_plan.py``'s.
 """
 
 import collections
@@ -35,69 +36,9 @@ from repro.evaluation.campaign import Campaign, CampaignConfig
 from repro.faulttree.library import EXPECTED_ROOT_CAUSE, shared_standard_fault_trees
 from repro.faulttree.tree import CONFIRMED, EXCLUDED
 from repro.recovery.plan import CATALOG
+from tests.paper.coverage import COVERAGE, KINDS
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
-
-#: Why a row keeps what the campaign does not exercise.
-KINDS: dict[str, str] = {
-    "paper": "a node the paper's Fig. 5 tree shows; the file is its ablation",
-    "spec": "a test or spec reaches it; the file is that test",
-    "unreachable": "no fault class reaches it; the file says what would",
-}
-
-#: ``tree id/node id`` for a node, the bare id for a cause -> (kind, the
-#: file — ``path`` or ``path::test`` from the repository root — and why).
-COVERAGE: dict[str, tuple[str, str, str]] = {
-    # Never visited.
-    **{
-        f"asg-instance-count/{leaf}": (
-            "paper", "tests/paper/test_ablations.py::test_ablation_context_pruning",
-            "below create-lc-fails, which no campaign fault confirms: every fault fires"
-            " after the launch configuration exists.  The pruning ablation's 14 -> 11"
-            " potential faults count it; an injection before that step (ROADMAP 22,"
-            " k = 0) would reach it",
-        )
-        for leaf in ("lc-ami-missing", "lc-key-missing", "lc-sg-missing")
-    },
-    # Visited, never confirmed.
-    "elb-registration/instance-unhealthy": (
-        "unreachable", "ROADMAP.md",
-        "no fault class makes a registered instance fail its health check; that class"
-        " is parked with the performance-fault plane",
-    ),
-    "elb-registration/account-limit-exceeded": (
-        "spec", "tests/diagnosis/test_probes.py",
-        "the shared launch-failure leaf, confirmed under asg-instance-count and"
-        " process-deviation by the same probe; in the one run where the account limit"
-        " binds and ELB registration fails, its looks found no limit-exceeded activity",
-    ),
-    "elb-registration/termination-author": (
-        "spec", "tests/diagnosis/test_offline.py",
-        "CloudTrail delivers late, so online attribution is mostly inconclusive (it"
-        " confirms under the other two trees); the three looks under this tree found"
-        " no delivered record",
-    ),
-    # A scoring or remediation id that no node confirms.
-    "elb-registration-failure": (
-        "unreachable", "ROADMAP.md",
-        "an inner node names itself only undetermined: registered instances short"
-        " while the ELB exists, which takes the parked health-check fault class",
-    ),
-    "instance-terminated-externally": (
-        "spec", "tests/diagnosis/test_offline.py",
-        "an inner node names itself only undetermined, when no CloudTrail record"
-        " names the author yet; its catalog row is that cause's advisory",
-    ),
-    # A leaf with no catalog row: evidence of what happened, not a fix.
-    "instance-unhealthy": (
-        "unreachable", "ROADMAP.md",
-        "evidence, not a fix: the advice is its sibling launch and capacity causes'",
-    ),
-    "termination-author": (
-        "spec", "tests/diagnosis/test_offline.py",
-        "evidence, not a fix: the advice is its parent's, instance-terminated-externally",
-    ),
-}
 
 
 def replay(registry, params, report):
@@ -201,8 +142,9 @@ def test_every_report_replays_from_its_recorded_observations(campaign_replayed):
     assert mismatched == []
 
 
-def needs_a_row(coverage) -> set[str]:
-    """The :data:`COVERAGE` keys the campaign's ``coverage`` calls for."""
+def needs_a_row(coverage) -> tuple[set[str], set[str]]:
+    """The :data:`COVERAGE` keys the campaign's ``coverage`` calls for, and
+    the trees' leaf ids (whose bare rows the catalog test owns)."""
     registry = shared_standard_fault_trees()
     needed, confirmed, leaves = set(), set(), set()
     for tree_id in registry.tree_ids():
@@ -218,7 +160,7 @@ def needs_a_row(coverage) -> set[str]:
         # A never-confirmed leaf is already named by its nodes' rows.
         if not any(key.endswith(f"/{cause}") for key in needed):
             needed.add(cause)
-    return needed | (leaves - set(CATALOG))
+    return needed, leaves
 
 
 def test_every_node_the_campaign_misses_has_a_row(campaign_replayed):
@@ -226,9 +168,10 @@ def test_every_node_the_campaign_misses_has_a_row(campaign_replayed):
     for (tree_id, node_id), counts in sorted(coverage.items()):
         print(f"{tree_id:20s} {node_id:32s} visited {counts['visited']:4d}"
               f"  confirmed {counts[CONFIRMED]:4d}  undetermined {counts['undetermined']:3d}")
-    needed = needs_a_row(coverage)
-    assert sorted(needed - set(COVERAGE)) == [], "missing rows"
-    assert sorted(set(COVERAGE) - needed) == [], "stale rows: the campaign now covers them"
+    needed, leaves = needs_a_row(coverage)
+    rows = set(COVERAGE) - leaves
+    assert sorted(needed - rows) == [], "missing rows"
+    assert sorted(rows - needed) == [], "stale rows: the campaign now covers them"
 
 
 @pytest.mark.parametrize("key", list(COVERAGE))

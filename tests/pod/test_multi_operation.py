@@ -97,6 +97,18 @@ def confirmed_causes(testbed, trace_id):
     }
 
 
+def trees_confirming(testbed, trace_id, cause):
+    """The trees of ``trace_id``'s reports that confirmed ``cause``.  A
+    report over several trees counts only if it names the cause confirmed
+    once per tree."""
+    trees = set()
+    for r in testbed.pod.reports:
+        named = sum(c.node_id == cause and c.status == "confirmed" for c in r.root_causes)
+        if r.trace_id == trace_id and named and named >= len(r.tree_ids):
+            trees.update(r.tree_ids)
+    return trees
+
+
 class TestEachTraceJudgedAgainstItsOwnTarget:
     """Team B's correct v3 upgrade is not judged against team A's v2 target."""
 
@@ -110,7 +122,10 @@ class TestEachTraceJudgedAgainstItsOwnTarget:
         testbed, _op, _ = dual_upgrade
         details = {d.detail for d in testbed.pod.detections if d.trace_id == "upgrade-a"}
         assert {"new-instance-correct-version", "asg-uses-correct-config"} <= details
-        assert "wrong-ami" in confirmed_causes(testbed, "upgrade-a")
+        # Both trees holding the wrong-config leaves confirm the wrong AMI.
+        assert {"asg-wrong-version", "asg-instance-count"} <= trees_confirming(
+            testbed, "upgrade-a", "wrong-ami"
+        )
 
     def test_each_trace_holds_its_own_repository(self, dual_upgrade):
         testbed, _op, ami_v3 = dual_upgrade

@@ -3,7 +3,7 @@ actions + human advisory (execution: test_engine.py)."""
 
 from repro.diagnosis.report import RootCause
 from repro.recovery.plan import CATALOG, RESTORE, VerificationProbe, build_recovery_plan
-from tests.paper.test_walk_replay import COVERAGE
+from tests.paper.coverage import COVERAGE
 
 
 PARAMS = {
@@ -47,9 +47,8 @@ class TestProbe:
 
 class TestCatalog:
     def test_catalog_covers_every_fault_tree_leaf(self):
-        """Every fault-tree leaf has a catalog row or a coverage row saying
-        why not (``tests/paper/test_walk_replay.py``, which also fails a
-        stale one).
+        """Every fault-tree leaf has a catalog row or a bare row in the
+        coverage table saying why not, and no such row outlives its reason.
 
         A new tree whose leaves silently lack rows would make the
         recovery plane escalate causes it should have fixes for — this
@@ -64,11 +63,12 @@ class TestCatalog:
             for leaf in registry.get(tree_id).leaves()
         }
         assert leaves, "no fault-tree leaves found"
-        unmapped = leaves - set(CATALOG) - set(COVERAGE)
-        assert not unmapped, (
-            f"fault-tree leaves with no catalog row: {sorted(unmapped)};"
-            " add a catalog row or (for pure evidence nodes) a COVERAGE row"
+        rows = {key for key in COVERAGE if key in leaves}
+        assert sorted(leaves - set(CATALOG) - rows) == [], (
+            "fault-tree leaves with no catalog row: add a catalog row or (for"
+            " pure evidence nodes) a COVERAGE row"
         )
+        assert sorted(rows & set(CATALOG)) == [], "stale COVERAGE rows: the leaf has a catalog row"
 
     def test_unknown_cause_is_ignored(self):
         plan = build_recovery_plan(confirmed("mystery-cause"), PARAMS)
