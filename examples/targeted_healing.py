@@ -12,11 +12,14 @@ mid-upgrade.  POD-Diagnosis detects the wrong-version instance, walks the
 fault tree to ``wrong-ami``, and the recovery engine restores the
 launch configuration (idempotent, verified by re-reading the cloud) —
 after which the still-running rolling upgrade finishes on the correct
-version by itself.
+version by itself.  The healing's spans are read from the run's records
+afterwards: the run needed no tracing switched on.
 
 Run:  python examples/targeted_healing.py
 """
 
+from repro.obs import run_trace
+from repro.obs.export import render_span_tree
 from repro.recovery.engine import RecoveryEngine
 from repro.recovery.plan import build_recovery_plan
 from repro.testbed import build_testbed
@@ -44,6 +47,7 @@ def main() -> None:
         for advice in plan.advisory:
             print(f"  remediation [needs human]: {advice}")
         recovery = RecoveryEngine(testbed.engine, testbed.pod.recovery_client())
+        testbed.recoveries.append(recovery)
         result = yield from recovery.execute(plan)
         for done in result.actions:
             healed.append(f"{done.action} on {done.target}: {done.status}")
@@ -61,6 +65,8 @@ def main() -> None:
     print(f"healing actions  : {healed}")
     print(f"final LC image   : {lc.image_id} (target {testbed.stack.ami_v2})")
     print(f"fleet versions   : {versions}")
+    healing = [span for span in run_trace(testbed) if span.stage == "recovery"]
+    print(render_span_tree(healing, title="healing trace:"))
     wrong = [v for v in versions if v != testbed.stack.ami_v2]
     if wrong:
         print(f"note: {len(wrong)} stray version(s) remain — instances launched while"

@@ -33,14 +33,16 @@ class AssertionEnvironment:
 
     engine: _t.Any
     client: ConsistentApiClient
-    monitor: _t.Any = None
+    #: What the diagnostic probes (:mod:`repro.diagnosis.tests`) consult
+    #: beyond the API: the Edda-style monitor, region state (instance view
+    #: + configuration write history) and CloudTrail (``None``: no access,
+    #: so attribution cannot look).
+    monitor: _t.Any
+    state: _t.Any
+    trail: _t.Any
     #: Configuration repository: expected desired state, keyed by name.
     config: dict = dataclasses.field(default_factory=dict)
-    #: What the diagnostic probes (:mod:`repro.diagnosis.tests`) consult
-    #: beyond the API: region state (instance view + configuration write
-    #: history), CloudTrail, and the watched operation's own API calls.
-    state: _t.Any = None
-    trail: _t.Any = None
+    #: The watched operation's own API calls.
     operation_api_calls: list = dataclasses.field(default_factory=list)
 
     def expected(self, key: str, params: dict):

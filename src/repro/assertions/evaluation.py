@@ -47,7 +47,6 @@ class AssertionEvaluationService:
         env: AssertionEnvironment,
         storage,
         on_failure: _t.Callable[[AssertionResult], None] | None = None,
-        obs=None,
     ) -> None:
         self.env = env
         #: Per watched trace: ``env`` holding that trace's repository.
@@ -59,7 +58,6 @@ class AssertionEvaluationService:
         self.in_flight = 0
         #: High-water mark of ``in_flight``.
         self.in_flight_max = 0
-        self._tracer = obs.tracer if obs else None
 
     # -- registry -----------------------------------------------------------
 
@@ -95,7 +93,7 @@ class AssertionEvaluationService:
         context = ProcessContext.from_record(record)
         params = dict(record.fields)
         for assertion_id in assertion_ids:
-            self._spawn(assertion_id, params, "log", context, context.trace_id)
+            self._spawn(assertion_id, params, "log", context, context.trace_id, record)
 
     def trigger_from_timer(self, trace_id: str, assertion_ids: list[str]) -> None:
         """Timer trigger: the watchdog of ``trace_id`` missed a deadline.
@@ -105,7 +103,7 @@ class AssertionEvaluationService:
         """
         params: dict = {}
         for assertion_id in assertion_ids:
-            self._spawn(assertion_id, params, "timer-timeout", None, trace_id)
+            self._spawn(assertion_id, params, "timer-timeout", None, trace_id, None)
 
     def evaluate_on_demand(self, assertion_id: str, params: dict, trace_id: str) -> _t.Generator:
         """On-demand trigger (diagnosing ``trace_id``): drive with ``yield from``.
@@ -121,20 +119,15 @@ class AssertionEvaluationService:
 
     # -- internals ----------------------------------------------------------------
 
-    def _spawn(self, assertion_id: str, params: dict, cause: str, context, trace_id: str) -> None:
+    def _spawn(
+        self, assertion_id: str, params: dict, cause: str, context, trace_id: str,
+        record: LogRecord | None,
+    ) -> None:
         assertion = self.get(assertion_id)
         self.in_flight += 1
         self.in_flight_max = max(self.in_flight_max, self.in_flight)
-        # The span opens at the trigger site so it parents under the log
-        # record (or timer) that caused the evaluation; the evaluation
-        # itself runs later, as its own engine process.
-        span = None
-        if self._tracer is not None:
-            span = self._tracer.start_span(
-                "evaluate", "assertion", assertion_id=assertion_id, cause=cause
-            )
         self.env.engine.process(
-            self._run(assertion, params, cause, context, trace_id, span),
+            self._run(assertion, params, cause, context, trace_id, record),
             name=f"assert-{assertion_id}",
         )
 
@@ -146,10 +139,10 @@ class AssertionEvaluationService:
         env = self.envs[trace_id]
         started = env.engine.now
         try:
-            return (yield from assertion.evaluate(env, params))
+            result = yield from assertion.evaluate(env, params)
         except (CloudError, ConsistentCallError) as exc:
             now = env.engine.now
-            return AssertionResult(
+            result = AssertionResult(
                 assertion_id=assertion.assertion_id,
                 passed=False,
                 detail=f"evaluation aborted by API failure: {exc}",
@@ -159,9 +152,12 @@ class AssertionEvaluationService:
                 timed_out=bool(getattr(exc, "timed_out", False)),
                 degraded=is_degraded(exc),
             )
+        result.started_at = started
+        return result
 
     def _run(
-        self, assertion: Assertion, params: dict, cause: str, context, trace_id: str, span=None
+        self, assertion: Assertion, params: dict, cause: str, context, trace_id: str,
+        record: LogRecord | None,
     ) -> _t.Generator:
         try:
             result = yield from self._evaluate(assertion, params, trace_id)
@@ -169,18 +165,9 @@ class AssertionEvaluationService:
             self.in_flight -= 1
         result.cause = cause
         result.context = context
+        result.record = record
         result.trace_id = trace_id
         self.results.append(result)
         self.storage.append(result)
         if result.failed and self.on_failure is not None:
-            if self._tracer is not None and span is not None:
-                # Diagnosis triggered by this failure parents under the
-                # evaluation's span, not wherever the engine happens to be.
-                with self._tracer.activate(span):
-                    self.on_failure(result)
-            else:
-                self.on_failure(result)
-        if self._tracer is not None and span is not None:
-            self._tracer.finish(
-                span, result="failed" if result.failed else "passed", degraded=result.degraded
-            )
+            self.on_failure(result)

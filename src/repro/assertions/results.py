@@ -33,6 +33,8 @@ class AssertionResult(LogEntry):
     observed: dict = dataclasses.field(default_factory=dict)
     #: Process context of the trigger, if any.
     context: _t.Any = None
+    #: The log line that triggered it (a ``log`` evaluation's only).
+    record: _t.Any = None
     #: The watched trace whose repository judged it (a timer's too).
     trace_id: str | None = None
     #: True when the failure came from API timeout rather than a mismatch
@@ -43,6 +45,8 @@ class AssertionResult(LogEntry):
     #: (chaos-injected errors/blackholes) rather than resource state —
     #: such failures are inconclusive, never evidence.
     degraded: bool = False
+    #: When the evaluation began (its trigger's time); ``time`` is its end.
+    started_at: float | None = None
 
     @property
     def failed(self) -> bool:

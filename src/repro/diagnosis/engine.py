@@ -35,6 +35,8 @@ class DiagnosisRequest:
     #: The watched trace whose repository the walk reads (a timer's too).
     trace_id: str
     context: ProcessContext | None = None
+    #: The conformance or assertion result that triggered it, if any.
+    entry: _t.Any = None
 
 
 class DiagnosisEngine:
@@ -55,9 +57,7 @@ class DiagnosisEngine:
         probes: CustomTestRegistry,
         storage,
         seed: int = 0,
-        obs=None,
     ) -> None:
-        self._tracer = obs.tracer if obs else None
         self.engine = engine
         self.trees = trees
         self.assertions = assertions
@@ -86,7 +86,7 @@ class DiagnosisEngine:
             return None
         return self._request(
             "assertion", result.assertion_id, [tree_id], result.params, result.trace_id,
-            result.context,
+            result.context, result,
         )
 
     def diagnose_conformance_error(self, result: ConformanceResult) -> DiagnosisRequest:
@@ -101,7 +101,7 @@ class DiagnosisEngine:
             context = context.merged_with(step=context.last_valid_activity)
         detail = f"{result.status}:{result.activity or 'unknown-line'}"
         return self._request(
-            "conformance", detail, ["process-deviation"], {}, result.trace_id, context
+            "conformance", detail, ["process-deviation"], {}, result.trace_id, context, result
         )
 
     def diagnose(
@@ -118,13 +118,15 @@ class DiagnosisEngine:
         with weak context may warrant consulting both the instance-count
         tree and the resource-integrity tree.
         """
-        return self._request("external", trigger_detail, list(tree_ids), {}, trace_id, context)
+        return self._request(
+            "external", trigger_detail, list(tree_ids), {}, trace_id, context, None
+        )
 
     # -- request construction ------------------------------------------------------
 
     def _request(
         self, trigger: str, detail: str, tree_ids: list[str], params: dict, trace_id: str,
-        context,
+        context, entry,
     ) -> DiagnosisRequest:
         """Build one request and start its walk as an engine process."""
         request = DiagnosisRequest(
@@ -135,14 +137,9 @@ class DiagnosisEngine:
             params=self._merge_params(params, context, trace_id),
             trace_id=trace_id,
             context=context,
+            entry=entry,
         )
-        span = None
-        if self._tracer is not None:
-            # Opened at the trigger site (inside the assertion/conformance
-            # span that detected the anomaly), closed when the walk ends.
-            span = self._tracer.start_span("walk", "diagnosis", trigger=trigger,
-                                           trigger_detail=detail, tree_ids=list(tree_ids))
-        self.engine.process(self._run(request, span), name=request.request_id)
+        self.engine.process(self._run(request), name=request.request_id)
         return request
 
     def _merge_params(self, params: dict, context, trace_id: str) -> dict:
@@ -160,7 +157,7 @@ class DiagnosisEngine:
 
     # -- execution -------------------------------------------------------------------
 
-    def _run(self, request: DiagnosisRequest, span=None) -> _t.Generator:
+    def _run(self, request: DiagnosisRequest) -> _t.Generator:
         report = DiagnosisReport(
             request_id=request.request_id,
             trigger=request.trigger,
@@ -169,6 +166,7 @@ class DiagnosisEngine:
             step=request.context.step if request.context else None,
             started_at=self.engine.now,
             tree_ids=list(request.tree_ids),
+            entry=request.entry,
         )
         self.in_flight += 1
         try:
@@ -186,7 +184,7 @@ class DiagnosisEngine:
                 " total...", request.trigger_detail, report.potential_fault_count,
             )
             steps = walk([tree.root for tree in trees], request.params, report.step, since)
-            report.root_causes = yield from self._drive(steps, request, report, span)
+            report.root_causes = yield from self._drive(steps, request, report)
         finally:
             self.in_flight -= 1
         report.finished_at = self.engine.now
@@ -197,16 +195,13 @@ class DiagnosisEngine:
             noun = "root cause is" if count == 1 else "root causes are"
             self._log(request, "%s %s identified", count, noun)
         self.completed.append(report)
-        if self._tracer is not None:
-            self._tracer.finish(span, root_causes=len(report.root_causes),
-                                no_root_cause=report.no_root_cause, tests=len(report.tests))
         return report
 
-    def _drive(self, steps: _t.Generator, request, report, walk_span) -> _t.Generator:
+    def _drive(self, steps: _t.Generator, request, report) -> _t.Generator:
         """Service the walk's looks until it returns its root causes.  The
         walk decides in no virtual time: each decision is recorded when it is
         handed over (with the next look, or at the end), the first one after
-        a look being that look's own."""
+        a look being that look's own, which started when the look did."""
         observation = looking = None
         while True:
             try:
@@ -215,42 +210,23 @@ class DiagnosisEngine:
             except StopIteration as done:
                 look, (causes, tests) = None, done.value
                 decided = tests[len(report.tests):]
+            now = self.engine.now
             for execution in decided:
-                test_span = None
-                if looking is not None:
-                    (test_span, started), looking = looking, None
-                    execution.duration = self.engine.now - started
-                self._record(execution, request, report, walk_span, test_span)
+                execution.started_at = now if looking is None else looking
+                execution.finished_at = now
+                looking = None
+                self._record(execution, request, report)
             if look is None:
                 return causes
-            test = look.node.test
-            test_span = self._test_span(walk_span, look.node.node_id, test.name, kind=test.kind)
-            looking = test_span, self.engine.now
+            looking = self.engine.now
             # One service round trip per diagnostic test, then the look.
             yield self.engine.timeout(self._test_overhead.sample())
             observation = yield from self._observe(look, request)
 
-    def _test_span(self, walk_span, node_id: str, test_name: str, **attrs):
-        if self._tracer is None:
-            return None
-        return self._tracer.start_span(
-            "test", "diagnosis", parent=walk_span, node=node_id, test=test_name, **attrs
-        )
-
-    def _record(self, execution: TestExecution, request, report, walk_span, test_span) -> None:
-        """One decision of the walk into the report, the trace and the log."""
+    def _record(self, execution: TestExecution, request, report) -> None:
+        """One decision of the walk into the report and the log."""
         report.tests.append(execution)
         node_id, verdict = execution.node_id, execution.verdict
-        if self._tracer is not None and execution.cached:
-            # The same observation, re-attributed to this node at no cost.
-            hit = self._test_span(walk_span, node_id, execution.test_name, cached=True)
-            self._tracer.finish(hit, verdict=verdict)
-        elif self._tracer is not None:
-            # No span yet: an unresolved `$var`, decided before it cost anything.
-            test_span = test_span or self._test_span(
-                walk_span, node_id, execution.test_name, kind=execution.test_kind
-            )
-            self._tracer.finish(test_span, verdict=verdict, degraded=execution.degraded)
         if verdict == EXCLUDED:
             report.excluded_count += 1
             self._log(request, "Verified %s: fault excluded. %s/%s checks excluded", node_id,

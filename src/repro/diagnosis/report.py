@@ -20,7 +20,11 @@ class TestExecution:
     verdict: str
     evidence: dict = dataclasses.field(default_factory=dict)
     cached: bool = False
-    duration: float = 0.0
+    #: When its look began (its service round trip first) and when the
+    #: walk's decision was recorded; equal for a reuse or a test decided
+    #: without looking.
+    started_at: float = 0.0
+    finished_at: float = 0.0
     #: True when the verdict was forced to inconclusive by API-plane
     #: degradation (chaos) rather than decided on evidence.
     degraded: bool = False
@@ -28,6 +32,10 @@ class TestExecution:
     #: when the test could not look.
     observed: bool | None = None
     description: str = ""  # the tested node's
+
+    @property
+    def duration(self) -> float:
+        return self.finished_at - self.started_at
 
 
 @dataclasses.dataclass(slots=True)
@@ -89,6 +97,9 @@ class DiagnosisReport:
     pruned: list[str] = dataclasses.field(default_factory=list)
     potential_fault_count: int = 0
     excluded_count: int = 0
+    #: The conformance or assertion result that triggered the walk
+    #: (``None`` for an external request).
+    entry: object = dataclasses.field(default=None, repr=False)
 
     @property
     def duration(self) -> float:

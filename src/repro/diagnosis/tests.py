@@ -125,8 +125,6 @@ def probe_external_termination(env, params: dict) -> _t.Generator:
     externally.
     """
     state = env.state
-    if state is None:
-        return None, {"reason": "no monitor data"}
     yield env.engine.timeout(MONITOR_LOOKUP_LATENCY)
     since = _since(params)
     terminated = [
@@ -182,8 +180,6 @@ def probe_lc_config_flapped(env, params: dict) -> _t.Generator:
     how the paper's third wrong-diagnosis class happens.
     """
     monitor = env.monitor
-    if monitor is None:
-        return None, {"reason": "no monitor"}
     yield env.engine.timeout(MONITOR_LOOKUP_LATENCY)
     changes = monitor.changes("launch_configuration", params["lc_name"])
     views = [view for _t_, view in changes if view is not None]
@@ -201,8 +197,6 @@ def probe_concurrent_lc_update(env, params: dict) -> _t.Generator:
     lc_name = params.get("lc_name")
     asg_name = params.get("asg_name")
     state = env.state
-    if state is None:
-        return None, {"reason": "no configuration repository"}
     yield env.engine.timeout(MONITOR_LOOKUP_LATENCY)
     if not lc_name and asg_name and state.exists("auto_scaling_group", asg_name):
         lc_name = state.get("auto_scaling_group", asg_name).launch_configuration_name

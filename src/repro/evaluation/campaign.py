@@ -56,7 +56,7 @@ class RunSpec:
     horizon: float = 5400.0
     #: API-plane degradation level (see :mod:`repro.cloud.chaos`).
     chaos_profile: str = "none"
-    #: Record pipeline spans + metrics for this run (see :mod:`repro.obs`).
+    #: Export this run's spans + metrics at its end (see :mod:`repro.obs`).
     trace: bool = False
     #: Run the closed-loop recovery supervisor after the upgrade ends
     #: (diagnose → remediate → verify → resume; see :mod:`repro.recovery`).
@@ -111,9 +111,10 @@ class RunOutcome:
     api_health: dict = dataclasses.field(default_factory=dict)
     #: Diagnostic-test verdicts lost to API-plane degradation.
     degraded_verdicts: int = 0
-    #: The tracer's own spans when the spec asked for tracing; None
-    #: otherwise.  Spans are keyed to virtual time, so the serial ≡
-    #: parallel bit-for-bit guarantee covers them too.
+    #: The run's spans when the spec asked for tracing, read from its
+    #: records at export (:func:`repro.obs.run_trace`); None otherwise.
+    #: Spans are keyed to virtual time, so the serial ≡ parallel
+    #: bit-for-bit guarantee covers them too.
     trace: list[Span] | None = None
     #: Pipeline metrics snapshot (counters/gauges/histograms) when traced;
     #: read from the run at export (:func:`repro.obs.run_metrics`).
@@ -406,7 +407,7 @@ def _run_on(testbed: Testbed, spec: RunSpec) -> RunOutcome:
         conformance_before_assertion=conformance_first,
         api_health=api_health,
         degraded_verdicts=sum(r.degraded_tests for r in reports),
-        trace=testbed.obs.export_trace() if spec.trace else None,
+        trace=testbed.obs.export_trace(testbed) if spec.trace else None,
         metrics=testbed.obs.export_metrics(testbed) if spec.trace else {},
         recovery=recovery,
     )

@@ -33,7 +33,6 @@ class LocalLogProcessor:
         trigger: Trigger,
         storage: CentralLogStorage,
         timer_setter: TimerSetter | None = None,
-        obs=None,
     ) -> None:
         self.noise_filter = noise_filter
         self.process_annotator = process_annotator
@@ -46,7 +45,6 @@ class LocalLogProcessor:
         self.filtered_count = 0
         self.ingested_count = 0
         self.shipped_count = 0
-        self._tracer = obs.tracer if obs else None
 
     def attach(self, stream: LogStream) -> None:
         """Tail a log stream, processing each record as it is emitted."""
@@ -58,32 +56,26 @@ class LocalLogProcessor:
             self.filtered_count += 1
             return False
         self.ingested_count += 1
-        if self._tracer is None:
-            return self._pipe(record)
-        with self._tracer.span("record", "ingest", source=record.source) as span:
-            shipped = self._pipe(record)
-            span.set(step=record.tag_value("step"), shipped=shipped)
-        return shipped
-
-    def _pipe(self, record: LogRecord) -> bool:
-        """annotate → timers → trigger → ship (the Fig. 3 stages)."""
+        # annotate → timers → trigger → ship (the Fig. 3 stages).
         self.process_annotator.annotate(record)
         assertion_ids = self.assertion_annotator.annotate(record)
         if self.timer_setter is not None:
             self.timer_setter.observe(record)
         self.trigger.fire(record, assertion_ids)
-        if self._important(record):
+        if is_shipped(record):
             self.storage.append(record)
             self.shipped_count += 1
             return True
         return False
 
-    def _important(self, record: LogRecord) -> bool:
-        position = record.tag_value("position")
-        # The paper ships lines that "represent the start or end of a
-        # process activity".
-        if position in ("start", "end"):
-            return True
-        # Unclassified and known-error lines are always worth keeping:
-        # they are exactly what diagnosis wants to see.
-        return record.tag_value("step") == "unclassified" or record.has_tag("known-error")
+
+def is_shipped(record: LogRecord) -> bool:
+    """Does a processed record go to central storage?  A function of its
+    annotation tags alone, so it reads the same after the fact."""
+    # The paper ships lines that "represent the start or end of a process
+    # activity".
+    if record.tag_value("position") in ("start", "end"):
+        return True
+    # Unclassified and known-error lines are always worth keeping: they
+    # are exactly what diagnosis wants to see.
+    return record.tag_value("step") == "unclassified" or record.has_tag("known-error")

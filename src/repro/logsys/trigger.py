@@ -19,14 +19,14 @@ class Trigger:
 
     def __init__(
         self,
-        conformance: _t.Callable[[LogRecord], _t.Any] | None = None,
-        assertions: _t.Callable[[LogRecord, list[str]], _t.Any] | None = None,
+        conformance: _t.Callable[[LogRecord], _t.Any],
+        assertions: _t.Callable[[LogRecord, list[str]], _t.Any],
     ) -> None:
         self.conformance = conformance
         self.assertions = assertions
 
     def fire(self, record: LogRecord, assertion_ids: list[str]) -> None:
-        if self.conformance is not None:
-            self.conformance(record)
-        if self.assertions is not None and assertion_ids:
+        """Check every record once; evaluate its bound assertions, if any."""
+        self.conformance(record)
+        if assertion_ids:
             self.assertions(record, assertion_ids)

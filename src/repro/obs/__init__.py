@@ -1,52 +1,44 @@
-"""``repro.obs`` — tracing + metrics for the whole POD pipeline.
+"""``repro.obs`` — a run's trace and metrics, both read at export.
 
-One :class:`Observability` object travels through a traced testbed: its
-:class:`~repro.obs.trace.Tracer` records nested spans on the virtual
-clock, and ``RunOutcome.trace`` holds the tracer's own spans (JSON is
-made only by :mod:`repro.obs.export`).
+Nothing in the pipeline records for this package.  A run keeps its
+records anyway — conformance and assertion results, diagnosis reports,
+plan executions, and the client's and the recovery plane's always-on
+counts — and a traced run's two exports read them after the run:
 
-Metrics are not counted here.  :func:`~repro.obs.snapshot.run_metrics`
-reads a run's snapshot at export from what the run keeps — conformance
-and assertion results, diagnosis reports, and the client's and the
-recovery plane's always-on counts — so the snapshot is the same whether
-or not the run was traced.
+- :func:`~repro.obs.trace.run_trace` builds the nested spans that
+  ``RunOutcome.trace`` holds (JSON is made only by
+  :mod:`repro.obs.export`);
+- :func:`~repro.obs.snapshot.run_metrics` reads the metrics snapshot.
 
-Tracing is off when there is no object: a component takes ``obs=None``
-and guards its span calls with one ``is None`` test.  Either way no
-engine events or RNG draws are introduced, which preserves the serial ≡
-parallel bit-for-bit guarantee.
+So turning tracing on changes no code that runs before the export:
+``Testbed(trace=True)`` only decides whether the export runs, and a traced
+run is the untraced run plus two reads.  Neither adds engine events or RNG
+draws, which preserves the serial ≡ parallel bit-for-bit guarantee.
 """
 
 from __future__ import annotations
 
 from repro.obs.snapshot import Histogram, run_metrics
-from repro.obs.trace import ClockFn, Span, Tracer
+from repro.obs.trace import Span, run_trace
 
 __all__ = [
     "Histogram",
     "Observability",
     "Span",
-    "Tracer",
     "run_metrics",
+    "run_trace",
 ]
 
 
 class Observability:
-    """A run's tracer on one clock, and the traced run's two exports."""
+    """A traced run's two exports, each read from its testbed at the end of
+    the run (before ``Testbed.close``).  It holds nothing: it is where the
+    export is timed as the obs layer's work."""
 
-    def __init__(self, clock: ClockFn | None = None) -> None:
-        self.tracer = Tracer(clock=clock)
-
-    @classmethod
-    def for_engine(cls, engine) -> "Observability":
-        """Bind to a simulation engine's virtual clock."""
-        return cls(clock=engine.clock.now)
-
-    def export_trace(self) -> list[Span]:
-        return self.tracer.export()
+    def export_trace(self, testbed) -> list[Span]:
+        """The run's spans (:func:`run_trace`)."""
+        return run_trace(testbed)
 
     def export_metrics(self, testbed) -> dict:
-        """The run's metrics, read from ``testbed`` (:func:`run_metrics`).
-        A traced run exports through here, beside :meth:`export_trace`, so
-        the ledger times both as the obs layer's export."""
+        """The run's metrics (:func:`run_metrics`)."""
         return run_metrics(testbed)

@@ -1,32 +1,39 @@
-"""In-process tracing over the simulation's virtual clock.
+"""A run's trace, read at export from the records the run keeps.
 
 The POD pipeline (ingest → conformance → assertion evaluation →
-diagnosis) is otherwise a black box: when a campaign's precision dips or
-its diagnosis times drift, nothing records *where* inside a run the time
-or the verdicts went.  :class:`Tracer` fixes that with nested spans:
+diagnosis → recovery) is otherwise a black box: when a campaign's
+precision dips or its diagnosis times drift, nothing says *where* inside
+a run the time or the verdicts went.  :func:`run_trace` answers with
+nested spans on the virtual clock, each one read off a record the run
+keeps whether or not it is traced:
 
-- one span per log record accepted by the local log processor (stage
-  ``ingest``);
-- one span per conformance token replay (stage ``conformance``);
-- one span per assertion evaluation, whatever its trigger (stage
-  ``assertion``);
-- one span per fault-tree walk and one per diagnostic test inside it
-  (stage ``diagnosis``).
+- one ``ingest`` span per log record the local log processor let in, and
+  under it one ``conformance`` span: both are its
+  :class:`~repro.process.conformance.ConformanceResult` (every ingested
+  record is checked exactly once);
+- one ``assertion`` span per log- or timer-triggered
+  :class:`~repro.assertions.results.AssertionResult`, under the record
+  that triggered it (a timer's is a root);
+- one ``diagnosis`` walk span per finished
+  :class:`~repro.diagnosis.report.DiagnosisReport`, under the check or
+  evaluation that triggered it, and one test span per
+  :class:`~repro.diagnosis.report.TestExecution` in it;
+- one ``recovery`` span per plan execution
+  (:class:`~repro.recovery.engine.RecoveryResult`), and under it one per
+  action that ran (:class:`~repro.recovery.engine.ActionResult`).
 
-A span is recorded once, as a slotted :class:`Span`: the tracer's own
-records are what :meth:`Tracer.export` returns and what
-``RunOutcome.trace`` holds.  JSON is made only at the format boundary
-(:func:`repro.obs.export.trace_payload`, :meth:`Span.to_dict`).
+So no component holds a tracer or tests whether the run is traced:
+tracing changes no code that runs, only whether the export reads the run.
+Work still in flight at export has no record and so no span, except a plan
+execution, whose result exists from its start (``end`` is ``None`` until it
+finishes).
 
-Two properties are load-bearing:
-
-- **determinism** — span timestamps are *virtual* (the engine's
-  :class:`~repro.sim.clock.SimClock`), ids come from a per-tracer
-  counter, and tracing never touches the event queue or any RNG, so a
-  traced run is bit-for-bit identical serially and in parallel;
-- **zero cost when off** — an untraced run has no tracer at all (see
-  :mod:`repro.obs`), so the hot paths pay one ``is None`` test per
-  record.
+A span is a slotted :class:`Span`; ``RunOutcome.trace`` holds them and
+JSON is made only at the format boundary
+(:func:`repro.obs.export.trace_payload`, :meth:`Span.to_dict`).  Span
+times are virtual and ids are handed out in start order (a parent before
+its children), so a trace is bit-for-bit identical serially and in
+parallel.
 """
 
 from __future__ import annotations
@@ -34,14 +41,14 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
-#: Callable returning the current virtual time.
-ClockFn = _t.Callable[[], float]
+from repro.logsys.pipeline import is_shipped
+from repro.recovery.engine import FAILED
 
 
 @dataclasses.dataclass(slots=True)
 class Span:
     """One timed unit of pipeline work, keyed to virtual time.  Its seven
-    fields are exactly what :meth:`to_dict` writes; it holds no tracer."""
+    fields are exactly what :meth:`to_dict` writes."""
 
     span_id: int
     parent_id: int | None
@@ -55,11 +62,6 @@ class Span:
     def duration(self) -> float:
         return (self.end if self.end is not None else self.start) - self.start
 
-    def set(self, **attrs: _t.Any) -> "Span":
-        """Attach attributes; values must be JSON-serialisable."""
-        self.attrs.update(attrs)
-        return self
-
     def to_dict(self) -> dict:
         return {
             "span_id": self.span_id,
@@ -72,105 +74,74 @@ class Span:
         }
 
 
-class Tracer:
-    """Deterministic span recorder bound to a virtual clock.
+def run_trace(testbed) -> list[Span]:
+    """The spans of the run on ``testbed``, read from its records, in start
+    order; ids count from 1 in that order."""
+    pod = testbed.pod
+    #: (span, its parent span or None), in an order where a parent comes
+    #: before any child that starts with it.
+    found: list[tuple[Span, Span | None]] = []
 
-    Synchronous sections nest via the context manager :meth:`span` (a
-    stack tracks the current parent).  Work that spans engine yields —
-    assertion evaluations, fault-tree walks — uses :meth:`start_span` /
-    :meth:`finish` and carries the span object through its generator
-    frame; the parent is captured when the work is *triggered*, which is
-    where it belongs causally.  :meth:`activate` temporarily re-enters a
-    finished-or-floating span so synchronous callbacks fired from inside
-    an async frame (e.g. diagnosis started by a failed assertion) parent
-    correctly.
-    """
+    def span(name: str, stage: str, start: float, end: float | None, parent: Span | None,
+             **attrs: _t.Any) -> Span:
+        made = Span(0, None, name, stage, start, end, attrs)
+        found.append((made, parent))
+        return made
 
-    def __init__(self, clock: ClockFn | None = None) -> None:
-        self._clock: ClockFn = clock if clock is not None else (lambda: 0.0)
-        self.spans: list[Span] = []
-        self._stack: list[Span] = []
-        self._next_id = 1
-
-    # -- span creation ---------------------------------------------------
-
-    def _new_span(self, name: str, stage: str, parent: Span | None, attrs: dict) -> Span:
-        span = Span(
-            span_id=self._next_id,
-            parent_id=parent.span_id if parent is not None else None,
-            name=name,
-            stage=stage,
-            start=self._clock(),
-            attrs=attrs,
+    ingested: dict[int, Span] = {}
+    #: id(result) -> its span, for the entry that triggered a walk.
+    triggers: dict[int, Span] = {}
+    for result in pod.conformance.results:
+        record, at = result.record, result.time
+        ingest = ingested[id(record)] = span(
+            "record", "ingest", at, at, None,
+            source=record.source, step=record.tag_value("step"), shipped=is_shipped(record),
         )
-        self._next_id += 1
-        self.spans.append(span)
-        return span
+        triggers[id(result)] = span(
+            "check", "conformance", at, at, ingest,
+            status=result.status, activity=result.activity, trace=result.trace_id,
+        )
+    for result in pod.assertions.results:
+        if result.cause != "on-demand":
+            triggers[id(result)] = span(
+                "evaluate", "assertion", result.started_at, result.time,
+                ingested.get(id(result.record)),
+                assertion_id=result.assertion_id, cause=result.cause,
+                result="failed" if result.failed else "passed", degraded=result.degraded,
+            )
+    for report in pod.diagnosis.completed:
+        walk = span(
+            "walk", "diagnosis", report.started_at, report.finished_at,
+            triggers.get(id(report.entry)),
+            trigger=report.trigger, trigger_detail=report.trigger_detail,
+            tree_ids=list(report.tree_ids), root_causes=len(report.root_causes),
+            no_root_cause=report.no_root_cause, tests=len(report.tests),
+        )
+        for test in report.tests:
+            base = {"node": test.node_id, "test": test.test_name}
+            if test.cached:
+                attrs = {**base, "cached": True, "verdict": test.verdict}
+            else:
+                attrs = {**base, "kind": test.test_kind, "verdict": test.verdict,
+                         "degraded": test.degraded}
+            span("test", "diagnosis", test.started_at, test.finished_at, walk, **attrs)
+    for recovery in testbed.recoveries:
+        for result in recovery.results:
+            ended = {} if result.finished_at is None else {"status": result.status}
+            execute = span(
+                "execute", "recovery", result.started_at, result.finished_at, None,
+                actions=len(result.actions), **ended,
+            )
+            for action in result.actions:
+                if action.started_at is not None:
+                    failed = {"error": action.error} if action.status == FAILED else {}
+                    span(action.action, "recovery", action.started_at, action.finished_at,
+                         execute, target=action.target, status=action.status, **failed)
 
-    def span(self, name: str, stage: str, **attrs: _t.Any):
-        """Context manager for a synchronous (non-yielding) section: the
-        span is the current parent inside it and ends on exit."""
-        parent = self._stack[-1] if self._stack else None
-        return _Scope(self, self._new_span(name, stage, parent, attrs))
-
-    def start_span(
-        self, name: str, stage: str, parent: Span | None = None, **attrs: _t.Any
-    ) -> Span:
-        """Open a span for work that outlives the current call frame.
-
-        ``parent=None`` adopts the tracer's current synchronous span (the
-        trigger site); pass a span explicitly to chain async stages.
-        """
-        if parent is None:
-            parent = self._stack[-1] if self._stack else None
-        return self._new_span(name, stage, parent, attrs)
-
-    def finish(self, span: Span, **attrs: _t.Any) -> None:
-        """Close an explicit span at the current virtual time."""
-        span.attrs.update(attrs)
-        if span.end is None:
-            span.end = self._clock()
-
-    def _unstack(self, span: Span) -> None:
-        if self._stack and self._stack[-1] is span:
-            self._stack.pop()
-        elif span in self._stack:  # defensive: unwound out of order
-            self._stack.remove(span)
-
-    def activate(self, span: Span):
-        """Temporarily make ``span`` the current parent for sync callbacks."""
-        return _Activation(self, span)
-
-    # -- export ------------------------------------------------------------
-
-    def export(self) -> list[Span]:
-        """The recorded spans themselves (a new list, no per-span copy), in
-        creation (span-id) order."""
-        return list(self.spans)
-
-
-class _Activation:
-    """Context manager pushing an existing span onto the tracer stack."""
-
-    __slots__ = ("_tracer", "_span")
-
-    def __init__(self, tracer: Tracer, span: Span) -> None:
-        self._tracer = tracer
-        self._span = span
-
-    def __enter__(self) -> Span:
-        self._tracer._stack.append(self._span)
-        return self._span
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._tracer._unstack(self._span)
-
-
-class _Scope(_Activation):
-    """:meth:`Tracer.span`'s activation, which also ends the span on exit."""
-
-    __slots__ = ()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._span.end = self._tracer._clock()
-        self._tracer._unstack(self._span)
+    found.sort(key=lambda pair: pair[0].start)
+    for span_id, (made, _parent) in enumerate(found, 1):
+        made.span_id = span_id
+    for made, parent in found:
+        if parent is not None:
+            made.parent_id = parent.span_id
+    return [made for made, _parent in found]

@@ -56,11 +56,7 @@ class PODDiagnosis:
         watchdog_interval: float,
         seed: int = 0,
         chaos=None,
-        obs=None,
     ) -> None:
-        #: Tracing layer threaded through the pipeline components that
-        #: open spans; None = off.
-        self.obs = obs
         self.cloud = cloud
         self._seed = seed
         #: Optional :class:`~repro.cloud.chaos.ChaosController` degrading
@@ -87,8 +83,7 @@ class PODDiagnosis:
             operation_api_calls=cloud.api("asgard").calls,
         )
         self.assertions = AssertionEvaluationService(
-            self.env, storage=self.storage, on_failure=self._on_assertion_failure,
-            obs=self.obs,
+            self.env, storage=self.storage, on_failure=self._on_assertion_failure
         )
         self.assertions.register_all(standard_rolling_upgrade_assertions())
 
@@ -104,7 +99,6 @@ class PODDiagnosis:
             self.probes,
             storage=self.storage,
             seed=seed,
-            obs=self.obs,
         )
 
         # Conformance checking.
@@ -114,7 +108,6 @@ class PODDiagnosis:
             clock=engine.clock,
             storage=self.storage,
             on_error=self._on_conformance_error,
-            obs=self.obs,
         )
 
         # The watchdog, one per watched trace: its missed deadlines
@@ -155,7 +148,6 @@ class PODDiagnosis:
             ),
             storage=self.storage,
             timer_setter=self.timers,
-            obs=self.obs,
         )
         processor.attach(stream)
         self.processors.append(processor)

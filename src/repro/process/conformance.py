@@ -45,16 +45,17 @@ _STATUS_TAGS = {s: f"conformance:{s}" for s in (FIT, UNFIT, UNKNOWN, ERROR)}
 class ConformanceResult(LogEntry):
     """Outcome of checking one log line, and the record storage holds for it.
 
-    ``context`` is built lazily: the fit path defers the
-    :class:`ProcessContext` (tag lookups + a fields-dict copy)
-    until somebody actually reads it — error paths always build eagerly
-    because the diagnosis callback consumes the context immediately.
+    ``record`` is the checked line.  ``context`` is built lazily: the fit
+    path defers the :class:`ProcessContext` (tag lookups + a fields-dict
+    copy) until somebody actually reads it — error paths always build
+    eagerly because the diagnosis callback consumes the context immediately.
 
     The checker sets ``time`` and ``stamp`` (``None``: :attr:`timestamp`
     renders ``time``); ``message`` and ``tags`` are read off the verdict.
     """
 
-    __slots__ = ("status", "activity", "trace_id", "time", "stamp", "_context", "_deferred")
+    __slots__ = ("status", "activity", "trace_id", "record", "time", "stamp", "_context",
+                 "_last_valid")
 
     source = "conformance-checking.log"
     type = "conformance"
@@ -64,22 +65,23 @@ class ConformanceResult(LogEntry):
         status: str,
         activity: str | None,
         trace_id: str,
+        record: LogRecord,
         context: ProcessContext | None = None,
-        deferred: tuple[LogRecord, str | None] | None = None,
+        last_valid: str | None = None,
     ) -> None:
         self.status = status
         self.activity = activity
         self.trace_id = trace_id
+        self.record = record
         self._context = context
-        self._deferred = deferred
+        self._last_valid = last_valid
 
     @property
     def context(self) -> ProcessContext:
         context = self._context
         if context is None:
-            record, last_valid = self._deferred
-            context = ProcessContext.from_record(record)
-            context.last_valid_activity = last_valid
+            context = ProcessContext.from_record(self.record)
+            context.last_valid_activity = self._last_valid
             context.conformance = self.status
             context.step = self.activity or context.step
             self._context = context
@@ -122,7 +124,6 @@ class ConformanceChecker:
         storage,
         clock=None,
         on_error: _t.Callable[[ConformanceResult], None] | None = None,
-        obs=None,
     ) -> None:
         self.model = model
         self.library = library
@@ -133,23 +134,15 @@ class ConformanceChecker:
         self._replayer = CompiledReplayer(model)
         #: trace key -> replay state (the replayer's own dict).
         self.instances = self._replayer.states
-        self._tracer = obs.tracer if obs else None
 
     @property
     def check(self) -> _t.Callable[[LogRecord], ConformanceResult]:
         """Check one line; tags the record and returns the result.
 
-        Untraced, this *is* the worker (no wrapper frame per check; storing
-        it on the instance would be a reference cycle).  Traced, the replay —
-        and any diagnosis the error callback starts — runs inside a span.
+        This *is* the worker: no wrapper frame per check (storing it on the
+        instance would be a reference cycle).
         """
-        return self._check if self._tracer is None else self._check_traced
-
-    def _check_traced(self, record: LogRecord) -> ConformanceResult:
-        with self._tracer.span("check", "conformance") as span:
-            result = self._check(record)
-            span.set(status=result.status, activity=result.activity, trace=result.trace_id)
-        return result
+        return self._check
 
     def _check(self, record: LogRecord) -> ConformanceResult:
         # One core call, tail inlined — extra dispatch layers are
@@ -234,7 +227,7 @@ class ConformanceChecker:
         instance.consumed += table.input_counts[tid]
         instance.produced += table.output_counts[tid]
         instance.last_fit = activity
-        return ConformanceResult(FIT, activity, trace_id, deferred=(record, last_fit))
+        return ConformanceResult(FIT, activity, trace_id, record, last_valid=last_fit)
 
     def _unfit_replay(
         self, record: LogRecord, trace_id: str, instance, tid: int, activity: str
@@ -246,7 +239,7 @@ class ConformanceChecker:
         instance.replay_id(tid)
         context.conformance = UNFIT
         context.step = activity
-        return ConformanceResult(UNFIT, activity, trace_id, context=context)
+        return ConformanceResult(UNFIT, activity, trace_id, record, context)
 
     def _error_result(
         self, record: LogRecord, trace_id: str, status: str,
@@ -257,7 +250,7 @@ class ConformanceChecker:
         context.last_valid_activity = instance.last_fit
         context.conformance = status
         context.step = activity or context.step
-        return ConformanceResult(status, activity, trace_id, context=context)
+        return ConformanceResult(status, activity, trace_id, record, context)
 
     # -- aggregate views -------------------------------------------------------
 

@@ -70,9 +70,15 @@ class ActionResult:
     #: The failure was attributable to API-plane degradation (chaos).
     degraded: bool = False
     compensated: bool = False
+    #: When the action's first attempt began and its last one ended
+    #: (``None`` while blocked); kept for the trace, not the record.
+    started_at: float | None = None
+    finished_at: float | None = None
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        record = dataclasses.asdict(self)
+        del record["started_at"], record["finished_at"]
+        return record
 
 
 @dataclasses.dataclass
@@ -100,29 +106,21 @@ class RecoveryEngine:
         engine,
         client,
         seed: int = 0,
-        obs=None,
     ) -> None:
         self.engine = engine
         self.client = client
-        self._tracer = obs.tracer if obs else None
         self._rng = random.Random(seed)
         #: What this engine (and its supervisor) did, always counted; a
         #: run's metrics read it at export as ``recovery.<name>``.
         self.counters: dict[str, int] = {}
+        #: Every plan execution, from its start (``finished_at`` is None
+        #: until it ends).
+        self.results: list[RecoveryResult] = []
 
-    # -- counters + spans ------------------------------------------------
+    # -- counters --------------------------------------------------------
 
     def count(self, name: str) -> None:
         self.counters[name] = self.counters.get(name, 0) + 1
-
-    def _start_span(self, name: str, **attrs: _t.Any):
-        if self._tracer is not None:
-            return self._tracer.start_span(name, "recovery", **attrs)
-        return None
-
-    def _finish_span(self, span, **attrs: _t.Any) -> None:
-        if self._tracer is not None:
-            self._tracer.finish(span, **attrs)
 
     # -- execution -------------------------------------------------------
 
@@ -133,13 +131,12 @@ class RecoveryEngine:
             advisory=list(plan.advisory),
             started_at=self.engine.now,
         )
+        self.results.append(result)
         self.count("plans")
-        span = self._start_span("execute", actions=len(plan.actions))
         if not plan.actions:
             # Nothing automatable: terminal escalation, advisory attached.
             result.finished_at = self.engine.now
             self.count("escalations")
-            self._finish_span(span, status=ESCALATED)
             return result
 
         #: (action_id, [compensation calls]) in application order.
@@ -187,7 +184,6 @@ class RecoveryEngine:
             )
             self.count("recovered")
         result.finished_at = self.engine.now
-        self._finish_span(span, status=result.status)
         return result
 
     # -- one action ------------------------------------------------------
@@ -198,7 +194,7 @@ class RecoveryEngine:
         record: ActionResult,
         undo_log: list[tuple[str, list[tuple]]],
     ) -> _t.Generator:
-        span = self._start_span(action.action, target=action.target)
+        record.started_at = self.engine.now
         self.count("actions")
         mutated = False
         for attempt in range(1, MAX_ATTEMPTS + 1):
@@ -211,9 +207,8 @@ class RecoveryEngine:
                 current = yield from self._read_target(action, deadline)
                 if action.probe.satisfied_by(current):
                     record.status = VERIFIED if mutated else ALREADY_SATISFIED
-                    record.verified_at = self.engine.now
+                    record.verified_at = record.finished_at = self.engine.now
                     self.count("actions.verified" if mutated else "actions.already_satisfied")
-                    self._finish_span(span, status=record.status)
                     return True
                 # Record compensation *before* the first mutation so a
                 # failure mid-calls still rolls back.
@@ -229,9 +224,8 @@ class RecoveryEngine:
                 verified = yield from self._verify(action, deadline)
                 if verified:
                     record.status = VERIFIED
-                    record.verified_at = self.engine.now
+                    record.verified_at = record.finished_at = self.engine.now
                     self.count("actions.verified")
-                    self._finish_span(span, status=VERIFIED)
                     return True
                 record.error = "verification probe never went green"
             except ConsistentCallError as exc:
@@ -248,8 +242,8 @@ class RecoveryEngine:
                 backoff = min(BASE_BACKOFF * (2 ** (attempt - 1)), MAX_BACKOFF)
                 yield self.engine.timeout(self._rng.uniform(0.0, backoff))
         record.status = FAILED
+        record.finished_at = self.engine.now
         self.count("actions.failed")
-        self._finish_span(span, status=FAILED, error=record.error)
         return False
 
     def _read_target(self, action: RecoveryAction, deadline: float) -> _t.Generator:

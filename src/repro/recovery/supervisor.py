@@ -115,7 +115,7 @@ def recover_run(
         )
 
     client = pod.recovery_client()
-    recovery = RecoveryEngine(engine, client, seed=seed + 977, obs=pod.obs)
+    recovery = RecoveryEngine(engine, client, seed=seed + 977)
     recovery.count("runs")
     testbed.recoveries.append(recovery)
     done: list[RecoveryResult] = []

@@ -77,10 +77,9 @@ class Testbed:
         self.chaos_profile = chaos_profile
         self.cloud = SimulatedCloud(seed=seed, limits=AccountLimits(max_instances=max_instances))
         self.engine = self.cloud.engine
-        # Tracing over the virtual clock (see repro.obs); None = off, the
-        # default.  Either way no engine events or RNG draws are added —
-        # seeded runs stay bit-for-bit identical with tracing on or off.
-        self.obs = Observability.for_engine(self.engine) if trace else None
+        # A traced run's exports (see repro.obs), None untraced: they read
+        # the run at its end, so tracing changes no code that runs before.
+        self.obs = Observability() if trace else None
         self.chaos = ChaosController(self.engine, chaos_profile, seed=seed + 71)
         self.stack = self._provision()
         self.cloud.start()
@@ -106,7 +105,7 @@ class Testbed:
         self.pod = PODDiagnosis(
             self.cloud,
             LARGE_BATCH_WATCHDOG_INTERVAL if self.params.batch_size > 1 else DEFAULT_WATCHDOG_INTERVAL,
-            seed=seed, chaos=self.chaos, obs=self.obs,
+            seed=seed, chaos=self.chaos,
         )
         self.stream = LogStream("asgard.log")
         #: When the upgrade started: the ``since`` of every attempt's

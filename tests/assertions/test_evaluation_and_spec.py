@@ -63,6 +63,11 @@ def service(engine):
     env = AssertionEnvironment(
         engine=engine,
         client=ConsistentApiClient(engine, object(), latency=ConstantLatency(0.01)),
+        # No cloud behind this engine: nothing here reads a monitor, region
+        # state or CloudTrail.
+        monitor=None,
+        state=None,
+        trail=None,
     )
     storage = CentralLogStorage()
     failures = []

@@ -30,6 +30,8 @@ def env(provisioned_cloud):
         engine=cloud.engine,
         client=client,
         monitor=cloud.monitor,
+        state=cloud.state,
+        trail=cloud.trail,
         config=RollingUpgradeParams(
             asg_name="asg-dsn",
             elb_name="elb-dsn",

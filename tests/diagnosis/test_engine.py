@@ -60,6 +60,11 @@ def build_engine_fixture(engine, script, probe_results=None, tree=None):
     env = AssertionEnvironment(
         engine=engine,
         client=ConsistentApiClient(engine, object(), latency=ConstantLatency(0.01)),
+        # No cloud behind this engine: nothing here reads a monitor, region
+        # state or CloudTrail.
+        monitor=None,
+        state=None,
+        trail=None,
     )
     storage = CentralLogStorage()
     assertions = AssertionEvaluationService(env, storage=storage)

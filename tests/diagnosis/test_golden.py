@@ -43,6 +43,13 @@ each root cause got one node id across the trees: ``lc-wrong-*`` became
 became ``instance-launch-failing``, and ``deviation-elb-unavailable``
 became ``elb-unavailable``.  c0aa437's logs and traces with those ids
 renamed hash to the values below; the walk's decisions did not change.
+
+All eight ``trace`` digests moved, ``log`` and ``metrics`` did not, when
+the trace became read from the run's records at export instead of
+recorded by a live tracer: span ids are now handed out in start order,
+not in the order the spans were opened.  ``tools/outcome_diff.py``, which
+compares traces as id-free forests, found no differing span in any of
+the seed-2014 and seed-31 paper and traced campaigns' runs against 6c9a7d0.
 """
 
 import hashlib
@@ -57,42 +64,42 @@ from repro.testbed import Testbed
 GOLDEN = {
     "AMI_CHANGED": {
         "log": "683955d0fb309f7c363d876f132f9afc3cca3621cc0d77e7d8eac94d0178a46b",
-        "trace": "53d3adb66e97e46c6cf07264111c52d0a69c9feb432a4738f4325696876e273e",
+        "trace": "31e22ea5689c2fc97074cd00547c5e94204debe72bb8eb975dda536983e59ab3",
         "metrics": "d486f583ca18d406b3f999edfbedfea61c2c6b9463119a1643571841286053e7",
     },
     "KEYPAIR_WRONG": {
         "log": "640b5184c1b1a0e47334c3a7f141c7cf0baec6199f8c0ab8446ba23f44900377",
-        "trace": "688d5f79198945860873ba209b26d1407f7e72d8c7a901717fc7466d32f7058e",
+        "trace": "0ba2799d7d85e0ad7750eec2d1c4960df83486067ebc15c5fed919ec5123fe05",
         "metrics": "84f0712fe37d54f328f0054dfa94cf2c1d4c4dbc3734e8875a6c0c7f6b6468d4",
     },
     "SG_WRONG": {
         "log": "dffc36e4110f94c70ba3186676b5d823098afa79b7c310074cc5f86676a3d670",
-        "trace": "72389d6439299a53b44a0102bbf195d9c8bdc8df8a242491dce7b53f0c9f3460",
+        "trace": "e6d259de29e3eabc405982a525d4b7a4790ebf78d518dbf8dbe2c636c38af8b6",
         "metrics": "189703dc4d6f15ca2ac5944d56240621bccf523f36effb1d36705159936f2ead",
     },
     "INSTANCE_TYPE_CHANGED": {
         "log": "0feb66b38a0d016b50f1e9b834fffcb800892b67b9e0d267a5d62d02ccc58493",
-        "trace": "2df97a75fae5ac75a7a8901c5e6626118bc27d8cd11762c854758ab88c6f8a0b",
+        "trace": "5703de3fc052ba818a2174e4633733c5bab4f698a07191bf495d18b2a805aa29",
         "metrics": "d253f0ca9902e3cb26cb48cd775a10f3880b094d934ba8c11083a7d2c16fc859",
     },
     "AMI_UNAVAILABLE": {
         "log": "39e56aea1b55c3509e8a49607d9676f0bca623b722edd4938d7e704efe34b6a7",
-        "trace": "33c65728dbc4dfd237df2e100002d16f6307e64a530854adb4c0b3c5187ab926",
+        "trace": "561a98ed5d0e7f283149a675d0f79b780006b8c87be7253aeb8e39cd4f7ba72d",
         "metrics": "8629e792d1ae468f6396592c41f4408028f14442ef21c07aedcf8bd5d812affe",
     },
     "KEYPAIR_UNAVAILABLE": {
         "log": "257ad946689a7f978bdbe0f874ce176bc595cdf7856f42555575d9272aaaebde",
-        "trace": "ce992e4c0d54b3bcb110474759e15d2e27019f99b21aeff9a130337383299316",
+        "trace": "d9d12fb37d3a6462cf5dec1d50537531893dc3a44cb779368b5db534e78b5747",
         "metrics": "2760c7e1ae87204e0528dd2a97ab088017263f19e44b168030118da6226194a6",
     },
     "SG_UNAVAILABLE": {
         "log": "e8c151265891f0e4ed26f7c2495a4add88499d5ce77894bbf49ce5ef99e05ff7",
-        "trace": "7840e2c27e34de0a982131d37ddc13c0e9811fbda4afd72b730d5f49ea1aae72",
+        "trace": "7ca3482a8c356e9df4c6fd8d3c42bcf153458afc2b5544bef50c7830c24e88b4",
         "metrics": "ec5ad8cc3685958e73c9cd98b0a80dec321e37a74ce3de1fe464dffda23971e9",
     },
     "ELB_UNAVAILABLE": {
         "log": "18acd006cb91d6a01bf5e04790992889a6d201713080a0e90803e9b35a0064de",
-        "trace": "a6b402e8ddd51fa84db0c3498467960328c215d429f54b99426d151eaeecd36f",
+        "trace": "b1a1a2c6068011ea0eeb90b74c8a551094a43a6572b57856dce1e428d110eec6",
         "metrics": "11b9c184983136f9cd37efb2d78494497fc81712dc6d17c1cd35582f426e5419",
     },
 }

@@ -78,16 +78,19 @@ RUNS = {
 #: ids renamed hash to these values, and the two ``degraded`` ones differ
 #: from c0aa437's only in report causes and the recovery record's
 #: ``cause_ids`` / ``confirmed_causes``, where the two names of a cause
-#: became one entry.
+#: became one entry; the four ``traced`` ones again when the trace became
+#: read from the run's records at export: span ids follow start order,
+#: and ``tools/outcome_diff.py`` (traces compared as id-free forests) found
+#: no differing path in the seed-2014 traced campaign against 6c9a7d0.
 RECORDED = {
     ("paper", "completes-4"): "34150f6bd622cb2c",
     ("paper", "completes-20"): "a4270da28d48062e",
     ("paper", "stalls-4"): "13ac72874489bbaf",
     ("paper", "stalls-20"): "7c7508f4cbf92990",
-    ("traced", "completes-4"): "b603bbffc3dbecab",
-    ("traced", "completes-20"): "96e9bda8a00d32b0",
-    ("traced", "stalls-4"): "e3f50a8541a9096d",
-    ("traced", "stalls-20"): "b61c8f235e869b8b",
+    ("traced", "completes-4"): "2d5d653cd009fe99",
+    ("traced", "completes-20"): "f9e78d833434d38d",
+    ("traced", "stalls-4"): "44f4267b7428582c",
+    ("traced", "stalls-20"): "5a349f253d1287fd",
     ("degraded", "completes-4"): "b977cbb35b6cbaae",
     ("degraded", "completes-20"): "f25b9a34bcd4fa1d",
     ("degraded", "stalls-4"): "768cb8cde9739e1c",

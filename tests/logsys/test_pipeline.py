@@ -1,5 +1,7 @@
 """Tests for the local log processor pipeline (Fig. 3) and its stages."""
 
+import types
+
 from repro.assertions.results import AssertionResult
 from repro.logsys.annotator import AssertionAnnotator, ProcessAnnotator
 from repro.logsys.filters import NoiseFilter
@@ -8,6 +10,7 @@ from repro.logsys.pipeline import LocalLogProcessor
 from repro.logsys.record import LogRecord, LogStream
 from repro.logsys.storage import CentralLogStorage
 from repro.logsys.trigger import Trigger
+from repro.obs import run_trace
 from repro.process.conformance import ConformanceChecker
 from repro.process.context import ProcessContext
 from repro.process.model import ProcessModel
@@ -106,7 +109,10 @@ class TestLocalLogProcessor:
                 noise_filter=NoiseFilter(library()),
                 process_annotator=ProcessAnnotator(library(), "p", "t"),
                 assertion_annotator=aa,
-                trigger=Trigger(conformance=conformance, assertions=assertions),
+                trigger=Trigger(
+                    conformance=conformance or (lambda rec: None),
+                    assertions=assertions or (lambda rec, ids: None),
+                ),
                 storage=storage,
             ),
             storage,
@@ -152,31 +158,28 @@ class TestLocalLogProcessor:
         assert processor.shipped_count == 1
 
     def test_metrics_and_spans_recorded_when_observed(self):
-        from repro.obs import Observability
-
-        def processor(obs):
-            aa = AssertionAnnotator()
-            aa.bind("work", "end", ["check-1"])
-            lib = library()
-            return LocalLogProcessor(
-                noise_filter=NoiseFilter(lib),
-                process_annotator=ProcessAnnotator(lib, "p", "t"),
-                assertion_annotator=aa,
-                trigger=Trigger(),
-                storage=CentralLogStorage(),
-                obs=obs,
-            )
-
-        obs = Observability()
-        traced, untraced = processor(obs), processor(None)
-        for each in (traced, untraced):
-            each.process(record("did work on i-1"))
-            each.process(record("noise"))
-        # Counted whether or not the run is traced (filtered, ingested, shipped).
-        for each in (traced, untraced):
-            assert (each.filtered_count, each.ingested_count, each.shipped_count) == (1, 1, 1)
-        # One ingest span per accepted record, none for the filtered one.
-        assert [s.stage for s in obs.export_trace()] == ["ingest"]
+        model = ProcessModel("linear")
+        model.add_sequence("begin", "work")
+        model.mark_start("begin")
+        model.mark_end("work")
+        checker = ConformanceChecker(model, library(), storage=CentralLogStorage())
+        processor, _ = self._processor(conformance=checker.check)
+        processor.process(record("did work on i-1"))
+        processor.process(record("noise"))
+        # Counted always (filtered, ingested, shipped): no run is "unobserved".
+        assert (processor.filtered_count, processor.ingested_count, processor.shipped_count) == (
+            1, 1, 1
+        )
+        # One ingest span per accepted record, read from its check at export;
+        # none for the filtered one.
+        empty = types.SimpleNamespace(results=[], completed=[])
+        run = types.SimpleNamespace(
+            pod=types.SimpleNamespace(conformance=checker, assertions=empty, diagnosis=empty),
+            recoveries=[],
+        )
+        ingest, check = run_trace(run)
+        assert (ingest.stage, ingest.parent_id, check.parent_id) == ("ingest", None, ingest.span_id)
+        assert ingest.attrs == {"source": "op.log", "step": "work", "shipped": True}
 
 
 class TestProcessGolden:
@@ -319,7 +322,7 @@ class TestProcessGolden:
             noise_filter=NoiseFilter(lib, passthrough_unmatched=True),
             process_annotator=ProcessAnnotator(lib, "rolling-upgrade", "run-1"),
             assertion_annotator=annotator,
-            trigger=Trigger(conformance=checker.check),
+            trigger=Trigger(conformance=checker.check, assertions=lambda rec, ids: None),
             storage=storage,
         )
         records = [

@@ -1,8 +1,7 @@
 """Trace export: JSON payload shape and rendered span trees."""
 
-from repro.obs import Observability, Span
+from repro.obs import Span
 from repro.obs.export import render_span_tree, span_children, span_stages, trace_payload
-from repro.sim.clock import SimClock
 
 
 def _spans() -> list[Span]:
@@ -77,14 +76,3 @@ class TestPayload:
     def test_none_metrics_becomes_empty_dict(self):
         assert trace_payload("r", [], None)["metrics"] == {}
 
-
-class TestObservability:
-    def test_for_engine_binds_virtual_clock(self):
-        class FakeEngine:
-            clock = SimClock()
-
-        FakeEngine.clock.advance_to(42.0)
-        obs = Observability.for_engine(FakeEngine())
-        with obs.tracer.span("a", "s"):
-            pass
-        assert obs.export_trace()[0].start == 42.0

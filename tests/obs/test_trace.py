@@ -1,131 +1,173 @@
-"""Tracer semantics: nesting, async spans, activation, disabled no-op."""
+"""A run's trace, read from its records at export (:func:`repro.obs.run_trace`)."""
 
+import collections
+import dataclasses
 import pickle
 
 import pytest
 
-from repro.obs.trace import Span, Tracer
+from repro.evaluation.campaign import Campaign, CampaignConfig, run_single
+from repro.obs import Observability, run_trace
+from repro.obs.trace import Span
 from repro.testbed import Testbed
 
+#: A small-cluster seed-2014 run whose severe + recover twin diagnoses,
+#: recovers and resumes: every record the trace is read from.
+RUN_ID = "ami_changed-07"
 
-class FakeClock:
-    """Mutable virtual clock standing in for an engine."""
 
-    def __init__(self, now: float = 0.0) -> None:
-        self.now = now
+def spec_for(**flags):
+    specs = Campaign(CampaignConfig(seed=2014, **flags)).build_specs()
+    return next(spec for spec in specs if spec.run_id == RUN_ID)
 
-    def __call__(self) -> float:
-        return self.now
+
+@dataclasses.dataclass
+class Traced:
+    testbed: Testbed
+    outcome: object
+
+    @property
+    def spans(self) -> list[Span]:
+        return self.outcome.trace
+
+    def by_id(self) -> dict[int, Span]:
+        return {span.span_id: span for span in self.spans}
+
+    def named(self, stage: str, name: str) -> list[Span]:
+        return [s for s in self.spans if (s.stage, s.name) == (stage, name)]
+
+
+def traced_run(spec) -> Traced:
+    """Run ``spec`` and keep its testbed (closed, as ``run_single`` leaves it)."""
+    kept = []
+    original_close = Testbed.close
+
+    def keep(self):
+        kept.append(self)
+        original_close(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Testbed, "close", keep)
+        outcome = run_single(spec)
+    return Traced(kept[0], outcome)
+
+
+@pytest.fixture(scope="module")
+def run() -> Traced:
+    return traced_run(spec_for(chaos_profile="severe", recover=True, trace=True))
+
+
+class TestReadFromRecords:
+    def test_one_ingest_and_one_check_span_per_conformance_result(self, run):
+        results = run.testbed.pod.conformance.results
+        ingest, checks = run.named("ingest", "record"), run.named("conformance", "check")
+        assert len(ingest) == len(checks) == len(results) > 0
+        ids = run.by_id()
+        for check, result in zip(checks, results):
+            parent = ids[check.parent_id]
+            assert (parent.stage, parent.start, parent.end) == ("ingest", result.time, result.time)
+            assert check.attrs == {
+                "status": result.status, "activity": result.activity, "trace": result.trace_id,
+            }
+        assert all(span.parent_id is None for span in ingest)
+
+    def test_evaluations_parent_under_their_log_record_and_timers_are_roots(self, run):
+        results = [r for r in run.testbed.pod.assertions.results if r.cause != "on-demand"]
+        evaluations = run.named("assertion", "evaluate")
+        assert len(evaluations) == len(results)
+        ids = run.by_id()
+        causes = collections.Counter()
+        for span in evaluations:
+            parent = ids.get(span.parent_id)
+            causes[span.attrs["cause"], parent.stage if parent else None] += 1
+            assert span.start <= span.end
+        assert set(causes) <= {("log", "ingest"), ("timer-timeout", None)}
+        assert causes["log", "ingest"] > 0
+
+    def test_walks_parent_under_the_entry_that_triggered_them(self, run):
+        reports = run.testbed.pod.diagnosis.completed
+        walks = run.named("diagnosis", "walk")
+        assert len(walks) == len(reports) > 0
+        ids = run.by_id()
+        expected = {"assertion": ("assertion", "evaluate"), "conformance": ("conformance", "check")}
+        for walk in walks:
+            parent = ids[walk.parent_id]
+            assert (parent.stage, parent.name) == expected[walk.attrs["trigger"]]
+            assert parent.end == walk.start
+
+    def test_one_test_span_per_test_execution(self, run):
+        reports = run.testbed.pod.diagnosis.completed
+        tests = run.named("diagnosis", "test")
+        assert len(tests) == sum(len(report.tests) for report in reports)
+        ids = run.by_id()
+        assert {ids[span.parent_id].name for span in tests} == {"walk"}
+        looked = [s for s in tests if not s.attrs.get("cached")]
+        assert looked and all(s.end >= s.start for s in looked)
+
+    def test_recovery_actions_nest_under_their_execute(self, run):
+        (execute,) = run.named("recovery", "execute")
+        (result,) = run.testbed.recoveries[0].results
+        actions = [s for s in run.spans if s.stage == "recovery" and s.name != "execute"]
+        assert execute.parent_id is None
+        assert (execute.start, execute.end) == (result.started_at, result.finished_at)
+        assert execute.attrs == {"actions": len(result.actions), "status": result.status}
+        assert actions and all(s.parent_id == execute.span_id for s in actions)
+        assert [s.name for s in actions] == [a.action for a in result.actions]
+
+    def test_every_span_is_closed(self, run):
+        assert all(span.end is not None for span in run.spans)
 
 
 class TestSynchronousSpans:
-    def test_context_manager_nests_and_times(self):
-        clock = FakeClock()
-        tracer = Tracer(clock)
-        with tracer.span("record", "ingest", source="asgard.log"):
-            clock.now = 1.0
-            with tracer.span("check", "conformance") as inner:
-                clock.now = 2.5
-                inner.set(status="fit")
-        spans = tracer.export()
-        assert [s.name for s in spans] == ["record", "check"]
-        outer, inner = spans
-        assert inner.parent_id == outer.span_id
-        assert outer.parent_id is None
-        assert (outer.start, outer.end) == (0.0, 2.5)
-        assert (inner.start, inner.end) == (1.0, 2.5)
-        assert inner.attrs == {"status": "fit"}
-        assert outer.attrs == {"source": "asgard.log"}
+    def test_span_ids_sequential_in_creation_order(self, run):
+        spans = run.spans
+        assert [s.span_id for s in spans] == list(range(1, len(spans) + 1))
+        assert [s.start for s in spans] == sorted(s.start for s in spans)
+        # Handed out in start order, a parent before any child.
+        assert all(s.parent_id is None or s.parent_id < s.span_id for s in spans)
 
-    def test_span_ids_sequential_in_creation_order(self):
-        tracer = Tracer(FakeClock())
-        with tracer.span("a", "s"):
-            with tracer.span("b", "s"):
-                pass
-        with tracer.span("c", "s"):
-            pass
-        assert [s.span_id for s in tracer.export()] == [1, 2, 3]
-
-    def test_siblings_share_parent(self):
-        tracer = Tracer(FakeClock())
-        with tracer.span("parent", "s") as parent:
-            with tracer.span("first", "s"):
-                pass
-            with tracer.span("second", "s"):
-                pass
-        spans = tracer.export()
-        assert [s.parent_id for s in spans[1:]] == [parent.span_id, parent.span_id]
+    def test_siblings_share_parent(self, run):
+        ids = run.by_id()
+        walk = next(w for w in run.named("diagnosis", "walk") if w.attrs["tests"] > 1)
+        tests = [s for s in run.spans if s.parent_id == walk.span_id]
+        assert len(tests) == walk.attrs["tests"]
+        assert {ids[s.parent_id].span_id for s in tests} == {walk.span_id}
 
 
 class TestAsyncSpans:
-    def test_start_span_adopts_current_parent(self):
-        clock = FakeClock()
-        tracer = Tracer(clock)
-        with tracer.span("trigger", "ingest") as trigger:
-            pending = tracer.start_span("evaluate", "assertion", cause="log")
-        # The synchronous section closed; the async span is still open.
-        clock.now = 7.0
-        tracer.finish(pending, result="passed")
-        span = tracer.export()[1]
-        assert span.parent_id == trigger.span_id
-        assert span.end == 7.0
-        assert span.attrs == {"cause": "log", "result": "passed"}
-
-    def test_explicit_parent_chains_async_stages(self):
-        tracer = Tracer(FakeClock())
-        walk = tracer.start_span("walk", "diagnosis")
-        test = tracer.start_span("test", "diagnosis", parent=walk)
-        tracer.finish(test)
-        tracer.finish(walk)
-        spans = tracer.export()
-        assert spans[1].parent_id == spans[0].span_id
-
-    def test_activate_parents_sync_callbacks_under_async_span(self):
-        tracer = Tracer(FakeClock())
-        evaluation = tracer.start_span("evaluate", "assertion")
-        with tracer.activate(evaluation):
-            with tracer.span("walk", "diagnosis"):
-                pass
-        tracer.finish(evaluation)
-        walk = tracer.export()[1]
-        assert walk.parent_id == evaluation.span_id
-
-    def test_finish_is_idempotent_on_end_time(self):
-        clock = FakeClock()
-        tracer = Tracer(clock)
-        span = tracer.start_span("x", "s")
-        clock.now = 1.0
-        tracer.finish(span)
-        clock.now = 9.0
-        tracer.finish(span, late_attr=True)
-        exported = tracer.export()[0]
-        assert exported.end == 1.0
-        assert exported.attrs["late_attr"] is True
+    def test_explicit_parent_chains_async_stages(self, run):
+        """ingest → evaluate → walk → test: each stage starts where the one
+        that caused it stands, across engine yields."""
+        ids = run.by_id()
+        chains = set()
+        for test in run.named("diagnosis", "test"):
+            chain, span = [], test
+            while span is not None:
+                chain.append(f"{span.stage}:{span.name}")
+                span = ids.get(span.parent_id)
+            chains.add(tuple(reversed(chain)))
+        assert (
+            "ingest:record", "assertion:evaluate", "diagnosis:walk", "diagnosis:test"
+        ) in chains
 
 
 class TestDeterminism:
-    def _record(self, tracer: Tracer, clock: FakeClock) -> None:
-        with tracer.span("record", "ingest"):
-            clock.now += 0.5
-            with tracer.span("check", "conformance", status="fit"):
-                pass
-        pending = tracer.start_span("evaluate", "assertion")
-        clock.now += 1.0
-        tracer.finish(pending, result="failed")
+    def test_identical_operations_identical_export(self, run):
+        again = traced_run(spec_for(chaos_profile="severe", recover=True, trace=True))
+        assert again.spans == run.spans
 
-    def test_identical_operations_identical_export(self):
-        first_clock, second_clock = FakeClock(), FakeClock()
-        first, second = Tracer(first_clock), Tracer(second_clock)
-        for _ in range(3):
-            self._record(first, first_clock)
-            self._record(second, second_clock)
-        assert first.export() == second.export()
+    def test_tracing_changes_nothing_the_run_records(self, run):
+        """The untraced twin keeps the same records: read at export, they
+        give the traced run's spans."""
+        twin = traced_run(spec_for(chaos_profile="severe", recover=True))
+        assert twin.outcome.trace is None
+        assert run_trace(twin.testbed) == run.spans
+        assert dataclasses.replace(
+            twin.outcome, spec=run.outcome.spec, trace=run.spans, metrics={}
+        ) == dataclasses.replace(run.outcome, metrics={})
 
-    def test_export_round_trips_as_plain_dicts(self):
-        clock = FakeClock()
-        tracer = Tracer(clock)
-        self._record(tracer, clock)
-        for span in tracer.export():
+    def test_export_round_trips_as_plain_dicts(self, run):
+        for span in run.spans:
             assert set(span.to_dict()) == {
                 "span_id", "parent_id", "name", "stage", "start", "end", "attrs"
             }
@@ -138,38 +180,27 @@ class TestDeterminism:
 
 
 class TestRecordedOnce:
-    """A traced run's export is the tracer's own spans: no per-span copy,
-    no reference back to the tracer."""
+    """A span is read from a record each time the trace is exported; the
+    run holds no span."""
 
-    @pytest.fixture(scope="class")
-    def testbed(self):
-        testbed = Testbed(cluster_size=4, seed=7, trace=True)
-        testbed.run_upgrade()
-        testbed.close()
-        return testbed
+    def test_each_export_is_fresh(self, run):
+        first, second = (Observability().export_trace(run.testbed) for _ in range(2))
+        assert first == second
+        assert not {id(span) for span in first} & {id(span) for span in second}
 
-    def test_export_is_the_tracers_own_spans(self, testbed):
-        exported = testbed.obs.export_trace()
-        recorded = testbed.obs.tracer.spans
-        assert exported and exported is not recorded
-        assert len(exported) == len(recorded)
-        assert all(mine is theirs for mine, theirs in zip(exported, recorded))
-
-    def test_span_holds_only_its_seven_fields(self, testbed):
+    def test_span_holds_only_its_seven_fields(self, run):
         fields = {"span_id", "parent_id", "name", "stage", "start", "end", "attrs"}
-        for span in testbed.obs.export_trace():
+        for span in run.spans:
             assert not hasattr(span, "__dict__")
-            assert not hasattr(span, "_tracer")
             assert set(span.to_dict()) == fields
-        attrs = [id(span.attrs) for span in testbed.obs.export_trace()]
+        attrs = [id(span.attrs) for span in run.spans]
         assert len(set(attrs)) == len(attrs), "spans share an attrs dict"
 
-    def test_span_pickles_equal(self, testbed):
-        spans = testbed.obs.export_trace()
-        assert pickle.loads(pickle.dumps(spans)) == spans
+    def test_span_pickles_equal(self, run):
+        assert pickle.loads(pickle.dumps(run.spans)) == run.spans
 
-    def test_data_plane_counted_once(self, testbed):
+    def test_data_plane_counted_once(self, run):
         # The data plane counts nothing: the region's history is its record.
-        exported = testbed.obs.export_metrics(testbed)["counters"]
+        exported = run.outcome.metrics["counters"]
         assert list(exported) == sorted(exported)
         assert not [k for k in exported if k.startswith("cloud.")]

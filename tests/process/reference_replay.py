@@ -203,7 +203,7 @@ class ReferenceChecker:
         context.conformance = status
         context.step = activity or context.step
         record.add_entries([tag_entry(f"conformance:{status}")])
-        result = ConformanceResult(status, activity, trace_id, context=context)
+        result = ConformanceResult(status, activity, trace_id, record, context)
         self.results.append(result)
         return result
 

@@ -241,7 +241,7 @@ GUARDS: dict[str, Guard] = {
     ),
     "a-span-is-recorded-once": Guard(
         r"attach_obs|span\._tracer", SRC_TESTS_EX, "e008f82",
-        "the outcome holds the tracer's spans; data-plane counters are not mirrored",
+        "a span is read from a record at export; data-plane counters are not mirrored",
         "    state.attach_obs(obs)",
     ),
     "metrics-read-at-export": Guard(
@@ -390,6 +390,13 @@ GUARDS: dict[str, Guard] = {
         "a root cause has one node id in every tree: a shared sub-tree is built under one"
         " name, so no table names a cause twice",
         '                    *_wrong_config_children(prefix="lc-"),',
+    ),
+    "tracing-runs-no-code": Guard(
+        r"_tracer|start_span|activate\(|obs=", ("src/",), "TENTPOLE",
+        "a run's trace is read from its records at export: no component takes obs= or"
+        " holds a tracer, so tracing changes no code that runs",
+        "        self._tracer = obs.tracer if obs else None",
+        drop="src/repro/obs/",
     ),
 }
 

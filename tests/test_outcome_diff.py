@@ -69,12 +69,20 @@ def calls(path: pathlib.Path) -> list[dict]:
     return [json.loads(line) for line in log.read_text().splitlines()]
 
 
+def span(span_id: int, parent_id: int | None, name: str, start: float, end: float) -> dict:
+    """One span as ``dataclasses.asdict(outcome)`` writes it."""
+    return {
+        "span_id": span_id, "parent_id": parent_id, "name": name, "stage": "s",
+        "start": start, "end": end, "attrs": {"k": [1]},
+    }
+
+
 def outcome(run_id: str, shared: int | None = 3, ms: tuple = (1, 2)) -> dict:
     health = {"calls": 5} if shared is None else {"calls": 5, "cloud.snapshot.shared": shared}
     return {
         "spec": {"run_id": run_id},
         "api_health": health,
-        "trace": [{"name": f"span-{i}", "ms": value} for i, value in enumerate(ms)],
+        "trace": [span(i + 1, None, f"span-{i}", 0.0, value) for i, value in enumerate(ms)],
     }
 
 
@@ -121,8 +129,8 @@ def test_moved_paths_are_listed_collapsed_with_counts(tmp_path, capsys):
     })
     assert outcome_diff.main([str(parent), str(change)]) == 1
     out = capsys.readouterr().out
-    # Two runs in each of four campaigns; the second span's ms moved in one run.
-    assert table(out) == {"api_health/cloud.snapshot.shared": 8, "trace/*/ms": 4}
+    # Two runs in each of four campaigns; the second span's end moved in one run.
+    assert table(out) == {"api_health/cloud.snapshot.shared": 8, "trace/s:span-1": 4}
     assert "2 path(s) differ" in out
 
 
@@ -171,3 +179,27 @@ def test_a_crashed_campaign_stops_the_tool(tmp_path):
 )
 def test_differing_walks_every_leaf(parent, change, moved):
     assert dict(outcome_diff.differing(parent, change)) == moved
+
+
+def test_traces_differing_only_in_ids_and_order_do_not_differ():
+    parent = [span(1, None, "walk", 0.0, 3.0), span(2, 1, "test", 1.0, 2.0),
+              span(3, 1, "test", 2.0, 3.0)]
+    change = [span(9, 7, "test", 2.0, 3.0), span(7, None, "walk", 0.0, 3.0),
+              span(4, 7, "test", 1.0, 2.0)]
+    assert outcome_diff.differing({"trace": parent}, {"trace": change}) == {}
+
+
+def test_a_span_under_another_parent_is_one_path():
+    parent = [span(1, None, "walk", 0.0, 3.0), span(2, None, "walk", 4.0, 5.0),
+              span(3, 1, "test", 1.0, 2.0)]
+    change = [span(1, None, "walk", 0.0, 3.0), span(2, None, "walk", 4.0, 5.0),
+              span(3, 2, "test", 1.0, 2.0)]
+    assert outcome_diff.differing({"trace": parent}, {"trace": change}) == {
+        "trace/s:walk/s:test": 1
+    }
+    # A moved root is gone from one path and new at another.
+    orphan = [span(1, None, "walk", 0.0, 3.0), span(2, None, "walk", 4.0, 5.0),
+              span(3, None, "test", 1.0, 2.0)]
+    assert outcome_diff.differing({"trace": orphan}, {"trace": change}) == {
+        "trace/s:test": 1, "trace/s:walk/s:test": 1
+    }

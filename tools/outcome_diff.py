@@ -14,9 +14,17 @@ whose value differs is printed once, with list indices collapsed to
 
      480  api_health/cloud.snapshot.shared
 
-A path present on one side only counts as differing.  Each campaign's
-line also names the runs (``spec.run_id``, paired in spec order) whose
-outcomes differ::
+A path present on one side only counts as differing.  ``trace`` is
+compared by shape, not by encoding: each span is keyed by its path of
+``(stage, name, start, end, attrs)`` from its root, so span ids and the
+order of siblings do not count.  A span found on one side only prints as
+``trace/`` and the ``stage:name`` chain from its root, counted once whether
+it moved, appeared or went::
+
+       2  trace/recovery:execute/recovery:restore-launch-configuration
+
+Each campaign's line also names the runs (``spec.run_id``, paired in spec
+order) whose outcomes differ::
 
     seed 2014 paper: 160 | 160 runs, 2 differ: ami_changed-10 sg_wrong-01
 
@@ -88,14 +96,52 @@ def collapse(path: tuple) -> str:
     return "/".join("*" if isinstance(step, int) else step for step in path)
 
 
+def span_paths(spans: list[dict]) -> collections.Counter:
+    """The trace as an id-free forest: each span's path of ``(stage, name,
+    start, end, attrs)`` from its root, with how many spans share it."""
+    by_id = {span["span_id"]: span for span in spans}
+    paths: collections.Counter = collections.Counter()
+    for span in spans:
+        path = []
+        while span is not None:
+            attrs = json.dumps(span["attrs"], sort_keys=True)
+            path.append((span["stage"], span["name"], span["start"], span["end"], attrs))
+            span = by_id.get(span["parent_id"])
+        paths[tuple(reversed(path))] += 1
+    return paths
+
+
+def differing_spans(parent: list[dict], change: list[dict]) -> collections.Counter:
+    """``trace/stage:name/...`` -> how many spans under it are on one side only."""
+    ours, theirs = span_paths(parent), span_paths(change)
+
+    def by_label(paths: collections.Counter) -> collections.Counter:
+        labels: collections.Counter = collections.Counter()
+        for path, count in paths.items():
+            labels["/".join(["trace", *(f"{stage}:{name}" for stage, name, *_ in path)])] += count
+        return labels
+
+    # A span that moved is gone from one path and new at another: count it once.
+    return by_label(ours - theirs) | by_label(theirs - ours)
+
+
 def differing(parent: dict, change: dict) -> collections.Counter:
-    """Collapsed path -> how many concrete paths under it differ."""
+    """Collapsed path -> how many concrete paths (or spans) under it differ."""
+    moved: collections.Counter = collections.Counter()
+    traces = parent.get("trace"), change.get("trace")
+    if all(isinstance(trace, list) for trace in traces):
+        moved.update(differing_spans(*traces))
+        parent, change = (
+            {key: value for key, value in side.items() if key != "trace"}
+            for side in (parent, change)
+        )
     ours, theirs = leaves(parent), leaves(change)
-    return collections.Counter(
+    moved.update(
         collapse(path)
         for path in ours.keys() | theirs.keys()
         if ours.get(path, MISSING) != theirs.get(path, MISSING)
     )
+    return moved
 
 
 def main(argv: list[str] | None = None) -> int:
