@@ -392,7 +392,7 @@ GUARDS: dict[str, Guard] = {
         '                    *_wrong_config_children(prefix="lc-"),',
     ),
     "tracing-runs-no-code": Guard(
-        r"_tracer|start_span|activate\(|obs=", ("src/",), "TENTPOLE",
+        r"_tracer|start_span|activate\(|obs=", ("src/",), "e6e5ef5",
         "a run's trace is read from its records at export: no component takes obs= or"
         " holds a tracer, so tracing changes no code that runs",
         "        self._tracer = obs.tracer if obs else None",
