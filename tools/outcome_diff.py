@@ -18,8 +18,8 @@ A path present on one side only counts as differing.  ``trace`` is
 compared by shape, not by encoding: each span is keyed by its path of
 ``(stage, name, start, end, attrs)`` from its root, so span ids and the
 order of siblings do not count.  A span found on one side only prints as
-``trace/`` and the ``stage:name`` chain from its root, counted once whether
-it moved, appeared or went::
+``trace/`` and the ``stage:name`` chain from its root; under one chain, a
+span that changed (gone from one path, new at another) counts once::
 
        2  trace/recovery:execute/recovery:restore-launch-configuration
 
@@ -121,7 +121,8 @@ def differing_spans(parent: list[dict], change: list[dict]) -> collections.Count
             labels["/".join(["trace", *(f"{stage}:{name}" for stage, name, *_ in path)])] += count
         return labels
 
-    # A span that moved is gone from one path and new at another: count it once.
+    # Under one label, a span that changed is gone from one path and new at
+    # another: the larger side counts it once.
     return by_label(ours - theirs) | by_label(theirs - ours)
 
 
