@@ -30,9 +30,10 @@ test:
 	python -m pytest -x -q
 
 # The paper's tables and figures (Table I, Fig. 2/5/6/7, §II, §V.D,
-# ablations) on the seeded 160-run campaign, printing each one, and the
-# fault-tree coverage table (tests/paper/coverage.py, checked by
-# tests/paper/test_walk_replay.py), which
+# ablations) on the seeded 160-run campaign, run once per session and
+# printing each one, and the fault-tree coverage table
+# (tests/paper/coverage.py, checked by tests/paper/test_walk_replay.py
+# while it replays every report of that campaign), which
 # `make check` skips as slow.
 paper:
 	python -m pytest -q tests/paper -s

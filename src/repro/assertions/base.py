@@ -79,20 +79,13 @@ class Assertion:
     # -- helpers for subclasses -------------------------------------------------
 
     def _result(
-        self,
-        env: AssertionEnvironment,
-        passed: bool,
-        detail: str,
-        params: dict,
-        started_at: float,
-        observed: dict | None = None,
+        self, passed: bool, detail: str, params: dict, observed: dict | None = None
     ) -> AssertionResult:
+        """This assertion's answer; the evaluation service stamps its times."""
         return AssertionResult(
             assertion_id=self.assertion_id,
             passed=passed,
             detail=detail,
-            time=env.engine.now,
-            duration=env.engine.now - started_at,
             params=dict(params),
             observed=dict(observed or {}),
         )

@@ -141,18 +141,15 @@ class AssertionEvaluationService:
         try:
             result = yield from assertion.evaluate(env, params)
         except (CloudError, ConsistentCallError) as exc:
-            now = env.engine.now
             result = AssertionResult(
                 assertion_id=assertion.assertion_id,
                 passed=False,
                 detail=f"evaluation aborted by API failure: {exc}",
-                time=now,
-                duration=now - started,
                 params=dict(params),
                 timed_out=bool(getattr(exc, "timed_out", False)),
                 degraded=is_degraded(exc),
             )
-        result.started_at = started
+        result.started_at, result.time = started, env.engine.now
         return result
 
     def _run(

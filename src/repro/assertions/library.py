@@ -73,12 +73,11 @@ class AsgInstanceCountAssertion(Assertion):
             self.description = "the ASG has N running instances (post-step)"
 
     def evaluate(self, env: AssertionEnvironment, params: dict) -> _t.Generator:
-        started = env.engine.now
         asg_name = env.expected("asg_name", params)
         expected = env.expected("desired_capacity", params)
         if asg_name is None or expected is None:
             return self._result(
-                env, False, "missing asg_name/desired_capacity parameters", params, started
+                False, "missing asg_name/desired_capacity parameters", params
             )
         expected = int(expected)
         target_image = env.expected("expected_image_id", params)
@@ -102,11 +101,9 @@ class AsgInstanceCountAssertion(Assertion):
         )
         members = counted(instances)
         return self._result(
-            env,
             True,
             f"ASG {asg_name} has {len(members)} instances",
             params,
-            started,
             observed={"instances": members, "expected": expected},
         )
 
@@ -125,10 +122,9 @@ class InstanceVersionAssertion(Assertion):
     fault_tree_id = "asg-wrong-version"
 
     def evaluate(self, env: AssertionEnvironment, params: dict) -> _t.Generator:
-        started = env.engine.now
         instance_id = params.get("instanceid")
         if instance_id is None:
-            return self._result(env, False, "no instance id in trigger context", params, started)
+            return self._result(False, "no instance id in trigger context", params)
         described = yield from env.client.call("describe_instance", instance_id)
         observed = {"instance_id": instance_id}
         observed.update((row.describe_key, row.read(described)) for row in FIELDS)
@@ -138,19 +134,15 @@ class InstanceVersionAssertion(Assertion):
         ]
         if mismatches:
             return self._result(
-                env,
                 False,
                 f"instance {instance_id} misconfigured ({'; '.join(mismatches)})",
                 params,
-                started,
                 observed=observed,
             )
         return self._result(
-            env,
             True,
             f"instance {instance_id} matches the target configuration",
             params,
-            started,
             observed=observed,
         )
 
@@ -169,10 +161,9 @@ class AsgConfigAssertion(Assertion):
     fault_tree_id = "asg-wrong-version"
 
     def evaluate(self, env: AssertionEnvironment, params: dict) -> _t.Generator:
-        started = env.engine.now
         asg_name = env.expected("asg_name", params)
         if asg_name is None:
-            return self._result(env, False, "missing asg_name parameter", params, started)
+            return self._result(False, "missing asg_name parameter", params)
         asg = yield from env.client.call("describe_auto_scaling_group", asg_name)
         lc = yield from env.client.call(
             "describe_launch_configuration", asg["LaunchConfigurationName"]
@@ -187,21 +178,17 @@ class AsgConfigAssertion(Assertion):
         ]
         if mismatches:
             return self._result(
-                env,
                 False,
                 f"ASG {asg_name} is using a wrong {'/'.join(f for f in fields)}:"
                 f" {'; '.join(mismatches)}",
                 params,
-                started,
                 observed=observed,
             )
         checked = "/".join(fields)
         return self._result(
-            env,
             True,
             f"The ASG {asg_name} is using a correct {checked}",
             params,
-            started,
             observed=observed,
         )
 
@@ -215,19 +202,18 @@ class ElbRegistrationAssertion(Assertion):
     fault_tree_id = "elb-registration"
 
     def evaluate(self, env: AssertionEnvironment, params: dict) -> _t.Generator:
-        started = env.engine.now
         elb_name = env.expected("elb_name", params)
         expected = env.expected("min_in_service", params)
         if elb_name is None:
-            return self._result(env, False, "missing elb_name parameter", params, started)
+            return self._result(False, "missing elb_name parameter", params)
         elb = yield from env.client.call("describe_load_balancer", elb_name)
         if elb.get("State") != "active":
             return self._result(
-                env, False, f"ELB {elb_name} is {elb.get('State')}", params, started,
+                False, f"ELB {elb_name} is {elb.get('State')}", params,
                 observed={"state": elb.get("State")},
             )
         if expected is None:
-            return self._result(env, True, f"ELB {elb_name} is active", params, started)
+            return self._result(True, f"ELB {elb_name} is active", params)
         expected = int(expected)
 
         def enough(health: list[dict]) -> bool:
@@ -242,11 +228,9 @@ class ElbRegistrationAssertion(Assertion):
         )
         in_service = [h["InstanceId"] for h in health if h["State"] == "InService"]
         return self._result(
-            env,
             True,
             f"ELB {elb_name} has {len(in_service)} in-service instances",
             params,
-            started,
             observed={"in_service": in_service},
         )
 
@@ -291,39 +275,34 @@ class ResourceExistsAssertion(Assertion):
         return env.expected(key, params) if key else None
 
     def evaluate(self, env: AssertionEnvironment, params: dict) -> _t.Generator:
-        started = env.engine.now
         identifier = (
             env.expected("identifier", params)
             or params.get(self.kind)
             or self._default_identifier(env, params)
         )
         if identifier is None:
-            return self._result(env, False, f"no {self.kind} identifier given", params, started)
+            return self._result(False, f"no {self.kind} identifier given", params)
         try:
             described = yield from env.client.call(self.DESCRIBERS[self.kind], identifier)
         except ResourceNotFound as exc:
             # Not found is this assertion's answer; any other API failure
             # is the evaluation service's "could not read".
             return self._result(
-                env,
                 False,
                 f"{self.kind} {identifier} does not exist: {exc}",
                 params,
-                started,
                 observed={"identifier": identifier},
             )
         # ELBs additionally carry availability state.
         if self.kind == "load_balancer" and described.get("State") != "active":
             return self._result(
-                env,
                 False,
                 f"load balancer {identifier} is {described.get('State')}",
                 params,
-                started,
                 observed=described,
             )
         return self._result(
-            env, True, f"{self.kind} {identifier} exists", params, started, observed=described
+            True, f"{self.kind} {identifier} exists", params, observed=described
         )
 
 

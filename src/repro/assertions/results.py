@@ -24,8 +24,9 @@ class AssertionResult(LogEntry):
     assertion_id: str
     passed: bool
     detail: str
-    time: float
-    duration: float = 0.0
+    #: When the evaluation ended; the evaluation service stamps it and
+    #: ``started_at`` on every result it returns.
+    time: float = 0.0
     cause: str = "log"
     #: Parameters the assertion was instantiated with (N, asg name, ...).
     params: dict = dataclasses.field(default_factory=dict)
@@ -46,7 +47,11 @@ class AssertionResult(LogEntry):
     #: such failures are inconclusive, never evidence.
     degraded: bool = False
     #: When the evaluation began (its trigger's time); ``time`` is its end.
-    started_at: float | None = None
+    started_at: float = 0.0
+
+    @property
+    def duration(self) -> float:
+        return self.time - self.started_at
 
     @property
     def failed(self) -> bool:

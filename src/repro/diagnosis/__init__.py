@@ -12,7 +12,7 @@ activities — confirming or excluding potential faults until root causes
 are identified (or "No root cause identified" is reported).
 """
 
-from repro.diagnosis.engine import DiagnosisEngine, DiagnosisRequest
+from repro.diagnosis.engine import DiagnosisEngine
 from repro.diagnosis.report import DiagnosisReport, RootCause, TestExecution
 from repro.diagnosis.tests import CustomTestRegistry, build_standard_probes
 
@@ -20,7 +20,6 @@ __all__ = [
     "CustomTestRegistry",
     "DiagnosisEngine",
     "DiagnosisReport",
-    "DiagnosisRequest",
     "RootCause",
     "TestExecution",
     "build_standard_probes",

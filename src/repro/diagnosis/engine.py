@@ -8,7 +8,6 @@ every decision the walk makes into the report, the diagnosis log and trace.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import typing as _t
 
@@ -21,22 +20,6 @@ from repro.faulttree.instantiate import instantiate_tree
 from repro.faulttree.tree import EXCLUDED, INCONCLUSIVE
 from repro.process.conformance import ERROR, UNKNOWN, ConformanceResult
 from repro.process.context import ProcessContext
-
-
-@dataclasses.dataclass
-class DiagnosisRequest:
-    """One diagnosis invocation."""
-
-    request_id: str
-    trigger: str  # "assertion" | "conformance" | "external"
-    trigger_detail: str
-    tree_ids: list[str]
-    params: dict
-    #: The watched trace whose repository the walk reads (a timer's too).
-    trace_id: str
-    context: ProcessContext | None = None
-    #: The conformance or assertion result that triggered it, if any.
-    entry: _t.Any = None
 
 
 class DiagnosisEngine:
@@ -78,7 +61,7 @@ class DiagnosisEngine:
 
     # -- trigger entry points ---------------------------------------------------
 
-    def diagnose_assertion_failure(self, result) -> DiagnosisRequest | None:
+    def diagnose_assertion_failure(self, result) -> DiagnosisReport | None:
         """Entry point wired to AssertionEvaluationService.on_failure."""
         assertion = self.assertions.assertions.get(result.assertion_id)
         tree_id = getattr(assertion, "fault_tree_id", None)
@@ -89,7 +72,7 @@ class DiagnosisEngine:
             result.context, result,
         )
 
-    def diagnose_conformance_error(self, result: ConformanceResult) -> DiagnosisRequest:
+    def diagnose_conformance_error(self, result: ConformanceResult) -> DiagnosisReport:
         """Entry point wired to ConformanceChecker.on_error.
 
         For unknown/error lines the observed "step" is a pseudo-activity
@@ -110,7 +93,7 @@ class DiagnosisEngine:
         trace_id: str,
         context: ProcessContext | None = None,
         trigger_detail: str = "manual",
-    ) -> DiagnosisRequest:
+    ) -> DiagnosisReport:
         """Run a diagnosis of trace ``trace_id`` over an explicit set of fault trees.
 
         The programmatic entry point: operators (and the ablation benches)
@@ -127,20 +110,23 @@ class DiagnosisEngine:
     def _request(
         self, trigger: str, detail: str, tree_ids: list[str], params: dict, trace_id: str,
         context, entry,
-    ) -> DiagnosisRequest:
-        """Build one request and start its walk as an engine process."""
-        request = DiagnosisRequest(
+    ) -> DiagnosisReport:
+        """Build the request's report and start its walk as an engine process;
+        the report fills in as the walk goes."""
+        report = DiagnosisReport(
             request_id=f"diag-{next(self._ids)}",
             trigger=trigger,
             trigger_detail=detail,
+            trace_id=trace_id,
+            step=context.step if context else None,
+            started_at=self.engine.now,
             tree_ids=tree_ids,
             params=self._merge_params(params, context, trace_id),
-            trace_id=trace_id,
             context=context,
             entry=entry,
         )
-        self.engine.process(self._run(request), name=request.request_id)
-        return request
+        self.engine.process(self._run(report), name=report.request_id)
+        return report
 
     def _merge_params(self, params: dict, context, trace_id: str) -> dict:
         """Request params: the trace's repository ∪ context fields ∪ trigger params.
@@ -157,47 +143,35 @@ class DiagnosisEngine:
 
     # -- execution -------------------------------------------------------------------
 
-    def _run(self, request: DiagnosisRequest) -> _t.Generator:
-        report = DiagnosisReport(
-            request_id=request.request_id,
-            trigger=request.trigger,
-            trigger_detail=request.trigger_detail,
-            trace_id=request.context.trace_id if request.context else "unknown",
-            step=request.context.step if request.context else None,
-            started_at=self.engine.now,
-            tree_ids=list(request.tree_ids),
-            entry=request.entry,
-        )
+    def _run(self, report: DiagnosisReport) -> _t.Generator:
         self.in_flight += 1
         try:
             # Service round trip: receive the request, select the tree(s),
             # prune by context.
             yield self.engine.timeout(self._startup_latency.sample())
-            since = float(request.params.get("since", 0.0) or 0.0)
-            trees = [self.trees.get(tree_id) for tree_id in request.tree_ids]
+            trees = [self.trees.get(tree_id) for tree_id in report.tree_ids]
             for tree in trees:
                 pruned, leaves = instantiate_tree(tree, report.step)
                 report.pruned.extend(pruned)
                 report.potential_fault_count += leaves
             self._log(
-                request, "Performing on demand assertion checking: %s. %s potential faults in"
-                " total...", request.trigger_detail, report.potential_fault_count,
+                report, "Performing on demand assertion checking: %s. %s potential faults in"
+                " total...", report.trigger_detail, report.potential_fault_count,
             )
-            steps = walk([tree.root for tree in trees], request.params, report.step, since)
-            report.root_causes = yield from self._drive(steps, request, report)
+            steps = walk([tree.root for tree in trees], report.params, report.step, report.since)
+            report.root_causes = yield from self._drive(steps, report)
         finally:
             self.in_flight -= 1
         report.finished_at = self.engine.now
         if report.no_root_cause:
-            self._log(request, "No root cause identified")
+            self._log(report, "No root cause identified")
         else:
             count = len(report.root_causes)
             noun = "root cause is" if count == 1 else "root causes are"
-            self._log(request, "%s %s identified", count, noun)
+            self._log(report, "%s %s identified", count, noun)
         self.completed.append(report)
-        return report
 
-    def _drive(self, steps: _t.Generator, request, report) -> _t.Generator:
+    def _drive(self, steps: _t.Generator, report: DiagnosisReport) -> _t.Generator:
         """Service the walk's looks until it returns its root causes.  The
         walk decides in no virtual time: each decision is recorded when it is
         handed over (with the next look, or at the end), the first one after
@@ -215,28 +189,27 @@ class DiagnosisEngine:
                 execution.started_at = now if looking is None else looking
                 execution.finished_at = now
                 looking = None
-                self._record(execution, request, report)
+                self._record(execution, report)
             if look is None:
                 return causes
             looking = self.engine.now
             # One service round trip per diagnostic test, then the look.
             yield self.engine.timeout(self._test_overhead.sample())
-            observation = yield from self._observe(look, request)
+            observation = yield from self._observe(look, report)
 
-    def _record(self, execution: TestExecution, request, report) -> None:
+    def _record(self, execution: TestExecution, report: DiagnosisReport) -> None:
         """One decision of the walk into the report and the log."""
         report.tests.append(execution)
         node_id, verdict = execution.node_id, execution.verdict
         if verdict == EXCLUDED:
-            report.excluded_count += 1
-            self._log(request, "Verified %s: fault excluded. %s/%s checks excluded", node_id,
+            self._log(report, "Verified %s: fault excluded. %s/%s checks excluded", node_id,
                       report.excluded_count, report.potential_fault_count)
         elif verdict == INCONCLUSIVE:
-            self._log(request, "Check for %s inconclusive; cannot proceed below", node_id)
+            self._log(report, "Check for %s inconclusive; cannot proceed below", node_id)
         else:
-            self._log(request, "Failed verification at %s: %s", node_id, execution.description)
+            self._log(report, "Failed verification at %s: %s", node_id, execution.description)
 
-    def _observe(self, look: Look, request: DiagnosisRequest) -> _t.Generator:
+    def _observe(self, look: Look, report: DiagnosisReport) -> _t.Generator:
         """Look: ``(observed, evidence, degraded)``.  ``observed`` is True /
         False when the fault condition is / is not there (an on-demand
         assertion: "it failed"), None when the test could not look —
@@ -244,14 +217,14 @@ class DiagnosisEngine:
         diagnosis.  ``kind`` only selects the registry resolving the name."""
         node, test, params = look.node, look.node.test, look.params
         if test.kind != "assertion":
-            self._log(request, "Verifying %s: probe %s", node.node_id, test.name)
-            env = self.assertions.envs[request.trace_id]
+            self._log(report, "Verifying %s: probe %s", node.node_id, test.name)
+            env = self.assertions.envs[report.trace_id]
             observed, evidence = yield from self.probes.run(test.name, env, params)
             return observed, evidence, bool(evidence.get("degraded"))
-        self._log(request, "Verifying %s: %s %s", node.node_id, test.name, params)
+        self._log(report, "Verifying %s: %s %s", node.node_id, test.name, params)
         if test.name not in self.assertions.assertions:
             return None, {"reason": f"unknown assertion {test.name}"}, False
-        result = yield from self.assertions.evaluate_on_demand(test.name, params, request.trace_id)
+        result = yield from self.assertions.evaluate_on_demand(test.name, params, report.trace_id)
         if result.degraded:
             return None, {"reason": "degraded API plane"}, True
         if result.timed_out:
@@ -260,10 +233,11 @@ class DiagnosisEngine:
 
     # -- logging -------------------------------------------------------------------
 
-    def _log(self, request: DiagnosisRequest, template: str, *args) -> None:
-        """Store one diagnosis log line: ``template % args``, formatted when read."""
-        context = request.context
+    def _log(self, report: DiagnosisReport, template: str, *args) -> None:
+        """Store one diagnosis log line: ``template % args``, formatted when read.
+        A report with no process context logs trace ``unknown`` and step ``-``."""
+        context = report.context
         trace, step = (context.trace_id, context.step) if context else ("unknown", "-")
         self.storage.append(
-            DiagnosisLine(self.engine.now, trace, step, request.request_id, template, args)
+            DiagnosisLine(self.engine.now, trace, step, report.request_id, template, args)
         )

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import dataclasses
 
+from repro.faulttree.tree import EXCLUDED
 from repro.logsys.record import LogEntry
+from repro.process.context import ProcessContext
 
 
 @dataclasses.dataclass
@@ -81,25 +83,41 @@ class RootCause:
 
 @dataclasses.dataclass
 class DiagnosisReport:
-    """Everything one diagnosis run produced."""
+    """One diagnosis request and everything its walk produced: the trees,
+    step and params it was walked with, and every decision it made."""
 
     request_id: str
     trigger: str  # "assertion" | "conformance" | "external"
     trigger_detail: str
+    #: The watched trace whose repository the walk reads (a timer's too).
     trace_id: str
     step: str | None
     started_at: float
     finished_at: float = 0.0
     tree_ids: list[str] = dataclasses.field(default_factory=list)
+    #: The request's params (the trace's repository, the context's fields
+    #: and the trigger's), the very dict the walk binds ``$var`` from.
+    params: dict = dataclasses.field(default_factory=dict, repr=False)
+    #: The trigger's process context (``None`` for a timer or a bare
+    #: ``diagnose``); its step is ``step``.
+    context: ProcessContext | None = dataclasses.field(default=None, repr=False)
     root_causes: list[RootCause] = dataclasses.field(default_factory=list)
     tests: list[TestExecution] = dataclasses.field(default_factory=list)
     #: Ids of the sub-tree roots the step scoping cut before the walk.
     pruned: list[str] = dataclasses.field(default_factory=list)
     potential_fault_count: int = 0
-    excluded_count: int = 0
     #: The conformance or assertion result that triggered the walk
     #: (``None`` for an external request).
     entry: object = dataclasses.field(default=None, repr=False)
+
+    @property
+    def since(self) -> float:
+        """When the watched operation started: what its tests look back to."""
+        return float(self.params.get("since", 0.0) or 0.0)
+
+    @property
+    def excluded_count(self) -> int:
+        return sum(1 for t in self.tests if t.verdict == EXCLUDED)
 
     @property
     def duration(self) -> float:

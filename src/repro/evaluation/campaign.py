@@ -22,7 +22,7 @@ from repro.evaluation.faults import (
     schedule_fault,
 )
 from repro.faulttree.library import EXPECTED_ROOT_CAUSE
-from repro.obs.trace import Span
+from repro.obs import Observability, Span
 from repro.operations.interference import InterferencePlan, InterferenceScheduler, SecondTeam
 from repro.testbed import Testbed
 
@@ -302,7 +302,6 @@ def run_single(spec: RunSpec) -> RunOutcome:
         seed=spec.seed,
         max_instances=40 if spec.cluster_size <= 4 else 64,
         chaos=spec.chaos_profile,
-        trace=spec.trace,
     )
     try:
         return _run_on(testbed, spec)
@@ -407,8 +406,8 @@ def _run_on(testbed: Testbed, spec: RunSpec) -> RunOutcome:
         conformance_before_assertion=conformance_first,
         api_health=api_health,
         degraded_verdicts=sum(r.degraded_tests for r in reports),
-        trace=testbed.obs.export_trace(testbed) if spec.trace else None,
-        metrics=testbed.obs.export_metrics(testbed) if spec.trace else {},
+        trace=Observability().export_trace(testbed) if spec.trace else None,
+        metrics=Observability().export_metrics(testbed) if spec.trace else {},
         recovery=recovery,
     )
 

@@ -85,7 +85,7 @@ class LogRecord(LogEntry):
     #: :func:`repro.logsys.patterns.classify_record`).  ``classified_by``
     #: records which library produced it so a *different* library never
     #: wrongly reuses it.  Both are bookkeeping, not payload: excluded
-    #: from equality and from pickling.
+    #: from equality.
     classification: _t.Any = dataclasses.field(repr=False, compare=False)
     classified_by: _t.Any = dataclasses.field(repr=False, compare=False)
     #: Prefix index built in ``_index_tags`` — declared as a field so
@@ -142,33 +142,6 @@ class LogRecord(LogEntry):
 
     def tag_value(self, prefix: str) -> str | None:
         return self._tag_index.get(prefix)
-
-    def __getstate__(self) -> dict:
-        """Pickle the payload fields only, never the classify-once memo.
-
-        ``classified_by`` holds the whole :class:`PatternLibrary` — a
-        compiled-regex graph that would bloat every IPC payload when
-        records ride through campaign worker chunks — and library
-        *identity* is meaningless in another process anyway (the memo
-        guard compares with ``is``, so a round-tripped memo could never
-        be reused and a naively-shipped one would be silently dead
-        weight).  The receiving side re-classifies on demand.
-        """
-        return {
-            "time": self.time,
-            "source": self.source,
-            "message": self.message,
-            "tags": self.tags,
-            "fields": self.fields,
-            "stamp": self.stamp,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        for name, value in state.items():
-            object.__setattr__(self, name, value)
-        self.classification = None
-        self.classified_by = None
-        self._index_tags()
 
 
 class LogStream:

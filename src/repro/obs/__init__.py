@@ -11,7 +11,7 @@ counts — and a traced run's two exports read them after the run:
 - :func:`~repro.obs.snapshot.run_metrics` reads the metrics snapshot.
 
 So turning tracing on changes no code that runs before the export:
-``Testbed(trace=True)`` only decides whether the export runs, and a traced
+``RunSpec(trace=True)`` only decides whether the export runs, and a traced
 run is the untraced run plus two reads.  Neither adds engine events or RNG
 draws, which preserves the serial ≡ parallel bit-for-bit guarantee.
 """

@@ -16,7 +16,6 @@ from repro.cloud.chaos import ChaosController, get_profile
 from repro.cloud.provider import SimulatedCloud
 from repro.cloud.limits import AccountLimits
 from repro.logsys.record import LogStream
-from repro.obs import Observability
 from repro.operations.base import COMPLETED as OP_COMPLETED, FAILED as OP_FAILED
 from repro.operations.rolling_upgrade import (
     DEFAULT_WATCHDOG_INTERVAL,
@@ -68,7 +67,6 @@ class Testbed:
         seed: int = 0,
         max_instances: int = 40,
         chaos=None,
-        trace: bool = False,
     ) -> None:
         self.cluster_size = cluster_size
         self.seed = seed
@@ -77,9 +75,6 @@ class Testbed:
         self.chaos_profile = chaos_profile
         self.cloud = SimulatedCloud(seed=seed, limits=AccountLimits(max_instances=max_instances))
         self.engine = self.cloud.engine
-        # A traced run's exports (see repro.obs), None untraced: they read
-        # the run at its end, so tracing changes no code that runs before.
-        self.obs = Observability() if trace else None
         self.chaos = ChaosController(self.engine, chaos_profile, seed=seed + 71)
         self.stack = self._provision()
         self.cloud.start()

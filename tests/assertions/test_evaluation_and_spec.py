@@ -22,9 +22,8 @@ class StubAssertion(Assertion):
 
     def evaluate(self, env, params):
         self.seen_params.append(dict(params))
-        started = env.engine.now
         yield env.engine.timeout(self.delay)
-        return self._result(env, self.passes, "stubbed", params, started)
+        return self._result(self.passes, "stubbed", params)
 
 
 class UnreadableAssertion(Assertion):
@@ -46,10 +45,9 @@ class RepositoryReader(Assertion):
     assertion_id = "reader"
 
     def evaluate(self, env, params):
-        started = env.engine.now
         yield env.engine.timeout(0.1)
         observed = {"asg_name": env.expected("asg_name", params)}
-        return self._result(env, True, "read", params, started, observed)
+        return self._result(True, "read", params, observed)
 
 
 def chaos_error():

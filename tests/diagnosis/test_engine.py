@@ -25,11 +25,10 @@ class ScriptedAssertion(Assertion):
         self.script = script
 
     def evaluate(self, env, params):
-        started = env.engine.now
         yield env.engine.timeout(0.05)
         key = params.get("which", "default")
         passed = self.script.get(key, True)
-        return self._result(env, passed, f"scripted {key}", params, started)
+        return self._result(passed, f"scripted {key}", params)
 
 
 class UnreadableAssertion(Assertion):
@@ -339,18 +338,61 @@ class TestWalk:
         assert merged["num"] == "4"
 
     def test_timer_failure_reads_its_own_traces_repository(self, engine):
-        """A timer-triggered failure carries no context, yet its request
-        reads the repository of the trace whose watchdog fired."""
-        diag, _ = build_engine_fixture(engine, {})
+        """A timer-triggered failure carries no context, yet its report
+        reads the repository of the trace whose watchdog fired, and names
+        that trace; its log lines, with no context, name none."""
+        diag, storage = build_engine_fixture(engine, {})
         diag.assertions.watch("t2", {"asg_name": "asg-y", "desired_capacity": 20, "N": 20})
         result = fake_assertion_result(engine)
         result.context, result.trace_id = None, "t2"
-        request = diag.diagnose_assertion_failure(result)
-        assert (request.trace_id, request.params["N"], request.params["asg_name"]) == (
+        report = diag.diagnose_assertion_failure(result)
+        assert (report.trace_id, report.params["N"], report.params["asg_name"]) == (
             "t2", 20, "asg-y"
         )
+        assert (report.context, report.step) == (None, None)
         engine.run()
-        assert diag.completed[0].trace_id == "unknown"
+        assert diag.completed == [report] and report.trace_id == "t2"
+        logged = storage.query(type="diagnosis")
+        assert logged and all(line.message.startswith("[diagnosis] [unknown] [-] ") for line in logged)
+
+    def test_a_request_is_its_report(self, engine, monkeypatch):
+        """Each entry point returns the report that ``completed`` later
+        holds; its ``params`` is the very dict the walk bound, and its
+        ``since`` is read from them."""
+        from repro.diagnosis import engine as engine_module
+        from repro.diagnosis.walk import walk
+        from repro.logsys.record import LogRecord
+        from repro.process.conformance import UNFIT, ConformanceResult
+
+        bound = {}
+
+        def binding(roots, params, step, since):
+            bound[id(params)] = params, since
+            return (yield from walk(roots, params, step, since))
+
+        monkeypatch.setattr(engine_module, "walk", binding)
+        diag, _ = build_engine_fixture(engine, {"gate": True})
+        deviation_tree = node("deviation", "", test=DiagnosticTest("custom", "p1"))
+        diag.trees.register(FaultTree("process-deviation", "", root=deviation_tree))
+        diag.assertions.watch("t3", {"asg_name": "asg-z", "N": 2, "since": 42.0})
+        context = ProcessContext(process_id="p", trace_id="t3", step="ready")
+        line = LogRecord(time=0.0, source="asgard.log", message="m", tags=["trace:t3"])
+        failed = fake_assertion_result(engine)
+        deviation = ConformanceResult(UNFIT, "ready", "t3", line, context)
+        reports = [
+            diag.diagnose_assertion_failure(failed),
+            diag.diagnose_conformance_error(deviation),
+            diag.diagnose(["scripted"], "t3"),
+        ]
+        assert diag.completed == []
+        engine.run()
+        assert sorted(map(id, diag.completed)) == sorted(map(id, reports))
+        for report in reports:
+            params, since = bound[id(report.params)]
+            assert params is report.params and since == report.since
+        assert [r.since for r in reports] == [0.0, 42.0, 42.0]
+        assert [r.context for r in reports] == [failed.context, context, None]
+        assert [r.entry for r in reports] == [failed, deviation, None]
 
 
 @pytest.mark.parametrize("case", sorted(UNREADABLE))
@@ -396,13 +438,13 @@ def test_conformance_error_prunes_at_last_valid_activity(engine):
 
     tree = shared_standard_fault_trees().get("process-deviation")
     diag, _ = build_engine_fixture(engine, {}, tree=tree)
-    requests = []
+    reports = []
     profile = shared_rolling_upgrade_profile()
     checker = ConformanceChecker(
         profile.model,
         profile.library,
         storage=CentralLogStorage(),
-        on_error=lambda result: requests.append(diag.diagnose_conformance_error(result)),
+        on_error=lambda result: reports.append(diag.diagnose_conformance_error(result)),
     )
     lines = [
         "Pushing ami-0abc into group asg-x: rolling upgrade task started",
@@ -420,15 +462,15 @@ def test_conformance_error_prunes_at_last_valid_activity(engine):
     statuses = [checker.check(record).status for record in records]
     assert statuses == [FIT] * 6 + [ERROR]
 
-    (request,) = requests
-    assert request.trigger_detail == "error:operation_error"
-    assert request.context.step == WAIT_ASG
-    assert request.context.last_valid_activity == WAIT_ASG
+    (report,) = reports
+    assert report.trigger_detail == "error:operation_error"
+    assert report.step == report.context.step == WAIT_ASG
+    assert report.context.last_valid_activity == WAIT_ASG
 
     def potential_faults(step):
         return instantiate_tree(tree, step)[1]
 
-    assert potential_faults(request.context.step) > potential_faults("operation_error")
+    assert potential_faults(report.step) > potential_faults("operation_error")
 
 
 def test_report_lists_what_the_step_scoping_cut(engine):

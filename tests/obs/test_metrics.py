@@ -63,7 +63,6 @@ class TestExport:
     @pytest.mark.parametrize("flags", list(FLAGS))
     def test_counting_is_always_on(self, twins, flags):
         run, traced = twins[flags]
-        assert run.testbed.obs is None
         assert run.outcome.trace is None and run.outcome.metrics == {}
         assert traced.trace
         assert run.exported == traced.metrics

@@ -30,7 +30,7 @@ def export_lines() -> set[tuple[str, int]]:
     found = {
         (campaign.__file__, first + offset)
         for offset, line in enumerate(source)
-        if "testbed.obs.export_" in line
+        if "Observability().export_" in line
     }
     assert len(found) == 2
     return found

@@ -97,21 +97,21 @@ class TestTableIsComplete:
 
 def test_the_repository_is_what_diagnosis_hands_to_recovery():
     """``build_recovery_plan`` reads the same values whether
-    given the configuration repository or a diagnosis request's params
+    given the configuration repository or a diagnosis report's params
     (they used to differ by ``N`` and ``expected_security_group``, which
     each consumer re-derived for itself)."""
     testbed = build_testbed(cluster_size=4, seed=3)
     testbed.start_upgrade("upgrade-1")
     repository = testbed.params.as_repository(since=testbed.started_at)
-    request = testbed.pod.diagnosis.diagnose(["asg-instance-count"], "upgrade-1")
-    assert set(repository) <= set(request.params)
+    report = testbed.pod.diagnosis.diagnose(["asg-instance-count"], "upgrade-1")
+    assert set(repository) <= set(report.params)
     for status in ("confirmed", "undetermined"):
         for cause in CATALOG:
             one = [RootCause(cause, "", status)]
             assert build_recovery_plan(one, repository) == build_recovery_plan(
-                one, request.params
+                one, report.params
             ), cause
     everything = [RootCause(cause, "", "confirmed") for cause in CATALOG]
     assert build_recovery_plan(everything, repository) == build_recovery_plan(
-        everything, request.params
+        everything, report.params
     )

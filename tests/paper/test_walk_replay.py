@@ -2,15 +2,15 @@
 
 The walk (``repro.diagnosis.walk``) is a function of the trees, the
 request's parameters, the step and the observations it is sent (ROADMAP
-item 7).  A report records its trees, its step and each test's raw
-observation (``TestExecution.observed``, ``evidence``, ``degraded``), so a
-fresh walk over the registry's own trees, sent the report's looked-at
-tests in order, must give back the report itself: its root causes, its
-whole test sequence (node, verdict, reused or not) and, as the number of
-excluded verdicts in that sequence, its excluded count.  The request's
-parameters are the one input captured here that the report does not hold
-(ROADMAP item 10).  Checked for every report of every run of the
-seed-2014 campaign.
+item 7).  A report records all of them: its trees, its step, the very
+params dict its walk bound (``since`` is read from it) and each test's
+raw observation (``TestExecution.observed``, ``evidence``, ``degraded``).
+So a fresh walk over the registry's own trees, sent the report's
+looked-at tests in order, must give back the report itself: its root
+causes and its whole test sequence (node, verdict, reused or not).
+Checked for every report of every run of the seed-2014 campaign that the
+session fixture (``tests/paper/conftest.py``) runs once, nothing
+captured beyond the reports.
 
 The replays also count, per (tree id, node id), the node's visits and the
 root causes it names, confirmed or ``undetermined``: the coverage table
@@ -28,29 +28,26 @@ import pathlib
 
 import pytest
 
-from repro.diagnosis import engine as engine_module
 from repro.diagnosis import walk as walk_module
 from repro.diagnosis.walk import walk
-from repro.evaluation import campaign as campaign_module
 from repro.evaluation.campaign import Campaign, CampaignConfig
 from repro.faulttree.library import EXPECTED_ROOT_CAUSE, shared_standard_fault_trees
-from repro.faulttree.tree import CONFIRMED, EXCLUDED
+from repro.faulttree.tree import CONFIRMED
 from repro.recovery.plan import CATALOG
 from tests.paper.coverage import COVERAGE, KINDS
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 
-def replay(registry, params, report):
-    """Drive a fresh walk from ``report``'s recorded observations.
+def replay(registry, report):
+    """Drive a fresh walk from ``report``'s record alone.
 
     An unresolved ``$var`` is decided by the walk before any look, so the
     tests it asks for are the report's uncached, resolved ones.
     """
     looked = iter(t for t in report.tests if not t.cached and "unresolved" not in t.evidence)
     roots = [registry.get(tree_id).root for tree_id in report.tree_ids]
-    since = float(params.get("since", 0.0) or 0.0)
-    steps = walk(roots, params, report.step, since)
+    steps = walk(roots, report.params, report.step, report.since)
     observation = None
     try:
         while True:
@@ -63,11 +60,10 @@ def replay(registry, params, report):
         return done.value
 
 
-def record(causes, tests, excluded):
+def record(causes, tests):
     return (
         causes,
         [(t.node_id, t.test_name, t.verdict, t.cached, t.observed, t.evidence, t.degraded) for t in tests],
-        excluded,
     )
 
 
@@ -95,37 +91,18 @@ def counting(coverage):
 
 
 @pytest.fixture(scope="module")
-def campaign_replayed():
+def campaign_replayed(campaign_run):
     """``(outcomes, [(run id, report's record, replayed record)], coverage)``."""
-    finished = []  # the params of each walk, in the order walks returned
+    outcomes, reports = campaign_run
+    registry = shared_standard_fault_trees()
     replayed = []
     coverage = collections.defaultdict(collections.Counter)
-
-    def recording_walk(roots, params, step, since):
-        result = yield from walk(roots, params, step, since)
-        finished.append(params)
-        return result
-
-    original_run_on = campaign_module._run_on
-
-    def run_on_then_replay(testbed, spec):
-        outcome = original_run_on(testbed, spec)
-        # A report completes in the step its walk returns, so the two
-        # sequences align one to one.
-        for params, report in zip(finished, testbed.pod.reports, strict=True):
-            expected = record(report.root_causes, report.tests, report.excluded_count)
-            with pytest.MonkeyPatch.context() as counted:
-                counted.setattr(walk_module, "_visit", counting(coverage))
-                causes, tests = replay(testbed.pod.trees, params, report)
-            excluded = sum(t.verdict == EXCLUDED for t in tests)
-            replayed.append((spec.run_id, expected, record(causes, tests, excluded)))
-        finished.clear()
-        return outcome
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(engine_module, "walk", recording_walk)
-        patch.setattr(campaign_module, "_run_on", run_on_then_replay)
-        outcomes = Campaign(CampaignConfig(runs_per_fault=20, large_cluster_runs=4, seed=2014)).run()
+    with pytest.MonkeyPatch.context() as counted:
+        counted.setattr(walk_module, "_visit", counting(coverage))
+        for outcome, run_reports in zip(outcomes, reports, strict=True):
+            for report in run_reports:
+                expected = record(report.root_causes, report.tests)
+                replayed.append((outcome.spec.run_id, expected, record(*replay(registry, report))))
     return outcomes, replayed, coverage
 
 

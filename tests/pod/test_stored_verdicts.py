@@ -45,15 +45,15 @@ def reference_result_log(result, now):
     return record
 
 
-def reference_diagnosis_log(now, request, message):
-    """One diagnosis log line of ``request``, rendered eagerly at ``now``."""
-    trace = request.context.trace_id if request.context else "unknown"
-    step = request.context.step if request.context else "-"
+def reference_diagnosis_log(now, report, message):
+    """One diagnosis log line of ``report``, rendered eagerly at ``now``."""
+    trace = report.context.trace_id if report.context else "unknown"
+    step = report.context.step if report.context else "-"
     return LogRecord(
         time=now,
         source="diagnosis.log",
         message=f"[diagnosis] [{trace}] [{step}] {message}",
-        tags=[f"trace:{trace}", f"diagnosis:{request.request_id}"],
+        tags=[f"trace:{trace}", f"diagnosis:{report.request_id}"],
     )
 
 
@@ -111,10 +111,10 @@ def spy(pod):
         if entry.type == "assertion":
             expected.append((entry, reference_result_log(entry, now())))
 
-    def log_line(request, template, *args):
-        log(request, template, *args)
+    def log_line(report, template, *args):
+        log(report, template, *args)
         message = CALL_SITES[template](*args)
-        expected.append((storage.records[-1], reference_diagnosis_log(now(), request, message)))
+        expected.append((storage.records[-1], reference_diagnosis_log(now(), report, message)))
 
     storage.append = store
     pod.diagnosis._log = log_line

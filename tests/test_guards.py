@@ -398,6 +398,12 @@ GUARDS: dict[str, Guard] = {
         "        self._tracer = obs.tracer if obs else None",
         drop="src/repro/obs/",
     ),
+    "a-request-is-its-report": Guard(
+        r"DiagnosisRequest", SRC_TESTS_EX, "TENTPOLE",
+        "a diagnosis request is its report: the report holds the params and context it was"
+        " walked with, so nothing keeps them apart from it",
+        "        request = DiagnosisRequest(",
+    ),
 }
 
 

@@ -134,12 +134,6 @@ RUN_ONLY_BY: dict[str, tuple[str, str, str]] = {
                                            "how a view crosses the pool inside an outcome"),
     "cloud.freeze:FrozenList.__reduce__": ("pool", "tests/cloud/test_freeze.py::test_pickle_round_trip",
                                            "the same, for a list"),
-    "logsys.record:LogRecord.__getstate__": (
-        "pool", "tests/logsys/test_record.py::test_memo_stripped_on_round_trip",
-        "a record crosses the pool without its classify-once memo"),
-    "logsys.record:LogRecord.__setstate__": (
-        "pool", "tests/logsys/test_record.py::test_restored_record_can_be_reclassified",
-        "the receiving half of the same pickling"),
     "logsys.ingest:read_log": ("pool", "benchmarks/e2e/workloads.py",
                                "the ledger's ingest_replay corpus reader"),
     "logsys.ingest:parse_line": ("pool", "benchmarks/e2e/workloads.py", "read_log's per-line half"),
