@@ -399,7 +399,7 @@ GUARDS: dict[str, Guard] = {
         drop="src/repro/obs/",
     ),
     "a-request-is-its-report": Guard(
-        r"DiagnosisRequest", SRC_TESTS_EX, "TENTPOLE",
+        r"DiagnosisRequest", SRC_TESTS_EX, "e3a8c8f",
         "a diagnosis request is its report: the report holds the params and context it was"
         " walked with, so nothing keeps them apart from it",
         "        request = DiagnosisRequest(",
