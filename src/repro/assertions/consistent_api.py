@@ -23,11 +23,6 @@ configuration — every client has all of it, whether or not chaos is on:
 
 - **full-jitter exponential backoff** decorrelates retries so an error
   storm is not answered with a synchronized retry storm;
-- a **retry budget** (token bucket) caps the total retry volume so one
-  flaky endpoint cannot starve a whole assertion batch;
-- a per-method **circuit breaker** fails fast after ``BREAKER_THRESHOLD``
-  consecutive retryable failures, with a half-open probe after
-  ``BREAKER_COOLDOWN`` seconds;
 - **deadline propagation**: ``call_until`` passes its own deadline into
   each inner ``call``, so inner retries never outlive the outer timeout;
 - **blackhole absorption**: a chaos-blackholed call consumes the
@@ -59,19 +54,15 @@ MAX_RETRIES = 4
 #: Upper end of the first retry's full-jitter backoff window (seconds); the
 #: window doubles per retry, so the fourth and last retry waits <= 1.6 s.
 BASE_BACKOFF = 0.2
-#: A method's breaker opens after this many consecutive retryable failures
-#: and lets one probe call through ``BREAKER_COOLDOWN`` seconds later.
-BREAKER_THRESHOLD = 6
-BREAKER_COOLDOWN = 45.0
 
 
 class ConsistentCallError(Exception):
-    """A call exhausted its retries, its budget, or its deadline.
+    """A call exhausted its retries or its deadline.
 
     ``degraded`` is True when the failure is attributable to API-plane
-    degradation (chaos-injected errors, blackholes, or a breaker tripped
-    by chaos) rather than to actual resource state — downstream consumers
-    must treat degraded failures as *inconclusive*, never as evidence.
+    degradation (chaos-injected errors or blackholes) rather than to
+    actual resource state — downstream consumers must treat degraded
+    failures as *inconclusive*, never as evidence.
     """
 
     def __init__(
@@ -80,13 +71,11 @@ class ConsistentCallError(Exception):
         timed_out: bool = False,
         last_error: Exception | None = None,
         degraded: bool = False,
-        breaker_open: bool = False,
     ) -> None:
         super().__init__(message)
         self.timed_out = timed_out
         self.last_error = last_error
         self.degraded = degraded
-        self.breaker_open = breaker_open
 
 
 def is_degraded(exc: Exception) -> bool:
@@ -96,92 +85,6 @@ def is_degraded(exc: Exception) -> bool:
     ``CloudError`` is chaos-injected iff it is tagged ``chaos=True``.
     """
     return bool(getattr(exc, "degraded", False) or getattr(exc, "chaos", False))
-
-
-class RetryBudget:
-    """Token bucket bounding a client's total retry volume.
-
-    Each retry spends one token; tokens refill at ``refill_rate`` per
-    simulated second up to ``capacity``.  When the bucket is empty the
-    call fails fast instead of joining the retry storm — the standard
-    'retry budget' pattern that keeps one flaky endpoint from consuming
-    the entire assertion batch's time.
-    """
-
-    def __init__(self, capacity: float = 32.0, refill_rate: float = 0.75) -> None:
-        if capacity <= 0 or refill_rate < 0:
-            raise ValueError("capacity must be positive and refill_rate non-negative")
-        self.capacity = capacity
-        self.refill_rate = refill_rate
-        self.tokens = capacity
-        self._last_refill = 0.0
-
-    def _refill(self, now: float) -> None:
-        elapsed = max(0.0, now - self._last_refill)
-        self._last_refill = now
-        self.tokens = min(self.capacity, self.tokens + elapsed * self.refill_rate)
-
-    def try_spend(self, now: float) -> bool:
-        """Take one token; False means the budget is exhausted."""
-        self._refill(now)
-        if self.tokens < 1.0:
-            return False
-        self.tokens -= 1.0
-        return True
-
-
-class CircuitBreaker:
-    """Per-method breaker: open after N consecutive retryable failures.
-
-    States: *closed* (calls flow), *open* (fail fast until ``cooldown``
-    elapses), *half-open* (exactly one probe call allowed; an answer — a
-    result or a non-retryable error — closes the breaker, a retryable
-    failure re-opens it).  ``chaos_tainted`` remembers
-    whether any failure that contributed to opening was chaos-injected,
-    so fast-fails can be labelled degraded only when chaos is implicated.
-    """
-
-    CLOSED, OPEN, HALF_OPEN = "closed", "open", "half-open"
-
-    def __init__(self, threshold: int, cooldown: float) -> None:
-        if threshold < 1:
-            raise ValueError("breaker threshold must be >= 1")
-        self.threshold = threshold
-        self.cooldown = cooldown
-        self.state = self.CLOSED
-        self.consecutive_failures = 0
-        self.opened_at = 0.0
-        self.chaos_tainted = False
-        self.trips = 0
-
-    def allow(self, now: float) -> bool:
-        if self.state == self.CLOSED:
-            return True
-        if self.state == self.OPEN and now - self.opened_at >= self.cooldown:
-            self.state = self.HALF_OPEN
-            return True  # the single half-open probe
-        return False
-
-    def record_success(self) -> None:
-        self.state = self.CLOSED
-        self.consecutive_failures = 0
-        self.chaos_tainted = False
-
-    def record_failure(self, now: float, chaos: bool = False) -> bool:
-        """Record one retryable failure; True if the breaker newly opened."""
-        self.chaos_tainted = self.chaos_tainted or chaos
-        if self.state == self.HALF_OPEN:
-            self.state = self.OPEN
-            self.opened_at = now
-            self.trips += 1
-            return True
-        self.consecutive_failures += 1
-        if self.state == self.CLOSED and self.consecutive_failures >= self.threshold:
-            self.state = self.OPEN
-            self.opened_at = now
-            self.trips += 1
-            return True
-        return False
 
 
 class ConsistentApiClient:
@@ -194,15 +97,11 @@ class ConsistentApiClient:
         api: CloudAPI,
         latency: LatencyModel | None = None,
         seed: int = 0,
-        retry_budget: RetryBudget | None = None,
     ) -> None:
         self.engine = engine
         self.api = api
         self.latency = latency or aws_api_latency()
         self._rng = random.Random(seed)  # jitter stream
-        #: Omitted = this client's own default bucket (32 tokens @ 0.75/s).
-        self.retry_budget = retry_budget or RetryBudget()
-        self._breakers: dict[str, CircuitBreaker] = {}
         # The paper calibrates timeouts at the 95th percentile of measured
         # latencies: every attempt may take that long, plus 2 s of slack.
         self.call_timeout = self.latency.percentile(0.95) * (MAX_RETRIES + 1) + 2.0
@@ -212,8 +111,6 @@ class ConsistentApiClient:
         #: in ``retry_exhaustions`` so each metric means what it says.
         self.timeouts = 0
         self.retry_exhaustions = 0
-        self.budget_denials = 0
-        self.breaker_fast_fails = 0
         self.blackholes = 0
         # Kept out of counters() (the outcome's api_health); a run's
         # metrics read them at export.  ``consistency_retries`` are the
@@ -224,15 +121,6 @@ class ConsistentApiClient:
 
     # -- health accounting -------------------------------------------------------
 
-    def _breaker(self, method: str) -> CircuitBreaker:
-        if method not in self._breakers:
-            self._breakers[method] = CircuitBreaker(BREAKER_THRESHOLD, BREAKER_COOLDOWN)
-        return self._breakers[method]
-
-    @property
-    def breaker_trips(self) -> int:
-        return sum(b.trips for b in self._breakers.values())
-
     def counters(self) -> dict[str, int]:
         """API-health counters, exported into run outcomes and reports."""
         return {
@@ -240,9 +128,6 @@ class ConsistentApiClient:
             "retries": self.retries_made,
             "timeouts": self.timeouts,
             "retry_exhaustions": self.retry_exhaustions,
-            "budget_denials": self.budget_denials,
-            "breaker_trips": self.breaker_trips,
-            "breaker_fast_fails": self.breaker_fast_fails,
             "blackholes": self.blackholes,
         }
 
@@ -252,26 +137,15 @@ class ConsistentApiClient:
         """One logical call with exponential retry on retryable errors.
 
         Non-retryable CloudErrors (not-found, validation, limit) propagate
-        immediately — they are *answers*, not infrastructure noise, and
-        count as a success for the circuit breaker.
+        immediately — they are *answers*, not infrastructure noise.
         ``deadline`` (absolute simulation time) caps the call in addition
         to ``call_timeout``; ``call_until`` uses it to propagate its own
         deadline into every inner call.  Returns the API result; raises
-        :class:`ConsistentCallError` on deadline expiry, retry exhaustion,
-        budget exhaustion or an open circuit breaker.
+        :class:`ConsistentCallError` on deadline expiry or retry exhaustion.
         """
         call_deadline = self.engine.now + self.call_timeout
         if deadline is not None:
             call_deadline = min(call_deadline, deadline)
-        breaker = self._breaker(method)
-        if not breaker.allow(self.engine.now):
-            self.breaker_fast_fails += 1
-            raise ConsistentCallError(
-                f"{method} failing fast: circuit breaker open",
-                timed_out=False,
-                degraded=breaker.chaos_tainted,
-                breaker_open=True,
-            )
         attempt = 0
         last_error: Exception | None = None
         chaos_seen = False
@@ -293,7 +167,6 @@ class ConsistentApiClient:
                 # The plane will never answer: burn the rest of the
                 # deadline (the hang), then surface a degraded timeout.
                 self.blackholes += 1
-                breaker.record_failure(self.engine.now, chaos=True)
                 remaining = max(0.0, call_deadline - self.engine.now)
                 if remaining > 0:
                     yield self.engine.timeout(remaining)
@@ -305,14 +178,9 @@ class ConsistentApiClient:
                 )
             except CloudError as exc:
                 if not exc.retryable:
-                    # An answer: the endpoint is up, so the breaker
-                    # closes as after a success (a half-open probe too).
-                    breaker.record_success()
                     raise
-                chaos = bool(getattr(exc, "chaos", False))
-                chaos_seen = chaos_seen or chaos
+                chaos_seen = chaos_seen or bool(getattr(exc, "chaos", False))
                 self.retryable_errors += 1
-                breaker.record_failure(self.engine.now, chaos=chaos)
                 # Kept without its traceback, which points back at this
                 # frame: a frame holding its own exception is a cycle.
                 last_error = exc.with_traceback(None)
@@ -325,14 +193,6 @@ class ConsistentApiClient:
                         last_error=exc,
                         degraded=chaos_seen,
                     )
-                if not self.retry_budget.try_spend(self.engine.now):
-                    self.budget_denials += 1
-                    raise ConsistentCallError(
-                        f"{method} retry budget exhausted: {exc}",
-                        timed_out=False,
-                        last_error=exc,
-                        degraded=chaos_seen,
-                    )
                 self.retries_made += 1
                 # Full jitter (AWS architecture blog): uniform in
                 # [0, backoff] decorrelates the retry herd.
@@ -340,7 +200,6 @@ class ConsistentApiClient:
                 remaining = max(0.0, call_deadline - self.engine.now)
                 yield self.engine.timeout(min(backoff, remaining))
             else:
-                breaker.record_success()
                 return result
 
     def call_until(

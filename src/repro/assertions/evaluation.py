@@ -14,9 +14,9 @@ inside the diagnosis process via ``yield from``.
 
 An assertion checks cloud state and answers; it does not catch API
 failures.  On every trigger path the service turns one that escapes —
-a timeout, exhausted retries, an open breaker, a non-retryable error —
-into a failed result carrying ``timed_out`` / ``degraded`` (§IV:
-"assertion evaluations are regarded as failed if API calls time out").
+a timeout, exhausted retries, a non-retryable error — into a failed
+result carrying ``timed_out`` / ``degraded`` (§IV: "assertion
+evaluations are regarded as failed if API calls time out").
 
 Each evaluation reads the configuration repository of one watched trace
 (:meth:`AssertionEvaluationService.watch`): its line's, watchdog's or diagnosis's.

@@ -23,10 +23,7 @@ future) so pickle/IPC round trips amortise across runs instead of being
 paid per run, and each worker is started with :func:`warm_worker`, a pool
 initializer that pre-builds the heavyweight immutable state every run
 needs (compiled pattern library, process model, fault-tree and probe
-registries) once per worker instead of once per run.  Records that ride
-back through ``RunOutcome`` chunks shed their classify-once memos at the
-pickle boundary (see ``LogRecord.__getstate__``): the memo holds a dead
-cross-process library identity and would bloat every IPC payload.
+registries) once per worker instead of once per run.
 
 **Determinism guarantee:** for a fixed :class:`CampaignConfig` seed, the
 outcome list — and therefore the computed

@@ -3,7 +3,7 @@
 Spans record *when* pipeline work happened; the metrics snapshot says
 *how much* — records ingested, conformance checks by status, assertion
 outcomes by trigger cause, diagnostic-test verdicts and latencies, the
-hardened API client's retry / circuit-breaker / blackhole events and the
+hardened API client's retry / timeout / blackhole events and the
 recovery plane's work.  Nothing counts for it: :func:`run_metrics` reads
 each number off a record the pipeline keeps anyway or an int its owner
 keeps always on, so tracing adds spans and nothing else (DESIGN.md §6
@@ -122,9 +122,6 @@ def run_metrics(testbed) -> dict:
         count("client.retryable_errors", client.retryable_errors)
         count("client.timeouts", client.timeouts)
         count("client.retry_exhaustions", client.retry_exhaustions)
-        count("client.budget_denials", client.budget_denials)
-        count("client.breaker_trips", client.breaker_trips)
-        count("client.breaker_fast_fails", client.breaker_fast_fails)
         count("client.blackholes", client.blackholes)
         count("client.predicate_memo_hits", client.predicate_memo_hits)
     for recovery in recoveries:

@@ -13,7 +13,7 @@ import dataclasses
 import functools
 
 from repro.assertions.base import AssertionEnvironment
-from repro.assertions.consistent_api import ConsistentApiClient, RetryBudget
+from repro.assertions.consistent_api import ConsistentApiClient
 from repro.assertions.evaluation import AssertionEvaluationService
 from repro.assertions.library import standard_rolling_upgrade_assertions
 from repro.diagnosis.engine import DiagnosisEngine
@@ -76,7 +76,7 @@ class PODDiagnosis:
         # of this environment holding its own configuration repository.
         self.env = AssertionEnvironment(
             engine=engine,
-            client=self._client("pod-diagnosis", 101, 103, RetryBudget()),
+            client=self._client("pod-diagnosis", 101, 103),
             monitor=cloud.monitor,
             state=cloud.state,
             trail=cloud.trail,
@@ -198,14 +198,12 @@ class PODDiagnosis:
 
     # -- the API plane ---------------------------------------------------------------
 
-    def _client(
-        self, principal: str, latency_seed: int, jitter_seed: int, budget: RetryBudget
-    ) -> ConsistentApiClient:
+    def _client(self, principal: str, latency_seed: int, jitter_seed: int) -> ConsistentApiClient:
         """The one place a consistent-API client is built.  Each plane has
-        its own principal, retry budget and RNG streams (offsets from the
-        service seed, so independent runs draw independent timings); both
-        see the same chaos wrapping, so a degraded API plane degrades
-        recovery the same way it degrades diagnosis."""
+        its own principal and RNG streams (offsets from the service seed,
+        so independent runs draw independent timings); both see the same
+        chaos wrapping, so a degraded API plane degrades recovery the same
+        way it degrades diagnosis."""
         api = self.cloud.api(principal)
         latency = aws_api_latency(seed=self._seed + latency_seed)
         if self.chaos is not None and self.chaos.enabled:
@@ -216,15 +214,13 @@ class PODDiagnosis:
             api,
             latency=latency,
             seed=self._seed + jitter_seed,
-            retry_budget=budget,
         )
 
     def recovery_client(self) -> ConsistentApiClient:
-        """A client for the recovery plane: its own, tighter retry budget
-        (its calls mutate cloud state) and its own RNG streams — recovery
-        runs strictly after the upgrade phase, so they never perturb
-        non-recovering runs."""
-        return self._client("recovery", 211, 212, RetryBudget(capacity=24.0, refill_rate=0.5))
+        """A client for the recovery plane: its own principal and RNG
+        streams — recovery runs strictly after the upgrade phase, so they
+        never perturb non-recovering runs."""
+        return self._client("recovery", 211, 212)
 
     # -- views -----------------------------------------------------------------------
 

@@ -20,10 +20,9 @@ hardened-client discipline established for the assertion plane:
 
 The executor *never raises* and never loops forever: every API failure
 (:class:`CloudError`, :class:`ConsistentCallError` — including chaos
-blackholes and breaker fast-fails) is caught, retries are bounded by
-``MAX_ATTEMPTS``, deadlines bound each attempt, and exhaustion degrades
-into the explicit ``ESCALATED`` terminal state with the human-action
-plan attached.
+blackholes) is caught, retries are bounded by ``MAX_ATTEMPTS``,
+deadlines bound each attempt, and exhaustion degrades into the explicit
+``ESCALATED`` terminal state with the human-action plan attached.
 """
 
 from __future__ import annotations

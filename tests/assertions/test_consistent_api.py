@@ -1,14 +1,10 @@
 """Tests for the consistent AWS API layer (§IV)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.assertions.consistent_api import (
-    MAX_RETRIES,
-    CircuitBreaker,
-    ConsistentApiClient,
-    ConsistentCallError,
-    RetryBudget,
-)
+from repro.assertions.consistent_api import MAX_RETRIES, ConsistentApiClient, ConsistentCallError
 from repro.cloud.chaos import BlackholedCall
 from repro.cloud.errors import MalformedRequest, ResourceNotFound, ServiceUnavailable, Throttling
 from repro.sim.engine import Engine
@@ -227,8 +223,7 @@ class TestCounterSplit:
         counters = client.counters()
         assert counters["calls"] == 1
         assert set(counters) == {
-            "calls", "retries", "timeouts", "retry_exhaustions",
-            "budget_denials", "breaker_trips", "breaker_fast_fails", "blackholes",
+            "calls", "retries", "timeouts", "retry_exhaustions", "blackholes",
         }
 
 
@@ -247,163 +242,6 @@ class TestJitter:
         assert 0.05 * 4 <= jittered <= plain
         # Deterministic per seed.
         assert jittered == elapsed_after(3, seed=9)
-
-
-class TestRetryBudget:
-    def test_token_bucket_refills(self):
-        budget = RetryBudget(capacity=2.0, refill_rate=1.0)
-        assert budget.try_spend(0.0)
-        assert budget.try_spend(0.0)
-        assert not budget.try_spend(0.0)
-        assert budget.try_spend(1.0)  # one token refilled after 1s
-
-    def test_exhausted_budget_fails_fast(self, engine):
-        api = FlakyApi(errors=[Throttling("x")] * 50)
-        client = client_for(
-            engine, api, latency=UNHURRIED, retry_budget=RetryBudget(capacity=2.0, refill_rate=0.0)
-        )
-        with pytest.raises(ConsistentCallError) as excinfo:
-            drive(engine, client.call("operation"))
-        assert client.budget_denials == 1
-        assert api.calls == 3  # initial + 2 budgeted retries
-        assert not excinfo.value.timed_out
-
-    def test_every_client_has_a_budget(self, engine):
-        """Built on defaults: 32 tokens, refilled at 0.75/s, shared by every
-        method's retries.  Each method's breaker opens during its second
-        failing call, so a storm across methods is what spends the bucket."""
-
-        class Storm:
-            calls = 0
-
-            def __getattr__(self, method):
-                def fail():
-                    Storm.calls += 1
-                    raise Throttling(method)
-
-                return fail
-
-        client = client_for(engine, Storm(), latency=UNHURRIED)
-        assert (client.retry_budget.capacity, client.retry_budget.refill_rate) == (32.0, 0.75)
-        for method in (f"op{index}" for index in range(40)):
-            for _ in range(2):
-                with pytest.raises(ConsistentCallError) as excinfo:
-                    drive(engine, client.call(method))
-            if client.budget_denials:
-                break
-        assert client.budget_denials == 1
-        assert not excinfo.value.timed_out and not excinfo.value.breaker_open
-        # Every retry but those the bucket refilled was paid from its 32 tokens.
-        assert client.retries_made <= 32 + engine.now * 0.75
-        # Each client draws on its own bucket.
-        assert client_for(engine, Storm()).retry_budget is not client.retry_budget
-
-    def test_invalid_budget_rejected(self):
-        with pytest.raises(ValueError):
-            RetryBudget(capacity=0.0)
-
-
-class TestCircuitBreaker:
-    def test_opens_after_threshold_consecutive_failures(self):
-        breaker = CircuitBreaker(threshold=3, cooldown=10.0)
-        assert breaker.record_failure(0.0) is False
-        assert breaker.record_failure(1.0) is False
-        assert breaker.record_failure(2.0) is True
-        assert breaker.state == CircuitBreaker.OPEN
-        assert breaker.trips == 1
-        assert not breaker.allow(5.0)
-
-    def test_half_open_probe_after_cooldown(self):
-        breaker = CircuitBreaker(threshold=1, cooldown=10.0)
-        breaker.record_failure(0.0)
-        assert not breaker.allow(9.9)
-        assert breaker.allow(10.0)  # the half-open probe
-        assert breaker.state == CircuitBreaker.HALF_OPEN
-        breaker.record_success()
-        assert breaker.state == CircuitBreaker.CLOSED
-
-    def test_half_open_failure_reopens(self):
-        breaker = CircuitBreaker(threshold=1, cooldown=10.0)
-        breaker.record_failure(0.0)
-        assert breaker.allow(10.0)
-        assert breaker.record_failure(10.5) is True
-        assert breaker.trips == 2
-        assert not breaker.allow(15.0)
-
-    def test_success_resets_consecutive_count(self):
-        breaker = CircuitBreaker(threshold=2, cooldown=10.0)
-        breaker.record_failure(0.0)
-        breaker.record_success()
-        assert breaker.record_failure(1.0) is False
-        assert breaker.state == CircuitBreaker.CLOSED
-
-    def test_client_fast_fails_when_open(self, engine):
-        """Built on defaults: six consecutive retryable failures open it —
-        the first call's five attempts and the second call's first."""
-        api = FlakyApi(errors=[Throttling("x")] * 50)
-        client = client_for(engine, api, latency=UNHURRIED)
-        for trips in (0, 1):
-            with pytest.raises(ConsistentCallError) as excinfo:
-                drive(engine, client.call("operation"))
-            assert not excinfo.value.breaker_open  # the open breaker lets a started call finish
-            assert client.breaker_trips == trips
-        assert api.calls == 2 * (1 + MAX_RETRIES)
-        calls_before = api.calls
-        with pytest.raises(ConsistentCallError) as excinfo:
-            drive(engine, client.call("operation"))
-        assert excinfo.value.breaker_open
-        assert api.calls == calls_before  # no API call reached the plane
-        assert client.breaker_trips == 1
-        assert client.breaker_fast_fails == 1
-
-    def test_half_open_probe_recovers_through_client(self):
-        """Built on defaults: the probe is let through 45 s after the
-        breaker opened (during the second call, which ends < 4 s later).
-        Any answer to the probe closes the breaker: a result, or a
-        non-retryable error such as ``ResourceNotFound`` — the endpoint
-        answered, so it is up."""
-        for probe_answer in ([], [ResourceNotFound("x")]):
-            engine = Engine()
-            api = FlakyApi(errors=[Throttling("x")] * 2 * (1 + MAX_RETRIES) + probe_answer)
-            client = client_for(engine, api, latency=UNHURRIED)
-            for _ in range(2):
-                with pytest.raises(ConsistentCallError):
-                    drive(engine, client.call("operation"))
-
-            def sleep(seconds):
-                yield engine.timeout(seconds)
-
-            drive(engine, sleep(40.0))
-            with pytest.raises(ConsistentCallError) as excinfo:
-                drive(engine, client.call("operation"))
-            assert excinfo.value.breaker_open  # still cooling down
-            drive(engine, sleep(6.0))
-            if probe_answer:
-                with pytest.raises(ResourceNotFound):
-                    drive(engine, client.call("operation"))  # the probe is answered
-            else:
-                assert drive(engine, client.call("operation")) == "ok"  # probe succeeds
-            assert drive(engine, client.call("operation")) == "ok"  # breaker closed
-
-    def test_breakers_are_per_method(self, engine):
-        class TwoOps:
-            def __init__(self):
-                self.good_calls = 0
-
-            def bad(self):
-                raise Throttling("x")
-
-            def good(self):
-                self.good_calls += 1
-                return "ok"
-
-        api = TwoOps()
-        client = client_for(engine, api, latency=UNHURRIED)
-        for _ in range(3):
-            with pytest.raises(ConsistentCallError):
-                drive(engine, client.call("bad"))
-        assert client.breaker_fast_fails == 1
-        assert drive(engine, client.call("good")) == "ok"
 
 
 class TestDegradation:
@@ -437,3 +275,53 @@ class TestDegradation:
         assert client.timeouts == 1
         # The hang consumed exactly the remaining deadline.
         assert engine.now == pytest.approx(client.call_timeout) == call_timeout(0.05)
+
+
+def drawn_error(kind):
+    if kind == "retryable":
+        return Throttling("x")
+    if kind == "chaos":
+        error = ServiceUnavailable("chaos burst")
+        error.chaos = True
+        return error
+    if kind == "fatal":
+        return MalformedRequest("bad request")
+    return BlackholedCall("chaos: void")
+
+
+class TestCallBounds:
+    """Every ``call`` is bounded by its retries and its deadline alone,
+    whatever the plane answers, attempt by attempt.  A drawn plane answers
+    retryable errors (chaos-tagged or not), then ends in one success, one
+    non-retryable error or one blackhole: nothing after that is asked."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        retried=st.lists(st.sampled_from(("retryable", "chaos")), max_size=2 * (MAX_RETRIES + 1)),
+        last=st.sampled_from(("success", "fatal", "blackhole")),
+        latency=st.sampled_from([0.05, 0.3, 1.0]),
+        deadline=st.none() | st.floats(min_value=0.0, max_value=8.0),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_attempts_deadline_answers_and_degradation(self, retried, last, latency, deadline, seed):
+        kinds = retried if last == "success" else [*retried, last]
+        errors = [drawn_error(kind) for kind in kinds]
+        engine = Engine()
+        api = FlakyApi(errors=list(errors))
+        client = client_for(engine, api, latency=ConstantLatency(latency), seed=seed)
+        bound = client.call_timeout if deadline is None else min(client.call_timeout, deadline)
+        try:
+            result = drive(engine, client.call("operation", deadline=deadline))
+        except ConsistentCallError as exc:
+            seen = kinds[: api.calls]
+            assert exc.degraded == any(kind in ("chaos", "blackhole") for kind in seen)
+            assert "fatal" not in seen
+        except MalformedRequest as exc:
+            # A non-retryable error is the answer of the attempt that drew it.
+            assert exc is errors[-1]
+            assert api.calls == len(kinds)
+        else:
+            assert result == "ok"
+            assert api.calls == len(kinds) + 1
+        assert api.calls <= MAX_RETRIES + 1
+        assert engine.now <= bound + 1e-9

@@ -165,7 +165,7 @@ class TestTriggerPaths:
         [
             (lambda: MalformedRequest("bad request"), (False, False)),
             (lambda: ConsistentCallError("deadline", timed_out=True), (True, False)),
-            (lambda: ConsistentCallError("breaker", degraded=True, breaker_open=True), (False, True)),
+            (lambda: ConsistentCallError("exhausted", degraded=True), (False, True)),
             (chaos_error, (False, True)),
         ],
     )

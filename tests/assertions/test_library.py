@@ -3,7 +3,7 @@
 import pytest
 
 from repro.assertions.base import AssertionEnvironment
-from repro.assertions.consistent_api import ConsistentApiClient
+from repro.assertions.consistent_api import MAX_RETRIES, ConsistentApiClient
 from repro.assertions.evaluation import AssertionEvaluationService
 from repro.assertions.library import (
     AsgConfigAssertion,
@@ -240,23 +240,16 @@ class TestCallUntilFailuresCarryTheirRealFlag:
             ElbRegistrationAssertion(),
         ],
     )
-    def test_exhaustion_and_open_breaker_are_not_timeouts(self, env, assertion):
+    def test_exhaustion_is_not_a_timeout(self, env, assertion):
         # 0.1 s calls give a 5 s call timeout, room for all four backoffs:
-        # exhaustion, not deadline.  The breaker opens on the sixth failure,
-        # inside the second evaluation, which still runs to exhaustion.
+        # exhaustion, not deadline, on every evaluation.
         client = ConsistentApiClient(env.engine, UnavailableReads(), latency=ConstantLatency(0.1))
         env.client = client
-        for exhaustions, trips in ((1, 0), (2, 1)):
+        for exhaustions in (1, 2, 3):
             exhausted = run(env, assertion)
             assert exhausted.failed and not exhausted.timed_out and not exhausted.degraded
-            assert (client.retry_exhaustions, client.timeouts, client.breaker_trips) == (
-                exhaustions, 0, trips
-            )
-        stopped = run(env, assertion)
-        assert stopped.failed and not stopped.timed_out and not stopped.degraded
-        assert "circuit breaker open" in stopped.detail
-        # Failed fast: the open method was not tried again.
-        assert (client.breaker_fast_fails, client.retries_made) == (1, 8)
+            assert (client.retry_exhaustions, client.timeouts) == (exhaustions, 0)
+        assert client.retries_made == 3 * MAX_RETRIES
 
 
 class TestResourceExistsAssertion:

@@ -151,9 +151,9 @@ class TestObservationContract:
             (ResourceNotFound("no such group"), False),
             (ConsistentCallError("retries exhausted"), False),
             (ServiceUnavailable("chaos: temporarily unavailable"), True),
-            (ConsistentCallError("breaker open", degraded=True), True),
+            (ConsistentCallError("retries exhausted", degraded=True), True),
         ],
-        ids=["not-found", "retries-exhausted", "chaos-unavailable", "chaos-breaker"],
+        ids=["not-found", "retries-exhausted", "chaos-unavailable", "chaos-exhausted"],
     )
     def test_api_failure_is_could_not_look(self, name, error, degraded, env, probes):
         """Inconclusive, never a crashed walk — and flagged degraded only

@@ -81,20 +81,25 @@ RUNS = {
 #: became one entry; the four ``traced`` ones again when the trace became
 #: read from the run's records at export: span ids follow start order,
 #: and ``tools/outcome_diff.py`` (traces compared as id-free forests) found
-#: no differing path in the seed-2014 traced campaign against 6c9a7d0.
+#: no differing path in the seed-2014 traced campaign against 6c9a7d0; all
+#: twelve again when the circuit breaker and the retry budget went, and
+#: with them ``budget_denials`` / ``breaker_trips`` / ``breaker_fast_fails``
+#: from ``api_health`` and, ``degraded``, from the recovery record's
+#: ``recovery_api`` (with those keys dropped, 5d46193's outcomes hash to
+#: these values: none of the twelve runs failed fast or was denied a retry).
 RECORDED = {
-    ("paper", "completes-4"): "34150f6bd622cb2c",
-    ("paper", "completes-20"): "a4270da28d48062e",
-    ("paper", "stalls-4"): "13ac72874489bbaf",
-    ("paper", "stalls-20"): "7c7508f4cbf92990",
-    ("traced", "completes-4"): "2d5d653cd009fe99",
-    ("traced", "completes-20"): "f9e78d833434d38d",
-    ("traced", "stalls-4"): "44f4267b7428582c",
-    ("traced", "stalls-20"): "5a349f253d1287fd",
-    ("degraded", "completes-4"): "b977cbb35b6cbaae",
-    ("degraded", "completes-20"): "f25b9a34bcd4fa1d",
-    ("degraded", "stalls-4"): "768cb8cde9739e1c",
-    ("degraded", "stalls-20"): "63935100b0f75093",
+    ("paper", "completes-4"): "928878454b063851",
+    ("paper", "completes-20"): "693c81825f3a9141",
+    ("paper", "stalls-4"): "1b33c921773fc08d",
+    ("paper", "stalls-20"): "8978aea92c675e92",
+    ("traced", "completes-4"): "d8066336b6af8c62",
+    ("traced", "completes-20"): "c2c950a60a51a4eb",
+    ("traced", "stalls-4"): "8a9ea4c359ac1cc6",
+    ("traced", "stalls-20"): "2ffe599f5bf3f9e0",
+    ("degraded", "completes-4"): "975ae41dca0c1e70",
+    ("degraded", "completes-20"): "77cb499dd3d5c423",
+    ("degraded", "stalls-4"): "6ac95e0f7c523a6a",
+    ("degraded", "stalls-20"): "a1b539c4a19a038b",
 }
 
 CASES = sorted(RECORDED)

@@ -9,7 +9,7 @@ from repro.obs.snapshot import BUCKETS, Histogram, merge_snapshots, run_metrics
 from repro.testbed import Testbed
 
 #: A small-cluster seed-2014 run whose severe + recover twin recovers,
-#: resumes, retries and trips a breaker: every source the export reads.
+#: resumes and retries: every source the export reads.
 RUN_ID = "ami_changed-07"
 
 FLAGS = {

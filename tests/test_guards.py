@@ -133,7 +133,7 @@ GUARDS: dict[str, Guard] = {
         "        return (CONFIRMED, evidence)",
     ),
     "one-client": Guard(
-        r"jitter=|breaker_threshold is None|retry_budget is None", ("src/",), "d55beb2",
+        r"jitter=", ("src/",), "d55beb2",
         "the hardened stack has no off-arm",
         "    client = ConsistentApiClient(engine, api, jitter=False)",
     ),
@@ -403,6 +403,12 @@ GUARDS: dict[str, Guard] = {
         "a diagnosis request is its report: the report holds the params and context it was"
         " walked with, so nothing keeps them apart from it",
         "        request = DiagnosisRequest(",
+    ),
+    "retries-and-a-deadline": Guard(
+        r"CircuitBreaker|RetryBudget|retry_budget|breaker|budget_denials", ("src/",), "TENTPOLE",
+        "the consistent API layer is the paper's retry and timeout: no circuit breaker and no"
+        " retry budget, which bought no scored number",
+        "        self.retry_budget = retry_budget or RetryBudget()",
     ),
 }
 
