@@ -405,7 +405,7 @@ GUARDS: dict[str, Guard] = {
         "        request = DiagnosisRequest(",
     ),
     "retries-and-a-deadline": Guard(
-        r"CircuitBreaker|RetryBudget|retry_budget|breaker|budget_denials", ("src/",), "TENTPOLE",
+        r"CircuitBreaker|RetryBudget|retry_budget|breaker|budget_denials", ("src/",), "587d706",
         "the consistent API layer is the paper's retry and timeout: no circuit breaker and no"
         " retry budget, which bought no scored number",
         "        self.retry_budget = retry_budget or RetryBudget()",
