@@ -64,8 +64,8 @@ bench-pairs:
 	python3 tools/bench_pairs.py $(PARENT) . --workload $(W) --pairs $(N) --seed $(SEED)
 
 # What a "no behaviour change" claim rests on: the seed's four campaigns in
-# both checkouts, outcome by outcome; prints every differing JSON path and
-# exits 0 only when none differs.
+# both checkouts, outcome by outcome; prints each campaign's differing JSON
+# paths and exits 0 only when none differs.
 #   make outcome-diff PARENT=/path/to/parent-checkout [SEED=2014]
 outcome-diff:
 	python3 tools/outcome_diff.py $(PARENT) . --seed $(SEED)

@@ -14,8 +14,11 @@ once per write:
 
 - :class:`FrozenView` — a read-only ``dict`` subclass.  Every mutating
   method raises :class:`FrozenMutationError`; readers use it exactly like
-  the plain describe-dict it replaces (equality, iteration, ``json.dump``
-  and pickling all behave identically).
+  the plain describe-dict it replaces (equality, iteration and
+  ``json.dump`` behave identically).  A view does not cross a process or
+  a deep copy: rebuilding one goes through the blocked ``__setitem__``
+  and fails loudly.  Only plain records leave a run (a campaign outcome
+  holds no view).
 - :class:`FrozenList` — the matching read-only ``list`` subclass, used
   for nested sequences (``SecurityGroups``, ``Instances``, ...).  Unlike
   a tuple it still compares equal to plain lists, so no caller notices.
@@ -68,11 +71,6 @@ class FrozenView(dict):
     setdefault = _blocked("setdefault")
     update = _blocked("update")
 
-    def __reduce__(self):
-        # Default dict-subclass pickling replays items through the
-        # (blocked) __setitem__; rebuild through the constructor instead.
-        return (type(self), (dict(self),))
-
     def __repr__(self) -> str:
         return f"FrozenView({dict.__repr__(self)})"
 
@@ -96,9 +94,6 @@ class FrozenList(list):
 
     # list.pop mutates; block it (dict.pop blocked above for symmetry).
     pop = _blocked("pop")
-
-    def __reduce__(self):
-        return (type(self), (list(self),))
 
     def __repr__(self) -> str:
         return f"FrozenList({list.__repr__(self)})"

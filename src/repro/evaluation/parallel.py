@@ -9,34 +9,34 @@ This module exploits that:
 - :func:`execute_run` — one spec, run once, with crash isolation (a
   raising run becomes a structured failure
   :class:`~repro.evaluation.campaign.RunOutcome`, never a dead campaign);
-- :func:`execute_specs` — a batch of specs, serially or across a
-  :class:`~concurrent.futures.ProcessPoolExecutor`, results re-sorted
-  into spec order so worker count and completion order are invisible.
+- :func:`execute_specs` — a batch of specs through one delivery loop,
+  fed by the builtin ``map`` for one worker or by
+  :meth:`~concurrent.futures.ProcessPoolExecutor.map` for more.  Both
+  yield in spec order, so worker count and completion order are
+  invisible; there is no chunk scheduler of our own.
 
 A caller who asks for workers gets workers: :func:`resolve_workers` clamps
 the request to the host's core count and to the number of specs — the
 two things the code can observe — and anything above one starts a pool.
-There is no pool-vs-serial cost model (see DESIGN.md §10 for why).
-
-**Throughput:** specs are submitted in *chunks* (several specs per
-future) so pickle/IPC round trips amortise across runs instead of being
-paid per run, and each worker is started with :func:`warm_worker`, a pool
-initializer that pre-builds the heavyweight immutable state every run
-needs (compiled pattern library, process model, fault-tree and probe
-registries) once per worker instead of once per run.
+There is no pool-vs-serial cost model (see DESIGN.md §10 for why).  Each
+worker is started with :func:`warm_worker`, a pool initializer that
+pre-builds the heavyweight immutable state every run needs (compiled
+pattern library, process model, fault-tree and probe registries) once
+per worker instead of once per run.
 
 **Determinism guarantee:** for a fixed :class:`CampaignConfig` seed, the
 outcome list — and therefore the computed
 :class:`~repro.evaluation.metrics.CampaignMetrics` — is bit-for-bit
 identical whether the campaign runs serially or with any number of
-workers.
+workers.  Only plain records cross the pool: a ``RunOutcome`` with its
+``RunSpec``, ``InterferencePlan``, ``ReportSummary`` and ``Span`` records.
 
 **Progress bridge:** callbacks cannot cross process boundaries (they are
-not picklable, and the child's prints would interleave).  Instead each
-worker returns its finished outcomes through the future and the *parent*
-invokes ``progress(completed, total, outcome)`` as results arrive — in
-chunk-completion order for the pool path (each chunk's outcomes reported
-in spec order), in spec order for the serial path.
+not picklable, and the child's prints would interleave).  Instead the
+*parent* invokes ``progress(completed, total, outcome)`` as each outcome
+is delivered, in spec order on both paths.  If the pool breaks (a worker
+killed mid-run), every spec not yet delivered comes back as a failure
+record, so the campaign still returns one outcome per spec.
 """
 
 from __future__ import annotations
@@ -75,11 +75,6 @@ def execute_run(spec: RunSpec, runner: Runner | None = None) -> RunOutcome:
         return RunOutcome.failure(spec, traceback.format_exc())
 
 
-#: Target chunks per worker: small enough to amortise pickle/IPC, large
-#: enough that one slow chunk cannot leave the pool idle at the tail.
-CHUNKS_PER_WORKER = 4
-
-
 def warm_worker() -> None:
     """Pool initializer: pre-build heavyweight immutable state per worker.
 
@@ -100,16 +95,6 @@ def warm_worker() -> None:
     compile_model(profile.model)
     shared_standard_fault_trees()
     shared_standard_probes()
-
-
-def execute_chunk(specs: _t.Sequence[RunSpec], runner: Runner | None = None) -> list[RunOutcome]:
-    """Execute a chunk of specs in order; the unit of pool submission."""
-    return [execute_run(spec, runner) for spec in specs]
-
-
-def specs_per_chunk(total: int, workers: int) -> int:
-    """Specs per future: ``ceil(total / (workers * CHUNKS_PER_WORKER))``."""
-    return max(1, -(-total // (workers * CHUNKS_PER_WORKER)))
 
 
 def resolve_workers(max_workers: int | None, total: int = 0) -> int:
@@ -137,54 +122,46 @@ def execute_specs(
     """Execute a batch of specs, serially or across a process pool.
 
     The returned list is always in spec order, independent of worker
-    count, chunking and completion order.  ``max_workers`` goes through
-    :func:`resolve_workers`; one worker runs the specs in this process,
-    more start a pool.  ``runner`` substitutes the per-run function
+    count and completion order.  ``max_workers`` goes through
+    :func:`resolve_workers`; one worker maps the specs in this process,
+    more map them on a pool.  ``runner`` substitutes the per-run function
     (testing hook); with workers it must be picklable.
     """
     specs = list(specs)
-    total = len(specs)
-    workers = resolve_workers(max_workers, total)
+    workers = resolve_workers(max_workers, len(specs))
+    task = execute_run if runner is None else functools.partial(execute_run, runner=runner)
     if workers <= 1 or not specs:
-        outcomes = []
-        for spec in specs:
-            outcome = execute_run(spec, runner)
-            outcomes.append(outcome)
-            if progress is not None:
-                progress(len(outcomes), total, outcome)
-        return outcomes
-
-    task: _t.Callable[[_t.Sequence[RunSpec]], list[RunOutcome]] = (
-        execute_chunk if runner is None else functools.partial(execute_chunk, runner=runner)
-    )
-    size = specs_per_chunk(total, workers)
-    results: list[RunOutcome | None] = [None] * total
+        return _deliver(map(task, specs), specs, progress)
     with concurrent.futures.ProcessPoolExecutor(
         max_workers=workers, initializer=warm_worker
     ) as pool:
-        futures = {
-            pool.submit(task, specs[start:start + size]): start
-            for start in range(0, total, size)
-        }
-        completed = 0
-        for future in concurrent.futures.as_completed(futures):
-            start = futures[future]
-            try:
-                outcomes = future.result()
-            except Exception as exc:
-                # execute_run already catches run exceptions inside the
-                # worker; reaching here means the worker itself died
-                # (killed, OOM, unpicklable result) mid-chunk.  Every run
-                # in the chunk is reported failed — still not fatal.
-                outcomes = [
-                    RunOutcome.failure(
-                        spec, f"worker failed: {type(exc).__name__}: {exc}"
-                    )
-                    for spec in specs[start:start + size]
-                ]
-            for offset, outcome in enumerate(outcomes):
-                results[start + offset] = outcome
-                completed += 1
-                if progress is not None:
-                    progress(completed, total, outcome)
-    return _t.cast("list[RunOutcome]", results)
+        return _deliver(pool.map(task, specs), specs, progress)
+
+
+def _deliver(
+    delivered: _t.Iterator[RunOutcome], specs: list[RunSpec], progress: ProgressFn | None
+) -> list[RunOutcome]:
+    """The delivery loop: collect ``delivered`` (one outcome per spec, in
+    spec order), reporting each outcome to ``progress`` as it arrives.
+
+    ``execute_run`` already turns a raising run into a failure record
+    inside the worker; what it cannot catch is its worker dying (killed,
+    out of memory), which breaks the pool, and ``map`` delivers nothing
+    after that.  Every spec not yet delivered then becomes a failure
+    record, so the campaign still returns one outcome per spec.
+    """
+    outcomes: list[RunOutcome] = []
+
+    def deliver(outcome: RunOutcome) -> None:
+        outcomes.append(outcome)
+        if progress is not None:
+            progress(len(outcomes), len(specs), outcome)
+
+    try:
+        for outcome in delivered:
+            deliver(outcome)
+    except concurrent.futures.BrokenExecutor as exc:  # BrokenProcessPool
+        error = f"worker failed: {type(exc).__name__}: {exc}"
+        for spec in specs[len(outcomes):]:
+            deliver(RunOutcome.failure(spec, error))
+    return outcomes

@@ -22,3 +22,14 @@ def writes_since(state, mark: int) -> list[tuple[str, str]]:
         if position >= mark
     )
     return [key for _position, key in written]
+
+
+def plain(value):
+    """A described view rebuilt from plain dicts and lists, sharing nothing
+    with it: the copy the seed's monitor took with ``copy.deepcopy``.  A
+    view has no copy protocol of its own (it never leaves a run)."""
+    if isinstance(value, dict):
+        return {key: plain(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [plain(item) for item in value]
+    return value

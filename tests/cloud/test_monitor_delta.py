@@ -15,7 +15,6 @@ these tests were first written against; they are kept so the test ids
 stay stable.)
 """
 
-import copy
 import json
 import types
 
@@ -26,7 +25,7 @@ from repro.cloud.provider import SimulatedCloud
 from repro.cloud.resources import Instance, InstanceState
 from repro.cloud.state import KINDS, CloudState
 
-from .history import monitor_at
+from .history import monitor_at, plain
 
 
 def dumps(value) -> str:
@@ -43,7 +42,7 @@ class FullCopyReference:
     def record(self, now: float) -> None:
         region = {
             kind: {
-                identifier: copy.deepcopy(resource.describe())
+                identifier: plain(resource.describe())
                 for identifier, resource in self.state._registries[kind].items()
             }
             for kind in KINDS

@@ -34,9 +34,6 @@ from repro.evaluation.faults import (
 )
 from repro.evaluation.metrics import compute_metrics
 from repro.evaluation.parallel import (
-    CHUNKS_PER_WORKER,
-    specs_per_chunk,
-    execute_chunk,
     execute_run,
     execute_specs,
     resolve_workers,
@@ -227,22 +224,21 @@ class TestCrashIsolation:
         assert metrics.precision == clean_metrics.precision
         assert metrics.accuracy_rate == clean_metrics.accuracy_rate
 
-    def test_dead_worker_fails_its_chunk_not_the_campaign(self, pool_spy):
-        # os._exit in a worker breaks the pool: the dying chunk (and any
-        # chunk still pending behind it) comes back as failure records.
+    def test_dead_worker_fails_every_run_not_yet_delivered(self, pool_spy):
+        # os._exit in a worker breaks the pool: the campaign still returns,
+        # with one outcome per spec.  What map delivered before the break
+        # is the real outcomes; every spec after it is a failure record.
         specs = self._specs()
         assert specs[-1].run_id == "sg_wrong-03"
         outcomes = _specs_pooled(pool_spy, specs, 2, runner=_die_on_last_sg_wrong)
         assert [o.spec.run_id for o in outcomes] == [s.run_id for s in specs]
-        failed = [o for o in outcomes if o.failed]
-        assert outcomes[-1] in failed
+        delivered = [o for o in outcomes if not o.failed]
+        failed = outcomes[len(delivered):]
+        assert failed and all(o.failed for o in failed), "failures are the undelivered suffix"
         for outcome in failed:
             assert "worker failed: BrokenProcessPool" in outcome.error
             assert outcome.operation_status == "crashed"
-        # Chunks that finished before the pool broke are the real outcomes.
-        serial = execute_specs(specs[:-1])
-        for index, outcome in enumerate(outcomes[:-1]):
-            assert outcome.failed or outcome == serial[index]
+        assert delivered == execute_specs(specs[:len(delivered)])
         metrics = compute_metrics(outcomes)
         assert metrics.failed_runs == len(failed)
         assert metrics.total_runs == len(specs)
@@ -266,29 +262,22 @@ class TestCrashIsolation:
 
 
 class TestProgressBridge:
-    def test_progress_fires_in_parent_for_every_run(self, pool_spy):
-        specs = list(SMALL_SPECS)
+    @pytest.mark.parametrize("max_workers", [None, 2])
+    def test_each_run_reported_once_in_spec_order(self, max_workers, pool_spy):
+        # The parent reports each outcome as it is delivered: in spec
+        # order on both paths, whatever order the workers finish in.
+        specs = list(SMALL_SPECS) * 2
         seen: list[tuple[int, int, str]] = []
-        outcomes = _specs_pooled(
-            pool_spy,
-            specs,
-            2,
-            progress=lambda done, total, outcome: seen.append(
-                (done, total, outcome.spec.run_id)
-            ),
-        )
-        assert [done for done, _t, _r in seen] == list(range(1, len(specs) + 1))
-        assert all(total == len(specs) for _d, total, _r in seen)
-        # Completion order may differ from spec order, but every run
-        # reports exactly once and the result list is in spec order.
-        assert sorted(run_id for _d, _t, run_id in seen) == sorted(s.run_id for s in specs)
-        assert [o.spec.run_id for o in outcomes] == [s.run_id for s in specs]
 
-    def test_serial_progress_in_spec_order(self):
-        specs = list(SMALL_SPECS)[:2]
-        seen = []
-        execute_specs(specs, progress=lambda d, t, o: seen.append(o.spec.run_id))
-        assert seen == [s.run_id for s in specs]
+        def progress(done, total, outcome):
+            seen.append((done, total, outcome.spec.run_id))
+
+        if max_workers is None:
+            outcomes = execute_specs(specs, progress=progress)
+        else:
+            outcomes = _specs_pooled(pool_spy, specs, max_workers, progress=progress)
+        assert seen == [(n, len(specs), s.run_id) for n, s in enumerate(specs, 1)]
+        assert [o.spec.run_id for o in outcomes] == [s.run_id for s in specs]
 
 
 class TestPicklability:
@@ -340,54 +329,7 @@ class TestPicklability:
                     pickle.dumps(field.default_factory())
 
 
-class TestChunking:
-    """Chunked submission is a transport detail: outcomes must be
-    identical at every chunk size the executor derives."""
-
-    def _specs(self):
-        return list(SMALL_SPECS)
-
-    def test_chunk_size_invisible_in_outcomes(self, pool_spy):
-        # 13 specs: 2-spec chunks with a ragged 1-spec tail on 2 workers,
-        # 1-spec chunks on 4 — the sizes the executor derives itself.
-        specs = (self._specs() * 3)[:13]
-        assert specs_per_chunk(len(specs), workers=2) == 2
-        assert specs_per_chunk(len(specs), workers=4) == 1
-        serial = execute_specs(specs, max_workers=None)
-        for workers in (2, 4):
-            assert _specs_pooled(pool_spy, specs, workers) == serial, f"workers={workers}"
-
-    def test_default_chunk_sizing(self):
-        assert specs_per_chunk(32, workers=4) == 32 // (4 * CHUNKS_PER_WORKER)
-        assert specs_per_chunk(33, workers=4) == 3  # rounds up
-        assert specs_per_chunk(3, workers=8) == 1  # never zero
-
-    def test_execute_chunk_preserves_spec_order(self):
-        specs = self._specs()[:3]
-        outcomes = execute_chunk(specs)
-        assert [o.spec.run_id for o in outcomes] == [s.run_id for s in specs]
-
-    def test_chunked_crash_isolation(self, pool_spy):
-        # A runner crash inside a chunk fails that run only, not the chunk.
-        specs = self._specs() * 3  # 18 specs on 2 workers: 3-spec chunks
-        assert specs_per_chunk(len(specs), workers=2) == 3
-        outcomes = _specs_pooled(pool_spy, specs, 2, runner=_explode_on_second)
-        failed = [o.spec.run_id for o in outcomes if o.failed]
-        assert failed == [s.run_id for s in specs if s.run_id.endswith("-02")]
-
-    def test_chunked_progress_reports_every_run_once(self, pool_spy):
-        specs = self._specs() * 2  # 12 specs on 2 workers: 2-spec chunks
-        assert specs_per_chunk(len(specs), workers=2) == 2
-        seen = []
-        _specs_pooled(
-            pool_spy,
-            specs,
-            2,
-            progress=lambda done, total, o: seen.append((done, o.spec.run_id)),
-        )
-        assert [done for done, _r in seen] == list(range(1, len(specs) + 1))
-        assert sorted(r for _d, r in seen) == sorted(s.run_id for s in specs)
-
+class TestWarmWorker:
     def test_warm_worker_is_idempotent_and_primes_caches(self):
         from repro.faulttree.library import shared_standard_fault_trees
         from repro.operations.profile import shared_rolling_upgrade_profile
@@ -405,7 +347,7 @@ class TestChunking:
 
         trees = shared_standard_fault_trees()
         before = {tree_id: info["nodes"] for tree_id, info in trees.stats().items()}
-        execute_specs(self._specs()[:2], max_workers=None)
+        execute_specs(SMALL_SPECS[:2], max_workers=None)
         assert {t: i["nodes"] for t, i in trees.stats().items()} == before
 
 

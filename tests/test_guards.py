@@ -410,6 +410,12 @@ GUARDS: dict[str, Guard] = {
         " retry budget, which bought no scored number",
         "        self.retry_budget = retry_budget or RetryBudget()",
     ),
+    "one-pool-path": Guard(
+        r"execute_chunk|specs_per_chunk|CHUNKS_PER_WORKER|as_completed", ("src/",), "TENTPOLE",
+        "a campaign is one delivery loop over map or ProcessPoolExecutor.map, in spec order; no"
+        " chunk scheduler of its own, which bought nothing measurable at 2 workers",
+        "        for future in concurrent.futures.as_completed(futures):",
+    ),
 }
 
 

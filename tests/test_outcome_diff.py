@@ -89,10 +89,21 @@ def outcome(run_id: str, shared: int | None = 3, ms: tuple = (1, 2)) -> dict:
 RUNS = [outcome("r1"), outcome("r2")]
 
 
-def table(out: str) -> dict[str, int]:
-    """path -> count, off the printed lines."""
-    rows = [line.split(None, 1) for line in out.splitlines() if line.startswith(" ")]
-    return {path: int(count) for count, path in rows}
+def tables(out: str) -> dict[str, dict[str, int]]:
+    """campaign -> (path -> count), off the printed lines: each campaign's
+    rows follow its ``seed S name: ...`` line."""
+    found: dict[str, dict[str, int]] = {}
+    for line in out.splitlines():
+        if line.startswith("seed "):
+            rows = found[line.split(":")[0].split(" ", 2)[2]] = {}
+        elif line.startswith(" "):
+            count, path = line.split(None, 1)
+            rows[path] = int(count)
+    return found
+
+
+#: What ``tables`` reads when no campaign differs anywhere.
+NONE_MOVED = {name: {} for name in outcome_diff.CAMPAIGNS}
 
 
 def test_identical_checkouts_differ_nowhere(tmp_path, capsys):
@@ -100,7 +111,7 @@ def test_identical_checkouts_differ_nowhere(tmp_path, capsys):
     change = checkout(tmp_path / "b", {"default": RUNS})
     assert outcome_diff.main([str(parent), str(change), "--seed", "31"]) == 0
     out = capsys.readouterr().out
-    assert "0 path(s) differ" in out and table(out) == {}
+    assert "0 path(s) differ" in out and tables(out) == NONE_MOVED
     for name in outcome_diff.CAMPAIGNS:
         assert f"seed 31 {name}: 2 | 2 runs, 0 differ:\n" in out
 
@@ -130,8 +141,20 @@ def test_moved_paths_are_listed_collapsed_with_counts(tmp_path, capsys):
     assert outcome_diff.main([str(parent), str(change)]) == 1
     out = capsys.readouterr().out
     # Two runs in each of four campaigns; the second span's end moved in one run.
-    assert table(out) == {"api_health/cloud.snapshot.shared": 8, "trace/s:span-1": 4}
+    moved = {"api_health/cloud.snapshot.shared": 2, "trace/s:span-1": 1}
+    assert tables(out) == {name: moved for name in outcome_diff.CAMPAIGNS}
     assert "2 path(s) differ" in out
+
+
+def test_a_move_in_one_campaign_is_that_campaigns_alone(tmp_path, capsys):
+    severe = json.dumps({"chaos_profile": "severe", "recover": True}, sort_keys=True)
+    parent = checkout(tmp_path / "a", {"default": RUNS})
+    change = checkout(tmp_path / "b", {"default": RUNS, severe: [outcome("r1", shared=4), RUNS[1]]})
+    assert outcome_diff.main([str(parent), str(change)]) == 1
+    out = capsys.readouterr().out
+    assert tables(out) == {**NONE_MOVED, "severe+recover": {"api_health/cloud.snapshot.shared": 1}}
+    assert "seed 2014 severe+recover: 2 | 2 runs, 1 differ: r1\n" in out
+    assert out.endswith("1 path(s) differ\n")
 
 
 def test_one_campaign_differing_is_enough(tmp_path, capsys):
@@ -141,7 +164,7 @@ def test_one_campaign_differing_is_enough(tmp_path, capsys):
     assert outcome_diff.main([str(parent), str(change)]) == 1
     out = capsys.readouterr().out
     assert "seed 2014 traced: 2 | 1 runs, 0 differ:\n" in out
-    assert table(out) == {"(run count)": 1}
+    assert tables(out) == {**NONE_MOVED, "traced": {"(run count)": 1}}
 
 
 def test_each_campaign_names_the_runs_that_differ(tmp_path, capsys):

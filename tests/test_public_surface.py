@@ -50,8 +50,10 @@ JUSTIFIED: dict[str, str] = {
 KEPT_WITH_CALLERS: dict[str, str] = {
     "repro.diagnosis.offline": "the write-history flap finder, item 8's subject:"
                                " examples/offline_postmortem.py, tests/diagnosis/test_offline.py",
-    "repro.evaluation.parallel:execute_specs": "runner= is the seam the dead-worker and determinism"
-                                               " tests substitute (tests/evaluation/test_parallel_campaign.py)",
+    "repro.evaluation.parallel:execute_specs": "runner= is the seam the crash-isolation and dead-worker"
+                                               " tests substitute; it reaches each run as"
+                                               " functools.partial(execute_run, runner=runner), on"
+                                               " both paths (tests/evaluation/test_parallel_campaign.py)",
     "repro.recovery.supervisor:recover_run": "budget= names the never-hangs bound that ROADMAP 3(d)"
                                              " is to assert on, rather than burying a literal;"
                                              " tests/recovery/test_campaign_recovery.py spends it",

@@ -120,20 +120,13 @@ RUN_ONLY_BY: dict[str, tuple[str, str, str]] = {
         "the undo of a key-pair recreate (recovery.plan); compensation runs it"),
     # The pool and the ledger: no entry point here starts a pool (a pool's
     # children run outside the hook), and the ledger is not an entry point.
-    "evaluation.parallel:execute_specs": ("pool", "tests/evaluation/test_parallel_campaign.py",
-                                          "the pool branch: chunks, futures, a dead worker"),
+    "evaluation.parallel:_deliver": (
+        "error", "tests/evaluation/test_parallel_campaign.py::test_dead_worker_fails_every_run_not_yet_delivered",
+        "a pool that broke mid-map: every spec not yet delivered becomes a failure record"),
     "evaluation.parallel:resolve_workers": ("pool", "tests/evaluation/test_parallel_campaign.py",
                                             "clamping a worker count above 1 to the cores"),
-    "evaluation.parallel:execute_chunk": ("pool", "tests/evaluation/test_parallel_campaign.py",
-                                          "the unit a pool child runs"),
-    "evaluation.parallel:specs_per_chunk": ("pool", "tests/evaluation/test_parallel_campaign.py",
-                                            "chunk sizing of a pool campaign"),
     "evaluation.parallel:warm_worker": ("pool", "benchmarks/e2e/workloads.py",
                                         "the pool initializer; the ledger warms its process with it"),
-    "cloud.freeze:FrozenView.__reduce__": ("pool", "tests/cloud/test_freeze.py::test_pickle_round_trip",
-                                           "how a view crosses the pool inside an outcome"),
-    "cloud.freeze:FrozenList.__reduce__": ("pool", "tests/cloud/test_freeze.py::test_pickle_round_trip",
-                                           "the same, for a list"),
     "logsys.ingest:read_log": ("pool", "benchmarks/e2e/workloads.py",
                                "the ledger's ingest_replay corpus reader"),
     "logsys.ingest:parse_line": ("pool", "benchmarks/e2e/workloads.py", "read_log's per-line half"),

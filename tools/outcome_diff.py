@@ -9,10 +9,11 @@ severe-chaos + recover campaigns the performance ledger runs, and the
 traced severe-chaos + recover campaign, the only one whose metrics hold
 ``recovery.*`` and the client's retry counters.  It compares the two
 sides outcome by outcome.  Every JSON path of ``dataclasses.asdict(outcome)``
-whose value differs is printed once, with list indices collapsed to
-``*`` and the number of places it differed, e.g.::
+whose value differs is printed once per campaign, with list indices
+collapsed to ``*`` and the number of places it differed in that
+campaign, e.g.::
 
-     480  api_health/cloud.snapshot.shared
+     160  api_health/cloud.snapshot.shared
 
 A path present on one side only counts as differing.  ``trace`` is
 compared by shape, not by encoding: each span is keyed by its path of
@@ -23,10 +24,13 @@ span that changed (gone from one path, new at another) counts once::
 
        2  trace/recovery:execute/recovery:restore-launch-configuration
 
-Each campaign's line also names the runs (``spec.run_id``, paired in spec
-order) whose outcomes differ::
+Each campaign's table follows a line that names the runs (``spec.run_id``,
+paired in spec order) whose outcomes differ::
 
     seed 2014 paper: 160 | 160 runs, 2 differ: ami_changed-10 sg_wrong-01
+
+so a move confined to one campaign reads as that campaign's alone.  The
+last line counts the distinct paths that differ in any campaign.
 
 ``bench_pairs.py`` can only say "digests differ"; this says where and in
 which runs, so a change that declares a digest move can show, run by run,
@@ -153,13 +157,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     checkouts = args.parent.resolve(), args.change.resolve()
 
-    counts: collections.Counter = collections.Counter()
+    moved_paths: set[str] = set()
     with tempfile.TemporaryDirectory(prefix="outcome-diff-") as scratch:
         for name, flags in CAMPAIGNS.items():
             parent, change = (
                 run_campaign(checkout, args.seed, flags, pathlib.Path(scratch) / f"{side}.jsonl")
                 for side, checkout in zip(("parent", "change"), checkouts)
             )
+            counts: collections.Counter = collections.Counter()
             if len(parent) != len(change):
                 counts["(run count)"] += 1
             moved = []
@@ -174,10 +179,11 @@ def main(argv: list[str] | None = None) -> int:
                 f" {len(moved)} differ:{''.join(f' {run_id}' for run_id in moved)}",
                 flush=True,
             )
-    for path, count in sorted(counts.items()):
-        print(f"{count:6d}  {path}")
-    print(f"{len(counts)} path(s) differ")
-    return 1 if counts else 0
+            for path, count in sorted(counts.items()):
+                print(f"{count:6d}  {path}", flush=True)
+            moved_paths.update(counts)
+    print(f"{len(moved_paths)} path(s) differ")
+    return 1 if moved_paths else 0
 
 
 if __name__ == "__main__":
