@@ -411,7 +411,7 @@ GUARDS: dict[str, Guard] = {
         "        self.retry_budget = retry_budget or RetryBudget()",
     ),
     "one-pool-path": Guard(
-        r"execute_chunk|specs_per_chunk|CHUNKS_PER_WORKER|as_completed", ("src/",), "TENTPOLE",
+        r"execute_chunk|specs_per_chunk|CHUNKS_PER_WORKER|as_completed", ("src/",), "94f9cf7",
         "a campaign is one delivery loop over map or ProcessPoolExecutor.map, in spec order; no"
         " chunk scheduler of its own, which bought nothing measurable at 2 workers",
         "        for future in concurrent.futures.as_completed(futures):",
