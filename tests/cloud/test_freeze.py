@@ -114,14 +114,19 @@ class TestFrozenView:
         view = frozen_sample()
         assert json.loads(json.dumps(view, sort_keys=True)) == sample()
 
-    def test_pickle_and_deepcopy_fail_loudly(self):
-        """A view never crosses a process or a copy: only plain records
-        leave a run, so rebuilding one through the blocked mutators is a
-        bug to surface, not to paper over."""
+    def test_pickle_fails_loudly(self):
+        """A view never crosses a process: only plain records leave a
+        run, so rebuilding one through the blocked mutators is a bug to
+        surface, not to paper over."""
         view = frozen_sample()
         for frozen in (view, view["SecurityGroups"]):
             with pytest.raises(FrozenMutationError):
                 pickle.loads(pickle.dumps(frozen))
+
+    def test_deepcopy_fails_loudly(self):
+        """Nor a deep copy: a copy goes through the same blocked mutators."""
+        view = frozen_sample()
+        for frozen in (view, view["SecurityGroups"]):
             with pytest.raises(FrozenMutationError):
                 copy.deepcopy(frozen)
 

@@ -5,17 +5,20 @@ and the computed ``CampaignMetrics`` — are bit-for-bit identical whether
 the runs execute serially or across any number of worker processes.
 """
 
+import concurrent.futures
 import contextlib
 import dataclasses
 import json
 import multiprocessing
 import os
 import pickle
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.cloud.freeze import FrozenView
 from repro.evaluation.campaign import (
     Campaign,
     CampaignConfig,
@@ -89,6 +92,13 @@ def _die_on_last_sg_wrong(spec: RunSpec) -> RunOutcome:
         assert multiprocessing.parent_process() is not None, "would kill pytest itself"
         os._exit(3)
     return run_single(spec)
+
+
+def _outcome_holding_a_view(spec: RunSpec) -> RunOutcome:
+    """Picklable runner whose outcome carries a frozen view."""
+    return dataclasses.replace(
+        RunOutcome.failure(spec, "view"), api_health=FrozenView({"calls": 1})
+    )
 
 
 class TestDeterminism:
@@ -184,11 +194,33 @@ class TestTracedDeterminism:
         assert all(o.trace is None and o.metrics == {} for o in plain)
 
 
+def _pool_that_breaks_after(delivered: int):
+    """A stand-in ``ProcessPoolExecutor`` whose ``map`` delivers the first
+    ``delivered`` outcomes, then breaks the way a dying worker breaks it."""
+
+    class BreakingPool:
+        def __init__(self, max_workers, initializer):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, task, specs):
+            for spec in specs[:delivered]:
+                yield task(spec)
+            raise BrokenProcessPool("a worker died")
+
+    return BreakingPool
+
+
 class TestCrashIsolation:
     def _specs(self):
         return list(SMALL_SPECS)
 
-    @pytest.mark.parametrize("max_workers", [None, 2])
+    @pytest.mark.parametrize("max_workers", [None, 2, 4])
     def test_one_crashing_run_does_not_kill_campaign(self, max_workers, pool_spy):
         specs = self._specs()
         if max_workers is None:
@@ -224,13 +256,14 @@ class TestCrashIsolation:
         assert metrics.precision == clean_metrics.precision
         assert metrics.accuracy_rate == clean_metrics.accuracy_rate
 
-    def test_dead_worker_fails_every_run_not_yet_delivered(self, pool_spy):
+    @pytest.mark.parametrize("max_workers", [2, 4])
+    def test_dead_worker_fails_every_run_not_yet_delivered(self, max_workers, pool_spy):
         # os._exit in a worker breaks the pool: the campaign still returns,
         # with one outcome per spec.  What map delivered before the break
         # is the real outcomes; every spec after it is a failure record.
         specs = self._specs()
         assert specs[-1].run_id == "sg_wrong-03"
-        outcomes = _specs_pooled(pool_spy, specs, 2, runner=_die_on_last_sg_wrong)
+        outcomes = _specs_pooled(pool_spy, specs, max_workers, runner=_die_on_last_sg_wrong)
         assert [o.spec.run_id for o in outcomes] == [s.run_id for s in specs]
         delivered = [o for o in outcomes if not o.failed]
         failed = outcomes[len(delivered):]
@@ -243,6 +276,40 @@ class TestCrashIsolation:
         assert metrics.failed_runs == len(failed)
         assert metrics.total_runs == len(specs)
         assert metrics.faults_injected == len(specs) - len(failed)
+
+    @pytest.mark.parametrize("delivered", [0, 2, 6])
+    def test_broken_pool_reports_every_undelivered_spec_in_order(self, delivered, monkeypatch):
+        # Where the pool breaks is up to the workers; the delivery loop
+        # must turn the undelivered suffix, whatever its length, into
+        # failure records that progress reports in spec order.
+        specs = self._specs()
+        assert delivered <= len(specs)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", _pool_that_breaks_after(delivered)
+        )
+        seen = []
+        outcomes = execute_specs(
+            specs,
+            max_workers=2,
+            progress=lambda done, total, o: seen.append((done, total, o.spec.run_id, o.failed)),
+        )
+        assert seen == [
+            (n, len(specs), s.run_id, n > delivered) for n, s in enumerate(specs, 1)
+        ]
+        assert outcomes[:delivered] == execute_specs(specs[:delivered])
+        for outcome in outcomes[delivered:]:
+            assert "worker failed: BrokenProcessPool: a worker died" in outcome.error
+            assert outcome.operation_status == "crashed"
+
+    def test_unpicklable_runner_raises_instead_of_failing_runs(self, pool_spy):
+        # Only a broken pool becomes failure records.  A runner that cannot
+        # cross to the workers is the caller's bug, and it surfaces.
+        def local_runner(spec):
+            return run_single(spec)
+
+        with pytest.raises(Exception, match="pickle"):
+            _specs_pooled(pool_spy, self._specs()[:2], 2, runner=local_runner)
 
     def test_monkeypatched_run_single_serial(self, monkeypatch):
         calls = {"n": 0}
@@ -262,22 +329,35 @@ class TestCrashIsolation:
 
 
 class TestProgressBridge:
-    @pytest.mark.parametrize("max_workers", [None, 2])
-    def test_each_run_reported_once_in_spec_order(self, max_workers, pool_spy):
-        # The parent reports each outcome as it is delivered: in spec
-        # order on both paths, whatever order the workers finish in.
+    # The parent reports each outcome as it is delivered: in spec order on
+    # both paths, whatever order the workers finish in.
+
+    def test_progress_fires_in_parent_for_every_run(self, pool_spy):
         specs = list(SMALL_SPECS) * 2
         seen: list[tuple[int, int, str]] = []
-
-        def progress(done, total, outcome):
-            seen.append((done, total, outcome.spec.run_id))
-
-        if max_workers is None:
-            outcomes = execute_specs(specs, progress=progress)
-        else:
-            outcomes = _specs_pooled(pool_spy, specs, max_workers, progress=progress)
+        outcomes = _specs_pooled(
+            pool_spy,
+            specs,
+            2,
+            progress=lambda done, total, outcome: seen.append(
+                (done, total, outcome.spec.run_id)
+            ),
+        )
         assert seen == [(n, len(specs), s.run_id) for n, s in enumerate(specs, 1)]
         assert [o.spec.run_id for o in outcomes] == [s.run_id for s in specs]
+
+    def test_serial_progress_in_spec_order(self):
+        specs = list(SMALL_SPECS)[:2]
+        seen = []
+        outcomes = execute_specs(specs, progress=lambda d, t, o: seen.append((d, t, o.spec.run_id)))
+        assert seen == [(n, len(specs), s.run_id) for n, s in enumerate(specs, 1)]
+        assert [o.spec.run_id for o in outcomes] == [s.run_id for s in specs]
+
+    def test_no_specs_start_no_pool_and_report_nothing(self, pool_spy):
+        seen = []
+        with pool_spy.expect():
+            outcomes = execute_specs([], max_workers=4, progress=lambda *a: seen.append(a))
+        assert outcomes == [] and seen == []
 
 
 class TestPicklability:
@@ -319,6 +399,15 @@ class TestPicklability:
         restored = pickle.loads(pickle.dumps(outcome))
         assert restored == outcome
         assert restored.failed
+
+    def test_a_frozen_view_in_an_outcome_breaks_the_pool(self, pool_spy):
+        # Views do not unpickle, so an outcome carrying one cannot cross
+        # back silently: the parent fails to read it, the pool breaks, and
+        # every run comes back a failure record.
+        specs = list(SMALL_SPECS)[:2]
+        outcomes = _specs_pooled(pool_spy, specs, 2, runner=_outcome_holding_a_view)
+        assert [o.spec.run_id for o in outcomes] == [s.run_id for s in specs]
+        assert all(o.failed and "BrokenProcessPool" in o.error for o in outcomes)
 
     def test_no_unpicklable_defaults_in_spec_fields(self):
         # A default_factory returning an unpicklable object (lambda, open
