@@ -30,8 +30,9 @@ def main(runs_per_fault: int = 4, workers: int = 1) -> None:
           f" ({runs_per_fault} per fault type, mixed interference)...\n")
 
     def progress(index, count, outcome):
-        status = "detected" if outcome.fault_detected else "MISSED"
-        correct = "+" if outcome.fault_diagnosed_correctly() else "-"
+        score = outcome.score()
+        status = "detected" if score.detected else "MISSED"
+        correct = "+" if score.fault_correct else "-"
         interference = ",".join(t for t in outcome.truth if t != outcome.spec.fault_type) or "-"
         print(
             f"  [{index:3d}/{count}] {outcome.spec.run_id:26s} n={outcome.spec.cluster_size:<2d}"

@@ -149,8 +149,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
     def progress(index: int, total: int, outcome) -> None:
         if args.verbose:
-            print(f"[{index}/{total}] {outcome.spec.run_id}: "
-                  f"{'detected' if outcome.fault_detected else 'MISSED'}")
+            status = "detected" if outcome.fault_detected else "MISSED"
+            print(f"[{index}/{total}] {outcome.spec.run_id}: {'CRASHED' if outcome.failed else status}")
 
     campaign.run(progress=progress, max_workers=args.workers)
     metrics = compute_metrics(campaign.outcomes)

@@ -8,7 +8,10 @@
 - :mod:`metrics` — Table I: precision/recall of detection, accuracy rate
   of diagnosis, overall and per fault type (Fig. 7);
 - :mod:`figures` — the diagnosis-time distribution (Fig. 6), conformance
-  statistics (§V.D) and text renderings of every table/figure.
+  statistics (§V.D) and text renderings of every table/figure;
+- :mod:`reporting` — the same tables and figures, the per-run ledger and
+  the failure modes as one Markdown report (``campaign --report``);
+- :mod:`sweeps` — one campaign per setting of a knob (``chaos-sweep``).
 """
 
 from repro.evaluation.faults import FAULT_TYPES, FaultPlan, apply_fault

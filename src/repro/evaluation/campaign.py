@@ -11,6 +11,7 @@ metrics and Figs. 6/7.
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 import typing as _t
 
@@ -77,6 +78,39 @@ class ReportSummary:
     degraded_tests: int = 0
 
 
+def _confirmed(reports: _t.Iterable[ReportSummary]) -> set[str]:
+    """The cause ids these reports confirm."""
+    return {n for report in reports for n, status in report.causes if status == "confirmed"}
+
+
+@dataclasses.dataclass(frozen=True)
+class RunScore:
+    """One run's Table I tally (:meth:`RunOutcome.score`); a fault type's
+    metrics bucket adds these up."""
+
+    #: Recall numerator: a detection at or after the injection.
+    detected: bool
+    #: Diagnosis explained the injected fault.
+    fault_correct: bool
+    #: Interference truths some report's causes point at.
+    interference: list[str]
+    #: Of those, how many were diagnosed correctly.
+    interference_correct: int
+    #: Reports matching no real event, one per distinct trigger.
+    false_positives: list[ReportSummary]
+
+    @property
+    def correct(self) -> int:
+        """Table I's Num_correct for the run: the detected fault, the
+        detected interference, and each false positive that honestly
+        reports "No root cause identified"."""
+        return (
+            (self.detected and self.fault_correct)
+            + self.interference_correct
+            + sum(r.no_root_cause for r in self.false_positives)
+        )
+
+
 @dataclasses.dataclass
 class RunOutcome:
     """Ground truth + observations of one run."""
@@ -99,9 +133,6 @@ class RunOutcome:
     orchestrator_detected_at: float | None
     detections: list[dict]
     reports: list[ReportSummary]
-    first_detection_at: float | None
-    first_detection_kind: str | None
-    conformance_before_assertion: bool
     #: Traceback text when the run itself crashed (worker exception); the
     #: campaign reports such runs as structured failures instead of dying,
     #: and metrics exclude them rather than miscounting.
@@ -109,8 +140,6 @@ class RunOutcome:
     #: Consistent-API client + chaos-controller counters for the run —
     #: the "API health" axis the chaos sweep correlates against.
     api_health: dict = dataclasses.field(default_factory=dict)
-    #: Diagnostic-test verdicts lost to API-plane degradation.
-    degraded_verdicts: int = 0
     #: The run's spans when the spec asked for tracing, read from its
     #: records at export (:func:`repro.obs.run_trace`); None otherwise.
     #: Spans are keyed to virtual time, so the serial ≡ parallel
@@ -141,11 +170,31 @@ class RunOutcome:
             orchestrator_detected_at=None,
             detections=[],
             reports=[],
-            first_detection_at=None,
-            first_detection_kind=None,
-            conformance_before_assertion=False,
             error=error,
         )
+
+    # -- views of the records ------------------------------------------------
+
+    @property
+    def first_detection_at(self) -> float | None:
+        return self.detections[0]["time"] if self.detections else None
+
+    @property
+    def first_detection_kind(self) -> str | None:
+        return self.detections[0]["kind"] if self.detections else None
+
+    @property
+    def conformance_before_assertion(self) -> bool:
+        """Conformance checking flagged the run before any assertion did (§V.D)."""
+        first: dict[str, float] = {}
+        for detection in self.detections:
+            first.setdefault(detection["kind"], detection["time"])
+        return first.get("conformance", math.inf) < first.get("assertion", math.inf)
+
+    @property
+    def degraded_verdicts(self) -> int:
+        """Diagnostic-test verdicts lost to API-plane degradation."""
+        return sum(r.degraded_tests for r in self.reports)
 
     # -- scoring (Table I semantics) -----------------------------------------
 
@@ -178,63 +227,48 @@ class RunOutcome:
                     break
         return grouped
 
-    def unattributed_reports(self) -> list[ReportSummary]:
-        attributed = {id(r) for reports in self.attributed_reports().values() for r in reports}
-        return [r for r in self.reports if id(r) not in attributed]
+    def score(self) -> RunScore:
+        """This run's Table I tally, from one grouping of its reports.
 
-    def fault_diagnosed_correctly(self) -> bool:
-        """Did diagnosis explain the injected fault correctly?
-
-        - manifested fault → a report must confirm an expected root cause
-          (for a transient fault, confirming ``transient-config-change``
-          is also correct: the fault genuinely was a reverted change);
-        - unmanifested fault (masked by interference before it could
-          bite) → correct iff what *was* detected got a confirmed
-          explanation; demanding the fault's own cause would require
-          diagnosing an effect that never existed.
+        - A manifested fault is diagnosed correctly if a report confirms an
+          expected root cause (``transient-config-change`` too for a
+          transient fault: it genuinely was a reverted change); one masked
+          by interference before it could bite, if what *was* detected got
+          a confirmed explanation.
+        - An interference truth is detected when a report's causes point at
+          it, confirmed or not (§V.B), and diagnosed correctly when one
+          confirms its cause — except a random termination, whose author
+          the paper could not pin either: its reports must confirm nothing.
+        - A false positive is a report matching no real event, one per
+          distinct trigger: a stalled upgrade re-fires the same watchdog
+          assertion every interval and the paper counts the failure once.
         """
-        confirmed = {
-            node_id
-            for report in self.reports
-            for node_id, status in report.causes
-            if status == "confirmed"
-        }
+        grouped = self.attributed_reports()
+        attributed = {id(r) for reports in grouped.values() for r in reports}
+        false_positives: list[ReportSummary] = []
+        seen: set[tuple[str, str]] = set()
+        for report in self.reports:
+            key = (report.trigger, report.trigger_detail)
+            if id(report) not in attributed and key not in seen:
+                seen.add(key)
+                false_positives.append(report)
         if self.fault_manifested:
             expected = set(EXPECTED_ROOT_CAUSE.get(self.spec.fault_type, set()))
             if self.spec.transient:
                 expected.add("transient-config-change")
-            return bool(confirmed & expected)
-        grouped = self.attributed_reports()
-        return any(
-            status == "confirmed"
-            for reports in grouped.values()
-            for r in reports
-            for _n, status in r.causes
+            fault_correct = bool(_confirmed(self.reports) & expected)
+        else:
+            fault_correct = bool(_confirmed(r for reports in grouped.values() for r in reports))
+        interference = [t for t in self.truth if t != self.spec.fault_type and t in grouped]
+        return RunScore(
+            detected=self.fault_detected,
+            fault_correct=fault_correct,
+            interference=interference,
+            interference_correct=sum(
+                bool(_confirmed(grouped[t])) != (t == RANDOM_TERMINATION) for t in interference
+            ),
+            false_positives=false_positives,
         )
-
-    def interference_detected(self) -> list[str]:
-        """Interference truths some report's causes point at (confirmed or
-        undetermined — detecting a random termination without pinning the
-        author still counts as a *detection*, per §V.B)."""
-        grouped = self.attributed_reports()
-        return [t for t in self.truth if t != self.spec.fault_type and t in grouped]
-
-    def false_positive_reports(self) -> list[ReportSummary]:
-        """Detections whose diagnosis matches no real event in this run.
-
-        Distinct trigger details only: a stalled upgrade re-fires the same
-        watchdog assertion every interval and the paper counts the
-        failure, not each re-firing.
-        """
-        seen: set[tuple[str, str]] = set()
-        result = []
-        for report in self.unattributed_reports():
-            key = (report.trigger, report.trigger_detail)
-            if key in seen:
-                continue
-            seen.add(key)
-            result.append(report)
-        return result
 
     def diagnosis_times(self) -> list[float]:
         return [r.duration for r in self.reports]
@@ -384,13 +418,6 @@ def _run_on(testbed: Testbed, spec: RunSpec) -> RunOutcome:
 
     api_health = dict(testbed.pod.env.client.counters())
     api_health.update({f"chaos_{k}": v for k, v in testbed.chaos.counters.items()})
-    first = detections[0] if detections else None
-    first_assertion = next((d for d in detections if d["kind"] == "assertion"), None)
-    first_conformance = next((d for d in detections if d["kind"] == "conformance"), None)
-    conformance_first = bool(
-        first_conformance
-        and (first_assertion is None or first_conformance["time"] < first_assertion["time"])
-    )
     return RunOutcome(
         spec=spec,
         injected_at=fault_outcome["injected_at"],
@@ -401,11 +428,7 @@ def _run_on(testbed: Testbed, spec: RunSpec) -> RunOutcome:
         orchestrator_detected_at=orchestrator_detected_at,
         detections=detections,
         reports=reports,
-        first_detection_at=first["time"] if first else None,
-        first_detection_kind=first["kind"] if first else None,
-        conformance_before_assertion=conformance_first,
         api_health=api_health,
-        degraded_verdicts=sum(r.degraded_tests for r in reports),
         trace=Observability().export_trace(testbed) if spec.trace else None,
         metrics=Observability().export_metrics(testbed) if spec.trace else {},
         recovery=recovery,

@@ -19,40 +19,58 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 import statistics
 import typing as _t
 
-from repro.evaluation.campaign import RunOutcome
+from repro.evaluation.campaign import RunOutcome, RunScore
 from repro.evaluation.faults import FAULT_TYPES, RESOURCE_FAULTS
 from repro.obs.snapshot import merge_snapshots
 
 
+def _ratio(numerator: int, denominator: int) -> float:
+    return numerator / denominator if denominator else 1.0
+
+
 @dataclasses.dataclass
 class FaultTypeMetrics:
-    """One Fig. 7 column group."""
+    """One Fig. 7 column group: the Table I tally of one fault type's runs.
+
+    Summed over fault types (:attr:`CampaignMetrics.overall`) it is the
+    campaign's tally, so the three rates below are the campaign's too.
+    """
 
     fault_type: str
     runs: int = 0
     tp: int = 0
-    fn: int = 0
     fp: int = 0
     interference_tp: int = 0
     correct_diagnoses: int = 0
 
+    def add(self, score: RunScore) -> None:
+        """Count one scored run of this fault type."""
+        self.runs += 1
+        self.tp += score.detected
+        self.fp += len(score.false_positives)
+        self.interference_tp += len(score.interference)
+        self.correct_diagnoses += score.correct
+
     @property
     def precision(self) -> float:
-        denominator = self.tp + self.interference_tp + self.fp
-        return (self.tp + self.interference_tp) / denominator if denominator else 1.0
+        return _ratio(self.tp + self.interference_tp, self.tp + self.interference_tp + self.fp)
 
     @property
     def recall(self) -> float:
-        denominator = self.tp + self.fn
-        return self.tp / denominator if denominator else 1.0
+        # A scored run is a TP or an FN: TP + FN is the run count.
+        return _ratio(self.tp, self.runs)
 
     @property
     def accuracy_rate(self) -> float:
-        denominator = self.tp + self.interference_tp + self.fp
-        return self.correct_diagnoses / denominator if denominator else 1.0
+        return _ratio(self.correct_diagnoses, self.tp + self.interference_tp + self.fp)
+
+
+#: The counts a bucket holds; the campaign's are their sums.
+_COUNTS = ("runs", "tp", "fp", "interference_tp", "correct_diagnoses")
 
 
 @dataclasses.dataclass
@@ -61,18 +79,13 @@ class CampaignMetrics:
 
     per_fault: dict[str, FaultTypeMetrics]
     total_runs: int
-    faults_injected: int
-    faults_detected: int
     interference_events: int
-    interference_detected: int
-    false_positives: int
-    correct_diagnoses: int
     diagnosis_times: list[float]
     detection_latencies: list[float]
     conformance_first_runs: int
     conformance_eligible_runs: int
     #: Runs that crashed (structured failures): excluded from every rate
-    #: above rather than silently miscounted as misses or FPs.
+    #: rather than silently miscounted as misses or FPs.
     failed_runs: int = 0
     #: Diagnostic-test verdicts lost to API-plane degradation (chaos).
     degraded_verdicts: int = 0
@@ -94,28 +107,31 @@ class CampaignMetrics:
     mttr_values: list[float] = dataclasses.field(default_factory=list)
 
     @property
+    def overall(self) -> FaultTypeMetrics:
+        """The per-fault buckets summed: Fig. 7's OVERALL row."""
+        buckets = self.per_fault.values()
+        return FaultTypeMetrics(
+            "OVERALL", **{count: sum(getattr(b, count) for b in buckets) for count in _COUNTS}
+        )
+
+    @property
     def scored_runs(self) -> int:
-        """Runs that actually contribute to the rates above."""
+        """Runs that actually contribute to the rates."""
         return self.total_runs - self.failed_runs
+
+    #: The campaign's Table I tally and rates are its buckets' sum.
+    faults_injected = property(operator.attrgetter("overall.runs"))
+    faults_detected = property(operator.attrgetter("overall.tp"))
+    interference_detected = property(operator.attrgetter("overall.interference_tp"))
+    false_positives = property(operator.attrgetter("overall.fp"))
+    correct_diagnoses = property(operator.attrgetter("overall.correct_diagnoses"))
+    precision = property(operator.attrgetter("overall.precision"))
+    recall = property(operator.attrgetter("overall.recall"))
+    accuracy_rate = property(operator.attrgetter("overall.accuracy_rate"))
 
     @property
     def tp(self) -> int:
         return self.faults_detected + self.interference_detected
-
-    @property
-    def precision(self) -> float:
-        denominator = self.tp + self.false_positives
-        return self.tp / denominator if denominator else 1.0
-
-    @property
-    def recall(self) -> float:
-        denominator = self.faults_detected + (self.faults_injected - self.faults_detected)
-        return self.faults_detected / denominator if denominator else 1.0
-
-    @property
-    def accuracy_rate(self) -> float:
-        denominator = self.tp + self.false_positives
-        return self.correct_diagnoses / denominator if denominator else 1.0
 
     def diagnosis_time_stats(self) -> dict[str, float]:
         return _time_stats(self.diagnosis_times)
@@ -147,37 +163,13 @@ def _time_stats(values: _t.Sequence[float]) -> dict[str, float]:
     }
 
 
-def _diagnosed_interference(outcome: RunOutcome) -> tuple[int, int]:
-    """(detected interference events, correctly diagnosed among them)."""
-    detected = outcome.interference_detected()
-    correct = 0
-    grouped = outcome.attributed_reports()
-    for truth in detected:
-        reports = grouped.get(truth, [])
-        # Scale-in / account-limit diagnoses must *confirm* their cause;
-        # a random termination counts as correctly handled when the report
-        # honestly confirms *nothing* — the paper explicitly could not
-        # diagnose those, so the accurate outcome is a detection whose
-        # root-cause attribution stays undetermined.
-        if truth == "RANDOM_TERMINATION":
-            if not any(s == "confirmed" for r in reports for _n, s in r.causes):
-                correct += 1
-            continue
-        if any(s == "confirmed" for r in reports for _n, s in r.causes):
-            correct += 1
-    return len(detected), correct
-
-
 def compute_metrics(outcomes: _t.Sequence[RunOutcome]) -> CampaignMetrics:
     per_fault = {ft: FaultTypeMetrics(fault_type=ft) for ft in FAULT_TYPES}
     diagnosis_times: list[float] = []
     detection_latencies: list[float] = []
     interference_events = 0
-    interference_detected_total = 0
     conformance_first = 0
     conformance_eligible = 0
-    total_correct = 0
-    total_fp = 0
     failed_runs = 0
     degraded_verdicts = 0
     api_health: dict = {}
@@ -209,33 +201,9 @@ def compute_metrics(outcomes: _t.Sequence[RunOutcome]) -> CampaignMetrics:
         for key, value in outcome.api_health.items():
             api_health[key] = api_health.get(key, 0) + value
         ft = outcome.spec.fault_type
-        bucket = per_fault.setdefault(ft, FaultTypeMetrics(fault_type=ft))
-        bucket.runs += 1
+        per_fault.setdefault(ft, FaultTypeMetrics(fault_type=ft)).add(outcome.score())
         interference_truth = [t for t in outcome.truth if t != ft]
         interference_events += len(interference_truth)
-
-        if outcome.fault_detected:
-            bucket.tp += 1
-        else:
-            bucket.fn += 1
-
-        detected_interference, correct_interference = _diagnosed_interference(outcome)
-        bucket.interference_tp += detected_interference
-        interference_detected_total += detected_interference
-
-        fps = outcome.false_positive_reports()
-        bucket.fp += len(fps)
-        total_fp += len(fps)
-
-        correct_here = 0
-        if outcome.fault_detected and outcome.fault_diagnosed_correctly():
-            correct_here += 1
-        correct_here += correct_interference
-        # An FP whose diagnosis honestly reports "no root cause" counts as
-        # accurate (Table I's note on FPdet).
-        correct_here += sum(1 for r in fps if r.no_root_cause)
-        bucket.correct_diagnoses += correct_here
-        total_correct += correct_here
 
         diagnosis_times.extend(outcome.diagnosis_times())
         if outcome.injected_at is not None and outcome.first_detection_at is not None:
@@ -251,17 +219,10 @@ def compute_metrics(outcomes: _t.Sequence[RunOutcome]) -> CampaignMetrics:
             if outcome.conformance_before_assertion and not interference_truth:
                 conformance_first += 1
 
-    faults_injected = sum(b.runs for b in per_fault.values())
-    faults_detected = sum(b.tp for b in per_fault.values())
     return CampaignMetrics(
         per_fault=per_fault,
         total_runs=len(outcomes),
-        faults_injected=faults_injected,
-        faults_detected=faults_detected,
         interference_events=interference_events,
-        interference_detected=interference_detected_total,
-        false_positives=total_fp,
-        correct_diagnoses=total_correct,
         diagnosis_times=diagnosis_times,
         detection_latencies=detection_latencies,
         conformance_first_runs=conformance_first,

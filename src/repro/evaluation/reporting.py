@@ -11,20 +11,8 @@ from __future__ import annotations
 import typing as _t
 
 from repro.evaluation.campaign import RunOutcome
-from repro.evaluation.figures import diagnosis_time_distribution
+from repro.evaluation.figures import diagnosis_time_distribution, fig7_rows, headline_rows
 from repro.evaluation.metrics import CampaignMetrics
-
-#: The paper's reference numbers, for side-by-side tables.
-PAPER = {
-    "faults": "160/160",
-    "interference": "46",
-    "precision": "91.95%",
-    "recall": "100%",
-    "accuracy": "96.55-97.13%",
-    "diag_mean": "2.30s",
-    "diag_p95": "3.83s",
-    "diag_range": "1.29-10.44s",
-}
 
 
 def render_markdown(
@@ -46,26 +34,17 @@ def render_markdown(
 
 
 def _headline_section(metrics: CampaignMetrics) -> str:
-    stats = metrics.diagnosis_time_stats()
-    rows = [
-        ("Total runs", "-", str(metrics.total_runs)),
-        ("Failed runs (crashed, excluded)", "0", str(metrics.failed_runs)),
-        ("Scored runs", "-", str(metrics.scored_runs)),
-        ("Injected faults detected", PAPER["faults"],
-         f"{metrics.faults_detected}/{metrics.faults_injected}"),
-        ("Interference detections", PAPER["interference"],
-         f"{metrics.interference_detected} (of {metrics.interference_events} events)"),
-        ("False positives", "~14", str(metrics.false_positives)),
-        ("Precision of detection", PAPER["precision"], f"{metrics.precision:.2%}"),
-        ("Recall of detection", PAPER["recall"], f"{metrics.recall:.2%}"),
-        ("Accuracy rate of diagnosis", PAPER["accuracy"], f"{metrics.accuracy_rate:.2%}"),
-        ("Diagnosis time mean", PAPER["diag_mean"], f"{stats['mean']:.2f}s"),
-        ("Diagnosis time p95", PAPER["diag_p95"], f"{stats['p95']:.2f}s"),
-        ("Diagnosis time range", PAPER["diag_range"],
-         f"{stats['min']:.2f}-{stats['max']:.2f}s"),
+    lines = [
+        "## Headline (Table I)\n",
+        f"Runs: {metrics.total_runs} total, {metrics.failed_runs} crashed (excluded from"
+        f" every rate), {metrics.scored_runs} scored.\n",
+        "| Metric | Paper | Measured |",
+        "|---|---|---|",
     ]
-    lines = ["## Headline (Table I)\n", "| Metric | Paper | Measured |", "|---|---|---|"]
-    lines += [f"| {name} | {paper} | {measured} |" for name, paper, measured in rows]
+    lines += [
+        f"| {name.capitalize()} | {paper} | {measured} |"
+        for name, paper, measured in headline_rows(metrics)
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -83,25 +62,24 @@ def _fig7_section(metrics: CampaignMetrics) -> str:
         "| Fault type | Precision | Recall | Accuracy |",
         "|---|---|---|---|",
     ]
-    for fault_type, bucket in metrics.per_fault.items():
+    *per_fault, overall = fig7_rows(metrics)
+    named = [(bucket.fault_type, bucket) for bucket in per_fault]
+    for name, bucket in named + [(f"**{overall.fault_type}**", overall)]:
         lines.append(
-            f"| {fault_type} | {bucket.precision:.1%} | {bucket.recall:.1%}"
+            f"| {name} | {bucket.precision:.1%} | {bucket.recall:.1%}"
             f" | {bucket.accuracy_rate:.1%} |"
         )
-    lines.append(
-        f"| **OVERALL** | {metrics.precision:.1%} | {metrics.recall:.1%}"
-        f" | {metrics.accuracy_rate:.1%} |"
-    )
     return "\n".join(lines) + "\n"
 
 
 def _failure_modes_section(outcomes: _t.Sequence[RunOutcome]) -> str:
-    fp_runs = [o for o in outcomes if o.false_positive_reports()]
-    wrong = [
-        o for o in outcomes if o.fault_detected and not o.fault_diagnosed_correctly()
-    ]
-    transient = [o for o in outcomes if o.spec.transient]
-    masked = [o for o in outcomes if not o.fault_manifested]
+    """§VI.A's classes over the runs that finished; a crashed run has no
+    fault to miss or diagnose."""
+    scored = [(o, o.score()) for o in outcomes if not o.failed]
+    fp_runs = [o for o, score in scored if score.false_positives]
+    wrong = [o for o, score in scored if score.detected and not score.fault_correct]
+    transient = [o for o, _score in scored if o.spec.transient]
+    masked = [o for o, _score in scored if not o.fault_manifested]
     lines = [
         "## Failure modes (§VI.A classes)\n",
         f"- runs with false-positive detections: {len(fp_runs)}"
@@ -162,11 +140,15 @@ def _ledger_section(outcomes: _t.Sequence[RunOutcome]) -> str:
             t for t in outcome.truth if t != outcome.spec.fault_type
         ) or "-"
         injected = f"{outcome.injected_at:.0f}s" if outcome.injected_at is not None else "-"
+        if outcome.failed:
+            detected = correct = "crashed"
+        else:
+            score = outcome.score()
+            detected = "yes" if score.detected else "NO"
+            correct = "yes" if score.fault_correct else "no"
         lines.append(
             f"| {outcome.spec.run_id} | {outcome.spec.cluster_size} | {injected}"
-            f" | {'yes' if outcome.fault_detected else 'NO'}"
-            f" | {outcome.first_detection_kind or '-'}"
-            f" | {'yes' if outcome.fault_diagnosed_correctly() else 'no'}"
+            f" | {detected} | {outcome.first_detection_kind or '-'} | {correct}"
             f" | {interference} |"
         )
     return "\n".join(lines) + "\n"

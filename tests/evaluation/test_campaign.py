@@ -79,7 +79,7 @@ class TestRunSingle:
         assert outcome.injected_at is not None
         assert outcome.fault_detected
         assert outcome.fault_manifested
-        assert outcome.fault_diagnosed_correctly()
+        assert outcome.score().fault_correct
         assert outcome.diagnosis_times()
 
     def test_interference_attributed(self):
@@ -110,9 +110,6 @@ class TestScoring:
             orchestrator_detected_at=None,
             detections=[{"time": 20.0, "kind": "assertion", "detail": "x", "cause": "log", "step": None}],
             reports=reports,
-            first_detection_at=20.0,
-            first_detection_kind="assertion",
-            conformance_before_assertion=False,
         )
 
     def _report(self, causes, no_root_cause=False):
@@ -127,22 +124,22 @@ class TestScoring:
 
     def test_correct_diagnosis_scored(self):
         outcome = self._outcome([self._report([("wrong-ami", "confirmed")])])
-        assert outcome.fault_diagnosed_correctly()
-        assert outcome.false_positive_reports() == []
+        assert outcome.score().fault_correct
+        assert outcome.score().false_positives == []
 
     def test_wrong_cause_not_correct(self):
         outcome = self._outcome([self._report([("key-pair-unavailable", "confirmed")])])
-        assert not outcome.fault_diagnosed_correctly()
+        assert not outcome.score().fault_correct
 
     def test_no_root_cause_report_is_fp(self):
         outcome = self._outcome([self._report([], no_root_cause=True)])
-        fps = outcome.false_positive_reports()
+        fps = outcome.score().false_positives
         assert len(fps) == 1
 
     def test_repeated_fp_triggers_deduplicated(self):
         reports = [self._report([], no_root_cause=True) for _ in range(4)]
         outcome = self._outcome(reports)
-        assert len(outcome.false_positive_reports()) == 1
+        assert len(outcome.score().false_positives) == 1
 
     def test_unmanifested_fault_accepts_interference_explanation(self):
         outcome = self._outcome(
@@ -151,13 +148,13 @@ class TestScoring:
             fault="AMI_UNAVAILABLE",
             manifested=False,
         )
-        assert outcome.fault_diagnosed_correctly()
-        assert outcome.interference_detected() == ["SCALE_IN"]
+        assert outcome.score().fault_correct
+        assert outcome.score().interference == ["SCALE_IN"]
 
     def test_transient_cause_accepted_when_transient(self):
         outcome = self._outcome([self._report([("transient-config-change", "confirmed")])])
         outcome.spec = dataclasses.replace(outcome.spec, transient=True)
-        assert outcome.fault_diagnosed_correctly()
+        assert outcome.score().fault_correct
 
     def test_metrics_aggregation(self):
         good = self._outcome([self._report([("wrong-ami", "confirmed")])])
@@ -179,7 +176,6 @@ class TestScoring:
     def test_undetected_fault_hits_recall(self):
         missed = self._outcome([])
         missed.detections = []
-        missed.first_detection_at = None
         metrics = compute_metrics([missed])
         assert metrics.recall == 0.0
 

@@ -16,16 +16,15 @@ from repro.operations.target import TargetConfig
 
 
 def make_metrics(times=(1.5, 2.5, 2.7, 3.1, 9.0)):
-    per_fault = {"AMI_CHANGED": FaultTypeMetrics("AMI_CHANGED", runs=2, tp=2, correct_diagnoses=2)}
+    per_fault = {
+        "AMI_CHANGED": FaultTypeMetrics(
+            "AMI_CHANGED", runs=2, tp=2, fp=1, interference_tp=1, correct_diagnoses=3
+        )
+    }
     return CampaignMetrics(
         per_fault=per_fault,
         total_runs=2,
-        faults_injected=2,
-        faults_detected=2,
         interference_events=1,
-        interference_detected=1,
-        false_positives=1,
-        correct_diagnoses=3,
         diagnosis_times=list(times),
         detection_latencies=[120.0, 80.0],
         conformance_first_runs=1,

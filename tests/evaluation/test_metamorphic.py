@@ -46,7 +46,7 @@ def test_terminal_error_line_adds_no_unattributed_report(fault_type):
 
     assert confirmed(with_line) >= confirmed(before_line)
     assert set(with_line.attributed_reports()) == set(before_line.attributed_reports()) == {fault_type}
-    assert with_line.unattributed_reports() == before_line.unattributed_reports()
+    assert with_line.score().false_positives == before_line.score().false_positives
 
 
 #: Lines the noise filter drops, one of each kind, the last carrying a

@@ -238,7 +238,7 @@ class TestCrashIsolation:
             assert outcome.detections == [] and outcome.reports == []
             # Failure records must not score as anything.
             assert not outcome.fault_detected
-            assert outcome.false_positive_reports() == []
+            assert outcome.score().false_positives == []
 
     def test_metrics_exclude_failed_runs(self):
         specs = self._specs()
@@ -390,8 +390,7 @@ class TestPicklability:
         assert restored == outcome
         assert isinstance(restored.reports[0], ReportSummary) if restored.reports else True
         # Scoring still works on the restored object.
-        assert restored.fault_detected == outcome.fault_detected
-        assert restored.fault_diagnosed_correctly() == outcome.fault_diagnosed_correctly()
+        assert restored.score() == outcome.score()
 
     def test_failure_record_round_trips(self):
         spec = RunSpec(run_id="p-3", fault_type="SG_WRONG", seed=7, inject_at=30.0)

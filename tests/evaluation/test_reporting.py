@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.evaluation.campaign import Campaign, CampaignConfig
+from repro.evaluation.campaign import Campaign, CampaignConfig, RunOutcome, RunSpec
 from repro.evaluation.metrics import compute_metrics
 from repro.evaluation.reporting import render_markdown
 
@@ -55,3 +55,22 @@ class TestReport:
         text = path.read_text()
         assert "## Per-run ledger" in text
         assert "report written" in capsys.readouterr().out
+
+
+class TestCrashedRun:
+    """A run that crashed reads as crashed: it is no fault-mode statistic
+    and its ledger row claims neither a miss nor a wrong diagnosis."""
+
+    @pytest.fixture
+    def report(self):
+        spec = RunSpec(run_id="ami_changed-01", fault_type="AMI_CHANGED", seed=1,
+                       inject_at=50.0, transient=True)
+        outcomes = [RunOutcome.failure(spec, "Traceback: boom")]
+        return render_markdown(outcomes, compute_metrics(outcomes))
+
+    def test_failure_modes_leave_it_out(self, report):
+        assert "- transient-fault runs: 0" in report
+        assert "(masked by interference/timing): 0" in report
+
+    def test_ledger_row_says_crashed(self, report):
+        assert "| ami_changed-01 | 4 | - | crashed | - | crashed | - |" in report

@@ -13,12 +13,7 @@ def _metrics_with_times(times: list[float]) -> CampaignMetrics:
     return CampaignMetrics(
         per_fault={},
         total_runs=0,
-        faults_injected=0,
-        faults_detected=0,
         interference_events=0,
-        interference_detected=0,
-        false_positives=0,
-        correct_diagnoses=0,
         diagnosis_times=times,
         detection_latencies=[],
         conformance_first_runs=0,
@@ -55,9 +50,6 @@ def _outcome(
         orchestrator_detected_at=None,
         detections=[{"time": 150.0, "kind": "assertion"}],
         reports=reports or [],
-        first_detection_at=150.0,
-        first_detection_kind="assertion",
-        conformance_before_assertion=True,
         metrics=metrics or {},
     )
 

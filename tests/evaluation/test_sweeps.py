@@ -69,14 +69,13 @@ def sweep_transient_rate(rates, runs_per_fault=3, seed=7003):
 
 def stub_metrics(precision_fp=0):
     return CampaignMetrics(
-        per_fault={"AMI_CHANGED": FaultTypeMetrics("AMI_CHANGED", runs=1, tp=1)},
+        per_fault={
+            "AMI_CHANGED": FaultTypeMetrics(
+                "AMI_CHANGED", runs=1, tp=1, fp=precision_fp, correct_diagnoses=1
+            )
+        },
         total_runs=1,
-        faults_injected=1,
-        faults_detected=1,
         interference_events=0,
-        interference_detected=0,
-        false_positives=precision_fp,
-        correct_diagnoses=1,
         diagnosis_times=[2.0],
         detection_latencies=[100.0],
         conformance_first_runs=0,

@@ -62,9 +62,8 @@ class TestCampaignCommand:
             "AMI_UNAVAILABLE", "KEYPAIR_UNAVAILABLE", "SG_UNAVAILABLE", "ELB_UNAVAILABLE",
         }
 
-    def test_crashed_run_is_named_on_stderr(self, monkeypatch, capsys):
-        """A run that raises is left out of the metrics, and the warning
-        names it with the last line of its traceback."""
+    @pytest.fixture
+    def first_run_crashes(self, monkeypatch):
         from repro.evaluation import parallel
 
         real = parallel.run_single
@@ -75,10 +74,20 @@ class TestCampaignCommand:
             return real(spec)
 
         monkeypatch.setattr(parallel, "run_single", crash_first)
+
+    def test_crashed_run_is_named_on_stderr(self, first_run_crashes, capsys):
+        """A run that raises is left out of the metrics, and the warning
+        names it with the last line of its traceback."""
         assert main(["campaign", "--runs", "1"]) == 0
         err = capsys.readouterr().err
         assert "WARNING: 1 run(s) crashed and were excluded from metrics:" in err
         assert "  ami_changed-01: RuntimeError: boom" in err
+
+    def test_crashed_run_reads_crashed_in_the_progress_line(self, first_run_crashes, capsys):
+        assert main(["campaign", "--runs", "1", "--verbose"]) == 0
+        out = capsys.readouterr().out
+        assert "[1/8] ami_changed-01: CRASHED" in out
+        assert "[2/8] keypair_wrong-01: detected" in out
 
 
 class TestDemoCommand:

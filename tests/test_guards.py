@@ -416,6 +416,17 @@ GUARDS: dict[str, Guard] = {
         " chunk scheduler of its own, which bought nothing measurable at 2 workers",
         "        for future in concurrent.futures.as_completed(futures):",
     ),
+    "one-scoring-pass": Guard(
+        r"interference_detected_total|total_fp\b|total_correct|_diagnosed_interference"
+        r"|(faults_injected|faults_detected|interference_detected|false_positives): int"
+        r"|(first_detection_at|first_detection_kind|conformance_before_assertion)(=|: )"
+        r"|degraded_verdicts=sum",
+        ("src/",), "HEAD",
+        "a campaign is scored once: the per-fault buckets are the only tally, an outcome's"
+        " reports are grouped once per score, and an outcome stores no view of its own"
+        " detections or reports",
+        "        first_detection_at=first[\"time\"] if first else None,",
+    ),
 }
 
 
