@@ -421,7 +421,7 @@ GUARDS: dict[str, Guard] = {
         r"|(faults_injected|faults_detected|interference_detected|false_positives): int"
         r"|(first_detection_at|first_detection_kind|conformance_before_assertion)(=|: )"
         r"|degraded_verdicts=sum",
-        ("src/",), "HEAD",
+        ("src/",), "5449c23",
         "a campaign is scored once: the per-fault buckets are the only tally, an outcome's"
         " reports are grouped once per score, and an outcome stores no view of its own"
         " detections or reports",
