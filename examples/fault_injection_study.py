@@ -30,13 +30,16 @@ def main(runs_per_fault: int = 4, workers: int = 1) -> None:
           f" ({runs_per_fault} per fault type, mixed interference)...\n")
 
     def progress(index, count, outcome):
-        score = outcome.score()
-        status = "detected" if score.detected else "MISSED"
-        correct = "+" if score.fault_correct else "-"
+        if outcome.failed:
+            verdict = "CRASHED"
+        else:
+            score = outcome.score()
+            status = "detected" if score.detected else "MISSED"
+            verdict = f"{status}/{'+' if score.fault_correct else '-'}"
         interference = ",".join(t for t in outcome.truth if t != outcome.spec.fault_type) or "-"
         print(
             f"  [{index:3d}/{count}] {outcome.spec.run_id:26s} n={outcome.spec.cluster_size:<2d}"
-            f" {status}/{correct} interference={interference}"
+            f" {verdict} interference={interference}"
         )
 
     campaign.run(progress=progress, max_workers=workers)

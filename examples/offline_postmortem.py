@@ -51,9 +51,10 @@ def main() -> None:
 
     print("\ntransient-change post-mortem (flap shorter than the monitor crawl):")
     flap_start = engine.now
-    record = testbed.cloud.injector.change_lc_ami("lc-app-v2", "ami-flap")
+    injector = testbed.cloud.injector
+    record = injector.change("launch_configuration", "lc-app-v2", image_id="ami-flap")
     engine.run(until=engine.now + 4)
-    testbed.cloud.injector.revert(record)
+    injector.revert(record)
     for flap in transient_changes(testbed.cloud.state, "launch_configuration", "lc-app-v2", since=flap_start):
         print(
             f"  changed at t={flap['changed_at']:.0f}, reverted {flap['duration']:.0f}s later"

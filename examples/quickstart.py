@@ -10,6 +10,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro import build_testbed
+from repro.evaluation.faults import FaultPlan, schedule_fault
 
 
 def clean_run() -> None:
@@ -34,15 +35,11 @@ def faulty_run() -> None:
     print("2. Same upgrade with a wrong-AMI fault injected at t+40s")
     print("=" * 72)
     testbed = build_testbed(cluster_size=4, seed=2)
-
-    def inject():
-        yield testbed.engine.timeout(40)
-        rogue = testbed.cloud.api("rogue-team").register_image("rogue-release", "v9")["ImageId"]
-        testbed.cloud.injector.change_lc_ami("lc-app-v2", rogue)
-        print(f"  !! fault injected: launch configuration now points at {rogue}")
-
-    testbed.engine.process(inject())
+    fault = schedule_fault(testbed, FaultPlan(fault_type="AMI_CHANGED", inject_at=40.0))
     testbed.run_upgrade()
+    rogue = testbed.cloud.state.get("launch_configuration", "lc-app-v2").image_id
+    print(f"  !! fault injected at t={fault.record.time:.0f}:"
+          f" launch configuration points at {rogue}")
 
     print(f"\ndetections ({len(testbed.pod.detections)}):")
     for detection in testbed.pod.detections[:4]:

@@ -18,6 +18,7 @@ afterwards: the run needed no tracing switched on.
 Run:  python examples/targeted_healing.py
 """
 
+from repro.evaluation.faults import FaultPlan, schedule_fault
 from repro.obs import run_trace
 from repro.obs.export import render_span_tree
 from repro.recovery.engine import RecoveryEngine
@@ -27,16 +28,14 @@ from repro.testbed import build_testbed
 
 def main() -> None:
     testbed = build_testbed(cluster_size=4, seed=51)
+    fault = schedule_fault(testbed, FaultPlan(fault_type="AMI_CHANGED", inject_at=40.0))
     healed = []
 
-    def inject_then_heal():
-        yield testbed.engine.timeout(40)
-        rogue = testbed.cloud.api("rogue-team").register_image("rogue", "v9")["ImageId"]
-        testbed.cloud.injector.change_lc_ami("lc-app-v2", rogue)
-        print(f"  !! t={testbed.engine.now:.0f}: launch configuration corrupted -> {rogue}")
-
+    def heal():
         while not testbed.pod.reports:
             yield testbed.engine.timeout(5)
+        rogue = testbed.cloud.state.get("launch_configuration", "lc-app-v2").image_id
+        print(f"  !! t={fault.record.time:.0f}: launch configuration corrupted -> {rogue}")
         report = testbed.pod.reports[0]
         print(f"\n  diagnosis at t={testbed.engine.now:.0f}: {report.summary()}")
 
@@ -53,7 +52,7 @@ def main() -> None:
             healed.append(f"{done.action} on {done.target}: {done.status}")
         print(f"    recovery at t={testbed.engine.now:.0f}: {result.status}")
 
-    testbed.engine.process(inject_then_heal())
+    testbed.engine.process(heal())
     print("rolling upgrade v1 -> v2 with mid-flight corruption and healing:")
     operation = testbed.run_upgrade()
 

@@ -65,6 +65,7 @@ def _tree_id(value: str) -> str:
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
+    from repro.evaluation.faults import FAULT_TYPES, FaultPlan, schedule_fault
     from repro.testbed import build_testbed
 
     testbed = build_testbed(cluster_size=args.cluster, seed=args.seed)
@@ -73,13 +74,8 @@ def _cmd_demo(args: argparse.Namespace) -> int:
           f" {len(testbed.pod.detections)} detections")
 
     testbed = build_testbed(cluster_size=args.cluster, seed=args.seed + 1)
-
-    def inject():
-        yield testbed.engine.timeout(40)
-        rogue = testbed.cloud.api("rogue").register_image("rogue", "v9")["ImageId"]
-        testbed.cloud.injector.change_lc_ami("lc-app-v2", rogue)
-
-    testbed.engine.process(inject())
+    # The paper's fault #1: another team swaps the AMI mid-upgrade.
+    schedule_fault(testbed, FaultPlan(fault_type=FAULT_TYPES[0], inject_at=40.0))
     testbed.run_upgrade()
     print(f"faulty upgrade (wrong AMI): {len(testbed.pod.detections)} detections")
     for report in testbed.pod.reports[:1]:

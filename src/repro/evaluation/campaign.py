@@ -15,14 +15,9 @@ import math
 import random
 import typing as _t
 
-from repro.evaluation.faults import (
-    CONFIG_FAULTS,
-    FAULT_TYPES,
-    RESOURCE_FAULTS,
-    FaultPlan,
-    schedule_fault,
-)
-from repro.faulttree.library import EXPECTED_ROOT_CAUSE
+from repro.cloud.errors import ResourceNotFound
+from repro.cloud.faults import InjectionRecord
+from repro.evaluation.faults import CONFIG_FAULTS, FAULT_TYPES, FAULTS, FaultPlan, schedule_fault
 from repro.obs import Observability, Span
 from repro.operations.interference import InterferencePlan, InterferenceScheduler, SecondTeam
 from repro.testbed import Testbed
@@ -41,6 +36,15 @@ P_TRANSIENT = 0.08
 SCALE_IN = "SCALE_IN"
 RANDOM_TERMINATION = "RANDOM_TERMINATION"
 ACCOUNT_LIMIT = "ACCOUNT_LIMIT"
+
+#: Ground truth: the root-cause nodes a perfect diagnosis confirms for
+#: each truth label — a fault type's from its row, an interference's here.
+EXPECTED_ROOT_CAUSE = {
+    **{name: fault.causes for name, fault in FAULTS.items()},
+    SCALE_IN: frozenset({"asg-scale-in"}),
+    RANDOM_TERMINATION: frozenset({"instance-terminated-externally"}),
+    ACCOUNT_LIMIT: frozenset({"account-limit-exceeded"}),
+}
 
 
 @dataclasses.dataclass
@@ -296,20 +300,14 @@ class CampaignConfig:
         get_profile(self.chaos_profile)  # validate the name early
 
 
-#: The launch error each resource fault leaves in the ASG's scaling
-#: activities (the fourth, ELB_UNAVAILABLE, fails no launch).
-_FAULT_ERROR_CODES = dict(
-    zip(RESOURCE_FAULTS, ("InvalidAMIID.NotFound", "InvalidKeyPair.NotFound", "InvalidGroup.NotFound"))
-)
-
-
-def _fault_manifested(testbed, fault_type: str, injected_at: float | None,
-                      reverted_at: float | None) -> bool:
+def _fault_manifested(testbed, fault_type: str, record: InjectionRecord | None) -> bool:
     """Ground truth: did the injected fault produce any observable effect?"""
-    if injected_at is None:
+    if record is None:
         return False
+    fault = FAULTS[fault_type]
+    injected_at, reverted_at = record.time, record.reverted_at
     state = testbed.cloud.state
-    if fault_type in CONFIG_FAULTS:
+    if fault.configuration:
         window_end = reverted_at if reverted_at is not None else float("inf")
         if testbed.has_wrong_instance(lambda i: injected_at <= i.launch_time <= window_end):
             return True
@@ -318,14 +316,15 @@ def _fault_manifested(testbed, fault_type: str, injected_at: float | None,
         params = testbed.params
         lc = state.latest_view("launch_configuration", params.lc_name)
         return lc is not None and bool(params.target.mismatches(lc))
-    if fault_type in _FAULT_ERROR_CODES:
-        code = _FAULT_ERROR_CODES[fault_type]
+    if fault.disable is None:
+        # A removed resource fails the launches that reference it.
+        code = ResourceNotFound.CODES[fault.kind]
         return any(
             a.status == "Failed" and a.error_code == code and a.time >= injected_at
             for a in state.scaling_activities
         )
-    # ELB_UNAVAILABLE: the ELB stays unavailable for the rest of the run,
-    # so the fault is always observable (assertions / deregister calls).
+    # A disabled resource stays so for the rest of the run, so the fault
+    # is always observable (assertions / deregister calls).
     return True
 
 
@@ -353,7 +352,7 @@ def _run_on(testbed: Testbed, spec: RunSpec) -> RunOutcome:
         second_team = SecondTeam(testbed.engine, testbed.cloud, seed=spec.seed + 5)
         second_team.provision()
     interference.schedule(spec.interference, second_team)
-    fault_outcome = schedule_fault(
+    fault = schedule_fault(
         testbed,
         FaultPlan(
             fault_type=spec.fault_type,
@@ -369,11 +368,10 @@ def _run_on(testbed: Testbed, spec: RunSpec) -> RunOutcome:
     # Ground truth is judged on the post-upgrade state — *before* recovery
     # heals it (a healed launch configuration must not un-manifest the
     # fault the run is scored on).
-    manifested = _fault_manifested(
-        testbed, spec.fault_type, fault_outcome["injected_at"], fault_outcome["reverted_at"]
-    )
+    injection = fault.record
+    manifested = _fault_manifested(testbed, spec.fault_type, injection)
 
-    truth = [spec.fault_type] if fault_outcome["injected_at"] is not None else []
+    truth = [spec.fault_type] if injection is not None else []
     if spec.interference.scale_in_at is not None:
         truth.append(SCALE_IN)
     if spec.interference.random_termination_at is not None:
@@ -420,8 +418,8 @@ def _run_on(testbed: Testbed, spec: RunSpec) -> RunOutcome:
     api_health.update({f"chaos_{k}": v for k, v in testbed.chaos.counters.items()})
     return RunOutcome(
         spec=spec,
-        injected_at=fault_outcome["injected_at"],
-        reverted_at=fault_outcome["reverted_at"],
+        injected_at=injection.time if injection is not None else None,
+        reverted_at=injection.reverted_at if injection is not None else None,
         truth=truth,
         fault_manifested=manifested,
         operation_status=operation.status,

@@ -353,23 +353,6 @@ def build_standard_fault_trees() -> FaultTreeRegistry:
     return registry
 
 
-#: Ground-truth mapping used by the evaluation: which root-cause node a
-#: perfect diagnosis should identify for each injected fault type.
-EXPECTED_ROOT_CAUSE = {
-    "AMI_CHANGED": {"wrong-ami"},
-    "KEYPAIR_WRONG": {"wrong-key-pair"},
-    "SG_WRONG": {"wrong-security-group"},
-    "INSTANCE_TYPE_CHANGED": {"wrong-instance-type"},
-    "AMI_UNAVAILABLE": {"ami-unavailable", "lc-ami-missing"},
-    "KEYPAIR_UNAVAILABLE": {"key-pair-unavailable", "lc-key-missing"},
-    "SG_UNAVAILABLE": {"security-group-unavailable", "lc-sg-missing"},
-    "ELB_UNAVAILABLE": {"elb-unavailable", "elb-registration-failure"},
-    "SCALE_IN": {"asg-scale-in"},
-    "RANDOM_TERMINATION": {"instance-terminated-externally"},
-    "ACCOUNT_LIMIT": {"account-limit-exceeded"},
-}
-
-
 @_functools.lru_cache(maxsize=1)
 def shared_standard_fault_trees() -> FaultTreeRegistry:
     """Process-wide warm copy of the standard fault-tree registry.

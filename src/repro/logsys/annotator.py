@@ -22,29 +22,16 @@ _UNCLASSIFIED = (tag_entry("step:unclassified"),)
 class ProcessAnnotator:
     """Tags records with process context derived from the pattern library."""
 
-    def __init__(
-        self,
-        library: PatternLibrary,
-        process_id: str,
-        trace_id: str | _t.Callable[[LogRecord], str],
-    ) -> None:
+    def __init__(self, library: PatternLibrary, process_id: str, trace_id: str) -> None:
         self.library = library
         self.process_id = process_id
-        self._trace_id = trace_id
-        # The context tags, split once, not per record; a callable trace
-        # id names each record's trace when it is annotated.
-        self._process_entry = tag_entry(f"process:{process_id}")
-        self._context = (
-            None if callable(trace_id) else (self._process_entry, tag_entry(f"trace:{trace_id}"))
-        )
+        # The context tags, split once, not per record.
+        self._context = (tag_entry(f"process:{process_id}"), tag_entry(f"trace:{trace_id}"))
 
     def annotate(self, record: LogRecord) -> Classification:
         """Classify (or reuse the noise filter's memo) and tag one record."""
         classification = classify_record(self.library, record)
-        record.add_entries(
-            self._context
-            or (self._process_entry, tag_entry(f"trace:{self._trace_id(record)}"))
-        )
+        record.add_entries(self._context)
         pattern = classification.pattern
         if pattern is not None:
             record.add_entries(pattern.entries)

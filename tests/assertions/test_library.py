@@ -167,7 +167,7 @@ class TestAsgConfigAssertion:
         assert "correct" in result.detail
 
     def test_detects_single_field(self, env, provisioned_cloud):
-        provisioned_cloud.injector.change_lc_key_pair("lc-v1", "key-rogue")
+        provisioned_cloud.injector.change("launch_configuration", "lc-v1", key_name="key-rogue")
         result = run(env, AsgConfigAssertion(), {"field": "key_pair"})
         assert result.failed
         assert "key pair" in result.detail
@@ -176,7 +176,7 @@ class TestAsgConfigAssertion:
         assert result.passed
 
     def test_detects_any_field_without_filter(self, env, provisioned_cloud):
-        provisioned_cloud.injector.change_lc_instance_type("lc-v1", "m9.huge")
+        provisioned_cloud.injector.change("launch_configuration", "lc-v1", instance_type="m9.huge")
         result = run(env, AsgConfigAssertion())
         assert result.failed
 
@@ -193,7 +193,7 @@ class TestElbAssertion:
         assert len(result.observed["in_service"]) >= 3
 
     def test_fails_when_elb_unavailable(self, env, provisioned_cloud):
-        provisioned_cloud.injector.make_elb_unavailable("elb-dsn")
+        provisioned_cloud.injector.change("load_balancer", "elb-dsn", available=False)
         result = run(env, ElbRegistrationAssertion(), {"convergence_timeout": 2})
         assert result.failed
 
@@ -262,7 +262,7 @@ class TestResourceExistsAssertion:
         assert result.failed
 
     def test_unavailable_elb_fails_despite_existing(self, env, provisioned_cloud):
-        provisioned_cloud.injector.make_elb_unavailable("elb-dsn")
+        provisioned_cloud.injector.change("load_balancer", "elb-dsn", available=False)
         result = run(env, ResourceExistsAssertion("load_balancer"), {"identifier": "elb-dsn"})
         assert result.failed
 

@@ -39,7 +39,7 @@ class TestImages:
 
     def test_deregister_makes_unavailable(self, cloud, api):
         image = api.register_image("app", "v1")
-        cloud.injector.make_ami_unavailable(image["ImageId"])
+        cloud.injector.remove("ami", image["ImageId"])
         with pytest.raises(ResourceNotFound):
             api.describe_image(image["ImageId"])
 
@@ -473,7 +473,7 @@ class TestScalingActivitiesApi:
         cloud = provisioned_cloud
         api = cloud.api("tester")
         api.create_auto_scaling_group("asg-other", "lc-v1", 0, 4, 1)
-        cloud.injector.make_key_pair_unavailable("key-prod")
+        cloud.injector.remove("key_pair", "key-prod")
         api.set_desired_capacity("asg-dsn", 6)
         cloud.engine.run(until=cloud.engine.now + 60.0)
         log = cloud.state.scaling_activities

@@ -23,6 +23,7 @@ from repro.cloud.errors import CloudError
 from repro.cloud.limits import AccountLimits
 from repro.cloud.provider import SimulatedCloud
 from repro.cloud.resources import InstanceState
+from repro.evaluation.faults import FAULT_TYPES, FAULTS, REVERTIBLE
 
 from .history import monitor_at, plain
 from .test_freeze import frozen_throughout
@@ -43,20 +44,6 @@ RESOURCE_CALLS = (
     ("create_launch_configuration", "lc", "ami-1", "m1.small", "key", ["sg"]),
     *(("create_load_balancer", elb) for elb in ELBS),
 )
-#: (method, *args) on the fault injector: the paper's eight fault types.
-INJECTIONS = (
-    ("change_lc_ami", "lc", "ami-2"),
-    ("change_lc_key_pair", "lc", "rogue-key"),
-    ("change_lc_security_group", "lc", "rogue-sg"),
-    ("change_lc_instance_type", "lc", "m1.xlarge"),
-    ("make_ami_unavailable", "ami-1"),
-    ("make_key_pair_unavailable", "key"),
-    ("make_security_group_unavailable", "sg"),
-    *(("make_elb_unavailable", elb) for elb in ELBS),
-)
-REVERTIBLE = {
-    "AMI_CHANGED", "KEYPAIR_WRONG", "SG_WRONG", "INSTANCE_TYPE_CHANGED", "ELB_UNAVAILABLE",
-}
 #: Writes outside the API, controller and injector: the next tick must see them.
 DIRECT_WRITES = (("healthy", False), ("state", InstanceState.SHUTTING_DOWN), ("state", TERMINATED))
 GROUP, MEMBER = st.integers(0, 2), st.integers(0, 11)
@@ -83,6 +70,7 @@ class CloudMachine(RuleBasedStateMachine):
         self.handed_out = []  # (view, deep copy when handed out)
         self.touched = set()  # instance ids a direct-write rule touched
         self.violations = []
+        self.injections = []  # (fault type, its injection record)
         self.dirty = True  # edited since the last reconcile pass
         self.in_reconcile = False
         self.reference, self.crawls_checked = FullCopyReference(state), 0
@@ -233,16 +221,19 @@ class CloudMachine(RuleBasedStateMachine):
         injector = self.cloud.injector
         self._edit(lambda: injector.terminate_random_instance(self._asg(which), self.rng))
 
-    @rule(injection=st.sampled_from(INJECTIONS))
-    def inject(self, injection):
-        method, *args = injection
-        self._edit(lambda: getattr(self.cloud.injector, method)(*args))
+    @rule(fault=st.sampled_from(FAULT_TYPES), elb=st.sampled_from(ELBS))
+    def inject(self, fault, elb):
+        """One of the paper's eight fault types, on the script's names."""
+        stack = types.SimpleNamespace(
+            lc_v2="lc", ami_v2="ami-1", key_name="key", security_group="sg", elb_name=elb
+        )
+        self._edit(lambda: self.injections.append((fault, FAULTS[fault].apply(self.cloud, stack))))
 
     @rule(index=st.integers(0, 8))
     def revert(self, index):
         injector = self.cloud.injector
         open_ = [
-            r for r in injector.injections if r.fault_type in REVERTIBLE and r.reverted_at is None
+            r for fault, r in self.injections if fault in REVERTIBLE and r.reverted_at is None
         ]
         if open_:
             self._edit(lambda: injector.revert(open_[index % len(open_)]))
@@ -361,7 +352,7 @@ def test_a_fixed_script_reaches_every_reconcile_branch():
         ("advance", 60.0), ("scale", 0, 8), ("scale", 1, 0), ("advance", 60.0),
         ("direct_write", 0, 0, ("healthy", False)), ("advance", 5.0), ("scale", 0, 1),
         ("advance", 60.0), ("until_boot", True), ("advance", 60.0),
-        ("inject", ("make_ami_unavailable", "ami-1")), ("scale", 0, 3), ("advance", 12.5),
+        ("inject", "AMI_UNAVAILABLE", "elb-a"), ("scale", 0, 3), ("advance", 12.5),
     ]:
         getattr(machine, name)(*args)
         machine.holds()

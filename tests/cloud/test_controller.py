@@ -119,7 +119,7 @@ class TestScaleInAndReplacement:
 class TestLaunchFailures:
     def test_missing_ami_fails_launch_with_code(self, cloud):
         provision(cloud, desired=1)
-        cloud.injector.make_ami_unavailable(cloud.state.get("launch_configuration", "lc-x").image_id)
+        cloud.injector.remove("ami", cloud.state.get("launch_configuration", "lc-x").image_id)
         cloud.start()
         cloud.engine.run(until=100)
         failed = [a for a in asg_activities(cloud) if a.status == "Failed"]
@@ -129,7 +129,7 @@ class TestLaunchFailures:
 
     def test_missing_key_fails_launch(self, cloud):
         provision(cloud, desired=1)
-        cloud.injector.make_key_pair_unavailable("k")
+        cloud.injector.remove("key_pair", "k")
         cloud.start()
         cloud.engine.run(until=100)
         failed = [a for a in asg_activities(cloud) if a.status == "Failed"]
@@ -137,7 +137,7 @@ class TestLaunchFailures:
 
     def test_missing_security_group_fails_launch(self, cloud):
         provision(cloud, desired=1)
-        cloud.injector.make_security_group_unavailable("sg")
+        cloud.injector.remove("security_group", "sg")
         cloud.start()
         cloud.engine.run(until=100)
         failed = [a for a in asg_activities(cloud) if a.status == "Failed"]
@@ -156,7 +156,7 @@ class TestLaunchFailures:
 
     def test_unavailable_elb_fails_registration_not_launch(self, cloud):
         provision(cloud, desired=1)
-        cloud.injector.make_elb_unavailable("elb-x")
+        cloud.injector.change("load_balancer", "elb-x", available=False)
         cloud.start()
         cloud.engine.run(until=300)
         running = cloud.state.running_instances("asg-x")
@@ -166,7 +166,7 @@ class TestLaunchFailures:
 
     def test_retries_once_resource_restored(self, cloud):
         provision(cloud, desired=1)
-        record = cloud.injector.make_elb_unavailable("elb-x")
+        record = cloud.injector.change("load_balancer", "elb-x", available=False)
         cloud.start()
         cloud.engine.run(until=200)
         cloud.injector.revert(record)

@@ -1,80 +1,124 @@
-"""Tests for the fault-injection hooks."""
+"""Tests for the fault-injection mechanisms, driven by the fault table."""
 
 import random
+import types
 
 import pytest
+
+from repro.cloud.cloudtrail import MAX_DELAY
+from repro.evaluation.faults import FAULTS, ROGUE
 
 from .history import writes_since
 
 
+def _stack(cloud):
+    """The provisioned stack, in the names the fault rows read."""
+    return types.SimpleNamespace(
+        lc_v2="lc-v1", ami_v2=cloud.ami_v2, key_name="key-prod", security_group="sg-web",
+        elb_name="elb-dsn",
+    )
+
+
+@pytest.mark.parametrize("fault", FAULTS.values(), ids=list(FAULTS))
+def test_a_fault_changes_its_resource_and_reverts_where_its_row_allows(provisioned_cloud, fault):
+    """Reverting restores the resource's exact view; a removal refuses."""
+    cloud, stack = provisioned_cloud, _stack(provisioned_cloud)
+    kind, target = fault.kind, getattr(stack, fault.stack_attr)
+    before = cloud.state.latest_view(kind, target)
+    record = fault.apply(cloud, stack)
+    assert (record.time, record.kind, record.target) == (cloud.engine.now, kind, target)
+    after = cloud.state.latest_view(kind, target)
+    if fault.configuration:
+        assert fault.field.read(after) != fault.field.read(before)
+    elif fault.disable is None:
+        assert after is None and not cloud.state.exists(kind, target)
+    else:
+        assert after["State"] == "unavailable"
+    if fault.revertible:
+        cloud.injector.revert(record)
+        assert cloud.state.latest_view(kind, target) == before
+        assert record.reverted_at == cloud.engine.now
+    else:
+        with pytest.raises(ValueError):
+            cloud.injector.revert(record)
+        assert record.reverted_at is None
+
+
+def test_removing_a_missing_resource_changes_nothing(provisioned_cloud):
+    cloud = provisioned_cloud
+    cloud.injector.remove("key_pair", "key-prod")
+    mark = cloud.state.write_seq()
+    record = cloud.injector.remove("key_pair", "key-prod")
+    assert writes_since(cloud.state, mark) == []
+    assert record.original is None
+
+
+def _lc(cloud):
+    return cloud.state.get("launch_configuration", "lc-v1")
+
+
+def _rogue_calls(cloud):
+    return [call.event_name for call in cloud.api(ROGUE).calls]
+
+
 class TestConfigurationFaults:
-    def test_change_lc_ami(self, provisioned_cloud):
-        cloud = provisioned_cloud
-        record = cloud.injector.change_lc_ami("lc-v1", "ami-rogue")
-        assert cloud.state.get("launch_configuration", "lc-v1").image_id == "ami-rogue"
-        assert record.fault_type == "AMI_CHANGED"
-        assert record.details["original"] == cloud.ami_v1
+    """Each configuration row points the launch configuration at the one
+    rogue value it makes, created under the rogue principal."""
 
-    def test_change_lc_key_pair(self, provisioned_cloud):
+    def test_ami_changed_points_at_the_rogue_release(self, provisioned_cloud):
         cloud = provisioned_cloud
-        cloud.injector.change_lc_key_pair("lc-v1", "key-rogue")
-        assert cloud.state.get("launch_configuration", "lc-v1").key_name == "key-rogue"
+        record = FAULTS["AMI_CHANGED"].apply(cloud, _stack(cloud))
+        image = cloud.state.get("ami", _lc(cloud).image_id)
+        assert (image.name, image.version) == ("rogue-release", "v9")
+        assert record.original == {"image_id": cloud.ami_v1}
+        assert _rogue_calls(cloud) == ["RegisterImage"]
 
-    def test_change_lc_security_group(self, provisioned_cloud):
+    def test_keypair_wrong_creates_the_rogue_key_once(self, provisioned_cloud):
         cloud = provisioned_cloud
-        cloud.injector.change_lc_security_group("lc-v1", "sg-rogue")
-        assert cloud.state.get("launch_configuration", "lc-v1").security_groups == ("sg-rogue",)
+        FAULTS["KEYPAIR_WRONG"].apply(cloud, _stack(cloud))
+        FAULTS["KEYPAIR_WRONG"].apply(cloud, _stack(cloud))
+        assert _lc(cloud).key_name == "key-rogue"
+        # The rogue key pair is created once, then reused.
+        assert _rogue_calls(cloud) == ["CreateKeyPair"]
 
-    def test_change_lc_instance_type(self, provisioned_cloud):
+    def test_sg_wrong_creates_the_rogue_group_once(self, provisioned_cloud):
         cloud = provisioned_cloud
-        cloud.injector.change_lc_instance_type("lc-v1", "m1.xlarge")
-        assert cloud.state.get("launch_configuration", "lc-v1").instance_type == "m1.xlarge"
+        FAULTS["SG_WRONG"].apply(cloud, _stack(cloud))
+        FAULTS["SG_WRONG"].apply(cloud, _stack(cloud))
+        assert _lc(cloud).security_groups == ("sg-rogue",)
+        assert _rogue_calls(cloud) == ["CreateSecurityGroup"]
+
+    def test_instance_type_changed_creates_nothing(self, provisioned_cloud):
+        cloud = provisioned_cloud
+        FAULTS["INSTANCE_TYPE_CHANGED"].apply(cloud, _stack(cloud))
+        assert _lc(cloud).instance_type == "m1.xlarge"
+        assert _rogue_calls(cloud) == []
 
 
 class TestResourceFaults:
-    def test_ami_unavailable(self, provisioned_cloud):
-        cloud = provisioned_cloud
-        cloud.injector.make_ami_unavailable(cloud.ami_v1)
-        assert not cloud.state.exists("ami", cloud.ami_v1)
-
-    def test_key_pair_unavailable(self, provisioned_cloud):
-        provisioned_cloud.injector.make_key_pair_unavailable("key-prod")
-        assert not provisioned_cloud.state.exists("key_pair", "key-prod")
-
-    def test_security_group_unavailable(self, provisioned_cloud):
-        provisioned_cloud.injector.make_security_group_unavailable("sg-web")
-        assert not provisioned_cloud.state.exists("security_group", "sg-web")
-
     def test_elb_unavailable_keeps_resource(self, provisioned_cloud):
         cloud = provisioned_cloud
-        cloud.injector.make_elb_unavailable("elb-dsn")
+        FAULTS["ELB_UNAVAILABLE"].apply(cloud, _stack(cloud))
         elb = cloud.state.get("load_balancer", "elb-dsn")
         assert not elb.available
         assert elb.describe()["State"] == "unavailable"
 
 
-class TestReverts:
-    def test_revert_lc_ami(self, provisioned_cloud):
-        cloud = provisioned_cloud
-        record = cloud.injector.change_lc_ami("lc-v1", "ami-rogue")
-        cloud.injector.revert(record)
-        assert cloud.state.get("launch_configuration", "lc-v1").image_id == cloud.ami_v1
-        assert record.reverted_at is not None
-
-    def test_revert_elb(self, provisioned_cloud):
-        cloud = provisioned_cloud
-        record = cloud.injector.make_elb_unavailable("elb-dsn")
-        cloud.injector.revert(record)
-        assert cloud.state.get("load_balancer", "elb-dsn").available
-
-    def test_revert_unsupported_fault_rejected(self, provisioned_cloud):
-        cloud = provisioned_cloud
-        record = cloud.injector.make_ami_unavailable(cloud.ami_v1)
-        with pytest.raises(ValueError):
-            cloud.injector.revert(record)
-
-
 class TestRandomTermination:
+    def test_injections_are_logged(self, provisioned_cloud):
+        """A chaos termination is an injection nobody counts as a fault,
+        yet it leaves the audit record offline analysis attributes."""
+        cloud = provisioned_cloud
+        began = cloud.engine.now
+        victim = cloud.injector.terminate_random_instance("asg-dsn", random.Random(1))
+        cloud.controller.stop()
+        cloud.monitor.stop()
+        cloud.engine.run(until=began + MAX_DELAY)
+        records = cloud.trail.lookup_events(start=began, principal="chaos-script")
+        assert [(r.event_name, r.request_parameters) for r in records] == [
+            ("TerminateInstances", {"InstanceId": victim})
+        ]
+
     def test_kills_a_running_member(self, provisioned_cloud):
         cloud = provisioned_cloud
         before = {i.instance_id for i in cloud.state.running_instances("asg-dsn")}
@@ -90,13 +134,6 @@ class TestRandomTermination:
 
     def test_no_candidates_returns_none(self, cloud):
         assert cloud.injector.terminate_random_instance("asg-ghost", random.Random(1)) is None
-
-    def test_injections_are_logged(self, provisioned_cloud):
-        cloud = provisioned_cloud
-        cloud.injector.change_lc_ami("lc-v1", "x")
-        cloud.injector.make_elb_unavailable("elb-dsn")
-        types = [r.fault_type for r in cloud.injector.injections]
-        assert types == ["AMI_CHANGED", "ELB_UNAVAILABLE"]
 
 
 class TestTerminationPaths:
@@ -187,4 +224,3 @@ class TestTerminationPaths:
             ("load_balancer", "elb-extra"),
         ]
         self._assert_gone_everywhere(cloud, victim, began)
-        assert cloud.injector.injections[-1].fault_type == "RANDOM_TERMINATION"

@@ -100,15 +100,15 @@ def scripted_run():
 
     engine.run(until=100.0)
     # Rolling upgrade with injected faults: config drift ...
-    drift = cloud.injector.change_lc_instance_type("lc-v1", "m1.xlarge")
+    drift = cloud.injector.change("launch_configuration", "lc-v1", instance_type="m1.xlarge")
     engine.run(until=160.0)
     # ... a transient fault that reverts (the flapping class) ...
     cloud.injector.revert(drift)
-    rogue = cloud.injector.change_lc_ami("lc-v1", ami_v2)
+    rogue = cloud.injector.change("launch_configuration", "lc-v1", image_id=ami_v2)
     engine.run(until=220.0)
     cloud.injector.revert(rogue)
     # ... tombstones: resources deleted mid-run ...
-    cloud.injector.make_ami_unavailable(ami_v2)
+    cloud.injector.remove("ami", ami_v2)
     api.delete_key_pair("key-old")
     engine.run(until=280.0)
     # ... instance churn (terminate; ASG reconciles a replacement).

@@ -62,7 +62,7 @@ class TestTransientPostmortem:
         cloud = testbed.cloud
         since = cloud.engine.now
         cloud.engine.run(until=cloud.engine.now + 5)
-        record = cloud.injector.change_lc_ami("lc-app-v1", "ami-flap")
+        record = cloud.injector.change("launch_configuration", "lc-app-v1", image_id="ami-flap")
         cloud.engine.run(until=cloud.engine.now + 3)  # shorter than the crawl interval
         cloud.injector.revert(record)
         flaps = transient_changes(cloud.state, "launch_configuration", "lc-app-v1", since=since)

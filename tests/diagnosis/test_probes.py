@@ -53,7 +53,7 @@ def run_probe(env, probes, name, **params):
 
 
 def launches_fail(cloud):
-    cloud.injector.make_ami_unavailable(cloud.ami_v1)
+    cloud.injector.remove("ami", cloud.ami_v1)
     cloud.api("ops").set_desired_capacity("asg-dsn", 5)
     cloud.engine.run(until=cloud.engine.now + 30)
 
@@ -80,7 +80,7 @@ def attributed_termination(cloud):
 
 
 def lc_flap_seen_by_monitor(cloud):
-    record = cloud.injector.change_lc_ami("lc-v1", "ami-rogue")
+    record = cloud.injector.change("launch_configuration", "lc-v1", image_id="ami-rogue")
     cloud.engine.run(until=cloud.engine.now + 60)  # monitor crawls the change
     cloud.injector.revert(record)
     cloud.engine.run(until=cloud.engine.now + 60)  # ... and the revert
@@ -88,7 +88,7 @@ def lc_flap_seen_by_monitor(cloud):
 
 def concurrent_lc_write(cloud):
     cloud.engine.run(until=cloud.engine.now + 5)  # injection strictly after `since`
-    cloud.injector.change_lc_ami("lc-v1", "ami-rogue")
+    cloud.injector.change("launch_configuration", "lc-v1", image_id="ami-rogue")
 
 
 def instance_unhealthy(cloud):
@@ -359,7 +359,7 @@ class TestConfigProbes:
         cloud = provisioned_cloud
         # Take a snapshot now, inject + revert entirely between crawls.
         cloud.monitor.take_snapshot()
-        record = cloud.injector.change_lc_ami("lc-v1", "ami-rogue")
+        record = cloud.injector.change("launch_configuration", "lc-v1", image_id="ami-rogue")
         cloud.injector.revert(record)
         observed, _ = run_probe(env, probes, "lc-config-flapped", lc_name="lc-v1")
         assert observed is False

@@ -12,7 +12,7 @@ from repro.evaluation.campaign import (
     RunSpec,
     run_single,
 )
-from repro.evaluation.faults import FAULT_TYPES, FaultPlan, apply_fault
+from repro.evaluation.faults import FAULT_TYPES, FAULTS, FaultPlan, apply_fault
 from repro.evaluation.metrics import compute_metrics
 from repro.operations.interference import InterferencePlan
 from repro.testbed import build_testbed
@@ -36,7 +36,9 @@ class TestFaultPlan:
             testbed.start_upgrade()
             testbed.engine.run(until=testbed.engine.now + 10)
             record = apply_fault(testbed, fault_type)
-            assert record.fault_type == fault_type
+            target = getattr(testbed.stack, FAULTS[fault_type].stack_attr)
+            assert (record.time, record.target) == (testbed.engine.now, target)
+            assert testbed.cloud.state.history(record.kind, target)[-1][0] == record.time
 
 
 class TestRunSpecs:

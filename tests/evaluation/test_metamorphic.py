@@ -9,12 +9,10 @@ import itertools
 
 import pytest
 
-from repro.evaluation.campaign import Campaign, CampaignConfig, run_single
-from repro.faulttree.library import EXPECTED_ROOT_CAUSE
+from repro.evaluation.campaign import EXPECTED_ROOT_CAUSE, Campaign, CampaignConfig, run_single
+from repro.evaluation.faults import RESOURCE_FAULTS
 from repro.operations.base import Operation
 from repro.operations.interference import InterferencePlan
-
-RESOURCE_FAULTS = ("AMI_UNAVAILABLE", "KEYPAIR_UNAVAILABLE", "SG_UNAVAILABLE", "ELB_UNAVAILABLE")
 
 #: The report diagnosing the orchestrator's terminal "Exception during …" line.
 TERMINAL = ("conformance", "error:operation_error")

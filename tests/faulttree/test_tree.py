@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.evaluation.campaign import EXPECTED_ROOT_CAUSE
 from repro.faulttree.builder import FaultTreeRegistry
 from repro.faulttree.instantiate import instantiate_tree
-from repro.faulttree.library import EXPECTED_ROOT_CAUSE, build_standard_fault_trees
+from repro.faulttree.library import build_standard_fault_trees
 from repro.faulttree.tree import DiagnosticTest, FaultTree, node, substitute, substitute_params
 
 

@@ -33,14 +33,12 @@ def reference_annotation(record, classification, process_id, trace_id, bindings)
     """``(tags, fields, assertion ids)`` after the process annotator, then
     the assertion annotator, as one ``add_tag`` per tag on a naive store.
 
-    ``record`` is read, not changed; ``trace_id`` is a string or a
-    callable of the record; ``classification`` is the record's.
+    ``record`` is read, not changed; ``classification`` is the record's.
     """
     tags = NaiveTags(record.tags)
     fields = dict(record.fields)
-    trace = trace_id(record) if callable(trace_id) else trace_id
     tags.add_tag(f"process:{process_id}")
-    tags.add_tag(f"trace:{trace}")
+    tags.add_tag(f"trace:{trace_id}")
     pattern = classification.pattern
     if pattern is not None:
         tags.add_tag(f"step:{pattern.activity}")

@@ -3,6 +3,7 @@
 import types
 
 from repro.assertions.results import AssertionResult
+from repro.evaluation.faults import apply_fault
 from repro.logsys.annotator import AssertionAnnotator, ProcessAnnotator
 from repro.logsys.filters import NoiseFilter
 from repro.logsys.patterns import END, LogPattern, PatternLibrary
@@ -71,12 +72,6 @@ class TestProcessAnnotator:
         rec = record("known error occurred")
         annotator.annotate(rec)
         assert rec.has_tag("known-error")
-
-    def test_callable_trace_id(self):
-        annotator = ProcessAnnotator(library(), "p", lambda r: f"trace-{r.time:.0f}")
-        rec = record("operation started", time=7)
-        annotator.annotate(rec)
-        assert rec.tag_value("trace") == "trace-7"
 
 
 class TestAssertionAnnotator:
@@ -389,7 +384,7 @@ class TestAnnotationOnARealStream:
                 "DEBUG com.netflix.asgard.Task Terminating instance i-00000009 (dry run)",
             ):
                 testbed.stream.emit(LogRecord(testbed.engine.now, "asgard.log", message))
-            testbed.cloud.injector.make_ami_unavailable(testbed.stack.ami_v2)
+            apply_fault(testbed, "AMI_UNAVAILABLE")
 
         testbed.engine.process(inject())
         testbed.run_upgrade(trace_id="upgrade-1")

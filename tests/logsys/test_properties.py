@@ -224,11 +224,6 @@ class TestGuardSoundness:
             assert guard == () or any(literal in text for literal in guard), (regex, text, guard)
 
 
-def _trace_of_message(record) -> str:
-    """A callable trace id: the trace is named from the line itself."""
-    return f"c:{record.message[:3]}"
-
-
 #: Lines for the annotation library below: an optional group that takes
 #: part or not, an error line, a line naming a pre-tag's step, and lines
 #: no pattern matches.
@@ -273,7 +268,7 @@ class TestAnnotationProperties:
         st.dictionaries(st.sampled_from(["instanceid", "zone", "what", "other"]),
                         st.sampled_from(["p", "q"]), max_size=3),
         st.sampled_from(["p", "q"]),
-        st.sampled_from(["t0", "t1", "a:b", _trace_of_message]),
+        st.sampled_from(["t0", "t1", "a:b"]),
         st.lists(st.tuples(_ACTIVITIES, _POSITIONS, _ASSERTION_IDS), max_size=5),
     )
     @example("Launching i-1", ["step:x", "x", "x"], {"zone": "p"}, "p", "t0",

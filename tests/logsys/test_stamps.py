@@ -10,6 +10,7 @@ and a clockless checker (a replay) passes that stamp through.
 
 import pytest
 
+from repro.evaluation.faults import FaultPlan, schedule_fault
 from repro.logsys.ingest import read_log
 from repro.logsys.record import tag_entry
 from repro.logsys.storage import CentralLogStorage
@@ -28,12 +29,7 @@ def faulted_run():
     """A seeded 4-instance upgrade whose launches fail (the AMI goes away),
     so assertions fail and diagnosis runs."""
     testbed = build_testbed(cluster_size=4, seed=104)
-
-    def inject():
-        yield testbed.engine.timeout(30)
-        testbed.cloud.injector.make_ami_unavailable(testbed.stack.ami_v2)
-
-    testbed.engine.process(inject())
+    schedule_fault(testbed, FaultPlan(fault_type="AMI_UNAVAILABLE", inject_at=30.0))
     testbed.run_upgrade()
     return testbed
 

@@ -157,7 +157,7 @@ class TestFailurePaths:
         operation, stream = launch_upgrade(cloud)
         operation.start()
         cloud.engine.run(until=cloud.engine.now + 50)
-        cloud.injector.make_elb_unavailable("elb-dsn")
+        cloud.injector.change("load_balancer", "elb-dsn", available=False)
         cloud.engine.run(until=cloud.engine.now + 2000)
         assert operation.status == "failed"
         assert any("Exception during" in r.message for r in stream.records)
@@ -167,7 +167,7 @@ class TestFailurePaths:
         operation, stream = launch_upgrade(cloud)
         operation.start()
         cloud.engine.run(until=cloud.engine.now + 20)
-        cloud.injector.make_ami_unavailable(cloud.ami_v2)
+        cloud.injector.remove("ami", cloud.ami_v2)
         cloud.engine.run(until=cloud.engine.now + 2000)
         assert operation.status == "failed"
         assert any("timeout waiting" in r.message for r in stream.records)

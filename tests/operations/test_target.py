@@ -11,8 +11,7 @@ import pytest
 
 from repro.cloud.resources import Instance, LaunchConfiguration
 from repro.diagnosis.report import RootCause
-from repro.evaluation.faults import CONFIG_FAULTS
-from repro.faulttree.library import EXPECTED_ROOT_CAUSE, build_standard_fault_trees
+from repro.faulttree.library import build_standard_fault_trees
 from repro.operations.target import BY_CAUSE, BY_FIELD, FIELDS, TargetConfig
 from repro.recovery.plan import CATALOG, RESTORE, build_recovery_plan
 from repro.testbed import build_testbed
@@ -83,10 +82,6 @@ class TestTableIsComplete:
     def test_every_restore_row_of_the_catalog(self):
         restores = {cause for cause, (action, _template) in CATALOG.items() if action == RESTORE}
         assert restores == set(BY_CAUSE)
-
-    def test_ground_truth_names_the_same_leaves(self):
-        expected = {frozenset(EXPECTED_ROOT_CAUSE[fault]) for fault in CONFIG_FAULTS}
-        assert expected == {frozenset({row.cause}) for row in FIELDS}
 
     def test_repository_carries_every_row(self):
         repository = TARGET.as_repository()

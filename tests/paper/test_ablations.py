@@ -15,6 +15,7 @@ import pytest
 
 from repro.diagnosis.engine import DiagnosisEngine
 from repro.diagnosis.walk import walk
+from repro.evaluation.faults import FaultPlan, schedule_fault
 from repro.faulttree.library import build_standard_fault_trees
 from repro.logsys.storage import CentralLogStorage
 from repro.pod.service import PODDiagnosis
@@ -23,13 +24,7 @@ from repro.testbed import build_testbed
 
 def make_wrong_ami_testbed(seed=811):
     testbed = build_testbed(cluster_size=4, seed=seed)
-
-    def inject():
-        yield testbed.engine.timeout(40)
-        rogue = testbed.cloud.api("rogue").register_image("rogue", "v9")["ImageId"]
-        testbed.cloud.injector.change_lc_ami("lc-app-v2", rogue)
-
-    testbed.engine.process(inject())
+    schedule_fault(testbed, FaultPlan(fault_type="AMI_CHANGED", inject_at=40.0))
     return testbed
 
 
@@ -185,17 +180,10 @@ def test_ablation_watchdog_calibration():
                 1 for d in healthy.pod.detections if d.cause == "timer-timeout"
             )
         stalled = testbed_watched_at(950, interval)
-        injected_at = []
-
-        def inject():
-            yield stalled.engine.timeout(30)
-            stalled.cloud.injector.make_key_pair_unavailable("key-prod")
-            injected_at.append(stalled.engine.now)
-
-        stalled.engine.process(inject())
+        fault = schedule_fault(stalled, FaultPlan(fault_type="KEYPAIR_UNAVAILABLE", inject_at=30.0))
         stalled.run_upgrade()
         latency = min(
-            (d.time - injected_at[0] for d in stalled.pod.detections), default=float("inf")
+            (d.time - fault.record.time for d in stalled.pod.detections), default=float("inf")
         )
         return false_positives, latency
 

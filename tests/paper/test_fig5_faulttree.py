@@ -9,6 +9,7 @@ cause is identified — and prints the same style of diagnosis log.
 
 import pytest
 
+from repro.evaluation.faults import FaultPlan, schedule_fault
 from repro.faulttree.library import build_standard_fault_trees
 from repro.testbed import build_testbed
 
@@ -16,13 +17,7 @@ from repro.testbed import build_testbed
 @pytest.fixture(scope="module")
 def wrong_ami_run():
     testbed = build_testbed(cluster_size=4, seed=77)
-
-    def inject():
-        yield testbed.engine.timeout(40)
-        rogue = testbed.cloud.api("rogue").register_image("rogue", "v9")["ImageId"]
-        testbed.cloud.injector.change_lc_ami("lc-app-v2", rogue)
-
-    testbed.engine.process(inject())
+    schedule_fault(testbed, FaultPlan(fault_type="AMI_CHANGED", inject_at=40.0))
     testbed.run_upgrade()
     return testbed
 

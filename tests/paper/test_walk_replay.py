@@ -30,8 +30,8 @@ import pytest
 
 from repro.diagnosis import walk as walk_module
 from repro.diagnosis.walk import walk
-from repro.evaluation.campaign import Campaign, CampaignConfig
-from repro.faulttree.library import EXPECTED_ROOT_CAUSE, shared_standard_fault_trees
+from repro.evaluation.campaign import EXPECTED_ROOT_CAUSE, Campaign, CampaignConfig
+from repro.faulttree.library import shared_standard_fault_trees
 from repro.faulttree.tree import CONFIRMED
 from repro.recovery.plan import CATALOG
 from tests.paper.coverage import COVERAGE, KINDS

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.evaluation.faults import FaultPlan, schedule_fault
 from repro.testbed import Testbed, build_testbed
 
 
@@ -57,13 +58,7 @@ class TestHappyPath:
 class TestFaultDetectionEndToEnd:
     def test_wrong_ami_detected_and_diagnosed(self):
         testbed = build_testbed(cluster_size=4, seed=102)
-
-        def inject():
-            yield testbed.engine.timeout(40)
-            rogue = testbed.cloud.api("rogue").register_image("rogue", "v9")["ImageId"]
-            testbed.cloud.injector.change_lc_ami("lc-app-v2", rogue)
-
-        testbed.engine.process(inject())
+        schedule_fault(testbed, FaultPlan(fault_type="AMI_CHANGED", inject_at=40.0))
         testbed.run_upgrade()
         assert testbed.pod.detections, "fault must be detected"
         causes = {
@@ -73,12 +68,7 @@ class TestFaultDetectionEndToEnd:
 
     def test_resource_fault_detected_by_watchdog(self):
         testbed = build_testbed(cluster_size=4, seed=103)
-
-        def inject():
-            yield testbed.engine.timeout(30)
-            testbed.cloud.injector.make_key_pair_unavailable("key-prod")
-
-        testbed.engine.process(inject())
+        schedule_fault(testbed, FaultPlan(fault_type="KEYPAIR_UNAVAILABLE", inject_at=30.0))
         testbed.run_upgrade()
         kinds = {(d.kind, d.cause) for d in testbed.pod.detections}
         assert ("assertion", "timer-timeout") in kinds
@@ -89,28 +79,16 @@ class TestFaultDetectionEndToEnd:
         """The paper's motivation: Asgard may take 70 minutes to report;
         POD detects within watchdog granularity (seconds to ~3 minutes)."""
         testbed = build_testbed(cluster_size=4, seed=104)
-        injected_at = []
-
-        def inject():
-            yield testbed.engine.timeout(30)
-            testbed.cloud.injector.make_ami_unavailable(testbed.stack.ami_v2)
-            injected_at.append(testbed.engine.now)
-
-        testbed.engine.process(inject())
+        fault = schedule_fault(testbed, FaultPlan(fault_type="AMI_UNAVAILABLE", inject_at=30.0))
         testbed.run_upgrade()
         first = min(d.time for d in testbed.pod.detections)
-        assert first - injected_at[0] < 300
+        assert first - fault.record.time < 300
 
 
 class TestQuiesce:
     def test_quiesce_waits_for_in_flight_work(self):
         testbed = build_testbed(cluster_size=4, seed=105)
-
-        def inject():
-            yield testbed.engine.timeout(30)
-            testbed.cloud.injector.make_elb_unavailable("elb-dsn")
-
-        testbed.engine.process(inject())
+        schedule_fault(testbed, FaultPlan(fault_type="ELB_UNAVAILABLE", inject_at=30.0))
         testbed.run_upgrade()
         assert testbed.pod.reports
         assert testbed.pod.diagnosis.in_flight == 0

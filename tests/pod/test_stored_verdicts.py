@@ -13,6 +13,7 @@ count, a look's params, a result's context) shows as a difference.
 import pytest
 
 from repro.evaluation.campaign import Campaign, CampaignConfig, run_single
+from repro.evaluation.faults import FaultPlan, schedule_fault
 from repro.logsys.record import LogRecord
 from repro.pod.service import PODDiagnosis
 from repro.testbed import build_testbed
@@ -150,13 +151,7 @@ def lines(pod, template):
 def test_wrong_ami_run_stores_each_verdict_once():
     testbed = build_testbed(cluster_size=4, seed=102)
     expected = spy(testbed.pod)
-
-    def inject():
-        yield testbed.engine.timeout(40)
-        rogue = testbed.cloud.api("rogue").register_image("rogue", "v9")["ImageId"]
-        testbed.cloud.injector.change_lc_ami("lc-app-v2", rogue)
-
-    testbed.engine.process(inject())
+    schedule_fault(testbed, FaultPlan(fault_type="AMI_CHANGED", inject_at=40.0))
     testbed.run_upgrade()
     pod = testbed.pod
     assert any(result.failed for result in pod.assertions.results)

@@ -14,7 +14,7 @@ import types
 import pytest
 
 from repro.evaluation.campaign import Campaign, CampaignConfig
-from repro.evaluation.faults import FAULT_TYPES, FaultPlan, schedule_fault
+from repro.evaluation.faults import FAULT_TYPES, FaultPlan, apply_fault, schedule_fault
 from repro.evaluation.metrics import compute_metrics
 from repro.evaluation.reporting import render_markdown
 from repro.evaluation.parallel import execute_run
@@ -159,7 +159,7 @@ class TestEscalationReason:
         """Healed, but the resumed upgrade cannot finish: the ELB went away
         after diagnosis, so no report (and no action) covers it."""
         testbed, operation = self.finished("AMI_CHANGED")
-        testbed.cloud.injector.make_elb_unavailable(testbed.stack.elb_name)
+        apply_fault(testbed, "ELB_UNAVAILABLE")
         rec = recover_run(testbed, operation, run_id="run")
         assert (rec["status"], rec["escalation_reason"]) == (ESCALATED, "resume-incomplete")
         assert [a["status"] for a in rec["actions"]] == ["verified"]

@@ -74,7 +74,7 @@ PARAMS = {
 class TestExecution:
     def test_heals_corrupted_launch_configuration(self, provisioned_cloud):
         cloud = provisioned_cloud
-        cloud.injector.change_lc_ami("lc-v1", "ami-rogue")
+        cloud.injector.change("launch_configuration", "lc-v1", image_id="ami-rogue")
         plan = build_recovery_plan(
             confirmed("wrong-ami"),
             {**PARAMS, "expected_image_id": cloud.ami_v1},
@@ -89,8 +89,8 @@ class TestExecution:
 
     def test_heals_two_wrong_fields_in_one_restore(self, provisioned_cloud):
         cloud = provisioned_cloud
-        cloud.injector.change_lc_ami("lc-v1", "ami-rogue")
-        cloud.injector.change_lc_key_pair("lc-v1", "key-rogue")
+        cloud.injector.change("launch_configuration", "lc-v1", image_id="ami-rogue")
+        cloud.injector.change("launch_configuration", "lc-v1", key_name="key-rogue")
         plan = build_recovery_plan(
             confirmed("wrong-ami", "wrong-key-pair"),
             {**PARAMS, "expected_image_id": cloud.ami_v1},
@@ -119,7 +119,7 @@ class TestExecution:
 
     def test_recreates_missing_key_pair(self, provisioned_cloud):
         cloud = provisioned_cloud
-        cloud.injector.make_key_pair_unavailable("key-prod")
+        cloud.injector.remove("key_pair", "key-prod")
         plan = build_recovery_plan(
             confirmed("key-pair-unavailable"),
             {**PARAMS, "expected_image_id": cloud.ami_v1},
@@ -181,8 +181,8 @@ class TestCompensation:
     def test_dependent_action_blocked_by_failed_dependency(self, provisioned_cloud):
         """A recreate that fails leaves the restore waiting on it blocked."""
         cloud = provisioned_cloud
-        cloud.injector.make_key_pair_unavailable("key-prod")
-        cloud.injector.change_lc_key_pair("lc-v1", "key-rogue")
+        cloud.injector.remove("key_pair", "key-prod")
+        cloud.injector.change("launch_configuration", "lc-v1", key_name="key-rogue")
         plan = build_recovery_plan(
             confirmed("key-pair-unavailable", "wrong-key-pair"),
             {**PARAMS, "expected_image_id": cloud.ami_v1},
@@ -203,7 +203,7 @@ class TestCompensation:
         from repro.cloud.chaos import ChaosController, get_profile
 
         cloud = provisioned_cloud
-        cloud.injector.change_lc_ami("lc-v1", "ami-rogue")
+        cloud.injector.change("launch_configuration", "lc-v1", image_id="ami-rogue")
         chaos = ChaosController(cloud.engine, get_profile("severe"), seed=13)
         client = ConsistentApiClient(
             cloud.engine, chaos.wrap(cloud.api("recovery")), seed=5

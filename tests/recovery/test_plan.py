@@ -217,17 +217,16 @@ class TestApplication:
     def test_end_to_end_diagnose_then_remediate(self):
         """The full loop: fault -> detection -> diagnosis -> targeted fix
         -> the upgrade recovers (no rollback needed)."""
+        from repro.evaluation.faults import FaultPlan, schedule_fault
         from repro.recovery.engine import RecoveryEngine
         from repro.recovery.plan import RECOVERED
         from repro.testbed import build_testbed
 
         testbed = build_testbed(cluster_size=4, seed=131)
+        schedule_fault(testbed, FaultPlan(fault_type="AMI_CHANGED", inject_at=40.0))
         healed = []
 
-        def inject_and_heal():
-            yield testbed.engine.timeout(40)
-            rogue = testbed.cloud.api("rogue").register_image("r", "v9")["ImageId"]
-            testbed.cloud.injector.change_lc_ami("lc-app-v2", rogue)
+        def heal():
             # Wait for the first completed diagnosis, then remediate.
             while not testbed.pod.reports:
                 yield testbed.engine.timeout(5)
@@ -237,7 +236,7 @@ class TestApplication:
             recovery = RecoveryEngine(testbed.engine, testbed.pod.recovery_client())
             healed.append((yield from recovery.execute(plan)))
 
-        testbed.engine.process(inject_and_heal())
+        testbed.engine.process(heal())
         operation = testbed.run_upgrade()
         assert operation.status == "completed"
         assert [result.status for result in healed] == [RECOVERED]

@@ -1,5 +1,6 @@
 """Tests for checkpoint/resume: interrupted operations pick up mid-flight."""
 
+from repro.evaluation.faults import FaultPlan, apply_fault, schedule_fault
 from repro.operations.base import COMPLETED, FAILED
 from repro.operations.rolling_upgrade import UpgradeCheckpoint
 from repro.testbed import build_testbed
@@ -9,12 +10,7 @@ class TestRollingUpgradeResume:
     def test_resume_completes_after_healing(self):
         """Fault mid-upgrade → failure; heal; resume finishes the fleet."""
         testbed = build_testbed(cluster_size=4, seed=211)
-
-        def inject():
-            yield testbed.engine.timeout(40)
-            testbed.cloud.injector.make_key_pair_unavailable("key-prod")
-
-        testbed.engine.process(inject())
+        schedule_fault(testbed, FaultPlan(fault_type="KEYPAIR_UNAVAILABLE", inject_at=40.0))
         operation = testbed.run_upgrade()
         assert operation.status == FAILED
         ckpt = operation.checkpoint
@@ -49,7 +45,7 @@ class TestRollingUpgradeResume:
             while True:
                 ckpt = getattr(testbed.upgrade, "checkpoint", None)
                 if ckpt is not None and ckpt.batches_done >= 1:
-                    testbed.cloud.injector.make_key_pair_unavailable("key-prod")
+                    apply_fault(testbed, "KEYPAIR_UNAVAILABLE")
                     failer["armed"] = True
                     return
                 yield testbed.engine.timeout(5)
@@ -75,12 +71,7 @@ class TestRollingUpgradeResume:
         """POD replays the resumed trace as its own process instance and
         finds nothing wrong with it."""
         testbed = build_testbed(cluster_size=4, seed=227)
-
-        def inject():
-            yield testbed.engine.timeout(40)
-            testbed.cloud.injector.make_key_pair_unavailable("key-prod")
-
-        testbed.engine.process(inject())
+        schedule_fault(testbed, FaultPlan(fault_type="KEYPAIR_UNAVAILABLE", inject_at=40.0))
         operation = testbed.run_upgrade()
         assert operation.status == FAILED
         detections_before = len(testbed.pod.detections)

@@ -1,10 +1,14 @@
 """Tests for the command-line interface."""
 
 import json
+import pathlib
+import runpy
 
 import pytest
 
 from repro.cli import build_parser, main
+
+EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
 
 class TestParser:
@@ -88,6 +92,14 @@ class TestCampaignCommand:
         out = capsys.readouterr().out
         assert "[1/8] ami_changed-01: CRASHED" in out
         assert "[2/8] keypair_wrong-01: detected" in out
+
+    def test_the_study_example_reads_crashed_too(self, first_run_crashes, capsys):
+        study = runpy.run_path(str(EXAMPLES / "fault_injection_study.py"))
+        study["main"](1)
+        lines = capsys.readouterr().out.splitlines()
+        crashed = next(line for line in lines if "ami_changed-01" in line)
+        assert "CRASHED interference=-" in crashed and "MISSED" not in crashed
+        assert any("keypair_wrong-01" in line and " detected/" in line for line in lines)
 
 
 class TestDemoCommand:

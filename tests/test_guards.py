@@ -427,6 +427,14 @@ GUARDS: dict[str, Guard] = {
         " detections or reports",
         "        first_detection_at=first[\"time\"] if first else None,",
     ),
+    "one-fault-table": Guard(
+        r"change_lc_|make_\w+_unavailable|_FAULT_ERROR_CODES|_revive_elb|injector\.injections",
+        ("src/", "examples/", "tests/", "README.md"), "HEAD",
+        "each fault type is one row of repro.evaluation.faults.FAULTS; the cloud keeps two"
+        " mechanisms (change, remove) and names no fault type, and each injection is recorded"
+        " once, by its caller",
+        "        testbed.cloud.injector.make_key_pair_unavailable(\"key-prod\")",
+    ),
 }
 
 

@@ -13,15 +13,11 @@ class TestDeterminism:
     every reproducibility claim in EXPERIMENTS.md rests on."""
 
     def _run(self, seed):
+        from repro.evaluation.faults import FaultPlan, schedule_fault
         from repro.testbed import build_testbed
 
         testbed = build_testbed(cluster_size=4, seed=seed)
-
-        def inject():
-            yield testbed.engine.timeout(45)
-            testbed.cloud.injector.make_ami_unavailable(testbed.stack.ami_v2)
-
-        testbed.engine.process(inject())
+        schedule_fault(testbed, FaultPlan(fault_type="AMI_UNAVAILABLE", inject_at=45.0))
         testbed.run_upgrade()
         detections = [(round(d.time, 6), d.kind, d.detail, d.cause) for d in testbed.pod.detections]
         causes = sorted(

@@ -143,9 +143,6 @@ RUN_ONLY_BY: dict[str, tuple[str, str, str]] = {
                                       "the same lookup, per sub-tree"),
     "process.mining.cluster:similarity": ("paper", "tests/process/test_mining.py",
                                           "§III.A's string distance, as cluster_lines scores it"),
-    "cloud.faults:FaultInjector._revive_elb": (
-        "paper", "tests/cloud/test_controller.py::test_retries_once_resource_restored",
-        "the transient class (§VI.A) for an ELB outage: the balancer comes back"),
     # Test seams: a test puts a fake, or a bare part, where a run has the real one.
     "sim.latency:ConstantLatency.__init__": ("seam", "tests/assertions/test_consistent_api.py",
                                              "a latency with no spread"),
