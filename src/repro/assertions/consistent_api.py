@@ -21,6 +21,11 @@ On top of the paper's retry+timeout the client is hardened against a
 degraded API plane (see :mod:`repro.cloud.chaos`).  There is one
 configuration — every client has all of it, whether or not chaos is on:
 
+- **the chaos draw**: each attempt waits its latency sample times the
+  run's brownout multiplier, then asks the run's
+  :class:`~repro.cloud.chaos.ChaosController` whether the plane fails
+  it, then calls the plain :class:`CloudAPI`; a calm plane multiplies by
+  1.0 and never draws;
 - **full-jitter exponential backoff** decorrelates retries so an error
   storm is not answered with a synchronized retry storm;
 - **deadline propagation**: ``call_until`` passes its own deadline into
@@ -30,9 +35,9 @@ configuration — every client has all of it, whether or not chaos is on:
   simulation.
 
 Failures caused by the chaos layer (rather than by real resource state)
-are flagged ``degraded=True`` on the raised :class:`ConsistentCallError`,
-letting diagnosis downgrade them to *inconclusive* rather than treating
-API noise as evidence.
+are flagged ``degraded=True`` on the raised :class:`ConsistentCallError`
+— the one place ``degraded`` is decided — letting diagnosis downgrade
+them to *inconclusive* rather than treating API noise as evidence.
 
 Both entry points are simulation generators: drive them with
 ``yield from`` inside an engine process, or through
@@ -45,7 +50,7 @@ import random
 import typing as _t
 
 from repro.cloud.api import CloudAPI
-from repro.cloud.chaos import BlackholedCall
+from repro.cloud.chaos import BlackholedCall, ChaosController, get_profile
 from repro.cloud.errors import CloudError, ResourceNotFound
 from repro.sim.latency import LatencyModel, aws_api_latency
 
@@ -81,10 +86,11 @@ class ConsistentCallError(Exception):
 def is_degraded(exc: Exception) -> bool:
     """Was this failure caused by API-plane degradation (chaos)?
 
-    ``ConsistentCallError`` carries an explicit ``degraded`` flag; a raw
-    ``CloudError`` is chaos-injected iff it is tagged ``chaos=True``.
+    Only the client decides: a chaos error it draws is retryable or a
+    blackhole, so it ends as a ``ConsistentCallError`` carrying the
+    ``degraded`` flag; any other error is an answer.
     """
-    return bool(getattr(exc, "degraded", False) or getattr(exc, "chaos", False))
+    return isinstance(exc, ConsistentCallError) and exc.degraded
 
 
 class ConsistentApiClient:
@@ -97,10 +103,16 @@ class ConsistentApiClient:
         api: CloudAPI,
         latency: LatencyModel | None = None,
         seed: int = 0,
+        chaos: ChaosController | None = None,
     ) -> None:
         self.engine = engine
         self.api = api
+        #: The healthy model: the brownout multiplies each sample in
+        #: ``call``, never the calibration below, so a brownout can blow
+        #: through the timeout instead of scaling it away.
         self.latency = latency or aws_api_latency()
+        #: The run's API-plane chaos, drawn once per attempt.
+        self.chaos = chaos or ChaosController(engine, get_profile(None))
         self._rng = random.Random(seed)  # jitter stream
         # The paper calibrates timeouts at the 95th percentile of measured
         # latencies: every attempt may take that long, plus 2 s of slack.
@@ -159,9 +171,11 @@ class ConsistentApiClient:
                     last_error=last_error,
                     degraded=chaos_seen,
                 )
-            yield self.engine.timeout(min(self.latency.sample(), remaining))
+            brownout = self.chaos.profile.latency_multiplier
+            yield self.engine.timeout(min(self.latency.sample() * brownout, remaining))
             self.calls_made += 1
             try:
+                self.chaos.before_call(method)
                 result = getattr(self.api, method)(*args, **kwargs)
             except BlackholedCall:
                 # The plane will never answer: burn the rest of the

@@ -21,10 +21,10 @@ campaign stays bit-for-bit deterministic at any worker count.
 
 The degradation contract for downstream consumers: a chaotic API plane may
 make diagnosis *inconclusive* — never wrong, and never a crashed run.
-Chaos-injected errors carry ``chaos=True`` so the consistent-API client
-can label the resulting failures *degraded* and the diagnosis engine can
-record which verdicts were lost to API health rather than decided on
-evidence.
+The consistent-API client makes the draw itself, once per attempt
+(:meth:`ChaosController.before_call`), and labels the failures it ends
+in *degraded*, so the diagnosis engine can record which verdicts were
+lost to API health rather than decided on evidence.
 """
 
 from __future__ import annotations
@@ -38,10 +38,10 @@ from repro.cloud.errors import CloudError, ServiceUnavailable
 class BlackholedCall(CloudError):
     """A call the degraded API plane will never answer.
 
-    Raised *synchronously* by the chaos proxy as a signal; the
-    consistent-API client translates it into "hang until my deadline,
-    then time out".  Not retryable — retrying a blackhole immediately
-    would defeat the hang semantics.
+    Raised *synchronously* by :meth:`ChaosController.before_call` as a
+    signal; the consistent-API client translates it into "hang until my
+    deadline, then time out".  Not retryable — retrying a blackhole
+    immediately would defeat the hang semantics.
     """
 
     code = "RequestTimeout"
@@ -109,15 +109,6 @@ class ChaosProfile:
         if self.latency_multiplier < 1.0:
             raise ValueError("latency_multiplier must be >= 1.0 (chaos never speeds AWS up)")
 
-    @property
-    def enabled(self) -> bool:
-        return (
-            self.error_rate > 0
-            or self.blackhole_rate > 0
-            or self.latency_multiplier > 1.0
-            or bool(self.storms)
-        )
-
     def rates_for(self, service: str, now: float) -> tuple[float, float]:
         """Effective (error_rate, blackhole_rate) for one service now."""
         error = self.error_rate
@@ -159,17 +150,15 @@ CHAOS_PROFILES: dict[str, ChaosProfile] = {
 CHAOS_LEVELS = ("none", "mild", "moderate", "severe")
 
 
-def get_profile(profile: ChaosProfile | str | None) -> ChaosProfile:
-    """Resolve a profile object, a level name, or None (= no chaos)."""
-    if profile is None:
+def get_profile(level: str | None) -> ChaosProfile:
+    """Resolve a level name, or None (= no chaos)."""
+    if level is None:
         return CHAOS_PROFILES["none"]
-    if isinstance(profile, ChaosProfile):
-        return profile
     try:
-        return CHAOS_PROFILES[profile]
+        return CHAOS_PROFILES[level]
     except KeyError:
         raise ValueError(
-            f"unknown chaos profile {profile!r}; known: {', '.join(CHAOS_PROFILES)}"
+            f"unknown chaos profile {level!r}; known: {', '.join(CHAOS_PROFILES)}"
         ) from None
 
 
@@ -181,25 +170,22 @@ class ChaosController:
     schedule depends only on the seed and the deterministic call order.
     """
 
-    def __init__(self, engine, profile: ChaosProfile | str | None, seed: int = 0) -> None:
+    def __init__(self, engine, profile: ChaosProfile, seed: int = 0) -> None:
         self.engine = engine
-        self.profile = get_profile(profile)
+        self.profile = profile
         self._rng = random.Random(seed)
         self.counters: dict[str, int] = {"calls_seen": 0, "errors": 0, "blackholes": 0}
 
-    @property
-    def enabled(self) -> bool:
-        return self.profile.enabled
-
-    # -- decision points -------------------------------------------------------
-
     def before_call(self, method: str) -> None:
-        """Raise the chaos fault for this call, if one is drawn."""
-        self.counters["calls_seen"] += 1
-        service = service_of(method)
-        error_rate, blackhole_rate = self.profile.rates_for(service, self.engine.now)
+        """Raise the chaos fault for this call, if one is drawn.
+
+        Only a call that can fail now draws, and only a draw counts in
+        ``calls_seen``: a calm plane (``none``) never draws.
+        """
+        error_rate, blackhole_rate = self.profile.rates_for(service_of(method), self.engine.now)
         if error_rate <= 0 and blackhole_rate <= 0:
             return
+        self.counters["calls_seen"] += 1
         # One draw per call keeps the schedule stable as knobs change.
         roll = self._rng.random()
         if roll < blackhole_rate:
@@ -210,67 +196,3 @@ class ChaosController:
             error = ServiceUnavailable(f"chaos: {method} temporarily unavailable")
             error.chaos = True
             raise error
-
-    def latency_multiplier(self) -> float:
-        return self.profile.latency_multiplier
-
-    # -- wrappers --------------------------------------------------------------
-
-    def wrap(self, api) -> "ChaosApiProxy":
-        """A degraded facade over a :class:`~repro.cloud.api.CloudAPI`."""
-        return ChaosApiProxy(api, self)
-
-    def wrap_latency(self, latency) -> "ChaosLatency":
-        """A brownout-multiplied view of a latency model."""
-        return ChaosLatency(latency, self)
-
-
-class ChaosApiProxy:
-    """Duck-typed ``CloudAPI`` whose calls pass through the chaos gate.
-
-    Non-API attributes (``calls``, ``principal``, ...) pass through
-    untouched, so the proxy is a drop-in replacement wherever a
-    ``CloudAPI`` is expected.
-    """
-
-    def __init__(self, api, controller: ChaosController) -> None:
-        self._api = api
-        self._controller = controller
-
-    def __getattr__(self, name: str):
-        attr = getattr(self._api, name)
-        if name.startswith("_") or not callable(attr):
-            return attr
-
-        def degraded_call(*args, **kwargs):
-            self._controller.before_call(name)
-            return attr(*args, **kwargs)
-
-        return degraded_call
-
-    def __repr__(self) -> str:
-        return f"ChaosApiProxy({self._api!r}, profile={self._controller.profile.name})"
-
-
-class ChaosLatency:
-    """Latency model view with the brownout multiplier applied.
-
-    ``percentile`` deliberately reports the *healthy* base model:
-    the paper calibrates timeouts at the 95th percentile of measured
-    (healthy) latencies, and a brownout must be able to blow through that
-    calibration — auto-scaling the timeout with the brownout would hide
-    exactly the degradation we want to measure.
-    """
-
-    def __init__(self, base, controller: ChaosController) -> None:
-        self.base = base
-        self.controller = controller
-
-    def sample(self) -> float:
-        return self.base.sample() * self.controller.latency_multiplier()
-
-    def percentile(self, q: float) -> float:
-        return self.base.percentile(q)
-
-    def __repr__(self) -> str:
-        return f"ChaosLatency({self.base!r} x{self.controller.latency_multiplier()})"

@@ -46,8 +46,3 @@ class RateLimiter:
             return False
         self._timestamps.append(now)
         return True
-
-    def in_flight(self, now: float) -> int:
-        """Number of calls inside the current window (for metrics)."""
-        window_start = now - RATE_WINDOW
-        return sum(1 for t in self._timestamps if t > window_start)

@@ -59,8 +59,8 @@ class PODDiagnosis:
     ) -> None:
         self.cloud = cloud
         self._seed = seed
-        #: Optional :class:`~repro.cloud.chaos.ChaosController` degrading
-        #: the API plane this service observes through.
+        #: The :class:`~repro.cloud.chaos.ChaosController` degrading the
+        #: API plane this service observes through (None: a calm plane).
         self.chaos = chaos
         engine = cloud.engine
         self.engine = engine
@@ -201,19 +201,15 @@ class PODDiagnosis:
     def _client(self, principal: str, latency_seed: int, jitter_seed: int) -> ConsistentApiClient:
         """The one place a consistent-API client is built.  Each plane has
         its own principal and RNG streams (offsets from the service seed,
-        so independent runs draw independent timings); both see the same
-        chaos wrapping, so a degraded API plane degrades recovery the same
-        way it degrades diagnosis."""
-        api = self.cloud.api(principal)
-        latency = aws_api_latency(seed=self._seed + latency_seed)
-        if self.chaos is not None and self.chaos.enabled:
-            api = self.chaos.wrap(api)
-            latency = self.chaos.wrap_latency(latency)
+        so independent runs draw independent timings); both draw from the
+        same chaos controller, so a degraded API plane degrades recovery
+        the same way it degrades diagnosis."""
         return ConsistentApiClient(
             self.engine,
-            api,
-            latency=latency,
+            self.cloud.api(principal),
+            latency=aws_api_latency(seed=self._seed + latency_seed),
             seed=self._seed + jitter_seed,
+            chaos=self.chaos,
         )
 
     def recovery_client(self) -> ConsistentApiClient:

@@ -70,12 +70,10 @@ class Testbed:
     ) -> None:
         self.cluster_size = cluster_size
         self.seed = seed
-        # API-plane chaos (profile name, ChaosProfile, or None).
-        chaos_profile = get_profile(chaos)
-        self.chaos_profile = chaos_profile
         self.cloud = SimulatedCloud(seed=seed, limits=AccountLimits(max_instances=max_instances))
         self.engine = self.cloud.engine
-        self.chaos = ChaosController(self.engine, chaos_profile, seed=seed + 71)
+        # API-plane chaos: a level name, or None for a calm plane.
+        self.chaos = ChaosController(self.engine, get_profile(chaos), seed=seed + 71)
         self.stack = self._provision()
         self.cloud.start()
         # Let the initial fleet boot before anything else happens.

@@ -1,14 +1,23 @@
 """Tests for the consistent AWS API layer (§IV)."""
 
+import contextlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.assertions.consistent_api import MAX_RETRIES, ConsistentApiClient, ConsistentCallError
-from repro.cloud.chaos import BlackholedCall
+from repro.cloud.chaos import (
+    CHAOS_LEVELS,
+    BlackholedCall,
+    ChaosController,
+    ChaosProfile,
+    get_profile,
+)
 from repro.cloud.errors import MalformedRequest, ResourceNotFound, ServiceUnavailable, Throttling
+from repro.cloud.provider import SimulatedCloud
 from repro.sim.engine import Engine
-from repro.sim.latency import ConstantLatency
+from repro.sim.latency import ConstantLatency, LogNormalLatency
 
 
 class FlakyApi:
@@ -275,6 +284,108 @@ class TestDegradation:
         assert client.timeouts == 1
         # The hang consumed exactly the remaining deadline.
         assert engine.now == pytest.approx(client.call_timeout) == call_timeout(0.05)
+
+
+class DrawLog(ChaosController):
+    """The run's controller, noting when each draw is made."""
+
+    def __init__(self, engine, profile):
+        super().__init__(engine, profile, seed=1)
+        self.drawn_at = []
+
+    def before_call(self, method):
+        self.drawn_at.append(self.engine.now)
+        super().before_call(method)
+
+
+class TimedApi(FlakyApi):
+    """FlakyApi noting when each call reaches it."""
+
+    def __init__(self, engine, errors=()):
+        super().__init__(errors)
+        self.engine = engine
+        self.called_at = []
+
+    def operation(self):
+        self.called_at.append(self.engine.now)
+        return super().operation()
+
+
+class TestChaosDraw:
+    """The client draws the run's chaos itself, once per attempt: wait
+    the sample times the brownout, count the call, draw, call the plane."""
+
+    def test_refused_call_changes_no_state_and_leaves_no_trail(self):
+        cloud = SimulatedCloud(seed=1)
+        api = cloud.api("pod")
+        refusing = ChaosController(cloud.engine, ChaosProfile(error_rate=1.0))
+        client = client_for(cloud.engine, api, latency=UNHURRIED, chaos=refusing)
+        with pytest.raises(ConsistentCallError) as excinfo:
+            drive(cloud.engine, client.call("create_key_pair", "key-new"))
+        assert excinfo.value.degraded and not excinfo.value.timed_out
+        assert isinstance(excinfo.value.last_error, ServiceUnavailable)
+        assert refusing.counters["errors"] == client.calls_made == 1 + MAX_RETRIES
+        # The plane failed every attempt before it reached the service.
+        assert not cloud.state.exists("key_pair", "key-new")
+        assert api.calls == [] and cloud.trail.undelivered_count() == 0
+
+    def test_blackhole_burns_the_deadline_as_a_degraded_timeout(self, engine):
+        api = FlakyApi()
+        void = ChaosController(engine, ChaosProfile(blackhole_rate=1.0))
+        client = client_for(engine, api, chaos=void)
+        with pytest.raises(ConsistentCallError) as excinfo:
+            drive(engine, client.call("operation"))
+        assert excinfo.value.timed_out and excinfo.value.degraded
+        assert api.calls == 0
+        assert client.blackholes == void.counters["blackholes"] == 1
+        assert engine.now == pytest.approx(client.call_timeout) == call_timeout(0.05)
+
+    def test_brownout_multiplies_the_wait_not_the_call_timeout(self, engine):
+        base = LogNormalLatency(median=0.1, sigma=0.3)
+        slow = ChaosController(engine, ChaosProfile(latency_multiplier=6.0))
+        client = client_for(engine, FlakyApi(), latency=ConstantLatency(0.1), chaos=slow)
+        drive(engine, client.call("operation"))
+        assert engine.now == pytest.approx(0.6)
+        assert client.call_timeout == call_timeout(0.1)
+        # Calibrated at the HEALTHY 95th percentile, so a brownout can
+        # blow through it.
+        browned = ConsistentApiClient(engine, FlakyApi(), latency=base, chaos=slow)
+        assert browned.latency is base
+        assert browned.call_timeout == call_timeout(base.percentile(0.95))
+
+    @pytest.mark.parametrize("calm", ["default", "none"])
+    def test_calm_plane_draws_nothing_and_counts_nothing(self, engine, calm):
+        chaos = ChaosController(engine, get_profile("none")) if calm == "none" else None
+        api = FlakyApi(errors=[Throttling("x")] * 2)
+        client = client_for(engine, api, chaos=chaos)
+        assert drive(engine, client.call("operation")) == "ok"
+        assert api.calls == client.calls_made == 3
+        assert client.chaos.counters == {"calls_seen": 0, "errors": 0, "blackholes": 0}
+        # x * 1.0 == x: the calm plane's waits are the samples themselves.
+        assert engine.now == elapsed_after(2)
+
+    @pytest.mark.parametrize("level", CHAOS_LEVELS)
+    def test_a_named_level_counts_every_attempt_or_none(self, engine, level):
+        """``calls_seen`` counts draws: ``none`` never draws, and every
+        other named level, its base error rate above 0, draws on every
+        attempt."""
+        chaos = ChaosController(engine, get_profile(level), seed=3)
+        client = client_for(engine, FlakyApi(), chaos=chaos)
+        for _ in range(20):
+            with contextlib.suppress(ConsistentCallError):
+                drive(engine, client.call("operation"))
+        assert client.calls_made >= 20
+        assert chaos.counters["calls_seen"] == (0 if level == "none" else client.calls_made)
+
+    def test_one_draw_per_attempt_after_the_latency_wait(self, engine):
+        api = TimedApi(engine, errors=[Throttling("x")] * 2)
+        # Draws on every call; seed 1's first rolls never fall below 1e-9.
+        drawing = DrawLog(engine, ChaosProfile(error_rate=1e-9))
+        client = client_for(engine, api, chaos=drawing)
+        assert drive(engine, client.call("operation")) == "ok"
+        assert drawing.counters["calls_seen"] == client.calls_made == api.calls == 3
+        assert drawing.drawn_at == api.called_at
+        assert drawing.drawn_at[0] == pytest.approx(0.05)  # after the first wait
 
 
 def drawn_error(kind):

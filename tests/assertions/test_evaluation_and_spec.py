@@ -1,11 +1,14 @@
 """Tests for the evaluation service's trigger paths."""
 
+import types
+
 import pytest
 
 from repro.assertions.base import Assertion, AssertionEnvironment
 from repro.assertions.consistent_api import ConsistentApiClient, ConsistentCallError
 from repro.assertions.evaluation import AssertionEvaluationService
-from repro.cloud.errors import MalformedRequest, ServiceUnavailable
+from repro.cloud.chaos import ChaosController, ChaosProfile
+from repro.cloud.errors import MalformedRequest
 from repro.logsys.record import LogRecord
 from repro.logsys.storage import CentralLogStorage
 from repro.sim.latency import ConstantLatency
@@ -39,6 +42,16 @@ class UnreadableAssertion(Assertion):
         raise self.error
 
 
+class PlaneReader(Assertion):
+    """Reads through the environment's client and passes on an answer."""
+
+    assertion_id = "plane-reader"
+
+    def evaluate(self, env, params):
+        yield from env.client.call("describe_image", "ami-1")
+        return self._result(True, "read", params)
+
+
 class RepositoryReader(Assertion):
     """Answers with the ``asg_name`` its environment's repository holds."""
 
@@ -48,12 +61,6 @@ class RepositoryReader(Assertion):
         yield env.engine.timeout(0.1)
         observed = {"asg_name": env.expected("asg_name", params)}
         return self._result(True, "read", params, observed)
-
-
-def chaos_error():
-    error = ServiceUnavailable("chaos: unavailable")
-    error.chaos = True
-    return error
 
 
 @pytest.fixture
@@ -166,7 +173,6 @@ class TestTriggerPaths:
             (lambda: MalformedRequest("bad request"), (False, False)),
             (lambda: ConsistentCallError("deadline", timed_out=True), (True, False)),
             (lambda: ConsistentCallError("exhausted", degraded=True), (False, True)),
-            (chaos_error, (False, True)),
         ],
     )
     def test_api_failure_is_one_failed_result_on_every_trigger_path(
@@ -191,6 +197,28 @@ class TestTriggerPaths:
         # Only the log/timer failures start a diagnosis.
         assert sorted(r.cause for r in service.failure_list) == ["log", "timer-timeout"]
         assert service.in_flight == 0
+
+    def test_a_chaos_draw_fails_the_evaluation_degraded(self, engine):
+        """The client draws the plane's chaos: a plane refusing every
+        attempt fails the evaluation flagged degraded, not timed out."""
+        refusing = ChaosController(engine, ChaosProfile(error_rate=1.0))
+        plane = types.SimpleNamespace(describe_image=lambda image_id: {"ImageId": image_id})
+        env = AssertionEnvironment(
+            engine=engine,
+            client=ConsistentApiClient(engine, plane, latency=ConstantLatency(0.01), chaos=refusing),
+            monitor=None,
+            state=None,
+            trail=None,
+        )
+        service = AssertionEvaluationService(env, storage=CentralLogStorage())
+        service.watch("t1", {})
+        service.register(PlaneReader())
+        result = engine.run(
+            until=engine.process(service.evaluate_on_demand("plane-reader", {}, "t1"))
+        )
+        assert result.failed
+        assert (result.timed_out, result.degraded) == (False, True)
+        assert refusing.counters["errors"] == env.client.calls_made
 
     def test_results_for_filters_by_id(self, service, engine):
         service.register(StubAssertion("a"))

@@ -1,5 +1,7 @@
 """Tests for the API-plane chaos layer (`repro.cloud.chaos`)."""
 
+import contextlib
+
 import pytest
 
 from repro.cloud.chaos import (
@@ -13,7 +15,6 @@ from repro.cloud.chaos import (
     service_of,
 )
 from repro.cloud.errors import ServiceUnavailable
-from repro.sim.latency import ConstantLatency
 
 
 class TestProfiles:
@@ -22,17 +23,21 @@ class TestProfiles:
             profile = get_profile(level)
             assert profile.name == level
 
-    def test_none_is_disabled(self):
-        assert not get_profile(None).enabled
-        assert not get_profile("none").enabled
+    def test_none_is_calm(self):
+        calm = get_profile(None)
+        assert calm is get_profile("none")
+        assert (calm.error_rate, calm.blackhole_rate, calm.latency_multiplier) == (0.0, 0.0, 1.0)
+        assert calm.storms == ()
 
-    def test_every_other_level_is_enabled(self):
+    def test_every_other_level_can_fail_every_call(self):
+        """A base error rate above 0: these levels draw on every call."""
         for level in CHAOS_LEVELS[1:]:
-            assert get_profile(level).enabled
+            assert get_profile(level).error_rate > 0
 
-    def test_profile_object_passes_through(self):
-        profile = ChaosProfile(name="custom", error_rate=0.5)
-        assert get_profile(profile) is profile
+    def test_only_names_resolve(self):
+        """A profile is resolved once, from its name; an object is not a name."""
+        with pytest.raises(ValueError, match="unknown chaos profile"):
+            get_profile(ChaosProfile(name="custom", error_rate=0.5))
 
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError, match="unknown chaos profile"):
@@ -92,30 +97,27 @@ class TestErrorStorm:
         assert profile.rates_for("ec2", 50.0)[0] == 0.01
 
 
-class RecordingApi:
-    """API double: records calls, always succeeds."""
-
-    def __init__(self):
-        self.calls = []
-        self.principal = "test"
-
-    def describe_instance(self, instance_id):
-        self.calls.append(("describe_instance", instance_id))
-        return {"InstanceId": instance_id}
-
-    def _private(self):
-        return "private"
-
-
 class TestController:
-    def test_no_chaos_never_raises(self, engine):
-        controller = ChaosController(engine, "none", seed=1)
+    def test_no_chaos_never_raises_or_draws(self, engine):
+        controller = ChaosController(engine, get_profile("none"), seed=1)
         for _ in range(100):
             controller.before_call("describe_instance")
-        assert controller.counters == {"calls_seen": 100, "errors": 0, "blackholes": 0}
+        assert controller.counters == {"calls_seen": 0, "errors": 0, "blackholes": 0}
+
+    def test_only_a_call_that_can_fail_is_counted(self, engine):
+        """``calls_seen`` counts draws: outside its storm, a storm-only
+        profile has nothing to draw for."""
+        storm = ErrorStorm(start=10.0, duration=5.0, intensity=0.5)
+        controller = ChaosController(engine, ChaosProfile(storms=(storm,)), seed=1)
+        controller.before_call("describe_instance")
+        assert controller.counters["calls_seen"] == 0
+        engine.run(until=12.0)
+        with contextlib.suppress(ServiceUnavailable):
+            controller.before_call("describe_instance")
+        assert controller.counters["calls_seen"] == 1
 
     def test_severe_chaos_injects_errors_and_blackholes(self, engine):
-        controller = ChaosController(engine, "severe", seed=7)
+        controller = ChaosController(engine, get_profile("severe"), seed=7)
         errors = blackholes = 0
         for _ in range(500):
             try:
@@ -132,7 +134,7 @@ class TestController:
 
     def test_same_seed_same_schedule(self, engine):
         def schedule(seed):
-            controller = ChaosController(engine, "severe", seed=seed)
+            controller = ChaosController(engine, get_profile("severe"), seed=seed)
             kinds = []
             for _ in range(200):
                 try:
@@ -149,7 +151,7 @@ class TestController:
 
     def test_events_are_recorded(self, engine):
         """Every injected fault is tallied in ``counters`` by kind."""
-        controller = ChaosController(engine, "severe", seed=3)
+        controller = ChaosController(engine, get_profile("severe"), seed=3)
         raised = []
         for _ in range(100):
             try:
@@ -164,53 +166,3 @@ class TestController:
             "blackholes": raised.count("blackholes"),
         }
         assert raised
-
-
-class TestApiProxy:
-    def test_calls_pass_through_on_calm_plane(self, engine):
-        api = RecordingApi()
-        proxy = ChaosController(engine, "none", seed=1).wrap(api)
-        assert proxy.describe_instance("i-1") == {"InstanceId": "i-1"}
-        assert api.calls == [("describe_instance", "i-1")]
-
-    def test_chaos_errors_raised_before_the_real_call(self, engine):
-        api = RecordingApi()
-        profile = ChaosProfile(name="always", error_rate=1.0)
-        proxy = ChaosController(engine, profile, seed=1).wrap(api)
-        with pytest.raises(ServiceUnavailable) as excinfo:
-            proxy.describe_instance("i-1")
-        assert excinfo.value.chaos is True
-        assert api.calls == []  # the plane failed before reaching the service
-
-    def test_blackhole_raised_synchronously(self, engine):
-        api = RecordingApi()
-        profile = ChaosProfile(name="void", blackhole_rate=1.0)
-        proxy = ChaosController(engine, profile, seed=1).wrap(api)
-        with pytest.raises(BlackholedCall):
-            proxy.describe_instance("i-1")
-
-    def test_plumbing_attrs_not_gated(self, engine):
-        api = RecordingApi()
-        profile = ChaosProfile(name="always", error_rate=1.0)
-        proxy = ChaosController(engine, profile, seed=1).wrap(api)
-        # Non-callables and private callables bypass the chaos gate.
-        assert proxy.principal == "test"
-        assert proxy._private() == "private"
-
-
-class TestChaosLatency:
-    def test_brownout_multiplies_samples(self, engine):
-        profile = ChaosProfile(name="slow", latency_multiplier=6.0)
-        controller = ChaosController(engine, profile, seed=1)
-        wrapped = controller.wrap_latency(ConstantLatency(0.1))
-        assert wrapped.sample() == pytest.approx(0.6)
-
-    def test_percentile_reports_healthy_base(self, engine):
-        from repro.sim.latency import LogNormalLatency
-
-        base = LogNormalLatency(median=0.1, sigma=0.3)
-        profile = ChaosProfile(name="slow", latency_multiplier=6.0)
-        wrapped = ChaosController(engine, profile, seed=1).wrap_latency(base)
-        # Timeout calibration must stay at the HEALTHY 95th percentile so
-        # a brownout can actually blow through it.
-        assert wrapped.percentile(0.95) == base.percentile(0.95)

@@ -17,7 +17,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from repro.cloud.chaos import CHAOS_LEVELS, ChaosController
+from repro.cloud.chaos import CHAOS_LEVELS, ChaosController, get_profile
 from repro.cloud.controller import ELB_REGISTER_DELAY
 from repro.cloud.errors import CloudError
 from repro.cloud.limits import AccountLimits
@@ -107,7 +107,8 @@ class CloudMachine(RuleBasedStateMachine):
         cloud.controller.reconcile = checked_reconcile
         cloud.monitor.take_snapshot = recorded_crawl
 
-        self.raw_api = self.api = api = cloud.api("script")
+        self.api = api = cloud.api("script")
+        self.chaos = ChaosController(engine, get_profile(None))
         api.register_image("app", "v1", image_id="ami-1")
         api.register_image("app", "v2", image_id="ami-2")
         api.create_key_pair("key")
@@ -157,9 +158,13 @@ class CloudMachine(RuleBasedStateMachine):
 
     # -- rules -----------------------------------------------------------------
 
-    def _edit(self, action):
+    def _edit(self, action, method=None):
+        """Run one edit; an API ``method`` first takes the plane's chaos
+        draw, as the consistent client makes it before each attempt."""
         self.dirty = True
         try:
+            if method is not None:
+                self.chaos.before_call(method)
             action()
         except CloudError:
             pass
@@ -192,17 +197,22 @@ class CloudMachine(RuleBasedStateMachine):
 
     @rule(which=GROUP, capacity=st.integers(0, 8))
     def scale(self, which, capacity):
-        self._edit(lambda: self.api.set_desired_capacity(self._asg(which), capacity))
+        self._edit(
+            lambda: self.api.set_desired_capacity(self._asg(which), capacity), "set_desired_capacity"
+        )
 
     @rule()
     def pressure(self):
         """A second team's group that wants the whole account limit."""
-        self._edit(lambda: self.api.create_auto_scaling_group("asg-rival", "lc", 0, 12, self.limit))
+        self._edit(
+            lambda: self.api.create_auto_scaling_group("asg-rival", "lc", 0, 12, self.limit),
+            "create_auto_scaling_group",
+        )
 
     @rule(call=st.sampled_from(RESOURCE_CALLS))
     def create_or_delete(self, call):
         method, *args = call
-        self._edit(lambda: getattr(self.api, method)(*args))
+        self._edit(lambda: getattr(self.api, method)(*args), method)
 
     @rule(which=GROUP, index=MEMBER, how=st.sampled_from(["instance", "group", "group-decrement"]))
     def terminate(self, which, index, how):
@@ -211,10 +221,13 @@ class CloudMachine(RuleBasedStateMachine):
             return
         api, iid = self.api, instance.instance_id
         if how == "instance":
-            self._edit(lambda: api.terminate_instance(iid))
+            self._edit(lambda: api.terminate_instance(iid), "terminate_instance")
         else:
             decrement = how == "group-decrement"
-            self._edit(lambda: api.terminate_instance_in_auto_scaling_group(iid, decrement))
+            self._edit(
+                lambda: api.terminate_instance_in_auto_scaling_group(iid, decrement),
+                "terminate_instance_in_auto_scaling_group",
+            )
 
     @rule(which=GROUP)
     def chaos_terminate(self, which):
@@ -249,7 +262,7 @@ class CloudMachine(RuleBasedStateMachine):
 
     @rule(level=st.sampled_from(CHAOS_LEVELS))
     def chaos_level(self, level):
-        self.api = ChaosController(self.engine, level, seed=self.seed).wrap(self.raw_api)
+        self.chaos = ChaosController(self.engine, get_profile(level), seed=self.seed)
 
     # -- invariants ------------------------------------------------------------
 

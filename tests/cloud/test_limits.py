@@ -29,29 +29,7 @@ class TestWindowBoundary:
             assert not lim.try_acquire(t)
         # Only the t=0 grants occupy the window; they expire at 1.0.
         assert lim.try_acquire(1.0)
-        assert lim.in_flight(1.0) == 1
-
-
-class TestInFlight:
-    def test_in_flight_after_pruning(self):
-        lim = RateLimiter()
-        for t in (0.0, 0.5, 0.9):
-            assert lim.try_acquire(t)
-        assert lim.in_flight(0.9) == 3
-        assert lim.in_flight(1.0) == 2  # t=0 exactly one window old: out
-        assert lim.in_flight(1.5) == 1
-        assert lim.in_flight(1.9) == 1  # t=0.9 still inside by epsilon
-        assert lim.in_flight(2.0) == 0
-
-    def test_in_flight_does_not_mutate(self):
-        """in_flight is a read: it must not drop timestamps needed by a
-        later try_acquire at an earlier effective window."""
-        lim = RateLimiter()
-        assert lim.try_acquire(0.0)
-        assert lim.in_flight(10.0) == 0  # far-future read
-        assert lim.in_flight(0.5) == 1  # the t=0 call is still there
-
-    def test_empty_limiter(self):
-        lim = RateLimiter()
-        assert lim.in_flight(0.0) == 0
-        assert lim.in_flight(100.0) == 0
+        # The t=1.0 grant is the window's one call: all other slots are free.
+        for _ in range(MAX_CALLS_PER_WINDOW - 1):
+            assert lim.try_acquire(1.0)
+        assert not lim.try_acquire(1.0)

@@ -240,11 +240,14 @@ class TestRateLimiter:
         assert not limiter.try_acquire(0.5)
         assert limiter.try_acquire(1.5)
 
-    def test_in_flight_counts_window_only(self):
+    def test_window_counts_only_its_own_calls(self):
         limiter = RateLimiter()
         limiter.try_acquire(0.0)
         limiter.try_acquire(0.9)
-        assert limiter.in_flight(1.5) == 1
+        # At 1.5 only the t=0.9 call is inside: all other slots are free.
+        for _ in range(MAX_CALLS_PER_WINDOW - 1):
+            assert limiter.try_acquire(1.5)
+        assert not limiter.try_acquire(1.5)
 
     @given(
         st.lists(

@@ -15,7 +15,8 @@ from repro.assertions.base import AssertionEnvironment
 from repro.assertions.consistent_api import ConsistentApiClient, ConsistentCallError
 from repro.assertions.evaluation import AssertionEvaluationService
 from repro.assertions.library import standard_rolling_upgrade_assertions
-from repro.cloud.errors import ResourceNotFound, ServiceUnavailable
+from repro.cloud.chaos import ChaosController, ChaosProfile
+from repro.cloud.errors import ResourceNotFound
 from repro.diagnosis.engine import DiagnosisEngine
 from repro.diagnosis.tests import build_standard_probes
 from repro.faulttree.builder import FaultTreeRegistry
@@ -150,16 +151,13 @@ class TestObservationContract:
         [
             (ResourceNotFound("no such group"), False),
             (ConsistentCallError("retries exhausted"), False),
-            (ServiceUnavailable("chaos: temporarily unavailable"), True),
             (ConsistentCallError("retries exhausted", degraded=True), True),
         ],
-        ids=["not-found", "retries-exhausted", "chaos-unavailable", "chaos-exhausted"],
+        ids=["not-found", "retries-exhausted", "chaos-exhausted"],
     )
     def test_api_failure_is_could_not_look(self, name, error, degraded, env, probes):
         """Inconclusive, never a crashed walk — and flagged degraded only
-        when the API plane (chaos), not the resource, is to blame."""
-        if isinstance(error, ServiceUnavailable):
-            error.chaos = True  # as ChaosApiProxy tags what it injects
+        when the client blames the API plane (chaos), not the resource."""
 
         class FailingClient:
             def call(self, method, *args, **kwargs):
@@ -181,6 +179,19 @@ class TestObservationContract:
         assert execution.degraded is degraded
         assert execution.evidence["error"] == str(error)
         assert diag.completed[0].no_root_cause
+
+    @pytest.mark.parametrize("name", API_PROBES)
+    def test_a_refusing_plane_is_could_not_look_degraded(self, name, env, probes):
+        """The client draws the plane's chaos: when every attempt is
+        refused, the probe could not look, and the API plane is blamed."""
+        refusing = ChaosController(env.engine, ChaosProfile(error_rate=1.0))
+        env.client = ConsistentApiClient(
+            env.engine, env.client.api, latency=ConstantLatency(0.05), chaos=refusing
+        )
+        observed, evidence = run_probe(env, probes, name, **CONTRACT[name][0])
+        assert observed is None
+        assert evidence["degraded"] is True
+        assert refusing.counters["errors"] == env.client.calls_made > 0
 
 
 class TestRegistry:

@@ -8,6 +8,7 @@ the runs execute serially or across any number of worker processes.
 import concurrent.futures
 import contextlib
 import dataclasses
+import inspect
 import json
 import multiprocessing
 import os
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.cloud.chaos import CHAOS_LEVELS
 from repro.cloud.freeze import FrozenView
 from repro.evaluation.campaign import (
     Campaign,
@@ -43,7 +45,9 @@ from repro.evaluation.parallel import (
     warm_worker,
 )
 from repro.operations.interference import InterferencePlan
-from repro.testbed import Testbed
+from repro.pod.service import QUIESCE_LIMIT
+from repro.recovery import recover_run
+from repro.testbed import RESUME_HORIZON, SETTLE_TIME, Testbed
 
 def _specs_of(config: CampaignConfig) -> list[RunSpec]:
     return Campaign(config).build_specs()
@@ -515,6 +519,22 @@ def watching_runs():
         yield logs, applied
 
 
+@contextlib.contextmanager
+def closing_times():
+    """Record the virtual time at which each run's testbed closes: the
+    run's end, after any recovery."""
+    times = []
+    original_close = Testbed.close
+
+    def close_noting_the_time(self):
+        times.append(self.engine.now)
+        original_close(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Testbed, "close", close_noting_the_time)
+        yield times
+
+
 def outcome_digest(outcome) -> str:
     return json.dumps(dataclasses.asdict(outcome), sort_keys=True, default=str)
 
@@ -588,3 +608,37 @@ class TestOneRunPerSpec:
             assert due <= first.injected_at <= min(updated + CONFIG_POLL, ended)
         else:
             assert first.injected_at == min(due, ended)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        fault_type=st.sampled_from(FAULT_TYPES),
+        inject_at=st.floats(min_value=0.0, max_value=2000.0),
+        seed=st.integers(min_value=0, max_value=10_000),
+        chaos_profile=st.sampled_from(CHAOS_LEVELS),
+        recover=st.booleans(),
+    )
+    # The two middle levels, which no seeded campaign pins, always run.
+    @example(fault_type="SG_WRONG", inject_at=40.0, seed=3, chaos_profile="mild", recover=True)
+    @example(
+        fault_type="KEYPAIR_UNAVAILABLE", inject_at=40.0, seed=3, chaos_profile="moderate",
+        recover=True,
+    )
+    def test_any_chaos_level_and_recovery_runs_once_within_its_bound(
+        self, fault_type, inject_at, seed, chaos_profile, recover
+    ):
+        """Every API-plane level, recovering or not: the run never fails,
+        the same spec gives the same outcome, and a recovery ends within
+        ROADMAP 3(d)'s never-hangs bound."""
+        spec = RunSpec(
+            run_id="prop", fault_type=fault_type, seed=seed, inject_at=inject_at,
+            chaos_profile=chaos_profile, recover=recover,
+        )
+        with closing_times() as ended:
+            first, second = execute_run(spec), execute_run(spec)
+        assert not first.failed, first.error
+        assert outcome_digest(first) == outcome_digest(second)
+        if first.recovery is not None:
+            assert recover
+            budget = inspect.signature(recover_run).parameters["budget"].default
+            bound = budget + RESUME_HORIZON + SETTLE_TIME + QUIESCE_LIMIT
+            assert ended[0] - first.recovery["started_at"] <= bound

@@ -25,8 +25,7 @@ import statistics
 
 import pytest
 
-CONFIG_FAULTS = ("AMI_CHANGED", "KEYPAIR_WRONG", "SG_WRONG", "INSTANCE_TYPE_CHANGED")
-RESOURCE_FAULTS = ("AMI_UNAVAILABLE", "KEYPAIR_UNAVAILABLE", "SG_UNAVAILABLE", "ELB_UNAVAILABLE")
+from repro.evaluation.faults import CONFIG_FAULTS, RESOURCE_FAULTS
 
 
 def test_baseline_detection(campaign_outcomes):

@@ -10,8 +10,7 @@ The seeded campaign's answer is pinned run by run: 7 of the 80, every one
 an ELB outage.
 """
 
-RESOURCE_FAULTS = ("AMI_UNAVAILABLE", "KEYPAIR_UNAVAILABLE", "SG_UNAVAILABLE", "ELB_UNAVAILABLE")
-CONFIG_FAULTS = ("AMI_CHANGED", "KEYPAIR_WRONG", "SG_WRONG", "INSTANCE_TYPE_CHANGED")
+from repro.evaluation.faults import CONFIG_FAULTS, RESOURCE_FAULTS
 
 #: The interference-free resource-fault runs of the seed-2014 campaign
 #: that conformance flagged before any assertion failed.

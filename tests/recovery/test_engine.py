@@ -205,9 +205,7 @@ class TestCompensation:
         cloud = provisioned_cloud
         cloud.injector.change("launch_configuration", "lc-v1", image_id="ami-rogue")
         chaos = ChaosController(cloud.engine, get_profile("severe"), seed=13)
-        client = ConsistentApiClient(
-            cloud.engine, chaos.wrap(cloud.api("recovery")), seed=5
-        )
+        client = ConsistentApiClient(cloud.engine, cloud.api("recovery"), seed=5, chaos=chaos)
         recovery = RecoveryEngine(cloud.engine, client, seed=5)
         plan = build_recovery_plan(
             confirmed("wrong-ami"),

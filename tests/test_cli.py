@@ -7,6 +7,7 @@ import runpy
 import pytest
 
 from repro.cli import build_parser, main
+from repro.evaluation.faults import FAULT_TYPES
 
 EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
@@ -61,10 +62,7 @@ class TestCampaignCommand:
         assert "Figure 6" in out and "Figure 7" in out
         payload = json.loads(path.read_text())
         assert payload["recall"] == 1.0
-        assert set(payload["per_fault"]) == {
-            "AMI_CHANGED", "KEYPAIR_WRONG", "SG_WRONG", "INSTANCE_TYPE_CHANGED",
-            "AMI_UNAVAILABLE", "KEYPAIR_UNAVAILABLE", "SG_UNAVAILABLE", "ELB_UNAVAILABLE",
-        }
+        assert set(payload["per_fault"]) == set(FAULT_TYPES)
 
     @pytest.fixture
     def first_run_crashes(self, monkeypatch):

@@ -429,11 +429,18 @@ GUARDS: dict[str, Guard] = {
     ),
     "one-fault-table": Guard(
         r"change_lc_|make_\w+_unavailable|_FAULT_ERROR_CODES|_revive_elb|injector\.injections",
-        ("src/", "examples/", "tests/", "README.md"), "HEAD",
+        ("src/", "examples/", "tests/", "README.md"), "a675a92",
         "each fault type is one row of repro.evaluation.faults.FAULTS; the cloud keeps two"
         " mechanisms (change, remove) and names no fault type, and each injection is recorded"
         " once, by its caller",
         "        testbed.cloud.injector.make_key_pair_unavailable(\"key-prod\")",
+    ),
+    "chaos-drawn-in-the-client": Guard(
+        r"ChaosApiProxy|ChaosLatency|wrap_latency|chaos\.wrap\(",
+        ("src/", "examples/", "benchmarks/", "tests/"), "HEAD",
+        "ConsistentApiClient.call draws the run's chaos once per attempt; no facade wraps the"
+        " CloudAPI or the latency model",
+        "            api = self.chaos.wrap(api)",
     ),
 }
 

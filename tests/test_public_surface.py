@@ -270,8 +270,8 @@ def test_no_unused_imports_in_src():
 
 def test_the_consistent_api_client_is_built_at_one_site():
     """One API plane (ROADMAP item 1(h)): both of POD's clients come from
-    ``PODDiagnosis._client``, so there is one configuration to harden,
-    wrap in chaos, and hang per-test API-health state on."""
+    ``PODDiagnosis._client``, so there is one configuration to harden
+    and hang per-test API-health state on."""
     sites = [
         f"{path.relative_to(ROOT)}:{node.lineno}"
         for path in sorted((ROOT / "src" / "repro").rglob("*.py"))
@@ -281,6 +281,21 @@ def test_the_consistent_api_client_is_built_at_one_site():
         and node.func.id == "ConsistentApiClient"
     ]
     assert len(sites) == 1 and sites[0].startswith("src/repro/pod/service.py:"), sites
+
+
+def test_nothing_stands_between_the_client_and_the_cloud():
+    """Chaos is a step of ``ConsistentApiClient.call``, not a facade: on a
+    severe plane both clients hold the plain ``CloudAPI``, the healthy
+    latency model and the run's one controller."""
+    from repro.cloud.api import CloudAPI
+    from repro.sim.latency import LogNormalLatency
+    from repro.testbed import Testbed
+
+    testbed = Testbed(seed=5, chaos="severe")
+    for client in (testbed.pod.env.client, testbed.pod.recovery_client()):
+        assert type(client.api) is CloudAPI
+        assert type(client.latency) is LogNormalLatency
+        assert client.chaos is testbed.chaos
 
 
 def test_the_diagnosis_walk_does_no_io():

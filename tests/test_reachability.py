@@ -158,8 +158,6 @@ RUN_ONLY_BY: dict[str, tuple[str, str, str]] = {
     "sim.engine:Engine.run": ("seam", "tests/sim/test_engine.py",
                               "a bare engine run to a process's end or to an empty queue, in"
                               " place of the testbed's bounded loop"),
-    "cloud.limits:RateLimiter.in_flight": ("seam", "tests/cloud/test_limits.py",
-                                           "reads the sliding window a test fills by hand"),
     "diagnosis.tests:CustomTestRegistry.names": ("seam", "tests/diagnosis/test_probes.py",
                                                  "checks registry and trees name the same probes"),
     "operations.interference:InterferencePlan.any": (
